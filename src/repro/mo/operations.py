@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import TrajectoryError
 from repro.geometry import kernels
 from repro.geometry.point import Point
@@ -26,31 +24,6 @@ from repro.geometry.polygon import Polygon
 from repro.mo.trajectory import LinearInterpolationTrajectory, TrajectorySample
 
 TimeInterval = Tuple[float, float]
-
-
-def _piece_arrays(trajectory: LinearInterpolationTrajectory):
-    """The trajectory's pieces as flat endpoint/time arrays (piece order)."""
-    t0s: List[float] = []
-    t1s: List[float] = []
-    x0s: List[float] = []
-    y0s: List[float] = []
-    x1s: List[float] = []
-    y1s: List[float] = []
-    for t0, t1, segment in trajectory.pieces():
-        t0s.append(t0)
-        t1s.append(t1)
-        x0s.append(float(segment.start.x))
-        y0s.append(float(segment.start.y))
-        x1s.append(float(segment.end.x))
-        y1s.append(float(segment.end.y))
-    return (
-        t0s,
-        t1s,
-        np.asarray(x0s, dtype=float),
-        np.asarray(y0s, dtype=float),
-        np.asarray(x1s, dtype=float),
-        np.asarray(y1s, dtype=float),
-    )
 
 
 def _merge_intervals(intervals: List[TimeInterval]) -> List[TimeInterval]:
@@ -90,10 +63,10 @@ def intervals_inside(
     parameters convert affinely to times and adjacent intervals are merged
     across pieces.
     """
-    t0s, t1s, x0, y0, x1, y1 = _piece_arrays(trajectory)
+    t0s, t1s, x0, y0, x1, y1 = trajectory.sample.piece_arrays()
     clips = kernels.clip_segments_batch(polygon, x0, y0, x1, y1)
     intervals: List[TimeInterval] = []
-    for t0, t1, piece_clips in zip(t0s, t1s, clips):
+    for t0, t1, piece_clips in zip(t0s.tolist(), t1s.tolist(), clips):
         for s0, s1 in piece_clips:
             intervals.append((t0 + s0 * (t1 - t0), t0 + s1 * (t1 - t0)))
     return _merge_intervals(intervals)
@@ -114,7 +87,7 @@ def passes_through(
     Captures the paper's O6: "passes through a low-income region, but was
     not sampled inside it."
     """
-    _, _, x0, y0, x1, y1 = _piece_arrays(trajectory)
+    _, _, x0, y0, x1, y1 = trajectory.sample.piece_arrays()
     return bool(kernels.segments_intersect(polygon, x0, y0, x1, y1).any())
 
 

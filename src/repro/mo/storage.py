@@ -32,9 +32,10 @@ the per-object time-sorted row index as raw little-endian array blobs
 
 Loading installs zero-copy views: the ``(t, x, y)`` columns become
 ``np.frombuffer`` views over the mapped file and the CSR index pre-fills
-the table's per-object sorted-order cache (:attr:`MOFT._order`), so
-``history``/``position``/``trajectory_sample`` skip their argsort
-entirely.  The same image layout doubles as the wire format of the
+the table's per-object sorted-order cache (:attr:`MOFT._order`) and its
+segment table (:meth:`MOFT.segment_index`), so ``history``/``position``/
+``trajectory_sample`` skip their argsort and whole-table scans skip
+their ``lexsort``.  The same image layout doubles as the wire format of the
 zero-copy process shards (:mod:`repro.parallel.shm`): a shared-memory
 block holds one index-less image and shard descriptors address row
 ranges ``[start, stop)`` inside it.
@@ -54,7 +55,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import MoftStorageError
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, SegmentIndex
 
 #: Leading magic bytes of every columnar MOFT file.
 MAGIC = b"MOFTCOL\x00"
@@ -550,6 +551,11 @@ def table_from_image(
                     image.index_times[o0:o1],
                     image.index_rows[o0:o1],
                 )
+        # The CSR index *is* the segment table's (object, time) order.
+        if bool(np.all(offsets[1:] > offsets[:-1])):
+            moft._segments = SegmentIndex(
+                values, image.index_rows, offsets
+            )
     return moft
 
 

@@ -18,6 +18,8 @@ import bisect
 import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TrajectoryError
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polyline import Polyline
@@ -47,6 +49,17 @@ class TrajectorySample:
 
     def __getitem__(self, index: int) -> Tuple[float, float, float]:
         return self._points[index]
+
+    def piece_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The interpolation pieces as ``(t0, t1, x0, y0, x1, y1)`` arrays.
+
+        Piece ``i`` runs from sample ``i`` to sample ``i + 1`` (none for
+        a single-sample trajectory) — the array view the batch kernels
+        take, the single-trajectory sibling of
+        :meth:`repro.mo.moft.MOFT.segments`.
+        """
+        t, x, y = np.array(self._points, dtype=np.float64).reshape(-1, 3).T
+        return t[:-1], t[1:], x[:-1], y[:-1], x[1:], y[1:]
 
     @property
     def times(self) -> List[float]:

@@ -23,7 +23,11 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     segment scan.
 ``segment_checks`` / ``bbox_rejections`` / ``objects_scanned`` /
 ``objects_matched``
-    The trajectory-intersection counter (both indexed and naive paths).
+    The trajectory scans.  On the batched scans of polygon answers
+    (count and dwell) ``segment_checks`` is the (segment, polygon) pairs
+    handed to a batch kernel and ``bbox_rejections`` the pairs the
+    per-polygon box prefilter dropped; on the per-object walk they are
+    the probes tested exactly and the candidates pruned before that.
 
 ``shard_count`` / ``merge_ms``
     :class:`repro.parallel.ShardedExecutor` fan-out: shards dispatched,
@@ -71,8 +75,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 ``scan_rows``
     MOFT rows handed to a trajectory scan (every
     :meth:`~repro.query.evaluator.TrajectoryIntersectionCounter
-    .matching_objects` call adds the scanned table's length); the
-    cost-based planner reads this back as a plan node's *actual rows*.
+    .matching_objects` call and every
+    :func:`~repro.query.aggregate.total_dwell_time` scan adds the
+    scanned table's length); the cost-based planner reads this back as
+    a plan node's *actual rows*.
 
 ``jobs_submitted`` / ``jobs_rejected`` / ``jobs_claimed`` /
 ``jobs_completed`` / ``jobs_failed`` / ``jobs_dead`` /

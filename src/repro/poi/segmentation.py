@@ -27,6 +27,7 @@ from repro.errors import GeometryError, TrajectoryError
 from repro.geometry.kernels import disc_clip_batch
 from repro.geometry.point import Point
 from repro.geometry.poi import Poi
+from repro.mo.moft import SegmentBatch
 from repro.mo.trajectory import LinearInterpolationTrajectory, TrajectorySample
 
 #: Episode kinds.
@@ -67,36 +68,16 @@ class Episode:
         return self.kind == STOP
 
 
-_PieceArrays = Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]
-
-
-def _piece_arrays(
+def _sample_of(
     trajectory: Union[LinearInterpolationTrajectory, TrajectorySample],
-) -> Tuple[float, float, Optional[_PieceArrays]]:
-    """Normalize a trajectory to ``(t_min, t_max, piece arrays)``."""
+) -> TrajectorySample:
     if isinstance(trajectory, LinearInterpolationTrajectory):
-        sample = trajectory.sample
-    elif isinstance(trajectory, TrajectorySample):
-        sample = trajectory
-    else:
-        raise TrajectoryError(
-            "segmentation expects a TrajectorySample or "
-            f"LinearInterpolationTrajectory, got {type(trajectory).__name__}"
-        )
-    points = list(sample)
-    if not points:
-        raise TrajectoryError("cannot segment an empty trajectory")
-    ts = np.array([p[0] for p in points], dtype=np.float64)
-    xs = np.array([p[1] for p in points], dtype=np.float64)
-    ys = np.array([p[2] for p in points], dtype=np.float64)
-    if len(points) == 1:
-        return float(ts[0]), float(ts[0]), None
-    return (
-        float(ts[0]),
-        float(ts[-1]),
-        (ts[:-1], ts[1:], xs[:-1], ys[:-1], xs[1:], ys[1:]),
+        return trajectory.sample
+    if isinstance(trajectory, TrajectorySample):
+        return trajectory
+    raise TrajectoryError(
+        "segmentation expects a TrajectorySample or "
+        f"LinearInterpolationTrajectory, got {type(trajectory).__name__}"
     )
 
 
@@ -124,19 +105,26 @@ def _disc_of(geometry: Union[Poi, Point], radius: Optional[float]) -> Tuple[floa
 
 
 def _merged_intervals(
-    pieces: _PieceArrays, cx: float, cy: float, r: float, obs=None
+    t0s: Sequence[float],
+    t1s: Sequence[float],
+    lo: Sequence[float],
+    hi: Sequence[float],
 ) -> List[Tuple[float, float]]:
-    """Maximal positive-length in-disc time intervals of one trajectory."""
-    t0s, t1s, x0s, y0s, x1s, y1s = pieces
-    lo, hi = disc_clip_batch(cx, cy, r, x0s, y0s, x1s, y1s, obs=obs)
-    dts = t1s - t0s
+    """Maximal positive-length in-disc time intervals of one trajectory.
+
+    ``lo``/``hi`` are the clip parameters of its pieces (time order), as
+    :func:`~repro.geometry.kernels.disc_clip_batch` returns them; pieces
+    outside the disc (``hi <= lo``) count for nothing and may be left
+    out.  Plain floats in, plain floats out.
+    """
     out: List[Tuple[float, float]] = []
-    for i in np.nonzero(hi > lo)[0]:
+    for li, hi_i, t0, t1 in zip(lo, hi, t0s, t1s):
+        if hi_i <= li:
+            continue
         # Clamp endpoints that hit a piece boundary to the *exact* piece
         # times so adjacency across pieces is exact-equality, never a
         # tolerance test.
-        li, hi_i = float(lo[i]), float(hi[i])
-        t0, t1, dt = float(t0s[i]), float(t1s[i]), float(dts[i])
+        dt = t1 - t0
         a = t0 if li == 0.0 else t0 + li * dt
         b = t1 if hi_i == 1.0 else t0 + hi_i * dt
         if b <= a:
@@ -148,6 +136,85 @@ def _merged_intervals(
     return out
 
 
+def _scan_stops(
+    candidates: List[Tuple[float, float, str, Hashable]],
+    t_min: float,
+    min_dwell: float,
+) -> List[Tuple[float, float, Hashable]]:
+    """SMoT scan: earliest qualifying interval wins; resume from its exit.
+
+    ``candidates`` are ``(start, end, repr(poi id), poi id)`` in-disc
+    intervals of one trajectory, any order; returns its stops as
+    ``(start, end, poi id)`` in time order.
+    """
+    candidates.sort(key=lambda c: c[:3])
+    cursor = t_min
+    stops: List[Tuple[float, float, Hashable]] = []
+    for a, b, _, gid in candidates:
+        start = a if a >= cursor else cursor
+        if b <= start:
+            continue
+        if b - start < min_dwell:
+            continue
+        stops.append((start, b, gid))
+        cursor = b
+    return stops
+
+
+def _checked_min_dwell(min_dwell: float) -> float:
+    min_dwell = float(min_dwell)
+    if math.isnan(min_dwell) or min_dwell < 0.0:
+        raise TrajectoryError(f"min_dwell must be >= 0, got {min_dwell!r}")
+    return min_dwell
+
+
+def batch_stops(
+    batch: SegmentBatch,
+    pois: Mapping[Hashable, Union[Poi, Point]],
+    radius: Optional[float] = None,
+    min_dwell: float = 0.0,
+    obs=None,
+) -> Dict[int, List[Tuple[float, float, Hashable]]]:
+    """The stops of every object of a segment batch, keyed by ``batch.obj``.
+
+    One disc-kernel call per POI over all objects; the interval merge and
+    the SMoT scan of :func:`segment_stops_moves` then run only for the
+    (object, POI) pairs the kernel found inside.  Objects without a stop
+    are absent.
+    """
+    min_dwell = _checked_min_dwell(min_dwell)
+    obj = batch.obj
+    candidates: Dict[int, List[Tuple[float, float, str, Hashable]]] = {}
+    for gid in sorted(pois, key=repr):
+        cx, cy, r = _disc_of(pois[gid], radius)
+        lo, hi = disc_clip_batch(
+            cx, cy, r, batch.x0, batch.y0, batch.x1, batch.y1, obs=obs
+        )
+        inside = np.flatnonzero(hi > lo)
+        # ``obj`` ascends, so one object's pieces are one run of ``inside``.
+        owner = obj[inside]
+        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), inside.size]
+        owner = owner.tolist()
+        t0s, t1s = batch.t0[inside].tolist(), batch.t1[inside].tolist()
+        lo, hi = lo[inside].tolist(), hi[inside].tolist()
+        for a, b in zip(cuts, cuts[1:]) if inside.size else ():
+            intervals = _merged_intervals(
+                t0s[a:b], t1s[a:b], lo[a:b], hi[a:b]
+            )
+            candidates.setdefault(owner[a], []).extend(
+                (start, end, repr(gid), gid) for start, end in intervals
+            )
+    stops = {}
+    for position, found in candidates.items():
+        t_min = float(batch.t0[batch.offsets[position - batch.first]])
+        found = _scan_stops(found, t_min, min_dwell)
+        if found:
+            stops[position] = found
+    if obs is not None:
+        obs.incr("stop_episodes", sum(map(len, stops.values())))
+    return stops
+
+
 def poi_stop_intervals(
     trajectory: Union[LinearInterpolationTrajectory, TrajectorySample],
     poi: Union[Poi, Point],
@@ -155,11 +222,12 @@ def poi_stop_intervals(
     obs=None,
 ) -> List[Tuple[float, float]]:
     """Maximal in-disc intervals of ``trajectory`` at one POI."""
-    _, _, pieces = _piece_arrays(trajectory)
-    if pieces is None:
-        return []
+    t0s, t1s, x0s, y0s, x1s, y1s = _sample_of(trajectory).piece_arrays()
     cx, cy, r = _disc_of(poi, radius)
-    return _merged_intervals(pieces, cx, cy, r, obs=obs)
+    lo, hi = disc_clip_batch(cx, cy, r, x0s, y0s, x1s, y1s, obs=obs)
+    return _merged_intervals(
+        t0s.tolist(), t1s.tolist(), lo.tolist(), hi.tolist()
+    )
 
 
 def segment_stops_moves(
@@ -189,30 +257,19 @@ def segment_stops_moves(
     repr(id))`` order, so ties between POIs entered at the same instant
     break by id.
     """
-    min_dwell = float(min_dwell)
-    if math.isnan(min_dwell) or min_dwell < 0.0:
-        raise TrajectoryError(f"min_dwell must be >= 0, got {min_dwell!r}")
-    t_min, t_max, pieces = _piece_arrays(trajectory)
+    min_dwell = _checked_min_dwell(min_dwell)
+    sample = _sample_of(trajectory)
+    t_min, t_max = sample.start_time, sample.end_time
+    t0s, t1s, x0s, y0s, x1s, y1s = sample.piece_arrays()
+    times = (t0s.tolist(), t1s.tolist())
 
     candidates: List[Tuple[float, float, str, Hashable]] = []
-    if pieces is not None:
-        for gid in sorted(pois, key=repr):
-            cx, cy, r = _disc_of(pois[gid], radius)
-            for a, b in _merged_intervals(pieces, cx, cy, r, obs=obs):
-                candidates.append((a, b, repr(gid), gid))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-
-    # SMoT scan: earliest qualifying interval wins; resume from its exit.
-    cursor = t_min
-    stops: List[Tuple[float, float, Hashable]] = []
-    for a, b, _, gid in candidates:
-        start = a if a >= cursor else cursor
-        if b <= start:
-            continue
-        if b - start < min_dwell:
-            continue
-        stops.append((start, b, gid))
-        cursor = b
+    for gid in sorted(pois, key=repr) if len(sample) > 1 else ():
+        cx, cy, r = _disc_of(pois[gid], radius)
+        lo, hi = disc_clip_batch(cx, cy, r, x0s, y0s, x1s, y1s, obs=obs)
+        for a, b in _merged_intervals(*times, lo.tolist(), hi.tolist()):
+            candidates.append((a, b, repr(gid), gid))
+    stops = _scan_stops(candidates, t_min, min_dwell)
 
     episodes: List[Episode] = []
     prev_end = t_min

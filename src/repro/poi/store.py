@@ -25,17 +25,44 @@ canonical JSON (pinned by ``tests/poi/test_poi_differential.py``).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PreAggError
 from repro.mo.moft import MOFT
-from repro.poi.segmentation import segment_stops_moves
+from repro.poi.segmentation import batch_stops, segment_stops_moves
 from repro.temporal.timedim import TimeDimension
 
 #: Per-object cell contribution: ``{(gid, code): (visits, dwell)}``.
 ObjectCells = Dict[Tuple[Hashable, int], Tuple[int, float]]
+
+
+def _stop_cells(
+    stops: Iterable[Tuple[float, float, Hashable]], starts: np.ndarray
+) -> ObjectCells:
+    """One object's visit/dwell contributions from its stops, in time order."""
+    cells: ObjectCells = {}
+    starts = starts.tolist()
+    n = len(starts)
+    for a, b, gid in stops:
+        code = max(bisect_right(starts, a) - 1, 0)
+        visits, dwell = cells.get((gid, code), (0, 0.0))
+        cells[(gid, code)] = (visits + 1, dwell)
+        # Split [a, b] exactly over granule windows from `code` onward.
+        i = code
+        while i < n:
+            win_start = starts[i] if i > code else a
+            win_end = starts[i + 1] if i + 1 < n else math.inf
+            piece = min(b, win_end) - max(a, win_start)
+            if piece > 0.0:
+                visits, dwell = cells.get((gid, i), (0, 0.0))
+                cells[(gid, i)] = (visits, dwell + piece)
+            if win_end >= b:
+                break
+            i += 1
+    return cells
 
 
 def _object_cells(
@@ -47,35 +74,15 @@ def _object_cells(
     min_dwell: float,
     obs=None,
 ) -> ObjectCells:
-    """One object's visit/dwell contributions, in time order."""
-    sample = moft.trajectory_sample(oid)
+    """One object's cells by the single-trajectory API — the reference
+    :func:`poi_cells` is tested against."""
     episodes = segment_stops_moves(
-        sample, pois, radius=radius, min_dwell=min_dwell, obs=obs
+        moft.trajectory_sample(oid), pois, radius=radius,
+        min_dwell=min_dwell, obs=obs,
     )
-    cells: ObjectCells = {}
-    n = starts.shape[0]
-    for episode in episodes:
-        if not episode.is_stop:
-            continue
-        a, b, gid = episode.start, episode.end, episode.poi
-        code = int(np.searchsorted(starts, a, side="right")) - 1
-        if code < 0:
-            code = 0
-        visits, dwell = cells.get((gid, code), (0, 0.0))
-        cells[(gid, code)] = (visits + 1, dwell)
-        # Split [a, b] exactly over granule windows from `code` onward.
-        i = code
-        while i < n:
-            win_start = float(starts[i]) if i > code else a
-            win_end = float(starts[i + 1]) if i + 1 < n else math.inf
-            piece = min(b, win_end) - max(a, win_start)
-            if piece > 0.0:
-                visits, dwell = cells.get((gid, i), (0, 0.0))
-                cells[(gid, i)] = (visits, dwell + piece)
-            if win_end >= b:
-                break
-            i += 1
-    return cells
+    return _stop_cells(
+        ((e.start, e.end, e.poi) for e in episodes if e.is_stop), starts
+    )
 
 
 def poi_cells(
@@ -90,23 +97,31 @@ def poi_cells(
 ) -> Dict[Hashable, ObjectCells]:
     """Per-object POI cells of ``moft`` — the shared scan primitive.
 
-    The serial query path calls this directly; shards call it with their
-    object subset; :class:`PoiVisitStore` materializes its result.  One
-    object's cells never depend on another's, which is what makes the
-    three strategies byte-identical.
+    The serial query path calls this directly; shards call it on their
+    object partition; :class:`PoiVisitStore` materializes its result
+    (``oids`` restricts it to the objects an append touched).  The
+    table's segment table goes through the disc kernel once per POI
+    (:func:`~repro.poi.segmentation.batch_stops`); one object's cells
+    never depend on another's, which is what makes the three strategies
+    byte-identical.
     """
     partition = time.granules(granule_level)
     starts = np.asarray(partition.starts, dtype=np.float64)
-    wanted = list(moft.objects()) if oids is None else list(oids)
-    out: Dict[Hashable, ObjectCells] = {}
-    total_visits = 0
-    for oid in sorted(wanted, key=repr):
-        cells = _object_cells(
-            moft, oid, starts, pois, radius, min_dwell, obs=obs
+    if oids is not None:
+        moft = moft.restrict_objects(oids)
+    names = moft.segment_index().oids
+    stops: Dict[Hashable, list] = {}
+    for batch in moft.segments():
+        found = batch_stops(
+            batch, pois, radius=radius, min_dwell=min_dwell, obs=obs
         )
-        if cells:
-            out[oid] = cells
-            total_visits += sum(v for v, _ in cells.values())
+        stops.update((names[position], found[position]) for position in found)
+    # Cells are made in the order readers fold them (sorted ``repr``):
+    # a store read walks its cells in allocation order.
+    out = {
+        oid: _stop_cells(stops[oid], starts) for oid in sorted(stops, key=repr)
+    }
+    total_visits = sum(v for cells in out.values() for v, _ in cells.values())
     if obs is not None and total_visits:
         obs.incr("poi_visits", total_visits)
     return out

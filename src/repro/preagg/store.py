@@ -58,7 +58,7 @@ from repro.geometry.overlay import geometries_intersect
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.segment import Segment
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, SegmentBatch
 from repro.obs import PipelineStats
 from repro.parallel.merge import union_sorted_ids
 from repro.query.vectorized import polygon_contains_batch
@@ -274,7 +274,7 @@ class PreAggStore:
                         f"no {self.granule_level!r} granules exist but the "
                         f"MOFT has {rows} samples"
                     )
-                self._build_from_rows(0)
+                self._build()
             self._built_version = version
             self._built_rows = rows
 
@@ -301,23 +301,39 @@ class PreAggStore:
             )
         return codes
 
-    def _build_from_rows(self, start_row: int) -> None:
-        """Fold rows ``start_row:`` into the cells (build = start_row 0).
-
-        For a full build the per-object segment walk covers whole
-        histories; incremental updates instead go through
-        :meth:`_apply_delta` which stitches the connecting segment from
-        ``self._last``.
-        """
+    def _build(self) -> None:
+        """Fold every row and every segment of the table into the cells."""
         moft = self.moft
         t, x, y = moft.as_arrays()
-        oid_col = moft.oid_column()
+        index = moft.segment_index()
+        object_code = np.fromiter(
+            map(self._intern, index.oids.tolist()), dtype=np.int64,
+            count=index.oids.shape[0],
+        )
         codes = self._granule_codes_checked(t)
-        row_code = np.empty(len(moft), dtype=np.int64)
-        for i, oid in enumerate(oid_col.tolist()):
-            row_code[i] = self._intern(oid)
         delta = _DeltaSets()
-        # Sample pass: vectorized containment per polygon.
+        self._fold_samples(delta, index.per_row(object_code), codes, x, y)
+        for batch in moft.segments():
+            self._fold_segments(delta, object_code[batch.obj], batch)
+        last = index.perm[index.offsets[1:] - 1]
+        self._set_last(object_code, t[last], x[last], y[last])
+        self._apply_sets(delta)
+
+    def _set_last(self, code, t, x, y) -> None:
+        """Record, per object code, the sample its next segment starts at."""
+        self._last.update(
+            zip(code.tolist(), zip(t.tolist(), x.tolist(), y.tolist()))
+        )
+
+    def _fold_samples(
+        self,
+        delta: _DeltaSets,
+        code: np.ndarray,
+        granule: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+    ) -> None:
+        """The sample pass: vectorized containment per polygon."""
         for gid in self.gids:
             polygon = self.geometries[gid]
             box = polygon.bbox
@@ -329,84 +345,47 @@ class PreAggStore:
             )
             if rows.size:
                 rows = rows[polygon_contains_batch(polygon, x[rows], y[rows])]
-            cells = self._cells[gid]
             if rows.size:
-                cells.samples += np.bincount(
-                    codes[rows], minlength=len(self.partition)
+                self._cells[gid].samples += np.bincount(
+                    granule[rows], minlength=len(self.partition)
                 )
-                for g, code in zip(codes[rows].tolist(), row_code[rows].tolist()):
-                    delta.add_present(gid, g, code)
-        # Segment pass, batched: gather every consecutive-sample segment
-        # (object by object in interning order, ascending time within
-        # each object) into flat arrays, then answer each polygon over
-        # the whole batch with the clip kernel.  Per polygon the hits
-        # apply in ascending batch order, which is exactly the order the
-        # per-segment walk folded them in — so the float dwell sums and
-        # the span-record sequence are unchanged.
-        seg_chunks: List[Tuple[np.ndarray, ...]] = []
-        for oid, code in self._oid_code.items():
-            times, rows = moft._object_order(oid)
-            if times.shape[0] < 2:
-                if times.shape[0] == 1:
-                    row = int(rows[0])
-                    self._last[code] = (
-                        float(times[0]), float(x[row]), float(y[row])
-                    )
+                for g, c in zip(granule[rows].tolist(), code[rows].tolist()):
+                    delta.add_present(gid, g, c)
+
+    def _fold_segments(
+        self, delta: _DeltaSets, code: np.ndarray, batch: SegmentBatch
+    ) -> None:
+        """The segment pass: one clip-kernel call per polygon.
+
+        ``batch`` holds trajectory segments in (object, time) order and
+        ``code`` their object codes.  Per polygon the hits apply in
+        ascending batch order — the order a segment-by-segment walk
+        would fold them in — so the float dwell sums and the span-record
+        sequence do not depend on the batching.
+        """
+        dt = batch.t1 - batch.t0
+        for gid in self.gids:
+            polygon = self.geometries[gid]
+            near = batch.near(polygon.bbox)
+            if not near.size:
                 continue
-            granules = codes[rows]
-            xr, yr = x[rows], y[rows]
-            seg_chunks.append(
-                (
-                    times[:-1], times[1:],
-                    xr[:-1], yr[:-1], xr[1:], yr[1:],
-                    granules[:-1], granules[1:],
-                    np.full(times.shape[0] - 1, code, dtype=np.int64),
-                )
+            dwell, hits = segments_dwell(
+                polygon, *batch.ends(near), dt[near], obs=self.obs
             )
-            last_row = int(rows[-1])
-            self._last[code] = (
-                float(times[-1]), float(x[last_row]), float(y[last_row])
-            )
-        if seg_chunks:
-            st0, st1, sx0, sy0, sx1, sy1, sg0, sg1, scode = (
-                np.concatenate([chunk[k] for chunk in seg_chunks])
-                for k in range(9)
-            )
-            sdt = st1 - st0
-            sminx = np.minimum(sx0, sx1)
-            smaxx = np.maximum(sx0, sx1)
-            sminy = np.minimum(sy0, sy1)
-            smaxy = np.maximum(sy0, sy1)
-            for gid in self.gids:
-                polygon = self.geometries[gid]
-                box = polygon.bbox
-                cand = np.flatnonzero(
-                    ~(
-                        (sminx > box.max_x)
-                        | (smaxx < box.min_x)
-                        | (sminy > box.max_y)
-                        | (smaxy < box.min_y)
-                    )
-                )
-                if not cand.size:
-                    continue
-                dwell, hits = segments_dwell(
-                    polygon,
-                    sx0[cand], sy0[cand], sx1[cand], sy1[cand],
-                    sdt[cand],
-                    obs=self.obs,
-                )
-                cells = self._cells[gid]
-                for pos in np.flatnonzero(hits):
-                    i = int(cand[pos])
-                    g0, g1 = int(sg0[i]), int(sg1[i])
-                    code = int(scode[i])
-                    if g0 == g1:
-                        cells.dwell[g0] += dwell[pos]
-                        delta.add_passer(gid, g0, code)
-                    else:
-                        delta.add_span(gid, code, g0, g1, dwell[pos])
-        self._apply_sets(delta)
+            cells = self._cells[gid]
+            found = np.flatnonzero(hits)
+            at = near[found]
+            for amount, a, b, c in zip(
+                dwell[found].tolist(),
+                self.partition.codes_for(batch.t0[at]).tolist(),
+                self.partition.codes_for(batch.t1[at]).tolist(),
+                code[at].tolist(),
+            ):
+                if a == b:
+                    cells.dwell[a] += amount
+                    delta.add_passer(gid, a, c)
+                else:
+                    delta.add_span(gid, c, a, b, amount)
 
     def _fold_segment(
         self,
@@ -508,50 +487,68 @@ class PreAggStore:
             return "rebuild"
         with self.obs.stage("preagg_update"):
             version, rows = self.moft.version, len(self.moft)
-            start = self._built_rows
-            t, x, y = self.moft.as_arrays()
-            oid_col = self.moft.oid_column()
-            codes = self._granule_codes_checked(t[start:])
-            # Group delta rows by object, each object's rows time-sorted.
-            per_object: Dict[Hashable, List[int]] = {}
-            for offset, oid in enumerate(oid_col[start:].tolist()):
-                per_object.setdefault(oid, []).append(offset)
             delta = _DeltaSets()
-            reordered: List[Hashable] = []
-            for oid, offsets in per_object.items():
-                offsets.sort(key=lambda o: t[start + o])
-                code = self._intern(oid)
-                previous = self._last.get(code)
-                first_t = float(t[start + offsets[0]])
-                if previous is not None and first_t <= previous[0]:
-                    # Out-of-order append: the connecting segments already
-                    # folded in would change.  Retract this object's
-                    # contribution and refold its full history below;
-                    # every other object keeps the pure delta path.
-                    reordered.append(oid)
-                    continue
-                for offset in offsets:
-                    row = start + offset
-                    granule = int(codes[offset])
-                    tr = float(t[row])
-                    xr, yr = float(x[row]), float(y[row])
-                    self._fold_sample(delta, code, granule, xr, yr)
-                    if previous is not None:
-                        tp, xp, yp = previous
-                        self._fold_segment(
-                            delta, code, tp, tr, xp, yp, xr, yr,
-                            int(self.partition.codes_for(
-                                np.array([tp]))[0]),
-                            granule,
-                        )
-                    previous = (tr, xr, yr)
-                self._last[code] = previous  # type: ignore[assignment]
-            for oid in reordered:
+            for oid in self._fold_delta(delta, self._built_rows):
                 self._refold_object(delta, oid)
             self._apply_sets(delta)
             self._built_version = version
             self._built_rows = rows
         return "delta"
+
+    def _fold_delta(self, delta: _DeltaSets, start: int) -> List[Hashable]:
+        """Fold rows ``start:`` of objects appended in time order.
+
+        Samples and segments (each object's connecting segment from its
+        last folded sample, then its in-delta segments) go through the
+        batched passes of the build.  Returns the objects whose append
+        was *not* in time order, untouched, for the caller to refold.
+        """
+        t, x, y = (column[start:] for column in self.moft.as_arrays())
+        if not t.shape[0]:
+            return []
+        granule = self._granule_codes_checked(t)
+        code = np.fromiter(
+            map(self._intern, self.moft.oid_column()[start:].tolist()),
+            dtype=np.int64, count=t.shape[0],
+        )
+        # Delta rows object by object (first-appearance order), each
+        # object's rows ascending in time.
+        _, first_row, inverse = np.unique(
+            code, return_index=True, return_inverse=True
+        )
+        order = np.lexsort((t, first_row[inverse]))
+        t, x, y = t[order], x[order], y[order]
+        granule, code = granule[order], code[order]
+        head = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        # Every delta row's predecessor: the row before it, or for an
+        # object's first delta row its last folded sample (NaN: none).
+        prev_t, prev_x, prev_y = (np.r_[np.nan, c[:-1]] for c in (t, x, y))
+        known = [self._last.get(c) for c in code[head].tolist()]
+        prev_t[head], prev_x[head], prev_y[head] = np.array(
+            [p if p is not None else (np.nan,) * 3 for p in known]
+        ).reshape(-1, 3).T
+        # Out-of-order append: the connecting segments already folded
+        # in would change.  Those objects are left for the caller to
+        # retract and refold whole; every other takes the batched delta.
+        late_codes = code[head[t[head] <= prev_t[head]]]
+        keep = np.ones(len(self._oid_values), dtype=bool)
+        keep[late_codes] = False
+        keep = keep[code]
+        self._fold_samples(
+            delta, code[keep], granule[keep], x[keep], y[keep]
+        )
+        joined = np.flatnonzero(keep & ~np.isnan(prev_t))
+        self._fold_segments(
+            delta,
+            code[joined],
+            SegmentBatch(
+                prev_t[joined], t[joined],
+                prev_x[joined], prev_y[joined], x[joined], y[joined],
+            ),
+        )
+        tail = np.flatnonzero(np.r_[code[1:] != code[:-1], True] & keep)
+        self._set_last(code[tail], t[tail], x[tail], y[tail])
+        return [self._oid_values[c] for c in late_codes.tolist()]
 
     def _refold_object(self, delta: _DeltaSets, oid: Hashable) -> None:
         """Retract one object's folded state and refold its full history.

@@ -155,10 +155,20 @@ def total_dwell_time(
     answer the covered granule run, and boundary slivers are clipped
     directly — no trajectory scan at all.  Exact up to float summation
     order; the differential suite pins the tolerance.
+
+    The scan path runs the dwell kernel once per answer polygon over
+    the table's segment table and counts into ``stats`` (default: the
+    context's observer) like the count path: ``scan_rows``, the
+    ``segment_scan`` stage, ``segment_checks`` / ``bbox_rejections`` and
+    the kernel's own counters.
     """
-    from repro.mo.operations import time_inside
-    from repro.mo.trajectory import LinearInterpolationTrajectory
-    from repro.query.evaluator import geometric_subquery, validated_window
+    from repro.geometry import kernels
+    from repro.obs import EvaluationStats
+    from repro.query.evaluator import (
+        geometric_subquery,
+        validated_window,
+        window_restricted,
+    )
     from repro.query.optimizer import route_through_window
 
     moft = context.moft(moft_name)
@@ -178,15 +188,22 @@ def total_dwell_time(
             return route.store.window_dwell(sorted(ids, key=repr), *window)
     elements = context.gis.layer(layer).elements(kind)
     if window is not None:
-        t, _, _ = moft.as_arrays()
-        moft = moft.mask_rows((t >= window[0]) & (t <= window[1]))
+        moft = window_restricted(moft, window)
+    stats = stats if stats is not None else context.obs
+    stats.incr("scan_rows", len(moft))
     total = 0.0
-    for oid in moft.objects():
-        if moft.sample_count(oid) < 2:
-            continue
-        trajectory = LinearInterpolationTrajectory(moft.trajectory_sample(oid))
-        for gid in ids:
-            total += time_inside(trajectory, elements[gid])
+    with stats.stage(EvaluationStats.SCAN_STAGE):
+        for batch in moft.segments():
+            dt = batch.t1 - batch.t0
+            for gid in sorted(ids, key=repr):
+                polygon = elements[gid]
+                near = batch.near(polygon.bbox)
+                stats.incr("bbox_rejections", len(batch) - near.shape[0])
+                stats.incr("segment_checks", near.shape[0])
+                dwell, _ = kernels.segments_dwell(
+                    polygon, *batch.ends(near), dt[near], obs=stats
+                )
+                total += float(dwell.sum())
     return total
 
 

@@ -19,9 +19,17 @@ refinements that the benchmarks ablate:
   built in place or borrowed prebuilt from
   :meth:`~repro.query.region.EvaluationContext.geometry_index`;
 * an optional columnar prefilter (:func:`repro.query.vectorized
-  .samples_in_polygons`): when every answer geometry is a polygon, a
+  .points_in_polygons`): when every answer geometry is a polygon, a
   sampled point inside a polygon already proves the trajectory
   intersects, so those objects skip the segment scan entirely.
+
+When every answer geometry is a polygon the scan is *batched*: the
+table's segment table (:meth:`repro.mo.moft.MOFT.segments`) goes through
+the clip kernel once per polygon for all objects together, and the
+per-object walk serves the other geometry kinds, single-sample objects
+and tables too small to repay a kernel call.  The grid index is a
+refinement of the walk only; the batched scan prefilters by bounding
+box per polygon.
 
 Instrumentation is the :mod:`repro.obs` vocabulary —
 :class:`~repro.obs.EvaluationStats` is re-exported here for
@@ -42,12 +50,24 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.errors import EvaluationError
+from repro.geometry import kernels
 from repro.geometry.index import UniformGridIndex, index_for_geometries
 from repro.geometry.overlay import geometries_intersect, geometry_bbox
-from repro.mo.moft import MOFT
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.segment import Segment
+from repro.mo.moft import MOFT, SegmentBatch
 from repro.obs import EvaluationStats, PipelineStats
 from repro.query.region import EvaluationContext
+from repro.query.vectorized import points_in_polygons
+
+#: Below this many rows the per-object walk beats the batched scan: a
+#: kernel call costs about as much as walking a dozen segments.
+BATCH_MIN_ROWS = 64
+
 
 class ShardedTrajectoryExecutor(Protocol):
     """What :func:`count_objects_through` needs from a parallel executor."""
@@ -72,9 +92,11 @@ class TrajectoryIntersectionCounter:
         subquery (e.g. the cities crossed by a river containing a store).
     use_index:
         Build a grid index over the geometries and only test segments
-        against candidates whose boxes meet the segment's box.
+        against candidates whose boxes meet the segment's box (the
+        per-object walk; the batched scan prefilters per polygon).
     early_exit:
-        Stop scanning an object's trajectory at the first hit.
+        Stop scanning an object's trajectory at the first hit (batched:
+        the object leaves the scan before the next kernel call).
     index:
         A prebuilt :class:`UniformGridIndex` over exactly these
         geometries (e.g. from ``EvaluationContext.geometry_index``);
@@ -101,6 +123,14 @@ class TrajectoryIntersectionCounter:
         self.use_index = use_index
         self.early_exit = early_exit
         self.vectorized_prefilter = vectorized_prefilter
+        #: The answer as polygons, for the batched scan (None: it holds
+        #: other geometries).  In id order, not the answer set's hash
+        #: order, so the early-exit counts repeat from run to run.
+        self._polygons: Optional[List[Polygon]] = [
+            self.geometries[gid] for gid in sorted(self.geometries, key=repr)
+        ]
+        if not all(isinstance(g, Polygon) for g in self._polygons):
+            self._polygons = None
         if not use_index:
             self._index = None
         elif index is not None:
@@ -114,15 +144,19 @@ class TrajectoryIntersectionCounter:
         """Return the ids of objects whose interpolated trajectory hits.
 
         Objects with a single sample are tested by that sampled point.
+        Polygon answers are scanned over the table's segment table, one
+        kernel call per polygon for all objects; other geometries take
+        the per-object walk (:meth:`_object_matches`).
         """
         stats = stats if stats is not None else EvaluationStats()
-        matched: Set[Hashable] = set()
         stats.incr("scan_rows", len(moft))
         with stats.stage(EvaluationStats.SCAN_STAGE):
-            accepted = self._vectorized_accepts(moft, stats)
+            if self._polygons is not None and len(moft):
+                return self._matching_polygons(moft, stats)
+            matched: Set[Hashable] = set()
             for oid in moft.objects():
                 stats.objects_scanned += 1
-                if oid in accepted or self._object_matches(moft, oid, stats):
+                if self._object_matches(moft, oid, stats):
                     matched.add(oid)
                     stats.objects_matched += 1
         return matched
@@ -131,37 +165,97 @@ class TrajectoryIntersectionCounter:
         """Number of matching objects (the aggregation of Section 5)."""
         return len(self.matching_objects(moft, stats))
 
-    def _vectorized_accepts(
+    def _matching_polygons(
         self, moft: MOFT, stats: EvaluationStats
     ) -> Set[Hashable]:
-        """Objects proven to match by the columnar point-in-polygon pass."""
-        from repro.geometry.polygon import Polygon
+        """The scan of a polygon answer: all objects at once.
 
-        if not self.vectorized_prefilter or len(moft) == 0:
-            return set()
-        polygons = list(self.geometries.values())
-        if not all(isinstance(g, Polygon) for g in polygons):
-            return set()
-        from repro.query.vectorized import samples_in_polygons
+        Tables under ``BATCH_MIN_ROWS`` rows walk the objects the sample
+        prefilter left instead, which is cheaper than the kernel calls.
+        """
+        index = moft.segment_index()
+        oids, perm, offsets = index
+        _, x, y = moft.as_arrays()
+        hit = np.zeros(oids.shape[0], dtype=bool)
+        if self.vectorized_prefilter:
+            # A sampled point inside a polygon proves the hit.
+            inside = points_in_polygons(x, y, self._polygons)
+            hit[index.per_row(np.arange(hit.shape[0]))[inside]] = True
+            stats.incr("vectorized_accepts", int(hit.sum()))
+        if len(moft) < BATCH_MIN_ROWS:
+            for i in np.flatnonzero(~hit):
+                hit[i] = self._object_matches(moft, oids[i], stats)
+        else:
+            for batch in moft.segments():
+                self._scan_batch(batch, hit, stats)
+            for i in np.flatnonzero((np.diff(offsets) == 1) & ~hit):
+                row = perm[offsets[i]]
+                hit[i] = self._probes_match(
+                    [Point(float(x[row]), float(y[row]))], stats
+                )
+        stats.objects_scanned += hit.shape[0]
+        stats.objects_matched += int(hit.sum())
+        return set(oids[hit].tolist())
 
-        accepted = {oid for oid, _ in samples_in_polygons(moft, polygons)}
-        stats.incr("vectorized_accepts", len(accepted))
-        return accepted
+    def _scan_batch(
+        self, batch: SegmentBatch, hit: np.ndarray, stats: EvaluationStats
+    ) -> None:
+        """Mark in ``hit`` the objects a segment of ``batch`` proves.
+
+        ``segment_checks`` counts the (segment, polygon) pairs handed to
+        the kernel, ``bbox_rejections`` the pairs the box prefilter
+        dropped.  With ``early_exit`` an object leaves the scan at its
+        first hit, and every object's first segment goes ahead of the
+        rest: an object that starts inside the answer costs one check.
+        (Finer rounds would buy nothing: a kernel call costs as much as
+        some hundred pairs.)  Without, every pair is visited.
+        """
+        obj = batch.obj
+        live = np.flatnonzero(~hit[obj])
+        if self.early_exit:
+            # (Index len(batch) is the "first segment" of a trailing
+            # single-sample object.)
+            first = np.zeros(len(batch) + 1, dtype=bool)
+            first[batch.offsets[:-1]] = True
+            rounds = [live[first[live]], live[~first[live]]]
+        else:
+            rounds = [live]
+        for pending in rounds:
+            for polygon in self._polygons:
+                if self.early_exit:
+                    pending = pending[~hit[obj[pending]]]
+                if not pending.shape[0]:
+                    break
+                near = batch.near(polygon.bbox, pending)
+                stats.bbox_rejections += pending.shape[0] - near.shape[0]
+                stats.segment_checks += near.shape[0]
+                if near.shape[0]:
+                    found = kernels.segments_intersect(
+                        polygon, *batch.ends(near)
+                    )
+                    hit[obj[near[found]]] = True
 
     def _object_matches(
         self, moft: MOFT, oid: Hashable, stats: EvaluationStats
     ) -> bool:
-        from repro.geometry.point import Point
-        from repro.geometry.segment import Segment
-
+        """The per-object walk of Section 5: probe by probe, geometry by
+        geometry.  The path of non-polygon answers, and the reference
+        the batched scan is tested against."""
         history = moft.history(oid)
-        probes: List[object] = []
         if len(history) == 1:
-            t, x, y = history[0]
-            probes.append(Point(x, y))
-        else:
-            for (t0, x0, y0), (t1, x1, y1) in zip(history, history[1:]):
-                probes.append(Segment(Point(x0, y0), Point(x1, y1)))
+            _, x, y = history[0]
+            return self._probes_match([Point(x, y)], stats)
+        return self._probes_match(
+            [
+                Segment(Point(x0, y0), Point(x1, y1))
+                for (_, x0, y0), (_, x1, y1) in zip(history, history[1:])
+            ],
+            stats,
+        )
+
+    def _probes_match(
+        self, probes: Sequence[object], stats: EvaluationStats
+    ) -> bool:
         found = False
         for probe in probes:
             box = geometry_bbox(probe)
@@ -314,8 +408,9 @@ def objects_through(
     fresh :class:`~repro.preagg.PreAggStore` answers the covered granule
     run from its cells and spanning records, and only the misaligned
     *sliver* residue — if any — is scanned (serially or through
-    ``executor``).  The hybrid is exact; the fallback is the plain
-    (possibly sharded, possibly windowed) scan.
+    ``executor``), less the objects the store's answer already holds.
+    The hybrid is exact; the fallback is the plain (possibly sharded,
+    possibly windowed) scan.
     """
     from repro.query.optimizer import route_through_window
 
@@ -331,16 +426,20 @@ def objects_through(
         if route is not None:
             matched = route.store.objects_through(ids, *route.run)
             if route.sliver is not None:
+                # What the store already proves needs no second look.
+                sliver = route.sliver.restrict_objects(
+                    route.sliver.objects() - matched
+                )
                 counter = counter_for(
                     context, target, ids, use_index, early_exit,
                     vectorized, stats,
                 )
                 if executor is not None:
                     matched |= executor.matching_objects(
-                        counter, route.sliver, stats
+                        counter, sliver, stats
                     )
                 else:
-                    matched |= counter.matching_objects(route.sliver, stats)
+                    matched |= counter.matching_objects(sliver, stats)
             return matched
     counter = counter_for(
         context, target, ids, use_index, early_exit, vectorized, stats

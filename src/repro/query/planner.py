@@ -61,7 +61,6 @@ from repro.query.evaluator import (
     ShardedTrajectoryExecutor,
     geometric_subquery,
     validated_window,
-    window_restricted,
 )
 from repro.query.region import EvaluationContext
 
@@ -379,7 +378,8 @@ def plan_count_objects_through(
     if window is None:
         scan_rows = table.rows
     else:
-        scan_rows = len(window_restricted(moft, window))
+        t, _, _ = moft.as_arrays()
+        scan_rows = int(((t >= window[0]) & (t <= window[1])).sum())
     layer, kind = target
     n_geoms = geometry.count
     index_cached = (layer, kind, frozenset(ids)) in context._grid_cache

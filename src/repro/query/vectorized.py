@@ -69,6 +69,26 @@ def polygon_contains_batch(
     return inside
 
 
+def points_in_polygons(
+    xs: np.ndarray, ys: np.ndarray, polygons: Sequence[Polygon]
+) -> np.ndarray:
+    """Which points lie in *any* of the (closed) polygons, as a mask."""
+    hit = np.zeros(xs.shape, dtype=bool)
+    for polygon in polygons:
+        # Cheap bbox prefilter per polygon, over the still-undecided.
+        box = polygon.bbox
+        idx = np.flatnonzero(
+            ~hit
+            & (xs >= box.min_x)
+            & (xs <= box.max_x)
+            & (ys >= box.min_y)
+            & (ys <= box.max_y)
+        )
+        if idx.size:
+            hit[idx] = polygon_contains_batch(polygon, xs[idx], ys[idx])
+    return hit
+
+
 def samples_in_polygons(
     moft: MOFT,
     polygons: Sequence[Polygon],
@@ -99,28 +119,10 @@ def samples_in_polygons(
     if not mask.any():
         return set()
     rows = np.flatnonzero(mask)
-    xs, ys, ts = x[rows], y[rows], t[rows]
-    hit = np.zeros(xs.shape, dtype=bool)
-    for polygon in polygons:
-        pending = ~hit
-        if not pending.any():
-            break
-        # Cheap bbox prefilter per polygon.
-        box = polygon.bbox
-        candidates = pending & (
-            (xs >= box.min_x)
-            & (xs <= box.max_x)
-            & (ys >= box.min_y)
-            & (ys <= box.max_y)
-        )
-        if not candidates.any():
-            continue
-        idx = np.flatnonzero(candidates)
-        hit[idx] |= polygon_contains_batch(polygon, xs[idx], ys[idx])
     # Recover (oid, t) for the hits by indexing the oid column directly —
     # no per-row tuple materialization of the whole table.
     oid_column = moft.oid_column()
-    hit_rows = rows[hit]
+    hit_rows = rows[points_in_polygons(x[rows], y[rows], polygons)]
     return {
         (oid_column[row], float(t[row])) for row in hit_rows
     }

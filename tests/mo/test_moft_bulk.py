@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from repro.errors import TrajectoryError
 from repro.geometry import Point
 from repro.mo import MOFT
+from repro.mo import moft as moft_module
 
 sample_tuples = st.lists(
     st.tuples(
@@ -180,6 +181,83 @@ class TestSortedIndex:
             times = [t for t, _, _ in moft.history(oid)]
             assert times == sorted(times)
             assert len(times) == moft.sample_count(oid)
+
+
+def order_walk(moft):
+    """The segment table by the per-object path: ``_order``, object by
+    object, then one segment per consecutive pair of an object's rows."""
+    t, x, y = moft.as_arrays()
+    rows_of, segments = {}, []
+    for oid in moft.objects():
+        rows = moft._object_order(oid)[1].tolist()
+        rows_of[oid] = rows
+        segments += [
+            (oid, t[a], x[a], y[a], t[b], x[b], y[b])
+            for a, b in zip(rows, rows[1:])
+        ]
+    return rows_of, sorted(segments, key=repr)
+
+
+def segment_table(moft, batch_rows):
+    oids, perm, offsets = moft.segment_index()
+    rows_of = {
+        oid: perm[offsets[i]:offsets[i + 1]].tolist()
+        for i, oid in enumerate(oids.tolist())
+    }
+    segments = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moft_module, "SEGMENT_BATCH_ROWS", batch_rows)
+        for batch in moft.segments():
+            assert batch.obj.tolist() == sorted(batch.obj.tolist())
+            segments += zip(
+                oids[batch.obj].tolist(), batch.t0, batch.x0, batch.y0,
+                batch.t1, batch.x1, batch.y1,
+            )
+    return rows_of, sorted(segments, key=repr)
+
+
+class TestSegmentTable:
+    def check(self, moft):
+        for batch_rows in (1, 5, 1 << 16):
+            assert segment_table(moft, batch_rows) == order_walk(moft)
+
+    @given(sample_tuples)
+    def test_equals_order_walk_however_built(self, tuples):
+        appended = build_moft(tuples)
+        self.check(appended)
+        bulk = MOFT.from_columns(*map(list, zip(*tuples))) if tuples else MOFT()
+        self.check(bulk)
+        self.check(bulk.mask_rows(bulk.as_arrays()[0] % 3 != 0))
+        self.check(bulk.restrict_objects({"A", "C"}))
+
+    @given(sample_tuples)
+    def test_mmap_loaded_table(self, tuples):
+        import tempfile
+        from pathlib import Path
+
+        with tempfile.TemporaryDirectory() as folder:
+            build_moft(tuples).save(Path(folder) / "fm.moft")
+            loaded = MOFT.load(Path(folder) / "fm.moft")
+            if tuples:  # prefilled from the file's CSR index: no sort
+                assert loaded._segments is not None
+            self.check(loaded)
+            # A child inherits the index, and gets the same one.
+            child = loaded.mask_rows(loaded.as_arrays()[0] >= 10)
+            child.segment_index()
+            assert child._by_object is None  # no pass over the oid column
+            self.check(child)
+
+    def test_invalidated_by_append(self):
+        moft = build_moft([("A", 2, 2.0, 0.0), ("B", 1, 0.0, 0.0)])
+        assert sum(len(batch) for batch in moft.segments()) == 0
+        moft.add("A", 1, 1.0, 0.0)
+        assert moft._segments is None
+        (batch,) = moft.segments()
+        assert (batch.t0.tolist(), batch.t1.tolist()) == ([1.0], [2.0])
+        moft.extend_columns(["B", "A"], [5, 3], [1.0, 3.0], [0.0, 0.0])
+        assert moft._segments is None
+        self.check(moft)
+        assert moft.objects() == {"A", "B"}
 
 
 class TestOidColumn:

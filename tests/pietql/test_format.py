@@ -14,14 +14,11 @@ from repro.pietql.ast import (
     PietQLQuery,
 )
 from repro.pietql.format import format_query
+from repro.pietql.lexer import KEYWORDS
 
+# Whatever the lexer reserves, now or later, is not an identifier.
 ident = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True).filter(
-    lambda s: s.upper()
-    not in {
-        "SELECT", "FROM", "WHERE", "AND", "COUNT", "OBJECTS", "SAMPLES",
-        "DISTINCT", "THROUGH", "RESULT", "DURING", "LAYER", "SUBLEVEL",
-        "AGGREGATE", "BY",
-    }
+    lambda s: s.upper() not in KEYWORDS
 )
 
 layer_refs = st.builds(LayerRef, ident)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.errors import PreAggError, RollupError
 from repro.gis import NODE, POLYGON
+from repro.mo import MOFT
 from repro.preagg import OID_DTYPE, PreAggCell, PreAggStore
 from repro.query.aggregate import total_dwell_time
 from repro.query.evaluator import objects_through
@@ -264,6 +265,60 @@ class TestStaleness:
             rebuilt.dwell_time(elements, *full),
             rel_tol=1e-9, abs_tol=1e-9,
         )
+
+    def test_in_order_feed_equals_rebuild_cell_by_cell(self):
+        """The batched delta fold: a table fed in time order, a few
+        instants per ``update()``, ends with the cells, span records and
+        last samples of a store built over the finished table."""
+        context, moft, elements, _ = small_synth_fixture()
+        t, x, y = moft.as_arrays()
+        oid_col = moft.oid_column()
+        cuts = [0, 7, 8, 23, 24, 25, 41, 50]  # day boundary at 24
+        feed = MOFT("FM")
+        store = None
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows = np.flatnonzero((t >= lo) & (t < hi))
+            # One object joins late: a delta head with no last sample.
+            rows = rows[(oid_col[rows] != oid_col[0]) | (t[rows] >= 8)]
+            feed.extend_columns(oid_col[rows], t[rows], x[rows], y[rows])
+            if store is None:
+                store = PreAggStore(feed, context.time, "day", elements)
+            else:
+                assert store.update() == "delta"
+        rebuilt = PreAggStore(feed, context.time, "day", elements)
+
+        def spans(s, gid):
+            cells = s._cells[gid]
+            return sorted(
+                zip(
+                    (s._oid_values[c] for c in cells.span_oid.tolist()),
+                    cells.span_a.tolist(), cells.span_b.tolist(),
+                    cells.span_dwell.tolist(),
+                )
+            )
+
+        assert {
+            store._oid_values[c]: last for c, last in store._last.items()
+        } == {
+            rebuilt._oid_values[c]: last for c, last in rebuilt._last.items()
+        }
+        crossing = 0
+        for gid in store.gids:
+            ours, theirs = store._cells[gid], rebuilt._cells[gid]
+            assert ours.samples.tolist() == theirs.samples.tolist()
+            assert np.allclose(ours.dwell, theirs.dwell, rtol=1e-9, atol=1e-12)
+            for g in range(len(store.partition)):
+                for name in ("present", "passers"):
+                    assert store.decode(getattr(ours, name)[g]) == (
+                        rebuilt.decode(getattr(theirs, name)[g])
+                    )
+            got, want = spans(store, gid), spans(rebuilt, gid)
+            assert [r[:3] for r in got] == [r[:3] for r in want]
+            assert np.allclose(
+                [r[3] for r in got], [r[3] for r in want], rtol=1e-9, atol=1e-12
+            )
+            crossing += len(got)
+        assert crossing, "no segment crossed the day boundary"
 
     def test_out_of_order_append_takes_delta_path(self):
         """Regression: this exact case used to return ``"rebuild"``.
