@@ -650,12 +650,17 @@ def disc_clip_scalar(
     Returns ``(0.0, 0.0)`` (empty) when the segment misses the disc or
     only grazes it tangentially (measure-zero contact).  A stationary
     segment (coincident endpoints) is wholly in (``(0.0, 1.0)``) or
-    wholly out by endpoint membership.
+    wholly out by endpoint membership.  An end point that passes the
+    closed-disc test pins its side of the interval to exactly 0.0 or
+    1.0: the root of the quadratic can land an ulp short of it, and the
+    interval merge snaps to piece times only on the exact values.
     """
     dx = x1 - x0
     dy = y1 - y0
     fx = x0 - cx
     fy = y0 - cy
+    gx = x1 - cx
+    gy = y1 - cy
     a = dx * dx + dy * dy
     c = fx * fx + fy * fy - r * r
     if a == 0.0:
@@ -664,11 +669,12 @@ def disc_clip_scalar(
     disc = b * b - a * c
     if disc <= 0.0:
         return (0.0, 0.0)
+    c1 = gx * gx + gy * gy - r * r
     sq = math.sqrt(disc)
     w1 = (-b - sq) / a
     w2 = (-b + sq) / a
-    lo = 0.0 if w1 < 0.0 else (1.0 if w1 > 1.0 else w1)
-    hi = 0.0 if w2 < 0.0 else (1.0 if w2 > 1.0 else w2)
+    lo = 0.0 if (c <= 0.0 or w1 < 0.0) else (1.0 if w1 > 1.0 else w1)
+    hi = 1.0 if (c1 <= 0.0 or w2 > 1.0) else (0.0 if w2 < 0.0 else w2)
     return (lo, hi)
 
 
@@ -710,8 +716,11 @@ def disc_clip_batch(
     dy = y1 - y0
     fx = x0 - cx
     fy = y0 - cy
+    gx = x1 - cx
+    gy = y1 - cy
     a = dx * dx + dy * dy
     c = fx * fx + fy * fy - r * r
+    c1 = gx * gx + gy * gy - r * r
     b = fx * dx + fy * dy
     lo = np.zeros(n, dtype=np.float64)
     hi = np.zeros(n, dtype=np.float64)
@@ -729,8 +738,12 @@ def disc_clip_batch(
         bb = b[solve]
         w1 = (-bb - sq) / aa
         w2 = (-bb + sq) / aa
-        lo[solve] = np.where(w1 < 0.0, 0.0, np.where(w1 > 1.0, 1.0, w1))
-        hi[solve] = np.where(w2 < 0.0, 0.0, np.where(w2 > 1.0, 1.0, w2))
+        lo[solve] = np.where(
+            (c[solve] <= 0.0) | (w1 < 0.0), 0.0, np.where(w1 > 1.0, 1.0, w1)
+        )
+        hi[solve] = np.where(
+            (c1[solve] <= 0.0) | (w2 > 1.0), 1.0, np.where(w2 < 0.0, 0.0, w2)
+        )
     return lo, hi
 
 

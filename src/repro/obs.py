@@ -3,7 +3,7 @@
 The Section 5 pipeline (geometric subquery → index build → trajectory
 segment scan) is the workload the benchmarks ablate, and every stage used
 to carry its own ad-hoc statistics object (``EvaluationStats`` fields,
-the ``EvaluationContext.stats`` dict, per-benchmark counters).  This
+a context-level dict, per-benchmark counters).  This
 module generalizes them into one small instrumentation vocabulary:
 
 * :class:`PipelineStats` — a bag of *named counters* (``incr``/``count``)
@@ -63,14 +63,21 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     ``benchmarks/bench_zero_copy_shards.py`` gates on.
 
 ``preagg_hits`` / ``preagg_misses``
-    Planner routing through the materialized pre-aggregation layer
-    (:mod:`repro.preagg`): a hit means the covered part of the query was
-    answered from store cells, a miss that a registered store existed
-    but could not serve (stale, unmaterialized geometry, window without
-    a whole granule).  Contexts with no registered store count neither.
+    Routing through the materialized pre-aggregation layer
+    (:mod:`repro.preagg`), counted when a through-style query
+    *executes* (:func:`repro.query.evaluator.execute_through`,
+    :func:`~repro.query.aggregate.total_dwell_time`), never when it is
+    resolved or planned, on the context observer and on the caller's
+    ``stats``: a hit means the covered part of the query was answered
+    from store cells, a miss that a route-first front-end found a
+    registered store that could not serve (stale, unmaterialized
+    geometry, restriction without a whole granule).  Contexts with no
+    registered store count neither, nor does a priced plan that ran a
+    scan.
 ``sliver_scan_rows``
-    MOFT rows handed to the residual scan when a misaligned window
-    routes through a store (the hybrid path's scan cost).
+    MOFT rows of the residual sliver when a misaligned window executes
+    through a store (the hybrid's scan input, before the objects the
+    store already proves leave it).
 
 ``scan_rows``
     MOFT rows handed to a trajectory scan (every
@@ -79,6 +86,16 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     :func:`~repro.query.aggregate.total_dwell_time` scan adds the
     scanned table's length); the cost-based planner reads this back as
     a plan node's *actual rows*.
+
+    *Which observer sees a scan.*  One execution of a through-count
+    counts its scan (``scan_rows``, ``segment_checks``,
+    ``bbox_rejections``, ``objects_*``, ``vectorized_accepts``, the
+    ``segment_scan`` stage) into one stats object of its own, which
+    fills the plan-node actuals and is then merged once: into ``stats``
+    when the caller passed one, else — a fan-out reports into its
+    executor's observer itself — the executor's observer when a fan-out
+    ran, else the context observer.  No observer receives the same
+    execution twice.
 
 ``jobs_submitted`` / ``jobs_rejected`` / ``jobs_claimed`` /
 ``jobs_completed`` / ``jobs_failed`` / ``jobs_dead`` /
@@ -134,8 +151,10 @@ the sharded executor adds ``shard_fanout`` (dispatch-to-last-result wall
 time), ``shard_scan`` (per-shard work, one call per shard, summed across
 shards), ``merge``, and ``retry_backoff`` (deterministic backoff sleeps
 between retry rounds); the pre-aggregation layer adds ``preagg_build``,
-``preagg_update`` (store maintenance) and ``preagg_lookup`` (planner
-routing + cell reads); the query service adds ``service_queue_wait``
+``preagg_update`` (store maintenance) and ``preagg_lookup`` (the cell
+read of a store-served query, on the context observer); Piet-QL adds
+``during_restriction`` (DURING clauses to an instant set — the
+restricted table is not built there); the query service adds ``service_queue_wait``
 (submit-to-claim latency, one call per claim), ``service_run``
 (claim-to-outcome execution wall time, one call per finished attempt)
 and ``worker_idle`` (poll sleeps of workers with nothing to claim —
@@ -304,9 +323,9 @@ class PipelineStats:
         """An atomic flat copy of every counter and stage figure.
 
         Pair with :meth:`since` to attribute counters and wall time to
-        one bounded piece of work (the cost-based planner brackets each
-        plan execution this way to report *actual* rows and stage
-        seconds next to its estimates).
+        one bounded piece of work seen from outside (the benchmark's
+        spans bracket calls this way; plan-node actuals do not need it —
+        they come from the stats object of the one execution).
         """
         return self.as_dict()
 

@@ -28,11 +28,7 @@ from repro.parallel.backends import (
     get_backend,
     resilient_map,
 )
-from repro.parallel.executor import (
-    ShardedExecutor,
-    ShardedPietQLExecutor,
-    sharded_count_objects_through,
-)
+from repro.parallel.executor import ShardedExecutor, ShardedPietQLExecutor
 from repro.parallel.merge import (
     intersect_ids,
     sum_counts,
@@ -55,7 +51,6 @@ __all__ = [
     "resilient_map",
     "ShardedExecutor",
     "ShardedPietQLExecutor",
-    "sharded_count_objects_through",
     "union_ids",
     "intersect_ids",
     "sum_groups",

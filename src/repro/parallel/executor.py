@@ -15,6 +15,14 @@ set union).  :class:`ShardedExecutor` packages that recipe:
   timers (per-shard wall times are measured inside the workers and
   recorded by the parent, so they are honest across processes).
 
+The executor is not a second query path: the through-count
+(:func:`repro.query.evaluator.execute_through`) hands its scan leaf to
+:meth:`ShardedExecutor.matching_objects` when an executor is part of the
+plan — the planner's ``sharded`` strategy with its shard count, the
+route-first front-ends with the executor's own — and
+:class:`ShardedPietQLExecutor` gives Piet-QL's ``THROUGH RESULT`` the
+same executor instead of scanning itself.
+
 Correctness is guarded externally: ``tests/parallel/oracle.py`` runs
 every covered query through the seed serial path and every backend and
 asserts result equality.  Semantics note: trajectory queries must shard
@@ -34,7 +42,12 @@ impossible.  ``tests/faults`` enforces this under seeded
 :class:`~repro.faults.FaultPlan` chaos.
 
 Worker task functions live at module level and their payloads are
-picklable, as the ``processes`` backend requires.
+picklable, as the ``processes`` backend requires.  There is one task
+function per kind of shard work: its payload carries either the shard
+itself (pickled transport) or a :class:`~repro.parallel.shm
+.ShardDescriptor` (zero-copy transport: O(1) pickled bytes per task
+instead of O(rows)), and :func:`~repro.parallel.shm.open_shard` hides
+which.
 """
 
 from __future__ import annotations
@@ -52,7 +65,11 @@ from typing import (
     TypeVar,
 )
 
-from repro.errors import EvaluationError, ShardExecutionError
+from repro.errors import (
+    EvaluationError,
+    MoftStorageError,
+    ShardExecutionError,
+)
 from repro.mo.moft import MOFT
 from repro.obs import EvaluationStats, PipelineStats
 from repro.parallel.backends import (
@@ -63,9 +80,13 @@ from repro.parallel.backends import (
     resilient_map,
 )
 from repro.parallel.merge import intersect_ids, sum_groups, union_ids
+from repro.parallel.shm import create_shard_block, open_shard
 from repro.pietql import ast as pietql_ast
 from repro.pietql.executor import LayerBinding, PietQLExecutor
-from repro.query.evaluator import TrajectoryIntersectionCounter
+from repro.query.evaluator import (
+    TrajectoryIntersectionCounter,
+    count_objects_through,
+)
 from repro.query.region import EvaluationContext
 
 V = TypeVar("V")
@@ -78,14 +99,12 @@ ShardOutcome = Tuple[V, float, Optional[PipelineStats]]
 # -- module-level worker tasks (picklable for the processes backend) ----------
 
 
-def _scan_task(
-    payload: Tuple[TrajectoryIntersectionCounter, MOFT]
-) -> ShardOutcome[Set[Hashable]]:
+def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
     """Run a trajectory-intersection scan over one MOFT shard."""
     counter, shard = payload
     stats = EvaluationStats()
     start = time.perf_counter()
-    matched = counter.matching_objects(shard, stats)
+    matched = counter.matching_objects(open_shard(shard), stats)
     return matched, time.perf_counter() - start, stats
 
 
@@ -99,11 +118,11 @@ def _condition_task(
     return ids, time.perf_counter() - start, None
 
 
-def _apply_task(payload: Tuple[Callable[[MOFT], V], MOFT]) -> ShardOutcome[V]:
+def _apply_task(payload) -> ShardOutcome:
     """Apply a user shard function (module-level for processes) to a shard."""
     fn, shard = payload
     start = time.perf_counter()
-    value = fn(shard)
+    value = fn(open_shard(shard))
     return value, time.perf_counter() - start, None
 
 
@@ -115,7 +134,7 @@ def _build_preagg_task(payload) -> ShardOutcome:
     stats = PipelineStats()
     start = time.perf_counter()
     store = PreAggStore(
-        shard,
+        open_shard(shard),
         time_dim,
         granule_level,
         geometries,
@@ -125,45 +144,6 @@ def _build_preagg_task(payload) -> ShardOutcome:
         obs=stats,
     )
     return store, time.perf_counter() - start, stats
-
-
-# Zero-copy twins: same work, but the payload carries a
-# repro.parallel.shm.ShardDescriptor instead of the shard itself; the
-# worker attaches to the shared block and materializes the shard as
-# views — O(1) pickled bytes per task instead of O(rows).
-
-
-def _scan_task_zc(payload) -> ShardOutcome[Set[Hashable]]:
-    """Zero-copy variant of :func:`_scan_task`."""
-    from repro.parallel.shm import moft_from_descriptor
-
-    counter, descriptor = payload
-    stats = EvaluationStats()
-    start = time.perf_counter()
-    matched = counter.matching_objects(
-        moft_from_descriptor(descriptor), stats
-    )
-    return matched, time.perf_counter() - start, stats
-
-
-def _apply_task_zc(payload) -> ShardOutcome:
-    """Zero-copy variant of :func:`_apply_task`."""
-    from repro.parallel.shm import moft_from_descriptor
-
-    fn, descriptor = payload
-    start = time.perf_counter()
-    value = fn(moft_from_descriptor(descriptor))
-    return value, time.perf_counter() - start, None
-
-
-def _build_preagg_task_zc(payload) -> ShardOutcome:
-    """Zero-copy variant of :func:`_build_preagg_task`."""
-    descriptor = payload[0]
-    from repro.parallel.shm import moft_from_descriptor
-
-    return _build_preagg_task(
-        (moft_from_descriptor(descriptor),) + tuple(payload[1:])
-    )
 
 
 class ShardedExecutor:
@@ -282,8 +262,7 @@ class ShardedExecutor:
         self,
         shards: Sequence[MOFT],
         make_payload: Callable[[object], object],
-        plain_task: Callable,
-        zc_task: Callable,
+        task: Callable,
         merge: Callable[[List[M]], object],
         observers: Sequence[PipelineStats] = (),
     ) -> object:
@@ -291,35 +270,29 @@ class ShardedExecutor:
 
         ``make_payload`` builds one task payload from either a MOFT
         shard (pickle path) or a :class:`~repro.parallel.shm
-        .ShardDescriptor` (zero-copy path).  The shared block lives
-        exactly as long as the fan-out: it is unlinked in a ``finally``,
-        so neither task failures, retries, nor injected faults can leak
-        a segment.  Worlds the columnar format cannot encode (exotic
-        object-id types) fall back to pickled shards.
+        .ShardDescriptor` (zero-copy path); ``task`` opens whichever it
+        gets.  The shared block lives exactly as long as the fan-out: it
+        is unlinked in a ``finally``, so neither task failures, retries,
+        nor injected faults can leak a segment.  Worlds the columnar
+        format cannot encode (exotic object-id types) fall back to
+        pickled shards.
         """
+        block = None
+        carried: Sequence[object] = shards
         if self._use_zero_copy():
-            from repro.errors import MoftStorageError
-            from repro.parallel.shm import create_shard_block
-
             try:
-                block, descriptors = create_shard_block(shards)
+                block, carried = create_shard_block(shards)
             except MoftStorageError:
                 self.obs.incr("zero_copy_fallbacks")
-            else:
-                payloads = [make_payload(d) for d in descriptors]
-                self._account_payloads(payloads)
+        try:
+            payloads = [make_payload(shard) for shard in carried]
+            self._account_payloads(payloads)
+            if block is not None:
                 self.obs.incr("zero_copy_blocks")
-                try:
-                    return self.map_shards(
-                        zc_task, payloads, merge, observers=observers
-                    )
-                finally:
-                    block.close()
-        payloads = [make_payload(shard) for shard in shards]
-        self._account_payloads(payloads)
-        return self.map_shards(
-            plain_task, payloads, merge, observers=observers
-        )
+            return self.map_shards(task, payloads, merge, observers=observers)
+        finally:
+            if block is not None:
+                block.close()
 
     def _resilient(self) -> bool:
         """Whether fan-outs route through the retry/fault-injection path."""
@@ -431,7 +404,6 @@ class ShardedExecutor:
             shards,
             lambda shard: (counter, shard),
             _scan_task,
-            _scan_task_zc,
             union_ids,
             observers=observers,
         )
@@ -454,11 +426,9 @@ class ShardedExecutor:
 
         The geometric subquery stays serial (it is cheap against the
         overlay and not shardable by MOFT rows); only the trajectory scan
-        fans out — including the residual sliver scan when the planner
-        routes the covered part of a window through a pre-agg store.
+        fans out — including the residual sliver scan when a pre-agg
+        store answers the covered part of a window.
         """
-        from repro.query.evaluator import count_objects_through
-
         return count_objects_through(
             context,
             target,
@@ -514,7 +484,6 @@ class ShardedExecutor:
                 layer, kind, name,
             ),
             _build_preagg_task,
-            _build_preagg_task_zc,
             lambda stores: PreAggStore.merge(stores, moft, snapshot),
         )
 
@@ -551,7 +520,6 @@ class ShardedExecutor:
             shards,
             lambda shard: (shard_fn, shard),
             _apply_task,
-            _apply_task_zc,
             merge,
         )
 
@@ -562,7 +530,11 @@ class ShardedPietQLExecutor(PietQLExecutor):
     * the geometric part evaluates its WHERE conditions as parallel tasks
       and intersects their id sets (exact: conjunction is condition-wise);
     * ``THROUGH RESULT`` trajectory scans shard the MOFT by objects and
-      union the per-shard matched sets.
+      union the per-shard matched sets: the base class hands
+      ``self.sharded`` to the through-count
+      (:func:`repro.query.evaluator.execute_through`), so a scan — or
+      the sliver scan beside a store read — fans out, and a store-served
+      answer fans nothing out.
 
     By default the sharded executor reports into ``context.obs``, so
     ``shard_count`` / ``merge_ms`` and the shard stage timers appear next
@@ -604,41 +576,9 @@ class ShardedPietQLExecutor(PietQLExecutor):
             _condition_task, payloads, intersect_ids
         )
 
-    def _scan_through_result(
-        self,
-        moft: MOFT,
-        binding: LayerBinding,
-        geometry_ids: Set[Hashable],
-    ) -> Set[Hashable]:
-        counter = self._through_result_counter(binding, geometry_ids)
-        stats = EvaluationStats()
-        matched = self.sharded.matching_objects(counter, moft, stats)
-        if self.sharded.obs is not self.context.obs:
-            self.context.obs.merge(stats)
-        return matched
-
-
-def sharded_count_objects_through(
-    context: EvaluationContext,
-    target: Tuple[str, str],
-    constraints: Sequence[Tuple[str, Tuple[str, str]]],
-    moft_name: str = "FM",
-    backend: "str | ExecutionBackend" = "processes",
-    n_shards: Optional[int] = None,
-    stats: Optional[EvaluationStats] = None,
-) -> int:
-    """One-call convenience: sharded Section 5 count with a named backend."""
-    executor = ShardedExecutor(
-        backend=backend, n_shards=n_shards, obs=context.obs
-    )
-    return executor.count_objects_through(
-        context, target, constraints, moft_name=moft_name, stats=stats
-    )
-
 
 __all__ = [
     "ShardOutcome",
     "ShardedExecutor",
     "ShardedPietQLExecutor",
-    "sharded_count_objects_through",
 ]

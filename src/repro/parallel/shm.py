@@ -15,10 +15,11 @@ Lifecycle contract:
 * **create** — :func:`create_shard_block` serializes the shards and
   returns a :class:`ShardBlock` (owning the segment) plus one
   :class:`ShardDescriptor` per shard, in shard order.
-* **attach** — workers call :func:`moft_from_descriptor`; the attachment
-  is cached per process (one block at a time) and explicitly
-  *unregistered* from the resource tracker, so a pool worker never
-  unlinks a segment it does not own.
+* **attach** — shard tasks open their payload's shard with
+  :func:`open_shard`, which for a descriptor is
+  :func:`moft_from_descriptor`; the attachment is cached per process
+  (one block at a time) and explicitly *unregistered* from the resource
+  tracker, so a pool worker never unlinks a segment it does not own.
 * **unlink** — only the creating side calls :meth:`ShardBlock.close`,
   in a ``finally`` around the fan-out, so the segment disappears even
   when a shard task fails or a fault-injection plan kills the run.
@@ -226,6 +227,15 @@ def moft_from_descriptor(descriptor: ShardDescriptor) -> MOFT:
     return table_from_image(image, descriptor.start, descriptor.stop)
 
 
+def open_shard(shard: "MOFT | ShardDescriptor") -> MOFT:
+    """The shard a task payload carries, whichever way it travelled: the
+    table itself (pickled transport) or views over the shared block its
+    descriptor names (zero-copy transport)."""
+    if isinstance(shard, ShardDescriptor):
+        return moft_from_descriptor(shard)
+    return shard
+
+
 def leaked_segments() -> List[str]:
     """Names of ``repro-zc-*`` segments currently present in /dev/shm.
 
@@ -248,4 +258,5 @@ __all__ = [
     "create_shard_block",
     "leaked_segments",
     "moft_from_descriptor",
+    "open_shard",
 ]

@@ -6,32 +6,41 @@ overlay (or naive scans, per the context's strategy).  The moving-objects
 part then restricts a MOFT by ``DURING`` rollups and, with ``THROUGH
 RESULT``, by trajectory intersection against the answer geometries —
 exactly the two-stage pipeline of Section 5.
+
+``THROUGH RESULT`` is one more syntax for the through-count of
+:mod:`repro.query.evaluator`: the geometric answer and the DURING
+instant set go to :func:`~repro.query.evaluator.resolve_through` and
+the operands run route-first through :func:`~repro.query.evaluator
+.execute_through` (a registered store when one serves, else the scan —
+fanned out under a :class:`~repro.parallel.ShardedExecutor`).  The
+restricted table is built only when a scan leaf or ``COUNT SAMPLES``
+reads it.  ``EXPLAIN`` prices the same operands
+(:func:`repro.query.planner.plan_through`, route-first choice forced)
+and puts Piet-QL's own stages in front of the plan.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.errors import PietQLExecutionError
-from repro.mo.moft import MOFT
 from repro.pietql import ast
 from repro.pietql.parser import parse
 from repro.query.evaluator import (
-    EvaluationStats,
-    TrajectoryIntersectionCounter,
+    ShardedTrajectoryExecutor,
+    execute_through,
+    resolve_through,
 )
 from repro.query.planner import (
     CostModel,
-    GeometryStatistics,
     PlanNode,
     QueryPlan,
-    TableStatistics,
-    geometry_statistics,
-    table_statistics,
+    execute_poi_plan,
+    plan_poi_aggregate,
+    plan_through,
+    run_plan,
 )
 from repro.query.region import EvaluationContext
 
@@ -83,6 +92,9 @@ class PietQLExecutor:
     ) -> None:
         self.context = context
         self.bindings: Dict[str, LayerBinding] = dict(bindings or {})
+        #: Fans THROUGH RESULT scans out when set (see
+        #: :class:`repro.parallel.ShardedPietQLExecutor`).
+        self.sharded: Optional[ShardedTrajectoryExecutor] = None
 
     # -- binding resolution ------------------------------------------------------
 
@@ -133,66 +145,99 @@ class PietQLExecutor:
     def execute(self, query: "ast.PietQLQuery | str") -> PietQLResult:
         """Execute a parsed query (or Piet-QL text).
 
-        ``EXPLAIN``-prefixed queries execute normally; the result
-        additionally carries a plan tree with cost-model estimates and
-        the actuals observed during this very execution (rows from the
-        ``scan_rows`` / ``sliver_scan_rows`` counters, seconds from the
-        stage timers), bracketed via the context observer's
-        :meth:`~repro.obs.PipelineStats.snapshot` /
-        :meth:`~repro.obs.PipelineStats.since`.
+        ``EXPLAIN``-prefixed queries execute the same way; the result
+        additionally carries the plan that ran — cost-model estimates
+        for every candidate, the route-first choice, and the actual rows
+        and seconds of this very execution on each node.
         """
         if isinstance(query, str):
             query = parse(query)
-        if not query.explain:
-            return self._execute(query)
-        before = self.context.obs.snapshot()
         started = time.perf_counter()
-        result = self._execute(query)
-        elapsed = time.perf_counter() - started
-        delta = self.context.obs.since(before)
-        if query.poi is not None:
-            # The POI part planned itself through plan_poi_aggregate; its
-            # costed tree is already attached.
-            return result
-        return replace(
-            result, plan=self._build_plan(query, result, delta, elapsed)
-        )
-
-    def _execute(self, query: ast.PietQLQuery) -> PietQLResult:
         geometry_ids = self.execute_geometric(query.geometric)
+        geo_seconds = time.perf_counter() - started
         olap_result = None
         if query.olap is not None:
             olap_result = self._execute_olap(
                 query.olap, query.geometric, geometry_ids
             )
-        poi_result = None
-        poi_plan: Optional[QueryPlan] = None
         if query.poi is not None:
-            poi_result, poi_plan = self._execute_poi(
-                query.poi, explain=query.explain
-            )
-        if query.moving_objects is None:
+            # The POI part plans itself through plan_poi_aggregate; its
+            # costed tree is the EXPLAIN plan.
+            poi_result, plan = self._execute_poi(query.poi)
             return PietQLResult(
                 frozenset(geometry_ids),
                 olap_result=olap_result,
-                plan=poi_plan,
+                plan=plan if query.explain else None,
                 poi_result=poi_result,
             )
-        count, matched = self._execute_moving(
-            query.moving_objects, query.geometric, geometry_ids
-        )
+        n_ids = len(geometry_ids)
+        front: Tuple[PlanNode, ...] = ()
+        if query.explain:
+            front = self._front_nodes(query, n_ids, geo_seconds, olap_result)
+        count = matched = plan = None
+        if query.moving_objects is not None:
+            count, found, plan = self._execute_moving(
+                query, geometry_ids, front
+            )
+            matched = frozenset(found)
+        elif query.explain:
+            plan = QueryPlan(
+                strategy="geometric",
+                root=PlanNode(
+                    op="Aggregate",
+                    detail="geometric result",
+                    est_rows=n_ids,
+                    est_cost=0.0,
+                    children=front,
+                    actual_rows=n_ids,
+                ),
+                est_cost=0.0,
+                executed=True,
+                result_count=n_ids,
+            )
+        if plan is not None:
+            plan.root.actual_seconds = time.perf_counter() - started
         return PietQLResult(
-            frozenset(geometry_ids),
-            count,
-            frozenset(matched),
-            olap_result,
-            poi_plan,
-            poi_result,
+            frozenset(geometry_ids), count, matched, olap_result, plan
         )
 
+    @staticmethod
+    def _front_nodes(
+        query: ast.PietQLQuery,
+        n_ids: int,
+        geo_seconds: float,
+        olap_result: Optional[Mapping],
+    ) -> Tuple[PlanNode, ...]:
+        """Piet-QL's own stages, rendered in front of an EXPLAIN plan's
+        strategy subtree."""
+        geo = query.geometric
+        nodes = [
+            PlanNode(
+                op="GeometricSubquery",
+                detail=(
+                    f"schema={geo.schema_name}, "
+                    f"conditions={len(geo.conditions)}"
+                ),
+                actual_rows=n_ids,
+                actual_seconds=geo_seconds,
+            )
+        ]
+        if query.olap is not None:
+            label = f"{query.olap.function}({query.olap.value_name})"
+            if query.olap.by_level is not None:
+                label += f" BY {query.olap.by_level}"
+            nodes.append(
+                PlanNode(
+                    op="OlapAggregate",
+                    detail=label,
+                    actual_rows=len(olap_result),
+                )
+            )
+        return tuple(nodes)
+
     def _execute_poi(
-        self, poi: "ast.PoiAggQuery", explain: bool = False
-    ) -> Tuple[Mapping, Optional[QueryPlan]]:
+        self, poi: "ast.PoiAggQuery"
+    ) -> Tuple[Mapping, QueryPlan]:
         """Run the POI aggregation part through the cost-based planner.
 
         The ``AT`` reference must resolve to a place-of-interest layer:
@@ -202,7 +247,6 @@ class PietQLExecutor:
         .plan_poi_aggregate` so EXPLAIN shows the routed strategy.
         """
         from repro.gis import geometries as gk
-        from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 
         binding = self.resolve(poi.at)
         if binding.kind != gk.POI:
@@ -228,194 +272,7 @@ class PietQLExecutor:
             raise
         except Exception as exc:
             raise PietQLExecutionError(str(exc)) from exc
-        return result, (plan if explain else None)
-
-    def _build_plan(
-        self,
-        query: ast.PietQLQuery,
-        result: PietQLResult,
-        delta: Mapping[str, float],
-        elapsed: float,
-    ) -> QueryPlan:
-        """Reconstruct the executed pipeline as a costed plan tree.
-
-        Unlike :func:`repro.query.planner.plan_count_objects_through`,
-        Piet-QL's moving part is route-first (pre-agg when a registered
-        store can serve the DURING run, else the grid-indexed scan), so
-        the plan documents the route that *did* run: estimates come
-        from the :class:`~repro.query.planner.CostModel` over table and
-        geometry statistics, actuals from this execution's observer
-        delta.  The rejected line still prices the road not taken when
-        both routes were available.
-        """
-        model = CostModel()
-        geo = query.geometric
-        n_ids = len(result.geometry_ids)
-        children: List[PlanNode] = [
-            PlanNode(
-                op="GeometricSubquery",
-                detail=(
-                    f"schema={geo.schema_name}, "
-                    f"conditions={len(geo.conditions)}"
-                ),
-                actual_rows=n_ids,
-                actual_seconds=delta.get("geometric_subquery_seconds", 0.0),
-            )
-        ]
-        if query.olap is not None:
-            label = f"{query.olap.function}({query.olap.value_name})"
-            if query.olap.by_level is not None:
-                label += f" BY {query.olap.by_level}"
-            children.append(
-                PlanNode(
-                    op="OlapAggregate",
-                    detail=label,
-                    actual_rows=(
-                        len(result.olap_result)
-                        if result.olap_result is not None
-                        else 0
-                    ),
-                )
-            )
-        mo = query.moving_objects
-        if mo is None:
-            root = PlanNode(
-                op="Aggregate",
-                detail="geometric result",
-                est_rows=n_ids,
-                est_cost=0.0,
-                children=tuple(children),
-                actual_rows=n_ids,
-                actual_seconds=elapsed,
-            )
-            return QueryPlan(
-                strategy="geometric",
-                root=root,
-                est_cost=0.0,
-                alternatives=(),
-                table=TableStatistics("", 0, 0, None, None),
-                geometry=GeometryStatistics(n_ids, 0.0),
-                executed=True,
-                result_count=n_ids,
-            )
-
-        moft = self.context.moft(mo.moft_name)
-        table = table_statistics(moft)
-        binding = self.resolve(geo.target)
-        geometry = geometry_statistics(
-            self.context,
-            (binding.layer, binding.kind),
-            set(result.geometry_ids),
-            moft,
-        )
-        n_geoms = geometry.count
-        if mo.during:
-            children.append(
-                PlanNode(
-                    op="DuringRestriction",
-                    detail=", ".join(
-                        f"{clause.level}={clause.member!r}"
-                        for clause in mo.during
-                    ),
-                    actual_seconds=delta.get(
-                        "during_restriction_seconds", 0.0
-                    ),
-                )
-            )
-        matched = (
-            len(result.matched_objects)
-            if result.matched_objects is not None
-            else 0
-        )
-        if not mo.through_result:
-            strategy = "count"
-            costs = {strategy: table.rows * model.row_cost}
-            body = PlanNode(
-                op="CountRows",
-                detail=f"moft={mo.moft_name}",
-                est_rows=table.rows,
-                est_cost=costs[strategy],
-                actual_rows=matched,
-            )
-        else:
-            scan_est = (
-                model.scan_cost(
-                    table.rows, n_geoms, geometry.coverage, indexed=True
-                )
-                if n_geoms
-                else 0.0
-            )
-            costs = {"grid": scan_est}
-            store = (
-                self.context.preagg_for(
-                    moft, binding.layer, binding.kind, result.geometry_ids
-                )
-                if n_geoms
-                else None
-            )
-            if store is not None and not store.is_stale():
-                costs["preagg"] = model.preagg_cost(
-                    len(store.partition), n_geoms, 0, geometry.coverage
-                )
-            strategy = (
-                "preagg" if delta.get("preagg_hits", 0) >= 1 else "grid"
-            )
-            if strategy == "preagg":
-                body = PlanNode(
-                    op="PreAggLookup",
-                    detail=(
-                        f"store={store.name if store is not None else '?'}"
-                    ),
-                    est_cost=costs.get("preagg"),
-                    actual_rows=matched,
-                    actual_seconds=delta.get("preagg_lookup_seconds", 0.0),
-                )
-            else:
-                body = PlanNode(
-                    op="GridScan",
-                    detail=(
-                        f"moft={mo.moft_name}, geoms={n_geoms}, "
-                        f"coverage={geometry.coverage:.3f}"
-                    ),
-                    est_rows=table.rows,
-                    est_cost=scan_est,
-                    actual_rows=int(delta.get("scan_rows", 0)),
-                    actual_seconds=delta.get("segment_scan_seconds", 0.0),
-                )
-        root = PlanNode(
-            op="Aggregate",
-            detail=(
-                f"count_{mo.count_what.lower()}, moft={mo.moft_name}, "
-                f"strategy={strategy}"
-            ),
-            est_rows=1,
-            est_cost=costs[strategy],
-            children=tuple(children) + (body,),
-            actual_rows=matched,
-            actual_seconds=elapsed,
-        )
-        alternatives = tuple(
-            sorted(
-                (
-                    (name, cost)
-                    for name, cost in costs.items()
-                    if name != strategy
-                ),
-                key=lambda pair: pair[1],
-            )
-        )
-        return QueryPlan(
-            strategy=strategy,
-            root=root,
-            est_cost=costs[strategy],
-            alternatives=alternatives,
-            table=table,
-            geometry=geometry,
-            executed=True,
-            result_count=(
-                int(result.count) if result.count is not None else None
-            ),
-        )
+        return result, plan
 
     def _execute_olap(
         self,
@@ -520,147 +377,110 @@ class PietQLExecutor:
         )
         return {b for _, b in pairs}
 
-    def _through_result_counter(
-        self, binding: LayerBinding, geometry_ids: Set[Hashable]
-    ) -> TrajectoryIntersectionCounter:
-        """Build the trajectory counter over the geometric answer.
-
-        Shared by the serial scan below and the sharded executor in
-        :mod:`repro.parallel`, so both paths test against identical
-        geometries and the same cached grid index.
-        """
-        elements = self.context.gis.layer(binding.layer).elements(
-            binding.kind
-        )
-        return TrajectoryIntersectionCounter(
-            {gid: elements[gid] for gid in geometry_ids},
-            index=self.context.geometry_index(
-                binding.layer, binding.kind, geometry_ids
-            ),
-            vectorized_prefilter=True,
-        )
-
-    def _scan_through_result(
-        self,
-        moft: MOFT,
-        binding: LayerBinding,
-        geometry_ids: Set[Hashable],
-    ) -> Set[Hashable]:
-        """THROUGH RESULT: objects whose trajectories hit the answer.
-
-        The single-core seed path; :class:`repro.parallel
-        .ShardedPietQLExecutor` overrides this with a sharded scan.
-        """
-        counter = self._through_result_counter(binding, geometry_ids)
-        stats = EvaluationStats()
-        matched = counter.matching_objects(moft, stats)
-        self.context.obs.merge(stats)
-        return matched
-
-    def _preagg_through_result(
-        self,
-        base_moft: MOFT,
-        allowed: Optional[Set[float]],
-        binding: LayerBinding,
-        geometry_ids: Set[Hashable],
-    ) -> Optional[Set[Hashable]]:
-        """Route THROUGH RESULT through a registered pre-aggregation store.
-
-        Fires when a fresh :class:`~repro.preagg.PreAggStore` over
-        exactly this MOFT materializes every answer geometry and the
-        DURING-restricted instant set equals the instants of one granule
-        run (``allowed=None`` — no DURING — is the full run).  Then the
-        scan is replaced by the store's cells + spanning records, which
-        the differential suite proves identical.  Returns None on any
-        mismatch, counting a ``preagg_miss`` when stores are registered.
-        """
-        context = self.context
-        store = context.preagg_for(
-            base_moft, binding.layer, binding.kind, geometry_ids
-        )
-
-        def miss() -> None:
-            if context.has_preagg:
-                context.obs.incr("preagg_misses")
-            return None
-
-        if store is None or store.is_stale():
-            return miss()
-        with context.obs.stage("preagg_lookup"):
-            partition = store.partition
-            if len(partition) == 0:
-                return miss()
-            if allowed is None:
-                run = (0, len(partition) - 1)
-            else:
-                wanted = np.sort(np.array(sorted(allowed), dtype=float))
-                codes = partition.codes_for(wanted)
-                if codes.size == 0 or (codes < 0).any():
-                    return miss()
-                first, last = int(codes.min()), int(codes.max())
-                covered = partition.instants[
-                    (partition.codes >= first) & (partition.codes <= last)
-                ]
-                if not np.array_equal(wanted, covered):
-                    # The instant set cuts through a granule; serving it
-                    # from whole-granule cells would over-count.
-                    return miss()
-                run = (first, last)
-            matched = store.objects_through(geometry_ids, *run)
-        context.obs.incr("preagg_hits")
-        return matched
+    def _during_instants(
+        self, mo: ast.MovingObjectQuery
+    ) -> Optional[Set[float]]:
+        """The instants every DURING clause allows (None: no clause)."""
+        allowed: Optional[Set[float]] = None
+        time_dim = self.context.time
+        for clause in mo.during:
+            instants = time_dim.instants_where(clause.level, clause.member)
+            if not instants and clause.member.replace(".", "", 1).isdigit():
+                # Numeric members may be stored as numbers.
+                instants = time_dim.instants_where(
+                    clause.level, float(clause.member)
+                ) | time_dim.instants_where(
+                    clause.level, int(float(clause.member))
+                )
+            clause_instants = {float(t) for t in instants}
+            allowed = (
+                clause_instants
+                if allowed is None
+                else allowed & clause_instants
+            )
+        return allowed
 
     def _execute_moving(
         self,
-        mo: ast.MovingObjectQuery,
-        geo: ast.GeometricQuery,
+        query: ast.PietQLQuery,
         geometry_ids: Set[Hashable],
-    ) -> Tuple[float, Set[Hashable]]:
-        obs = self.context.obs
-        base_moft = self.context.moft(mo.moft_name)
-        moft = base_moft
-        allowed: Optional[Set[float]] = None
-        with obs.stage("during_restriction"):
-            for clause in mo.during:
-                member: Hashable = clause.member
-                instants = self.context.time.instants_where(
-                    clause.level, member
-                )
-                if not instants and clause.member.replace(".", "", 1).isdigit():
-                    # Numeric members may be stored as numbers.
-                    instants = self.context.time.instants_where(
-                        clause.level, float(clause.member)
-                    ) | self.context.time.instants_where(
-                        clause.level, int(float(clause.member))
-                    )
-                clause_instants = {float(t) for t in instants}
-                allowed = (
-                    clause_instants
-                    if allowed is None
-                    else allowed & clause_instants
-                )
-            if allowed is not None:
-                moft = moft.restrict_instants(allowed)
-        if mo.through_result:
-            if not geometry_ids or len(moft) == 0:
-                return 0.0, set()
-            binding = self.resolve(geo.target)
-            matched = self._preagg_through_result(
-                base_moft, allowed, binding, geometry_ids
+        front: Tuple[PlanNode, ...],
+    ) -> Tuple[float, Set[Hashable], Optional[QueryPlan]]:
+        """The moving-objects part: ``(count, matched objects, plan)``.
+
+        The plan is built (and priced) only under EXPLAIN.
+        """
+        mo = query.moving_objects
+        context = self.context
+        started = time.perf_counter()
+        instants = self._during_instants(mo)
+        during_seconds = time.perf_counter() - started
+        context.obs.record("during_restriction", during_seconds)
+        if query.explain and mo.during:
+            clauses = ", ".join(f"{c.level}={c.member!r}" for c in mo.during)
+            front += (
+                PlanNode(
+                    "DuringRestriction", clauses,
+                    actual_seconds=during_seconds,
+                ),
             )
-            if matched is None:
-                matched = self._scan_through_result(
-                    moft, binding, geometry_ids
+        label = f"count_{mo.count_what.lower()}, moft={mo.moft_name}"
+        plan: Optional[QueryPlan] = None
+        if not mo.through_result:
+            moft = context.moft(mo.moft_name)
+            rows = len(moft)
+            if instants is not None:
+                moft = moft.restrict_instants(instants)
+            matched = moft.objects()
+            samples = len(moft)
+            if query.explain:
+                cost = rows * CostModel().row_cost
+                body = PlanNode(
+                    "CountRows", f"moft={mo.moft_name}", est_rows=rows,
+                    est_cost=cost, actual_rows=len(matched),
+                )
+                plan = QueryPlan(
+                    strategy="count",
+                    root=PlanNode(
+                        "Aggregate", f"{label}, strategy=count",
+                        est_rows=1, est_cost=cost,
+                        children=front + (body,),
+                    ),
+                    est_cost=cost,
+                    executed=True,
                 )
         else:
-            matched = moft.objects()
-        if mo.count_what == "OBJECTS":
-            return float(len(matched)), matched
-        if mo.through_result:
-            samples = sum(moft.sample_count(oid) for oid in matched)
-        else:
-            samples = len(moft)
-        return float(samples), matched
+            binding = self.resolve(query.geometric.target)
+            ops = resolve_through(
+                context,
+                (binding.layer, binding.kind),
+                moft_name=mo.moft_name,
+                instants=instants,
+                ids=geometry_ids,
+            )
+            use_store = ops.route_first()
+            if query.explain:
+                scan = "grid" if self.sharded is None else "sharded"
+                plan = plan_through(
+                    ops, self.sharded,
+                    force_strategy="preagg" if use_store else scan,
+                    front=front, label=label,
+                )
+                matched = run_plan(plan, self.sharded)
+            else:
+                matched = execute_through(
+                    ops, use_store, self.sharded
+                ).matched
+            if mo.count_what != "OBJECTS":
+                table = ops.table
+                samples = sum(table.sample_count(oid) for oid in matched)
+        count = float(
+            len(matched) if mo.count_what == "OBJECTS" else samples
+        )
+        if plan is not None:
+            plan.root.actual_rows = len(matched)
+            plan.result_count = int(count)
+        return count, matched, plan
 
 
 def run(

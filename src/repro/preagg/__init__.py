@@ -3,8 +3,9 @@
 See :mod:`repro.preagg.store` for the model: per-(geometry, granule)
 cells with exact distinct-object sets, boundary-spanning segment
 records, incremental maintenance against the append-only MOFT, and
-lattice rollup / cube exposure.  The query planner
-(:mod:`repro.query.optimizer`) routes eligible aggregates here.
+lattice rollup / cube exposure.  The resolve step of the query layer
+(:func:`repro.query.evaluator.resolve_through`) matches eligible
+aggregates to a registered store.
 """
 
 from repro.preagg.store import (
@@ -12,7 +13,6 @@ from repro.preagg.store import (
     PreAggCell,
     PreAggStore,
     PreAggStoreStats,
-    WindowCoverage,
 )
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "PreAggCell",
     "PreAggStore",
     "PreAggStoreStats",
-    "WindowCoverage",
 ]

@@ -90,27 +90,6 @@ class PreAggStoreStats:
 
 
 @dataclass(frozen=True)
-class WindowCoverage:
-    """How a time window decomposes against a store's granule partition.
-
-    ``run`` is the maximal covered granule run (None: no whole granule —
-    the store cannot serve the window); ``aligned`` whether the window
-    sits exactly on granule boundaries; ``sliver_rows`` the number of
-    MOFT rows a residual sliver scan would have to touch (0 when
-    aligned).  Computed without materializing the sliver subtable, so
-    the planner can price the hybrid strategy cheaply.
-    """
-
-    run: Optional[Tuple[int, int]]
-    aligned: bool
-    sliver_rows: int
-
-    @property
-    def covered(self) -> bool:
-        return self.run is not None
-
-
-@dataclass(frozen=True)
 class PreAggCell:
     """One decoded (geometry, granule) cell — for inspection and cubes."""
 
@@ -811,7 +790,12 @@ class PreAggStore:
         Selects the complete window-restricted history of every object
         having at least one sample in a sliver — the part of
         ``[start, end]`` outside the covered granule run — or None when
-        the window is fully covered by the run.
+        the window is fully covered by the run.  Scanning these rows and
+        unioning with :meth:`objects_through` over the run reproduces
+        the serial window scan exactly: any window segment the store has
+        not accounted for has an endpoint in a sliver.  Called by
+        :func:`repro.query.evaluator.resolve_through` (at most once per
+        query), which both prices and runs the hybrid from it.
         """
         lo, hi = self.partition.span(*run)
         t, _, _ = self.moft.as_arrays()
@@ -826,59 +810,6 @@ class PreAggStore:
             mask[self.moft._object_rows()[oid]] = True
         mask &= window
         return mask
-
-    def sliver_row_count(
-        self, start: float, end: float, run: Tuple[int, int]
-    ) -> int:
-        """Rows :meth:`sliver_subtable` would hold, without building it.
-
-        The cost-based planner prices the pre-agg hybrid strategy from
-        this figure (granule lookups + a scan of this many rows).
-        """
-        mask = self._sliver_scan_mask(start, end, run)
-        return 0 if mask is None else int(mask.sum())
-
-    def sliver_subtable(
-        self, start: float, end: float, run: Tuple[int, int]
-    ) -> Tuple[Optional[MOFT], int]:
-        """The residual scan input for a misaligned window.
-
-        Returns ``(table, rows)`` where the table holds the complete
-        window-restricted history of every object having at least one
-        sample in a sliver (see :meth:`_sliver_scan_mask`), or
-        ``(None, 0)`` when the window is fully covered.  Scanning this
-        table and unioning with :meth:`objects_through` over the run
-        reproduces the serial window scan exactly: any window segment
-        the store has not accounted for has an endpoint in a sliver.
-        """
-        mask = self._sliver_scan_mask(start, end, run)
-        if mask is None:
-            return None, 0
-        table = self.moft.mask_rows(mask)
-        return table, len(table)
-
-    def window_coverage(
-        self, start: Optional[float], end: Optional[float]
-    ) -> WindowCoverage:
-        """Decompose a window (None/None: whole table) for the planner.
-
-        Purely informational — computes the covered run, alignment and
-        sliver row count without touching counters or building the
-        sliver subtable, so the planner can price the pre-agg strategy
-        without perturbing the observable routing outcome.
-        """
-        if start is None or end is None:
-            if len(self.partition) == 0:
-                return WindowCoverage(run=None, aligned=True, sliver_rows=0)
-            return WindowCoverage(
-                run=(0, len(self.partition) - 1), aligned=True, sliver_rows=0
-            )
-        run = self.covered_run(start, end)
-        if run is None:
-            return WindowCoverage(run=None, aligned=False, sliver_rows=0)
-        aligned = self.is_aligned(start, end)
-        rows = 0 if aligned else self.sliver_row_count(start, end, run)
-        return WindowCoverage(run=run, aligned=aligned, sliver_rows=rows)
 
     def window_dwell(
         self, ids: Iterable[Hashable], start: float, end: float
@@ -1183,5 +1114,4 @@ __all__ = [
     "PreAggCell",
     "PreAggStore",
     "PreAggStoreStats",
-    "WindowCoverage",
 ]

@@ -150,60 +150,55 @@ def total_dwell_time(
     per polygon, which keeps the measure summable per geometry id
     (Definition 4).
 
-    With ``use_preagg`` the planner routes through a registered fresh
-    :class:`~repro.preagg.PreAggStore`: cells and spanning records
-    answer the covered granule run, and boundary slivers are clipped
-    directly — no trajectory scan at all.  Exact up to float summation
-    order; the differential suite pins the tolerance.
+    Same operands as the count (:func:`~repro.query.evaluator
+    .resolve_through`), route-first, with a dwell leaf.  With
+    ``use_preagg`` a registered fresh :class:`~repro.preagg.PreAggStore`
+    serves: cells and spanning records answer the covered granule run,
+    and boundary slivers are clipped directly — no trajectory scan at
+    all.  Exact up to float summation order; the differential suite pins
+    the tolerance.
 
-    The scan path runs the dwell kernel once per answer polygon over
-    the table's segment table and counts into ``stats`` (default: the
-    context's observer) like the count path: ``scan_rows``, the
-    ``segment_scan`` stage, ``segment_checks`` / ``bbox_rejections`` and
-    the kernel's own counters.
+    The scan leaf runs the dwell kernel once per answer polygon over the
+    restricted table's segment table and counts like the count path
+    (into ``stats`` when passed, else the context observer):
+    ``scan_rows``, the ``segment_scan`` stage, ``segment_checks`` /
+    ``bbox_rejections`` and the kernel's own counters.
     """
     from repro.geometry import kernels
     from repro.obs import EvaluationStats
-    from repro.query.evaluator import (
-        geometric_subquery,
-        validated_window,
-        window_restricted,
-    )
-    from repro.query.optimizer import route_through_window
+    from repro.query.evaluator import resolve_through
 
-    moft = context.moft(moft_name)
-    window = validated_window(moft, window)
-    ids = geometric_subquery(context, target, constraints, obs=stats)
-    if not ids:
+    ops = resolve_through(
+        context, target, constraints, moft_name, window=window, obs=stats,
+        use_preagg=use_preagg,
+    )
+    if not ops.ids:
         return 0.0
-    layer, kind = target
-    if use_preagg:
-        route = route_through_window(
-            context, target, ids, moft, window, stats=stats
-        )
-        if route is not None:
-            if window is None:
-                return route.store.dwell_time(sorted(ids, key=repr),
-                                              *route.run)
-            return route.store.window_dwell(sorted(ids, key=repr), *window)
-    elements = context.gis.layer(layer).elements(kind)
-    if window is not None:
-        moft = window_restricted(moft, window)
-    stats = stats if stats is not None else context.obs
-    stats.incr("scan_rows", len(moft))
+    ids = sorted(ops.ids, key=repr)
+    if ops.route_first(stats):
+        ops.count("preagg_hits", stats)
+        with context.obs.stage("preagg_lookup"):
+            if ops.window is None:
+                return ops.store.dwell_time(ids, *ops.run)
+            return ops.store.window_dwell(ids, *ops.window)
+    elements = context.gis.layer(target[0]).elements(target[1])
+    moft = ops.table
+    run = EvaluationStats()
+    run.incr("scan_rows", len(moft))
     total = 0.0
-    with stats.stage(EvaluationStats.SCAN_STAGE):
+    with run.stage(EvaluationStats.SCAN_STAGE):
         for batch in moft.segments():
             dt = batch.t1 - batch.t0
-            for gid in sorted(ids, key=repr):
+            for gid in ids:
                 polygon = elements[gid]
                 near = batch.near(polygon.bbox)
-                stats.incr("bbox_rejections", len(batch) - near.shape[0])
-                stats.incr("segment_checks", near.shape[0])
+                run.incr("bbox_rejections", len(batch) - near.shape[0])
+                run.incr("segment_checks", near.shape[0])
                 dwell, _ = kernels.segments_dwell(
-                    polygon, *batch.ends(near), dt[near], obs=stats
+                    polygon, *batch.ends(near), dt[near], obs=run
                 )
                 total += float(dwell.sum())
+    (stats if stats is not None else context.obs).merge(run)
     return total
 
 

@@ -31,6 +31,14 @@ and tables too small to repay a kernel call.  The grid index is a
 refinement of the walk only; the batched scan prefilters by bounding
 box per polygon.
 
+That scan is the *leaf* of the one through-count path, which also
+lives here: :func:`resolve_through` resolves a query once (geometric
+subquery, time restriction, the store match) and
+:func:`execute_through` executes the operands — store read, scan leaf,
+the leaf fanned out, or store answer plus sliver scan.  The function
+API below, the planner (:mod:`repro.query.planner`), the dwell aggregate
+and Piet-QL all plan on and execute from those operands.
+
 Instrumentation is the :mod:`repro.obs` vocabulary —
 :class:`~repro.obs.EvaluationStats` is re-exported here for
 compatibility.
@@ -38,7 +46,11 @@ compatibility.
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+from functools import cached_property
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -59,10 +71,18 @@ from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.segment import Segment
-from repro.mo.moft import MOFT, SegmentBatch
+from repro.mo.moft import (
+    MOFT,
+    SegmentBatch,
+    instants_member_mask,
+    sorted_instants,
+)
 from repro.obs import EvaluationStats, PipelineStats
 from repro.query.region import EvaluationContext
 from repro.query.vectorized import points_in_polygons
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.preagg.store import PreAggStore
 
 #: Below this many rows the per-object walk beats the batched scan: a
 #: kernel call costs about as much as walking a dozen segments.
@@ -70,15 +90,17 @@ BATCH_MIN_ROWS = 64
 
 
 class ShardedTrajectoryExecutor(Protocol):
-    """What :func:`count_objects_through` needs from a parallel executor."""
+    """What :func:`execute_through` needs from a parallel executor."""
 
     def matching_objects(
         self,
         counter: "TrajectoryIntersectionCounter",
         moft: MOFT,
         stats: Optional["EvaluationStats"] = None,
+        n_shards: Optional[int] = None,
     ) -> Set[Hashable]:
-        """Return the matched object ids, merged exactly across shards."""
+        """Return the matched object ids, merged exactly across shards
+        (``n_shards``: a planner-chosen shard count for this one scan)."""
         ...
 
 
@@ -119,16 +141,20 @@ class TrajectoryIntersectionCounter:
     ) -> None:
         if not geometries:
             raise EvaluationError("no geometries to intersect against")
-        self.geometries = dict(geometries)
+        #: In id order, not the answer set's hash order, so the
+        #: early-exit counts (of the batched scan and of the unindexed
+        #: walk alike) repeat from run to run.
+        self.geometries = {
+            gid: geometries[gid] for gid in sorted(geometries, key=repr)
+        }
         self.use_index = use_index
         self.early_exit = early_exit
         self.vectorized_prefilter = vectorized_prefilter
         #: The answer as polygons, for the batched scan (None: it holds
-        #: other geometries).  In id order, not the answer set's hash
-        #: order, so the early-exit counts repeat from run to run.
-        self._polygons: Optional[List[Polygon]] = [
-            self.geometries[gid] for gid in sorted(self.geometries, key=repr)
-        ]
+        #: other geometries).
+        self._polygons: Optional[List[Polygon]] = list(
+            self.geometries.values()
+        )
         if not all(isinstance(g, Polygon) for g in self._polygons):
             self._polygons = None
         if not use_index:
@@ -365,11 +391,7 @@ def counter_for(
     vectorized: bool = True,
     stats: Optional[EvaluationStats] = None,
 ) -> TrajectoryIntersectionCounter:
-    """Build the scan counter over one geometric answer (shared setup).
-
-    Public because the cost-based planner (:mod:`repro.query.planner`)
-    builds the same counter when it executes a chosen strategy.
-    """
+    """Build the scan counter over one geometric answer (the scan leaf)."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
     index = (
@@ -386,6 +408,256 @@ def counter_for(
     )
 
 
+# ---------------------------------------------------------------------------
+# Resolve once, then execute
+# ---------------------------------------------------------------------------
+
+@dataclass(repr=False)
+class ThroughOperands:
+    """The resolved operands of one through-style query
+    (:func:`resolve_through` builds them; every front-end plans on and
+    executes from them).
+
+    ``store`` is the registered fresh store able to serve the time
+    restriction (None: no such store, or none was sought); ``run`` the
+    granule run it answers from its cells and ``aligned`` whether that
+    run is the whole restriction.  The sliver mask of a misaligned
+    window, the restriction mask and the restricted table are each
+    computed on first use, at most once — a store-served answer builds
+    no table.
+    """
+
+    context: EvaluationContext
+    target: Tuple[str, str]
+    moft: MOFT
+    ids: Set[Hashable]
+    window: Optional[Tuple[float, float]] = None
+    instants: Optional[Set[float]] = None
+    store: Optional["PreAggStore"] = None
+    run: Optional[Tuple[int, int]] = None
+    aligned: bool = True
+    #: Stores are registered, one was sought, none can serve.
+    store_missed: bool = False
+    #: Wall time of the geometric subquery (0.0: the ids were given).
+    geosub_seconds: float = 0.0
+    #: The table's mutation counter when the operands were resolved.
+    version: int = 0
+
+    @cached_property
+    def row_mask(self) -> Optional[np.ndarray]:
+        """The time restriction as a row mask (None: the whole table)."""
+        t, _, _ = self.moft.as_arrays()
+        if self.instants is not None:
+            return instants_member_mask(t, sorted_instants(self.instants))
+        if self.window is not None:
+            return (t >= self.window[0]) & (t <= self.window[1])
+        return None
+
+    @property
+    def rows(self) -> int:
+        """Rows of the restricted table, without building it."""
+        mask = self.row_mask
+        return len(self.moft) if mask is None else int(mask.sum())
+
+    @cached_property
+    def table(self) -> MOFT:
+        """The restricted table (what a scan leaf reads)."""
+        mask = self.row_mask
+        return self.moft if mask is None else self.moft.mask_rows(mask)
+
+    @cached_property
+    def sliver_mask(self) -> Optional[np.ndarray]:
+        """Rows the hybrid still has to scan beside the store's answer:
+        the window-restricted histories of the objects sampled outside
+        the covered run (None: the run covers the restriction)."""
+        if self.aligned:
+            return None
+        return self.store._sliver_scan_mask(*self.window, self.run)
+
+    @property
+    def sliver_rows(self) -> int:
+        mask = self.sliver_mask
+        return 0 if mask is None else int(mask.sum())
+
+    def count(
+        self, name: str, stats: Optional[PipelineStats] = None, by: int = 1
+    ) -> None:
+        """Add to a routing counter on the context observer (and on the
+        caller's ``stats``, when that is another object)."""
+        self.context.obs.incr(name, by)
+        if stats is not None and stats is not self.context.obs:
+            stats.incr(name, by)
+
+    def route_first(self, stats: Optional[PipelineStats] = None) -> bool:
+        """Route-first, the choice made without pricing: the store when
+        one serves (returns True), else the scan.  A registered store
+        that could not serve counts a ``preagg_misses``."""
+        if self.store is None and self.store_missed:
+            self.count("preagg_misses", stats)
+        return self.store is not None
+
+    def check_unchanged(self) -> None:
+        """Appends since the operands were resolved would make a store
+        read or a cached restriction silently wrong: refuse."""
+        if self.moft.version != self.version:
+            raise EvaluationError(
+                f"MOFT {self.moft.name!r} changed after the query was "
+                f"resolved; resolve (plan) again"
+            )
+
+
+def _granule_run_of(partition, instants: Set[float]):
+    """The granule run whose instants are exactly ``instants``.
+
+    None when the set is empty, names an instant the partition does not
+    hold, or cuts through a granule — whole-granule cells would then
+    over-count.
+    """
+    wanted = sorted_instants(instants)
+    codes = partition.codes_for(wanted)
+    if codes.size == 0 or (codes < 0).any():
+        return None
+    first, last = int(codes.min()), int(codes.max())
+    covered = partition.instants[
+        (partition.codes >= first) & (partition.codes <= last)
+    ]
+    return (first, last) if np.array_equal(wanted, covered) else None
+
+
+def resolve_through(
+    context: EvaluationContext,
+    target: Tuple[str, str],
+    constraints: Sequence[Tuple[str, Tuple[str, str]]] = (),
+    moft_name: str = "FM",
+    window: Optional[Tuple[float, float]] = None,
+    instants: Optional[Set[float]] = None,
+    ids: Optional[Iterable[Hashable]] = None,
+    obs: Optional[PipelineStats] = None,
+    use_preagg: bool = True,
+) -> ThroughOperands:
+    """Resolve a through-style query to its operands, once.
+
+    Answers the geometric subquery (unless the caller holds its ``ids``,
+    as Piet-QL does), validates the time restriction — none, a ``[start,
+    end]`` ``window`` or a DURING ``instants`` set — and, with
+    ``use_preagg``, matches a registered store: fresh (nothing refreshes
+    behind the caller's back), materializing every id over exactly this
+    MOFT, and holding a whole granule of the restriction (an instant set
+    must *be* a granule run: it has no sliver to scan).
+
+    The only code that matches a store to a through-style query.  It
+    touches no routing counter: those move when the query executes.
+    """
+    moft = context.moft(moft_name)
+    window = validated_window(moft, window)
+    seconds = 0.0
+    if ids is None:
+        started = time.perf_counter()
+        ids = geometric_subquery(context, target, constraints, obs=obs)
+        seconds = time.perf_counter() - started
+    ops = ThroughOperands(
+        context, target, moft, set(ids), window, instants,
+        geosub_seconds=seconds, version=moft.version,
+    )
+    if not (use_preagg and ops.ids):
+        return ops
+    store = context.preagg_for(moft, target[0], target[1], ops.ids)
+    if store is not None and not store.is_stale():
+        if instants is not None:
+            ops.run = _granule_run_of(store.partition, instants)
+        elif window is not None:
+            ops.run = store.covered_run(*window)
+            ops.aligned = ops.run is None or store.is_aligned(*window)
+        elif len(store.partition):
+            # A fresh store covers the whole table by construction.
+            ops.run = (0, len(store.partition) - 1)
+    if ops.run is not None:
+        ops.store = store
+    else:
+        ops.store_missed = context.has_preagg
+    return ops
+
+
+@dataclass
+class ThroughRun:
+    """What one execution produced, and its own figures: ``stats``
+    holds the scan counters and stages of this execution alone (a
+    fan-out's worker stats included), for the plan-node actuals."""
+
+    matched: Set[Hashable]
+    stats: EvaluationStats
+    #: Wall seconds of the store's cell read, and of the scan leaf
+    #: (fan-out included).
+    lookup_seconds: float = 0.0
+    scan_seconds: float = 0.0
+
+
+def execute_through(
+    ops: ThroughOperands,
+    use_store: bool,
+    executor: Optional["ShardedTrajectoryExecutor"] = None,
+    n_shards: Optional[int] = None,
+    use_index: bool = True,
+    early_exit: bool = True,
+    vectorized: bool = True,
+    stats: Optional[EvaluationStats] = None,
+) -> ThroughRun:
+    """Execute resolved operands: store read, scan leaf, or both.
+
+    ``use_store`` reads the store over its granule run and scans only
+    the sliver of a misaligned window (the hybrid), less the objects the
+    store already proves; otherwise the restricted table is scanned.
+    Either scan is the one leaf (:meth:`TrajectoryIntersectionCounter
+    .matching_objects`; ``use_index`` / ``early_exit`` / ``vectorized``
+    are its options), fanned out when ``executor`` is given.
+
+    ``preagg_hits`` / ``sliver_scan_rows`` go to the context observer
+    and ``stats``; the scan's figures to ``stats`` when passed, else to
+    the executor's observer when a fan-out ran (it reports there
+    itself), else to the context observer — each observer once.
+    """
+    context = ops.context
+    ops.check_unchanged()
+    run = ThroughRun(set(), EvaluationStats())
+    if not ops.ids:
+        return run
+    if use_store:
+        started = time.perf_counter()
+        run.matched = ops.store.objects_through(ops.ids, *ops.run)
+        run.lookup_seconds = time.perf_counter() - started
+        context.obs.record("preagg_lookup", run.lookup_seconds)
+        ops.count("preagg_hits", stats)
+        if ops.sliver_mask is None:
+            return run
+        sliver = ops.moft.mask_rows(ops.sliver_mask)
+        ops.count("sliver_scan_rows", stats, len(sliver))
+        # What the store already proves needs no second look.
+        table = sliver.restrict_objects(sliver.objects() - run.matched)
+    else:
+        table = ops.table
+    if not len(table):
+        return run
+    counter = counter_for(
+        context, ops.target, ops.ids, use_index, early_exit, vectorized,
+        stats,
+    )
+    started = time.perf_counter()
+    if executor is not None:
+        run.matched |= executor.matching_objects(
+            counter, table, run.stats, n_shards=n_shards
+        )
+    else:
+        run.matched |= counter.matching_objects(table, run.stats)
+    run.scan_seconds = time.perf_counter() - started
+    sink = stats
+    if sink is None and executor is None:
+        sink = context.obs
+    # (A fan-out has already reported into its executor's observer.)
+    if sink is not None and sink is not getattr(executor, "obs", None):
+        sink.merge(run.stats)
+    return run
+
+
 def objects_through(
     context: EvaluationContext,
     target: Tuple[str, str],
@@ -399,62 +671,25 @@ def objects_through(
     window: Optional[Tuple[float, float]] = None,
     use_preagg: bool = True,
 ) -> Set[Hashable]:
-    """The matched-object set behind :func:`count_objects_through`.
+    """The matched-object set behind :func:`count_objects_through`:
+    resolve, choose route-first, execute.
 
     ``window`` restricts the trajectory scan to samples with ``start <=
-    t <= end`` (validated by :func:`validated_window`).  With
-    ``use_preagg`` (the default), the planner first tries
-    :func:`repro.query.optimizer.route_through_window`: a registered
-    fresh :class:`~repro.preagg.PreAggStore` answers the covered granule
-    run from its cells and spanning records, and only the misaligned
+    t <= end``.  With ``use_preagg`` (the default) a registered fresh
+    :class:`~repro.preagg.PreAggStore` answers the covered granule run
+    from its cells and spanning records, and only the misaligned
     *sliver* residue — if any — is scanned (serially or through
-    ``executor``), less the objects the store's answer already holds.
-    The hybrid is exact; the fallback is the plain (possibly sharded,
-    possibly windowed) scan.
+    ``executor``).  The hybrid is exact; ``use_preagg=False`` with no
+    executor is the plain scan, the oracle of every differential suite.
     """
-    from repro.query.optimizer import route_through_window
-
-    moft = context.moft(moft_name)
-    window = validated_window(moft, window)
-    ids = geometric_subquery(context, target, constraints, obs=stats)
-    if not ids:
-        return set()
-    if use_preagg:
-        route = route_through_window(
-            context, target, ids, moft, window, stats=stats
-        )
-        if route is not None:
-            matched = route.store.objects_through(ids, *route.run)
-            if route.sliver is not None:
-                # What the store already proves needs no second look.
-                sliver = route.sliver.restrict_objects(
-                    route.sliver.objects() - matched
-                )
-                counter = counter_for(
-                    context, target, ids, use_index, early_exit,
-                    vectorized, stats,
-                )
-                if executor is not None:
-                    matched |= executor.matching_objects(
-                        counter, sliver, stats
-                    )
-                else:
-                    matched |= counter.matching_objects(sliver, stats)
-            return matched
-    counter = counter_for(
-        context, target, ids, use_index, early_exit, vectorized, stats
+    ops = resolve_through(
+        context, target, constraints, moft_name, window=window, obs=stats,
+        use_preagg=use_preagg,
     )
-    if window is not None:
-        moft = window_restricted(moft, window)
-    if executor is not None:
-        return executor.matching_objects(counter, moft, stats)
-    return counter.matching_objects(moft, stats)
-
-
-def window_restricted(moft: MOFT, window: Tuple[float, float]) -> MOFT:
-    """The MOFT restricted to samples with ``start <= t <= end``."""
-    t, _, _ = moft.as_arrays()
-    return moft.mask_rows((t >= window[0]) & (t <= window[1]))
+    return execute_through(
+        ops, ops.route_first(stats), executor, None,
+        use_index, early_exit, vectorized, stats,
+    ).matched
 
 
 def count_objects_through(
@@ -479,11 +714,11 @@ def count_objects_through(
     reuse it instead of rebuilding.
 
     ``executor`` optionally shards the trajectory scan: anything with a
-    ``matching_objects(counter, moft, stats)`` method — in practice a
-    :class:`repro.parallel.ShardedExecutor` — replaces the in-process
-    scan, fanning shards out over its backend.  The differential oracle
-    suite (``tests/parallel``) asserts the sharded answers equal this
-    serial path.
+    ``matching_objects(counter, moft, stats, n_shards=None)`` method —
+    in practice a :class:`repro.parallel.ShardedExecutor` — replaces the
+    in-process scan, fanning shards out over its backend.  The
+    differential oracle suite (``tests/parallel``) asserts the sharded
+    answers equal this serial path.
 
     ``window`` restricts the count to a time window; ``use_preagg``
     allows routing through a registered pre-aggregation store (see
@@ -509,11 +744,14 @@ def count_objects_through(
 __all__ = [
     "EvaluationStats",
     "ShardedTrajectoryExecutor",
+    "ThroughOperands",
+    "ThroughRun",
     "TrajectoryIntersectionCounter",
     "counter_for",
+    "execute_through",
     "geometric_subquery",
+    "resolve_through",
     "validated_window",
-    "window_restricted",
     "objects_through",
     "count_objects_through",
 ]

@@ -1,53 +1,29 @@
-"""Logical optimization of region formulas and aggregate pipelines.
+"""Logical optimization of region formulas: the time push-down.
 
-Two rewrite families live here:
+The solver evaluates conjunctions in a ready-first order, but the MOFT
+atom still enumerates every sample before temporal atoms filter them.
+Queries like the paper's running example constrain the instant through
+Time rollups with *constant* members (``R^{timeOfDay}(t) = "Morning"``),
+and the Time dimension can invert those rollups to an instant set up
+front.  :func:`push_down_time` narrows the MOFT atom's enumeration to
+the allowed instants (:class:`FilteredMoft`) — classical selection
+push-down, here across the Time dimension.  Semantics-preserving: the
+original rollup atoms are kept (they also handle variables bound
+elsewhere), only the enumeration is narrowed.
 
-* :func:`push_down_time` — the solver evaluates conjunctions in a
-  ready-first order, but the MOFT atom still enumerates every sample
-  before temporal atoms filter them.  Queries like the paper's running
-  example constrain the instant through Time rollups with *constant*
-  members (``R^{timeOfDay}(t) = "Morning"``), and the Time dimension can
-  invert those rollups to an instant set up front.  The rewrite narrows
-  the MOFT atom's enumeration to allowed instants — classical selection
-  push-down, here across the Time dimension.  Semantics-preserving: the
-  original rollup atoms are kept (they also handle variables bound
-  elsewhere), only the enumeration is narrowed.
-
-* :func:`route_through_window` — the physical rewrite behind the
-  materialized pre-aggregation layer (:mod:`repro.preagg`).  When a
-  through-style aggregate targets geometry ids that are all materialized
-  in a registered, fresh :class:`~repro.preagg.PreAggStore` and its time
-  window contains at least one whole granule, the scan is replaced by a
-  store lookup plus (for misaligned windows) a residual *sliver* scan
-  over only the objects sampled outside the covered granule run.  The
-  route is exact by construction — the differential oracle in
-  ``tests/parallel`` asserts it against the serial scan.  Outcomes are
-  observable as ``preagg_hits`` / ``preagg_misses`` /
-  ``sliver_scan_rows`` counters and the ``preagg_lookup`` stage timer.
+(The physical choice between a pre-aggregation store and a trajectory
+scan is not made here: :func:`repro.query.evaluator.resolve_through`
+matches stores to through-style queries.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Iterator,
-    Optional,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
-from repro.mo.moft import MOFT, is_member_instant, sorted_instants
-from repro.obs import PipelineStats
+from repro.mo.moft import is_member_instant, sorted_instants
 from repro.query import ast
 from repro.query.region import EvaluationContext, SpatioTemporalRegion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.preagg.store import PreAggStore
 
 
 @dataclass(frozen=True)
@@ -174,90 +150,4 @@ def push_down_time(
     )
     return SpatioTemporalRegion(
         region.output_variables, ast.And(*new_children)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pre-aggregation routing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreAggRoute:
-    """A successful store route for one through-style aggregate.
-
-    ``run`` is the covered granule run ``(first, last)`` the store
-    answers directly; ``sliver`` (possibly None) is the residual MOFT a
-    scan must still cover for misaligned windows — the full
-    window-restricted histories of the objects sampled outside the run.
-    ``aligned`` records whether the window landed exactly on granule
-    boundaries (then ``sliver`` is always None).
-    """
-
-    store: "PreAggStore"
-    run: Tuple[int, int]
-    sliver: Optional[MOFT]
-    sliver_rows: int
-    aligned: bool
-
-
-def route_through_window(
-    context: EvaluationContext,
-    target: Tuple[str, str],
-    ids: Iterable[Hashable],
-    moft: MOFT,
-    window: Optional[Tuple[float, float]],
-    stats: Optional[PipelineStats] = None,
-) -> Optional[PreAggRoute]:
-    """Try to answer a through-aggregate from a registered store.
-
-    Returns a :class:`PreAggRoute` when a registered, *fresh* store
-    materializes every queried geometry id of ``target`` over exactly
-    this MOFT and the window contains at least one whole granule;
-    returns None otherwise (the caller falls back to the scan).  A stale
-    store is a miss — the planner never refreshes behind the caller's
-    back; call :meth:`~repro.preagg.PreAggStore.update` explicitly.
-
-    ``window=None`` means the whole table, which a fresh store covers by
-    construction (every sample instant is registered and every
-    registered instant lies in some granule).
-
-    Counter policy: ``preagg_misses`` only fires when the context has at
-    least one registered store, so contexts that never opted into
-    pre-aggregation don't accumulate noise.
-    """
-    observers = [context.obs] + ([stats] if stats is not None else [])
-    layer, kind = target
-    ids = list(ids)
-
-    def miss() -> None:
-        if context.has_preagg:
-            for observer in observers:
-                observer.incr("preagg_misses")
-        return None
-
-    store = context.preagg_for(moft, layer, kind, ids)
-    if store is None or store.is_stale():
-        return miss()
-    with context.obs.stage("preagg_lookup"):
-        if window is None:
-            if len(store.partition) == 0:
-                return miss()
-            run: Optional[Tuple[int, int]] = (0, len(store.partition) - 1)
-            sliver, rows, aligned = None, 0, True
-        else:
-            start, end = window
-            run = store.covered_run(start, end)
-            if run is None:
-                # The window holds no whole granule; a pure sliver scan
-                # would just be the serial scan with extra steps.
-                return miss()
-            aligned = store.is_aligned(start, end)
-            sliver, rows = store.sliver_subtable(start, end, run)
-    for observer in observers:
-        observer.incr("preagg_hits")
-        if rows:
-            observer.incr("sliver_scan_rows", rows)
-    return PreAggRoute(
-        store=store, run=run, sliver=sliver, sliver_rows=rows, aligned=aligned
     )

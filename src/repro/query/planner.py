@@ -1,20 +1,22 @@
 """Cost-based planning of the Section 5 pipeline, with EXPLAIN.
 
-The repo grew four ways to answer "count the objects passing through
-these geometries over this window": the serial scan (the paper's
+There are four ways to answer "count the objects passing through these
+geometries over this time restriction": the serial scan (the paper's
 baseline), the grid-indexed scan, the sharded fan-out
 (:class:`~repro.parallel.ShardedExecutor`) and the materialized
 pre-aggregation route with its sliver hybrid (:mod:`repro.preagg`).
-Choosing between them was ad hoc — preagg routes when it can, sharding
-happens when the caller constructed an executor.  This module makes the
-choice a *costed* decision:
+All four run on the operands one
+:func:`~repro.query.evaluator.resolve_through` call resolves, through
+the one :func:`~repro.query.evaluator.execute_through`; the route-first
+front-ends (``count_objects_through``, ``total_dwell_time``, Piet-QL)
+take "the store when one serves, else the scan" without a price.  This
+module makes the choice a *costed* decision:
 
-* a **statistics layer** — :func:`table_statistics` (MOFT row/object
-  counts and time extent), :func:`geometry_statistics` (per-answer
-  bbox-coverage selectivity of the queried geometries against the
-  table's spatial extent) and the store-side figures exposed by
-  :meth:`~repro.preagg.PreAggStore.stats` /
-  :meth:`~repro.preagg.PreAggStore.window_coverage`;
+* **statistics** — :func:`geometry_statistics` (bbox-coverage
+  selectivity of the answer geometries against the table's spatial
+  extent) and, from the operands, the restricted row count, the store's
+  granule run and the sliver row count (:func:`table_statistics` serves
+  the POI plans);
 
 * a **cost model** (:class:`CostModel`) pricing every candidate
   strategy in one abstract unit (≈ one geometry intersection check):
@@ -23,26 +25,24 @@ choice a *costed* decision:
   per-row pickling for processes) for the sharded fan-out, and granule
   reads + residual sliver scan for the pre-agg hybrid;
 
-* an **EXPLAIN surface** — :func:`plan_count_objects_through` returns a
-  :class:`QueryPlan` tree, :func:`planned_count_objects_through`
-  executes the chosen strategy (answers are strategy-independent; the
-  differential suite in ``tests/parallel`` asserts it), and
-  :func:`explain` renders the tree with estimated vs. *actual* rows and
-  seconds pulled from the :mod:`repro.obs` counters and stage timers
-  (``scan_rows``, ``segment_scan``, ``preagg_lookup``, …).
+* an **EXPLAIN surface** — :func:`plan_count_objects_through` resolves
+  and returns a :class:`QueryPlan` (:func:`plan_through` prices operands
+  somebody else resolved — Piet-QL's EXPLAIN); :func:`run_plan` /
+  :func:`execute_plan` execute the chosen strategy *from the plan's
+  operands*; :func:`explain` renders the tree with estimated vs.
+  *actual* rows and seconds, read off the stats object of that one
+  execution.
 
-The planner never changes execution semantics: every strategy funnels
-through :func:`repro.query.evaluator.objects_through` with the flags
-that select it, so a planner-picked path is bit-identical to calling
-the evaluator directly.  The cost constants are calibration knobs, not
-truth — the invariant the tests pin is that *whatever* the constants,
-the chosen strategy returns the same answer.
+The planner chooses *how* the one executor runs, never *what* it
+answers (``tests/parallel`` pins every strategy to the serial scan).
+The cost constants are calibration knobs, not truth: *whatever* the
+constants, the chosen strategy returns the same answer.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     Hashable,
@@ -56,12 +56,14 @@ from typing import (
 from repro.errors import EvaluationError
 from repro.geometry.overlay import geometry_bbox
 from repro.mo.moft import MOFT
-from repro.obs import EvaluationStats
+from repro.query import poi as poi_queries
 from repro.query.evaluator import (
     ShardedTrajectoryExecutor,
-    geometric_subquery,
-    validated_window,
+    ThroughOperands,
+    execute_through,
+    resolve_through,
 )
+from repro.query.poi import POI_STRATEGIES
 from repro.query.region import EvaluationContext
 
 
@@ -285,16 +287,22 @@ STRATEGIES = ("serial", "grid", "sharded", "preagg")
 
 @dataclass
 class QueryPlan:
-    """A costed, renderable plan for one through-style aggregate."""
+    """A costed, renderable plan for one aggregate.
+
+    ``operands`` is what planning resolved and execution runs on (a
+    :class:`~repro.query.evaluator.ThroughOperands` or a
+    :class:`~repro.query.poi.PoiOperands`): executing a plan resolves
+    nothing again.
+    """
 
     strategy: str
     root: PlanNode
     est_cost: float
-    alternatives: Tuple[Tuple[str, float], ...]
-    table: TableStatistics
-    geometry: GeometryStatistics
+    alternatives: Tuple[Tuple[str, float], ...] = ()
+    geometry: Optional[GeometryStatistics] = None
     shard_count: Optional[int] = None
     shard_backend: Optional[str] = None
+    operands: Optional[object] = field(default=None, repr=False)
     executed: bool = False
     result_count: Optional[int] = None
 
@@ -327,62 +335,33 @@ def _available_cpus() -> int:
     return available_cpus()
 
 
-class _ShardHint:
-    """Adapter forwarding a planner-chosen shard count to an executor."""
-
-    def __init__(
-        self, executor: ShardedTrajectoryExecutor, n_shards: int
-    ) -> None:
-        self.executor = executor
-        self.n_shards = n_shards
-
-    def matching_objects(self, counter, moft, stats=None):
-        return self.executor.matching_objects(
-            counter, moft, stats, n_shards=self.n_shards
-        )
-
-
-def plan_count_objects_through(
-    context: EvaluationContext,
-    target: Tuple[str, str],
-    constraints: Sequence[Tuple[str, Tuple[str, str]]],
-    moft_name: str = "FM",
-    window: Optional[Tuple[float, float]] = None,
+def plan_through(
+    ops: ThroughOperands,
     executor: Optional[ShardedTrajectoryExecutor] = None,
     cost_model: Optional[CostModel] = None,
     force_strategy: Optional[str] = None,
+    front: Tuple[PlanNode, ...] = (),
+    label: str = "count_objects_through",
 ) -> QueryPlan:
-    """Price every applicable strategy and return the cheapest as a plan.
+    """Price every strategy applicable to resolved operands.
 
     Candidates: ``serial`` (unindexed scan), ``grid`` (indexed scan,
     always applicable), ``sharded`` (only when ``executor`` is given —
     the plan records the chosen shard count and the executor's backend)
-    and ``preagg`` (only when a registered fresh store covers the
-    queried geometries and the window holds a whole granule).
-
-    The geometric subquery runs *during planning* — its answer drives
-    geometry selectivity and pre-agg matching, it is cheap against the
-    overlay, and its ids are exactly what execution would recompute.
-
-    ``force_strategy`` bypasses the cost comparison (used by the
-    differential tests to drive every strategy over the same query);
-    forcing an inapplicable strategy raises :class:`EvaluationError`.
+    and ``preagg`` (only when the operands carry a store).  The cheapest
+    wins unless ``force_strategy`` names one (the differential tests
+    drive every strategy this way; Piet-QL's EXPLAIN forces its
+    route-first choice); forcing an inapplicable strategy raises
+    :class:`EvaluationError`.  ``front`` are the nodes rendered before
+    the strategy's subtree, ``label`` names the aggregate on the root.
     """
     model = cost_model if cost_model is not None else CostModel()
-    moft = context.moft(moft_name)
-    window = validated_window(moft, window)
-    ids = geometric_subquery(context, target, constraints)
-    table = table_statistics(moft)
-    geometry = geometry_statistics(context, target, ids, moft)
-
-    if window is None:
-        scan_rows = table.rows
-    else:
-        t, _, _ = moft.as_arrays()
-        scan_rows = int(((t >= window[0]) & (t <= window[1])).sum())
-    layer, kind = target
+    context, moft = ops.context, ops.moft
+    layer, kind = ops.target
+    geometry = geometry_statistics(context, ops.target, ops.ids, moft)
+    scan_rows = ops.rows
     n_geoms = geometry.count
-    index_cached = (layer, kind, frozenset(ids)) in context._grid_cache
+    index_cached = (layer, kind, frozenset(ops.ids)) in context._grid_cache
 
     costs: Dict[str, float] = {}
     if n_geoms == 0:
@@ -413,20 +392,13 @@ def plan_count_objects_through(
             costs["grid"], shard_backend, shard_count, scan_rows
         )
 
-    preagg_detail: Optional[Tuple[str, Tuple[int, int], int]] = None
-    if n_geoms:
-        store = context.preagg_for(moft, layer, kind, ids)
-        if store is not None and not store.is_stale():
-            start, end = (window if window is not None else (None, None))
-            coverage = store.window_coverage(start, end)
-            if coverage.covered:
-                run = coverage.run
-                granules = run[1] - run[0] + 1
-                costs["preagg"] = model.preagg_cost(
-                    granules, n_geoms, coverage.sliver_rows,
-                    geometry.coverage,
-                )
-                preagg_detail = (store.name, run, coverage.sliver_rows)
+    sliver_rows = 0
+    if ops.store is not None:
+        sliver_rows = ops.sliver_rows
+        costs["preagg"] = model.preagg_cost(
+            ops.run[1] - ops.run[0] + 1, n_geoms, sliver_rows,
+            geometry.coverage,
+        )
 
     if force_strategy is not None:
         if force_strategy not in STRATEGIES:
@@ -443,55 +415,43 @@ def plan_count_objects_through(
     else:
         chosen = min(costs, key=lambda name: costs[name])
 
-    geo_node = PlanNode(
-        op="GeometricSubquery",
-        detail=(
-            f"target={layer}:{kind}, constraints={len(constraints)}"
-        ),
-        est_rows=n_geoms,
-    )
-    window_label = (
-        "window=full" if window is None else f"window=[{window[0]}, {window[1]}]"
-    )
-    if chosen in ("serial", "grid"):
-        scan_node = PlanNode(
-            op="SerialScan" if chosen == "serial" else "GridScan",
-            detail=(
-                f"moft={moft_name}, {window_label}, geoms={n_geoms}"
-                + ("" if chosen == "serial" else
-                   f", coverage={geometry.coverage:.3f}"
-                   f", index_cached={index_cached}")
-            ),
-            est_rows=scan_rows,
-            est_cost=costs[chosen],
+    if ops.instants is not None:
+        restriction = f"instants={len(ops.instants)}"
+    elif ops.window is not None:
+        restriction = f"window=[{ops.window[0]}, {ops.window[1]}]"
+    else:
+        restriction = "window=full"
+    scan_detail = f"moft={moft.name}, {restriction}, geoms={n_geoms}"
+
+    def scan(op: str, priced: str, extra: str = "") -> PlanNode:
+        return PlanNode(
+            op, scan_detail + extra, est_rows=scan_rows,
+            est_cost=costs[priced],
         )
-        body = scan_node
+
+    if chosen == "serial":
+        body = scan("SerialScan", "serial")
+    elif chosen == "grid":
+        body = scan(
+            "GridScan", "grid",
+            f", coverage={geometry.coverage:.3f}, "
+            f"index_cached={index_cached}",
+        )
     elif chosen == "sharded":
-        scan_node = PlanNode(
-            op="GridScan",
-            detail=(
-                f"moft={moft_name}, {window_label}, geoms={n_geoms}, "
-                f"per_shard"
-            ),
-            est_rows=scan_rows,
-            est_cost=costs["grid"],
-        )
         body = PlanNode(
-            op="ShardFanout",
-            detail=f"backend={shard_backend}, shards={shard_count}",
+            "ShardFanout",
+            f"backend={shard_backend}, shards={shard_count}",
             est_rows=scan_rows,
             est_cost=costs["sharded"],
-            children=(scan_node,),
+            children=(scan("GridScan", "grid", ", per_shard"),),
         )
     else:  # preagg
-        assert preagg_detail is not None
-        store_name, run, sliver_rows = preagg_detail
         children: Tuple[PlanNode, ...] = ()
         if sliver_rows:
             children = (
                 PlanNode(
-                    op="SliverScan",
-                    detail=f"moft={moft_name}, geoms={n_geoms}",
+                    "SliverScan",
+                    f"moft={moft.name}, geoms={n_geoms}",
                     est_rows=sliver_rows,
                     est_cost=model.scan_cost(
                         sliver_rows, n_geoms, geometry.coverage,
@@ -500,21 +460,19 @@ def plan_count_objects_through(
                 ),
             )
         body = PlanNode(
-            op="PreAggLookup",
-            detail=(
-                f"store={store_name}, run={run[0]}..{run[1]}, "
-                f"granules={run[1] - run[0] + 1}"
-            ),
+            "PreAggLookup",
+            f"store={ops.store.name}, run={ops.run[0]}..{ops.run[1]}, "
+            f"granules={ops.run[1] - ops.run[0] + 1}",
             est_rows=sliver_rows,
             est_cost=costs["preagg"],
             children=children,
         )
     root = PlanNode(
         op="Aggregate",
-        detail=f"count_objects_through, strategy={chosen}",
+        detail=f"{label}, strategy={chosen}",
         est_rows=1,
         est_cost=costs[chosen],
-        children=(geo_node, body),
+        children=front + (body,),
     )
     alternatives = tuple(
         sorted(
@@ -527,16 +485,98 @@ def plan_count_objects_through(
         root=root,
         est_cost=costs[chosen],
         alternatives=alternatives,
-        table=table,
         geometry=geometry,
         shard_count=shard_count if chosen == "sharded" else None,
         shard_backend=shard_backend if chosen == "sharded" else None,
+        operands=ops,
+    )
+
+
+def plan_count_objects_through(
+    context: EvaluationContext,
+    target: Tuple[str, str],
+    constraints: Sequence[Tuple[str, Tuple[str, str]]],
+    moft_name: str = "FM",
+    window: Optional[Tuple[float, float]] = None,
+    executor: Optional[ShardedTrajectoryExecutor] = None,
+    cost_model: Optional[CostModel] = None,
+    force_strategy: Optional[str] = None,
+) -> QueryPlan:
+    """Resolve the query once and return its cheapest strategy as a plan.
+
+    The geometric subquery, the window validation and the store match
+    happen here (:func:`~repro.query.evaluator.resolve_through`) and the
+    plan keeps the operands, so executing it repeats none of that.  See
+    :func:`plan_through` for the candidates and ``force_strategy``.
+    """
+    ops = resolve_through(
+        context, target, constraints, moft_name, window=window
+    )
+    geo_node = PlanNode(
+        op="GeometricSubquery",
+        detail=(
+            f"target={target[0]}:{target[1]}, "
+            f"constraints={len(constraints)}"
+        ),
+        est_rows=len(ops.ids),
+        actual_rows=len(ops.ids),
+        actual_seconds=ops.geosub_seconds,
+    )
+    return plan_through(
+        ops, executor, cost_model, force_strategy, front=(geo_node,)
     )
 
 
 # ---------------------------------------------------------------------------
 # Execution with actuals
 # ---------------------------------------------------------------------------
+
+#: The scan-leaf options that tell the two unsharded scans apart.
+_UNINDEXED = {"use_index": False, "vectorized": False}
+
+
+def run_plan(
+    plan: QueryPlan,
+    executor: Optional[ShardedTrajectoryExecutor] = None,
+) -> Set[Hashable]:
+    """Execute a through plan from its operands; fill in the actuals.
+
+    One :func:`~repro.query.evaluator.execute_through` call: the store
+    read (plus a serial sliver scan) for ``preagg``, the scan leaf for
+    ``serial`` / ``grid``, the leaf fanned out over ``executor`` with
+    the plan's shard count for ``sharded``.  Node actuals are the
+    figures of that one execution, not a bracket around a shared
+    observer.  Returns the matched objects.
+    """
+    strategy = plan.strategy
+    if strategy == "sharded" and executor is None:
+        raise EvaluationError(
+            "plan chose the sharded strategy but no executor was "
+            "passed to execute it"
+        )
+    started = time.perf_counter()
+    run = execute_through(
+        plan.operands,
+        strategy == "preagg",
+        executor if strategy == "sharded" else None,
+        plan.shard_count,
+        **(_UNINDEXED if strategy == "serial" else {}),
+    )
+    plan.executed = True
+    plan.result_count = len(run.matched)
+    plan.root.actual_rows = plan.result_count
+    plan.root.actual_seconds = time.perf_counter() - started
+    for node in plan.root.walk():
+        if node.op in ("SerialScan", "GridScan", "SliverScan"):
+            node.actual_rows = run.stats.count("scan_rows")
+            node.actual_seconds = run.stats.elapsed_seconds
+        elif node.op == "ShardFanout":
+            node.actual_rows = run.stats.count("scan_rows")
+            node.actual_seconds = run.scan_seconds
+        elif node.op == "PreAggLookup":
+            node.actual_rows = plan.operands.sliver_rows
+            node.actual_seconds = run.lookup_seconds
+    return run.matched
 
 
 def execute_plan(
@@ -548,86 +588,13 @@ def execute_plan(
     window: Optional[Tuple[float, float]] = None,
     executor: Optional[ShardedTrajectoryExecutor] = None,
 ) -> int:
-    """Run the plan's chosen strategy; fill the tree with actuals.
+    """Run the plan's chosen strategy (:func:`run_plan`); return the count.
 
-    Every strategy funnels through
-    :func:`repro.query.evaluator.objects_through` with the flags that
-    select it, so the answer is identical whichever strategy the cost
-    model picked — the planner only chooses *how*, never *what*.
-    Actual rows come from the ``scan_rows`` / ``sliver_scan_rows``
-    counters, actual seconds from the ``segment_scan`` /
-    ``geometric_subquery`` / ``preagg_lookup`` stage timers, bracketed
-    via :meth:`~repro.obs.PipelineStats.snapshot` /
-    :meth:`~repro.obs.PipelineStats.since` on the context observer.
+    The plan carries its operands: the query arguments (kept for callers
+    that pass the same ones to planning and execution) are not read
+    again.  ``executor`` is needed (only) by a ``sharded`` plan.
     """
-    from repro.query.evaluator import objects_through
-
-    run_stats = EvaluationStats()
-    before = context.obs.snapshot()
-    started = time.perf_counter()
-    strategy = plan.strategy
-    if strategy == "preagg":
-        matched = objects_through(
-            context, target, constraints, moft_name=moft_name,
-            stats=run_stats, window=window, use_preagg=True,
-        )
-    elif strategy == "sharded":
-        if executor is None:
-            raise EvaluationError(
-                "plan chose the sharded strategy but no executor was "
-                "passed to execute it"
-            )
-        hinted = (
-            _ShardHint(executor, plan.shard_count)
-            if plan.shard_count is not None
-            else executor
-        )
-        matched = objects_through(
-            context, target, constraints, moft_name=moft_name,
-            stats=run_stats, window=window, use_preagg=False,
-            executor=hinted,
-        )
-    elif strategy == "serial":
-        matched = objects_through(
-            context, target, constraints, moft_name=moft_name,
-            stats=run_stats, window=window, use_preagg=False,
-            use_index=False, vectorized=False,
-        )
-    else:  # grid
-        matched = objects_through(
-            context, target, constraints, moft_name=moft_name,
-            stats=run_stats, window=window, use_preagg=False,
-        )
-    elapsed = time.perf_counter() - started
-    obs_delta = context.obs.since(before)
-    flat = run_stats.as_dict()
-
-    count = len(matched)
-    plan.executed = True
-    plan.result_count = count
-    plan.root.actual_rows = count
-    plan.root.actual_seconds = elapsed
-    geo_node = plan.root.find("GeometricSubquery")
-    if geo_node is not None:
-        geo_node.actual_seconds = flat.get("geometric_subquery_seconds", 0.0)
-    for op in ("SerialScan", "GridScan"):
-        node = plan.root.find(op)
-        if node is not None and strategy != "preagg":
-            node.actual_rows = int(flat.get("scan_rows", 0))
-            node.actual_seconds = flat.get("elapsed_seconds", 0.0)
-    fanout = plan.root.find("ShardFanout")
-    if fanout is not None:
-        fanout.actual_rows = int(flat.get("scan_rows", 0))
-        fanout.actual_seconds = obs_delta.get("shard_fanout_seconds", 0.0)
-    lookup = plan.root.find("PreAggLookup")
-    if lookup is not None:
-        lookup.actual_rows = int(flat.get("sliver_scan_rows", 0))
-        lookup.actual_seconds = obs_delta.get("preagg_lookup_seconds", 0.0)
-    sliver = plan.root.find("SliverScan")
-    if sliver is not None:
-        sliver.actual_rows = int(flat.get("scan_rows", 0))
-        sliver.actual_seconds = flat.get("elapsed_seconds", 0.0)
-    return count
+    return len(run_plan(plan, executor))
 
 
 def planned_count_objects_through(
@@ -646,11 +613,7 @@ def planned_count_objects_through(
         executor=executor, cost_model=cost_model,
         force_strategy=force_strategy,
     )
-    count = execute_plan(
-        plan, context, target, constraints, moft_name=moft_name,
-        window=window, executor=executor,
-    )
-    return count, plan
+    return len(run_plan(plan, executor)), plan
 
 
 def explain(
@@ -669,19 +632,13 @@ def explain(
         executor=executor, cost_model=cost_model,
     )
     if analyze:
-        execute_plan(
-            plan, context, target, constraints, moft_name=moft_name,
-            window=window, executor=executor,
-        )
+        run_plan(plan, executor)
     return plan.render()
 
 
 # ---------------------------------------------------------------------------
 # POI aggregates
 # ---------------------------------------------------------------------------
-
-#: The strategies the planner prices for POI aggregate queries.
-POI_STRATEGIES = ("serial", "sharded", "preagg")
 
 
 def plan_poi_aggregate(
@@ -697,22 +654,23 @@ def plan_poi_aggregate(
 ) -> QueryPlan:
     """Price the POI aggregate strategies and pick the cheapest.
 
-    The candidate space mirrors :func:`plan_count_objects_through` with
-    the POI twists: the scan is a per-object *segmentation* pass (every
-    row against every disc — no grid pruning, stops are global per
+    The candidate space mirrors :func:`plan_through` with the POI
+    twists: the scan is a per-object *segmentation* pass (every row
+    against every disc — no grid pruning, stops are global per
     trajectory), sharding splits by objects on the threads backend, and
     a registered fresh :class:`~repro.poi.PoiVisitStore` covering the
     (layer, granule, min_dwell) key reduces the query to a cell read.
+    The plan keeps what it resolved — the table, the POI set, the store
+    (:class:`~repro.query.poi.PoiOperands`) — for
+    :func:`execute_poi_plan`.
     """
-    from repro.query.poi import resolve_pois
-
     if force_strategy is not None and force_strategy not in POI_STRATEGIES:
         raise EvaluationError(
             f"unknown POI strategy {force_strategy!r}; expected one of "
             f"{POI_STRATEGIES}"
         )
     model = cost_model if cost_model is not None else CostModel()
-    pois = resolve_pois(context, layer)
+    pois = poi_queries.resolve_pois(context, layer)
     moft = context.moft(moft_name)
     table = table_statistics(moft)
     geometry = GeometryStatistics(len(pois), 1.0)
@@ -745,6 +703,8 @@ def plan_poi_aggregate(
         candidates.append(
             ("preagg", model.preagg_cost(n_granules, len(pois), 0, 1.0))
         )
+    else:
+        store = None
 
     by_name = dict(candidates)
     if force_strategy is not None:
@@ -795,10 +755,10 @@ def plan_poi_aggregate(
         root=root,
         est_cost=chosen_cost,
         alternatives=rejected,
-        table=table,
         geometry=geometry,
         shard_count=n_shards if chosen == "sharded" else None,
         shard_backend="threads" if chosen == "sharded" else None,
+        operands=poi_queries.PoiOperands(moft, pois, store),
     )
 
 
@@ -812,37 +772,32 @@ def execute_poi_plan(
     measure: str = "visits",
     k: Optional[int] = None,
 ):
-    """Execute a POI plan's chosen strategy; returns the aggregate dict."""
-    from repro.query import poi as poi_queries
+    """Execute a POI plan's chosen strategy; returns the aggregate dict.
 
-    options = {
-        "min_dwell": min_dwell,
-        "moft_name": moft_name,
-        "strategy": plan.strategy,
-    }
-    if plan.strategy == "sharded":
-        options["shards"] = plan.shard_count or 1
-        options["backend"] = "threads"
-    if measure == "visits":
-        result = poi_queries.poi_visit_counts(
-            context, layer, granule_level, **options
-        )
-    elif measure == "visitors":
-        result = poi_queries.poi_distinct_visitors(
-            context, layer, granule_level, **options
-        )
-    elif measure == "dwell":
-        result = poi_queries.poi_dwell_times(
-            context, layer, granule_level, **options
-        )
-    elif measure == "topk":
-        if k is None:
-            raise EvaluationError("top-k POI aggregate needs k")
-        result = poi_queries.poi_topk(
-            context, layer, granule_level, k, **options
-        )
-    else:
+    Reads from what the plan resolved (its table, POI set, store and
+    shard count) — nothing is looked up again.  A ``preagg`` plan counts
+    its ``poi_preagg_hits`` here, at execution.
+    """
+    if measure not in poi_queries.POI_MEASURES:
         raise EvaluationError(f"unknown POI measure {measure!r}")
+    if measure == "topk" and k is None:
+        raise EvaluationError("top-k POI aggregate needs k")
+    moft, pois, store = plan.operands
+    if plan.strategy == "preagg":
+        context.obs.incr("poi_preagg_hits")
+    else:
+        store = poi_queries.build_store(
+            context, moft, pois, layer, granule_level, min_dwell,
+            shards=plan.shard_count, backend="threads",
+        )
+    if measure == "visits":
+        result = store.visit_counts()
+    elif measure == "visitors":
+        result = store.distinct_visitors()
+    elif measure == "dwell":
+        result = store.dwell_times()
+    else:
+        result = store.topk(k)
     plan.executed = True
     plan.result_count = len(result)
     return result
@@ -862,6 +817,8 @@ __all__ = [
     "geometry_statistics",
     "plan_count_objects_through",
     "plan_poi_aggregate",
+    "plan_through",
     "planned_count_objects_through",
+    "run_plan",
     "table_statistics",
 ]

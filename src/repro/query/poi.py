@@ -25,7 +25,7 @@ sorted by ``repr``), ready for canonical-JSON comparison.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.gis import geometries as gk
@@ -53,43 +53,32 @@ def resolve_pois(
     return pois
 
 
-def _build_serial(
+class PoiOperands(NamedTuple):
+    """What a planned POI aggregate runs on, resolved once at planning:
+    the table, the layer's POI discs and the registered fresh store that
+    covers the query (None: there is none)."""
+
+    moft: MOFT
+    pois: Mapping[Hashable, object]
+    store: Optional[PoiVisitStore]
+
+
+def build_store(
     context: EvaluationContext,
     moft: MOFT,
     pois: Mapping[Hashable, object],
     layer: str,
     granule_level: str,
     min_dwell: float,
+    shards: Optional[int] = None,
+    backend: str = "serial",
 ) -> PoiVisitStore:
-    return PoiVisitStore(
-        moft,
-        context.time,
-        granule_level,
-        pois,
-        layer=layer,
-        min_dwell=min_dwell,
-        obs=context.obs,
-    )
+    """Segment the table into a throwaway cell store.
 
-
-def _build_sharded(
-    context: EvaluationContext,
-    moft: MOFT,
-    pois: Mapping[Hashable, object],
-    layer: str,
-    granule_level: str,
-    min_dwell: float,
-    shards: int,
-    backend: str,
-) -> PoiVisitStore:
-    if shards < 1:
-        raise EvaluationError(f"shard count must be >= 1, got {shards}")
-    if backend not in ("serial", "threads"):
-        raise EvaluationError(
-            f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
-        )
-    parts = moft.partition_by_objects(shards)
-
+    One pass over the whole table (``shards`` None), or one build per
+    object shard — on a thread pool under ``backend="threads"`` —
+    merged with completeness checks.
+    """
     def build(part: MOFT) -> PoiVisitStore:
         return PoiVisitStore(
             part,
@@ -101,6 +90,15 @@ def _build_sharded(
             obs=context.obs,
         )
 
+    if shards is None:
+        return build(moft)
+    if shards < 1:
+        raise EvaluationError(f"shard count must be >= 1, got {shards}")
+    if backend not in ("serial", "threads"):
+        raise EvaluationError(
+            f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
+        )
+    parts = moft.partition_by_objects(shards)
     if backend == "threads" and len(parts) > 1:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             stores = list(pool.map(build, parts))
@@ -150,14 +148,12 @@ def poi_store_view(
         if context.has_preagg:
             context.obs.incr("poi_preagg_misses")
     if strategy == "sharded":
-        built = _build_sharded(
+        built = build_store(
             context, moft, pois, layer, granule_level, min_dwell,
             shards, backend,
         )
         return built, "sharded"
-    built = _build_serial(
-        context, moft, pois, layer, granule_level, min_dwell
-    )
+    built = build_store(context, moft, pois, layer, granule_level, min_dwell)
     return built, "serial"
 
 

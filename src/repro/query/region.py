@@ -80,21 +80,16 @@ class EvaluationContext:
         self._trajectory_cache: Dict[
             Tuple[str, Hashable], LinearInterpolationTrajectory
         ] = {}
-        # Pipeline observability: named counters + per-stage timers.  The
-        # legacy ``stats`` dict is a live view over the observer's
-        # counters, so both vocabularies see the same numbers.
+        # Pipeline observability: named counters + per-stage timers.
         self.obs = PipelineStats()
-        self.stats: Dict[str, int] = self.obs.counters
-        for counter in ("geometry_checks", "overlay_hits", "trajectory_builds"):
-            self.stats[counter] = 0
         # Grid indexes keyed by (layer, kind, answer-id-set); repeated
         # queries over the same geometric answer reuse the index instead
         # of rebuilding it per query.
         self._grid_cache: Dict[
             Tuple[str, str, frozenset], UniformGridIndex
         ] = {}
-        # Registered pre-aggregation stores; the planner rewrite
-        # (repro.query.optimizer.route_through_window) consults these.
+        # Registered pre-aggregation stores; the resolve step
+        # (repro.query.evaluator.resolve_through) consults these.
         self._preagg_stores: List["PreAggStore"] = []
 
     # -- data access ----------------------------------------------------------
@@ -221,7 +216,7 @@ class EvaluationContext:
     ) -> Set[Tuple[Hashable, Hashable]]:
         """All id pairs satisfying the predicate between two (layer, kind)s."""
         if self.use_overlay:
-            self.stats["overlay_hits"] += 1
+            self.obs.incr("overlay_hits")
             return self.gis.overlay().pairs(
                 f"{layer_a}:{kind_a}", f"{layer_b}:{kind_b}", predicate
             )
@@ -232,7 +227,7 @@ class EvaluationContext:
         result: Set[Tuple[Hashable, Hashable]] = set()
         for id_a, geom_a in elems_a.items():
             for id_b, geom_b in elems_b.items():
-                self.stats["geometry_checks"] += 1
+                self.obs.incr("geometry_checks")
                 if predicate == "intersects":
                     hit = geometries_intersect(geom_a, geom_b)
                 elif predicate == "contains":
@@ -257,7 +252,7 @@ class EvaluationContext:
     ) -> bool:
         """Decide one geometric predicate between two identified elements."""
         if self.use_overlay:
-            self.stats["overlay_hits"] += 1
+            self.obs.incr("overlay_hits")
             pairs = self.gis.overlay().pairs(
                 f"{layer_a}:{kind_a}", f"{layer_b}:{kind_b}", predicate
             )
@@ -266,7 +261,7 @@ class EvaluationContext:
 
         geom_a = self.gis.layer(layer_a).element(kind_a, gid_a)
         geom_b = self.gis.layer(layer_b).element(kind_b, gid_b)
-        self.stats["geometry_checks"] += 1
+        self.obs.incr("geometry_checks")
         if predicate == "intersects":
             return geometries_intersect(geom_a, geom_b)
         if predicate == "contains":
@@ -283,7 +278,7 @@ class EvaluationContext:
         """Return (cached) the LIT of one object's samples."""
         key = (moft_name, oid)
         if key not in self._trajectory_cache:
-            self.stats["trajectory_builds"] += 1
+            self.obs.incr("trajectory_builds")
             sample = self.moft(moft_name).trajectory_sample(oid)
             self._trajectory_cache[key] = LinearInterpolationTrajectory(sample)
         return self._trajectory_cache[key]

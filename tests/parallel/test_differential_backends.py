@@ -12,7 +12,7 @@ import pytest
 
 from repro.gis import NODE, POLYGON, POLYLINE
 from repro.obs import EvaluationStats
-from repro.parallel import ShardedExecutor, sharded_count_objects_through
+from repro.parallel import ShardedExecutor
 
 from tests.parallel.conftest import FIG1_BINDINGS, SYNTH_BINDINGS
 
@@ -119,12 +119,12 @@ class TestObservabilityOfShardedRuns:
             assert stats.stages[stage].calls >= 1
 
     def test_convenience_wrapper_matches(self, fig1_context):
-        count = sharded_count_objects_through(
+        count = ShardedExecutor(
+            backend="threads", n_shards=2, obs=fig1_context.obs
+        ).count_objects_through(
             fig1_context,
             ("Ln", POLYGON),
             [("intersects", ("Lr", POLYLINE)), ("contains", ("Ls", NODE))],
             moft_name="FMbus",
-            backend="threads",
-            n_shards=2,
         )
         assert count == 5

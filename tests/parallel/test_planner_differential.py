@@ -23,20 +23,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gis import NODE, POLYGON, POLYLINE
-from repro.parallel import ShardedExecutor
+from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
+from repro.pietql import PietQLExecutor
 from repro.preagg import PreAggStore
-from repro.query.evaluator import count_objects_through
+from repro.query.evaluator import count_objects_through, objects_through
 from repro.query.planner import (
     STRATEGIES,
     CostModel,
     plan_count_objects_through,
     planned_count_objects_through,
+    run_plan,
 )
 from repro.query.region import EvaluationContext
 from repro.synth import CityConfig, build_city, figure1_instance
 from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
+
+from tests.parallel.conftest import FIG1_BINDINGS, SYNTH_BINDINGS
 
 FIG1_TARGET = ("Ln", POLYGON)
 FIG1_CONSTRAINTS = [
@@ -47,8 +51,28 @@ SYNTH_TARGET = ("Ln", POLYGON)
 SYNTH_CONSTRAINTS = [("intersects", ("Lr", POLYLINE))]
 
 #: Synthetic-world windows: full span, day-aligned, and misaligned
-#: (the hybrid store-cells-plus-sliver-scan path).
-SYNTH_WINDOWS = [None, (24.0, 71.0), (30.5, 80.5)]
+#: (the hybrid store-cells-plus-sliver-scan path), then the windows that
+#: are one DURING clause's granule run — those rows also hold Piet-QL's
+#: ``THROUGH RESULT DURING`` to the same matched set.
+SYNTH_WINDOWS = [
+    (None, None),
+    ((24.0, 71.0), None),
+    ((30.5, 80.5), None),
+    ((0.0, 23.0), "day = '2006-01-09'"),
+    ((24.0, 47.0), "day = '2006-01-10'"),
+    ((96.0, 99.0), "day = '2006-01-13'"),  # the last, partial day
+]
+FIG1_QUERY = (
+    "SELECT layer.neighborhoods FROM Fig1 "
+    "WHERE intersection(layer.rivers, layer.neighborhoods) "
+    "AND contains(layer.neighborhoods, layer.schools) "
+    "| COUNT OBJECTS FROM FMbus THROUGH RESULT DURING "
+)
+SYNTH_QUERY = (
+    "SELECT layer.neighborhoods FROM City "
+    "WHERE intersection(layer.neighborhoods, layer.rivers) "
+    "| COUNT OBJECTS FROM FM THROUGH RESULT DURING "
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +112,21 @@ def synth_preagg():
 
 
 def assert_all_strategies_agree(
-    context, target, constraints, moft_name="FM", window=None
+    context, target, constraints, moft_name="FM", window=None, pietql=None
 ):
-    """Every planner strategy must equal the direct serial scan."""
+    """Every planner strategy must equal the direct serial scan.
+
+    ``pietql`` is ``(bindings, query text)`` of the Piet-QL form of the
+    same query, its DURING clause naming exactly ``window``: its matched
+    set (plain and sharded executor) must then equal the set of every
+    forced strategy and of the route-first ``objects_through``.
+    """
     reference = count_objects_through(
         context, target, constraints, moft_name=moft_name, window=window,
         use_preagg=False, use_index=False, vectorized=False,
     )
     executor = ShardedExecutor(backend="threads", n_shards=3, obs=context.obs)
+    matched = {}
     for strategy in STRATEGIES:
         count, plan = planned_count_objects_through(
             context, target, constraints, moft_name=moft_name,
@@ -106,6 +137,33 @@ def assert_all_strategies_agree(
             f"strategy {strategy!r} diverged for window={window}: "
             f"{count} != {reference}"
         )
+        if pietql is not None:
+            matched[strategy] = run_plan(
+                plan_count_objects_through(
+                    context, target, constraints, moft_name=moft_name,
+                    window=window, executor=executor,
+                    force_strategy=strategy,
+                ),
+                executor,
+            )
+    if pietql is not None:
+        bindings, text = pietql
+        matched["route-first"] = objects_through(
+            context, target, constraints, moft_name=moft_name, window=window
+        )
+        hits = context.obs.count("preagg_hits")
+        language = PietQLExecutor(context, bindings).execute(text)
+        assert context.obs.count("preagg_hits") == hits + 1, (
+            f"Piet-QL did not route {text!r} through the store"
+        )
+        sharded = ShardedPietQLExecutor(
+            context, bindings, sharded=executor
+        ).execute(text)
+        assert language.count == sharded.count == reference
+        for name, objects in matched.items():
+            assert language.matched_objects == sharded.matched_objects == objects, (
+                f"Piet-QL diverged from {name!r} for window={window}"
+            )
     auto_count, auto_plan = planned_count_objects_through(
         context, target, constraints, moft_name=moft_name,
         window=window, executor=executor,
@@ -123,23 +181,35 @@ class TestFig1:
         assert reference == 5
 
     def test_aligned_window_all_strategies(self, fig1_preagg):
-        # The Morning granule run: instants {2, 3, 4}.
-        assert_all_strategies_agree(
-            fig1_preagg, FIG1_TARGET, FIG1_CONSTRAINTS,
-            moft_name="FMbus", window=(2.0, 4.0),
-        )
+        for window, during in [
+            # The Morning granule run: instants {2, 3, 4}.
+            ((2.0, 4.0), "timeOfDay = 'Morning'"),
+            # One hour granule.
+            ((3.0, 3.0), "hour = '3'"),
+        ]:
+            assert_all_strategies_agree(
+                fig1_preagg, FIG1_TARGET, FIG1_CONSTRAINTS,
+                moft_name="FMbus", window=window,
+                pietql=(FIG1_BINDINGS, FIG1_QUERY + during),
+            )
 
 
 class TestSynth:
     @pytest.mark.parametrize(
-        "window", SYNTH_WINDOWS, ids=["full", "aligned", "misaligned"]
+        "window, during",
+        SYNTH_WINDOWS,
+        ids=["full", "aligned", "misaligned", "day-1", "day-2", "day-5"],
     )
-    def test_all_strategies_agree(self, synth_preagg, window):
+    def test_all_strategies_agree(self, synth_preagg, window, during):
         if window is not None and window == (30.5, 80.5):
             store = synth_preagg._preagg_stores[0]
             assert not store.is_aligned(*window)
         assert_all_strategies_agree(
-            synth_preagg, SYNTH_TARGET, SYNTH_CONSTRAINTS, window=window
+            synth_preagg, SYNTH_TARGET, SYNTH_CONSTRAINTS, window=window,
+            pietql=(
+                None if during is None
+                else (SYNTH_BINDINGS, SYNTH_QUERY + during)
+            ),
         )
 
     def test_misaligned_plan_shows_sliver(self, synth_preagg):

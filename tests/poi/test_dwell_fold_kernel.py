@@ -76,10 +76,10 @@ class TestClipBitwise:
     def test_adversarial_cases(self):
         # Tangency, stationarity inside/outside, chord through the
         # center, segment grazing the rim, zero-length pieces.
-        x0 = np.array([-2.0, 0.0, 5.0, -2.0, 1.0, 0.5, -1.0])
-        y0 = np.array([1.0, 0.0, 5.0, 0.0, 0.0, 0.5, -1.0])
-        x1 = np.array([2.0, 0.0, 5.0, 2.0, 1.0, 0.5, 1.0])
-        y1 = np.array([1.0, 0.0, 5.0, 0.0, 0.0, 0.5, 1.0])
+        x0 = np.array([-2.0, 0.0, 5.0, -2.0, 1.0, 0.5, -1.0, 0.7654572205906316])
+        y0 = np.array([1.0, 0.0, 5.0, 0.0, 0.0, 0.5, -1.0, 0.0])
+        x1 = np.array([2.0, 0.0, 5.0, 2.0, 1.0, 0.5, 1.0, 1.0])
+        y1 = np.array([1.0, 0.0, 5.0, 0.0, 0.0, 0.5, 1.0, 0.0])
         lo, hi = batch_vs_scalar(0.0, 0.0, 1.0, x0, y0, x1, y1)
         # Tangent line touches at one point: empty clip (disc <= 0).
         assert (lo[0], hi[0]) == (0.0, 0.0)
@@ -91,6 +91,10 @@ class TestClipBitwise:
         assert 0.0 < lo[3] < hi[3] < 1.0
         # Exactly on the rim, stationary: boundary counts as inside.
         assert (lo[4], hi[4]) == (0.0, 1.0)
+        # Starts inside, ends exactly on the rim: the root of the
+        # quadratic is 0.9999999999999998, but the end point passes the
+        # closed-disc test, so the interval is pinned to the whole piece.
+        assert (lo[7], hi[7]) == (0.0, 1.0)
 
     def test_infinite_radius(self):
         x0 = np.array([0.0, 1.0])

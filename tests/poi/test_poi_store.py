@@ -229,6 +229,39 @@ class TestQueryLayer:
         assert plan.strategy == "preagg"
         assert "PoiCellRead" in plan.render()
 
+    def test_planner_executes_from_what_it_resolved(
+        self, fig1_world, monkeypatch
+    ):
+        """Executing a POI plan looks nothing up again: the store, the
+        POI set and the table come with the plan, and the hit is counted
+        at execution, once."""
+        ctx = fig1_world.context()
+        store = PoiVisitStore(
+            fig1_world.moft,
+            fig1_world.time,
+            "hour",
+            dict(fig1_world.gis.layer("Lp").elements("poi")),
+            layer="Lp",
+            obs=ctx.obs,
+        )
+        ctx.register_preagg(store)
+        plan = plan_poi_aggregate(
+            ctx, "Lp", "hour", moft_name="FMbus", measure="topk", k=2
+        )
+        assert plan.operands.store is store
+        assert ctx.obs.count("poi_preagg_hits") == 0
+        lookups = []
+        monkeypatch.setattr(
+            type(ctx), "poi_store_for",
+            lambda *args, **kwargs: lookups.append(args),
+        )
+        result = execute_poi_plan(
+            plan, ctx, "Lp", "hour", moft_name="FMbus", measure="topk", k=2
+        )
+        assert not lookups
+        assert ctx.obs.count("poi_preagg_hits") == 1
+        assert canon(result) == canon(store.topk(2))
+
     def test_planner_force_unknown_strategy(self, fig1_context):
         with pytest.raises(EvaluationError):
             plan_poi_aggregate(

@@ -311,7 +311,7 @@ class TestStrategies:
     def test_stats_tracked(self, world):
         ctx = world.context(use_overlay=False)
         ctx.geometry_pairs("Ln", "polygon", "intersects", "Lr", "polyline")
-        assert ctx.stats["geometry_checks"] > 0
+        assert ctx.obs.count("geometry_checks") > 0
         ctx2 = world.context(use_overlay=True)
         ctx2.geometry_pairs("Ln", "polygon", "intersects", "Lr", "polyline")
-        assert ctx2.stats["overlay_hits"] == 1
+        assert ctx2.obs.count("overlay_hits") == 1
