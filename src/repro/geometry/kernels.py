@@ -716,11 +716,8 @@ def disc_clip_batch(
     dy = y1 - y0
     fx = x0 - cx
     fy = y0 - cy
-    gx = x1 - cx
-    gy = y1 - cy
     a = dx * dx + dy * dy
     c = fx * fx + fy * fy - r * r
-    c1 = gx * gx + gy * gy - r * r
     b = fx * dx + fy * dy
     lo = np.zeros(n, dtype=np.float64)
     hi = np.zeros(n, dtype=np.float64)
@@ -731,18 +728,21 @@ def disc_clip_batch(
         # Stationary pieces with an infinite radius produce 0 * inf
         # here; the `degenerate` mask already answered them above.
         disc = b * b - a * c
-    solve = (~degenerate) & (disc > 0.0)
-    if solve.any():
+    solve = np.flatnonzero((~degenerate) & (disc > 0.0))
+    if solve.size:
         sq = np.sqrt(disc[solve])
         aa = a[solve]
         bb = b[solve]
         w1 = (-bb - sq) / aa
         w2 = (-bb + sq) / aa
+        gx = x1[solve] - cx
+        gy = y1[solve] - cy
+        c1 = gx * gx + gy * gy - r * r
         lo[solve] = np.where(
             (c[solve] <= 0.0) | (w1 < 0.0), 0.0, np.where(w1 > 1.0, 1.0, w1)
         )
         hi[solve] = np.where(
-            (c1[solve] <= 0.0) | (w2 > 1.0), 1.0, np.where(w2 < 0.0, 0.0, w2)
+            (c1 <= 0.0) | (w2 > 1.0), 1.0, np.where(w2 < 0.0, 0.0, w2)
         )
     return lo, hi
 

@@ -14,9 +14,11 @@ the operands run route-first through :func:`~repro.query.evaluator
 .execute_through` (a registered store when one serves, else the scan —
 fanned out under a :class:`~repro.parallel.ShardedExecutor`).  The
 restricted table is built only when a scan leaf or ``COUNT SAMPLES``
-reads it.  ``EXPLAIN`` prices the same operands
-(:func:`repro.query.planner.plan_through`, route-first choice forced)
-and puts Piet-QL's own stages in front of the plan.
+reads it.  ``EXPLAIN`` changes nothing about the run: it prices the
+same operands first (:func:`repro.query.planner.plan_through`,
+route-first choice forced), puts Piet-QL's own stages in front of the
+plan and fills the actuals from that one execution
+(:func:`repro.query.planner.record_run`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.query.planner import (
     execute_poi_plan,
     plan_poi_aggregate,
     plan_through,
-    run_plan,
+    record_run,
 )
 from repro.query.region import EvaluationContext
 
@@ -460,17 +462,23 @@ class PietQLExecutor:
             )
             use_store = ops.route_first()
             if query.explain:
-                scan = "grid" if self.sharded is None else "sharded"
+                # Priced before it runs (the run caches the grid index);
+                # an empty answer fans nothing out.
+                if use_store:
+                    route = "preagg"
+                elif self.sharded is not None and ops.ids:
+                    route = "sharded"
+                else:
+                    route = "grid"
                 plan = plan_through(
-                    ops, self.sharded,
-                    force_strategy="preagg" if use_store else scan,
+                    ops, self.sharded, force_strategy=route,
                     front=front, label=label,
                 )
-                matched = run_plan(plan, self.sharded)
-            else:
-                matched = execute_through(
-                    ops, use_store, self.sharded
-                ).matched
+            started = time.perf_counter()
+            run = execute_through(ops, use_store, self.sharded)
+            matched = run.matched
+            if plan is not None:
+                record_run(plan, run, time.perf_counter() - started)
             if mo.count_what != "OBJECTS":
                 table = ops.table
                 samples = sum(table.sample_count(oid) for oid in matched)

@@ -630,6 +630,7 @@ def execute_through(
         if ops.sliver_mask is None:
             return run
         sliver = ops.moft.mask_rows(ops.sliver_mask)
+        # (A sliver mask selects at least the sliver's own rows.)
         ops.count("sliver_scan_rows", stats, len(sliver))
         # What the store already proves needs no second look.
         table = sliver.restrict_objects(sliver.objects() - run.matched)

@@ -60,6 +60,7 @@ from repro.query import poi as poi_queries
 from repro.query.evaluator import (
     ShardedTrajectoryExecutor,
     ThroughOperands,
+    ThroughRun,
     execute_through,
     resolve_through,
 )
@@ -544,9 +545,7 @@ def run_plan(
     One :func:`~repro.query.evaluator.execute_through` call: the store
     read (plus a serial sliver scan) for ``preagg``, the scan leaf for
     ``serial`` / ``grid``, the leaf fanned out over ``executor`` with
-    the plan's shard count for ``sharded``.  Node actuals are the
-    figures of that one execution, not a bracket around a shared
-    observer.  Returns the matched objects.
+    the plan's shard count for ``sharded``.  Returns the matched objects.
     """
     strategy = plan.strategy
     if strategy == "sharded" and executor is None:
@@ -562,10 +561,22 @@ def run_plan(
         plan.shard_count,
         **(_UNINDEXED if strategy == "serial" else {}),
     )
+    record_run(plan, run, time.perf_counter() - started)
+    return run.matched
+
+
+def record_run(plan: QueryPlan, run: ThroughRun, seconds: float) -> None:
+    """Fill a through plan's actuals from the execution that ran it.
+
+    The figures are those of that one execution (its own stats object),
+    not a bracket around a shared observer.  A fan-out node says how
+    many shards did run: a route-first fan-out (Piet-QL) uses the
+    executor's own count, and empty shards are never shipped.
+    """
     plan.executed = True
     plan.result_count = len(run.matched)
     plan.root.actual_rows = plan.result_count
-    plan.root.actual_seconds = time.perf_counter() - started
+    plan.root.actual_seconds = seconds
     for node in plan.root.walk():
         if node.op in ("SerialScan", "GridScan", "SliverScan"):
             node.actual_rows = run.stats.count("scan_rows")
@@ -573,10 +584,14 @@ def run_plan(
         elif node.op == "ShardFanout":
             node.actual_rows = run.stats.count("scan_rows")
             node.actual_seconds = run.scan_seconds
+            if run.stats.count("shard_count"):
+                plan.shard_count = run.stats.count("shard_count")
+                node.detail = (
+                    f"backend={plan.shard_backend}, shards={plan.shard_count}"
+                )
         elif node.op == "PreAggLookup":
             node.actual_rows = plan.operands.sliver_rows
             node.actual_seconds = run.lookup_seconds
-    return run.matched
 
 
 def execute_plan(
@@ -776,7 +791,8 @@ def execute_poi_plan(
 
     Reads from what the plan resolved (its table, POI set, store and
     shard count) — nothing is looked up again.  A ``preagg`` plan counts
-    its ``poi_preagg_hits`` here, at execution.
+    its ``poi_preagg_hits`` here, at execution, and refuses a store that
+    went stale since planning (the scans read the live table).
     """
     if measure not in poi_queries.POI_MEASURES:
         raise EvaluationError(f"unknown POI measure {measure!r}")
@@ -784,6 +800,12 @@ def execute_poi_plan(
         raise EvaluationError("top-k POI aggregate needs k")
     moft, pois, store = plan.operands
     if plan.strategy == "preagg":
+        if store.is_stale():
+            raise EvaluationError(
+                f"the PoiVisitStore planned for (layer={layer!r}, "
+                f"granule={granule_level!r}) went stale after planning; "
+                f"plan again"
+            )
         context.obs.incr("poi_preagg_hits")
     else:
         store = poi_queries.build_store(
@@ -819,6 +841,7 @@ __all__ = [
     "plan_poi_aggregate",
     "plan_through",
     "planned_count_objects_through",
+    "record_run",
     "run_plan",
     "table_statistics",
 ]

@@ -21,6 +21,7 @@ from repro.poi import PoiVisitStore
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 from repro.query.poi import PoiQueryBuilder, resolve_pois
 from repro.query.region import EvaluationContext
+from repro.synth.paperdata import figure1_instance
 
 from tests.poi.conftest import canon
 
@@ -261,6 +262,28 @@ class TestQueryLayer:
         assert not lookups
         assert ctx.obs.count("poi_preagg_hits") == 1
         assert canon(result) == canon(store.topk(2))
+
+    def test_planned_store_gone_stale_is_refused(self):
+        """The plan keeps its store; rows appended between planning and
+        execution must not be answered from the old cells."""
+        world = figure1_instance(with_pois=True)
+        ctx = world.context()
+        ctx.register_preagg(
+            PoiVisitStore(
+                world.moft,
+                world.time,
+                "hour",
+                dict(world.gis.layer("Lp").elements("poi")),
+                layer="Lp",
+                obs=ctx.obs,
+            )
+        )
+        plan = plan_poi_aggregate(ctx, "Lp", "hour", moft_name="FMbus")
+        assert plan.strategy == "preagg"
+        world.moft.add("late", 7.0, 0.0, 0.0)
+        with pytest.raises(EvaluationError, match="stale after planning"):
+            execute_poi_plan(plan, ctx, "Lp", "hour", moft_name="FMbus")
+        assert ctx.obs.count("poi_preagg_hits") == 0
 
     def test_planner_force_unknown_strategy(self, fig1_context):
         with pytest.raises(EvaluationError):

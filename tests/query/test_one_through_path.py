@@ -13,6 +13,8 @@ here:
   ``stats`` when passed, else the executor's observer when a fan-out
   ran, else the context observer, each at most once, and equal the
   plan's node actuals;
+* **EXPLAIN changes nothing about the run** Piet-QL makes — same fan-out,
+  same shard count, an empty answer included;
 * a plan **refuses to run on a table that changed** after it was made.
 
 The differential guarantees (every strategy, every front-end, the same
@@ -374,6 +376,38 @@ class TestObserverRule:
         assert fanout.actual_rows == seen["scan_rows"]
         if not shared:
             assert scan_figures(bare.obs, before) == NOTHING
+
+
+class TestExplainChangesNothing:
+    """EXPLAIN prices and records; the run is the plain query's run."""
+
+    def test_empty_answer_under_a_sharded_executor(self, bare):
+        result = ShardedPietQLExecutor(bare, BINDINGS).execute(
+            "EXPLAIN SELECT layer.neighborhoods FROM City "
+            "WHERE contains(layer.neighborhoods, layer.rivers) "
+            "| COUNT OBJECTS FROM FM THROUGH RESULT"
+        )
+        assert result.geometry_ids == frozenset()
+        assert result.count == 0
+        # Nothing fanned out, and the plan says so.
+        assert result.plan.strategy == "grid"
+        assert result.plan.result_count == 0
+
+    def test_fanout_is_the_executors_own_either_way(self, bare):
+        # 11 shards: more than the cost model ever cuts from one day of
+        # this table (2400 rows, 256 at least per shard).
+        sharded = ShardedExecutor("serial", n_shards=11)
+        executor = ShardedPietQLExecutor(bare, BINDINGS, sharded=sharded)
+        plain = executor.execute(pietql_text(f"day = '{DAY2}'"))
+        assert sharded.obs.count("shard_count") == 11
+        explained = executor.execute(
+            pietql_text(f"day = '{DAY2}'", explain=True)
+        )
+        assert sharded.obs.count("shard_count") == 22
+        assert explained.matched_objects == plain.matched_objects
+        assert explained.plan.shard_count == 11
+        fanout = explained.plan.root.find("ShardFanout")
+        assert "shards=11" in fanout.detail
 
 
 class TestPlanGoesStale:
