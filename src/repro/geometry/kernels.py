@@ -7,8 +7,8 @@ trajectory segments against one polygon".  The scalar path
 costs hundreds of Python bytecodes per segment.  This module batches it.
 
 **Exact by construction.**  The kernel never *approximates* the scalar
-answer; it partitions segments into three classes with a conservative,
-vectorized test and only answers the easy ones itself:
+answer; it sorts segments into four classes with conservative,
+vectorized tests and only answers the ones it can prove itself:
 
 * status ``0`` — provably outside: the segment's bbox misses the
   polygon's, or the segment provably touches no boundary edge and its
@@ -17,10 +17,20 @@ vectorized test and only answers the easy ones itself:
 * status ``1`` — provably inside, far from the boundary: no possible
   edge contact and start/mid/end all at least ``2 x tolerance`` from
   every edge, midpoint parity *inside*.  Scalar result: one interval
-  ``(0.0, 1.0)``.
-* status ``2`` — everything else (possible boundary contact, degenerate
-  segments, near-boundary geometry): the kernel calls the scalar
-  methods, so these are bit-identical trivially.
+  ``(0.0, 1.0)``.  A zero-length segment (a parked object) is its one
+  point under the same far-field rule.
+* status ``2``, *crossing* — the segment crosses the boundary
+  transversally and nothing about it is close to degenerate
+  (:func:`_solve_crossings`): the cut parameters are the float branch
+  of :func:`~repro.geometry.predicates.segment_intersection_parameters`
+  evaluated for every (segment, edge) pair in numpy, and the pieces
+  between them are classified by midpoint parity; they must alternate,
+  so each inside piece is one clip interval.
+* status ``2``, *scalar* — everything the tests above cannot prove
+  (collinear overlap, vertex or endpoint touch, near-parallel pairs,
+  pieces hugging the boundary, more than ``_MAX_CUTS`` cuts): the
+  kernel calls the scalar methods, so these are bit-identical
+  trivially.
 
 For statuses 0/1 the equivalence argument: a conservatively *clean*
 segment has no boundary contact, so the scalar cut set is ``[0, 1]`` and
@@ -30,7 +40,9 @@ fire and the vectorized even-odd parity evaluates the *same float
 expressions* as :func:`~repro.geometry.polygon._point_in_ring`, hence
 bit-equal.  A clean segment lies in a single component, so inside/
 outside extends from the midpoint to the whole segment, which also
-settles ``intersects_segment``.
+settles ``intersects_segment``.  The crossing class extends the argument
+piece by piece; :func:`_solve_crossings` spells out which scalar
+branches can and cannot fire for a row it accepts.
 
 Backends (``REPRO_CLIP_KERNEL`` env var or :func:`set_kernel_backend`):
 
@@ -39,8 +51,9 @@ Backends (``REPRO_CLIP_KERNEL`` env var or :func:`set_kernel_backend`):
 ``numpy``  vectorized classification in numpy
 ``numba``  jit-compiled classification loops (falls back to
            ``numpy`` when numba is not installed)
-``scalar`` classify everything as status 2 — the old per-segment
-           path, kept as the differential-testing baseline
+``scalar`` classify everything as status 2 and solve nothing in
+           batch — the old per-segment path, kept as the
+           differential-testing baseline
 ========== =====================================================
 """
 
@@ -48,13 +61,14 @@ from __future__ import annotations
 
 import math
 import os
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.predicates import _ORIENT_EPS
 from repro.geometry.segment import Segment
 
 #: Relative half-width of the sign-uncertainty band around cross
@@ -66,6 +80,20 @@ _SEP_EPS = 1e-9
 
 #: Segment batch size for the pairwise (segment x edge) work arrays.
 _CHUNK = 4096
+
+#: ``boundary_eps`` of :func:`predicates.segment_intersection_parameters`:
+#: a float crossing parameter within this band of 0 or 1 sends the scalar
+#: code to its exact ``Fraction`` branch, and the row to the scalar path.
+_PARAM_EPS = 1e-9
+
+#: Closest two cuts of one segment (0 and 1 included) may lie for the
+#: crossing solver to take it.  ``Polygon.clip_segment`` drops and merges
+#: cuts with ``math.isclose(..., abs_tol=1e-12)``, whose default
+#: ``rel_tol`` makes the band up to 1e-9 wide; 1e-7 clears it 100-fold.
+_CUT_GAP = 1e-7
+
+#: Most boundary cuts per segment the crossing solver handles.
+_MAX_CUTS = 8
 
 _BACKENDS = ("auto", "numpy", "numba", "scalar")
 _backend: Optional[str] = None
@@ -277,8 +305,7 @@ def _classify_chunk_numpy(
         | (smaxy < edges.bminy)
     )
     status[disjoint] = 0
-    cand = ~disjoint & ~((x0 == x1) & (y0 == y1))
-    idx = np.nonzero(cand)[0]
+    idx = np.nonzero(~disjoint)[0]
     if idx.size == 0:
         return status
 
@@ -316,7 +343,9 @@ def _classify_chunk_numpy(
     b4 = _SEP_EPS * (np.abs(dex) * np.abs(r1y) + np.abs(dey) * np.abs(r1x))
     sep_edge = ((d3 > b3) & (d4 > b4)) | ((d3 < -b3) & (d4 < -b4))
     contact = overlap & ~sep_seg & ~sep_edge
-    clean = ~contact.any(axis=1)
+    # A zero-length segment is one point: the far-field rule below is
+    # all its scalar answer (contains_point) depends on.
+    clean = ~contact.any(axis=1) | ((cx0 == cx1) & (cy0 == cy1))
     if not clean.any():
         return status
 
@@ -364,12 +393,13 @@ def _classify_loops(
         if sminx > bmaxx or smaxx < bminx or sminy > bmaxy or smaxy < bminy:
             status[i] = 0
             continue
-        if sx0 == sx1 and sy0 == sy1:
-            continue  # degenerate: scalar fallback
         dsx = sx1 - sx0
         dsy = sy1 - sy0
         contact = False
-        for e in range(n_edges):
+        # A zero-length segment is one point: it skips the contact scan,
+        # only the far-field rule below applies to it.
+        first = n_edges if (sx0 == sx1 and sy0 == sy1) else 0
+        for e in range(first, n_edges):
             eax, eay, ebx, eby = ax[e], ay[e], bx[e], by[e]
             eminx = eax if eax < ebx else ebx
             emaxx = ebx if eax < ebx else eax
@@ -458,6 +488,10 @@ def _classify_loops(
     return status
 
 
+def _float_columns(*columns) -> List[np.ndarray]:
+    return [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+
+
 def classify_segments(
     polygon: Polygon,
     x0: np.ndarray,
@@ -470,10 +504,7 @@ def classify_segments(
     0 = provably outside, 1 = provably fully inside (far from the
     boundary), 2 = undecided, answer with the scalar path.
     """
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    y0 = np.ascontiguousarray(y0, dtype=np.float64)
-    x1 = np.ascontiguousarray(x1, dtype=np.float64)
-    y1 = np.ascontiguousarray(y1, dtype=np.float64)
+    x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
     n = x0.shape[0]
     backend = kernel_backend()
     if backend == "scalar" or n == 0:
@@ -498,15 +529,216 @@ def classify_segments(
     return out
 
 
+# -- boundary crossings -------------------------------------------------------
+
+
+def _far_and_inside(
+    px: np.ndarray, py: np.ndarray, edges: EdgeArrays
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per point: is it in the far field (``>= 2 x tolerance`` from every
+    edge), and what its parity containment is (exact there)."""
+    clear2 = (2.0 * edges.tolerance) ** 2
+    far = np.empty(px.shape[0], dtype=bool)
+    inside = np.empty(px.shape[0], dtype=bool)
+    for lo in range(0, px.shape[0], _CHUNK):
+        hi = lo + _CHUNK
+        far[lo:hi] = _min_dist2_to_edges(px[lo:hi], py[lo:hi], edges) >= clear2
+        inside[lo:hi] = _points_inside(px[lo:hi], py[lo:hi], edges)
+    return far, inside
+
+
+def _solve_crossings(
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    edges: EdgeArrays,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clip the plain transversal crossings among one chunk of rows.
+
+    Returns ``(lo, hi, count)``: row ``i`` was solved iff ``count[i] >
+    0``, and then ``zip(lo[i, :count[i]], hi[i, :count[i]])`` is
+    :meth:`Polygon.clip_segment` of it, bit for bit.  A solved row also
+    satisfies :meth:`Polygon.intersects_segment`.
+
+    A row is solved only when all of this holds, and each condition
+    closes one branch of the scalar code:
+
+    * *Every (segment, edge) pair is decided in floats.*  The arrays
+      below are the float branch of
+      :func:`predicates.segment_intersection_parameters` — same
+      expressions in the same order, hence the same bits — and a pair
+      counts only behind a trusted determinant (the scalar test, so no
+      ``Fraction`` branch) with ``(s, u)`` ``clearly_inside`` (a cut at
+      ``s``) or ``clearly_outside`` (no cut) by the scalar comparisons.
+      For a miss the scalar code then asks :meth:`Segment.overlap`,
+      which needs the pair exactly collinear; exact collinearity puts
+      the float determinant within a few ulps of zero, i.e. untrusted,
+      so it answers ``None``.
+    * *Between 1 and* ``_MAX_CUTS`` *cuts, all gaps wider than*
+      ``_CUT_GAP``.  Cuts lie in ``(1e-9, 1 - 1e-9)``, so the ``0 < p <
+      1`` filter keeps them all; no two are ``isclose``, so the dedupe
+      keeps them all, no piece is skipped as empty, and two intervals
+      could merge only by sharing a cut.
+    * *Every piece midpoint* ``point_at((s0 + s1) / 2)`` *lies in the
+      far field.*  The status 0/1 argument applies to it unchanged:
+      ``contains_point`` is the vectorized parity and ``_near_boundary``
+      is false.
+    * *Inside and outside pieces alternate.*  Every real crossing flips
+      the parity, so they do unless a cut is spurious or the rings
+      overlap each other; those rows go scalar, and here no two
+      intervals share a cut: each inside piece is one interval, nothing
+      merges.  A segment with a far-field point on either side of the
+      boundary really meets the region, which is what
+      ``intersects_segment`` decides with exact predicates.  Segments
+      that stay on one side (near misses) have no cut and are left to
+      the scalar path.
+    """
+    n = x0.shape[0]
+    lo = np.zeros((n, _MAX_CUTS // 2 + 1), dtype=np.float64)
+    hi = np.zeros_like(lo)
+    count = np.zeros(n, dtype=np.intp)
+
+    rx = (x1 - x0)[:, None]
+    ry = (y1 - y0)[:, None]
+    qx = (edges.bx - edges.ax)[None, :]
+    qy = (edges.by - edges.ay)[None, :]
+    wx = edges.ax[None, :] - x0[:, None]
+    wy = edges.ay[None, :] - y0[:, None]
+    with np.errstate(all="ignore"):
+        rx_qy, ry_qx = rx * qy, ry * qx
+        denom = rx_qy - ry_qx
+        magnitude = np.abs(rx_qy) + np.abs(ry_qx)
+        s = (wx * qy - wy * qx) / denom
+        u = (wx * ry - wy * rx) / denom
+        cut = (
+            (_PARAM_EPS < s) & (s < 1 - _PARAM_EPS)
+            & (_PARAM_EPS < u) & (u < 1 - _PARAM_EPS)
+        )
+        miss = (
+            (s < -_PARAM_EPS) | (s > 1 + _PARAM_EPS)
+            | (u < -_PARAM_EPS) | (u > 1 + _PARAM_EPS)
+        )
+        decided = (np.abs(denom) > _ORIENT_EPS * magnitude) & (cut | miss)
+    n_cuts = cut.sum(axis=1)
+    rows = np.flatnonzero(
+        decided.all(axis=1) & (n_cuts >= 1) & (n_cuts <= _MAX_CUTS)
+    )
+    if rows.size == 0:
+        return lo, hi, count
+
+    # bounds[i] = [0.0, cuts ascending ..., 1.0, 1.0 ...]; piece j of a
+    # row is (bounds[j], bounds[j + 1]) for j <= its number of cuts.
+    n_cuts = n_cuts[rows]
+    width = int(n_cuts.max())
+    cuts = np.where(cut[rows], s[rows], np.inf)
+    cuts.sort(axis=1)
+    bounds = np.ones((rows.size, width + 2), dtype=np.float64)
+    bounds[:, 0] = 0.0
+    np.minimum(cuts[:, :width], 1.0, out=bounds[:, 1:-1])
+    is_piece = np.arange(width + 1)[None, :] <= n_cuts[:, None]
+    spaced = ((np.diff(bounds, axis=1) > _CUT_GAP) | ~is_piece).all(axis=1)
+    rows, bounds, is_piece = rows[spaced], bounds[spaced], is_piece[spaced]
+
+    r, j = np.nonzero(is_piece)
+    at = rows[r]
+    mid = (bounds[r, j] + bounds[r, j + 1]) / 2
+    far, piece_inside = _far_and_inside(
+        x0[at] + mid * (x1[at] - x0[at]),
+        y0[at] + mid * (y1[at] - y0[at]),
+        edges,
+    )
+    inside = np.zeros(is_piece.shape, dtype=bool)
+    inside[r, j] = piece_inside
+    alternating = (
+        (inside[:, 1:] != inside[:, :-1]) | ~is_piece[:, 1:]
+    ).all(axis=1)
+    solved = alternating & (np.bincount(r[~far], minlength=rows.size) == 0)
+    rows, bounds, inside = rows[solved], bounds[solved], inside[solved]
+
+    # The k-th inside piece of a row is its k-th clip interval.
+    r, j = np.nonzero(inside)
+    k = np.cumsum(inside, axis=1)[r, j] - 1
+    lo[rows[r], k] = bounds[r, j]
+    hi[rows[r], k] = bounds[r, j + 1]
+    count[rows] = inside.sum(axis=1)
+    return lo, hi, count
+
+
 # -- batch answers ------------------------------------------------------------
 
 
-def _record_status(obs, status: np.ndarray) -> None:
+class _Resolved(NamedTuple):
+    """What :func:`_resolve` knows about one batch.
+
+    ``status`` covers every segment; the other fields are aligned with
+    ``rows``, the indices of the status-2 segments: whether each meets
+    the polygon, and its ``count`` clip intervals ``(lo[k, i], hi[k,
+    i])``.
+    """
+
+    status: np.ndarray
+    rows: np.ndarray
+    hits: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    count: np.ndarray
+
+
+def _resolve(
+    polygon: Polygon,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    obs,
+    want_hits: bool = True,
+    want_clips: bool = True,
+) -> _Resolved:
+    """Classify a batch, then answer its status-2 rows: boundary
+    crossings in batch, the rest through the scalar methods.
+
+    The scalar loop computes :meth:`Polygon.intersects_segment` when
+    ``want_hits`` and :meth:`Polygon.clip_segment` when ``want_clips``;
+    with both it clips only the segments that hit, as the dwell fold
+    always has.  Fields not asked for are not meaningful.
+    """
+    x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
+    status = classify_segments(polygon, x0, y0, x1, y1)
+    rows = np.flatnonzero(status == 2)
+    lo = np.zeros((rows.size, _MAX_CUTS // 2 + 1), dtype=np.float64)
+    hi = np.zeros_like(lo)
+    count = np.zeros(rows.size, dtype=np.intp)
+    if rows.size and kernel_backend() != "scalar":
+        edges = polygon_edge_arrays(polygon)
+        for a in range(0, rows.size, _CHUNK):
+            part = rows[a:a + _CHUNK]
+            lo[a:a + _CHUNK], hi[a:a + _CHUNK], count[a:a + _CHUNK] = (
+                _solve_crossings(x0[part], y0[part], x1[part], y1[part], edges)
+            )
+    hits = count > 0
+    scalar = np.flatnonzero(~hits)
+    for k, i in zip(scalar.tolist(), rows[scalar].tolist()):
+        seg = Segment(
+            Point(float(x0[i]), float(y0[i])),
+            Point(float(x1[i]), float(y1[i])),
+        )
+        hits[k] = not want_hits or polygon.intersects_segment(seg)
+        if want_clips and hits[k]:
+            clips = polygon.clip_segment(seg)
+            if len(clips) > lo.shape[1]:
+                grow = ((0, 0), (0, len(clips) - lo.shape[1]))
+                lo, hi = np.pad(lo, grow), np.pad(hi, grow)
+            count[k] = len(clips)
+            for c, (s0, s1) in enumerate(clips):
+                lo[k, c], hi[k, c] = s0, s1
     if obs is not None and status.size:
-        fallback = int(np.count_nonzero(status == 2))
         obs.incr("clip_kernel_segments", status.size)
-        if fallback:
-            obs.incr("clip_kernel_fallback", fallback)
+        if scalar.size < rows.size:
+            obs.incr("clip_kernel_crossings", rows.size - scalar.size)
+        if scalar.size:
+            obs.incr("clip_kernel_fallback", scalar.size)
+    return _Resolved(status, rows, hits, lo, hi, count)
 
 
 def clip_segments_batch(
@@ -519,23 +751,14 @@ def clip_segments_batch(
 ) -> List[List[Tuple[float, float]]]:
     """Per-segment clip intervals, bit-identical to
     :meth:`Polygon.clip_segment` on every segment."""
-    status = classify_segments(polygon, x0, y0, x1, y1)
-    _record_status(obs, status)
-    out: List[List[Tuple[float, float]]] = []
-    for i, s in enumerate(status):
-        if s == 1:
-            out.append([(0.0, 1.0)])
-        elif s == 0:
-            out.append([])
-        else:
-            out.append(
-                polygon.clip_segment(
-                    Segment(
-                        Point(float(x0[i]), float(y0[i])),
-                        Point(float(x1[i]), float(y1[i])),
-                    )
-                )
-            )
+    res = _resolve(polygon, x0, y0, x1, y1, obs, want_hits=False)
+    out: List[List[Tuple[float, float]]] = [
+        [(0.0, 1.0)] if s == 1 else [] for s in res.status.tolist()
+    ]
+    for i, n, los, his in zip(
+        res.rows.tolist(), res.count.tolist(), res.lo.tolist(), res.hi.tolist()
+    ):
+        out[i] = list(zip(los[:n], his[:n]))
     return out
 
 
@@ -554,29 +777,21 @@ def segments_dwell(
     polygon.clip_segment(seg_i))`` and ``hits[i]`` equals
     ``polygon.intersects_segment(seg_i)``.
     """
-    status = classify_segments(polygon, x0, y0, x1, y1)
-    _record_status(obs, status)
-    n = status.shape[0]
-    dwell = np.zeros(n, dtype=np.float64)
-    hits = np.zeros(n, dtype=bool)
-    fast_in = status == 1
-    if fast_in.any():
-        # Scalar arithmetic for a fully-inside segment is
-        # (1.0 - 0.0) * dt, which is exactly dt.
-        dwell[fast_in] = np.asarray(dt, dtype=np.float64)[fast_in]
-        hits[fast_in] = True
-    for i in np.nonzero(status == 2)[0]:
-        seg = Segment(
-            Point(float(x0[i]), float(y0[i])),
-            Point(float(x1[i]), float(y1[i])),
-        )
-        if polygon.intersects_segment(seg):
-            hits[i] = True
-            dt_i = float(dt[i])
-            total = 0.0
-            for s0, s1 in polygon.clip_segment(seg):
-                total += (s1 - s0) * dt_i
-            dwell[i] = total
+    res = _resolve(polygon, x0, y0, x1, y1, obs)
+    dt = np.asarray(dt, dtype=np.float64)
+    hits = res.status == 1
+    # Scalar arithmetic for a fully-inside segment is (1.0 - 0.0) * dt,
+    # which is exactly dt.
+    dwell = np.where(hits, dt, 0.0)
+    hits[res.rows] = res.hits
+    # The scalar fold, ``total = 0.0; total += (s1 - s0) * dt`` over the
+    # intervals in ascending order, one interval rank at a time.
+    total = np.zeros(res.rows.size, dtype=np.float64)
+    row_dt = dt[res.rows]
+    for c in range(int(res.count.max(initial=0))):
+        live = res.count > c
+        total[live] += (res.hi[live, c] - res.lo[live, c]) * row_dt[live]
+    dwell[res.rows] = total
     return dwell, hits
 
 
@@ -589,16 +804,9 @@ def segments_intersect(
     obs=None,
 ) -> np.ndarray:
     """Per-segment :meth:`Polygon.intersects_segment`, batched."""
-    status = classify_segments(polygon, x0, y0, x1, y1)
-    _record_status(obs, status)
-    hits = status == 1
-    for i in np.nonzero(status == 2)[0]:
-        hits[i] = polygon.intersects_segment(
-            Segment(
-                Point(float(x0[i]), float(y0[i])),
-                Point(float(x1[i]), float(y1[i])),
-            )
-        )
+    res = _resolve(polygon, x0, y0, x1, y1, obs, want_clips=False)
+    hits = res.status == 1
+    hits[res.rows] = res.hits
     return hits
 
 
@@ -611,17 +819,11 @@ def segments_fully_inside(
     obs=None,
 ) -> np.ndarray:
     """Per-segment "clip == [(0.0, 1.0)]" — full containment, batched."""
-    status = classify_segments(polygon, x0, y0, x1, y1)
-    _record_status(obs, status)
-    inside = status == 1
-    for i in np.nonzero(status == 2)[0]:
-        clips = polygon.clip_segment(
-            Segment(
-                Point(float(x0[i]), float(y0[i])),
-                Point(float(x1[i]), float(y1[i])),
-            )
-        )
-        inside[i] = clips == [(0.0, 1.0)]
+    res = _resolve(polygon, x0, y0, x1, y1, obs, want_hits=False)
+    inside = res.status == 1
+    inside[res.rows] = (
+        (res.count == 1) & (res.lo[:, 0] == 0.0) & (res.hi[:, 0] == 1.0)
+    )
     return inside
 
 

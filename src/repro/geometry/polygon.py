@@ -87,9 +87,10 @@ class Polygon:
 
     def __getstate__(self) -> dict:
         # The clip kernel (repro.geometry.kernels) caches this polygon's
-        # flattened edge arrays on the instance; keep pickled payloads
-        # lean by carrying only the defining rings across process
-        # boundaries — each worker rebuilds its own cache on first use.
+        # flattened edge arrays on the instance, and ``bbox`` its box;
+        # keep pickled payloads lean by carrying only the defining rings
+        # across process boundaries — each worker rebuilds its own
+        # caches on first use.
         return {"shell": self.shell, "holes": self.holes}
 
     def __setstate__(self, state: dict) -> None:
@@ -188,8 +189,13 @@ class Polygon:
 
     @property
     def bbox(self) -> BoundingBox:
-        """Tight bounding box of the shell."""
-        return BoundingBox.from_points(self.shell)
+        """Tight bounding box of the shell (computed once: the rings
+        never change)."""
+        cached = getattr(self, "_bbox", None)
+        if cached is None:
+            cached = BoundingBox.from_points(self.shell)
+            object.__setattr__(self, "_bbox", cached)
+        return cached
 
     # -- boundary access ----------------------------------------------------
 

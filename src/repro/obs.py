@@ -44,11 +44,15 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     ``serial``).  All zero on the fast path (no plan, no policy,
     ``failure_mode="raise"``).
 
-``clip_kernel_segments`` / ``clip_kernel_fallback``
+``clip_kernel_segments`` / ``clip_kernel_crossings`` /
+``clip_kernel_fallback``
     The vectorized clip kernel (:mod:`repro.geometry.kernels`): segments
-    classified in batch, and the subset that fell back to the scalar
-    near-boundary path (``Polygon.clip_segment``).  The fallback share
-    is the kernel's efficiency figure; exactness is unconditional.
+    classified in batch; the subset that crossed the boundary and was
+    solved in the batch; and the subset that fell back to the scalar
+    methods (``Polygon.clip_segment`` / ``intersects_segment``) — every
+    row that called them and no other.  The remainder, ``segments -
+    crossings - fallback``, was decided in the far field.  The fallback
+    share is the kernel's efficiency figure; exactness is unconditional.
 
 ``zero_copy_blocks`` / ``zero_copy_fallbacks``
     Zero-copy shard transport (:mod:`repro.parallel.shm`): shared-memory
