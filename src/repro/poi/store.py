@@ -20,6 +20,11 @@ Byte-reproducibility: all state is kept *per object*; read methods fold
 objects in sorted-``repr`` order, so the serial scan, shard-merged and
 incrementally-updated stores produce identical floats and identical
 canonical JSON (pinned by ``tests/poi/test_poi_differential.py``).
+
+The lifecycle is :class:`repro.cellstore.GranuleStore`'s, shared with
+the polygon store: stale means the table *or* the Time dimension moved
+past the snapshot, and a dimension edit rebuilds — the granule
+partition the cell codes index is re-read, never folded over.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro.cellstore import GranuleStore
 from repro.errors import PreAggError
 from repro.mo.moft import MOFT
 from repro.poi.segmentation import batch_stops, segment_stops_moves
@@ -127,15 +133,13 @@ def poi_cells(
     return out
 
 
-class PoiVisitStore:
-    """Materialized POI visit cells over one MOFT.
+class PoiVisitStore(GranuleStore):
+    """Materialized POI visit cells over one MOFT, under the lifecycle of
+    :class:`~repro.cellstore.GranuleStore` — so the streaming ingestor
+    and the evaluation context treat both store kinds uniformly."""
 
-    Mirrors the :class:`~repro.preagg.store.PreAggStore` lifecycle —
-    build, :meth:`is_stale`, incremental :meth:`update` on append,
-    :meth:`clone` for MVCC streaming snapshots, classmethod
-    :meth:`merge` with completeness checks — so the streaming ingestor
-    and the evaluation context treat both store kinds uniformly.
-    """
+    CELL_KEY = ("granule_level", "min_dwell")
+    BUILD_PARAMS = ("min_dwell", "radius")
 
     def __init__(
         self,
@@ -154,24 +158,16 @@ class PoiVisitStore:
     ) -> None:
         if not pois:
             raise PreAggError("a POI store needs at least one POI")
-        self.moft = moft
-        self.time = time
-        self.granule_level = granule_level
-        self.pois = dict(pois)
-        self.layer = layer
-        self.kind = kind
+        super().__init__(
+            moft, time, granule_level, pois, layer, kind,
+            name if name is not None else f"poi_{granule_level}", obs,
+        )
+        self.pois = self.geometries
         self.min_dwell = float(min_dwell)
         self.radius = radius
-        self.name = name if name is not None else f"poi_{granule_level}"
-        self.obs = obs
-        self.partition = time.granules(granule_level)
-        self.gids = tuple(sorted(self.pois, key=repr))
-        self._gid_set = frozenset(self.pois)
-        self._per_object: Dict[Hashable, ObjectCells] = {}
-        self._built_version: Optional[int] = None
-        self._built_rows = 0
+        self._empty_cells()
         if build:
-            self._rebuild()
+            self.refresh()
 
     # -- build / maintenance --------------------------------------------------
 
@@ -187,34 +183,18 @@ class PoiVisitStore:
             obs=self.obs,
         )
 
-    def _rebuild(self) -> None:
+    def _empty_cells(self) -> None:
+        self._per_object: Dict[Hashable, ObjectCells] = {}
+
+    def _build_cells(self) -> None:
         self._per_object = self._scan()
-        self._built_version = self.moft.version
-        self._built_rows = len(self.moft)
 
-    def is_stale(self) -> bool:
-        return self.moft.version != self._built_version
-
-    def update(self) -> str:
-        """Fold appended rows in; returns ``fresh``/``delta``/``rebuild``.
-
-        A *stop is not prefix-decomposable*: new samples can extend (or
+    def _fold_rows(self, start: int) -> None:
+        """A *stop is not prefix-decomposable*: new samples can extend (or
         create) an episode that earlier rows alone did not justify, so
         the delta path re-segments every object that gained rows — whole
-        trajectories, but only the touched objects.  Rows vanishing (a
-        non-append mutation) forces a full rebuild.
-        """
-        if not self.is_stale():
-            return "fresh"
-        rows = len(self.moft)
-        if rows < self._built_rows:
-            self._rebuild()
-            if self.obs is not None:
-                self.obs.incr("poi_store_updates")
-            return "rebuild"
-        touched = sorted(
-            set(self.moft.oid_column()[self._built_rows :]), key=repr
-        )
+        trajectories, but only the touched objects."""
+        touched = sorted(set(self.moft.oid_column()[start:]), key=repr)
         fresh = self._scan(oids=touched)
         per_object = dict(self._per_object)
         for oid in touched:
@@ -224,111 +204,23 @@ class PoiVisitStore:
             else:
                 per_object.pop(oid, None)
         self._per_object = per_object
-        self._built_version = self.moft.version
-        self._built_rows = rows
-        if self.obs is not None:
+
+    def update(self) -> str:
+        """:meth:`GranuleStore.update`, counting ``poi_store_updates``."""
+        outcome = super().update()
+        if outcome != "fresh":
             self.obs.incr("poi_store_updates")
-        return "delta"
+        return outcome
 
-    def clone(self, moft: Optional[MOFT] = None) -> "PoiVisitStore":
-        """Copy-on-write duplicate, optionally repointed at a new MOFT.
+    def _own_cells(self) -> None:
+        """Nothing to copy: folds rebind the cell dicts, never mutate."""
 
-        Per-object cell dicts are immutable after build (updates rebind,
-        never mutate), so the clone shares them until its own update.
-        ``moft`` must extend this store's table as a row prefix — the
-        :class:`~repro.ingest.VersionedMoft` publish guarantee.
-        """
-        out = PoiVisitStore(
-            moft if moft is not None else self.moft,
-            self.time,
-            self.granule_level,
-            self.pois,
-            layer=self.layer,
-            kind=self.kind,
-            min_dwell=self.min_dwell,
-            radius=self.radius,
-            name=self.name,
-            obs=self.obs,
-            build=False,
-        )
-        out._per_object = dict(self._per_object)
-        out._built_version = self._built_version
-        out._built_rows = self._built_rows
-        if moft is not None and moft is not self.moft:
-            # The snapshot table carries its own version counter: a
-            # row-identical repoint (compaction) is fresh at the new
-            # version; an extension is stale but keeps ``_built_rows``,
-            # so the next update() walks the delta path, not a rebuild.
-            out._built_version = (
-                moft.version if len(moft) == self._built_rows else None
-            )
-        return out
+    def _absorb(self, store: "PoiVisitStore") -> None:
+        self._per_object.update(store._per_object)
 
-    @classmethod
-    def merge(
-        cls,
-        stores: Sequence["PoiVisitStore"],
-        moft: MOFT,
-    ) -> "PoiVisitStore":
-        """Recombine object-partitioned shard stores over the full MOFT.
-
-        Completeness checks (the shard contract): every shard shares the
-        cell schema, shard object sets are disjoint, and their union
-        plus row total covers ``moft`` exactly — a dropped or duplicated
-        shard fails loudly instead of under-counting.
-        """
-        if not stores:
-            raise PreAggError("cannot merge zero POI stores")
-        head = stores[0]
-        for other in stores[1:]:
-            if (
-                other.granule_level != head.granule_level
-                or other.min_dwell != head.min_dwell
-                or other.radius != head.radius
-                or other.gids != head.gids
-                or other.time is not head.time
-            ):
-                raise PreAggError(
-                    "POI shard stores disagree on cell schema "
-                    "(granule/min_dwell/radius/pois/time)"
-                )
-        seen: Dict[Hashable, int] = {}
-        rows = 0
-        for store in stores:
-            rows += len(store.moft)
-            for oid in store.moft.objects():
-                seen[oid] = seen.get(oid, 0) + 1
-        duplicates = sorted((o for o, n in seen.items() if n > 1), key=repr)
-        if duplicates:
-            raise PreAggError(
-                f"POI shards overlap on objects {duplicates[:5]!r}"
-            )
-        missing = sorted(set(moft.objects()) - set(seen), key=repr)
-        if missing or rows != len(moft):
-            raise PreAggError(
-                f"POI shard merge incomplete: {len(missing)} objects and "
-                f"{len(moft) - rows} rows unaccounted for"
-            )
-        out = cls(
-            moft,
-            head.time,
-            head.granule_level,
-            head.pois,
-            layer=head.layer,
-            kind=head.kind,
-            min_dwell=head.min_dwell,
-            radius=head.radius,
-            name=head.name,
-            obs=head.obs,
-            build=False,
-        )
-        merged: Dict[Hashable, ObjectCells] = {}
-        for store in stores:
-            merged.update(store._per_object)
-        out._per_object = merged
-        out._built_version = moft.version
-        out._built_rows = len(moft)
-        return out
+    def _objects(self):
+        """Objects holding a cell; one that never stopped leaves none."""
+        return self._per_object.keys()
 
     # -- reads ----------------------------------------------------------------
 
@@ -438,9 +330,6 @@ class PoiVisitStore:
 
     def as_cube(self):
         """Expose the cells as an OLAP cube (granule x POI axes)."""
-        from repro.olap.cube import Cube
-        from repro.olap.dimension import DimensionInstance, DimensionSchema
-
         visits = self.visit_counts()
         dwell = self.dwell_times()
         visitors = self.distinct_visitors()
@@ -455,24 +344,8 @@ class PoiVisitStore:
                     "distinct_visitors": len(oids),
                 }
             )
-        schema = DimensionSchema(f"{self.name}_poi", [("gid", "layer")])
-        instance = DimensionInstance(schema)
-        label = self.layer if self.layer is not None else self.name
-        for gid in self.gids:
-            instance.set_rollup("gid", gid, "layer", label)
-        return Cube.from_rows(
-            f"{self.name}_cells",
-            [
-                (
-                    "granule",
-                    self.time.instance.schema.name,
-                    self.granule_level,
-                    self.time.instance,
-                ),
-                ("poi", f"{self.name}_poi", "gid", instance),
-            ],
-            ("visits", "dwell", "distinct_visitors"),
-            rows,
+        return self._cells_cube(
+            "poi", ("visits", "dwell", "distinct_visitors"), rows
         )
 
     # -- introspection --------------------------------------------------------

@@ -32,37 +32,37 @@ the edges; the hybrid answer adds a scan over only the objects touching a
 sliver (their full window-restricted history), which is exact because a
 window segment not accounted by the store has an endpoint in a sliver.
 
-Incremental maintenance: the MOFT is append-only and versioned, so the
-store snapshots ``(version, rows)`` and treats ``rows[built:]`` as the
-delta.  In-time-order appends are purely additive (new samples extend
-cells and add segments; no prior membership ever becomes wrong).
-Out-of-order appends are handled per object: the reordered object's
-prior contribution is retracted (counts and intra-granule dwell
-subtracted, its oid stripped from the id sets, its spanning records
-dropped) and its full history refolded — other objects keep the pure
-delta path, so a few late samples no longer force a full rebuild.
-Only a Time-dimension edit still rebuilds from scratch.
+The lifecycle (snapshot, ``update()``, ``clone()``, ``merge()``, registry
+matching) is :class:`repro.cellstore.GranuleStore`'s; this module keeps
+cells, folds and reads.  Attribution is written once, as two batched
+passes: samples (vectorized containment) and segments (the clip
+kernel).  The build runs the whole segment table through them; an
+in-time-order append its delta rows (purely additive: no prior
+membership ever becomes wrong).  An out-of-order append is handled per
+object by the same passes: the object's previously folded rows go
+through with sign -1 (counts and intra-granule dwell come back out), its
+oid is stripped from the id sets, its spanning records are dropped, and
+its time-sorted history is folded again — other objects keep the pure
+delta path, so a few late samples do not force a rebuild.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.cellstore import GranuleStore
 from repro.errors import PreAggError
-from repro.geometry.index import UniformGridIndex, index_for_geometries
 from repro.geometry.kernels import segments_dwell
-from repro.geometry.overlay import geometries_intersect
-from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.segment import Segment
 from repro.mo.moft import MOFT, SegmentBatch
 from repro.obs import PipelineStats
 from repro.parallel.merge import union_sorted_ids
 from repro.query.vectorized import polygon_contains_batch
-from repro.temporal.timedim import GranulePartition, TimeDimension
+from repro.temporal.timedim import TimeDimension
 
 #: uint32 oid-code dtype used for every stored id set.
 OID_DTYPE = np.uint32
@@ -161,7 +161,7 @@ def _as_sorted_ids(codes: Iterable[int]) -> np.ndarray:
     return np.array(sorted(codes), dtype=OID_DTYPE)
 
 
-class PreAggStore:
+class PreAggStore(GranuleStore):
     """Materialized per-(geometry-id, time-granule) rollup of one MOFT.
 
     Parameters
@@ -187,6 +187,8 @@ class PreAggStore:
         timings.
     """
 
+    CELL_KEY = ("kind",)
+
     def __init__(
         self,
         moft: MOFT,
@@ -207,30 +209,11 @@ class PreAggStore:
                     f"geometry {gid!r} is {type(geometry).__name__}, not a "
                     f"Polygon; the store needs containment and clipping"
                 )
-        self.moft = moft
-        self.time = time
-        self.granule_level = granule_level
-        self.geometries = dict(geometries)
-        self.layer = layer
-        self.kind = kind
-        self.name = name if name is not None else f"preagg_{moft.name}"
-        self.obs = obs if obs is not None else PipelineStats()
-        self.gids: Tuple[Hashable, ...] = tuple(
-            sorted(self.geometries, key=repr)
+        super().__init__(
+            moft, time, granule_level, geometries, layer, kind,
+            name if name is not None else f"preagg_{moft.name}", obs,
         )
-        self._gid_set = set(self.gids)
-        self._grid: UniformGridIndex = index_for_geometries(self.geometries)
-        # oid interning: code -> value and value -> code.
-        self._oid_values: List[Hashable] = []
-        self._oid_code: Dict[Hashable, int] = {}
-        self._cells: Dict[Hashable, _GidCells] = {}
-        # Per-object last appended sample (t, x, y) by oid code — the
-        # connecting segment of the next delta batch starts here.
-        self._last: Dict[int, Tuple[float, float, float]] = {}
-        self.partition: GranulePartition = time.granules(granule_level)
-        self._dim_version = time.instance.version
-        self._built_version = -1
-        self._built_rows = 0
+        self._empty_cells()
         if build:
             self.refresh()
 
@@ -239,23 +222,31 @@ class PreAggStore:
     def refresh(self) -> None:
         """Rebuild every cell from the current MOFT and Time dimension."""
         with self.obs.stage("preagg_build"):
-            self.partition = self.time.granules(self.granule_level)
-            self._dim_version = self.time.instance.version
-            version, rows = self.moft.version, len(self.moft)
-            self._oid_values = []
-            self._oid_code = {}
-            self._last = {}
-            n_granules = len(self.partition)
-            self._cells = {gid: _GidCells(n_granules) for gid in self.gids}
-            if rows:
-                if n_granules == 0:
-                    raise PreAggError(
-                        f"no {self.granule_level!r} granules exist but the "
-                        f"MOFT has {rows} samples"
-                    )
-                self._build()
-            self._built_version = version
-            self._built_rows = rows
+            super().refresh()
+
+    def _empty_cells(self) -> None:
+        # oid interning: code -> value and value -> code.
+        self._oid_values: List[Hashable] = []
+        self._oid_code: Dict[Hashable, int] = {}
+        # Per-object last appended sample (t, x, y) by oid code — the
+        # connecting segment of the next delta batch starts here.
+        self._last: Dict[int, Tuple[float, float, float]] = {}
+        n_granules = len(self.partition)
+        self._cells: Dict[Hashable, _GidCells] = {
+            gid: _GidCells(n_granules) for gid in self.gids
+        }
+
+    def _build_cells(self) -> None:
+        if len(self.moft):
+            if not len(self.partition):
+                raise PreAggError(
+                    f"no {self.granule_level!r} granules exist but the "
+                    f"MOFT has {len(self.moft)} samples"
+                )
+            self._build()
+
+    def _objects(self):
+        return self._oid_code.keys()
 
     def _intern(self, oid: Hashable) -> int:
         code = self._oid_code.get(oid)
@@ -311,8 +302,11 @@ class PreAggStore:
         granule: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
+        sign: int = 1,
     ) -> None:
-        """The sample pass: vectorized containment per polygon."""
+        """The sample pass: vectorized containment per polygon (``sign``
+        -1 takes the counts of already folded rows back out, for
+        :meth:`_retract_object`, which discards what lands in ``delta``)."""
         for gid in self.gids:
             polygon = self.geometries[gid]
             box = polygon.bbox
@@ -325,14 +319,18 @@ class PreAggStore:
             if rows.size:
                 rows = rows[polygon_contains_batch(polygon, x[rows], y[rows])]
             if rows.size:
-                self._cells[gid].samples += np.bincount(
+                self._cells[gid].samples += sign * np.bincount(
                     granule[rows], minlength=len(self.partition)
                 )
                 for g, c in zip(granule[rows].tolist(), code[rows].tolist()):
                     delta.add_present(gid, g, c)
 
     def _fold_segments(
-        self, delta: _DeltaSets, code: np.ndarray, batch: SegmentBatch
+        self,
+        delta: _DeltaSets,
+        code: np.ndarray,
+        batch: SegmentBatch,
+        sign: int = 1,
     ) -> None:
         """The segment pass: one clip-kernel call per polygon.
 
@@ -340,7 +338,8 @@ class PreAggStore:
         ``code`` their object codes.  Per polygon the hits apply in
         ascending batch order — the order a segment-by-segment walk
         would fold them in — so the float dwell sums and the span-record
-        sequence do not depend on the batching.
+        sequence do not depend on the batching.  ``sign`` -1 takes the
+        intra-granule dwell of already folded segments back out.
         """
         dt = batch.t1 - batch.t0
         for gid in self.gids:
@@ -355,7 +354,7 @@ class PreAggStore:
             found = np.flatnonzero(hits)
             at = near[found]
             for amount, a, b, c in zip(
-                dwell[found].tolist(),
+                (sign * dwell[found]).tolist(),
                 self.partition.codes_for(batch.t0[at]).tolist(),
                 self.partition.codes_for(batch.t1[at]).tolist(),
                 code[at].tolist(),
@@ -365,38 +364,6 @@ class PreAggStore:
                     delta.add_passer(gid, a, c)
                 else:
                     delta.add_span(gid, c, a, b, amount)
-
-    def _fold_segment(
-        self,
-        delta: _DeltaSets,
-        code: int,
-        t0: float,
-        t1: float,
-        x0: float,
-        y0: float,
-        x1: float,
-        y1: float,
-        g0: int,
-        g1: int,
-    ) -> None:
-        """Attribute one trajectory segment to cells or spanning records."""
-        segment = Segment(Point(x0, y0), Point(x1, y1))
-        box = BoundingBox(
-            min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
-        )
-        for gid in self._grid.query_box(box):
-            polygon = self.geometries[gid]
-            if not geometries_intersect(polygon, segment):
-                continue
-            dwell = sum(
-                (s1 - s0) * (t1 - t0)
-                for s0, s1 in polygon.clip_segment(segment)
-            )
-            if g0 == g1:
-                self._cells[gid].dwell[g0] += dwell
-                delta.add_passer(gid, g0, code)
-            else:
-                delta.add_span(gid, code, g0, g1, dwell)
 
     def _apply_sets(self, delta: _DeltaSets) -> None:
         """Union staged id sets into the sorted uint32 cell arrays."""
@@ -440,39 +407,17 @@ class PreAggStore:
             stale=self.is_stale(),
         )
 
-    # -- staleness and incremental maintenance --------------------------------
+    # -- incremental maintenance ----------------------------------------------
 
-    def is_stale(self) -> bool:
-        """True when the MOFT or the Time dimension moved past the snapshot."""
-        return (
-            self.moft.version != self._built_version
-            or len(self.moft) != self._built_rows
-            or self.time.instance.version != self._dim_version
-        )
-
-    def update(self) -> str:
-        """Fold appended MOFT rows into the cells.
-
-        Returns ``"fresh"`` (nothing to do), ``"delta"`` (the appended
-        rows were applied incrementally — including per-object
-        retract-and-refold for objects whose append was out of time
-        order) or ``"rebuild"`` (the Time dimension changed, so the
-        store fell back to :meth:`refresh`).
-        """
-        if not self.is_stale():
-            return "fresh"
-        if self.time.instance.version != self._dim_version:
-            self.refresh()
-            return "rebuild"
+    def _fold_rows(self, start: int) -> None:
+        """The ``"delta"`` of :meth:`update`: in-time-order appends fold
+        additively, objects appended out of time order are retracted and
+        refolded whole (:meth:`_refold_object`)."""
         with self.obs.stage("preagg_update"):
-            version, rows = self.moft.version, len(self.moft)
             delta = _DeltaSets()
-            for oid in self._fold_delta(delta, self._built_rows):
-                self._refold_object(delta, oid)
+            for oid in self._fold_delta(delta, start):
+                self._refold_object(delta, oid, start)
             self._apply_sets(delta)
-            self._built_version = version
-            self._built_rows = rows
-        return "delta"
 
     def _fold_delta(self, delta: _DeltaSets, start: int) -> List[Hashable]:
         """Fold rows ``start:`` of objects appended in time order.
@@ -529,103 +474,62 @@ class PreAggStore:
         self._set_last(code[tail], t[tail], x[tail], y[tail])
         return [self._oid_values[c] for c in late_codes.tolist()]
 
-    def _refold_object(self, delta: _DeltaSets, oid: Hashable) -> None:
+    def _fold_history(
+        self, delta: _DeltaSets, code: int, rows: np.ndarray, sign: int = 1
+    ) -> None:
+        """One object's time-sorted ``rows`` through the two fold passes."""
+        t, x, y = (column[rows] for column in self.moft.as_arrays())
+        codes = np.full(rows.shape[0], code, dtype=np.int64)
+        self._fold_samples(
+            delta, codes, self._granule_codes_checked(t), x, y, sign
+        )
+        self._fold_segments(
+            delta,
+            codes[1:],
+            SegmentBatch(t[:-1], t[1:], x[:-1], y[:-1], x[1:], y[1:]),
+            sign,
+        )
+
+    def _refold_object(
+        self, delta: _DeltaSets, oid: Hashable, start: int
+    ) -> None:
         """Retract one object's folded state and refold its full history.
 
         Used when an append delivered the object a sample at or before
         its last folded instant: connecting segments already attributed
-        to cells would change, so the object's entire contribution is
-        removed (:meth:`_retract_object`) and rebuilt from its current
-        time-sorted history — exactly what a full :meth:`refresh` would
-        produce for this object, without touching any other object.
+        to cells would change, so the object's entire contribution —
+        its rows below ``start`` — is removed (:meth:`_retract_object`)
+        and rebuilt from its current time-sorted history: exactly what a
+        full :meth:`refresh` would produce for this object, without
+        touching any other object.
         """
         code = self._oid_code[oid]
-        self._retract_object(code)
-        t_all, x_all, y_all = self.moft.as_arrays()
         times, rows = self.moft._object_order(oid)
-        granules = self._granule_codes_checked(times)
-        for i in range(times.shape[0]):
-            row = int(rows[i])
-            self._fold_sample(
-                delta, code, int(granules[i]),
-                float(x_all[row]), float(y_all[row]),
-            )
-        for i in range(times.shape[0] - 1):
-            r0, r1 = int(rows[i]), int(rows[i + 1])
-            self._fold_segment(
-                delta,
-                code,
-                float(times[i]),
-                float(times[i + 1]),
-                float(x_all[r0]),
-                float(y_all[r0]),
-                float(x_all[r1]),
-                float(y_all[r1]),
-                int(granules[i]),
-                int(granules[i + 1]),
-            )
-        last_row = int(rows[-1])
+        # (A subset of a stable time order is the subset's stable order:
+        # the order these rows were folded in.)
+        self._retract_object(code, rows[rows < start])
+        self._fold_history(delta, code, rows)
+        _, x, y = self.moft.as_arrays()
         self._last[code] = (
-            float(times[-1]), float(x_all[last_row]), float(y_all[last_row])
+            float(times[-1]), float(x[rows[-1]]), float(y[rows[-1]])
         )
 
-    def _retract_object(self, code: int) -> None:
+    def _retract_object(self, code: int, prior: np.ndarray) -> None:
         """Remove every folded contribution of one object from the cells.
 
-        Recomputes the object's *previously folded* samples and
-        intra-granule segments — its rows below the built snapshot, in
-        the same stable time order :meth:`_build_from_rows` used — and
-        subtracts them; then strips the oid code from every id set and
-        drops its spanning records (their dwell lives only in the
-        records, so dropping them is the complete retraction).
+        The object's *previously folded* rows ``prior``, in the time
+        order they were folded in, go through the fold passes with sign
+        -1, which takes their sample counts and intra-granule dwell back
+        out; then the oid code is stripped from every id set and its
+        spanning records dropped (their dwell lives only in the records,
+        so dropping them is the complete retraction).
         """
-        oid = self._oid_values[code]
-        t_all, x_all, y_all = self.moft.as_arrays()
-        all_rows = np.asarray(
-            self.moft._object_rows().get(oid, []), dtype=np.intp
-        )
-        prior = all_rows[all_rows < self._built_rows]
-        if prior.size:
-            times = t_all[prior]
-            order = np.argsort(times, kind="stable")
-            prior, times = prior[order], times[order]
-            granules = self._granule_codes_checked(times)
-            for i in range(prior.size):
-                row = int(prior[i])
-                point = Point(float(x_all[row]), float(y_all[row]))
-                box = BoundingBox(point.x, point.y, point.x, point.y)
-                for gid in self._grid.query_box(box):
-                    if self.geometries[gid].contains_point(point):
-                        self._cells[gid].samples[int(granules[i])] -= 1
-            for i in range(prior.size - 1):
-                g0, g1 = int(granules[i]), int(granules[i + 1])
-                if g0 != g1:
-                    continue  # dwell lives in a span record, dropped below
-                r0, r1 = int(prior[i]), int(prior[i + 1])
-                t0, t1 = float(times[i]), float(times[i + 1])
-                x0, y0 = float(x_all[r0]), float(y_all[r0])
-                x1, y1 = float(x_all[r1]), float(y_all[r1])
-                segment = Segment(Point(x0, y0), Point(x1, y1))
-                box = BoundingBox(
-                    min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
-                )
-                for gid in self._grid.query_box(box):
-                    polygon = self.geometries[gid]
-                    if not geometries_intersect(polygon, segment):
-                        continue
-                    dwell = sum(
-                        (s1 - s0) * (t1 - t0)
-                        for s0, s1 in polygon.clip_segment(segment)
-                    )
-                    self._cells[gid].dwell[g0] -= dwell
+        self._fold_history(_DeltaSets(), code, prior, sign=-1)
         for cells in self._cells.values():
-            for g in range(len(self.partition)):
-                arr = cells.present[g]
-                if arr.size and code in arr:
-                    cells.present[g] = arr[arr != code]
-                arr = cells.passers[g]
-                if arr.size and code in arr:
-                    cells.passers[g] = arr[arr != code]
+            for id_sets in (cells.present, cells.passers):
+                for g, arr in enumerate(id_sets):
+                    if arr.size and code in arr:
+                        id_sets[g] = arr[arr != code]
             if cells.span_oid.size:
                 keep = cells.span_oid != code
                 if not keep.all():
@@ -634,67 +538,18 @@ class PreAggStore:
                     cells.span_b = cells.span_b[keep]
                     cells.span_dwell = cells.span_dwell[keep]
 
-    def _fold_sample(
-        self,
-        delta: _DeltaSets,
-        code: int,
-        granule: int,
-        x: float,
-        y: float,
-    ) -> None:
-        point = Point(x, y)
-        for gid in self._grid.query_box(BoundingBox(x, y, x, y)):
-            if self.geometries[gid].contains_point(point):
-                self._cells[gid].samples[granule] += 1
-                delta.add_present(gid, granule, code)
-
-    def clone(self, moft: Optional[MOFT] = None) -> "PreAggStore":
-        """Copy-on-write duplicate, optionally repointed at a new MOFT.
-
-        The streaming maintainer (:mod:`repro.ingest`) folds each
-        watermark flush into a *clone* bound to the new immutable
-        snapshot table, leaving the store readers on older snapshots
-        still query untouched.  Only the arrays folds mutate in place
-        (``samples``/``dwell``) are copied; the id-set lists and
-        spanning-record arrays are rebound on write, never mutated, so
-        they share storage until a fold replaces them.
-
-        ``moft`` must extend this store's table as a row prefix (the
-        :class:`~repro.ingest.VersionedMoft` publish guarantee); the
-        clone keeps the built ``(version, rows)`` snapshot, so a
-        subsequent :meth:`update` folds exactly the appended rows.
-        """
-        out = PreAggStore(
-            moft if moft is not None else self.moft,
-            self.time,
-            self.granule_level,
-            self.geometries,
-            layer=self.layer,
-            kind=self.kind,
-            name=self.name,
-            obs=self.obs,
-            build=False,
-        )
-        out.partition = self.partition
-        out._dim_version = self._dim_version
-        out._built_version = self._built_version
-        out._built_rows = self._built_rows
-        out._oid_values = list(self._oid_values)
-        out._oid_code = dict(self._oid_code)
-        out._last = dict(self._last)
-        out._cells = {}
-        for gid, src in self._cells.items():
-            dst = _GidCells(0)
-            dst.samples = src.samples.copy()
-            dst.dwell = src.dwell.copy()
-            dst.present = list(src.present)
-            dst.passers = list(src.passers)
-            dst.span_oid = src.span_oid
-            dst.span_a = src.span_a
-            dst.span_b = src.span_b
-            dst.span_dwell = src.span_dwell
-            out._cells[gid] = dst
-        return out
+    def _own_cells(self) -> None:
+        # Copied: what folds mutate in place — the interning tables,
+        # ``samples``/``dwell`` and the per-granule id-set lists.  The id
+        # and spanning-record arrays are rebound on write, so stay shared.
+        self._oid_values = list(self._oid_values)
+        self._oid_code = dict(self._oid_code)
+        self._last = dict(self._last)
+        shared, self._cells = self._cells, {}
+        for gid, src in shared.items():
+            dst = self._cells[gid] = copy.copy(src)
+            dst.samples, dst.dwell = src.samples.copy(), src.dwell.copy()
+            dst.present, dst.passers = list(src.present), list(src.passers)
 
     # -- granule-run queries --------------------------------------------------
 
@@ -782,8 +637,12 @@ class PreAggStore:
         """True when the window lands exactly on granule boundaries."""
         return self.partition.aligned_run(float(start), float(end)) is not None
 
+    def _span(self, run: Optional[Tuple[int, int]]) -> Tuple[float, float]:
+        """First and last instant of a granule run (None: an empty span)."""
+        return (np.inf, -np.inf) if run is None else self.partition.span(*run)
+
     def _sliver_scan_mask(
-        self, start: float, end: float, run: Tuple[int, int]
+        self, start: float, end: float, run: Optional[Tuple[int, int]]
     ) -> Optional[np.ndarray]:
         """Row mask of the residual scan for a misaligned window.
 
@@ -797,7 +656,7 @@ class PreAggStore:
         :func:`repro.query.evaluator.resolve_through` (at most once per
         query), which both prices and runs the hybrid from it.
         """
-        lo, hi = self.partition.span(*run)
+        lo, hi = self._span(run)
         t, _, _ = self.moft.as_arrays()
         window = (t >= float(start)) & (t <= float(end))
         sliver = window & ((t < lo) | (t > hi))
@@ -816,67 +675,33 @@ class PreAggStore:
     ) -> float:
         """Exact dwell time for an arbitrary window within coverage.
 
-        Store cells answer the covered granule run; segments with an
-        endpoint in a sliver are clipped directly against the polygons
-        (there are only ever O(sliver objects) of them).
+        Store cells answer the covered granule run.  Segments with an
+        endpoint in a sliver (there are only ever O(sliver objects) of
+        them) get the scan leaf of :func:`repro.query.aggregate
+        .total_dwell_time`: the sliver objects' window rows through the
+        dwell kernel, in (object, time) order per polygon of ``ids``.
         """
         ids = list(ids)
+        for gid in ids:
+            self._cells_for(gid)  # the typed error, covered run or not
         run = self.covered_run(start, end)
-        if run is None:
-            return self._sliver_dwell(ids, start, end, np.inf, -np.inf)
-        lo, hi = self.partition.span(*run)
-        total = self.dwell_time(ids, run[0], run[1])
-        return total + self._sliver_dwell(ids, start, end, lo, hi)
-
-    def _sliver_dwell(
-        self,
-        ids: Sequence[Hashable],
-        start: float,
-        end: float,
-        lo: float,
-        hi: float,
-    ) -> float:
-        """Dwell of window segments having an endpoint outside ``[lo, hi]``."""
-        wanted = set(ids) & self._gid_set
-        if len(wanted) != len(ids):
-            missing = set(ids) - self._gid_set
-            raise PreAggError(
-                f"geometries {sorted(map(repr, missing))} are not "
-                f"materialized in store {self.name!r}"
-            )
-        t, x, y = self.moft.as_arrays()
-        window = (t >= float(start)) & (t <= float(end))
-        sliver = window & ((t < lo) | (t > hi))
-        if not sliver.any():
-            return 0.0
-        oid_col = self.moft.oid_column()
-        total = 0.0
-        for oid in set(oid_col[sliver].tolist()):
-            times, rows = self.moft._object_order(oid)
-            keep = (times >= float(start)) & (times <= float(end))
-            w_times, w_rows = times[keep], rows[keep]
-            for i in range(w_times.shape[0] - 1):
-                t0, t1 = float(w_times[i]), float(w_times[i + 1])
-                if lo <= t0 and t1 <= hi:
-                    continue  # both endpoints covered: already in cells
-                r0, r1 = int(w_rows[i]), int(w_rows[i + 1])
-                segment = Segment(
-                    Point(float(x[r0]), float(y[r0])),
-                    Point(float(x[r1]), float(y[r1])),
-                )
-                box = BoundingBox(
-                    min(x[r0], x[r1]), min(y[r0], y[r1]),
-                    max(x[r0], x[r1]), max(y[r0], y[r1]),
-                )
-                for gid in self._grid.query_box(box):
-                    if gid not in wanted:
-                        continue
-                    total += sum(
-                        (s1 - s0) * (t1 - t0)
-                        for s0, s1 in self.geometries[gid].clip_segment(
-                            segment
-                        )
+        total = 0.0 if run is None else self.dwell_time(ids, *run)
+        mask = self._sliver_scan_mask(start, end, run)
+        if mask is None:
+            return total
+        lo, hi = self._span(run)
+        for batch in self.moft.mask_rows(mask).segments():
+            # Both endpoints covered: already in cells.
+            uncovered = np.flatnonzero((batch.t0 < lo) | (batch.t1 > hi))
+            dt = batch.t1 - batch.t0
+            for gid in ids:
+                polygon = self.geometries[gid]
+                near = batch.near(polygon.bbox, uncovered)
+                if near.size:
+                    dwell, _ = segments_dwell(
+                        polygon, *batch.ends(near), dt[near], obs=self.obs
                     )
+                    total += float(dwell.sum())
         return total
 
     # -- lattice rollup and cube exposure -------------------------------------
@@ -945,9 +770,6 @@ class PreAggStore:
         summaries: segments crossing granule boundaries contribute to
         window queries (:meth:`objects_through`) but to no single cell.
         """
-        from repro.olap.cube import Cube
-
-        geometry_dim = f"{self.name}_geometry"
         rows = []
         for gid in self.gids:
             cells = self._cells[gid]
@@ -968,137 +790,46 @@ class PreAggStore:
                         "passing_objects": int(passers.size),
                     }
                 )
-        return Cube.from_rows(
-            f"{self.name}_cells",
-            [
-                (
-                    "granule",
-                    self.time.instance.schema.name,
-                    self.granule_level,
-                    self.time.instance,
-                ),
-                ("geometry", geometry_dim, "gid", self._geometry_instance()),
-            ],
+        return self._cells_cube(
+            "geometry",
             ("samples", "dwell", "distinct_objects", "passing_objects"),
             rows,
         )
 
-    def _geometry_instance(self):
-        """A two-level gid -> layer dimension for the cube's spatial axis."""
-        from repro.olap.dimension import DimensionInstance, DimensionSchema
-
-        schema = DimensionSchema(
-            f"{self.name}_geometry", [("gid", "layer")]
-        )
-        instance = DimensionInstance(schema)
-        label = self.layer if self.layer is not None else self.name
-        for gid in self.gids:
-            instance.set_rollup("gid", gid, "layer", label)
-        return instance
-
     # -- shard merge ----------------------------------------------------------
 
-    @classmethod
-    def merge(
-        cls,
-        stores: Sequence["PreAggStore"],
-        moft: MOFT,
-        snapshot: Optional[Tuple[int, int]] = None,
-    ) -> "PreAggStore":
-        """Union per-shard stores built over an object partition of ``moft``.
-
-        Shards must cover disjoint object sets (the
-        :meth:`~repro.mo.moft.MOFT.partition_by_objects` guarantee):
-        counts and dwell add, id sets union after re-interning each
-        shard's oid codes into the merged store.  ``snapshot`` is the
-        parent MOFT's ``(version, rows)`` taken before partitioning, so
-        the merged store's staleness tracks the parent table.
-
-        When ``snapshot`` is given the merge also verifies *row
-        coverage*: the shard stores' built rows must add up to the
-        snapshot's row count.  A truncated shard store — one built from
-        a corrupt or partially-delivered shard, e.g. after a faulty
-        retry — would otherwise fold silently into an under-counting
-        store, breaking the Definition 4 summability contract (the sum
-        over shards must be the sum over the whole table).
-        """
-        if not stores:
-            raise PreAggError("cannot merge zero pre-aggregation stores")
-        if snapshot is not None:
-            covered = sum(store._built_rows for store in stores)
-            if covered != snapshot[1]:
-                raise PreAggError(
-                    f"shard stores cover {covered} rows but the parent "
-                    f"MOFT snapshot has {snapshot[1]}; a shard is missing "
-                    f"or truncated — refusing an under-counting merge"
-                )
-        head = stores[0]
-        for other in stores[1:]:
-            if (
-                other.granule_level != head.granule_level
-                or other.partition.members != head.partition.members
-                or set(other.gids) != set(head.gids)
-            ):
-                raise PreAggError(
-                    "shard stores disagree on granules or geometries; "
-                    "they were not built from one partitioning"
-                )
-        merged = cls(
-            moft,
-            head.time,
-            head.granule_level,
-            head.geometries,
-            layer=head.layer,
-            kind=head.kind,
-            name=head.name,
-            obs=head.obs,
-            build=False,
+    def _absorb(self, store: "PreAggStore") -> None:
+        """Counts and dwell add; id sets union after re-interning the
+        shard's oid codes into this store."""
+        remap = np.array(
+            [self._intern(oid) for oid in store._oid_values],
+            dtype=OID_DTYPE,
         )
-        n_granules = len(merged.partition)
-        merged._cells = {gid: _GidCells(n_granules) for gid in merged.gids}
-        seen_objects: Set[Hashable] = set()
-        for store in stores:
-            overlap = seen_objects & set(store._oid_code)
-            if overlap:
-                raise PreAggError(
-                    f"shard stores share objects (e.g. "
-                    f"{next(iter(overlap))!r}); merge needs an object "
-                    f"partition"
+        for code, last in store._last.items():
+            self._last[int(remap[code])] = last
+        for gid in self.gids:
+            src = store._cells[gid]
+            dst = self._cells[gid]
+            dst.samples += src.samples
+            dst.dwell += src.dwell
+            for g in range(len(self.partition)):
+                if src.present[g].size:
+                    dst.present[g] = union_sorted_ids(
+                        [dst.present[g], np.sort(remap[src.present[g]])]
+                    )
+                if src.passers[g].size:
+                    dst.passers[g] = union_sorted_ids(
+                        [dst.passers[g], np.sort(remap[src.passers[g]])]
+                    )
+            if src.span_oid.size:
+                dst.span_oid = np.concatenate(
+                    [dst.span_oid, remap[src.span_oid]]
                 )
-            seen_objects |= set(store._oid_code)
-            remap = np.array(
-                [merged._intern(oid) for oid in store._oid_values],
-                dtype=OID_DTYPE,
-            )
-            for code, last in store._last.items():
-                merged._last[int(remap[code])] = last
-            for gid in merged.gids:
-                src = store._cells[gid]
-                dst = merged._cells[gid]
-                dst.samples += src.samples
-                dst.dwell += src.dwell
-                for g in range(n_granules):
-                    if src.present[g].size:
-                        dst.present[g] = union_sorted_ids(
-                            [dst.present[g], np.sort(remap[src.present[g]])]
-                        )
-                    if src.passers[g].size:
-                        dst.passers[g] = union_sorted_ids(
-                            [dst.passers[g], np.sort(remap[src.passers[g]])]
-                        )
-                if src.span_oid.size:
-                    dst.span_oid = np.concatenate(
-                        [dst.span_oid, remap[src.span_oid]]
-                    )
-                    dst.span_a = np.concatenate([dst.span_a, src.span_a])
-                    dst.span_b = np.concatenate([dst.span_b, src.span_b])
-                    dst.span_dwell = np.concatenate(
-                        [dst.span_dwell, src.span_dwell]
-                    )
-        if snapshot is None:
-            snapshot = (moft.version, len(moft))
-        merged._built_version, merged._built_rows = snapshot
-        return merged
+                dst.span_a = np.concatenate([dst.span_a, src.span_a])
+                dst.span_b = np.concatenate([dst.span_b, src.span_b])
+                dst.span_dwell = np.concatenate(
+                    [dst.span_dwell, src.span_dwell]
+                )
 
     def __repr__(self) -> str:
         return (

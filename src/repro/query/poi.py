@@ -98,13 +98,15 @@ def build_store(
         raise EvaluationError(
             f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
         )
+    # Before partitioning: an append racing the build leaves it stale.
+    snapshot = (moft.version, len(moft))
     parts = moft.partition_by_objects(shards)
     if backend == "threads" and len(parts) > 1:
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             stores = list(pool.map(build, parts))
     else:
         stores = [build(part) for part in parts]
-    return PoiVisitStore.merge(stores, moft)
+    return PoiVisitStore.merge(stores, moft, snapshot)
 
 
 def poi_store_view(

@@ -117,6 +117,17 @@ class EvaluationContext:
         """True when at least one store is registered (miss counters fire)."""
         return bool(self._preagg_stores)
 
+    def _store_for(self, moft: MOFT, layer: Optional[str], ids, **cell_key):
+        """The first registered store whose cells can answer — the one
+        matching loop (:meth:`repro.cellstore.GranuleStore.serves`).
+        Staleness is NOT checked here: the caller decides whether a
+        stale store is a miss."""
+        wanted = set(ids)
+        for store in self._preagg_stores:
+            if store.serves(moft, layer, wanted, **cell_key):
+                return store
+        return None
+
     def preagg_for(
         self,
         moft: MOFT,
@@ -124,22 +135,10 @@ class EvaluationContext:
         kind: str,
         ids: Iterable[Hashable],
     ) -> Optional["PreAggStore"]:
-        """The first registered store able to serve this (moft, layer, ids).
-
-        Matching is by MOFT *identity* (the store summarizes exactly that
-        table), layer/kind tags, and geometry coverage: every queried id
-        must be materialized.  Staleness is NOT checked here — the
-        planner decides whether a stale store is a miss.
-        """
-        wanted = set(ids)
-        for store in self._preagg_stores:
-            if store.moft is not moft:
-                continue
-            if store.layer != layer or store.kind != kind:
-                continue
-            if wanted <= store._gid_set:
-                return store
-        return None
+        """The first registered :class:`~repro.preagg.PreAggStore` over
+        exactly this table (by identity) and (layer, kind) that
+        materializes every queried id."""
+        return self._store_for(moft, layer, ids, kind=kind)
 
     def poi_store_for(
         self,
@@ -150,30 +149,13 @@ class EvaluationContext:
         ids: Iterable[Hashable],
     ):
         """The first registered :class:`~repro.poi.PoiVisitStore` able to
-        serve this POI aggregate.
-
-        POI stores register through :meth:`register_preagg` (same
-        registry, same lifecycle); matching additionally pins the
-        granule level and the ``min_dwell`` threshold, both baked into
-        the cells at build time.
-        """
-        from repro.poi.store import PoiVisitStore
-
-        wanted = set(ids)
-        for store in self._preagg_stores:
-            if not isinstance(store, PoiVisitStore):
-                continue
-            if store.moft is not moft:
-                continue
-            if layer is not None and store.layer != layer:
-                continue
-            if store.granule_level != granule_level:
-                continue
-            if store.min_dwell != float(min_dwell):
-                continue
-            if wanted <= store._gid_set:
-                return store
-        return None
+        serve this POI aggregate (same registry, same lifecycle): its
+        cell key pins the granule level and the ``min_dwell`` threshold,
+        both baked into the cells at build time."""
+        return self._store_for(
+            moft, layer, ids,
+            granule_level=granule_level, min_dwell=float(min_dwell),
+        )
 
     def geometry_index(
         self,

@@ -9,7 +9,7 @@ injected-fault trace — a wrong answer is never an outcome.
 Two tiers:
 
 * fixed-seed smoke tests (marked ``faults``) — fast, deterministic,
-  run as their own CI lane on every push; they pin both branches of the
+  part of the tier-1 run on every push; they pin both branches of the
   contract (a forced fault storm must error with a full trace, a
   single-fault plan must recover exactly) on the Figure 1 world and the
   10k synthetic city, across ``count_objects_through``,
@@ -114,7 +114,7 @@ def assert_exact_or_error(run, expected, plan, equal=None) -> str:
     return "ok"
 
 
-# -- fixed-seed smoke tier (the CI `-m faults` lane) ---------------------------
+# -- fixed-seed smoke tier (in tier-1; select with `-m faults`) ---------------
 
 
 @pytest.mark.faults

@@ -116,6 +116,59 @@ class TestCloneAndMerge:
             PoiVisitStore.merge([], fig1_world.moft)
 
 
+class TestTimeDimensionEdit:
+    """Regressions: the POI store used to watch the table version only."""
+
+    def fresh_world(self):
+        world = figure1_instance(with_pois=True)
+        ctx = world.context()
+        pois = dict(world.gis.layer("Lp").elements("poi"))
+        store = ctx.register_preagg(
+            PoiVisitStore(
+                world.moft, world.time, "hour", pois, layer="Lp", obs=ctx.obs
+            )
+        )
+        return world, ctx, pois, store
+
+    def test_dimension_edit_is_stale_and_rebuilds(self):
+        """A new instant in a new hour 0 shifts every granule code: a
+        stop at t = 5..6 folded over the old partition was labelled
+        hour 6 where a rebuilt store says hour 5."""
+        world, ctx, pois, store = self.fresh_world()
+        world.time.instance.set_rollup("timeId", 0, "hour", 0)
+        assert store.is_stale()
+        at = pois["poi_market"].center
+        world.moft.extend_columns(
+            ["p", "p"], [5.0, 6.0], [at.x, at.x], [at.y, at.y]
+        )
+        updates = ctx.obs.count("poi_store_updates")
+        assert store.update() == "rebuild"
+        assert ctx.obs.count("poi_store_updates") == updates + 1
+        assert not store.is_stale()
+        rebuilt = PoiVisitStore(world.moft, world.time, "hour", pois)
+        assert store.visit_counts() == rebuilt.visit_counts()
+        assert store.visit_counts()[("poi_market", 5)] == 1
+        assert ("poi_market", 6) not in store.visit_counts()
+        assert canon(store.dwell_times()) == canon(rebuilt.dwell_times())
+
+    def test_through_count_over_the_poi_layer_ignores_the_poi_store(self):
+        """Regression: ``preagg_for`` matched the POI store on (moft,
+        layer, kind, ids) and the through-count died on its missing
+        ``objects_through``."""
+        from repro.query.evaluator import count_objects_through
+
+        _, ctx, _, _ = self.fresh_world()
+        target = ("Lp", "poi")
+        expected = count_objects_through(
+            ctx, target, [], moft_name="FMbus", use_preagg=False
+        )
+        assert expected == 4
+        assert count_objects_through(
+            ctx, target, [], moft_name="FMbus"
+        ) == expected
+        assert ctx.obs.count("preagg_hits") == 0
+
+
 class TestSpatialOlap:
     def test_parent_mapping_by_center(self, fig1_world):
         mapping = poi_parent_mapping(fig1_world.gis, "Lp", "Ln")
