@@ -141,13 +141,17 @@ class GranuleStore:
         stores: Sequence["GranuleStore"],
         moft: MOFT,
         snapshot: Optional[Tuple[int, int]] = None,
+        time: Optional[TimeDimension] = None,
     ):
         """Union per-shard stores built over an object partition of ``moft``.
 
         ``snapshot`` is the table's ``(version, rows)`` taken *before*
         partitioning and becomes the merged store's, so an append racing
         the build leaves a stale store :meth:`update` brings forward;
-        without it the table as it stands is the reference.  Refused,
+        without it the table as it stands is the reference.  ``time`` is
+        the dimension the shard stores were built from, for the merged
+        store to watch: stores that came back from another process hold
+        unpickled copies, which no later edit reaches.  Refused,
         before any cell is touched: zero stores, cell schemas that
         disagree, a shared object, built rows not adding up to the
         reference — a truncated shard would under-count silently.
@@ -183,6 +187,8 @@ class GranuleStore:
             )
         merged = head._copy()
         merged.moft = moft
+        if time is not None:
+            merged.time = time
         merged._empty_cells()
         for store in stores:
             merged._absorb(store)

@@ -51,6 +51,14 @@ class Poi:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poi is immutable")
 
+    def __getstate__(self) -> dict:
+        return {"center": self.center, "radius": self.radius}
+
+    def __setstate__(self, state: dict) -> None:
+        # (The default would ``setattr`` each slot, which raises.)
+        object.__setattr__(self, "center", state["center"])
+        object.__setattr__(self, "radius", state["radius"])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poi):
             return NotImplemented

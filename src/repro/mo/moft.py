@@ -543,10 +543,11 @@ class MOFT:
         order (a child keeps its parent's), each object's rows in the
         stable time order of :meth:`history`.
         """
-        if self._segments is None and self._inherited is not None:
+        inherited = self._inherited  # (read once: readers may race)
+        if self._segments is None and inherited is not None:
             # This table's (object, time) order is its parent's,
             # filtered: no sort, no pass over the object column.
-            (oids, perm, offsets), mask = self._inherited
+            (oids, perm, offsets), mask = inherited
             kept = mask[perm]
             bounds = np.concatenate(([0], np.cumsum(kept)))[offsets]
             alive = np.diff(bounds) > 0
@@ -703,23 +704,27 @@ class MOFT:
         loaded shard (deterministic: ties break on the object id's repr),
         so shards are balanced by row count, not object count.
 
-        Shards are built by :meth:`mask_rows` — whole-column boolean
-        slicing, no per-row copies.  Some shards may be empty when the
-        table has fewer objects than ``n``.
+        Objects and their sample counts are read off the segment index
+        and the shards built by :meth:`mask_rows` — whole-column boolean
+        slicing, no per-row copies — so every shard starts with its
+        (object, time) order already known.  Some shards may be empty
+        when the table has fewer objects than ``n``.
         """
         if n < 1:
             raise TrajectoryError(f"shard count must be >= 1, got {n}")
-        by_object = self._object_rows()
-        ordered = sorted(
-            by_object.items(), key=lambda kv: (-len(kv[1]), repr(kv[0]))
-        )
+        index = self.segment_index()
+        oids = index.oids.tolist()
+        counts = np.diff(index.offsets).tolist()
         loads = [0] * n
-        masks = [np.zeros(self._n, dtype=bool) for _ in range(n)]
-        for oid, rows in ordered:
+        shard_of = np.zeros(len(oids), dtype=np.intp)
+        for i in sorted(
+            range(len(oids)), key=lambda i: (-counts[i], repr(oids[i]))
+        ):
             shard = min(range(n), key=lambda s: (loads[s], s))
-            loads[shard] += len(rows)
-            masks[shard][rows] = True
-        return [self.mask_rows(mask) for mask in masks]
+            loads[shard] += counts[i]
+            shard_of[i] = shard
+        row_shard = index.per_row(shard_of)
+        return [self.mask_rows(row_shard == shard) for shard in range(n)]
 
     def partition_by_time(self, n: int) -> List["MOFT"]:
         """Split into ``n`` shards of contiguous, disjoint instant ranges.

@@ -56,8 +56,16 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 
 ``zero_copy_blocks`` / ``zero_copy_fallbacks``
     Zero-copy shard transport (:mod:`repro.parallel.shm`): shared-memory
-    blocks created for fan-outs, and fan-outs that fell back to pickled
-    shard payloads (object ids not encodable as str/int).
+    blocks created for fan-outs (one per zero-copy fan-out, published
+    from the resident image or not), and fan-outs that fell back to
+    pickled shard payloads (object ids not encodable as str/int).
+``shard_cache_hits`` / ``shard_cache_misses``
+    :class:`repro.parallel.ShardedExecutor`'s resident shards: MOFT
+    fan-outs that found the partition of their ``(table, version, rows,
+    shard count, partitioner)`` in the executor, and fan-outs that had
+    to cut it (the first for a table, the first after an append, one
+    pushed out by more recently used tables).  Every MOFT fan-out counts
+    one or the other; neither says anything about blocks.
 ``bytes_serialized`` / ``peak_shard_payload_bytes``
     Payload accounting, recorded only under
     ``ShardedExecutor(track_payload_bytes=True)``: total pickled task

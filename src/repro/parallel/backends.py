@@ -12,6 +12,16 @@ item order.  Three are built in:
   true multi-core parallelism for the pure-Python segment scans.  Task
   functions must be module-level and payloads picklable.
 
+A pool backend owns **one pool per instance**: constructing the backend
+starts nothing, the first multi-item ``map`` / ``run_tasks`` builds the
+pool, and every later call reuses it — process workers are forked then
+(and see module state as of then) and keep what they cache between
+fan-outs.  A pool that broke (a worker died) or holds a timed-out
+straggler is abandoned and the next call builds a fresh one;
+:meth:`ExecutionBackend.close` shuts the pool down, and a backend that
+is simply dropped, or still open at interpreter exit, is shut down by a
+finalizer.  Pickles of a backend carry its sizing, never its pool.
+
 :func:`get_backend` resolves a backend from its registry name (or passes
 an instance through), so callers can say ``backend="processes"``.
 
@@ -39,13 +49,19 @@ On top of plain ``map`` sits the *resilient* layer:
 
 from __future__ import annotations
 
+import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import weakref
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-import os
 
 from repro.errors import EvaluationError, ShardExecutionError
 from repro.obs import PipelineStats
@@ -119,6 +135,10 @@ class ExecutionBackend:
             outcomes.append(outcome)
         return outcomes
 
+    def close(self) -> None:
+        """Release what the backend keeps between calls (here: nothing).
+        Idempotent; a closed backend starts afresh on its next call."""
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -133,7 +153,15 @@ class SerialBackend(ExecutionBackend):
 
 
 class _PoolBackend(ExecutionBackend):
-    """Shared sizing logic for the pool-based backends."""
+    """Sizing, and the one resident pool, of the pool-based backends.
+
+    The pool is sized for the largest fan-out seen so far, capped by
+    ``max_workers`` (default: the available CPUs): a call that wants
+    more workers than the pool has replaces it, once, with a larger one.
+    """
+
+    #: The ``concurrent.futures`` executor class the subclass pools with.
+    _pool_class: "type | None" = None
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -141,21 +169,91 @@ class _PoolBackend(ExecutionBackend):
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.max_workers = max_workers
+        self._start_unpooled()
 
-    #: The ``concurrent.futures`` executor class the subclass pools with.
-    _pool_class: "type | None" = None
+    def _start_unpooled(self) -> None:
+        # Submissions hold the lock, so a pool is never replaced between
+        # one call's submits; results are collected outside it.
+        self._lock = threading.Lock()
+        self._pool: Optional[Executor] = None
+        self._pool_workers = 0
+        self._finalizer: Optional[weakref.finalize] = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in ("_lock", "_pool", "_pool_workers", "_finalizer"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._start_unpooled()
 
     def _workers_for(self, n_items: int) -> int:
         limit = self.max_workers or available_cpus()
         return max(1, min(limit, n_items))
 
+    def _pool_for(self, n_items: int) -> Executor:
+        """The resident pool, built or enlarged as ``n_items`` tasks
+        call for (the caller holds the lock)."""
+        workers = self._workers_for(n_items)
+        if self._pool is None or workers > self._pool_workers:
+            # (A smaller pool first finishes what it has in flight.)
+            self._release(self._pool, abandon=False)
+            self._pool = self._pool_class(max_workers=workers)
+            self._pool_workers = workers
+            # For backends that are dropped, or open at interpreter
+            # exit: neither must leave workers behind.
+            self._finalizer = weakref.finalize(
+                self, self._pool.shutdown, wait=False
+            )
+        return self._pool
+
+    def _release(self, pool: Optional[Executor], abandon: bool) -> None:
+        """Shut ``pool`` down, forgetting it if it is the resident one
+        (the caller holds the lock).  ``abandon`` cancels what has not
+        started and waits for nothing — a straggler cannot wedge the
+        coordinator, a broken pool has nothing left to wait for."""
+        if pool is None:
+            return
+        if pool is self._pool:
+            self._pool = None
+            self._pool_workers = 0
+            self._finalizer.detach()
+        pool.shutdown(wait=not abandon, cancel_futures=abandon)
+
+    def close(self) -> None:
+        """Shut the resident pool down and wait for its workers to end."""
+        with self._lock:
+            self._release(self._pool, abandon=False)
+
+    def _on_pool(
+        self, n_items: int, submit: Callable[[Executor], R]
+    ) -> Tuple[Executor, R]:
+        """``submit(pool)`` on the resident pool — built, enlarged or,
+        when a worker died while it sat idle, replaced first."""
+        with self._lock:
+            pool = self._pool_for(n_items)
+            try:
+                return pool, submit(pool)
+            except BrokenExecutor:
+                self._release(pool, abandon=True)
+                pool = self._pool_for(n_items)
+                return pool, submit(pool)
+
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        with self._pool_class(
-            max_workers=self._workers_for(len(items))
-        ) as pool:
-            return list(pool.map(fn, items))
+        # (``Executor.map`` submits every item before it returns.)
+        pool, results = self._on_pool(
+            len(items), lambda pool: pool.map(fn, items)
+        )
+        try:
+            return list(results)
+        except BrokenExecutor:
+            with self._lock:
+                self._release(pool, abandon=True)
+            raise
 
     def run_tasks(
         self,
@@ -169,34 +267,39 @@ class _PoolBackend(ExecutionBackend):
         each future from the moment the collector reaches it.  A
         timed-out future is cancelled and abandoned (its worker may
         still finish, but the result is discarded — the retry loop owns
-        redoing the task), and the pool is shut down without waiting so
-        a straggler cannot wedge the coordinator.
+        redoing the task) together with the pool it runs in, without
+        waiting: a straggler can neither wedge the coordinator nor sit
+        in the way of the retry, which gets a fresh pool.  So does the
+        call after a pool broke (a worker process died).
         """
         if not items:
             return []
-        pool = self._pool_class(max_workers=self._workers_for(len(items)))
-        timed_out = False
-        outcomes: List[AttemptOutcome[R]] = []
-        try:
-            futures = [
+        pool, futures = self._on_pool(
+            len(items),
+            lambda pool: [
                 pool.submit(_timed_call, fn, item) for item in items
-            ]
-            for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=timeout))
-                except FuturesTimeoutError:
-                    future.cancel()
-                    timed_out = True
-                    outcomes.append(
-                        ("timeout", None, None, float(timeout))
-                    )
-                except Exception as exc:
-                    # Pool infrastructure failure (a worker process died,
-                    # a payload failed to pickle, ...) — the task itself
-                    # guards its own exceptions in _timed_call.
-                    outcomes.append(("error", None, exc, 0.0))
-        finally:
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
+            ],
+        )
+        abandon = False
+        outcomes: List[AttemptOutcome[R]] = []
+        for future in futures:
+            try:
+                outcomes.append(future.result(timeout=timeout))
+            except FuturesTimeoutError:
+                future.cancel()
+                abandon = True
+                outcomes.append(
+                    ("timeout", None, None, float(timeout))
+                )
+            except Exception as exc:
+                # Pool infrastructure failure (a worker process died,
+                # a payload failed to pickle, ...) — the task itself
+                # guards its own exceptions in _timed_call.
+                abandon = abandon or isinstance(exc, BrokenExecutor)
+                outcomes.append(("error", None, exc, 0.0))
+        if abandon:
+            with self._lock:
+                self._release(pool, abandon=True)
         return outcomes
 
 

@@ -15,6 +15,27 @@ set union).  :class:`ShardedExecutor` packages that recipe:
   timers (per-shard wall times are measured inside the workers and
   recorded by the parent, so they are honest across processes).
 
+What a fan-out needs lives as long as the executor, not as long as one
+call (``docs/storage.md``, "Zero-copy process shards"):
+
+* the **pool** belongs to the backend instance — built by the first
+  fan-out, reused by every later one, replaced after a broken worker or
+  an abandoned straggler;
+* the **partition and its shared-memory image** are kept per ``(table,
+  table version, rows, shard count, partitioner)`` in a cache of
+  :data:`RESIDENT_TABLES` entries, each dying with its table — an append
+  bumps the version and misses, a one-shot table pins nothing;
+* each **worker** keeps the shards it opened and their segment tables
+  (:func:`repro.parallel.shm.open_shard`), so a restricted scan ships
+  its window or instant set and masks the resident shard instead of
+  partitioning a freshly masked table;
+* the ``/dev/shm`` **name** alone is per fan-out, as before: published
+  from the cached image, unlinked in the same ``finally``.
+
+:meth:`ShardedExecutor.close` (or ``with``) shuts the pool down and
+drops the cache; an executor that is simply dropped is cleaned up by the
+backend's finalizer.
+
 The executor is not a second query path: the through-count
 (:func:`repro.query.evaluator.execute_through`) hands its scan leaf to
 :meth:`ShardedExecutor.matching_objects` when an executor is part of the
@@ -47,12 +68,17 @@ function per kind of shard work: its payload carries either the shard
 itself (pickled transport) or a :class:`~repro.parallel.shm
 .ShardDescriptor` (zero-copy transport: O(1) pickled bytes per task
 instead of O(rows)), and :func:`~repro.parallel.shm.open_shard` hides
-which.
+which.  Pickles of an executor carry its configuration, never its pool,
+lock or cache (Piet-QL's condition tasks ship their executor).
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from collections import OrderedDict
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -80,12 +106,14 @@ from repro.parallel.backends import (
     resilient_map,
 )
 from repro.parallel.merge import intersect_ids, sum_groups, union_ids
-from repro.parallel.shm import create_shard_block, open_shard
+from repro.parallel.shm import ShardImage, open_shard, serialize_shards
 from repro.pietql import ast as pietql_ast
 from repro.pietql.executor import LayerBinding, PietQLExecutor
 from repro.query.evaluator import (
+    TimeRestriction,
     TrajectoryIntersectionCounter,
     count_objects_through,
+    restriction_mask,
 )
 from repro.query.region import EvaluationContext
 
@@ -95,16 +123,27 @@ M = TypeVar("M")
 #: A shard task's return: (value, worker wall seconds, worker stats).
 ShardOutcome = Tuple[V, float, Optional[PipelineStats]]
 
+#: Table versions whose shards (and image) an executor keeps.
+RESIDENT_TABLES = 4
+
 
 # -- module-level worker tasks (picklable for the processes backend) ----------
 
 
 def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
-    """Run a trajectory-intersection scan over one MOFT shard."""
-    counter, shard = payload
+    """Run a trajectory-intersection scan over one MOFT shard, masked
+    by the query's time restriction when it has one."""
+    counter, shard, restriction = payload
     stats = EvaluationStats()
     start = time.perf_counter()
-    matched = counter.matching_objects(open_shard(shard), stats)
+    table = open_shard(shard)
+    if restriction is not None:
+        # A resident shard has its segment index already; the masked
+        # child filters that instead of sorting its own.
+        table.segment_index()
+        t, _, _ = table.as_arrays()
+        table = table.mask_rows(restriction_mask(t, *restriction))
+    matched = counter.matching_objects(table, stats)
     return matched, time.perf_counter() - start, stats
 
 
@@ -144,6 +183,34 @@ def _build_preagg_task(payload) -> ShardOutcome:
         obs=stats,
     )
     return store, time.perf_counter() - start, stats
+
+
+class _ResidentShards:
+    """One table version's non-empty shards; ``image`` is their
+    serialized form once a zero-copy fan-out asked for it (False: the
+    object ids cannot be encoded).  ``table`` is a weak reference whose
+    callback evicts the entry."""
+
+    __slots__ = ("table", "shards", "image")
+
+    def __init__(self, table: "weakref.ref[MOFT]", shards: List[MOFT]) -> None:
+        self.table = table
+        self.shards = shards
+        self.image: "ShardImage | bool | None" = None
+
+
+def _resident_key(moft: MOFT, n_shards: int, partition: str) -> tuple:
+    """What one partition is cached under: the table object as it
+    stands (appends move version and rows), the cut asked for."""
+    return (id(moft), moft.version, len(moft), n_shards, partition)
+
+
+def _forget(executor: "weakref.ref[ShardedExecutor]", key: tuple, _) -> None:
+    """A cached table died: its shards go with it."""
+    executor = executor()
+    if executor is not None:
+        with executor._lock:
+            executor._resident.pop(key, None)
 
 
 class ShardedExecutor:
@@ -226,6 +293,36 @@ class ShardedExecutor:
         self.fault_plan = fault_plan
         self.zero_copy = zero_copy
         self.track_payload_bytes = track_payload_bytes
+        self._start_empty()
+
+    def _start_empty(self) -> None:
+        # Reentrant: a table collected while the lock is held runs
+        # ``_forget`` on the holding thread.
+        self._lock = threading.RLock()
+        self._resident: "OrderedDict[tuple, _ResidentShards]" = OrderedDict()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"], state["_resident"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._start_empty()
+
+    def close(self) -> None:
+        """Shut the backend's pool down (waiting for its workers to end)
+        and drop every resident shard.  Idempotent, and not final: the
+        next fan-out builds both again."""
+        self.backend.close()
+        with self._lock:
+            self._resident.clear()
+
+    def __enter__(self) -> "ShardedExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return (
@@ -258,9 +355,62 @@ class ShardedExecutor:
             max(self.obs.count("peak_shard_payload_bytes"), max(sizes)),
         )
 
+    def _shards(
+        self, moft: MOFT, n_shards: int, partition: str = "objects"
+    ) -> _ResidentShards:
+        """The non-empty shards of ``moft`` as it stands: cut on the
+        first request per (table, version, rows, shard count,
+        partitioner), kept until the table dies, changes or is pushed
+        out by :data:`RESIDENT_TABLES` more recently used ones."""
+        key = _resident_key(moft, n_shards, partition)
+        with self._lock:
+            entry = self._resident.get(key)
+            if entry is not None:
+                self._resident.move_to_end(key)
+                self.obs.incr("shard_cache_hits")
+                return entry
+            self.obs.incr("shard_cache_misses")
+            # Versions only grow: what was cut from an earlier state of
+            # this table can never be asked for again.
+            for stale in [
+                k for k in self._resident
+                if k[0] == key[0] and k[1:3] != key[1:3]
+            ]:
+                del self._resident[stale]
+            cut = getattr(moft, f"partition_by_{partition}")
+            entry = self._resident[key] = _ResidentShards(
+                weakref.ref(moft, partial(_forget, weakref.ref(self), key)),
+                [shard for shard in cut(n_shards) if len(shard)],
+            )
+            while len(self._resident) > RESIDENT_TABLES:
+                self._resident.popitem(last=False)
+            return entry
+
+    def holds_shards(self, moft: MOFT, n_shards: Optional[int] = None) -> bool:
+        """Whether a scan of ``moft`` over ``n_shards`` object shards
+        (default: the executor's count) would find them resident — what
+        the cost model asks before charging for partition and image."""
+        key = _resident_key(
+            moft, n_shards if n_shards is not None else self.n_shards,
+            "objects",
+        )
+        with self._lock:
+            return key in self._resident
+
+    def _image(self, resident: _ResidentShards) -> Optional[ShardImage]:
+        """The shards' shared-memory image, serialized on first use
+        (None: the columnar format cannot encode the object ids)."""
+        with self._lock:
+            if resident.image is None:
+                try:
+                    resident.image = serialize_shards(resident.shards)
+                except MoftStorageError:
+                    resident.image = False
+            return resident.image or None
+
     def _fanout_shards(
         self,
-        shards: Sequence[MOFT],
+        resident: _ResidentShards,
         make_payload: Callable[[object], object],
         task: Callable,
         merge: Callable[[List[M]], object],
@@ -271,19 +421,21 @@ class ShardedExecutor:
         ``make_payload`` builds one task payload from either a MOFT
         shard (pickle path) or a :class:`~repro.parallel.shm
         .ShardDescriptor` (zero-copy path); ``task`` opens whichever it
-        gets.  The shared block lives exactly as long as the fan-out: it
-        is unlinked in a ``finally``, so neither task failures, retries,
+        gets.  The image is the resident one, but the shared block it is
+        published in lives exactly as long as this fan-out: it is
+        unlinked in a ``finally``, so neither task failures, retries,
         nor injected faults can leak a segment.  Worlds the columnar
         format cannot encode (exotic object-id types) fall back to
         pickled shards.
         """
         block = None
-        carried: Sequence[object] = shards
+        carried: Sequence[object] = resident.shards
         if self._use_zero_copy():
-            try:
-                block, carried = create_shard_block(shards)
-            except MoftStorageError:
+            image = self._image(resident)
+            if image is None:
                 self.obs.incr("zero_copy_fallbacks")
+            else:
+                block, carried = image.publish()
         try:
             payloads = [make_payload(shard) for shard in carried]
             self._account_payloads(payloads)
@@ -380,6 +532,7 @@ class ShardedExecutor:
         moft: MOFT,
         stats: Optional[EvaluationStats] = None,
         n_shards: Optional[int] = None,
+        restriction: Optional[TimeRestriction] = None,
     ) -> Set[Hashable]:
         """Sharded :meth:`TrajectoryIntersectionCounter.matching_objects`.
 
@@ -389,20 +542,24 @@ class ShardedExecutor:
         ``n_shards`` overrides the executor's configured shard count for
         this one scan — the cost-based planner passes its chosen count
         here without reconstructing the executor.
+
+        ``restriction`` is a ``(window, instants)`` pair (see
+        :func:`repro.query.evaluator.restriction_mask`): every shard
+        task masks its rows by it before scanning.  A row predicate
+        commutes with a partition by objects, so the answer is that of
+        scanning ``moft`` masked — but the shards are those of ``moft``
+        itself, which stay resident from query to query where a masked
+        table would be a new one each time.
         """
-        shards = [
-            shard
-            for shard in moft.partition_by_objects(
-                n_shards if n_shards is not None else self.n_shards
-            )
-            if len(shard)
-        ]
-        if not shards:
+        resident = self._shards(
+            moft, n_shards if n_shards is not None else self.n_shards
+        )
+        if not resident.shards:
             return set()
         observers = (stats,) if stats is not None else ()
         return self._fanout_shards(
-            shards,
-            lambda shard: (counter, shard),
+            resident,
+            lambda shard: (counter, shard, restriction),
             _scan_task,
             union_ids,
             observers=observers,
@@ -466,25 +623,25 @@ class ShardedExecutor:
         from repro.preagg.store import PreAggStore
 
         snapshot = (moft.version, len(moft))
-        shards = [
-            shard
-            for shard in moft.partition_by_objects(self.n_shards)
-            if len(shard)
-        ]
-        if not shards:
+        resident = self._shards(moft, self.n_shards)
+        if not resident.shards:
             store = PreAggStore(
                 moft, time_dim, granule_level, geometries,
                 layer=layer, kind=kind, name=name,
             )
             return store
+        # (The shard stores of a process backend watch unpickled copies
+        # of ``time_dim``; the merged store watches the caller's.)
         return self._fanout_shards(
-            shards,
+            resident,
             lambda shard: (
                 shard, time_dim, granule_level, dict(geometries),
                 layer, kind, name,
             ),
             _build_preagg_task,
-            lambda stores: PreAggStore.merge(stores, moft, snapshot),
+            lambda stores: PreAggStore.merge(
+                stores, moft, snapshot, time=time_dim
+            ),
         )
 
     # -- generic sharded aggregation -------------------------------------------
@@ -500,24 +657,22 @@ class ShardedExecutor:
 
         ``shard_fn`` maps one shard to a partial (e.g. a ``group -> sum``
         dict) and must be a module-level function under the ``processes``
-        backend; ``merge`` folds the partials (default: per-group sum).
+        backend; it must not modify the shard, which stays resident for
+        the next fan-out.  ``merge`` folds the partials (default:
+        per-group sum).
         ``partition`` picks the partitioner: ``"objects"`` keeps whole
         trajectories together, ``"time"`` cuts contiguous instant ranges
         (exact only for queries that treat samples independently).
         """
-        if partition == "objects":
-            shards = moft.partition_by_objects(self.n_shards)
-        elif partition == "time":
-            shards = moft.partition_by_time(self.n_shards)
-        else:
+        if partition not in ("objects", "time"):
             raise EvaluationError(
                 f"unknown partition {partition!r}; expected 'objects' or 'time'"
             )
-        shards = [shard for shard in shards if len(shard)]
-        if not shards:
+        resident = self._shards(moft, self.n_shards, partition)
+        if not resident.shards:
             return merge([])
         return self._fanout_shards(
-            shards,
+            resident,
             lambda shard: (shard_fn, shard),
             _apply_task,
             merge,

@@ -1,30 +1,39 @@
 """Zero-copy MOFT shards over POSIX shared memory.
 
 The ``processes`` backend used to pickle whole MOFT shards into every
-worker — O(rows) bytes per task, which ROADMAP item 3 flags as eating
-the fan-out speedup on 250k+ sample worlds.  This module replaces the
-payload with a *descriptor*: the coordinator writes all shards once into
-one :class:`multiprocessing.shared_memory.SharedMemory` block as a
-single index-less columnar image (:mod:`repro.mo.storage`), and each
-task carries only ``(block name, start row, stop row)`` — O(1) bytes.
-Workers attach to the block by name and materialize their shard as
-zero-copy numpy views over the shared pages.
+worker — O(rows) bytes per task.  This module replaces the payload with
+a *descriptor*: the coordinator serializes all shards once into a single
+index-less columnar image (:mod:`repro.mo.storage`), publishes the image
+in a :class:`multiprocessing.shared_memory.SharedMemory` block, and each
+task carries only ``(block name, start row, stop row, content key)`` —
+O(1) bytes.  Workers attach to the block by name and materialize their
+shard as zero-copy numpy views over the shared pages.
 
-Lifecycle contract:
+What lives how long:
 
-* **create** — :func:`create_shard_block` serializes the shards and
-  returns a :class:`ShardBlock` (owning the segment) plus one
-  :class:`ShardDescriptor` per shard, in shard order.
-* **attach** — shard tasks open their payload's shard with
-  :func:`open_shard`, which for a descriptor is
-  :func:`moft_from_descriptor`; the attachment is cached per process
-  (one block at a time) and explicitly *unregistered* from the resource
-  tracker, so a pool worker never unlinks a segment it does not own.
-* **unlink** — only the creating side calls :meth:`ShardBlock.close`,
-  in a ``finally`` around the fan-out, so the segment disappears even
+* **the image** — :func:`serialize_shards` returns a :class:`ShardImage`
+  (the bytes, the row range of each shard, and a *content key* naming
+  exactly these bytes).  Whoever holds it can publish it any number of
+  times; :class:`~repro.parallel.ShardedExecutor` keeps it per table
+  version.
+* **the name** — :meth:`ShardImage.publish` copies the image into a
+  fresh ``repro-zc-*`` segment and returns the :class:`ShardBlock`
+  owning it plus one :class:`ShardDescriptor` per shard.  Only the
+  publishing side calls :meth:`ShardBlock.close`, in a ``finally``
+  around the one fan-out the block serves, so the name disappears even
   when a shard task fails or a fault-injection plan kills the run.
   ``tests/parallel/test_zero_copy.py`` sweeps ``/dev/shm`` around chaos
   runs to enforce the no-leak guarantee.
+* **the opened shard** — :func:`open_shard` keeps, per process, the last
+  :data:`MAX_OPEN_SHARDS` shards it opened, each with its attachment
+  and its :class:`~repro.mo.moft.MOFT`, under ``(content key, row
+  range)``.  A descriptor with a known key is answered from that map
+  without touching the new block: the old mapping outlives its unlinked
+  name, and the table keeps its segment index across fan-outs.  A miss
+  attaches to the descriptor's block and validates the image, as ever;
+  the attachment is never registered with the resource tracker, so a
+  pool worker never unlinks a segment it does not own.  An evicted
+  shard drops its views first and is then really unmapped.
 """
 
 from __future__ import annotations
@@ -32,33 +41,35 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mo.moft import MOFT
-from repro.mo.storage import (
-    MoftImage,
-    open_image,
-    serialize_columns,
-    table_from_image,
-)
+from repro.mo.storage import open_image, serialize_columns, table_from_image
 
 #: Prefix of every shard block's segment name; the leak-sweep tests key
 #: on it, and so can operators inspecting ``/dev/shm``.
 BLOCK_PREFIX = "repro-zc-"
 
 
+#: Opened shards a process keeps (one mapping and one table each).
+MAX_OPEN_SHARDS = 8
+
+
 @dataclass(frozen=True)
 class ShardDescriptor:
-    """One shard as a row range ``[start, stop)`` of a shared block."""
+    """One shard as a row range ``[start, stop)`` of a shared block;
+    ``key`` names the image the block holds (see :class:`ShardImage`)."""
 
     block: str
     start: int
     stop: int
+    key: str
 
     @property
     def rows(self) -> int:
@@ -66,7 +77,9 @@ class ShardDescriptor:
 
 
 class ShardBlock:
-    """The creating side's handle on one shared-memory shard image."""
+    """The creating side's handle on one shared-memory shard image: the
+    name to unlink.  The creator's own mapping ends as soon as the image
+    is written, so workers forked during the fan-out inherit none."""
 
     def __init__(self, shm: SharedMemory, nbytes: int) -> None:
         self._shm = shm
@@ -75,14 +88,10 @@ class ShardBlock:
         self._closed = False
 
     def close(self) -> None:
-        """Release and unlink the segment (idempotent, never raises)."""
+        """Unlink the segment (idempotent, never raises)."""
         if self._closed:
             return
         self._closed = True
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
         try:
             self._shm.unlink()
         except FileNotFoundError:
@@ -100,15 +109,44 @@ class ShardBlock:
         self.close()
 
 
-def create_shard_block(
-    shards: Sequence[MOFT],
-    name: Optional[str] = None,
-) -> Tuple[ShardBlock, List[ShardDescriptor]]:
-    """Serialize ``shards`` into one shared block; return its descriptors.
+@dataclass(frozen=True)
+class ShardImage:
+    """Shards serialized once: the index-less columnar image of their
+    concatenated rows, each shard's row range in it, and the content
+    key under which a process that opened a shard recognizes it again
+    in a later block."""
+
+    key: str
+    data: bytes
+    bounds: Tuple[Tuple[int, int], ...]
+
+    def publish(
+        self, name: Optional[str] = None
+    ) -> Tuple[ShardBlock, List[ShardDescriptor]]:
+        """Copy the image into a new shared block; return the owning
+        handle and descriptor ``i`` addressing shard ``i``'s rows."""
+        if name is None:
+            name = f"{BLOCK_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
+        shm = SharedMemory(create=True, size=len(self.data), name=name)
+        try:
+            shm.buf[: len(self.data)] = self.data
+            shm.close()
+        except BaseException:  # pragma: no cover - defensive
+            shm.close()
+            shm.unlink()
+            raise
+        block = ShardBlock(shm, len(self.data))
+        return block, [
+            ShardDescriptor(block.name, lo, hi, self.key)
+            for lo, hi in self.bounds
+        ]
+
+
+def serialize_shards(shards: Sequence[MOFT]) -> ShardImage:
+    """Serialize ``shards`` into one image (see :class:`ShardImage`).
 
     The shards' columns are concatenated in shard order (each shard's
-    internal row order preserved), so descriptor ``i`` addresses exactly
-    shard ``i``'s rows.  Raises
+    internal row order preserved).  Raises
     :class:`~repro.errors.MoftStorageError` when the object ids cannot
     be encoded (the caller then falls back to pickled payloads).
     """
@@ -127,7 +165,7 @@ def create_shard_block(
         oids.append(shard.oid_column())
         bounds.append((cursor, cursor + len(t)))
         cursor += len(t)
-    image = serialize_columns(
+    data = serialize_columns(
         table_name,
         np.concatenate(oids) if oids else np.empty(0, dtype=object),
         np.concatenate(ts) if ts else np.empty(0, dtype=float),
@@ -135,31 +173,25 @@ def create_shard_block(
         np.concatenate(ys) if ys else np.empty(0, dtype=float),
         include_index=False,
     )
-    if name is None:
-        name = f"{BLOCK_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
-    shm = SharedMemory(create=True, size=len(image), name=name)
-    try:
-        shm.buf[: len(image)] = image
-    except BaseException:  # pragma: no cover - defensive
-        shm.close()
-        shm.unlink()
-        raise
-    block = ShardBlock(shm, len(image))
-    descriptors = [
-        ShardDescriptor(block=block.name, start=lo, stop=hi)
-        for lo, hi in bounds
-    ]
-    return block, descriptors
+    return ShardImage(os.urandom(8).hex(), data, tuple(bounds))
+
+
+def create_shard_block(
+    shards: Sequence[MOFT],
+    name: Optional[str] = None,
+) -> Tuple[ShardBlock, List[ShardDescriptor]]:
+    """Serialize ``shards`` and publish the image once, in one step."""
+    return serialize_shards(shards).publish(name)
 
 
 # -- worker side ---------------------------------------------------------------
 
-# One attached block per process: fan-outs use a single block, so a
-# size-1 cache gives every task of a run a free attach after the first.
-_ATTACHED: Dict[str, Tuple[SharedMemory, MoftImage]] = {}
-
-
-_ATTACH_LOCK = threading.Lock()
+# (content key, start, stop) -> (attachment, shard), least recently
+# opened first.
+_OPEN: "OrderedDict[Tuple[str, int, int], Tuple[SharedMemory, MOFT]]" = (
+    OrderedDict()
+)
+_OPEN_LOCK = threading.Lock()
 
 
 def _attach(name: str) -> SharedMemory:
@@ -188,49 +220,60 @@ def _detach(shm: SharedMemory) -> None:
     """Close an attachment; abandon the mapping if views still export it.
 
     Abandoning (rather than erroring or retrying) is safe: the creator
-    owns the unlink, and a dangling private mapping is reclaimed by the
-    kernel when this process exits.  Nulling the handles also keeps
-    ``SharedMemory.__del__`` from re-raising at interpreter teardown.
+    owns the unlink, and the mapping goes with the last view of it (at
+    the latest when this process exits).  Nulling the handles also keeps
+    ``SharedMemory.__del__`` from re-raising at interpreter teardown;
+    the second ``close`` then releases the file descriptor, which a
+    long-lived worker would otherwise leak once per abandoned mapping.
     """
     try:
         shm.close()
     except BufferError:
         shm._buf = None
         shm._mmap = None
+        shm.close()
 
 
-def _drain_attachments() -> None:
-    for name in list(_ATTACHED):
-        shm, _ = _ATTACHED.pop(name)
+def _evict(keep: int) -> None:
+    """Close the least recently opened shards beyond ``keep`` of them."""
+    while len(_OPEN) > keep:
+        _, (shm, shard) = _OPEN.popitem(last=False)
+        del shard  # the views go first, then the mapping they view
         _detach(shm)
 
 
-atexit.register(_drain_attachments)
-
-
-def attached_image(name: str) -> MoftImage:
-    """The parsed columnar image of block ``name`` (cached per process)."""
-    with _ATTACH_LOCK:
-        hit = _ATTACHED.get(name)
-        if hit is not None:
-            return hit[1]
-        _drain_attachments()
-        shm = _attach(name)
-        image = open_image(shm.buf, source=f"shm://{name}")
-        _ATTACHED[name] = (shm, image)
-        return image
+atexit.register(_evict, 0)
 
 
 def moft_from_descriptor(descriptor: ShardDescriptor) -> MOFT:
-    """Materialize one shard as views over its shared block."""
-    image = attached_image(descriptor.block)
-    return table_from_image(image, descriptor.start, descriptor.stop)
+    """One shard as views over shared memory: the table this process
+    already opened under the descriptor's content key and row range, or
+    a new one over the descriptor's block (validated on attach)."""
+    slot = (descriptor.key, descriptor.start, descriptor.stop)
+    with _OPEN_LOCK:
+        hit = _OPEN.get(slot)
+        if hit is not None:
+            _OPEN.move_to_end(slot)
+            return hit[1]
+        shm = _attach(descriptor.block)
+        try:
+            shard = table_from_image(
+                open_image(shm.buf, source=f"shm://{descriptor.block}"),
+                descriptor.start,
+                descriptor.stop,
+            )
+        except BaseException:
+            _detach(shm)
+            raise
+        _OPEN[slot] = (shm, shard)
+        _evict(MAX_OPEN_SHARDS)
+        return shard
 
 
 def open_shard(shard: "MOFT | ShardDescriptor") -> MOFT:
     """The shard a task payload carries, whichever way it travelled: the
-    table itself (pickled transport) or views over the shared block its
-    descriptor names (zero-copy transport)."""
+    table itself (pickled transport) or views over shared memory
+    (zero-copy transport; resident between fan-outs)."""
     if isinstance(shard, ShardDescriptor):
         return moft_from_descriptor(shard)
     return shard
@@ -252,11 +295,13 @@ def leaked_segments() -> List[str]:
 
 __all__ = [
     "BLOCK_PREFIX",
+    "MAX_OPEN_SHARDS",
     "ShardBlock",
     "ShardDescriptor",
-    "attached_image",
+    "ShardImage",
     "create_shard_block",
     "leaked_segments",
     "moft_from_descriptor",
     "open_shard",
+    "serialize_shards",
 ]

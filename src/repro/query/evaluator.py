@@ -88,6 +88,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: kernel call costs about as much as walking a dozen segments.
 BATCH_MIN_ROWS = 64
 
+#: A time restriction as ``(window, instants)``: a closed ``[start,
+#: end]`` window or a DURING instant set (the set wins when both are
+#: given) — the arguments of :func:`restriction_mask` after ``t``.
+TimeRestriction = Tuple[Optional[Tuple[float, float]], Optional[Set[float]]]
+
+
+def restriction_mask(
+    t: np.ndarray,
+    window: Optional[Tuple[float, float]] = None,
+    instants: Optional[Set[float]] = None,
+) -> np.ndarray:
+    """The rows of an instant column ``t`` a time restriction keeps.
+
+    The one definition of "restricted to": :attr:`ThroughOperands
+    .row_mask` applies it to the whole table and every shard task of a
+    fanned-out scan to its own rows, so the two cannot disagree on an
+    instant (membership in ``instants`` is the ulp-tolerant test of
+    :func:`~repro.mo.moft.instants_member_mask`).
+    """
+    if instants is not None:
+        return instants_member_mask(t, sorted_instants(instants))
+    return (t >= window[0]) & (t <= window[1])
+
 
 class ShardedTrajectoryExecutor(Protocol):
     """What :func:`execute_through` needs from a parallel executor."""
@@ -98,9 +121,11 @@ class ShardedTrajectoryExecutor(Protocol):
         moft: MOFT,
         stats: Optional["EvaluationStats"] = None,
         n_shards: Optional[int] = None,
+        restriction: Optional[TimeRestriction] = None,
     ) -> Set[Hashable]:
         """Return the matched object ids, merged exactly across shards
-        (``n_shards``: a planner-chosen shard count for this one scan)."""
+        (``n_shards``: a planner-chosen shard count for this one scan;
+        ``restriction``: scan only the rows of ``moft`` it keeps)."""
         ...
 
 
@@ -443,15 +468,20 @@ class ThroughOperands:
     #: The table's mutation counter when the operands were resolved.
     version: int = 0
 
+    @property
+    def restriction(self) -> Optional[TimeRestriction]:
+        """The time restriction (None: the whole table)."""
+        if self.window is None and self.instants is None:
+            return None
+        return (self.window, self.instants)
+
     @cached_property
     def row_mask(self) -> Optional[np.ndarray]:
         """The time restriction as a row mask (None: the whole table)."""
+        if self.restriction is None:
+            return None
         t, _, _ = self.moft.as_arrays()
-        if self.instants is not None:
-            return instants_member_mask(t, sorted_instants(self.instants))
-        if self.window is not None:
-            return (t >= self.window[0]) & (t <= self.window[1])
-        return None
+        return restriction_mask(t, *self.restriction)
 
     @property
     def rows(self) -> int:
@@ -609,7 +639,10 @@ def execute_through(
     store already proves; otherwise the restricted table is scanned.
     Either scan is the one leaf (:meth:`TrajectoryIntersectionCounter
     .matching_objects`; ``use_index`` / ``early_exit`` / ``vectorized``
-    are its options), fanned out when ``executor`` is given.
+    are its options), fanned out when ``executor`` is given — which is
+    handed the whole table plus the restriction, for its shard tasks to
+    apply (:func:`restriction_mask`), so that the table it partitions
+    is the same object from query to query.
 
     ``preagg_hits`` / ``sliver_scan_rows`` go to the context observer
     and ``stats``; the scan's figures to ``stats`` when passed, else to
@@ -621,6 +654,7 @@ def execute_through(
     run = ThroughRun(set(), EvaluationStats())
     if not ops.ids:
         return run
+    restriction = None
     if use_store:
         started = time.perf_counter()
         run.matched = ops.store.objects_through(ops.ids, *ops.run)
@@ -634,6 +668,13 @@ def execute_through(
         ops.count("sliver_scan_rows", stats, len(sliver))
         # What the store already proves needs no second look.
         table = sliver.restrict_objects(sliver.objects() - run.matched)
+    elif executor is not None and ops.restriction is not None:
+        # The executor keeps the shards of the table it is handed: give
+        # it the one that lasts and let each shard task mask its rows,
+        # not a restricted table that is a new object per query.
+        table, restriction = ops.moft, ops.restriction
+        if not ops.rows:
+            return run
     else:
         table = ops.table
     if not len(table):
@@ -645,7 +686,8 @@ def execute_through(
     started = time.perf_counter()
     if executor is not None:
         run.matched |= executor.matching_objects(
-            counter, table, run.stats, n_shards=n_shards
+            counter, table, run.stats, n_shards=n_shards,
+            restriction=restriction,
         )
     else:
         run.matched |= counter.matching_objects(table, run.stats)
@@ -715,7 +757,8 @@ def count_objects_through(
     reuse it instead of rebuilding.
 
     ``executor`` optionally shards the trajectory scan: anything with a
-    ``matching_objects(counter, moft, stats, n_shards=None)`` method —
+    ``matching_objects(counter, moft, stats, n_shards=None,
+    restriction=None)`` method —
     in practice a :class:`repro.parallel.ShardedExecutor` — replaces the
     in-process scan, fanning shards out over its backend.  The
     differential oracle suite (``tests/parallel``) asserts the sharded
@@ -747,11 +790,13 @@ __all__ = [
     "ShardedTrajectoryExecutor",
     "ThroughOperands",
     "ThroughRun",
+    "TimeRestriction",
     "TrajectoryIntersectionCounter",
     "counter_for",
     "execute_through",
     "geometric_subquery",
     "resolve_through",
+    "restriction_mask",
     "validated_window",
     "objects_through",
     "count_objects_through",

@@ -21,9 +21,10 @@ module makes the choice a *costed* decision:
 * a **cost model** (:class:`CostModel`) pricing every candidate
   strategy in one abstract unit (≈ one geometry intersection check):
   rows×geometries for the serial scan, probe + coverage-discounted
-  checks for the indexed scan, scan/speedup + per-task overhead (+
-  per-row pickling for processes) for the sharded fan-out, and granule
-  reads + residual sliver scan for the pre-agg hybrid;
+  checks for the indexed scan, scan/speedup + per-task overhead (+ a
+  per-row charge for a table a process executor does not hold resident
+  yet) for the sharded fan-out, and granule reads + residual sliver
+  scan for the pre-agg hybrid;
 
 * an **EXPLAIN surface** — :func:`plan_count_objects_through` resolves
   and returns a :class:`QueryPlan` (:func:`plan_through` prices operands
@@ -163,12 +164,17 @@ class CostModel:
     index_build_per_geometry: float = 8.0
     #: Reading one store cell run entry, per geometry per granule.
     granule_cost: float = 0.5
-    #: Fixed per-shard-task overhead by backend.
+    #: Fixed per-shard-task overhead by backend.  Processes: the round
+    #: trip of one task through the executor's resident pool (0.25 ms
+    #: measured, at ~0.1 us a unit) — no pool is forked per fan-out.
     serial_task_overhead: float = 2.0
     thread_task_overhead: float = 400.0
-    process_task_overhead: float = 20000.0
-    #: Shipping one MOFT row across the process boundary (pickling).
-    process_row_ship_cost: float = 0.5
+    process_task_overhead: float = 2500.0
+    #: Making one row of a table the executor does not yet hold
+    #: resident: partition, shared-memory image, the workers' open and
+    #: segment index (78 ms per 100k rows measured).  Nothing crosses
+    #: the process boundary per row once the shards are resident.
+    process_row_ship_cost: float = 6.0
     #: Effective speedup of the threads backend — the trajectory scan is
     #: pure Python, so the GIL caps parallelism just above 1.
     thread_speedup: float = 1.15
@@ -198,15 +204,24 @@ class CostModel:
         return cost
 
     def sharded_cost(
-        self, scan: float, backend: str, n_shards: int, rows: int
+        self,
+        scan: float,
+        backend: str,
+        n_shards: int,
+        rows: int,
+        resident: bool = False,
     ) -> float:
-        """Cost of fanning a scan of cost ``scan`` over ``n_shards``."""
+        """Cost of fanning a scan of cost ``scan`` over ``n_shards``.
+
+        ``rows`` is the size of the table the executor partitions and
+        ``resident`` whether it already holds those shards (processes
+        backend: a table seen for the first time pays per row).
+        """
         if backend == "processes":
             speedup = float(max(1, n_shards))
-            overhead = (
-                n_shards * self.process_task_overhead
-                + rows * self.process_row_ship_cost
-            )
+            overhead = n_shards * self.process_task_overhead
+            if not resident:
+                overhead += rows * self.process_row_ship_cost
         elif backend == "threads":
             speedup = self.thread_speedup
             overhead = n_shards * self.thread_task_overhead
@@ -389,8 +404,11 @@ def plan_through(
             getattr(executor, "backend", None), "name", "serial"
         )
         shard_count = model.choose_shard_count(scan_rows, _available_cpus())
+        # (A restricted scan rides on the shards of the whole table.)
+        holds_shards = getattr(executor, "holds_shards", None)
         costs["sharded"] = model.sharded_cost(
-            costs["grid"], shard_backend, shard_count, scan_rows
+            costs["grid"], shard_backend, shard_count, len(moft),
+            resident=bool(holds_shards and holds_shards(moft, shard_count)),
         )
 
     sliver_rows = 0

@@ -106,7 +106,7 @@ def build_store(
             stores = list(pool.map(build, parts))
     else:
         stores = [build(part) for part in parts]
-    return PoiVisitStore.merge(stores, moft, snapshot)
+    return PoiVisitStore.merge(stores, moft, snapshot, time=context.time)
 
 
 def poi_store_view(

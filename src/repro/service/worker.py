@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import (
     IngestError,
@@ -57,6 +57,9 @@ from repro.service.queue import Job, JobQueue
 from repro.service.spec import QuerySpec, canonical_json, result_payload
 from repro.service.worlds import ServiceWorld
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.parallel import ShardedExecutor
+
 #: Error types whose jobs go straight to ``failed`` (no retry can help).
 NON_RETRYABLE = (QueryError, PietQLError, SchemaError, ServiceError, IngestError)
 
@@ -67,6 +70,7 @@ def execute_spec(
     backend: str = "serial",
     n_shards: Optional[int] = None,
     obs: Optional[PipelineStats] = None,
+    executor: Optional["ShardedExecutor"] = None,
 ) -> Tuple[str, Optional[str]]:
     """Execute one spec; return ``(canonical result JSON, explain text)``.
 
@@ -82,6 +86,12 @@ def execute_spec(
     ``ingest`` job landing on another worker mid-query can never tear
     this one's view.  ``ingest`` specs feed the world's ingestor and
     return the per-batch accounting as their result payload.
+
+    ``executor`` is the sharded executor to fan out on: a caller that
+    runs many specs passes one, so that its pool and resident shards
+    serve them all, and closes it when done.  Without it a throwaway
+    executor is built from ``backend`` / ``n_shards`` / ``obs`` and
+    closed before returning.
     """
     from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
     from repro.query.planner import planned_count_objects_through
@@ -100,28 +110,35 @@ def execute_spec(
         )
         return canonical_json(result_payload("ingest", report)), None
     context = world.query_context()
-    observer = obs if obs is not None else context.obs
-    executor = ShardedExecutor(
-        backend=backend, n_shards=n_shards, obs=observer
-    )
-    if spec.kind == "through":
-        count, plan = planned_count_objects_through(
-            context,
-            spec.target,
-            list(spec.constraints),
-            moft_name=spec.moft_name,
-            window=spec.window,
-            executor=executor,
+    throwaway = executor is None
+    if throwaway:
+        executor = ShardedExecutor(
+            backend=backend,
+            n_shards=n_shards,
+            obs=obs if obs is not None else context.obs,
         )
-        return (
-            canonical_json(result_payload("through", count)),
-            plan.render(),
-        )
-    result = ShardedPietQLExecutor(
-        context, world.bindings, sharded=executor
-    ).execute(spec.text)
-    explain = result.plan.render() if result.plan is not None else None
-    return canonical_json(result_payload("pietql", result)), explain
+    try:
+        if spec.kind == "through":
+            count, plan = planned_count_objects_through(
+                context,
+                spec.target,
+                list(spec.constraints),
+                moft_name=spec.moft_name,
+                window=spec.window,
+                executor=executor,
+            )
+            return (
+                canonical_json(result_payload("through", count)),
+                plan.render(),
+            )
+        result = ShardedPietQLExecutor(
+            context, world.bindings, sharded=executor
+        ).execute(spec.text)
+        explain = result.plan.render() if result.plan is not None else None
+        return canonical_json(result_payload("pietql", result)), explain
+    finally:
+        if throwaway:
+            executor.close()
 
 
 def _job_metrics(job: Job, run_seconds: float) -> str:
@@ -155,7 +172,9 @@ class Worker:
         :meth:`~repro.service.queue.JobQueue.extend_lease` (not done
         automatically — queries here are short).
     backend / n_shards:
-        The sharded-executor configuration jobs execute with.
+        The configuration of the worker's one sharded executor — built
+        with the first job, shared by every later one (on ``processes``:
+        one pool, forked then), closed by :meth:`stop`.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injecting worker
         crashes and failures (testing only); see the module docstring
@@ -185,6 +204,26 @@ class Worker:
         self.fault_plan = fault_plan
         self.obs = obs if obs is not None else queue.obs
         self.clock = clock
+        self._executor: Optional["ShardedExecutor"] = None
+
+    def _sharded(self) -> "ShardedExecutor":
+        """The one executor every job of this worker fans out on, built
+        with the first job that needs it: its pool and resident shards
+        then serve the jobs that follow."""
+        if self._executor is None:
+            from repro.parallel import ShardedExecutor
+
+            self._executor = ShardedExecutor(
+                backend=self.backend, n_shards=self.n_shards, obs=self.obs
+            )
+        return self._executor
+
+    def stop(self) -> None:
+        """Close the worker's executor (pool and resident shards).  The
+        worker stays usable: the next job builds a new one."""
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
 
     # -- fault-plan consultation ---------------------------------------------
 
@@ -236,11 +275,7 @@ class Worker:
                     )
                 time.sleep(fault.latency_s)  # latency fault
             result_json, explain = execute_spec(
-                job.spec,
-                self.world,
-                backend=self.backend,
-                n_shards=self.n_shards,
-                obs=self.obs,
+                job.spec, self.world, executor=self._sharded()
             )
             run_seconds = self.clock() - started
             self.obs.record("service_run", run_seconds)
@@ -372,11 +407,14 @@ class WorkerPool:
             self._stop.wait(self.reap_interval_s)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Signal every thread and join them."""
+        """Signal every thread, join them, and stop the workers (each
+        closes its executor)."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
+        for worker in self.workers:
+            worker.stop()
 
     def drain(self, timeout: float = 60.0) -> None:
         """Block until no job is queued, claimed or running.

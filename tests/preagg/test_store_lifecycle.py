@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 
 from repro.errors import PreAggError
+from repro.geometry.poi import Poi
+from repro.geometry.point import Point
 from repro.gis import POLYGON
 from repro.mo import MOFT
+from repro.parallel import ShardedExecutor
 from repro.poi import PoiVisitStore
 from repro.preagg import PreAggStore
 from repro.query.aggregate import total_dwell_time
@@ -236,14 +239,22 @@ class TestSnapshot:
         assert_same(kind, moved, kind.build(world, moft=shorter))
 
     def test_pickle_round_trip(self, world):
-        """Shard stores come back from the ``processes`` backend pickled.
-        (Polygon kind only: ``repro.geometry.poi.Poi`` itself does not
-        unpickle, and POI shards are built on threads.)"""
-        kind = PolygonKind()
-        store = kind.build(world)
-        twin = pickle.loads(pickle.dumps(store, pickle.HIGHEST_PROTOCOL))
-        assert_same(kind, twin, store)
-        assert not twin.is_stale()
+        """Shard stores come back from the ``processes`` backend pickled
+        (both kinds in the one test, which predates ``Poi`` pickling)."""
+        for kind in (PolygonKind(), PoiKind()):
+            store = kind.build(world)
+            twin = pickle.loads(pickle.dumps(store, pickle.HIGHEST_PROTOCOL))
+            assert_same(kind, twin, store)
+            assert not twin.is_stale()
+
+    def test_poi_pickle_round_trip(self):
+        poi = Poi(Point(1, 2), 3.0)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(poi, protocol))
+            assert twin == poi and hash(twin) == hash(poi)
+            assert (twin.center, twin.radius) == (Point(1, 2), 3.0)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.radius = 4.0
 
 
 class TestClone:
@@ -367,6 +378,36 @@ class TestMerge:
         assert merged.is_stale()
         assert merged.update() == "delta"
         assert_same(kind, merged, kind.build(world))
+
+    def test_merge_of_unpickled_shards_watches_the_given_dimension(
+        self, kind, world
+    ):
+        """Shard stores back from another process hold copies of the
+        Time dimension that no later edit reaches."""
+        shards = [
+            pickle.loads(pickle.dumps(shard))
+            for shard in self.shards(kind, world)
+        ]
+        assert shards[0].time is not world.time
+        merged = kind.store_type.merge(shards, world.moft, time=world.time)
+        assert merged.time is world.time and not merged.is_stale()
+        world.time.instance.set_rollup("hour", 99, "timeOfDay", "Other")
+        assert merged.is_stale()
+        assert merged.update() == "rebuild"
+        assert_same(kind, merged, kind.build(world))
+
+    def test_store_built_on_processes_sees_a_dimension_edit(self, world):
+        kind = PolygonKind()
+        store = ShardedExecutor("processes", n_shards=2).build_preagg_store(
+            world.moft, world.time, "day", world.polygons,
+            layer="Ln", kind=POLYGON,
+        )
+        assert not store.is_stale()
+        assert_same(kind, store, kind.build(world))
+        world.time.instance.set_rollup("hour", 99, "timeOfDay", "Other")
+        assert store.is_stale()
+        assert store.update() == "rebuild"
+        assert_same(kind, store, kind.build(world))
 
 
 class TestServes:
