@@ -147,8 +147,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     .disc_clip_batch`), whichever backend ran.
 ``stop_episodes`` / ``poi_visits``
     The stop/move layer (:mod:`repro.poi`): stop episodes produced by
-    :func:`~repro.poi.segment_stops_moves`, and per-(POI, granule) visit
-    attributions folded into cells by :func:`~repro.poi.poi_cells`.
+    :func:`~repro.poi.segment_stops_moves` or, for a whole table, by the
+    segmented scan (:func:`~repro.poi.segmentation.batch_stops` — the
+    same episodes), and per-(POI, granule) visit attributions folded
+    into the cell table (a store build or :func:`~repro.poi.poi_cells`).
 ``poi_preagg_hits`` / ``poi_preagg_misses``
     POI aggregate routing (:mod:`repro.query.poi`): queries served from
     a registered fresh :class:`~repro.poi.PoiVisitStore`, and queries

@@ -13,13 +13,21 @@ Everything is exact clipped arithmetic: the in-disc test solves
 kernel (:func:`repro.geometry.kernels.disc_clip_batch`), so dwell
 attribution is bit-reproducible and identical across the serial,
 sharded and pre-aggregated query paths.
+
+Two forms of one semantic.  :func:`segment_stops_moves` walks a single
+trajectory (``_merged_intervals``, then the cursor rule ``_scan_stops``)
+and is the oracle.  :func:`batch_stops` finds the same stops for every
+object of a segment batch in array passes — interval merge by exact
+equality, one stable sort, the cursor rule applied rank by rank inside
+runs of overlapping candidates — and hands only the last few long runs
+to ``_scan_stops`` (docs/poi.md, "Segmented scan").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,51 +176,105 @@ def _checked_min_dwell(min_dwell: float) -> float:
     return min_dwell
 
 
+#: The cursor rule leaves the array passes for the scalar scan once this
+#: few overlap runs are still open: under it one pass of numpy calls
+#: costs more than walking the candidates it would decide.
+_SCALAR_TAIL_RUNS = 64
+
+
+def _overlap_run_heads(obj: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where an overlap run opens, over candidates in (object, start) order:
+    at an object's first candidate and at every one starting at or after
+    the latest end among its object's earlier candidates."""
+    n = a.size
+    first = np.ones(n, dtype=bool)
+    first[1:] = obj[1:] != obj[:-1]
+    # Running maximum of ``b`` per object, exactly: ends go by their rank,
+    # an object's ranks above every earlier object's, one global cummax.
+    by_end = np.argsort(b, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_end] = np.arange(n)
+    base = (np.cumsum(first) - 1) * n
+    reach = b[by_end[np.maximum.accumulate(base + rank) - base]]
+    first[1:] |= a[1:] >= reach[:-1]
+    return np.flatnonzero(first)
+
+
 def batch_stops(
     batch: SegmentBatch,
     pois: Mapping[Hashable, Union[Poi, Point]],
     radius: Optional[float] = None,
     min_dwell: float = 0.0,
     obs=None,
-) -> Dict[int, List[Tuple[float, float, Hashable]]]:
-    """The stops of every object of a segment batch, keyed by ``batch.obj``.
+) -> Tuple[np.ndarray, ...]:
+    """Every stop of a segment batch: ``(obj, start, end, poi)`` arrays
+    in (object, time) order — ``obj`` as in ``batch.obj``, ``poi`` a
+    position in ``sorted(pois, key=repr)``.
 
-    One disc-kernel call per POI over all objects; the interval merge and
-    the SMoT scan of :func:`segment_stops_moves` then run only for the
-    (object, POI) pairs the kernel found inside.  Objects without a stop
-    are absent.
+    :func:`segment_stops_moves` for all objects at once, in array passes
+    whose number grows with the POIs and the longest overlap run, never
+    with the objects (docs/poi.md, "Segmented scan").
     """
     min_dwell = _checked_min_dwell(min_dwell)
-    obj = batch.obj
-    candidates: Dict[int, List[Tuple[float, float, str, Hashable]]] = {}
-    for gid in sorted(pois, key=repr):
+    pieces = [(np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))]
+    for position, gid in enumerate(sorted(pois, key=repr)):
         cx, cy, r = _disc_of(pois[gid], radius)
         lo, hi = disc_clip_batch(
             cx, cy, r, batch.x0, batch.y0, batch.x1, batch.y1, obs=obs
         )
         inside = np.flatnonzero(hi > lo)
-        # ``obj`` ascends, so one object's pieces are one run of ``inside``.
-        owner = obj[inside]
-        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), inside.size]
-        owner = owner.tolist()
-        t0s, t1s = batch.t0[inside].tolist(), batch.t1[inside].tolist()
-        lo, hi = lo[inside].tolist(), hi[inside].tolist()
-        for a, b in zip(cuts, cuts[1:]) if inside.size else ():
-            intervals = _merged_intervals(
-                t0s[a:b], t1s[a:b], lo[a:b], hi[a:b]
-            )
-            candidates.setdefault(owner[a], []).extend(
-                (start, end, repr(gid), gid) for start, end in intervals
-            )
-    stops = {}
-    for position, found in candidates.items():
-        t_min = float(batch.t0[batch.offsets[position - batch.first]])
-        found = _scan_stops(found, t_min, min_dwell)
-        if found:
-            stops[position] = found
+        pieces.append(
+            (inside, lo[inside], hi[inside], np.full(inside.size, position))
+        )
+    inside, lo, hi, poi = map(np.concatenate, zip(*pieces))
+    # The endpoints of `_merged_intervals`, by the same float operations.
+    t0, t1 = batch.t0[inside], batch.t1[inside]
+    dt = t1 - t0
+    a = np.where(lo == 0.0, t0, t0 + lo * dt)
+    b = np.where(hi == 1.0, t1, t0 + hi * dt)
+    keep = np.flatnonzero(b > a)
+    obj, a, b, poi = batch.obj[inside[keep]], a[keep], b[keep], poi[keep]
+    # Pieces merge while POI and object stay and each starts exactly
+    # where the one before ended; a candidate is the span of its run,
+    # which closes before the next opens (the last: at index -1).
+    opens = np.ones(a.size, dtype=bool)
+    opens[1:] = (
+        (a[1:] != b[:-1]) | (obj[1:] != obj[:-1]) | (poi[1:] != poi[:-1])
+    )
+    opens = np.flatnonzero(opens)
+    obj, a, poi = obj[opens], a[opens], poi[opens]
+    b = b[np.append(opens[1:], opens[:1]) - 1]
+    # The scan order of `_scan_stops`; the sort is stable and POIs came
+    # in sorted-repr order, which is the tie-break on repr(poi id).
+    order = np.lexsort((b, a, obj))
+    obj, a, b, poi = obj[order], a[order], b[order], poi[order]
+
+    # The cursor only ever truncates a candidate that starts before an
+    # earlier one of its object ends, so every overlap run is scanned on
+    # its own from an unset cursor — the p-th candidates of all runs in
+    # one pass, and the last few long runs by the scalar scan.
+    heads = _overlap_run_heads(obj, a, b)
+    lengths = np.diff(np.append(heads, a.size))
+    cursor = np.full(heads.size, -np.inf)
+    start, stop = a.copy(), np.zeros(a.size, dtype=bool)
+    live, p = np.arange(heads.size), 0
+    while live.size > _SCALAR_TAIL_RUNS:
+        at = heads[live] + p
+        begin = np.where(a[at] >= cursor[live], a[at], cursor[live])
+        ok = (b[at] > begin) & (b[at] - begin >= min_dwell)
+        start[at], stop[at] = begin, ok
+        cursor[live[ok]] = b[at[ok]]
+        p += 1
+        live = live[lengths[live] > p]
+    for run in live.tolist():
+        lo, hi = int(heads[run]) + p, int(heads[run] + lengths[run])
+        rows = range(lo, hi)
+        tail = list(zip(a[lo:hi].tolist(), b[lo:hi].tolist(), rows, rows))
+        for begin, _, row in _scan_stops(tail, float(cursor[run]), min_dwell):
+            start[row], stop[row] = begin, True
     if obs is not None:
-        obs.incr("stop_episodes", sum(map(len, stops.values())))
-    return stops
+        obs.incr("stop_episodes", int(stop.sum()))
+    return obj[stop], start[stop], b[stop], poi[stop]
 
 
 def poi_stop_intervals(

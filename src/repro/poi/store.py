@@ -16,10 +16,16 @@ Cell semantics (one stop episode ``[a, b]`` at POI ``g``):
 * ``visitor`` — the object is a visitor of every cell it received a
   visit or positive clipped dwell in.
 
-Byte-reproducibility: all state is kept *per object*; read methods fold
-objects in sorted-``repr`` order, so the serial scan, shard-merged and
-incrementally-updated stores produce identical floats and identical
-canonical JSON (pinned by ``tests/poi/test_poi_differential.py``).
+Byte-reproducibility: the cells are one columnar :class:`CellTable`, a
+row per (object, POI, granule), sorted by codes that ascend with the
+``repr`` of object and POI id.  A row's dwell is summed in stop time
+order when the table is made, and every read sums rows in table order —
+objects in sorted-``repr`` order — with ``np.bincount``, which adds left
+to right.  No state depends on which other objects share the table, so
+the serial scan, shard-merged and incrementally-updated stores hold
+equal tables and produce identical floats and identical canonical JSON
+(pinned by ``tests/poi/test_poi_differential.py`` and, read by read
+against a plain dict fold, ``tests/poi/test_poi_store.py``).
 
 The lifecycle is :class:`repro.cellstore.GranuleStore`'s, shared with
 the polygon store: stale means the table *or* the Time dimension moved
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +97,103 @@ def _object_cells(
     )
 
 
+class CellTable(NamedTuple):
+    """The cells as columns: one row per (object, POI, granule) holding a
+    visit or dwell, sorted by ``(oid, gid, granule)``.
+
+    ``oids`` interns the objects that hold a row, in sorted-``repr``
+    order, and ``gid`` indexes the POI ids sorted the same way — so the
+    row order *is* the canonical fold order and no read sorts by
+    ``repr``.  ``cells`` lists the distinct ``gid * n_granules +
+    granule`` keys ascending and ``cell`` each row's position in it: the
+    group-by of the per-(POI, granule) reads, made once per table.
+    """
+
+    oids: Tuple[Hashable, ...]
+    oid: np.ndarray
+    gid: np.ndarray
+    granule: np.ndarray
+    visits: np.ndarray
+    dwell: np.ndarray
+    cells: np.ndarray
+    cell: np.ndarray
+
+
+#: The five row columns of a table without rows.
+_NO_ROWS = (np.empty(0, dtype=np.intp),) * 4 + (np.empty(0, dtype=np.float64),)
+
+
+def _cell_table(names, oid, gid, granule, visits, dwell, n_granules) -> CellTable:
+    """Intern and sort rows whose object is ``names[oid]``; a name that
+    holds no row is dropped.  Each object's rows come together and in
+    ``(gid, granule)`` order — as scans and sorted tables have them — so
+    a stable sort by object is the whole sort."""
+    held = np.flatnonzero(np.bincount(oid, minlength=len(names)))
+    by_repr = sorted(held.tolist(), key=lambda i: repr(names[i]))
+    code = np.empty(len(names), dtype=np.intp)
+    code[by_repr] = np.arange(len(by_repr))
+    oid = code[oid]
+    order = np.argsort(oid, kind="stable")
+    gid, granule = gid[order], granule[order]
+    cells, cell = np.unique(gid * n_granules + granule, return_inverse=True)
+    return CellTable(
+        tuple(names[i] for i in by_repr), oid[order], gid, granule,
+        visits[order], dwell[order], cells, cell,
+    )
+
+
+def _stop_rows(obj, a, b, gid, starts: np.ndarray, n_gids: int):
+    """:func:`_stop_cells` over the stop arrays of :func:`~repro.poi
+    .segmentation.batch_stops`: ``(obj, gid, granule, visits, dwell)``,
+    one row per cell.  ``np.bincount`` adds its weights in input order —
+    stop time order — so a cell's dwell is the same left-to-right float
+    sum (``np.add.reduceat`` and ``sum`` add pairwise and differ)."""
+    n = starts.size
+    ends = np.append(starts[1:], np.inf)
+    code = np.maximum(np.searchsorted(starts, a, "right") - 1, 0)
+    span = np.searchsorted(ends, b, "left") - code + 1
+    stop = np.repeat(np.arange(a.size), span)
+    window = np.arange(stop.size) - np.repeat(np.cumsum(span) - span, span)
+    opening = window == 0
+    window += code[stop]
+    # Every window a stop reaches holds a positive piece of it: the
+    # opening one ends after ``a``, a later one starts before ``b``.
+    piece = np.minimum(b[stop], ends[window]) - np.where(
+        opening, a[stop], starts[window]
+    )
+    keys, group = np.unique(
+        (obj[stop] * n_gids + gid[stop]) * n + window, return_inverse=True
+    )
+    return (
+        keys // (n_gids * n), keys // n % n_gids, keys % n,
+        np.bincount(group[opening], minlength=keys.size),
+        np.bincount(group, weights=piece, minlength=keys.size),
+    )
+
+
+def _scan_cells(moft: MOFT, starts, pois, min_dwell, radius, obs) -> CellTable:
+    """The cell table of ``moft`` over granules starting at ``starts`` —
+    the shared scan primitive of the serial path, the shards and the
+    store.  Each segment batch goes through the disc kernel once per POI
+    and the array passes of :func:`~repro.poi.segmentation.batch_stops`
+    and :func:`_stop_rows`; one object's rows never depend on another's,
+    which is what makes the three strategies byte-identical."""
+    starts = np.asarray(starts, dtype=np.float64)
+    found = [_NO_ROWS]
+    for batch in moft.segments():
+        stops = batch_stops(
+            batch, pois, radius=radius, min_dwell=min_dwell, obs=obs
+        )
+        found.append(_stop_rows(*stops, starts, len(pois)))
+    table = _cell_table(
+        moft.segment_index().oids, *map(np.concatenate, zip(*found)),
+        starts.size,
+    )
+    if obs is not None and table.visits.size:
+        obs.incr("poi_visits", int(table.visits.sum()))
+    return table
+
+
 def poi_cells(
     moft: MOFT,
     time: TimeDimension,
@@ -101,36 +204,35 @@ def poi_cells(
     oids: Optional[Sequence[Hashable]] = None,
     obs=None,
 ) -> Dict[Hashable, ObjectCells]:
-    """Per-object POI cells of ``moft`` — the shared scan primitive.
-
-    The serial query path calls this directly; shards call it on their
-    object partition; :class:`PoiVisitStore` materializes its result
-    (``oids`` restricts it to the objects an append touched).  The
-    table's segment table goes through the disc kernel once per POI
-    (:func:`~repro.poi.segmentation.batch_stops`); one object's cells
-    never depend on another's, which is what makes the three strategies
-    byte-identical.
-    """
-    partition = time.granules(granule_level)
-    starts = np.asarray(partition.starts, dtype=np.float64)
+    """Per-object POI cells of ``moft`` (``oids``: of those objects): the
+    cell table (:func:`_scan_cells`) rendered as dicts — what the differential
+    suites compare with the per-trajectory walk :func:`_object_cells`."""
     if oids is not None:
         moft = moft.restrict_objects(oids)
-    names = moft.segment_index().oids
-    stops: Dict[Hashable, list] = {}
-    for batch in moft.segments():
-        found = batch_stops(
-            batch, pois, radius=radius, min_dwell=min_dwell, obs=obs
-        )
-        stops.update((names[position], found[position]) for position in found)
-    # Cells are made in the order readers fold them (sorted ``repr``):
-    # a store read walks its cells in allocation order.
-    out = {
-        oid: _stop_cells(stops[oid], starts) for oid in sorted(stops, key=repr)
-    }
-    total_visits = sum(v for cells in out.values() for v, _ in cells.values())
-    if obs is not None and total_visits:
-        obs.incr("poi_visits", total_visits)
+    starts = time.granules(granule_level).starts
+    table = _scan_cells(moft, starts, pois, min_dwell, radius, obs)
+    gids = sorted(pois, key=repr)
+    out: Dict[Hashable, ObjectCells] = {oid: {} for oid in table.oids}
+    for oid, gid, code, visits, dwell in zip(
+        *(column.tolist() for column in table[1:6])
+    ):
+        out[table.oids[oid]][(gids[gid], code)] = (visits, dwell)
     return out
+
+
+def _fold(group: np.ndarray, labels: list, values: np.ndarray) -> dict:
+    """``{labels[g]: sum of values over the rows of group g}`` as a dict
+    fold over the table's rows builds it: the left-to-right float sum
+    (see :func:`_stop_rows`), a group without a non-zero row absent, keys
+    in the order of their first such row."""
+    rows = np.flatnonzero(values)
+    first = np.full(len(labels), values.size)
+    np.minimum.at(first, group[rows], rows)
+    order = np.argsort(first, kind="stable")
+    order = order[: np.count_nonzero(first < values.size)].tolist()
+    sums = np.bincount(group, weights=values, minlength=len(labels))
+    sums = sums[order].astype(values.dtype).tolist()
+    return {labels[g]: total for g, total in zip(order, sums)}
 
 
 class PoiVisitStore(GranuleStore):
@@ -171,39 +273,41 @@ class PoiVisitStore(GranuleStore):
 
     # -- build / maintenance --------------------------------------------------
 
-    def _scan(self, oids: Optional[Sequence[Hashable]] = None) -> Dict[Hashable, ObjectCells]:
-        return poi_cells(
-            self.moft,
-            self.time,
-            self.granule_level,
-            self.pois,
-            min_dwell=self.min_dwell,
-            radius=self.radius,
-            oids=oids,
-            obs=self.obs,
+    def _scan(self, oids: Optional[Sequence[Hashable]] = None) -> CellTable:
+        moft = self.moft if oids is None else self.moft.restrict_objects(oids)
+        return _scan_cells(
+            moft, self.partition.starts, self.pois, self.min_dwell,
+            self.radius, self.obs,
         )
 
     def _empty_cells(self) -> None:
-        self._per_object: Dict[Hashable, ObjectCells] = {}
+        self._table = _cell_table((), *_NO_ROWS, len(self.partition))
 
     def _build_cells(self) -> None:
-        self._per_object = self._scan()
+        self._table = self._scan()
+
+    def _joined(self, keep, other: CellTable) -> CellTable:
+        """Rows ``keep`` of the table plus ``other``'s (over other
+        objects), interned and sorted again — into new arrays: a pinned
+        clone goes on reading the table it has."""
+        mine = self._table
+        return _cell_table(
+            mine.oids + other.oids,
+            np.concatenate((mine.oid[keep], other.oid + len(mine.oids))),
+            *(np.concatenate((x[keep], y)) for x, y in zip(mine[2:6], other[2:6])),
+            len(self.partition),
+        )
 
     def _fold_rows(self, start: int) -> None:
         """A *stop is not prefix-decomposable*: new samples can extend (or
         create) an episode that earlier rows alone did not justify, so
         the delta path re-segments every object that gained rows — whole
-        trajectories, but only the touched objects."""
-        touched = sorted(set(self.moft.oid_column()[start:]), key=repr)
-        fresh = self._scan(oids=touched)
-        per_object = dict(self._per_object)
-        for oid in touched:
-            cells = fresh.get(oid)
-            if cells:
-                per_object[oid] = cells
-            else:
-                per_object.pop(oid, None)
-        self._per_object = per_object
+        trajectories, but only the touched objects, whose old rows go."""
+        touched = set(self.moft.oid_column()[start:])
+        stale = [i for i, oid in enumerate(self._table.oids) if oid in touched]
+        self._table = self._joined(
+            ~np.isin(self._table.oid, stale), self._scan(oids=touched)
+        )
 
     def update(self) -> str:
         """:meth:`GranuleStore.update`, counting ``poi_store_updates``."""
@@ -213,54 +317,57 @@ class PoiVisitStore(GranuleStore):
         return outcome
 
     def _own_cells(self) -> None:
-        """Nothing to copy: folds rebind the cell dicts, never mutate."""
+        """Nothing to copy: folds rebind the table, never write into it."""
 
     def _absorb(self, store: "PoiVisitStore") -> None:
-        self._per_object.update(store._per_object)
+        self._table = self._joined(slice(None), store._table)
 
     def _objects(self):
         """Objects holding a cell; one that never stopped leaves none."""
-        return self._per_object.keys()
+        return self._table.oids
 
     # -- reads ----------------------------------------------------------------
 
-    def _member(self, code: int) -> Hashable:
-        return self.partition.members[code]
+    def _labels(self, keys: np.ndarray, partition) -> list:
+        """``(poi id, granule member)`` of ``gid * len(partition) + code`` keys."""
+        gid, code = np.divmod(keys, len(partition))
+        members = partition.members
+        return [(self.gids[g], members[c]) for g, c in zip(gid.tolist(), code.tolist())]
 
-    def _fold(self):
-        """Yield ``(oid, gid, code, visits, dwell)`` in canonical order."""
-        for oid in sorted(self._per_object, key=repr):
-            cells = self._per_object[oid]
-            for (gid, code) in sorted(cells, key=lambda k: (repr(k[0]), k[1])):
-                visits, dwell = cells[(gid, code)]
-                yield oid, gid, code, visits, dwell
+    def _by_cell(self):
+        """The per-(POI, granule) group-by: each row's group, each group's key."""
+        return self._table.cell, self._labels(self._table.cells, self.partition)
+
+    def _visitors(self, group: np.ndarray, labels: list) -> dict:
+        """``{labels[g]: the distinct objects of group g's rows}`` in row
+        (sorted-``repr``) order, keys in the order of their first row."""
+        table = self._table
+        by_group = np.argsort(group, kind="stable")
+        oid, owner = table.oid[by_group], group[by_group]
+        opens = np.ones(oid.size, dtype=bool)
+        opens[1:] = owner[1:] != owner[:-1]
+        fresh = opens.copy()
+        fresh[1:] |= oid[1:] != oid[:-1]
+        ids = [table.oids[i] for i in oid[fresh].tolist()]
+        cuts = np.append(np.flatnonzero(opens[fresh]), len(ids)).tolist()
+        return {
+            labels[g]: tuple(ids[cuts[g]:cuts[g + 1]])
+            for g in np.argsort(by_group[opens]).tolist()
+        }
 
     def visit_counts(self) -> Dict[Tuple[Hashable, Hashable], int]:
         """``{(poi id, granule member): visit count}`` — non-zero cells."""
-        out: Dict[Tuple[Hashable, Hashable], int] = {}
-        for _, gid, code, visits, _ in self._fold():
-            if visits:
-                key = (gid, self._member(code))
-                out[key] = out.get(key, 0) + visits
-        return out
+        return _fold(*self._by_cell(), self._table.visits)
 
     def dwell_times(self) -> Dict[Tuple[Hashable, Hashable], float]:
         """``{(poi id, granule member): dwell}`` folded in canonical order."""
-        out: Dict[Tuple[Hashable, Hashable], float] = {}
-        for _, gid, code, _, dwell in self._fold():
-            if dwell:
-                key = (gid, self._member(code))
-                out[key] = out.get(key, 0.0) + dwell
-        return out
+        return _fold(*self._by_cell(), self._table.dwell)
 
     def distinct_visitors(
         self,
     ) -> Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]]:
         """``{(poi id, granule member): sorted visitor ids}``."""
-        out: Dict[Tuple[Hashable, Hashable], List[Hashable]] = {}
-        for oid, gid, code, _, _ in self._fold():
-            out.setdefault((gid, self._member(code)), []).append(oid)
-        return {key: tuple(oids) for key, oids in out.items()}
+        return self._visitors(*self._by_cell())
 
     def topk(self, k: int) -> Dict[Hashable, Tuple[Tuple[Hashable, int], ...]]:
         """Top-``k`` POIs by distinct visitors, per granule member.
@@ -271,19 +378,15 @@ class PoiVisitStore(GranuleStore):
         """
         if k < 1:
             raise PreAggError(f"top-k needs k >= 1, got {k}")
-        counts: Dict[Hashable, Dict[Hashable, int]] = {}
-        for (gid, member), visitors in self.distinct_visitors().items():
-            counts.setdefault(member, {})[gid] = len(visitors)
-        out: Dict[Hashable, Tuple[Tuple[Hashable, int], ...]] = {}
-        for member in self.partition.members:
-            ranking = counts.get(member)
-            if not ranking:
-                continue
-            ordered = sorted(
-                ranking.items(), key=lambda item: (-item[1], repr(item[0]))
-            )
-            out[member] = tuple(ordered[:k])
-        return out
+        table, members = self._table, self.partition.members
+        gid, code = np.divmod(table.cells, len(members))
+        # A row is one visitor of its cell; gid codes ascend with repr.
+        count = np.bincount(table.cell, minlength=table.cells.size)
+        order = np.lexsort((gid, -count, code))
+        ranked: Dict[Hashable, list] = {}
+        for c, g, n in zip(*(x[order].tolist() for x in (code, gid, count))):
+            ranked.setdefault(members[c], []).append((self.gids[g], n))
+        return {member: tuple(top[:k]) for member, top in ranked.items()}
 
     # -- rollups / cube -------------------------------------------------------
 
@@ -294,23 +397,17 @@ class PoiVisitStore(GranuleStore):
         keyed ``(poi id, parent member)``.
         """
         parent, mapping = self.partition.rollup_codes(self.time, parent_level)
-        visits: Dict[Tuple[Hashable, Hashable], int] = {}
-        dwell: Dict[Tuple[Hashable, Hashable], float] = {}
-        visitors: Dict[Tuple[Hashable, Hashable], List[Hashable]] = {}
-        for oid, gid, code, n, d in self._fold():
-            key = (gid, parent.members[int(mapping[code])])
-            if n:
-                visits[key] = visits.get(key, 0) + n
-            if d:
-                dwell[key] = dwell.get(key, 0.0) + d
-            bucket = visitors.setdefault(key, [])
-            if not bucket or bucket[-1] != oid:
-                bucket.append(oid)
+        table = self._table
+        keys, group = np.unique(
+            table.gid * len(parent) + mapping[table.granule],
+            return_inverse=True,
+        )
+        labels = self._labels(keys, parent)
         return (
             parent,
-            visits,
-            dwell,
-            {key: tuple(oids) for key, oids in visitors.items()},
+            _fold(group, labels, table.visits),
+            _fold(group, labels, table.dwell),
+            self._visitors(group, labels),
         )
 
     def rollup_space(self, mapping):
@@ -351,18 +448,13 @@ class PoiVisitStore(GranuleStore):
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        cells = set()
-        visits = 0
-        for _, gid, code, n, _ in self._fold():
-            cells.add((gid, code))
-            visits += n
         return {
             "name": self.name,
             "granule_level": self.granule_level,
             "pois": len(self.pois),
-            "objects": len(self._per_object),
-            "cells": len(cells),
-            "visits": visits,
+            "objects": len(self._table.oids),
+            "cells": self._table.cells.size,
+            "visits": int(self._table.visits.sum()),
             "min_dwell": self.min_dwell,
             "stale": self.is_stale(),
         }
@@ -370,5 +462,5 @@ class PoiVisitStore(GranuleStore):
     def __repr__(self) -> str:
         return (
             f"PoiVisitStore({self.name!r}, granule={self.granule_level!r}, "
-            f"pois={len(self.pois)}, objects={len(self._per_object)})"
+            f"pois={len(self.pois)}, objects={len(self._table.oids)})"
         )

@@ -684,15 +684,19 @@ def plan_poi_aggregate(
     k: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
     force_strategy: Optional[str] = None,
+    shards: Optional[int] = None,
+    backend: str = "threads",
 ) -> QueryPlan:
     """Price the POI aggregate strategies and pick the cheapest.
 
     The candidate space mirrors :func:`plan_through` with the POI
     twists: the scan is a per-object *segmentation* pass (every row
     against every disc — no grid pruning, stops are global per
-    trajectory), sharding splits by objects on the threads backend, and
-    a registered fresh :class:`~repro.poi.PoiVisitStore` covering the
-    (layer, granule, min_dwell) key reduces the query to a cell read.
+    trajectory), sharding splits by objects — into ``shards`` parts
+    built on ``backend``, by default as many as the cost model picks, on
+    the threads backend — and a registered fresh
+    :class:`~repro.poi.PoiVisitStore` covering the (layer, granule,
+    min_dwell) key reduces the query to a cell read.
     The plan keeps what it resolved — the table, the POI set, the store
     (:class:`~repro.query.poi.PoiOperands`) — for
     :func:`execute_poi_plan`.
@@ -718,12 +722,13 @@ def plan_poi_aggregate(
     serial_cost = model.scan_cost(
         table.rows, len(pois), coverage=1.0, indexed=False
     )
-    cpus = _available_cpus()
-    n_shards = min(
-        model.choose_shard_count(table.rows, cpus), max(1, table.objects)
+    n_shards = shards if shards is not None else min(
+        model.choose_shard_count(table.rows, _available_cpus()),
+        max(1, table.objects),
     )
+    poi_queries.check_shard_options(n_shards, backend)
     sharded_cost = model.sharded_cost(
-        serial_cost, "threads", n_shards, table.rows
+        serial_cost, backend, n_shards, table.rows
     )
     candidates: List[Tuple[str, float]] = [
         ("serial", serial_cost),
@@ -766,7 +771,7 @@ def plan_poi_aggregate(
     elif chosen == "sharded":
         body = PlanNode(
             "ShardedSegmentScan",
-            f"threads x{n_shards} + merge",
+            f"{backend} x{n_shards} + merge",
             est_rows=table.rows,
             est_cost=chosen_cost,
             children=(segment_node,),
@@ -790,7 +795,7 @@ def plan_poi_aggregate(
         alternatives=rejected,
         geometry=geometry,
         shard_count=n_shards if chosen == "sharded" else None,
-        shard_backend="threads" if chosen == "sharded" else None,
+        shard_backend=backend if chosen == "sharded" else None,
         operands=poi_queries.PoiOperands(moft, pois, store),
     )
 
@@ -828,7 +833,7 @@ def execute_poi_plan(
     else:
         store = poi_queries.build_store(
             context, moft, pois, layer, granule_level, min_dwell,
-            shards=plan.shard_count, backend="threads",
+            shards=plan.shard_count, backend=plan.shard_backend,
         )
     if measure == "visits":
         result = store.visit_counts()

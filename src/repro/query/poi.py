@@ -8,18 +8,20 @@ exposes those four aggregates over an
 strategies pinned byte-identical by the differential campaign:
 
 ``serial``
-    Segment every trajectory against the POI discs in one pass
-    (:func:`repro.poi.poi_cells` via a throwaway store build).
+    Segment every trajectory against the POI discs in one segmented
+    array scan (docs/poi.md) into a throwaway store's cell table.
 ``sharded``
-    Object-partition the MOFT, build per-shard cells (optionally on a
-    thread pool) and :meth:`~repro.poi.PoiVisitStore.merge` them with
-    completeness checks.
+    Object-partition the MOFT, build per-shard cell tables (optionally
+    on a thread pool) and :meth:`~repro.poi.PoiVisitStore.merge` them —
+    concatenate, intern again — with completeness checks.
 ``preagg``
     Serve from a registered, fresh :class:`~repro.poi.PoiVisitStore`
     (``poi_preagg_hits``); a stale or missing store is a miss.
 
-The answers are plain dicts in canonical order (POI ids and visitor ids
-sorted by ``repr``), ready for canonical-JSON comparison.
+Every route ends in the same reads off a :class:`~repro.poi.store
+.CellTable`; the answers are plain dicts whose sums and visitor tuples
+follow the table's order (objects and POI ids by ``repr``), ready for
+canonical-JSON comparison.
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ class PoiOperands(NamedTuple):
     store: Optional[PoiVisitStore]
 
 
+def check_shard_options(shards: int, backend: str) -> None:
+    """Typed error for a shard count or backend no POI build runs with."""
+    if shards < 1:
+        raise EvaluationError(f"shard count must be >= 1, got {shards}")
+    if backend not in ("serial", "threads"):
+        raise EvaluationError(
+            f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
+        )
+
+
 def build_store(
     context: EvaluationContext,
     moft: MOFT,
@@ -92,12 +104,7 @@ def build_store(
 
     if shards is None:
         return build(moft)
-    if shards < 1:
-        raise EvaluationError(f"shard count must be >= 1, got {shards}")
-    if backend not in ("serial", "threads"):
-        raise EvaluationError(
-            f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
-        )
+    check_shard_options(shards, backend)
     # Before partitioning: an append racing the build leaves it stale.
     snapshot = (moft.version, len(moft))
     parts = moft.partition_by_objects(shards)
@@ -292,8 +299,7 @@ class PoiQueryBuilder:
             context,
             self._layer,
             self._granule,
-            min_dwell=self._min_dwell,
-            moft_name=self._moft_name,
             measure=measure,
-            force_strategy=self._strategy,
+            force_strategy=options.pop("strategy"),
+            **options,
         )

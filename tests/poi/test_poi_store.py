@@ -8,6 +8,9 @@ exercises end-to-end, pinned here one seam at a time.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -17,7 +20,7 @@ from repro.errors import (
 )
 from repro.mo.moft import MOFT
 from repro.olap import poi_parent_mapping, spatial_drilldown, spatial_rollup
-from repro.poi import PoiVisitStore
+from repro.poi import PoiVisitStore, poi_cells
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 from repro.query.poi import PoiQueryBuilder, resolve_pois
 from repro.query.region import EvaluationContext
@@ -366,3 +369,175 @@ class TestIngestSpec:
 
         spec = StoreSpec("hour", "Lp", "poi", min_dwell=0.5)
         assert spec.min_dwell == 0.5
+
+
+# -- reads off the row table vs an independent fold ---------------------------------
+
+
+def reference_reads(cells, members, parent_of=None):
+    """``visit_counts`` / ``dwell_times`` / ``distinct_visitors`` as the
+    plain dict fold the row table replaced: objects, then each object's
+    cells, in sorted-``repr`` order (``parent_of``: granule code -> code
+    of ``members`` one level up, for a roll-up)."""
+    visits, dwell, visitors = {}, {}, {}
+    for oid in sorted(cells, key=repr):
+        for gid, code in sorted(cells[oid], key=lambda k: (repr(k[0]), k[1])):
+            n, d = cells[oid][gid, code]
+            key = (gid, members[code if parent_of is None else parent_of[code]])
+            if n:
+                visits[key] = visits.get(key, 0) + n
+            if d:
+                dwell[key] = dwell.get(key, 0.0) + d
+            if oid not in visitors.setdefault(key, []):
+                visitors[key].append(oid)
+    return visits, dwell, {key: tuple(v) for key, v in visitors.items()}
+
+
+def same(got, want):
+    """Equal values (floats by ``==``) under equal keys in equal order."""
+    assert list(got.items()) == list(want.items())
+
+
+def assert_reads_equal_reference(store, parent_level):
+    cells = poi_cells(
+        store.moft, store.time, store.granule_level, store.pois,
+        min_dwell=store.min_dwell, radius=store.radius,
+    )
+    members = store.partition.members
+    visits, dwell, visitors = reference_reads(cells, members)
+    same(store.visit_counts(), visits)
+    same(store.dwell_times(), dwell)
+    same(store.distinct_visitors(), visitors)
+    for k in (1, 3, len(store.pois) + 5):
+        ranked = {}
+        for member in members:
+            ranking = sorted(
+                ((gid, len(v)) for (gid, m), v in visitors.items() if m == member),
+                key=lambda item: (-item[1], repr(item[0])),
+            )
+            if ranking:
+                ranked[member] = tuple(ranking[:k])
+        same(store.topk(k), ranked)
+    parent, mapping = store.partition.rollup_codes(store.time, parent_level)
+    rolled = store.rollup_cells(parent_level)
+    assert rolled[0] is parent
+    for got, want in zip(
+        rolled[1:], reference_reads(cells, parent.members, mapping.tolist())
+    ):
+        same(got, want)
+    up = {gid: i % 3 for i, gid in enumerate(store.gids)}
+    for got, want in zip(store.rollup_space(up), (visits, dwell, visitors)):
+        same(got, spatial_rollup(want, up))
+    assert list(store.as_cube().fact_table.rows()) == [
+        {
+            "granule": member, "poi": gid,
+            "visits": visits.get((gid, member), 0),
+            "dwell": dwell.get((gid, member), 0.0),
+            "distinct_visitors": len(oids),
+        }
+        for (gid, member), oids in visitors.items()
+    ]
+    stats = store.stats()
+    assert stats["objects"] == len(cells) == len(store._objects())
+    assert stats["cells"] == len({key for c in cells.values() for key in c})
+    assert stats["visits"] == sum(visits.values())
+    assert json.loads(json.dumps(stats)) == stats
+    return visits, dwell, visitors
+
+
+@pytest.fixture(params=["fig1", "city"])
+def world(request, fig1_world, city_world):
+    """``(copy of the table, time, pois, level, parent level, the centre
+    of one POI)`` — a private table per test: these tests append."""
+    if request.param == "fig1":
+        source, time, level, parent = fig1_world.moft, fig1_world.time, "hour", "day"
+        pois = dict(fig1_world.gis.layer("Lp").elements("poi"))
+    else:
+        _, pois, time, source = city_world
+        level, parent = "day", "month"
+    moft = MOFT.from_columns(list(source.oid_column()), *source.as_arrays())
+    centre = pois[sorted(pois, key=repr)[0]].center
+    return moft, time, pois, level, parent, (centre.x, centre.y)
+
+
+def append_visits(moft, at):
+    """A new object parks at ``at``, a known one returns there later."""
+    known = sorted(moft.objects(), key=repr)[0]
+    end = moft.time_range()[1]
+    moft.extend_columns(
+        ["newcomer", "newcomer", known, known],
+        [end - 2.0, end - 1.0, end + 1.0, end + 2.5],
+        [at[0]] * 4, [at[1]] * 4,
+    )
+
+
+class TestReadsAgainstReferenceFold:
+    def test_fresh_build(self, world):
+        moft, time, pois, level, parent, _ = world
+        store = PoiVisitStore(moft, time, level, pois, layer="Lp")
+        visits, _, _ = assert_reads_equal_reference(store, parent)
+        assert visits
+
+    def test_after_delta_update(self, world):
+        moft, time, pois, level, parent, at = world
+        store = PoiVisitStore(moft, time, level, pois, layer="Lp")
+        before = store.stats()
+        append_visits(moft, at)
+        assert store.update() == "delta"
+        assert_reads_equal_reference(store, parent)
+        assert store.stats()["visits"] > before["visits"]
+        assert "newcomer" in store._objects()
+
+    def test_clone_then_update_leaves_the_pinned_store_alone(self, world):
+        moft, time, pois, level, parent, at = world
+        store = PoiVisitStore(moft, time, level, pois, layer="Lp")
+        pinned = assert_reads_equal_reference(store, parent)
+        table = store._table
+        grown = MOFT.from_columns(list(moft.oid_column()), *moft.as_arrays())
+        append_visits(grown, at)
+        clone = store.clone(moft=grown)
+        assert clone._table is table
+        assert clone.update() == "delta"
+        assert_reads_equal_reference(clone, parent)
+        # The fold went into new arrays; the pinned table is untouched.
+        assert store._table is table
+        for mine, theirs in zip(table[1:], clone._table[1:]):
+            assert not np.shares_memory(mine, theirs)
+        for got, want in zip(assert_reads_equal_reference(store, parent), pinned):
+            same(got, want)
+
+    def test_three_way_merge_in_any_order(self, world):
+        moft, time, pois, level, parent, _ = world
+        shards = [
+            PoiVisitStore(part, time, level, pois, layer="Lp")
+            for part in moft.partition_by_objects(3)
+        ]
+        # Every shard interns its own objects from code 0.
+        assert sum(len(s._objects()) > 0 for s in shards) >= 2
+        whole = PoiVisitStore(moft, time, level, pois, layer="Lp")
+        for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+            merged = PoiVisitStore.merge([shards[i] for i in order], moft)
+            assert_reads_equal_reference(merged, parent)
+            assert merged._objects() == whole._objects()
+            for mine, theirs in zip(merged._table[1:], whole._table[1:]):
+                assert np.array_equal(mine, theirs)
+
+    def test_out_of_order_append_removes_an_only_stop(self, world):
+        """``ghost`` sits at a POI over [t, t + 2]: one stop.  A sample
+        in between, far away, leaves two grazes under ``min_dwell``."""
+        moft, time, pois, level, parent, at = world
+        start = moft.time_range()[0]
+        moft.extend_columns(
+            ["ghost", "ghost"], [start, start + 2.0], [at[0]] * 2, [at[1]] * 2
+        )
+        store = PoiVisitStore(moft, time, level, pois, layer="Lp", min_dwell=1.0)
+        assert_reads_equal_reference(store, parent)
+        held = store._objects()
+        assert "ghost" in held
+        moft.add("ghost", start + 1.0, at[0] + 1e6, at[1])
+        assert store.update() == "delta"
+        assert_reads_equal_reference(store, parent)
+        assert store._objects() == tuple(o for o in held if o != "ghost")
+        assert not any(
+            "ghost" in oids for oids in store.distinct_visitors().values()
+        )

@@ -348,3 +348,69 @@ class TestDescribeAndBuilderExplain:
         builder = RegionBuilder().from_moft("FMbus")
         text = builder.explain(context)
         assert "push_down_time: not applicable" in text
+
+
+class TestPoiBuilderExplain:
+    """EXPLAIN of a POI builder names the shard plan its terminal
+    methods run (it used to render the planner's own pick — ``threads
+    x2`` — whatever ``.sharded(n, backend=...)`` said)."""
+
+    @pytest.mark.parametrize(
+        "shards, backend", [(4, "serial"), (3, "threads"), (1, "serial")]
+    )
+    def test_rendered_shard_plan_is_the_one_that_runs(
+        self, monkeypatch, shards, backend
+    ):
+        from repro.query import poi as poi_queries
+
+        context = figure1_instance(with_pois=True).context()
+        builder = (
+            poi_queries.PoiQueryBuilder("Lp", "FMbus")
+            .per("hour")
+            .sharded(shards, backend=backend)
+        )
+        plan = builder.explain(context)
+        assert f"ShardedSegmentScan[{backend} x{shards} + merge]" in plan.render()
+        assert (plan.shard_count, plan.shard_backend) == (shards, backend)
+
+        received = []
+        view = poi_queries.poi_store_view
+
+        def spy(*args, **options):
+            received.append((options["shards"], options["backend"]))
+            return view(*args, **options)
+
+        monkeypatch.setattr(poi_queries, "poi_store_view", spy)
+        answer = builder.visits(context)
+        assert received == [(shards, backend)]
+        # ... and executing the plan builds with them too.
+        built = []
+        build = poi_queries.build_store
+
+        def spy_build(*args, **options):
+            built.append((options["shards"], options["backend"]))
+            return build(*args, **options)
+
+        monkeypatch.setattr(poi_queries, "build_store", spy_build)
+        from repro.query.planner import execute_poi_plan
+
+        assert execute_poi_plan(
+            plan, context, "Lp", "hour", moft_name="FMbus"
+        ) == answer
+        assert built == [(shards, backend)]
+
+    def test_unforced_builder_prices_its_own_shard_settings(self):
+        from repro.query.poi import PoiQueryBuilder
+
+        context = figure1_instance(with_pois=True).context()
+        plan = PoiQueryBuilder("Lp", "FMbus").per("hour").explain(context)
+        # The terminal methods of an unforced builder scan serially.
+        assert plan.strategy == "serial"
+
+    def test_unrunnable_backend_is_refused_at_planning(self):
+        from repro.query.poi import PoiQueryBuilder
+
+        context = figure1_instance(with_pois=True).context()
+        builder = PoiQueryBuilder("Lp", "FMbus").per("hour")
+        with pytest.raises(EvaluationError, match="backend"):
+            builder.sharded(2, backend="processes").explain(context)
