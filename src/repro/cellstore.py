@@ -3,9 +3,11 @@
 Definition 4's summable form ``Q = Σ_{g∈C} h'(g)`` is materialized per
 (geometry id, time granule) twice — over polygons (:class:`repro.preagg
 .PreAggStore`) and over stop episodes (:class:`repro.poi.PoiVisitStore`).
-Their cells differ because their reads differ; snapshot, staleness,
-``update()``, ``clone()``, ``merge()`` and registry matching do not, and
-live here once (DESIGN.md, "Store lifecycle").  This module imports
+Each kind keeps its cells as one immutable columnar table; the row
+schemas and sort orders differ because the reads differ.  Snapshot,
+staleness, ``update()``, ``clone()``, ``merge()``, registry matching and
+the rule that a fold rebinds the table and never writes into it do not,
+and live here once (DESIGN.md, "Store lifecycle").  This module imports
 neither :mod:`repro.parallel` nor :mod:`repro.query`: both import the
 stores.
 """
@@ -22,17 +24,25 @@ from repro.olap.dimension import DimensionInstance, DimensionSchema
 from repro.temporal.timedim import GranulePartition, TimeDimension
 
 
+def frozen(table):
+    """``table`` — the intern tuple, then columns — with every column
+    read-only: a fold that wrote into a table a clone may share raises."""
+    for column in table[1:]:
+        column.setflags(write=False)
+    return table
+
+
 class GranuleStore:
     """A MOFT summarized per (geometry id, time granule), and its
     snapshot ``(table version, table rows, Time-dimension version)``.
 
-    A kind keeps the cells and supplies: ``_empty_cells()`` (the cells
-    of an empty table over ``self.partition``), ``_build_cells()`` (fill
-    empty cells from the whole table), ``_fold_rows(start)`` (bring them
-    forward over the appended rows ``start:``), ``_own_cells()`` (after
-    a shallow copy, stop sharing what a fold mutates in place),
-    ``_absorb(store)`` (add in a store over a disjoint object set) and
-    ``_objects()`` (the objects it holds state for).
+    The cells are ``self._table``: a :func:`frozen` named tuple of
+    columns whose ``oids`` field interns the objects it holds state for.
+    A kind defines it and supplies ``_empty_cells()`` (bind the table of
+    an empty MOFT over ``self.partition``), ``_build_cells()`` (bind the
+    whole MOFT's), ``_fold_rows(start)`` (bring it forward over the
+    appended rows ``start:``) and ``_absorb(store)`` (add in a store
+    over a disjoint object set) — each by making a new table.
     """
 
     #: Attributes a query must pin, by value, to read this kind's cells
@@ -62,7 +72,7 @@ class GranuleStore:
         self.name = name
         self.obs = obs if obs is not None else PipelineStats()
         self.gids = tuple(sorted(self.geometries, key=repr))
-        self._gid_set = frozenset(self.gids)
+        self._gid_code = {gid: code for code, gid in enumerate(self.gids)}
         self.partition: GranulePartition = time.granules(granule_level)
         self._dim_version = time.instance.version
         # No table version yet: stale until the first build.
@@ -121,14 +131,15 @@ class GranuleStore:
 
         The streaming maintainer (:mod:`repro.ingest`) folds each flush
         into a clone bound to the new snapshot table; readers keep the
-        store they pinned.  ``moft`` must extend this store's table as a
-        row prefix and carries its own version counter: a row-identical
-        table (a compaction) is this snapshot under the new version
-        number; an extension is stale by its row count and keeps the
-        built rows, so :meth:`update` folds exactly the appended ones.
+        store they pinned.  Nothing is copied: a fold rebinds ``_table``,
+        so the two share it until either folds.  ``moft`` must extend
+        this store's table as a row prefix and carries its own version
+        counter: a row-identical table (a compaction) is this snapshot
+        under the new version number; an extension is stale by its row
+        count and keeps the built rows, so :meth:`update` folds exactly
+        the appended ones.
         """
         out = self._copy()
-        out._own_cells()
         if moft is not None and moft is not self.moft:
             out.moft = moft
             if len(moft) == self._built_rows:
@@ -195,6 +206,10 @@ class GranuleStore:
         merged._built_version, merged._built_rows = snapshot
         return merged
 
+    def _objects(self) -> Tuple[Hashable, ...]:
+        """The objects the table holds state for."""
+        return self._table.oids
+
     def _schema(self) -> tuple:
         """What two stores must agree on to hold cells of one rollup."""
         return (
@@ -218,7 +233,7 @@ class GranuleStore:
             self.moft is moft
             and (layer is None or self.layer == layer)
             and cell_key == {n: getattr(self, n) for n in self.CELL_KEY}
-            and self._gid_set.issuperset(ids)
+            and self._gid_code.keys() >= set(ids)
         )
 
     def _cells_cube(self, axis: str, measures: Sequence[str], rows) -> Cube:

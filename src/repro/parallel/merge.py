@@ -19,9 +19,7 @@ serial semantics, and small merges keep that surface auditable.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Sequence, Set
-
-import numpy as np
+from typing import Dict, Hashable, Iterable, Set
 
 
 def union_ids(partials: Iterable[Set[Hashable]]) -> Set[Hashable]:
@@ -47,23 +45,6 @@ def intersect_ids(partials: Iterable[Set[Hashable]]) -> Set[Hashable]:
     if merged is None:
         raise ValueError("intersect_ids needs at least one partial")
     return merged
-
-
-def union_sorted_ids(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """Union sorted integer-id arrays into one sorted deduplicated array.
-
-    The id-set algebra of the pre-aggregation store
-    (:mod:`repro.preagg`): distinct-object measures are not summable as
-    counters, so shards and cells carry exact id-code arrays and merges
-    union them.  Accepts unsorted inputs too (``np.unique`` sorts); an
-    empty sequence yields an empty ``uint32`` array.
-    """
-    parts = [p for p in partials if p.size]
-    if not parts:
-        return np.empty(0, dtype=np.uint32)
-    if len(parts) == 1:
-        return np.unique(parts[0])
-    return np.unique(np.concatenate(parts))
 
 
 def sum_groups(

@@ -41,7 +41,7 @@ from typing import Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from repro.cellstore import GranuleStore
+from repro.cellstore import GranuleStore, frozen
 from repro.errors import PreAggError
 from repro.mo.moft import MOFT
 from repro.poi.segmentation import batch_stops, segment_stops_moves
@@ -136,10 +136,10 @@ def _cell_table(names, oid, gid, granule, visits, dwell, n_granules) -> CellTabl
     order = np.argsort(oid, kind="stable")
     gid, granule = gid[order], granule[order]
     cells, cell = np.unique(gid * n_granules + granule, return_inverse=True)
-    return CellTable(
+    return frozen(CellTable(
         tuple(names[i] for i in by_repr), oid[order], gid, granule,
         visits[order], dwell[order], cells, cell,
-    )
+    ))
 
 
 def _stop_rows(obj, a, b, gid, starts: np.ndarray, n_gids: int):
@@ -316,15 +316,8 @@ class PoiVisitStore(GranuleStore):
             self.obs.incr("poi_store_updates")
         return outcome
 
-    def _own_cells(self) -> None:
-        """Nothing to copy: folds rebind the table, never write into it."""
-
     def _absorb(self, store: "PoiVisitStore") -> None:
         self._table = self._joined(slice(None), store._table)
-
-    def _objects(self):
-        """Objects holding a cell; one that never stopped leaves none."""
-        return self._table.oids
 
     # -- reads ----------------------------------------------------------------
 

@@ -5,69 +5,75 @@ measure is attached to finite geometry ids, ``Q = Σ_{g∈C} h'(g)``.  This
 module materializes exactly that form for the moving-object workload: a
 :class:`PreAggStore` summarizes a MOFT against a set of polygons and a
 contiguous time-granule partition (:meth:`repro.temporal.timedim
-.TimeDimension.granules`) into cells holding
-
-* ``samples`` — number of samples inside the polygon per granule;
-* ``dwell`` — interpolated time spent inside, from intra-granule
-  trajectory segments;
-* ``present`` — the exact set of objects with a sample inside (sorted
-  ``uint32`` oid codes — distinct-count is *not* summable, so the store
-  merges id sets, never adds counters);
-* ``passers`` — the exact set of objects whose granule-restricted
-  trajectory intersects the polygon (trajectory semantics).
+.TimeDimension.granules`) into one columnar :class:`CellTable`, a row per
+(polygon, granule, object) holding ``samples`` — the object's samples
+inside the polygon in the granule — and ``dwell`` — its interpolated
+time inside, from intra-granule trajectory segments.  *A row is a
+passer*: the object's granule-restricted trajectory intersects the
+polygon (trajectory semantics).  *A row with* ``samples > 0`` *is
+present* (sample semantics).  Distinct-count is not summable, so the
+table keeps the exact (cell, object) rows and never adds counters; the
+per-cell ``samples`` / ``dwell`` sums are made once per fold, beside a
+CSR index of the rows by cell.
 
 Cells alone cannot answer window queries exactly: a segment between
 samples in *adjacent* granules exists in neither granule-restricted
-scan.  The store therefore also keeps **spanning records** per polygon —
-``(oid, granule_a, granule_b, dwell)`` for every trajectory segment whose
-endpoints sit in different granules and which intersects the polygon.  A
-window covering granules ``i..j`` then answers exactly as
+scan.  The table therefore also keeps **spanning records** —
+``(polygon, oid, granule_a, granule_b, dwell)`` for every trajectory
+segment whose endpoints sit in different granules and which intersects
+the polygon.  A window covering granules ``i..j`` then answers exactly as
 
     ∪ passers[g∈i..j]  ∪  { oid of spanning records with i ≤ a, b ≤ j }
 
 because (all sample instants being registered) samples consecutive in the
-window restriction are consecutive in the full history.  Misaligned
-windows decompose into the maximal covered granule run plus *slivers* at
-the edges; the hybrid answer adds a scan over only the objects touching a
-sliver (their full window-restricted history), which is exact because a
-window segment not accounted by the store has an endpoint in a sliver.
+window restriction are consecutive in the full history.  A read takes
+one slice of the rows per polygon (the cells of a granule run are
+adjacent) and one mask over the spanning records; ids are made distinct
+by a boolean scatter over the intern table — no sort: ``np.unique``
+over the same ids takes longer than the whole read.  Misaligned
+windows decompose into the maximal covered granule run plus *slivers*
+at the edges; the hybrid answer adds a scan over only the objects
+touching a sliver (their full window-restricted history), which is exact
+because a window segment not accounted by the store has an endpoint in a
+sliver.
 
 The lifecycle (snapshot, ``update()``, ``clone()``, ``merge()``, registry
 matching) is :class:`repro.cellstore.GranuleStore`'s; this module keeps
-cells, folds and reads.  Attribution is written once, as two batched
-passes: samples (vectorized containment) and segments (the clip
-kernel).  The build runs the whole segment table through them; an
-in-time-order append its delta rows (purely additive: no prior
-membership ever becomes wrong).  An out-of-order append is handled per
-object by the same passes: the object's previously folded rows go
-through with sign -1 (counts and intra-granule dwell come back out), its
-oid is stripped from the id sets, its spanning records are dropped, and
-its time-sorted history is folded again — other objects keep the pure
-delta path, so a few late samples do not force a rebuild.
+the table, folds and reads.  Attribution is written once, as two batched
+passes — samples (vectorized containment) and segments (the clip
+kernel) — whose hits are staged as array chunks and summed per (cell,
+object) whenever a segment batch of them is waiting (:class:`_Fold`).
+The build runs the whole segment table through them; an in-time-order
+append stages its delta beside the rows the table has (purely additive:
+no prior membership ever becomes wrong).  An out-of-order append is
+handled per object, and *retract = drop*: one mask takes the object's
+rows and spanning records out and its time-sorted history goes through
+the same passes again — other objects keep the pure delta path, so a few
+late samples do not force a rebuild.  Every fold ends in a new table: a
+clone shares the one it has.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 import numpy as np
 
-from repro.cellstore import GranuleStore
+from repro.cellstore import GranuleStore, frozen
 from repro.errors import PreAggError
 from repro.geometry.kernels import segments_dwell
 from repro.geometry.polygon import Polygon
+from repro.mo import moft as moft_module
 from repro.mo.moft import MOFT, SegmentBatch
 from repro.obs import PipelineStats
-from repro.parallel.merge import union_sorted_ids
 from repro.query.vectorized import polygon_contains_batch
 from repro.temporal.timedim import TimeDimension
 
-#: uint32 oid-code dtype used for every stored id set.
+#: uint32 oid-code dtype of every stored id column.
 OID_DTYPE = np.uint32
-
-_EMPTY_IDS = np.empty(0, dtype=OID_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -104,61 +110,98 @@ class PreAggCell:
         return len(self.distinct_objects)
 
 
-class _GidCells:
-    """Per-polygon storage: granule-indexed arrays plus spanning records."""
+class CellTable(NamedTuple):
+    """The cells as columns: one row per (polygon, granule, object) with a
+    sample inside or an intra-granule segment through, sorted by
+    ``(cell, oid)``.
 
-    __slots__ = (
-        "samples",
-        "dwell",
-        "present",
-        "passers",
-        "span_oid",
-        "span_a",
-        "span_b",
-        "span_dwell",
-    )
+    ``cell`` is ``gid index * granules + granule`` (gid indexes the ids
+    in sorted-``repr`` order), ``offsets`` its CSR index — cell ``c``
+    holds rows ``offsets[c]:offsets[c + 1]`` — and ``cell_samples`` /
+    ``cell_dwell`` the two measures summed per cell, as dense ``(gid
+    index, granule)`` grids.  ``oids`` interns every object folded, in
+    the order first met, and ``last[code]`` is the ``(t, x, y)`` of its
+    last sample: where the connecting segment of the next delta starts.
+    ``span_*`` are the spanning records, in fold order.
+    """
 
-    def __init__(self, n_granules: int) -> None:
-        self.samples = np.zeros(n_granules, dtype=np.int64)
-        self.dwell = np.zeros(n_granules, dtype=float)
-        self.present: List[np.ndarray] = [_EMPTY_IDS] * n_granules
-        self.passers: List[np.ndarray] = [_EMPTY_IDS] * n_granules
-        self.span_oid = np.empty(0, dtype=OID_DTYPE)
-        self.span_a = np.empty(0, dtype=np.int64)
-        self.span_b = np.empty(0, dtype=np.int64)
-        self.span_dwell = np.empty(0, dtype=float)
-
-    def span_mask(self, first: int, last: int) -> np.ndarray:
-        """Spanning records fully inside the granule run ``first..last``."""
-        return (self.span_a >= first) & (self.span_b <= last)
-
-
-class _DeltaSets:
-    """Python-set staging for id-set additions during build/update."""
-
-    def __init__(self) -> None:
-        self.present: Dict[Tuple[Hashable, int], Set[int]] = {}
-        self.passers: Dict[Tuple[Hashable, int], Set[int]] = {}
-        self.spans: Dict[Hashable, List[Tuple[int, int, int, float]]] = {}
-
-    def add_present(self, gid: Hashable, granule: int, code: int) -> None:
-        self.present.setdefault((gid, granule), set()).add(code)
-        # A sample inside the polygon proves the granule-restricted
-        # trajectory hits it (the adjacent intra-granule segment, or the
-        # lone-point probe), so presence implies passing.
-        self.passers.setdefault((gid, granule), set()).add(code)
-
-    def add_passer(self, gid: Hashable, granule: int, code: int) -> None:
-        self.passers.setdefault((gid, granule), set()).add(code)
-
-    def add_span(
-        self, gid: Hashable, code: int, a: int, b: int, dwell: float
-    ) -> None:
-        self.spans.setdefault(gid, []).append((code, a, b, dwell))
+    oids: Tuple[Hashable, ...]
+    last: np.ndarray
+    cell: np.ndarray
+    oid: np.ndarray
+    samples: np.ndarray
+    dwell: np.ndarray
+    offsets: np.ndarray
+    cell_samples: np.ndarray
+    cell_dwell: np.ndarray
+    span_gid: np.ndarray
+    span_oid: np.ndarray
+    span_a: np.ndarray
+    span_b: np.ndarray
+    span_dwell: np.ndarray
 
 
-def _as_sorted_ids(codes: Iterable[int]) -> np.ndarray:
-    return np.array(sorted(codes), dtype=OID_DTYPE)
+#: Where a table keeps its row and its spanning-record columns, and
+#: those columns without a row: (cell, oid, samples, dwell) and — the
+#: same dtypes — (gid, oid, a) + (b, dwell).
+_ROWS, _SPANS = slice(2, 6), slice(9, 14)
+_NO_ROWS = (
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=OID_DTYPE),
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
+)
+_NO_SPANS = _NO_ROWS[:3] + _NO_ROWS[2:]
+
+
+class _Fold:
+    """A table being made: rows and spanning records as array chunks.
+
+    ``rows`` opens with rows already summed per (cell, object) — a
+    table's, or none — and every hit after that is staged as a
+    ``(cell, oid, samples, dwell)`` chunk.  :meth:`summed` adds them up
+    with ``np.bincount``, which adds in input order: the summed rows
+    first, then the hits in the (object, time) order the passes stage
+    them in.  A row's dwell is therefore the same left-to-right sum
+    wherever the sums fall, and they fall whenever more than one
+    segment batch of hits is staged: what a fold holds beside its table
+    is bounded by the batch, not by the rows it reads.
+    """
+
+    def __init__(self, oids, last, rows=_NO_ROWS, spans=_NO_SPANS) -> None:
+        self.oids, self.last = oids, last
+        self.rows, self.spans, self.staged = [rows], [spans], 0
+
+    def stage(self, cell, oid, samples, dwell) -> None:
+        """One chunk of hits; ``samples`` / ``dwell`` per hit, or one for all."""
+        samples, dwell = np.broadcast_arrays(samples, dwell, cell)[:2]
+        self.rows.append((cell, oid, samples, dwell))
+        self.staged += cell.shape[0]
+        if self.staged > moft_module.SEGMENT_BATCH_ROWS:
+            self.rows, self.staged = [self.summed()], 0
+
+    def summed(self):
+        """The staged rows, one per (cell, object), sorted by that."""
+        if len(self.rows) == 1:
+            return self.rows[0]
+        cell, oid, samples, dwell = map(np.concatenate, zip(*self.rows))
+        width = max(len(self.oids), 1)
+        keys, row = np.unique(cell * width + oid, return_inverse=True)
+        return (
+            keys // width, (keys % width).astype(OID_DTYPE),
+            np.bincount(row, weights=samples).astype(np.int64),
+            np.bincount(row, weights=dwell),
+        )
+
+    def table(self, n_gids: int, n_granules: int) -> CellTable:
+        cell, oid, samples, dwell = rows = self.summed()
+        size, grid = n_gids * n_granules, (n_gids, n_granules)
+        samples = np.bincount(cell, weights=samples, minlength=size)
+        return frozen(CellTable(
+            self.oids, self.last, *rows,
+            np.searchsorted(cell, np.arange(size + 1)),
+            samples.astype(np.int64).reshape(grid),
+            np.bincount(cell, weights=dwell, minlength=size).reshape(grid),
+            *map(np.concatenate, zip(*self.spans)),
+        ))
 
 
 class PreAggStore(GranuleStore):
@@ -224,41 +267,42 @@ class PreAggStore(GranuleStore):
         with self.obs.stage("preagg_build"):
             super().refresh()
 
+    def _bind(self, fold: _Fold) -> None:
+        self._table = fold.table(len(self.gids), len(self.partition))
+
     def _empty_cells(self) -> None:
-        # oid interning: code -> value and value -> code.
-        self._oid_values: List[Hashable] = []
-        self._oid_code: Dict[Hashable, int] = {}
-        # Per-object last appended sample (t, x, y) by oid code — the
-        # connecting segment of the next delta batch starts here.
-        self._last: Dict[int, Tuple[float, float, float]] = {}
-        n_granules = len(self.partition)
-        self._cells: Dict[Hashable, _GidCells] = {
-            gid: _GidCells(n_granules) for gid in self.gids
-        }
+        self._bind(_Fold((), np.empty((0, 3))))
 
     def _build_cells(self) -> None:
-        if len(self.moft):
-            if not len(self.partition):
-                raise PreAggError(
-                    f"no {self.granule_level!r} granules exist but the "
-                    f"MOFT has {len(self.moft)} samples"
-                )
-            self._build()
-
-    def _objects(self):
-        return self._oid_code.keys()
-
-    def _intern(self, oid: Hashable) -> int:
-        code = self._oid_code.get(oid)
-        if code is None:
-            code = len(self._oid_values)
-            self._oid_code[oid] = code
-            self._oid_values.append(oid)
-        return code
+        """Fold every row and every segment of the table into the cells."""
+        moft = self.moft
+        if not len(moft):
+            return
+        if not len(self.partition):
+            raise PreAggError(
+                f"no {self.granule_level!r} granules exist but the "
+                f"MOFT has {len(moft)} samples"
+            )
+        t, x, y = moft.as_arrays()
+        index = moft.segment_index()
+        granule = self._granule_codes_checked(t)
+        final = index.perm[index.offsets[1:] - 1]
+        # An object's code is its place in the (object, time) order.
+        fold = _Fold(
+            tuple(index.oids.tolist()),
+            np.column_stack((t[final], x[final], y[final])),
+        )
+        self._fold_samples(
+            fold, index.per_row(np.arange(len(fold.oids))), granule, x, y
+        )
+        for batch in moft.segments():
+            self._fold_segments(fold, batch.obj, batch)
+        self._bind(fold)
 
     def decode(self, codes: np.ndarray) -> Set[Hashable]:
         """Map an oid-code array back to object identifiers."""
-        return {self._oid_values[c] for c in codes.tolist()}
+        oids = self._table.oids
+        return {oids[c] for c in codes.tolist()}
 
     def _granule_codes_checked(self, ts: np.ndarray) -> np.ndarray:
         codes = self.partition.codes_for(ts)
@@ -271,43 +315,19 @@ class PreAggStore(GranuleStore):
             )
         return codes
 
-    def _build(self) -> None:
-        """Fold every row and every segment of the table into the cells."""
-        moft = self.moft
-        t, x, y = moft.as_arrays()
-        index = moft.segment_index()
-        object_code = np.fromiter(
-            map(self._intern, index.oids.tolist()), dtype=np.int64,
-            count=index.oids.shape[0],
-        )
-        codes = self._granule_codes_checked(t)
-        delta = _DeltaSets()
-        self._fold_samples(delta, index.per_row(object_code), codes, x, y)
-        for batch in moft.segments():
-            self._fold_segments(delta, object_code[batch.obj], batch)
-        last = index.perm[index.offsets[1:] - 1]
-        self._set_last(object_code, t[last], x[last], y[last])
-        self._apply_sets(delta)
-
-    def _set_last(self, code, t, x, y) -> None:
-        """Record, per object code, the sample its next segment starts at."""
-        self._last.update(
-            zip(code.tolist(), zip(t.tolist(), x.tolist(), y.tolist()))
-        )
-
     def _fold_samples(
         self,
-        delta: _DeltaSets,
+        fold: _Fold,
         code: np.ndarray,
         granule: np.ndarray,
         x: np.ndarray,
         y: np.ndarray,
-        sign: int = 1,
     ) -> None:
-        """The sample pass: vectorized containment per polygon (``sign``
-        -1 takes the counts of already folded rows back out, for
-        :meth:`_retract_object`, which discards what lands in ``delta``)."""
-        for gid in self.gids:
+        """The sample pass: vectorized containment per polygon.  A
+        sample inside proves the granule-restricted trajectory hits the
+        polygon (the adjacent intra-granule segment, or the lone-point
+        probe), so the row it makes is a passer's too."""
+        for g, gid in enumerate(self.gids):
             polygon = self.geometries[gid]
             box = polygon.bbox
             rows = np.flatnonzero(
@@ -319,30 +339,22 @@ class PreAggStore(GranuleStore):
             if rows.size:
                 rows = rows[polygon_contains_batch(polygon, x[rows], y[rows])]
             if rows.size:
-                self._cells[gid].samples += sign * np.bincount(
-                    granule[rows], minlength=len(self.partition)
-                )
-                for g, c in zip(granule[rows].tolist(), code[rows].tolist()):
-                    delta.add_present(gid, g, c)
+                cell = g * len(self.partition) + granule[rows]
+                fold.stage(cell, code[rows], 1, 0.0)
 
     def _fold_segments(
-        self,
-        delta: _DeltaSets,
-        code: np.ndarray,
-        batch: SegmentBatch,
-        sign: int = 1,
+        self, fold: _Fold, code: np.ndarray, batch: SegmentBatch
     ) -> None:
         """The segment pass: one clip-kernel call per polygon.
 
         ``batch`` holds trajectory segments in (object, time) order and
-        ``code`` their object codes.  Per polygon the hits apply in
+        ``code`` their object codes.  Per polygon the hits are staged in
         ascending batch order — the order a segment-by-segment walk
         would fold them in — so the float dwell sums and the span-record
-        sequence do not depend on the batching.  ``sign`` -1 takes the
-        intra-granule dwell of already folded segments back out.
+        sequence do not depend on the batching.
         """
         dt = batch.t1 - batch.t0
-        for gid in self.gids:
+        for g, gid in enumerate(self.gids):
             polygon = self.geometries[gid]
             near = batch.near(polygon.bbox)
             if not near.size:
@@ -350,47 +362,16 @@ class PreAggStore(GranuleStore):
             dwell, hits = segments_dwell(
                 polygon, *batch.ends(near), dt[near], obs=self.obs
             )
-            cells = self._cells[gid]
             found = np.flatnonzero(hits)
-            at = near[found]
-            for amount, a, b, c in zip(
-                (sign * dwell[found]).tolist(),
-                self.partition.codes_for(batch.t0[at]).tolist(),
-                self.partition.codes_for(batch.t1[at]).tolist(),
-                code[at].tolist(),
-            ):
-                if a == b:
-                    cells.dwell[a] += amount
-                    delta.add_passer(gid, a, c)
-                else:
-                    delta.add_span(gid, c, a, b, amount)
-
-    def _apply_sets(self, delta: _DeltaSets) -> None:
-        """Union staged id sets into the sorted uint32 cell arrays."""
-        for (gid, granule), codes in delta.present.items():
-            cells = self._cells[gid]
-            cells.present[granule] = union_sorted_ids(
-                [cells.present[granule], _as_sorted_ids(codes)]
-            )
-        for (gid, granule), codes in delta.passers.items():
-            cells = self._cells[gid]
-            cells.passers[granule] = union_sorted_ids(
-                [cells.passers[granule], _as_sorted_ids(codes)]
-            )
-        for gid, records in delta.spans.items():
-            cells = self._cells[gid]
-            cells.span_oid = np.concatenate(
-                [cells.span_oid,
-                 np.array([r[0] for r in records], dtype=OID_DTYPE)]
-            )
-            cells.span_a = np.concatenate(
-                [cells.span_a, np.array([r[1] for r in records], dtype=np.int64)]
-            )
-            cells.span_b = np.concatenate(
-                [cells.span_b, np.array([r[2] for r in records], dtype=np.int64)]
-            )
-            cells.span_dwell = np.concatenate(
-                [cells.span_dwell, np.array([r[3] for r in records], dtype=float)]
+            at, dwell = near[found], dwell[found]
+            a = self.partition.codes_for(batch.t0[at])
+            b = self.partition.codes_for(batch.t1[at])
+            inner = a == b
+            cell = g * len(self.partition) + a[inner]
+            fold.stage(cell, code[at[inner]], 0, dwell[inner])
+            at, a, b, dwell = (v[~inner] for v in (at, a, b, dwell))
+            fold.spans.append(
+                (np.full(at.size, g), code[at].astype(OID_DTYPE), a, b, dwell)
             )
 
     # -- planner statistics ----------------------------------------------------
@@ -402,7 +383,7 @@ class PreAggStore(GranuleStore):
             granule_level=self.granule_level,
             granules=len(self.partition),
             geometries=len(self.gids),
-            objects=len(self._oid_values),
+            objects=len(self._table.oids),
             built_rows=self._built_rows,
             stale=self.is_stale(),
         )
@@ -411,172 +392,130 @@ class PreAggStore(GranuleStore):
 
     def _fold_rows(self, start: int) -> None:
         """The ``"delta"`` of :meth:`update`: in-time-order appends fold
-        additively, objects appended out of time order are retracted and
+        additively, objects appended out of time order are dropped and
         refolded whole (:meth:`_refold_object`)."""
         with self.obs.stage("preagg_update"):
-            delta = _DeltaSets()
-            for oid in self._fold_delta(delta, start):
-                self._refold_object(delta, oid, start)
-            self._apply_sets(delta)
+            if start < len(self.moft):
+                fold, late = self._fold_delta(start)
+                for code in late:
+                    self._refold_object(fold, fold.oids[code], code)
+                self._bind(fold)
 
-    def _fold_delta(self, delta: _DeltaSets, start: int) -> List[Hashable]:
+    def _fold_delta(self, start: int) -> Tuple[_Fold, List[int]]:
         """Fold rows ``start:`` of objects appended in time order.
 
         Samples and segments (each object's connecting segment from its
-        last folded sample, then its in-delta segments) go through the
-        batched passes of the build.  Returns the objects whose append
-        was *not* in time order, untouched, for the caller to refold.
+        last folded sample, then its in-delta segments) are staged
+        beside the table's rows through the batched passes of the build.
+        Returns the fold and the codes of the objects whose append was
+        *not* in time order — their rows and spanning records dropped
+        from it, nothing of them staged — for the caller to refold.
         """
+        table = self._table
         t, x, y = (column[start:] for column in self.moft.as_arrays())
-        if not t.shape[0]:
-            return []
         granule = self._granule_codes_checked(t)
-        code = np.fromiter(
-            map(self._intern, self.moft.oid_column()[start:].tolist()),
-            dtype=np.int64, count=t.shape[0],
-        )
-        # Delta rows object by object (first-appearance order), each
-        # object's rows ascending in time.
-        _, first_row, inverse = np.unique(
-            code, return_index=True, return_inverse=True
-        )
-        order = np.lexsort((t, first_row[inverse]))
-        t, x, y = t[order], x[order], y[order]
-        granule, code = granule[order], code[order]
+        codes = {oid: code for code, oid in enumerate(table.oids)}
+        code = np.array([
+            codes.setdefault(oid, len(codes))
+            for oid in self.moft.oid_column()[start:].tolist()
+        ])
+        # (NaN: an object met in this delta has no last sample yet.)
+        last = np.full((len(codes), 3), np.nan)
+        last[:len(table.oids)] = table.last
+        # Delta rows object by object, each object's ascending in time.
+        order = np.lexsort((t, code))
+        t, x, y, granule, code = (v[order] for v in (t, x, y, granule, code))
         head = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
         # Every delta row's predecessor: the row before it, or for an
-        # object's first delta row its last folded sample (NaN: none).
-        prev_t, prev_x, prev_y = (np.r_[np.nan, c[:-1]] for c in (t, x, y))
-        known = [self._last.get(c) for c in code[head].tolist()]
-        prev_t[head], prev_x[head], prev_y[head] = np.array(
-            [p if p is not None else (np.nan,) * 3 for p in known]
-        ).reshape(-1, 3).T
+        # object's first delta row its last folded sample.
+        prev = np.vstack(((np.nan,) * 3, np.column_stack((t, x, y))[:-1]))
+        prev[head] = last[code[head]]
+        prev_t, prev_x, prev_y = prev.T
         # Out-of-order append: the connecting segments already folded
         # in would change.  Those objects are left for the caller to
-        # retract and refold whole; every other takes the batched delta.
-        late_codes = code[head[t[head] <= prev_t[head]]]
-        keep = np.ones(len(self._oid_values), dtype=bool)
-        keep[late_codes] = False
-        keep = keep[code]
-        self._fold_samples(
-            delta, code[keep], granule[keep], x[keep], y[keep]
+        # refold whole; every other takes the batched delta.
+        late = np.zeros(len(codes), dtype=bool)
+        late[code[head[t[head] <= prev_t[head]]]] = True
+        fold = _Fold(
+            tuple(codes), last,
+            tuple(column[~late[table.oid]] for column in table[_ROWS]),
+            tuple(column[~late[table.span_oid]] for column in table[_SPANS]),
         )
+        keep = ~late[code]
+        self._fold_samples(fold, code[keep], granule[keep], x[keep], y[keep])
         joined = np.flatnonzero(keep & ~np.isnan(prev_t))
-        self._fold_segments(
-            delta,
-            code[joined],
-            SegmentBatch(
-                prev_t[joined], t[joined],
-                prev_x[joined], prev_y[joined], x[joined], y[joined],
-            ),
+        segments = SegmentBatch(
+            prev_t[joined], t[joined],
+            prev_x[joined], prev_y[joined], x[joined], y[joined],
         )
+        self._fold_segments(fold, code[joined], segments)
         tail = np.flatnonzero(np.r_[code[1:] != code[:-1], True] & keep)
-        self._set_last(code[tail], t[tail], x[tail], y[tail])
-        return [self._oid_values[c] for c in late_codes.tolist()]
+        last[code[tail]] = np.column_stack((t[tail], x[tail], y[tail]))
+        return fold, np.flatnonzero(late).tolist()
 
-    def _fold_history(
-        self, delta: _DeltaSets, code: int, rows: np.ndarray, sign: int = 1
-    ) -> None:
-        """One object's time-sorted ``rows`` through the two fold passes."""
-        t, x, y = (column[rows] for column in self.moft.as_arrays())
-        codes = np.full(rows.shape[0], code, dtype=np.int64)
-        self._fold_samples(
-            delta, codes, self._granule_codes_checked(t), x, y, sign
-        )
-        self._fold_segments(
-            delta,
-            codes[1:],
-            SegmentBatch(t[:-1], t[1:], x[:-1], y[:-1], x[1:], y[1:]),
-            sign,
-        )
-
-    def _refold_object(
-        self, delta: _DeltaSets, oid: Hashable, start: int
-    ) -> None:
-        """Retract one object's folded state and refold its full history.
+    def _refold_object(self, fold: _Fold, oid: Hashable, code: int) -> None:
+        """Fold one object's full history into a fold that holds none of it.
 
         Used when an append delivered the object a sample at or before
         its last folded instant: connecting segments already attributed
-        to cells would change, so the object's entire contribution —
-        its rows below ``start`` — is removed (:meth:`_retract_object`)
-        and rebuilt from its current time-sorted history: exactly what a
-        full :meth:`refresh` would produce for this object, without
-        touching any other object.
+        to cells would change, so :meth:`_fold_delta` dropped all the
+        object had and its time-sorted history goes through the two
+        passes again: what :meth:`refresh` would produce for this
+        object, without touching any other.
         """
-        code = self._oid_code[oid]
-        times, rows = self.moft._object_order(oid)
-        # (A subset of a stable time order is the subset's stable order:
-        # the order these rows were folded in.)
-        self._retract_object(code, rows[rows < start])
-        self._fold_history(delta, code, rows)
-        _, x, y = self.moft.as_arrays()
-        self._last[code] = (
-            float(times[-1]), float(x[rows[-1]]), float(y[rows[-1]])
-        )
-
-    def _retract_object(self, code: int, prior: np.ndarray) -> None:
-        """Remove every folded contribution of one object from the cells.
-
-        The object's *previously folded* rows ``prior``, in the time
-        order they were folded in, go through the fold passes with sign
-        -1, which takes their sample counts and intra-granule dwell back
-        out; then the oid code is stripped from every id set and its
-        spanning records dropped (their dwell lives only in the records,
-        so dropping them is the complete retraction).
-        """
-        self._fold_history(_DeltaSets(), code, prior, sign=-1)
-        for cells in self._cells.values():
-            for id_sets in (cells.present, cells.passers):
-                for g, arr in enumerate(id_sets):
-                    if arr.size and code in arr:
-                        id_sets[g] = arr[arr != code]
-            if cells.span_oid.size:
-                keep = cells.span_oid != code
-                if not keep.all():
-                    cells.span_oid = cells.span_oid[keep]
-                    cells.span_a = cells.span_a[keep]
-                    cells.span_b = cells.span_b[keep]
-                    cells.span_dwell = cells.span_dwell[keep]
-
-    def _own_cells(self) -> None:
-        # Copied: what folds mutate in place — the interning tables,
-        # ``samples``/``dwell`` and the per-granule id-set lists.  The id
-        # and spanning-record arrays are rebound on write, so stay shared.
-        self._oid_values = list(self._oid_values)
-        self._oid_code = dict(self._oid_code)
-        self._last = dict(self._last)
-        shared, self._cells = self._cells, {}
-        for gid, src in shared.items():
-            dst = self._cells[gid] = copy.copy(src)
-            dst.samples, dst.dwell = src.samples.copy(), src.dwell.copy()
-            dst.present, dst.passers = list(src.present), list(src.passers)
+        _, rows = self.moft._object_order(oid)
+        t, x, y = (column[rows] for column in self.moft.as_arrays())
+        codes = np.full(rows.shape[0], code)
+        self._fold_samples(fold, codes, self._granule_codes_checked(t), x, y)
+        history = SegmentBatch(t[:-1], t[1:], x[:-1], y[:-1], x[1:], y[1:])
+        self._fold_segments(fold, codes[1:], history)
+        fold.last[code] = t[-1], x[-1], y[-1]
 
     # -- granule-run queries --------------------------------------------------
+
+    def _gid_codes(self, ids: Iterable[Hashable]) -> np.ndarray:
+        """Positions of ``ids`` in :attr:`gids` (one a cell block of the
+        table); an id outside them is a typed error."""
+        try:
+            return np.array([self._gid_code[gid] for gid in ids], dtype=int)
+        except KeyError as missing:
+            raise PreAggError(
+                f"geometry {missing.args[0]!r} is not materialized in "
+                f"store {self.name!r}"
+            ) from None
+
+    def _run_spans(self, polygons: np.ndarray, first: int, last: int):
+        """Spanning records of ``polygons`` (gid positions) fully inside
+        the granule run ``first..last``: a mask over the span columns."""
+        table = self._table
+        wanted = np.zeros(len(self.gids), dtype=bool)
+        wanted[polygons] = True
+        return (
+            wanted[table.span_gid]
+            & (table.span_a >= first) & (table.span_b <= last)
+        )
 
     def _run_codes(
         self, ids: Iterable[Hashable], first: int, last: int, which: str
     ) -> np.ndarray:
-        if not (0 <= first <= last < len(self.partition)):
+        """Sorted distinct oid codes of the ``"passers"`` / ``"present"``
+        objects of ``ids`` over the granule run."""
+        table, n = self._table, len(self.partition)
+        passers = which == "passers"
+        if not (0 <= first <= last < n):
             raise PreAggError(
-                f"granule run {first}..{last} out of range "
-                f"0..{len(self.partition) - 1}"
+                f"granule run {first}..{last} out of range 0..{n - 1}"
             )
-        parts: List[np.ndarray] = []
-        for gid in ids:
-            cells = self._cells_for(gid)
-            per_granule = cells.passers if which == "passers" else cells.present
-            parts.extend(per_granule[first:last + 1])
-            if which == "passers" and cells.span_oid.size:
-                parts.append(cells.span_oid[cells.span_mask(first, last)])
-        return union_sorted_ids(parts)
-
-    def _cells_for(self, gid: Hashable) -> _GidCells:
-        try:
-            return self._cells[gid]
-        except KeyError:
-            raise PreAggError(
-                f"geometry {gid!r} is not materialized in store {self.name!r}"
-            ) from None
+        polygons = self._gid_codes(ids)
+        seen = np.zeros(len(table.oids), dtype=bool)
+        lo = table.offsets[polygons * n + first].tolist()
+        hi = table.offsets[polygons * n + last + 1].tolist()
+        for rows in map(slice, lo, hi):
+            oid = table.oid[rows]
+            seen[oid if passers else oid[table.samples[rows] > 0]] = True
+        if passers:
+            seen[table.span_oid[self._run_spans(polygons, first, last)]] = True
+        return np.flatnonzero(seen).astype(OID_DTYPE)
 
     def objects_through(
         self, ids: Iterable[Hashable], first: int, last: int
@@ -598,12 +537,8 @@ class PreAggStore(GranuleStore):
         self, ids: Iterable[Hashable], first: int, last: int
     ) -> int:
         """Total samples inside the polygons over the granule run."""
-        return int(
-            sum(
-                self._cells_for(gid).samples[first:last + 1].sum()
-                for gid in ids
-            )
-        )
+        polygons = self._gid_codes(ids)
+        return int(self._table.cell_samples[polygons, first:last + 1].sum())
 
     def dwell_time(
         self, ids: Iterable[Hashable], first: int, last: int
@@ -615,15 +550,11 @@ class PreAggStore(GranuleStore):
         (per-polygon dwell is summed), matching the serial per-polygon
         reference.
         """
-        total = 0.0
-        for gid in ids:
-            cells = self._cells_for(gid)
-            total += float(cells.dwell[first:last + 1].sum())
-            if cells.span_dwell.size:
-                total += float(
-                    cells.span_dwell[cells.span_mask(first, last)].sum()
-                )
-        return total
+        table, polygons = self._table, self._gid_codes(ids)
+        spans = self._run_spans(polygons, first, last)
+        return float(
+            table.cell_dwell[polygons, first:last + 1].sum()
+        ) + float(table.span_dwell[spans].sum())
 
     # -- window decomposition -------------------------------------------------
 
@@ -662,13 +593,10 @@ class PreAggStore(GranuleStore):
         sliver = window & ((t < lo) | (t > hi))
         if not sliver.any():
             return None
-        oid_col = self.moft.oid_column()
-        sliver_oids = set(oid_col[sliver].tolist())
-        mask = np.zeros(len(self.moft), dtype=bool)
-        for oid in sliver_oids:
-            mask[self.moft._object_rows()[oid]] = True
-        mask &= window
-        return mask
+        index = self.moft.segment_index()
+        # Per object: has it a sample in a sliver?  Spread over its rows.
+        touched = np.logical_or.reduceat(sliver[index.perm], index.offsets[:-1])
+        return index.per_row(touched) & window
 
     def window_dwell(
         self, ids: Iterable[Hashable], start: float, end: float
@@ -682,8 +610,7 @@ class PreAggStore(GranuleStore):
         dwell kernel, in (object, time) order per polygon of ``ids``.
         """
         ids = list(ids)
-        for gid in ids:
-            self._cells_for(gid)  # the typed error, covered run or not
+        self._gid_codes(ids)  # the typed error, covered run or not
         run = self.covered_run(start, end)
         total = 0.0 if run is None else self.dwell_time(ids, *run)
         mask = self._sliver_scan_mask(start, end, run)
@@ -707,15 +634,23 @@ class PreAggStore(GranuleStore):
     # -- lattice rollup and cube exposure -------------------------------------
 
     def cell(self, gid: Hashable, member: Hashable) -> PreAggCell:
-        """Decode one finest-granule cell."""
-        cells = self._cells_for(gid)
+        """Decode one finest-granule cell: the reads over a run of one
+        granule (which no spanning record lies inside)."""
         granule = self.partition.code_of(member)
+        run = [gid], granule, granule
         return PreAggCell(
-            samples=int(cells.samples[granule]),
-            dwell=float(cells.dwell[granule]),
-            distinct_objects=frozenset(self.decode(cells.present[granule])),
-            passing_objects=frozenset(self.decode(cells.passers[granule])),
+            samples=self.sample_count(*run),
+            dwell=self.dwell_time(*run),
+            distinct_objects=frozenset(self.distinct_objects(*run)),
+            passing_objects=frozenset(self.objects_through(*run)),
         )
+
+    def _id_sets(self, key, oid, size: int) -> List[frozenset]:
+        """Per key ``0..size-1`` the objects of the ``(key, oid)`` pairs."""
+        order = np.argsort(key, kind="stable")
+        cuts = np.searchsorted(key[order], np.arange(size + 1)).tolist()
+        oids = [self._table.oids[c] for c in oid[order].tolist()]
+        return [frozenset(oids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
     def rollup_cells(
         self, parent_level: str
@@ -731,32 +666,33 @@ class PreAggStore(GranuleStore):
         straddles two parents.
         """
         parent, mapping = self.partition.rollup_codes(self.time, parent_level)
-        out: Dict[Tuple[Hashable, Hashable], PreAggCell] = {}
-        for gid in self.gids:
-            cells = self._cells[gid]
-            span_pa = mapping[cells.span_a] if cells.span_oid.size else None
-            span_pb = mapping[cells.span_b] if cells.span_oid.size else None
-            for p, member in enumerate(parent.members):
-                children = np.flatnonzero(mapping == p)
-                samples = int(cells.samples[children].sum())
-                dwell = float(cells.dwell[children].sum())
-                present = union_sorted_ids(
-                    [cells.present[int(g)] for g in children]
-                )
-                passer_parts = [cells.passers[int(g)] for g in children]
-                if span_pa is not None:
-                    intra = (span_pa == p) & (span_pb == p)
-                    dwell += float(cells.span_dwell[intra].sum())
-                    passer_parts.append(cells.span_oid[intra])
-                passers = union_sorted_ids(passer_parts)
-                if samples or dwell or present.size or passers.size:
-                    out[(gid, member)] = PreAggCell(
-                        samples=samples,
-                        dwell=dwell,
-                        distinct_objects=frozenset(self.decode(present)),
-                        passing_objects=frozenset(self.decode(passers)),
-                    )
-        return out
+        table, width = self._table, len(parent)
+        size = len(self.gids) * width
+        gid, granule = np.divmod(table.cell, len(self.partition))
+        key = gid * width + mapping[granule]
+        intra = np.flatnonzero(mapping[table.span_a] == mapping[table.span_b])
+        span_key = table.span_gid[intra] * width + mapping[table.span_a[intra]]
+        samples = np.bincount(key, weights=table.samples, minlength=size)
+        dwell = np.bincount(key, weights=table.dwell, minlength=size)
+        dwell += np.bincount(
+            span_key, weights=table.span_dwell[intra], minlength=size
+        )
+        sampled = table.samples > 0
+        present = self._id_sets(key[sampled], table.oid[sampled], size)
+        passers = self._id_sets(
+            np.concatenate((key, span_key)),
+            np.concatenate((table.oid, table.span_oid[intra])),
+            size,
+        )
+        # (A cell with a sample or any dwell has a passer.)
+        labels = ((gid, member) for gid in self.gids for member in parent.members)
+        return {
+            label: PreAggCell(
+                int(samples[cell]), float(dwell[cell]),
+                present[cell], passers[cell],
+            )
+            for cell, label in enumerate(labels) if passers[cell]
+        }
 
     def as_cube(self) -> "Cube":
         """Expose the finest-granule cells as an OLAP :class:`Cube`.
@@ -770,26 +706,22 @@ class PreAggStore(GranuleStore):
         summaries: segments crossing granule boundaries contribute to
         window queries (:meth:`objects_through`) but to no single cell.
         """
-        rows = []
-        for gid in self.gids:
-            cells = self._cells[gid]
-            for granule, member in enumerate(self.partition.members):
-                samples = int(cells.samples[granule])
-                dwell = float(cells.dwell[granule])
-                present = cells.present[granule]
-                passers = cells.passers[granule]
-                if not (samples or dwell or present.size or passers.size):
-                    continue
-                rows.append(
-                    {
-                        "granule": member,
-                        "geometry": gid,
-                        "samples": samples,
-                        "dwell": dwell,
-                        "distinct_objects": int(present.size),
-                        "passing_objects": int(passers.size),
-                    }
-                )
+        table, n = self._table, len(self.partition)
+        passing = np.diff(table.offsets)
+        distinct = np.bincount(
+            table.cell[table.samples > 0], minlength=passing.size
+        )
+        rows = [
+            {
+                "granule": self.partition.members[cell % n],
+                "geometry": self.gids[cell // n],
+                "samples": int(table.cell_samples.flat[cell]),
+                "dwell": float(table.cell_dwell.flat[cell]),
+                "distinct_objects": int(distinct[cell]),
+                "passing_objects": int(passing[cell]),
+            }
+            for cell in np.flatnonzero(passing).tolist()
+        ]
         return self._cells_cube(
             "geometry",
             ("samples", "dwell", "distinct_objects", "passing_objects"),
@@ -799,43 +731,26 @@ class PreAggStore(GranuleStore):
     # -- shard merge ----------------------------------------------------------
 
     def _absorb(self, store: "PreAggStore") -> None:
-        """Counts and dwell add; id sets union after re-interning the
-        shard's oid codes into this store."""
-        remap = np.array(
-            [self._intern(oid) for oid in store._oid_values],
-            dtype=OID_DTYPE,
+        """The shard's rows and spanning records join this table under
+        oid codes shifted past its own (:meth:`merge` has checked that
+        the two hold no object in common)."""
+        mine, theirs = self._table, store._table
+        shift = OID_DTYPE(len(mine.oids))
+        fold = _Fold(
+            mine.oids + theirs.oids, np.concatenate((mine.last, theirs.last)),
+            mine[_ROWS], mine[_SPANS],
         )
-        for code, last in store._last.items():
-            self._last[int(remap[code])] = last
-        for gid in self.gids:
-            src = store._cells[gid]
-            dst = self._cells[gid]
-            dst.samples += src.samples
-            dst.dwell += src.dwell
-            for g in range(len(self.partition)):
-                if src.present[g].size:
-                    dst.present[g] = union_sorted_ids(
-                        [dst.present[g], np.sort(remap[src.present[g]])]
-                    )
-                if src.passers[g].size:
-                    dst.passers[g] = union_sorted_ids(
-                        [dst.passers[g], np.sort(remap[src.passers[g]])]
-                    )
-            if src.span_oid.size:
-                dst.span_oid = np.concatenate(
-                    [dst.span_oid, remap[src.span_oid]]
-                )
-                dst.span_a = np.concatenate([dst.span_a, src.span_a])
-                dst.span_b = np.concatenate([dst.span_b, src.span_b])
-                dst.span_dwell = np.concatenate(
-                    [dst.span_dwell, src.span_dwell]
-                )
+        cell, oid, samples, dwell = theirs[_ROWS]
+        fold.stage(cell, oid + shift, samples, dwell)
+        gid, oid, a, b, dwell = theirs[_SPANS]
+        fold.spans.append((gid, oid + shift, a, b, dwell))
+        self._bind(fold)
 
     def __repr__(self) -> str:
         return (
             f"PreAggStore({self.name!r}, level={self.granule_level!r}, "
             f"granules={len(self.partition)}, geometries={len(self.gids)}, "
-            f"objects={len(self._oid_values)}, "
+            f"objects={len(self._table.oids)}, "
             f"stale={self.is_stale()})"
         )
 

@@ -1,10 +1,13 @@
-"""Tier-1 smoke test mirroring ``benchmarks/bench_preagg_rollup.py``.
+"""The equality legs of the retired ``benchmarks/bench_preagg_rollup.py``.
 
-The benchmark's three measured steps — cold scan, warm store query,
-incremental-update-then-query — run here on a tiny world with the same
-code paths but no timing bars, so CI catches a broken benchmark script
-shape (fixture construction, store registration, routing, equality
-assertions) without paying the 250k-sample build.
+Its three steps — cold scan, warm store query, incremental update then
+query — are timed by the e2e benchmark now (``benchmarks/e2e``:
+``op.through_p50_ms`` / ``op.dwell_p50_ms`` on ``warm_preagg`` against
+``cold_scan``, ``setup_s`` on ``warm_preagg``, ``round_ms`` on
+``ingest_interleaved``, exactness-gated in the ``e2e-smoke`` CI lane).
+What stays here, in tier-1 and on a tiny world, is what they asserted:
+the store registers, the query routes through it, and the warm and the
+updated answers equal the scan's.
 """
 
 from __future__ import annotations

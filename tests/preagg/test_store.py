@@ -29,6 +29,8 @@ from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.preagg.oracle import assert_cells_equal, spans
+
 TARGET = ("Ln", POLYGON)
 
 
@@ -96,10 +98,14 @@ class TestConstruction:
 
     def test_id_sets_are_sorted_uint32(self, fig1):
         _, _, _, store = fig1
-        for cells in store._cells.values():
-            for arr in list(cells.present) + list(cells.passers):
-                assert arr.dtype == OID_DTYPE
-                assert (np.diff(arr.astype(np.int64)) > 0).all()
+        last = len(store.partition) - 1
+        runs = [(g, g) for g in range(last + 1)] + [(0, last)]
+        for ids in [[gid] for gid in store.gids] + [store.gids]:
+            for which in ("present", "passers"):
+                for run in runs:
+                    arr = store._run_codes(ids, *run, which)
+                    assert arr.dtype == OID_DTYPE
+                    assert (np.diff(arr.astype(np.int64)) > 0).all()
 
 
 class TestRunQueries:
@@ -287,38 +293,8 @@ class TestStaleness:
                 assert store.update() == "delta"
         rebuilt = PreAggStore(feed, context.time, "day", elements)
 
-        def spans(s, gid):
-            cells = s._cells[gid]
-            return sorted(
-                zip(
-                    (s._oid_values[c] for c in cells.span_oid.tolist()),
-                    cells.span_a.tolist(), cells.span_b.tolist(),
-                    cells.span_dwell.tolist(),
-                )
-            )
-
-        assert {
-            store._oid_values[c]: last for c, last in store._last.items()
-        } == {
-            rebuilt._oid_values[c]: last for c, last in rebuilt._last.items()
-        }
-        crossing = 0
-        for gid in store.gids:
-            ours, theirs = store._cells[gid], rebuilt._cells[gid]
-            assert ours.samples.tolist() == theirs.samples.tolist()
-            assert np.allclose(ours.dwell, theirs.dwell, rtol=1e-9, atol=1e-12)
-            for g in range(len(store.partition)):
-                for name in ("present", "passers"):
-                    assert store.decode(getattr(ours, name)[g]) == (
-                        rebuilt.decode(getattr(theirs, name)[g])
-                    )
-            got, want = spans(store, gid), spans(rebuilt, gid)
-            assert [r[:3] for r in got] == [r[:3] for r in want]
-            assert np.allclose(
-                [r[3] for r in got], [r[3] for r in want], rtol=1e-9, atol=1e-12
-            )
-            crossing += len(got)
-        assert crossing, "no segment crossed the day boundary"
+        assert_cells_equal(store, rebuilt)
+        assert spans(store), "no segment crossed the day boundary"
 
     def test_out_of_order_append_takes_delta_path(self):
         """Regression: this exact case used to return ``"rebuild"``.

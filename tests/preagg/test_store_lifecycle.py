@@ -39,6 +39,8 @@ from repro.synth import (
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.preagg.oracle import assert_cells_equal, last_samples
+
 N_INSTANTS = 48  # two days of hourly instants; the feed stops at BUILT
 BUILT = 40
 
@@ -311,6 +313,65 @@ class TestClone:
         assert_same(kind, store, kind.build(world))
 
 
+class TestFoldsNeverWriteInPlace:
+    """A fold makes a new table: every column of the one a store holds
+    is read-only, and a pinned clone keeps its table object whatever the
+    store it came from goes on to fold."""
+
+    @staticmethod
+    def columns(store):
+        return [c for c in store._table if isinstance(c, np.ndarray)]
+
+    def test_a_write_into_a_table_column_raises(self, kind, world):
+        store = kind.build(world)
+        world.moft.extend_columns(*world.appended())
+        folded = store.clone()
+        assert folded.update() == "delta"
+        for made in (store, folded, kind.build(world, build=False)):
+            columns = self.columns(made)
+            assert len(columns) == len(made._table) - 1  # all but ``oids``
+            for column in columns:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[...] = 0
+
+    def test_a_pinned_clone_survives_every_fold(self, kind, world):
+        store = kind.build(world)
+        pins = []
+
+        def pin(source):
+            clone = source.clone()
+            assert clone._table is source._table
+            content = [column.tobytes() for column in self.columns(clone)]
+            pins.append((clone, clone._table, content, kind.answers(clone)))
+
+        pin(store)
+        world.moft.extend_columns(*world.appended())
+        assert store.update() == "delta"  # an in-order batch
+        pin(store)
+        t, x, y = world.moft.as_arrays()
+        row = int(np.flatnonzero(world.moft.oid_column() == "visitor3")[12])
+        world.moft.extend_columns(
+            ["visitor3", "visitor3"], [t[row], t[row] - 7.0],
+            [x[row] + 7.0, x[row]], [y[row] - 3.0, y[row]], validate=False,
+        )
+        assert store.update() == "delta"  # an out-of-order batch
+        pin(store)
+        shards = [
+            kind.build(world, moft=part)
+            for part in world.moft.partition_by_objects(3)
+        ]
+        for shard in shards:
+            pin(shard)
+        merged = kind.store_type.merge(shards, world.moft)
+        assert_same(kind, merged, store)
+        assert_same(kind, store, kind.build(world))
+        assert len({id(table) for _, table, _, _ in pins}) == len(pins)
+        for clone, table, content, answers in pins:
+            assert clone._table is table
+            assert [c.tobytes() for c in self.columns(clone)] == content
+            assert kind.answers(clone) == answers
+
+
 class TestMerge:
     def shards(self, kind, world, n=3):
         parts = [p for p in world.moft.partition_by_objects(n) if len(p)]
@@ -477,40 +538,6 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
-def assert_cells_equal(store: PreAggStore, rebuilt: PreAggStore) -> None:
-    """The cell-by-cell comparison of
-    ``test_in_order_feed_equals_rebuild_cell_by_cell``."""
-
-    def spans(s, gid):
-        cells = s._cells[gid]
-        return sorted(
-            zip(
-                (s._oid_values[c] for c in cells.span_oid.tolist()),
-                cells.span_a.tolist(), cells.span_b.tolist(),
-                cells.span_dwell.tolist(),
-            )
-        )
-
-    def last(s):
-        return {s._oid_values[c]: sample for c, sample in s._last.items()}
-
-    assert last(store) == last(rebuilt)
-    for gid in store.gids:
-        ours, theirs = store._cells[gid], rebuilt._cells[gid]
-        assert ours.samples.tolist() == theirs.samples.tolist()
-        assert np.allclose(ours.dwell, theirs.dwell, rtol=1e-9, atol=1e-12)
-        for g in range(len(store.partition)):
-            for name in ("present", "passers"):
-                assert store.decode(getattr(ours, name)[g]) == (
-                    rebuilt.decode(getattr(theirs, name)[g])
-                )
-        got, want = spans(store, gid), spans(rebuilt, gid)
-        assert [r[:3] for r in got] == [r[:3] for r in want]
-        assert np.allclose(
-            [r[3] for r in got], [r[3] for r in want], rtol=1e-9, atol=1e-12
-        )
-
-
 class TestOutOfOrderRetract:
     """Retract and refold run the batched passes: after any out-of-order
     append the cells, span records and last samples are those of a store
@@ -608,7 +635,7 @@ class TestOutOfOrderRetract:
             (["loner"], [12.0], [inside.x + 1.0], [inside.y]),
         )
         assert self.refolded == ["loner"]
-        assert store._last[store._oid_code["loner"]][0] == 30.0
+        assert last_samples(store)["loner"][0] == 30.0
 
 
 class TestWindowSlivers:
