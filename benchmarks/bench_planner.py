@@ -9,7 +9,7 @@ strategy — the cost constants are coarse by design, so the bar is "not
 egregiously wrong", not "optimal".  Two scenarios:
 
 * **scan-only** — no store registered; candidates are serial, grid and
-  the threads-sharded fan-out;
+  the fan-out over 2 worker processes;
 * **with store** — a fresh day-granule store over the answer polygons;
   the pre-agg route joins the candidate set and should win outright.
 
@@ -68,8 +68,13 @@ def build_world(with_store: bool):
 @pytest.mark.parametrize("with_store", [False, True], ids=["scan-only", "with-store"])
 def test_planner_picks_a_fast_strategy(with_store):
     context = build_world(with_store)
-    executor = ShardedExecutor(backend="threads", n_shards=4, obs=context.obs)
+    with ShardedExecutor(
+        backend="processes", n_shards=2, obs=context.obs
+    ) as executor:
+        check_planner_pick(context, executor, with_store)
 
+
+def check_planner_pick(context, executor, with_store):
     auto_count, auto_plan = planned_count_objects_through(
         context, TARGET, CONSTRAINTS, executor=executor
     )

@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend", default="serial",
-        choices=("serial", "threads", "processes"),
+        choices=("serial", "processes"),
         help="sharded-executor backend jobs run with (default serial)",
     )
     serve.add_argument(

@@ -44,13 +44,10 @@ settles ``intersects_segment``.  The crossing class extends the argument
 piece by piece; :func:`_solve_crossings` spells out which scalar
 branches can and cannot fire for a row it accepts.
 
-Backends (``REPRO_CLIP_KERNEL`` env var or :func:`set_kernel_backend`):
+Backends (:func:`set_kernel_backend`):
 
 ========== =====================================================
-``auto``   the default: pure numpy
-``numpy``  vectorized classification in numpy
-``numba``  jit-compiled classification loops (falls back to
-           ``numpy`` when numba is not installed)
+``numpy``  the default: vectorized classification in numpy
 ``scalar`` classify everything as status 2 and solve nothing in
            batch — the old per-segment path, kept as the
            differential-testing baseline
@@ -60,8 +57,7 @@ Backends (``REPRO_CLIP_KERNEL`` env var or :func:`set_kernel_backend`):
 from __future__ import annotations
 
 import math
-import os
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -95,57 +91,26 @@ _CUT_GAP = 1e-7
 #: Most boundary cuts per segment the crossing solver handles.
 _MAX_CUTS = 8
 
-_BACKENDS = ("auto", "numpy", "numba", "scalar")
-_backend: Optional[str] = None
+_BACKENDS = ("numpy", "scalar")
+_backend = "numpy"
 
 
-def set_kernel_backend(name: Optional[str]) -> str:
-    """Select the classification backend; returns the *effective* one.
-
-    ``None`` re-resolves from the ``REPRO_CLIP_KERNEL`` environment
-    variable (defaulting to ``auto``).  Requesting ``numba`` without
-    numba installed degrades to ``numpy`` — the fallback the ISSUE's
-    feature flag promises.
-    """
+def set_kernel_backend(name: str) -> str:
+    """Select the classification backend; returns it."""
     global _backend
-    if name is None:
-        name = os.environ.get("REPRO_CLIP_KERNEL", "auto").strip() or "auto"
     name = name.lower()
     if name not in _BACKENDS:
         raise GeometryError(
             f"unknown clip-kernel backend {name!r}; "
             f"choose from {', '.join(_BACKENDS)}"
         )
-    if name == "auto":
-        name = "numpy"
-    if name == "numba" and _numba_classify() is None:
-        name = "numpy"
     _backend = name
     return name
 
 
 def kernel_backend() -> str:
-    """The effective classification backend (resolving lazily)."""
-    if _backend is None:
-        return set_kernel_backend(None)
+    """The classification backend in effect."""
     return _backend
-
-
-_numba_compiled = None
-_numba_failed = False
-
-
-def _numba_classify():
-    """The jitted classification loops, or None when numba is missing."""
-    global _numba_compiled, _numba_failed
-    if _numba_compiled is None and not _numba_failed:
-        try:
-            import numba
-        except ImportError:
-            _numba_failed = True
-            return None
-        _numba_compiled = numba.njit(cache=False)(_classify_loops)
-    return _numba_compiled
 
 
 # -- per-polygon edge arrays (cached) -----------------------------------------
@@ -369,125 +334,6 @@ def _classify_chunk_numpy(
     return status
 
 
-def _classify_loops(
-    x0, y0, x1, y1,
-    ax, ay, bx, by, ring_offsets,
-    bminx, bminy, bmaxx, bmaxy, tolerance,
-):
-    """Loop form of :func:`_classify_chunk_numpy` — same math, scalar
-    control flow, so ``numba.njit`` compiles it directly.  Runs (slowly)
-    uncompiled too, which is how the equivalence tests pin it against
-    the numpy implementation without numba installed.
-    """
-    n = x0.shape[0]
-    n_edges = ax.shape[0]
-    n_rings = ring_offsets.shape[0] - 1
-    status = np.full(n, 2, dtype=np.uint8)
-    clear2 = (2.0 * tolerance) * (2.0 * tolerance)
-    for i in range(n):
-        sx0, sy0, sx1, sy1 = x0[i], y0[i], x1[i], y1[i]
-        sminx = sx0 if sx0 < sx1 else sx1
-        smaxx = sx1 if sx0 < sx1 else sx0
-        sminy = sy0 if sy0 < sy1 else sy1
-        smaxy = sy1 if sy0 < sy1 else sy0
-        if sminx > bmaxx or smaxx < bminx or sminy > bmaxy or smaxy < bminy:
-            status[i] = 0
-            continue
-        dsx = sx1 - sx0
-        dsy = sy1 - sy0
-        contact = False
-        # A zero-length segment is one point: it skips the contact scan,
-        # only the far-field rule below applies to it.
-        first = n_edges if (sx0 == sx1 and sy0 == sy1) else 0
-        for e in range(first, n_edges):
-            eax, eay, ebx, eby = ax[e], ay[e], bx[e], by[e]
-            eminx = eax if eax < ebx else ebx
-            emaxx = ebx if eax < ebx else eax
-            eminy = eay if eay < eby else eby
-            emaxy = eby if eay < eby else eay
-            if (
-                sminx > emaxx or smaxx < eminx
-                or sminy > emaxy or smaxy < eminy
-            ):
-                continue
-            rax_ = eax - sx0
-            ray_ = eay - sy0
-            rbx_ = ebx - sx0
-            rby_ = eby - sy0
-            d1 = dsx * ray_ - dsy * rax_
-            d2 = dsx * rby_ - dsy * rbx_
-            b1 = _SEP_EPS * (abs(dsx) * abs(ray_) + abs(dsy) * abs(rax_))
-            b2 = _SEP_EPS * (abs(dsx) * abs(rby_) + abs(dsy) * abs(rbx_))
-            if (d1 > b1 and d2 > b2) or (d1 < -b1 and d2 < -b2):
-                continue
-            dex = ebx - eax
-            dey = eby - eay
-            r1x = sx1 - eax
-            r1y = sy1 - eay
-            d3 = dex * (-ray_) - dey * (-rax_)
-            d4 = dex * r1y - dey * r1x
-            b3 = _SEP_EPS * (abs(dex) * abs(ray_) + abs(dey) * abs(rax_))
-            b4 = _SEP_EPS * (abs(dex) * abs(r1y) + abs(dey) * abs(r1x))
-            if (d3 > b3 and d4 > b4) or (d3 < -b3 and d4 < -b4):
-                continue
-            contact = True
-            break
-        if contact:
-            continue
-        mx = sx0 + 0.5 * (sx1 - sx0)
-        my = sy0 + 0.5 * (sy1 - sy0)
-        far = True
-        for e in range(n_edges):
-            eax, eay = ax[e], ay[e]
-            dex = bx[e] - eax
-            dey = by[e] - eay
-            len2 = dex * dex + dey * dey
-            for (px, py) in ((sx0, sy0), (mx, my), (sx1, sy1)):
-                rx = px - eax
-                ry = py - eay
-                if len2 > 0.0:
-                    tproj = (rx * dex + ry * dey) / len2
-                    if tproj < 0.0:
-                        tproj = 0.0
-                    elif tproj > 1.0:
-                        tproj = 1.0
-                else:
-                    tproj = 0.0
-                cx = rx - tproj * dex
-                cy = ry - tproj * dey
-                if cx * cx + cy * cy < clear2:
-                    far = False
-                    break
-            if not far:
-                break
-        if not far:
-            continue
-        inside = False
-        s0, s1 = ring_offsets[0], ring_offsets[1]
-        for e in range(s0, s1):
-            if (ay[e] > my) != (by[e] > my):
-                x_cross = ax[e] + (my - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
-                if mx < x_cross:
-                    inside = not inside
-        if inside:
-            for r in range(1, n_rings):
-                h0, h1 = ring_offsets[r], ring_offsets[r + 1]
-                in_hole = False
-                for e in range(h0, h1):
-                    if (ay[e] > my) != (by[e] > my):
-                        x_cross = (
-                            ax[e]
-                            + (my - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
-                        )
-                        if mx < x_cross:
-                            in_hole = not in_hole
-                if in_hole:
-                    inside = False
-                    break
-        status[i] = 1 if inside else 0
-    return status
-
-
 def _float_columns(*columns) -> List[np.ndarray]:
     return [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
 
@@ -506,26 +352,15 @@ def classify_segments(
     """
     x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
     n = x0.shape[0]
-    backend = kernel_backend()
-    if backend == "scalar" or n == 0:
+    if kernel_backend() == "scalar" or n == 0:
         return np.full(n, 2, dtype=np.uint8)
     edges = polygon_edge_arrays(polygon)
-    jitted = _numba_classify() if backend == "numba" else None
     out = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        if jitted is not None:
-            out[lo:hi] = jitted(
-                x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi],
-                edges.ax, edges.ay, edges.bx, edges.by,
-                edges.ring_offsets,
-                edges.bminx, edges.bminy, edges.bmaxx, edges.bmaxy,
-                edges.tolerance,
-            )
-        else:
-            out[lo:hi] = _classify_chunk_numpy(
-                x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi], edges
-            )
+        out[lo:hi] = _classify_chunk_numpy(
+            x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi], edges
+        )
     return out
 
 

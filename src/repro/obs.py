@@ -39,10 +39,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     The resilient execution layer (:func:`repro.parallel.backends
     .resilient_map`): faults fired from a :class:`~repro.faults
     .FaultPlan`, task attempts re-scheduled, attempts that exceeded the
-    :class:`~repro.parallel.backends.RetryPolicy` timeout, and backend
-    steps down the degradation ladder (``processes`` → ``threads`` →
-    ``serial``).  All zero on the fast path (no plan, no policy,
-    ``failure_mode="raise"``).
+    :class:`~repro.parallel.backends.RetryPolicy` timeout, and
+    descents of a fan-out to the ``serial`` backend (from ``processes``
+    or a caller-supplied one; one per descent).  All zero on the fast
+    path (no plan, no policy, ``failure_mode="raise"``).
 
 ``clip_kernel_segments`` / ``clip_kernel_crossings`` /
 ``clip_kernel_fallback``
@@ -177,9 +177,11 @@ streaming-ingest layer adds ``ingest_fold`` (seal → publish → clone →
 store fold, one call per flush) and ``compaction`` (segment-chain
 collapse, one call per compaction).
 
-Thread safety: counters and stage timers are mutated from worker threads
-by the ``threads`` backend of :mod:`repro.parallel`, so every read-modify-
-write on a :class:`PipelineStats` goes through one re-entrant lock —
+Thread safety: counters and stage timers are mutated from several
+threads at once — the query service's workers, concurrent ingest
+submitters, a caller-supplied thread backend of :mod:`repro.parallel` —
+so every read-modify-write on a :class:`PipelineStats` goes through one
+re-entrant lock —
 ``incr``, ``record``, ``stage`` entry/exit, ``merge``, ``reset`` and the
 snapshot helpers are all atomic.  Instances stay picklable (the
 ``processes`` backend ships worker stats back to the parent): the lock is

@@ -2,7 +2,7 @@
 
 ``MOFT.partition_by_objects`` / ``partition_by_time`` cut the columnar
 fact table into shard MOFTs; :class:`ShardedExecutor` fans query work out
-over a pluggable backend (``serial`` / ``threads`` / ``processes``) and
+over a pluggable backend (``serial`` / ``processes``) and
 merges exact partial results; :class:`ShardedPietQLExecutor` does the
 same for Piet-QL queries.  The resilient layer (:class:`RetryPolicy`,
 :func:`resilient_map`, executor ``failure_mode``) adds per-task
@@ -22,7 +22,6 @@ from repro.parallel.backends import (
     RetryPolicy,
     SerialBackend,
     TaskFailure,
-    ThreadBackend,
     available_cpus,
     degraded_backend,
     get_backend,
@@ -41,7 +40,6 @@ __all__ = [
     "DEGRADATION_ORDER",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "RetryPolicy",
     "TaskFailure",

@@ -1,38 +1,38 @@
 """Pluggable execution backends for sharded query evaluation.
 
 A backend is anything with a ``map(fn, items)`` returning the results in
-item order.  Three are built in:
+item order.  Two are built in:
 
 * :class:`SerialBackend` — a plain loop in the calling thread; the
   baseline every differential test compares against, and the right
   choice for tiny inputs where fan-out overhead dominates;
-* :class:`ThreadBackend` — ``concurrent.futures.ThreadPoolExecutor``;
-  helps when shard work releases the GIL (NumPy batch predicates);
 * :class:`ProcessBackend` — ``concurrent.futures.ProcessPoolExecutor``;
-  true multi-core parallelism for the pure-Python segment scans.  Task
-  functions must be module-level and payloads picklable.
+  true multi-core parallelism for the segment scans, which hold the
+  GIL.  Task functions must be module-level and payloads picklable.
 
-A pool backend owns **one pool per instance**: constructing the backend
-starts nothing, the first multi-item ``map`` / ``run_tasks`` builds the
-pool, and every later call reuses it — process workers are forked then
-(and see module state as of then) and keep what they cache between
+The process backend owns **one pool per instance**: constructing the
+backend starts nothing, the first multi-item ``map`` / ``run_tasks``
+builds the pool, and every later call reuses it — the workers are forked
+then (and see module state as of then) and keep what they cache between
 fan-outs.  A pool that broke (a worker died) or holds a timed-out
 straggler is abandoned and the next call builds a fresh one;
 :meth:`ExecutionBackend.close` shuts the pool down, and a backend that
 is simply dropped, or still open at interpreter exit, is shut down by a
 finalizer.  Pickles of a backend carry its sizing, never its pool.
 
-:func:`get_backend` resolves a backend from its registry name (or passes
-an instance through), so callers can say ``backend="processes"``.
+:func:`get_backend` resolves a backend from its registry name, so
+callers can say ``backend="processes"``, and passes an
+:class:`ExecutionBackend` instance through: any other way of running
+the tasks (a thread pool, say) is a subclass the caller hands in.
 
 On top of plain ``map`` sits the *resilient* layer:
 
 * ``run_tasks(fn, items, timeout)`` — per-item guarded execution: every
   item yields an outcome (value, exception, or timeout) instead of the
-  first worker exception aborting the whole fan-out.  Pool backends
-  enforce the timeout preemptively via futures; the serial backend
-  checks elapsed time after the fact (a single thread cannot preempt
-  itself);
+  first worker exception aborting the whole fan-out.  The process
+  backend enforces the timeout preemptively via futures; the serial
+  backend checks elapsed time after the fact (a single thread cannot
+  preempt itself);
 * :class:`RetryPolicy` — per-task timeout, bounded retry budget, and a
   deterministic exponential backoff (no jitter: chaos tests must
   replay);
@@ -42,9 +42,9 @@ On top of plain ``map`` sits the *resilient* layer:
   *exact-or-error* contract: either every task's value is accounted for,
   in item order, or a typed :class:`~repro.errors.ShardExecutionError`
   carrying the failure records and the injected-fault trace is raised.
-  Backend degradation steps down :data:`DEGRADATION_ORDER`
-  (``processes`` → ``threads`` → ``serial``), resetting the retry budget
-  of the tasks that exhausted it at the richer tier.
+  Backend degradation is the one step of :data:`DEGRADATION_ORDER`
+  (``processes`` → ``serial``), resetting the retry budget of the tasks
+  that exhausted it at the richer tier.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -121,7 +116,7 @@ class ExecutionBackend:
         *after* each item completes — an overdue attempt is reported as
         a timeout even though its work finished, keeping timeout
         semantics uniform across backends (the retry loop will redo
-        it).  Pool backends override this with preemptive waits.
+        it).  The process backend overrides this with preemptive waits.
         """
         outcomes: List[AttemptOutcome[R]] = []
         for item in items:
@@ -152,16 +147,17 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Sizing, and the one resident pool, of the pool-based backends.
+class ProcessBackend(ExecutionBackend):
+    """Fan shards out over one resident pool of worker processes.
 
-    The pool is sized for the largest fan-out seen so far, capped by
-    ``max_workers`` (default: the available CPUs): a call that wants
-    more workers than the pool has replaces it, once, with a larger one.
+    ``fn`` must be defined at module level and every payload picklable —
+    the sharded executor's task functions satisfy both.  The pool is
+    sized for the largest fan-out seen so far, capped by ``max_workers``
+    (default: the available CPUs): a call that wants more workers than
+    the pool has replaces it, once, with a larger one.
     """
 
-    #: The ``concurrent.futures`` executor class the subclass pools with.
-    _pool_class: "type | None" = None
+    name = "processes"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -200,7 +196,7 @@ class _PoolBackend(ExecutionBackend):
         if self._pool is None or workers > self._pool_workers:
             # (A smaller pool first finishes what it has in flight.)
             self._release(self._pool, abandon=False)
-            self._pool = self._pool_class(max_workers=workers)
+            self._pool = ProcessPoolExecutor(max_workers=workers)
             self._pool_workers = workers
             # For backends that are dropped, or open at interpreter
             # exit: neither must leave workers behind.
@@ -303,28 +299,9 @@ class _PoolBackend(ExecutionBackend):
         return outcomes
 
 
-class ThreadBackend(_PoolBackend):
-    """Fan shards out over a thread pool."""
-
-    name = "threads"
-    _pool_class = ThreadPoolExecutor
-
-
-class ProcessBackend(_PoolBackend):
-    """Fan shards out over worker processes.
-
-    ``fn`` must be defined at module level and every payload picklable —
-    the sharded executor's task functions satisfy both.
-    """
-
-    name = "processes"
-    _pool_class = ProcessPoolExecutor
-
-
 #: Name -> backend class, for ``backend="<name>"`` resolution.
 BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
@@ -349,8 +326,8 @@ def get_backend(
 
 # -- the resilient layer -------------------------------------------------------
 
-#: Backend-degradation ladder: each failure tier steps one name right.
-DEGRADATION_ORDER: Tuple[str, ...] = ("processes", "threads", "serial")
+#: Backend-degradation ladder: a failure tier steps one name right.
+DEGRADATION_ORDER: Tuple[str, ...] = ("processes", "serial")
 
 
 @dataclass(frozen=True)
@@ -364,9 +341,9 @@ class RetryPolicy:
         to three tries before the task escalates — to degradation under
         ``failure_mode="degrade"``, to a typed error otherwise).
     timeout_s:
-        Per-task timeout in seconds (None: no timeout).  Pool backends
-        enforce it preemptively; the serial backend checks after the
-        fact.  Injected latency faults count against it.
+        Per-task timeout in seconds (None: no timeout).  The process
+        backend enforces it preemptively; the serial backend checks
+        after the fact.  Injected latency faults count against it.
     backoff_s / backoff_multiplier:
         Deterministic exponential backoff between retry rounds: round
         ``r`` (1-based) sleeps ``backoff_s * backoff_multiplier**(r-1)``
@@ -426,23 +403,12 @@ class TaskFailure:
 def degraded_backend(backend: ExecutionBackend) -> Optional[ExecutionBackend]:
     """The next backend down the ladder, or None when already at serial.
 
-    Unknown (user-supplied) backends degrade straight to serial: when a
-    custom pool misbehaves, the one dependable fallback is the plain
-    in-process loop.
+    Whatever misbehaved — the process pool or a user-supplied backend —
+    the one dependable fallback is the plain in-process loop.
     """
     if isinstance(backend, SerialBackend) or backend.name == "serial":
         return None
-    try:
-        position = DEGRADATION_ORDER.index(backend.name)
-    except ValueError:
-        return SerialBackend()
-    for name in DEGRADATION_ORDER[position + 1:]:
-        cls = BACKENDS[name]
-        if cls is SerialBackend:
-            return cls()
-        max_workers = getattr(backend, "max_workers", None)
-        return cls(max_workers=max_workers)
-    return None
+    return SerialBackend()
 
 
 def _shard_error(

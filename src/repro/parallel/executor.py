@@ -7,7 +7,7 @@ shard and the per-shard answers merged exactly (disjoint object sets —
 set union).  :class:`ShardedExecutor` packages that recipe:
 
 * a pluggable :mod:`backend <repro.parallel.backends>` (``serial`` /
-  ``threads`` / ``processes``) runs the shard tasks;
+  ``processes``) runs the shard tasks;
 * per-query merge functions (:mod:`repro.parallel.merge`) fold partials;
 * every fan-out is instrumented on the executor's
   :class:`~repro.obs.PipelineStats`: ``shard_count`` / ``merge_ms``
@@ -42,7 +42,11 @@ The executor is not a second query path: the through-count
 plan — the planner's ``sharded`` strategy with its shard count, the
 route-first front-ends with the executor's own — and
 :class:`ShardedPietQLExecutor` gives Piet-QL's ``THROUGH RESULT`` the
-same executor instead of scanning itself.
+same executor instead of scanning itself.  Store builds are the same
+fan-out: :meth:`ShardedExecutor.build_store` builds either kind of
+:class:`~repro.cellstore.GranuleStore` shard by shard with one task
+function, and the POI aggregates (:mod:`repro.query.poi`) take their
+``sharded`` strategy from the executor they are passed.
 
 Correctness is guarded externally: ``tests/parallel/oracle.py`` runs
 every covered query through the seed serial path and every backend and
@@ -55,7 +59,7 @@ Failure semantics (the resilient layer): the executor's
 :class:`~repro.parallel.backends.RetryPolicy` govern what a stalling,
 dying or corrupt shard task does to the run — bounded deterministic
 retries, per-task timeouts, and backend degradation ``processes`` →
-``threads`` → ``serial``.  Every fan-out verifies result completeness
+``serial``.  Every fan-out verifies result completeness
 before merging: the engine either returns an answer bit-equal to the
 serial scan or raises a typed
 :class:`~repro.errors.ShardExecutionError`; a partial merge is
@@ -84,13 +88,16 @@ from typing import (
     Dict,
     Hashable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Type,
     TypeVar,
 )
 
+from repro.cellstore import GranuleStore
 from repro.errors import (
     EvaluationError,
     MoftStorageError,
@@ -109,6 +116,7 @@ from repro.parallel.merge import intersect_ids, sum_groups, union_ids
 from repro.parallel.shm import ShardImage, open_shard, serialize_shards
 from repro.pietql import ast as pietql_ast
 from repro.pietql.executor import LayerBinding, PietQLExecutor
+from repro.preagg.store import PreAggStore
 from repro.query.evaluator import (
     TimeRestriction,
     TrajectoryIntersectionCounter,
@@ -165,22 +173,15 @@ def _apply_task(payload) -> ShardOutcome:
     return value, time.perf_counter() - start, None
 
 
-def _build_preagg_task(payload) -> ShardOutcome:
-    """Build a pre-aggregation store over one object shard of a MOFT."""
-    from repro.preagg.store import PreAggStore
-
-    shard, time_dim, granule_level, geometries, layer, kind, name = payload
+def _build_store_task(payload) -> ShardOutcome:
+    """Build a granule store (the class the payload names, with its
+    constructor arguments) over one object shard of a MOFT."""
+    cls, shard, time_dim, granule_level, geometries, options = payload
     stats = PipelineStats()
     start = time.perf_counter()
-    store = PreAggStore(
-        open_shard(shard),
-        time_dim,
-        granule_level,
-        geometries,
-        layer=layer,
-        kind=kind,
-        name=name,
-        obs=stats,
+    store = cls(
+        open_shard(shard), time_dim, granule_level, geometries,
+        obs=stats, **options,
     )
     return store, time.perf_counter() - start, stats
 
@@ -219,12 +220,12 @@ class ShardedExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"`` / ``"threads"`` / ``"processes"`` or an
+        ``"serial"`` / ``"processes"`` or an
         :class:`~repro.parallel.backends.ExecutionBackend` instance.
     n_shards:
         How many shards to cut inputs into (default: available CPUs).
     max_workers:
-        Pool size cap for the thread/process backends.
+        Pool size cap for the process backend.
     obs:
         Observer receiving fan-out instrumentation; a fresh
         :class:`~repro.obs.PipelineStats` when omitted.  Pass
@@ -236,7 +237,7 @@ class ShardedExecutor:
         :class:`~repro.errors.ShardExecutionError`), ``"retry"``
         (bounded retries per :class:`RetryPolicy`, then the typed
         error), or ``"degrade"`` (retries, then step the backend down
-        ``processes`` → ``threads`` → ``serial`` before giving up).
+        to ``serial`` before giving up).
         Whatever the mode, the answer contract is *exact-or-error*: a
         merged result always accounts for every shard.
     retry_policy:
@@ -600,6 +601,51 @@ class ShardedExecutor:
             use_preagg=use_preagg,
         )
 
+    def build_store(
+        self,
+        cls: Type[GranuleStore],
+        moft: MOFT,
+        time_dim,
+        granule_level: str,
+        geometries: Mapping[Hashable, object],
+        obs: Optional[PipelineStats] = None,
+        **store_options,
+    ):
+        """Build a ``cls`` store (:class:`~repro.preagg.PreAggStore` or
+        :class:`~repro.poi.PoiVisitStore`) shard by shard.
+
+        The MOFT is partitioned by objects; each shard builds its own
+        store with ``store_options`` as ``cls``'s keyword arguments (the
+        expensive scans run on the backend) and the partials merge by
+        :meth:`~repro.cellstore.GranuleStore.merge`, which is exact
+        because the object sets are disjoint and refuses a missing or
+        truncated shard.  The merged store's staleness snapshot is taken
+        from the parent MOFT *before* the cut, so appends racing the
+        build are detected as stale.  ``obs`` is the caller's observer:
+        the workers count into their own, folded into it (and the
+        executor's) once.
+        """
+        snapshot = (moft.version, len(moft))
+        resident = self._shards(moft, self.n_shards)
+        if not resident.shards:
+            return cls(
+                moft, time_dim, granule_level, geometries,
+                obs=obs, **store_options,
+            )
+        geometries = dict(geometries)
+        # (The shard stores of a process backend watch unpickled copies
+        # of ``time_dim``; the merged store watches the caller's.)
+        return self._fanout_shards(
+            resident,
+            lambda shard: (
+                cls, shard, time_dim, granule_level, geometries,
+                store_options,
+            ),
+            _build_store_task,
+            lambda stores: cls.merge(stores, moft, snapshot, time=time_dim),
+            observers=(obs,) if obs is not None else (),
+        )
+
     def build_preagg_store(
         self,
         moft: MOFT,
@@ -610,38 +656,10 @@ class ShardedExecutor:
         kind: Optional[str] = None,
         name: Optional[str] = None,
     ):
-        """Build a :class:`~repro.preagg.PreAggStore` shard by shard.
-
-        The MOFT is partitioned by objects; each shard builds its own
-        store (the expensive containment/clipping passes run on the
-        backend) and the partials merge by count addition and oid-set
-        union (:meth:`~repro.preagg.PreAggStore.merge`), which is exact
-        because the object sets are disjoint.  The merged store's
-        staleness snapshot is taken from the parent MOFT *before* the
-        fan-out, so appends racing the build are detected as stale.
-        """
-        from repro.preagg.store import PreAggStore
-
-        snapshot = (moft.version, len(moft))
-        resident = self._shards(moft, self.n_shards)
-        if not resident.shards:
-            store = PreAggStore(
-                moft, time_dim, granule_level, geometries,
-                layer=layer, kind=kind, name=name,
-            )
-            return store
-        # (The shard stores of a process backend watch unpickled copies
-        # of ``time_dim``; the merged store watches the caller's.)
-        return self._fanout_shards(
-            resident,
-            lambda shard: (
-                shard, time_dim, granule_level, dict(geometries),
-                layer, kind, name,
-            ),
-            _build_preagg_task,
-            lambda stores: PreAggStore.merge(
-                stores, moft, snapshot, time=time_dim
-            ),
+        """:meth:`build_store` of a :class:`~repro.preagg.PreAggStore`."""
+        return self.build_store(
+            PreAggStore, moft, time_dim, granule_level, geometries,
+            layer=layer, kind=kind, name=name,
         )
 
     # -- generic sharded aggregation -------------------------------------------

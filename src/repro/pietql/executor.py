@@ -94,7 +94,7 @@ class PietQLExecutor:
     ) -> None:
         self.context = context
         self.bindings: Dict[str, LayerBinding] = dict(bindings or {})
-        #: Fans THROUGH RESULT scans out when set (see
+        #: Fans THROUGH RESULT scans and POI builds out when set (see
         #: :class:`repro.parallel.ShardedPietQLExecutor`).
         self.sharded: Optional[ShardedTrajectoryExecutor] = None
 
@@ -246,7 +246,9 @@ class PietQLExecutor:
         a binding of any other geometry kind is a typed execution error
         (the language keeps discs and, say, polygon layers apart).  The
         measure is dispatched through :func:`repro.query.planner
-        .plan_poi_aggregate` so EXPLAIN shows the routed strategy.
+        .plan_poi_aggregate` so EXPLAIN shows the routed strategy, with
+        ``self.sharded`` as its executor exactly as ``THROUGH RESULT``
+        passes it: a plain executor has no fan-out to choose.
         """
         from repro.gis import geometries as gk
 
@@ -262,6 +264,7 @@ class PietQLExecutor:
             moft_name=poi.moft_name,
             measure=poi.measure,
             k=poi.k,
+            executor=self.sharded,
         )
         try:
             plan = plan_poi_aggregate(

@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Hashable,
     List,
@@ -67,6 +68,9 @@ from repro.query.evaluator import (
 )
 from repro.query.poi import POI_STRATEGIES
 from repro.query.region import EvaluationContext
+
+if TYPE_CHECKING:
+    from repro.parallel.executor import ShardedExecutor
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +172,12 @@ class CostModel:
     #: trip of one task through the executor's resident pool (0.25 ms
     #: measured, at ~0.1 us a unit) — no pool is forked per fan-out.
     serial_task_overhead: float = 2.0
-    thread_task_overhead: float = 400.0
     process_task_overhead: float = 2500.0
     #: Making one row of a table the executor does not yet hold
     #: resident: partition, shared-memory image, the workers' open and
     #: segment index (78 ms per 100k rows measured).  Nothing crosses
     #: the process boundary per row once the shards are resident.
     process_row_ship_cost: float = 6.0
-    #: Effective speedup of the threads backend — the trajectory scan is
-    #: pure Python, so the GIL caps parallelism just above 1.
-    thread_speedup: float = 1.15
     #: Don't cut shards smaller than this many rows.
     min_rows_per_shard: int = 256
 
@@ -222,9 +222,6 @@ class CostModel:
             overhead = n_shards * self.process_task_overhead
             if not resident:
                 overhead += rows * self.process_row_ship_cost
-        elif backend == "threads":
-            speedup = self.thread_speedup
-            overhead = n_shards * self.thread_task_overhead
         else:
             speedup = 1.0
             overhead = n_shards * self.serial_task_overhead
@@ -684,17 +681,16 @@ def plan_poi_aggregate(
     k: Optional[int] = None,
     cost_model: Optional[CostModel] = None,
     force_strategy: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: str = "threads",
+    executor: Optional[ShardedExecutor] = None,
 ) -> QueryPlan:
     """Price the POI aggregate strategies and pick the cheapest.
 
     The candidate space mirrors :func:`plan_through` with the POI
     twists: the scan is a per-object *segmentation* pass (every row
     against every disc — no grid pruning, stops are global per
-    trajectory), sharding splits by objects — into ``shards`` parts
-    built on ``backend``, by default as many as the cost model picks, on
-    the threads backend — and a registered fresh
+    trajectory), ``sharded`` is a candidate only when ``executor`` is
+    given — priced with its backend, its shard count and whether it
+    holds the table's shards already — and a registered fresh
     :class:`~repro.poi.PoiVisitStore` covering the (layer, granule,
     min_dwell) key reduces the query to a cell read.
     The plan keeps what it resolved — the table, the POI set, the store
@@ -722,18 +718,17 @@ def plan_poi_aggregate(
     serial_cost = model.scan_cost(
         table.rows, len(pois), coverage=1.0, indexed=False
     )
-    n_shards = shards if shards is not None else min(
-        model.choose_shard_count(table.rows, _available_cpus()),
-        max(1, table.objects),
-    )
-    poi_queries.check_shard_options(n_shards, backend)
-    sharded_cost = model.sharded_cost(
-        serial_cost, backend, n_shards, table.rows
-    )
-    candidates: List[Tuple[str, float]] = [
-        ("serial", serial_cost),
-        ("sharded", sharded_cost),
-    ]
+    candidates: List[Tuple[str, float]] = [("serial", serial_cost)]
+    backend = n_shards = None
+    if executor is not None:
+        backend, n_shards = executor.backend.name, executor.n_shards
+        candidates.append((
+            "sharded",
+            model.sharded_cost(
+                serial_cost, backend, n_shards, table.rows,
+                resident=executor.holds_shards(moft),
+            ),
+        ))
     store = context.poi_store_for(
         moft, layer, granule_level, min_dwell, pois
     )
@@ -746,6 +741,8 @@ def plan_poi_aggregate(
 
     by_name = dict(candidates)
     if force_strategy is not None:
+        if force_strategy == "sharded" and executor is None:
+            raise poi_queries.no_executor_error()
         if force_strategy not in by_name:
             raise EvaluationError(
                 f"strategy {force_strategy!r} unavailable: no fresh POI "
@@ -809,19 +806,23 @@ def execute_poi_plan(
     moft_name: str = "FM",
     measure: str = "visits",
     k: Optional[int] = None,
+    executor: Optional[ShardedExecutor] = None,
 ):
     """Execute a POI plan's chosen strategy; returns the aggregate dict.
 
-    Reads from what the plan resolved (its table, POI set, store and
-    shard count) — nothing is looked up again.  A ``preagg`` plan counts
-    its ``poi_preagg_hits`` here, at execution, and refuses a store that
-    went stale since planning (the scans read the live table).
+    Reads from what the plan resolved (its table, POI set and store) —
+    nothing is looked up again.  ``executor`` is needed (only) by a
+    ``sharded`` plan.  A ``preagg`` plan counts its ``poi_preagg_hits``
+    here, at execution, and refuses a store that went stale since
+    planning (the scans read the live table).
     """
     if measure not in poi_queries.POI_MEASURES:
         raise EvaluationError(f"unknown POI measure {measure!r}")
     if measure == "topk" and k is None:
         raise EvaluationError("top-k POI aggregate needs k")
     moft, pois, store = plan.operands
+    if plan.strategy == "sharded" and executor is None:
+        raise poi_queries.no_executor_error()
     if plan.strategy == "preagg":
         if store.is_stale():
             raise EvaluationError(
@@ -833,7 +834,7 @@ def execute_poi_plan(
     else:
         store = poi_queries.build_store(
             context, moft, pois, layer, granule_level, min_dwell,
-            shards=plan.shard_count, backend=plan.shard_backend,
+            executor=executor if plan.strategy == "sharded" else None,
         )
     if measure == "visits":
         result = store.visit_counts()

@@ -11,9 +11,11 @@ strategies pinned byte-identical by the differential campaign:
     Segment every trajectory against the POI discs in one segmented
     array scan (docs/poi.md) into a throwaway store's cell table.
 ``sharded``
-    Object-partition the MOFT, build per-shard cell tables (optionally
-    on a thread pool) and :meth:`~repro.poi.PoiVisitStore.merge` them —
-    concatenate, intern again — with completeness checks.
+    The executor you pass (:class:`~repro.parallel.ShardedExecutor`):
+    its object shards of the MOFT, per-shard cell tables built on its
+    backend, :meth:`~repro.poi.PoiVisitStore.merge` — concatenate,
+    intern again — with completeness checks.  Without an executor there
+    is no such strategy.
 ``preagg``
     Serve from a registered, fresh :class:`~repro.poi.PoiVisitStore`
     (``poi_preagg_hits``); a stale or missing store is a miss.
@@ -26,14 +28,24 @@ canonical-JSON comparison.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import EvaluationError
 from repro.gis import geometries as gk
 from repro.mo.moft import MOFT
 from repro.poi.store import PoiVisitStore
 from repro.query.region import EvaluationContext
+
+if TYPE_CHECKING:
+    from repro.parallel.executor import ShardedExecutor
 
 #: Execution strategies for POI aggregates.
 POI_STRATEGIES = ("serial", "sharded", "preagg")
@@ -65,14 +77,12 @@ class PoiOperands(NamedTuple):
     store: Optional[PoiVisitStore]
 
 
-def check_shard_options(shards: int, backend: str) -> None:
-    """Typed error for a shard count or backend no POI build runs with."""
-    if shards < 1:
-        raise EvaluationError(f"shard count must be >= 1, got {shards}")
-    if backend not in ("serial", "threads"):
-        raise EvaluationError(
-            f"POI shard backend must be 'serial' or 'threads', got {backend!r}"
-        )
+def no_executor_error() -> EvaluationError:
+    """What the ``sharded`` strategy is without an executor to run it."""
+    return EvaluationError(
+        "the sharded POI strategy runs on a ShardedExecutor and no "
+        "executor was passed"
+    )
 
 
 def build_store(
@@ -82,38 +92,19 @@ def build_store(
     layer: str,
     granule_level: str,
     min_dwell: float,
-    shards: Optional[int] = None,
-    backend: str = "serial",
+    executor: Optional[ShardedExecutor] = None,
 ) -> PoiVisitStore:
-    """Segment the table into a throwaway cell store.
-
-    One pass over the whole table (``shards`` None), or one build per
-    object shard — on a thread pool under ``backend="threads"`` —
-    merged with completeness checks.
-    """
-    def build(part: MOFT) -> PoiVisitStore:
+    """Segment the table into a throwaway cell store: one pass over the
+    whole table, or ``executor``'s sharded build (one pass per object
+    shard on its backend, merged with completeness checks)."""
+    options = dict(layer=layer, min_dwell=min_dwell, obs=context.obs)
+    if executor is None:
         return PoiVisitStore(
-            part,
-            context.time,
-            granule_level,
-            pois,
-            layer=layer,
-            min_dwell=min_dwell,
-            obs=context.obs,
+            moft, context.time, granule_level, pois, **options
         )
-
-    if shards is None:
-        return build(moft)
-    check_shard_options(shards, backend)
-    # Before partitioning: an append racing the build leaves it stale.
-    snapshot = (moft.version, len(moft))
-    parts = moft.partition_by_objects(shards)
-    if backend == "threads" and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            stores = list(pool.map(build, parts))
-    else:
-        stores = [build(part) for part in parts]
-    return PoiVisitStore.merge(stores, moft, snapshot, time=context.time)
+    return executor.build_store(
+        PoiVisitStore, moft, context.time, granule_level, pois, **options
+    )
 
 
 def poi_store_view(
@@ -124,21 +115,23 @@ def poi_store_view(
     min_dwell: float = 0.0,
     moft_name: str = "FM",
     strategy: Optional[str] = None,
-    shards: int = 2,
-    backend: str = "serial",
+    executor: Optional[ShardedExecutor] = None,
 ) -> Tuple[PoiVisitStore, str]:
     """Resolve a readable cell store for one POI aggregate.
 
     Returns ``(store, strategy_used)``.  ``strategy=None`` routes
     through a registered fresh pre-agg store when one covers the query
     and falls back to the serial scan otherwise; naming a strategy is
-    strict (``preagg`` without a usable store raises).
+    strict (``preagg`` without a usable store raises, and so does
+    ``sharded`` without an ``executor`` — which only ``sharded`` uses).
     """
     if strategy is not None and strategy not in POI_STRATEGIES:
         raise EvaluationError(
             f"unknown POI strategy {strategy!r}; expected one of "
             f"{POI_STRATEGIES}"
         )
+    if strategy == "sharded" and executor is None:
+        raise no_executor_error()
     pois = resolve_pois(context, layer)
     moft = context.moft(moft_name)
     if strategy in (None, "preagg"):
@@ -159,7 +152,7 @@ def poi_store_view(
     if strategy == "sharded":
         built = build_store(
             context, moft, pois, layer, granule_level, min_dwell,
-            shards, backend,
+            executor=executor,
         )
         return built, "sharded"
     built = build_store(context, moft, pois, layer, granule_level, min_dwell)
@@ -215,7 +208,7 @@ class PoiQueryBuilder:
     """Fluent spec for one POI aggregate.
 
     >>> (PoiQueryBuilder("Lp").per("hour").with_min_dwell(0.5)
-    ...     .sharded(4, backend="threads").top_k(context, 3))
+    ...     .sharded(executor).top_k(context, 3))
 
     Terminal methods (``visits`` / ``distinct_visitors`` / ``dwell`` /
     ``top_k``) take the evaluation context and execute immediately;
@@ -229,8 +222,7 @@ class PoiQueryBuilder:
         self._granule: Optional[str] = None
         self._min_dwell = 0.0
         self._strategy: Optional[str] = None
-        self._shards = 2
-        self._backend = "serial"
+        self._executor: Optional[ShardedExecutor] = None
 
     def per(self, granule_level: str) -> "PoiQueryBuilder":
         self._granule = granule_level
@@ -248,10 +240,10 @@ class PoiQueryBuilder:
         self._strategy = "serial"
         return self
 
-    def sharded(self, shards: int, backend: str = "serial") -> "PoiQueryBuilder":
+    def sharded(self, executor: ShardedExecutor) -> "PoiQueryBuilder":
+        """Build on ``executor``: its backend, its shard count."""
         self._strategy = "sharded"
-        self._shards = shards
-        self._backend = backend
+        self._executor = executor
         return self
 
     def preagg(self) -> "PoiQueryBuilder":
@@ -267,8 +259,7 @@ class PoiQueryBuilder:
             "min_dwell": self._min_dwell,
             "moft_name": self._moft_name,
             "strategy": self._strategy,
-            "shards": self._shards,
-            "backend": self._backend,
+            "executor": self._executor,
         }
 
     def visits(self, context: EvaluationContext):

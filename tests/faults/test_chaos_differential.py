@@ -16,7 +16,7 @@ Two tiers:
   ``total_dwell_time`` (store built under faults) and Piet-QL
   ``THROUGH RESULT``;
 * hypothesis campaigns (marked ``slow``) — generated (seed, rate,
-  shards, backend, mode, budget) tuples, deep-searched nightly with
+  shards, mode, budget) tuples, deep-searched nightly with
   ``--hypothesis-profile=ci``.  A failing example replays from its
   seed alone: fault plans draw from seeded streams, backoff has no
   jitter, and latency faults inflate *reported* time only.
@@ -32,11 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShardExecutionError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultSpec
 from repro.gis import POLYGON
 from repro.parallel import RetryPolicy, ShardedExecutor, ShardedPietQLExecutor
 from repro.pietql.executor import PietQLExecutor
 from repro.query.aggregate import total_dwell_time
+from repro.query.poi import poi_dwell_times, poi_visit_counts
 from repro.synth import figure1_instance
 
 from tests.faults.conftest import (
@@ -72,13 +73,13 @@ LATENCY_S = 60.0
 
 def chaos_executor(
     seed: int,
-    backend: str = "threads",
     n_shards: int = 3,
     mode: str = "degrade",
     max_retries: int = 2,
     rate: float = 0.35,
 ):
-    """A sharded executor under a seeded random fault plan."""
+    """A sharded executor under a seeded random fault plan (serial:
+    plan faults are applied in the coordinator, the same on any backend)."""
     plan = FaultPlan.random(
         seed,
         n_tasks=n_shards + 2,
@@ -87,7 +88,7 @@ def chaos_executor(
         latency_s=LATENCY_S,
     )
     executor = ShardedExecutor(
-        backend=backend,
+        backend="serial",
         n_shards=n_shards,
         failure_mode=mode,
         retry_policy=RetryPolicy(max_retries=max_retries, timeout_s=TIMEOUT_S),
@@ -123,10 +124,7 @@ class TestFig1CountChaos:
         outcomes = []
         for seed in range(8):
             mode = "degrade" if seed % 2 else "retry"
-            backend = "threads" if seed % 3 else "serial"
-            executor, plan = chaos_executor(
-                seed, backend=backend, mode=mode, n_shards=3
-            )
+            executor, plan = chaos_executor(seed, mode=mode, n_shards=3)
             outcomes.append(assert_exact_or_error(
                 lambda: executor.count_objects_through(
                     fig1_context, FIG1_TARGET, FIG1_CONSTRAINTS,
@@ -143,7 +141,7 @@ class TestFig1CountChaos:
     ):
         plan = FaultPlan.single(kind, task_index=0, latency_s=LATENCY_S)
         executor = ShardedExecutor(
-            backend="threads", n_shards=3, failure_mode="retry",
+            backend="serial", n_shards=3, failure_mode="retry",
             retry_policy=RetryPolicy(max_retries=2, timeout_s=TIMEOUT_S),
             fault_plan=plan,
         )
@@ -178,7 +176,7 @@ class TestFig1CountChaos:
         """The acceptance gate: an empty plan adds no retry overhead."""
         plan = FaultPlan.none()
         executor = ShardedExecutor(
-            backend="threads", n_shards=3, failure_mode="retry",
+            backend="serial", n_shards=3, failure_mode="retry",
             retry_policy=RetryPolicy(max_retries=2, timeout_s=TIMEOUT_S),
             fault_plan=plan,
         )
@@ -199,8 +197,7 @@ class TestFig1CountChaos:
     def test_same_seed_replays_identically(self, fig1_context):
         def one_run(seed: int):
             executor, plan = chaos_executor(
-                seed, backend="threads", mode="retry", max_retries=1,
-                rate=0.5,
+                seed, mode="retry", max_retries=1, rate=0.5,
             )
             try:
                 value: Optional[int] = executor.count_objects_through(
@@ -220,7 +217,7 @@ class TestSynthCountChaos:
     def test_seed_sweep_exact_or_error(self, synth_world, synth_count_ref):
         for seed in range(4):
             executor, plan = chaos_executor(
-                seed, backend="threads", n_shards=4,
+                seed, n_shards=4,
                 mode="degrade" if seed % 2 else "retry",
             )
             assert_exact_or_error(
@@ -252,7 +249,7 @@ class TestDwellChaos:
                 moft_name="FMbus", use_preagg=False,
             )
             executor, plan = chaos_executor(
-                seed, backend="threads", n_shards=3,
+                seed, n_shards=3,
                 mode="degrade" if seed % 2 else "retry", rate=0.45,
             )
             try:
@@ -284,7 +281,7 @@ class TestPietQLChaos:
         outcomes = []
         for seed in range(8):
             executor, plan = chaos_executor(
-                seed, backend="threads", n_shards=3,
+                seed, n_shards=3,
                 mode="degrade" if seed % 2 else "retry",
             )
             sharded = ShardedPietQLExecutor(
@@ -298,13 +295,64 @@ class TestPietQLChaos:
         assert "ok" in outcomes
 
 
+@pytest.mark.faults
+class TestPoiBuildFaults:
+    """A sharded POI build is a fan-out like any other: one faulty shard
+    is the typed error or the exact serial answer, never a short store."""
+
+    KINDS = ["raise", "drop", "truncate"]
+
+    @staticmethod
+    def answers(executor=None):
+        context = figure1_instance(with_pois=True).context()
+        options = dict(moft_name="FMbus", strategy="serial")
+        if executor is not None:
+            options.update(strategy="sharded", executor=executor)
+        return [
+            measure(context, "Lp", "hour", **options)
+            for measure in (poi_visit_counts, poi_dwell_times)
+        ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_raise_mode_is_the_typed_error(self, kind):
+        plan = FaultPlan.single(kind, task_index=1)
+        executor = ShardedExecutor("serial", n_shards=3, fault_plan=plan)
+        with pytest.raises(ShardExecutionError) as excinfo:
+            self.answers(executor)
+        assert excinfo.value.faults == plan.trace
+        assert [f.kind for f in plan.trace] == [kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_retry_mode_is_the_serial_answer(self, kind):
+        plan = FaultPlan.single(kind, task_index=1)
+        executor = ShardedExecutor(
+            "serial", n_shards=3, failure_mode="retry", fault_plan=plan
+        )
+        # Two measures, two builds; attempts count per fan-out, so each
+        # build loses its first try at shard 1 and keeps its second.
+        assert self.answers(executor) == self.answers()
+        assert executor.obs.count("task_retries") == 2
+        assert executor.obs.count("backend_degradations") == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_degrade_mode_is_the_serial_answer(self, kind):
+        # Shard 0 fails past its budget on processes and is rebuilt on
+        # the serial backend: one descent per build.
+        plan = FaultPlan([FaultSpec(kind, 0, 0), FaultSpec(kind, 0, 1)])
+        with ShardedExecutor(
+            "processes", n_shards=3, failure_mode="degrade",
+            retry_policy=RetryPolicy(max_retries=1), fault_plan=plan,
+        ) as executor:
+            assert self.answers(executor) == self.answers()
+            assert executor.obs.count("backend_degradations") == 2
+
+
 # -- hypothesis campaigns (nightly, --hypothesis-profile=ci) -------------------
 
 chaos_params = {
     "seed": st.integers(min_value=0, max_value=2**16),
     "rate": st.floats(min_value=0.05, max_value=0.6),
     "n_shards": st.integers(min_value=1, max_value=5),
-    "backend": st.sampled_from(["serial", "threads"]),
     "mode": st.sampled_from(["retry", "degrade"]),
     "max_retries": st.integers(min_value=0, max_value=2),
 }
@@ -316,10 +364,10 @@ class TestChaosCampaigns:
     @settings(deadline=None)
     def test_fig1_count(
         self, fig1_context, fig1_count_ref,
-        seed, rate, n_shards, backend, mode, max_retries,
+        seed, rate, n_shards, mode, max_retries,
     ):
         executor, plan = chaos_executor(
-            seed, backend=backend, n_shards=n_shards, mode=mode,
+            seed, n_shards=n_shards, mode=mode,
             max_retries=max_retries, rate=rate,
         )
         assert_exact_or_error(
@@ -335,10 +383,10 @@ class TestChaosCampaigns:
     @settings(deadline=None, max_examples=20)
     def test_synth_count(
         self, synth_world, synth_count_ref,
-        seed, rate, n_shards, backend, mode, max_retries,
+        seed, rate, n_shards, mode, max_retries,
     ):
         executor, plan = chaos_executor(
-            seed, backend=backend, n_shards=n_shards, mode=mode,
+            seed, n_shards=n_shards, mode=mode,
             max_retries=max_retries, rate=rate,
         )
         assert_exact_or_error(
@@ -353,13 +401,13 @@ class TestChaosCampaigns:
     @settings(deadline=None, max_examples=25)
     def test_fig1_pietql(
         self, fig1_context,
-        seed, rate, n_shards, backend, mode, max_retries,
+        seed, rate, n_shards, mode, max_retries,
     ):
         expected = pietql_fingerprint(
             PietQLExecutor(fig1_context, FIG1_BINDINGS).execute(FIG1_QUERY)
         )
         executor, plan = chaos_executor(
-            seed, backend=backend, n_shards=n_shards, mode=mode,
+            seed, n_shards=n_shards, mode=mode,
             max_retries=max_retries, rate=rate,
         )
         sharded = ShardedPietQLExecutor(
@@ -381,7 +429,7 @@ class TestChaosCampaigns:
             ).execute(SYNTH_QUERY)
         )
         executor, plan = chaos_executor(
-            seed, backend="threads", n_shards=4, mode="degrade", rate=rate
+            seed, n_shards=4, mode="degrade", rate=rate
         )
         sharded = ShardedPietQLExecutor(
             synth_world.context, SYNTH_BINDINGS, sharded=executor

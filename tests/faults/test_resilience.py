@@ -17,13 +17,14 @@ from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.gis import POLYGON
 from repro.obs import PipelineStats
 from repro.parallel import (
+    BACKENDS,
     DEGRADATION_ORDER,
     RetryPolicy,
     SerialBackend,
     ShardedExecutor,
     TaskFailure,
-    ThreadBackend,
     degraded_backend,
+    get_backend,
     resilient_map,
 )
 from repro.parallel.backends import ExecutionBackend, ProcessBackend
@@ -78,15 +79,20 @@ class TestRetryPolicy:
 
 class TestDegradationLadder:
     def test_order(self):
-        assert DEGRADATION_ORDER == ("processes", "threads", "serial")
+        assert DEGRADATION_ORDER == ("processes", "serial")
 
     def test_ladder_steps(self):
-        step1 = degraded_backend(ProcessBackend(max_workers=3))
-        assert isinstance(step1, ThreadBackend)
-        assert step1.max_workers == 3  # pool sizing survives the step
-        step2 = degraded_backend(step1)
-        assert isinstance(step2, SerialBackend)
-        assert degraded_backend(step2) is None
+        step = degraded_backend(ProcessBackend(max_workers=3))
+        assert isinstance(step, SerialBackend)
+        assert degraded_backend(step) is None
+
+    def test_threads_names_no_backend(self):
+        assert sorted(BACKENDS) == ["processes", "serial"]
+        with pytest.raises(EvaluationError, match="unknown backend 'threads'"):
+            get_backend("threads")
+        # A thread pool is a backend the caller hands in.
+        custom = _ForgetfulBackend()
+        assert get_backend(custom) is custom
 
     def test_unknown_backend_degrades_straight_to_serial(self):
         assert isinstance(
@@ -105,7 +111,7 @@ class TestResilientMapHappyPath:
         obs = PipelineStats()
         plan = FaultPlan.none()
         out = resilient_map(
-            ThreadBackend(), _square, [1, 2, 3, 4],
+            SerialBackend(), _square, [1, 2, 3, 4],
             policy=RetryPolicy(timeout_s=30.0), plan=plan, obs=obs,
         )
         assert out == [1, 4, 9, 16]
@@ -207,15 +213,20 @@ class TestFailureModes:
     def test_degrade_mode_rescues_on_the_next_tier(self):
         obs = PipelineStats()
         # Task 0 faults on attempts 0 and 1: exhausts max_retries=1 on
-        # threads, degrades, and succeeds at serial (attempt 2 is clean).
+        # processes, degrades, and succeeds at serial (attempt 2 is
+        # clean) — one descent, one ``backend_degradations``.
         plan = FaultPlan(
             [FaultSpec("raise", 0, 0), FaultSpec("raise", 0, 1)]
         )
-        out = resilient_map(
-            ThreadBackend(), _square, [3, 4],
-            policy=RetryPolicy(max_retries=1), plan=plan, obs=obs,
-            failure_mode="degrade",
-        )
+        backend = ProcessBackend()
+        try:
+            out = resilient_map(
+                backend, _square, [3, 4],
+                policy=RetryPolicy(max_retries=1), plan=plan, obs=obs,
+                failure_mode="degrade",
+            )
+        finally:
+            backend.close()
         assert out == [9, 16]
         assert obs.count("backend_degradations") == 1
 
@@ -278,10 +289,10 @@ class TestBackoff:
 
 class TestTaskFailure:
     def test_describe_marks_injected_faults(self):
-        plain = TaskFailure(2, 0, "timeout", "threads")
+        plain = TaskFailure(2, 0, "timeout", "processes")
         assert "[injected]" not in plain.describe()
         injected = TaskFailure(
-            2, 0, "dropped", "threads", fault=FaultSpec("drop", 2, 0)
+            2, 0, "dropped", "processes", fault=FaultSpec("drop", 2, 0)
         )
         assert "[injected]" in injected.describe()
 

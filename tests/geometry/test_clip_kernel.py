@@ -26,7 +26,6 @@ from repro.geometry import kernels
 from repro.geometry.kernels import (
     classify_segments,
     clip_segments_batch,
-    kernel_backend,
     polygon_edge_arrays,
     segments_dwell,
     segments_fully_inside,
@@ -45,7 +44,7 @@ from repro.synth.movement import random_waypoint_moft
 @pytest.fixture(autouse=True)
 def reset_backend():
     yield
-    set_kernel_backend("auto")
+    set_kernel_backend("numpy")
 
 
 SQUARE = Polygon([Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)])
@@ -192,22 +191,6 @@ class TestExactEquivalence:
             assert batch == [polygon.clip_segment(seg)]
 
 
-class TestLoopFormMatchesNumpy:
-    @pytest.mark.parametrize("polygon", POLYGONS, ids=["square", "holed", "diamond"])
-    def test_statuses_identical(self, polygon):
-        rng = np.random.default_rng(17)
-        x0, y0, x1, y1 = random_segments(2500, rng)
-        edges = polygon_edge_arrays(polygon)
-        via_numpy = kernels._classify_chunk_numpy(x0, y0, x1, y1, edges)
-        via_loops = kernels._classify_loops(
-            x0, y0, x1, y1,
-            edges.ax, edges.ay, edges.bx, edges.by, edges.ring_offsets,
-            edges.bminx, edges.bminy, edges.bmaxx, edges.bmaxy,
-            edges.tolerance,
-        )
-        np.testing.assert_array_equal(via_numpy, via_loops)
-
-
 class TestBackendFlag:
     def test_scalar_backend_still_exact(self):
         assert set_kernel_backend("scalar") == "scalar"
@@ -218,27 +201,9 @@ class TestBackendFlag:
         batch = clip_segments_batch(SQUARE, x0, y0, x1, y1)
         assert batch == scalar_clips(SQUARE, x0, y0, x1, y1)
 
-    def test_numba_degrades_to_numpy_when_missing(self):
-        effective = set_kernel_backend("numba")
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            assert effective == "numpy"
-        else:
-            assert effective == "numba"
-
-    def test_auto_resolves_to_numpy(self):
-        assert set_kernel_backend("auto") in ("numpy",)
-
     def test_unknown_backend_raises(self):
         with pytest.raises(GeometryError):
             set_kernel_backend("gpu")
-
-    def test_env_variable_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CLIP_KERNEL", "scalar")
-        assert set_kernel_backend(None) == "scalar"
-        monkeypatch.delenv("REPRO_CLIP_KERNEL")
-        assert set_kernel_backend(None) == kernel_backend() != "scalar"
 
 
 class TestEdgeArrayCache:

@@ -33,7 +33,7 @@ from repro.query.evaluator import count_objects_through
 from repro.query.region import EvaluationContext
 
 #: Every execution backend the engine ships.
-ALL_BACKENDS: Tuple[str, ...] = ("serial", "threads", "processes")
+ALL_BACKENDS: Tuple[str, ...] = ("serial", "processes")
 
 #: Shard counts worth exercising: degenerate (1), even, and "more shards
 #: than is sensible" (forces empty / tiny shards).
@@ -241,7 +241,7 @@ class DifferentialOracle:
                 "preagg": lambda: routed(None),
                 "preagg+sharded-sliver": lambda: routed(
                     ShardedExecutor(
-                        backend="threads", n_shards=3, obs=context.obs
+                        backend="serial", n_shards=3, obs=context.obs
                     )
                 ),
             },

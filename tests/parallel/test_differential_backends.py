@@ -105,7 +105,7 @@ class TestObservabilityOfShardedRuns:
 
     def test_counters_and_stages_populate(self, fig1_context):
         stats = EvaluationStats()
-        executor = ShardedExecutor(backend="threads", n_shards=3, obs=stats)
+        executor = ShardedExecutor(backend="serial", n_shards=3, obs=stats)
         count = executor.count_objects_through(
             fig1_context,
             ("Ln", POLYGON),
@@ -120,7 +120,7 @@ class TestObservabilityOfShardedRuns:
 
     def test_convenience_wrapper_matches(self, fig1_context):
         count = ShardedExecutor(
-            backend="threads", n_shards=2, obs=fig1_context.obs
+            backend="serial", n_shards=2, obs=fig1_context.obs
         ).count_objects_through(
             fig1_context,
             ("Ln", POLYGON),

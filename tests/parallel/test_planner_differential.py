@@ -125,7 +125,7 @@ def assert_all_strategies_agree(
         context, target, constraints, moft_name=moft_name, window=window,
         use_preagg=False, use_index=False, vectorized=False,
     )
-    executor = ShardedExecutor(backend="threads", n_shards=3, obs=context.obs)
+    executor = ShardedExecutor(backend="serial", n_shards=3, obs=context.obs)
     matched = {}
     for strategy in STRATEGIES:
         count, plan = planned_count_objects_through(
@@ -243,8 +243,8 @@ class TestCostConstantFuzz:
         row_cost=positive,
         probe_cost=positive,
         granule_cost=positive,
-        thread_task_overhead=positive,
-        thread_speedup=st.floats(min_value=1.0, max_value=16.0),
+        process_task_overhead=positive,
+        process_row_ship_cost=positive,
     )
     def test_choice_never_changes_the_answer(
         self,
@@ -253,8 +253,8 @@ class TestCostConstantFuzz:
         row_cost,
         probe_cost,
         granule_cost,
-        thread_task_overhead,
-        thread_speedup,
+        process_task_overhead,
+        process_row_ship_cost,
     ):
         """Whatever the constants pick, the count is the serial answer."""
         model = CostModel(
@@ -262,15 +262,15 @@ class TestCostConstantFuzz:
             row_cost=row_cost,
             probe_cost=probe_cost,
             granule_cost=granule_cost,
-            thread_task_overhead=thread_task_overhead,
-            thread_speedup=thread_speedup,
+            process_task_overhead=process_task_overhead,
+            process_row_ship_cost=process_row_ship_cost,
         )
-        executor = ShardedExecutor(
-            backend="threads", n_shards=2, obs=fig1_preagg.obs
-        )
-        count, plan = planned_count_objects_through(
-            fig1_preagg, FIG1_TARGET, FIG1_CONSTRAINTS, moft_name="FMbus",
-            executor=executor, cost_model=model,
-        )
+        with ShardedExecutor(
+            backend="processes", n_shards=2, obs=fig1_preagg.obs
+        ) as executor:
+            count, plan = planned_count_objects_through(
+                fig1_preagg, FIG1_TARGET, FIG1_CONSTRAINTS,
+                moft_name="FMbus", executor=executor, cost_model=model,
+            )
         assert plan.strategy in STRATEGIES
         assert count == 5

@@ -20,9 +20,11 @@ import sys
 import textwrap
 import threading
 import time
+from datetime import datetime
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.parallel.shm as shm
@@ -46,12 +48,22 @@ from repro.query.planner import (
     plan_count_objects_through,
     run_plan,
 )
+from repro.query.poi import poi_visit_counts
+from repro.query.region import EvaluationContext
+from repro.synth import (
+    CityConfig,
+    build_city,
+    install_city_pois,
+    stop_biased_moft,
+)
 from repro.synth.movement import random_waypoint_moft
+from repro.temporal.calendar import hourly
+from repro.temporal.timedim import TimeDimension
 
 from tests.parallel.conftest import FIG1_BINDINGS
 
 REGION = Polygon([Point(20, 20), Point(70, 20), Point(70, 70), Point(20, 70)])
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -403,7 +415,7 @@ class TestSharedExecutor:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ShardedExecutor("threads", n_shards=3, zero_copy=True) as ex:
+            with ShardedExecutor("serial", n_shards=3, zero_copy=True) as ex:
                 threads = [
                     threading.Thread(target=hammer, args=(ex, k))
                     for k in range(4)
@@ -418,6 +430,67 @@ class TestSharedExecutor:
             sys.setswitchinterval(interval)
         assert not errors, errors
         assert len(shm._OPEN) <= MAX_OPEN_SHARDS
+
+
+# -- POI store builds ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def poi_world():
+    """A 4x4-block city, its POI discs and 30 visitors over 40 hours."""
+    city = build_city(CityConfig(cols=4, rows=4), rng=np.random.default_rng(5))
+    pois = install_city_pois(city)
+    time_dim = TimeDimension.from_mapping(
+        hourly(datetime(2006, 1, 9, 0, 0)), range(40)
+    )
+    return city.gis, time_dim, stop_biased_moft(pois, 30, 40)
+
+
+class TestPoiBuilds:
+    """A sharded POI build is a fan-out of the executor it is given."""
+
+    def test_builds_ride_on_the_partition_a_through_scan_cut(
+        self, poi_world, counter, monkeypatch
+    ):
+        gis, time_dim, table = poi_world
+        context = EvaluationContext(gis, time_dim, table)
+        expected = poi_visit_counts(context, "Lp", "day", strategy="serial")
+        assert expected
+        counts = CallCounts(monkeypatch)
+        obs = PipelineStats()
+        before = leaked_segments()
+        with ShardedExecutor("processes", n_shards=2, obs=obs) as executor:
+            executor.matching_objects(counter, table)
+            assert counts.both == (1, 1)
+            for hits in (1, 2):
+                got = poi_visit_counts(
+                    context, "Lp", "day", strategy="sharded", executor=executor
+                )
+                assert got == expected
+                assert counts.both == (1, 1)
+                assert obs.count("shard_cache_hits") == hits
+                assert leaked_segments() == before
+        assert obs.count("shard_cache_misses") == 1
+        assert obs.count("zero_copy_blocks") == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shared_observer", [True, False])
+    def test_worker_counters_reach_the_observers_once(
+        self, poi_world, backend, shared_observer
+    ):
+        gis, time_dim, table = poi_world
+        reference = EvaluationContext(gis, time_dim, table)
+        poi_visit_counts(reference, "Lp", "day", strategy="serial")
+        context = EvaluationContext(gis, time_dim, table)
+        obs = context.obs if shared_observer else PipelineStats()
+        with ShardedExecutor(backend, n_shards=3, obs=obs) as executor:
+            poi_visit_counts(
+                context, "Lp", "day", strategy="sharded", executor=executor
+            )
+        for name in ("stop_episodes", "poi_visits", "disc_kernel_segments"):
+            assert reference.obs.count(name) > 0
+            assert context.obs.count(name) == reference.obs.count(name)
+            assert obs.count(name) == reference.obs.count(name)
 
 
 # -- lifecycle -----------------------------------------------------------------

@@ -98,7 +98,6 @@ class TestDifferential:
         expected = ShardedExecutor("serial").matching_objects(counter, moft)
         for backend, zero_copy in (
             ("serial", True),
-            ("threads", True),
             ("processes", True),
             ("processes", False),
         ):
@@ -214,7 +213,7 @@ class TestNoLeaks:
                 seed, n_tasks=5, rate=0.4, max_attempts=4
             )
             executor = ShardedExecutor(
-                "processes" if seed % 2 else "threads",
+                "processes" if seed % 2 else "serial",
                 n_shards=3,
                 zero_copy=True,
                 failure_mode="degrade" if seed % 2 else "retry",

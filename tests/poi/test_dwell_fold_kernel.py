@@ -39,7 +39,7 @@ finite = st.floats(
 @pytest.fixture(autouse=True)
 def _restore_backend():
     yield
-    set_kernel_backend("auto")
+    set_kernel_backend("numpy")
 
 
 def batch_vs_scalar(cx, cy, r, x0, y0, x1, y1):

@@ -1,7 +1,8 @@
 """The three-way POI differential oracle.
 
 One semantic, three execution routes — the serial segmentation pass,
-the object-sharded build + merge, and the registered pre-aggregation
+the object-sharded build + merge on a :class:`~repro.parallel
+.ShardedExecutor` (both backends), and the registered pre-aggregation
 store — must answer **byte-identically** as canonical JSON for every
 measure: visit counts, dwell, distinct-visitor sets and the
 tie-broken top-k ranking.  The oracle also covers the two maintenance
@@ -17,7 +18,10 @@ import pytest
 from repro.errors import EvaluationError
 from repro.ingest import IngestConfig, StoreSpec, StreamingIngestor
 from repro.mo.moft import MOFT
+from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
+from repro.pietql import PietQLExecutor
 from repro.poi import PoiVisitStore
+from repro.query.planner import plan_poi_aggregate
 from repro.query.poi import (
     poi_distinct_visitors,
     poi_dwell_times,
@@ -55,19 +59,23 @@ def assert_three_way(gis, time, moft, layer, granule, moft_name):
     reference = answers(
         serial_ctx, layer, granule, moft_name, strategy="serial"
     )
-    for shards in (1, 2, 3):
-        for backend in ("serial", "threads"):
-            sharded_ctx = EvaluationContext(gis, time, moft)
-            got = answers(
-                sharded_ctx,
-                layer,
-                granule,
-                moft_name,
-                strategy="sharded",
-                shards=shards,
-                backend=backend,
-            )
-            assert got == reference, (shards, backend)
+    for backend in ("serial", "processes"):
+        executor = ShardedExecutor(backend)
+        try:
+            for shards in (1, 2, 3):
+                executor.n_shards = shards
+                sharded_ctx = EvaluationContext(gis, time, moft)
+                got = answers(
+                    sharded_ctx,
+                    layer,
+                    granule,
+                    moft_name,
+                    strategy="sharded",
+                    executor=executor,
+                )
+                assert got == reference, (shards, backend)
+        finally:
+            executor.close()
     preagg_ctx = EvaluationContext(gis, time, moft)
     store = PoiVisitStore(
         moft,
@@ -104,13 +112,14 @@ class TestThreeWay:
                 strategy="serial", min_dwell=min_dwell,
             )
         )
-        sharded = canon(
-            poi_visit_counts(
-                ctx, "Lp", "hour", moft_name="FMbus",
-                strategy="sharded", shards=3, backend="threads",
-                min_dwell=min_dwell,
+        with ShardedExecutor("processes", n_shards=3) as executor:
+            sharded = canon(
+                poi_visit_counts(
+                    ctx, "Lp", "hour", moft_name="FMbus",
+                    strategy="sharded", executor=executor,
+                    min_dwell=min_dwell,
+                )
             )
-        )
         assert serial == sharded
 
     def test_city_10k(self, city_world):
@@ -124,6 +133,49 @@ class TestThreeWay:
                 fig1_context, "Lp", "hour", moft_name="FMbus",
                 strategy="preagg",
             )
+
+
+class TestUnforcedPick:
+    """Nothing fans out that was not handed an executor (the unforced
+    plan used to take a thread-pool fan-out slower than the scan)."""
+
+    def test_plan_without_executor_is_the_scan(self, fig1_world, city_world):
+        city, _, time_dim, moft = city_world
+        for context, granule, name in (
+            (fig1_world.context(), "hour", "FMbus"),
+            (EvaluationContext(city.gis, time_dim, moft), "day", "FM"),
+        ):
+            plan = plan_poi_aggregate(context, "Lp", granule, moft_name=name)
+            assert plan.strategy == "serial"
+            assert "sharded" not in dict(plan.alternatives)
+
+    def test_pietql_fans_out_only_on_a_sharded_executor(self, city_world):
+        city, _, time_dim, moft = city_world
+        text = (
+            "EXPLAIN SELECT layer.Lp FROM City "
+            "| TOP 3 FROM FM AT layer.Lp BY day"
+        )
+        plain = PietQLExecutor(
+            EvaluationContext(city.gis, time_dim, moft)
+        ).execute(text)
+        aggregate = plain.plan.root
+        assert aggregate.op == "PoiAggregate"
+        assert [node.op for node in aggregate.children] == ["StopSegmentScan"]
+        executor = ShardedPietQLExecutor(
+            EvaluationContext(city.gis, time_dim, moft),
+            backend="processes", n_shards=2,
+        )
+        try:
+            fanned = executor.execute(text)
+        finally:
+            executor.sharded.close()
+        (body,) = fanned.plan.root.children
+        # (Which of the two the cost model takes is its business.)
+        assert body.op == "StopSegmentScan" or (
+            f"{body.op}[{body.detail}]"
+            == "ShardedSegmentScan[processes x2 + merge]"
+        )
+        assert canon(fanned.poi_result) == canon(plain.poi_result)
 
 
 class TestIncrementalUpdate:

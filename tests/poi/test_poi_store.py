@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.mo.moft import MOFT
 from repro.olap import poi_parent_mapping, spatial_drilldown, spatial_rollup
+from repro.parallel import ShardedExecutor
 from repro.poi import PoiVisitStore, poi_cells
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 from repro.query.poi import PoiQueryBuilder, resolve_pois
@@ -241,7 +242,7 @@ class TestQueryLayer:
             PoiQueryBuilder("Lp", "FMbus")
             .per("hour")
             .with_min_dwell(0.0)
-            .sharded(2, backend="threads")
+            .sharded(ShardedExecutor("serial", n_shards=2))
         )
         sharded = builder.visits(fig1_context)
         serial = (
@@ -263,8 +264,9 @@ class TestQueryLayer:
     def test_planner_prices_and_routes(self, fig1_world):
         ctx = fig1_world.context()
         plan = plan_poi_aggregate(ctx, "Lp", "hour", moft_name="FMbus")
-        assert plan.strategy in ("serial", "sharded")
-        assert plan.alternatives
+        # No executor, no store: the scan, and no fan-out priced beside it.
+        assert plan.strategy == "serial"
+        assert "sharded" not in dict(plan.alternatives)
         result = execute_poi_plan(
             plan, ctx, "Lp", "hour", moft_name="FMbus"
         )

@@ -285,7 +285,7 @@ class TestObserverRule:
         assert plan.root.actual_rows == count
 
     def test_fanout_on_the_context_observer_counts_once(self, bare):
-        executor = ShardedExecutor("threads", n_shards=3, obs=bare.obs)
+        executor = ShardedExecutor("serial", n_shards=3, obs=bare.obs)
         plan = plan_count_objects_through(
             bare, TARGET, CONSTRAINTS, executor=executor,
             force_strategy="sharded",
@@ -300,7 +300,7 @@ class TestObserverRule:
         assert plan.root.find("GridScan").actual_rows == seen["scan_rows"]
 
     def test_fanout_on_its_own_observer_stays_there(self, bare):
-        executor = ShardedExecutor("threads", n_shards=3)
+        executor = ShardedExecutor("serial", n_shards=3)
         assert executor.obs is not bare.obs
         plan = plan_count_objects_through(
             bare, TARGET, CONSTRAINTS, executor=executor,

@@ -104,9 +104,9 @@ class TestCostModel:
 
     def test_process_backend_ships_rows(self):
         model = CostModel()
-        threads = model.sharded_cost(1e6, "threads", 4, 10_000)
+        serial = model.sharded_cost(1e6, "serial", 4, 10_000)
         processes = model.sharded_cost(1e6, "processes", 4, 10_000)
-        assert processes != threads
+        assert processes != serial
         assert processes >= 4 * model.process_task_overhead
 
     def test_serial_backend_has_no_speedup(self):
@@ -192,16 +192,16 @@ class TestPlanning:
             )
 
     def test_plan_shape_sharded(self, context):
-        executor = ShardedExecutor(backend="threads", n_shards=3)
+        executor = ShardedExecutor(backend="processes", n_shards=3)
         plan = plan_count_objects_through(
             context, TARGET, CONSTRAINTS, moft_name="FMbus",
             executor=executor, force_strategy="sharded",
         )
         fanout = plan.root.find("ShardFanout")
         assert fanout is not None
-        assert "backend=threads" in fanout.detail
+        assert "backend=processes" in fanout.detail
         assert fanout.children[0].op == "GridScan"
-        assert plan.shard_backend == "threads"
+        assert plan.shard_backend == "processes"
         assert plan.shard_count >= 1
 
     def test_plan_shape_preagg(self, preagg_context):
@@ -352,11 +352,11 @@ class TestDescribeAndBuilderExplain:
 
 class TestPoiBuilderExplain:
     """EXPLAIN of a POI builder names the shard plan its terminal
-    methods run (it used to render the planner's own pick — ``threads
-    x2`` — whatever ``.sharded(n, backend=...)`` said)."""
+    methods run: the backend and shard count of the executor
+    ``.sharded(executor)`` was given."""
 
     @pytest.mark.parametrize(
-        "shards, backend", [(4, "serial"), (3, "threads"), (1, "serial")]
+        "shards, backend", [(4, "serial"), (3, "processes"), (1, "serial")]
     )
     def test_rendered_shard_plan_is_the_one_that_runs(
         self, monkeypatch, shards, backend
@@ -364,53 +364,70 @@ class TestPoiBuilderExplain:
         from repro.query import poi as poi_queries
 
         context = figure1_instance(with_pois=True).context()
-        builder = (
-            poi_queries.PoiQueryBuilder("Lp", "FMbus")
-            .per("hour")
-            .sharded(shards, backend=backend)
-        )
-        plan = builder.explain(context)
-        assert f"ShardedSegmentScan[{backend} x{shards} + merge]" in plan.render()
-        assert (plan.shard_count, plan.shard_backend) == (shards, backend)
+        serial = poi_queries.PoiQueryBuilder("Lp", "FMbus").per("hour").serial()
+        expected = serial.visits(context)
+        with ShardedExecutor(backend, n_shards=shards) as executor:
+            builder = (
+                poi_queries.PoiQueryBuilder("Lp", "FMbus")
+                .per("hour")
+                .sharded(executor)
+            )
+            plan = builder.explain(context)
+            assert (
+                f"ShardedSegmentScan[{backend} x{shards} + merge]"
+                in plan.render()
+            )
+            assert (plan.shard_count, plan.shard_backend) == (shards, backend)
 
-        received = []
-        view = poi_queries.poi_store_view
+            received = []
+            view = poi_queries.poi_store_view
 
-        def spy(*args, **options):
-            received.append((options["shards"], options["backend"]))
-            return view(*args, **options)
+            def spy(*args, **options):
+                received.append(options["executor"])
+                return view(*args, **options)
 
-        monkeypatch.setattr(poi_queries, "poi_store_view", spy)
-        answer = builder.visits(context)
-        assert received == [(shards, backend)]
-        # ... and executing the plan builds with them too.
-        built = []
-        build = poi_queries.build_store
+            monkeypatch.setattr(poi_queries, "poi_store_view", spy)
+            answer = builder.visits(context)
+            assert answer == expected
+            assert received == [executor]
+            # ... and executing the plan builds on it too.
+            built = []
+            build = poi_queries.build_store
 
-        def spy_build(*args, **options):
-            built.append((options["shards"], options["backend"]))
-            return build(*args, **options)
+            def spy_build(*args, **options):
+                built.append(options["executor"])
+                return build(*args, **options)
 
-        monkeypatch.setattr(poi_queries, "build_store", spy_build)
-        from repro.query.planner import execute_poi_plan
+            monkeypatch.setattr(poi_queries, "build_store", spy_build)
+            from repro.query.planner import execute_poi_plan
 
-        assert execute_poi_plan(
-            plan, context, "Lp", "hour", moft_name="FMbus"
-        ) == answer
-        assert built == [(shards, backend)]
+            assert execute_poi_plan(
+                plan, context, "Lp", "hour", moft_name="FMbus",
+                executor=executor,
+            ) == answer
+            assert built == [executor]
 
     def test_unforced_builder_prices_its_own_shard_settings(self):
         from repro.query.poi import PoiQueryBuilder
 
         context = figure1_instance(with_pois=True).context()
         plan = PoiQueryBuilder("Lp", "FMbus").per("hour").explain(context)
-        # The terminal methods of an unforced builder scan serially.
+        # The terminal methods of an unforced builder scan serially, and
+        # without an executor there is no fan-out to price.
         assert plan.strategy == "serial"
+        assert "sharded" not in dict(plan.alternatives)
 
     def test_unrunnable_backend_is_refused_at_planning(self):
+        """``threads`` names no backend: the executor a builder would be
+        given cannot be made, and a sharded plan without one is refused
+        (``processes``, refused here once, is ``[3-processes]`` above)."""
         from repro.query.poi import PoiQueryBuilder
 
+        with pytest.raises(EvaluationError, match="unknown backend"):
+            ShardedExecutor("threads", n_shards=2)
         context = figure1_instance(with_pois=True).context()
         builder = PoiQueryBuilder("Lp", "FMbus").per("hour")
-        with pytest.raises(EvaluationError, match="backend"):
-            builder.sharded(2, backend="processes").explain(context)
+        with pytest.raises(EvaluationError, match="no executor"):
+            builder.sharded(None).explain(context)
+        with pytest.raises(EvaluationError, match="no executor"):
+            builder.visits(context)

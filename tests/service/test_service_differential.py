@@ -93,7 +93,7 @@ class TestFig1Parity:
             fig1_context, FIG1_TARGET, FIG1_CONSTRAINTS, moft_name="FMbus"
         )
         direct_sharded = ShardedExecutor(
-            backend="threads", n_shards=3
+            backend="serial", n_shards=3
         ).count_objects_through(
             fig1_context, FIG1_TARGET, FIG1_CONSTRAINTS, moft_name="FMbus"
         )
@@ -101,7 +101,7 @@ class TestFig1Parity:
 
         service, (job_id,) = run_jobs_synchronously(
             fig1_service_world, [spec], n_workers=2,
-            backend="threads", n_shards=3,
+            backend="serial", n_shards=3,
         )
         assert service.result(job_id) == {
             "kind": "through", "count": direct_serial,
@@ -159,7 +159,6 @@ class TestHypothesisFuzzLane:
         ),
         n_workers=st.integers(min_value=1, max_value=4),
         n_shards=st.integers(min_value=1, max_value=5),
-        backend=st.sampled_from(["serial", "threads"]),
     )
     def test_service_equals_serial_evaluator(
         self,
@@ -170,7 +169,6 @@ class TestHypothesisFuzzLane:
         window,
         n_workers,
         n_shards,
-        backend,
     ):
         expected = count_objects_through(
             fig1_context, target, constraints,
@@ -183,7 +181,7 @@ class TestHypothesisFuzzLane:
         assert QuerySpec.from_json(spec.to_json()) == spec
         service, (job_id,) = run_jobs_synchronously(
             fig1_service_world, [spec], n_workers=n_workers,
-            backend=backend, n_shards=n_shards,
+            backend="serial", n_shards=n_shards,
         )
         assert service.result(job_id) == {
             "kind": "through", "count": expected,
@@ -240,7 +238,7 @@ class TestSynthCityParity:
         spec = QuerySpec.through(SYNTH_TARGET, SYNTH_CONSTRAINTS)
         service, (job_id,) = run_jobs_synchronously(
             synth_service_world, [spec], n_workers=3,
-            backend="threads", n_shards=4,
+            backend="serial", n_shards=4,
         )
         assert service.result(job_id) == {
             "kind": "through", "count": expected,
@@ -264,7 +262,7 @@ class TestSynthCityParity:
             )
         service, job_ids = run_jobs_synchronously(
             synth_service_world, specs, n_workers=2,
-            backend="threads", n_shards=3,
+            backend="serial", n_shards=3,
         )
         for job_id, count in zip(job_ids, expected):
             assert service.result(job_id)["count"] == count
@@ -279,11 +277,11 @@ class TestSynthCityParity:
         )
         direct = ShardedPietQLExecutor(
             synth_world.context, synth_service_world.bindings,
-            backend="threads", n_shards=4,
+            backend="serial", n_shards=4,
         ).execute(query)
         service, (job_id,) = run_jobs_synchronously(
             synth_service_world, [QuerySpec.pietql(query)],
-            n_workers=2, backend="threads", n_shards=4,
+            n_workers=2, backend="serial", n_shards=4,
         )
         result = service.result(job_id)
         assert result["count"] == direct.count

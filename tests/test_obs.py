@@ -124,9 +124,9 @@ class TestEvaluationStats:
 class TestThreadSafety:
     """Regression: counters used to drop increments under contention.
 
-    The threads backend of ``repro.parallel`` mutates one shared
-    observer from worker threads; unlocked read-modify-write on the
-    counter dict lost updates.  These tests hammer a shared instance
+    Service workers, ingest submitters and caller-supplied backends
+    mutate one shared observer from several threads; unlocked
+    read-modify-write on the counter dict lost updates.  These tests hammer a shared instance
     from N threads and demand *exact* totals.
     """
 
