@@ -7,16 +7,12 @@ from repro.bench.harness import (
     build_world,
     context_for,
     large_moft,
-    merge_row_counts,
-    shard_row_counts,
-    stage_rows,
     timed,
 )
 from repro.bench.reporting import (
     format_table,
     print_series,
     print_table,
-    write_bench_json,
 )
 
 __all__ = [
@@ -26,12 +22,8 @@ __all__ = [
     "build_world",
     "context_for",
     "large_moft",
-    "merge_row_counts",
-    "shard_row_counts",
-    "stage_rows",
     "timed",
     "format_table",
     "print_series",
     "print_table",
-    "write_bench_json",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 from repro.geometry.point import BoundingBox
 from repro.mo.moft import MOFT
@@ -100,40 +100,6 @@ def large_moft(
         speed=5.0,
         seed=seed,
     )
-
-
-def shard_row_counts(shard: MOFT) -> Dict[str, int]:
-    """Per-shard row/object tally — a picklable fn for executor fan-outs.
-
-    Benchmarks pass this to ``ShardedExecutor.aggregate_moft`` so the
-    measured payload is the executor's own serialization (descriptor or
-    pickled shard), not the cost of an elaborate aggregate.
-    """
-    return {"rows": len(shard), "objects": len(shard.objects())}
-
-
-def merge_row_counts(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
-    """Sum the tallies produced by :func:`shard_row_counts`."""
-    total = {"rows": 0, "objects": 0}
-    for part in parts:
-        total["rows"] += part["rows"]
-        total["objects"] += part["objects"]
-    return total
-
-
-def stage_rows(stats: "object") -> List[Tuple[object, ...]]:
-    """Flatten a :class:`repro.obs.PipelineStats` into printable rows.
-
-    Counters come first (count in the second column), stages after
-    (calls, seconds).
-    """
-    rows: List[Tuple[object, ...]] = []
-    for name in sorted(stats.counters):
-        rows.append((name, stats.counters[name], ""))
-    for name in sorted(stats.stages):
-        timer = stats.stages[name]
-        rows.append((name, timer.calls, f"{timer.seconds:.6f}s"))
-    return rows
 
 
 @dataclass

@@ -7,10 +7,7 @@ monospace tables on stdout — no plotting dependencies.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence
 
 from repro.bench.harness import Series
 
@@ -48,34 +45,6 @@ def print_table(
     print()
     print(f"== {title} ==")
     print(format_table(headers, rows))
-
-
-def write_bench_json(
-    name: str,
-    payload: Dict,
-    directory: Optional[Union[str, Path]] = None,
-) -> Optional[Path]:
-    """Persist a benchmark's measurements as a JSON artifact.
-
-    ``directory`` defaults to the ``REPRO_BENCH_JSON_DIR`` environment
-    variable; when neither is set the call is a no-op returning ``None``,
-    so benchmarks can always emit artifacts without configuring local
-    runs.  CI points ``REPRO_BENCH_JSON_DIR`` at an upload directory and
-    collects one ``<name>.json`` file per benchmark, each carrying the
-    measured numbers (seconds, speedups, ``bytes_serialized``, peak shard
-    payload sizes, ...) for trend tracking across commits.
-    """
-    if directory is None:
-        directory = os.environ.get("REPRO_BENCH_JSON_DIR")
-    if not directory:
-        return None
-    target_dir = Path(directory)
-    target_dir.mkdir(parents=True, exist_ok=True)
-    target = target_dir / f"{name}.json"
-    with open(target, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target
 
 
 def print_series(title: str, series_list: Sequence[Series]) -> None:

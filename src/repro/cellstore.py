@@ -5,18 +5,23 @@ Definition 4's summable form ``Q = Σ_{g∈C} h'(g)`` is materialized per
 .PreAggStore`) and over stop episodes (:class:`repro.poi.PoiVisitStore`).
 Each kind keeps its cells as one immutable columnar table; the row
 schemas and sort orders differ because the reads differ.  Snapshot,
-staleness, ``update()``, ``clone()``, ``merge()``, registry matching and
-the rule that a fold rebinds the table and never writes into it do not,
-and live here once (DESIGN.md, "Store lifecycle").  This module imports
-neither :mod:`repro.parallel` nor :mod:`repro.query`: both import the
-stores.
+staleness, ``update()``, ``clone()``, ``merge()``, registry matching,
+the roll-up up either hierarchy and the rule that a fold rebinds the
+table and never writes into it do not, and live here once (DESIGN.md,
+"Store lifecycle").  This module imports neither :mod:`repro.parallel`
+nor :mod:`repro.query`: both import the stores.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Set, Tuple,
+)
 
-from repro.errors import PreAggError
+import numpy as np
+
+from repro.errors import PreAggError, RollupError
 from repro.mo.moft import MOFT
 from repro.obs import PipelineStats
 from repro.olap.cube import Cube
@@ -32,6 +37,58 @@ def frozen(table):
     return table
 
 
+def cell_labels(keys: np.ndarray, gids, partition: GranulePartition):
+    """``(gid, granule member)`` of ``gid code * len(partition) + code``
+    keys, as a list."""
+    gid, code = np.divmod(keys, len(partition))
+    members = partition.members
+    return [(gids[g], members[c]) for g, c in zip(gid.tolist(), code.tolist())]
+
+
+class RollupRows(NamedTuple):
+    """One block of a kind's rows as :meth:`GranuleStore.rollup` reads
+    them: per row its gid code, child granule code and oid code, its
+    weight in each measure, and per object set whether it belongs."""
+
+    gid: np.ndarray
+    granule: np.ndarray
+    oid: np.ndarray
+    measures: Dict[str, np.ndarray]
+    sets: Dict[str, np.ndarray]
+
+
+class Rollup(NamedTuple):
+    """A store's cells up either hierarchy, as columns: ``keys`` are
+    ``parent gid code * len(partition) + parent granule`` of the parent
+    cells some row maps to, ascending (``gids`` is sorted by ``repr``),
+    ``measures[name]`` each key's sum, ``sets[name]`` CSR ``(offsets,
+    codes)`` — key ``i`` holds ``oids[codes[offsets[i]:offsets[i + 1]]]``,
+    codes ascending."""
+
+    partition: GranulePartition
+    gids: Tuple[Hashable, ...]
+    oids: Tuple[Hashable, ...]
+    keys: np.ndarray
+    measures: Dict[str, np.ndarray]
+    sets: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+    def labels(self) -> list:
+        """``(parent gid, parent granule member)`` per key."""
+        return cell_labels(self.keys, self.gids, self.partition)
+
+    def measure(self, name: str) -> dict:
+        """``{label: sum}`` of one measure in key order, a zero sum absent."""
+        sums = self.measures[name].tolist()
+        return {label: s for label, s in zip(self.labels(), sums) if s}
+
+    def objects(self, name: str) -> List[Tuple[Hashable, ...]]:
+        """Per key, the objects of one set in code order."""
+        offsets, codes = self.sets[name]
+        ids = [self.oids[c] for c in codes.tolist()]
+        cuts = offsets.tolist()
+        return [tuple(ids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 class GranuleStore:
     """A MOFT summarized per (geometry id, time granule), and its
     snapshot ``(table version, table rows, Time-dimension version)``.
@@ -42,7 +99,8 @@ class GranuleStore:
     an empty MOFT over ``self.partition``), ``_build_cells()`` (bind the
     whole MOFT's), ``_fold_rows(start)`` (bring it forward over the
     appended rows ``start:``) and ``_absorb(store)`` (add in a store
-    over a disjoint object set) — each by making a new table.
+    over a disjoint object set) — each by making a new table — and
+    ``_rollup_rows(time_map)``, its rows as :meth:`rollup` groups them.
     """
 
     #: Attributes a query must pin, by value, to read this kind's cells
@@ -51,6 +109,8 @@ class GranuleStore:
     #: Build parameters baked into the cells besides granule level and
     #: geometry ids; shard stores must agree on them to merge.
     BUILD_PARAMS: Tuple[str, ...] = ()
+    #: The name of the geometry-id axis of :meth:`as_cube`.
+    CUBE_AXIS = "geometry"
 
     def __init__(
         self,
@@ -236,11 +296,88 @@ class GranuleStore:
             and self._gid_code.keys() >= set(ids)
         )
 
-    def _cells_cube(self, axis: str, measures: Sequence[str], rows) -> Cube:
-        """``rows`` (one dict per non-empty cell) as an OLAP cube: the
-        time attribute binds to the granule level, so rollups climb the
-        real Time lattice; ``axis`` is a two-level gid -> layer dimension."""
-        dimension = f"{self.name}_{axis}"
+    # -- roll-up and cube exposure --------------------------------------------
+
+    def rollup(
+        self,
+        time_level: Optional[str] = None,
+        space: Optional[Mapping[Hashable, Hashable]] = None,
+    ) -> Rollup:
+        """The cells rolled up the Time lattice to ``time_level`` and along
+        ``space`` (``{gid: parent}``); a hierarchy left out stays put.
+
+        One group-by of the kind's rows (:meth:`_rollup_rows`) by parent
+        cell: a measure is ``np.bincount`` per block of rows — floats add
+        left to right in table order — and the blocks' sums add; an
+        object set is one ``np.unique`` over (parent cell, object), never
+        a sum of child counts.  :class:`RollupError`, before a row is
+        read, for a granule straddling two parents or an unmapped gid.
+        """
+        partition, time_map = self.partition, np.arange(len(self.partition))
+        if time_level is not None:
+            partition, time_map = self.partition.rollup_codes(
+                self.time, time_level
+            )
+        gids, space_map = self.gids, np.arange(len(self.gids))
+        if space is not None:
+            unmapped = [gid for gid in self.gids if gid not in space]
+            if unmapped:
+                raise RollupError(
+                    f"geometry {unmapped[0]!r} has no spatial parent in the "
+                    f"mapping; cannot roll up without dropping its cells"
+                )
+            gids = tuple(sorted({space[gid] for gid in self.gids}, key=repr))
+            code = {parent: i for i, parent in enumerate(gids)}
+            space_map = np.array([code[space[gid]] for gid in self.gids])
+        blocks = self._rollup_rows(time_map)
+        keys, group = np.unique(
+            np.concatenate([
+                space_map[rows.gid] * len(partition) + time_map[rows.granule]
+                for rows in blocks
+            ]),
+            return_inverse=True,
+        )
+        parts = np.split(
+            group, np.cumsum([rows.oid.size for rows in blocks])[:-1]
+        )
+        measures = {}
+        for name, weights in blocks[0].measures.items():
+            sums = sum(
+                np.bincount(part, rows.measures[name], keys.size)
+                for part, rows in zip(parts, blocks)
+            )
+            measures[name] = sums.astype(weights.dtype)
+        oids = self._objects()
+        width = max(len(oids), 1)
+        oid = np.concatenate([rows.oid for rows in blocks]).astype(np.int64)
+        sets = {}
+        for name in blocks[0].sets:
+            member = np.concatenate([rows.sets[name] for rows in blocks])
+            pairs = np.unique(group[member] * width + oid[member])
+            offsets = np.searchsorted(pairs // width, np.arange(keys.size + 1))
+            sets[name] = offsets, pairs % width
+        return Rollup(partition, gids, oids, keys, measures, sets)
+
+    def as_cube(self) -> Cube:
+        """The finest cells, ``self.rollup()``, as an OLAP :class:`Cube`:
+        a fact row per non-empty cell, in key order, with the kind's
+        measures and the size of each object set.  The time attribute
+        binds to the granule level, so cube rollups climb the real Time
+        lattice; :attr:`CUBE_AXIS` is a two-level gid -> layer dimension.
+        The set sizes are per-cell distinct counts and do not sum (an
+        object in two cells counts in both): a coarser one is
+        :meth:`rollup`'s.
+        """
+        cells = self.rollup()
+        measures = [*cells.measures, *cells.sets]
+        columns = [sums.tolist() for sums in cells.measures.values()] + [
+            np.diff(offsets).tolist() for offsets, _ in cells.sets.values()
+        ]
+        rows = [
+            {"granule": member, self.CUBE_AXIS: gid, **dict(zip(measures, row))}
+            for (gid, member), *row in zip(cells.labels(), *columns)
+        ]
+        dimension = f"{self.name}_{self.CUBE_AXIS}"
         instance = DimensionInstance(
             DimensionSchema(dimension, [("gid", "layer")])
         )
@@ -252,7 +389,7 @@ class GranuleStore:
             f"{self.name}_cells",
             [
                 ("granule", time.schema.name, self.granule_level, time),
-                (axis, dimension, "gid", instance),
+                (self.CUBE_AXIS, dimension, "gid", instance),
             ],
             measures,
             rows,

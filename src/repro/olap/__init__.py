@@ -26,7 +26,6 @@ from repro.olap.cube import Cube
 from repro.olap.solap import (
     poi_parent_mapping,
     spatial_drilldown,
-    spatial_rollup,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "Cube",
     "poi_parent_mapping",
     "spatial_drilldown",
-    "spatial_rollup",
 ]

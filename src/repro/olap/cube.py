@@ -58,7 +58,7 @@ class Cube:
         ``attributes`` is a sequence of ``(column, dimension, level,
         instance)`` tuples; the fact-table schema and the dimension
         mapping are derived from it.  Used by derived stores (e.g.
-        :meth:`repro.preagg.PreAggStore.as_cube`) that materialize their
+        :meth:`repro.cellstore.GranuleStore.as_cube`) that materialize their
         cells as a cube without hand-assembling schema objects.
         """
         from repro.olap.facttable import DimensionAttribute, FactTableSchema

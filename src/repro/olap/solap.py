@@ -1,13 +1,14 @@
-"""Spatial OLAP: roll-up and drill-down over per-(geometry, granule) cells.
+"""Spatial OLAP: the gid → parent mapping and drill-down over store cells.
 
 The paper's aggregation walks the *temporal* hierarchy (hour → day → …);
 the POI workload adds the symmetric *spatial* walk: fold per-place cells
 up a geometric containment mapping (place → neighborhood → city) and
-drill an aggregated group back down to the contributing places.  Cells
-here are the canonical dicts the stores emit — ``{(gid, granule_code):
-value}`` — so the same functions roll up visit counts (numbers), dwell
-seconds (floats) and distinct-visitor sets (tuples) without caring which
-store produced them.
+drill an aggregated group back down to the contributing places.  The
+roll-up itself is the stores' one group-by,
+:meth:`repro.cellstore.GranuleStore.rollup` (``space=mapping``); this
+module makes the mapping and answers the drill-down against the base
+cells — the canonical dicts the stores emit, ``{(gid, granule member):
+value}``.
 
 The mapping itself usually comes from geometry:
 :func:`poi_parent_mapping` locates every disc's center inside a parent
@@ -24,56 +25,14 @@ from repro.errors import RollupError
 __all__ = [
     "poi_parent_mapping",
     "spatial_drilldown",
-    "spatial_rollup",
 ]
-
-#: A cell key: (geometry id, granule code).
-CellKey = Tuple[Hashable, int]
-
-
-def _combine(existing, value):
-    """Merge two cell values: numbers add, id collections union."""
-    if isinstance(existing, (tuple, frozenset, set)):
-        merged = set(existing)
-        merged.update(value)
-        return tuple(sorted(merged, key=repr))
-    return existing + value
-
-
-def spatial_rollup(
-    cells: Mapping[CellKey, object],
-    mapping: Mapping[Hashable, Hashable],
-) -> Dict[CellKey, object]:
-    """Fold cells along a gid → parent mapping, granule by granule.
-
-    Numeric values (visits, dwell) are summed; collection values
-    (distinct-visitor tuples) are unioned and re-canonicalized (sorted
-    by ``repr``).  Every gid appearing in ``cells`` must be mapped — a
-    hole in the containment mapping raises :class:`RollupError` rather
-    than silently dropping a place's contribution.
-    """
-    out: Dict[CellKey, object] = {}
-    for (gid, code), value in cells.items():
-        if gid not in mapping:
-            raise RollupError(
-                f"geometry {gid!r} has no spatial parent in the mapping; "
-                "cannot roll up without dropping its cells"
-            )
-        key = (mapping[gid], code)
-        if key in out:
-            out[key] = _combine(out[key], value)
-        elif isinstance(value, (tuple, frozenset, set)):
-            out[key] = tuple(sorted(value, key=repr))
-        else:
-            out[key] = value
-    return dict(sorted(out.items(), key=lambda item: (repr(item[0][0]), item[0][1])))
 
 
 def spatial_drilldown(
-    cells: Mapping[CellKey, object],
+    cells: Mapping[Tuple[Hashable, Hashable], object],
     mapping: Mapping[Hashable, Hashable],
     parent: Hashable,
-) -> Dict[CellKey, object]:
+) -> Dict[Tuple[Hashable, Hashable], object]:
     """The fine cells contributing to one rolled-up parent.
 
     Drill-down cannot invent detail an aggregate destroyed, so it is

@@ -41,7 +41,7 @@ from typing import Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequ
 
 import numpy as np
 
-from repro.cellstore import GranuleStore, frozen
+from repro.cellstore import GranuleStore, RollupRows, cell_labels, frozen
 from repro.errors import PreAggError
 from repro.mo.moft import MOFT
 from repro.poi.segmentation import batch_stops, segment_stops_moves
@@ -242,6 +242,7 @@ class PoiVisitStore(GranuleStore):
 
     CELL_KEY = ("granule_level", "min_dwell")
     BUILD_PARAMS = ("min_dwell", "radius")
+    CUBE_AXIS = "poi"
 
     def __init__(
         self,
@@ -321,15 +322,10 @@ class PoiVisitStore(GranuleStore):
 
     # -- reads ----------------------------------------------------------------
 
-    def _labels(self, keys: np.ndarray, partition) -> list:
-        """``(poi id, granule member)`` of ``gid * len(partition) + code`` keys."""
-        gid, code = np.divmod(keys, len(partition))
-        members = partition.members
-        return [(self.gids[g], members[c]) for g, c in zip(gid.tolist(), code.tolist())]
-
     def _by_cell(self):
         """The per-(POI, granule) group-by: each row's group, each group's key."""
-        return self._table.cell, self._labels(self._table.cells, self.partition)
+        table = self._table
+        return table.cell, cell_labels(table.cells, self.gids, self.partition)
 
     def _visitors(self, group: np.ndarray, labels: list) -> dict:
         """``{labels[g]: the distinct objects of group g's rows}`` in row
@@ -381,62 +377,37 @@ class PoiVisitStore(GranuleStore):
             ranked.setdefault(members[c], []).append((self.gids[g], n))
         return {member: tuple(top[:k]) for member, top in ranked.items()}
 
-    # -- rollups / cube -------------------------------------------------------
+    # -- rollups --------------------------------------------------------------
+
+    def _rollup_rows(self, time_map: np.ndarray) -> Tuple[RollupRows, ...]:
+        """The rows; each is one visitor of its cell."""
+        table = self._table
+        return (RollupRows(
+            table.gid, table.granule, table.oid,
+            {"visits": table.visits, "dwell": table.dwell},
+            {"distinct_visitors": np.ones(table.oid.size, dtype=bool)},
+        ),)
+
+    @staticmethod
+    def _reads(cells):
+        """``(visits, dwell, visitors)`` of a :meth:`rollup`, in key order."""
+        visitors = cells.objects("distinct_visitors")
+        return (
+            cells.measure("visits"), cells.measure("dwell"),
+            dict(zip(cells.labels(), visitors)),
+        )
 
     def rollup_cells(self, parent_level: str):
-        """Temporal roll-up: the same cells at a coarser granule level.
+        """Temporal roll-up: ``(parent partition, visits, dwell,
+        visitors)``, the dicts keyed ``(poi id, parent member)``."""
+        cells = self.rollup(parent_level)
+        return (cells.partition, *self._reads(cells))
 
-        Returns ``(parent_partition, visits, dwell, visitors)`` dicts
-        keyed ``(poi id, parent member)``.
-        """
-        parent, mapping = self.partition.rollup_codes(self.time, parent_level)
-        table = self._table
-        keys, group = np.unique(
-            table.gid * len(parent) + mapping[table.granule],
-            return_inverse=True,
-        )
-        labels = self._labels(keys, parent)
-        return (
-            parent,
-            _fold(group, labels, table.visits),
-            _fold(group, labels, table.dwell),
-            self._visitors(group, labels),
-        )
-
-    def rollup_space(self, mapping):
-        """Spatial roll-up: every measure folded gid → parent.
-
-        ``mapping`` usually comes from
-        :func:`repro.olap.solap.poi_parent_mapping`; returns
-        ``(visits, dwell, visitors)`` keyed ``(parent id, member)``.
-        """
-        from repro.olap.solap import spatial_rollup
-
-        return (
-            spatial_rollup(self.visit_counts(), mapping),
-            spatial_rollup(self.dwell_times(), mapping),
-            spatial_rollup(self.distinct_visitors(), mapping),
-        )
-
-    def as_cube(self):
-        """Expose the cells as an OLAP cube (granule x POI axes)."""
-        visits = self.visit_counts()
-        dwell = self.dwell_times()
-        visitors = self.distinct_visitors()
-        rows = []
-        for (gid, member), oids in visitors.items():
-            rows.append(
-                {
-                    "granule": member,
-                    "poi": gid,
-                    "visits": visits.get((gid, member), 0),
-                    "dwell": dwell.get((gid, member), 0.0),
-                    "distinct_visitors": len(oids),
-                }
-            )
-        return self._cells_cube(
-            "poi", ("visits", "dwell", "distinct_visitors"), rows
-        )
+    def rollup_space(self, mapping: Mapping[Hashable, Hashable]):
+        """Spatial roll-up: ``(visits, dwell, visitors)`` keyed ``(parent
+        id, member)``; ``mapping`` (``{poi id: parent}``) usually comes
+        from :func:`repro.olap.solap.poi_parent_mapping`."""
+        return self._reads(self.rollup(space=mapping))
 
     # -- introspection --------------------------------------------------------
 

@@ -62,7 +62,7 @@ from typing import (
 
 import numpy as np
 
-from repro.cellstore import GranuleStore, frozen
+from repro.cellstore import GranuleStore, RollupRows, frozen
 from repro.errors import PreAggError
 from repro.geometry.kernels import segments_dwell
 from repro.geometry.polygon import Polygon
@@ -97,7 +97,7 @@ class PreAggStoreStats:
 
 @dataclass(frozen=True)
 class PreAggCell:
-    """One decoded (geometry, granule) cell — for inspection and cubes."""
+    """One decoded (geometry, granule) cell — for inspection and roll-ups."""
 
     samples: int
     dwell: float
@@ -631,7 +631,7 @@ class PreAggStore(GranuleStore):
                     total += float(dwell.sum())
         return total
 
-    # -- lattice rollup and cube exposure -------------------------------------
+    # -- decoded cells and lattice rollup -------------------------------------
 
     def cell(self, gid: Hashable, member: Hashable) -> PreAggCell:
         """Decode one finest-granule cell: the reads over a run of one
@@ -645,88 +645,53 @@ class PreAggStore(GranuleStore):
             passing_objects=frozenset(self.objects_through(*run)),
         )
 
-    def _id_sets(self, key, oid, size: int) -> List[frozenset]:
-        """Per key ``0..size-1`` the objects of the ``(key, oid)`` pairs."""
-        order = np.argsort(key, kind="stable")
-        cuts = np.searchsorted(key[order], np.arange(size + 1)).tolist()
-        oids = [self._table.oids[c] for c in oid[order].tolist()]
-        return [frozenset(oids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    def _rollup_rows(self, time_map: np.ndarray) -> Tuple[RollupRows, ...]:
+        """The rows, then the spanning records whose two granules roll up
+        into one parent, placed at the first: such a segment lies inside
+        the parent granule, so its object passes and its dwell counts
+        there — what makes a roll-up exact rather than a lossy counter
+        sum.  A row is a passer, a row with samples is present.  (With
+        no time level no record qualifies: the cube's cells are rows.)"""
+        table = self._table
+        gid, granule = np.divmod(table.cell, len(self.partition))
+        inner = time_map[table.span_a] == time_map[table.span_b]
+        rows = np.ones(table.oid.size, dtype=bool)
+        spans = np.ones(np.count_nonzero(inner), dtype=bool)
+        return (
+            RollupRows(
+                gid, granule, table.oid,
+                {"samples": table.samples, "dwell": table.dwell},
+                {"distinct_objects": table.samples > 0, "passing_objects": rows},
+            ),
+            RollupRows(
+                table.span_gid[inner], table.span_a[inner], table.span_oid[inner],
+                {"samples": np.zeros(spans.size, dtype=np.int64),
+                 "dwell": table.span_dwell[inner]},
+                {"distinct_objects": ~spans, "passing_objects": spans},
+            ),
+        )
 
     def rollup_cells(
         self, parent_level: str
     ) -> Dict[Tuple[Hashable, Hashable], PreAggCell]:
-        """Derive coarser cells along the granularity lattice.
-
-        Child cells merge into their parent granule: counts and dwell
-        add, id sets union, and spanning records whose endpoints fall in
-        the *same* parent become intra-parent (their dwell and oid join
-        the parent cell — this is what makes the rollup exact rather
-        than a lossy counter sum).  Raises
+        """:meth:`rollup` to ``parent_level`` as decoded cells keyed
+        ``(gid, parent member)``: the dwell of a cell is its rows' plus
+        its intra-parent spanning records'.  Raises
         :class:`~repro.errors.RollupError` when some child granule
-        straddles two parents.
-        """
-        parent, mapping = self.partition.rollup_codes(self.time, parent_level)
-        table, width = self._table, len(parent)
-        size = len(self.gids) * width
-        gid, granule = np.divmod(table.cell, len(self.partition))
-        key = gid * width + mapping[granule]
-        intra = np.flatnonzero(mapping[table.span_a] == mapping[table.span_b])
-        span_key = table.span_gid[intra] * width + mapping[table.span_a[intra]]
-        samples = np.bincount(key, weights=table.samples, minlength=size)
-        dwell = np.bincount(key, weights=table.dwell, minlength=size)
-        dwell += np.bincount(
-            span_key, weights=table.span_dwell[intra], minlength=size
-        )
-        sampled = table.samples > 0
-        present = self._id_sets(key[sampled], table.oid[sampled], size)
-        passers = self._id_sets(
-            np.concatenate((key, span_key)),
-            np.concatenate((table.oid, table.span_oid[intra])),
-            size,
-        )
-        # (A cell with a sample or any dwell has a passer.)
-        labels = ((gid, member) for gid in self.gids for member in parent.members)
+        straddles two parents."""
+        cells = self.rollup(parent_level)
         return {
             label: PreAggCell(
-                int(samples[cell]), float(dwell[cell]),
-                present[cell], passers[cell],
+                samples, dwell, frozenset(present), frozenset(passing)
             )
-            for cell, label in enumerate(labels) if passers[cell]
+            for label, samples, dwell, present, passing in zip(
+                cells.labels(),
+                cells.measures["samples"].tolist(),
+                cells.measures["dwell"].tolist(),
+                cells.objects("distinct_objects"),
+                cells.objects("passing_objects"),
+            )
         }
-
-    def as_cube(self) -> "Cube":
-        """Expose the finest-granule cells as an OLAP :class:`Cube`.
-
-        The fact table has one row per non-empty cell with measures
-        ``samples``, ``dwell``, ``distinct_objects`` and
-        ``passing_objects`` (the id sets surface as exact counts; the
-        sets themselves stay queryable through :meth:`cell`).  The time
-        attribute binds to the granule level, so cube rollups climb the
-        real Time lattice.  Note the cube's cells are *per-granule*
-        summaries: segments crossing granule boundaries contribute to
-        window queries (:meth:`objects_through`) but to no single cell.
-        """
-        table, n = self._table, len(self.partition)
-        passing = np.diff(table.offsets)
-        distinct = np.bincount(
-            table.cell[table.samples > 0], minlength=passing.size
-        )
-        rows = [
-            {
-                "granule": self.partition.members[cell % n],
-                "geometry": self.gids[cell // n],
-                "samples": int(table.cell_samples.flat[cell]),
-                "dwell": float(table.cell_dwell.flat[cell]),
-                "distinct_objects": int(distinct[cell]),
-                "passing_objects": int(passing[cell]),
-            }
-            for cell in np.flatnonzero(passing).tolist()
-        ]
-        return self._cells_cube(
-            "geometry",
-            ("samples", "dwell", "distinct_objects", "passing_objects"),
-            rows,
-        )
 
     # -- shard merge ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from repro.errors import (
     RollupError,
 )
 from repro.mo.moft import MOFT
-from repro.olap import poi_parent_mapping, spatial_drilldown, spatial_rollup
+from repro.olap import poi_parent_mapping, spatial_drilldown
 from repro.parallel import ShardedExecutor
 from repro.poi import PoiVisitStore, poi_cells
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
@@ -181,11 +181,10 @@ class TestSpatialOlap:
 
     def test_rollup_preserves_totals(self, fig1_world, fig1_store):
         mapping = poi_parent_mapping(fig1_world.gis, "Lp", "Ln")
+        rolled, rolled_dwell, _ = fig1_store.rollup_space(mapping)
         visits = fig1_store.visit_counts()
-        rolled = spatial_rollup(visits, mapping)
         assert sum(rolled.values()) == sum(visits.values())
         dwell = fig1_store.dwell_times()
-        rolled_dwell = spatial_rollup(dwell, mapping)
         assert abs(
             sum(rolled_dwell.values()) - sum(dwell.values())
         ) < 1e-12
@@ -193,21 +192,27 @@ class TestSpatialOlap:
     def test_rollup_unions_visitor_sets(self, fig1_world, fig1_store):
         mapping = {gid: "everywhere" for gid in fig1_store.gids}
         visitors = fig1_store.distinct_visitors()
-        rolled = spatial_rollup(visitors, mapping)
-        for oids in rolled.values():
+        _, _, rolled = fig1_store.rollup_space(mapping)
+        for (_, member), oids in rolled.items():
             assert list(oids) == sorted(set(oids), key=repr)
+            assert set(oids) == set().union(
+                *(v for (_, m), v in visitors.items() if m == member)
+            )
 
     def test_rollup_rejects_unmapped_gid(self, fig1_store):
         with pytest.raises(RollupError):
-            spatial_rollup(fig1_store.visit_counts(), {})
+            fig1_store.rollup_space({})
 
     def test_drilldown_inverts_rollup(self, fig1_world, fig1_store):
         mapping = poi_parent_mapping(fig1_world.gis, "Lp", "Ln")
         visits = fig1_store.visit_counts()
-        rolled = spatial_rollup(visits, mapping)
-        for (parent, _), _ in rolled.items():
+        rolled, _, _ = fig1_store.rollup_space(mapping)
+        for parent in {parent for parent, _ in rolled}:
             down = spatial_drilldown(visits, mapping, parent)
-            assert spatial_rollup(down, mapping) == {
+            again = {}
+            for (_, member), n in down.items():
+                again[parent, member] = again.get((parent, member), 0) + n
+            assert again == {
                 key: value
                 for key, value in rolled.items()
                 if key[0] == parent
@@ -220,12 +225,15 @@ class TestSpatialOlap:
 
     def test_store_rollup_space_delegate(self, fig1_world, fig1_store):
         mapping = poi_parent_mapping(fig1_world.gis, "Lp", "Ln")
-        visits, dwell, visitors = fig1_store.rollup_space(mapping)
-        assert visits == spatial_rollup(fig1_store.visit_counts(), mapping)
-        assert dwell == spatial_rollup(fig1_store.dwell_times(), mapping)
-        assert visitors == spatial_rollup(
-            fig1_store.distinct_visitors(), mapping
+        members = fig1_store.partition.members
+        cells = poi_cells(
+            fig1_store.moft, fig1_store.time, "hour", fig1_store.pois
         )
+        expected = in_key_order(
+            reference_reads(cells, members, up=mapping), members
+        )
+        for got, want in zip(fig1_store.rollup_space(mapping), expected):
+            same(got, want)
 
 
 class TestQueryLayer:
@@ -376,16 +384,20 @@ class TestIngestSpec:
 # -- reads off the row table vs an independent fold ---------------------------------
 
 
-def reference_reads(cells, members, parent_of=None):
+def reference_reads(cells, members, parent_of=None, up=None):
     """``visit_counts`` / ``dwell_times`` / ``distinct_visitors`` as the
     plain dict fold the row table replaced: objects, then each object's
-    cells, in sorted-``repr`` order (``parent_of``: granule code -> code
-    of ``members`` one level up, for a roll-up)."""
+    cells, in sorted-``repr`` order.  For a roll-up, ``parent_of`` maps a
+    granule code to the code of ``members`` one level up and ``up`` a
+    POI id to its spatial parent."""
     visits, dwell, visitors = {}, {}, {}
     for oid in sorted(cells, key=repr):
         for gid, code in sorted(cells[oid], key=lambda k: (repr(k[0]), k[1])):
             n, d = cells[oid][gid, code]
-            key = (gid, members[code if parent_of is None else parent_of[code]])
+            key = (
+                gid if up is None else up[gid],
+                members[code if parent_of is None else parent_of[code]],
+            )
             if n:
                 visits[key] = visits.get(key, 0) + n
             if d:
@@ -393,6 +405,18 @@ def reference_reads(cells, members, parent_of=None):
             if oid not in visitors.setdefault(key, []):
                 visitors[key].append(oid)
     return visits, dwell, {key: tuple(v) for key, v in visitors.items()}
+
+
+def in_key_order(reads, members):
+    """``reads`` re-keyed in roll-up order: by ``repr`` of the (parent)
+    id, then the granule's position in ``members``."""
+    code = {member: i for i, member in enumerate(members)}
+
+    def order(item):
+        (gid, member), _ = item
+        return repr(gid), code[member]
+
+    return tuple(dict(sorted(read.items(), key=order)) for read in reads)
 
 
 def same(got, want):
@@ -423,21 +447,25 @@ def assert_reads_equal_reference(store, parent_level):
     parent, mapping = store.partition.rollup_codes(store.time, parent_level)
     rolled = store.rollup_cells(parent_level)
     assert rolled[0] is parent
-    for got, want in zip(
-        rolled[1:], reference_reads(cells, parent.members, mapping.tolist())
-    ):
+    for got, want in zip(rolled[1:], in_key_order(
+        reference_reads(cells, parent.members, mapping.tolist()),
+        parent.members,
+    )):
         same(got, want)
     up = {gid: i % 3 for i, gid in enumerate(store.gids)}
-    for got, want in zip(store.rollup_space(up), (visits, dwell, visitors)):
-        same(got, spatial_rollup(want, up))
+    for got, want in zip(store.rollup_space(up), in_key_order(
+        reference_reads(cells, members, up=up), members
+    )):
+        same(got, want)
+    keyed = in_key_order((visits, dwell, visitors), members)
     assert list(store.as_cube().fact_table.rows()) == [
         {
             "granule": member, "poi": gid,
-            "visits": visits.get((gid, member), 0),
-            "dwell": dwell.get((gid, member), 0.0),
+            "visits": keyed[0].get((gid, member), 0),
+            "dwell": keyed[1].get((gid, member), 0.0),
             "distinct_visitors": len(oids),
         }
-        for (gid, member), oids in visitors.items()
+        for (gid, member), oids in keyed[2].items()
     ]
     stats = store.stats()
     assert stats["objects"] == len(cells) == len(store._objects())
