@@ -173,7 +173,8 @@ read of a store-served query, on the context observer); Piet-QL adds
 restricted table is not built there); the query service adds ``service_queue_wait``
 (submit-to-claim latency, one call per claim), ``service_run``
 (claim-to-outcome execution wall time, one call per finished attempt)
-and ``worker_idle`` (poll sleeps of workers with nothing to claim —
+and ``worker_idle`` (waits of workers with nothing to claim for the
+queue's change signal —
 utilization is ``service_run / (service_run + worker_idle)``); the
 streaming-ingest layer adds ``ingest_fold`` (seal → publish → clone →
 store fold, one call per flush) and ``compaction`` (segment-chain

@@ -47,7 +47,27 @@ the same suite over both):
 Both accept an injectable ``clock`` (defaults to :func:`time.time`) so
 lease expiry is testable without sleeping, and an optional
 :class:`~repro.obs.PipelineStats` observer that receives the service
-counters and the ``queue_depth`` / ``jobs_in_flight`` gauges.
+counters and the ``queue_depth`` / ``jobs_in_flight`` gauges.  Counts
+that run on every submit and transition (depth, a client's in-flight
+jobs, the gauges) read only the active states, so their cost does not
+grow with the job history; :meth:`JobQueue.counts` still reports every
+state.
+
+Waiting is event-driven.  Each queue instance keeps a change counter
+under its lock, bumped and broadcast on one condition after every
+``enqueue``, ``complete``, ``fail``, ``cancel`` and every
+``release_expired`` that released something.  Idle workers,
+``QueryService.wait`` and ``WorkerPool.drain`` read the counter, look,
+and then block in :meth:`JobQueue.wait_for_change` until it moves, so
+an in-process submit or outcome wakes them at once.  The counter cannot
+see another *process* writing the same SQLite file; those waits fall
+back to a timeout (the pool's ``poll_s``).
+
+The SQLite queue runs in WAL mode with ``synchronous=FULL``: every
+committed transition is durable, a commit appends to the ``-wal`` file
+instead of rewriting the journal, and readers in other processes do not
+block the writer.  Each transition is one transaction (``enqueue``
+takes its seq and inserts the row in the same commit).
 """
 
 from __future__ import annotations
@@ -55,8 +75,9 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     JobNotFoundError,
@@ -135,9 +156,10 @@ class JobQueue:
     """The queue contract both implementations satisfy.
 
     Concrete subclasses implement the storage primitives (`_load`,
-    `_store`, `_next_seq`, `_select_queued`, `_select_active`,
-    `_select_leased`, `_counts`); the state machine itself — claim
-    ownership, retry budgets, lease expiry — lives here so the two
+    `_store`, `_next_seq`, `_select_queued`, `_select_leased`,
+    `_counts`, `_active_for`, and `_transaction` where storage has
+    transactions); the state machine itself — claim ownership, retry
+    budgets, lease expiry — and the change signal live here so the two
     backends cannot drift.
     """
 
@@ -149,8 +171,42 @@ class JobQueue:
         self.clock = clock
         self.obs = obs if obs is not None else PipelineStats()
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
+        self._changes = 0
+
+    # -- the change signal ---------------------------------------------------
+
+    @property
+    def changes(self) -> int:
+        """The change counter: read it *before* looking at the queue, then
+        :meth:`wait_for_change` on the value read, and no wake-up is lost."""
+        return self._changes
+
+    def wake(self) -> None:
+        """Bump the change counter and wake every waiter.
+
+        Called after each transition that can end a wait; also by
+        :meth:`~repro.service.worker.WorkerPool.stop`, whose idle workers
+        are blocked here rather than on the stop event.
+        """
+        with self._changed:
+            self._changes += 1
+            self._changed.notify_all()
+
+    def wait_for_change(self, seen: int, timeout: float) -> bool:
+        """Block while the counter still equals ``seen``, at most
+        ``timeout`` seconds; True when it moved."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self._changes != seen, timeout
+            )
 
     # -- storage primitives (subclass responsibility) ------------------------
+
+    def _transaction(self):
+        """Context for one transition's writes: the lock, plus a storage
+        transaction that commits once on exit where storage has one."""
+        return self._lock
 
     def _load(self, job_id: str) -> Optional[Job]:
         raise NotImplementedError
@@ -169,8 +225,9 @@ class JobQueue:
         """Every claimed/running job (lease holders)."""
         raise NotImplementedError
 
-    def _counts(self) -> Dict[str, int]:
-        """Job count per state (absent states may be omitted)."""
+    def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
+        """Job count per state, over ``states`` only (absent states may
+        be omitted)."""
         raise NotImplementedError
 
     def _active_for(self, client_id: str) -> int:
@@ -180,12 +237,9 @@ class JobQueue:
     # -- shared gauge upkeep -------------------------------------------------
 
     def _refresh_gauges(self) -> None:
-        counts = self._counts()
+        counts = self._counts(ACTIVE_STATES)
         self.obs.gauge("queue_depth", counts.get("queued", 0))
-        self.obs.gauge(
-            "jobs_in_flight",
-            sum(counts.get(state, 0) for state in ACTIVE_STATES),
-        )
+        self.obs.gauge("jobs_in_flight", sum(counts.values()))
 
     # -- the state machine ---------------------------------------------------
 
@@ -200,7 +254,7 @@ class JobQueue:
             raise ServiceError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        with self._lock:
+        with self._transaction():
             seq = self._next_seq()
             job = Job(
                 job_id=f"J{seq:06d}",
@@ -215,7 +269,8 @@ class JobQueue:
             self._store(job)
             self.obs.incr("jobs_submitted")
             self._refresh_gauges()
-            return job
+        self.wake()
+        return job
 
     def claim(self, worker_id: str, lease_s: float = 30.0) -> Optional[Job]:
         """Atomically hand the oldest queued job to ``worker_id``.
@@ -228,7 +283,7 @@ class JobQueue:
         """
         if lease_s <= 0:
             raise ServiceError(f"lease_s must be positive, got {lease_s}")
-        with self._lock:
+        with self._transaction():
             job = self._select_queued()
             if job is None:
                 return None
@@ -263,7 +318,7 @@ class JobQueue:
 
     def start(self, job_id: str, worker_id: str) -> Job:
         """Mark a claimed job ``running`` (ownership checked)."""
-        with self._lock:
+        with self._transaction():
             job = self._owned(job_id, worker_id)
             started = replace(
                 job, state="running", started_at=self.clock()
@@ -275,7 +330,7 @@ class JobQueue:
         self, job_id: str, worker_id: str, lease_s: float
     ) -> Job:
         """Heartbeat: push the owned job's visibility timeout forward."""
-        with self._lock:
+        with self._transaction():
             job = self._owned(job_id, worker_id)
             extended = replace(
                 job, lease_until=self.clock() + float(lease_s)
@@ -289,7 +344,7 @@ class JobQueue:
         Written by workers *before* a simulated crash, so a job that
         later lands in ``dead`` still carries the full fault history.
         """
-        with self._lock:
+        with self._transaction():
             job = self.get(job_id)
             trace = (
                 description
@@ -309,7 +364,7 @@ class JobQueue:
         metrics_json: Optional[str] = None,
     ) -> Job:
         """Record a successful outcome; the job becomes ``done``."""
-        with self._lock:
+        with self._transaction():
             job = self._owned(job_id, worker_id)
             now = self.clock()
             done = replace(
@@ -324,7 +379,8 @@ class JobQueue:
             self._store(done)
             self.obs.incr("jobs_completed")
             self._refresh_gauges()
-            return done
+        self.wake()
+        return done
 
     def fail(
         self,
@@ -340,7 +396,7 @@ class JobQueue:
         move the job straight to ``failed``.  Retryable ones re-queue it
         while the attempt budget lasts, then move it to ``dead``.
         """
-        with self._lock:
+        with self._transaction():
             job = self._owned(job_id, worker_id)
             now = self.clock()
             if not retryable:
@@ -375,7 +431,8 @@ class JobQueue:
                 self.obs.incr("jobs_dead")
             self._store(outcome)
             self._refresh_gauges()
-            return outcome
+        self.wake()
+        return outcome
 
     def release_expired(self, now: Optional[float] = None) -> List[Job]:
         """The reaper: re-queue (or kill) jobs whose lease expired.
@@ -387,7 +444,7 @@ class JobQueue:
         Returns the released records, oldest first.
         """
         released: List[Job] = []
-        with self._lock:
+        with self._transaction():
             now = self.clock() if now is None else float(now)
             for job in sorted(self._select_leased(), key=lambda j: j.seq):
                 if job.lease_until is None or job.lease_until > now:
@@ -419,11 +476,13 @@ class JobQueue:
                 released.append(outcome)
             if released:
                 self._refresh_gauges()
+        if released:
+            self.wake()
         return released
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a still-queued job; anything further along refuses."""
-        with self._lock:
+        with self._transaction():
             job = self.get(job_id)
             if job.state != "queued":
                 raise JobStateError(
@@ -436,7 +495,8 @@ class JobQueue:
             self._store(cancelled)
             self.obs.incr("jobs_cancelled")
             self._refresh_gauges()
-            return cancelled
+        self.wake()
+        return cancelled
 
     # -- introspection -------------------------------------------------------
 
@@ -449,7 +509,7 @@ class JobQueue:
 
     def depth(self) -> int:
         """Number of currently queued jobs."""
-        return self._counts().get("queued", 0)
+        return self._counts(("queued",)).get("queued", 0)
 
     def in_flight(self, client_id: str) -> int:
         """This client's jobs in an active (non-terminal) state."""
@@ -457,13 +517,12 @@ class JobQueue:
 
     def counts(self) -> Dict[str, int]:
         """Job count per state (every state present, zeros included)."""
-        counts = self._counts()
+        counts = self._counts(JOB_STATES)
         return {state: counts.get(state, 0) for state in JOB_STATES}
 
     def active(self) -> int:
         """Jobs anywhere between submission and a terminal state."""
-        counts = self._counts()
-        return sum(counts.get(state, 0) for state in ACTIVE_STATES)
+        return sum(self._counts(ACTIVE_STATES).values())
 
 
 class MemoryJobQueue(JobQueue):
@@ -503,11 +562,12 @@ class MemoryJobQueue(JobQueue):
                 if j.state in ("claimed", "running")
             ]
 
-    def _counts(self) -> Dict[str, int]:
+    def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
         with self._lock:
             counts: Dict[str, int] = {}
             for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
+                if job.state in states:
+                    counts[job.state] = counts.get(job.state, 0) + 1
             return counts
 
     def _active_for(self, client_id: str) -> int:
@@ -552,7 +612,9 @@ class SQLiteJobQueue(JobQueue):
     off, every access under the instance lock); cross-process claims
     serialize through ``BEGIN IMMEDIATE`` transactions, so a job file
     shared by a ``submit`` CLI process and a ``serve`` worker pool
-    behaves like one queue.
+    behaves like one queue.  The file is in WAL mode: copy
+    ``<path>-wal`` and ``<path>-shm`` with it while any connection is
+    open (the last one to close folds the log back into the file).
     """
 
     def __init__(
@@ -567,6 +629,8 @@ class SQLiteJobQueue(JobQueue):
             self._conn = sqlite3.connect(
                 self.path, check_same_thread=False, timeout=30.0
             )
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
         except sqlite3.Error as exc:
             raise ServiceError(
                 f"cannot open job queue database {self.path!r}: {exc}"
@@ -582,6 +646,13 @@ class SQLiteJobQueue(JobQueue):
         with self._lock:
             self._conn.close()
 
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        # The connection's context commits once on exit (rolls back on
+        # an exception); the statements inside do not commit.
+        with self._lock, self._conn:
+            yield
+
     # -- row mapping ---------------------------------------------------------
 
     @staticmethod
@@ -592,7 +663,7 @@ class SQLiteJobQueue(JobQueue):
         values = [getattr(job, name) for name in _COLUMNS]
         placeholders = ", ".join("?" for _ in _COLUMNS)
         quoted = ", ".join(f'"{name}"' for name in _COLUMNS)
-        with self._lock, self._conn:
+        with self._lock:
             self._conn.execute(
                 f"INSERT OR REPLACE INTO jobs ({quoted}) "
                 f"VALUES ({placeholders})",
@@ -607,7 +678,7 @@ class SQLiteJobQueue(JobQueue):
         return self._row_to_job(row) if row is not None else None
 
     def _next_seq(self) -> int:
-        with self._lock, self._conn:
+        with self._lock:
             self._conn.execute("UPDATE job_seq SET value = value + 1")
             return self._conn.execute(
                 "SELECT value FROM job_seq"
@@ -628,10 +699,15 @@ class SQLiteJobQueue(JobQueue):
             ).fetchall()
         return [self._row_to_job(row) for row in rows]
 
-    def _counts(self) -> Dict[str, int]:
+    def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
+        # ``state IN (...)`` is a search of the (state, seq) index: only
+        # the named states' entries are read, however long the history.
+        marks = ", ".join("?" for _ in states)
         with self._lock:
             rows = self._conn.execute(
-                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
+                f"SELECT state, COUNT(*) AS n FROM jobs "
+                f"WHERE state IN ({marks}) GROUP BY state",
+                states,
             ).fetchall()
         return {row["state"]: row["n"] for row in rows}
 

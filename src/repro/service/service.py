@@ -14,6 +14,12 @@ a worker pool into the four-call API the CLI verbs mirror:
   and the injected-fault trace;
 * :meth:`~QueryService.cancel` — withdraw a still-queued job.
 
+:meth:`~QueryService.wait` and :meth:`~QueryService.drain` block on the
+queue's change signal, the one idle workers wait on, rather than
+sleeping between looks: an outcome recorded in this process ends the
+wait at once, and ``poll_s`` only bounds how late an outcome written by
+another process over the same SQLite file is seen.
+
 Use it as a context manager (starts/stops the worker pool), or leave
 the pool stopped and drive workers manually — the differential and
 chaos suites do the latter for determinism.
@@ -192,23 +198,30 @@ class QueryService:
         return self.queue.cancel(job_id)
 
     def wait(self, job_id: str, timeout: float = 60.0) -> Job:
-        """Poll until the job reaches a terminal state; returns it.
+        """Block until the job reaches a terminal state; returns it.
 
-        Raises :class:`ServiceError` on timeout.  The worker pool (or a
-        manual driver) must be making progress, or this can only time
-        out.
+        Waits on the queue's change signal, so an outcome recorded
+        through this queue object returns at once; an outcome written by
+        another process is seen within the pool's ``poll_s``.  Raises
+        :class:`ServiceError` on timeout.  The worker pool (or a caller
+        stepping workers by hand) must be making progress, or this can
+        only time out.
         """
         deadline = time.monotonic() + timeout
         while True:
+            seen = self.queue.changes
             job = self.queue.get(job_id)
             if job.is_terminal:
                 return job
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     f"timed out after {timeout:g}s waiting for {job_id} "
                     f"(state={job.state!r})"
                 )
-            time.sleep(0.005)
+            self.queue.wait_for_change(
+                seen, min(remaining, self.pool.poll_s)
+            )
 
     # -- metrics -------------------------------------------------------------
 

@@ -34,6 +34,13 @@ semantics:
 periodically calling :meth:`~repro.service.queue.JobQueue
 .release_expired`; :meth:`WorkerPool.drain` blocks until the queue has
 no active jobs (the ``serve --drain`` CLI mode).
+
+No worker sleeps on a timer.  An idle worker, and ``drain``, wait on
+the queue's change signal (:meth:`~repro.service.queue.JobQueue
+.wait_for_change`): an enqueue, outcome or re-queue on the same queue
+object wakes them, and :meth:`WorkerPool.stop` wakes them to exit.  The
+pool's ``poll_s`` is only the longest such wait, which is how a job
+that another process wrote into the same SQLite file gets noticed.
 """
 
 from __future__ import annotations
@@ -329,11 +336,20 @@ class Worker:
     def run_loop(
         self, stop: threading.Event, poll_s: float = 0.02
     ) -> None:
-        """Drain the queue until ``stop`` is set; idle-sleep between polls."""
-        while not stop.is_set():
+        """Drain the queue until ``stop`` is set.
+
+        With nothing to claim, wait for the queue's change signal, at
+        most ``poll_s``.  The counter is read before the stop check and
+        the claim, so a signal that lands in between ends the wait at
+        once.
+        """
+        while True:
+            seen = self.queue.changes
+            if stop.is_set():
+                return
             if self.step() is None:
                 idle_start = self.clock()
-                stop.wait(poll_s)
+                self.queue.wait_for_change(seen, poll_s)
                 self.obs.record("worker_idle", self.clock() - idle_start)
 
 
@@ -410,6 +426,7 @@ class WorkerPool:
         """Signal every thread, join them, and stop the workers (each
         closes its executor)."""
         self._stop.set()
+        self.queue.wake()  # idle workers wait on the queue, not on _stop
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
@@ -420,19 +437,24 @@ class WorkerPool:
         """Block until no job is queued, claimed or running.
 
         The pool must be started; raises :class:`ServiceError` on
-        timeout (with the stuck state counts in the message).
+        timeout (with the stuck state counts in the message).  Waits on
+        the queue's change signal, so it returns as soon as the last
+        outcome is recorded.
         """
         if not self._threads:
             raise ServiceError("worker pool is not started; call start()")
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        while True:
+            seen = self.queue.changes
             if self.queue.active() == 0:
                 return
-            time.sleep(min(self.poll_s, 0.02))
-        raise ServiceError(
-            f"drain timed out after {timeout:g}s with active jobs: "
-            f"{self.queue.counts()}"
-        )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ServiceError(
+                    f"drain timed out after {timeout:g}s with active jobs: "
+                    f"{self.queue.counts()}"
+                )
+            self.queue.wait_for_change(seen, min(remaining, self.poll_s))
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
