@@ -53,9 +53,15 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import EvaluationError, ShardExecutionError
@@ -83,6 +89,25 @@ def _timed_call(fn: Callable[[T], R], item: T) -> "AttemptOutcome[R]":
     except Exception as exc:
         return ("error", None, exc, time.perf_counter() - start)
     return ("ok", value, None, time.perf_counter() - start)
+
+
+def _lost_a_worker(pool: Executor) -> bool:
+    """True when a worker process of ``pool`` has exited, whether or not
+    the pool has noticed yet (an exited process's sentinel is ready)."""
+    workers = pool._processes or {}  # None once shut down
+    return bool(wait_ready([p.sentinel for p in workers.values()], 0))
+
+
+def _submit(pool: Executor, fn: Callable[[T], R], item: T) -> Future:
+    """``pool.submit`` of one guarded task.  A pool that broke during
+    this call's submits gives a failed future instead of raising, so
+    the task is reported as an attempt that failed."""
+    try:
+        return pool.submit(_timed_call, fn, item)
+    except BrokenExecutor as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
 
 
 def available_cpus() -> int:
@@ -184,8 +209,17 @@ class ProcessBackend(ExecutionBackend):
 
     def _pool_for(self, n_items: int) -> Executor:
         """The resident pool, built or enlarged as ``n_items`` tasks
-        call for (the caller holds the lock)."""
+        call for, or replaced when a worker died while it sat idle (the
+        caller holds the lock).
+
+        The dead worker is looked for here, not learned from ``submit``
+        raising: the pool's manager thread marks the pool broken only
+        once it gets to run, and futures submitted before then would
+        all fail, costing the fan-out an attempt for a death none of its
+        tasks saw."""
         workers = self._workers_for(n_items)
+        if self._pool is not None and _lost_a_worker(self._pool):
+            self._release(self._pool, abandon=True)
         if self._pool is None or workers > self._pool_workers:
             # (A smaller pool first finishes what it has in flight.)
             self._release(self._pool, abandon=False)
@@ -216,20 +250,6 @@ class ProcessBackend(ExecutionBackend):
         with self._lock:
             self._release(self._pool, abandon=False)
 
-    def _on_pool(
-        self, n_items: int, submit: Callable[[Executor], R]
-    ) -> Tuple[Executor, R]:
-        """``submit(pool)`` on the resident pool — built, enlarged or,
-        when a worker died while it sat idle, replaced first."""
-        with self._lock:
-            pool = self._pool_for(n_items)
-            try:
-                return pool, submit(pool)
-            except BrokenExecutor:
-                self._release(pool, abandon=True)
-                pool = self._pool_for(n_items)
-                return pool, submit(pool)
-
     def run_tasks(
         self,
         fn: Callable[[T], R],
@@ -244,17 +264,17 @@ class ProcessBackend(ExecutionBackend):
         still finish, but the result is discarded — the retry loop owns
         redoing the task) together with the pool it runs in, without
         waiting: a straggler can neither wedge the coordinator nor sit
-        in the way of the retry, which gets a fresh pool.  So does the
-        call after a pool broke (a worker process died).
+        in the way of the retry, which gets a fresh pool.  A pool that
+        breaks under this call's tasks (a worker process died) fails
+        every task it has not finished and is abandoned the same way;
+        none of them is quietly re-run, since one of them may be what
+        killed the worker.
         """
         if not items:
             return []
-        pool, futures = self._on_pool(
-            len(items),
-            lambda pool: [
-                pool.submit(_timed_call, fn, item) for item in items
-            ],
-        )
+        with self._lock:
+            pool = self._pool_for(len(items))
+            futures = [_submit(pool, fn, item) for item in items]
         abandon = False
         outcomes: List[AttemptOutcome[R]] = []
         for future in futures:

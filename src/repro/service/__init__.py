@@ -6,11 +6,11 @@ into a long-running service front:
 
 * :mod:`~repro.service.spec` — serializable query specs (builder-API
   ``through`` counts and Piet-QL strings) plus canonical result JSON;
-* :mod:`~repro.service.queue` — the durable job queue
-  (:class:`SQLiteJobQueue`, with :class:`MemoryJobQueue` as the
-  in-process fallback): states ``queued → claimed → running →
-  done | failed | dead``, lease-based claiming with visibility
-  timeouts, bounded retries;
+* :mod:`~repro.service.queue` — the job queue,
+  :class:`SQLiteJobQueue` on a file (durable, shared across processes)
+  or on ``":memory:"`` (private to one queue object): states ``queued →
+  claimed → running → done | failed | dead``, lease-based claiming
+  with visibility timeouts, bounded retries;
 * :mod:`~repro.service.admission` — queue-depth and per-client
   in-flight caps with typed rejections;
 * :mod:`~repro.service.worker` — workers that claim jobs, execute them
@@ -32,8 +32,6 @@ from repro.service.queue import (
     JOB_STATES,
     TERMINAL_STATES,
     Job,
-    JobQueue,
-    MemoryJobQueue,
     SQLiteJobQueue,
 )
 from repro.service.service import QueryService
@@ -47,8 +45,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "Job",
-    "JobQueue",
-    "MemoryJobQueue",
     "QueryService",
     "QuerySpec",
     "SQLiteJobQueue",

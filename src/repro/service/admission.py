@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.errors import ClientThrottledError, QueueFullError, ServiceError
 from repro.obs import PipelineStats
-from repro.service.queue import JobQueue
+from repro.service.queue import SQLiteJobQueue
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class AdmissionController:
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.obs = obs if obs is not None else PipelineStats()
 
-    def admit(self, queue: JobQueue, client_id: str) -> None:
+    def admit(self, queue: SQLiteJobQueue, client_id: str) -> None:
         """Raise a typed :class:`AdmissionError` if either cap is hit."""
         depth = queue.depth()
         if depth >= self.policy.max_queue_depth:

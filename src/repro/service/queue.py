@@ -22,10 +22,10 @@ lifecycle record.  The state machine::
 
 Claiming is *lease-based*: a claim hands the worker a visibility
 timeout (``lease_until``).  A worker that crashes mid-job never reports
-back; once the lease expires, :meth:`JobQueue.release_expired` (the
-reaper) puts the job back on the queue — or moves it to ``dead`` when
-its attempt budget is spent.  Late writes from a superseded worker are
-rejected with :class:`~repro.errors.LeaseLostError` (ownership is
+back; once the lease expires, :meth:`SQLiteJobQueue.release_expired`
+(the reaper) puts the job back on the queue — or moves it to ``dead``
+when its attempt budget is spent.  Late writes from a superseded worker
+are rejected with :class:`~repro.errors.LeaseLostError` (ownership is
 checked on every outcome), which is what makes double-execution
 impossible to *record* even when it happens to *run*.
 
@@ -35,39 +35,42 @@ Retry bookkeeping mirrors the engine's
 its first, so a job is re-queued while ``attempts <= max_retries`` and
 goes to ``dead`` on the attempt after that.
 
-Two implementations, one contract (``tests/service/test_queue.py`` runs
-the same suite over both):
+There is one queue, :class:`SQLiteJobQueue`: one ``jobs`` table at a
+path, which is a file or ``":memory:"``.
 
-* :class:`MemoryJobQueue` — dicts under one lock; the in-process
-  fallback and the stress-test substrate;
-* :class:`SQLiteJobQueue` — one ``jobs`` table; survives process death
-  and is shared across processes (the CLI ``submit`` verb enqueues into
-  the file a ``serve`` process drains).
+* A file queue survives process death and is shared across processes
+  (the CLI ``submit`` verb enqueues into the file a ``serve`` process
+  drains).  It runs in WAL mode with ``synchronous=FULL``: every
+  committed transition is durable, a commit appends to the ``-wal``
+  file instead of rewriting the journal, and readers in other processes
+  do not block the writer.
+* A ``":memory:"`` queue — what :class:`~repro.service.service
+  .QueryService` builds when handed none — promises no durability: its
+  jobs end with the queue object.  Every queue object opens its own
+  connection, so two such queues (two default services) never share a
+  job.
 
-Both accept an injectable ``clock`` (defaults to :func:`time.time`) so
-lease expiry is testable without sleeping, and an optional
-:class:`~repro.obs.PipelineStats` observer that receives the service
-counters and the ``queue_depth`` / ``jobs_in_flight`` gauges.  Counts
-that run on every submit and transition (depth, a client's in-flight
-jobs, the gauges) read only the active states, so their cost does not
-grow with the job history; :meth:`JobQueue.counts` still reports every
-state.
+Either way, the threads of one process share the queue object's one
+connection under its lock, and each transition is one transaction
+(``enqueue`` takes its seq and inserts the row in the same commit).
+The queue accepts an injectable ``clock`` (defaults to
+:func:`time.time`) so lease expiry is testable without sleeping, and an
+optional :class:`~repro.obs.PipelineStats` observer that receives the
+service counters and the ``queue_depth`` / ``jobs_in_flight`` gauges.
+Counts that run on every submit and transition (depth, a client's
+in-flight jobs, the gauges) read only the active states, so their cost
+does not grow with the job history; :meth:`SQLiteJobQueue.counts` still
+reports every state.
 
-Waiting is event-driven.  Each queue instance keeps a change counter
+Waiting is event-driven.  Each queue object keeps a change counter
 under its lock, bumped and broadcast on one condition after every
 ``enqueue``, ``complete``, ``fail``, ``cancel`` and every
 ``release_expired`` that released something.  Idle workers,
 ``QueryService.wait`` and ``WorkerPool.drain`` read the counter, look,
-and then block in :meth:`JobQueue.wait_for_change` until it moves, so
-an in-process submit or outcome wakes them at once.  The counter cannot
-see another *process* writing the same SQLite file; those waits fall
-back to a timeout (the pool's ``poll_s``).
-
-The SQLite queue runs in WAL mode with ``synchronous=FULL``: every
-committed transition is durable, a commit appends to the ``-wal`` file
-instead of rewriting the journal, and readers in other processes do not
-block the writer.  Each transition is one transaction (``enqueue``
-takes its seq and inserts the row in the same commit).
+and then block in :meth:`SQLiteJobQueue.wait_for_change` until it
+moves, so an in-process submit or outcome wakes them at once.  The
+counter cannot see another *process* writing the same file; those waits
+fall back to a timeout (the pool's ``poll_s``).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import (
     JobNotFoundError,
@@ -87,6 +90,8 @@ from repro.errors import (
 )
 from repro.obs import PipelineStats
 from repro.service.spec import QuerySpec
+
+T = TypeVar("T")
 
 #: Every job state, in lifecycle order.
 JOB_STATES: Tuple[str, ...] = (
@@ -151,28 +156,80 @@ _COLUMNS = (
     "error", "fault_trace", "metrics_json",
 )
 
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS jobs (
+    job_id       TEXT PRIMARY KEY,
+    seq          INTEGER NOT NULL,
+    client_id    TEXT NOT NULL,
+    spec_json    TEXT NOT NULL,
+    state        TEXT NOT NULL,
+    attempts     INTEGER NOT NULL,
+    max_retries  INTEGER NOT NULL,
+    submitted_at REAL NOT NULL,
+    claimed_at   REAL,
+    started_at   REAL,
+    finished_at  REAL,
+    lease_until  REAL,
+    worker_id    TEXT,
+    result_json  TEXT,
+    "explain"    TEXT,
+    error        TEXT,
+    fault_trace  TEXT,
+    metrics_json TEXT
+);
+CREATE INDEX IF NOT EXISTS jobs_state_seq ON jobs (state, seq);
+CREATE TABLE IF NOT EXISTS job_seq (value INTEGER NOT NULL);
+"""
 
-class JobQueue:
-    """The queue contract both implementations satisfy.
 
-    Concrete subclasses implement the storage primitives (`_load`,
-    `_store`, `_next_seq`, `_select_queued`, `_select_leased`,
-    `_counts`, `_active_for`, and `_transaction` where storage has
-    transactions); the state machine itself — claim ownership, retry
-    budgets, lease expiry — and the change signal live here so the two
-    backends cannot drift.
+class SQLiteJobQueue:
+    """The job queue: one SQLite ``jobs`` table at ``path``.
+
+    ``path`` is a file, or ``":memory:"`` for a queue private to this
+    object (see the module docstring for what each promises).  One
+    connection per queue object (``check_same_thread`` off, every access
+    under the object's lock); cross-process claims serialize through
+    ``BEGIN IMMEDIATE`` transactions, so a job file shared by a
+    ``submit`` CLI process and a ``serve`` worker pool behaves like one
+    queue.  A file is in WAL mode: copy ``<path>-wal`` and
+    ``<path>-shm`` with it while any connection is open (the last one to
+    close folds the log back into the file).
     """
 
     def __init__(
         self,
+        path: str,
         clock: Callable[[], float] = time.time,
         obs: Optional[PipelineStats] = None,
     ) -> None:
+        self.path = str(path)
         self.clock = clock
         self.obs = obs if obs is not None else PipelineStats()
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._changes = 0
+        try:
+            self._conn = sqlite3.connect(
+                self.path, check_same_thread=False, timeout=30.0
+            )
+            # (A ":memory:" database keeps its journal in memory and
+            # answers this pragma with "memory".)
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
+        except sqlite3.Error as exc:
+            raise ServiceError(
+                f"cannot open job queue database {self.path!r}: {exc}"
+            ) from exc
+        self._conn.row_factory = sqlite3.Row
+        with self._lock, self._conn:
+            self._conn.executescript(_SCHEMA)
+            row = self._conn.execute("SELECT value FROM job_seq").fetchone()
+            if row is None:
+                self._conn.execute("INSERT INTO job_seq VALUES (0)")
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
 
     # -- the change signal ---------------------------------------------------
 
@@ -201,40 +258,66 @@ class JobQueue:
                 lambda: self._changes != seen, timeout
             )
 
-    # -- storage primitives (subclass responsibility) ------------------------
+    def wait_until(
+        self, look: Callable[[], T], timeout: float, poll_s: float
+    ) -> T:
+        """Call ``look()`` until it returns something truthy, for at most
+        ``timeout`` seconds; return its last value.
 
-    def _transaction(self):
-        """Context for one transition's writes: the lock, plus a storage
-        transaction that commits once on exit where storage has one."""
-        return self._lock
+        The counter is read before each look, so a change landing
+        between the look and the wait ends the wait at once; ``poll_s``
+        caps each wait, which is how a write by another process to the
+        same file is seen.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            seen = self._changes
+            found = look()
+            remaining = deadline - time.monotonic()
+            if found or remaining <= 0:
+                return found
+            self.wait_for_change(seen, min(remaining, poll_s))
 
-    def _load(self, job_id: str) -> Optional[Job]:
-        raise NotImplementedError
+    # -- storage -------------------------------------------------------------
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        # The connection's context commits once on exit (rolls back on
+        # an exception); the statements inside do not commit.
+        with self._lock, self._conn:
+            yield
+
+    def _select(self, where: str, params: Tuple = ()) -> List[Job]:
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT * FROM jobs WHERE {where}", params
+            ).fetchall()
+        return [Job(**{name: row[name] for name in _COLUMNS}) for row in rows]
 
     def _store(self, job: Job) -> None:
-        raise NotImplementedError
-
-    def _next_seq(self) -> int:
-        raise NotImplementedError
-
-    def _select_queued(self) -> Optional[Job]:
-        """The oldest queued job (by seq), or None."""
-        raise NotImplementedError
-
-    def _select_leased(self) -> List[Job]:
-        """Every claimed/running job (lease holders)."""
-        raise NotImplementedError
+        values = [getattr(job, name) for name in _COLUMNS]
+        placeholders = ", ".join("?" for _ in _COLUMNS)
+        quoted = ", ".join(f'"{name}"' for name in _COLUMNS)
+        with self._lock:
+            self._conn.execute(
+                f"INSERT OR REPLACE INTO jobs ({quoted}) "
+                f"VALUES ({placeholders})",
+                values,
+            )
 
     def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
-        """Job count per state, over ``states`` only (absent states may
-        be omitted)."""
-        raise NotImplementedError
-
-    def _active_for(self, client_id: str) -> int:
-        """Number of this client's jobs in an active state."""
-        raise NotImplementedError
-
-    # -- shared gauge upkeep -------------------------------------------------
+        """Job count per state, over ``states`` only (absent states are
+        omitted)."""
+        # ``state IN (...)`` is a search of the (state, seq) index: only
+        # the named states' entries are read, however long the history.
+        marks = ", ".join("?" for _ in states)
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT state, COUNT(*) AS n FROM jobs "
+                f"WHERE state IN ({marks}) GROUP BY state",
+                states,
+            ).fetchall()
+        return {row["state"]: row["n"] for row in rows}
 
     def _refresh_gauges(self) -> None:
         counts = self._counts(ACTIVE_STATES)
@@ -255,7 +338,10 @@ class JobQueue:
                 f"max_retries must be >= 0, got {max_retries}"
             )
         with self._transaction():
-            seq = self._next_seq()
+            self._conn.execute("UPDATE job_seq SET value = value + 1")
+            seq = self._conn.execute(
+                "SELECT value FROM job_seq"
+            ).fetchone()[0]
             job = Job(
                 job_id=f"J{seq:06d}",
                 seq=seq,
@@ -278,31 +364,44 @@ class JobQueue:
         The job moves to ``claimed`` with a lease expiring ``lease_s``
         seconds from now; its attempt counter advances.  Returns None
         when nothing is queued.  Claim uniqueness holds under thread
-        *and* process contention: the memory queue claims under its
-        lock, the SQLite queue inside an immediate transaction.
+        *and* process contention: the guarded ``UPDATE ... WHERE state =
+        'queued'`` runs inside an immediate transaction, re-checking the
+        state under the write lock; a row another process claimed since
+        our SELECT updates zero rows, and we retry on the next candidate.
         """
         if lease_s <= 0:
             raise ServiceError(f"lease_s must be positive, got {lease_s}")
-        with self._transaction():
-            job = self._select_queued()
-            if job is None:
-                return None
-            now = self.clock()
-            claimed = replace(
-                job,
-                state="claimed",
-                attempts=job.attempts + 1,
-                claimed_at=now,
-                lease_until=now + float(lease_s),
-                worker_id=str(worker_id),
-            )
-            self._store(claimed)
-            self.obs.incr("jobs_claimed")
-            self.obs.record(
-                "service_queue_wait", max(0.0, now - job.submitted_at)
-            )
-            self._refresh_gauges()
-            return claimed
+        with self._lock:
+            while True:
+                queued = self._select("state = 'queued' ORDER BY seq LIMIT 1")
+                if not queued:
+                    return None
+                candidate = queued[0]
+                now = self.clock()
+                with self._conn:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    cursor = self._conn.execute(
+                        "UPDATE jobs SET state = 'claimed', "
+                        "attempts = attempts + 1, claimed_at = ?, "
+                        "lease_until = ?, worker_id = ? "
+                        "WHERE job_id = ? AND state = 'queued'",
+                        (
+                            now,
+                            now + float(lease_s),
+                            str(worker_id),
+                            candidate.job_id,
+                        ),
+                    )
+                    if cursor.rowcount != 1:
+                        continue  # lost the race; try the next candidate
+                claimed = self.get(candidate.job_id)
+                self.obs.incr("jobs_claimed")
+                self.obs.record(
+                    "service_queue_wait",
+                    max(0.0, now - claimed.submitted_at),
+                )
+                self._refresh_gauges()
+                return claimed
 
     def _owned(self, job_id: str, worker_id: str) -> Job:
         job = self.get(job_id)
@@ -446,7 +545,10 @@ class JobQueue:
         released: List[Job] = []
         with self._transaction():
             now = self.clock() if now is None else float(now)
-            for job in sorted(self._select_leased(), key=lambda j: j.seq):
+            leased = self._select(
+                "state IN ('claimed', 'running') ORDER BY seq"
+            )
+            for job in leased:
                 if job.lease_until is None or job.lease_until > now:
                     continue
                 error = (
@@ -502,10 +604,10 @@ class JobQueue:
 
     def get(self, job_id: str) -> Job:
         """The job record, or :class:`JobNotFoundError`."""
-        job = self._load(job_id)
-        if job is None:
+        found = self._select("job_id = ?", (job_id,))
+        if not found:
             raise JobNotFoundError(f"no job with id {job_id!r}")
-        return job
+        return found[0]
 
     def depth(self) -> int:
         """Number of currently queued jobs."""
@@ -513,7 +615,13 @@ class JobQueue:
 
     def in_flight(self, client_id: str) -> int:
         """This client's jobs in an active (non-terminal) state."""
-        return self._active_for(str(client_id))
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT COUNT(*) AS n FROM jobs WHERE client_id = ? "
+                "AND state IN ('queued', 'claimed', 'running')",
+                (str(client_id),),
+            ).fetchone()
+        return int(row["n"])
 
     def counts(self) -> Dict[str, int]:
         """Job count per state (every state present, zeros included)."""
@@ -525,250 +633,10 @@ class JobQueue:
         return sum(self._counts(ACTIVE_STATES).values())
 
 
-class MemoryJobQueue(JobQueue):
-    """Dict-backed queue: the in-process fallback (no durability)."""
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.time,
-        obs: Optional[PipelineStats] = None,
-    ) -> None:
-        super().__init__(clock=clock, obs=obs)
-        self._jobs: Dict[str, Job] = {}
-        self._seq = 0
-
-    def _load(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def _store(self, job: Job) -> None:
-        with self._lock:
-            self._jobs[job.job_id] = job
-
-    def _next_seq(self) -> int:
-        with self._lock:
-            self._seq += 1
-            return self._seq
-
-    def _select_queued(self) -> Optional[Job]:
-        with self._lock:
-            queued = [j for j in self._jobs.values() if j.state == "queued"]
-            return min(queued, key=lambda j: j.seq) if queued else None
-
-    def _select_leased(self) -> List[Job]:
-        with self._lock:
-            return [
-                j for j in self._jobs.values()
-                if j.state in ("claimed", "running")
-            ]
-
-    def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                if job.state in states:
-                    counts[job.state] = counts.get(job.state, 0) + 1
-            return counts
-
-    def _active_for(self, client_id: str) -> int:
-        with self._lock:
-            return sum(
-                1
-                for j in self._jobs.values()
-                if j.client_id == client_id and j.state in ACTIVE_STATES
-            )
-
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS jobs (
-    job_id       TEXT PRIMARY KEY,
-    seq          INTEGER NOT NULL,
-    client_id    TEXT NOT NULL,
-    spec_json    TEXT NOT NULL,
-    state        TEXT NOT NULL,
-    attempts     INTEGER NOT NULL,
-    max_retries  INTEGER NOT NULL,
-    submitted_at REAL NOT NULL,
-    claimed_at   REAL,
-    started_at   REAL,
-    finished_at  REAL,
-    lease_until  REAL,
-    worker_id    TEXT,
-    result_json  TEXT,
-    "explain"    TEXT,
-    error        TEXT,
-    fault_trace  TEXT,
-    metrics_json TEXT
-);
-CREATE INDEX IF NOT EXISTS jobs_state_seq ON jobs (state, seq);
-CREATE TABLE IF NOT EXISTS job_seq (value INTEGER NOT NULL);
-"""
-
-
-class SQLiteJobQueue(JobQueue):
-    """SQLite-backed queue: durable across process death, multi-process.
-
-    One writer connection per queue instance (``check_same_thread``
-    off, every access under the instance lock); cross-process claims
-    serialize through ``BEGIN IMMEDIATE`` transactions, so a job file
-    shared by a ``submit`` CLI process and a ``serve`` worker pool
-    behaves like one queue.  The file is in WAL mode: copy
-    ``<path>-wal`` and ``<path>-shm`` with it while any connection is
-    open (the last one to close folds the log back into the file).
-    """
-
-    def __init__(
-        self,
-        path: str,
-        clock: Callable[[], float] = time.time,
-        obs: Optional[PipelineStats] = None,
-    ) -> None:
-        super().__init__(clock=clock, obs=obs)
-        self.path = str(path)
-        try:
-            self._conn = sqlite3.connect(
-                self.path, check_same_thread=False, timeout=30.0
-            )
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=FULL")
-        except sqlite3.Error as exc:
-            raise ServiceError(
-                f"cannot open job queue database {self.path!r}: {exc}"
-            ) from exc
-        self._conn.row_factory = sqlite3.Row
-        with self._lock, self._conn:
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute("SELECT value FROM job_seq").fetchone()
-            if row is None:
-                self._conn.execute("INSERT INTO job_seq VALUES (0)")
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    @contextmanager
-    def _transaction(self) -> Iterator[None]:
-        # The connection's context commits once on exit (rolls back on
-        # an exception); the statements inside do not commit.
-        with self._lock, self._conn:
-            yield
-
-    # -- row mapping ---------------------------------------------------------
-
-    @staticmethod
-    def _row_to_job(row: sqlite3.Row) -> Job:
-        return Job(**{name: row[name] for name in _COLUMNS})
-
-    def _store(self, job: Job) -> None:
-        values = [getattr(job, name) for name in _COLUMNS]
-        placeholders = ", ".join("?" for _ in _COLUMNS)
-        quoted = ", ".join(f'"{name}"' for name in _COLUMNS)
-        with self._lock:
-            self._conn.execute(
-                f"INSERT OR REPLACE INTO jobs ({quoted}) "
-                f"VALUES ({placeholders})",
-                values,
-            )
-
-    def _load(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-        return self._row_to_job(row) if row is not None else None
-
-    def _next_seq(self) -> int:
-        with self._lock:
-            self._conn.execute("UPDATE job_seq SET value = value + 1")
-            return self._conn.execute(
-                "SELECT value FROM job_seq"
-            ).fetchone()[0]
-
-    def _select_queued(self) -> Optional[Job]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE state = 'queued' "
-                "ORDER BY seq LIMIT 1"
-            ).fetchone()
-        return self._row_to_job(row) if row is not None else None
-
-    def _select_leased(self) -> List[Job]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM jobs WHERE state IN ('claimed', 'running')"
-            ).fetchall()
-        return [self._row_to_job(row) for row in rows]
-
-    def _counts(self, states: Tuple[str, ...]) -> Dict[str, int]:
-        # ``state IN (...)`` is a search of the (state, seq) index: only
-        # the named states' entries are read, however long the history.
-        marks = ", ".join("?" for _ in states)
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT state, COUNT(*) AS n FROM jobs "
-                f"WHERE state IN ({marks}) GROUP BY state",
-                states,
-            ).fetchall()
-        return {row["state"]: row["n"] for row in rows}
-
-    def _active_for(self, client_id: str) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM jobs WHERE client_id = ? "
-                "AND state IN ('queued', 'claimed', 'running')",
-                (client_id,),
-            ).fetchone()
-        return int(row["n"])
-
-    # -- cross-process claim atomicity ---------------------------------------
-
-    def claim(self, worker_id: str, lease_s: float = 30.0) -> Optional[Job]:
-        """Claim inside an immediate transaction (multi-process safe).
-
-        The guarded ``UPDATE ... WHERE state = 'queued'`` re-checks the
-        state under the write lock; a row another process claimed since
-        our SELECT updates zero rows, and we retry on the next candidate.
-        """
-        if lease_s <= 0:
-            raise ServiceError(f"lease_s must be positive, got {lease_s}")
-        with self._lock:
-            while True:
-                candidate = self._select_queued()
-                if candidate is None:
-                    return None
-                now = self.clock()
-                with self._conn:
-                    self._conn.execute("BEGIN IMMEDIATE")
-                    cursor = self._conn.execute(
-                        "UPDATE jobs SET state = 'claimed', "
-                        "attempts = attempts + 1, claimed_at = ?, "
-                        "lease_until = ?, worker_id = ? "
-                        "WHERE job_id = ? AND state = 'queued'",
-                        (
-                            now,
-                            now + float(lease_s),
-                            str(worker_id),
-                            candidate.job_id,
-                        ),
-                    )
-                    if cursor.rowcount != 1:
-                        continue  # lost the race; try the next candidate
-                claimed = self.get(candidate.job_id)
-                self.obs.incr("jobs_claimed")
-                self.obs.record(
-                    "service_queue_wait",
-                    max(0.0, now - claimed.submitted_at),
-                )
-                self._refresh_gauges()
-                return claimed
-
-
 __all__ = [
     "ACTIVE_STATES",
     "JOB_STATES",
     "TERMINAL_STATES",
     "Job",
-    "JobQueue",
-    "MemoryJobQueue",
     "SQLiteJobQueue",
 ]

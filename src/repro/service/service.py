@@ -14,6 +14,10 @@ a worker pool into the four-call API the CLI verbs mirror:
   and the injected-fault trace;
 * :meth:`~QueryService.cancel` — withdraw a still-queued job.
 
+The queue is a :class:`~repro.service.queue.SQLiteJobQueue`: the one
+passed in (a file, for durability and for other processes to share),
+else a private ``":memory:"`` one.
+
 :meth:`~QueryService.wait` and :meth:`~QueryService.drain` block on the
 queue's change signal, the one idle workers wait on, rather than
 sleeping between looks: an outcome recorded in this process ends the
@@ -28,7 +32,6 @@ chaos suites do the latter for determinism.
 from __future__ import annotations
 
 import json
-import time
 from typing import Dict, Optional, Union
 
 from repro.errors import (
@@ -38,7 +41,7 @@ from repro.errors import (
 )
 from repro.obs import PipelineStats
 from repro.service.admission import AdmissionController, AdmissionPolicy
-from repro.service.queue import Job, JobQueue, MemoryJobQueue
+from repro.service.queue import Job, SQLiteJobQueue
 from repro.service.spec import QuerySpec
 from repro.service.worker import WorkerPool
 from repro.service.worlds import ServiceWorld
@@ -53,16 +56,16 @@ class QueryService:
         The :class:`~repro.service.worlds.ServiceWorld` queries run
         against.
     queue:
-        A :class:`~repro.service.queue.JobQueue`; defaults to an
-        in-process :class:`~repro.service.queue.MemoryJobQueue` wired to
-        this service's observer.  Pass a
-        :class:`~repro.service.queue.SQLiteJobQueue` for durability.
+        A :class:`~repro.service.queue.SQLiteJobQueue`; defaults to
+        ``SQLiteJobQueue(":memory:")`` wired to this service's observer,
+        private to this service and gone with it.  Pass one on a file
+        for durability.
     policy:
         The :class:`~repro.service.admission.AdmissionPolicy` caps.
     n_workers / lease_s / max_retries / backend / n_shards / fault_plan:
         Worker-pool and retry configuration (see
         :class:`~repro.service.worker.WorkerPool` and
-        :class:`~repro.service.queue.JobQueue`).
+        :class:`~repro.service.queue.SQLiteJobQueue`).
     obs:
         The service observer; a fresh
         :class:`~repro.obs.PipelineStats` when omitted.
@@ -71,7 +74,7 @@ class QueryService:
     def __init__(
         self,
         world: ServiceWorld,
-        queue: Optional[JobQueue] = None,
+        queue: Optional[SQLiteJobQueue] = None,
         policy: Optional[AdmissionPolicy] = None,
         n_workers: int = 2,
         lease_s: float = 30.0,
@@ -90,7 +93,9 @@ class QueryService:
         self.world = world
         self.obs = obs if obs is not None else PipelineStats()
         self.queue = (
-            queue if queue is not None else MemoryJobQueue(obs=self.obs)
+            queue
+            if queue is not None
+            else SQLiteJobQueue(":memory:", obs=self.obs)
         )
         if queue is not None and queue.obs is not self.obs:
             # One observer for queue + workers + service, so gauges and
@@ -143,8 +148,9 @@ class QueryService:
         A raw string is treated as Piet-QL.  Raises a typed
         :class:`~repro.errors.AdmissionError` subclass when a cap is
         hit — the submission is *not* enqueued.  Admission and enqueue
-        run under the queue's lock-equivalent only for in-process
-        queues; cross-process depth caps are best-effort (documented in
+        run under the queue object's lock, which orders submits within
+        this process; against other processes writing the same file,
+        depth caps are best-effort (documented in
         :mod:`repro.service.admission`).
         """
         spec = (
@@ -207,21 +213,18 @@ class QueryService:
         stepping workers by hand) must be making progress, or this can
         only time out.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            seen = self.queue.changes
+
+        def terminal() -> Optional[Job]:
             job = self.queue.get(job_id)
-            if job.is_terminal:
-                return job
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServiceError(
-                    f"timed out after {timeout:g}s waiting for {job_id} "
-                    f"(state={job.state!r})"
-                )
-            self.queue.wait_for_change(
-                seen, min(remaining, self.pool.poll_s)
+            return job if job.is_terminal else None
+
+        job = self.queue.wait_until(terminal, timeout, self.pool.poll_s)
+        if job is None:
+            raise ServiceError(
+                f"timed out after {timeout:g}s waiting for {job_id} "
+                f"(state={self.queue.get(job_id).state!r})"
             )
+        return job
 
     # -- metrics -------------------------------------------------------------
 

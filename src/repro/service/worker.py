@@ -31,12 +31,12 @@ semantics:
   the lease.
 
 :class:`WorkerPool` runs N workers as threads plus a reaper thread
-periodically calling :meth:`~repro.service.queue.JobQueue
+periodically calling :meth:`~repro.service.queue.SQLiteJobQueue
 .release_expired`; :meth:`WorkerPool.drain` blocks until the queue has
 no active jobs (the ``serve --drain`` CLI mode).
 
 No worker sleeps on a timer.  An idle worker, and ``drain``, wait on
-the queue's change signal (:meth:`~repro.service.queue.JobQueue
+the queue's change signal (:meth:`~repro.service.queue.SQLiteJobQueue
 .wait_for_change`): an enqueue, outcome or re-queue on the same queue
 object wakes them, and :meth:`WorkerPool.stop` wakes them to exit.  The
 pool's ``poll_s`` is only the longest such wait, which is how a job
@@ -60,7 +60,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import PipelineStats
-from repro.service.queue import Job, JobQueue
+from repro.service.queue import Job, SQLiteJobQueue
 from repro.service.spec import QuerySpec, canonical_json, result_payload
 from repro.service.worlds import ServiceWorld
 
@@ -176,7 +176,7 @@ class Worker:
     lease_s:
         Visibility timeout requested with each claim.  Must comfortably
         exceed a query's execution time; a slow job can
-        :meth:`~repro.service.queue.JobQueue.extend_lease` (not done
+        :meth:`~repro.service.queue.SQLiteJobQueue.extend_lease` (not done
         automatically — queries here are short).
     backend / n_shards:
         The configuration of the worker's one sharded executor — built
@@ -192,7 +192,7 @@ class Worker:
 
     def __init__(
         self,
-        queue: JobQueue,
+        queue: SQLiteJobQueue,
         world: ServiceWorld,
         worker_id: str = "worker-0",
         lease_s: float = 30.0,
@@ -298,32 +298,22 @@ class Worker:
             # fault outlived the lease); another claim owns it now and
             # our outcome must not be recorded.
             return self.queue.get(job.job_id)
-        except ReproError as exc:
+        except Exception as exc:  # only NON_RETRYABLE types are final
             run_seconds = self.clock() - started
             self.obs.record("service_run", run_seconds)
-            retryable = not isinstance(exc, NON_RETRYABLE)
+            error = (
+                f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, ReproError)
+                else "".join(
+                    traceback.format_exception_only(type(exc), exc)
+                ).strip()
+            )
             try:
                 return self.queue.fail(
                     job.job_id,
                     self.worker_id,
-                    f"{type(exc).__name__}: {exc}",
-                    retryable=retryable,
-                    metrics_json=_job_metrics(job, run_seconds),
-                )
-            except LeaseLostError:
-                return self.queue.get(job.job_id)
-        except Exception as exc:  # unexpected: retryable infrastructure
-            run_seconds = self.clock() - started
-            self.obs.record("service_run", run_seconds)
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            try:
-                return self.queue.fail(
-                    job.job_id,
-                    self.worker_id,
-                    detail,
-                    retryable=True,
+                    error,
+                    retryable=not isinstance(exc, NON_RETRYABLE),
                     metrics_json=_job_metrics(job, run_seconds),
                 )
             except LeaseLostError:
@@ -358,7 +348,7 @@ class WorkerPool:
 
     def __init__(
         self,
-        queue: JobQueue,
+        queue: SQLiteJobQueue,
         world: ServiceWorld,
         n_workers: int = 2,
         lease_s: float = 30.0,
@@ -443,18 +433,13 @@ class WorkerPool:
         """
         if not self._threads:
             raise ServiceError("worker pool is not started; call start()")
-        deadline = time.monotonic() + timeout
-        while True:
-            seen = self.queue.changes
-            if self.queue.active() == 0:
-                return
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServiceError(
-                    f"drain timed out after {timeout:g}s with active jobs: "
-                    f"{self.queue.counts()}"
-                )
-            self.queue.wait_for_change(seen, min(remaining, self.poll_s))
+        if not self.queue.wait_until(
+            lambda: self.queue.active() == 0, timeout, self.poll_s
+        ):
+            raise ServiceError(
+                f"drain timed out after {timeout:g}s with active jobs: "
+                f"{self.queue.counts()}"
+            )
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

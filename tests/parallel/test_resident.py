@@ -525,6 +525,35 @@ class TestLifecycle:
         executor.close()
         assert_gone(before | after)
 
+    def test_a_task_that_killed_its_worker_is_not_quietly_rerun(
+        self, moft, tmp_path, monkeypatch
+    ):
+        """The coordinator stalls after each submit, so the first task
+        kills its worker and the pool is marked broken before the
+        second is submitted: the fan-out must still fail, not resubmit
+        both tasks to a fresh pool where the first one now succeeds."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        submit = ProcessPoolExecutor.submit
+
+        def stalling_submit(self, *args, **kwargs):
+            future = submit(self, *args, **kwargs)
+            time.sleep(0.3)
+            return future
+
+        flag = tmp_path / "die"
+        with ShardedExecutor("processes", n_shards=2) as executor:
+            worker_pids(executor, moft)
+            monkeypatch.setattr(
+                ProcessPoolExecutor, "submit", stalling_submit
+            )
+            flag.touch()
+            with pytest.raises(ShardExecutionError):
+                executor.aggregate_moft(
+                    moft, partial(rows_once_flag_gone, str(flag), "die")
+                )
+            assert not flag.exists()
+
     def test_killed_worker_is_retried_to_the_exact_answer(
         self, moft, tmp_path
     ):
@@ -541,6 +570,34 @@ class TestLifecycle:
         assert obs.count("task_retries") >= 1
 
     def test_worker_killed_between_fanouts_goes_unnoticed(self, moft, counter):
+        expected = counter.matching_objects(moft)
+        with ShardedExecutor("processes", n_shards=2) as executor:
+            before = worker_pids(executor, moft)
+            for pid in before:
+                os.kill(pid, signal.SIGKILL)
+            assert_gone(before)
+            assert executor.matching_objects(counter, moft) == expected
+            assert not worker_pids(executor, moft) & before
+
+    def test_death_the_pool_has_not_noticed_yet_goes_unnoticed(
+        self, moft, counter, monkeypatch
+    ):
+        """The race behind the test above, forced: the pool's manager
+        thread marks the pool broken only 0.5 s after a worker died, so
+        the next fan-out must find the dead worker itself rather than
+        submit into the pool and lose every future."""
+        import concurrent.futures.process as cfp
+
+        manager = cfp._ExecutorManagerThread
+        noticed = manager.wait_result_broken_or_wakeup
+
+        def late(self):
+            outcome = noticed(self)
+            if outcome[1]:  # is_broken
+                time.sleep(0.5)
+            return outcome
+
+        monkeypatch.setattr(manager, "wait_result_broken_or_wakeup", late)
         expected = counter.matching_objects(moft)
         with ShardedExecutor("processes", n_shards=2) as executor:
             before = worker_pids(executor, moft)

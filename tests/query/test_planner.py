@@ -168,6 +168,18 @@ class TestPlanning:
         names = {name for name, _ in stored.alternatives} | {stored.strategy}
         assert "preagg" in names
 
+    def test_fresh_aligned_store_beats_every_scan(self, preagg_context):
+        with ShardedExecutor(backend="processes", n_shards=2) as executor:
+            count, plan = planned_count_objects_through(
+                preagg_context, TARGET, CONSTRAINTS, moft_name="FMbus",
+                executor=executor,
+            )
+        assert plan.strategy == "preagg"
+        assert {name for name, _ in plan.alternatives} == {
+            "serial", "grid", "sharded",
+        }
+        assert count == 5
+
     def test_force_unknown_strategy_raises(self, context):
         with pytest.raises(EvaluationError, match="unknown strategy"):
             plan_count_objects_through(

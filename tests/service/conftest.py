@@ -4,8 +4,10 @@ The worlds are the same two every differential suite uses (re-exported
 from the parallel suite's conftest, wrapped as
 :class:`~repro.service.worlds.ServiceWorld`), plus a deterministic
 :class:`FakeClock` so lease expiry is a function call, not a sleep, and
-a ``make_queue`` factory parametrized over both queue backends so every
-state-machine test runs against the memory queue *and* the SQLite one.
+a ``make_queue`` factory parametrized over the queue's two kinds of
+path, so every state-machine test runs against a ``":memory:"`` queue
+(what ``QueryService()`` builds) *and* a file (what ``serve`` /
+``submit`` use).
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ import pytest
 
 from repro.gis import NODE, POLYGON, POLYLINE
 from repro.obs import PipelineStats
-from repro.service import (
-    MemoryJobQueue,
-    QuerySpec,
-    SQLiteJobQueue,
-    ServiceWorld,
-)
+from repro.service import QuerySpec, SQLiteJobQueue, ServiceWorld
 
 from tests.parallel.conftest import (  # noqa: F401  (re-exported fixtures)
     FIG1_BINDINGS,
@@ -64,7 +61,7 @@ def clock() -> FakeClock:
 
 @pytest.fixture(params=["memory", "sqlite"])
 def make_queue(request, tmp_path):
-    """Factory building a fresh queue of the parametrized backend."""
+    """Factory building a fresh queue on the parametrized kind of path."""
     opened = []
 
     def factory(clock=None, obs=None):
@@ -73,19 +70,18 @@ def make_queue(request, tmp_path):
             kwargs["clock"] = clock
         if obs is not None:
             kwargs["obs"] = obs
-        if request.param == "memory":
-            queue = MemoryJobQueue(**kwargs)
-        else:
-            queue = SQLiteJobQueue(
-                str(tmp_path / f"queue{len(opened)}.db"), **kwargs
-            )
+        path = (
+            ":memory:"
+            if request.param == "memory"
+            else str(tmp_path / f"queue{len(opened)}.db")
+        )
+        queue = SQLiteJobQueue(path, **kwargs)
         opened.append(queue)
         return queue
 
     yield factory
     for queue in opened:
-        if isinstance(queue, SQLiteJobQueue):
-            queue.close()
+        queue.close()
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 """State-machine tests for the durable job queue.
 
-Every test runs against both backends via the ``make_queue`` factory —
-the memory queue and the SQLite one satisfy one contract, and this file
-is where that is enforced: enqueue/claim/complete happy path, ownership
-checks, retry budgets, lease expiry, cancellation, admission caps, and
-the spec round-trip.
+Every test runs on a ``":memory:"`` queue and on a file via the
+``make_queue`` factory — one queue, two kinds of path, one contract,
+and this file is where that is enforced: enqueue/claim/complete happy
+path, ownership checks, retry budgets, lease expiry, cancellation,
+admission caps, and the spec round-trip.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.errors import (
 from repro.service import (
     AdmissionController,
     AdmissionPolicy,
+    QueryService,
     QuerySpec,
     SQLiteJobQueue,
     canonical_json,
@@ -328,3 +329,20 @@ class TestSQLiteDurability:
     def test_unopenable_path_is_a_typed_error(self, tmp_path):
         with pytest.raises(ServiceError):
             SQLiteJobQueue(str(tmp_path / "missing-dir" / "q.db"))
+
+
+class TestDefaultQueue:
+    def test_each_default_service_has_its_own_memory_queue(
+        self, fig1_service_world
+    ):
+        first = QueryService(fig1_service_world)
+        second = QueryService(fig1_service_world)
+        assert isinstance(first.queue, SQLiteJobQueue)
+        assert first.queue.path == ":memory:"
+        assert first.queue.obs is first.obs
+        assert [first.submit(FIG1_SPEC), first.submit(FIG1_SPEC)] == [
+            "J000001", "J000002",
+        ]
+        assert second.submit(FIG1_SPEC) == "J000001"
+        with pytest.raises(JobNotFoundError):
+            second.status("J000002")

@@ -26,9 +26,9 @@ from repro.gis import NODE, POLYGON, POLYLINE
 from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
 from repro.query.evaluator import count_objects_through
 from repro.service import (
-    MemoryJobQueue,
     QueryService,
     QuerySpec,
+    SQLiteJobQueue,
     Worker,
     canonical_json,
 )
@@ -60,7 +60,7 @@ def run_jobs_synchronously(world, specs, n_workers, backend, n_shards):
     """Submit every spec, then round-robin N synchronous workers."""
     service = QueryService(
         world,
-        queue=MemoryJobQueue(),
+        queue=SQLiteJobQueue(":memory:"),
         n_workers=1,  # the pool stays stopped; we drive our own workers
         backend=backend,
         n_shards=n_shards,

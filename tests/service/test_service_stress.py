@@ -23,7 +23,6 @@ import pytest
 from repro.errors import AdmissionError
 from repro.service import (
     AdmissionPolicy,
-    MemoryJobQueue,
     QueryService,
     QuerySpec,
     SQLiteJobQueue,
@@ -40,10 +39,8 @@ def test_many_submitters_many_workers_exact_totals(
 ):
     n_submitters, jobs_per_submitter, n_workers = 6, 5, 4
     n_jobs = n_submitters * jobs_per_submitter
-    queue = (
-        MemoryJobQueue()
-        if queue_kind == "memory"
-        else SQLiteJobQueue(str(tmp_path / "stress.db"))
+    queue = SQLiteJobQueue(
+        ":memory:" if queue_kind == "memory" else str(tmp_path / "stress.db")
     )
     service = QueryService(
         fig1_service_world,
@@ -110,8 +107,7 @@ def test_many_submitters_many_workers_exact_totals(
         assert metrics["workers_busy"] == 0
         assert 0.0 <= metrics["worker_utilization"] <= 1.0
     finally:
-        if isinstance(queue, SQLiteJobQueue):
-            queue.close()
+        queue.close()
 
 
 def test_depth_gauge_tracks_actuals_while_queue_fills(fig1_service_world):

@@ -6,7 +6,7 @@
   inserts its row under a single ``COMMIT``;
 * the counts behind admission and the gauges read only the active
   states: with 5 000 ``done`` rows behind them they still equal
-  :meth:`~repro.service.queue.JobQueue.counts`, and every statement
+  :meth:`~repro.service.queue.SQLiteJobQueue.counts`, and every statement
   behind them searches the ``jobs_state_seq`` index instead of scanning
   ``jobs``.
 """

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from repro.service import MemoryJobQueue, QuerySpec, Worker
+from repro.service import QuerySpec, SQLiteJobQueue, Worker
 from repro.service.worker import execute_spec
 
 from tests.service.conftest import FIG1_SPEC
@@ -28,7 +28,7 @@ def pid_of(shard):
 
 def test_consecutive_processes_jobs_share_one_pool(fig1_service_world):
     world = fig1_service_world
-    queue = MemoryJobQueue()
+    queue = SQLiteJobQueue(":memory:")
     worker = Worker(queue, world, backend="processes", n_shards=2)
     expected = execute_spec(FIG1_PIETQL, world)[0]
     seen = []
