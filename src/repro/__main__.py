@@ -382,7 +382,8 @@ def _run_result(args) -> int:
 
 
 def _run_poi(args) -> int:
-    from repro.query.poi import PoiQueryBuilder
+    from repro.query.planner import plan_poi_aggregate
+    from repro.query.poi import poi_store_view
     from repro.query.region import EvaluationContext
 
     if args.world == "fig1":
@@ -419,15 +420,13 @@ def _run_poi(args) -> int:
         moft_name, layer = "FM", "Lp"
         granule = args.granule or "day"
 
-    builder = (
-        PoiQueryBuilder(layer, moft_name)
-        .per(granule)
-        .with_min_dwell(args.min_dwell)
+    options = dict(min_dwell=args.min_dwell, moft_name=moft_name)
+    store, _ = poi_store_view(context, layer, granule, **options)
+    visits, dwell = store.visit_counts(), store.dwell_times()
+    topk = store.topk(args.k)
+    plan = plan_poi_aggregate(
+        context, layer, granule, measure="topk", k=args.k, **options
     )
-    visits = builder.visits(context)
-    dwell = builder.dwell(context)
-    topk = builder.top_k(context, args.k)
-    plan = builder.explain(context, measure="topk")
     n_pois = len(context.gis.layer(layer).elements("poi"))
     print(
         f"POI world {args.world!r}: {n_pois} places, "

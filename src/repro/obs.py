@@ -9,10 +9,9 @@ module generalizes them into one small instrumentation vocabulary:
 * :class:`PipelineStats` — a bag of *named counters* (``incr``/``count``)
   and *named stage timers* (``stage`` context manager accumulating call
   counts and seconds);
-* :class:`EvaluationStats` — the historical trajectory-scan statistics,
-  now a :class:`PipelineStats` specialization whose legacy attributes
-  (``segment_checks``, ``bbox_rejections``, …) are views over named
-  counters, so new code and old code observe the same numbers.
+* :class:`EvaluationStats` — the trajectory-scan statistics: a
+  :class:`PipelineStats` whose scan figures are named counters read
+  with ``count`` and whose wall time is the ``segment_scan`` stage.
 
 Counter names used by the built-in pipeline (see ``docs/API.md``):
 
@@ -369,86 +368,14 @@ class PipelineStats:
         )
 
 
-def _legacy_counter(name: str) -> property:
-    """An attribute view over a named counter (supports ``stats.x += 1``)."""
-
-    def _get(self: "EvaluationStats") -> int:
-        return self.count(name)
-
-    def _set(self: "EvaluationStats", value: int) -> None:
-        with self._lock:
-            self.counters[name] = int(value)
-
-    return property(_get, _set, doc=f"View over the {name!r} counter.")
-
-
 class EvaluationStats(PipelineStats):
-    """Trajectory-scan statistics of one evaluation (Section 5, step 2).
+    """Trajectory-scan statistics of one evaluation (Section 5, step 2):
+    the scan's figures (``segment_checks``, ``bbox_rejections``,
+    ``objects_scanned``, ``objects_matched``, ``scan_rows``, ...) are
+    named counters and its wall time is the :attr:`SCAN_STAGE` stage."""
 
-    Historically a fixed dataclass; now the fixed fields are views over
-    :class:`PipelineStats` named counters so the scan shares one
-    instrumentation vocabulary with the rest of the pipeline.  Extra
-    counters (``vectorized_accepts``, index cache counters merged in from
-    a context) ride along in :attr:`counters` and show up in
-    :meth:`as_dict`.
-    """
-
-    #: The stage name backing :attr:`elapsed_seconds`.
+    #: The stage a trajectory scan times itself under.
     SCAN_STAGE = "segment_scan"
-
-    segment_checks = _legacy_counter("segment_checks")
-    bbox_rejections = _legacy_counter("bbox_rejections")
-    objects_scanned = _legacy_counter("objects_scanned")
-    objects_matched = _legacy_counter("objects_matched")
-
-    def __init__(
-        self,
-        segment_checks: int = 0,
-        bbox_rejections: int = 0,
-        objects_scanned: int = 0,
-        objects_matched: int = 0,
-        elapsed_seconds: float = 0.0,
-    ) -> None:
-        super().__init__()
-        if segment_checks:
-            self.segment_checks = segment_checks
-        if bbox_rejections:
-            self.bbox_rejections = bbox_rejections
-        if objects_scanned:
-            self.objects_scanned = objects_scanned
-        if objects_matched:
-            self.objects_matched = objects_matched
-        if elapsed_seconds:
-            self.elapsed_seconds = elapsed_seconds
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Wall seconds of the segment-scan stage."""
-        return self.seconds(self.SCAN_STAGE)
-
-    @elapsed_seconds.setter
-    def elapsed_seconds(self, value: float) -> None:
-        with self._lock:
-            timer = self.timer(self.SCAN_STAGE)
-            timer.seconds = float(value)
-            if timer.calls == 0 and value:
-                timer.calls = 1
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat report; always includes the legacy field names."""
-        report: Dict[str, float] = {
-            "segment_checks": self.segment_checks,
-            "bbox_rejections": self.bbox_rejections,
-            "objects_scanned": self.objects_scanned,
-            "objects_matched": self.objects_matched,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        for name, value in self.counters.items():
-            report.setdefault(name, value)
-        for name, timer in self.stages.items():
-            if name != self.SCAN_STAGE:
-                report[f"{name}_seconds"] = timer.seconds
-        return report
 
 
 __all__ = ["StageTimer", "PipelineStats", "EvaluationStats"]

@@ -110,9 +110,8 @@ class RegionBuilder:
         The POI counterpart of :meth:`in_attribute_polygon`: emits the
         containment pattern against a ``poi``-kind placement (closed
         disc membership).  Aggregate POI questions (visits, distinct
-        visitors, top-k) live in :class:`repro.query.poi.PoiQueryBuilder`;
-        this condition slots POI membership into arbitrary region
-        formulas.
+        visitors, top-k) live in :mod:`repro.query.poi`; this condition
+        slots POI membership into arbitrary region formulas.
         """
         from repro.gis import geometries as gk
 

@@ -205,10 +205,10 @@ class TrajectoryIntersectionCounter:
                 return self._matching_polygons(moft, stats)
             matched: Set[Hashable] = set()
             for oid in moft.objects():
-                stats.objects_scanned += 1
+                stats.incr("objects_scanned")
                 if self._object_matches(moft, oid, stats):
                     matched.add(oid)
-                    stats.objects_matched += 1
+                    stats.incr("objects_matched")
         return matched
 
     def count(self, moft: MOFT, stats: Optional[EvaluationStats] = None) -> int:
@@ -243,8 +243,8 @@ class TrajectoryIntersectionCounter:
                 hit[i] = self._probes_match(
                     [Point(float(x[row]), float(y[row]))], stats
                 )
-        stats.objects_scanned += hit.shape[0]
-        stats.objects_matched += int(hit.sum())
+        stats.incr("objects_scanned", hit.shape[0])
+        stats.incr("objects_matched", int(hit.sum()))
         return set(oids[hit].tolist())
 
     def _scan_batch(
@@ -277,8 +277,10 @@ class TrajectoryIntersectionCounter:
                 if not pending.shape[0]:
                     break
                 near = batch.near(polygon.bbox, pending)
-                stats.bbox_rejections += pending.shape[0] - near.shape[0]
-                stats.segment_checks += near.shape[0]
+                stats.incr(
+                    "bbox_rejections", pending.shape[0] - near.shape[0]
+                )
+                stats.incr("segment_checks", near.shape[0])
                 if near.shape[0]:
                     found = kernels.segments_intersect(
                         polygon, *batch.ends(near)
@@ -313,7 +315,9 @@ class TrajectoryIntersectionCounter:
                 candidates: Iterable[Hashable] = self._index.query_box(box)
                 # Candidate pruning is the indexed path's bbox rejection:
                 # everything the grid filtered out never reaches a check.
-                stats.bbox_rejections += len(self.geometries) - len(candidates)
+                stats.incr(
+                    "bbox_rejections", len(self.geometries) - len(candidates)
+                )
             else:
                 candidates = self.geometries.keys()
             for gid in candidates:
@@ -321,9 +325,9 @@ class TrajectoryIntersectionCounter:
                 if self._index is None and not geometry_bbox(geometry).intersects(
                     box
                 ):
-                    stats.bbox_rejections += 1
+                    stats.incr("bbox_rejections")
                     continue
-                stats.segment_checks += 1
+                stats.incr("segment_checks")
                 if geometries_intersect(geometry, probe):
                     found = True
                     break

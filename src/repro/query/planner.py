@@ -58,14 +58,14 @@ from typing import (
 from repro.errors import EvaluationError
 from repro.geometry.overlay import geometry_bbox
 from repro.mo.moft import MOFT
-from repro.query import poi as poi_queries
+from repro.obs import EvaluationStats
 from repro.query.evaluator import (
     ThroughOperands,
     ThroughRun,
     execute_through,
     resolve_through,
 )
-from repro.query.poi import POI_STRATEGIES
+from repro.query.poi import execute_poi, no_executor_error, resolve_poi
 from repro.query.region import EvaluationContext
 
 if TYPE_CHECKING:
@@ -576,7 +576,9 @@ def record_run(plan: QueryPlan, run: ThroughRun, seconds: float) -> None:
     for node in plan.root.walk():
         if node.op in ("SerialScan", "GridScan", "SliverScan"):
             node.actual_rows = run.stats.count("scan_rows")
-            node.actual_seconds = run.stats.elapsed_seconds
+            node.actual_seconds = run.stats.seconds(
+                EvaluationStats.SCAN_STAGE
+            )
         elif node.op == "ShardFanout":
             node.actual_rows = run.stats.count("scan_rows")
             node.actual_seconds = run.scan_seconds
@@ -664,7 +666,7 @@ def plan_poi_aggregate(
     force_strategy: Optional[str] = None,
     executor: Optional[ShardedExecutor] = None,
 ) -> QueryPlan:
-    """Price the POI aggregate strategies and pick the cheapest.
+    """Resolve a POI aggregate once, price its strategies, pick the cheapest.
 
     The candidate space mirrors :func:`plan_through` with the POI
     twists: the scan is a per-object *segmentation* pass (every row
@@ -674,22 +676,17 @@ def plan_poi_aggregate(
     holds the table's shards already — and a registered fresh
     :class:`~repro.poi.PoiVisitStore` covering the (layer, granule,
     min_dwell) key reduces the query to a cell read.
-    The plan keeps what it resolved — the table, the POI set, the store
-    (:class:`~repro.query.poi.PoiOperands`) — for
-    :func:`execute_poi_plan`.
+    The plan keeps what :func:`~repro.query.poi.resolve_poi` resolved
+    (:class:`~repro.query.poi.PoiOperands`) for :func:`execute_poi_plan`.
     """
-    if force_strategy is not None and force_strategy not in POI_STRATEGIES:
-        raise EvaluationError(
-            f"unknown POI strategy {force_strategy!r}; expected one of "
-            f"{POI_STRATEGIES}"
-        )
+    ops = resolve_poi(
+        context, layer, granule_level, min_dwell, moft_name, measure, k,
+        force_strategy,
+    )
     model = cost_model if cost_model is not None else CostModel()
-    pois = poi_queries.resolve_pois(context, layer)
-    moft = context.moft(moft_name)
-    table = table_statistics(moft)
-    geometry = GeometryStatistics(len(pois), 1.0)
-    partition = context.time.granules(granule_level)
-    n_granules = len(partition.members)
+    table = table_statistics(ops.moft)
+    n_pois = len(ops.pois)
+    n_granules = len(context.time.granules(granule_level).members)
     detail = (
         f"{layer}/{granule_level} measure={measure}"
         + (f" k={k}" if k is not None else "")
@@ -697,7 +694,7 @@ def plan_poi_aggregate(
     )
 
     serial_cost = model.scan_cost(
-        table.rows, len(pois), coverage=1.0, indexed=False
+        table.rows, n_pois, coverage=1.0, indexed=False
     )
     candidates: List[Tuple[str, float]] = [("serial", serial_cost)]
     backend = n_shards = None
@@ -707,43 +704,34 @@ def plan_poi_aggregate(
             "sharded",
             model.sharded_cost(
                 serial_cost, backend, n_shards, table.rows,
-                resident=executor.holds_shards(moft),
+                resident=executor.holds_shards(ops.moft),
             ),
         ))
-    store = context.poi_store_for(
-        moft, layer, granule_level, min_dwell, pois
-    )
-    if store is not None and not store.is_stale():
+    if ops.store is not None:
         candidates.append(
-            ("preagg", model.preagg_cost(n_granules, len(pois), 0, 1.0))
+            ("preagg", model.preagg_cost(n_granules, n_pois, 0, 1.0))
         )
-    else:
-        store = None
 
     by_name = dict(candidates)
     if force_strategy is not None:
-        if force_strategy == "sharded" and executor is None:
-            raise poi_queries.no_executor_error()
+        # (resolve_poi refused a preagg no store serves.)
         if force_strategy not in by_name:
-            raise EvaluationError(
-                f"strategy {force_strategy!r} unavailable: no fresh POI "
-                "store covers this query"
-            )
+            raise no_executor_error()
         chosen, chosen_cost = force_strategy, by_name[force_strategy]
     else:
         chosen, chosen_cost = min(candidates, key=lambda c: (c[1], c[0]))
 
     segment_node = PlanNode(
         "StopSegmentScan",
-        f"{table.name} x {len(pois)} discs",
+        f"{table.name} x {n_pois} discs",
         est_rows=table.rows,
         est_cost=serial_cost,
     )
     if chosen == "preagg":
         body = PlanNode(
             "PoiCellRead",
-            f"store granules={n_granules} pois={len(pois)}",
-            est_rows=n_granules * len(pois),
+            f"store granules={n_granules} pois={n_pois}",
+            est_rows=n_granules * n_pois,
             est_cost=chosen_cost,
         )
     elif chosen == "sharded":
@@ -759,7 +747,7 @@ def plan_poi_aggregate(
     root = PlanNode(
         "PoiAggregate",
         detail,
-        est_rows=n_granules * len(pois),
+        est_rows=n_granules * n_pois,
         est_cost=chosen_cost,
         children=(body,),
     )
@@ -771,10 +759,10 @@ def plan_poi_aggregate(
         root=root,
         est_cost=chosen_cost,
         alternatives=rejected,
-        geometry=geometry,
+        geometry=GeometryStatistics(n_pois, 1.0),
         shard_count=n_shards if chosen == "sharded" else None,
         shard_backend=backend if chosen == "sharded" else None,
-        operands=poi_queries.PoiOperands(moft, pois, store),
+        operands=ops,
     )
 
 
@@ -791,47 +779,28 @@ def execute_poi_plan(
 ):
     """Execute a POI plan's chosen strategy; returns the aggregate dict.
 
-    Reads from what the plan resolved (its table, POI set and store) —
-    nothing is looked up again.  ``executor`` is needed (only) by a
-    ``sharded`` plan.  A ``preagg`` plan counts its ``poi_preagg_hits``
-    here, at execution, and refuses a store that went stale since
-    planning (the scans read the live table).
+    One :func:`~repro.query.poi.execute_poi` call on the plan's operands,
+    then the measure read.  The operands carry the measure and ``k``:
+    the query arguments (kept for callers that pass the same ones to
+    planning and execution) are not read again.  ``executor`` is needed
+    (only) by a ``sharded`` plan.
     """
-    if measure not in poi_queries.POI_MEASURES:
-        raise EvaluationError(f"unknown POI measure {measure!r}")
-    if measure == "topk" and k is None:
-        raise EvaluationError("top-k POI aggregate needs k")
-    moft, pois, store = plan.operands
-    if plan.strategy == "sharded" and executor is None:
-        raise poi_queries.no_executor_error()
-    if plan.strategy == "preagg":
-        if store.is_stale():
-            raise EvaluationError(
-                f"the PoiVisitStore planned for (layer={layer!r}, "
-                f"granule={granule_level!r}) went stale after planning; "
-                f"plan again"
-            )
-        context.obs.incr("poi_preagg_hits")
-    else:
-        store = poi_queries.build_store(
-            context, moft, pois, layer, granule_level, min_dwell,
-            executor=executor if plan.strategy == "sharded" else None,
-        )
-    if measure == "visits":
+    ops = plan.operands
+    store = execute_poi(ops, plan.strategy, executor)
+    if ops.measure == "visits":
         result = store.visit_counts()
-    elif measure == "visitors":
+    elif ops.measure == "visitors":
         result = store.distinct_visitors()
-    elif measure == "dwell":
+    elif ops.measure == "dwell":
         result = store.dwell_times()
     else:
-        result = store.topk(k)
+        result = store.topk(ops.k)
     plan.executed = True
     plan.result_count = len(result)
     return result
 
 
 __all__ = [
-    "POI_STRATEGIES",
     "STRATEGIES",
     "CostModel",
     "GeometryStatistics",

@@ -20,10 +20,13 @@ strategies pinned byte-identical by the differential campaign:
     Serve from a registered, fresh :class:`~repro.poi.PoiVisitStore`
     (``poi_preagg_hits``); a stale or missing store is a miss.
 
-Every route ends in the same reads off a :class:`~repro.poi.store
-.CellTable`; the answers are plain dicts whose sums and visitor tuples
-follow the table's order (objects and POI ids by ``repr``), ready for
-canonical-JSON comparison.
+Every front-end — the route-first functions below, the planner's
+:func:`~repro.query.planner.plan_poi_aggregate` and Piet-QL — resolves
+the query once (:func:`resolve_poi`) and runs the strategy it picked
+through the one :func:`execute_poi`.  Every route ends in the same reads
+off a :class:`~repro.poi.store.CellTable`; the answers are plain dicts
+whose sums and visitor tuples follow the table's order (objects and POI
+ids by ``repr``), ready for canonical-JSON comparison.
 """
 
 from __future__ import annotations
@@ -54,27 +57,23 @@ POI_STRATEGIES = ("serial", "sharded", "preagg")
 POI_MEASURES = ("visits", "visitors", "dwell", "topk")
 
 
-def resolve_pois(
-    context: EvaluationContext, layer: str
-) -> Dict[Hashable, object]:
-    """The POI discs of one layer; typed error when the layer has none."""
-    pois = dict(context.gis.layer(layer).elements(gk.POI))
-    if not pois:
-        raise EvaluationError(
-            f"layer {layer!r} holds no {gk.POI!r} geometries; "
-            "POI aggregates need a POI layer"
-        )
-    return pois
-
-
 class PoiOperands(NamedTuple):
-    """What a planned POI aggregate runs on, resolved once at planning:
-    the table, the layer's POI discs and the registered fresh store that
-    covers the query (None: there is none)."""
+    """The resolved operands of one POI aggregate (:func:`resolve_poi`
+    builds them; every front-end executes from them): the query, the
+    table, the layer's POI discs and the registered store that covers the
+    query — None unless it is fresh.  ``store_missed``: stores are
+    registered and none of them serves."""
 
+    context: EvaluationContext
+    layer: str
+    granule_level: str
+    min_dwell: float
+    measure: str
+    k: Optional[int]
     moft: MOFT
     pois: Mapping[Hashable, object]
     store: Optional[PoiVisitStore]
+    store_missed: bool
 
 
 def no_executor_error() -> EvaluationError:
@@ -85,26 +84,88 @@ def no_executor_error() -> EvaluationError:
     )
 
 
-def build_store(
+def resolve_poi(
     context: EvaluationContext,
-    moft: MOFT,
-    pois: Mapping[Hashable, object],
     layer: str,
     granule_level: str,
-    min_dwell: float,
+    min_dwell: float = 0.0,
+    moft_name: str = "FM",
+    measure: str = "visits",
+    k: Optional[int] = None,
+    strategy: Optional[str] = None,
+) -> PoiOperands:
+    """Resolve a POI aggregate to its operands, once.
+
+    The only code that matches a POI store to a query: the registered
+    store over exactly this table, layer, granule level and
+    ``min_dwell``, kept when fresh.  Before anything is priced or
+    scanned it refuses, with an :class:`EvaluationError`, an unknown
+    ``strategy`` or ``measure``, top-k without ``k``, a layer without
+    POI discs and ``preagg`` with no store to serve it.  It touches no
+    routing counter: those move when the query executes.
+    """
+    if strategy is not None and strategy not in POI_STRATEGIES:
+        raise EvaluationError(
+            f"unknown POI strategy {strategy!r}; expected one of "
+            f"{POI_STRATEGIES}"
+        )
+    if measure not in POI_MEASURES:
+        raise EvaluationError(f"unknown POI measure {measure!r}")
+    if measure == "topk" and k is None:
+        raise EvaluationError("top-k POI aggregate needs k")
+    pois = dict(context.gis.layer(layer).elements(gk.POI))
+    if not pois:
+        raise EvaluationError(
+            f"layer {layer!r} holds no {gk.POI!r} geometries; "
+            "POI aggregates need a POI layer"
+        )
+    moft = context.moft(moft_name)
+    store = context.poi_store_for(moft, layer, granule_level, min_dwell, pois)
+    if store is not None and store.is_stale():
+        store = None
+    if strategy == "preagg" and store is None:
+        raise EvaluationError(
+            "no fresh PoiVisitStore registered for "
+            f"(layer={layer!r}, granule={granule_level!r}, "
+            f"min_dwell={min_dwell!r})"
+        )
+    return PoiOperands(
+        context, layer, granule_level, min_dwell, measure, k, moft, pois,
+        store, store is None and context.has_preagg,
+    )
+
+
+def execute_poi(
+    ops: PoiOperands,
+    strategy: str,
     executor: Optional[ShardedExecutor] = None,
 ) -> PoiVisitStore:
-    """Segment the table into a throwaway cell store: one pass over the
-    whole table, or ``executor``'s sharded build (one pass per object
-    shard on its backend, merged with completeness checks)."""
-    options = dict(layer=layer, min_dwell=min_dwell, obs=context.obs)
+    """Execute resolved operands under ``strategy``; return the store the
+    measures are read off.
+
+    The only code that reads or builds a POI store: ``preagg`` reads the
+    resolved store — refusing one that went stale since, and counting
+    ``poi_preagg_hits`` — ``serial`` segments the whole table in one
+    pass, and ``sharded`` builds on ``executor`` (one pass per object
+    shard on its backend, merged with completeness checks).
+    """
+    context = ops.context
+    if strategy == "preagg":
+        if ops.store.is_stale():
+            raise EvaluationError(
+                f"the PoiVisitStore planned for (layer={ops.layer!r}, "
+                f"granule={ops.granule_level!r}) went stale after "
+                f"planning; plan again"
+            )
+        context.obs.incr("poi_preagg_hits")
+        return ops.store
+    args = (ops.moft, context.time, ops.granule_level, ops.pois)
+    options = dict(layer=ops.layer, min_dwell=ops.min_dwell, obs=context.obs)
+    if strategy == "serial":
+        return PoiVisitStore(*args, **options)
     if executor is None:
-        return PoiVisitStore(
-            moft, context.time, granule_level, pois, **options
-        )
-    return executor.build_store(
-        PoiVisitStore, moft, context.time, granule_level, pois, **options
-    )
+        raise no_executor_error()
+    return executor.build_store(PoiVisitStore, *args, **options)
 
 
 def poi_store_view(
@@ -119,44 +180,22 @@ def poi_store_view(
 ) -> Tuple[PoiVisitStore, str]:
     """Resolve a readable cell store for one POI aggregate.
 
-    Returns ``(store, strategy_used)``.  ``strategy=None`` routes
-    through a registered fresh pre-agg store when one covers the query
-    and falls back to the serial scan otherwise; naming a strategy is
-    strict (``preagg`` without a usable store raises, and so does
-    ``sharded`` without an ``executor`` — which only ``sharded`` uses).
+    Returns ``(store, strategy_used)``.  ``strategy=None`` is
+    route-first: the registered fresh store when one covers the query,
+    else the serial scan (a registered store that could not serve counts
+    a ``poi_preagg_misses``).  Naming a strategy is strict (``preagg``
+    without a usable store raises, and so does ``sharded`` without an
+    ``executor`` — which only ``sharded`` uses).
     """
-    if strategy is not None and strategy not in POI_STRATEGIES:
-        raise EvaluationError(
-            f"unknown POI strategy {strategy!r}; expected one of "
-            f"{POI_STRATEGIES}"
-        )
-    if strategy == "sharded" and executor is None:
-        raise no_executor_error()
-    pois = resolve_pois(context, layer)
-    moft = context.moft(moft_name)
-    if strategy in (None, "preagg"):
-        store = context.poi_store_for(
-            moft, layer, granule_level, min_dwell, pois
-        )
-        if store is not None and not store.is_stale():
-            context.obs.incr("poi_preagg_hits")
-            return store, "preagg"
-        if strategy == "preagg":
-            raise EvaluationError(
-                "no fresh PoiVisitStore registered for "
-                f"(layer={layer!r}, granule={granule_level!r}, "
-                f"min_dwell={min_dwell!r})"
-            )
-        if context.has_preagg:
+    ops = resolve_poi(
+        context, layer, granule_level, min_dwell, moft_name,
+        strategy=strategy,
+    )
+    if strategy is None:
+        strategy = "preagg" if ops.store is not None else "serial"
+        if ops.store_missed:
             context.obs.incr("poi_preagg_misses")
-    if strategy == "sharded":
-        built = build_store(
-            context, moft, pois, layer, granule_level, min_dwell,
-            executor=executor,
-        )
-        return built, "sharded"
-    built = build_store(context, moft, pois, layer, granule_level, min_dwell)
-    return built, "serial"
+    return execute_poi(ops, strategy, executor), strategy
 
 
 def poi_visit_counts(
@@ -202,95 +241,3 @@ def poi_topk(
     """Top-``k`` POIs by distinct visitors per granule member."""
     store, _ = poi_store_view(context, layer, granule_level, **options)
     return store.topk(k)
-
-
-class PoiQueryBuilder:
-    """Fluent spec for one POI aggregate.
-
-    >>> (PoiQueryBuilder("Lp").per("hour").with_min_dwell(0.5)
-    ...     .sharded(executor).top_k(context, 3))
-
-    Terminal methods (``visits`` / ``distinct_visitors`` / ``dwell`` /
-    ``top_k``) take the evaluation context and execute immediately;
-    :meth:`explain` prices the strategies through the planner without
-    executing.
-    """
-
-    def __init__(self, layer: str, moft_name: str = "FM") -> None:
-        self._layer = layer
-        self._moft_name = moft_name
-        self._granule: Optional[str] = None
-        self._min_dwell = 0.0
-        self._strategy: Optional[str] = None
-        self._executor: Optional[ShardedExecutor] = None
-
-    def per(self, granule_level: str) -> "PoiQueryBuilder":
-        self._granule = granule_level
-        return self
-
-    def from_moft(self, name: str) -> "PoiQueryBuilder":
-        self._moft_name = name
-        return self
-
-    def with_min_dwell(self, min_dwell: float) -> "PoiQueryBuilder":
-        self._min_dwell = float(min_dwell)
-        return self
-
-    def serial(self) -> "PoiQueryBuilder":
-        self._strategy = "serial"
-        return self
-
-    def sharded(self, executor: ShardedExecutor) -> "PoiQueryBuilder":
-        """Build on ``executor``: its backend, its shard count."""
-        self._strategy = "sharded"
-        self._executor = executor
-        return self
-
-    def preagg(self) -> "PoiQueryBuilder":
-        self._strategy = "preagg"
-        return self
-
-    def _options(self) -> Dict[str, object]:
-        if self._granule is None:
-            raise EvaluationError(
-                "POI query needs a granule level; call .per(level)"
-            )
-        return {
-            "min_dwell": self._min_dwell,
-            "moft_name": self._moft_name,
-            "strategy": self._strategy,
-            "executor": self._executor,
-        }
-
-    def visits(self, context: EvaluationContext):
-        return poi_visit_counts(
-            context, self._layer, self._granule, **self._options()
-        )
-
-    def distinct_visitors(self, context: EvaluationContext):
-        return poi_distinct_visitors(
-            context, self._layer, self._granule, **self._options()
-        )
-
-    def dwell(self, context: EvaluationContext):
-        return poi_dwell_times(
-            context, self._layer, self._granule, **self._options()
-        )
-
-    def top_k(self, context: EvaluationContext, k: int):
-        return poi_topk(
-            context, self._layer, self._granule, k, **self._options()
-        )
-
-    def explain(self, context: EvaluationContext, measure: str = "visits"):
-        from repro.query.planner import plan_poi_aggregate
-
-        options = self._options()
-        return plan_poi_aggregate(
-            context,
-            self._layer,
-            self._granule,
-            measure=measure,
-            force_strategy=options.pop("strategy"),
-            **options,
-        )

@@ -21,7 +21,7 @@ from repro.mo.moft import MOFT
 from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
 from repro.pietql import PietQLExecutor
 from repro.poi import PoiVisitStore
-from repro.query.planner import plan_poi_aggregate
+from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 from repro.query.poi import (
     poi_distinct_visitors,
     poi_dwell_times,
@@ -53,12 +53,32 @@ def answers(context, layer, granule, moft_name, **options):
     return out
 
 
+def planned_answers(context, layer, granule, moft_name, strategy, **options):
+    """Every measure through the planner: ``plan_poi_aggregate`` forced
+    to ``strategy``, then ``execute_poi_plan``, rendered canonical."""
+    out = {}
+    for name, _, extra in MEASURES:
+        query = dict(moft_name=moft_name, measure=name, **extra, **options)
+        plan = plan_poi_aggregate(
+            context, layer, granule, force_strategy=strategy, **query
+        )
+        assert plan.strategy == strategy
+        out[name] = canon(
+            execute_poi_plan(plan, context, layer, granule, **query)
+        )
+    return out
+
+
 def assert_three_way(gis, time, moft, layer, granule, moft_name):
-    """serial == sharded(xN, both backends) == preagg, byte for byte."""
+    """serial == sharded(xN, both backends) == preagg, byte for byte,
+    through the functions and through the planner."""
     serial_ctx = EvaluationContext(gis, time, moft)
     reference = answers(
         serial_ctx, layer, granule, moft_name, strategy="serial"
     )
+    assert planned_answers(
+        serial_ctx, layer, granule, moft_name, "serial"
+    ) == reference
     for backend in ("serial", "processes"):
         executor = ShardedExecutor(backend)
         try:
@@ -74,6 +94,11 @@ def assert_three_way(gis, time, moft, layer, granule, moft_name):
                     executor=executor,
                 )
                 assert got == reference, (shards, backend)
+                planned = planned_answers(
+                    sharded_ctx, layer, granule, moft_name, "sharded",
+                    executor=executor,
+                )
+                assert planned == reference, (shards, backend)
         finally:
             executor.close()
     preagg_ctx = EvaluationContext(gis, time, moft)
@@ -89,6 +114,10 @@ def assert_three_way(gis, time, moft, layer, granule, moft_name):
     got = answers(preagg_ctx, layer, granule, moft_name, strategy="preagg")
     assert got == reference
     assert preagg_ctx.obs.counters["poi_preagg_hits"] == len(MEASURES)
+    assert planned_answers(
+        preagg_ctx, layer, granule, moft_name, "preagg"
+    ) == reference
+    assert preagg_ctx.obs.counters["poi_preagg_hits"] == 2 * len(MEASURES)
     return reference
 
 

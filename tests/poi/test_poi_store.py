@@ -23,7 +23,7 @@ from repro.olap import poi_parent_mapping, spatial_drilldown
 from repro.parallel import ShardedExecutor
 from repro.poi import PoiVisitStore, poi_cells
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
-from repro.query.poi import PoiQueryBuilder, resolve_pois
+from repro.query.poi import poi_visit_counts, resolve_poi
 from repro.query.region import EvaluationContext
 from repro.synth.paperdata import figure1_instance
 
@@ -239,23 +239,17 @@ class TestSpatialOlap:
 class TestQueryLayer:
     def test_resolve_pois_typed_error(self, fig1_context):
         with pytest.raises(EvaluationError):
-            resolve_pois(fig1_context, "Ln")
-
-    def test_builder_requires_granule(self, fig1_context):
-        with pytest.raises(EvaluationError):
-            PoiQueryBuilder("Lp", "FMbus").visits(fig1_context)
+            resolve_poi(fig1_context, "Ln", "hour", moft_name="FMbus")
 
     def test_builder_full_chain(self, fig1_context):
-        builder = (
-            PoiQueryBuilder("Lp", "FMbus")
-            .per("hour")
-            .with_min_dwell(0.0)
-            .sharded(ShardedExecutor("serial", n_shards=2))
+        with ShardedExecutor("serial", n_shards=2) as executor:
+            sharded = poi_visit_counts(
+                fig1_context, "Lp", "hour", moft_name="FMbus",
+                min_dwell=0.0, strategy="sharded", executor=executor,
+            )
+        serial = poi_visit_counts(
+            fig1_context, "Lp", "hour", moft_name="FMbus", strategy="serial"
         )
-        sharded = builder.visits(fig1_context)
-        serial = (
-            PoiQueryBuilder("Lp", "FMbus").per("hour").serial()
-        ).visits(fig1_context)
         assert canon(sharded) == canon(serial)
 
     def test_at_poi_region_builder(self, fig1_world):
@@ -356,6 +350,20 @@ class TestQueryLayer:
             plan_poi_aggregate(
                 fig1_context, "Lp", "hour", moft_name="FMbus",
                 force_strategy="quantum",
+            )
+
+    @pytest.mark.parametrize(
+        "measure, k, message",
+        [("median", None, "unknown POI measure"), ("topk", None, "needs k")],
+    )
+    def test_planner_refuses_a_bad_measure(
+        self, fig1_context, measure, k, message
+    ):
+        """Refused at planning, before anything is priced or scanned."""
+        with pytest.raises(EvaluationError, match=message):
+            plan_poi_aggregate(
+                fig1_context, "Lp", "hour", moft_name="FMbus",
+                measure=measure, k=k,
             )
 
     def test_planner_force_unavailable_preagg(self, fig1_context):

@@ -80,8 +80,8 @@ def assert_scan_equals_walk(geometries, moft):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(evaluator, "BATCH_MIN_ROWS", batch_min_rows)
                 assert counter.matching_objects(moft, stats) == walked
-            assert stats.objects_scanned == len(moft.objects())
-            assert stats.objects_matched == len(walked)
+            assert stats.count("objects_scanned") == len(moft.objects())
+            assert stats.count("objects_matched") == len(walked)
 
 
 def walked_dwell(moft, polygons, window=None):
@@ -307,9 +307,9 @@ class TestLatticeTables:
                 TrajectoryIntersectionCounter(
                     SHAPES, early_exit=early_exit
                 ).matching_objects(moft, stats)
-        pairs = lazy.segment_checks + lazy.bbox_rejections
+        pairs = lazy.count("segment_checks") + lazy.count("bbox_rejections")
         assert pairs == n_segments * len(SHAPES)
-        assert eager.segment_checks <= lazy.segment_checks
+        assert eager.count("segment_checks") <= lazy.count("segment_checks")
 
     @given(samples, st.sampled_from([None, (2.0, 9.0)]))
     @settings(deadline=None)

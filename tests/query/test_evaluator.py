@@ -68,18 +68,19 @@ class TestTrajectoryIntersectionCounter:
         stats = EvaluationStats()
         counter = TrajectoryIntersectionCounter(self.squares(), use_index=False)
         counter.matching_objects(self.moft(), stats)
-        assert stats.objects_scanned == 5
-        assert stats.objects_matched == 3
-        assert stats.segment_checks > 0
-        assert stats.elapsed_seconds >= 0
+        assert stats.count("objects_scanned") == 5
+        assert stats.count("objects_matched") == 3
+        assert stats.count("segment_checks") > 0
+        assert stats.seconds(EvaluationStats.SCAN_STAGE) >= 0
         assert stats.count("scan_rows") == len(self.moft())
         assert set(stats.as_dict()) == {
             "segment_checks",
             "bbox_rejections",
             "objects_scanned",
             "objects_matched",
-            "elapsed_seconds",
             "scan_rows",
+            "segment_scan_seconds",
+            "segment_scan_calls",
         }
 
     def test_early_exit_fewer_checks(self):
@@ -95,7 +96,7 @@ class TestTrajectoryIntersectionCounter:
         TrajectoryIntersectionCounter(
             self.squares(), early_exit=False
         ).matching_objects(moft, lazy)
-        assert eager.segment_checks < lazy.segment_checks
+        assert eager.count("segment_checks") < lazy.count("segment_checks")
 
 
 class TestGeometricSubquery:
@@ -188,4 +189,4 @@ class TestFullPipeline:
             moft_name="FMbus",
             stats=stats,
         )
-        assert stats.objects_scanned == 6
+        assert stats.count("objects_scanned") == 6

@@ -354,9 +354,9 @@ class TestDescribeAndBuilderExplain:
 
 
 class TestPoiBuilderExplain:
-    """EXPLAIN of a POI builder names the shard plan its terminal
-    methods run: the backend and shard count of the executor
-    ``.sharded(executor)`` was given."""
+    """EXPLAIN of a POI aggregate names the shard plan that runs: the
+    backend and shard count of the executor it was given, which the
+    route-first functions and the executed plan both build on."""
 
     @pytest.mark.parametrize(
         "shards, backend", [(4, "serial"), (3, "processes"), (1, "serial")]
@@ -364,18 +364,18 @@ class TestPoiBuilderExplain:
     def test_rendered_shard_plan_is_the_one_that_runs(
         self, monkeypatch, shards, backend
     ):
+        from repro.query import planner
         from repro.query import poi as poi_queries
 
         context = figure1_instance(with_pois=True).context()
-        serial = poi_queries.PoiQueryBuilder("Lp", "FMbus").per("hour").serial()
-        expected = serial.visits(context)
+        expected = poi_queries.poi_visit_counts(
+            context, "Lp", "hour", moft_name="FMbus", strategy="serial"
+        )
         with ShardedExecutor(backend, n_shards=shards) as executor:
-            builder = (
-                poi_queries.PoiQueryBuilder("Lp", "FMbus")
-                .per("hour")
-                .sharded(executor)
+            plan = planner.plan_poi_aggregate(
+                context, "Lp", "hour", moft_name="FMbus",
+                force_strategy="sharded", executor=executor,
             )
-            plan = builder.explain(context)
             assert (
                 f"ShardedSegmentScan[{backend} x{shards} + merge]"
                 in plan.render()
@@ -383,54 +383,53 @@ class TestPoiBuilderExplain:
             assert (plan.shard_count, plan.shard_backend) == (shards, backend)
 
             received = []
-            view = poi_queries.poi_store_view
+            execute = poi_queries.execute_poi
 
-            def spy(*args, **options):
-                received.append(options["executor"])
-                return view(*args, **options)
+            def spy(ops, strategy, executor=None):
+                received.append((strategy, executor))
+                return execute(ops, strategy, executor)
 
-            monkeypatch.setattr(poi_queries, "poi_store_view", spy)
-            answer = builder.visits(context)
+            for module in (poi_queries, planner):
+                monkeypatch.setattr(module, "execute_poi", spy)
+            answer = poi_queries.poi_visit_counts(
+                context, "Lp", "hour", moft_name="FMbus",
+                strategy="sharded", executor=executor,
+            )
             assert answer == expected
-            assert received == [executor]
+            assert received == [("sharded", executor)]
             # ... and executing the plan builds on it too.
-            built = []
-            build = poi_queries.build_store
-
-            def spy_build(*args, **options):
-                built.append(options["executor"])
-                return build(*args, **options)
-
-            monkeypatch.setattr(poi_queries, "build_store", spy_build)
-            from repro.query.planner import execute_poi_plan
-
-            assert execute_poi_plan(
+            assert planner.execute_poi_plan(
                 plan, context, "Lp", "hour", moft_name="FMbus",
                 executor=executor,
             ) == answer
-            assert built == [executor]
+            assert received == [("sharded", executor)] * 2
 
     def test_unforced_builder_prices_its_own_shard_settings(self):
-        from repro.query.poi import PoiQueryBuilder
+        from repro.query.planner import plan_poi_aggregate
 
         context = figure1_instance(with_pois=True).context()
-        plan = PoiQueryBuilder("Lp", "FMbus").per("hour").explain(context)
-        # The terminal methods of an unforced builder scan serially, and
-        # without an executor there is no fan-out to price.
+        plan = plan_poi_aggregate(context, "Lp", "hour", moft_name="FMbus")
+        # Without an executor the plan scans serially: there is no
+        # fan-out to price.
         assert plan.strategy == "serial"
         assert "sharded" not in dict(plan.alternatives)
 
     def test_unrunnable_backend_is_refused_at_planning(self):
-        """``threads`` names no backend: the executor a builder would be
-        given cannot be made, and a sharded plan without one is refused
-        (``processes``, refused here once, is ``[3-processes]`` above)."""
-        from repro.query.poi import PoiQueryBuilder
+        """``threads`` names no backend: the executor cannot be made,
+        and a sharded plan without one is refused (``processes``,
+        refused here once, is ``[3-processes]`` above)."""
+        from repro.query.planner import plan_poi_aggregate
+        from repro.query.poi import poi_visit_counts
 
         with pytest.raises(EvaluationError, match="unknown backend"):
             ShardedExecutor("threads", n_shards=2)
         context = figure1_instance(with_pois=True).context()
-        builder = PoiQueryBuilder("Lp", "FMbus").per("hour")
         with pytest.raises(EvaluationError, match="no executor"):
-            builder.sharded(None).explain(context)
+            plan_poi_aggregate(
+                context, "Lp", "hour", moft_name="FMbus",
+                force_strategy="sharded",
+            )
         with pytest.raises(EvaluationError, match="no executor"):
-            builder.visits(context)
+            poi_visit_counts(
+                context, "Lp", "hour", moft_name="FMbus", strategy="sharded"
+            )

@@ -56,7 +56,7 @@ class TestIndexedBboxRejections:
         )
         stats = EvaluationStats()
         counter.matching_objects(crossing_moft(), stats)
-        assert stats.bbox_rejections > 0
+        assert stats.count("bbox_rejections") > 0
 
     def test_naive_path_still_counts(self):
         counter = TrajectoryIntersectionCounter(
@@ -64,7 +64,7 @@ class TestIndexedBboxRejections:
         )
         stats = EvaluationStats()
         counter.matching_objects(crossing_moft(), stats)
-        assert stats.bbox_rejections > 0
+        assert stats.count("bbox_rejections") > 0
 
     def test_strategies_agree_on_matches(self):
         indexed = TrajectoryIntersectionCounter(
@@ -147,7 +147,7 @@ class TestVectorizedPrefilter:
         assert counter.matching_objects(moft, stats) == {"O1"}
         assert stats.count("vectorized_accepts") == 1
         # The accepted object never entered the per-segment scan.
-        assert stats.segment_checks == 0
+        assert stats.count("segment_checks") == 0
 
     def test_prefilter_skipped_for_non_polygons(self):
         from repro.geometry import Polyline

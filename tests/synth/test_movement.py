@@ -130,4 +130,5 @@ class TestAdversarial:
         assert counter.count(moft, stats) == 0
         # 19 segments per object, all visited (rejected by bbox or tested
         # exactly) — no early exit is ever possible.
-        assert stats.segment_checks + stats.bbox_rejections == 5 * 19
+        visited = stats.count("segment_checks") + stats.count("bbox_rejections")
+        assert visited == 5 * 19

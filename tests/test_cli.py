@@ -377,6 +377,25 @@ class TestPoiVerbInProcess:
         assert "QueryPlan" in out
         assert "stop_episodes" in out
 
+    def test_fig1_segments_once(self, main, capsys):
+        """Visits, dwell and top-k are read off one store: the counter
+        line shows one segmentation pass of the world, and EXPLAIN the
+        top-k that was asked for."""
+        from repro.obs import PipelineStats
+        from repro.poi import PoiVisitStore
+        from repro.synth import figure1_instance
+
+        world = figure1_instance(with_pois=True)
+        obs = PipelineStats()
+        PoiVisitStore(
+            world.moft, world.time, "hour",
+            dict(world.gis.layer("Lp").elements("poi")), layer="Lp", obs=obs,
+        )
+        assert main(["poi", "--world", "fig1"]) == 0
+        out = capsys.readouterr().out
+        assert f"stop_episodes={obs.count('stop_episodes')}," in out
+        assert "PoiAggregate[Lp/hour measure=topk k=3]" in out
+
     def test_synth_world_with_knobs(self, main, capsys):
         assert main([
             "poi", "--world", "synth",

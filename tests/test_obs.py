@@ -81,37 +81,6 @@ class TestMergeReset:
 
 
 class TestEvaluationStats:
-    def test_legacy_attributes_are_counters(self):
-        stats = EvaluationStats()
-        stats.segment_checks += 1
-        stats.segment_checks += 1
-        stats.bbox_rejections += 5
-        assert stats.segment_checks == 2
-        assert stats.count("segment_checks") == 2
-        assert stats.counters["bbox_rejections"] == 5
-
-    def test_constructor_kwargs(self):
-        stats = EvaluationStats(segment_checks=3, elapsed_seconds=0.5)
-        assert stats.segment_checks == 3
-        assert stats.elapsed_seconds == 0.5
-
-    def test_elapsed_seconds_backed_by_scan_stage(self):
-        stats = EvaluationStats()
-        with stats.stage(EvaluationStats.SCAN_STAGE):
-            time.sleep(0.001)
-        assert stats.elapsed_seconds > 0
-
-    def test_as_dict_always_has_legacy_keys(self):
-        report = EvaluationStats().as_dict()
-        for key in (
-            "segment_checks",
-            "bbox_rejections",
-            "objects_scanned",
-            "objects_matched",
-            "elapsed_seconds",
-        ):
-            assert key in report
-
     def test_as_dict_carries_extra_counters(self):
         stats = EvaluationStats()
         stats.incr("vectorized_accepts", 7)
