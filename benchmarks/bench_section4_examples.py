@@ -177,7 +177,7 @@ def test_q7_tram_stop(benchmark):
         .where_time("hour", ">=", 8)
         .where_time("hour", "<=", 10)
         .near_attribute_node("stop", 4.0, member="Groenplaats")
-        .build()
+        .build(gis)
     )
 
     def _run():

@@ -12,9 +12,10 @@ corresponding AST:
   ``GeometryRelation`` (overlay predicates between layer elements),
   ``WithinDistance`` (the ``(x-x1)² + (y-y1)² ≤ d²`` constraints of
   queries 6/7), ``Compare`` (attribute/value comparisons like
-  ``n.income < 1500``) and the trajectory atoms ``TrajectoryIntersects`` /
-  ``TrajectoryWithinDistance`` that package the paper's explicit linear-
-  interpolation subformulas.
+  ``n.income < 1500``) and the trajectory atoms — ``TrajectoryIntersects``,
+  ``TrajectoryWithinDistance`` and ``PossiblyThrough``, one
+  ``TrajectoryAtom`` base — that package the paper's explicit linear-
+  interpolation subformulas and their uncertainty variant.
 * **Connectives** — ``And``, ``Or``, ``Not``, ``Exists``, ``ForAll`` with
   explicit finite quantifier domains.
 
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import abc
 import operator
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.errors import QueryError
 
@@ -392,14 +393,17 @@ class Moft(Atom):
         return True  # the MOFT is always enumerable
 
     def check(self, context, env: Dict[str, Any]) -> bool:
+        # A binary search over the object's time-sorted rows; (oid, t)
+        # keys a MOFT row, so the sample at t is the only candidate.
         moft = context.moft(self.moft_name)
-        target = (
-            term_value(self.oid, env),
-            float(term_value(self.t, env)),
+        oid = term_value(self.oid, env)
+        if not moft.sample_count(oid):
+            return False
+        position = moft.position(oid, float(term_value(self.t, env)))
+        return position is not None and (position.x, position.y) == (
             float(term_value(self.x, env)),
             float(term_value(self.y, env)),
         )
-        return target in set(moft.tuples())
 
     def enumerate_bindings(self, context, env):
         moft = context.moft(self.moft_name)
@@ -714,8 +718,48 @@ class WithinDistance(Atom):
                 yield new_env
 
 
+class TrajectoryAtom(Atom):
+    """An atom relating the trajectory of ``oid`` to element ``gid`` of
+    ``(layer, kind)``.
+
+    Subclasses are dataclasses with ``oid``, ``layer``, ``kind``, ``gid``
+    and ``moft_name`` fields and define only :meth:`_holds`, one
+    ``EvaluationContext.trajectory_*`` call.  With ``oid`` bound the atom
+    checks a bound ``gid`` or enumerates the layer's element ids.
+    """
+
+    @abc.abstractmethod
+    def _holds(self, context, oid: Hashable, gid: Hashable) -> bool:
+        """Decide the relation for one object and one element id."""
+
+    def _terms(self) -> Tuple:
+        return (self.oid, self.gid)
+
+    def can_enumerate(self, env: Dict[str, Any]) -> bool:
+        return is_bound(self.oid, env)
+
+    def check(self, context, env) -> bool:
+        return self._holds(
+            context, term_value(self.oid, env), term_value(self.gid, env)
+        )
+
+    def enumerate_bindings(self, context, env):
+        if not is_bound(self.oid, env):
+            raise QueryError(f"{type(self).__name__} needs oid bound")
+        oid = term_value(self.oid, env)
+        if is_bound(self.gid, env):
+            if self._holds(context, oid, term_value(self.gid, env)):
+                yield env
+            return
+        for gid in context.gis.layer(self.layer).elements(self.kind):
+            if self._holds(context, oid, gid):
+                new_env = dict(env)
+                new_env[self.gid.name] = gid
+                yield new_env
+
+
 @dataclass(frozen=True)
-class TrajectoryIntersects(Atom):
+class TrajectoryIntersects(TrajectoryAtom):
     """The interpolated trajectory of ``oid`` meets geometry ``gid``.
 
     This packages the paper's explicit interpolation subformula (queries 5
@@ -729,40 +773,14 @@ class TrajectoryIntersects(Atom):
     gid: "Var | Const"
     moft_name: str = "FM"
 
-    def _terms(self) -> Tuple:
-        return (self.oid, self.gid)
-
-    def can_enumerate(self, env: Dict[str, Any]) -> bool:
-        return is_bound(self.oid, env)
-
-    def check(self, context, env) -> bool:
+    def _holds(self, context, oid, gid) -> bool:
         return context.trajectory_intersects(
-            self.moft_name,
-            term_value(self.oid, env),
-            self.layer,
-            self.kind,
-            term_value(self.gid, env),
+            self.moft_name, oid, self.layer, self.kind, gid
         )
-
-    def enumerate_bindings(self, context, env):
-        if not is_bound(self.oid, env):
-            raise QueryError("TrajectoryIntersects needs oid bound")
-        oid = term_value(self.oid, env)
-        if is_bound(self.gid, env):
-            if self.check(context, env):
-                yield env
-            return
-        for gid in context.gis.layer(self.layer).elements(self.kind):
-            if context.trajectory_intersects(
-                self.moft_name, oid, self.layer, self.kind, gid
-            ):
-                new_env = dict(env)
-                new_env[self.gid.name] = gid
-                yield new_env
 
 
 @dataclass(frozen=True)
-class PossiblyThrough(Atom):
+class PossiblyThrough(TrajectoryAtom):
     """Uncertainty-aware pass-through: the lifeline beads of ``oid`` (for a
     maximum speed) intersect geometry ``gid``.
 
@@ -780,41 +798,14 @@ class PossiblyThrough(Atom):
     max_speed: float
     moft_name: str = "FM"
 
-    def _terms(self) -> Tuple:
-        return (self.oid, self.gid)
-
-    def can_enumerate(self, env: Dict[str, Any]) -> bool:
-        return is_bound(self.oid, env)
-
-    def check(self, context, env) -> bool:
+    def _holds(self, context, oid, gid) -> bool:
         return context.trajectory_possibly_through(
-            self.moft_name,
-            term_value(self.oid, env),
-            self.layer,
-            self.kind,
-            term_value(self.gid, env),
-            self.max_speed,
+            self.moft_name, oid, self.layer, self.kind, gid, self.max_speed
         )
-
-    def enumerate_bindings(self, context, env):
-        if not is_bound(self.oid, env):
-            raise QueryError("PossiblyThrough needs oid bound")
-        oid = term_value(self.oid, env)
-        if is_bound(self.gid, env):
-            if self.check(context, env):
-                yield env
-            return
-        for gid in context.gis.layer(self.layer).elements(self.kind):
-            if context.trajectory_possibly_through(
-                self.moft_name, oid, self.layer, self.kind, gid, self.max_speed
-            ):
-                new_env = dict(env)
-                new_env[self.gid.name] = gid
-                yield new_env
 
 
 @dataclass(frozen=True)
-class TrajectoryWithinDistance(Atom):
+class TrajectoryWithinDistance(TrajectoryAtom):
     """The interpolated trajectory of ``oid`` comes within ``radius`` of node ``gid``."""
 
     oid: "Var | Const"
@@ -824,34 +815,7 @@ class TrajectoryWithinDistance(Atom):
     radius: float
     moft_name: str = "FM"
 
-    def _terms(self) -> Tuple:
-        return (self.oid, self.gid)
-
-    def can_enumerate(self, env: Dict[str, Any]) -> bool:
-        return is_bound(self.oid, env)
-
-    def check(self, context, env) -> bool:
+    def _holds(self, context, oid, gid) -> bool:
         return context.trajectory_within_distance(
-            self.moft_name,
-            term_value(self.oid, env),
-            self.layer,
-            self.kind,
-            term_value(self.gid, env),
-            self.radius,
+            self.moft_name, oid, self.layer, self.kind, gid, self.radius
         )
-
-    def enumerate_bindings(self, context, env):
-        if not is_bound(self.oid, env):
-            raise QueryError("TrajectoryWithinDistance needs oid bound")
-        oid = term_value(self.oid, env)
-        if is_bound(self.gid, env):
-            if self.check(context, env):
-                yield env
-            return
-        for gid in context.gis.layer(self.layer).elements(self.kind):
-            if context.trajectory_within_distance(
-                self.moft_name, oid, self.layer, self.kind, gid, self.radius
-            ):
-                new_env = dict(env)
-                new_env[self.gid.name] = gid
-                yield new_env

@@ -11,7 +11,7 @@ nodes by hand::
         .from_moft("FM")
         .during("timeOfDay", "Morning")
         .in_attribute_polygon("neighborhood", value_filter=("income", "<", 1500))
-        .build()
+        .build(gis)
     )
 
 The builder produces an ordinary :class:`SpatioTemporalRegion`, so built
@@ -21,7 +21,7 @@ queries interoperate with hand-written formulas.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.query import ast
@@ -33,7 +33,8 @@ class RegionBuilder:
     """Accumulates conjuncts over the canonical variables ``oid, t, x, y``."""
 
     def __init__(self) -> None:
-        self._conjuncts: List[ast.Formula] = []
+        # Formulas, and ``gis -> atom`` makers that build() calls once.
+        self._conjuncts: List[Any] = []
         self._outputs: Tuple[str, ...] = ("oid", "t")
         self._has_moft = False
         self._fresh = itertools.count()
@@ -44,6 +45,38 @@ class RegionBuilder:
 
     def _gensym(self, prefix: str) -> ast.Var:
         return ast.Var(f"{prefix}{next(self._fresh)}")
+
+    def _member_term(self, member: Optional[Hashable]) -> "ast.Var | ast.Const":
+        """The given member as a constant, else a fresh variable."""
+        if member is not None:
+            return ast.Const(member)
+        return self._gensym("m")
+
+    def _value_filter(
+        self,
+        attribute: str,
+        member_term: "ast.Var | ast.Const",
+        value_filter: Optional[Tuple[str, str, Any]],
+    ) -> None:
+        """Append ``member.field op value`` when a filter is given."""
+        if value_filter is not None:
+            field_name, op, value = value_filter
+            self._conjuncts.append(
+                ast.Compare(
+                    ast.MemberValue(attribute, member_term, field_name),
+                    op,
+                    ast.Const(value),
+                )
+            )
+
+    def _placed(
+        self, attribute: str, make: Callable[[Any], ast.Atom]
+    ) -> None:
+        """Record an atom that ``build`` makes from the attribute's
+        placement (its layer and geometry kind)."""
+        self._conjuncts.append(
+            lambda gis: make(gis.schema.placement(attribute))
+        )
 
     # -- sources --------------------------------------------------------------
 
@@ -133,24 +166,15 @@ class RegionBuilder:
         build time and can be passed explicitly only to override.
         """
         gid = self._gensym("g")
-        member_term: "ast.Var | ast.Const"
-        if member is not None:
-            member_term = ast.Const(member)
-        else:
-            member_term = self._gensym("m")
-        self._conjuncts.append(
-            _DeferredPlacement(attribute, kind, layer, self.x, self.y, gid)
+        member_term = self._member_term(member)
+        self._placed(
+            attribute,
+            lambda p: ast.PointIn(
+                self.x, self.y, layer or p.layer, kind or p.kind, gid
+            ),
         )
         self._conjuncts.append(ast.Alpha(attribute, member_term, gid))
-        if value_filter is not None:
-            field_name, op, value = value_filter
-            self._conjuncts.append(
-                ast.Compare(
-                    ast.MemberValue(attribute, member_term, field_name),
-                    op,
-                    ast.Const(value),
-                )
-            )
+        self._value_filter(attribute, member_term, value_filter)
         return self
 
     def near_attribute_node(
@@ -164,14 +188,13 @@ class RegionBuilder:
         Queries 6 and 7: near schools / near the Groenplaats tram stop.
         """
         gid = self._gensym("g")
-        member_term: "ast.Var | ast.Const"
-        if member is not None:
-            member_term = ast.Const(member)
-        else:
-            member_term = self._gensym("m")
+        member_term = self._member_term(member)
         self._conjuncts.append(ast.Alpha(attribute, member_term, gid))
-        self._conjuncts.append(
-            _DeferredWithinDistance(attribute, self.x, self.y, gid, radius)
+        self._placed(
+            attribute,
+            lambda p: ast.WithinDistance(
+                self.x, self.y, p.layer, p.kind, gid, radius
+            ),
         )
         return self
 
@@ -184,24 +207,15 @@ class RegionBuilder:
     ) -> "RegionBuilder":
         """Interpolated trajectory intersects the member's geometry (Type 7)."""
         gid = self._gensym("g")
-        member_term: "ast.Var | ast.Const"
-        if member is not None:
-            member_term = ast.Const(member)
-        else:
-            member_term = self._gensym("m")
+        member_term = self._member_term(member)
         self._conjuncts.append(ast.Alpha(attribute, member_term, gid))
-        self._conjuncts.append(
-            _DeferredTrajectoryIntersects(attribute, self.oid, gid, moft_name)
+        self._placed(
+            attribute,
+            lambda p: ast.TrajectoryIntersects(
+                self.oid, p.layer, p.kind, gid, moft_name
+            ),
         )
-        if value_filter is not None:
-            field_name, op, value = value_filter
-            self._conjuncts.append(
-                ast.Compare(
-                    ast.MemberValue(attribute, member_term, field_name),
-                    op,
-                    ast.Const(value),
-                )
-            )
+        self._value_filter(attribute, member_term, value_filter)
         return self
 
     def trajectory_near_attribute_node(
@@ -213,14 +227,13 @@ class RegionBuilder:
     ) -> "RegionBuilder":
         """Interpolated trajectory within ``radius`` of a node member."""
         gid = self._gensym("g")
-        member_term: "ast.Var | ast.Const"
-        if member is not None:
-            member_term = ast.Const(member)
-        else:
-            member_term = self._gensym("m")
+        member_term = self._member_term(member)
         self._conjuncts.append(ast.Alpha(attribute, member_term, gid))
-        self._conjuncts.append(
-            _DeferredTrajectoryNear(attribute, self.oid, gid, radius, moft_name)
+        self._placed(
+            attribute,
+            lambda p: ast.TrajectoryWithinDistance(
+                self.oid, p.layer, p.kind, gid, radius, moft_name
+            ),
         )
         return self
 
@@ -230,8 +243,9 @@ class RegionBuilder:
         """Restrict positions to the polygons of an explicit member list."""
         gid = self._gensym("g")
         member_term = self._gensym("m")
-        self._conjuncts.append(
-            _DeferredPlacement(attribute, kind, None, self.x, self.y, gid)
+        self._placed(
+            attribute,
+            lambda p: ast.PointIn(self.x, self.y, p.layer, kind or p.kind, gid),
         )
         self._conjuncts.append(ast.Alpha(attribute, member_term, gid))
         self._conjuncts.append(
@@ -263,12 +277,12 @@ class RegionBuilder:
         self._outputs = tuple(columns)
         return self
 
-    def build(self, gis=None) -> SpatioTemporalRegion:
+    def build(self, gis) -> SpatioTemporalRegion:
         """Finalize into a :class:`SpatioTemporalRegion`.
 
-        When ``gis`` is given, deferred placement lookups (layer inference
-        from attribute placements) resolve now; otherwise they resolve on
-        first evaluation via the context.
+        Each placement-dependent atom takes its layer and geometry kind
+        from the attribute's placement in ``gis``, once, here; the region
+        holds only :mod:`repro.query.ast` nodes.
         """
         if not self._has_moft:
             raise QueryError(
@@ -276,19 +290,20 @@ class RegionBuilder:
                 "(for purely spatial regions use the AST directly)"
             )
         conjuncts = [
-            c.resolve(gis) if isinstance(c, _Deferred) else c
+            c if isinstance(c, ast.Formula) else c(gis)
             for c in self._conjuncts
         ]
         return SpatioTemporalRegion(self._outputs, ast.And(*conjuncts))
 
     def explain(self, context) -> str:
-        """Describe the region this builder would evaluate, with rewrites.
+        """Describe the region this builder would evaluate.
 
         Renders the formula tree (:meth:`~repro.query.ast.Formula
         .describe`) and, when the :func:`~repro.query.optimizer
         .push_down_time` rewrite applies against the given context, the
-        rewritten tree next to it.  Purely informational — nothing is
-        evaluated.
+        tree that rewrite would produce.  :meth:`SpatioTemporalRegion
+        .evaluate` solves the formula as built and never applies the
+        rewrite; the second tree is informational.  Nothing is evaluated.
         """
         from repro.query.optimizer import push_down_time
 
@@ -299,7 +314,7 @@ class RegionBuilder:
             region.formula.describe(1),
         ]
         if rewritten.formula is not region.formula:
-            lines.append("Rewritten by push_down_time:")
+            lines.append("push_down_time would rewrite it to (not applied):")
             lines.append(rewritten.formula.describe(1))
         else:
             lines.append("push_down_time: not applicable")
@@ -310,7 +325,8 @@ class RegionBuilder:
         distinct_objects: bool = False,
         group_by: Tuple[str, ...] = (),
         per_span: Optional[Tuple[str, Hashable]] = None,
-        gis=None,
+        *,
+        gis,
     ) -> MovingObjectAggregateQuery:
         """Build the region and wrap it in a COUNT aggregate."""
         spec = AggregateSpec(
@@ -322,132 +338,3 @@ class RegionBuilder:
         )
         return MovingObjectAggregateQuery(self.build(gis), spec)
 
-
-class _Deferred:
-    """A conjunct needing the GIS schema to resolve (layer inference)."""
-
-    def resolve(self, gis) -> ast.Formula:
-        raise NotImplementedError
-
-
-class _DeferredPlacement(_Deferred, ast.Atom):
-    """PointIn whose layer/kind come from an attribute placement."""
-
-    def __init__(self, attribute, kind, layer, x, y, gid) -> None:
-        self.attribute = attribute
-        self.kind = kind
-        self.layer = layer
-        self.x, self.y, self.gid = x, y, gid
-
-    def _terms(self):
-        return (self.x, self.y, self.gid)
-
-    def check(self, context, env):
-        return self.resolve(context.gis).check(context, env)
-
-    def enumerate_bindings(self, context, env):
-        return self.resolve(context.gis).enumerate_bindings(context, env)
-
-    def can_enumerate(self, env):
-        return ast.is_bound(self.x, env) and ast.is_bound(self.y, env)
-
-    def resolve(self, gis) -> ast.Formula:
-        if gis is None:
-            return self
-        placement = gis.schema.placement(self.attribute)
-        kind = self.kind or placement.kind
-        layer = self.layer or placement.layer
-        return ast.PointIn(self.x, self.y, layer, kind, self.gid)
-
-
-class _DeferredWithinDistance(_Deferred, ast.Atom):
-    """WithinDistance whose layer/kind come from an attribute placement."""
-
-    def __init__(self, attribute, x, y, gid, radius) -> None:
-        self.attribute = attribute
-        self.x, self.y, self.gid = x, y, gid
-        self.radius = radius
-
-    def _terms(self):
-        return (self.x, self.y, self.gid)
-
-    def check(self, context, env):
-        return self.resolve(context.gis).check(context, env)
-
-    def enumerate_bindings(self, context, env):
-        return self.resolve(context.gis).enumerate_bindings(context, env)
-
-    def can_enumerate(self, env):
-        return ast.is_bound(self.x, env) and ast.is_bound(self.y, env)
-
-    def resolve(self, gis) -> ast.Formula:
-        if gis is None:
-            return self
-        placement = gis.schema.placement(self.attribute)
-        return ast.WithinDistance(
-            self.x, self.y, placement.layer, placement.kind, self.gid, self.radius
-        )
-
-
-class _DeferredTrajectoryIntersects(_Deferred, ast.Atom):
-    """TrajectoryIntersects with layer/kind from an attribute placement."""
-
-    def __init__(self, attribute, oid, gid, moft_name) -> None:
-        self.attribute = attribute
-        self.oid, self.gid = oid, gid
-        self.moft_name = moft_name
-
-    def _terms(self):
-        return (self.oid, self.gid)
-
-    def check(self, context, env):
-        return self.resolve(context.gis).check(context, env)
-
-    def enumerate_bindings(self, context, env):
-        return self.resolve(context.gis).enumerate_bindings(context, env)
-
-    def can_enumerate(self, env):
-        return ast.is_bound(self.oid, env)
-
-    def resolve(self, gis) -> ast.Formula:
-        if gis is None:
-            return self
-        placement = gis.schema.placement(self.attribute)
-        return ast.TrajectoryIntersects(
-            self.oid, placement.layer, placement.kind, self.gid, self.moft_name
-        )
-
-
-class _DeferredTrajectoryNear(_Deferred, ast.Atom):
-    """TrajectoryWithinDistance with layer/kind from a placement."""
-
-    def __init__(self, attribute, oid, gid, radius, moft_name) -> None:
-        self.attribute = attribute
-        self.oid, self.gid = oid, gid
-        self.radius = radius
-        self.moft_name = moft_name
-
-    def _terms(self):
-        return (self.oid, self.gid)
-
-    def check(self, context, env):
-        return self.resolve(context.gis).check(context, env)
-
-    def enumerate_bindings(self, context, env):
-        return self.resolve(context.gis).enumerate_bindings(context, env)
-
-    def can_enumerate(self, env):
-        return ast.is_bound(self.oid, env)
-
-    def resolve(self, gis) -> ast.Formula:
-        if gis is None:
-            return self
-        placement = gis.schema.placement(self.attribute)
-        return ast.TrajectoryWithinDistance(
-            self.oid,
-            placement.layer,
-            placement.kind,
-            self.gid,
-            self.radius,
-            self.moft_name,
-        )

@@ -11,14 +11,15 @@ paper's characterization:
 4. trajectory samples constrained by geometry;
 5. trajectory samples with *aggregation inside* ``C``;
 6. trajectory treated as a static spatial object (time fixed);
-7. trajectory queries (interpolation between samples);
+7. trajectory queries: any trajectory atom (interpolation between
+   samples, or the lifeline beads of ``PossiblyThrough``);
 8. aggregation over trajectory-derived measures.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.query import ast
 from repro.query.region import SpatioTemporalRegion
@@ -97,10 +98,7 @@ def classify(
     """
     nodes = list(_walk(region.formula))
     has_moft = any(isinstance(n, ast.Moft) for n in nodes)
-    has_trajectory = any(
-        isinstance(n, (ast.TrajectoryIntersects, ast.TrajectoryWithinDistance))
-        for n in nodes
-    )
+    has_trajectory = any(isinstance(n, ast.TrajectoryAtom) for n in nodes)
     has_spatial = any(
         isinstance(
             n, (ast.PointIn, ast.GeometryRelation, ast.WithinDistance, ast.Alpha)

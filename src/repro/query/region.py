@@ -31,7 +31,13 @@ from typing import (
 
 from repro.errors import EvaluationError, QueryError
 from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.overlay import (
+    PREDICATES,
+    geometries_intersect,
+    geometry_contains,
+)
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
 from repro.gis.instance import GISDimensionInstance
 from repro.mo.moft import MOFT
 from repro.obs import PipelineStats
@@ -197,28 +203,19 @@ class EvaluationContext:
         self, layer_a: str, kind_a: str, predicate: str, layer_b: str, kind_b: str
     ) -> Set[Tuple[Hashable, Hashable]]:
         """All id pairs satisfying the predicate between two (layer, kind)s."""
+        _require_predicate(predicate)
         if self.use_overlay:
             self.obs.incr("overlay_hits")
             return self.gis.overlay().pairs(
                 f"{layer_a}:{kind_a}", f"{layer_b}:{kind_b}", predicate
             )
-        from repro.geometry.overlay import geometries_intersect, geometry_contains
-
         elems_a = self.gis.layer(layer_a).elements(kind_a)
         elems_b = self.gis.layer(layer_b).elements(kind_b)
         result: Set[Tuple[Hashable, Hashable]] = set()
         for id_a, geom_a in elems_a.items():
             for id_b, geom_b in elems_b.items():
                 self.obs.incr("geometry_checks")
-                if predicate == "intersects":
-                    hit = geometries_intersect(geom_a, geom_b)
-                elif predicate == "contains":
-                    hit = geometry_contains(geom_a, geom_b)
-                elif predicate == "within":
-                    hit = geometry_contains(geom_b, geom_a)
-                else:
-                    raise EvaluationError(f"unknown predicate {predicate!r}")
-                if hit:
+                if _geometries_related(geom_a, predicate, geom_b):
                     result.add((id_a, id_b))
         return result
 
@@ -233,24 +230,17 @@ class EvaluationContext:
         gid_b: Hashable,
     ) -> bool:
         """Decide one geometric predicate between two identified elements."""
+        _require_predicate(predicate)
         if self.use_overlay:
             self.obs.incr("overlay_hits")
             pairs = self.gis.overlay().pairs(
                 f"{layer_a}:{kind_a}", f"{layer_b}:{kind_b}", predicate
             )
             return (gid_a, gid_b) in pairs
-        from repro.geometry.overlay import geometries_intersect, geometry_contains
-
         geom_a = self.gis.layer(layer_a).element(kind_a, gid_a)
         geom_b = self.gis.layer(layer_b).element(kind_b, gid_b)
         self.obs.incr("geometry_checks")
-        if predicate == "intersects":
-            return geometries_intersect(geom_a, geom_b)
-        if predicate == "contains":
-            return geometry_contains(geom_a, geom_b)
-        if predicate == "within":
-            return geometry_contains(geom_b, geom_a)
-        raise EvaluationError(f"unknown predicate {predicate!r}")
+        return _geometries_related(geom_a, predicate, geom_b)
 
     # -- trajectory atoms ------------------------------------------------------------
 
@@ -272,9 +262,6 @@ class EvaluationContext:
 
         Objects with a single sample degenerate to a point probe.
         """
-        from repro.geometry.overlay import geometries_intersect
-        from repro.geometry.polygon import Polygon
-
         geometry = self.gis.layer(layer).element(kind, gid)
         history = self.moft(moft_name).history(oid)
         if len(history) == 1:
@@ -330,7 +317,6 @@ class EvaluationContext:
         the atom holds when some bead footprint meets the geometry.
         Single-sample objects degenerate to a point test.
         """
-        from repro.geometry.polygon import Polygon
         from repro.mo.beads import Lifeline
 
         geometry = self.gis.layer(layer).element(kind, gid)
@@ -340,8 +326,6 @@ class EvaluationContext:
             _, x, y = history[0]
             if isinstance(geometry, Polygon):
                 return geometry.contains_point(Point(x, y))
-            from repro.geometry.overlay import geometries_intersect
-
             return geometries_intersect(geometry, Point(x, y))
         lifeline = Lifeline(
             moft.trajectory_sample(oid), max_speed, clamp_to_feasible=True
@@ -353,6 +337,24 @@ class EvaluationContext:
         raise EvaluationError(
             "PossiblyThrough supports polygon and node geometries"
         )
+
+
+def _require_predicate(predicate: str) -> None:
+    """Reject a predicate the overlay cannot answer, before any geometry
+    is touched, under either strategy."""
+    if predicate not in PREDICATES:
+        raise EvaluationError(
+            f"unknown predicate {predicate!r}; expected one of {PREDICATES}"
+        )
+
+
+def _geometries_related(geom_a, predicate: str, geom_b) -> bool:
+    """The naive strategy: decide a validated predicate from the geometry."""
+    if predicate == "intersects":
+        return geometries_intersect(geom_a, geom_b)
+    if predicate == "contains":
+        return geometry_contains(geom_a, geom_b)
+    return geometry_contains(geom_b, geom_a)  # within
 
 
 class SpatioTemporalRegion:

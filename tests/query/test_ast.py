@@ -83,3 +83,84 @@ class TestDomains:
     def test_explicit_domain(self):
         domain = ast.ExplicitDomain([3, 1, 2])
         assert set(domain.values(None)) == {1, 2, 3}
+
+
+class TestMoftCheck:
+    """``Moft.check`` answers from the object's time-sorted rows: the
+    same as membership in the table's row set, without materializing it."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        from repro.synth.paperdata import figure1_instance
+
+        return figure1_instance().context()
+
+    ATOM = ast.Moft(Var("oid"), Var("t"), Var("x"), Var("y"), "FMbus")
+
+    def _check(self, ctx, oid, t, x, y):
+        return self.ATOM.check(ctx, {"oid": oid, "t": t, "x": x, "y": y})
+
+    def test_matches_set_membership(self, ctx):
+        rows = set(ctx.moft("FMbus").tuples())
+        probes = set(rows)
+        for oid, t, x, y in rows:
+            probes.update(
+                {
+                    (oid, t, x + 0.5, y),  # other x
+                    (oid, t, x, y - 0.5),  # other y
+                    (oid, t + 0.5, x, y),  # off-sample instant
+                    ("O99", t, x, y),  # unknown object
+                }
+            )
+        for probe in probes:
+            assert self._check(ctx, *probe) is (probe in rows), probe
+
+    def test_integer_terms_coerce(self, ctx):
+        oid, t, x, y = next(iter(ctx.moft("FMbus").tuples()))
+        assert t == int(t)  # Figure 1 samples at whole instants
+        assert self._check(ctx, oid, int(t), x, y)
+
+    def test_never_materializes_the_table(self, ctx, monkeypatch):
+        from repro.mo.moft import MOFT
+
+        rows = list(ctx.moft("FMbus").tuples())
+
+        def spy(self):
+            raise AssertionError("Moft.check called MOFT.tuples")
+
+        monkeypatch.setattr(MOFT, "tuples", spy)
+        for row in rows:
+            assert self._check(ctx, *row)
+        assert not self._check(ctx, "O99", *rows[0][1:])
+
+
+class TestTrajectoryAtoms:
+    """The three trajectory atoms share one ``TrajectoryAtom`` base."""
+
+    CLASSES = (
+        ast.TrajectoryIntersects,
+        ast.TrajectoryWithinDistance,
+        ast.PossiblyThrough,
+    )
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_only_the_relation_is_their_own(self, cls):
+        assert issubclass(cls, ast.TrajectoryAtom)
+        own = set(vars(cls))
+        assert "_holds" in own
+        assert not own & {"check", "enumerate_bindings", "can_enumerate", "_terms"}
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            ast.TrajectoryIntersects(Var("o"), "Ln", "polygon", Var("g")),
+            ast.TrajectoryWithinDistance(Var("o"), "Ls", "node", Var("g"), 1.0),
+            ast.PossiblyThrough(Var("o"), "Ln", "polygon", Var("g"), 2.0),
+        ],
+    )
+    def test_enumeration_needs_oid(self, atom):
+        assert atom.free_variables() == {"o", "g"}
+        assert not atom.can_enumerate({})
+        assert atom.can_enumerate({"o": "O1"})
+        with pytest.raises(QueryError, match=f"{type(atom).__name__} needs oid bound"):
+            list(atom.enumerate_bindings(None, {}))

@@ -33,6 +33,13 @@ class TestBasics:
         )
         assert len(region.evaluate(ctx)) == 6
 
+    def test_build_and_count_query_require_gis(self):
+        builder = RegionBuilder().from_moft("FMbus")
+        with pytest.raises(TypeError):
+            builder.build()
+        with pytest.raises(TypeError):
+            builder.count_query()
+
     def test_output_requires_columns(self):
         with pytest.raises(QueryError):
             RegionBuilder().output()
@@ -116,18 +123,6 @@ class TestSpatial:
         oids = {row["oid"] for row in region.evaluate(ctx)}
         assert "O1" in oids
         assert "O3" not in oids
-
-    def test_deferred_resolution_without_gis(self, world, ctx):
-        # build() without a GIS leaves deferred atoms; evaluation resolves
-        # them through the context.
-        region = (
-            RegionBuilder()
-            .from_moft("FMbus")
-            .in_attribute_polygon("neighborhood", member="zuid")
-            .build()
-        )
-        tuples = region.evaluate_tuples(ctx)
-        assert ("O1", 1.0) in tuples
 
 
 class TestTrajectory:

@@ -344,7 +344,7 @@ class TestDescribeAndBuilderExplain:
         )
         text = builder.explain(context)
         assert text.startswith("Region(outputs=oid, t")
-        assert "Rewritten by push_down_time:" in text
+        assert "push_down_time would rewrite it to (not applied):" in text
         assert "FilteredMoft" in text
 
     def test_builder_explain_no_rewrite(self, context):

@@ -315,3 +315,37 @@ class TestStrategies:
         ctx2 = world.context(use_overlay=True)
         ctx2.geometry_pairs("Ln", "polygon", "intersects", "Lr", "polyline")
         assert ctx2.obs.count("overlay_hits") == 1
+
+    @pytest.mark.parametrize("use_overlay", [True, False])
+    @pytest.mark.parametrize("other", [("Lr", "polyline"), ("Lp", "poi")])
+    def test_unknown_predicate_raises_before_any_geometry(
+        self, world, use_overlay, other
+    ):
+        # ("Lp", "poi") is an empty kind in this world: the naive pair
+        # loop never runs, and the predicate is still rejected.
+        ctx = world.context(use_overlay=use_overlay)
+        with pytest.raises(EvaluationError, match="unknown predicate"):
+            ctx.geometry_pairs("Ln", "polygon", "touches", *other)
+        with pytest.raises(EvaluationError, match="unknown predicate"):
+            ctx.geometry_related(
+                "Ln", "polygon", "pg_zuid", "touches", other[0], other[1], "nope"
+            )
+        assert ctx.obs.count("geometry_checks") == 0
+        assert ctx.obs.count("overlay_hits") == 0
+
+    @pytest.mark.parametrize("predicate", ["intersects", "contains", "within"])
+    def test_related_agrees_with_pairs_under_both_strategies(
+        self, world, predicate
+    ):
+        layers = ("Ln", "polygon", predicate, "Ls", "node")
+        answers = []
+        for use_overlay in (True, False):
+            ctx = world.context(use_overlay=use_overlay)
+            pairs = ctx.geometry_pairs(*layers)
+            for a in world.gis.layer("Ln").elements("polygon"):
+                for b in world.gis.layer("Ls").elements("node"):
+                    assert ctx.geometry_related(
+                        "Ln", "polygon", a, predicate, "Ls", "node", b
+                    ) == ((a, b) in pairs)
+            answers.append(pairs)
+        assert answers[0] == answers[1]

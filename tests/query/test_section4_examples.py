@@ -458,7 +458,7 @@ class TestQuery7TramStop:
             .where_time("hour", ">=", 8)
             .where_time("hour", "<=", 10)
             .near_attribute_node("stop", 4.0, member="Groenplaats")
-            .build()
+            .build(ctx.gis)
         )
         counts = count_per_group(region, ctx, ["t"])
         assert counts == {(8.0,): 1, (9.0,): 2, (10.0,): 1}
@@ -471,6 +471,6 @@ class TestQuery7TramStop:
             .from_moft("FM")
             .during("typeOfDay", "Weekend")
             .near_attribute_node("stop", 4.0, member="Groenplaats")
-            .build()
+            .build(ctx.gis)
         )
         assert region.evaluate(ctx) == []
