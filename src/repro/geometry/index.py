@@ -6,15 +6,116 @@ returned by the geometric subquery.  Both steps need a candidate filter:
 given a bounding box, which geometry ids can possibly intersect it?  A
 uniform grid answers this in O(cells touched) and is trivially correct,
 which suits a reproduction better than a tuned R-tree.
+
+The batched passes read the grid in array form
+(:meth:`UniformGridIndex.bins`): :func:`candidate_pairs` maps a batch
+of segment boxes, or points, to its ``(geometry position, segment)``
+pairs in one vectorized pass, in memory O(segments + pairs).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, NamedTuple, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.point import BoundingBox, Point
+
+
+class GridBins(NamedTuple):
+    """A :class:`UniformGridIndex` over an ordered geometry list, as
+    arrays: ``grid`` is ``(origin x, origin y, cell size, cols, rows)``,
+    cell ``col * rows + row`` holds the positions ``members[offsets[c]:
+    offsets[c + 1]]``, ``boxes`` is ``(min_x, min_y, max_x, max_y)`` per
+    position and ``first`` the ``(col, row)`` of its min corner."""
+
+    grid: Tuple[float, float, float, int, int]
+    boxes: Tuple[np.ndarray, ...]
+    first: Tuple[np.ndarray, np.ndarray]
+    offsets: np.ndarray
+    members: np.ndarray
+
+
+def _cell(grid, x, y):
+    """``(col, row)`` of points, clamped to the grid: monotone in each
+    coordinate, which is what finds a pair in exactly one cell."""
+    ox, oy, size, cols, rows = grid
+    col = np.clip((x - ox) / size, 0, cols - 1).astype(np.intp)
+    return col, np.clip((y - oy) / size, 0, rows - 1).astype(np.intp)
+
+
+def _box_cells(c0, r0, c1, r1):
+    """Every cell of each cell range as ``(owner, col, row)``, and how
+    many leading entries are whole ranges: ranges of one cell (most
+    segments, every point) come first, unexpanded, then the others'
+    cells; each part in owner order."""
+    many = (c0 != c1) | (r0 != r1)
+    if not many.any():
+        return np.arange(c0.size), c0, r0, c0.size
+    one, many = np.flatnonzero(~many), np.flatnonzero(many)
+    height = r1[many] - r0[many] + 1
+    count = (c1[many] - c0[many] + 1) * height
+    at = np.repeat(np.arange(many.size), count)
+    k = np.arange(at.size) - (np.cumsum(count) - count)[at]
+    return (
+        np.concatenate((one, many[at])),
+        np.concatenate((c0[one], c0[many][at] + k // height[at])),
+        np.concatenate((r0[one], r0[many][at] + k % height[at])),
+        one.size,
+    )
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable order of keys in ``[0, bound)``: a radix sort while they
+    fit in 16 bits."""
+    return np.argsort(keys.astype(np.min_scalar_type(-bound)), kind="stable")
+
+
+def candidate_pairs(
+    bins: GridBins,
+    min_x: np.ndarray,
+    min_y: np.ndarray,
+    max_x: np.ndarray,
+    max_y: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The broad phase: ``(position, segment)`` of every geometry box
+    that meets a segment box (a point is a box with ``min == max``).
+
+    Exactly the pairs of the brute-force closed-box test, each once,
+    sorted by position and then by segment.  Each segment visits the
+    cells of its box; a pair met in several is kept in the cell of the
+    min corner of the two boxes' overlap only.
+    """
+    c0, r0 = _cell(bins.grid, min_x, min_y)
+    c1, r1 = (c0, r0) if max_x is min_x else _cell(bins.grid, max_x, max_y)
+    seg, col, row, whole = _box_cells(c0, r0, c1, r1)
+    cell = col * bins.grid[4] + row
+    start = bins.offsets[cell]
+    count = bins.offsets[cell + 1] - start
+    end = np.cumsum(count)
+    at = np.repeat(np.arange(cell.size), count)
+    pos = bins.members[np.arange(at.size) + (start - (end - count))[at]]
+    seg = seg[at]
+    bx0, by0, bx1, by1 = bins.boxes
+    keep = ~(
+        (min_x[seg] > bx1[pos]) | (max_x[seg] < bx0[pos])
+        | (min_y[seg] > by1[pos]) | (max_y[seg] < by0[pos])
+    )
+    spread = whole < cell.size
+    if spread:
+        tail = slice(int(end[whole - 1]) if whole else 0, None)
+        at, s, p = at[tail], seg[tail], pos[tail]
+        keep[tail] &= (col[at] == np.maximum(c0[s], bins.first[0][p])) & (
+            row[at] == np.maximum(r0[s], bins.first[1][p])
+        )
+    pos, seg = pos[keep], seg[keep]
+    if spread:
+        order = _stable_order(seg, c0.size)
+        pos, seg = pos[order], seg[order]
+    order = _stable_order(pos, len(bx0))
+    return pos[order], seg[order]
 
 
 class UniformGridIndex:
@@ -117,6 +218,26 @@ class UniformGridIndex:
         """Iterate over ``(object_id, bbox)`` pairs."""
         return self._boxes.items()
 
+    def bins(self, ids: Sequence[Hashable]) -> GridBins:
+        """The grid over ``ids`` in array form, position ``i`` being
+        ``ids[i]`` (what :func:`candidate_pairs` reads)."""
+        boxes = tuple(
+            np.array([float(getattr(self._boxes[i], side)) for i in ids])
+            for side in ("min_x", "min_y", "max_x", "max_y")
+        )
+        grid = (
+            float(self.extent.min_x), float(self.extent.min_y),
+            self.cell_size, self._cols, self._rows,
+        )
+        c0, r0 = _cell(grid, boxes[0], boxes[1])
+        owner, col, row, _ = _box_cells(c0, r0, *_cell(grid, *boxes[2:]))
+        cell = col * self._rows + row
+        counts = np.bincount(cell, minlength=self._cols * self._rows)
+        return GridBins(
+            grid, boxes, (c0, r0), np.concatenate(([0], np.cumsum(counts))),
+            owner[np.argsort(cell, kind="stable")],
+        )
+
 
 def index_for_geometries(
     geometries: Dict[Hashable, object], cell_size: float | None = None
@@ -124,8 +245,10 @@ def index_for_geometries(
     """Build an index over a mapping ``id -> geometry``.
 
     Every geometry must expose a ``bbox`` attribute (Point gets a degenerate
-    box).  When ``cell_size`` is omitted, a heuristic picks the size so the
-    grid has on the order of one object per cell.
+    box).  When ``cell_size`` is omitted, a heuristic picks the size: on
+    the order of one object per cell, but no wider than the median object
+    (so a probe seldom shares a cell with a box it misses), and not so
+    fine that the grid has more than about 16 cells per object.
     """
     if not geometries:
         raise GeometryError("cannot index an empty geometry collection")
@@ -144,7 +267,10 @@ def index_for_geometries(
         if span == 0:
             cell_size = 1.0
         else:
-            cell_size = span / max(1.0, math.sqrt(len(boxes)))
+            root = max(1.0, math.sqrt(len(boxes)))
+            sides = sorted(max(b.width, b.height) for b in boxes.values())
+            median = float(sides[len(sides) // 2])
+            cell_size = max(min(span / root, median), span / (4 * root))
     index = UniformGridIndex(extent.expanded(cell_size), cell_size)
     for object_id, box in boxes.items():
         index.insert(object_id, box)

@@ -1,10 +1,12 @@
 """Vectorized segment-vs-polygon clip kernels.
 
 The hot loops of the dwell/THROUGH machinery — the pre-agg builder, the
-moving-object operations and the overlay path — all reduce to "clip many
-trajectory segments against one polygon".  The scalar path
+scans, the moving-object operations and the overlay path — all reduce
+to "clip many trajectory segments against polygons".  The scalar path
 (:meth:`Polygon.clip_segment` / :meth:`Polygon.intersects_segment`)
-costs hundreds of Python bytecodes per segment.  This module batches it.
+costs hundreds of Python bytecodes per segment.  This module batches it:
+one call answers (polygon, segment) pairs of a whole :class:`EdgeTable`,
+and a one-polygon call is the case of a table of one.
 
 **Exact by construction.**  The kernel never *approximates* the scalar
 answer; it sorts segments into four classes with conservative,
@@ -57,11 +59,12 @@ Backends (:func:`set_kernel_backend`):
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.index import GridBins, UniformGridIndex, index_for_geometries
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import _ORIENT_EPS
@@ -74,8 +77,13 @@ from repro.geometry.segment import Segment
 #: 1e-9 is a ~1e7-fold safety margin.
 _SEP_EPS = 1e-9
 
-#: Segment batch size for the pairwise (segment x edge) work arrays.
-_CHUNK = 4096
+#: Most rows, and most (row, edge) elements, one pass of the pairwise
+#: (segment x edge) work arrays takes: they bound its temporaries
+#: whatever the polygons' sizes.  The row bound binds on city blocks (a
+#: chunk of 1024 four-edge pairs peaks no higher than a per-polygon
+#: call did), the element bound on polygons of more than 64 edges.
+_CHUNK = 1024
+_CHUNK_EDGES = 1 << 16
 
 #: ``boundary_eps`` of :func:`predicates.segment_intersection_parameters`:
 #: a float crossing parameter within this band of 0 or 1 sends the scalar
@@ -113,63 +121,61 @@ def kernel_backend() -> str:
     return _backend
 
 
-# -- per-polygon edge arrays (cached) -----------------------------------------
+# -- edge tables --------------------------------------------------------------
 
 
-class EdgeArrays:
-    """A polygon's boundary flattened into numpy vectors (plus bboxes).
+class EdgeTable:
+    """The boundaries of a polygon list as flat numpy vectors.
 
-    ``ax/ay -> bx/by`` are the directed boundary edges, shell ring
-    first, then each hole; ``ring_offsets`` gives the edge-index range
-    of ring ``i`` as ``[ring_offsets[i], ring_offsets[i+1])``.
+    ``ax/ay -> bx/by`` are the directed edges of polygon 0 (shell ring
+    first, then each hole), then of polygon 1, and so on; ``dx/dy`` and
+    ``len2`` their direction and squared length.  Polygon ``p`` owns
+    edges ``edge_offsets[p]:edge_offsets[p + 1]`` and rings
+    ``ring_first[p]:ring_first[p + 1]``; ring ``r`` is edges
+    ``ring_offsets[r]:ring_offsets[r + 1]``.  Per polygon: its box
+    ``b*``, boundary ``tolerance`` and far-field clearance ``clear2``.
+    A kernel call takes a polygon position per row and limits every
+    reduction over edges to the row's own.
     """
 
-    __slots__ = (
-        "ax", "ay", "bx", "by",
-        "ring_offsets",
-        "eminx", "eminy", "emaxx", "emaxy",
-        "bminx", "bminy", "bmaxx", "bmaxy",
-        "tolerance",
-    )
-
-    def __init__(self, polygon: Polygon) -> None:
-        rings = [polygon.shell, *polygon.holes]
-        ax: List[float] = []
-        ay: List[float] = []
-        bx: List[float] = []
-        by: List[float] = []
-        offsets = [0]
-        for ring in rings:
-            n = len(ring)
-            for i in range(n):
-                p, q = ring[i], ring[(i + 1) % n]
-                ax.append(float(p.x))
-                ay.append(float(p.y))
-                bx.append(float(q.x))
-                by.append(float(q.y))
-            offsets.append(len(ax))
-        self.ax = np.asarray(ax, dtype=np.float64)
-        self.ay = np.asarray(ay, dtype=np.float64)
-        self.bx = np.asarray(bx, dtype=np.float64)
-        self.by = np.asarray(by, dtype=np.float64)
-        self.ring_offsets = np.asarray(offsets, dtype=np.int64)
-        self.eminx = np.minimum(self.ax, self.bx)
-        self.emaxx = np.maximum(self.ax, self.bx)
-        self.eminy = np.minimum(self.ay, self.by)
-        self.emaxy = np.maximum(self.ay, self.by)
-        box = polygon.bbox
-        self.bminx = float(box.min_x)
-        self.bminy = float(box.min_y)
-        self.bmaxx = float(box.max_x)
-        self.bmaxy = float(box.max_y)
-        # The same scale-relative tolerance Polygon.clip_segment uses for
-        # its near-boundary rescue; the kernel demands 2x this clearance
-        # before trusting parity alone.
-        self.tolerance = 1e-9 * max(box.width, box.height, 1.0)
+    def __init__(self, polygons: Iterable[Polygon]) -> None:
+        self.polygons = tuple(polygons)
+        ends: List[List[float]] = [[], [], [], []]
+        rings, ring_first, edge_offsets = [0], [0], [0]
+        boxes, tolerance = [], []
+        for polygon in self.polygons:
+            for ring in (polygon.shell, *polygon.holes):
+                for p, q in zip(ring, ring[1:] + ring[:1]):
+                    for column, value in zip(ends, (p.x, p.y, q.x, q.y)):
+                        column.append(float(value))
+                rings.append(len(ends[0]))
+            ring_first.append(len(rings) - 1)
+            edge_offsets.append(len(ends[0]))
+            box = polygon.bbox
+            boxes.append([box.min_x, box.min_y, box.max_x, box.max_y])
+            # The same scale-relative tolerance Polygon.clip_segment uses
+            # for its near-boundary rescue; the kernel demands 2x this
+            # clearance before trusting parity alone.
+            tolerance.append(1e-9 * max(box.width, box.height, 1.0))
+        self.ax, self.ay, self.bx, self.by = (
+            np.asarray(column, dtype=np.float64) for column in ends
+        )
+        self.dx, self.dy = self.bx - self.ax, self.by - self.ay
+        self.len2 = self.dx * self.dx + self.dy * self.dy
+        self.eminx, self.emaxx = np.minimum(self.ax, self.bx), np.maximum(self.ax, self.bx)
+        self.eminy, self.emaxy = np.minimum(self.ay, self.by), np.maximum(self.ay, self.by)
+        self.ring_offsets = np.asarray(rings, dtype=np.intp)
+        self.ring_first = np.asarray(ring_first, dtype=np.intp)
+        self.edge_offsets = np.asarray(edge_offsets, dtype=np.intp)
+        self.bminx, self.bminy, self.bmaxx, self.bmaxy = np.array(
+            [[float(v) for v in box] for box in boxes], dtype=np.float64
+        ).reshape(-1, 4).T.copy()
+        self.tolerance = np.array([float(t) for t in tolerance])
+        self.clear2 = np.array([(2.0 * t) ** 2 for t in tolerance])
 
 
-def polygon_edge_arrays(polygon: Polygon) -> EdgeArrays:
-    """The polygon's :class:`EdgeArrays`, built once and cached on it.
+def polygon_edge_arrays(polygon: Polygon) -> EdgeTable:
+    """The one-polygon :class:`EdgeTable`, built once and cached on it.
 
     Polygons are frozen (immutable), so the cache can never go stale;
     :meth:`Polygon.__getstate__` strips it, so pickled geometries stay
@@ -177,97 +183,160 @@ def polygon_edge_arrays(polygon: Polygon) -> EdgeArrays:
     """
     cached = getattr(polygon, "_edge_arrays", None)
     if cached is None:
-        cached = EdgeArrays(polygon)
+        cached = EdgeTable([polygon])
         object.__setattr__(polygon, "_edge_arrays", cached)
     return cached
+
+
+class PolygonPass(NamedTuple):
+    """One pass over a polygon list: its edge table (for the kernels)
+    and grid bins (for the broad phase); position ``p`` is the list's
+    ``p``-th polygon in both."""
+
+    edges: EdgeTable
+    bins: GridBins
+
+    @classmethod
+    def of(
+        cls,
+        polygons: Dict[Hashable, Polygon],
+        index: Optional[UniformGridIndex] = None,
+    ) -> "PolygonPass":
+        """Over ``polygons`` in dict order, binned through ``index`` (a
+        grid over these ids; default: a new one)."""
+        if index is None:
+            index = index_for_geometries(polygons)
+        return cls(EdgeTable(polygons.values()), index.bins(list(polygons)))
+
+
+def _one(polygon: Polygon, n: int) -> Tuple[EdgeTable, np.ndarray]:
+    """The one-polygon case: its table, and position 0 for ``n`` rows."""
+    return polygon_edge_arrays(polygon), np.zeros(n, dtype=np.intp)
+
+
+def _pair_edges(
+    edges: EdgeTable, pos: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's edges, row-major: how many (row, edge) elements each
+    row has (``np.repeat(v, count)`` spreads a row value over them), the
+    edge of every element, and where each row's run starts."""
+    first = edges.edge_offsets[pos]
+    count = edges.edge_offsets[pos + 1] - first
+    end = np.cumsum(count)
+    start = end - count
+    shift = first - start
+    if count.size and (count == count[0]).all():
+        # One polygon size (the common case): a scalar repeat is a copy.
+        count = int(count[0])
+    edge = np.arange(int(end[-1]) if end.size else 0)
+    return count, edge + np.repeat(shift, count), start
+
+
+def _chunks(
+    edges: EdgeTable, pos: np.ndarray, scale: int = 1
+) -> List[Tuple[int, int]]:
+    """Row ranges of at most ``scale x _CHUNK`` rows and (about) ``scale
+    x _CHUNK_EDGES`` (row, edge) elements: what bounds every pairwise
+    work array (a pass with fewer arrays alive can take a larger
+    ``scale``)."""
+    end = np.cumsum(np.diff(edges.edge_offsets)[pos])
+    out, lo = [], 0
+    while lo < pos.size:
+        base = int(end[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(end, base + scale * _CHUNK_EDGES, side="right"))
+        hi = min(max(hi, lo + 1), lo + scale * _CHUNK)
+        out.append((lo, hi))
+        lo = hi
+    return out
 
 
 # -- classification -----------------------------------------------------------
 
 
 def _ring_parity(
-    px: np.ndarray,
-    py: np.ndarray,
-    ax: np.ndarray,
-    ay: np.ndarray,
-    bx: np.ndarray,
-    by: np.ndarray,
-) -> np.ndarray:
-    """Vectorized even-odd ray cast of points against one ring.
+    edges: EdgeTable, pos: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized even-odd ray cast of each point against each ring of
+    its polygon.
 
     Evaluates exactly the expressions of
     :func:`repro.geometry.polygon._point_in_ring` — crossing condition
     ``(ay > y) != (by > y)`` and ``x < ax + (y - ay) * (bx - ax) /
     (by - ay)`` — so for any point the result is bit-identical to the
-    scalar loop.
+    scalar loop.  Returns the parity (0/1) of every (point, ring), point
+    by point, and the index of each point's shell among them.
     """
-    cond = (ay[None, :] > py[:, None]) != (by[None, :] > py[:, None])
+    count, edge, start = _pair_edges(edges, pos)
+    y = np.repeat(py, count)
+    ay, by = edges.ay[edge], edges.by[edge]
+    cond = (ay > y) != (by > y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = (
-            ax[None, :]
-            + (py[:, None] - ay[None, :])
-            * (bx - ax)[None, :]
-            / (by - ay)[None, :]
-        )
-        hits = cond & (px[:, None] < x_cross)
-    return (hits.sum(axis=1) & 1).astype(bool)
-
-
-def _points_inside(px: np.ndarray, py: np.ndarray, edges: EdgeArrays) -> np.ndarray:
-    """Parity containment (shell AND NOT any hole) for far-field points."""
-    offs = edges.ring_offsets
-    o0, o1 = int(offs[0]), int(offs[1])
-    inside = _ring_parity(
-        px, py,
-        edges.ax[o0:o1], edges.ay[o0:o1],
-        edges.bx[o0:o1], edges.by[o0:o1],
+        x_cross = edges.ax[edge] + (y - ay) * edges.dx[edge] / (by - ay)
+        hits = cond & (np.repeat(px, count) < x_cross)
+    first_ring = edges.ring_first[pos]
+    n_rings = edges.ring_first[pos + 1] - first_ring
+    shell = np.cumsum(n_rings) - n_rings
+    owner = np.repeat(np.arange(pos.size), n_rings)
+    ring = np.arange(owner.size) - shell[owner] + first_ring[owner]
+    ring_start = (
+        start[owner] + edges.ring_offsets[ring] - edges.edge_offsets[pos[owner]]
     )
-    for r in range(1, len(offs) - 1):
-        h0, h1 = int(offs[r]), int(offs[r + 1])
-        inside &= ~_ring_parity(
-            px, py,
-            edges.ax[h0:h1], edges.ay[h0:h1],
-            edges.bx[h0:h1], edges.by[h0:h1],
-        )
-    return inside
+    return np.add.reduceat(hits.astype(np.intp), ring_start) & 1, shell
+
+
+def _points_inside(
+    edges: EdgeTable, pos: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> np.ndarray:
+    """Parity containment (shell AND NOT any hole) for far-field points."""
+    if not pos.size:
+        return np.zeros(0, dtype=bool)
+    parity, shell = _ring_parity(edges, pos, px, py)
+    holes = np.add.reduceat(parity, shell) - parity[shell]
+    return (parity[shell] == 1) & (holes == 0)
 
 
 def _min_dist2_to_edges(
-    px: np.ndarray, py: np.ndarray, edges: EdgeArrays
+    edges: EdgeTable, pos: np.ndarray, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Squared distance from each point to the nearest boundary edge."""
-    dx = (edges.bx - edges.ax)[None, :]
-    dy = (edges.by - edges.ay)[None, :]
-    rx = px[:, None] - edges.ax[None, :]
-    ry = py[:, None] - edges.ay[None, :]
-    len2 = dx * dx + dy * dy
+    """Squared distance from each point to the nearest edge of its
+    polygon."""
+    if not pos.size:
+        return np.zeros(0)
+    count, edge, start = _pair_edges(edges, pos)
+    dx, dy, len2 = edges.dx[edge], edges.dy[edge], edges.len2[edge]
+    rx = np.repeat(px, count) - edges.ax[edge]
+    ry = np.repeat(py, count) - edges.ay[edge]
     safe = np.where(len2 > 0.0, len2, 1.0)
     tproj = np.clip((rx * dx + ry * dy) / safe, 0.0, 1.0)
     tproj = np.where(len2 > 0.0, tproj, 0.0)
     cx = rx - tproj * dx
     cy = ry - tproj * dy
-    d2 = cx * cx + cy * cy
-    return d2.min(axis=1)
+    return np.minimum.reduceat(cx * cx + cy * cy, start)
 
 
-def _classify_chunk_numpy(
+def _classify(
+    edges: EdgeTable,
+    pos: np.ndarray,
     x0: np.ndarray,
     y0: np.ndarray,
     x1: np.ndarray,
     y1: np.ndarray,
-    edges: EdgeArrays,
 ) -> np.ndarray:
+    """Status codes 0/1/2 of segment ``i`` vs polygon ``pos[i]`` (one
+    chunk of rows)."""
     n = x0.shape[0]
     status = np.full(n, 2, dtype=np.uint8)
+    if kernel_backend() == "scalar":
+        return status
     sminx = np.minimum(x0, x1)
     smaxx = np.maximum(x0, x1)
     sminy = np.minimum(y0, y1)
     smaxy = np.maximum(y0, y1)
     disjoint = (
-        (sminx > edges.bmaxx)
-        | (smaxx < edges.bminx)
-        | (sminy > edges.bmaxy)
-        | (smaxy < edges.bminy)
+        (sminx > edges.bmaxx[pos])
+        | (smaxx < edges.bminx[pos])
+        | (sminy > edges.bmaxy[pos])
+        | (smaxy < edges.bminy[pos])
     )
     status[disjoint] = 0
     idx = np.nonzero(~disjoint)[0]
@@ -276,21 +345,29 @@ def _classify_chunk_numpy(
 
     cx0, cy0 = x0[idx], y0[idx]
     cx1, cy1 = x1[idx], y1[idx]
+    # Each row against its own polygon's edges, as (row, edge) elements.
+    count, edge, start = _pair_edges(edges, pos[idx])
+
+    def spread(values):
+        return np.repeat(values, count)
+
+    ax, ay, bx, by = edges.ax[edge], edges.ay[edge], edges.bx[edge], edges.by[edge]
     # Pairwise (segment x edge) bbox overlap.
     overlap = ~(
-        (sminx[idx, None] > edges.emaxx[None, :])
-        | (smaxx[idx, None] < edges.eminx[None, :])
-        | (sminy[idx, None] > edges.emaxy[None, :])
-        | (smaxy[idx, None] < edges.eminy[None, :])
+        (spread(sminx[idx]) > edges.emaxx[edge])
+        | (spread(smaxx[idx]) < edges.eminx[edge])
+        | (spread(sminy[idx]) > edges.emaxy[edge])
+        | (spread(smaxy[idx]) < edges.eminy[edge])
     )
     # Separation by the segment's supporting line: both edge endpoints
     # strictly (beyond the uncertainty band) on one side.
-    dsx = (cx1 - cx0)[:, None]
-    dsy = (cy1 - cy0)[:, None]
-    rax = edges.ax[None, :] - cx0[:, None]
-    ray = edges.ay[None, :] - cy0[:, None]
-    rbx = edges.bx[None, :] - cx0[:, None]
-    rby = edges.by[None, :] - cy0[:, None]
+    dsx = spread(cx1 - cx0)
+    dsy = spread(cy1 - cy0)
+    sx0, sy0 = spread(cx0), spread(cy0)
+    rax = ax - sx0
+    ray = ay - sy0
+    rbx = bx - sx0
+    rby = by - sy0
     d1 = dsx * ray - dsy * rax
     d2 = dsx * rby - dsy * rbx
     b1 = _SEP_EPS * (np.abs(dsx) * np.abs(ray) + np.abs(dsy) * np.abs(rax))
@@ -298,10 +375,10 @@ def _classify_chunk_numpy(
     sep_seg = ((d1 > b1) & (d2 > b2)) | ((d1 < -b1) & (d2 < -b2))
     # Separation by the edge's supporting line: both segment endpoints
     # strictly on one side.
-    dex = (edges.bx - edges.ax)[None, :]
-    dey = (edges.by - edges.ay)[None, :]
-    r1x = cx1[:, None] - edges.ax[None, :]
-    r1y = cy1[:, None] - edges.ay[None, :]
+    dex = edges.dx[edge]
+    dey = edges.dy[edge]
+    r1x = spread(cx1) - ax
+    r1y = spread(cy1) - ay
     d3 = dex * (-ray) - dey * (-rax)
     d4 = dex * r1y - dey * r1x
     b3 = _SEP_EPS * (np.abs(dex) * np.abs(ray) + np.abs(dey) * np.abs(rax))
@@ -310,11 +387,18 @@ def _classify_chunk_numpy(
     contact = overlap & ~sep_seg & ~sep_edge
     # A zero-length segment is one point: the far-field rule below is
     # all its scalar answer (contains_point) depends on.
-    clean = ~contact.any(axis=1) | ((cx0 == cx1) & (cy0 == cy1))
+    clean = ~np.logical_or.reduceat(contact, start) | (
+        (cx0 == cx1) & (cy0 == cy1)
+    )
+    # (The (row, edge) arrays go before the far-field pass allocates.)
+    del ax, ay, bx, by, overlap, rax, ray, rbx, rby, d1, d2, d3, d4
+    del b1, b2, b3, b4, dsx, dsy, sx0, sy0, dex, dey, r1x, r1y, contact
+    del sep_seg, sep_edge
     if not clean.any():
         return status
 
     kept = idx[clean]
+    kpos = pos[kept]
     kx0, ky0 = x0[kept], y0[kept]
     kx1, ky1 = x1[kept], y1[kept]
     # Midpoint exactly as the scalar path: Segment.point_at(0.5) is
@@ -323,13 +407,14 @@ def _classify_chunk_numpy(
     my = ky0 + 0.5 * (ky1 - ky0)
     pts_x = np.concatenate([kx0, mx, kx1])
     pts_y = np.concatenate([ky0, my, ky1])
-    d2min = _min_dist2_to_edges(pts_x, pts_y, edges).reshape(3, kept.size)
-    clear2 = (2.0 * edges.tolerance) ** 2
-    far = (d2min >= clear2).all(axis=0)
+    d2min = _min_dist2_to_edges(
+        edges, np.tile(kpos, 3), pts_x, pts_y
+    ).reshape(3, kept.size)
+    far = (d2min >= edges.clear2[kpos]).all(axis=0)
     if not far.any():
         return status
     final = kept[far]
-    inside = _points_inside(mx[far], my[far], edges)
+    inside = _points_inside(edges, kpos[far], mx[far], my[far])
     status[final] = np.where(inside, 1, 0).astype(np.uint8)
     return status
 
@@ -351,15 +436,11 @@ def classify_segments(
     boundary), 2 = undecided, answer with the scalar path.
     """
     x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
-    n = x0.shape[0]
-    if kernel_backend() == "scalar" or n == 0:
-        return np.full(n, 2, dtype=np.uint8)
-    edges = polygon_edge_arrays(polygon)
-    out = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        out[lo:hi] = _classify_chunk_numpy(
-            x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi], edges
+    edges, pos = _one(polygon, x0.shape[0])
+    out = np.empty(x0.shape[0], dtype=np.uint8)
+    for lo, hi in _chunks(edges, pos):
+        out[lo:hi] = _classify(
+            edges, pos[lo:hi], x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi]
         )
     return out
 
@@ -367,29 +448,16 @@ def classify_segments(
 # -- boundary crossings -------------------------------------------------------
 
 
-def _far_and_inside(
-    px: np.ndarray, py: np.ndarray, edges: EdgeArrays
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per point: is it in the far field (``>= 2 x tolerance`` from every
-    edge), and what its parity containment is (exact there)."""
-    clear2 = (2.0 * edges.tolerance) ** 2
-    far = np.empty(px.shape[0], dtype=bool)
-    inside = np.empty(px.shape[0], dtype=bool)
-    for lo in range(0, px.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        far[lo:hi] = _min_dist2_to_edges(px[lo:hi], py[lo:hi], edges) >= clear2
-        inside[lo:hi] = _points_inside(px[lo:hi], py[lo:hi], edges)
-    return far, inside
-
-
 def _solve_crossings(
+    edges: EdgeTable,
+    pos: np.ndarray,
     x0: np.ndarray,
     y0: np.ndarray,
     x1: np.ndarray,
     y1: np.ndarray,
-    edges: EdgeArrays,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip the plain transversal crossings among one chunk of rows.
+    """Clip the plain transversal crossings among one chunk of rows
+    (row ``i`` against polygon ``pos[i]``).
 
     Returns ``(lo, hi, count)``: row ``i`` was solved iff ``count[i] >
     0``, and then ``zip(lo[i, :count[i]], hi[i, :count[i]])`` is
@@ -434,12 +502,13 @@ def _solve_crossings(
     hi = np.zeros_like(lo)
     count = np.zeros(n, dtype=np.intp)
 
-    rx = (x1 - x0)[:, None]
-    ry = (y1 - y0)[:, None]
-    qx = (edges.bx - edges.ax)[None, :]
-    qy = (edges.by - edges.ay)[None, :]
-    wx = edges.ax[None, :] - x0[:, None]
-    wy = edges.ay[None, :] - y0[:, None]
+    per_row, edge, start = _pair_edges(edges, pos)
+    rx = np.repeat(x1 - x0, per_row)
+    ry = np.repeat(y1 - y0, per_row)
+    qx = edges.dx[edge]
+    qy = edges.dy[edge]
+    wx = edges.ax[edge] - np.repeat(x0, per_row)
+    wy = edges.ay[edge] - np.repeat(y0, per_row)
     with np.errstate(all="ignore"):
         rx_qy, ry_qx = rx * qy, ry * qx
         denom = rx_qy - ry_qx
@@ -455,10 +524,12 @@ def _solve_crossings(
             | (u < -_PARAM_EPS) | (u > 1 + _PARAM_EPS)
         )
         decided = (np.abs(denom) > _ORIENT_EPS * magnitude) & (cut | miss)
-    n_cuts = cut.sum(axis=1)
-    rows = np.flatnonzero(
-        decided.all(axis=1) & (n_cuts >= 1) & (n_cuts <= _MAX_CUTS)
+    n_cuts = np.add.reduceat(cut.astype(np.intp), start)
+    solvable = (
+        np.logical_and.reduceat(decided, start)
+        & (n_cuts >= 1) & (n_cuts <= _MAX_CUTS)
     )
+    rows = np.flatnonzero(solvable)
     if rows.size == 0:
         return lo, hi, count
 
@@ -466,11 +537,13 @@ def _solve_crossings(
     # row is (bounds[j], bounds[j + 1]) for j <= its number of cuts.
     n_cuts = n_cuts[rows]
     width = int(n_cuts.max())
-    cuts = np.where(cut[rows], s[rows], np.inf)
-    cuts.sort(axis=1)
+    taken = cut & np.repeat(solvable, per_row)
+    row = np.repeat(np.cumsum(solvable) - 1, per_row)[taken]
+    cuts = s[taken][np.lexsort((s[taken], row))]
+    k = np.arange(cuts.size) - np.repeat(np.cumsum(n_cuts) - n_cuts, n_cuts)
     bounds = np.ones((rows.size, width + 2), dtype=np.float64)
     bounds[:, 0] = 0.0
-    np.minimum(cuts[:, :width], 1.0, out=bounds[:, 1:-1])
+    bounds[np.repeat(np.arange(rows.size), n_cuts), 1 + k] = cuts
     is_piece = np.arange(width + 1)[None, :] <= n_cuts[:, None]
     spaced = ((np.diff(bounds, axis=1) > _CUT_GAP) | ~is_piece).all(axis=1)
     rows, bounds, is_piece = rows[spaced], bounds[spaced], is_piece[spaced]
@@ -478,13 +551,12 @@ def _solve_crossings(
     r, j = np.nonzero(is_piece)
     at = rows[r]
     mid = (bounds[r, j] + bounds[r, j + 1]) / 2
-    far, piece_inside = _far_and_inside(
-        x0[at] + mid * (x1[at] - x0[at]),
-        y0[at] + mid * (y1[at] - y0[at]),
-        edges,
-    )
+    # Far field (>= 2 x tolerance from every edge) and parity
+    # containment (exact there) of each piece midpoint.
+    px, py = x0[at] + mid * (x1[at] - x0[at]), y0[at] + mid * (y1[at] - y0[at])
+    far = _min_dist2_to_edges(edges, pos[at], px, py) >= edges.clear2[pos[at]]
     inside = np.zeros(is_piece.shape, dtype=bool)
-    inside[r, j] = piece_inside
+    inside[r, j] = _points_inside(edges, pos[at], px, py)
     alternating = (
         (inside[:, 1:] != inside[:, :-1]) | ~is_piece[:, 1:]
     ).all(axis=1)
@@ -508,7 +580,7 @@ class _Resolved(NamedTuple):
 
     ``status`` covers every segment; the other fields are aligned with
     ``rows``, the indices of the status-2 segments: whether each meets
-    the polygon, and its ``count`` clip intervals ``(lo[k, i], hi[k,
+    its polygon, and its ``count`` clip intervals ``(lo[k, i], hi[k,
     i])``.
     """
 
@@ -521,7 +593,8 @@ class _Resolved(NamedTuple):
 
 
 def _resolve(
-    polygon: Polygon,
+    edges: EdgeTable,
+    pos: np.ndarray,
     x0: np.ndarray,
     y0: np.ndarray,
     x1: np.ndarray,
@@ -530,30 +603,28 @@ def _resolve(
     want_hits: bool = True,
     want_clips: bool = True,
 ) -> _Resolved:
-    """Classify a batch, then answer its status-2 rows: boundary
-    crossings in batch, the rest through the scalar methods.
+    """Classify one chunk of (polygon position, segment) pairs, then
+    answer its status-2 rows: boundary crossings in batch, the rest
+    through the scalar methods.
 
     The scalar loop computes :meth:`Polygon.intersects_segment` when
     ``want_hits`` and :meth:`Polygon.clip_segment` when ``want_clips``;
     with both it clips only the segments that hit, as the dwell fold
     always has.  Fields not asked for are not meaningful.
     """
-    x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
-    status = classify_segments(polygon, x0, y0, x1, y1)
+    status = _classify(edges, pos, x0, y0, x1, y1)
     rows = np.flatnonzero(status == 2)
     lo = np.zeros((rows.size, _MAX_CUTS // 2 + 1), dtype=np.float64)
     hi = np.zeros_like(lo)
     count = np.zeros(rows.size, dtype=np.intp)
     if rows.size and kernel_backend() != "scalar":
-        edges = polygon_edge_arrays(polygon)
-        for a in range(0, rows.size, _CHUNK):
-            part = rows[a:a + _CHUNK]
-            lo[a:a + _CHUNK], hi[a:a + _CHUNK], count[a:a + _CHUNK] = (
-                _solve_crossings(x0[part], y0[part], x1[part], y1[part], edges)
-            )
+        lo, hi, count = _solve_crossings(
+            edges, pos[rows], x0[rows], y0[rows], x1[rows], y1[rows]
+        )
     hits = count > 0
     scalar = np.flatnonzero(~hits)
     for k, i in zip(scalar.tolist(), rows[scalar].tolist()):
+        polygon = edges.polygons[pos[i]]
         seg = Segment(
             Point(float(x0[i]), float(y0[i])),
             Point(float(x1[i]), float(y1[i])),
@@ -576,6 +647,17 @@ def _resolve(
     return _Resolved(status, rows, hits, lo, hi, count)
 
 
+def _resolved(edges, pos, x0, y0, x1, y1, obs, want_hits=True, want_clips=True):
+    """:func:`_resolve`, one call per chunk of pairs: ``(rows, answer)``."""
+    x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
+    for lo, hi in _chunks(edges, pos):
+        part = slice(lo, hi)
+        yield part, _resolve(
+            edges, pos[part], x0[part], y0[part], x1[part], y1[part], obs,
+            want_hits, want_clips,
+        )
+
+
 def clip_segments_batch(
     polygon: Polygon,
     x0: np.ndarray,
@@ -586,15 +668,49 @@ def clip_segments_batch(
 ) -> List[List[Tuple[float, float]]]:
     """Per-segment clip intervals, bit-identical to
     :meth:`Polygon.clip_segment` on every segment."""
-    res = _resolve(polygon, x0, y0, x1, y1, obs, want_hits=False)
-    out: List[List[Tuple[float, float]]] = [
-        [(0.0, 1.0)] if s == 1 else [] for s in res.status.tolist()
-    ]
-    for i, n, los, his in zip(
-        res.rows.tolist(), res.count.tolist(), res.lo.tolist(), res.hi.tolist()
+    out: List[List[Tuple[float, float]]] = []
+    for part, res in _resolved(
+        *_one(polygon, len(x0)), x0, y0, x1, y1, obs, want_hits=False
     ):
-        out[i] = list(zip(los[:n], his[:n]))
+        clips = [[(0.0, 1.0)] if s == 1 else [] for s in res.status.tolist()]
+        for i, n, los, his in zip(
+            res.rows.tolist(), res.count.tolist(), res.lo.tolist(),
+            res.hi.tolist(),
+        ):
+            clips[i] = list(zip(los[:n], his[:n]))
+        out += clips
     return out
+
+
+def pairs_dwell(
+    edges: EdgeTable,
+    pos: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    dt: np.ndarray,
+    obs=None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dwell time of segment ``i`` inside polygon ``pos[i]`` plus the
+    intersection mask: :func:`segments_dwell` over broad-phase pairs."""
+    dt = np.asarray(dt, dtype=np.float64)
+    dwell, hits = np.zeros(dt.shape[0]), np.zeros(dt.shape[0], dtype=bool)
+    for part, res in _resolved(edges, pos, x0, y0, x1, y1, obs):
+        # Scalar arithmetic for a fully-inside segment is (1.0 - 0.0) *
+        # dt, which is exactly dt.
+        hits[part] = res.status == 1
+        dwell[part] = np.where(hits[part], dt[part], 0.0)
+        hits[part][res.rows] = res.hits
+        # The scalar fold, ``total = 0.0; total += (s1 - s0) * dt`` over
+        # the intervals in ascending order, one interval rank at a time.
+        total = np.zeros(res.rows.size, dtype=np.float64)
+        row_dt = dt[part][res.rows]
+        for c in range(int(res.count.max(initial=0))):
+            live = res.count > c
+            total[live] += (res.hi[live, c] - res.lo[live, c]) * row_dt[live]
+        dwell[part][res.rows] = total
+    return dwell, hits
 
 
 def segments_dwell(
@@ -612,22 +728,27 @@ def segments_dwell(
     polygon.clip_segment(seg_i))`` and ``hits[i]`` equals
     ``polygon.intersects_segment(seg_i)``.
     """
-    res = _resolve(polygon, x0, y0, x1, y1, obs)
-    dt = np.asarray(dt, dtype=np.float64)
-    hits = res.status == 1
-    # Scalar arithmetic for a fully-inside segment is (1.0 - 0.0) * dt,
-    # which is exactly dt.
-    dwell = np.where(hits, dt, 0.0)
-    hits[res.rows] = res.hits
-    # The scalar fold, ``total = 0.0; total += (s1 - s0) * dt`` over the
-    # intervals in ascending order, one interval rank at a time.
-    total = np.zeros(res.rows.size, dtype=np.float64)
-    row_dt = dt[res.rows]
-    for c in range(int(res.count.max(initial=0))):
-        live = res.count > c
-        total[live] += (res.hi[live, c] - res.lo[live, c]) * row_dt[live]
-    dwell[res.rows] = total
-    return dwell, hits
+    return pairs_dwell(*_one(polygon, len(x0)), x0, y0, x1, y1, dt, obs)
+
+
+def pairs_intersect(
+    edges: EdgeTable,
+    pos: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    obs=None,
+) -> np.ndarray:
+    """Does segment ``i`` meet polygon ``pos[i]``: :func:`segments_intersect`
+    over broad-phase pairs."""
+    hits = np.zeros(pos.shape[0], dtype=bool)
+    for part, res in _resolved(
+        edges, pos, x0, y0, x1, y1, obs, want_clips=False
+    ):
+        hits[part] = res.status == 1
+        hits[part][res.rows] = res.hits
+    return hits
 
 
 def segments_intersect(
@@ -639,10 +760,7 @@ def segments_intersect(
     obs=None,
 ) -> np.ndarray:
     """Per-segment :meth:`Polygon.intersects_segment`, batched."""
-    res = _resolve(polygon, x0, y0, x1, y1, obs, want_clips=False)
-    hits = res.status == 1
-    hits[res.rows] = res.hits
-    return hits
+    return pairs_intersect(*_one(polygon, len(x0)), x0, y0, x1, y1, obs)
 
 
 def segments_fully_inside(
@@ -654,12 +772,26 @@ def segments_fully_inside(
     obs=None,
 ) -> np.ndarray:
     """Per-segment "clip == [(0.0, 1.0)]" — full containment, batched."""
-    res = _resolve(polygon, x0, y0, x1, y1, obs, want_hits=False)
-    inside = res.status == 1
-    inside[res.rows] = (
-        (res.count == 1) & (res.lo[:, 0] == 0.0) & (res.hi[:, 0] == 1.0)
-    )
+    inside = np.zeros(len(x0), dtype=bool)
+    for part, res in _resolved(
+        *_one(polygon, len(x0)), x0, y0, x1, y1, obs, want_hits=False
+    ):
+        inside[part] = res.status == 1
+        inside[part][res.rows] = (
+            (res.count == 1) & (res.lo[:, 0] == 0.0) & (res.hi[:, 0] == 1.0)
+        )
     return inside
+
+
+def polygon_sums(
+    pos: np.ndarray, values: np.ndarray, positions: Iterable[int]
+) -> List[float]:
+    """``float(values[pos == p].sum())`` for each ``p`` of ``positions``
+    (``pos`` ascending): what a loop over the polygons summed."""
+    positions = list(positions)
+    lo = np.searchsorted(pos, positions, side="left").tolist()
+    hi = np.searchsorted(pos, positions, side="right").tolist()
+    return [float(values[a:b].sum()) for a, b in zip(lo, hi)]
 
 
 # -- disc (POI) kernels -------------------------------------------------------
@@ -828,7 +960,8 @@ def disc_dwell_scalar(
 
 
 __all__ = [
-    "EdgeArrays",
+    "EdgeTable",
+    "PolygonPass",
     "classify_segments",
     "clip_segments_batch",
     "disc_clip_batch",
@@ -836,7 +969,10 @@ __all__ = [
     "disc_dwell",
     "disc_dwell_scalar",
     "kernel_backend",
+    "pairs_dwell",
+    "pairs_intersect",
     "polygon_edge_arrays",
+    "polygon_sums",
     "segments_dwell",
     "segments_fully_inside",
     "segments_intersect",

@@ -110,23 +110,25 @@ class SegmentBatch:
         """``(x0, y0, x1, y1)`` of the segments at ``index``: kernel input."""
         return self.x0[index], self.y0[index], self.x1[index], self.y1[index]
 
+    def boxes(self, subset: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+        """``(min_x, min_y, max_x, max_y)`` of the segments (of
+        ``subset``): the input of a broad phase
+        (:func:`repro.geometry.index.candidate_pairs`)."""
+        if self._bounds is None:
+            self._bounds = (
+                np.minimum(self.x0, self.x1), np.minimum(self.y0, self.y1),
+                np.maximum(self.x0, self.x1), np.maximum(self.y0, self.y1),
+            )
+        if subset is None:
+            return self._bounds
+        return tuple(v[subset] for v in self._bounds)
+
     def near(
         self, box: BoundingBox, subset: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Indices of the segments (of ``subset``) whose box meets ``box``.
-
-        The per-geometry prefilter of every batched scan: what it drops
-        can touch nothing inside ``box``.
-        """
-        if self._bounds is None:
-            self._bounds = (
-                np.minimum(self.x0, self.x1), np.maximum(self.x0, self.x1),
-                np.minimum(self.y0, self.y1), np.maximum(self.y0, self.y1),
-            )
-        minx, maxx, miny, maxy = self._bounds
-        if subset is not None:
-            minx, maxx = minx[subset], maxx[subset]
-            miny, maxy = miny[subset], maxy[subset]
+        """Indices of the segments (of ``subset``) whose box meets ``box``:
+        the brute-force box test of one geometry."""
+        minx, miny, maxx, maxy = self.boxes(subset)
         keep = ~(
             (minx > box.max_x) | (maxx < box.min_x)
             | (miny > box.max_y) | (maxy < box.min_y)

@@ -23,10 +23,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 ``segment_checks`` / ``bbox_rejections`` / ``objects_scanned`` /
 ``objects_matched``
     The trajectory scans.  On the batched scans of polygon answers
-    (count and dwell) ``segment_checks`` is the (segment, polygon) pairs
-    handed to a batch kernel and ``bbox_rejections`` the pairs the
-    per-polygon box prefilter dropped; on the per-object walk they are
-    the probes tested exactly and the candidates pruned before that.
+    (count and dwell) ``segment_checks`` is the (polygon, segment) pairs
+    the broad phase handed the kernel and ``bbox_rejections`` the rest
+    of segments x polygons; on the per-object walk they are the probes
+    tested exactly and the candidates pruned before that.
 
 ``shard_count`` / ``merge_ms``
     :class:`repro.parallel.ShardedExecutor` fan-out: shards dispatched,

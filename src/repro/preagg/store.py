@@ -56,6 +56,7 @@ clone shares the one it has.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -64,12 +65,13 @@ import numpy as np
 
 from repro.cellstore import GranuleStore, RollupRows, frozen
 from repro.errors import PreAggError
-from repro.geometry.kernels import segments_dwell
+from repro.geometry.index import candidate_pairs
+from repro.geometry.kernels import PolygonPass, pairs_dwell, polygon_sums
 from repro.geometry.polygon import Polygon
 from repro.mo import moft as moft_module
 from repro.mo.moft import MOFT, SegmentBatch
 from repro.obs import PipelineStats
-from repro.query.vectorized import polygon_contains_batch
+from repro.query.vectorized import points_inside
 from repro.temporal.timedim import TimeDimension
 
 #: uint32 oid-code dtype of every stored id column.
@@ -315,6 +317,16 @@ class PreAggStore(GranuleStore):
             )
         return codes
 
+    @cached_property
+    def _polygons(self) -> PolygonPass:
+        """The pass over :attr:`gids` (a position is a gid code): built
+        at the first fold, shared by the clones made after it, never
+        pickled (:meth:`__getstate__`)."""
+        return PolygonPass.of({gid: self.geometries[gid] for gid in self.gids})
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_polygons"}
+
     def _fold_samples(
         self,
         fold: _Fold,
@@ -323,56 +335,45 @@ class PreAggStore(GranuleStore):
         x: np.ndarray,
         y: np.ndarray,
     ) -> None:
-        """The sample pass: vectorized containment per polygon.  A
+        """The sample pass: one broad phase and one containment call on
+        the (polygon, sample) pairs of each segment batch's worth of
+        samples (the staged counts are integers: no order to keep).  A
         sample inside proves the granule-restricted trajectory hits the
         polygon (the adjacent intra-granule segment, or the lone-point
         probe), so the row it makes is a passer's too."""
-        for g, gid in enumerate(self.gids):
-            polygon = self.geometries[gid]
-            box = polygon.bbox
-            rows = np.flatnonzero(
-                (x >= box.min_x)
-                & (x <= box.max_x)
-                & (y >= box.min_y)
-                & (y <= box.max_y)
-            )
+        for pos, rows in points_inside(self._polygons, x, y):
             if rows.size:
-                rows = rows[polygon_contains_batch(polygon, x[rows], y[rows])]
-            if rows.size:
-                cell = g * len(self.partition) + granule[rows]
+                cell = pos * len(self.partition) + granule[rows]
                 fold.stage(cell, code[rows], 1, 0.0)
 
     def _fold_segments(
         self, fold: _Fold, code: np.ndarray, batch: SegmentBatch
     ) -> None:
-        """The segment pass: one clip-kernel call per polygon.
+        """The segment pass: one broad phase and one clip-kernel call on
+        its (polygon, segment) pairs.
 
         ``batch`` holds trajectory segments in (object, time) order and
-        ``code`` their object codes.  Per polygon the hits are staged in
-        ascending batch order — the order a segment-by-segment walk
-        would fold them in — so the float dwell sums and the span-record
-        sequence do not depend on the batching.
+        ``code`` their object codes.  The pairs, and so the hits, come
+        polygon by polygon in ascending batch order — the order a
+        segment-by-segment walk would fold them in — so the float dwell
+        sums and the span-record sequence do not depend on the batching.
         """
+        polygons = self._polygons
+        pos, at = candidate_pairs(polygons.bins, *batch.boxes())
+        if not pos.size:
+            return
         dt = batch.t1 - batch.t0
-        for g, gid in enumerate(self.gids):
-            polygon = self.geometries[gid]
-            near = batch.near(polygon.bbox)
-            if not near.size:
-                continue
-            dwell, hits = segments_dwell(
-                polygon, *batch.ends(near), dt[near], obs=self.obs
-            )
-            found = np.flatnonzero(hits)
-            at, dwell = near[found], dwell[found]
-            a = self.partition.codes_for(batch.t0[at])
-            b = self.partition.codes_for(batch.t1[at])
-            inner = a == b
-            cell = g * len(self.partition) + a[inner]
-            fold.stage(cell, code[at[inner]], 0, dwell[inner])
-            at, a, b, dwell = (v[~inner] for v in (at, a, b, dwell))
-            fold.spans.append(
-                (np.full(at.size, g), code[at].astype(OID_DTYPE), a, b, dwell)
-            )
+        dwell, hits = pairs_dwell(
+            polygons.edges, pos, *batch.ends(at), dt[at], obs=self.obs
+        )
+        pos, at, dwell = pos[hits], at[hits], dwell[hits]
+        a = self.partition.codes_for(batch.t0[at])
+        b = self.partition.codes_for(batch.t1[at])
+        inner = a == b
+        cell = pos[inner] * len(self.partition) + a[inner]
+        fold.stage(cell, code[at[inner]], 0, dwell[inner])
+        pos, at, a, b, dwell = (v[~inner] for v in (pos, at, a, b, dwell))
+        fold.spans.append((pos, code[at].astype(OID_DTYPE), a, b, dwell))
 
     # -- planner statistics ----------------------------------------------------
 
@@ -474,10 +475,13 @@ class PreAggStore(GranuleStore):
     # -- granule-run queries --------------------------------------------------
 
     def _gid_codes(self, ids: Iterable[Hashable]) -> np.ndarray:
-        """Positions of ``ids`` in :attr:`gids` (one a cell block of the
-        table); an id outside them is a typed error."""
+        """Distinct positions of ``ids`` in :attr:`gids` (one a cell block
+        of the table), in first-seen order: ``C`` is a set (Definition
+        4), so a repeated id counts once.  An id outside them is a typed
+        error."""
         try:
-            return np.array([self._gid_code[gid] for gid in ids], dtype=int)
+            codes = dict.fromkeys(self._gid_code[gid] for gid in ids)
+            return np.array(list(codes), dtype=int)
         except KeyError as missing:
             raise PreAggError(
                 f"geometry {missing.args[0]!r} is not materialized in "
@@ -606,29 +610,33 @@ class PreAggStore(GranuleStore):
         Store cells answer the covered granule run.  Segments with an
         endpoint in a sliver (there are only ever O(sliver objects) of
         them) get the scan leaf of :func:`repro.query.aggregate
-        .total_dwell_time`: the sliver objects' window rows through the
-        dwell kernel, in (object, time) order per polygon of ``ids``.
+        .total_dwell_time`: the sliver objects' window rows through one
+        broad phase and one dwell-kernel call a batch, summed per
+        polygon of ``ids`` in (object, time) order.
         """
         ids = list(ids)
-        self._gid_codes(ids)  # the typed error, covered run or not
+        polygons = self._gid_codes(ids)  # the typed error, covered or not
         run = self.covered_run(start, end)
         total = 0.0 if run is None else self.dwell_time(ids, *run)
         mask = self._sliver_scan_mask(start, end, run)
         if mask is None:
             return total
         lo, hi = self._span(run)
+        passes = self._polygons
+        wanted = np.zeros(len(self.gids), dtype=bool)
+        wanted[polygons] = True
         for batch in self.moft.mask_rows(mask).segments():
             # Both endpoints covered: already in cells.
             uncovered = np.flatnonzero((batch.t0 < lo) | (batch.t1 > hi))
-            dt = batch.t1 - batch.t0
-            for gid in ids:
-                polygon = self.geometries[gid]
-                near = batch.near(polygon.bbox, uncovered)
-                if near.size:
-                    dwell, _ = segments_dwell(
-                        polygon, *batch.ends(near), dt[near], obs=self.obs
-                    )
-                    total += float(dwell.sum())
+            pos, at = candidate_pairs(passes.bins, *batch.boxes(uncovered))
+            keep = wanted[pos]
+            pos, at = pos[keep], uncovered[at[keep]]
+            dt = batch.t1[at] - batch.t0[at]
+            dwell, _ = pairs_dwell(
+                passes.edges, pos, *batch.ends(at), dt, obs=self.obs
+            )
+            for part in polygon_sums(pos, dwell, polygons):
+                total += part
         return total
 
     # -- decoded cells and lattice rollup -------------------------------------

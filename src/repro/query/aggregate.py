@@ -158,13 +158,17 @@ def total_dwell_time(
     all.  Exact up to float summation order; the differential suite pins
     the tolerance.
 
-    The scan leaf runs the dwell kernel once per answer polygon over the
-    restricted table's segment table and counts like the count path
-    (into ``stats`` when passed, else the context observer):
-    ``scan_rows``, the ``segment_scan`` stage, ``segment_checks`` /
-    ``bbox_rejections`` and the kernel's own counters.
+    The scan leaf runs one broad phase and one dwell-kernel call per
+    segment batch of the restricted table, on the (answer polygon,
+    segment) pairs whose boxes meet, and adds the dwell up polygon by
+    polygon in id order.  It counts like the count path (into ``stats``
+    when passed, else the context observer): ``scan_rows``, the
+    ``segment_scan`` stage, ``segment_checks`` (the pairs) /
+    ``bbox_rejections`` (segments x polygons - pairs) and the kernel's
+    own counters.
     """
     from repro.geometry import kernels
+    from repro.geometry.index import candidate_pairs
     from repro.obs import EvaluationStats
     from repro.query.evaluator import resolve_through
 
@@ -182,22 +186,25 @@ def total_dwell_time(
                 return ops.store.dwell_time(ids, *ops.run)
             return ops.store.window_dwell(ids, *ops.window)
     elements = context.gis.layer(target[0]).elements(target[1])
+    polygons = kernels.PolygonPass.of(
+        {gid: elements[gid] for gid in ids},
+        context.geometry_index(target[0], target[1], ids, obs=stats),
+    )
     moft = ops.table
     run = EvaluationStats()
     run.incr("scan_rows", len(moft))
     total = 0.0
     with run.stage(EvaluationStats.SCAN_STAGE):
         for batch in moft.segments():
-            dt = batch.t1 - batch.t0
-            for gid in ids:
-                polygon = elements[gid]
-                near = batch.near(polygon.bbox)
-                run.incr("bbox_rejections", len(batch) - near.shape[0])
-                run.incr("segment_checks", near.shape[0])
-                dwell, _ = kernels.segments_dwell(
-                    polygon, *batch.ends(near), dt[near], obs=run
-                )
-                total += float(dwell.sum())
+            pos, at = candidate_pairs(polygons.bins, *batch.boxes())
+            run.incr("bbox_rejections", len(batch) * len(ids) - pos.size)
+            run.incr("segment_checks", pos.size)
+            dwell, _ = kernels.pairs_dwell(
+                polygons.edges, pos, *batch.ends(at),
+                batch.t1[at] - batch.t0[at], obs=run,
+            )
+            for part in kernels.polygon_sums(pos, dwell, range(len(ids))):
+                total += part
     (stats if stats is not None else context.obs).merge(run)
     return total
 

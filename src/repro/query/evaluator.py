@@ -23,13 +23,14 @@ refinements that the benchmarks ablate:
   sampled point inside a polygon already proves the trajectory
   intersects, so those objects skip the segment scan entirely.
 
-When every answer geometry is a polygon the scan is *batched*: the
-table's segment table (:meth:`repro.mo.moft.MOFT.segments`) goes through
-the clip kernel once per polygon for all objects together, and the
-per-object walk serves the other geometry kinds, single-sample objects
-and tables too small to repay a kernel call.  The grid index is a
-refinement of the walk only; the batched scan prefilters by bounding
-box per polygon.
+When every answer geometry is a polygon the scan is *batched*: each
+batch of the table's segment table (:meth:`repro.mo.moft.MOFT.segments`)
+goes through one broad phase over the answer's grid index
+(:func:`repro.geometry.index.candidate_pairs`), and its (polygon,
+segment) pairs through one clip-kernel call per early-exit round, for
+all objects and polygons together.  The per-object walk serves the
+other geometry kinds, single-sample objects and tables too small to
+repay a kernel call; it filters by the grid index probe by probe.
 
 That scan is the *leaf* of the one through-count path, which also
 lives here: :func:`resolve_through` resolves a query once (geometric
@@ -66,7 +67,9 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.geometry import kernels
-from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.index import (
+    UniformGridIndex, candidate_pairs, index_for_geometries,
+)
 from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -79,7 +82,7 @@ from repro.mo.moft import (
 )
 from repro.obs import EvaluationStats, PipelineStats
 from repro.query.region import EvaluationContext
-from repro.query.vectorized import points_in_polygons
+from repro.query.vectorized import points_inside
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.preagg.store import PreAggStore
@@ -139,7 +142,7 @@ class TrajectoryIntersectionCounter:
     use_index:
         Build a grid index over the geometries and only test segments
         against candidates whose boxes meet the segment's box (the
-        per-object walk; the batched scan prefilters per polygon).
+        per-object walk; the batched scan always bins through a grid).
     early_exit:
         Stop scanning an object's trajectory at the first hit (batched:
         the object leaves the scan before the next kernel call).
@@ -194,9 +197,9 @@ class TrajectoryIntersectionCounter:
         """Return the ids of objects whose interpolated trajectory hits.
 
         Objects with a single sample are tested by that sampled point.
-        Polygon answers are scanned over the table's segment table, one
-        kernel call per polygon for all objects; other geometries take
-        the per-object walk (:meth:`_object_matches`).
+        Polygon answers are scanned over the table's segment table, for
+        all objects and polygons at once; other geometries take the
+        per-object walk (:meth:`_object_matches`).
         """
         stats = stats if stats is not None else EvaluationStats()
         stats.incr("scan_rows", len(moft))
@@ -227,17 +230,19 @@ class TrajectoryIntersectionCounter:
         oids, perm, offsets = index
         _, x, y = moft.as_arrays()
         hit = np.zeros(oids.shape[0], dtype=bool)
+        polygons = kernels.PolygonPass.of(self.geometries, self._index)
         if self.vectorized_prefilter:
             # A sampled point inside a polygon proves the hit.
-            inside = points_in_polygons(x, y, self._polygons)
-            hit[index.per_row(np.arange(hit.shape[0]))[inside]] = True
+            owner = index.per_row(np.arange(hit.shape[0]))
+            for _, rows in points_inside(polygons, x, y):
+                hit[owner[rows]] = True
             stats.incr("vectorized_accepts", int(hit.sum()))
         if len(moft) < BATCH_MIN_ROWS:
             for i in np.flatnonzero(~hit):
                 hit[i] = self._object_matches(moft, oids[i], stats)
         else:
             for batch in moft.segments():
-                self._scan_batch(batch, hit, stats)
+                self._scan_batch(batch, hit, stats, polygons)
             for i in np.flatnonzero((np.diff(offsets) == 1) & ~hit):
                 row = perm[offsets[i]]
                 hit[i] = self._probes_match(
@@ -248,17 +253,23 @@ class TrajectoryIntersectionCounter:
         return set(oids[hit].tolist())
 
     def _scan_batch(
-        self, batch: SegmentBatch, hit: np.ndarray, stats: EvaluationStats
+        self,
+        batch: SegmentBatch,
+        hit: np.ndarray,
+        stats: EvaluationStats,
+        polygons: "kernels.PolygonPass",
     ) -> None:
         """Mark in ``hit`` the objects a segment of ``batch`` proves.
 
-        ``segment_checks`` counts the (segment, polygon) pairs handed to
-        the kernel, ``bbox_rejections`` the pairs the box prefilter
-        dropped.  With ``early_exit`` an object leaves the scan at its
-        first hit, and every object's first segment goes ahead of the
-        rest: an object that starts inside the answer costs one check.
-        (Finer rounds would buy nothing: a kernel call costs as much as
-        some hundred pairs.)  Without, every pair is visited.
+        A round is one broad phase over the pending segments and one
+        kernel call on its (polygon, segment) pairs: ``segment_checks``
+        counts those pairs and ``bbox_rejections`` the rest of pending
+        segments x polygons; the kernel counts into ``stats`` too.  With
+        ``early_exit`` an object leaves the scan at its first hit, and
+        every object's first segment goes ahead of the rest: an object
+        that starts inside the answer costs one round-one pair per
+        polygon its first segment's box meets.  Without, every pair is
+        visited.
         """
         obj = batch.obj
         live = np.flatnonzero(~hit[obj])
@@ -271,21 +282,22 @@ class TrajectoryIntersectionCounter:
         else:
             rounds = [live]
         for pending in rounds:
-            for polygon in self._polygons:
-                if self.early_exit:
-                    pending = pending[~hit[obj[pending]]]
-                if not pending.shape[0]:
-                    break
-                near = batch.near(polygon.bbox, pending)
-                stats.incr(
-                    "bbox_rejections", pending.shape[0] - near.shape[0]
+            if self.early_exit:
+                pending = pending[~hit[obj[pending]]]
+            if not pending.shape[0]:
+                continue
+            pos, at = candidate_pairs(polygons.bins, *batch.boxes(pending))
+            stats.incr(
+                "bbox_rejections",
+                pending.shape[0] * len(self._polygons) - pos.shape[0],
+            )
+            stats.incr("segment_checks", pos.shape[0])
+            if pos.shape[0]:
+                at = pending[at]
+                found = kernels.pairs_intersect(
+                    polygons.edges, pos, *batch.ends(at), obs=stats
                 )
-                stats.incr("segment_checks", near.shape[0])
-                if near.shape[0]:
-                    found = kernels.segments_intersect(
-                        polygon, *batch.ends(near)
-                    )
-                    hit[obj[near[found]]] = True
+                hit[obj[at[found]]] = True
 
     def _object_matches(
         self, moft: MOFT, oid: Hashable, stats: EvaluationStats

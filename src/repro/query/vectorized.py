@@ -19,73 +19,90 @@ semantics (boundary points belong to the region).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.geometry.index import candidate_pairs
 from repro.geometry.kernels import (
+    EdgeTable,
+    PolygonPass,
+    _chunks,
     _min_dist2_to_edges,
+    _one,
     _ring_parity,
-    polygon_edge_arrays,
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.mo import moft as moft_module
 from repro.mo.moft import MOFT
+
+
+def pairs_contain(
+    edges: EdgeTable, pos: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Vectorized closed containment of point ``i`` in polygon ``pos[i]``.
+
+    Crossing-number over all rings (even-odd, so holes work), with an
+    exact scalar re-check for points within a small band of the boundary.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    inside = np.zeros(xs.shape, dtype=bool)
+    near_boundary = np.zeros(xs.shape, dtype=bool)
+    # (Two passes of about ten (row, edge) arrays each: a larger chunk
+    # than the clip's peaks no higher.)
+    for lo, hi in _chunks(edges, pos, scale=4):
+        part, x, y = pos[lo:hi], xs[lo:hi], ys[lo:hi]
+        parity, shell = _ring_parity(edges, part, x, y)
+        inside[lo:hi] = np.add.reduceat(parity, shell) & 1
+        # Boundary band: re-check points close to any edge exactly (the
+        # bulk test treats the boundary inconsistently).
+        tolerance = edges.tolerance[part]
+        near_boundary[lo:hi] = (
+            _min_dist2_to_edges(edges, part, x, y) <= tolerance * tolerance
+        )
+    for index in np.flatnonzero(near_boundary):
+        inside[index] = edges.polygons[pos[index]].contains_point(
+            Point(float(xs[index]), float(ys[index]))
+        )
+    return inside
 
 
 def polygon_contains_batch(
     polygon: Polygon, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """Vectorized closed containment for many points.
+    """Vectorized closed containment for many points: :func:`pairs_contain`
+    on the polygon's cached :func:`~repro.geometry.kernels
+    .polygon_edge_arrays`."""
+    return pairs_contain(*_one(polygon, len(xs)), xs, ys)
 
-    Crossing-number over all rings (even-odd, so holes work), with an
-    exact scalar re-check for points within a small band of the boundary.
-    The edge vectors come from the polygon's cached
-    :func:`~repro.geometry.kernels.polygon_edge_arrays`, so repeated
-    batches against the same polygon skip the ring flattening.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    edges = polygon_edge_arrays(polygon)
-    offsets = edges.ring_offsets
-    inside = np.zeros(xs.shape, dtype=bool)
-    for ring_index in range(len(offsets) - 1):
-        r0, r1 = int(offsets[ring_index]), int(offsets[ring_index + 1])
-        inside ^= _ring_parity(
-            xs, ys,
-            edges.ax[r0:r1], edges.ay[r0:r1],
-            edges.bx[r0:r1], edges.by[r0:r1],
-        )
-    # Boundary band: re-check points close to any edge exactly (the bulk
-    # test treats the boundary inconsistently).
-    near_boundary = (
-        _min_dist2_to_edges(xs, ys, edges)
-        <= edges.tolerance * edges.tolerance
-    )
-    for index in np.flatnonzero(near_boundary):
-        inside[index] = polygon.contains_point(
-            Point(float(xs[index]), float(ys[index]))
-        )
-    return inside
+
+def points_inside(
+    polygons: PolygonPass, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(position, point)`` of the points inside a polygon of the pass,
+    per segment batch's worth of points: one broad phase and one
+    containment call on its pairs each."""
+    step = moft_module.SEGMENT_BATCH_ROWS
+    for lo in range(0, xs.shape[0], step):
+        x, y = xs[lo:lo + step], ys[lo:lo + step]
+        pos, at = candidate_pairs(polygons.bins, x, y, x, y)
+        inside = pairs_contain(polygons.edges, pos, x[at], y[at])
+        yield pos[inside], at[inside] + lo
 
 
 def points_in_polygons(
     xs: np.ndarray, ys: np.ndarray, polygons: Sequence[Polygon]
 ) -> np.ndarray:
     """Which points lie in *any* of the (closed) polygons, as a mask."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     hit = np.zeros(xs.shape, dtype=bool)
-    for polygon in polygons:
-        # Cheap bbox prefilter per polygon, over the still-undecided.
-        box = polygon.bbox
-        idx = np.flatnonzero(
-            ~hit
-            & (xs >= box.min_x)
-            & (xs <= box.max_x)
-            & (ys >= box.min_y)
-            & (ys <= box.max_y)
-        )
-        if idx.size:
-            hit[idx] = polygon_contains_batch(polygon, xs[idx], ys[idx])
+    if polygons:
+        passes = PolygonPass.of(dict(enumerate(polygons)))
+        for _, rows in points_inside(passes, xs, ys):
+            hit[rows] = True
     return hit
 
 

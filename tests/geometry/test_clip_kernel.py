@@ -4,14 +4,15 @@ The kernel's contract is exactness by construction — status 0/1 answers
 are only given to segments provably far from any boundary, plain
 transversal boundary crossings are solved in batch from the same float
 expressions the scalar code evaluates, and everything else falls back to
-``Polygon.clip_segment``.  These tests pin that contract with randomized
-and property-based equivalence against the scalar geometry (including a
-strategy that aims at the boundary and must find only fallbacks there),
-cross-check the numba-compilable loop form against the numpy
-implementation, cover the backend feature flag (numba degrades to numpy
-when absent, ``scalar`` disables classification and the crossing solver
-entirely), and guard that the city dwell workload actually takes the
-batch path.
+``Polygon.clip_segment``.  These tests pin that contract on the
+one-polygon functions with randomized and property-based equivalence
+against the scalar geometry (including a strategy that aims at the
+boundary and must find only fallbacks there), cover the backend switch
+(``scalar`` disables classification and the crossing solver entirely;
+any other name but ``numpy`` is an error), bound the kernel's work
+arrays, and guard that the city dwell workload actually takes the batch
+path.  ``test_pair_kernel.py`` pins the same answers for many polygons
+in one call.
 """
 
 import pickle

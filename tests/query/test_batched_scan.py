@@ -216,6 +216,20 @@ class TestCity:
         assert pairs == (n_rows - len(moft.objects())) * len(polygons)
         assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
 
+    @pytest.mark.parametrize("early_exit", [True, False])
+    def test_through_counts_its_kernel_work(self, city, early_exit):
+        """The through leaf hands the kernel exactly its broad-phase
+        pairs, and counts the kernel into the scan's stats."""
+        built, _, _, moft = city
+        polygons = built.gis.layer("Ln").elements(POLYGON)
+        some = dict(sorted(polygons.items(), key=repr)[::4])
+        stats = EvaluationStats()
+        TrajectoryIntersectionCounter(
+            some, early_exit=early_exit, vectorized_prefilter=False
+        ).matching_objects(moft, stats)
+        assert stats.count("segment_checks") > 0
+        assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
+
     def test_dwell_counts_into_the_context_by_default(self, city):
         built, _, time, moft = city
         context = EvaluationContext(built.gis, time, moft)
