@@ -162,12 +162,15 @@ class GranuleStore:
         """Bring the store up to its table: ``"fresh"`` (nothing moved),
         ``"delta"`` (the table grew; only the appended rows were folded)
         or ``"rebuild"`` (the Time dimension was edited, or rows
-        vanished: the partition the cells are keyed by may not hold)."""
+        vanished: the partition the cells are keyed by may not hold; or
+        the table orders its objects unlike the cells, see
+        :meth:`_codes_align`)."""
         if not self.is_stale():
             return "fresh"
         if (
             self.time.instance.version != self._dim_version
             or len(self.moft) < self._built_rows
+            or not self._codes_align()
         ):
             self.refresh()
             return "rebuild"
@@ -175,6 +178,12 @@ class GranuleStore:
         self._fold_rows(self._built_rows)
         self._built_version, self._built_rows = snapshot
         return "delta"
+
+    def _codes_align(self) -> bool:
+        """Whether ``_fold_rows`` can key the appended rows' objects the
+        way the cells do (a kind that folds by the table's object codes
+        says when it cannot)."""
+        return True
 
     def _copy(self):
         """A shallow copy, set attribute by attribute in ``__init__``'s

@@ -5,6 +5,12 @@ the same world a one-shot batch load would have produced — that
 equivalence is the whole contract, pinned by the differential campaign
 in ``tests/ingest``.  The moving parts:
 
+**Batches are columns.**  :meth:`StreamingIngestor.submit` checks a
+whole batch — equal lengths, flat numeric columns, all finite, hashable
+ids — before it routes any of it, so a bad batch raises
+:class:`~repro.errors.IngestError` and changes nothing.  Routing is one
+late mask; what stays joins the buffer as one column chunk.
+
 **Watermark.**  ``watermark = max event time seen − allowed_lateness``,
 monotone by construction.  A sample is *late* when it arrives at or
 below the watermark computed from *previously* submitted batches (one
@@ -15,14 +21,20 @@ counter, keeping ``samples_ingested + samples_late + samples_buffered
 == samples_submitted`` exhaustive at every instant.
 
 **Sealing.**  After the watermark advances, every buffered sample with
-``t <= watermark`` is *sealed*: sorted by ``(t, repr(oid))`` into one
-delta segment, published through the :class:`~repro.ingest.versioned
-.VersionedMoft` chain, and folded into cloned pre-agg stores.  Sealed
-regions never reopen — any sample later arriving inside one is late by
-the watermark test above, which is exactly what makes each publish a
-strict per-object time extension and keeps :meth:`~repro.preagg
-.PreAggStore.update` on the pure delta path (no retraction, no
-rebuild; ``tests/ingest/test_watermark_properties.py`` asserts this).
+``t <= watermark`` is *sealed*: sorted by ``(t, repr(oid))`` — one
+``lexsort`` on ``t`` and a per-object dense rank of ``repr(oid)`` —
+into one delta segment, published through the
+:class:`~repro.ingest.versioned.VersionedMoft` chain (which hands the
+new table its parent's segment index extended by the delta's), and
+folded into cloned pre-agg stores, which read the delta's object codes
+off that table.  Sealed regions never reopen — any sample later
+arriving inside one is late by the watermark test above, which is
+exactly what makes each publish a strict per-object time extension and
+keeps :meth:`~repro.preagg.PreAggStore.update` on the pure delta path
+(no retraction, no rebuild; ``tests/ingest/test_watermark_properties.py``
+asserts this).
+Every step of a flush is array work on the delta and the buffer, plus
+the column copies of the new table.
 
 **MVCC maintenance.**  Readers pin :meth:`snapshot` — an immutable
 bundle of (table, folded stores, lazily built
@@ -47,8 +59,10 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import IngestError
-from repro.ingest.versioned import MoftSnapshot, VersionedMoft
+from repro.ingest.versioned import MoftSnapshot, VersionedMoft, intern
 from repro.mo.moft import MOFT
 from repro.obs import PipelineStats
 from repro.preagg import PreAggStore
@@ -223,8 +237,15 @@ class StreamingIngestor:
         self.obs = obs if obs is not None else PipelineStats()
         self.chain = VersionedMoft(moft_name, base=base)
         self._lock = threading.RLock()
-        # (t, oid, x, y) above the watermark, awaiting their seal.
-        self._buffer: List[Tuple[float, Hashable, float, float]] = []
+        # Samples above the watermark, awaiting their seal: one
+        # (oids, codes, t, x, y) column chunk per routed batch.
+        self._buffer: List[Tuple[np.ndarray, ...]] = []
+        self._buffered = 0
+        # oid -> code in arrival order, each code's repr(oid) and the
+        # codes' dense rank by that repr (None: an object came since).
+        self._intern: Dict[Hashable, int] = {}
+        self._reprs: List[str] = []
+        self._rank: Optional[np.ndarray] = None
         self._late: List[Tuple[Hashable, float, float, float]] = []
         self._max_t = -math.inf
         self._watermark = -math.inf
@@ -295,43 +316,40 @@ class StreamingIngestor:
     ) -> IngestReport:
         """Route one batch, advance the watermark, seal what it passed.
 
-        Each sample is routed against the watermark as of the *previous*
-        batches, then the batch's own event times advance it; samples
-        the new watermark passed (this batch's or earlier buffered ones)
-        are sealed into one published delta segment and folded into the
+        The whole batch is checked first — equal column lengths, numbers,
+        all finite, hashable ids — and a bad one raises
+        :class:`~repro.errors.IngestError` with nothing routed: counters,
+        buffer and late channel stay as they were, so the corrected batch
+        can simply be submitted again.  Then each sample is routed
+        against the watermark as of the *previous* batches (one mask),
+        the batch's own event times advance it, and samples the new
+        watermark passed (this batch's or earlier buffered ones) are
+        sealed into one published delta segment and folded into the
         cloned stores.  Returns what happened to the batch.
         """
         with self._lock:
             if self._closed:
                 raise IngestError("ingestor is closed; no further batches")
-            n = len(ts)
-            if not (len(oids) == n == len(xs) == len(ys)):
-                raise IngestError(
-                    f"ragged sample batch: {len(oids)}/{n}/{len(xs)}/"
-                    f"{len(ys)} column lengths"
-                )
+            oid_col, codes, t, x, y = self._checked(oids, ts, xs, ys)
+            n = t.shape[0]
             self.obs.incr("ingest_batches")
             self.obs.incr("samples_submitted", n)
-            late_now = 0
-            batch_max = -math.inf
-            for oid, t, x, y in zip(oids, ts, xs, ys):
-                t, x, y = float(t), float(x), float(y)
-                if not (
-                    math.isfinite(t) and math.isfinite(x) and math.isfinite(y)
-                ):
-                    raise IngestError(
-                        f"non-finite sample ({oid!r}, {t!r}, {x!r}, {y!r})"
-                    )
-                if t <= self._watermark:
-                    self._late.append((oid, t, x, y))
-                    late_now += 1
-                else:
-                    self._buffer.append((t, oid, x, y))
-                    if t > batch_max:
-                        batch_max = t
+            late = t <= self._watermark
+            late_now = int(np.count_nonzero(late))
+            if late_now:
+                self._late.extend(zip(
+                    oid_col[late].tolist(), t[late].tolist(),
+                    x[late].tolist(), y[late].tolist(),
+                ))
+                kept = ~late
+                oid_col, codes, t, x, y = (
+                    v[kept] for v in (oid_col, codes, t, x, y)
+                )
             self.obs.incr("samples_late", late_now)
-            if batch_max > self._max_t:
-                self._max_t = batch_max
+            if t.size:
+                self._buffer.append((oid_col, codes, t, x, y))
+                self._buffered += t.size
+                self._max_t = max(self._max_t, float(t.max()))
             advanced = self._max_t - self.config.allowed_lateness
             if advanced > self._watermark:
                 self._watermark = advanced
@@ -341,11 +359,47 @@ class StreamingIngestor:
                 submitted=n,
                 ingested=sealed,
                 late=late_now,
-                buffered=len(self._buffer),
+                buffered=self._buffered,
                 watermark=self._watermark,
                 ordinal=self._snapshot.ordinal,
                 rows=self._snapshot.rows,
             )
+
+    def _checked(self, oids, ts, xs, ys) -> Tuple[np.ndarray, ...]:
+        """One batch as ``(oids, codes, t, x, y)`` columns, or the
+        :class:`~repro.errors.IngestError` it deserves; objects new to
+        the ingestor are interned only once the whole batch passed."""
+        n = len(ts)
+        if not (len(oids) == n == len(xs) == len(ys)):
+            raise IngestError(
+                f"ragged sample batch: {len(oids)}/{n}/{len(xs)}/"
+                f"{len(ys)} column lengths"
+            )
+        try:
+            t, x, y = (np.asarray(v, dtype=float) for v in (ts, xs, ys))
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"non-numeric sample column: {exc}") from exc
+        if not t.shape == x.shape == y.shape == (n,):
+            raise IngestError(
+                "ragged sample batch: columns must be flat sequences"
+            )
+        oid_col = np.fromiter(oids, dtype=object, count=n)
+        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(x) & np.isfinite(y)))
+        if bad.size:
+            row = bad[0]
+            raise IngestError(
+                f"non-finite sample ({oid_col[row]!r}, {t[row].item()!r}, "
+                f"{x[row].item()!r}, {y[row].item()!r})"
+            )
+        try:
+            codes, fresh = intern(self._intern, oid_col.tolist())
+        except TypeError as exc:
+            raise IngestError(f"unhashable object id: {exc}") from exc
+        if fresh:
+            self._intern.update(fresh)
+            self._reprs.extend(map(repr, fresh))
+            self._rank = None
+        return oid_col, codes, t, x, y
 
     def compact(self) -> IngestSnapshot:
         """Collapse the segment chain now (also runs automatically)."""
@@ -365,7 +419,7 @@ class StreamingIngestor:
             if self._closed:
                 return self._snapshot
             self._closed = True
-            if self._buffer:
+            if self._buffered:
                 self._watermark = max(self._watermark, self._max_t)
                 self._flush_locked()
             self._compact_locked()
@@ -375,29 +429,43 @@ class StreamingIngestor:
     # -- internals (lock held) -----------------------------------------------
 
     def _flush_locked(self) -> int:
-        """Seal buffered samples the watermark passed; publish the fold."""
+        """Seal buffered samples the watermark passed; publish the fold.
+
+        The seal order is ``(t, repr(oid))`` — one ``lexsort`` on ``t``
+        and each object's dense rank by ``repr``, stable, so samples
+        equal in both keep their arrival order."""
         watermark = self._watermark
-        ready = [s for s in self._buffer if s[0] <= watermark]
-        if not ready:
+        if not any(chunk[2].min() <= watermark for chunk in self._buffer):
             return 0
-        ready.sort(key=lambda s: (s[0], repr(s[1])))
+        oid_col, codes, t, x, y = columns = tuple(
+            map(np.concatenate, zip(*self._buffer))
+        )
+        ready = t <= watermark
+        rows = np.flatnonzero(ready)
+        rows = rows[np.lexsort((self._repr_rank()[codes[rows]], t[rows]))]
         with self.obs.stage("ingest_fold"):
-            snap = self.chain.publish(
-                [s[1] for s in ready],
-                [s[0] for s in ready],
-                [s[2] for s in ready],
-                [s[3] for s in ready],
-            )
+            snap = self.chain.publish(oid_col[rows], t[rows], x[rows], y[rows])
             self._fold_and_swap(snap)
-        self._buffer = [s for s in self._buffer if s[0] > watermark]
-        self.obs.incr("samples_ingested", len(ready))
+        kept = ~ready
+        self._buffer = [tuple(v[kept] for v in columns)] if kept.any() else []
+        self._buffered -= rows.size
+        self.obs.incr("samples_ingested", rows.size)
         self.obs.incr("ingest_flushes")
         if (
             self.config.compact_every
             and len(snap.segments) >= self.config.compact_every
         ):
             self._compact_locked()
-        return len(ready)
+        return int(rows.size)
+
+    def _repr_rank(self) -> np.ndarray:
+        """Each code's dense rank by ``repr(oid)`` (ranked again only
+        after new objects came)."""
+        if self._rank is None:
+            self._rank = np.unique(
+                np.array(self._reprs, dtype=str), return_inverse=True
+            )[1]
+        return self._rank
 
     def _compact_locked(self) -> None:
         if len(self.chain.head.segments) <= 1:
@@ -426,7 +494,7 @@ class StreamingIngestor:
         self.obs.gauge("moft_segments", len(snap.segments))
 
     def _refresh_gauges(self) -> None:
-        self.obs.gauge("samples_buffered", len(self._buffer))
+        self.obs.gauge("samples_buffered", self._buffered)
         lag = (
             self._max_t - self._watermark
             if math.isfinite(self._max_t) and math.isfinite(self._watermark)
@@ -438,7 +506,7 @@ class StreamingIngestor:
         return (
             f"StreamingIngestor({self.chain.name!r}, "
             f"watermark={self._watermark:g}, "
-            f"buffered={len(self._buffer)}, late={len(self._late)}, "
+            f"buffered={self._buffered}, late={len(self._late)}, "
             f"ordinal={self._snapshot.ordinal})"
         )
 

@@ -9,35 +9,47 @@ writer therefore never mutates a published table.  Instead it keeps a
 
 * a :class:`MoftSnapshot` is one published version — an ordered tuple of
   frozen *segments* (the base table plus one delta segment per flush)
-  with a lazily concatenated columnar view (:meth:`MoftSnapshot.table`);
+  and the table they make (:meth:`MoftSnapshot.table`);
 * :class:`VersionedMoft` owns the chain head.  Publishing appends a new
   segment and swaps the head reference atomically under the writer
   lock; readers pin a snapshot by simply holding the reference — there
   is nothing to unpin, the garbage collector retires old versions when
   the last reader drops them.
 
-Two invariants make the chain cheap to maintain downstream:
+Three invariants make the chain cheap to maintain downstream:
 
-**Row-prefix extension.**  Segment order is publication order and
-:meth:`MOFT.concat` preserves row order, so every snapshot's table
-starts with the previous snapshot's rows, in the same positions.  The
-pre-agg maintainer exploits this: a store built against version *k*
-can be cloned, repointed at version *k+1*'s table, and folded forward
-with :meth:`~repro.preagg.PreAggStore.update` — the appended rows are
-exactly ``rows[built:]``.
+**Row-prefix extension.**  Segment order is publication order, so every
+snapshot's table starts with the previous snapshot's rows, in the same
+positions.  The pre-agg maintainer exploits this: a store built against
+version *k* can be cloned, repointed at version *k+1*'s table, and
+folded forward with :meth:`~repro.preagg.PreAggStore.update` — the
+appended rows are exactly ``rows[built:]``.
+
+**One object order.**  The chain interns every object id once, in the
+order the published rows first bring it (the base table's own order
+first).  A delta's codes are looked up there; its ``(code, t)`` sort is
+both its uniqueness check and its segment index, which
+:meth:`~repro.mo.moft.SegmentIndex.extend` merges into the parent's.
+Every snapshot table is handed that index and those codes, so no scan
+and no store fold of a snapshot sorts or walks the rows before it: the
+work of a publish grows with the delta, plus the column copies of the
+new table.
 
 **Compaction preserves the row sequence.**  :meth:`VersionedMoft
-.compact` replaces many segments by their one concatenated table.  The
-resulting snapshot is row-for-row identical to its predecessor (same
-``rows``, same order, new ``ordinal``), so compaction can never change
-a query answer — the differential campaign in ``tests/ingest`` pins
-this.
+.compact` replaces many segments by their one table, index included.
+The resulting snapshot is row-for-row identical to its predecessor
+(same ``rows``, same order, new ``ordinal``), so compaction can never
+change a query answer — the differential campaign in ``tests/ingest``
+pins this.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import IngestError
 from repro.mo.moft import MOFT
@@ -59,55 +71,59 @@ class MoftSnapshot:
         them — every downstream guarantee rests on their immutability.
     """
 
-    __slots__ = ("name", "ordinal", "rows", "segments", "_table", "_lock")
+    __slots__ = ("name", "ordinal", "rows", "segments", "_table")
 
     def __init__(
-        self, name: str, ordinal: int, segments: Sequence[MOFT]
+        self, name: str, ordinal: int, segments: Sequence[MOFT], table: MOFT
     ) -> None:
         self.name = name
         self.ordinal = int(ordinal)
         self.segments: Tuple[MOFT, ...] = tuple(segments)
-        self.rows = sum(len(segment) for segment in self.segments)
-        self._table: Optional[MOFT] = None
-        self._lock = threading.Lock()
+        self.rows = len(table)
+        self._table = table
 
     def table(self) -> MOFT:
-        """The snapshot's columnar view (lazily concatenated, cached).
-
-        Single-segment snapshots (a fresh base, or any post-compaction
-        snapshot) return the segment itself — zero copies.  The result
-        must be treated as immutable.
-        """
-        with self._lock:
-            if self._table is None:
-                if not self.segments:
-                    self._table = MOFT(self.name)
-                elif len(self.segments) == 1:
-                    self._table = self.segments[0]
-                else:
-                    # Segments were validated on construction and cover
-                    # disjoint (oid, t) regions (the ingestor seals each
-                    # sample exactly once), so skip re-validation.
-                    self._table = MOFT.concat(
-                        self.segments, name=self.name, validate=False
-                    )
-            return self._table
+        """The snapshot's table: its segments' rows in publication order,
+        with the segment index the chain merged for it.  A fresh base
+        is its own table.  The result must be treated as immutable."""
+        return self._table
 
     def save(self, path, include_index: bool = True) -> int:
         """Persist this version as one columnar file; returns the bytes.
 
         The snapshot is immutable, so the file is a faithful, replayable
         capture of exactly this version — ``MOFT.load`` brings it back
-        query-ready (mmap, per-object index prefilled) regardless of how
+        query-ready (mmap, segment index installed) regardless of how
         many delta segments the live chain had.
         """
-        return self.table().save(path, include_index=include_index)
+        return self._table.save(path, include_index=include_index)
 
     def __repr__(self) -> str:
         return (
             f"MoftSnapshot({self.name!r}, ordinal={self.ordinal}, "
             f"rows={self.rows}, segments={len(self.segments)})"
         )
+
+
+def _malformed(detail: str) -> IngestError:
+    return IngestError(f"malformed delta segment: {detail}")
+
+
+def intern(
+    known: Dict[Hashable, int], oids: List[Hashable]
+) -> Tuple[np.ndarray, Dict[Hashable, int]]:
+    """The codes of ``oids`` in the intern table ``known``.  Ids it
+    lacks take the next codes, in the order they first appear; they come
+    back as a table of their own, for the caller to add to ``known``
+    once the rows are accepted.  An unhashable id raises ``TypeError``
+    before anything is coded."""
+    codes = np.fromiter(
+        map(known.get, oids, repeat(-1)), dtype=np.intp, count=len(oids)
+    )
+    fresh: Dict[Hashable, int] = {}
+    for row in np.flatnonzero(codes < 0).tolist():
+        codes[row] = fresh.setdefault(oids[row], len(known) + len(fresh))
+    return codes, fresh
 
 
 class VersionedMoft:
@@ -121,10 +137,16 @@ class VersionedMoft:
     def __init__(self, name: str = "FM", base: Optional[MOFT] = None) -> None:
         self.name = name
         self._lock = threading.Lock()
-        segments: Tuple[MOFT, ...] = ()
         if base is not None and len(base):
-            segments = (base,)
-        self._head = MoftSnapshot(name, 0, segments)
+            segments: Tuple[MOFT, ...] = (base,)
+            table = base
+        else:
+            segments, table = (), MOFT(name)
+        oids = table.segment_index().oids.tolist()
+        #: oid -> code: the chain's intern table, its one object order
+        #: (see the module doc).
+        self._intern: Dict[Hashable, int] = dict(zip(oids, range(len(oids))))
+        self._head = MoftSnapshot(name, 0, segments, table)
 
     @property
     def head(self) -> MoftSnapshot:
@@ -136,47 +158,89 @@ class VersionedMoft:
     ) -> MoftSnapshot:
         """Append one delta segment and publish the successor snapshot.
 
-        The segment is validated on construction (equal column lengths,
-        unique ``(oid, t)`` within the segment); cross-segment
-        uniqueness is the caller's contract — the streaming ingestor
-        guarantees it by sealing each accepted sample exactly once.
-        Raises :class:`~repro.errors.IngestError` on an empty or
-        malformed segment.
+        The segment is validated (equal column lengths, numbers, unique
+        ``(oid, t)`` within the segment); cross-segment uniqueness is
+        the caller's contract — the streaming ingestor guarantees it by
+        sealing each accepted sample exactly once.  The new table's
+        segment index is the parent's extended by the delta's
+        (:meth:`~repro.mo.moft.SegmentIndex.extend`).  Raises
+        :class:`~repro.errors.IngestError` on an empty or malformed
+        segment, leaving the head and the object order as they were.
         """
-        if not len(ts):
+        n = len(ts)
+        if not n:
             raise IngestError("refusing to publish an empty delta segment")
-        try:
-            segment = MOFT.from_columns(
-                oids, ts, xs, ys, name=self.name, validate=True
+        if not (len(oids) == n == len(xs) == len(ys)):
+            raise _malformed(
+                f"column lengths differ: oids={len(oids)}, ts={n}, "
+                f"xs={len(xs)}, ys={len(ys)}"
             )
-        except Exception as exc:
-            raise IngestError(f"malformed delta segment: {exc}") from exc
+        try:
+            t, x, y = (np.asarray(v, dtype=float) for v in (ts, xs, ys))
+        except (TypeError, ValueError) as exc:
+            raise _malformed(str(exc)) from exc
+        if not t.shape == x.shape == y.shape == (n,):
+            raise _malformed("columns must be flat sequences of numbers")
+        oid_col = np.fromiter(oids, dtype=object, count=n)
         with self._lock:
             head = self._head
+            parent = head.table()
+            try:
+                codes, fresh = intern(self._intern, oid_col.tolist())
+            except TypeError as exc:
+                raise _malformed(str(exc)) from exc
+            order = np.lexsort((t, codes))
+            same = np.flatnonzero(
+                (codes[order[1:]] == codes[order[:-1]])
+                & (t[order[1:]] == t[order[:-1]])
+            )
+            if same.size:
+                row = order[same[0]]
+                raise _malformed(
+                    f"object {oid_col[row]!r} already has a sample at "
+                    f"t={t[row]} (an object is at one point at a given "
+                    f"instant)"
+                )
+            index = parent.segment_index()
+            if fresh:
+                new_oids = np.fromiter(fresh, dtype=object, count=len(fresh))
+                all_oids = np.concatenate((index.oids, new_oids))
+            else:
+                all_oids = index.oids
+            p_t, p_x, p_y = parent.as_arrays()
+            t_all = np.concatenate((p_t, t))
+            table = MOFT.from_columns(
+                np.concatenate((parent.oid_column(), oid_col)),
+                t_all, np.concatenate((p_x, x)), np.concatenate((p_y, y)),
+                name=self.name, validate=False,
+                index=index.extend(all_oids, t_all, codes, order),
+                codes=np.concatenate((parent.object_codes(), codes)),
+            )
+            self._intern.update(fresh)
+            segment = MOFT.from_columns(
+                oid_col, t, x, y, name=self.name, validate=False
+            )
             self._head = MoftSnapshot(
-                self.name, head.ordinal + 1, head.segments + (segment,)
+                self.name, head.ordinal + 1, head.segments + (segment,), table
             )
             return self._head
 
     def compact(self) -> MoftSnapshot:
-        """Collapse the head's segments into one columnar base table.
+        """Collapse the head's segments into its one table.
 
         Publishes a snapshot that is row-for-row identical to the
-        current head but holds a single segment, so later
-        :meth:`MoftSnapshot.table` calls on its successors concatenate
-        one long base plus a few short deltas instead of the full flush
-        history.  A no-op (returning the unchanged head) when the head
-        already has at most one segment.
+        current head — the same table, index and codes included — but
+        holds a single segment.  A no-op (returning the unchanged head)
+        when the head already has at most one segment.
         """
         with self._lock:
             head = self._head
             if len(head.segments) <= 1:
                 return head
             table = head.table()
-            compacted = MoftSnapshot(self.name, head.ordinal + 1, (table,))
-            # Reuse the already-materialized view rather than re-concat.
-            compacted._table = table
-            self._head = compacted
+            self._head = MoftSnapshot(
+                self.name, head.ordinal + 1, (table,), table
+            )
             return self._head
 
     def __repr__(self) -> str:

@@ -13,13 +13,13 @@ construction and restriction operate on whole columns:
 * :meth:`filter`, :meth:`restrict_instants` and :meth:`restrict_objects`
   produce restricted tables by boolean-mask slicing (:meth:`mask_rows`) —
   no per-row revalidation, no per-row appends;
-* per-object access (:meth:`history`, :meth:`position`,
-  :meth:`trajectory_sample`) goes through a cached time-sorted row index,
-  so a point lookup is a binary search rather than a sort-per-call;
 * whole-table trajectory scans go through the **segment table**
   (:meth:`segment_index`, :meth:`segments`): every object's
   consecutive-sample segments as flat arrays in (object, time) order, so
-  a scan hands the batch kernels all objects at once.
+  a scan hands the batch kernels all objects at once;
+* per-object access (:meth:`history`, :meth:`position`,
+  :meth:`trajectory_sample`) reads the object's run of that same index,
+  so a point lookup is a binary search rather than a sort-per-call.
 
 Storage is dual: append-friendly Python row lists and the cached column
 arrays, each materialized lazily from the other.  ``add()`` works on the
@@ -76,11 +76,50 @@ class SegmentIndex(NamedTuple):
     perm: np.ndarray
     offsets: np.ndarray
 
-    def per_row(self, values: np.ndarray) -> np.ndarray:
-        """Spread one value per object over the object's rows."""
-        out = np.empty(self.perm.shape[0], dtype=values.dtype)
-        out[self.perm] = np.repeat(values, np.diff(self.offsets))
-        return out
+    def extend(
+        self,
+        oids: np.ndarray,
+        t: np.ndarray,
+        codes: np.ndarray,
+        order: np.ndarray,
+    ) -> "SegmentIndex":
+        """The index of this table's rows plus appended ones.
+
+        ``oids`` interns the objects after the append (this index's
+        ``oids`` are its prefix), ``t`` is the whole time column,
+        ``codes`` the appended rows' positions in ``oids`` and ``order``
+        those rows sorted by ``(code, t)``.  No old row is sorted again:
+        each object's old rows keep their order at the object's new
+        place and its appended rows follow them.  Only an object whose
+        appended rows do not all come after its old ones in time has its
+        rows sorted anew, so the result equals the from-scratch index
+        whatever the append.
+        """
+        n, k, m = self.perm.shape[0], self.oids.shape[0], oids.shape[0]
+        old = np.zeros(m, dtype=np.intp)
+        old[:k] = np.diff(self.offsets)
+        new = np.bincount(codes, minlength=m)
+        offsets = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(old + new, out=offsets[1:])
+        perm = np.empty(n + codes.shape[0], dtype=np.intp)
+        shift = offsets[:k] - self.offsets[:-1]
+        perm[np.arange(n) + np.repeat(shift, old[:k])] = self.perm
+        first = np.cumsum(new) - new  # each object's first place in order
+        sorted_codes = codes[order]
+        at = np.arange(order.shape[0]) - first[sorted_codes]
+        perm[offsets[sorted_codes] + old[sorted_codes] + at] = n + order
+        both = np.flatnonzero((old > 0) & (new > 0))
+        back = both[
+            t[n + order[first[both]]] <= t[self.perm[self.offsets[both + 1] - 1]]
+        ]
+        if back.size:
+            lo, span = offsets[back], offsets[back + 1] - offsets[back]
+            where = np.repeat(lo - np.cumsum(span) + span, span)
+            where += np.arange(where.shape[0])
+            rows = perm[where]
+            group = np.repeat(np.arange(back.size), span)
+            perm[where] = rows[np.lexsort((t[rows], group))]
+        return SegmentIndex(oids, perm, offsets)
 
 
 class SegmentBatch:
@@ -198,13 +237,15 @@ class MOFT:
         # Cached columnar views (authoritative while the lists are None).
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._oid_col: Optional[np.ndarray] = None
-        # oid -> (times sorted ascending, row indices in that order).
-        self._order: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
         # All rows in (object, time) order; dropped on append.  A
         # ``mask_rows`` child starts with its parent's index and its
         # mask instead, and filters the one by the other on first use.
         self._segments: Optional[SegmentIndex] = None
         self._inherited: Optional[Tuple[SegmentIndex, np.ndarray]] = None
+        # Each row's position in the index's ``oids``, and the reverse
+        # map of ``oids``: both derived from the index, dropped with it.
+        self._codes: Optional[np.ndarray] = None
+        self._code_of: Optional[Dict[Hashable, int]] = None
         # Mutation counter: rows are append-only, so ``(version, n)``
         # snapshots let derived structures (the pre-aggregation store)
         # detect staleness and read ``rows[snapshot_n:]`` as the delta.
@@ -213,7 +254,14 @@ class MOFT:
     def __getstate__(self) -> dict:
         # The segment index is rebuilt on demand: pickles (process
         # shards, stored stores) carry the columns, not the cache.
-        return {**self.__dict__, "_segments": None, "_inherited": None}
+        return {**self.__dict__, **dict.fromkeys(self._INDEX_STATE)}
+
+    #: What is derived from the segment index (dropped on append).
+    _INDEX_STATE = ("_segments", "_inherited", "_codes", "_code_of")
+
+    def _drop_index(self) -> None:
+        for name in self._INDEX_STATE:
+            setattr(self, name, None)
 
     @property
     def version(self) -> int:
@@ -226,7 +274,7 @@ class MOFT:
     def __repr__(self) -> str:
         return (
             f"MOFT({self.name!r}, samples={len(self)}, "
-            f"objects={len(self._object_rows())})"
+            f"objects={len(self.segment_index().oids)})"
         )
 
     # -- storage duality -------------------------------------------------------
@@ -268,8 +316,7 @@ class MOFT:
             self._by_object.setdefault(oid, []).append(index)
         self._arrays = None
         self._oid_col = None
-        self._order.pop(oid, None)
-        self._segments = self._inherited = None
+        self._drop_index()
 
     def add_many(
         self, samples: Iterable[Tuple[Hashable, float, float, float]]
@@ -287,6 +334,8 @@ class MOFT:
         ys: Sequence[float],
         name: str = "FM",
         validate: bool = True,
+        index: Optional[SegmentIndex] = None,
+        codes: Optional[np.ndarray] = None,
     ) -> "MOFT":
         """Bulk-construct a table from whole columns.
 
@@ -298,6 +347,11 @@ class MOFT:
             Check the ``(oid, t)`` uniqueness invariant.  Pass ``False``
             only when the columns provably satisfy it already — e.g. when
             mask-slicing an existing valid table.
+        index, codes:
+            The columns' :meth:`segment_index` and :meth:`object_codes`,
+            when the caller already knows them (a snapshot extending its
+            parent's, :mod:`repro.ingest.versioned`): installed as they
+            are, so no scan of the table sorts or walks its rows.
         """
         t_col = np.asarray(ts, dtype=float)
         x_col = np.asarray(xs, dtype=float)
@@ -318,6 +372,7 @@ class MOFT:
         moft._arrays = (t_col, x_col, y_col)
         moft._oid_col = oid_col
         moft._by_object = None
+        moft._segments, moft._codes = index, codes
         if validate:
             seen = set(zip(oid_col.tolist(), t_col.tolist()))
             if len(seen) != n:
@@ -404,9 +459,7 @@ class MOFT:
         if self._by_object is not None:
             for offset, oid in enumerate(oid_new.tolist()):
                 self._by_object.setdefault(oid, []).append(first_new + offset)
-        for oid in set(oid_new.tolist()):
-            self._order.pop(oid, None)
-        self._segments = self._inherited = None
+        self._drop_index()
         return first_new
 
     # -- columnar persistence ----------------------------------------------------
@@ -429,8 +482,8 @@ class MOFT:
         """Load a columnar file written by :meth:`save`.
 
         With ``mmap=True`` (default) the columns are zero-copy views
-        over the mapped file and the stored per-object index pre-fills
-        the sorted-order cache.  Raises
+        over the mapped file and the stored per-object index is the
+        table's :meth:`segment_index`.  Raises
         :class:`~repro.errors.MoftStorageError` on truncated or corrupt
         files — never a raw numpy/struct traceback.
         """
@@ -454,11 +507,7 @@ class MOFT:
 
     def objects(self) -> Set[Hashable]:
         """All distinct object identifiers."""
-        if self._by_object is None and (
-            self._segments is not None or self._inherited is not None
-        ):
-            return set(self.segment_index().oids.tolist())
-        return set(self._object_rows())
+        return set(self.segment_index().oids.tolist())
 
     def instants(self) -> Set[float]:
         """All distinct sampling instants."""
@@ -469,7 +518,11 @@ class MOFT:
 
     def sample_count(self, oid: Hashable) -> int:
         """Number of samples of one object (0 for unknown objects)."""
-        return len(self._object_rows().get(oid, ()))
+        code = self._object_code(oid)
+        if code is None:
+            return 0
+        offsets = self.segment_index().offsets
+        return int(offsets[code + 1] - offsets[code])
 
     # -- columnar access --------------------------------------------------------------
 
@@ -499,11 +552,14 @@ class MOFT:
     def object_mask(self, oid: Hashable) -> np.ndarray:
         """Boolean mask over rows selecting one object's samples."""
         mask = np.zeros(self._n, dtype=bool)
-        mask[self._object_rows().get(oid, [])] = True
+        if self._object_code(oid) is not None:
+            mask[self._object_order(oid)[1]] = True
         return mask
 
     def _object_rows(self) -> Dict[Hashable, List[int]]:
-        """``oid -> row indices`` in insertion order (built lazily)."""
+        """``oid -> row indices`` in insertion order (built lazily): what
+        a table that was handed no index builds its :meth:`segment_index`
+        from."""
         if self._by_object is None:
             oids = self._oids if self._oids is not None else self.oid_column()
             by_object: Dict[Hashable, List[int]] = {}
@@ -518,28 +574,33 @@ class MOFT:
 
     # -- per-object histories ------------------------------------------------------------
 
+    def _object_code(self, oid: Hashable) -> Optional[int]:
+        """``oid``'s position in :meth:`segment_index` ``.oids`` (None:
+        the table has no sample of it)."""
+        code_of = self._code_of
+        if code_of is None:
+            oids = self.segment_index().oids.tolist()
+            code_of = self._code_of = dict(zip(oids, range(len(oids))))
+        return code_of.get(oid)
+
     def _object_order(self, oid: Hashable) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(sorted times, row indices sorted by time)`` of one object."""
-        cached = self._order.get(oid)
-        if cached is not None:
-            return cached
-        indices = self._object_rows().get(oid)
-        if not indices:
+        """``(sorted times, row indices sorted by time)`` of one object:
+        its run of the segment index."""
+        code = self._object_code(oid)
+        if code is None:
             raise TrajectoryError(f"no samples for object {oid!r}")
-        rows = np.asarray(indices, dtype=np.intp)
+        _, perm, offsets = self.segment_index()
+        rows = perm[offsets[code]:offsets[code + 1]]
         t, _, _ = self.as_arrays()
-        times = t[rows]
-        order = np.argsort(times, kind="stable")
-        entry = (times[order], rows[order])
-        self._order[oid] = entry
-        return entry
+        return t[rows], rows
 
     # -- the segment table ----------------------------------------------------------------
 
     def segment_index(self) -> SegmentIndex:
         """The rows in (object, time) order (cached until the next append).
 
-        Mmap-loaded tables get it from the file's CSR index and
+        Mmap-loaded tables get it from the file's CSR index, snapshot
+        tables from their parent's (:meth:`SegmentIndex.extend`) and
         :meth:`mask_rows` children filter their parent's (on first use);
         anything else pays one ``lexsort``.  Objects come in first-appearance
         order (a child keeps its parent's), each object's rows in the
@@ -573,12 +634,29 @@ class MOFT:
             group = np.repeat(np.arange(counts.size), counts)
             offsets = np.zeros(counts.size + 1, dtype=np.intp)
             np.cumsum(counts, out=offsets[1:])
+            codes = np.empty(self._n, dtype=np.intp)
+            codes[rows] = group
+            self._codes = codes
             self._segments = SegmentIndex(
                 np.fromiter(by_object, dtype=object, count=counts.size),
                 rows[np.lexsort((t[rows], group))],
                 offsets,
             )
         return self._segments
+
+    def object_codes(self) -> np.ndarray:
+        """Each row's object as its position in :meth:`segment_index`
+        ``.oids`` (cached with the index): what scans and store folds key
+        objects by."""
+        _, perm, offsets = self.segment_index()
+        codes = self._codes
+        if codes is None:
+            codes = np.empty(perm.shape[0], dtype=np.intp)
+            codes[perm] = np.repeat(
+                np.arange(offsets.shape[0] - 1), np.diff(offsets)
+            )
+            self._codes = codes
+        return codes
 
     def segments(self) -> Iterator[SegmentBatch]:
         """Every consecutive-sample segment, in batches of whole objects.
@@ -692,7 +770,7 @@ class MOFT:
             (oid in wanted for oid in index.oids.tolist()),
             dtype=bool, count=index.oids.shape[0],
         )
-        return self.mask_rows(index.per_row(keep))
+        return self.mask_rows(keep[self.object_codes()])
 
     # -- partitioning ----------------------------------------------------------------
 
@@ -725,7 +803,7 @@ class MOFT:
             shard = min(range(n), key=lambda s: (loads[s], s))
             loads[shard] += counts[i]
             shard_of[i] = shard
-        row_shard = index.per_row(shard_of)
+        row_shard = shard_of[self.object_codes()]
         return [self.mask_rows(row_shard == shard) for shard in range(n)]
 
     @classmethod

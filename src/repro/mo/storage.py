@@ -31,11 +31,11 @@ the per-object time-sorted row index as raw little-endian array blobs
   ========================  ========  =====================================
 
 Loading installs zero-copy views: the ``(t, x, y)`` columns become
-``np.frombuffer`` views over the mapped file and the CSR index pre-fills
-the table's per-object sorted-order cache (:attr:`MOFT._order`) and its
-segment table (:meth:`MOFT.segment_index`), so ``history``/``position``/
-``trajectory_sample`` skip their argsort and whole-table scans skip
-their ``lexsort``.  The same image layout doubles as the wire format of the
+``np.frombuffer`` views over the mapped file and the CSR index and the
+``oid_codes`` column become the table's segment table
+(:meth:`MOFT.segment_index`, :meth:`MOFT.object_codes`), so
+``history``/``position``/``trajectory_sample`` and whole-table scans
+skip their ``lexsort``.  The same image layout doubles as the wire format of the
 zero-copy process shards (:mod:`repro.parallel.shm`): a shared-memory
 block holds one index-less image and shard descriptors address row
 ranges ``[start, stop)`` inside it.
@@ -163,8 +163,8 @@ def serialize_columns(
         if n:
             # Primary key: object code; secondary: time; tertiary: row
             # index.  (oid, t) uniqueness makes per-object times distinct,
-            # so each CSR group is exactly the stable time argsort the
-            # MOFT's _object_order cache would compute.
+            # so each CSR group is exactly the object's run of the
+            # table's own segment index (MOFT.segment_index).
             t64 = np.ascontiguousarray(t, dtype=np.float64)
             order = np.lexsort((np.arange(n), t64, codes))
             counts = np.bincount(codes, minlength=len(values))
@@ -518,8 +518,8 @@ def table_from_image(
 
     ``start``/``stop`` select a row range — the shard-descriptor path of
     :mod:`repro.parallel.shm`.  A full-range load of an indexed image
-    also pre-fills the table's per-object sorted-order cache with views
-    over the CSR index, so per-object access needs no argsort.
+    also installs the CSR index as the table's segment index, so neither
+    per-object access nor a scan sorts.
     """
     lo = 0 if start is None else int(start)
     hi = image.rows if stop is None else int(stop)
@@ -542,20 +542,12 @@ def table_from_image(
         validate=False,
     )
     full = lo == 0 and hi == image.rows
-    if full and image.has_index and image.rows:
-        offsets = image.index_offsets
-        for code, oid in enumerate(image.oid_values):
-            o0, o1 = int(offsets[code]), int(offsets[code + 1])
-            if o1 > o0:
-                moft._order[oid] = (
-                    image.index_times[o0:o1],
-                    image.index_rows[o0:o1],
-                )
-        # The CSR index *is* the segment table's (object, time) order.
-        if bool(np.all(offsets[1:] > offsets[:-1])):
-            moft._segments = SegmentIndex(
-                values, image.index_rows, offsets
-            )
+    offsets = image.index_offsets
+    # The CSR index *is* the segment table's (object, time) order, and
+    # the codes its objects' positions, when every object has a row.
+    if full and image.has_index and bool(np.all(offsets[1:] > offsets[:-1])):
+        moft._segments = SegmentIndex(values, image.index_rows, offsets)
+        moft._codes = image.oid_codes
     return moft
 
 

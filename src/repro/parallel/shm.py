@@ -280,17 +280,21 @@ def open_shard(shard: "MOFT | ShardDescriptor") -> MOFT:
 
 
 def leaked_segments() -> List[str]:
-    """Names of ``repro-zc-*`` segments currently present in /dev/shm.
+    """Names of this process's shard blocks currently in /dev/shm.
 
     Test/diagnostic helper: after every fan-out (chaotic or not) this
-    must be empty.  Returns an empty list on platforms without a
-    /dev/shm to inspect.
+    must be empty.  Only ``repro-zc-<this pid>-*`` names count — the
+    names :meth:`ShardImage.publish` gives — so another process's
+    blocks (a second test run beside this one) are none of its
+    business.  Returns an empty list on platforms without a /dev/shm
+    to inspect.
     """
     try:
         entries = os.listdir("/dev/shm")
     except OSError:
         return []
-    return sorted(e for e in entries if e.startswith(BLOCK_PREFIX))
+    mine = f"{BLOCK_PREFIX}{os.getpid()}-"
+    return sorted(e for e in entries if e.startswith(mine))
 
 
 __all__ = [

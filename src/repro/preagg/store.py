@@ -157,12 +157,14 @@ _NO_SPANS = _NO_ROWS[:3] + _NO_ROWS[2:]
 class _Fold:
     """A table being made: rows and spanning records as array chunks.
 
-    ``rows`` opens with rows already summed per (cell, object) — a
-    table's, or none — and every hit after that is staged as a
-    ``(cell, oid, samples, dwell)`` chunk.  :meth:`summed` adds them up
-    with ``np.bincount``, which adds in input order: the summed rows
-    first, then the hits in the (object, time) order the passes stage
-    them in.  A row's dwell is therefore the same left-to-right sum
+    ``rows`` opens with rows already summed per (cell, object) and
+    sorted by that — a table's, or none — and every hit after that is
+    staged as a ``(cell, oid, samples, dwell)`` chunk.  :meth:`summed`
+    sorts only the staged hits, adds each (cell, object)'s up with
+    ``np.bincount`` after the row it already has (``bincount`` adds in
+    input order: the row first, then the hits in the (object, time)
+    order the passes stage them in) and merges the result into the
+    sorted rows.  A row's dwell is therefore the same left-to-right sum
     wherever the sums fall, and they fall whenever more than one
     segment batch of hits is staged: what a fold holds beside its table
     is bounded by the batch, not by the rows it reads.
@@ -184,14 +186,39 @@ class _Fold:
         """The staged rows, one per (cell, object), sorted by that."""
         if len(self.rows) == 1:
             return self.rows[0]
-        cell, oid, samples, dwell = map(np.concatenate, zip(*self.rows))
+        (cell, oid, samples, dwell), *staged = self.rows
         width = max(len(self.oids), 1)
-        keys, row = np.unique(cell * width + oid, return_inverse=True)
-        return (
-            keys // width, (keys % width).astype(OID_DTYPE),
-            np.bincount(row, weights=samples).astype(np.int64),
-            np.bincount(row, weights=dwell),
+        have = cell * width + oid
+        keys, row = np.unique(
+            np.concatenate([c * width + o for c, o, _, _ in staged]),
+            return_inverse=True,
         )
+        at = np.searchsorted(have, keys)
+        found = at < have.size
+        found[found] = have[at[found]] == keys[found]
+        # Each key's row in the merged table: after the rows below it
+        # and the new keys below it.
+        fresh = ~found
+        place = at + np.cumsum(fresh) - fresh
+        added = np.zeros(have.size + np.count_nonzero(fresh), dtype=bool)
+        added[place[fresh]] = True
+        # A key's sums start from the row it has (or from nothing).
+        group = np.concatenate((np.arange(keys.size), row))
+        sums = []
+        for part, column in ((2, samples), (3, dwell)):
+            start = np.zeros(keys.size)
+            start[found] = column[at[found]]
+            weights = [start] + [chunk[part] for chunk in staged]
+            sums.append(np.bincount(group, weights=np.concatenate(weights)))
+        out = []
+        for column, value in zip(
+            (cell, oid, samples, dwell), (keys // width, keys % width, *sums)
+        ):
+            merged = np.empty(added.size, dtype=column.dtype)
+            merged[~added] = column
+            merged[place] = value
+            out.append(merged)
+        return tuple(out)
 
     def table(self, n_gids: int, n_granules: int) -> CellTable:
         cell, oid, samples, dwell = rows = self.summed()
@@ -294,9 +321,7 @@ class PreAggStore(GranuleStore):
             tuple(index.oids.tolist()),
             np.column_stack((t[final], x[final], y[final])),
         )
-        self._fold_samples(
-            fold, index.per_row(np.arange(len(fold.oids))), granule, x, y
-        )
+        self._fold_samples(fold, moft.object_codes(), granule, x, y)
         for batch in moft.segments():
             self._fold_segments(fold, batch.obj, batch)
         self._bind(fold)
@@ -402,27 +427,37 @@ class PreAggStore(GranuleStore):
                     self._refold_object(fold, fold.oids[code], code)
                 self._bind(fold)
 
+    def _codes_align(self) -> bool:
+        """Whether the table's object order extends this store's: the
+        objects the cells hold are the first of the table's
+        :meth:`~repro.mo.moft.MOFT.segment_index`, in that order, so a
+        fold reads the appended rows' codes off the table."""
+        held = self._table.oids
+        oids = self.moft.segment_index().oids
+        return tuple(oids[:len(held)].tolist()) == held
+
     def _fold_delta(self, start: int) -> Tuple[_Fold, List[int]]:
         """Fold rows ``start:`` of objects appended in time order.
 
         Samples and segments (each object's connecting segment from its
         last folded sample, then its in-delta segments) are staged
         beside the table's rows through the batched passes of the build.
-        Returns the fold and the codes of the objects whose append was
-        *not* in time order — their rows and spanning records dropped
-        from it, nothing of them staged — for the caller to refold.
+        The table's :meth:`~repro.mo.moft.MOFT.object_codes` are the
+        store's (:meth:`_codes_align`): an object the delta brings is
+        the next one of the table's order.  Returns the fold and the
+        codes of the objects whose append was *not* in time order —
+        their rows and spanning records dropped from it, nothing of them
+        staged — for the caller to refold.
         """
-        table = self._table
-        t, x, y = (column[start:] for column in self.moft.as_arrays())
+        table, moft = self._table, self.moft
+        t, x, y = (column[start:] for column in moft.as_arrays())
         granule = self._granule_codes_checked(t)
-        codes = {oid: code for code, oid in enumerate(table.oids)}
-        code = np.array([
-            codes.setdefault(oid, len(codes))
-            for oid in self.moft.oid_column()[start:].tolist()
-        ])
+        code = moft.object_codes()[start:]
+        held = len(table.oids)
+        oids = table.oids + tuple(moft.segment_index().oids[held:].tolist())
         # (NaN: an object met in this delta has no last sample yet.)
-        last = np.full((len(codes), 3), np.nan)
-        last[:len(table.oids)] = table.last
+        last = np.full((len(oids), 3), np.nan)
+        last[:held] = table.last
         # Delta rows object by object, each object's ascending in time.
         order = np.lexsort((t, code))
         t, x, y, granule, code = (v[order] for v in (t, x, y, granule, code))
@@ -435,10 +470,10 @@ class PreAggStore(GranuleStore):
         # Out-of-order append: the connecting segments already folded
         # in would change.  Those objects are left for the caller to
         # refold whole; every other takes the batched delta.
-        late = np.zeros(len(codes), dtype=bool)
+        late = np.zeros(len(oids), dtype=bool)
         late[code[head[t[head] <= prev_t[head]]]] = True
         fold = _Fold(
-            tuple(codes), last,
+            oids, last,
             tuple(column[~late[table.oid]] for column in table[_ROWS]),
             tuple(column[~late[table.span_oid]] for column in table[_SPANS]),
         )
@@ -600,7 +635,7 @@ class PreAggStore(GranuleStore):
         index = self.moft.segment_index()
         # Per object: has it a sample in a sliver?  Spread over its rows.
         touched = np.logical_or.reduceat(sliver[index.perm], index.offsets[:-1])
-        return index.per_row(touched) & window
+        return touched[self.moft.object_codes()] & window
 
     def window_dwell(
         self, ids: Iterable[Hashable], start: float, end: float
@@ -704,19 +739,31 @@ class PreAggStore(GranuleStore):
     # -- shard merge ----------------------------------------------------------
 
     def _absorb(self, store: "PreAggStore") -> None:
-        """The shard's rows and spanning records join this table under
-        oid codes shifted past its own (:meth:`merge` has checked that
-        the two hold no object in common)."""
+        """The shard's rows and spanning records join this table, its
+        objects coded by their place in the merged table's
+        :meth:`~repro.mo.moft.MOFT.segment_index` — the order a build
+        over that table gives them, which later folds read codes in
+        (:meth:`merge` has checked that the two hold no object in
+        common)."""
         mine, theirs = self._table, store._table
-        shift = OID_DTYPE(len(mine.oids))
-        fold = _Fold(
-            mine.oids + theirs.oids, np.concatenate((mine.last, theirs.last)),
-            mine[_ROWS], mine[_SPANS],
-        )
+        codes = [self.moft._object_code(oid) for oid in theirs.oids]
+        if None in codes:
+            raise PreAggError(
+                f"shard object {theirs.oids[codes.index(None)]!r} is not "
+                f"in the merged table {self.moft.name!r}"
+            )
+        recode = np.array(codes, dtype=OID_DTYPE)
+        held = max(len(mine.oids), int(np.max(recode + 1, initial=0)))
+        # (NaN: an object no shard has brought yet.)
+        last = np.full((held, 3), np.nan)
+        last[:len(mine.oids)] = mine.last
+        last[recode] = theirs.last
+        oids = self.moft.segment_index().oids[:held]
+        fold = _Fold(tuple(oids.tolist()), last, mine[_ROWS], mine[_SPANS])
         cell, oid, samples, dwell = theirs[_ROWS]
-        fold.stage(cell, oid + shift, samples, dwell)
+        fold.stage(cell, recode[oid], samples, dwell)
         gid, oid, a, b, dwell = theirs[_SPANS]
-        fold.spans.append((gid, oid + shift, a, b, dwell))
+        fold.spans.append((gid, recode[oid], a, b, dwell))
         self._bind(fold)
 
     def __repr__(self) -> str:

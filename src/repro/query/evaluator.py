@@ -226,14 +226,13 @@ class TrajectoryIntersectionCounter:
         Tables under ``BATCH_MIN_ROWS`` rows walk the objects the sample
         prefilter left instead, which is cheaper than the kernel calls.
         """
-        index = moft.segment_index()
-        oids, perm, offsets = index
+        oids, perm, offsets = moft.segment_index()
         _, x, y = moft.as_arrays()
         hit = np.zeros(oids.shape[0], dtype=bool)
         polygons = kernels.PolygonPass.of(self.geometries, self._index)
         if self.vectorized_prefilter:
             # A sampled point inside a polygon proves the hit.
-            owner = index.per_row(np.arange(hit.shape[0]))
+            owner = moft.object_codes()
             for _, rows in points_inside(polygons, x, y):
                 hit[owner[rows]] = True
             stats.incr("vectorized_accepts", int(hit.sum()))

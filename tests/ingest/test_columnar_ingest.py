@@ -1,0 +1,279 @@
+"""The columnar ingest path: atomic batch checks and snapshots that extend.
+
+Two statements:
+
+* a malformed batch — ragged, non-numeric, non-finite or with an
+  unhashable id — raises :class:`~repro.errors.IngestError` before any
+  sample is routed: counters, buffer and late channel are as they were,
+  and the corrected batch then goes through as if the bad one had never
+  been sent;
+* every published snapshot's table carries the segment index (and the
+  object codes) a from-scratch build of its columns would give, each
+  sealed delta is the buffered samples the watermark passed in
+  ``(t, repr(oid))`` order, and no submit, close or snapshot scan ever
+  walks the rows (``MOFT._object_rows``) — quantified over disorder,
+  allowed lateness, compaction cadence, a memory-mapped base table and
+  object ids whose value order is not their ``repr`` order.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import tempfile
+from contextlib import contextmanager
+from datetime import datetime
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import IngestError
+from repro.gis import POLYGON
+from repro.ingest import IngestConfig, StoreSpec, StreamingIngestor
+from repro.mo.moft import MOFT
+from repro.synth import CityConfig, build_city
+from repro.temporal.calendar import hourly
+from repro.temporal.timedim import TimeDimension
+
+from tests.ingest.conftest import count_payload
+
+pytestmark = pytest.mark.ingest
+
+
+def counters(ingestor: StreamingIngestor) -> dict:
+    names = ("ingest_batches", "samples_submitted", "samples_late")
+    return {name: ingestor.obs.count(name) for name in names}
+
+
+class TestAtomicRejection:
+    """Nothing of a bad batch is routed; the corrected one goes through."""
+
+    def ingestor(self, fig1_stream) -> StreamingIngestor:
+        return StreamingIngestor(
+            fig1_stream.gis, fig1_stream.time,
+            config=IngestConfig(allowed_lateness=1.0),
+        )
+
+    @pytest.mark.parametrize(
+        "oids, ts",
+        [
+            (["A", "B", "C"], [100.0, 101.0, math.nan]),
+            (["A", "B", "C"], [100.0, 101.0, math.inf]),
+            (["A", "B", "C"], [100.0, 101.0, "noon"]),
+            (["A", "B", "C"], [100.0, 101.0, None]),
+            (["A", "B", ["C"]], [100.0, 101.0, 102.0]),
+            (["A", "B", "C"], [100.0, 101.0, [102.0, 103.0]]),
+        ],
+        ids=["nan", "inf", "text", "none", "unhashable", "nested"],
+    )
+    def test_bad_batch_routes_nothing(self, fig1_stream, oids, ts):
+        ingestor = self.ingestor(fig1_stream)
+        before = counters(ingestor)
+        with pytest.raises(IngestError):
+            ingestor.submit(oids, ts, [0.0] * 3, [0.0] * 3)
+        assert counters(ingestor) == before
+        assert ingestor.late_samples() == ()
+        assert repr(ingestor).count("buffered=0")
+        # The corrected retry is accepted whole and seals cleanly.
+        report = ingestor.submit(
+            ["A", "B", "C"], [100.0, 101.0, 102.0], [0.0] * 3, [0.0] * 3
+        )
+        assert (report.submitted, report.late) == (3, 0)
+        assert report.ingested + report.buffered == 3
+        final = ingestor.close()
+        assert final.rows == 3
+        assert ingestor.obs.count("samples_submitted") == 3
+
+    def test_ragged_batch_routes_nothing(self, fig1_stream):
+        ingestor = self.ingestor(fig1_stream)
+        with pytest.raises(IngestError, match="ragged"):
+            ingestor.submit(["A", "B"], [1.0], [0.0, 0.0], [0.0, 0.0])
+        assert counters(ingestor) == counters(self.ingestor(fig1_stream))
+
+    def test_late_channel_untouched_by_a_bad_batch(self, fig1_stream):
+        """A bad batch whose first sample is late adds nothing to the
+        side channel: the check comes before the late mask."""
+        ingestor = self.ingestor(fig1_stream)
+        ingestor.submit(["A", "B"], [10.0, 20.0], [0.0, 0.0], [0.0, 0.0])
+        before = counters(ingestor)
+        with pytest.raises(IngestError, match="non-finite"):
+            ingestor.submit(
+                ["C", "D"], [1.0, math.nan], [0.0, 0.0], [0.0, 0.0]
+            )
+        assert counters(ingestor) == before
+        assert ingestor.late_samples() == ()
+        report = ingestor.submit(["C"], [1.0], [0.0], [0.0])
+        assert report.late == 1
+        assert ingestor.late_samples() == (("C", 1.0, 0.0, 0.0),)
+
+
+# -- the snapshot property ----------------------------------------------------
+
+#: Ids whose value order is not their ``repr`` order (9 < 10 but
+#: "10" < "9"), str and int mixed, and tuples (which a columnar file
+#: cannot hold, so only the stream brings them).
+OIDS = (9, 10, "9", "a", "B", 100, (1, 2), (1, "x"), (0,))
+
+
+@st.composite
+def schedules(draw, n_instants: int):
+    oids = draw(st.lists(
+        st.sampled_from(OIDS), min_size=1, max_size=6, unique=True
+    ))
+    samples = []
+    for oid in oids:
+        instants = draw(st.lists(
+            st.integers(0, n_instants - 1), min_size=1, max_size=6,
+            unique=True,
+        ))
+        for t in instants:
+            samples.append((oid, float(t)))
+    plain = [s for s in samples if not isinstance(s[0], tuple)]
+    base = draw(st.integers(0, len(plain))) if plain else 0
+    return {
+        "samples": samples,
+        "base": plain[:base],
+        "seed": draw(st.integers(0, 2**16)),
+        "batch": draw(st.integers(1, 6)),
+        "lateness": draw(st.sampled_from([0.0, 1.0, 3.0, 100.0])),
+        "compact_every": draw(st.sampled_from([0, 1, 8])),
+    }
+
+
+@contextmanager
+def object_rows_spy():
+    """Count :meth:`MOFT._object_rows` calls while the block runs."""
+    calls = []
+    original = MOFT._object_rows
+
+    def spy(self):
+        calls.append(len(self))
+        return original(self)
+
+    MOFT._object_rows = spy
+    try:
+        yield calls
+    finally:
+        MOFT._object_rows = original
+
+
+def sealed_reference(schedule, batches, lateness):
+    """What each seal must publish, by the watermark rules alone: the
+    buffered samples the watermark passed, by ``(t, repr(oid))``."""
+    watermark = max_t = -math.inf
+    buffer, deltas = [], []
+    for batch in batches:
+        fresh = [s for s in batch if s[1] > watermark]
+        buffer += fresh
+        max_t = max([max_t] + [s[1] for s in fresh])
+        watermark = max(watermark, max_t - lateness)
+        ready = [s for s in buffer if s[1] <= watermark]
+        buffer = [s for s in buffer if s[1] > watermark]
+        if ready:
+            deltas.append(sorted(ready, key=lambda s: (s[1], repr(s[0]))))
+    if buffer:
+        deltas.append(sorted(buffer, key=lambda s: (s[1], repr(s[0]))))
+    return deltas
+
+
+def assert_same_index(table: MOFT) -> None:
+    t, x, y = table.as_arrays()
+    fresh = MOFT.from_columns(
+        table.oid_column(), t, x, y, name=table.name, validate=False
+    )
+    got, want = table.segment_index(), fresh.segment_index()
+    assert got.oids.tolist() == want.oids.tolist()
+    np.testing.assert_array_equal(got.perm, want.perm)
+    np.testing.assert_array_equal(got.offsets, want.offsets)
+    np.testing.assert_array_equal(table.object_codes(), fresh.object_codes())
+
+
+class City:
+    """A 4x4 city over 50 hourly instants (its repr kept short: it is
+    part of every falsifying example)."""
+
+    def __init__(self) -> None:
+        city = build_city(
+            CityConfig(cols=4, rows=4), rng=np.random.default_rng(11)
+        )
+        self.gis, self.box = city.gis, city.bounding_box
+        self.time = TimeDimension.from_mapping(
+            hourly(datetime(2006, 1, 9, 0, 0)), range(50)
+        )
+
+    def __repr__(self) -> str:
+        return "City(4x4, 50 hourly instants)"
+
+
+@pytest.fixture(scope="module")
+def city() -> City:
+    return City()
+
+
+class TestSnapshotsExtend:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_snapshots_index_like_a_fresh_build(self, city, data):
+        case = data.draw(schedules(len(city.time.instants)))
+        coords = random.Random(case["seed"])
+        box = city.box
+        rows = [
+            (oid, t, coords.uniform(box.min_x, box.max_x),
+             coords.uniform(box.min_y, box.max_y))
+            for oid, t in case["samples"]
+        ]
+        base_keys = set(case["base"])
+        base_rows = [r for r in rows if r[:2] in base_keys]
+        stream = [r for r in rows if r[:2] not in base_keys]
+        random.Random(case["seed"]).shuffle(stream)
+        batches = [
+            stream[i:i + case["batch"]]
+            for i in range(0, len(stream), case["batch"])
+        ]
+        with tempfile.TemporaryDirectory() as folder:
+            base = None
+            if base_rows:
+                path = Path(folder) / "base.moft"
+                MOFT.from_columns(*zip(*base_rows), name="FM").save(path)
+                base = MOFT.load(path)
+            ingestor = StreamingIngestor(
+                city.gis, city.time, moft_name="FM", base=base,
+                config=IngestConfig(
+                    allowed_lateness=case["lateness"],
+                    compact_every=case["compact_every"],
+                ),
+                store_specs=(StoreSpec("day", "Ln", POLYGON),),
+            )
+            published, snapshots, answers = [], [], []
+            publish = ingestor.chain.publish
+
+            def recording_publish(*columns):
+                published.append(list(zip(*(c.tolist() for c in columns))))
+                return publish(*columns)
+
+            ingestor.chain.publish = recording_publish
+            with object_rows_spy() as walks:
+                for batch in batches:
+                    ingestor.submit(*map(list, zip(*batch)))
+                    snapshots.append(ingestor.snapshot())
+                    answers.append(count_payload(snapshots[-1].context()))
+                snapshots.append(ingestor.close())
+                answers.append(count_payload(snapshots[-1].context()))
+            assert walks == []
+            assert published == sealed_reference(
+                stream, batches, case["lateness"]
+            )
+            for snapshot, answer in zip(snapshots, answers):
+                if len(snapshot.moft):
+                    assert_same_index(snapshot.moft)
+                t, x, y = snapshot.moft.as_arrays()
+                fresh = MOFT.from_columns(
+                    snapshot.moft.oid_column(), t, x, y, name="FM"
+                )
+                context = snapshot.context()
+                reference = type(context)(context.gis, context.time, fresh)
+                assert answer == count_payload(reference)
+            del base, snapshots, ingestor

@@ -101,21 +101,26 @@ class TestRoundTrip:
         assert lean.stat().st_size < full.stat().st_size
         assert_same_table(MOFT.load(lean), moft)
 
-    def test_order_prefill_matches_recompute(self, tmp_path):
+    def test_file_index_order_matches_recompute(self, tmp_path):
+        """Per-object access of a loaded table reads the file's CSR
+        index; a table that sorts its own index gives the same runs."""
         moft = small_moft()
         path = tmp_path / "cars.moft"
         moft.save(path)
-        prefilled = MOFT.load(path)
-        assert set(prefilled._order) == prefilled.objects()
+        loaded = MOFT.load(path)
+        assert loaded._segments is not None
         recomputed = MOFT.load(path)
-        recomputed._order.clear()
+        recomputed._drop_index()
         for oid in sorted(moft.objects()):
-            pt, pr = prefilled._object_order(oid)
+            pt, pr = loaded._object_order(oid)
             rt, rr = recomputed._object_order(oid)
             assert pt.tobytes() == rt.tobytes()
             np.testing.assert_array_equal(
-                prefilled.as_arrays()[1][pr], recomputed.as_arrays()[1][rr]
+                loaded.as_arrays()[1][pr], recomputed.as_arrays()[1][rr]
             )
+        np.testing.assert_array_equal(
+            loaded.object_codes(), recomputed.object_codes()
+        )
 
     def test_append_after_mmap_load(self, tmp_path):
         moft = small_moft()

@@ -10,6 +10,9 @@ leak oracle is ``/dev/shm`` itself: every test sweeps it before and
 after.
 """
 
+import os
+from multiprocessing.shared_memory import SharedMemory
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.geometry.polygon import Polygon
 from repro.obs import PipelineStats
 from repro.parallel import RetryPolicy, ShardedExecutor
 from repro.parallel.shm import (
+    BLOCK_PREFIX,
     ShardBlock,
     create_shard_block,
     leaked_segments,
@@ -218,3 +222,18 @@ class TestNoLeaks:
             finally:
                 executor.close()
             assert leaked_segments() == before, f"leak under seed {seed}"
+
+    @pytest.mark.parametrize("suffix", ["", "7"])
+    def test_another_process_blocks_are_not_this_runs_leaks(self, suffix):
+        """A block named for another pid — a second suite running beside
+        this one — is not reported; nor is one whose pid merely starts
+        with this process's."""
+        pid = os.getpid() + 1 if not suffix else int(f"{os.getpid()}{suffix}")
+        name = f"{BLOCK_PREFIX}{pid}-{os.urandom(4).hex()}"
+        foreign = SharedMemory(create=True, size=16, name=name)
+        try:
+            assert name in os.listdir("/dev/shm")
+            assert name not in leaked_segments()
+        finally:
+            foreign.close()
+            foreign.unlink()

@@ -375,6 +375,31 @@ class TestStaleness:
             elements, *full
         )
 
+    def test_table_that_reorders_its_objects_rebuilds(self):
+        """Folds read the appended rows' object codes off the table.  A
+        ``mask_rows`` child orders its objects as its parent did; once
+        appended to it orders them by first appearance, unlike the
+        cells, and ``update()`` rebuilds to what a fresh build holds."""
+        context, moft, elements, _ = small_synth_fixture()
+        t, x, y = moft.as_arrays()
+        oids = moft.oid_column()
+        order = np.argsort(t, kind="stable")
+        early, later = order[t[order] < 10], order[t[order] >= 10]
+        parent = MOFT.from_columns(oids[early], t[early], x[early], y[early])
+        parent.segment_index()
+        first = parent.oid_column()[0]
+        child = parent.mask_rows(
+            (parent.oid_column() != first) | (parent.as_arrays()[0] > 0)
+        )
+        store = PreAggStore(child, context.time, "day", elements)
+        child.extend_columns(oids[later], t[later], x[later], y[later])
+        assert child.segment_index().oids[0] != first
+        assert store.update() == "rebuild"
+        assert_cells_equal(
+            store, PreAggStore(child, context.time, "day", elements),
+            exact=True,
+        )
+
     def test_dimension_change_rebuilds(self):
         context, _, _, store = fig1_fixture()
         context.time.instance.set_rollup("hour", 99, "timeOfDay", "Other")
@@ -419,6 +444,18 @@ class TestMerge:
         _, moft, _, store = fig1
         with pytest.raises(PreAggError, match="share objects"):
             PreAggStore.merge([store, store], moft)
+
+    def test_merge_into_a_table_without_a_shard_object_raises(self, fig1):
+        """Shard objects are coded by the merged table's object order:
+        one the table does not hold is a typed error."""
+        _, moft, _, store = fig1
+        first = moft.oid_column()[0]
+        renamed = MOFT.from_columns(
+            ["other" if oid == first else oid for oid in moft.oid_column()],
+            *moft.as_arrays(), name=moft.name,
+        )
+        with pytest.raises(PreAggError, match="not in the merged table"):
+            PreAggStore.merge([store], renamed)
 
     def test_merge_mismatched_granules_raises(self):
         context, moft, elements, store = small_synth_fixture()
