@@ -206,11 +206,6 @@ class Polygon:
             segments.extend(_ring_segments(hole))
         return segments
 
-    def boundary_polylines(self) -> List[Polyline]:
-        """Return closed polylines tracing the shell and each hole."""
-        rings = [self.shell] + list(self.holes)
-        return [Polyline(list(ring) + [ring[0]]) for ring in rings]
-
     def on_boundary(self, point: Point) -> bool:
         """Return True when ``point`` lies on the shell or a hole boundary."""
         return any(

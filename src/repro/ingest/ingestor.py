@@ -7,9 +7,10 @@ in ``tests/ingest``.  The moving parts:
 
 **Batches are columns.**  :meth:`StreamingIngestor.submit` checks a
 whole batch — equal lengths, flat numeric columns, all finite, hashable
-ids — before it routes any of it, so a bad batch raises
-:class:`~repro.errors.IngestError` and changes nothing.  Routing is one
-late mask; what stays joins the buffer as one column chunk.
+ids, no ``(object, t)`` buffered twice — before it routes any of it, so
+a bad batch raises :class:`~repro.errors.IngestError` and changes
+nothing.  Routing is one late mask; what stays joins the buffer as one
+column chunk.
 
 **Watermark.**  ``watermark = max event time seen − allowed_lateness``,
 monotone by construction.  A sample is *late* when it arrives at or
@@ -246,6 +247,8 @@ class StreamingIngestor:
         self._intern: Dict[Hashable, int] = {}
         self._reprs: List[str] = []
         self._rank: Optional[np.ndarray] = None
+        # Each code's newest routed (not late) event time.
+        self._newest = np.empty(0)
         self._late: List[Tuple[Hashable, float, float, float]] = []
         self._max_t = -math.inf
         self._watermark = -math.inf
@@ -317,7 +320,8 @@ class StreamingIngestor:
         """Route one batch, advance the watermark, seal what it passed.
 
         The whole batch is checked first — equal column lengths, numbers,
-        all finite, hashable ids — and a bad one raises
+        all finite, hashable ids, no sample whose ``(object, t)`` is
+        already buffered or repeats in the batch — and a bad one raises
         :class:`~repro.errors.IngestError` with nothing routed: counters,
         buffer and late channel stay as they were, so the corrected batch
         can simply be submitted again.  Then each sample is routed
@@ -348,6 +352,7 @@ class StreamingIngestor:
             self.obs.incr("samples_late", late_now)
             if t.size:
                 self._buffer.append((oid_col, codes, t, x, y))
+                np.maximum.at(self._newest, codes, t)
                 self._buffered += t.size
                 self._max_t = max(self._max_t, float(t.max()))
             advanced = self._max_t - self.config.allowed_lateness
@@ -395,11 +400,56 @@ class StreamingIngestor:
             codes, fresh = intern(self._intern, oid_col.tolist())
         except TypeError as exc:
             raise IngestError(f"unhashable object id: {exc}") from exc
+        self._refuse_twins(oid_col, codes, t)
         if fresh:
             self._intern.update(fresh)
             self._reprs.extend(map(repr, fresh))
             self._rank = None
         return oid_col, codes, t, x, y
+
+    def _refuse_twins(self, oid_col, codes, t) -> None:
+        """Raise when the batch would buffer one ``(object, t)`` twice —
+        two of its own rows, or a row and a buffered sample: sealed
+        together they make a malformed delta, and every later seal would
+        fail on it.  (A sealed sample's twin is late, never buffered.)
+
+        A row can repeat a buffered sample only when its time is at or
+        below its object's newest routed one (``_newest``), and a row of
+        its batch only when its object comes twice.  One adjacent-equal
+        test on ``(code, t)`` runs over the batch rows of such objects
+        and, for the first kind, their buffered rows: a feed that brings
+        each object forward in time never sorts its buffer."""
+        kept = t > self._watermark
+        code, at = codes[kept], t[kept]
+        if not code.size:
+            return
+        grow = int(code.max()) + 1 - self._newest.size
+        if grow > 0:
+            self._newest = np.concatenate(
+                (self._newest, np.full(grow, -np.inf))
+            )
+        behind = at <= self._newest[code]
+        check = behind | (np.bincount(code)[code] > 1)
+        if not check.any():
+            return
+        picked = [(oid_col[kept][check], code[check], at[check])]
+        if behind.any():
+            # (Every buffered code came in a batch: ``_newest`` covers it.)
+            wanted = np.zeros(self._newest.size, dtype=bool)
+            wanted[code[behind]] = True
+            for chunk in self._buffer:
+                rows = wanted[chunk[1]]
+                picked.append(tuple(column[rows] for column in chunk[:3]))
+        oids, code, at = (np.concatenate(column) for column in zip(*picked))
+        order = np.lexsort((at, code))
+        code, at = code[order], at[order]
+        twins = np.flatnonzero((code[1:] == code[:-1]) & (at[1:] == at[:-1]))
+        if twins.size:
+            raise IngestError(
+                f"duplicate sample: object {oids[order[twins[0]]]!r} at "
+                f"t={float(at[twins[0]])} is already buffered or twice in "
+                f"the batch"
+            )
 
     def compact(self) -> IngestSnapshot:
         """Collapse the segment chain now (also runs automatically)."""

@@ -246,6 +246,12 @@ class MOFT:
         # map of ``oids``: both derived from the index, dropped with it.
         self._codes: Optional[np.ndarray] = None
         self._code_of: Optional[Dict[Hashable, int]] = None
+        # Summaries of the rows (:meth:`time_range`, :meth:`bbox`,
+        # :meth:`instant_counts`): one pass per table state, dropped with
+        # the index.
+        self._time_range: Optional[Tuple[float, float]] = None
+        self._bbox: Optional[BoundingBox] = None
+        self._instant_counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # Mutation counter: rows are append-only, so ``(version, n)``
         # snapshots let derived structures (the pre-aggregation store)
         # detect staleness and read ``rows[snapshot_n:]`` as the delta.
@@ -256,8 +262,12 @@ class MOFT:
         # shards, stored stores) carry the columns, not the cache.
         return {**self.__dict__, **dict.fromkeys(self._INDEX_STATE)}
 
-    #: What is derived from the segment index (dropped on append).
-    _INDEX_STATE = ("_segments", "_inherited", "_codes", "_code_of")
+    #: What is derived from the rows: the segment index and the
+    #: summaries (dropped on append).
+    _INDEX_STATE = (
+        "_segments", "_inherited", "_codes", "_code_of", "_time_range",
+        "_bbox", "_instant_counts",
+    )
 
     def _drop_index(self) -> None:
         for name in self._INDEX_STATE:
@@ -508,6 +518,15 @@ class MOFT:
     def objects(self) -> Set[Hashable]:
         """All distinct object identifiers."""
         return set(self.segment_index().oids.tolist())
+
+    def instant_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct sampling instants, ascending, and the rows at
+        each (cached until the next append): how many rows a time
+        restriction keeps, without a pass over the rows."""
+        if self._instant_counts is None:
+            t, _, _ = self.as_arrays()
+            self._instant_counts = np.unique(t, return_counts=True)
+        return self._instant_counts
 
     def instants(self) -> Set[float]:
         """All distinct sampling instants."""
@@ -831,17 +850,23 @@ class MOFT:
         )
 
     def time_range(self) -> Tuple[float, float]:
-        """Return ``(min t, max t)`` over all samples."""
+        """Return ``(min t, max t)`` over all samples (cached until the
+        next append)."""
         if self._n == 0:
             raise TrajectoryError(f"MOFT {self.name!r} is empty")
-        t, _, _ = self.as_arrays()
-        return (float(t.min()), float(t.max()))
+        if self._time_range is None:
+            t, _, _ = self.as_arrays()
+            self._time_range = (float(t.min()), float(t.max()))
+        return self._time_range
 
     def bbox(self) -> BoundingBox:
-        """Spatial bounding box over all sampled positions."""
+        """Spatial bounding box over all sampled positions (cached until
+        the next append)."""
         if self._n == 0:
             raise TrajectoryError(f"MOFT {self.name!r} is empty")
-        _, x, y = self.as_arrays()
-        return BoundingBox(
-            float(x.min()), float(y.min()), float(x.max()), float(y.max())
-        )
+        if self._bbox is None:
+            _, x, y = self.as_arrays()
+            self._bbox = BoundingBox(
+                float(x.min()), float(y.min()), float(x.max()), float(y.max())
+            )
+        return self._bbox

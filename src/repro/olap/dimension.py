@@ -205,11 +205,6 @@ class DimensionInstance:
             self._rollups[edge][child] = parent
             self._version += 1
 
-    def add_members(self, level: str, members: Iterable[Hashable]) -> None:
-        """Register many members at once."""
-        for member in members:
-            self.add_member(level, member)
-
     # -- access --------------------------------------------------------------
 
     def members(self, level: str) -> Set[Hashable]:

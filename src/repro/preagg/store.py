@@ -625,8 +625,20 @@ class PreAggStore(GranuleStore):
         not accounted for has an endpoint in a sliver.  Called by
         :func:`repro.query.evaluator.resolve_through` (at most once per
         query), which both prices and runs the hybrid from it.
+
+        Every row's instant is registered (:meth:`_granule_codes_checked`
+        refuses any other at build and at every update), so a sliver
+        without a registered instant has no row: that is decided on the
+        partition, and the ``t`` column is read only when it has one.
         """
         lo, hi = self._span(run)
+        instants = self.partition.instants
+        inside = instants[
+            np.searchsorted(instants, float(start)):
+            np.searchsorted(instants, float(end), side="right")
+        ]
+        if not ((inside < lo) | (inside > hi)).any():
+            return None
         t, _, _ = self.moft.as_arrays()
         window = (t >= float(start)) & (t <= float(end))
         sliver = window & ((t < lo) | (t > hi))

@@ -254,42 +254,11 @@ class Domain(abc.ABC):
 
 
 @dataclass(frozen=True)
-class AttributeMembers(Domain):
-    """All application members with an α for the attribute (``n ∈ neighb``)."""
-
-    attribute: str
-
-    def values(self, context) -> Iterable[Any]:
-        return context.gis.alpha_members(self.attribute)
-
-
-@dataclass(frozen=True)
-class LayerElements(Domain):
-    """All geometry ids of a (layer, kind)."""
-
-    layer: str
-    kind: str
-
-    def values(self, context) -> Iterable[Any]:
-        return context.gis.layer(self.layer).elements(self.kind).keys()
-
-
-@dataclass(frozen=True)
 class Instants(Domain):
     """All instants of the time dimension."""
 
     def values(self, context) -> Iterable[Any]:
         return context.time.instants
-
-
-@dataclass(frozen=True)
-class MovingObjects(Domain):
-    """All object identifiers of a MOFT."""
-
-    moft_name: str = "FM"
-
-    def values(self, context) -> Iterable[Any]:
-        return context.moft(self.moft_name).objects()
 
 
 @dataclass(frozen=True)

@@ -499,9 +499,13 @@ class ThroughOperands:
 
     @property
     def rows(self) -> int:
-        """Rows of the restricted table, without building it."""
-        mask = self.row_mask
-        return len(self.moft) if mask is None else int(mask.sum())
+        """Rows of the restricted table, without building it: the
+        restriction applied to the table's distinct instants, each
+        weighed by its row count."""
+        if self.restriction is None:
+            return len(self.moft)
+        instants, counts = self.moft.instant_counts()
+        return int(counts[restriction_mask(instants, *self.restriction)].sum())
 
     @cached_property
     def table(self) -> MOFT:

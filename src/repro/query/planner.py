@@ -89,12 +89,13 @@ class TableStatistics:
 
 
 def table_statistics(moft: MOFT) -> TableStatistics:
-    """Collect :class:`TableStatistics` from a MOFT (cheap, columnar)."""
+    """Collect :class:`TableStatistics` from a MOFT: the cached time
+    range and the segment index's object count, no pass over rows."""
     if len(moft) == 0:
         return TableStatistics(moft.name, 0, 0, None, None)
     tmin, tmax = moft.time_range()
     return TableStatistics(
-        moft.name, len(moft), len(moft.objects()), float(tmin), float(tmax)
+        moft.name, len(moft), len(moft.segment_index().oids), tmin, tmax
     )
 
 
@@ -120,17 +121,16 @@ def geometry_statistics(
     ids: Set[Hashable],
     moft: MOFT,
 ) -> GeometryStatistics:
-    """Estimate answer-geometry selectivity against the MOFT's extent."""
+    """Estimate answer-geometry selectivity against the MOFT's extent
+    (its cached :meth:`~repro.mo.moft.MOFT.bbox`)."""
     if not ids:
         return GeometryStatistics(0, 0.0)
     if len(moft) == 0:
         return GeometryStatistics(len(ids), 1.0)
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
-    _, x, y = moft.as_arrays()
-    extent = (float(x.max()) - float(x.min())) * (
-        float(y.max()) - float(y.min())
-    )
+    bounds = moft.bbox()
+    extent = (bounds.max_x - bounds.min_x) * (bounds.max_y - bounds.min_y)
     if extent <= 0:
         return GeometryStatistics(len(ids), 1.0)
     area = 0.0

@@ -22,7 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -200,9 +209,13 @@ class TimeDimension:
         if instance.schema.bottom_level != "timeId":
             raise SchemaError("a Time dimension must bottom out at 'timeId'")
         self.instance = instance
-        # Granule partitions per level, keyed by the instance's mutation
-        # counter so later set_rollup calls invalidate the snapshot.
+        # Granule partitions and inverted rollups (member -> instants)
+        # per level, keyed by the instance's mutation counter so later
+        # set_rollup calls invalidate the snapshot.
         self._granule_cache: Dict[str, Tuple[int, GranulePartition]] = {}
+        self._instant_index: Dict[
+            str, Tuple[int, Dict[Hashable, FrozenSet[int]]]
+        ] = {}
 
     # -- constructors -----------------------------------------------------------
 
@@ -300,17 +313,28 @@ class TimeDimension:
         """
         return self.try_rollup(instant, level) == member
 
-    def instants_where(self, level: str, member: Hashable) -> Set[int]:
+    def _members_instants(self, level: str) -> Dict[Hashable, FrozenSet[int]]:
+        """The rollup to ``level`` inverted: member -> the instants rolling
+        up to it (an instant with no rollup there under ``None``).  Built
+        once per (level, instance version), like :meth:`granules`."""
+        cached = self._instant_index.get(level)
+        if cached is not None and cached[0] == self.instance.version:
+            return cached[1]
+        groups: Dict[Hashable, Set[int]] = {}
+        for t in self.instants:
+            groups.setdefault(self.try_rollup(t, level), set()).add(t)
+        index = {member: frozenset(ts) for member, ts in groups.items()}
+        self._instant_index[level] = (self.instance.version, index)
+        return index
+
+    def instants_where(self, level: str, member: Hashable) -> FrozenSet[int]:
         """All instants rolling up to ``member`` at ``level``.
 
         This inverts the rollup function — the evaluator uses it to push
-        temporal constraints into MOFT scans.
+        temporal constraints into MOFT scans.  A dictionary read after
+        the first call per level (see :meth:`_members_instants`).
         """
-        return {
-            t
-            for t in self.instants
-            if self.try_rollup(t, level) == member
-        }
+        return self._members_instants(level).get(member, frozenset())
 
     def span(self, level: str, member: Hashable) -> int:
         """Number of instants covered by ``member`` at ``level``.
@@ -391,12 +415,3 @@ class TimeDimension:
         )
         self._granule_cache[level] = (self.instance.version, partition)
         return partition
-
-    def granule_codes(self, level: str, ts: np.ndarray) -> np.ndarray:
-        """Vectorized ``R^{level}_{timeId}`` over a float instant column.
-
-        Returns granule codes into ``self.granules(level).members``;
-        unregistered instants map to ``-1``.  This replaces per-sample
-        Python dict hops with one ``np.searchsorted`` pass.
-        """
-        return self.granules(level).codes_for(ts)

@@ -2,11 +2,12 @@
 
 Two statements:
 
-* a malformed batch — ragged, non-numeric, non-finite or with an
-  unhashable id — raises :class:`~repro.errors.IngestError` before any
-  sample is routed: counters, buffer and late channel are as they were,
-  and the corrected batch then goes through as if the bad one had never
-  been sent;
+* a malformed batch — ragged, non-numeric, non-finite, with an
+  unhashable id or repeating an ``(object, t)`` already buffered —
+  raises :class:`~repro.errors.IngestError` before any sample is
+  routed: counters, buffer and late channel are as they were, and the
+  corrected batch then goes through as if the bad one had never been
+  sent;
 * every published snapshot's table carries the segment index (and the
   object codes) a from-scratch build of its columns would give, each
   sealed delta is the buffered samples the watermark passed in
@@ -108,6 +109,89 @@ class TestAtomicRejection:
         report = ingestor.submit(["C"], [1.0], [0.0], [0.0])
         assert report.late == 1
         assert ingestor.late_samples() == (("C", 1.0, 0.0, 0.0),)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((["A"], [100.0]), (["A"], [100.0])),
+            ((["A"], [100.0]), (["C", "A", "C"], [99.0, 100.0, 98.0])),
+            ((["B"], [100.0]), (["A", "C", "A"], [100.0, 99.0, 100.0])),
+            ((["A", "B"], [100.0, 101.0]), (["A", "A"], [99.0, 100.0])),
+        ],
+        ids=["again", "once-in-batch", "within-batch", "repeated-in-batch"],
+    )
+    def test_buffered_twin_routes_nothing(self, fig1_stream, first, second):
+        """A sample whose ``(object, t)`` is already buffered — sent
+        twice, or twice in one batch — is refused before routing: sealed
+        beside its twin it would make every later seal fail."""
+        ingestor = StreamingIngestor(
+            fig1_stream.gis, fig1_stream.time,
+            config=IngestConfig(allowed_lateness=5.0),
+        )
+        oids, ts = first
+        ingestor.submit(oids, ts, [0.0] * len(ts), [0.0] * len(ts))
+        before = counters(ingestor), repr(ingestor)
+        oids, ts = second
+        ones = [1.0] * len(ts)
+        with pytest.raises(IngestError, match="object 'A' at t=100.0"):
+            ingestor.submit(oids, ts, ones, ones)
+        assert (counters(ingestor), repr(ingestor)) == before
+        assert ingestor.late_samples() == ()
+        # Later batches still seal, and the twin never reaches a table.
+        for t in (103.0, 110.0, 120.0):
+            ingestor.submit(["A", "D"], [t, t], [0.0, 0.0], [0.0, 0.0])
+        final = ingestor.close()
+        assert final.rows == len(first[1]) + 6
+        assert ingestor.obs.count("samples_ingested") == final.rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(st.sampled_from("ABC"), st.integers(0, 9)),
+            min_size=1, max_size=24,
+        ),
+        batch=st.integers(1, 5),
+        lateness=st.sampled_from([0.0, 2.0, 5.0]),
+    )
+    def test_refused_exactly_when_a_twin_would_buffer(
+        self, fig1_stream, samples, batch, lateness
+    ):
+        """Against a model of the watermark and the buffer: a batch is
+        refused exactly when one of its rows above the watermark repeats
+        a buffered ``(object, t)`` or another such row; every other batch
+        is routed, and the stream always closes."""
+        ingestor = StreamingIngestor(
+            fig1_stream.gis, fig1_stream.time,
+            config=IngestConfig(allowed_lateness=lateness),
+        )
+        watermark, newest, buffered, accepted = -math.inf, -math.inf, set(), 0
+        for at in range(0, len(samples), batch):
+            rows = [(oid, float(t)) for oid, t in samples[at:at + batch]]
+            kept = [row for row in rows if row[1] > watermark]
+            twin = len(set(kept)) < len(kept) or not buffered.isdisjoint(kept)
+            oids, ts = zip(*rows)
+            zeros = [0.0] * len(ts)
+            if twin:
+                with pytest.raises(IngestError, match="duplicate sample"):
+                    ingestor.submit(oids, ts, zeros, zeros)
+                continue
+            ingestor.submit(oids, ts, zeros, zeros)
+            accepted += len(kept)
+            buffered |= set(kept)
+            newest = max([newest] + [t for _, t in rows])
+            watermark = max(watermark, newest - lateness)
+            buffered = {row for row in buffered if row[1] > watermark}
+        assert ingestor.close().rows == accepted
+
+    def test_sealed_twin_is_late_not_refused(self, fig1_stream):
+        """The twin of a sealed sample arrives at or below the watermark:
+        the late channel takes it, as any late sample."""
+        ingestor = self.ingestor(fig1_stream)
+        ingestor.submit(["A"], [100.0], [0.0], [0.0])
+        ingestor.submit(["B"], [105.0], [0.0], [0.0])
+        report = ingestor.submit(["A"], [100.0], [1.0], [1.0])
+        assert report.late == 1
+        assert ingestor.late_samples() == (("A", 100.0, 1.0, 1.0),)
 
 
 # -- the snapshot property ----------------------------------------------------

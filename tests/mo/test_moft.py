@@ -130,3 +130,55 @@ class TestRestriction:
     def test_bbox_empty_raises(self):
         with pytest.raises(TrajectoryError):
             MOFT().bbox()
+
+
+class TestSummaryInvalidation:
+    """``time_range()``, ``bbox()`` and ``instant_counts()`` are cached
+    per table state: after every kind of append they equal a fresh load
+    of the same rows."""
+
+    EXTRA = [("O3", 0.0, -2.0, 7.0), ("O1", 9.0, 8.0, -1.0)]
+
+    @staticmethod
+    def summaries(moft: MOFT):
+        box = moft.bbox()
+        instants, counts = moft.instant_counts()
+        return (
+            moft.time_range(),
+            (box.min_x, box.min_y, box.max_x, box.max_y),
+            (instants.tolist(), counts.tolist()),
+        )
+
+    @staticmethod
+    def fresh(moft: MOFT) -> MOFT:
+        oids, ts, xs, ys = zip(*moft.tuples())
+        return MOFT.from_columns(oids, ts, xs, ys)
+
+    def appended(self, how: str) -> MOFT:
+        moft = small_moft()
+        self.summaries(moft)  # fill the caches
+        if how == "add":
+            for sample in self.EXTRA:
+                moft.add(*sample)
+        elif how == "add_many":
+            moft.add_many(self.EXTRA)
+        else:
+            moft.extend_columns(*map(list, zip(*self.EXTRA)))
+        return moft
+
+    @pytest.mark.parametrize("how", ["add", "add_many", "extend_columns"])
+    def test_append_drops_the_summaries(self, how):
+        moft = self.appended(how)
+        assert self.summaries(moft) == self.summaries(self.fresh(moft))
+        assert self.summaries(moft) == (
+            (0.0, 9.0),
+            (-2.0, -1.0, 8.0, 7.0),
+            ([0.0, 1.0, 2.0, 3.0, 9.0], [1, 1, 2, 2, 1]),
+        )
+
+    def test_one_append_at_a_time(self):
+        moft = small_moft()
+        for sample in self.EXTRA:
+            self.summaries(moft)
+            moft.add(*sample)
+            assert self.summaries(moft) == self.summaries(self.fresh(moft))

@@ -126,3 +126,46 @@ class TestExplicitRollups:
         td = TimeDimension.from_explicit_rollups(rollups)
         assert td.instants_where("timeOfDay", "Morning") == {2, 3, 4}
         assert td.span("timeOfDay", "Morning") == 3
+
+
+class TestInstantIndex:
+    """``instants_where`` / ``span`` read a per-level index cached by the
+    instance's version: after a rollup edit they still equal the
+    per-instant definition."""
+
+    @staticmethod
+    def by_definition(td: TimeDimension, level, member):
+        return {t for t in td.instants if td.try_rollup(t, level) == member}
+
+    def test_rollup_edit_moves_the_index(self):
+        td = weekend_day()
+        assert td.instants_where("timeOfDay", "Morning") == set(range(6, 12))
+        version = td.instance.version
+        # A new instant on the next day, and an hour that was not yet
+        # registered moving into an existing day part.
+        td.instance.set_rollup("timeId", 24, "day", "2006-01-08")
+        td.instance.set_rollup("timeId", 24, "hour", 24)
+        td.instance.set_rollup("hour", 24, "timeOfDay", "Morning")
+        assert td.instance.version != version
+        for level, member in [
+            ("timeOfDay", "Morning"),
+            ("day", "2006-01-08"),
+            ("day", "2006-01-07"),
+            ("hour", 24),
+        ]:
+            expected = self.by_definition(td, level, member)
+            assert td.instants_where(level, member) == expected
+            assert td.span(level, member) == len(expected)
+        assert 24 in td.instants_where("timeOfDay", "Morning")
+
+    def test_unknown_member_and_unrolled_instants(self):
+        td = weekend_day()
+        assert td.instants_where("timeOfDay", "Brunch") == set()
+        td.instance.add_member("timeId", 99)
+        assert td.instants_where("day", None) == {99}
+        assert td.instants_where("day", "2006-01-07") == set(range(24))
+
+    def test_numeric_members_match_by_value(self):
+        td = weekend_day()
+        assert td.instants_where("hour", 9.0) == td.instants_where("hour", 9)
+        assert td.instants_where("hour", 9) == {9}
