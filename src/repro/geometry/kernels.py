@@ -46,6 +46,12 @@ settles ``intersects_segment``.  The crossing class extends the argument
 piece by piece; :func:`_solve_crossings` spells out which scalar
 branches can and cannot fire for a row it accepts.
 
+Point containment has a coarser exact shortcut: a :class:`PolygonPass`
+labels the cells of a grid over its polygons once, and a cell far
+enough from every edge box has one answer for every point in it, bit
+for bit the one :func:`~repro.query.vectorized.pairs_contain` gives
+(the argument is in :class:`PolygonPass`'s docstring).
+
 Backends (:func:`set_kernel_backend`):
 
 ========== =====================================================
@@ -64,7 +70,9 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.index import GridBins, UniformGridIndex, index_for_geometries
+from repro.geometry.index import (
+    GridBins, UniformGridIndex, _cell, index_for_geometries,
+)
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import _ORIENT_EPS
@@ -188,25 +196,224 @@ def polygon_edge_arrays(polygon: Polygon) -> EdgeTable:
     return cached
 
 
-class PolygonPass(NamedTuple):
-    """One pass over a polygon list: its edge table (for the kernels)
-    and grid bins (for the broad phase); position ``p`` is the list's
-    ``p``-th polygon in both."""
+#: The decided-cell grid (:class:`LabelGrid`): a cell is an eighth of
+#: the median polygon side, and no finer than ``_LABEL_SPAN`` cells
+#: across the polygons' extent (so at most ``(_LABEL_SPAN + 1) ** 2``).
+_LABEL_CELLS_PER_SIDE = 8
+_LABEL_SPAN = 128
 
-    edges: EdgeTable
-    bins: GridBins
+#: Float slop of the decided-cell test, relative to the largest
+#: coordinate magnitude of the polygons: some four thousand ulps, against
+#: the few ulps the crossing abscissa and the grown edge boxes round by.
+_LABEL_SLOP = 2.0 ** -40
+
+#: Cell labels besides a polygon position: inside no polygon, undecided.
+OUTSIDE, MIXED = -1, -2
+
+
+class LabelGrid(NamedTuple):
+    """Decided cells over a polygon pass: ``grid`` as in
+    :class:`~repro.geometry.index.GridBins` (points map to cells by the
+    same clamped :func:`~repro.geometry.index._cell`), ``labels`` per
+    cell ``col * rows + row``: a polygon position (every point of the
+    cell lies inside that polygon and no other), :data:`OUTSIDE` (inside
+    none) or :data:`MIXED` (undecided)."""
+
+    grid: Tuple[float, float, float, int, int]
+    labels: np.ndarray
+
+    def of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Each point's cell label: one gather."""
+        col, row = _cell(self.grid, x, y)
+        return self.labels[col * self.grid[4] + row]
+
+
+def _label_geometry(edges: EdgeTable) -> Tuple[float, float, float, int, int]:
+    """The decided-cell grid over the polygons' extent (the one cell-size
+    rule)."""
+    ox, oy = float(edges.bminx.min()), float(edges.bminy.min())
+    width = float(edges.bmaxx.max()) - ox
+    height = float(edges.bmaxy.max()) - oy
+    sides = np.sort(
+        np.maximum(edges.bmaxx - edges.bminx, edges.bmaxy - edges.bminy)
+    )
+    size = max(
+        float(sides[sides.size // 2]) / _LABEL_CELLS_PER_SIDE,
+        max(width, height) / _LABEL_SPAN,
+    )
+    if not size > 0.0:
+        size = 1.0
+    return ox, oy, size, int(width // size) + 1, int(height // size) + 1
+
+
+def _cover(grid, x0, y0, x1, y1, *weights) -> List[np.ndarray]:
+    """Per cell and per weight vector, the sum of the weights of the
+    boxes ``(x0, y0, x1, y1)`` some point of which maps to the cell: a
+    2-D difference array, with no loop over boxes or cells."""
+    _, _, _, cols, rows = grid
+    c0, r0 = _cell(grid, x0, y0)
+    c1, r1 = _cell(grid, x1, y1)
+    c1, r1 = c1 + 1, r1 + 1
+    stride = rows + 1
+    corner = np.concatenate((
+        c0 * stride + r0, c0 * stride + r1, c1 * stride + r0, c1 * stride + r1,
+    ))
+    return [
+        np.bincount(
+            corner, np.concatenate((weight, -weight, -weight, weight)),
+            minlength=(cols + 1) * stride,
+        ).reshape(cols + 1, stride).cumsum(axis=0).cumsum(axis=1)[
+            :cols, :rows
+        ].ravel()
+        for weight in weights
+    ]
+
+
+def _label_grid(
+    edges: EdgeTable, grid: Tuple[float, float, float, int, int]
+) -> LabelGrid:
+    """Label every cell of ``grid`` (array passes only; see
+    :class:`PolygonPass` for why a label is every point's answer).
+
+    A point maps to a cell by a monotone function of each coordinate, so
+    the cells a box's points can map to are the range between its
+    corners' cells.  A cell that no point of a polygon box maps to is
+    :data:`OUTSIDE`.  A cell that points of two polygon boxes map to,
+    or a point within ``2 x tolerance + slop`` of an edge box, is
+    :data:`MIXED`.  The other cells take the even-odd parity against
+    their one polygon at one centre per run of such cells down a grid
+    column: two adjacent cells make one product set, which the argument
+    covers as it covers a cell.  (A run whose head's centre maps to
+    another cell stays :data:`MIXED`.)
+    """
+    ox, oy, size, cols, rows = grid
+    scale = float(np.abs([
+        edges.bminx.min(), edges.bminy.min(),
+        edges.bmaxx.max(), edges.bmaxy.max(),
+    ]).max())
+    per_edge = np.diff(edges.edge_offsets)
+    margin = np.repeat(2.0 * edges.tolerance, per_edge) + _LABEL_SLOP * scale
+    near = _cover(
+        grid, edges.eminx - margin, edges.eminy - margin,
+        edges.emaxx + margin, edges.emaxy + margin, np.ones(margin.size),
+    )[0] > 0
+    # Where one box covers a cell, the sum of positions is its own.
+    count, owner = _cover(
+        grid, edges.bminx, edges.bminy, edges.bmaxx, edges.bmaxy,
+        np.ones(edges.bminx.size), np.arange(edges.bminx.size, dtype=float),
+    )
+    dtype = np.int16 if edges.tolerance.size < 1 << 15 else np.int32
+    labels = np.full(cols * rows, OUTSIDE, dtype=dtype)
+    labels[(count > 1) | ((count == 1) & near)] = MIXED
+    cell = np.flatnonzero((count == 1) & ~near)
+    if cell.size:
+        pos = owner[cell].astype(np.intp)
+        # Runs of adjacent cells down a grid column with one polygon.
+        opens = np.ones(cell.size, dtype=bool)
+        opens[1:] = (np.diff(cell) != 1) | (np.diff(pos) != 0)
+        opens |= cell % rows == 0
+        run, head = np.cumsum(opens) - 1, np.flatnonzero(opens)
+        col, row = np.divmod(cell[head], rows)
+        cx, cy = ox + (col + 0.5) * size, oy + (row + 0.5) * size
+        home_col, home_row = _cell(grid, cx, cy)
+        # pairs_contain's even-odd rule, at the head cell's centre.
+        parity, shell = _ring_parity(edges, pos[head], cx, cy)
+        inside = (np.add.reduceat(parity, shell) & 1).astype(bool)
+        labels[cell] = np.where(inside, pos[head], OUTSIDE)[run]
+        away = (home_col != col) | (home_row != row)
+        labels[cell[away[run]]] = MIXED
+    return LabelGrid(grid, labels)
+
+
+class PolygonPass:
+    """One pass over a polygon list: its edge table (for the kernels),
+    grid bins and index (for the broad phase) and, once it pays, a
+    :class:`LabelGrid` of decided cells (for point containment);
+    position ``p`` is the list's ``p``-th polygon in all of them.
+
+    **Decided cells are exact.**  A cell is *decided* for polygon ``p``
+    when no edge box of ``p``, grown by ``2 x tolerance`` plus a float
+    slop (``_LABEL_SLOP`` of the coordinate magnitude), holds a point
+    that maps to the cell.  Then for every point that does:
+
+    * *Far field.*  It is at least ``2 x tolerance`` from every edge of
+      ``p``, so the boundary band of
+      :func:`~repro.query.vectorized.pairs_contain` cannot fire: its
+      answer is the even-odd parity.
+    * *Constant parity.*  The points of a cell are a product of two
+      intervals, so every edge box of ``p`` misses the cell on one side.
+      An edge above or below it has a constant crossing condition
+      ``(ay > y) != (by > y)``: false.  An edge left or right of it has
+      a computed ``x_cross`` within its own x-extent up to a few ulps
+      (each operation rounds monotonically), so ``x < x_cross`` is
+      constant: false on the left, true on the right.  The parity is
+      then the XOR of the crossing conditions of the right-hand edges
+      whose y-range meets the cell's.  Along a ring these come in
+      chains, and a chain's conditions telescope to ``(y_start > y) !=
+      (y_end > y)``.  A chain ends at a vertex shared with an edge above,
+      below or to the left of the cell; the first two put the vertex's
+      y outside the cell's y-range, and the last is impossible (the
+      vertex would be both right and left of the cell).  So each term is
+      constant over the cell, and so is the parity.
+    * So the parity at the cell centre is every point's answer, bit for
+      bit, for each polygon whose box the cell meets; a point outside a
+      polygon's box maps to no cell that meets it.
+
+    A cell that meets no polygon box is :data:`OUTSIDE`; one that meets
+    exactly one polygon's box and is decided for it is labelled with
+    that polygon when its centre lies inside, else :data:`OUTSIDE`; all
+    others (boxes overlap there, or an edge is near) are :data:`MIXED`.
+    Under the ``scalar`` backend no cell is decided.
+    """
+
+    __slots__ = ("edges", "bins", "index", "labels")
+
+    def __init__(
+        self,
+        edges: EdgeTable,
+        bins: GridBins,
+        index: UniformGridIndex,
+        labels: Optional[LabelGrid] = None,
+    ) -> None:
+        self.edges, self.bins, self.index = edges, bins, index
+        #: The decided-cell grid once built (None before).
+        self.labels = labels
 
     @classmethod
     def of(
         cls,
         polygons: Dict[Hashable, Polygon],
         index: Optional[UniformGridIndex] = None,
+        labels: Optional[LabelGrid] = None,
     ) -> "PolygonPass":
         """Over ``polygons`` in dict order, binned through ``index`` (a
-        grid over these ids; default: a new one)."""
+        grid over these ids; default: a new one), with ``labels`` (the
+        label grid of a pass over the same list) when given."""
         if index is None:
             index = index_for_geometries(polygons)
-        return cls(EdgeTable(polygons.values()), index.bins(list(polygons)))
+        return cls(
+            EdgeTable(polygons.values()), index.bins(list(polygons)), index,
+            labels,
+        )
+
+    def label(self) -> LabelGrid:
+        """The decided-cell grid, built at the first call."""
+        if self.labels is None:
+            self.labels = _label_grid(self.edges, _label_geometry(self.edges))
+        return self.labels
+
+    def labels_for(self, points: int) -> Optional[LabelGrid]:
+        """The decided-cell grid for a call over ``points`` points: built
+        at the first call bringing more points than it has cells, kept
+        from then on; None before that and under the ``scalar`` backend."""
+        if _backend == "scalar":
+            return None
+        if self.labels is None:
+            grid = _label_geometry(self.edges)
+            if points <= grid[3] * grid[4]:
+                return None
+            self.labels = _label_grid(self.edges, grid)
+        return self.labels
 
 
 def _one(polygon: Polygon, n: int) -> Tuple[EdgeTable, np.ndarray]:
@@ -961,6 +1168,9 @@ def disc_dwell_scalar(
 
 __all__ = [
     "EdgeTable",
+    "LabelGrid",
+    "MIXED",
+    "OUTSIDE",
     "PolygonPass",
     "classify_segments",
     "clip_segments_batch",

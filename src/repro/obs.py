@@ -142,10 +142,19 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     chain, and segments in the current head (drops to 1 at each
     compaction).
 
+``cell_decided_points``
+    Points a decided-cell label answered without a containment call
+    (:func:`repro.query.vectorized.points_inside`: the through scan's
+    sample prefilter and the pre-aggregation store's sample fold).  The
+    other points of those calls went through the broad phase and
+    ``pairs_contain``.
+
 ``disc_kernel_segments``
-    Trajectory pieces classified against a place-of-interest disc by the
-    vectorized quadratic clip (:func:`repro.geometry.kernels
-    .disc_clip_batch`), whichever backend ran.
+    Pieces whose box meets the disc's grown box: the trajectory pieces
+    classified against a place-of-interest disc by the vectorized
+    quadratic clip (:func:`repro.geometry.kernels.disc_clip_batch`),
+    whichever backend ran.  The segmented scan and the walk apply the
+    same box test (:mod:`repro.poi.segmentation`).
 ``stop_episodes`` / ``poi_visits``
     The stop/move layer (:mod:`repro.poi`): stop episodes produced by
     :func:`~repro.poi.segment_stops_moves` or, for a whole table, by the

@@ -21,6 +21,45 @@ object of a segment batch in array passes — interval merge by exact
 equality, one stable sort, the cursor rule applied rank by rank inside
 runs of overlapping candidates — and hands only the last few long runs
 to ``_scan_stops`` (docs/poi.md, "Segmented scan").
+
+**A box test per disc.**  Both forms hand a disc's kernel call only the
+pieces whose box, grown by ``_DISC_MARGIN`` of the piece's largest
+coordinate magnitude, meets the disc's box grown by ``_DISC_MARGIN`` of
+``max(|cx|, |cy|, r)`` (:func:`_near`; an infinite radius keeps every
+piece).  The same pieces, so the same ``disc_kernel_segments``, in both.
+A piece left out would have come back with ``hi <= lo``, which both
+forms skip, so the test changes no answer.  Why, with ``u = 2**-53``
+and ``M`` the largest of the piece's and the disc's coordinate
+magnitudes and ``r``:
+
+* The two margins add up to at least ``1e-6 M``, and the test's own
+  roundings are a few ulps of ``M``: the piece lies at a distance ``g >
+  0.99e-6 M`` from the disc's box, hence from the disc.  So on ``w`` in
+  ``[0, 1]`` the exact ``q(w) = |p0 + w d - c|^2 - r^2 = a w^2 + 2 b w +
+  c`` is at least ``2 r g + g^2 >= g^2 > 0.98e-12 M^2``.
+* The kernel computes ``a``, ``b``, ``c`` (and ``c1``, ``q`` at 1) from
+  the rounded differences ``f = p0 - c`` and ``d = p1 - p0``, each
+  within an ulp of exact, with ``|f|, |d| <= 2.9 M``: every coefficient
+  is off by a few ulps of ``(|f| + |d| + r)^2 <= 46 M^2``, and the
+  rounding of ``disc = b*b - a*c`` is a change of ``c`` by a few ulps
+  of ``2 |f|^2 + r^2``.  So the kernel's roots are those of a quadratic
+  within ``~6e-14 M^2`` of ``q`` on ``[0, 1]``, some 16 times less than
+  ``g^2``.  That quadratic is positive on all of ``[0, 1]``: ``c > 0``
+  and ``c1 > 0``, and its roots, if real, lie both below 0 or both
+  above 1.
+* Rounding the root formula ``(-b -+ sqrt(disc)) / a`` moves a root by
+  a few ulps of ``(|b| + sqrt(disc)) / a``.  A root that close to an
+  end of ``[0, 1]`` would put the quadratic's value there below ``~6e-14
+  M^2`` (its product form ``a (w - w1) (w - w2)`` with one factor that
+  small), which the bound above rules out.  So the computed roots stay
+  on their side, ``lo`` and ``hi`` clamp to the same end (both 0 or
+  both 1), and a miss (``disc <= 0``, or a stationary piece with ``c >
+  0``) is ``(0, 0)`` anyway.
+
+The margin is relative, not ``O(u)``: a near-tangent root moves by
+``O(sqrt(u) |p0 - c|)``, about ``2e-8`` relative, which a margin of a
+few ulps would not cover.  A grid broad phase over discs is no help
+here: stop-biased pieces span many cells of a disc-sized grid.
 """
 
 from __future__ import annotations
@@ -176,6 +215,48 @@ def _checked_min_dwell(min_dwell: float) -> float:
     return min_dwell
 
 
+#: Relative margin of the per-disc box test (module docstring).
+_DISC_MARGIN = 1e-6
+
+
+def _reach(x0, y0, x1, y1) -> Tuple[np.ndarray, ...]:
+    """Each piece's box grown by ``_DISC_MARGIN`` of its largest
+    coordinate magnitude: ``(min_x, min_y, max_x, max_y)``."""
+    min_x, min_y = np.minimum(x0, x1), np.minimum(y0, y1)
+    max_x, max_y = np.maximum(x0, x1), np.maximum(y0, y1)
+    # The largest |coordinate| is the largest of -min and max.
+    grow = np.maximum(np.maximum(-min_x, max_x), np.maximum(-min_y, max_y))
+    grow *= _DISC_MARGIN
+    min_x -= grow
+    min_y -= grow
+    max_x += grow
+    max_y += grow
+    return min_x, min_y, max_x, max_y
+
+
+def _near(reach: Tuple[np.ndarray, ...], cx: float, cy: float, r: float):
+    """Indices of the pieces whose :func:`_reach` meets the disc's box
+    grown by ``_DISC_MARGIN`` of ``max(|cx|, |cy|, r)`` (all of them for
+    an infinite radius)."""
+    if math.isinf(r):
+        return np.arange(reach[0].shape[0])
+    grow = r + _DISC_MARGIN * max(abs(cx), abs(cy), r)
+    min_x, min_y, max_x, max_y = reach
+    return np.flatnonzero(~(
+        (min_x > cx + grow) | (max_x < cx - grow)
+        | (min_y > cy + grow) | (max_y < cy - grow)
+    ))
+
+
+def _disc_clip(reach, disc, x0, y0, x1, y1, obs):
+    """``(near, lo, hi)``: :func:`disc_clip_batch` of the pieces
+    :func:`_near` keeps, and their indices."""
+    near = _near(reach, *disc)
+    return (near, *disc_clip_batch(
+        *disc, x0[near], y0[near], x1[near], y1[near], obs=obs
+    ))
+
+
 #: The cursor rule leaves the array passes for the scalar scan once this
 #: few overlap runs are still open: under it one pass of numpy calls
 #: costs more than walking the candidates it would decide.
@@ -217,15 +298,17 @@ def batch_stops(
     """
     min_dwell = _checked_min_dwell(min_dwell)
     pieces = [(np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))]
+    ends = (batch.x0, batch.y0, batch.x1, batch.y1)
+    reach = _reach(*ends)
     for position, gid in enumerate(sorted(pois, key=repr)):
-        cx, cy, r = _disc_of(pois[gid], radius)
-        lo, hi = disc_clip_batch(
-            cx, cy, r, batch.x0, batch.y0, batch.x1, batch.y1, obs=obs
+        near, lo, hi = _disc_clip(
+            reach, _disc_of(pois[gid], radius), *ends, obs
         )
         inside = np.flatnonzero(hi > lo)
-        pieces.append(
-            (inside, lo[inside], hi[inside], np.full(inside.size, position))
-        )
+        pieces.append((
+            near[inside], lo[inside], hi[inside],
+            np.full(inside.size, position),
+        ))
     inside, lo, hi, poi = map(np.concatenate, zip(*pieces))
     # The endpoints of `_merged_intervals`, by the same float operations.
     t0, t1 = batch.t0[inside], batch.t1[inside]
@@ -284,11 +367,10 @@ def poi_stop_intervals(
     obs=None,
 ) -> List[Tuple[float, float]]:
     """Maximal in-disc intervals of ``trajectory`` at one POI."""
-    t0s, t1s, x0s, y0s, x1s, y1s = _sample_of(trajectory).piece_arrays()
-    cx, cy, r = _disc_of(poi, radius)
-    lo, hi = disc_clip_batch(cx, cy, r, x0s, y0s, x1s, y1s, obs=obs)
+    t0s, t1s, *ends = _sample_of(trajectory).piece_arrays()
+    near, lo, hi = _disc_clip(_reach(*ends), _disc_of(poi, radius), *ends, obs)
     return _merged_intervals(
-        t0s.tolist(), t1s.tolist(), lo.tolist(), hi.tolist()
+        t0s[near].tolist(), t1s[near].tolist(), lo.tolist(), hi.tolist()
     )
 
 
@@ -322,14 +404,17 @@ def segment_stops_moves(
     min_dwell = _checked_min_dwell(min_dwell)
     sample = _sample_of(trajectory)
     t_min, t_max = sample.start_time, sample.end_time
-    t0s, t1s, x0s, y0s, x1s, y1s = sample.piece_arrays()
-    times = (t0s.tolist(), t1s.tolist())
+    t0s, t1s, *ends = sample.piece_arrays()
+    reach = _reach(*ends)
 
     candidates: List[Tuple[float, float, str, Hashable]] = []
     for gid in sorted(pois, key=repr) if len(sample) > 1 else ():
-        cx, cy, r = _disc_of(pois[gid], radius)
-        lo, hi = disc_clip_batch(cx, cy, r, x0s, y0s, x1s, y1s, obs=obs)
-        for a, b in _merged_intervals(*times, lo.tolist(), hi.tolist()):
+        near, lo, hi = _disc_clip(
+            reach, _disc_of(pois[gid], radius), *ends, obs
+        )
+        for a, b in _merged_intervals(
+            t0s[near].tolist(), t1s[near].tolist(), lo.tolist(), hi.tolist()
+        ):
             candidates.append((a, b, repr(gid), gid))
     stops = _scan_stops(candidates, t_min, min_dwell)
 

@@ -346,7 +346,10 @@ class PreAggStore(GranuleStore):
     def _polygons(self) -> PolygonPass:
         """The pass over :attr:`gids` (a position is a gid code): built
         at the first fold, shared by the clones made after it, never
-        pickled (:meth:`__getstate__`)."""
+        pickled (:meth:`__getstate__`).  Its decided-cell grid is the
+        store's own, labelled at the first sample pass bringing more
+        samples than the grid has cells (a build; small ``update()``
+        deltas do without)."""
         return PolygonPass.of({gid: self.geometries[gid] for gid in self.gids})
 
     def __getstate__(self) -> dict:
@@ -366,7 +369,7 @@ class PreAggStore(GranuleStore):
         sample inside proves the granule-restricted trajectory hits the
         polygon (the adjacent intra-granule segment, or the lone-point
         probe), so the row it makes is a passer's too."""
-        for pos, rows in points_inside(self._polygons, x, y):
+        for pos, rows in points_inside(self._polygons, x, y, obs=self.obs):
             if rows.size:
                 cell = pos * len(self.partition) + granule[rows]
                 fold.stage(cell, code[rows], 1, 0.0)

@@ -185,11 +185,7 @@ def total_dwell_time(
             if ops.window is None:
                 return ops.store.dwell_time(ids, *ops.run)
             return ops.store.window_dwell(ids, *ops.window)
-    elements = context.gis.layer(target[0]).elements(target[1])
-    polygons = kernels.PolygonPass.of(
-        {gid: elements[gid] for gid in ids},
-        context.geometry_index(target[0], target[1], ids, obs=stats),
-    )
+    polygons = context.polygon_pass(target[0], target[1], ids, obs=stats)
     moft = ops.table
     run = EvaluationStats()
     run.incr("scan_rows", len(moft))

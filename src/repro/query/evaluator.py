@@ -19,16 +19,22 @@ refinements that the benchmarks ablate:
   built in place or borrowed prebuilt from
   :meth:`~repro.query.region.EvaluationContext.geometry_index`;
 * an optional columnar prefilter (:func:`repro.query.vectorized
-  .points_in_polygons`): when every answer geometry is a polygon, a
+  .points_inside`): when every answer geometry is a polygon, a
   sampled point inside a polygon already proves the trajectory
-  intersects, so those objects skip the segment scan entirely.
+  intersects, so those objects skip the segment scan entirely.  The
+  points of decided grid cells are answered by their cell's label; only
+  the rest take the broad phase and the containment kernel.
 
-When every answer geometry is a polygon the scan is *batched*: each
-batch of the table's segment table (:meth:`repro.mo.moft.MOFT.segments`)
-goes through one broad phase over the answer's grid index
-(:func:`repro.geometry.index.candidate_pairs`), and its (polygon,
-segment) pairs through one clip-kernel call per early-exit round, for
-all objects and polygons together.  The per-object walk serves the
+When every answer geometry is a polygon the scan is *batched*: the
+segments of the objects still pending, read in batches straight off the
+table's segment index (:meth:`repro.mo.moft.MOFT.segment_index`), go
+through one broad phase per batch over the answer's grid index
+(:func:`repro.geometry.index.candidate_pairs`), and the (polygon,
+segment) pairs of all batches through one clip-kernel call per
+early-exit round, for all objects and polygons together.  The answer's
+:class:`~repro.geometry.kernels.PolygonPass` (edge table, bins, label
+grid) comes from :meth:`~repro.query.region.EvaluationContext
+.polygon_pass`, built once per answer.  The per-object walk serves the
 other geometry kinds, single-sample objects and tables too small to
 repay a kernel call; it filters by the grid index probe by probe.
 
@@ -55,6 +61,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -74,6 +81,7 @@ from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.segment import Segment
+from repro.mo import moft as moft_module
 from repro.mo.moft import (
     MOFT,
     SegmentBatch,
@@ -131,6 +139,39 @@ class ShardedTrajectoryExecutor(Protocol):
         ...
 
 
+def _segments_of(
+    moft: MOFT, objects: np.ndarray, skip: int, take: Optional[int]
+) -> Iterator[SegmentBatch]:
+    """The segments of ``objects`` (positions in the table's segment
+    index), each object's first ``skip`` left out and at most ``take``
+    kept, in (object, time) order: batches of at most
+    ``SEGMENT_BATCH_ROWS`` segments (at least one object), gathered
+    straight off the segment index, only the rows they join."""
+    _, perm, offsets = moft.segment_index()
+    _, x, y = moft.as_arrays()
+    first = offsets[objects] + skip
+    count = offsets[objects + 1] - 1 - first
+    if take is not None:
+        count = np.minimum(count, take)
+    keep = count > 0
+    objects, first, count = objects[keep], first[keep], count[keep]
+    end = np.cumsum(count)
+    lo = 0
+    while lo < objects.shape[0]:
+        base = int(end[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(
+            end, base + moft_module.SEGMENT_BATCH_ROWS, "right"
+        )))
+        n = count[lo:hi]
+        at = np.repeat(first[lo:hi] - (end[lo:hi] - n - base), n)
+        at += np.arange(int(end[hi - 1]) - base)
+        a, b = perm[at], perm[at + 1]
+        yield SegmentBatch(
+            None, None, x[a], y[a], x[b], y[b], np.repeat(objects[lo:hi], n)
+        )
+        lo = hi
+
+
 class TrajectoryIntersectionCounter:
     """Counts objects whose trajectory meets any of a set of geometries.
 
@@ -150,6 +191,15 @@ class TrajectoryIntersectionCounter:
         A prebuilt :class:`UniformGridIndex` over exactly these
         geometries (e.g. from ``EvaluationContext.geometry_index``);
         ignored when ``use_index`` is False.
+    polygons:
+        A prebuilt :class:`~repro.geometry.kernels.PolygonPass` over
+        exactly these geometries in id order (from
+        ``EvaluationContext.polygon_pass``); its grid index serves as
+        ``index``.  Default: built here when every geometry is a
+        polygon; with the prefilter on, its decided-cell grid is built
+        here.  A shard task gets the grid with the counter and rebuilds
+        only the cheap rest (the pickle carries geometries, not arrays
+        derived from them).
     vectorized_prefilter:
         When every geometry is a polygon, accept objects with a sampled
         point inside some polygon via the columnar batch test before
@@ -165,6 +215,7 @@ class TrajectoryIntersectionCounter:
         early_exit: bool = True,
         index: Optional[UniformGridIndex] = None,
         vectorized_prefilter: bool = False,
+        polygons: Optional["kernels.PolygonPass"] = None,
     ) -> None:
         if not geometries:
             raise EvaluationError("no geometries to intersect against")
@@ -184,12 +235,40 @@ class TrajectoryIntersectionCounter:
         )
         if not all(isinstance(g, Polygon) for g in self._polygons):
             self._polygons = None
+        if polygons is not None:
+            index = polygons.index
         if not use_index:
             self._index = None
         elif index is not None:
             self._index = index
         else:
             self._index = index_for_geometries(self.geometries)
+        #: The batched scan's pass (None: not a polygon answer).
+        self._pass = None
+        if self._polygons is not None:
+            self._pass = polygons or kernels.PolygonPass.of(
+                self.geometries, self._index
+            )
+            if vectorized_prefilter:
+                # The prefilter reads every sample of the table.
+                self._pass.label()
+
+    def __getstate__(self) -> dict:
+        # A shard task rebuilds the pass's edge table and bins from the
+        # geometries, as a scan used to; the label grid travels.
+        state = dict(vars(self))
+        if state.pop("_pass") is not None and self._pass.labels is not None:
+            state["_labels"] = self._pass.labels
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        labels = state.pop("_labels", None)
+        self.__dict__.update(state)
+        self._pass = None
+        if self._polygons is not None:
+            self._pass = kernels.PolygonPass.of(
+                self.geometries, self._index, labels
+            )
 
     def matching_objects(
         self, moft: MOFT, stats: Optional[EvaluationStats] = None
@@ -229,19 +308,17 @@ class TrajectoryIntersectionCounter:
         oids, perm, offsets = moft.segment_index()
         _, x, y = moft.as_arrays()
         hit = np.zeros(oids.shape[0], dtype=bool)
-        polygons = kernels.PolygonPass.of(self.geometries, self._index)
         if self.vectorized_prefilter:
             # A sampled point inside a polygon proves the hit.
             owner = moft.object_codes()
-            for _, rows in points_inside(polygons, x, y):
+            for _, rows in points_inside(self._pass, x, y, obs=stats):
                 hit[owner[rows]] = True
             stats.incr("vectorized_accepts", int(hit.sum()))
         if len(moft) < BATCH_MIN_ROWS:
             for i in np.flatnonzero(~hit):
                 hit[i] = self._object_matches(moft, oids[i], stats)
         else:
-            for batch in moft.segments():
-                self._scan_batch(batch, hit, stats, polygons)
+            self._scan_segments(moft, hit, stats)
             for i in np.flatnonzero((np.diff(offsets) == 1) & ~hit):
                 row = perm[offsets[i]]
                 hit[i] = self._probes_match(
@@ -251,52 +328,56 @@ class TrajectoryIntersectionCounter:
         stats.incr("objects_matched", int(hit.sum()))
         return set(oids[hit].tolist())
 
-    def _scan_batch(
-        self,
-        batch: SegmentBatch,
-        hit: np.ndarray,
-        stats: EvaluationStats,
-        polygons: "kernels.PolygonPass",
+    def _scan_segments(
+        self, moft: MOFT, hit: np.ndarray, stats: EvaluationStats
     ) -> None:
-        """Mark in ``hit`` the objects a segment of ``batch`` proves.
+        """Mark in ``hit`` the objects a segment of ``moft`` proves.
 
-        A round is one broad phase over the pending segments and one
-        kernel call on its (polygon, segment) pairs: ``segment_checks``
-        counts those pairs and ``bbox_rejections`` the rest of pending
-        segments x polygons; the kernel counts into ``stats`` too.  With
-        ``early_exit`` an object leaves the scan at its first hit, and
-        every object's first segment goes ahead of the rest: an object
-        that starts inside the answer costs one round-one pair per
-        polygon its first segment's box meets.  Without, every pair is
-        visited.
+        A round is a broad phase over its pending segments and one
+        kernel call on the (polygon, segment) pairs, made again only
+        when the pairs gathered reach ``SEGMENT_BATCH_ROWS``:
+        ``segment_checks`` counts those pairs and ``bbox_rejections``
+        the rest of pending segments x polygons; the kernel counts into
+        ``stats`` too.  With ``early_exit`` an object leaves the scan at
+        its first hit, and every object's first segment goes ahead of
+        the rest, in a round of its own: an object that starts inside
+        the answer costs one round-one pair per polygon its first
+        segment's box meets.  The second round visits the remaining
+        segments of the objects still pending.  Without ``early_exit``
+        there is one round over every segment.  A round reads only the
+        segments it visits (:func:`_segments_of`), never those of an
+        object already proven.
         """
-        obj = batch.obj
-        live = np.flatnonzero(~hit[obj])
-        if self.early_exit:
-            # (Index len(batch) is the "first segment" of a trailing
-            # single-sample object.)
-            first = np.zeros(len(batch) + 1, dtype=bool)
-            first[batch.offsets[:-1]] = True
-            rounds = [live[first[live]], live[~first[live]]]
-        else:
-            rounds = [live]
-        for pending in rounds:
-            if self.early_exit:
-                pending = pending[~hit[obj[pending]]]
-            if not pending.shape[0]:
-                continue
-            pos, at = candidate_pairs(polygons.bins, *batch.boxes(pending))
-            stats.incr(
-                "bbox_rejections",
-                pending.shape[0] * len(self._polygons) - pos.shape[0],
-            )
-            stats.incr("segment_checks", pos.shape[0])
-            if pos.shape[0]:
-                at = pending[at]
-                found = kernels.pairs_intersect(
-                    polygons.edges, pos, *batch.ends(at), obs=stats
-                )
-                hit[obj[at[found]]] = True
+        # (skip, take): each object's first segment, then the rest.
+        rounds = [(0, 1), (1, None)] if self.early_exit else [(0, None)]
+        width = len(self._polygons)
+        for skip, take in rounds:
+            pairs: List[Tuple[np.ndarray, ...]] = []
+            size = 0
+            for batch in _segments_of(moft, np.flatnonzero(~hit), skip, take):
+                pos, at = candidate_pairs(self._pass.bins, *batch.boxes())
+                stats.incr("bbox_rejections", len(batch) * width - pos.shape[0])
+                stats.incr("segment_checks", pos.shape[0])
+                if not pos.shape[0]:
+                    continue
+                pairs.append((pos, batch.obj[at], *batch.ends(at)))
+                size += pos.shape[0]
+                if size >= moft_module.SEGMENT_BATCH_ROWS:
+                    self._intersect(pairs, hit, stats)
+                    pairs, size = [], 0
+            self._intersect(pairs, hit, stats)
+
+    def _intersect(
+        self, pairs: List[Tuple[np.ndarray, ...]], hit: np.ndarray,
+        stats: EvaluationStats,
+    ) -> None:
+        """One kernel call on gathered ``(position, object, x0, y0, x1,
+        y1)`` pairs; the objects of those that meet their polygon hit."""
+        if not pairs:
+            return
+        pos, obj, *ends = map(np.concatenate, zip(*pairs))
+        found = kernels.pairs_intersect(self._pass.edges, pos, *ends, obs=stats)
+        hit[obj[found]] = True
 
     def _object_matches(
         self, moft: MOFT, oid: Hashable, stats: EvaluationStats
@@ -430,20 +511,24 @@ def counter_for(
     vectorized: bool = True,
     stats: Optional[EvaluationStats] = None,
 ) -> TrajectoryIntersectionCounter:
-    """Build the scan counter over one geometric answer (the scan leaf)."""
+    """Build the scan counter over one geometric answer (the scan leaf):
+    with the answer's cached grid index and, for a polygon answer, its
+    cached :class:`~repro.geometry.kernels.PolygonPass`."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
-    index = (
-        context.geometry_index(layer, kind, ids, obs=stats)
-        if use_index
-        else None
-    )
+    geometries = {gid: elements[gid] for gid in ids}
+    index = polygons = None
+    if use_index and all(isinstance(g, Polygon) for g in geometries.values()):
+        polygons = context.polygon_pass(layer, kind, ids, obs=stats)
+    elif use_index:
+        index = context.geometry_index(layer, kind, ids, obs=stats)
     return TrajectoryIntersectionCounter(
-        {gid: elements[gid] for gid in ids},
+        geometries,
         use_index=use_index,
         early_exit=early_exit,
         index=index,
         vectorized_prefilter=vectorized,
+        polygons=polygons,
     )
 
 

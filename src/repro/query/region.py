@@ -31,6 +31,7 @@ from typing import (
 
 from repro.errors import EvaluationError, QueryError
 from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.kernels import PolygonPass
 from repro.geometry.overlay import (
     PREDICATES,
     geometries_intersect,
@@ -94,6 +95,9 @@ class EvaluationContext:
         self._grid_cache: Dict[
             Tuple[str, str, frozenset], UniformGridIndex
         ] = {}
+        # Beside each polygon answer's index, its pass (the batched
+        # scans' edge table, bins and decided-cell grid).
+        self._pass_cache: Dict[Tuple[str, str, frozenset], PolygonPass] = {}
         # Registered pre-aggregation stores; the resolve step
         # (repro.query.evaluator.resolve_through) consults these.
         self._preagg_stores: List["PreAggStore"] = []
@@ -196,6 +200,31 @@ class EvaluationContext:
             )
         self._grid_cache[key] = index
         return index
+
+    def polygon_pass(
+        self,
+        layer: str,
+        kind: str,
+        ids: Iterable[Hashable],
+        obs: Optional[PipelineStats] = None,
+    ) -> PolygonPass:
+        """:meth:`geometry_index` of a polygon answer, as the
+        :class:`~repro.geometry.kernels.PolygonPass` the batched scans
+        read (the polygons in id order, ``repr`` of the id), cached
+        beside the index: the pass and its decided-cell grid are built
+        once per answer, not per query.  Counts as
+        :meth:`geometry_index` does (it is that call)."""
+        key = (layer, kind, frozenset(ids))
+        index = self.geometry_index(layer, kind, key[2], obs=obs)
+        polygons = self._pass_cache.get(key)
+        if polygons is None:
+            elements = self.gis.layer(layer).elements(kind)
+            polygons = PolygonPass.of(
+                {gid: elements[gid] for gid in sorted(key[2], key=repr)},
+                index,
+            )
+            self._pass_cache[key] = polygons
+        return polygons
 
     # -- geometry relations (overlay vs naive) ------------------------------------
 

@@ -15,6 +15,13 @@ Boundary semantics: the batched crossing-number test classifies points
 *strictly* inside in bulk, then re-checks the few undecided points near
 the boundary with the exact scalar predicate, preserving the closed-region
 semantics (boundary points belong to the region).
+
+Decided cells: :func:`points_inside` first reads each point's label off
+the pass's grid of decided cells — a cell every point of which has the
+same answer against every polygon, proved once when the grid is built
+(the argument is :class:`~repro.geometry.kernels.PolygonPass`'s) — and
+sends only the points of undecided cells through the broad phase and
+the batched test.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 
 from repro.geometry.index import candidate_pairs
 from repro.geometry.kernels import (
+    MIXED,
     EdgeTable,
     PolygonPass,
     _chunks,
@@ -79,17 +87,56 @@ def polygon_contains_batch(
 
 
 def points_inside(
-    polygons: PolygonPass, xs: np.ndarray, ys: np.ndarray
+    polygons: PolygonPass, xs: np.ndarray, ys: np.ndarray, obs=None
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """``(position, point)`` of the points inside a polygon of the pass,
-    per segment batch's worth of points: one broad phase and one
-    containment call on its pairs each."""
+    in chunks of at most a segment batch's worth of points.
+
+    Each point's decided-cell label (:meth:`PolygonPass.labels_for`; see
+    :class:`~repro.geometry.kernels.PolygonPass` for why a label is the
+    answer :func:`pairs_contain` would give) is looked up with one
+    gather per chunk.  The points of undecided cells are gathered across
+    chunks and go through the broad phase and one containment call on
+    its pairs per batch's worth, once that much has gathered and at the
+    end: none, no call.  ``cell_decided_points`` counts into ``obs`` the
+    points a label answered.  Without a label grid every point takes
+    the broad phase, chunk by chunk.
+    """
     step = moft_module.SEGMENT_BATCH_ROWS
+    labels = polygons.labels_for(xs.shape[0])
+    mixed: List[np.ndarray] = []
+    size = 0
     for lo in range(0, xs.shape[0], step):
         x, y = xs[lo:lo + step], ys[lo:lo + step]
-        pos, at = candidate_pairs(polygons.bins, x, y, x, y)
-        inside = pairs_contain(polygons.edges, pos, x[at], y[at])
-        yield pos[inside], at[inside] + lo
+        if labels is None:
+            pos, at = _contained(polygons, x, y)
+            yield pos, at + lo
+            continue
+        label = labels.of(x, y)
+        undecided = np.flatnonzero(label == MIXED)
+        inside = np.flatnonzero(label >= 0)
+        if obs is not None:
+            obs.incr("cell_decided_points", x.shape[0] - undecided.size)
+        yield label[inside].astype(np.intp), inside + lo
+        mixed.append(undecided + lo)
+        size += undecided.size
+        if size >= step or lo + step >= xs.shape[0]:
+            rows = np.concatenate(mixed)
+            mixed, size = [], 0
+            for part in range(0, rows.size, step):
+                some = rows[part:part + step]
+                pos, at = _contained(polygons, xs[some], ys[some])
+                yield pos, some[at]
+
+
+def _contained(
+    polygons: PolygonPass, x: np.ndarray, y: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The undecided path: one broad phase and one containment call on
+    its pairs."""
+    pos, at = candidate_pairs(polygons.bins, x, y, x, y)
+    inside = pairs_contain(polygons.edges, pos, x[at], y[at])
+    return pos[inside], at[inside]
 
 
 def points_in_polygons(

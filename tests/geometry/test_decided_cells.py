@@ -1,0 +1,235 @@
+"""Decided cells answer point containment exactly.
+
+A :class:`~repro.geometry.kernels.PolygonPass` labels the cells of a
+grid over its polygons once; :func:`~repro.query.vectorized
+.points_inside` answers the points of a decided cell from its label and
+sends only the rest through the broad phase and ``pairs_contain``.  The
+label must be the answer the undecided path gives, for every point, so
+these tests aim at what could break that: polygons whose edges lie on
+cell lines, holes, reflex corners, coordinates from ``1e-3`` to ``1e6``,
+and points on cell corners (and one ulp either side), on polygon edges
+and inside the boundary tolerance band.  Each answer is checked against
+the undecided path and against :meth:`Polygon.contains_point`, under
+both kernel backends (``scalar`` decides no cell).  A completeness
+record on the 10k-sample city keeps a grid that decides nothing from
+passing silently.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.geometry.kernels import (
+    MIXED,
+    OUTSIDE,
+    PolygonPass,
+    set_kernel_backend,
+)
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.gis import POLYGON
+from repro.obs import PipelineStats
+from repro.query.evaluator import TrajectoryIntersectionCounter
+from repro.query.vectorized import _contained, points_inside
+from repro.synth import CityConfig, build_city, install_city_pois, stop_biased_moft
+
+from tests.geometry.test_clip_kernel import CSHAPE, DIAMOND, HOLED, SQUARE, ZIGZAG
+
+
+@pytest.fixture(params=["numpy", "scalar"])
+def backend(request):
+    set_kernel_backend(request.param)
+    yield request.param
+    set_kernel_backend("numpy")
+
+
+def moved(polygon, scale, dx, dy):
+    """``polygon`` scaled by ``scale`` and then shifted by ``(dx, dy)``."""
+
+    def ring(points):
+        return [Point(p.x * scale + dx, p.y * scale + dy) for p in points]
+
+    return Polygon(ring(polygon.shell), holes=[ring(h) for h in polygon.holes])
+
+
+def probes(polygons, grid, rng, n_random=400):
+    """Points on cell corners (and an ulp either side), on every edge, in
+    the tolerance band across every edge, and at random in the extent."""
+    ox, oy, size, cols, rows = grid
+    xs = ox + np.arange(cols + 1) * size
+    ys = oy + np.arange(rows + 1) * size
+    cx, cy = (a.ravel() for a in np.meshgrid(xs, ys))
+    x, y = [cx], [cy]
+    for direction in (-np.inf, np.inf):
+        x.append(np.nextafter(cx, direction))
+        y.append(np.nextafter(cy, direction))
+    for polygon in polygons:
+        box = polygon.bbox
+        tolerance = 1e-9 * max(box.width, box.height, 1.0)
+        for ring in (polygon.shell, *polygon.holes):
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                t = rng.uniform(0.0, 1.0, 3)
+                px = a.x + t * (b.x - a.x)
+                py = a.y + t * (b.y - a.y)
+                length = math.hypot(b.x - a.x, b.y - a.y)
+                nx, ny = (a.y - b.y) / length, (b.x - a.x) / length
+                for k in (0.0, 1.0, 3.0, -1.0, -3.0):
+                    x.append(px + k * tolerance * nx)
+                    y.append(py + k * tolerance * ny)
+    x.append(rng.uniform(ox - size, ox + (cols + 1) * size, n_random))
+    y.append(rng.uniform(oy - size, oy + (rows + 1) * size, n_random))
+    return np.concatenate(x), np.concatenate(y)
+
+
+def pairs(found):
+    return sorted(
+        (p, a) for pos, at in found for p, a in zip(pos.tolist(), at.tolist())
+    )
+
+
+def assert_decided_exact(polygons, rng, backend):
+    """``points_inside`` with a label grid == the undecided path ==
+    ``contains_point``, pair by pair."""
+    passes = PolygonPass.of(dict(enumerate(polygons)))
+    labels = passes.label()
+    x, y = probes(polygons, labels.grid, rng)
+    obs = PipelineStats()
+    got = pairs(points_inside(passes, x, y, obs=obs))
+    assert got == pairs([_contained(passes, x, y)])
+    # The scalar predicate, on a sample of the points the labels
+    # answered (``pairs_contain`` is pinned to it everywhere else).
+    label = labels.of(x, y)
+    some = rng.permutation(np.flatnonzero(label != MIXED))[:300].tolist()
+    some += rng.permutation(x.size)[:100].tolist()
+    by_point = {}
+    for p, at in got:
+        by_point.setdefault(at, []).append(p)
+    for i in some:
+        point = Point(float(x[i]), float(y[i]))
+        want = [p for p, polygon in enumerate(polygons) if polygon.contains_point(point)]
+        assert by_point.get(i, []) == want, (i, point)
+    decided = obs.count("cell_decided_points")
+    if backend == "scalar":
+        assert decided == 0
+    return labels, decided
+
+
+TABLE = [SQUARE, HOLED, DIAMOND, CSHAPE, ZIGZAG]
+
+
+class TestShapes:
+    @pytest.mark.parametrize(
+        "scale, offset", [(1.0, 0.0), (1e-3, 1e6), (1e3, -7.5), (1e-3, 0.0)]
+    )
+    def test_table(self, backend, scale, offset):
+        """The shapes side by side (boxes apart, so cells can be
+        decided) and all on one spot (every box covers every cell)."""
+        overlapping = [moved(p, scale, offset, offset) for p in TABLE]
+        assert_decided_exact(overlapping, np.random.default_rng(2), backend)
+        polygons = [
+            moved(p, scale, offset + 15 * i * scale, offset)
+            for i, p in enumerate(TABLE)
+        ]
+        labels, decided = assert_decided_exact(
+            polygons, np.random.default_rng(3), backend
+        )
+        if backend == "numpy":
+            assert decided > 0
+            assert (labels.labels >= 0).any() and (labels.labels == MIXED).any()
+
+    def test_edges_on_cell_lines(self, backend):
+        """Side-8 squares on a lattice: the median side over 8 makes
+        every edge lie on a cell line."""
+        squares = [
+            Polygon([
+                Point(i, j), Point(i + 8, j), Point(i + 8, j + 8), Point(i, j + 8),
+            ])
+            for i, j in ((0, 0), (8, 0), (16, 8), (0, 16))
+        ]
+        labels, _ = assert_decided_exact(
+            squares, np.random.default_rng(5), backend
+        )
+        assert labels.grid[2] == 1.0
+        # Adjacent squares share an edge: no cell along it is decided.
+        assert (labels.labels == OUTSIDE).any()
+
+    def test_hole_interior_is_outside(self):
+        """Side 32, so cells of 4: the hole's inner cells are decided
+        outside, the ring's inside."""
+        square = [Point(0, 0), Point(32, 0), Point(32, 32), Point(0, 32)]
+        hole = [Point(10, 10), Point(22, 10), Point(22, 22), Point(10, 22)]
+        labels = PolygonPass.of({"holed": Polygon(square, holes=[hole])}).label()
+        found = labels.of(np.array([14.0, 6.0, 10.0]), np.array([14.0, 6.0, 3.0]))
+        assert found.tolist() == [OUTSIDE, 0, MIXED]
+
+
+@st.composite
+def star_polygons(draw):
+    """A simple star-shaped polygon (vertices at increasing angles
+    around a centre), at some coordinate scale and offset."""
+    n = draw(st.integers(3, 9))
+    radii = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+    turns = sorted(draw(st.lists(
+        st.integers(0, 359), min_size=n, max_size=n, unique=True,
+    )))
+    scale = draw(st.sampled_from([1e-3, 1.0, 37.0, 1e3]))
+    cx = draw(st.sampled_from([0.0, 3.0, -250.0, 1e6]))
+    cy = draw(st.sampled_from([0.0, 11.0, 1e6]))
+    points = [
+        Point(cx + scale * r * math.cos(math.radians(a)),
+              cy + scale * r * math.sin(math.radians(a)))
+        for r, a in zip(radii, turns)
+    ]
+    return Polygon(points)
+
+
+class TestRandom:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        polygons=st.lists(star_polygons(), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_star_polygons(self, polygons, seed):
+        for name in ("numpy", "scalar"):
+            set_kernel_backend(name)
+            try:
+                assert_decided_exact(polygons, np.random.default_rng(seed), name)
+            finally:
+                set_kernel_backend("numpy")
+
+
+class TestLaziness:
+    def test_grid_waits_for_enough_points(self):
+        passes = PolygonPass.of({"square": SQUARE})
+        grid = passes.label().grid
+        cells = grid[3] * grid[4]
+        fresh = PolygonPass.of({"square": SQUARE})
+        assert fresh.labels_for(cells) is None
+        assert fresh.labels_for(cells + 1) is not None
+        assert fresh.labels_for(1) is not None
+
+    def test_scalar_backend_decides_nothing(self, backend):
+        passes = PolygonPass.of({"square": SQUARE})
+        passes.label()
+        assert (passes.labels_for(10**6) is None) == (backend == "scalar")
+
+
+class TestCompleteness:
+    def test_city_decides_points(self):
+        """The record: on the 10k-sample city the prefilter's grid
+        answers a share of the samples without a containment call."""
+        city = build_city(
+            CityConfig(cols=6, rows=6), rng=np.random.default_rng(20060109)
+        )
+        moft = stop_biased_moft(install_city_pois(city), 100, 100)
+        polygons = city.gis.layer("Ln").elements(POLYGON)
+        counter = TrajectoryIntersectionCounter(
+            polygons, vectorized_prefilter=True
+        )
+        stats = PipelineStats()
+        counter.matching_objects(moft, stats)
+        share = stats.count("cell_decided_points") / len(moft)
+        assert len(moft) == 10_000
+        assert share > 0
