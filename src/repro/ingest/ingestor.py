@@ -63,8 +63,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import IngestError
-from repro.ingest.versioned import MoftSnapshot, VersionedMoft, intern
-from repro.mo.moft import MOFT
+from repro.ingest.versioned import MoftSnapshot, VersionedMoft
+from repro.mo.moft import MOFT, intern
 from repro.obs import PipelineStats
 from repro.preagg import PreAggStore
 from repro.query.region import EvaluationContext

@@ -25,15 +25,15 @@ version *k* can be cloned, repointed at version *k+1*'s table, and
 folded forward with :meth:`~repro.preagg.PreAggStore.update` — the
 appended rows are exactly ``rows[built:]``.
 
-**One object order.**  The chain interns every object id once, in the
-order the published rows first bring it (the base table's own order
-first).  A delta's codes are looked up there; its ``(code, t)`` sort is
-both its uniqueness check and its segment index, which
-:meth:`~repro.mo.moft.SegmentIndex.extend` merges into the parent's.
-Every snapshot table is handed that index and those codes, so no scan
-and no store fold of a snapshot sorts or walks the rows before it: the
-work of a publish grows with the delta, plus the column copies of the
-new table.
+**One object order.**  A snapshot's table is its parent's extended by
+the delta (:meth:`~repro.mo.moft.MOFT.appended`, the append path of
+every table): the delta's ids are interned after the parent's, in the
+order the published rows first bring them, and its ``(code, t)`` sort
+is merged into the parent's segment index
+(:meth:`~repro.mo.moft.SegmentIndex.extend`) and checked for
+``(oid, t)`` twins there.  So no scan and no store fold of a snapshot
+sorts the rows before it: the work of a publish grows with the delta,
+plus the column copies of the new table.
 
 **Compaction preserves the row sequence.**  :meth:`VersionedMoft
 .compact` replaces many segments by their one table, index included.
@@ -46,12 +46,9 @@ pins this.
 from __future__ import annotations
 
 import threading
-from itertools import repeat
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import IngestError
+from repro.errors import IngestError, TrajectoryError
 from repro.mo.moft import MOFT
 
 
@@ -109,23 +106,6 @@ def _malformed(detail: str) -> IngestError:
     return IngestError(f"malformed delta segment: {detail}")
 
 
-def intern(
-    known: Dict[Hashable, int], oids: List[Hashable]
-) -> Tuple[np.ndarray, Dict[Hashable, int]]:
-    """The codes of ``oids`` in the intern table ``known``.  Ids it
-    lacks take the next codes, in the order they first appear; they come
-    back as a table of their own, for the caller to add to ``known``
-    once the rows are accepted.  An unhashable id raises ``TypeError``
-    before anything is coded."""
-    codes = np.fromiter(
-        map(known.get, oids, repeat(-1)), dtype=np.intp, count=len(oids)
-    )
-    fresh: Dict[Hashable, int] = {}
-    for row in np.flatnonzero(codes < 0).tolist():
-        codes[row] = fresh.setdefault(oids[row], len(known) + len(fresh))
-    return codes, fresh
-
-
 class VersionedMoft:
     """Writer-owned head of a :class:`MoftSnapshot` chain.
 
@@ -142,10 +122,6 @@ class VersionedMoft:
             table = base
         else:
             segments, table = (), MOFT(name)
-        oids = table.segment_index().oids.tolist()
-        #: oid -> code: the chain's intern table, its one object order
-        #: (see the module doc).
-        self._intern: Dict[Hashable, int] = dict(zip(oids, range(len(oids))))
         self._head = MoftSnapshot(name, 0, segments, table)
 
     @property
@@ -158,67 +134,25 @@ class VersionedMoft:
     ) -> MoftSnapshot:
         """Append one delta segment and publish the successor snapshot.
 
-        The segment is validated (equal column lengths, numbers, unique
-        ``(oid, t)`` within the segment); cross-segment uniqueness is
-        the caller's contract — the streaming ingestor guarantees it by
-        sealing each accepted sample exactly once.  The new table's
-        segment index is the parent's extended by the delta's
-        (:meth:`~repro.mo.moft.SegmentIndex.extend`).  Raises
+        The segment is validated as every append is (equal column
+        lengths, finite numbers, hashable ids, no ``(oid, t)`` twice in
+        the new table): the new table is the parent's
+        :meth:`~repro.mo.moft.MOFT.appended` by it, which extends the
+        parent's segment index by the delta's.  Raises
         :class:`~repro.errors.IngestError` on an empty or malformed
-        segment, leaving the head and the object order as they were.
+        segment, leaving the head as it was.
         """
-        n = len(ts)
-        if not n:
+        if not len(ts):
             raise IngestError("refusing to publish an empty delta segment")
-        if not (len(oids) == n == len(xs) == len(ys)):
-            raise _malformed(
-                f"column lengths differ: oids={len(oids)}, ts={n}, "
-                f"xs={len(xs)}, ys={len(ys)}"
-            )
-        try:
-            t, x, y = (np.asarray(v, dtype=float) for v in (ts, xs, ys))
-        except (TypeError, ValueError) as exc:
-            raise _malformed(str(exc)) from exc
-        if not t.shape == x.shape == y.shape == (n,):
-            raise _malformed("columns must be flat sequences of numbers")
-        oid_col = np.fromiter(oids, dtype=object, count=n)
         with self._lock:
             head = self._head
-            parent = head.table()
             try:
-                codes, fresh = intern(self._intern, oid_col.tolist())
-            except TypeError as exc:
+                table = head.table().appended(oids, ts, xs, ys)
+            except (TrajectoryError, TypeError, ValueError) as exc:
                 raise _malformed(str(exc)) from exc
-            order = np.lexsort((t, codes))
-            same = np.flatnonzero(
-                (codes[order[1:]] == codes[order[:-1]])
-                & (t[order[1:]] == t[order[:-1]])
-            )
-            if same.size:
-                row = order[same[0]]
-                raise _malformed(
-                    f"object {oid_col[row]!r} already has a sample at "
-                    f"t={t[row]} (an object is at one point at a given "
-                    f"instant)"
-                )
-            index = parent.segment_index()
-            if fresh:
-                new_oids = np.fromiter(fresh, dtype=object, count=len(fresh))
-                all_oids = np.concatenate((index.oids, new_oids))
-            else:
-                all_oids = index.oids
-            p_t, p_x, p_y = parent.as_arrays()
-            t_all = np.concatenate((p_t, t))
-            table = MOFT.from_columns(
-                np.concatenate((parent.oid_column(), oid_col)),
-                t_all, np.concatenate((p_x, x)), np.concatenate((p_y, y)),
-                name=self.name, validate=False,
-                index=index.extend(all_oids, t_all, codes, order),
-                codes=np.concatenate((parent.object_codes(), codes)),
-            )
-            self._intern.update(fresh)
+            table.name = self.name
             segment = MOFT.from_columns(
-                oid_col, t, x, y, name=self.name, validate=False
+                oids, ts, xs, ys, name=self.name, validate=False
             )
             self._head = MoftSnapshot(
                 self.name, head.ordinal + 1, head.segments + (segment,), table

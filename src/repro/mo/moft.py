@@ -5,46 +5,38 @@ the form ``(Oid, t, x, y)``, where ``Oid`` is the identifier of the moving
 object, ``t`` is a time instant, and ``(x, y)`` are the coordinates of the
 object ``Oid`` at instant ``t``."
 
-The table is a small columnar storage engine.  The ``(t, x, y)`` columns
-are NumPy float arrays and the ``oid`` column is an object array; bulk
-construction and restriction operate on whole columns:
+The table is a small columnar storage engine, kept as a warehouse keeps
+a fact table: a surrogate key per object.  It holds one representation,
+each row's object as an ``int32`` code (:meth:`object_codes`) into the
+intern table :attr:`oids` and ``(t, x, y)`` as float columns; the rest
+is derived from those and cached per table state:
 
-* :meth:`from_columns` constructs a table from columns in one shot;
-* :meth:`filter`, :meth:`restrict_instants` and :meth:`restrict_objects`
-  produce restricted tables by boolean-mask slicing (:meth:`mask_rows`) —
-  no per-row revalidation, no per-row appends;
+* :meth:`mask_rows` (under :meth:`filter`, :meth:`restrict_instants`,
+  :meth:`restrict_objects`) slices whole columns and renumbers codes;
 * whole-table trajectory scans go through the **segment table**
   (:meth:`segment_index`, :meth:`segments`): every object's
   consecutive-sample segments as flat arrays in (object, time) order, so
   a scan hands the batch kernels all objects at once;
 * per-object access (:meth:`history`, :meth:`position`,
-  :meth:`trajectory_sample`) reads the object's run of that same index,
-  so a point lookup is a binary search rather than a sort-per-call.
+  :meth:`trajectory_sample`) is a binary search in the object's run of
+  that same index; :meth:`oid_column` decodes ``oids[codes]``.
 
-Storage is dual: append-friendly Python row lists and the cached column
-arrays, each materialized lazily from the other.  ``add()`` works on the
-lists (invalidating the arrays); bulk construction installs the arrays
-and defers the lists until row iteration or another append needs them.
-
-The table enforces the physical invariant that an object occupies at most
-one position per instant.
+Every append takes one path (:meth:`add` buffers samples until the next
+read): intern the new ids (:func:`intern`, the one interner), sort the
+delta by ``(code, t)``, merge it into the index
+(:meth:`SegmentIndex.extend`).  An object occupies at most one position
+per instant — an adjacent-equal test over the index's time-sorted runs —
+and non-finite numbers and unhashable ids are refused.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import math
+import threading
+from itertools import count, repeat
 from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
+    Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -66,6 +58,74 @@ INSTANT_MATCH_ULPS = 4.0
 #: than the per-object loops did, and runs as fast as at 64k.
 SEGMENT_BATCH_ROWS = 1 << 14
 
+#: An id column and a number column, as appends take them (sequences or
+#: NumPy arrays).
+Ids = Sequence[Hashable]
+Numbers = Sequence[float]
+
+
+def intern(
+    known: Dict[Hashable, int], oids: List[Hashable]
+) -> Tuple[np.ndarray, Dict[Hashable, int]]:
+    """The codes of ``oids`` in the intern table ``known``.  Ids it
+    lacks take the next codes, in the order they first appear; they come
+    back as a table of their own, for the caller to add to ``known``
+    once the rows are accepted.  An unhashable id raises ``TypeError``
+    before anything is coded."""
+    if known:
+        codes = np.fromiter(
+            map(known.get, oids, repeat(-1)), dtype=np.intp, count=len(oids)
+        )
+        missing = np.flatnonzero(codes < 0)
+        if not missing.size:
+            return codes, {}
+        new = [oids[row] for row in missing.tolist()]
+    else:
+        codes, new = np.empty(len(oids), dtype=np.intp), oids
+        missing = slice(None)
+    fresh = dict(zip(dict.fromkeys(new), count(len(known))))
+    codes[missing] = np.fromiter(
+        map(fresh.__getitem__, new), dtype=np.intp, count=len(new)
+    )
+    return codes, fresh
+
+
+def recode(
+    codes: np.ndarray, oids: np.ndarray, by_first_row: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``codes`` into ``oids`` renumbered densely over the objects they
+    use, and the matching intern table: objects keep their order, or come
+    in the order of their first rows (``by_first_row``: the order of the
+    file format and of a table built from columns).  The inputs come back
+    as they are when nothing changes."""
+    n, k = codes.shape[0], oids.shape[0]
+    if by_first_row:
+        first = np.full(k, n, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(n))
+        used = np.argsort(first, kind="stable")[:np.count_nonzero(first < n)]
+    else:
+        used = np.flatnonzero(np.bincount(codes, minlength=k))
+    if used.shape[0] == k and not np.any(used != np.arange(k)):
+        return codes, oids
+    new = np.empty(k, dtype=np.int32)
+    new[used] = np.arange(used.shape[0])
+    return new[codes], oids[used]
+
+
+def _twin_error(oid: Hashable, t: float) -> TrajectoryError:
+    return TrajectoryError(
+        f"object {oid!r} already has a sample at t={t} "
+        f"(an object is at one point at a given instant)"
+    )
+
+
+def _check_unique(oids: np.ndarray, group: np.ndarray, t: np.ndarray) -> None:
+    """Raise for two adjacent rows of one ``group`` (a code into ``oids``)
+    and instant: in time-sorted runs, twins sit side by side."""
+    same = np.flatnonzero((group[1:] == group[:-1]) & (t[1:] == t[:-1]))
+    if same.size:
+        raise _twin_error(oids[group[same[0]]], float(t[same[0]]))
+
 
 class SegmentIndex(NamedTuple):
     """A table's rows in (object, time) order — the cached half of the
@@ -76,12 +136,23 @@ class SegmentIndex(NamedTuple):
     perm: np.ndarray
     offsets: np.ndarray
 
+    @classmethod
+    def build(
+        cls, oids: np.ndarray, codes: np.ndarray, t: np.ndarray
+    ) -> "SegmentIndex":
+        """The index of rows from scratch: one ``(code, t)`` lexsort,
+        rows of one object and instant in row order."""
+        offsets = np.zeros(oids.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(codes, minlength=oids.shape[0]), out=offsets[1:])
+        return cls(oids, np.lexsort((t, codes)), offsets)
+
     def extend(
         self,
         oids: np.ndarray,
         t: np.ndarray,
         codes: np.ndarray,
         order: np.ndarray,
+        check: bool = False,
     ) -> "SegmentIndex":
         """The index of this table's rows plus appended ones.
 
@@ -93,7 +164,10 @@ class SegmentIndex(NamedTuple):
         place and its appended rows follow them.  Only an object whose
         appended rows do not all come after its old ones in time has its
         rows sorted anew, so the result equals the from-scratch index
-        whatever the append.
+        whatever the append.  ``check`` raises ``TrajectoryError`` for a
+        sample whose object has another at its instant: twins in the
+        delta, or in the runs of those objects its rows reach back into
+        (for any other object every appended row is later than all old).
         """
         n, k, m = self.perm.shape[0], self.oids.shape[0], oids.shape[0]
         old = np.zeros(m, dtype=np.intp)
@@ -106,6 +180,8 @@ class SegmentIndex(NamedTuple):
         perm[np.arange(n) + np.repeat(shift, old[:k])] = self.perm
         first = np.cumsum(new) - new  # each object's first place in order
         sorted_codes = codes[order]
+        if check:
+            _check_unique(oids, sorted_codes, t[n + order])
         at = np.arange(order.shape[0]) - first[sorted_codes]
         perm[offsets[sorted_codes] + old[sorted_codes] + at] = n + order
         both = np.flatnonzero((old > 0) & (new > 0))
@@ -117,8 +193,10 @@ class SegmentIndex(NamedTuple):
             where = np.repeat(lo - np.cumsum(span) + span, span)
             where += np.arange(where.shape[0])
             rows = perm[where]
-            group = np.repeat(np.arange(back.size), span)
-            perm[where] = rows[np.lexsort((t[rows], group))]
+            group = np.repeat(back, span)
+            perm[where] = rows = rows[np.lexsort((t[rows], group))]
+            if check:
+                _check_unique(oids, group, t[rows])
         return SegmentIndex(oids, perm, offsets)
 
 
@@ -179,10 +257,12 @@ def sorted_instants(instants: Iterable[float]) -> np.ndarray:
     """Canonicalize an instant collection to a sorted float array.
 
     The canonical representation behind every instant-membership test:
-    :meth:`MOFT.restrict_instants` and the optimizer's
-    :class:`~repro.query.optimizer.FilteredMoft` both build this array
-    and test against it with :func:`instants_member_mask`, so a query
-    cannot accept an instant in one place and reject it in the other.
+    :meth:`MOFT.restrict_instants` and
+    :func:`~repro.query.evaluator.restriction_mask` build this array and
+    test against it with :func:`instants_member_mask`, the optimizer's
+    :class:`~repro.query.optimizer.FilteredMoft` with its scalar form
+    :func:`is_member_instant`, so a query cannot accept an instant in one
+    place and reject it in another.
     """
     return np.array(sorted(float(t) for t in set(instants)), dtype=float)
 
@@ -218,60 +298,59 @@ def is_member_instant(t: float, wanted: np.ndarray) -> bool:
     return bool(instants_member_mask(np.array([float(t)]), wanted)[0])
 
 
+#: Serializes :meth:`MOFT._flush` (rare: once per burst of ``add`` calls).
+_FLUSH_LOCK = threading.Lock()
+
+#: The index of a table without rows.
+_NO_ROWS = SegmentIndex(
+    np.empty(0, dtype=object), np.empty(0, dtype=np.intp),
+    np.zeros(1, dtype=np.intp),
+)
+
+
 class MOFT:
     """An in-memory columnar moving-object fact table."""
 
     def __init__(self, name: str = "FM") -> None:
         self.name = name
-        self._n = 0
-        # Row storage; None after bulk construction until materialized.
-        self._oids: Optional[List[Hashable]] = []
-        self._ts: Optional[List[float]] = []
-        self._xs: Optional[List[float]] = []
-        self._ys: Optional[List[float]] = []
-        # (oid, t) uniqueness set — rebuilt lazily before the first add()
-        # on a bulk-constructed table.
-        self._seen: Optional[Set[Tuple[Hashable, float]]] = set()
-        # oid -> row indices in insertion order; built lazily.
-        self._by_object: Optional[Dict[Hashable, List[int]]] = {}
-        # Cached columnar views (authoritative while the lists are None).
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._oid_col: Optional[np.ndarray] = None
-        # All rows in (object, time) order; dropped on append.  A
-        # ``mask_rows`` child starts with its parent's index and its
-        # mask instead, and filters the one by the other on first use.
-        self._segments: Optional[SegmentIndex] = None
-        self._inherited: Optional[Tuple[SegmentIndex, np.ndarray]] = None
-        # Each row's position in the index's ``oids``, and the reverse
-        # map of ``oids``: both derived from the index, dropped with it.
-        self._codes: Optional[np.ndarray] = None
-        self._code_of: Optional[Dict[Hashable, int]] = None
-        # Summaries of the rows (:meth:`time_range`, :meth:`bbox`,
-        # :meth:`instant_counts`): one pass per table state, dropped with
-        # the index.
-        self._time_range: Optional[Tuple[float, float]] = None
-        self._bbox: Optional[BoundingBox] = None
-        self._instant_counts: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        no_rows = np.empty(0)
+        self._install(
+            _NO_ROWS.oids, np.empty(0, dtype=np.int32), no_rows, no_rows,
+            no_rows, _NO_ROWS,
+        )
+        # add()'s samples, (oid, t) -> (x, y): every read flushes them.
+        self._pending: Dict[Tuple[Hashable, float], Tuple[float, float]] = {}
         # Mutation counter: rows are append-only, so ``(version, n)``
         # snapshots let derived structures (the pre-aggregation store)
         # detect staleness and read ``rows[snapshot_n:]`` as the delta.
         self._version = 0
 
     def __getstate__(self) -> dict:
-        # The segment index is rebuilt on demand: pickles (process
-        # shards, stored stores) carry the columns, not the cache.
-        return {**self.__dict__, **dict.fromkeys(self._INDEX_STATE)}
+        # Pickles (process shards, stored stores) carry the
+        # representation only; the rest is rebuilt on demand.
+        self._flush()
+        return {**self.__dict__, **dict.fromkeys(self._DERIVED)}
 
-    #: What is derived from the rows: the segment index and the
-    #: summaries (dropped on append).
-    _INDEX_STATE = (
-        "_segments", "_inherited", "_codes", "_code_of", "_time_range",
-        "_bbox", "_instant_counts",
+    #: The index, the id -> code map and the summaries.
+    _DERIVED = (
+        "_segments", "_inherited", "_code_of", "_time_range", "_bbox",
+        "_instant_counts",
     )
 
-    def _drop_index(self) -> None:
-        for name in self._INDEX_STATE:
+    def _install(
+        self, oids: np.ndarray, codes: np.ndarray, t: np.ndarray,
+        x: np.ndarray, y: np.ndarray, index: Optional[SegmentIndex] = None,
+        code_of: Optional[Dict[Hashable, int]] = None,
+    ) -> None:
+        """Set the representation and drop what was derived from the old
+        one.  The index is built on first use unless given (a
+        ``mask_rows`` child is given its parent's and its mask instead,
+        ``_inherited``, and filters the one by the other)."""
+        self._oids, self._codes = oids, codes
+        self._t, self._x, self._y = t, x, y
+        for name in self._DERIVED:
             setattr(self, name, None)
+        self._segments, self._code_of = index, code_of
 
     @property
     def version(self) -> int:
@@ -279,54 +358,33 @@ class MOFT:
         return self._version
 
     def __len__(self) -> int:
-        return self._n
+        self._flush()
+        return self._t.shape[0]
 
     def __repr__(self) -> str:
         return (
             f"MOFT({self.name!r}, samples={len(self)}, "
-            f"objects={len(self.segment_index().oids)})"
+            f"objects={len(self.oids)})"
         )
-
-    # -- storage duality -------------------------------------------------------
-
-    def _lists(
-        self,
-    ) -> Tuple[List[Hashable], List[float], List[float], List[float]]:
-        """Row lists, materialized from the column arrays when absent."""
-        if self._ts is None:
-            t, x, y = self._arrays  # type: ignore[misc]
-            self._ts = t.tolist()
-            self._xs = x.tolist()
-            self._ys = y.tolist()
-            self._oids = self._oid_col.tolist()  # type: ignore[union-attr]
-        return self._oids, self._ts, self._xs, self._ys  # type: ignore[return-value]
 
     # -- loading ---------------------------------------------------------------
 
     def add(self, oid: Hashable, t: float, x: float, y: float) -> None:
-        """Append one sample; ``(oid, t)`` pairs must be unique."""
-        oids, ts, xs, ys = self._lists()
-        if self._seen is None:
-            self._seen = set(zip(oids, ts))
-        key = (oid, float(t))
-        if key in self._seen:
-            raise TrajectoryError(
-                f"object {oid!r} already has a sample at t={t} "
-                f"(an object is at one point at a given instant)"
+        """Append one sample; ``(oid, t)`` pairs must be unique, the
+        numbers finite and ``oid`` hashable."""
+        key, point = (oid, float(t)), (float(x), float(y))
+        if not all(map(math.isfinite, (key[1], *point))):
+            raise TrajectoryError(f"non-finite sample {(oid, t, x, y)!r}")
+        try:
+            twin = key in self._pending or (
+                oid in self._code_map() and self._row_at(oid, key[1]) is not None
             )
-        self._seen.add(key)
-        index = self._n
-        oids.append(oid)
-        ts.append(float(t))
-        xs.append(float(x))
-        ys.append(float(y))
-        self._n += 1
+        except TypeError as exc:
+            raise TrajectoryError(f"unhashable object id: {exc}") from exc
+        if twin:
+            raise _twin_error(oid, t)
+        self._pending[key] = point
         self._version += 1
-        if self._by_object is not None:
-            self._by_object.setdefault(oid, []).append(index)
-        self._arrays = None
-        self._oid_col = None
-        self._drop_index()
 
     def add_many(
         self, samples: Iterable[Tuple[Hashable, float, float, float]]
@@ -335,142 +393,108 @@ class MOFT:
         for oid, t, x, y in samples:
             self.add(oid, t, x, y)
 
+    def _flush(self) -> None:
+        """Move the samples :meth:`add` buffered into the columns.  (A
+        table built by ``add`` may be read first by several threads at
+        once: one of them flushes, the others wait for it.)"""
+        if self._pending:
+            with _FLUSH_LOCK:
+                pending = self._pending
+                if pending:
+                    (oids, ts), (xs, ys) = zip(*pending), zip(*pending.values())
+                    self._install(*self._appended(oids, ts, xs, ys, False))
+                    self._pending = {}
+
+    def _appended(
+        self, oids: Ids, ts: Numbers, xs: Numbers, ys: Numbers, validate: bool
+    ) -> tuple:
+        """:meth:`_install`'s arguments for this table's columns followed
+        by the given ones (this table is left as it is).  The index is
+        extended when this table holds one or ``validate`` asks for the
+        uniqueness check, over the runs of the objects the delta touches."""
+        ids = oids.tolist() if isinstance(oids, np.ndarray) else list(oids)
+        t, x, y = (np.asarray(v, dtype=float) for v in (ts, xs, ys))
+        if not t.shape == x.shape == y.shape == (len(ids),):
+            raise TrajectoryError(
+                f"column lengths differ: oids={len(ids)}, ts={len(t)}, "
+                f"xs={len(x)}, ys={len(y)}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(x) & np.isfinite(y)))
+        if bad.size:
+            row = int(bad[0])
+            sample = (ids[row], float(t[row]), float(x[row]), float(y[row]))
+            raise TrajectoryError(f"non-finite sample {sample!r}")
+        known = self._code_map()
+        try:
+            codes, fresh = intern(known, ids)
+        except TypeError as exc:
+            raise TrajectoryError(f"unhashable object id: {exc}") from exc
+        oid_table, code_of = self._oids, known
+        if fresh:
+            added = np.fromiter(fresh, dtype=object, count=len(fresh))
+            oid_table = np.concatenate((oid_table, added))
+            code_of = {**known, **fresh}
+        all_codes = np.concatenate((self._codes, codes), dtype=np.int32)
+        t_all = np.concatenate((self._t, t))
+        index = None
+        held = self._segments is not None or self._inherited is not None
+        if validate or (held and self._t.shape[0]):
+            index = self._index().extend(
+                oid_table, t_all, codes, np.lexsort((t, codes)), validate
+            )
+        return (
+            oid_table, all_codes, t_all,
+            np.concatenate((self._x, x)), np.concatenate((self._y, y)),
+            index, code_of,
+        )
+
     @classmethod
     def from_columns(
-        cls,
-        oids: Sequence[Hashable],
-        ts: Sequence[float],
-        xs: Sequence[float],
-        ys: Sequence[float],
-        name: str = "FM",
-        validate: bool = True,
-        index: Optional[SegmentIndex] = None,
-        codes: Optional[np.ndarray] = None,
+        cls, oids: Ids, ts: Numbers, xs: Numbers, ys: Numbers,
+        name: str = "FM", validate: bool = True,
     ) -> "MOFT":
-        """Bulk-construct a table from whole columns.
+        """Bulk-construct a table from equal-length columns (a numeric or
+        string id array gives Python ``int``/``str`` ids).
 
-        Parameters
-        ----------
-        oids, ts, xs, ys:
-            Equal-length columns (sequences or NumPy arrays).
-        validate:
-            Check the ``(oid, t)`` uniqueness invariant.  Pass ``False``
-            only when the columns provably satisfy it already — e.g. when
-            mask-slicing an existing valid table.
-        index, codes:
-            The columns' :meth:`segment_index` and :meth:`object_codes`,
-            when the caller already knows them (a snapshot extending its
-            parent's, :mod:`repro.ingest.versioned`): installed as they
-            are, so no scan of the table sorts or walks its rows.
+        ``validate`` builds the segment index now and checks the
+        ``(oid, t)`` invariant on it.  Pass ``False`` only when the
+        columns provably satisfy it already; the index is then built on
+        first use.  Non-finite numbers and unhashable ids are refused
+        either way.
         """
-        t_col = np.asarray(ts, dtype=float)
-        x_col = np.asarray(xs, dtype=float)
-        y_col = np.asarray(ys, dtype=float)
-        if isinstance(oids, np.ndarray) and oids.dtype == object:
-            oid_col = oids.copy()
-        else:
-            oid_col = np.fromiter(oids, dtype=object, count=len(oids))
-        n = oid_col.shape[0]
-        if not (t_col.shape[0] == x_col.shape[0] == y_col.shape[0] == n):
-            raise TrajectoryError(
-                f"column lengths differ: oids={n}, ts={t_col.shape[0]}, "
-                f"xs={x_col.shape[0]}, ys={y_col.shape[0]}"
-            )
         moft = cls(name)
-        moft._n = n
-        moft._oids = moft._ts = moft._xs = moft._ys = None
-        moft._arrays = (t_col, x_col, y_col)
-        moft._oid_col = oid_col
-        moft._by_object = None
-        moft._segments, moft._codes = index, codes
-        if validate:
-            seen = set(zip(oid_col.tolist(), t_col.tolist()))
-            if len(seen) != n:
-                counts: Dict[Tuple[Hashable, float], int] = {}
-                for key in zip(oid_col.tolist(), t_col.tolist()):
-                    counts[key] = counts.get(key, 0) + 1
-                oid, t = next(k for k, c in counts.items() if c > 1)
-                raise TrajectoryError(
-                    f"object {oid!r} already has a sample at t={t} "
-                    f"(an object is at one point at a given instant)"
-                )
-            moft._seen = seen
-        else:
-            moft._seen = None
+        moft._install(*moft._appended(oids, ts, xs, ys, validate))
         return moft
 
+    def appended(
+        self, oids: Ids, ts: Numbers, xs: Numbers, ys: Numbers
+    ) -> "MOFT":
+        """A new table: this one's rows, then the given columns (checked
+        as :meth:`extend_columns` checks them); this one is not touched.
+        How the ingest chain publishes (:mod:`repro.ingest.versioned`)."""
+        self._flush()
+        table = MOFT(self.name)
+        table._install(*self._appended(oids, ts, xs, ys, validate=True))
+        return table
+
     def extend_columns(
-        self,
-        oids: Sequence[Hashable],
-        ts: Sequence[float],
-        xs: Sequence[float],
-        ys: Sequence[float],
+        self, oids: Ids, ts: Numbers, xs: Numbers, ys: Numbers,
         validate: bool = True,
     ) -> int:
         """Bulk-append whole columns; returns the first new row index.
 
-        The columnar sibling of :meth:`add_many`: one array concatenation
-        instead of per-row appends, one version bump for the whole batch.
-        With ``validate=True`` the appended ``(oid, t)`` pairs are checked
-        unique among themselves and against the existing rows.
+        The columnar sibling of :meth:`add_many`: one append of the
+        whole batch, one version bump.  With ``validate=True`` the
+        appended ``(oid, t)`` pairs are checked unique among themselves
+        and against the existing rows.
         """
-        t_new = np.asarray(ts, dtype=float)
-        x_new = np.asarray(xs, dtype=float)
-        y_new = np.asarray(ys, dtype=float)
-        if isinstance(oids, np.ndarray) and oids.dtype == object:
-            oid_new = oids.copy()
-        else:
-            oid_new = np.fromiter(oids, dtype=object, count=len(oids))
-        n_new = oid_new.shape[0]
-        if not (t_new.shape[0] == x_new.shape[0] == y_new.shape[0] == n_new):
-            raise TrajectoryError(
-                f"column lengths differ: oids={n_new}, ts={t_new.shape[0]}, "
-                f"xs={x_new.shape[0]}, ys={y_new.shape[0]}"
-            )
-        if n_new == 0:
-            return self._n
-        if validate:
-            if self._seen is None:
-                oid_col = self.oid_column()
-                t_col, _, _ = self.as_arrays()
-                self._seen = set(zip(oid_col.tolist(), t_col.tolist()))
-            fresh = list(zip(oid_new.tolist(), t_new.tolist()))
-            fresh_set = set(fresh)
-            if len(fresh_set) != len(fresh) or not self._seen.isdisjoint(
-                fresh_set
-            ):
-                counts: Dict[Tuple[Hashable, float], int] = {}
-                for key in fresh:
-                    counts[key] = counts.get(key, 0) + 1
-                oid, t = next(
-                    k
-                    for k, c in counts.items()
-                    if c > 1 or k in self._seen
-                )
-                raise TrajectoryError(
-                    f"object {oid!r} already has a sample at t={t} "
-                    f"(an object is at one point at a given instant)"
-                )
-            self._seen.update(fresh_set)
-        elif self._seen is not None:
-            self._seen.update(zip(oid_new.tolist(), t_new.tolist()))
-        t_col, x_col, y_col = self.as_arrays()
-        oid_col = self.oid_column()
-        first_new = self._n
-        self._arrays = (
-            np.concatenate([t_col, t_new]),
-            np.concatenate([x_col, x_new]),
-            np.concatenate([y_col, y_new]),
-        )
-        self._oid_col = np.concatenate([oid_col, oid_new])
-        self._oids = self._ts = self._xs = self._ys = None
-        self._n += n_new
-        self._version += 1
-        if self._by_object is not None:
-            for offset, oid in enumerate(oid_new.tolist()):
-                self._by_object.setdefault(oid, []).append(first_new + offset)
-        self._drop_index()
-        return first_new
+        self._flush()
+        first = self._t.shape[0]
+        state = self._appended(oids, ts, xs, ys, validate)
+        if len(ts):
+            self._install(*state)
+            self._version += 1
+        return first
 
     # -- columnar persistence ----------------------------------------------------
 
@@ -505,177 +529,137 @@ class MOFT:
 
     def rows(self) -> Iterator[Dict[str, Hashable]]:
         """Iterate samples as ``{'oid', 't', 'x', 'y'}`` dictionaries."""
-        oids, ts, xs, ys = self._lists()
-        for i in range(self._n):
-            yield {"oid": oids[i], "t": ts[i], "x": xs[i], "y": ys[i]}
+        for oid, t, x, y in self.tuples():
+            yield {"oid": oid, "t": t, "x": x, "y": y}
 
     def tuples(self) -> Iterator[Tuple[Hashable, float, float, float]]:
         """Iterate samples as plain ``(oid, t, x, y)`` tuples."""
-        oids, ts, xs, ys = self._lists()
-        for i in range(self._n):
-            yield (oids[i], ts[i], xs[i], ys[i])
+        t, x, y = self.as_arrays()
+        return zip(self.oid_column().tolist(), t.tolist(), x.tolist(), y.tolist())
 
     def objects(self) -> Set[Hashable]:
         """All distinct object identifiers."""
-        return set(self.segment_index().oids.tolist())
+        return set(self.oids.tolist())
 
     def instant_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """The distinct sampling instants, ascending, and the rows at
         each (cached until the next append): how many rows a time
         restriction keeps, without a pass over the rows."""
+        self._flush()
         if self._instant_counts is None:
-            t, _, _ = self.as_arrays()
-            self._instant_counts = np.unique(t, return_counts=True)
+            self._instant_counts = np.unique(self._t, return_counts=True)
         return self._instant_counts
 
     def instants(self) -> Set[float]:
         """All distinct sampling instants."""
-        if self._ts is not None:
-            return set(self._ts)
         t, _, _ = self.as_arrays()
         return set(t.tolist())
 
     def sample_count(self, oid: Hashable) -> int:
         """Number of samples of one object (0 for unknown objects)."""
-        code = self._object_code(oid)
+        code = self.object_code(oid)
         if code is None:
             return 0
-        offsets = self.segment_index().offsets
+        offsets = self._index().offsets
         return int(offsets[code + 1] - offsets[code])
 
     # -- columnar access --------------------------------------------------------------
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(t, x, y)`` as float arrays in insertion order.
+    @property
+    def oids(self) -> np.ndarray:
+        """The intern table: code ``i`` is object ``oids[i]``, in the order
+        the rows first bring them (a :meth:`mask_rows` child of an
+        indexed table keeps its parent's)."""
+        self._flush()
+        return self._oids
 
-        Built lazily and cached until the next :meth:`add`.  Use
-        :meth:`oid_column` for the matching object-id column or
-        :meth:`object_mask` to slice by object.
-        """
-        if self._arrays is None:
-            self._arrays = (
-                np.asarray(self._ts, dtype=float),
-                np.asarray(self._xs, dtype=float),
-                np.asarray(self._ys, dtype=float),
-            )
-        return self._arrays
+    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(t, x, y)`` as float arrays in insertion order (the
+        rows' objects: :meth:`object_codes`)."""
+        self._flush()
+        return self._t, self._x, self._y
+
+    def object_codes(self) -> np.ndarray:
+        """Each row's object as its position in :attr:`oids` (and in
+        :meth:`segment_index` ``.oids``): what scans and folds key by."""
+        self._flush()
+        return self._codes
 
     def oid_column(self) -> np.ndarray:
-        """The object-id column as an object-dtype array (cached)."""
-        if self._oid_col is None:
-            self._oid_col = np.fromiter(
-                self._oids, dtype=object, count=self._n
-            )
-        return self._oid_col
+        """The object-id column as an object-dtype array, decoded from
+        the codes per call (``oids[object_codes()]``; not kept)."""
+        return self.oids[self._codes]
+
+    def object_code(self, oid: Hashable) -> Optional[int]:
+        """``oid``'s code (None: the table has no sample of it)."""
+        self._flush()
+        return self._code_map().get(oid)
 
     def object_mask(self, oid: Hashable) -> np.ndarray:
         """Boolean mask over rows selecting one object's samples."""
-        mask = np.zeros(self._n, dtype=bool)
-        if self._object_code(oid) is not None:
-            mask[self._object_order(oid)[1]] = True
-        return mask
+        code = self.object_code(oid)
+        return np.zeros(len(self), bool) if code is None else self._codes == code
 
-    def _object_rows(self) -> Dict[Hashable, List[int]]:
-        """``oid -> row indices`` in insertion order (built lazily): what
-        a table that was handed no index builds its :meth:`segment_index`
-        from."""
-        if self._by_object is None:
-            oids = self._oids if self._oids is not None else self.oid_column()
-            by_object: Dict[Hashable, List[int]] = {}
-            for index, oid in enumerate(oids):
-                rows = by_object.get(oid)
-                if rows is None:
-                    by_object[oid] = [index]
-                else:
-                    rows.append(index)
-            self._by_object = by_object
-        return self._by_object
+    def _code_map(self) -> Dict[Hashable, int]:
+        """``oid -> code`` over the columns (derived from :attr:`oids`)."""
+        if self._code_of is None:
+            self._code_of = dict(zip(self._oids.tolist(), count()))
+        return self._code_of
 
     # -- per-object histories ------------------------------------------------------------
 
-    def _object_code(self, oid: Hashable) -> Optional[int]:
-        """``oid``'s position in :meth:`segment_index` ``.oids`` (None:
-        the table has no sample of it)."""
-        code_of = self._code_of
-        if code_of is None:
-            oids = self.segment_index().oids.tolist()
-            code_of = self._code_of = dict(zip(oids, range(len(oids))))
-        return code_of.get(oid)
-
     def _object_order(self, oid: Hashable) -> Tuple[np.ndarray, np.ndarray]:
         """``(sorted times, row indices sorted by time)`` of one object:
-        its run of the segment index."""
-        code = self._object_code(oid)
+        its run of the segment index (of the columns: callers flush)."""
+        code = self._code_map().get(oid)
         if code is None:
             raise TrajectoryError(f"no samples for object {oid!r}")
-        _, perm, offsets = self.segment_index()
+        _, perm, offsets = self._index()
         rows = perm[offsets[code]:offsets[code + 1]]
-        t, _, _ = self.as_arrays()
-        return t[rows], rows
+        return self._t[rows], rows
+
+    def _row_at(self, oid: Hashable, t: float) -> Optional[int]:
+        """The row of ``oid``'s sample at ``t`` (None: it has none)."""
+        times, rows = self._object_order(oid)
+        slot = int(np.searchsorted(times, t))
+        if slot < times.shape[0] and times[slot] == t:
+            return int(rows[slot])
+        return None
 
     # -- the segment table ----------------------------------------------------------------
 
     def segment_index(self) -> SegmentIndex:
-        """The rows in (object, time) order (cached until the next append).
+        """The rows in (object, time) order (extended by every append).
 
-        Mmap-loaded tables get it from the file's CSR index, snapshot
-        tables from their parent's (:meth:`SegmentIndex.extend`) and
+        Mmap-loaded tables get it from the file's CSR index, validated
+        and appended-to tables by :meth:`SegmentIndex.extend` and
         :meth:`mask_rows` children filter their parent's (on first use);
-        anything else pays one ``lexsort``.  Objects come in first-appearance
-        order (a child keeps its parent's), each object's rows in the
-        stable time order of :meth:`history`.
+        anything else pays one ``lexsort`` (:meth:`SegmentIndex.build`).
+        Its ``oids`` are :attr:`oids`, each object's rows in the stable
+        time order of :meth:`history`.
         """
+        self._flush()
+        return self._index()
+
+    def _index(self) -> SegmentIndex:
+        """:meth:`segment_index` of the columns, pending samples aside."""
         inherited = self._inherited  # (read once: readers may race)
         if self._segments is None and inherited is not None:
             # This table's (object, time) order is its parent's,
-            # filtered: no sort, no pass over the object column.
-            (oids, perm, offsets), mask = inherited
+            # filtered: no sort.
+            (_, perm, offsets), mask = inherited
             kept = mask[perm]
             bounds = np.concatenate(([0], np.cumsum(kept)))[offsets]
             alive = np.diff(bounds) > 0
             self._segments = SegmentIndex(
-                oids[alive],
+                self._oids,
                 (np.cumsum(mask) - 1)[perm[kept]],
                 np.concatenate(([0], bounds[1:][alive])),
             )
             self._inherited = None
         if self._segments is None:
-            by_object = self._object_rows()
-            counts = np.fromiter(
-                map(len, by_object.values()), dtype=np.intp,
-                count=len(by_object),
-            )
-            rows = np.fromiter(
-                chain.from_iterable(by_object.values()), dtype=np.intp,
-                count=self._n,
-            )
-            t, _, _ = self.as_arrays()
-            group = np.repeat(np.arange(counts.size), counts)
-            offsets = np.zeros(counts.size + 1, dtype=np.intp)
-            np.cumsum(counts, out=offsets[1:])
-            codes = np.empty(self._n, dtype=np.intp)
-            codes[rows] = group
-            self._codes = codes
-            self._segments = SegmentIndex(
-                np.fromiter(by_object, dtype=object, count=counts.size),
-                rows[np.lexsort((t[rows], group))],
-                offsets,
-            )
+            self._segments = SegmentIndex.build(self._oids, self._codes, self._t)
         return self._segments
-
-    def object_codes(self) -> np.ndarray:
-        """Each row's object as its position in :meth:`segment_index`
-        ``.oids`` (cached with the index): what scans and store folds key
-        objects by."""
-        _, perm, offsets = self.segment_index()
-        codes = self._codes
-        if codes is None:
-            codes = np.empty(perm.shape[0], dtype=np.intp)
-            codes[perm] = np.repeat(
-                np.arange(offsets.shape[0] - 1), np.diff(offsets)
-            )
-            self._codes = codes
-        return codes
 
     def segments(self) -> Iterator[SegmentBatch]:
         """Every consecutive-sample segment, in batches of whole objects.
@@ -710,9 +694,11 @@ class MOFT:
 
     def history(self, oid: Hashable) -> List[Tuple[float, float, float]]:
         """Return one object's ``(t, x, y)`` samples sorted by time."""
+        self._flush()
         times, rows = self._object_order(oid)
-        _, x, y = self.as_arrays()
-        return list(zip(times.tolist(), x[rows].tolist(), y[rows].tolist()))
+        return list(zip(
+            times.tolist(), self._x[rows].tolist(), self._y[rows].tolist()
+        ))
 
     def trajectory_sample(self, oid: Hashable) -> TrajectorySample:
         """Return one object's history as a :class:`TrajectorySample`."""
@@ -724,13 +710,9 @@ class MOFT:
         Binary search over the cached time-sorted index — O(log n) per
         lookup instead of a linear scan of a freshly sorted history.
         """
-        times, rows = self._object_order(oid)
-        slot = int(np.searchsorted(times, float(t)))
-        if slot == times.shape[0] or times[slot] != float(t):
-            return None
-        row = int(rows[slot])
-        _, x, y = self.as_arrays()
-        return Point(float(x[row]), float(y[row]))
+        self._flush()
+        row = self._row_at(oid, float(t))
+        return None if row is None else Point(float(self._x[row]), float(self._y[row]))
 
     # -- restriction -----------------------------------------------------------------------
 
@@ -738,25 +720,24 @@ class MOFT:
         """Return the sub-table of rows selected by a boolean mask.
 
         Row order is preserved, so the result is row-for-row identical to
-        a per-row rebuild.  The ``(oid, t)`` invariant is inherited from
-        this table — no revalidation happens.
+        a per-row rebuild.  The kept codes are renumbered (:func:`recode`)
+        and the ids stay where they are; the ``(oid, t)`` invariant is
+        inherited from this table — no revalidation happens.  A child of
+        a table that holds its index keeps that object order and filters
+        the index on first use; any other comes in first-appearance order.
         """
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self._n:
+        if mask.shape[0] != len(self):
             raise TrajectoryError(
-                f"mask has {mask.shape[0]} entries for {self._n} rows"
+                f"mask has {mask.shape[0]} entries for {len(self)} rows"
             )
         t, x, y = self.as_arrays()
-        child = MOFT.from_columns(
-            self.oid_column()[mask],
-            t[mask],
-            x[mask],
-            y[mask],
-            name=self.name,
-            validate=False,
-        )
-        if self._segments is not None or self._inherited is not None:
-            child._inherited = (self.segment_index(), mask)
+        held = self._segments is not None or self._inherited is not None
+        codes, oids = recode(self._codes[mask], self._oids, not held)
+        child = MOFT(self.name)
+        child._install(oids, codes, t[mask], x[mask], y[mask])
+        if held:
+            child._inherited = (self._index(), mask)
         return child
 
     def filter(self, predicate: Callable[[Dict[str, Hashable]], bool]) -> "MOFT":
@@ -764,7 +745,7 @@ class MOFT:
         mask = np.fromiter(
             (bool(predicate(row)) for row in self.rows()),
             dtype=bool,
-            count=self._n,
+            count=len(self),
         )
         return self.mask_rows(mask)
 
@@ -784,12 +765,12 @@ class MOFT:
     def restrict_objects(self, oids: Set[Hashable]) -> "MOFT":
         """Keep the samples of the given objects."""
         wanted = set(oids)
-        index = self.segment_index()
+        table = self.oids
         keep = np.fromiter(
-            (oid in wanted for oid in index.oids.tolist()),
-            dtype=bool, count=index.oids.shape[0],
+            (oid in wanted for oid in table.tolist()),
+            dtype=bool, count=table.shape[0],
         )
-        return self.mask_rows(keep[self.object_codes()])
+        return self.mask_rows(keep[self._codes])
 
     # -- partitioning ----------------------------------------------------------------
 
@@ -822,7 +803,7 @@ class MOFT:
             shard = min(range(n), key=lambda s: (loads[s], s))
             loads[shard] += counts[i]
             shard_of[i] = shard
-        row_shard = shard_of[self.object_codes()]
+        row_shard = shard_of[self._codes]
         return [self.mask_rows(row_shard == shard) for shard in range(n)]
 
     @classmethod
@@ -833,39 +814,52 @@ class MOFT:
 
         The inverse of :meth:`partition_by_objects` up to row order:
         concatenating its shards yields a row-*set*-identical table.
-        Pass ``validate=False`` only when the inputs are known disjoint in
-        ``(oid, t)`` — e.g. shards of one valid table.
+        The shards' codes are mapped into one intern table, in
+        first-appearance order.  Pass ``validate=False`` only when the
+        inputs are known disjoint in ``(oid, t)`` — e.g. shards of one
+        valid table.
         """
         tables = [shard for shard in shards if len(shard)]
+        moft = cls(name)
         if not tables:
-            return cls(name)
-        columns = [table.as_arrays() for table in tables]
-        return cls.from_columns(
-            np.concatenate([table.oid_column() for table in tables]),
-            np.concatenate([t for t, _, _ in columns]),
-            np.concatenate([x for _, x, _ in columns]),
-            np.concatenate([y for _, _, y in columns]),
-            name=name,
-            validate=validate,
+            return moft
+        known: Dict[Hashable, int] = {}
+        codes = []
+        for table in tables:
+            mapped, fresh = intern(known, table.oids.tolist())
+            known.update(fresh)
+            codes.append(mapped[table.object_codes()])
+        codes, oids = recode(
+            np.concatenate(codes, dtype=np.int32),
+            np.fromiter(known, dtype=object, count=len(known)),
+            by_first_row=True,
         )
+        t, x, y = map(np.concatenate, zip(*(c.as_arrays() for c in tables)))
+        index = None
+        if validate:
+            order = np.lexsort((t, codes))
+            index = _NO_ROWS.extend(oids, t, codes, order, check=True)
+        moft._install(oids, codes, t, x, y, index)
+        return moft
 
     def time_range(self) -> Tuple[float, float]:
         """Return ``(min t, max t)`` over all samples (cached until the
         next append)."""
-        if self._n == 0:
+        self._flush()
+        if not self._t.shape[0]:
             raise TrajectoryError(f"MOFT {self.name!r} is empty")
         if self._time_range is None:
-            t, _, _ = self.as_arrays()
-            self._time_range = (float(t.min()), float(t.max()))
+            self._time_range = (float(self._t.min()), float(self._t.max()))
         return self._time_range
 
     def bbox(self) -> BoundingBox:
         """Spatial bounding box over all sampled positions (cached until
         the next append)."""
-        if self._n == 0:
+        self._flush()
+        if not self._x.shape[0]:
             raise TrajectoryError(f"MOFT {self.name!r} is empty")
         if self._bbox is None:
-            _, x, y = self.as_arrays()
+            x, y = self._x, self._y
             self._bbox = BoundingBox(
                 float(x.min()), float(y.min()), float(x.max()), float(y.max())
             )

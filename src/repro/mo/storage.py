@@ -55,7 +55,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import MoftStorageError
-from repro.mo.moft import MOFT, SegmentIndex
+from repro.mo.moft import MOFT, SegmentIndex, recode
 
 #: Leading magic bytes of every columnar MOFT file.
 MAGIC = b"MOFTCOL\x00"
@@ -91,23 +91,6 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _intern_oids(
-    oid_col: np.ndarray,
-) -> Tuple[np.ndarray, List[Hashable]]:
-    """First-appearance interning: per-row codes plus the value list."""
-    codes = np.empty(oid_col.shape[0], dtype=np.uint32)
-    values: List[Hashable] = []
-    table: Dict[Hashable, int] = {}
-    for i, oid in enumerate(oid_col.tolist()):
-        code = table.get(oid)
-        if code is None:
-            code = len(values)
-            table[oid] = code
-            values.append(oid)
-        codes[i] = code
-    return codes, values
-
-
 def _encode_oid_values(values: Sequence[Hashable]) -> Tuple[str, bytes, str]:
     """Encode the code -> oid table; returns (oid_kind, payload, dtype).
 
@@ -135,13 +118,16 @@ def _encode_oid_values(values: Sequence[Hashable]) -> Tuple[str, bytes, str]:
 
 def serialize_columns(
     name: str,
-    oid_col: np.ndarray,
+    codes: np.ndarray,
+    oids: np.ndarray,
     t: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
     include_index: bool = True,
 ) -> bytes:
-    """Build one columnar image from raw columns.
+    """Build one columnar image from a table's columns: per-row
+    ``codes`` into the intern table ``oids``, in first-appearance order
+    (what :meth:`MOFT.concat` gives and :func:`serialize_moft` ensures).
 
     The shared serializer behind :func:`save_moft` (file images, with
     the CSR index) and the shared-memory shard blocks of
@@ -149,7 +135,7 @@ def serialize_columns(
     :class:`MoftStorageError` on unencodable object ids.
     """
     n = int(t.shape[0])
-    codes, values = _intern_oids(oid_col)
+    values = oids.tolist()
     oid_kind, oid_payload, oid_dtype = _encode_oid_values(values)
 
     sections: List[Tuple[str, bytes, str, int]] = [
@@ -160,24 +146,12 @@ def serialize_columns(
         ("oid_values", oid_payload, oid_dtype, len(values)),
     ]
     if include_index:
-        if n:
-            # Primary key: object code; secondary: time; tertiary: row
-            # index.  (oid, t) uniqueness makes per-object times distinct,
-            # so each CSR group is exactly the object's run of the
-            # table's own segment index (MOFT.segment_index).
-            t64 = np.ascontiguousarray(t, dtype=np.float64)
-            order = np.lexsort((np.arange(n), t64, codes))
-            counts = np.bincount(codes, minlength=len(values))
-        else:
-            order = np.empty(0, dtype=np.int64)
-            counts = np.zeros(len(values), dtype=np.int64)
-        offsets = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        index_times = (
-            np.ascontiguousarray(t, dtype=np.float64)[order]
-            if n
-            else np.empty(0, dtype=np.float64)
-        )
+        # Primary key: object code; secondary: time; tertiary: row
+        # index.  (oid, t) uniqueness makes per-object times distinct,
+        # so each CSR group is exactly the object's run of the table's
+        # own segment index (MOFT.segment_index).
+        order, offsets = SegmentIndex.build(oids, codes, t)[1:]
+        index_times = np.asarray(t, dtype=np.float64)[order]
         sections.extend(
             [
                 (
@@ -253,10 +227,11 @@ def serialize_columns(
 
 
 def serialize_moft(moft: MOFT, include_index: bool = True) -> bytes:
-    """Serialize a whole MOFT into one columnar image."""
-    t, x, y = moft.as_arrays()
+    """Serialize a whole MOFT into one columnar image (its codes put in
+    first-appearance order when they are not)."""
+    codes, oids = recode(moft.object_codes(), moft.oids, by_first_row=True)
     return serialize_columns(
-        moft.name, moft.oid_column(), t, x, y, include_index=include_index
+        moft.name, codes, oids, *moft.as_arrays(), include_index=include_index
     )
 
 
@@ -517,9 +492,12 @@ def table_from_image(
     """Materialize a MOFT over an image's columns (zero row copies).
 
     ``start``/``stop`` select a row range — the shard-descriptor path of
-    :mod:`repro.parallel.shm`.  A full-range load of an indexed image
-    also installs the CSR index as the table's segment index, so neither
-    per-object access nor a scan sorts.
+    :mod:`repro.parallel.shm`.  The table's object codes are the
+    image's ``oid_codes`` view; a row range renumbers its slice to its
+    own first-appearance order (:func:`~repro.mo.moft.recode`).  A
+    full-range load of an indexed image also installs the CSR index as
+    the table's segment index, so neither per-object access nor a scan
+    sorts.
     """
     lo = 0 if start is None else int(start)
     hi = image.rows if stop is None else int(stop)
@@ -527,27 +505,22 @@ def table_from_image(
         raise MoftStorageError(
             f"row range [{lo}, {hi}) out of bounds for {image.rows} rows"
         )
-    values = image.oid_value_array()
-    oid_col = (
-        values[image.oid_codes[lo:hi]]
-        if hi > lo
-        else np.empty(0, dtype=object)
-    )
-    moft = MOFT.from_columns(
-        oid_col,
-        image.t[lo:hi],
-        image.x[lo:hi],
-        image.y[lo:hi],
-        name=image.name,
-        validate=False,
-    )
-    full = lo == 0 and hi == image.rows
+    codes, values = image.oid_codes[lo:hi], image.oid_value_array()
     offsets = image.index_offsets
     # The CSR index *is* the segment table's (object, time) order, and
     # the codes its objects' positions, when every object has a row.
-    if full and image.has_index and bool(np.all(offsets[1:] > offsets[:-1])):
-        moft._segments = SegmentIndex(values, image.index_rows, offsets)
-        moft._codes = image.oid_codes
+    index = None
+    if (
+        lo == 0 and hi == image.rows and image.has_index
+        and bool(np.all(offsets[1:] > offsets[:-1]))
+    ):
+        index = SegmentIndex(values, image.index_rows, offsets)
+    else:
+        codes, values = recode(codes, values, by_first_row=True)
+    moft = MOFT(image.name)
+    moft._install(
+        values, codes, image.t[lo:hi], image.x[lo:hi], image.y[lo:hi], index
+    )
     return moft
 
 

@@ -146,34 +146,21 @@ def serialize_shards(shards: Sequence[MOFT]) -> ShardImage:
     """Serialize ``shards`` into one image (see :class:`ShardImage`).
 
     The shards' columns are concatenated in shard order (each shard's
-    internal row order preserved).  Raises
+    internal row order preserved) by :meth:`MOFT.concat`, whose codes
+    the image stores as they are.  Raises
     :class:`~repro.errors.MoftStorageError` when the object ids cannot
     be encoded (the caller then falls back to pickled payloads).
     """
-    ts: List[np.ndarray] = []
-    xs: List[np.ndarray] = []
-    ys: List[np.ndarray] = []
-    oids: List[np.ndarray] = []
-    bounds: List[Tuple[int, int]] = []
-    cursor = 0
-    table_name = shards[0].name if shards else "MOFT"
-    for shard in shards:
-        t, x, y = shard.as_arrays()
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        oids.append(shard.oid_column())
-        bounds.append((cursor, cursor + len(t)))
-        cursor += len(t)
+    table = MOFT.concat(
+        shards, name=shards[0].name if shards else "MOFT", validate=False
+    )
+    ends = np.cumsum([len(shard) for shard in shards], dtype=int).tolist()
+    bounds = tuple(zip([0] + ends[:-1], ends))
     data = serialize_columns(
-        table_name,
-        np.concatenate(oids) if oids else np.empty(0, dtype=object),
-        np.concatenate(ts) if ts else np.empty(0, dtype=float),
-        np.concatenate(xs) if xs else np.empty(0, dtype=float),
-        np.concatenate(ys) if ys else np.empty(0, dtype=float),
+        table.name, table.object_codes(), table.oids, *table.as_arrays(),
         include_index=False,
     )
-    return ShardImage(os.urandom(8).hex(), data, tuple(bounds))
+    return ShardImage(os.urandom(8).hex(), data, bounds)
 
 
 def create_shard_block(

@@ -304,7 +304,8 @@ class PoiVisitStore(GranuleStore):
         create) an episode that earlier rows alone did not justify, so
         the delta path re-segments every object that gained rows — whole
         trajectories, but only the touched objects, whose old rows go."""
-        touched = set(self.moft.oid_column()[start:])
+        codes = np.unique(self.moft.object_codes()[start:])
+        touched = set(self.moft.oids[codes].tolist())
         stale = [i for i, oid in enumerate(self._table.oids) if oid in touched]
         self._table = self._joined(
             ~np.isin(self._table.oid, stale), self._scan(oids=touched)

@@ -500,9 +500,11 @@ class PreAggStore(GranuleStore):
         to cells would change, so :meth:`_fold_delta` dropped all the
         object had and its time-sorted history goes through the two
         passes again: what :meth:`refresh` would produce for this
-        object, without touching any other.
+        object, without touching any other.  (``code`` is ``oid``'s in
+        the table as in the fold.)
         """
-        _, rows = self.moft._object_order(oid)
+        _, perm, offsets = self.moft.segment_index()
+        rows = perm[offsets[code]:offsets[code + 1]]
         t, x, y = (column[rows] for column in self.moft.as_arrays())
         codes = np.full(rows.shape[0], code)
         self._fold_samples(fold, codes, self._granule_codes_checked(t), x, y)
@@ -761,7 +763,7 @@ class PreAggStore(GranuleStore):
         (:meth:`merge` has checked that the two hold no object in
         common)."""
         mine, theirs = self._table, store._table
-        codes = [self.moft._object_code(oid) for oid in theirs.oids]
+        codes = [self.moft.object_code(oid) for oid in theirs.oids]
         if None in codes:
             raise PreAggError(
                 f"shard object {theirs.oids[codes.index(None)]!r} is not "

@@ -12,9 +12,9 @@ Two statements:
   object codes) a from-scratch build of its columns would give, each
   sealed delta is the buffered samples the watermark passed in
   ``(t, repr(oid))`` order, and no submit, close or snapshot scan ever
-  walks the rows (``MOFT._object_rows``) — quantified over disorder,
-  allowed lateness, compaction cadence, a memory-mapped base table and
-  object ids whose value order is not their ``repr`` order.
+  sorts a table from scratch (``SegmentIndex.build``) — quantified over
+  disorder, allowed lateness, compaction cadence, a memory-mapped base
+  table and object ids whose value order is not their ``repr`` order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.errors import IngestError
 from repro.gis import POLYGON
 from repro.ingest import IngestConfig, StoreSpec, StreamingIngestor
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, SegmentIndex
 from repro.synth import CityConfig, build_city
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
@@ -228,20 +228,19 @@ def schedules(draw, n_instants: int):
 
 
 @contextmanager
-def object_rows_spy():
-    """Count :meth:`MOFT._object_rows` calls while the block runs."""
+def index_build_spy():
+    """Count from-scratch index sorts (:meth:`SegmentIndex.build`) while
+    the block runs."""
     calls = []
-    original = MOFT._object_rows
+    build = SegmentIndex.build.__func__
 
-    def spy(self):
-        calls.append(len(self))
-        return original(self)
+    def spy(cls, oids, codes, t):
+        calls.append(t.shape[0])
+        return build(cls, oids, codes, t)
 
-    MOFT._object_rows = spy
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SegmentIndex, "build", classmethod(spy))
         yield calls
-    finally:
-        MOFT._object_rows = original
 
 
 def sealed_reference(schedule, batches, lateness):
@@ -339,7 +338,7 @@ class TestSnapshotsExtend:
                 return publish(*columns)
 
             ingestor.chain.publish = recording_publish
-            with object_rows_spy() as walks:
+            with index_build_spy() as walks:
                 for batch in batches:
                     ingestor.submit(*map(list, zip(*batch)))
                     snapshots.append(ingestor.snapshot())

@@ -182,3 +182,105 @@ class TestSummaryInvalidation:
             self.summaries(moft)
             moft.add(*sample)
             assert self.summaries(moft) == self.summaries(self.fresh(moft))
+
+
+class TestRefusedSamples:
+    """Non-finite numbers and unhashable ids never get into a table:
+    every way in refuses them with ``TrajectoryError``."""
+
+    BAD_NUMBERS = [
+        (float("nan"), 0.0, 0.0),
+        (1.0, float("inf"), 0.0),
+        (1.0, 0.0, -float("inf")),
+    ]
+
+    @pytest.mark.parametrize("t,x,y", BAD_NUMBERS)
+    def test_add_refuses_non_finite(self, t, x, y):
+        moft = small_moft()
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            moft.add("O1", t, x, y)
+        assert list(moft.tuples()) == list(small_moft().tuples())
+
+    @pytest.mark.parametrize("t,x,y", BAD_NUMBERS)
+    def test_from_columns_refuses_non_finite(self, t, x, y):
+        for validate in (True, False):
+            with pytest.raises(TrajectoryError, match="non-finite"):
+                MOFT.from_columns(
+                    ["A", "A"], [0.0, t], [0.0, x], [0.0, y],
+                    validate=validate,
+                )
+
+    def test_extend_columns_refuses_non_finite(self):
+        moft = small_moft()
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            moft.extend_columns(["O1"], [9.0], [float("nan")], [0.0])
+        assert len(moft) == 5
+
+    def test_read_csv_refuses_nan_instants(self):
+        from repro.mo.io import from_csv_text
+
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            from_csv_text("oid,t,x,y\nA,nan,0,0\nA,nan,1,1\n")
+
+    def test_unhashable_ids(self):
+        moft = small_moft()
+        with pytest.raises(TrajectoryError, match="unhashable"):
+            moft.add(["O1"], 9, 0.0, 0.0)
+        with pytest.raises(TrajectoryError, match="unhashable"):
+            MOFT.from_columns([["A"]], [0.0], [0.0], [0.0])
+        with pytest.raises(TrajectoryError, match="unhashable"):
+            moft.extend_columns([{"A": 1}], [9.0], [0.0], [0.0])
+        assert len(moft) == 5
+
+
+class TestNumpyIds:
+    """A numeric or string id array gives Python ids, which the columnar
+    format and the shared-memory shards encode."""
+
+    @pytest.mark.parametrize(
+        "ids,kind", [(np.array(["a", "b", "a"]), str), (np.array([7, 8, 7]), int)]
+    )
+    def test_save_load_and_shards(self, tmp_path, ids, kind):
+        from repro.parallel.shm import serialize_shards
+
+        moft = MOFT.from_columns(ids, [0.0, 0.0, 1.0], [1.0, 2.0, 3.0], [0.0] * 3)
+        assert all(type(oid) is kind for oid in moft.objects())
+        moft.save(tmp_path / "ids.moft")
+        loaded = MOFT.load(tmp_path / "ids.moft")
+        assert list(loaded.tuples()) == list(moft.tuples())
+        assert all(type(oid) is kind for oid in loaded.objects())
+        image = serialize_shards(moft.partition_by_objects(2))
+        assert len(image.bounds) == 2
+
+
+class TestConcurrentFirstRead:
+    def test_threads_reading_an_added_table_see_every_row_once(self):
+        """A table built by ``add`` is flushed by its first reader; many
+        threads reading it first at once all see the same rows."""
+        import sys
+        import threading
+
+        samples = [(f"o{i % 7}", float(i), float(i), 0.0) for i in range(2000)]
+        moft = MOFT()
+        moft.add_many(samples)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            t, _, _ = moft.as_arrays()
+            seen.append((len(moft), t.shape[0], len(moft.oid_column())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [(2000, 2000, 2000)] * 8
+        assert list(moft.tuples()) == samples

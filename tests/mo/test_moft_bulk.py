@@ -6,12 +6,15 @@ seed's per-row rebuild; the property tests below compare against a
 reference implementation of that per-row path.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TrajectoryError
 from repro.geometry import Point
+from repro.ingest import VersionedMoft
 from repro.mo import MOFT
 from repro.mo import moft as moft_module
 
@@ -72,6 +75,23 @@ class TestFromColumns:
     def test_duplicate_validated(self):
         with pytest.raises(TrajectoryError, match="already has a sample"):
             MOFT.from_columns(["O1", "O1"], [1, 1], [0, 1], [0, 1])
+
+    @given(sample_tuples, sample_tuples)
+    def test_extend_columns_refuses_exactly_the_twins(self, old, new):
+        """An append is refused iff some ``(oid, t)`` would be there
+        twice — an old row's or two of its own — and then changes
+        nothing."""
+        moft = MOFT.from_columns(*map(list, zip(*old))) if old else MOFT()
+        if not new:
+            return
+        keys = [(oid, float(t)) for oid, t, _, _ in old + new]
+        if len(set(keys)) < len(keys):
+            with pytest.raises(TrajectoryError, match="already has a sample"):
+                moft.extend_columns(*map(list, zip(*new)))
+            assert list(moft.tuples()) == old
+        else:
+            moft.extend_columns(*map(list, zip(*new)))
+            assert list(moft.tuples()) == old + new
 
     def test_validate_false_skips_check(self):
         moft = MOFT.from_columns(
@@ -184,12 +204,14 @@ class TestSortedIndex:
 
 
 def order_walk(moft):
-    """The segment table by the per-object path: ``_order``, object by
-    object, then one segment per consecutive pair of an object's rows."""
+    """The segment table by the per-object path: each object's rows
+    (its ``object_mask``) in stable time order, then one segment per
+    consecutive pair of them."""
     t, x, y = moft.as_arrays()
     rows_of, segments = {}, []
     for oid in moft.objects():
-        rows = moft._object_order(oid)[1].tolist()
+        rows = np.flatnonzero(moft.object_mask(oid))
+        rows = rows[np.argsort(t[rows], kind="stable")].tolist()
         rows_of[oid] = rows
         segments += [
             (oid, t[a], x[a], y[a], t[b], x[b], y[b])
@@ -216,10 +238,32 @@ def segment_table(moft, batch_rows):
     return rows_of, sorted(segments, key=repr)
 
 
+@contextmanager
+def index_builds():
+    """Row counts of the tables that sort their segment index from
+    scratch (:meth:`SegmentIndex.build`) while the block runs."""
+    calls = []
+    build = moft_module.SegmentIndex.build.__func__
+
+    def spy(cls, oids, codes, t):
+        calls.append(t.shape[0])
+        return build(cls, oids, codes, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moft_module.SegmentIndex, "build", classmethod(spy))
+        yield calls
+
+
 class TestSegmentTable:
     def check(self, moft):
         for batch_rows in (1, 5, 1 << 16):
             assert segment_table(moft, batch_rows) == order_walk(moft)
+        # The codes are the index's objects, row by row.
+        oids, perm, offsets = moft.segment_index()
+        codes = moft.object_codes()
+        assert codes[perm].tolist() == np.repeat(
+            np.arange(len(oids)), np.diff(offsets)
+        ).tolist()
 
     @given(sample_tuples)
     def test_equals_order_walk_however_built(self, tuples):
@@ -229,6 +273,18 @@ class TestSegmentTable:
         self.check(bulk)
         self.check(bulk.mask_rows(bulk.as_arrays()[0] % 3 != 0))
         self.check(bulk.restrict_objects({"A", "C"}))
+        chain = VersionedMoft("FM")
+        for at in range(0, len(tuples), 7):
+            chain.publish(*map(list, zip(*tuples[at:at + 7])))
+        published = chain.head.table()
+        for table in (appended, bulk, published):
+            assert list(table.tuples()) == tuples
+        self.check(published)
+        rejoined = MOFT.concat(bulk.partition_by_objects(3))
+        assert sorted(rejoined.tuples(), key=repr) == sorted(
+            bulk.tuples(), key=repr
+        )
+        self.check(rejoined)
 
     @given(sample_tuples)
     def test_mmap_loaded_table(self, tuples):
@@ -237,25 +293,36 @@ class TestSegmentTable:
 
         with tempfile.TemporaryDirectory() as folder:
             build_moft(tuples).save(Path(folder) / "fm.moft")
-            loaded = MOFT.load(Path(folder) / "fm.moft")
+            with index_builds() as builds:
+                loaded = MOFT.load(Path(folder) / "fm.moft")
+                loaded.segment_index()
+                # A child inherits the index, and filters it.
+                child = loaded.mask_rows(loaded.as_arrays()[0] >= 10)
+                child.segment_index()
             if tuples:  # prefilled from the file's CSR index: no sort
-                assert loaded._segments is not None
+                assert builds == []
             self.check(loaded)
-            # A child inherits the index, and gets the same one.
-            child = loaded.mask_rows(loaded.as_arrays()[0] >= 10)
-            child.segment_index()
-            assert child._by_object is None  # no pass over the oid column
             self.check(child)
 
     def test_invalidated_by_append(self):
+        def assert_fresh(moft):
+            t, _, _ = moft.as_arrays()
+            fresh = moft_module.SegmentIndex.build(
+                moft.oids, moft.object_codes(), t
+            )
+            for got, want in zip(moft.segment_index(), fresh):
+                assert got.tolist() == want.tolist()
+
         moft = build_moft([("A", 2, 2.0, 0.0), ("B", 1, 0.0, 0.0)])
         assert sum(len(batch) for batch in moft.segments()) == 0
         moft.add("A", 1, 1.0, 0.0)
-        assert moft._segments is None
+        assert_fresh(moft)
         (batch,) = moft.segments()
         assert (batch.t0.tolist(), batch.t1.tolist()) == ([1.0], [2.0])
-        moft.extend_columns(["B", "A"], [5, 3], [1.0, 3.0], [0.0, 0.0])
-        assert moft._segments is None
+        with index_builds() as builds:
+            moft.extend_columns(["B", "A"], [5, 3], [1.0, 3.0], [0.0, 0.0])
+            assert_fresh(moft)
+        assert builds == [len(moft)]  # the reference above, not the table
         self.check(moft)
         assert moft.objects() == {"A", "B"}
 
@@ -270,9 +337,10 @@ class TestOidColumn:
     def test_cache_invalidated_by_add(self):
         moft = build_moft([("A", 1, 0.0, 0.0)])
         first = moft.oid_column()
-        assert first is moft.oid_column()
+        assert list(first) == list(moft.oid_column()) == ["A"]
         moft.add("B", 1, 1.0, 1.0)
         assert list(moft.oid_column()) == ["A", "B"]
+        assert list(first) == ["A"]  # a decoded copy, not a live view
 
     def test_tuple_oids_survive(self):
         # Tuples are hashable oids; object-dtype indexing must not

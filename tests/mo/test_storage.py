@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import MoftStorageError
 from repro.mo import MOFT
 from repro.mo import storage
+from repro.mo.moft import SegmentIndex
 from repro.mo.storage import (
     ALIGNMENT,
     FORMAT_VERSION,
@@ -107,17 +108,29 @@ class TestRoundTrip:
         moft = small_moft()
         path = tmp_path / "cars.moft"
         moft.save(path)
-        loaded = MOFT.load(path)
-        assert loaded._segments is not None
-        recomputed = MOFT.load(path)
-        recomputed._drop_index()
-        for oid in sorted(moft.objects()):
-            pt, pr = loaded._object_order(oid)
-            rt, rr = recomputed._object_order(oid)
-            assert pt.tobytes() == rt.tobytes()
-            np.testing.assert_array_equal(
-                loaded.as_arrays()[1][pr], recomputed.as_arrays()[1][rr]
+        sorts = []
+        build = SegmentIndex.build.__func__
+
+        def counting_build(cls, *columns):
+            sorts.append(cls)
+            return build(cls, *columns)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SegmentIndex, "build", classmethod(counting_build))
+            loaded = MOFT.load(path)
+            loaded_index = loaded.segment_index()
+            histories = {oid: loaded.history(oid) for oid in moft.objects()}
+            assert sorts == []  # the file's index, not a sort
+            t, x, y = loaded.as_arrays()
+            recomputed = MOFT.from_columns(
+                loaded.oid_column(), t, x, y, validate=False
             )
+            recomputed_index = recomputed.segment_index()
+            assert sorts == [SegmentIndex]
+        for got, want in zip(loaded_index, recomputed_index):
+            assert got.tolist() == want.tolist()
+        for oid in sorted(moft.objects()):
+            assert histories[oid] == recomputed.history(oid)
         np.testing.assert_array_equal(
             loaded.object_codes(), recomputed.object_codes()
         )
@@ -294,3 +307,39 @@ class TestCorruption:
         assert not is_columnar_file(path)
         with pytest.raises(MoftStorageError):
             MOFT.load(path)
+
+
+class TestGoldenBytes:
+    """The format's bytes, pinned: images of the paper's Table 1 hash
+    exactly as the format defines them, whatever the table keeps in
+    memory."""
+
+    @staticmethod
+    def digest(data: bytes) -> str:
+        import hashlib
+
+        return hashlib.sha256(data).hexdigest()
+
+    def test_file_image(self):
+        from repro.synth.paperdata import table1_moft
+
+        assert self.digest(serialize_moft(table1_moft())) == (
+            "ec05bd41e709a0a3b671f9920b6060c3e57cc4e18aadf7142e8d7004985b64e7"
+        )
+
+    def test_file_image_without_index(self):
+        from repro.synth.paperdata import table1_moft
+
+        image = serialize_moft(table1_moft(), include_index=False)
+        assert self.digest(image) == (
+            "17c5fb59266b27155dcee3ca4da7a94bef9589bdae9546f709b707f0fa28af13"
+        )
+
+    def test_shard_image(self):
+        from repro.parallel.shm import serialize_shards
+        from repro.synth.paperdata import table1_moft
+
+        image = serialize_shards(table1_moft().partition_by_objects(3))
+        assert self.digest(image.data) == (
+            "0c1dbe044a7b1cd32bfb08c3c016b720ec1af91845d7df01de364bb526878524"
+        )

@@ -32,7 +32,7 @@ from repro.errors import ShardExecutionError
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polygon import Polygon
 from repro.gis import NODE, POLYGON, POLYLINE
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, SegmentIndex
 from repro.obs import PipelineStats
 from repro.parallel import (
     ProcessBackend,
@@ -107,9 +107,20 @@ def no_leaks():
 
 def probe_shard(shard):
     """Where a shard task ran, on which table object, and whether that
-    table already had its segment index."""
-    indexed = shard._segments is not None
-    shard.segment_index()
+    table already had its segment index (asking for it sorted nothing)."""
+    sorts, original = [], SegmentIndex.__dict__["build"]
+    build = SegmentIndex.build
+
+    def counting_build(*columns):
+        sorts.append(len(columns[-1]))
+        return build(*columns)
+
+    SegmentIndex.build = counting_build
+    try:
+        shard.segment_index()
+    finally:
+        SegmentIndex.build = original
+    indexed = not sorts
     first = shard.oid_column()[0]
     return {(os.getpid(), first): (id(shard), indexed)}
 

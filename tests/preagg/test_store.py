@@ -377,9 +377,11 @@ class TestStaleness:
 
     def test_table_that_reorders_its_objects_rebuilds(self):
         """Folds read the appended rows' object codes off the table.  A
-        ``mask_rows`` child orders its objects as its parent did; once
-        appended to it orders them by first appearance, unlike the
-        cells, and ``update()`` rebuilds to what a fresh build holds."""
+        ``mask_rows`` child orders its objects as its parent did; a
+        table built from the child's rows plus more orders them by
+        first appearance, unlike the cells, and a clone of the store
+        repointed at it rebuilds in ``update()`` to what a fresh build
+        holds."""
         context, moft, elements, _ = small_synth_fixture()
         t, x, y = moft.as_arrays()
         oids = moft.oid_column()
@@ -392,9 +394,25 @@ class TestStaleness:
             (parent.oid_column() != first) | (parent.as_arrays()[0] > 0)
         )
         store = PreAggStore(child, context.time, "day", elements)
+        c_t, c_x, c_y = child.as_arrays()
+        grown = MOFT.from_columns(
+            np.concatenate((child.oid_column(), oids[later])),
+            np.concatenate((c_t, t[later])),
+            np.concatenate((c_x, x[later])),
+            np.concatenate((c_y, y[later])),
+        )
+        assert child.segment_index().oids[0] == first
+        assert grown.segment_index().oids[0] != first
+        moved = store.clone(moft=grown)
+        assert moved.update() == "rebuild"
+        assert_cells_equal(
+            moved, PreAggStore(grown, context.time, "day", elements),
+            exact=True,
+        )
+        # Appending to the child itself extends its order: a delta.
         child.extend_columns(oids[later], t[later], x[later], y[later])
-        assert child.segment_index().oids[0] != first
-        assert store.update() == "rebuild"
+        assert child.segment_index().oids[0] == first
+        assert store.update() == "delta"
         assert_cells_equal(
             store, PreAggStore(child, context.time, "day", elements),
             exact=True,
