@@ -257,9 +257,10 @@ def sorted_instants(instants: Iterable[float]) -> np.ndarray:
     """Canonicalize an instant collection to a sorted float array.
 
     The canonical representation behind every instant-membership test:
-    :meth:`MOFT.restrict_instants` and
-    :func:`~repro.query.evaluator.restriction_mask` build this array and
-    test against it with :func:`instants_member_mask`, the optimizer's
+    :meth:`MOFT.instants_mask` (under :meth:`MOFT.restrict_instants` and
+    :func:`~repro.query.evaluator.restriction_mask`) and the planner's
+    row estimate build this array and test a table's distinct instants
+    against it with :func:`instants_member_mask`, the optimizer's
     :class:`~repro.query.optimizer.FilteredMoft` with its scalar form
     :func:`is_member_instant`, so a query cannot accept an instant in one
     place and reject it in another.
@@ -334,7 +335,7 @@ class MOFT:
     #: The index, the id -> code map and the summaries.
     _DERIVED = (
         "_segments", "_inherited", "_code_of", "_time_range", "_bbox",
-        "_instant_counts",
+        "_instant_counts", "_instant_codes",
     )
 
     def _install(
@@ -550,6 +551,29 @@ class MOFT:
             self._instant_counts = np.unique(self._t, return_counts=True)
         return self._instant_counts
 
+    def instant_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct sampling instants, ascending, and each row's
+        position among them, in the smallest unsigned dtype that holds
+        it (cached until the next append, with :meth:`instant_counts`)."""
+        self._flush()
+        if self._instant_codes is None:
+            distinct, codes, counts = np.unique(
+                self._t, return_inverse=True, return_counts=True
+            )
+            if self._instant_counts is None:
+                self._instant_counts = (distinct, counts)
+            dtype = np.min_scalar_type(max(distinct.shape[0] - 1, 0))
+            self._instant_codes = (distinct, codes.astype(dtype))
+        return self._instant_codes
+
+    def instants_mask(self, instants: Iterable[float]) -> np.ndarray:
+        """Which rows' instants are in ``instants``: the ulp-tolerant
+        test of :func:`instants_member_mask`, made once per distinct
+        instant and gathered by each row's :meth:`instant_codes`.  Exact,
+        as membership is a function of the instant's value alone."""
+        distinct, codes = self.instant_codes()
+        return instants_member_mask(distinct, sorted_instants(instants))[codes]
+
     def instants(self) -> Set[float]:
         """All distinct sampling instants."""
         t, _, _ = self.as_arrays()
@@ -755,12 +779,10 @@ class MOFT:
         This is the paper's ``FM_morning`` construction: the sub-fact-table
         of samples taken at instants rolling up to a temporal member.
         Membership is the shared ulp-tolerant sorted-array test
-        (:func:`instants_member_mask`), so instants that drifted a few
-        ulps through interpolation or granule arithmetic still match.
+        (:meth:`instants_mask`), so instants that drifted a few ulps
+        through interpolation or granule arithmetic still match.
         """
-        wanted = sorted_instants(instants)
-        t, _, _ = self.as_arrays()
-        return self.mask_rows(instants_member_mask(t, wanted))
+        return self.mask_rows(self.instants_mask(instants))
 
     def restrict_objects(self, oids: Set[Hashable]) -> "MOFT":
         """Keep the samples of the given objects."""

@@ -122,6 +122,7 @@ from repro.parallel.shm import ShardImage, open_shard, serialize_shards
 from repro.pietql.executor import LayerBinding, PietQLExecutor
 from repro.preagg.store import PreAggStore
 from repro.query.evaluator import (
+    ThroughOperands,
     TimeRestriction,
     TrajectoryIntersectionCounter,
     restriction_mask,
@@ -149,11 +150,11 @@ def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
     start = time.perf_counter()
     table = open_shard(shard)
     if restriction is not None:
-        # A resident shard has its segment index already; the masked
-        # child filters that instead of sorting its own.
+        # A resident shard has its segment index and instant codes
+        # already; the masked child filters that index instead of
+        # sorting its own.
         table.segment_index()
-        t, _, _ = table.as_arrays()
-        table = table.mask_rows(restriction_mask(t, *restriction))
+        table = table.mask_rows(restriction_mask(table, *restriction))
     matched = counter.matching_objects(table, stats)
     return matched, time.perf_counter() - start, stats
 
@@ -604,14 +605,15 @@ class ShardedPietQLExecutor(PietQLExecutor):
     """A :class:`PietQLExecutor` whose trajectory work fans out over shards.
 
     The WHERE conditions are answered in-process against the overlay,
-    where they are cheap; ``THROUGH RESULT`` scans and POI builds go to
-    ``sharded`` (default: a ``serial`` executor reporting into
-    ``context.obs``, so ``shard_count`` / ``merge_ms`` and the shard
-    stage timers appear next to the usual pipeline counters).  The base
-    class hands it to the through-count
-    (:func:`repro.query.evaluator.execute_through`), so a scan — or the
-    sliver scan beside a store read — fans out, and a store-served
-    answer fans nothing out.
+    where they are cheap; ``THROUGH RESULT`` scans go to ``sharded``
+    (default: a ``serial`` executor reporting into ``context.obs``, so
+    ``shard_count`` / ``merge_ms`` and the shard stage timers appear next
+    to the usual pipeline counters): the plan is forced to the store
+    when one serves (nothing fans out), else to ``sharded``, else — an
+    empty geometric answer — to the grid scan.  POI builds take
+    ``sharded`` as their candidate, as under the base class.  A plain
+    :class:`PietQLExecutor` given an executor lets the planner price the
+    fan-out instead.
     """
 
     def __init__(
@@ -620,8 +622,14 @@ class ShardedPietQLExecutor(PietQLExecutor):
         bindings: "Dict[str, LayerBinding] | None" = None,
         sharded: Optional[ShardedExecutor] = None,
     ) -> None:
-        super().__init__(context, bindings)
-        self.sharded = sharded or ShardedExecutor(obs=context.obs)
+        super().__init__(
+            context, bindings, sharded or ShardedExecutor(obs=context.obs)
+        )
+
+    def _through_route(self, ops: ThroughOperands) -> str:
+        if ops.route_first():
+            return "preagg"
+        return "sharded" if ops.ids else "grid"
 
 
 __all__ = [

@@ -9,16 +9,16 @@ exactly the two-stage pipeline of Section 5.
 
 ``THROUGH RESULT`` is one more syntax for the through-count of
 :mod:`repro.query.evaluator`: the geometric answer and the DURING
-instant set go to :func:`~repro.query.evaluator.resolve_through` and
-the operands run route-first through :func:`~repro.query.evaluator
-.execute_through` (a registered store when one serves, else the scan —
-fanned out under a :class:`~repro.parallel.ShardedExecutor`).  The
+instant set go to :func:`~repro.query.evaluator.resolve_through`, the
+operands to one :func:`repro.query.planner.plan_through` call and the
+plan to :func:`repro.query.planner.run_plan`, exactly as a planned
+count runs.  An executor given as ``sharded`` is the planner's fan-out
+candidate; without one the route-first choice is forced (a registered
+store when one serves, else the grid scan), and
+:class:`~repro.parallel.ShardedPietQLExecutor` forces its fan-out.  The
 restricted table is built only when a scan leaf or ``COUNT SAMPLES``
-reads it.  ``EXPLAIN`` changes nothing about the run: it prices the
-same operands first (:func:`repro.query.planner.plan_through`,
-route-first choice forced), puts Piet-QL's own stages in front of the
-plan and fills the actuals from that one execution
-(:func:`repro.query.planner.record_run`).
+reads it.  ``EXPLAIN`` changes nothing about the run: it puts Piet-QL's
+own stages in front of that same plan, whose actuals the run filled.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Set, Tuple
 from repro.errors import PietQLExecutionError
 from repro.pietql import ast
 from repro.pietql.parser import parse
-from repro.query.evaluator import execute_through, resolve_through
+from repro.query.evaluator import ThroughOperands, resolve_through
 from repro.query.planner import (
     CostModel,
     PlanNode,
@@ -38,7 +38,7 @@ from repro.query.planner import (
     execute_poi_plan,
     plan_poi_aggregate,
     plan_through,
-    record_run,
+    run_plan,
 )
 from repro.query.region import EvaluationContext
 
@@ -84,18 +84,22 @@ class PietQLExecutor:
         ``(layer, kind)`` pairs.  Names not bound explicitly are resolved
         against the GIS directly when a layer of that name has exactly one
         populated kind.
+    sharded:
+        A :class:`~repro.parallel.ShardedExecutor` the planner may fan
+        ``THROUGH RESULT`` scans and POI builds out on, when it prices
+        that below the in-process strategies (None: nothing fans out;
+        :class:`~repro.parallel.ShardedPietQLExecutor` always fans out).
     """
 
     def __init__(
         self,
         context: EvaluationContext,
         bindings: Mapping[str, LayerBinding] | None = None,
+        sharded: Optional[ShardedExecutor] = None,
     ) -> None:
         self.context = context
         self.bindings: Dict[str, LayerBinding] = dict(bindings or {})
-        #: Fans THROUGH RESULT scans and POI builds out when set (see
-        #: :class:`repro.parallel.ShardedPietQLExecutor`).
-        self.sharded: Optional[ShardedExecutor] = None
+        self.sharded = sharded
 
     # -- binding resolution ------------------------------------------------------
 
@@ -148,7 +152,7 @@ class PietQLExecutor:
 
         ``EXPLAIN``-prefixed queries execute the same way; the result
         additionally carries the plan that ran — cost-model estimates
-        for every candidate, the route-first choice, and the actual rows
+        for every candidate, the strategy chosen, and the actual rows
         and seconds of this very execution on each node.
         """
         if isinstance(query, str):
@@ -412,7 +416,10 @@ class PietQLExecutor:
     ) -> Tuple[float, Set[Hashable], Optional[QueryPlan]]:
         """The moving-objects part: ``(count, matched objects, plan)``.
 
-        The plan is built (and priced) only under EXPLAIN.
+        A ``THROUGH RESULT`` is planned (:func:`~repro.query.planner
+        .plan_through`, the strategy from :meth:`_through_route`) and
+        run from that plan (:func:`~repro.query.planner.run_plan`); the
+        plan is returned only under EXPLAIN.
         """
         mo = query.moving_objects
         context = self.context
@@ -462,25 +469,11 @@ class PietQLExecutor:
                 instants=instants,
                 ids=geometry_ids,
             )
-            use_store = ops.route_first()
-            if query.explain:
-                # Priced before it runs (the run caches the grid index);
-                # an empty answer fans nothing out.
-                if use_store:
-                    route = "preagg"
-                elif self.sharded is not None and ops.ids:
-                    route = "sharded"
-                else:
-                    route = "grid"
-                plan = plan_through(
-                    ops, self.sharded, force_strategy=route,
-                    front=front, label=label,
-                )
-            started = time.perf_counter()
-            run = execute_through(ops, use_store, self.sharded)
-            matched = run.matched
-            if plan is not None:
-                record_run(plan, run, time.perf_counter() - started)
+            plan = plan_through(
+                ops, self.sharded, force_strategy=self._through_route(ops),
+                front=front, label=label,
+            )
+            matched = run_plan(plan, self.sharded)
             if mo.count_what != "OBJECTS":
                 table = ops.table
                 samples = sum(table.sample_count(oid) for oid in matched)
@@ -490,7 +483,20 @@ class PietQLExecutor:
         if plan is not None:
             plan.root.actual_rows = len(matched)
             plan.result_count = int(count)
-        return count, matched, plan
+        return count, matched, plan if query.explain else None
+
+    def _through_route(self, ops: ThroughOperands) -> Optional[str]:
+        """The strategy a ``THROUGH RESULT`` is forced to (None: the
+        planner prices the candidates, ``self.sharded`` among them).
+
+        Without an executor: the store when one serves, else the grid
+        scan.  A registered store that cannot serve counts a
+        ``preagg_misses`` either way.
+        """
+        use_store = ops.route_first()
+        if self.sharded is not None:
+            return None
+        return "preagg" if use_store else "grid"
 
 
 def run(

@@ -101,25 +101,29 @@ BATCH_MIN_ROWS = 64
 
 #: A time restriction as ``(window, instants)``: a closed ``[start,
 #: end]`` window or a DURING instant set (the set wins when both are
-#: given) — the arguments of :func:`restriction_mask` after ``t``.
+#: given) — the arguments of :func:`restriction_mask` after the table.
 TimeRestriction = Tuple[Optional[Tuple[float, float]], Optional[Set[float]]]
 
 
 def restriction_mask(
-    t: np.ndarray,
+    moft: MOFT,
     window: Optional[Tuple[float, float]] = None,
     instants: Optional[Set[float]] = None,
 ) -> np.ndarray:
-    """The rows of an instant column ``t`` a time restriction keeps.
+    """The rows of ``moft`` a time restriction keeps.
 
     The one definition of "restricted to": :attr:`ThroughOperands
     .row_mask` applies it to the whole table and every shard task of a
-    fanned-out scan to its own rows, so the two cannot disagree on an
-    instant (membership in ``instants`` is the ulp-tolerant test of
-    :func:`~repro.mo.moft.instants_member_mask`).
+    fanned-out scan to its own shard, so the two cannot disagree on an
+    instant.  An instant set is decided once per distinct instant of the
+    table and gathered by each row's instant code
+    (:meth:`~repro.mo.moft.MOFT.instants_mask`, the ulp-tolerant test of
+    :func:`~repro.mo.moft.instants_member_mask`, as ``COUNT SAMPLES``
+    restricts); a window compares the instant column with its bounds.
     """
     if instants is not None:
-        return instants_member_mask(t, sorted_instants(instants))
+        return moft.instants_mask(instants)
+    t, _, _ = moft.as_arrays()
     return (t >= window[0]) & (t <= window[1])
 
 
@@ -513,12 +517,14 @@ def counter_for(
 ) -> TrajectoryIntersectionCounter:
     """Build the scan counter over one geometric answer (the scan leaf):
     with the answer's cached grid index and, for a polygon answer, its
-    cached :class:`~repro.geometry.kernels.PolygonPass`."""
+    cached :class:`~repro.geometry.kernels.PolygonPass` — without
+    ``use_index`` too, whose batched scan bins through that same pass
+    (only its per-object walk goes without the index)."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
     geometries = {gid: elements[gid] for gid in ids}
     index = polygons = None
-    if use_index and all(isinstance(g, Polygon) for g in geometries.values()):
+    if all(isinstance(g, Polygon) for g in geometries.values()):
         polygons = context.polygon_pass(layer, kind, ids, obs=stats)
     elif use_index:
         index = context.geometry_index(layer, kind, ids, obs=stats)
@@ -579,8 +585,7 @@ class ThroughOperands:
         """The time restriction as a row mask (None: the whole table)."""
         if self.restriction is None:
             return None
-        t, _, _ = self.moft.as_arrays()
-        return restriction_mask(t, *self.restriction)
+        return restriction_mask(self.moft, *self.restriction)
 
     @property
     def rows(self) -> int:
@@ -590,7 +595,11 @@ class ThroughOperands:
         if self.restriction is None:
             return len(self.moft)
         instants, counts = self.moft.instant_counts()
-        return int(counts[restriction_mask(instants, *self.restriction)].sum())
+        if self.instants is not None:
+            kept = instants_member_mask(instants, sorted_instants(self.instants))
+        else:
+            kept = (instants >= self.window[0]) & (instants <= self.window[1])
+        return int(counts[kept].sum())
 
     @cached_property
     def table(self) -> MOFT:

@@ -8,9 +8,10 @@ pre-aggregation route with its sliver hybrid (:mod:`repro.preagg`).
 All four run on the operands one
 :func:`~repro.query.evaluator.resolve_through` call resolves, through
 the one :func:`~repro.query.evaluator.execute_through`; the route-first
-front-ends (``count_objects_through``, ``total_dwell_time``, Piet-QL)
-take "the store when one serves, else the scan" without a price.  This
-module makes the choice a *costed* decision:
+front-ends (``count_objects_through``, ``total_dwell_time``) take "the
+store when one serves, else the scan" without a price.  This module
+makes the choice a *costed* decision — for planned counts, service
+specs and Piet-QL's ``THROUGH RESULT`` alike:
 
 * **statistics** — :func:`geometry_statistics` (bbox-coverage
   selectivity of the answer geometries against the table's spatial
@@ -28,7 +29,9 @@ module makes the choice a *costed* decision:
 
 * an **EXPLAIN surface** — :func:`plan_count_objects_through` resolves
   and returns a :class:`QueryPlan` (:func:`plan_through` prices operands
-  somebody else resolved — Piet-QL's EXPLAIN); :func:`run_plan` /
+  somebody else resolved — Piet-QL, which forces the route-first
+  choice when it holds no executor, or its fan-out under
+  :class:`~repro.parallel.ShardedPietQLExecutor`); :func:`run_plan` /
   :func:`execute_plan` execute the chosen strategy *from the plan's
   operands*; :func:`explain` renders the tree with estimated vs.
   *actual* rows and seconds, read off the stats object of that one
@@ -61,7 +64,6 @@ from repro.mo.moft import MOFT
 from repro.obs import EvaluationStats
 from repro.query.evaluator import (
     ThroughOperands,
-    ThroughRun,
     execute_through,
     resolve_through,
 )
@@ -349,8 +351,8 @@ def plan_through(
     priced and recorded with the executor's backend and shard count)
     and ``preagg`` (only when the operands carry a store).  The cheapest
     wins unless ``force_strategy`` names one (the differential tests
-    drive every strategy this way; Piet-QL's EXPLAIN forces its
-    route-first choice); forcing an inapplicable strategy raises
+    drive every strategy this way; Piet-QL without an executor forces
+    its route-first choice); forcing an inapplicable strategy raises
     :class:`EvaluationError`.  ``front`` are the nodes rendered before
     the strategy's subtree, ``label`` names the aggregate on the root.
     """
@@ -543,6 +545,11 @@ def run_plan(
     read (plus a serial sliver scan) for ``preagg``, the scan leaf for
     ``serial`` / ``grid``, the leaf fanned out over ``executor`` for
     ``sharded``.  Returns the matched objects.
+
+    The actuals are the figures of that one execution (its own stats
+    object), not a bracket around a shared observer.  A fan-out node
+    says how many shards did run: the executor's count, less the empty
+    shards, which are never shipped.
     """
     strategy = plan.strategy
     if strategy == "sharded" and executor is None:
@@ -557,22 +564,10 @@ def run_plan(
         executor if strategy == "sharded" else None,
         **(_UNINDEXED if strategy == "serial" else {}),
     )
-    record_run(plan, run, time.perf_counter() - started)
-    return run.matched
-
-
-def record_run(plan: QueryPlan, run: ThroughRun, seconds: float) -> None:
-    """Fill a through plan's actuals from the execution that ran it.
-
-    The figures are those of that one execution (its own stats object),
-    not a bracket around a shared observer.  A fan-out node says how
-    many shards did run: the executor's count, less the empty shards,
-    which are never shipped.
-    """
     plan.executed = True
     plan.result_count = len(run.matched)
     plan.root.actual_rows = plan.result_count
-    plan.root.actual_seconds = seconds
+    plan.root.actual_seconds = time.perf_counter() - started
     for node in plan.root.walk():
         if node.op in ("SerialScan", "GridScan", "SliverScan"):
             node.actual_rows = run.stats.count("scan_rows")
@@ -590,6 +585,7 @@ def record_run(plan: QueryPlan, run: ThroughRun, seconds: float) -> None:
         elif node.op == "PreAggLookup":
             node.actual_rows = plan.operands.sliver_rows
             node.actual_seconds = run.lookup_seconds
+    return run.matched
 
 
 def execute_plan(
@@ -815,7 +811,6 @@ __all__ = [
     "plan_poi_aggregate",
     "plan_through",
     "planned_count_objects_through",
-    "record_run",
     "run_plan",
     "table_statistics",
 ]

@@ -10,8 +10,9 @@ vocabularies —
   constraints, optionally restricted to a time window (executed through
   the cost-based planner, so the stored EXPLAIN plan records which
   strategy ran);
-* ``kind="pietql"`` — a Piet-QL query string, executed through
-  :class:`~repro.parallel.ShardedPietQLExecutor`;
+* ``kind="pietql"`` — a Piet-QL query string, executed through a
+  :class:`~repro.pietql.PietQLExecutor` that plans its ``THROUGH
+  RESULT`` with the cost-based planner too;
 * ``kind="ingest"`` — a batch of GPS samples for a streaming world's
   :class:`~repro.ingest.StreamingIngestor` (``samples`` is a list of
   ``[oid, t, x, y]`` rows); the result payload is the per-batch
@@ -221,9 +222,18 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: Id types :func:`_plain` returns as they are (exactly these: a
+#: subclass such as ``numpy.str_`` may coerce and ``repr`` otherwise).
+_PLAIN_IDS = frozenset((str, int))
+
+
 def _sorted_ids(ids) -> list:
-    """Id collections as sorted lists (order-insensitive, JSON-safe)."""
-    return sorted((_plain(i) for i in ids), key=repr)
+    """Id collections as sorted lists (order-insensitive, JSON-safe).
+    Plain ``str`` / ``int`` ids need no coercion."""
+    ids = list(ids)
+    if _PLAIN_IDS.issuperset(map(type, ids)):
+        return sorted(ids, key=repr)
+    return sorted(map(_plain, ids), key=repr)
 
 
 def _plain(value):

@@ -81,11 +81,16 @@ def execute_spec(
 ) -> Tuple[str, Optional[str]]:
     """Execute one spec; return ``(canonical result JSON, explain text)``.
 
-    ``through`` specs run through
-    :func:`~repro.query.planner.planned_count_objects_through` with a
-    sharded executor as the fan-out candidate, so the persisted EXPLAIN
-    plan records the strategy the cost model actually picked; ``pietql``
-    specs run through :class:`~repro.parallel.ShardedPietQLExecutor`.
+    Both query kinds take their routing from the cost-based planner,
+    with a sharded executor as the fan-out candidate: ``through`` specs
+    run through :func:`~repro.query.planner.planned_count_objects_through`,
+    ``pietql`` specs through a :class:`~repro.pietql.PietQLExecutor`
+    holding the executor (its ``THROUGH RESULT`` plans with
+    :func:`~repro.query.planner.plan_through`, its POI part with
+    :func:`~repro.query.planner.plan_poi_aggregate`).  The persisted
+    EXPLAIN plan records the strategy the cost model actually picked; a
+    ``serial`` executor, whose fan-out prices above the in-process scan,
+    then cuts no table.
 
     Query kinds evaluate against :meth:`~repro.service.worlds
     .ServiceWorld.query_context` — on a streaming world that pins the
@@ -100,7 +105,8 @@ def execute_spec(
     executor is built from ``backend`` / ``n_shards`` / ``obs`` and
     closed before returning.
     """
-    from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
+    from repro.parallel import ShardedExecutor
+    from repro.pietql import PietQLExecutor
     from repro.query.planner import planned_count_objects_through
 
     if spec.kind == "ingest":
@@ -138,7 +144,7 @@ def execute_spec(
                 canonical_json(result_payload("through", count)),
                 plan.render(),
             )
-        result = ShardedPietQLExecutor(
+        result = PietQLExecutor(
             context, world.bindings, sharded=executor
         ).execute(spec.text)
         explain = result.plan.render() if result.plan is not None else None

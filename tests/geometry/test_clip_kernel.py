@@ -457,9 +457,9 @@ class TestCrossingsSolvedInBatch:
         assert scalar_obs.count("clip_kernel_segments") == 1200
 
     def test_work_arrays_are_chunk_bounded(self, monkeypatch):
-        """~1 000 edges x 20k crossing segments: nothing is allocated in
+        """~1 000 edges x 10k crossing segments: nothing is allocated in
         proportion to rows x edges beyond one chunk of rows."""
-        chunk, n_edges, n = 256, 1000, 20000
+        chunk, n_edges, n = 128, 1000, 10000
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
         polygon = Polygon.regular(Point(0.0, 0.0), 5.0, n_edges)
         polygon_edge_arrays(polygon)

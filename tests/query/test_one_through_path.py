@@ -15,6 +15,9 @@ here:
   plan's node actuals;
 * **EXPLAIN changes nothing about the run** Piet-QL makes — same fan-out,
   same shard count, an empty answer included;
+* **the service path plans Piet-QL** — a spec on the default
+  ``serial`` executor is priced, not fanned out, and answers what both
+  Piet-QL executors answer;
 * **one shard count, one partition** — a planned count and a Piet-QL
   count on one executor cut the table once, into the executor's shards;
 * a plan **refuses to run on a table that changed** after it was made.
@@ -50,6 +53,9 @@ from repro.query.planner import (
     run_plan,
 )
 from repro.query.region import EvaluationContext
+from repro.service import QuerySpec, ServiceWorld
+from repro.service.spec import canonical_json, result_payload
+from repro.service.worker import execute_spec
 from repro.synth import CityConfig, build_city
 from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
@@ -412,6 +418,34 @@ class TestExplainChangesNothing:
         assert explained.plan.shard_count == 11
         fanout = explained.plan.root.find("ShardFanout")
         assert "shards=11" in fanout.detail
+
+
+class TestServicePath:
+    """A Piet-QL spec takes its routing from the planner, as a through
+    spec does: on the default ``serial`` executor the fan-out prices
+    above the in-process scan, so no table is cut."""
+
+    def test_serial_executor_neither_cuts_nor_fans_out(self, bare):
+        assert len(bare.moft("FM")) >= evaluator.BATCH_MIN_ROWS
+        world = ServiceWorld("city", bare, dict(BINDINGS))
+        text = pietql_text(f"day = '{DAY2}'", explain=True)
+        before = bare.obs.snapshot()
+        answer, explain = execute_spec(QuerySpec.pietql(text), world)
+        delta = bare.obs.since(before)
+        assert delta.get("shard_cache_misses", 0) == 0
+        assert delta.get("shard_count", 0) == 0
+        for executor in (
+            ShardedPietQLExecutor(bare, BINDINGS),
+            PietQLExecutor(bare, BINDINGS),
+        ):
+            result = executor.execute(text)
+            assert canonical_json(result_payload("pietql", result)) == answer
+        header, *_, rejected = explain.splitlines()
+        strategy = header.split()[1]
+        assert strategy in ("strategy=serial", "strategy=grid")
+        assert f"[count_objects, moft=FM, {strategy}]" in explain
+        assert rejected.startswith("  rejected: ")
+        assert "sharded=" in rejected
 
 
 class TestOneShardCount:

@@ -2,7 +2,9 @@
 
 ``execute_spec`` used to build an executor per job, so a ``processes``
 service forked a pool per job; the worker now builds its executor with
-the first job and closes it in ``stop()``.
+the first job and closes it in ``stop()``.  Whether a job fans out is
+the planner's choice: the pool test holds the table's shards resident,
+so that its Piet-QL jobs do.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import os
 from repro.service import QuerySpec, SQLiteJobQueue, Worker
 from repro.service.worker import execute_spec
 
-from tests.service.conftest import FIG1_SPEC
 
 FIG1_PIETQL = QuerySpec.pietql(
     "SELECT layer.neighborhoods FROM Fig1 "
@@ -22,24 +23,39 @@ FIG1_PIETQL = QuerySpec.pietql(
 )
 
 
+#: A 10k-row city: with the table's shards resident, a two-process
+#: fan-out prices below the in-process scan.
+SYNTH_PIETQL = QuerySpec.pietql(
+    "SELECT layer.cities FROM City "
+    "WHERE intersection(layer.cities, layer.neighborhoods) "
+    "| COUNT OBJECTS FROM FM THROUGH RESULT"
+)
+
+
 def pid_of(shard):
     return {os.getpid(): 1}
 
 
-def test_consecutive_processes_jobs_share_one_pool(fig1_service_world):
-    world = fig1_service_world
+def test_consecutive_processes_jobs_share_one_pool(synth_service_world):
+    world = synth_service_world
+    moft = world.context.moft("FM")
     queue = SQLiteJobQueue(":memory:")
     worker = Worker(queue, world, backend="processes", n_shards=2)
-    expected = execute_spec(FIG1_PIETQL, world)[0]
+    expected = execute_spec(SYNTH_PIETQL, world)[0]
+    # Resident shards price the jobs' fan-out below the in-process scan.
+    worker._sharded().aggregate_moft(moft, pid_of)
     seen = []
     for _ in range(2):
-        queue.enqueue(FIG1_PIETQL)
+        executor = worker._executor
+        fanned = executor.obs.count("shard_count")
+        queue.enqueue(SYNTH_PIETQL)
         done = worker.step()
         assert (done.state, done.result_json) == ("done", expected)
-        executor = worker._executor
+        assert worker._executor is executor
+        assert executor.obs.count("shard_count") == fanned + 2  # it fanned out
         pool = executor.backend._pool
-        assert pool is not None  # the job did fan out
-        probed = set(executor.aggregate_moft(world.context.moft("FMbus"), pid_of))
+        assert pool is not None
+        probed = set(executor.aggregate_moft(moft, pid_of))
         assert probed and probed <= set(pool._processes)
         seen.append((executor, pool, set(pool._processes)))
     assert seen[0][0] is seen[1][0]
@@ -48,7 +64,7 @@ def test_consecutive_processes_jobs_share_one_pool(fig1_service_world):
     worker.stop()
     assert worker._executor is None and executor.backend._pool is None
     # Stopped is not final: the next job builds a new executor.
-    queue.enqueue(FIG1_SPEC)
+    queue.enqueue(SYNTH_PIETQL)
     assert worker.step().state == "done"
     assert worker._executor is not executor
     worker.stop()
