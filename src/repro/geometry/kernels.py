@@ -217,15 +217,26 @@ class LabelGrid(NamedTuple):
     same clamped :func:`~repro.geometry.index._cell`), ``labels`` per
     cell ``col * rows + row``: a polygon position (every point of the
     cell lies inside that polygon and no other), :data:`OUTSIDE` (inside
-    none) or :data:`MIXED` (undecided)."""
+    none) or :data:`MIXED` (undecided); ``reach`` the summed-area table
+    of the cells not :data:`OUTSIDE`, ``reach[c, r]`` counting those of
+    columns ``< c`` and rows ``< r``."""
 
     grid: Tuple[float, float, float, int, int]
     labels: np.ndarray
+    reach: np.ndarray
 
     def of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Each point's cell label: one gather."""
         col, row = _cell(self.grid, x, y)
         return self.labels[col * self.grid[4] + row]
+
+    def outside(self, x0, y0, x1, y1) -> np.ndarray:
+        """Which boxes map only to :data:`OUTSIDE` cells, so meet no
+        polygon (see :class:`PolygonPass`): four gathers per box."""
+        c0, r0 = _cell(self.grid, x0, y0)
+        c1, r1 = _cell(self.grid, x1, y1)
+        c1, r1, reach = c1 + 1, r1 + 1, self.reach
+        return reach[c1, r1] - reach[c0, r1] - reach[c1, r0] + reach[c0, r0] == 0
 
 
 def _label_geometry(edges: EdgeTable) -> Tuple[float, float, float, int, int]:
@@ -322,7 +333,9 @@ def _label_grid(
         labels[cell] = np.where(inside, pos[head], OUTSIDE)[run]
         away = (home_col != col) | (home_row != row)
         labels[cell[away[run]]] = MIXED
-    return LabelGrid(grid, labels)
+    reach = np.zeros((cols + 1, rows + 1), dtype=np.int32)
+    reach[1:, 1:] = (labels != OUTSIDE).reshape(cols, rows).cumsum(0).cumsum(1)
+    return LabelGrid(grid, labels, reach)
 
 
 class PolygonPass:
@@ -364,6 +377,17 @@ class PolygonPass:
     that polygon when its centre lies inside, else :data:`OUTSIDE`; all
     others (boxes overlap there, or an edge is near) are :data:`MIXED`.
     Under the ``scalar`` backend no cell is decided.
+
+    **A box of** :data:`OUTSIDE` **cells meets no polygon.**  Every
+    point of a box maps, by the monotone clamped ``_cell``, into the
+    range between its corners' cells (a border cell takes the points
+    beyond the extent too), and the argument above holds for every point
+    that maps to a cell.  So when the range holds only :data:`OUTSIDE`
+    cells (:meth:`LabelGrid.outside`: its sum in the summed-area table
+    is 0), each point of the box lies in no polygon box, or outside its
+    one polygon and outside every (grown) edge box.  No point of a segment
+    in it is in a closed polygon or on a boundary edge, which is the
+    scalar ``Polygon.intersects_segment``'s ``False``.
     """
 
     __slots__ = ("edges", "bins", "index", "labels")

@@ -199,6 +199,14 @@ class SegmentIndex(NamedTuple):
                 _check_unique(oids, group, t[rows])
         return SegmentIndex(oids, perm, offsets)
 
+    def masked(self, mask: np.ndarray) -> "SegmentIndex":
+        """The rows ``mask`` keeps, numbered as in this table; an object
+        that keeps none has an empty run.  What a scan under a row mask
+        reads, and what a :meth:`MOFT.mask_rows` child renumbers."""
+        kept = mask[self.perm]
+        bounds = np.concatenate(([0], np.cumsum(kept)))[self.offsets]
+        return SegmentIndex(self.oids, self.perm[kept], bounds)
+
 
 class SegmentBatch:
     """Consecutive-sample segments of whole objects, as flat arrays.
@@ -671,13 +679,12 @@ class MOFT:
         if self._segments is None and inherited is not None:
             # This table's (object, time) order is its parent's,
             # filtered: no sort.
-            (_, perm, offsets), mask = inherited
-            kept = mask[perm]
-            bounds = np.concatenate(([0], np.cumsum(kept)))[offsets]
+            parent, mask = inherited
+            _, perm, bounds = parent.masked(mask)
             alive = np.diff(bounds) > 0
             self._segments = SegmentIndex(
                 self._oids,
-                (np.cumsum(mask) - 1)[perm[kept]],
+                (np.cumsum(mask) - 1)[perm],
                 np.concatenate(([0], bounds[1:][alive])),
             )
             self._inherited = None
@@ -685,34 +692,41 @@ class MOFT:
             self._segments = SegmentIndex.build(self._oids, self._codes, self._t)
         return self._segments
 
-    def segments(self) -> Iterator[SegmentBatch]:
+    def segments(self, rows: Optional[np.ndarray] = None) -> Iterator[SegmentBatch]:
         """Every consecutive-sample segment, in batches of whole objects.
 
         The coordinate arrays are gathered per batch and never cached:
         a batch covers as many objects as fit in ``SEGMENT_BATCH_ROWS``
         rows (at least one), so a scan's transient memory does not grow
         with the table.  Single-sample objects have no segments.
+        ``rows``, a row mask, gives a ``mask_rows(rows)`` child's
+        segments and batches, read off :meth:`SegmentIndex.masked`.
         """
-        oids, perm, offsets = self.segment_index()
+        index = self.segment_index()
+        _, perm, offsets = index if rows is None else index.masked(rows)
         t, x, y = self.as_arrays()
-        lo, n_objects = 0, oids.shape[0]
-        while lo < n_objects:
+        lo = 0
+        while offsets[lo] < offsets[-1]:
+            # (Objects that keep no row have empty runs: none opens a batch.)
+            lo = int(np.searchsorted(offsets, offsets[lo], "right")) - 1
             full = offsets[lo] + SEGMENT_BATCH_ROWS
             hi = max(lo + 1, int(np.searchsorted(offsets, full, "right")) - 1)
-            rows = perm[offsets[lo]:offsets[hi]]
+            run = perm[offsets[lo]:offsets[hi]]
             local = offsets[lo:hi + 1] - offsets[lo]
             # Row i joins row i + 1 unless i + 1 opens the next object.
-            joined = np.ones(rows.shape[0] - 1, dtype=bool)
-            joined[local[1:-1] - 1] = False
-            tr, xr, yr = t[rows], x[rows], y[rows]
+            joined = np.ones(run.shape[0] - 1, dtype=bool)
+            opens = local[1:-1]
+            joined[opens[opens < run.shape[0]] - 1] = False
+            # An object of c rows has c - 1 segments.
+            counts = np.maximum(np.diff(local) - 1, 0)
+            tr, xr, yr = t[run], x[run], y[run]
             yield SegmentBatch(
                 tr[:-1][joined], tr[1:][joined],
                 xr[:-1][joined], yr[:-1][joined],
                 xr[1:][joined], yr[1:][joined],
-                np.repeat(np.arange(lo, hi), np.diff(local) - 1),
+                np.repeat(np.arange(lo, hi), counts),
                 first=lo,
-                # An object of c rows has c - 1 segments.
-                offsets=local - np.arange(hi - lo + 1),
+                offsets=np.concatenate(([0], np.cumsum(counts))),
             )
             lo = hi
 

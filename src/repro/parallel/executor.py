@@ -149,13 +149,10 @@ def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
     stats = EvaluationStats()
     start = time.perf_counter()
     table = open_shard(shard)
-    if restriction is not None:
-        # A resident shard has its segment index and instant codes
-        # already; the masked child filters that index instead of
-        # sorting its own.
-        table.segment_index()
-        table = table.mask_rows(restriction_mask(table, *restriction))
-    matched = counter.matching_objects(table, stats)
+    # A resident shard has its segment index and instant codes already:
+    # the scan reads that index under the restriction's row mask.
+    rows = None if restriction is None else restriction_mask(table, *restriction)
+    matched = counter.matching_objects(table, stats, rows=rows)
     return matched, time.perf_counter() - start, stats
 
 

@@ -27,6 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import PietQLExecutionError
 from repro.pietql import ast
 from repro.pietql.parser import parse
@@ -475,8 +477,12 @@ class PietQLExecutor:
             )
             matched = run_plan(plan, self.sharded)
             if mo.count_what != "OBJECTS":
-                table = ops.table
-                samples = sum(table.sample_count(oid) for oid in matched)
+                # Each object's rows under the restriction, one bincount.
+                codes, mask = ops.moft.object_codes(), ops.row_mask
+                per_object = np.bincount(codes if mask is None else codes[mask])
+                samples = int(sum(
+                    per_object[ops.moft.object_code(oid)] for oid in matched
+                ))
         count = float(
             len(matched) if mo.count_what == "OBJECTS" else samples
         )

@@ -677,7 +677,7 @@ class PreAggStore(GranuleStore):
         passes = self._polygons
         wanted = np.zeros(len(self.gids), dtype=bool)
         wanted[polygons] = True
-        for batch in self.moft.mask_rows(mask).segments():
+        for batch in self.moft.segments(rows=mask):
             # Both endpoints covered: already in cells.
             uncovered = np.flatnonzero((batch.t0 < lo) | (batch.t1 > hi))
             pos, at = candidate_pairs(passes.bins, *batch.boxes(uncovered))

@@ -159,7 +159,7 @@ def total_dwell_time(
     the tolerance.
 
     The scan leaf runs one broad phase and one dwell-kernel call per
-    segment batch of the restricted table, on the (answer polygon,
+    segment batch of the table under the restriction, on the (answer polygon,
     segment) pairs whose boxes meet, and adds the dwell up polygon by
     polygon in id order.  It counts like the count path (into ``stats``
     when passed, else the context observer): ``scan_rows``, the
@@ -186,12 +186,11 @@ def total_dwell_time(
                 return ops.store.dwell_time(ids, *ops.run)
             return ops.store.window_dwell(ids, *ops.window)
     polygons = context.polygon_pass(target[0], target[1], ids, obs=stats)
-    moft = ops.table
     run = EvaluationStats()
-    run.incr("scan_rows", len(moft))
+    run.incr("scan_rows", ops.rows)
     total = 0.0
     with run.stage(EvaluationStats.SCAN_STAGE):
-        for batch in moft.segments():
+        for batch in ops.moft.segments(rows=ops.row_mask):
             pos, at = candidate_pairs(polygons.bins, *batch.boxes())
             run.incr("bbox_rejections", len(batch) * len(ids) - pos.size)
             run.incr("segment_checks", pos.size)

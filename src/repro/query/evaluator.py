@@ -18,25 +18,30 @@ refinements that the benchmarks ablate:
 * a spatial-index candidate filter over the answer geometries — either
   built in place or borrowed prebuilt from
   :meth:`~repro.query.region.EvaluationContext.geometry_index`;
-* an optional columnar prefilter (:func:`repro.query.vectorized
-  .points_inside`): when every answer geometry is a polygon, a
-  sampled point inside a polygon already proves the trajectory
-  intersects, so those objects skip the segment scan entirely.  The
-  points of decided grid cells are answered by their cell's label; only
-  the rest take the broad phase and the containment kernel.
+* an optional columnar prefilter (decided cells, then
+  :func:`repro.query.vectorized.pairs_contain`): when every answer
+  geometry is a polygon, a sampled point inside a polygon already
+  proves the trajectory intersects, so those objects skip the segment
+  scan entirely.  The points of decided grid cells are answered by
+  their cell's label; only the rest, of objects still unproven, take
+  the containment kernel.
 
 When every answer geometry is a polygon the scan is *batched*: the
 segments of the objects still pending, read in batches straight off the
 table's segment index (:meth:`repro.mo.moft.MOFT.segment_index`), go
 through one broad phase per batch over the answer's grid index
-(:func:`repro.geometry.index.candidate_pairs`), and the (polygon,
+(:func:`repro.geometry.index.candidate_pairs`; a segment in cells
+decided outside every polygon skips it), and the (polygon,
 segment) pairs of all batches through one clip-kernel call per
 early-exit round, for all objects and polygons together.  The answer's
 :class:`~repro.geometry.kernels.PolygonPass` (edge table, bins, label
 grid) comes from :meth:`~repro.query.region.EvaluationContext
 .polygon_pass`, built once per answer.  The per-object walk serves the
 other geometry kinds, single-sample objects and tables too small to
-repay a kernel call; it filters by the grid index probe by probe.
+repay a kernel call; it filters by the grid index probe by probe.  A
+time restriction is a row mask: the scan reads the table's index under
+it (:meth:`~repro.mo.moft.SegmentIndex.masked`), with no restricted
+table built.
 
 That scan is the *leaf* of the one through-count path, which also
 lives here: :func:`resolve_through` resolves a query once (geometric
@@ -85,12 +90,13 @@ from repro.mo import moft as moft_module
 from repro.mo.moft import (
     MOFT,
     SegmentBatch,
+    SegmentIndex,
     instants_member_mask,
     sorted_instants,
 )
 from repro.obs import EvaluationStats, PipelineStats
 from repro.query.region import EvaluationContext
-from repro.query.vectorized import points_inside
+from repro.query.vectorized import _contained
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.preagg.store import PreAggStore
@@ -144,14 +150,14 @@ class ShardedTrajectoryExecutor(Protocol):
 
 
 def _segments_of(
-    moft: MOFT, objects: np.ndarray, skip: int, take: Optional[int]
+    moft: MOFT, index: SegmentIndex, objects, skip: int, take: Optional[int]
 ) -> Iterator[SegmentBatch]:
-    """The segments of ``objects`` (positions in the table's segment
-    index), each object's first ``skip`` left out and at most ``take``
-    kept, in (object, time) order: batches of at most
-    ``SEGMENT_BATCH_ROWS`` segments (at least one object), gathered
-    straight off the segment index, only the rows they join."""
-    _, perm, offsets = moft.segment_index()
+    """The segments of ``objects`` (positions in ``index``, the table's
+    segment index or what a row mask keeps of it), each object's first
+    ``skip`` left out and at most ``take`` kept, in (object, time) order:
+    batches of at most ``SEGMENT_BATCH_ROWS`` segments (at least one
+    object), gathered straight off the index, only the rows they join."""
+    _, perm, offsets = index
     _, x, y = moft.as_arrays()
     first = offsets[objects] + skip
     count = offsets[objects + 1] - 1 - first
@@ -275,91 +281,114 @@ class TrajectoryIntersectionCounter:
             )
 
     def matching_objects(
-        self, moft: MOFT, stats: Optional[EvaluationStats] = None
+        self, moft: MOFT, stats: Optional[EvaluationStats] = None,
+        rows: Optional[np.ndarray] = None,
     ) -> Set[Hashable]:
-        """Return the ids of objects whose interpolated trajectory hits.
+        """Return the ids of objects whose interpolated trajectory hits,
+        over the rows the row mask ``rows`` keeps (default: all), read
+        through :meth:`~repro.mo.moft.SegmentIndex.masked`: the answer
+        and counts of a scan of ``moft.mask_rows(rows)``.
 
-        Objects with a single sample are tested by that sampled point.
-        Polygon answers are scanned over the table's segment table, for
-        all objects and polygons at once; other geometries take the
-        per-object walk (:meth:`_object_matches`).
+        Polygon answers take the sample prefilter, then the scan over
+        the segment table, for all objects and polygons at once; the
+        per-object walk (:meth:`_object_matches`) takes what is left:
+        single-sample objects (tested by that sampled point), other
+        geometries, and every object under ``BATCH_MIN_ROWS`` rows,
+        where it is cheaper than the kernel calls.
         """
         stats = stats if stats is not None else EvaluationStats()
-        stats.incr("scan_rows", len(moft))
+        index = moft.segment_index()
+        index = index if rows is None else index.masked(rows)
+        n_rows, sizes = index.perm.shape[0], np.diff(index.offsets)
+        stats.incr("scan_rows", n_rows)
         with stats.stage(EvaluationStats.SCAN_STAGE):
-            if self._polygons is not None and len(moft):
-                return self._matching_polygons(moft, stats)
-            matched: Set[Hashable] = set()
-            for oid in moft.objects():
-                stats.incr("objects_scanned")
-                if self._object_matches(moft, oid, stats):
-                    matched.add(oid)
-                    stats.incr("objects_matched")
-        return matched
+            hit = np.zeros(sizes.shape[0], dtype=bool)
+            polygons = self._polygons is not None and n_rows > 0
+            if polygons and self.vectorized_prefilter:
+                self._prove_by_samples(moft, rows, hit, stats)
+                stats.incr("vectorized_accepts", int(hit.sum()))
+            batched = polygons and n_rows >= BATCH_MIN_ROWS
+            if batched:
+                self._scan_segments(moft, index, hit, stats)
+            walk = (sizes == 1) if batched else (sizes > 0)
+            self._walk(moft, index, np.flatnonzero(walk & ~hit), hit, stats)
+            stats.incr("objects_scanned", int(np.count_nonzero(sizes)))
+            stats.incr("objects_matched", int(hit.sum()))
+        return set(index.oids[hit].tolist())
 
     def count(self, moft: MOFT, stats: Optional[EvaluationStats] = None) -> int:
         """Number of matching objects (the aggregation of Section 5)."""
         return len(self.matching_objects(moft, stats))
 
-    def _matching_polygons(
-        self, moft: MOFT, stats: EvaluationStats
-    ) -> Set[Hashable]:
-        """The scan of a polygon answer: all objects at once.
-
-        Tables under ``BATCH_MIN_ROWS`` rows walk the objects the sample
-        prefilter left instead, which is cheaper than the kernel calls.
-        """
-        oids, perm, offsets = moft.segment_index()
+    def _prove_by_samples(
+        self, moft: MOFT, rows: Optional[np.ndarray], hit: np.ndarray,
+        stats: EvaluationStats,
+    ) -> None:
+        """The sample prefilter: a sample (of ``rows``) inside a polygon
+        proves its object.  A label pass first, ``SEGMENT_BATCH_ROWS``
+        samples a gather; then only the ``MIXED`` samples (all, without
+        a label grid) of objects still unproven take the containment
+        kernel."""
         _, x, y = moft.as_arrays()
-        hit = np.zeros(oids.shape[0], dtype=bool)
-        if self.vectorized_prefilter:
-            # A sampled point inside a polygon proves the hit.
-            owner = moft.object_codes()
-            for _, rows in points_inside(self._pass, x, y, obs=stats):
-                hit[owner[rows]] = True
-            stats.incr("vectorized_accepts", int(hit.sum()))
-        if len(moft) < BATCH_MIN_ROWS:
-            for i in np.flatnonzero(~hit):
-                hit[i] = self._object_matches(moft, oids[i], stats)
-        else:
-            self._scan_segments(moft, hit, stats)
-            for i in np.flatnonzero((np.diff(offsets) == 1) & ~hit):
-                row = perm[offsets[i]]
-                hit[i] = self._probes_match(
-                    [Point(float(x[row]), float(y[row]))], stats
-                )
-        stats.incr("objects_scanned", hit.shape[0])
-        stats.incr("objects_matched", int(hit.sum()))
-        return set(oids[hit].tolist())
+        owner, step = moft.object_codes(), moft_module.SEGMENT_BATCH_ROWS
+        kept = None if rows is None else np.flatnonzero(rows)
+        n = len(moft) if kept is None else kept.shape[0]
+        labels = self._pass.labels_for(n)
+        undecided: List[np.ndarray] = []
+        for lo in range(0, n, step):
+            at = slice(lo, lo + step) if kept is None else kept[lo:lo + step]
+            label = (np.full(x[at].shape, kernels.MIXED) if labels is None
+                     else labels.of(x[at], y[at]))
+            hit[owner[at][label >= 0]] = True
+            mixed = np.flatnonzero(label == kernels.MIXED)
+            undecided.append(mixed + lo if kept is None else at[mixed])
+        undecided = np.concatenate(undecided)
+        stats.incr("cell_decided_points", n - undecided.shape[0])
+        for lo in range(0, undecided.shape[0], step):
+            some = undecided[lo:lo + step]
+            some = some[~hit[owner[some]]]
+            if some.shape[0]:
+                _, at = _contained(self._pass, x[some], y[some])
+                hit[owner[some[at]]] = True
 
     def _scan_segments(
-        self, moft: MOFT, hit: np.ndarray, stats: EvaluationStats
+        self, moft: MOFT, index: SegmentIndex, hit: np.ndarray,
+        stats: EvaluationStats,
     ) -> None:
-        """Mark in ``hit`` the objects a segment of ``moft`` proves.
+        """Mark in ``hit`` the objects a segment of ``index`` proves.
 
         A round is a broad phase over its pending segments and one
         kernel call on the (polygon, segment) pairs, made again only
         when the pairs gathered reach ``SEGMENT_BATCH_ROWS``:
         ``segment_checks`` counts those pairs and ``bbox_rejections``
         the rest of pending segments x polygons; the kernel counts into
-        ``stats`` too.  With ``early_exit`` an object leaves the scan at
-        its first hit, and every object's first segment goes ahead of
-        the rest, in a round of its own: an object that starts inside
-        the answer costs one round-one pair per polygon its first
-        segment's box meets.  The second round visits the remaining
-        segments of the objects still pending.  Without ``early_exit``
-        there is one round over every segment.  A round reads only the
-        segments it visits (:func:`_segments_of`), never those of an
-        object already proven.
+        ``stats`` too; a segment whose box maps only to ``OUTSIDE``
+        cells of the label grid (once built) meets no polygon and counts
+        its rejections before the broad phase.  With ``early_exit`` an
+        object leaves the scan at its first hit, and every object's
+        first segment goes ahead of the rest, in a round of its own: an
+        object that starts inside the answer costs one round-one pair
+        per polygon its first segment's box meets.  The second round
+        visits the remaining segments of the objects still pending.
+        Without ``early_exit`` there is one round over every segment.  A
+        round reads only the segments it visits (:func:`_segments_of`),
+        never those of an object already proven.
         """
         # (skip, take): each object's first segment, then the rest.
         rounds = [(0, 1), (1, None)] if self.early_exit else [(0, None)]
         width = len(self._polygons)
+        labels = self._pass.labels_for(0)  # (the prefilter's, if built)
         for skip, take in rounds:
             pairs: List[Tuple[np.ndarray, ...]] = []
             size = 0
-            for batch in _segments_of(moft, np.flatnonzero(~hit), skip, take):
-                pos, at = candidate_pairs(self._pass.bins, *batch.boxes())
+            for batch in _segments_of(moft, index, np.flatnonzero(~hit), skip, take):
+                boxes, near = batch.boxes(), None
+                if labels is not None:
+                    near = np.flatnonzero(~labels.outside(*boxes))
+                    boxes = batch.boxes(near)
+                pos, at = candidate_pairs(self._pass.bins, *boxes)
+                if near is not None:
+                    at = near[at]
                 stats.incr("bbox_rejections", len(batch) * width - pos.shape[0])
                 stats.incr("segment_checks", pos.shape[0])
                 if not pos.shape[0]:
@@ -383,20 +412,33 @@ class TrajectoryIntersectionCounter:
         found = kernels.pairs_intersect(self._pass.edges, pos, *ends, obs=stats)
         hit[obj[found]] = True
 
+    def _walk(self, moft, index: SegmentIndex, objects, hit, stats) -> None:
+        """:meth:`_object_matches` of ``objects`` (positions in ``index``)
+        over their rows in ``index``."""
+        _, perm, offsets = index
+        _, x, y = moft.as_arrays()
+        for i in objects:
+            at = perm[offsets[i]:offsets[i + 1]]
+            hit[i] = self._path_matches(x[at].tolist(), y[at].tolist(), stats)
+
     def _object_matches(
         self, moft: MOFT, oid: Hashable, stats: EvaluationStats
     ) -> bool:
         """The per-object walk of Section 5: probe by probe, geometry by
         geometry.  The path of non-polygon answers, and the reference
         the batched scan is tested against."""
-        history = moft.history(oid)
-        if len(history) == 1:
-            _, x, y = history[0]
-            return self._probes_match([Point(x, y)], stats)
+        _, x, y = zip(*moft.history(oid))
+        return self._path_matches(x, y, stats)
+
+    def _path_matches(self, x: Sequence[float], y: Sequence[float], stats) -> bool:
+        """Whether the points ``(x, y)`` (in time order) meet a
+        geometry: the one point, or the segments between them."""
+        if len(x) == 1:
+            return self._probes_match([Point(x[0], y[0])], stats)
         return self._probes_match(
             [
                 Segment(Point(x0, y0), Point(x1, y1))
-                for (_, x0, y0), (_, x1, y1) in zip(history, history[1:])
+                for x0, y0, x1, y1 in zip(x, y, x[1:], y[1:])
             ],
             stats,
         )
@@ -552,9 +594,9 @@ class ThroughOperands:
     restriction (None: no such store, or none was sought); ``run`` the
     granule run it answers from its cells and ``aligned`` whether that
     run is the whole restriction.  The sliver mask of a misaligned
-    window, the restriction mask and the restricted table are each
-    computed on first use, at most once — a store-served answer builds
-    no table.
+    window and the restriction mask are each computed on first use, at
+    most once; a scan leaf reads the table under them, so nothing
+    builds a restricted table.
     """
 
     context: EvaluationContext
@@ -600,12 +642,6 @@ class ThroughOperands:
         else:
             kept = (instants >= self.window[0]) & (instants <= self.window[1])
         return int(counts[kept].sum())
-
-    @cached_property
-    def table(self) -> MOFT:
-        """The restricted table (what a scan leaf reads)."""
-        mask = self.row_mask
-        return self.moft if mask is None else self.moft.mask_rows(mask)
 
     @cached_property
     def sliver_mask(self) -> Optional[np.ndarray]:
@@ -747,13 +783,14 @@ def execute_through(
 
     ``use_store`` reads the store over its granule run and scans only
     the sliver of a misaligned window (the hybrid), less the objects the
-    store already proves; otherwise the restricted table is scanned.
-    Either scan is the one leaf (:meth:`TrajectoryIntersectionCounter
-    .matching_objects`; ``use_index`` / ``early_exit`` / ``vectorized``
-    are its options), fanned out when ``executor`` is given — which is
-    handed the whole table plus the restriction, for its shard tasks to
-    apply (:func:`restriction_mask`), so that the table it partitions
-    is the same object from query to query.
+    store already proves; otherwise the table is scanned under the
+    restriction.  Either scan is the one leaf
+    (:meth:`TrajectoryIntersectionCounter.matching_objects` under a row
+    mask; ``use_index`` / ``early_exit`` / ``vectorized`` are its
+    options), fanned out when ``executor`` is given — which is handed
+    the whole table plus the restriction, for its shard tasks to apply
+    (:func:`restriction_mask`), so that the table it partitions is the
+    same object from query to query.
 
     ``preagg_hits`` / ``sliver_scan_rows`` go to the context observer
     and ``stats``; the scan's figures to ``stats`` when passed, else to
@@ -765,7 +802,7 @@ def execute_through(
     run = ThroughRun(set(), EvaluationStats())
     if not ops.ids:
         return run
-    restriction = None
+    moft, rows, restriction = ops.moft, None, None
     if use_store:
         started = time.perf_counter()
         run.matched = ops.store.objects_through(ops.ids, *ops.run)
@@ -774,22 +811,25 @@ def execute_through(
         ops.count("preagg_hits", stats)
         if ops.sliver_mask is None:
             return run
-        sliver = ops.moft.mask_rows(ops.sliver_mask)
         # (A sliver mask selects at least the sliver's own rows.)
-        ops.count("sliver_scan_rows", stats, len(sliver))
+        ops.count("sliver_scan_rows", stats, ops.sliver_rows)
         # What the store already proves needs no second look.
-        table = sliver.restrict_objects(sliver.objects() - run.matched)
-    elif executor is not None and ops.restriction is not None:
+        proven = np.zeros(moft.oids.shape[0], dtype=bool)
+        proven[[moft.object_code(oid) for oid in run.matched]] = True
+        rows = ops.sliver_mask & ~proven[moft.object_codes()]
+        if not rows.any():
+            return run
+        if executor is not None:
+            moft, rows = moft.mask_rows(rows), None
+    elif not ops.rows:
+        return run
+    elif executor is not None:
         # The executor keeps the shards of the table it is handed: give
         # it the one that lasts and let each shard task mask its rows,
         # not a restricted table that is a new object per query.
-        table, restriction = ops.moft, ops.restriction
-        if not ops.rows:
-            return run
+        restriction = ops.restriction
     else:
-        table = ops.table
-    if not len(table):
-        return run
+        rows = ops.row_mask
     counter = counter_for(
         context, ops.target, ops.ids, use_index, early_exit, vectorized,
         stats,
@@ -797,10 +837,10 @@ def execute_through(
     started = time.perf_counter()
     if executor is not None:
         run.matched |= executor.matching_objects(
-            counter, table, run.stats, restriction=restriction
+            counter, moft, run.stats, restriction=restriction
         )
     else:
-        run.matched |= counter.matching_objects(table, run.stats)
+        run.matched |= counter.matching_objects(moft, run.stats, rows=rows)
     run.scan_seconds = time.perf_counter() - started
     sink = stats
     if sink is None and executor is None:

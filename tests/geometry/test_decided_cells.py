@@ -29,6 +29,7 @@ from repro.geometry.kernels import (
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.segment import Segment
 from repro.gis import POLYGON
 from repro.obs import PipelineStats
 from repro.query.evaluator import TrajectoryIntersectionCounter
@@ -163,6 +164,71 @@ class TestShapes:
         labels = PolygonPass.of({"holed": Polygon(square, holes=[hole])}).label()
         found = labels.of(np.array([14.0, 6.0, 10.0]), np.array([14.0, 6.0, 3.0]))
         assert found.tolist() == [OUTSIDE, 0, MIXED]
+
+
+class TestOutsideBoxes:
+    """A segment whose box maps only to ``OUTSIDE`` cells
+    (``LabelGrid.outside``) meets no polygon by the scalar predicate."""
+
+    @staticmethod
+    def segments(grid, rng):
+        """Random segments over the extent and past it (boxes clamped
+        to border cells), short ones, and grid-aligned ones: along cell
+        lines and between cell corners, an ulp either side."""
+        ox, oy, size, cols, rows = grid
+        w, h = cols * size, rows * size
+        x0 = rng.uniform(ox - w / 2, ox + 1.5 * w, 3000)
+        y0 = rng.uniform(oy - h / 2, oy + 1.5 * h, 3000)
+        step = rng.uniform(-3 * size, 3 * size, (2, 3000))
+        x1 = np.where(np.arange(3000) < 1000, rng.uniform(ox - w, ox + 2 * w, 3000), x0 + step[0])
+        y1 = np.where(np.arange(3000) < 1000, rng.uniform(oy - h, oy + 2 * h, 3000), y0 + step[1])
+        i = rng.integers(-2, cols + 3, (2, 3000))
+        j = rng.integers(-2, rows + 3, (2, 3000))
+        gx = ox + i * size
+        gy = oy + j * size
+        # Along a cell line: one coordinate shared.
+        gx[1, :1000] = gx[0, :1000]
+        gy[1, 1000:2000] = gy[0, 1000:2000]
+        ulp = rng.choice([-np.inf, 0.0, np.inf], (4, 3000))
+        gx = np.where(ulp[:2] == 0, gx, np.nextafter(gx, ulp[:2]))
+        gy = np.where(ulp[2:] == 0, gy, np.nextafter(gy, ulp[2:]))
+        return (
+            np.concatenate((x0, gx[0])), np.concatenate((y0, gy[0])),
+            np.concatenate((x1, gx[1])), np.concatenate((y1, gy[1])),
+        )
+
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 1e6), (1e3, -7.5)])
+    def test_table(self, scale, offset):
+        polygons = [
+            moved(p, scale, offset + 15 * i * scale, offset)
+            for i, p in enumerate(TABLE)
+        ]
+        labels = PolygonPass.of(dict(enumerate(polygons))).label()
+        x0, y0, x1, y1 = self.segments(labels.grid, np.random.default_rng(11))
+        boxes = (
+            np.minimum(x0, x1), np.minimum(y0, y1),
+            np.maximum(x0, x1), np.maximum(y0, y1),
+        )
+        outside = labels.outside(*boxes)
+        ox, oy, size, cols, rows = labels.grid
+        inner = (boxes[0] > ox) & (boxes[2] < ox + cols * size)
+        # Decided segments inside the extent and past it; undecided ones.
+        assert (outside & inner).any() and (outside & ~inner).any()
+        assert not outside.all()
+        for k in np.flatnonzero(outside).tolist():
+            segment = Segment(Point(x0[k], y0[k]), Point(x1[k], y1[k]))
+            assert not any(p.intersects_segment(segment) for p in polygons), k
+
+    def test_table_agrees_with_the_labels(self):
+        """The summed-area table counts the cells not ``OUTSIDE``: a
+        one-cell box is outside exactly when its cell's label is."""
+        labels = PolygonPass.of(dict(enumerate(TABLE))).label()
+        ox, oy, size, cols, rows = labels.grid
+        col, row = np.divmod(np.arange(cols * rows), rows)
+        cx, cy = ox + (col + 0.5) * size, oy + (row + 0.5) * size
+        assert np.array_equal(
+            labels.outside(cx, cy, cx, cy), labels.labels == OUTSIDE
+        )
 
 
 @st.composite

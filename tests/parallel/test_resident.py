@@ -331,7 +331,9 @@ def check_restrictions(context, query, windows, instant_sets):
                     context, instants=instants, use_preagg=False, **query
                 )
                 assert ops.ids
-                assert len(ops.table) == len(moft.restrict_instants(instants))
+                assert ops.rows == int(ops.row_mask.sum()) == len(
+                    moft.restrict_instants(instants)
+                )
                 expected = execute_through(ops, False).matched
                 got = execute_through(ops, False, executor).matched
                 assert got == expected, (backend, sorted(instants)[:3])

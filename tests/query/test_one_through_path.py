@@ -241,7 +241,8 @@ class TestStoreServedPietQLBuildsNoTable:
         )
         assert served.count == scanned.count > 0
         assert stored.obs.count("preagg_hits") == 1
-        assert calls["mask_rows"] == 1
+        # One bincount over the restricted rows' codes: no child table.
+        assert calls["mask_rows"] == 0
 
 
 def scan_figures(stats: PipelineStats, before=None) -> dict:
