@@ -382,8 +382,8 @@ def _run_result(args) -> int:
 
 
 def _run_poi(args) -> int:
-    from repro.query.planner import plan_poi_aggregate
-    from repro.query.poi import poi_store_view
+    from repro.query.planner import plan
+    from repro.query.poi import resolve_poi
     from repro.query.region import EvaluationContext
 
     if args.world == "fig1":
@@ -420,13 +420,14 @@ def _run_poi(args) -> int:
         moft_name, layer = "FM", "Lp"
         granule = args.granule or "day"
 
-    options = dict(min_dwell=args.min_dwell, moft_name=moft_name)
-    store, _ = poi_store_view(context, layer, granule, **options)
-    visits, dwell = store.visit_counts(), store.dwell_times()
-    topk = store.topk(args.k)
-    plan = plan_poi_aggregate(
-        context, layer, granule, measure="topk", k=args.k, **options
-    )
+    # One top-k leaf, planned and executed once; visits and dwell are
+    # read off the store that run segmented.
+    chosen = plan(resolve_poi(
+        context, layer, granule, args.min_dwell, moft_name, "topk", args.k
+    ))
+    run = chosen.execute()
+    visits, dwell = run.store.visit_counts(), run.store.dwell_times()
+    topk = run.answer
     n_pois = len(context.gis.layer(layer).elements("poi"))
     print(
         f"POI world {args.world!r}: {n_pois} places, "
@@ -440,7 +441,7 @@ def _run_poi(args) -> int:
         )
         print(f"  top-{args.k} @ {member}: {ranked}")
     print()
-    print(plan.render())
+    print(chosen.render())
     counters = context.obs.counters
     interesting = (
         "stop_episodes",

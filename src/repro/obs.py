@@ -78,8 +78,8 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 ``preagg_hits`` / ``preagg_misses``
     Routing through the materialized pre-aggregation layer
     (:mod:`repro.preagg`), counted when a through-style query
-    *executes* (:func:`repro.query.evaluator.execute_through`,
-    :func:`~repro.query.aggregate.total_dwell_time`), never when it is
+    *executes* (:func:`repro.query.evaluator.execute`: the through
+    and dwell leaves; ``poi_preagg_*`` for the POI ones), never when it is
     resolved or planned, on the context observer and on the caller's
     ``stats``: a hit means the covered part of the query was answered
     from store cells, a miss that a route-first front-end found a

@@ -43,8 +43,8 @@ reaches the backend through one :func:`~repro.parallel.backends
 .resilient_map` call, and ships shards as shared-memory descriptors
 exactly when the backend is ``processes``.
 
-The executor is not a second query path: the through-count
-(:func:`repro.query.evaluator.execute_through`) hands its scan leaf to
+The executor is not a second query path: the one executor of every
+leaf (:func:`repro.query.evaluator.execute`) hands its scan leaf to
 :meth:`ShardedExecutor.matching_objects` when an executor is part of the
 plan — the planner's ``sharded`` strategy, or a route-first front-end
 handed one — and :class:`ShardedPietQLExecutor` gives Piet-QL's
@@ -122,7 +122,7 @@ from repro.parallel.shm import ShardImage, open_shard, serialize_shards
 from repro.pietql.executor import LayerBinding, PietQLExecutor
 from repro.preagg.store import PreAggStore
 from repro.query.evaluator import (
-    ThroughOperands,
+    Leaf,
     TimeRestriction,
     TrajectoryIntersectionCounter,
     restriction_mask,
@@ -623,10 +623,8 @@ class ShardedPietQLExecutor(PietQLExecutor):
             context, bindings, sharded or ShardedExecutor(obs=context.obs)
         )
 
-    def _through_route(self, ops: ThroughOperands) -> str:
-        if ops.route_first():
-            return "preagg"
-        return "sharded" if ops.ids else "grid"
+    def _through_route(self, leaf: Leaf) -> str:
+        return leaf.route_first(self.sharded)
 
 
 __all__ = [

@@ -7,18 +7,22 @@ part then restricts a MOFT by ``DURING`` rollups and, with ``THROUGH
 RESULT``, by trajectory intersection against the answer geometries —
 exactly the two-stage pipeline of Section 5.
 
-``THROUGH RESULT`` is one more syntax for the through-count of
-:mod:`repro.query.evaluator`: the geometric answer and the DURING
-instant set go to :func:`~repro.query.evaluator.resolve_through`, the
-operands to one :func:`repro.query.planner.plan_through` call and the
-plan to :func:`repro.query.planner.run_plan`, exactly as a planned
+Both aggregate parts are front-ends of the one leaf path
+(:mod:`repro.query.evaluator`).  ``THROUGH RESULT`` is one more syntax
+for the through-count: the geometric answer and the DURING instant set
+go to :func:`~repro.query.evaluator.resolve_through`, the leaf to one
+:func:`repro.query.planner.plan` call and the plan to the one executor
+(:meth:`~repro.query.planner.QueryPlan.execute`), exactly as a planned
 count runs.  An executor given as ``sharded`` is the planner's fan-out
 candidate; without one the route-first choice is forced (a registered
 store when one serves, else the grid scan), and
 :class:`~repro.parallel.ShardedPietQLExecutor` forces its fan-out.  The
-restricted table is built only when a scan leaf or ``COUNT SAMPLES``
-reads it.  ``EXPLAIN`` changes nothing about the run: it puts Piet-QL's
-own stages in front of that same plan, whose actuals the run filled.
+POI part resolves its layer (:func:`~repro.query.poi.resolve_poi`) and
+takes the same plan → execute steps.  A ``COUNT OBJECTS|SAMPLES``
+without ``THROUGH RESULT`` reads the table's DURING row mask; nothing
+builds a restricted table.  ``EXPLAIN`` changes nothing about the run:
+it puts Piet-QL's own stages in front of that same plan, whose actuals
+the run filled.
 """
 
 from __future__ import annotations
@@ -32,16 +36,9 @@ import numpy as np
 from repro.errors import PietQLExecutionError
 from repro.pietql import ast
 from repro.pietql.parser import parse
-from repro.query.evaluator import ThroughOperands, resolve_through
-from repro.query.planner import (
-    CostModel,
-    PlanNode,
-    QueryPlan,
-    execute_poi_plan,
-    plan_poi_aggregate,
-    plan_through,
-    run_plan,
-)
+from repro.query.evaluator import Leaf, resolve_through
+from repro.query.planner import CostModel, PlanNode, QueryPlan, plan
+from repro.query.poi import resolve_poi
 from repro.query.region import EvaluationContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -168,13 +165,13 @@ class PietQLExecutor:
                 query.olap, query.geometric, geometry_ids
             )
         if query.poi is not None:
-            # The POI part plans itself through plan_poi_aggregate; its
-            # costed tree is the EXPLAIN plan.
-            poi_result, plan = self._execute_poi(query.poi)
+            # The POI part is planned on its own leaf; its costed tree
+            # is the EXPLAIN plan.
+            poi_result, poi_plan = self._poi_aggregate(query.poi)
             return PietQLResult(
                 frozenset(geometry_ids),
                 olap_result=olap_result,
-                plan=plan if query.explain else None,
+                plan=poi_plan if query.explain else None,
                 poi_result=poi_result,
             )
         n_ids = len(geometry_ids)
@@ -242,18 +239,17 @@ class PietQLExecutor:
             )
         return tuple(nodes)
 
-    def _execute_poi(
+    def _poi_aggregate(
         self, poi: "ast.PoiAggQuery"
     ) -> Tuple[Mapping, QueryPlan]:
-        """Run the POI aggregation part through the cost-based planner.
+        """Run the POI aggregation part: resolve, plan, execute.
 
         The ``AT`` reference must resolve to a place-of-interest layer:
         a binding of any other geometry kind is a typed execution error
         (the language keeps discs and, say, polygon layers apart).  The
-        measure is dispatched through :func:`repro.query.planner
-        .plan_poi_aggregate` so EXPLAIN shows the routed strategy, with
-        ``self.sharded`` as its executor exactly as ``THROUGH RESULT``
-        passes it: a plain executor has no fan-out to choose.
+        plan prices ``self.sharded`` as its fan-out exactly as ``THROUGH
+        RESULT`` does, so EXPLAIN shows the routed strategy: a plain
+        executor has no fan-out to choose.
         """
         from repro.gis import geometries as gk
 
@@ -264,25 +260,18 @@ class PietQLExecutor:
                 f"is bound to {binding.layer!r} kind {binding.kind!r}, "
                 f"not {gk.POI!r}"
             )
-        options = dict(
-            min_dwell=poi.min_dwell,
-            moft_name=poi.moft_name,
-            measure=poi.measure,
-            k=poi.k,
-            executor=self.sharded,
-        )
         try:
-            plan = plan_poi_aggregate(
-                self.context, binding.layer, poi.by_level, **options
+            leaf = resolve_poi(
+                self.context, binding.layer, poi.by_level, poi.min_dwell,
+                poi.moft_name, poi.measure, poi.k,
             )
-            result = execute_poi_plan(
-                plan, self.context, binding.layer, poi.by_level, **options
-            )
+            chosen = plan(leaf, self.sharded)
+            result = chosen.execute(self.sharded).answer
         except PietQLExecutionError:
             raise
         except Exception as exc:
             raise PietQLExecutionError(str(exc)) from exc
-        return result, plan
+        return result, chosen
 
     def _execute_olap(
         self,
@@ -419,8 +408,8 @@ class PietQLExecutor:
         """The moving-objects part: ``(count, matched objects, plan)``.
 
         A ``THROUGH RESULT`` is planned (:func:`~repro.query.planner
-        .plan_through`, the strategy from :meth:`_through_route`) and
-        run from that plan (:func:`~repro.query.planner.run_plan`); the
+        .plan`, the strategy from :meth:`_through_route`) and run from
+        that plan (:meth:`~repro.query.planner.QueryPlan.execute`); the
         plan is returned only under EXPLAIN.
         """
         mo = query.moving_objects
@@ -438,21 +427,25 @@ class PietQLExecutor:
                 ),
             )
         label = f"count_{mo.count_what.lower()}, moft={mo.moft_name}"
-        plan: Optional[QueryPlan] = None
+        chosen: Optional[QueryPlan] = None
         if not mo.through_result:
             moft = context.moft(mo.moft_name)
             rows = len(moft)
-            if instants is not None:
-                moft = moft.restrict_instants(instants)
-            matched = moft.objects()
-            samples = len(moft)
+            if instants is None:
+                matched, samples = moft.objects(), rows
+            else:
+                # The DURING rows, read as a mask: no restricted table.
+                mask = moft.instants_mask(instants)
+                codes = np.unique(moft.object_codes()[mask])
+                matched = set(moft.oids[codes].tolist())
+                samples = int(mask.sum())
             if query.explain:
                 cost = rows * CostModel().row_cost
                 body = PlanNode(
                     "CountRows", f"moft={mo.moft_name}", est_rows=rows,
                     est_cost=cost, actual_rows=len(matched),
                 )
-                plan = QueryPlan(
+                chosen = QueryPlan(
                     strategy="count",
                     root=PlanNode(
                         "Aggregate", f"{label}, strategy=count",
@@ -464,34 +457,34 @@ class PietQLExecutor:
                 )
         else:
             binding = self.resolve(query.geometric.target)
-            ops = resolve_through(
+            leaf = resolve_through(
                 context,
                 (binding.layer, binding.kind),
                 moft_name=mo.moft_name,
                 instants=instants,
                 ids=geometry_ids,
             )
-            plan = plan_through(
-                ops, self.sharded, force_strategy=self._through_route(ops),
+            chosen = plan(
+                leaf, self.sharded, force_strategy=self._through_route(leaf),
                 front=front, label=label,
             )
-            matched = run_plan(plan, self.sharded)
+            matched = chosen.execute(self.sharded).answer
             if mo.count_what != "OBJECTS":
                 # Each object's rows under the restriction, one bincount.
-                codes, mask = ops.moft.object_codes(), ops.row_mask
+                codes, mask = leaf.moft.object_codes(), leaf.row_mask
                 per_object = np.bincount(codes if mask is None else codes[mask])
                 samples = int(sum(
-                    per_object[ops.moft.object_code(oid)] for oid in matched
+                    per_object[leaf.moft.object_code(oid)] for oid in matched
                 ))
         count = float(
             len(matched) if mo.count_what == "OBJECTS" else samples
         )
-        if plan is not None:
-            plan.root.actual_rows = len(matched)
-            plan.result_count = int(count)
-        return count, matched, plan if query.explain else None
+        if chosen is not None:
+            chosen.root.actual_rows = len(matched)
+            chosen.result_count = int(count)
+        return count, matched, chosen if query.explain else None
 
-    def _through_route(self, ops: ThroughOperands) -> Optional[str]:
+    def _through_route(self, leaf: Leaf) -> Optional[str]:
         """The strategy a ``THROUGH RESULT`` is forced to (None: the
         planner prices the candidates, ``self.sharded`` among them).
 
@@ -499,10 +492,8 @@ class PietQLExecutor:
         scan.  A registered store that cannot serve counts a
         ``preagg_misses`` either way.
         """
-        use_store = ops.route_first()
-        if self.sharded is not None:
-            return None
-        return "preagg" if use_store else "grid"
+        route = leaf.route_first()
+        return None if self.sharded is not None else route
 
 
 def run(

@@ -29,7 +29,6 @@ from repro.query.planner import (
     CostModel,
     PlanNode,
     QueryPlan,
-    explain,
     plan_count_objects_through,
     planned_count_objects_through,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "CostModel",
     "PlanNode",
     "QueryPlan",
-    "explain",
     "plan_count_objects_through",
     "planned_count_objects_through",
     "polygon_contains_batch",

@@ -150,58 +150,27 @@ def total_dwell_time(
     per polygon, which keeps the measure summable per geometry id
     (Definition 4).
 
-    Same operands as the count (:func:`~repro.query.evaluator
-    .resolve_through`), route-first, with a dwell leaf.  With
-    ``use_preagg`` a registered fresh :class:`~repro.preagg.PreAggStore`
-    serves: cells and spanning records answer the covered granule run,
-    and boundary slivers are clipped directly — no trajectory scan at
-    all.  Exact up to float summation order; the differential suite pins
-    the tolerance.
-
-    The scan leaf runs one broad phase and one dwell-kernel call per
-    segment batch of the table under the restriction, on the (answer polygon,
-    segment) pairs whose boxes meet, and adds the dwell up polygon by
-    polygon in id order.  It counts like the count path (into ``stats``
-    when passed, else the context observer): ``scan_rows``, the
-    ``segment_scan`` stage, ``segment_checks`` (the pairs) /
-    ``bbox_rejections`` (segments x polygons - pairs) and the kernel's
-    own counters.
+    Resolved like the count, as a ``dwell`` leaf
+    (:func:`~repro.query.evaluator.resolve_through`), route-first
+    (:meth:`~repro.query.evaluator.Leaf.route_first`) and run by the one
+    :func:`~repro.query.evaluator.execute`.  With ``use_preagg`` a
+    registered fresh :class:`~repro.preagg.PreAggStore` serves: cells and
+    spanning records answer the covered granule run, and boundary
+    slivers are clipped directly — no trajectory scan at all.  Exact up
+    to float summation order; the differential suite pins the tolerance.
+    Otherwise the dwell leaf scans the table under the restriction; it
+    counts like the count path (into ``stats`` when passed, else the
+    context observer): ``scan_rows``, the ``segment_scan`` stage,
+    ``segment_checks`` (the pairs) / ``bbox_rejections`` (segments x
+    polygons - pairs) and the kernel's own counters.
     """
-    from repro.geometry import kernels
-    from repro.geometry.index import candidate_pairs
-    from repro.obs import EvaluationStats
-    from repro.query.evaluator import resolve_through
+    from repro.query.evaluator import execute, resolve_through
 
-    ops = resolve_through(
+    leaf = resolve_through(
         context, target, constraints, moft_name, window=window, obs=stats,
-        use_preagg=use_preagg,
+        use_preagg=use_preagg, kind="dwell",
     )
-    if not ops.ids:
-        return 0.0
-    ids = sorted(ops.ids, key=repr)
-    if ops.route_first(stats):
-        ops.count("preagg_hits", stats)
-        with context.obs.stage("preagg_lookup"):
-            if ops.window is None:
-                return ops.store.dwell_time(ids, *ops.run)
-            return ops.store.window_dwell(ids, *ops.window)
-    polygons = context.polygon_pass(target[0], target[1], ids, obs=stats)
-    run = EvaluationStats()
-    run.incr("scan_rows", ops.rows)
-    total = 0.0
-    with run.stage(EvaluationStats.SCAN_STAGE):
-        for batch in ops.moft.segments(rows=ops.row_mask):
-            pos, at = candidate_pairs(polygons.bins, *batch.boxes())
-            run.incr("bbox_rejections", len(batch) * len(ids) - pos.size)
-            run.incr("segment_checks", pos.size)
-            dwell, _ = kernels.pairs_dwell(
-                polygons.edges, pos, *batch.ends(at),
-                batch.t1[at] - batch.t0[at], obs=run,
-            )
-            for part in kernels.polygon_sums(pos, dwell, range(len(ids))):
-                total += part
-    (stats if stats is not None else context.obs).merge(run)
-    return total
+    return execute(leaf, leaf.route_first(stats=stats), stats=stats).answer
 
 
 def count_per_group(

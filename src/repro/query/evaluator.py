@@ -43,13 +43,18 @@ time restriction is a row mask: the scan reads the table's index under
 it (:meth:`~repro.mo.moft.SegmentIndex.masked`), with no restricted
 table built.
 
-That scan is the *leaf* of the one through-count path, which also
-lives here: :func:`resolve_through` resolves a query once (geometric
-subquery, time restriction, the store match) and
-:func:`execute_through` executes the operands — store read, scan leaf,
-the leaf fanned out, or store answer plus sliver scan.  The function
-API below, the planner (:mod:`repro.query.planner`), the dwell aggregate
-and Piet-QL all plan on and execute from those operands.
+That scan is the *leaf* of the one aggregate path, which also lives
+here, for every kind of leaf (``through``, ``dwell`` and the POI
+measures): a resolve step builds one :class:`Leaf` —
+:func:`resolve_through` from a geometric subquery or given ids, with a
+time restriction; :func:`repro.query.poi.resolve_poi` from a POI layer —
+both ending in one store match (:func:`match_store`).  The planner
+(:func:`repro.query.planner.plan`) prices it, or
+:meth:`Leaf.route_first` names a strategy without a price, and the one
+:func:`execute` runs it: store read, scan leaf, the leaf fanned out, or
+store answer plus sliver scan, into one :class:`Run` record.  The
+function API below, the dwell aggregate, the POI functions, the planner,
+Piet-QL and the service all take that path.
 
 Instrumentation is the :mod:`repro.obs` vocabulary —
 :class:`~repro.obs.EvaluationStats` is re-exported here for
@@ -59,7 +64,7 @@ compatibility.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
     TYPE_CHECKING,
@@ -68,6 +73,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -95,11 +101,12 @@ from repro.mo.moft import (
     sorted_instants,
 )
 from repro.obs import EvaluationStats, PipelineStats
+from repro.poi.store import PoiVisitStore
 from repro.query.region import EvaluationContext
 from repro.query.vectorized import _contained
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.preagg.store import PreAggStore
+    from repro.cellstore import GranuleStore
 
 #: Below this many rows the per-object walk beats the batched scan: a
 #: kernel call costs about as much as walking a dozen segments.
@@ -118,8 +125,8 @@ def restriction_mask(
 ) -> np.ndarray:
     """The rows of ``moft`` a time restriction keeps.
 
-    The one definition of "restricted to": :attr:`ThroughOperands
-    .row_mask` applies it to the whole table and every shard task of a
+    The one definition of "restricted to": :attr:`Leaf.row_mask`
+    applies it to the whole table and every shard task of a
     fanned-out scan to its own shard, so the two cannot disagree on an
     instant.  An instant set is decided once per distinct instant of the
     table and gathered by each row's instant code
@@ -134,7 +141,7 @@ def restriction_mask(
 
 
 class ShardedTrajectoryExecutor(Protocol):
-    """What :func:`execute_through` needs from a parallel executor."""
+    """What :func:`execute` needs from a parallel executor."""
 
     def matching_objects(
         self,
@@ -580,40 +587,64 @@ def counter_for(
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# Resolve once, then execute
+# The leaf: resolve once, plan, execute
 # ---------------------------------------------------------------------------
+
+#: Every strategy a leaf can be executed under.
+STRATEGIES = ("serial", "grid", "sharded", "preagg")
+
+#: Each kind of leaf and the strategies it runs under: ``through``
+#: collects the objects passing through answer geometries, ``dwell``
+#: sums the time spent inside them (the store or the scan), and each
+#: ``poi_*`` kind reads one measure off a POI cell store.
+KINDS: Dict[str, Tuple[str, ...]] = {
+    "through": STRATEGIES,
+    "dwell": ("grid", "preagg"),
+    **{
+        f"poi_{measure}": ("serial", "sharded", "preagg")
+        for measure in ("visits", "visitors", "dwell", "topk")
+    },
+}
+
 
 @dataclass(repr=False)
-class ThroughOperands:
-    """The resolved operands of one through-style query
-    (:func:`resolve_through` builds them; every front-end plans on and
-    executes from them).
+class Leaf:
+    """One resolved aggregate, which the planner prices and
+    :func:`execute` runs: the kind, the table with its ``version`` at
+    resolve, the restriction, the matched ``store`` (None: none serves,
+    or none was sought; ``store_missed``: stores are registered and none
+    serves), then the kind's own fields — the geometric answer with the
+    store's ``granules`` run and whether it is the whole restriction
+    (``aligned``), or the POI layer, its discs, granule level,
+    ``min_dwell`` and ``k``.  The row and sliver masks are computed on
+    first use, at most once; nothing builds a restricted table."""
 
-    ``store`` is the registered fresh store able to serve the time
-    restriction (None: no such store, or none was sought); ``run`` the
-    granule run it answers from its cells and ``aligned`` whether that
-    run is the whole restriction.  The sliver mask of a misaligned
-    window and the restriction mask are each computed on first use, at
-    most once; a scan leaf reads the table under them, so nothing
-    builds a restricted table.
-    """
-
+    kind: str
     context: EvaluationContext
-    target: Tuple[str, str]
     moft: MOFT
-    ids: Set[Hashable]
+    version: int
     window: Optional[Tuple[float, float]] = None
     instants: Optional[Set[float]] = None
-    store: Optional["PreAggStore"] = None
-    run: Optional[Tuple[int, int]] = None
-    aligned: bool = True
-    #: Stores are registered, one was sought, none can serve.
+    store: Optional["GranuleStore"] = None
     store_missed: bool = False
+    target: Optional[Tuple[str, str]] = None
+    ids: Set[Hashable] = field(default_factory=set)
+    granules: Optional[Tuple[int, int]] = None
+    aligned: bool = True
     #: Wall time of the geometric subquery (0.0: the ids were given).
     geosub_seconds: float = 0.0
-    #: The table's mutation counter when the operands were resolved.
-    version: int = 0
+    layer: Optional[str] = None
+    pois: Mapping[Hashable, object] = field(default_factory=dict)
+    granule_level: Optional[str] = None
+    min_dwell: float = 0.0
+    k: Optional[int] = None
+
+    @property
+    def poi(self) -> bool:
+        return self.kind.startswith("poi_")
 
     @property
     def restriction(self) -> Optional[TimeRestriction]:
@@ -650,7 +681,7 @@ class ThroughOperands:
         the covered run (None: the run covers the restriction)."""
         if self.aligned:
             return None
-        return self.store._sliver_scan_mask(*self.window, self.run)
+        return self.store._sliver_scan_mask(*self.window, self.granules)
 
     @property
     def sliver_rows(self) -> int:
@@ -660,28 +691,102 @@ class ThroughOperands:
     def count(
         self, name: str, stats: Optional[PipelineStats] = None, by: int = 1
     ) -> None:
-        """Add to a routing counter on the context observer (and on the
-        caller's ``stats``, when that is another object)."""
+        """Add to a routing counter (``poi_``-prefixed for the POI kinds)
+        on the context observer, and on the caller's ``stats`` when that
+        is another object."""
+        name = f"poi_{name}" if self.poi else name
         self.context.obs.incr(name, by)
         if stats is not None and stats is not self.context.obs:
             stats.incr(name, by)
 
-    def route_first(self, stats: Optional[PipelineStats] = None) -> bool:
-        """Route-first, the choice made without pricing: the store when
-        one serves (returns True), else the scan.  A registered store
-        that could not serve counts a ``preagg_misses``."""
-        if self.store is None and self.store_missed:
+    def route_first(
+        self,
+        executor: Optional["ShardedTrajectoryExecutor"] = None,
+        stats: Optional[PipelineStats] = None,
+    ) -> str:
+        """The strategy chosen without pricing: ``preagg`` when a store
+        serves, else the scan — a through scan fanned out over
+        ``executor`` when one is given and the answer is not empty.  A
+        registered store that could not serve counts a
+        ``preagg_misses``."""
+        if self.store is not None:
+            return "preagg"
+        if self.store_missed:
             self.count("preagg_misses", stats)
-        return self.store is not None
+        if self.poi:
+            return "serial"
+        if self.kind == "through" and executor is not None and self.ids:
+            return "sharded"
+        return "grid"
 
-    def check_unchanged(self) -> None:
-        """Appends since the operands were resolved would make a store
-        read or a cached restriction silently wrong: refuse."""
-        if self.moft.version != self.version:
-            raise EvaluationError(
-                f"MOFT {self.moft.name!r} changed after the query was "
-                f"resolved; resolve (plan) again"
+    def check_unchanged(self, strategy: str) -> None:
+        """The one staleness rule: appends since the leaf was resolved
+        (or a store read from a store gone stale) would answer off what
+        planning did not see — refuse."""
+        if self.moft.version == self.version and not (
+            strategy == "preagg" and self.store.is_stale()
+        ):
+            return
+        raise EvaluationError(
+            f"MOFT {self.moft.name!r} changed after the query was "
+            f"resolved: its {self.kind} leaf went stale after planning; "
+            f"resolve (plan) again"
+        )
+
+
+def refuse(
+    leaf: Leaf,
+    strategy: str,
+    executor: Optional[object] = None,
+    candidates: Optional[Iterable[str]] = None,
+) -> None:
+    """Refuse a strategy ``leaf`` cannot run under — one set of messages
+    for every kind, shared by the planner's forced strategy (whose
+    priced ``candidates`` are passed) and :func:`execute`."""
+    if strategy not in STRATEGIES:
+        raise EvaluationError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    if candidates is None:
+        candidates = KINDS[leaf.kind]
+    if strategy == "sharded" and executor is None:
+        why = "no executor was passed to run it"
+    elif strategy == "preagg" and leaf.store is None:
+        why = "no fresh store serves the query"
+    elif strategy not in candidates:
+        why = f"not a candidate for this {leaf.kind} query"
+    else:
+        return
+    raise EvaluationError(
+        f"strategy {strategy!r} is not applicable here: {why} "
+        f"(candidates: {sorted(candidates)})"
+    )
+
+
+def match_store(leaf: Leaf, store: Optional["GranuleStore"]) -> Leaf:
+    """The store-match epilogue of both resolve steps: keep ``store``
+    when it is fresh (nothing refreshes behind the caller's back) and,
+    for a geometric answer, holds a whole granule run of the restriction
+    (an instant set must *be* a granule run: it has no sliver to scan);
+    else note a miss when stores are registered."""
+    if store is not None and store.is_stale():
+        store = None
+    if store is not None and leaf.target is not None:
+        if leaf.instants is not None:
+            leaf.granules = _granule_run_of(store.partition, leaf.instants)
+        elif leaf.window is not None:
+            leaf.granules = store.covered_run(*leaf.window)
+            leaf.aligned = leaf.granules is None or store.is_aligned(
+                *leaf.window
             )
+        elif len(store.partition):
+            # A fresh store covers the whole table by construction.
+            leaf.granules = (0, len(store.partition) - 1)
+        if leaf.granules is None:
+            store = None
+    leaf.store = store
+    leaf.store_missed = store is None and leaf.context.has_preagg
+    return leaf
 
 
 def _granule_run_of(partition, instants: Set[float]):
@@ -712,19 +817,17 @@ def resolve_through(
     ids: Optional[Iterable[Hashable]] = None,
     obs: Optional[PipelineStats] = None,
     use_preagg: bool = True,
-) -> ThroughOperands:
-    """Resolve a through-style query to its operands, once.
+    kind: str = "through",
+) -> Leaf:
+    """Resolve a through-style query (``kind`` ``through`` or ``dwell``)
+    to its leaf, once.
 
     Answers the geometric subquery (unless the caller holds its ``ids``,
     as Piet-QL does), validates the time restriction — none, a ``[start,
     end]`` ``window`` or a DURING ``instants`` set — and, with
-    ``use_preagg``, matches a registered store: fresh (nothing refreshes
-    behind the caller's back), materializing every id over exactly this
-    MOFT, and holding a whole granule of the restriction (an instant set
-    must *be* a granule run: it has no sliver to scan).
-
-    The only code that matches a store to a through-style query.  It
-    touches no routing counter: those move when the query executes.
+    ``use_preagg``, matches a registered store (:func:`match_store`)
+    materializing every id over exactly this MOFT.  It touches no
+    routing counter: those move when the query executes.
     """
     moft = context.moft(moft_name)
     window = validated_window(moft, window)
@@ -733,122 +836,232 @@ def resolve_through(
         started = time.perf_counter()
         ids = geometric_subquery(context, target, constraints, obs=obs)
         seconds = time.perf_counter() - started
-    ops = ThroughOperands(
-        context, target, moft, set(ids), window, instants,
-        geosub_seconds=seconds, version=moft.version,
+    leaf = Leaf(
+        kind, context, moft, moft.version, window, instants, target=target,
+        ids=set(ids), geosub_seconds=seconds,
     )
-    if not (use_preagg and ops.ids):
-        return ops
-    store = context.preagg_for(moft, target[0], target[1], ops.ids)
-    if store is not None and not store.is_stale():
-        if instants is not None:
-            ops.run = _granule_run_of(store.partition, instants)
-        elif window is not None:
-            ops.run = store.covered_run(*window)
-            ops.aligned = ops.run is None or store.is_aligned(*window)
-        elif len(store.partition):
-            # A fresh store covers the whole table by construction.
-            ops.run = (0, len(store.partition) - 1)
-    if ops.run is not None:
-        ops.store = store
-    else:
-        ops.store_missed = context.has_preagg
-    return ops
+    if not (use_preagg and leaf.ids):
+        return leaf
+    return match_store(
+        leaf, context.preagg_for(moft, target[0], target[1], leaf.ids)
+    )
 
 
 @dataclass
-class ThroughRun:
-    """What one execution produced, and its own figures: ``stats``
-    holds the scan counters and stages of this execution alone (a
-    fan-out's worker stats included), for the plan-node actuals."""
+class Run:
+    """One execution's record, which fills the actuals of every kind's
+    plan nodes (:meth:`~repro.query.planner.QueryPlan.record`): the
+    answer, this execution's own ``stats`` (a fan-out's workers
+    included), and rows and seconds of each part — the ``scan`` leaf
+    (POI: rows segmented), the ``fanout`` around it and the store
+    ``lookup`` (rows it left to scan; POI: entries it returned)."""
 
-    matched: Set[Hashable]
+    answer: object
     stats: EvaluationStats
-    #: Wall seconds of the store's cell read, and of the scan leaf
-    #: (fan-out included).
-    lookup_seconds: float = 0.0
+    strategy: str
+    #: The cell store a POI measure was read off (None: other kinds).
+    store: Optional["GranuleStore"] = None
+    seconds: float = 0.0
+    scan_rows: int = 0
+    leaf_seconds: float = 0.0
     scan_seconds: float = 0.0
+    lookup_rows: int = 0
+    lookup_seconds: float = 0.0
+
+    @property
+    def rows(self) -> int:
+        """Rows of the answer: matched objects or measure entries (a
+        dwell total is one)."""
+        return 1 if isinstance(self.answer, float) else len(self.answer)
+
+    @property
+    def shards(self) -> int:
+        """How many shards ran (0: nothing fanned out)."""
+        return self.stats.count("shard_count")
+
+    def actuals(self, part: str) -> Tuple[int, float]:
+        """``(rows, seconds)`` of ``scan``, ``fanout`` or ``lookup``."""
+        if part == "scan":
+            return self.scan_rows, self.leaf_seconds
+        if part == "fanout":
+            return self.scan_rows, self.scan_seconds
+        return self.lookup_rows, self.lookup_seconds
 
 
-def execute_through(
-    ops: ThroughOperands,
-    use_store: bool,
+#: The store read of each POI kind.
+_POI_READS = {
+    "poi_visits": lambda store, k: store.visit_counts(),
+    "poi_visitors": lambda store, k: store.distinct_visitors(),
+    "poi_dwell": lambda store, k: store.dwell_times(),
+    "poi_topk": lambda store, k: store.topk(k),
+}
+
+
+def execute(
+    leaf: Leaf,
+    strategy: str,
     executor: Optional["ShardedTrajectoryExecutor"] = None,
-    use_index: bool = True,
-    early_exit: bool = True,
-    vectorized: bool = True,
     stats: Optional[EvaluationStats] = None,
-) -> ThroughRun:
-    """Execute resolved operands: store read, scan leaf, or both.
+    **scan,
+) -> Run:
+    """Execute ``leaf`` under ``strategy``; return the run record.
 
-    ``use_store`` reads the store over its granule run and scans only
-    the sliver of a misaligned window (the hybrid), less the objects the
-    store already proves; otherwise the table is scanned under the
-    restriction.  Either scan is the one leaf
-    (:meth:`TrajectoryIntersectionCounter.matching_objects` under a row
-    mask; ``use_index`` / ``early_exit`` / ``vectorized`` are its
-    options), fanned out when ``executor`` is given — which is handed
-    the whole table plus the restriction, for its shard tasks to apply
-    (:func:`restriction_mask`), so that the table it partitions is the
-    same object from query to query.
+    The one executor of every kind and front-end: after :func:`refuse`
+    and :meth:`Leaf.check_unchanged`, the kind's store read (``preagg``)
+    or its scan leaf — through (``scan`` are the counter's options,
+    ``serial`` the unindexed walk), dwell, or the POI segmentation pass
+    into a throwaway store.  ``sharded`` fans the leaf out over
+    ``executor``, handed the whole table and the restriction so that
+    what it partitions is the same object from query to query; a store
+    read fans the through sliver out over an ``executor`` too.
 
-    ``preagg_hits`` / ``sliver_scan_rows`` go to the context observer
-    and ``stats``; the scan's figures to ``stats`` when passed, else to
-    the executor's observer when a fan-out ran (it reports there
-    itself), else to the context observer — each observer once.
+    Routing counters go to the context observer and ``stats``; a scan's
+    figures to ``stats`` when passed, else to the executor's observer
+    when a through fan-out ran (it reports there itself), else to the
+    context observer — each observer once.  A POI build always reports
+    into the context observer, as a store build does.
     """
-    context = ops.context
-    ops.check_unchanged()
-    run = ThroughRun(set(), EvaluationStats())
-    if not ops.ids:
-        return run
-    moft, rows, restriction = ops.moft, None, None
-    if use_store:
-        started = time.perf_counter()
-        run.matched = ops.store.objects_through(ops.ids, *ops.run)
-        run.lookup_seconds = time.perf_counter() - started
-        context.obs.record("preagg_lookup", run.lookup_seconds)
-        ops.count("preagg_hits", stats)
-        if ops.sliver_mask is None:
-            return run
+    refuse(leaf, strategy, executor)
+    leaf.check_unchanged(strategy)
+    started = time.perf_counter()
+    run = Run(
+        0.0 if leaf.kind == "dwell" else set(), EvaluationStats(), strategy
+    )
+    if leaf.poi:
+        _poi_leaf(leaf, strategy, executor, run)
+    elif leaf.ids:
+        branch = _dwell_leaf if leaf.kind == "dwell" else _through_leaf
+        branch(leaf, strategy, executor, stats, run, scan)
+    if not leaf.poi:
+        run.scan_rows = run.stats.count("scan_rows")
+        run.leaf_seconds = run.stats.seconds(EvaluationStats.SCAN_STAGE)
+    run.seconds = time.perf_counter() - started
+    return run
+
+
+def _report(run: Run, sink: Optional[PipelineStats], executor) -> None:
+    """Merge the run's figures into ``sink``, unless a fan-out already
+    reported them there (into its executor's observer)."""
+    if sink is not None and sink is not getattr(executor, "obs", None):
+        sink.merge(run.stats)
+
+
+def _store_read(leaf: Leaf, run: Run, read) -> object:
+    """A timed read of a geometric store (the ``preagg_lookup`` stage)."""
+    started = time.perf_counter()
+    answer = read()
+    run.lookup_seconds = time.perf_counter() - started
+    leaf.context.obs.record("preagg_lookup", run.lookup_seconds)
+    return answer
+
+
+def _through_leaf(leaf, strategy, executor, stats, run, scan) -> None:
+    """Store read (plus the sliver the store leaves) or scan leaf."""
+    context, moft = leaf.context, leaf.moft
+    if strategy not in ("sharded", "preagg"):
+        executor = None
+    rows = restriction = None
+    if strategy == "preagg":
+        run.answer = _store_read(
+            leaf, run,
+            lambda: leaf.store.objects_through(leaf.ids, *leaf.granules),
+        )
+        leaf.count("preagg_hits", stats)
+        run.lookup_rows = leaf.sliver_rows
+        if leaf.sliver_mask is None:
+            return
         # (A sliver mask selects at least the sliver's own rows.)
-        ops.count("sliver_scan_rows", stats, ops.sliver_rows)
+        leaf.count("sliver_scan_rows", stats, leaf.sliver_rows)
         # What the store already proves needs no second look.
         proven = np.zeros(moft.oids.shape[0], dtype=bool)
-        proven[[moft.object_code(oid) for oid in run.matched]] = True
-        rows = ops.sliver_mask & ~proven[moft.object_codes()]
+        proven[[moft.object_code(oid) for oid in run.answer]] = True
+        rows = leaf.sliver_mask & ~proven[moft.object_codes()]
         if not rows.any():
-            return run
+            return
         if executor is not None:
             moft, rows = moft.mask_rows(rows), None
-    elif not ops.rows:
-        return run
+    elif not leaf.rows:
+        return
     elif executor is not None:
         # The executor keeps the shards of the table it is handed: give
         # it the one that lasts and let each shard task mask its rows,
         # not a restricted table that is a new object per query.
-        restriction = ops.restriction
+        restriction = leaf.restriction
     else:
-        rows = ops.row_mask
-    counter = counter_for(
-        context, ops.target, ops.ids, use_index, early_exit, vectorized,
-        stats,
-    )
+        rows = leaf.row_mask
+    if strategy == "serial":
+        scan = dict(scan, use_index=False, vectorized=False)
+    counter = counter_for(context, leaf.target, leaf.ids, stats=stats, **scan)
     started = time.perf_counter()
     if executor is not None:
-        run.matched |= executor.matching_objects(
+        run.answer |= executor.matching_objects(
             counter, moft, run.stats, restriction=restriction
         )
     else:
-        run.matched |= counter.matching_objects(moft, run.stats, rows=rows)
+        run.answer |= counter.matching_objects(moft, run.stats, rows=rows)
     run.scan_seconds = time.perf_counter() - started
-    sink = stats
-    if sink is None and executor is None:
-        sink = context.obs
-    # (A fan-out has already reported into its executor's observer.)
-    if sink is not None and sink is not getattr(executor, "obs", None):
-        sink.merge(run.stats)
-    return run
+    sink = stats if stats is not None or executor is not None else context.obs
+    _report(run, sink, executor)
+
+
+def _dwell_leaf(leaf, strategy, executor, stats, run, scan) -> None:
+    """Store read (cells, spanning records, slivers clipped directly) or
+    the dwell leaf: one broad phase and one dwell-kernel call per segment
+    batch of the restricted table, on the (answer polygon, segment)
+    pairs whose boxes meet, added up polygon by polygon in id order."""
+    context, ids = leaf.context, sorted(leaf.ids, key=repr)
+    if strategy == "preagg":
+        leaf.count("preagg_hits", stats)
+        run.answer = _store_read(
+            leaf, run,
+            lambda: leaf.store.dwell_time(ids, *leaf.granules)
+            if leaf.window is None
+            else leaf.store.window_dwell(ids, *leaf.window),
+        )
+        return
+    polygons = context.polygon_pass(*leaf.target, ids, obs=stats)
+    run.stats.incr("scan_rows", leaf.rows)
+    total = 0.0
+    with run.stats.stage(EvaluationStats.SCAN_STAGE):
+        for batch in leaf.moft.segments(rows=leaf.row_mask):
+            pos, at = candidate_pairs(polygons.bins, *batch.boxes())
+            run.stats.incr("bbox_rejections", len(batch) * len(ids) - pos.size)
+            run.stats.incr("segment_checks", pos.size)
+            dwell, _ = kernels.pairs_dwell(
+                polygons.edges, pos, *batch.ends(at),
+                batch.t1[at] - batch.t0[at], obs=run.stats,
+            )
+            for part in kernels.polygon_sums(pos, dwell, range(len(ids))):
+                total += part
+    run.answer = total
+    _report(run, stats if stats is not None else context.obs, None)
+
+
+def _poi_leaf(leaf, strategy, executor, run) -> None:
+    """Read the resolved store, or build a throwaway one — one
+    segmentation pass of the table, or one per object shard on
+    ``executor``'s backend merged with completeness checks — then read
+    the kind's measure off it."""
+    context = leaf.context
+    if strategy == "preagg":
+        leaf.count("preagg_hits")
+        started = time.perf_counter()
+        run.store = leaf.store
+        run.answer = _POI_READS[leaf.kind](run.store, leaf.k)
+        run.lookup_seconds = time.perf_counter() - started
+        run.lookup_rows = len(run.answer)
+        return
+    args = (leaf.moft, context.time, leaf.granule_level, leaf.pois)
+    options = dict(layer=leaf.layer, min_dwell=leaf.min_dwell, obs=run.stats)
+    started = time.perf_counter()
+    if strategy == "serial":
+        executor, run.store = None, PoiVisitStore(*args, **options)
+    else:
+        run.store = executor.build_store(PoiVisitStore, *args, **options)
+    run.scan_seconds = run.leaf_seconds = time.perf_counter() - started
+    run.scan_rows = len(leaf.moft)
+    _report(run, context.obs, executor)
+    run.answer = _POI_READS[leaf.kind](run.store, leaf.k)
 
 
 def objects_through(
@@ -865,7 +1078,7 @@ def objects_through(
     use_preagg: bool = True,
 ) -> Set[Hashable]:
     """The matched-object set behind :func:`count_objects_through`:
-    resolve, choose route-first, execute.
+    resolve, choose route-first (:meth:`Leaf.route_first`), execute.
 
     ``window`` restricts the trajectory scan to samples with ``start <=
     t <= end``.  With ``use_preagg`` (the default) a registered fresh
@@ -875,14 +1088,14 @@ def objects_through(
     ``executor``).  The hybrid is exact; ``use_preagg=False`` with no
     executor is the plain scan, the oracle of every differential suite.
     """
-    ops = resolve_through(
+    leaf = resolve_through(
         context, target, constraints, moft_name, window=window, obs=stats,
         use_preagg=use_preagg,
     )
-    return execute_through(
-        ops, ops.route_first(stats), executor,
-        use_index, early_exit, vectorized, stats,
-    ).matched
+    return execute(
+        leaf, leaf.route_first(executor, stats), executor, stats,
+        use_index=use_index, early_exit=early_exit, vectorized=vectorized,
+    ).answer
 
 
 def count_objects_through(
@@ -917,33 +1130,26 @@ def count_objects_through(
     allows routing through a registered pre-aggregation store (see
     :func:`objects_through` for both).
     """
-    return len(
-        objects_through(
-            context,
-            target,
-            constraints,
-            moft_name=moft_name,
-            use_index=use_index,
-            early_exit=early_exit,
-            stats=stats,
-            vectorized=vectorized,
-            executor=executor,
-            window=window,
-            use_preagg=use_preagg,
-        )
-    )
+    return len(objects_through(
+        context, target, constraints, moft_name, use_index, early_exit,
+        stats, vectorized, executor, window, use_preagg,
+    ))
 
 
 __all__ = [
     "EvaluationStats",
+    "KINDS",
+    "Leaf",
+    "Run",
+    "STRATEGIES",
     "ShardedTrajectoryExecutor",
-    "ThroughOperands",
-    "ThroughRun",
     "TimeRestriction",
     "TrajectoryIntersectionCounter",
     "counter_for",
-    "execute_through",
+    "execute",
     "geometric_subquery",
+    "match_store",
+    "refuse",
     "resolve_through",
     "restriction_mask",
     "validated_window",

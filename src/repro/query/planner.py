@@ -1,41 +1,39 @@
-"""Cost-based planning of the Section 5 pipeline, with EXPLAIN.
+"""Cost-based planning of the one leaf path, with EXPLAIN.
 
-There are four ways to answer "count the objects passing through these
-geometries over this time restriction": the serial scan (the paper's
-baseline), the grid-indexed scan, the sharded fan-out
+Every aggregate here — the through-count, the dwell total, the POI
+measures — resolves to one :class:`~repro.query.evaluator.Leaf` and runs
+through the one :func:`~repro.query.evaluator.execute`.  There are up to
+four ways to run a leaf: the serial scan (the paper's baseline), the
+grid-indexed scan, the sharded fan-out
 (:class:`~repro.parallel.ShardedExecutor`) and the materialized
-pre-aggregation route with its sliver hybrid (:mod:`repro.preagg`).
-All four run on the operands one
-:func:`~repro.query.evaluator.resolve_through` call resolves, through
-the one :func:`~repro.query.evaluator.execute_through`; the route-first
-front-ends (``count_objects_through``, ``total_dwell_time``) take "the
-store when one serves, else the scan" without a price.  This module
-makes the choice a *costed* decision — for planned counts, service
-specs and Piet-QL's ``THROUGH RESULT`` alike:
+pre-aggregation route with its sliver hybrid (:mod:`repro.preagg`,
+:mod:`repro.poi`).  The route-first front-ends take "the store when one
+serves, else the scan" without a price
+(:meth:`~repro.query.evaluator.Leaf.route_first`).  This module makes
+the choice a *costed* decision — for planned counts, POI plans, service
+specs and Piet-QL alike — in one body, :func:`plan`, to which each kind
+supplies only:
 
-* **statistics** — :func:`geometry_statistics` (bbox-coverage
-  selectivity of the answer geometries against the table's spatial
-  extent) and, from the operands, the restricted row count, the store's
-  granule run and the sliver row count (:func:`table_statistics` serves
-  the POI plans);
+* its **cost terms**, priced by one :class:`CostModel` in one abstract
+  unit (≈ one geometry intersection check): rows×geometries for the
+  serial scan, probe + coverage-discounted checks for the indexed scan
+  (:func:`geometry_statistics`: bbox-coverage selectivity of the answer
+  geometries against the table's extent), scan/speedup + per-task
+  overhead (+ a per-row charge for a table a process executor does not
+  hold resident yet) for the fan-out, and granule reads + residual
+  sliver scan for the store; a POI scan is a segmentation pass of every
+  row against every disc;
 
-* a **cost model** (:class:`CostModel`) pricing every candidate
-  strategy in one abstract unit (≈ one geometry intersection check):
-  rows×geometries for the serial scan, probe + coverage-discounted
-  checks for the indexed scan, scan/speedup + per-task overhead (+ a
-  per-row charge for a table a process executor does not hold resident
-  yet) for the sharded fan-out, and granule reads + residual sliver
-  scan for the pre-agg hybrid;
+* its **node labels** — the strategy subtree under the root.
 
-* an **EXPLAIN surface** — :func:`plan_count_objects_through` resolves
-  and returns a :class:`QueryPlan` (:func:`plan_through` prices operands
-  somebody else resolved — Piet-QL, which forces the route-first
-  choice when it holds no executor, or its fan-out under
-  :class:`~repro.parallel.ShardedPietQLExecutor`); :func:`run_plan` /
-  :func:`execute_plan` execute the chosen strategy *from the plan's
-  operands*; :func:`explain` renders the tree with estimated vs.
-  *actual* rows and seconds, read off the stats object of that one
-  execution.
+:func:`plan` returns a :class:`QueryPlan` holding the leaf;
+:meth:`QueryPlan.execute` runs it through the one executor and fills
+every node's *actual* rows and seconds from that run's record
+(:meth:`QueryPlan.record`), and :meth:`QueryPlan.render` is the EXPLAIN
+text.  :func:`plan_count_objects_through` resolves and plans a
+through-count; ``execute_plan``, ``plan_poi_aggregate`` and
+``execute_poi_plan`` are kept, a few lines each, for the benchmark
+harness that calls them.
 
 The planner chooses *how* the one executor runs, never *what* it
 answers (``tests/parallel`` pins every strategy to the serial scan).
@@ -45,7 +43,6 @@ constants, the chosen strategy returns the same answer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -58,16 +55,18 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import EvaluationError
 from repro.geometry.overlay import geometry_bbox
 from repro.mo.moft import MOFT
-from repro.obs import EvaluationStats
 from repro.query.evaluator import (
-    ThroughOperands,
-    execute_through,
+    KINDS,
+    STRATEGIES,
+    Leaf,
+    Run,
+    execute,
+    refuse,
     resolve_through,
 )
-from repro.query.poi import execute_poi, no_executor_error, resolve_poi
+from repro.query.poi import resolve_poi
 from repro.query.region import EvaluationContext
 
 if TYPE_CHECKING:
@@ -77,28 +76,6 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableStatistics:
-    """Row/object counts and time extent of one MOFT."""
-
-    name: str
-    rows: int
-    objects: int
-    time_min: Optional[float]
-    time_max: Optional[float]
-
-
-def table_statistics(moft: MOFT) -> TableStatistics:
-    """Collect :class:`TableStatistics` from a MOFT: the cached time
-    range and the segment index's object count, no pass over rows."""
-    if len(moft) == 0:
-        return TableStatistics(moft.name, 0, 0, None, None)
-    tmin, tmax = moft.time_range()
-    return TableStatistics(
-        moft.name, len(moft), len(moft.segment_index().oids), tmin, tmax
-    )
 
 
 @dataclass(frozen=True)
@@ -288,18 +265,12 @@ class PlanNode:
         return None
 
 
-#: The strategies the planner knows how to price and execute.
-STRATEGIES = ("serial", "grid", "sharded", "preagg")
-
-
 @dataclass
 class QueryPlan:
-    """A costed, renderable plan for one aggregate.
+    """A costed, renderable plan for one leaf.
 
-    ``operands`` is what planning resolved and execution runs on (a
-    :class:`~repro.query.evaluator.ThroughOperands` or a
-    :class:`~repro.query.poi.PoiOperands`): executing a plan resolves
-    nothing again.
+    ``leaf`` is what resolution built and execution runs on: executing
+    a plan (:meth:`execute`) resolves nothing again.
     """
 
     strategy: str
@@ -309,7 +280,7 @@ class QueryPlan:
     geometry: Optional[GeometryStatistics] = None
     shard_count: Optional[int] = None
     shard_backend: Optional[str] = None
-    operands: Optional[object] = field(default=None, repr=False)
+    leaf: Optional[Leaf] = field(default=None, repr=False)
     executed: bool = False
     result_count: Optional[int] = None
 
@@ -330,40 +301,78 @@ class QueryPlan:
             lines.append(f"  rejected: {rejected}")
         return "\n".join(lines)
 
+    def execute(self, executor: Optional[ShardedExecutor] = None) -> Run:
+        """Run the chosen strategy on the plan's leaf — the one
+        :func:`~repro.query.evaluator.execute`, handed ``executor`` only
+        for ``sharded`` — and :meth:`record` the run."""
+        run = execute(
+            self.leaf, self.strategy,
+            executor if self.strategy == "sharded" else None,
+        )
+        self.record(run)
+        return run
+
+    def record(self, run: Run) -> None:
+        """Fill in the actuals from one run record: the root takes the
+        answer's rows and the run's seconds, every other node the part
+        of the run it names (:data:`PARTS`), and a fan-out node says
+        how many shards did run — the executor's count, less the empty
+        shards, which are never shipped."""
+        self.executed = True
+        self.result_count = run.rows
+        self.root.actual_rows = run.rows
+        self.root.actual_seconds = run.seconds
+        for node in self.root.walk():
+            part = PARTS.get(node.op)
+            if part is None:
+                continue
+            node.actual_rows, node.actual_seconds = run.actuals(part)
+            if part == "fanout" and run.shards:
+                self.shard_count = run.shards
+                node.detail = _fanout_detail(
+                    self.leaf, self.shard_backend, run.shards
+                )
+
 
 # ---------------------------------------------------------------------------
-# Planning
+# Planning: one body, each kind's cost terms and node labels
 # ---------------------------------------------------------------------------
 
+#: The part of a run (:meth:`~repro.query.evaluator.Run.actuals`) each
+#: node below an aggregate reports.
+PARTS = {
+    "SerialScan": "scan",
+    "GridScan": "scan",
+    "SliverScan": "scan",
+    "StopSegmentScan": "scan",
+    "ShardFanout": "fanout",
+    "ShardedSegmentScan": "fanout",
+    "PreAggLookup": "lookup",
+    "PoiCellRead": "lookup",
+}
 
-def plan_through(
-    ops: ThroughOperands,
-    executor: Optional[ShardedExecutor] = None,
-    cost_model: Optional[CostModel] = None,
-    force_strategy: Optional[str] = None,
-    front: Tuple[PlanNode, ...] = (),
-    label: str = "count_objects_through",
-) -> QueryPlan:
-    """Price every strategy applicable to resolved operands.
 
-    Candidates: ``serial`` (unindexed scan), ``grid`` (indexed scan,
-    always applicable), ``sharded`` (only when ``executor`` is given —
-    priced and recorded with the executor's backend and shard count)
-    and ``preagg`` (only when the operands carry a store).  The cheapest
-    wins unless ``force_strategy`` names one (the differential tests
-    drive every strategy this way; Piet-QL without an executor forces
-    its route-first choice); forcing an inapplicable strategy raises
-    :class:`EvaluationError`.  ``front`` are the nodes rendered before
-    the strategy's subtree, ``label`` names the aggregate on the root.
-    """
-    model = cost_model if cost_model is not None else CostModel()
-    context, moft = ops.context, ops.moft
-    layer, kind = ops.target
-    geometry = geometry_statistics(context, ops.target, ops.ids, moft)
-    scan_rows = ops.rows
-    n_geoms = geometry.count
-    index_cached = (layer, kind, frozenset(ops.ids)) in context._grid_cache
+def _fanout_detail(leaf: Leaf, backend: Optional[str], shards: int) -> str:
+    if leaf.poi:
+        return f"{backend} x{shards} + merge"
+    return f"backend={backend}, shards={shards}"
 
+
+def _geometric_terms(
+    leaf: Leaf,
+    executor: Optional[ShardedExecutor],
+    model: CostModel,
+    label: str,
+) -> tuple:
+    """The ``through`` and ``dwell`` terms: rows x geometries for the
+    serial scan, probe + coverage-discounted checks for the grid scan,
+    the grid scan fanned out (only with an executor and a non-empty
+    answer), and granule reads + residual sliver scan for the store."""
+    context, moft = leaf.context, leaf.moft
+    layer, kind = leaf.target
+    geometry = geometry_statistics(context, leaf.target, leaf.ids, moft)
+    rows, n_geoms = leaf.rows, geometry.count
+    index_cached = (layer, kind, frozenset(leaf.ids)) in context._grid_cache
     costs: Dict[str, float] = {}
     if n_geoms == 0:
         # Empty geometric answer: every strategy degenerates to "return
@@ -372,123 +381,199 @@ def plan_through(
         costs["grid"] = 0.0
     else:
         costs["serial"] = model.scan_cost(
-            scan_rows, n_geoms, geometry.coverage, indexed=False
+            rows, n_geoms, geometry.coverage, indexed=False
         )
         costs["grid"] = model.scan_cost(
-            scan_rows,
-            n_geoms,
-            geometry.coverage,
-            indexed=True,
+            rows, n_geoms, geometry.coverage, indexed=True,
             index_cached=index_cached,
         )
-
-    shard_count: Optional[int] = None
-    shard_backend: Optional[str] = None
     if executor is not None and n_geoms:
-        shard_backend, shard_count = executor.backend.name, executor.n_shards
         # (A restricted scan rides on the shards of the whole table.)
         costs["sharded"] = model.sharded_cost(
-            costs["grid"], shard_backend, shard_count, len(moft),
-            resident=executor.holds_shards(moft),
+            costs["grid"], executor.backend.name, executor.n_shards,
+            len(moft), resident=executor.holds_shards(moft),
         )
-
     sliver_rows = 0
-    if ops.store is not None:
-        sliver_rows = ops.sliver_rows
+    if leaf.store is not None:
+        # (The dwell store clips its slivers itself: nothing to scan.)
+        sliver_rows = leaf.sliver_rows if leaf.kind == "through" else 0
         costs["preagg"] = model.preagg_cost(
-            ops.run[1] - ops.run[0] + 1, n_geoms, sliver_rows,
+            leaf.granules[1] - leaf.granules[0] + 1, n_geoms, sliver_rows,
             geometry.coverage,
         )
 
-    if force_strategy is not None:
-        if force_strategy not in STRATEGIES:
-            raise EvaluationError(
-                f"unknown strategy {force_strategy!r}; "
-                f"expected one of {STRATEGIES}"
-            )
-        if force_strategy not in costs:
-            raise EvaluationError(
-                f"strategy {force_strategy!r} is not applicable here "
-                f"(candidates: {sorted(costs)})"
-            )
-        chosen = force_strategy
-    else:
-        chosen = min(costs, key=lambda name: costs[name])
-
-    if ops.instants is not None:
-        restriction = f"instants={len(ops.instants)}"
-    elif ops.window is not None:
-        restriction = f"window=[{ops.window[0]}, {ops.window[1]}]"
+    if leaf.instants is not None:
+        restriction = f"instants={len(leaf.instants)}"
+    elif leaf.window is not None:
+        restriction = f"window=[{leaf.window[0]}, {leaf.window[1]}]"
     else:
         restriction = "window=full"
     scan_detail = f"moft={moft.name}, {restriction}, geoms={n_geoms}"
 
     def scan(op: str, priced: str, extra: str = "") -> PlanNode:
         return PlanNode(
-            op, scan_detail + extra, est_rows=scan_rows,
-            est_cost=costs[priced],
+            op, scan_detail + extra, est_rows=rows, est_cost=costs[priced]
         )
 
-    if chosen == "serial":
-        body = scan("SerialScan", "serial")
-    elif chosen == "grid":
-        body = scan(
-            "GridScan", "grid",
-            f", coverage={geometry.coverage:.3f}, "
-            f"index_cached={index_cached}",
-        )
-    elif chosen == "sharded":
-        body = PlanNode(
-            "ShardFanout",
-            f"backend={shard_backend}, shards={shard_count}",
-            est_rows=scan_rows,
-            est_cost=costs["sharded"],
-            children=(scan("GridScan", "grid", ", per_shard"),),
-        )
-    else:  # preagg
-        children: Tuple[PlanNode, ...] = ()
-        if sliver_rows:
-            children = (
-                PlanNode(
-                    "SliverScan",
-                    f"moft={moft.name}, geoms={n_geoms}",
-                    est_rows=sliver_rows,
-                    est_cost=model.scan_cost(
-                        sliver_rows, n_geoms, geometry.coverage,
-                        indexed=True,
-                    ),
-                ),
+    def nodes(chosen: str) -> Tuple[PlanNode, PlanNode]:
+        if chosen == "serial":
+            body = scan("SerialScan", "serial")
+        elif chosen == "grid":
+            body = scan(
+                "GridScan", "grid",
+                f", coverage={geometry.coverage:.3f}, "
+                f"index_cached={index_cached}",
             )
+        elif chosen == "sharded":
+            body = PlanNode(
+                "ShardFanout",
+                _fanout_detail(
+                    leaf, executor.backend.name, executor.n_shards
+                ),
+                est_rows=rows,
+                est_cost=costs["sharded"],
+                children=(scan("GridScan", "grid", ", per_shard"),),
+            )
+        else:
+            children: Tuple[PlanNode, ...] = ()
+            if sliver_rows:
+                children = (
+                    PlanNode(
+                        "SliverScan",
+                        f"moft={moft.name}, geoms={n_geoms}",
+                        est_rows=sliver_rows,
+                        est_cost=model.scan_cost(
+                            sliver_rows, n_geoms, geometry.coverage,
+                            indexed=True,
+                        ),
+                    ),
+                )
+            first, last = leaf.granules
+            body = PlanNode(
+                "PreAggLookup",
+                f"store={leaf.store.name}, run={first}..{last}, "
+                f"granules={last - first + 1}",
+                est_rows=sliver_rows,
+                est_cost=costs["preagg"],
+                children=children,
+            )
+        root = PlanNode("Aggregate", f"{label}, strategy={chosen}", est_rows=1)
+        return root, body
+
+    return costs, geometry, nodes
+
+
+def _poi_terms(
+    leaf: Leaf,
+    executor: Optional[ShardedExecutor],
+    model: CostModel,
+    label: str,
+) -> tuple:
+    """The POI terms: the scan is a per-object *segmentation* pass
+    (every row against every disc — no grid pruning, stops are global
+    per trajectory), fanned out with an executor, and a fresh store
+    reduces the query to a cell read."""
+    rows, n_pois = leaf.rows, len(leaf.pois)
+    n_granules = len(leaf.context.time.granules(leaf.granule_level).members)
+    serial = model.scan_cost(rows, n_pois, coverage=1.0, indexed=False)
+    costs = {"serial": serial}
+    if executor is not None:
+        costs["sharded"] = model.sharded_cost(
+            serial, executor.backend.name, executor.n_shards, rows,
+            resident=executor.holds_shards(leaf.moft),
+        )
+    if leaf.store is not None:
+        costs["preagg"] = model.preagg_cost(n_granules, n_pois, 0, 1.0)
+
+    def nodes(chosen: str) -> Tuple[PlanNode, PlanNode]:
         body = PlanNode(
-            "PreAggLookup",
-            f"store={ops.store.name}, run={ops.run[0]}..{ops.run[1]}, "
-            f"granules={ops.run[1] - ops.run[0] + 1}",
-            est_rows=sliver_rows,
-            est_cost=costs["preagg"],
-            children=children,
+            "StopSegmentScan",
+            f"{leaf.moft.name} x {n_pois} discs",
+            est_rows=rows,
+            est_cost=serial,
         )
-    root = PlanNode(
-        op="Aggregate",
-        detail=f"{label}, strategy={chosen}",
-        est_rows=1,
-        est_cost=costs[chosen],
-        children=front + (body,),
-    )
-    alternatives = tuple(
-        sorted(
-            ((name, cost) for name, cost in costs.items() if name != chosen),
-            key=lambda pair: pair[1],
+        if chosen == "preagg":
+            body = PlanNode(
+                "PoiCellRead",
+                f"store granules={n_granules} pois={n_pois}",
+                est_rows=n_granules * n_pois,
+                est_cost=costs["preagg"],
+            )
+        elif chosen == "sharded":
+            body = PlanNode(
+                "ShardedSegmentScan",
+                _fanout_detail(leaf, executor.backend.name, executor.n_shards),
+                est_rows=rows,
+                est_cost=costs["sharded"],
+                children=(body,),
+            )
+        detail = (
+            f"{leaf.layer}/{leaf.granule_level} measure={leaf.kind[4:]}"
+            + (f" k={leaf.k}" if leaf.k is not None else "")
+            + (f" min_dwell={leaf.min_dwell}" if leaf.min_dwell else "")
         )
-    )
+        root = PlanNode("PoiAggregate", detail, est_rows=n_granules * n_pois)
+        return root, body
+
+    return costs, GeometryStatistics(n_pois, 1.0), nodes
+
+
+def plan(
+    leaf: Leaf,
+    executor: Optional[ShardedExecutor] = None,
+    cost_model: Optional[CostModel] = None,
+    force_strategy: Optional[str] = None,
+    front: Tuple[PlanNode, ...] = (),
+    label: str = "count_objects_through",
+) -> QueryPlan:
+    """Price every strategy of ``leaf``'s kind and choose one.
+
+    The kind supplies its cost terms: the candidates' costs, its
+    statistics and the nodes of a chosen strategy (the root, whose
+    children and cost are set here, and the strategy's subtree); the
+    rest is this one body for every kind.  The candidates are the
+    kind's strategies (:data:`~repro.query.evaluator.KINDS`) that
+    apply: ``sharded`` only
+    with an ``executor`` (priced and recorded with its backend and
+    shard count), ``preagg`` only when the leaf holds a store.  The
+    cheapest wins unless ``force_strategy`` names one (the differential
+    tests drive every strategy this way; Piet-QL without an executor
+    forces its route-first choice); a strategy that cannot run is
+    refused by :func:`~repro.query.evaluator.refuse`.  ``front`` are the
+    nodes rendered before the strategy's subtree, ``label`` names a
+    geometric aggregate on the root; the ``rejected:`` line lists the
+    other candidates by cost.
+    """
+    model = cost_model if cost_model is not None else CostModel()
+    terms = _poi_terms if leaf.poi else _geometric_terms
+    costs, geometry, nodes = terms(leaf, executor, model, label)
+    costs = {
+        name: cost for name, cost in costs.items()
+        if name in KINDS[leaf.kind]
+    }
+    if force_strategy is None:
+        chosen = min(costs, key=lambda name: costs[name])
+    else:
+        refuse(leaf, force_strategy, executor, costs)
+        chosen = force_strategy
+    root, body = nodes(chosen)
+    root.est_cost, root.children = costs[chosen], front + (body,)
+    sharded = chosen == "sharded"
     return QueryPlan(
         strategy=chosen,
         root=root,
         est_cost=costs[chosen],
-        alternatives=alternatives,
+        alternatives=tuple(
+            sorted(
+                ((name, cost) for name, cost in costs.items()
+                 if name != chosen),
+                key=lambda pair: pair[1],
+            )
+        ),
         geometry=geometry,
-        shard_count=shard_count if chosen == "sharded" else None,
-        shard_backend=shard_backend if chosen == "sharded" else None,
-        operands=ops,
+        shard_count=executor.n_shards if sharded else None,
+        shard_backend=executor.backend.name if sharded else None,
+        leaf=leaf,
     )
 
 
@@ -506,10 +591,10 @@ def plan_count_objects_through(
 
     The geometric subquery, the window validation and the store match
     happen here (:func:`~repro.query.evaluator.resolve_through`) and the
-    plan keeps the operands, so executing it repeats none of that.  See
-    :func:`plan_through` for the candidates and ``force_strategy``.
+    plan keeps the leaf, so executing it repeats none of that.  See
+    :func:`plan` for the candidates and ``force_strategy``.
     """
-    ops = resolve_through(
+    leaf = resolve_through(
         context, target, constraints, moft_name, window=window
     )
     geo_node = PlanNode(
@@ -518,92 +603,11 @@ def plan_count_objects_through(
             f"target={target[0]}:{target[1]}, "
             f"constraints={len(constraints)}"
         ),
-        est_rows=len(ops.ids),
-        actual_rows=len(ops.ids),
-        actual_seconds=ops.geosub_seconds,
+        est_rows=len(leaf.ids),
+        actual_rows=len(leaf.ids),
+        actual_seconds=leaf.geosub_seconds,
     )
-    return plan_through(
-        ops, executor, cost_model, force_strategy, front=(geo_node,)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Execution with actuals
-# ---------------------------------------------------------------------------
-
-#: The scan-leaf options that tell the two unsharded scans apart.
-_UNINDEXED = {"use_index": False, "vectorized": False}
-
-
-def run_plan(
-    plan: QueryPlan,
-    executor: Optional[ShardedExecutor] = None,
-) -> Set[Hashable]:
-    """Execute a through plan from its operands; fill in the actuals.
-
-    One :func:`~repro.query.evaluator.execute_through` call: the store
-    read (plus a serial sliver scan) for ``preagg``, the scan leaf for
-    ``serial`` / ``grid``, the leaf fanned out over ``executor`` for
-    ``sharded``.  Returns the matched objects.
-
-    The actuals are the figures of that one execution (its own stats
-    object), not a bracket around a shared observer.  A fan-out node
-    says how many shards did run: the executor's count, less the empty
-    shards, which are never shipped.
-    """
-    strategy = plan.strategy
-    if strategy == "sharded" and executor is None:
-        raise EvaluationError(
-            "plan chose the sharded strategy but no executor was "
-            "passed to execute it"
-        )
-    started = time.perf_counter()
-    run = execute_through(
-        plan.operands,
-        strategy == "preagg",
-        executor if strategy == "sharded" else None,
-        **(_UNINDEXED if strategy == "serial" else {}),
-    )
-    plan.executed = True
-    plan.result_count = len(run.matched)
-    plan.root.actual_rows = plan.result_count
-    plan.root.actual_seconds = time.perf_counter() - started
-    for node in plan.root.walk():
-        if node.op in ("SerialScan", "GridScan", "SliverScan"):
-            node.actual_rows = run.stats.count("scan_rows")
-            node.actual_seconds = run.stats.seconds(
-                EvaluationStats.SCAN_STAGE
-            )
-        elif node.op == "ShardFanout":
-            node.actual_rows = run.stats.count("scan_rows")
-            node.actual_seconds = run.scan_seconds
-            if run.stats.count("shard_count"):
-                plan.shard_count = run.stats.count("shard_count")
-                node.detail = (
-                    f"backend={plan.shard_backend}, shards={plan.shard_count}"
-                )
-        elif node.op == "PreAggLookup":
-            node.actual_rows = plan.operands.sliver_rows
-            node.actual_seconds = run.lookup_seconds
-    return run.matched
-
-
-def execute_plan(
-    plan: QueryPlan,
-    context: EvaluationContext,
-    target: Tuple[str, str],
-    constraints: Sequence[Tuple[str, Tuple[str, str]]],
-    moft_name: str = "FM",
-    window: Optional[Tuple[float, float]] = None,
-    executor: Optional[ShardedExecutor] = None,
-) -> int:
-    """Run the plan's chosen strategy (:func:`run_plan`); return the count.
-
-    The plan carries its operands: the query arguments (kept for callers
-    that pass the same ones to planning and execution) are not read
-    again.  ``executor`` is needed (only) by a ``sharded`` plan.
-    """
-    return len(run_plan(plan, executor))
+    return plan(leaf, executor, cost_model, force_strategy, front=(geo_node,))
 
 
 def planned_count_objects_through(
@@ -617,37 +621,31 @@ def planned_count_objects_through(
     force_strategy: Optional[str] = None,
 ) -> Tuple[int, QueryPlan]:
     """Plan, execute the chosen strategy, return ``(count, plan)``."""
-    plan = plan_count_objects_through(
+    chosen = plan_count_objects_through(
         context, target, constraints, moft_name=moft_name, window=window,
         executor=executor, cost_model=cost_model,
         force_strategy=force_strategy,
     )
-    return len(run_plan(plan, executor)), plan
+    return len(chosen.execute(executor).answer), chosen
 
 
-def explain(
+# ---------------------------------------------------------------------------
+# Shims kept for the benchmark harness, which calls them by these names
+# ---------------------------------------------------------------------------
+
+
+def execute_plan(
+    plan: QueryPlan,
     context: EvaluationContext,
     target: Tuple[str, str],
     constraints: Sequence[Tuple[str, Tuple[str, str]]],
     moft_name: str = "FM",
     window: Optional[Tuple[float, float]] = None,
     executor: Optional[ShardedExecutor] = None,
-    cost_model: Optional[CostModel] = None,
-    analyze: bool = False,
-) -> str:
-    """Render the chosen plan; with ``analyze`` execute it for actuals."""
-    plan = plan_count_objects_through(
-        context, target, constraints, moft_name=moft_name, window=window,
-        executor=executor, cost_model=cost_model,
-    )
-    if analyze:
-        run_plan(plan, executor)
-    return plan.render()
-
-
-# ---------------------------------------------------------------------------
-# POI aggregates
-# ---------------------------------------------------------------------------
+) -> int:
+    """``len(plan.execute(executor).answer)``; the query arguments are
+    not read."""
+    return len(plan.execute(executor).answer)
 
 
 def plan_poi_aggregate(
@@ -662,104 +660,11 @@ def plan_poi_aggregate(
     force_strategy: Optional[str] = None,
     executor: Optional[ShardedExecutor] = None,
 ) -> QueryPlan:
-    """Resolve a POI aggregate once, price its strategies, pick the cheapest.
-
-    The candidate space mirrors :func:`plan_through` with the POI
-    twists: the scan is a per-object *segmentation* pass (every row
-    against every disc — no grid pruning, stops are global per
-    trajectory), ``sharded`` is a candidate only when ``executor`` is
-    given — priced with its backend, its shard count and whether it
-    holds the table's shards already — and a registered fresh
-    :class:`~repro.poi.PoiVisitStore` covering the (layer, granule,
-    min_dwell) key reduces the query to a cell read.
-    The plan keeps what :func:`~repro.query.poi.resolve_poi` resolved
-    (:class:`~repro.query.poi.PoiOperands`) for :func:`execute_poi_plan`.
-    """
-    ops = resolve_poi(
-        context, layer, granule_level, min_dwell, moft_name, measure, k,
-        force_strategy,
+    """:func:`plan` of :func:`~repro.query.poi.resolve_poi`'s leaf."""
+    leaf = resolve_poi(
+        context, layer, granule_level, min_dwell, moft_name, measure, k
     )
-    model = cost_model if cost_model is not None else CostModel()
-    table = table_statistics(ops.moft)
-    n_pois = len(ops.pois)
-    n_granules = len(context.time.granules(granule_level).members)
-    detail = (
-        f"{layer}/{granule_level} measure={measure}"
-        + (f" k={k}" if k is not None else "")
-        + (f" min_dwell={min_dwell}" if min_dwell else "")
-    )
-
-    serial_cost = model.scan_cost(
-        table.rows, n_pois, coverage=1.0, indexed=False
-    )
-    candidates: List[Tuple[str, float]] = [("serial", serial_cost)]
-    backend = n_shards = None
-    if executor is not None:
-        backend, n_shards = executor.backend.name, executor.n_shards
-        candidates.append((
-            "sharded",
-            model.sharded_cost(
-                serial_cost, backend, n_shards, table.rows,
-                resident=executor.holds_shards(ops.moft),
-            ),
-        ))
-    if ops.store is not None:
-        candidates.append(
-            ("preagg", model.preagg_cost(n_granules, n_pois, 0, 1.0))
-        )
-
-    by_name = dict(candidates)
-    if force_strategy is not None:
-        # (resolve_poi refused a preagg no store serves.)
-        if force_strategy not in by_name:
-            raise no_executor_error()
-        chosen, chosen_cost = force_strategy, by_name[force_strategy]
-    else:
-        chosen, chosen_cost = min(candidates, key=lambda c: (c[1], c[0]))
-
-    segment_node = PlanNode(
-        "StopSegmentScan",
-        f"{table.name} x {n_pois} discs",
-        est_rows=table.rows,
-        est_cost=serial_cost,
-    )
-    if chosen == "preagg":
-        body = PlanNode(
-            "PoiCellRead",
-            f"store granules={n_granules} pois={n_pois}",
-            est_rows=n_granules * n_pois,
-            est_cost=chosen_cost,
-        )
-    elif chosen == "sharded":
-        body = PlanNode(
-            "ShardedSegmentScan",
-            f"{backend} x{n_shards} + merge",
-            est_rows=table.rows,
-            est_cost=chosen_cost,
-            children=(segment_node,),
-        )
-    else:
-        body = segment_node
-    root = PlanNode(
-        "PoiAggregate",
-        detail,
-        est_rows=n_granules * n_pois,
-        est_cost=chosen_cost,
-        children=(body,),
-    )
-    rejected = tuple(
-        (name, cost) for name, cost in candidates if name != chosen
-    )
-    return QueryPlan(
-        strategy=chosen,
-        root=root,
-        est_cost=chosen_cost,
-        alternatives=rejected,
-        geometry=GeometryStatistics(n_pois, 1.0),
-        shard_count=n_shards if chosen == "sharded" else None,
-        shard_backend=backend if chosen == "sharded" else None,
-        operands=ops,
-    )
+    return plan(leaf, executor, cost_model, force_strategy)
 
 
 def execute_poi_plan(
@@ -773,44 +678,23 @@ def execute_poi_plan(
     k: Optional[int] = None,
     executor: Optional[ShardedExecutor] = None,
 ):
-    """Execute a POI plan's chosen strategy; returns the aggregate dict.
-
-    One :func:`~repro.query.poi.execute_poi` call on the plan's operands,
-    then the measure read.  The operands carry the measure and ``k``:
-    the query arguments (kept for callers that pass the same ones to
-    planning and execution) are not read again.  ``executor`` is needed
-    (only) by a ``sharded`` plan.
-    """
-    ops = plan.operands
-    store = execute_poi(ops, plan.strategy, executor)
-    if ops.measure == "visits":
-        result = store.visit_counts()
-    elif ops.measure == "visitors":
-        result = store.distinct_visitors()
-    elif ops.measure == "dwell":
-        result = store.dwell_times()
-    else:
-        result = store.topk(ops.k)
-    plan.executed = True
-    plan.result_count = len(result)
-    return result
+    """``plan.execute(executor).answer``; the query arguments are not
+    read."""
+    return plan.execute(executor).answer
 
 
 __all__ = [
+    "PARTS",
     "STRATEGIES",
     "CostModel",
     "GeometryStatistics",
     "PlanNode",
     "QueryPlan",
-    "TableStatistics",
     "execute_plan",
     "execute_poi_plan",
-    "explain",
     "geometry_statistics",
+    "plan",
     "plan_count_objects_through",
     "plan_poi_aggregate",
-    "plan_through",
     "planned_count_objects_through",
-    "run_plan",
-    "table_statistics",
 ]

@@ -2,10 +2,13 @@
 
 The follow-up paper's aggregation language asks questions like "how many
 distinct objects visited each place of interest per hour?" and "which
-are the top-k places by distinct visitors this granule?".  This module
-exposes those four aggregates over an
-:class:`~repro.query.region.EvaluationContext`, under three execution
-strategies pinned byte-identical by the differential campaign:
+are the top-k places by distinct visitors this granule?".  It treats
+stops at places of interest as aggregates over the same MOFT, with the
+POIs as the geometric side — so here each measure is one more kind of
+:class:`~repro.query.evaluator.Leaf` (``poi_visits``, ``poi_visitors``,
+``poi_dwell``, ``poi_topk``) on the one resolve → plan → execute path,
+under three strategies pinned byte-identical by the differential
+campaign:
 
 ``serial``
     Segment every trajectory against the POI discs in one segmented
@@ -20,69 +23,28 @@ strategies pinned byte-identical by the differential campaign:
     Serve from a registered, fresh :class:`~repro.poi.PoiVisitStore`
     (``poi_preagg_hits``); a stale or missing store is a miss.
 
-Every front-end — the route-first functions below, the planner's
-:func:`~repro.query.planner.plan_poi_aggregate` and Piet-QL — resolves
-the query once (:func:`resolve_poi`) and runs the strategy it picked
-through the one :func:`execute_poi`.  Every route ends in the same reads
-off a :class:`~repro.poi.store.CellTable`; the answers are plain dicts
-whose sums and visitor tuples follow the table's order (objects and POI
-ids by ``repr``), ready for canonical-JSON comparison.
+:func:`resolve_poi` resolves the query once; the route-first functions
+below take :meth:`~repro.query.evaluator.Leaf.route_first`'s strategy
+(or the one named), the planner (:func:`repro.query.planner.plan`) a
+priced one, and both run it through the one
+:func:`~repro.query.evaluator.execute`.  Every route ends in the same
+reads off a :class:`~repro.poi.store.CellTable`; the answers are plain
+dicts whose sums and visitor tuples follow the table's order (objects
+and POI ids by ``repr``), ready for canonical-JSON comparison.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Hashable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.gis import geometries as gk
-from repro.mo.moft import MOFT
 from repro.poi.store import PoiVisitStore
+from repro.query.evaluator import KINDS, Leaf, Run, execute, match_store
 from repro.query.region import EvaluationContext
 
 if TYPE_CHECKING:
     from repro.parallel.executor import ShardedExecutor
-
-#: Execution strategies for POI aggregates.
-POI_STRATEGIES = ("serial", "sharded", "preagg")
-
-#: Supported aggregate measures.
-POI_MEASURES = ("visits", "visitors", "dwell", "topk")
-
-
-class PoiOperands(NamedTuple):
-    """The resolved operands of one POI aggregate (:func:`resolve_poi`
-    builds them; every front-end executes from them): the query, the
-    table, the layer's POI discs and the registered store that covers the
-    query — None unless it is fresh.  ``store_missed``: stores are
-    registered and none of them serves."""
-
-    context: EvaluationContext
-    layer: str
-    granule_level: str
-    min_dwell: float
-    measure: str
-    k: Optional[int]
-    moft: MOFT
-    pois: Mapping[Hashable, object]
-    store: Optional[PoiVisitStore]
-    store_missed: bool
-
-
-def no_executor_error() -> EvaluationError:
-    """What the ``sharded`` strategy is without an executor to run it."""
-    return EvaluationError(
-        "the sharded POI strategy runs on a ShardedExecutor and no "
-        "executor was passed"
-    )
-
 
 def resolve_poi(
     context: EvaluationContext,
@@ -92,24 +54,19 @@ def resolve_poi(
     moft_name: str = "FM",
     measure: str = "visits",
     k: Optional[int] = None,
-    strategy: Optional[str] = None,
-) -> PoiOperands:
-    """Resolve a POI aggregate to its operands, once.
+) -> Leaf:
+    """Resolve a POI aggregate to its leaf (kind ``poi_<measure>``), once.
 
-    The only code that matches a POI store to a query: the registered
-    store over exactly this table, layer, granule level and
-    ``min_dwell``, kept when fresh.  Before anything is priced or
-    scanned it refuses, with an :class:`EvaluationError`, an unknown
-    ``strategy`` or ``measure``, top-k without ``k``, a layer without
-    POI discs and ``preagg`` with no store to serve it.  It touches no
-    routing counter: those move when the query executes.
+    The store match is the registered store over exactly this table,
+    layer, granule level and ``min_dwell``, kept when fresh
+    (:func:`~repro.query.evaluator.match_store`).  Before anything is
+    priced or scanned it refuses, with an :class:`EvaluationError`, an
+    unknown ``measure``, top-k without ``k`` and a layer without POI
+    discs; a strategy is refused where every kind's is, at planning or
+    execution.  It touches no routing counter: those move when the
+    query executes.
     """
-    if strategy is not None and strategy not in POI_STRATEGIES:
-        raise EvaluationError(
-            f"unknown POI strategy {strategy!r}; expected one of "
-            f"{POI_STRATEGIES}"
-        )
-    if measure not in POI_MEASURES:
+    if f"poi_{measure}" not in KINDS:
         raise EvaluationError(f"unknown POI measure {measure!r}")
     if measure == "topk" and k is None:
         raise EvaluationError("top-k POI aggregate needs k")
@@ -120,63 +77,40 @@ def resolve_poi(
             "POI aggregates need a POI layer"
         )
     moft = context.moft(moft_name)
-    store = context.poi_store_for(moft, layer, granule_level, min_dwell, pois)
-    if store is not None and store.is_stale():
-        store = None
-    if strategy == "preagg" and store is None:
-        raise EvaluationError(
-            "no fresh PoiVisitStore registered for "
-            f"(layer={layer!r}, granule={granule_level!r}, "
-            f"min_dwell={min_dwell!r})"
-        )
-    return PoiOperands(
-        context, layer, granule_level, min_dwell, measure, k, moft, pois,
-        store, store is None and context.has_preagg,
+    leaf = Leaf(
+        f"poi_{measure}", context, moft, moft.version, layer=layer,
+        pois=pois, granule_level=granule_level, min_dwell=min_dwell, k=k,
+    )
+    return match_store(
+        leaf,
+        context.poi_store_for(moft, layer, granule_level, min_dwell, pois),
     )
 
 
-def execute_poi(
-    ops: PoiOperands,
-    strategy: str,
+def _route_first(
+    context: EvaluationContext,
+    layer: str,
+    granule_level: str,
+    measure: str,
+    k: Optional[int] = None,
+    *,
+    min_dwell: float = 0.0,
+    moft_name: str = "FM",
+    strategy: Optional[str] = None,
     executor: Optional[ShardedExecutor] = None,
-) -> PoiVisitStore:
-    """Execute resolved operands under ``strategy``; return the store the
-    measures are read off.
-
-    The only code that reads or builds a POI store: ``preagg`` reads the
-    resolved store — refusing one that went stale since, and counting
-    ``poi_preagg_hits`` — ``serial`` segments the whole table in one
-    pass, and ``sharded`` builds on ``executor`` (one pass per object
-    shard on its backend, merged with completeness checks).
-    """
-    context = ops.context
-    if strategy == "preagg":
-        if ops.store.is_stale():
-            raise EvaluationError(
-                f"the PoiVisitStore planned for (layer={ops.layer!r}, "
-                f"granule={ops.granule_level!r}) went stale after "
-                f"planning; plan again"
-            )
-        context.obs.incr("poi_preagg_hits")
-        return ops.store
-    args = (ops.moft, context.time, ops.granule_level, ops.pois)
-    options = dict(layer=ops.layer, min_dwell=ops.min_dwell, obs=context.obs)
-    if strategy == "serial":
-        return PoiVisitStore(*args, **options)
-    if executor is None:
-        raise no_executor_error()
-    return executor.build_store(PoiVisitStore, *args, **options)
+) -> Run:
+    """Resolve, take ``strategy`` (None: route-first), execute."""
+    leaf = resolve_poi(
+        context, layer, granule_level, min_dwell, moft_name, measure, k
+    )
+    return execute(leaf, strategy or leaf.route_first(), executor)
 
 
 def poi_store_view(
     context: EvaluationContext,
     layer: str,
     granule_level: str,
-    *,
-    min_dwell: float = 0.0,
-    moft_name: str = "FM",
-    strategy: Optional[str] = None,
-    executor: Optional[ShardedExecutor] = None,
+    **options,
 ) -> Tuple[PoiVisitStore, str]:
     """Resolve a readable cell store for one POI aggregate.
 
@@ -185,17 +119,11 @@ def poi_store_view(
     else the serial scan (a registered store that could not serve counts
     a ``poi_preagg_misses``).  Naming a strategy is strict (``preagg``
     without a usable store raises, and so does ``sharded`` without an
-    ``executor`` — which only ``sharded`` uses).
+    ``executor`` — which only ``sharded`` uses).  Options: ``min_dwell``,
+    ``moft_name``, ``strategy``, ``executor``.
     """
-    ops = resolve_poi(
-        context, layer, granule_level, min_dwell, moft_name,
-        strategy=strategy,
-    )
-    if strategy is None:
-        strategy = "preagg" if ops.store is not None else "serial"
-        if ops.store_missed:
-            context.obs.incr("poi_preagg_misses")
-    return execute_poi(ops, strategy, executor), strategy
+    run = _route_first(context, layer, granule_level, "visits", **options)
+    return run.store, run.strategy
 
 
 def poi_visit_counts(
@@ -205,8 +133,9 @@ def poi_visit_counts(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], int]:
     """``{(poi id, granule member): visit count}``."""
-    store, _ = poi_store_view(context, layer, granule_level, **options)
-    return store.visit_counts()
+    return _route_first(
+        context, layer, granule_level, "visits", **options
+    ).answer
 
 
 def poi_distinct_visitors(
@@ -216,8 +145,9 @@ def poi_distinct_visitors(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]]:
     """``{(poi id, granule member): sorted distinct visitor ids}``."""
-    store, _ = poi_store_view(context, layer, granule_level, **options)
-    return store.distinct_visitors()
+    return _route_first(
+        context, layer, granule_level, "visitors", **options
+    ).answer
 
 
 def poi_dwell_times(
@@ -227,8 +157,9 @@ def poi_dwell_times(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], float]:
     """``{(poi id, granule member): clipped dwell}`` (canonical fold order)."""
-    store, _ = poi_store_view(context, layer, granule_level, **options)
-    return store.dwell_times()
+    return _route_first(
+        context, layer, granule_level, "dwell", **options
+    ).answer
 
 
 def poi_topk(
@@ -239,5 +170,6 @@ def poi_topk(
     **options,
 ) -> Dict[Hashable, Tuple[Tuple[Hashable, int], ...]]:
     """Top-``k`` POIs by distinct visitors per granule member."""
-    store, _ = poi_store_view(context, layer, granule_level, **options)
-    return store.topk(k)
+    return _route_first(
+        context, layer, granule_level, "topk", k, **options
+    ).answer

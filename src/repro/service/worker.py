@@ -81,16 +81,17 @@ def execute_spec(
 ) -> Tuple[str, Optional[str]]:
     """Execute one spec; return ``(canonical result JSON, explain text)``.
 
-    Both query kinds take their routing from the cost-based planner,
-    with a sharded executor as the fan-out candidate: ``through`` specs
-    run through :func:`~repro.query.planner.planned_count_objects_through`,
+    Both query kinds are front-ends of the one leaf path — resolve,
+    :func:`~repro.query.planner.plan` with a sharded executor as the
+    fan-out candidate, then the one
+    :func:`~repro.query.evaluator.execute`: ``through`` specs run
+    through :func:`~repro.query.planner.planned_count_objects_through`,
     ``pietql`` specs through a :class:`~repro.pietql.PietQLExecutor`
-    holding the executor (its ``THROUGH RESULT`` plans with
-    :func:`~repro.query.planner.plan_through`, its POI part with
-    :func:`~repro.query.planner.plan_poi_aggregate`).  The persisted
-    EXPLAIN plan records the strategy the cost model actually picked; a
-    ``serial`` executor, whose fan-out prices above the in-process scan,
-    then cuts no table.
+    holding the executor (its ``THROUGH RESULT`` and POI parts each
+    plan their own leaf).  The persisted EXPLAIN plan records the
+    strategy the cost model actually picked, with the actuals of the
+    run; a ``serial`` executor, whose fan-out prices above the
+    in-process scan, then cuts no table.
 
     Query kinds evaluate against :meth:`~repro.service.worlds
     .ServiceWorld.query_context` — on a streaming world that pins the

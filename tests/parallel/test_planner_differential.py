@@ -32,7 +32,6 @@ from repro.query.planner import (
     CostModel,
     plan_count_objects_through,
     planned_count_objects_through,
-    run_plan,
 )
 from repro.query.region import EvaluationContext
 from repro.synth import CityConfig, build_city, figure1_instance
@@ -138,14 +137,10 @@ def assert_all_strategies_agree(
             f"{count} != {reference}"
         )
         if pietql is not None:
-            matched[strategy] = run_plan(
-                plan_count_objects_through(
-                    context, target, constraints, moft_name=moft_name,
-                    window=window, executor=executor,
-                    force_strategy=strategy,
-                ),
-                executor,
-            )
+            matched[strategy] = plan_count_objects_through(
+                context, target, constraints, moft_name=moft_name,
+                window=window, executor=executor, force_strategy=strategy,
+            ).execute(executor).answer
     if pietql is not None:
         bindings, text = pietql
         matched["route-first"] = objects_through(

@@ -44,14 +44,13 @@ from repro.parallel.executor import RESIDENT_TABLES
 from repro.parallel.shm import MAX_OPEN_SHARDS, leaked_segments
 from repro.query.evaluator import (
     TrajectoryIntersectionCounter,
-    execute_through,
+    execute,
     objects_through,
     resolve_through,
 )
 from repro.query.planner import (
     CostModel,
     plan_count_objects_through,
-    run_plan,
 )
 from repro.query.poi import poi_visit_counts
 from repro.query.region import EvaluationContext
@@ -276,7 +275,7 @@ class TestResidency:
                 **SYNTH_QUERY,
             )
             assert not executor.holds_shards(moft)
-            assert run_plan(first, executor) == expected
+            assert first.execute(executor).answer == expected
             assert executor.holds_shards(moft)
             second = plan_count_objects_through(
                 context, executor=executor, force_strategy="sharded",
@@ -327,15 +326,15 @@ def check_restrictions(context, query, windows, instant_sets):
                 assert got == expected, (backend, window)
                 matched += len(got)
             for instants in instant_sets:
-                ops = resolve_through(
+                leaf = resolve_through(
                     context, instants=instants, use_preagg=False, **query
                 )
-                assert ops.ids
-                assert ops.rows == int(ops.row_mask.sum()) == len(
+                assert leaf.ids
+                assert leaf.rows == int(leaf.row_mask.sum()) == len(
                     moft.restrict_instants(instants)
                 )
-                expected = execute_through(ops, False).matched
-                got = execute_through(ops, False, executor).matched
+                expected = execute(leaf, "grid").answer
+                got = execute(leaf, "sharded", executor).answer
                 assert got == expected, (backend, sorted(instants)[:3])
                 matched += len(got)
     assert matched, "vacuous: no restriction matched any object"

@@ -309,7 +309,7 @@ class TestQueryLayer:
         plan = plan_poi_aggregate(
             ctx, "Lp", "hour", moft_name="FMbus", measure="topk", k=2
         )
-        assert plan.operands.store is store
+        assert plan.leaf.store is store
         assert ctx.obs.count("poi_preagg_hits") == 0
         lookups = []
         monkeypatch.setattr(

@@ -50,7 +50,6 @@ from repro.query.evaluator import (
 from repro.query.planner import (
     plan_count_objects_through,
     planned_count_objects_through,
-    run_plan,
 )
 from repro.query.region import EvaluationContext
 from repro.service import QuerySpec, ServiceWorld
@@ -301,7 +300,7 @@ class TestObserverRule:
         )
         expected = reference_figures(bare, n_shards=plan.shard_count)
         before = bare.obs.snapshot()
-        run_plan(plan, executor)
+        plan.execute(executor)
         seen = scan_figures(bare.obs, before)
         assert seen == expected
         assert seen["scan_rows"] == len(bare.moft("FM"))
@@ -317,7 +316,7 @@ class TestObserverRule:
         )
         expected = reference_figures(bare, n_shards=plan.shard_count)
         before = bare.obs.snapshot()
-        run_plan(plan, executor)
+        plan.execute(executor)
         assert scan_figures(executor.obs) == expected
         assert scan_figures(bare.obs, before) == NOTHING
         assert (
@@ -476,4 +475,4 @@ class TestPlanGoesStale:
         )
         stored.moft("FM").add("late", 30.0, 0.0, 0.0)
         with pytest.raises(EvaluationError, match="changed after"):
-            run_plan(plan)
+            plan.execute()

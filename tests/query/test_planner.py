@@ -20,11 +20,9 @@ from repro.query.planner import (
     STRATEGIES,
     CostModel,
     PlanNode,
-    explain,
     geometry_statistics,
     plan_count_objects_through,
     planned_count_objects_through,
-    table_statistics,
 )
 from repro.synth.paperdata import figure1_instance
 
@@ -54,19 +52,18 @@ def preagg_context():
 
 
 class TestStatistics:
-    def test_table_statistics(self, context):
-        stats = table_statistics(context.moft("FMbus"))
-        assert stats.name == "FMbus"
-        assert stats.rows == 12
-        assert stats.objects == 6
-        assert stats.time_min == 1.0
-        assert stats.time_max == 6.0
+    def test_leaf_counts_rows_without_a_pass(self, context):
+        plan = plan_count_objects_through(
+            context, TARGET, CONSTRAINTS, moft_name="FMbus"
+        )
+        assert plan.leaf.rows == 12
+        assert plan.leaf.moft.name == "FMbus"
 
     def test_empty_table(self):
-        stats = table_statistics(MOFT(name="empty"))
-        assert stats.rows == 0
-        assert stats.objects == 0
-        assert stats.time_min is None and stats.time_max is None
+        from repro.query.evaluator import Leaf
+
+        leaf = Leaf("through", None, MOFT(name="empty"), 0)
+        assert leaf.rows == 0
 
     def test_geometry_statistics_empty_ids(self, context):
         stats = geometry_statistics(
@@ -268,24 +265,27 @@ class TestPlannedExecution:
 
 class TestExplain:
     def test_explain_renders_plan(self, context):
-        text = explain(context, TARGET, CONSTRAINTS, moft_name="FMbus")
+        text = plan_count_objects_through(
+            context, TARGET, CONSTRAINTS, moft_name="FMbus"
+        ).render()
         assert text.startswith("QueryPlan strategy=")
         assert "GeometricSubquery" in text
         assert "est_cost=" in text
         assert "executed" not in text
 
     def test_explain_analyze_adds_actuals(self, context):
-        text = explain(
-            context, TARGET, CONSTRAINTS, moft_name="FMbus", analyze=True
+        _, plan = planned_count_objects_through(
+            context, TARGET, CONSTRAINTS, moft_name="FMbus"
         )
+        text = plan.render()
         assert "(executed: count=5)" in text
         assert "actual_rows=" in text
         assert "actual_s=" in text
 
     def test_rejected_line_lists_alternatives(self, preagg_context):
-        text = explain(
+        text = plan_count_objects_through(
             preagg_context, TARGET, CONSTRAINTS, moft_name="FMbus"
-        )
+        ).render()
         assert "rejected:" in text
 
 
@@ -383,14 +383,14 @@ class TestPoiBuilderExplain:
             assert (plan.shard_count, plan.shard_backend) == (shards, backend)
 
             received = []
-            execute = poi_queries.execute_poi
+            execute = poi_queries.execute
 
-            def spy(ops, strategy, executor=None):
+            def spy(leaf, strategy, executor=None, *args, **kwargs):
                 received.append((strategy, executor))
-                return execute(ops, strategy, executor)
+                return execute(leaf, strategy, executor, *args, **kwargs)
 
             for module in (poi_queries, planner):
-                monkeypatch.setattr(module, "execute_poi", spy)
+                monkeypatch.setattr(module, "execute", spy)
             answer = poi_queries.poi_visit_counts(
                 context, "Lp", "hour", moft_name="FMbus",
                 strategy="sharded", executor=executor,
