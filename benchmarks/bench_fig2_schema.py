@@ -16,7 +16,7 @@ def _build_and_validate():
     schema = figure2_schema()
     gis = figure1_gis()
     time = figure1_time()
-    time.check_consistency()
+    time.instance.check_consistency()
     gis.application_instance("Neighbourhoods").check_consistency()
     return schema, gis, time
 

@@ -15,7 +15,7 @@ from repro.query import EvaluationStats, TrajectoryIntersectionCounter
 from repro.synth import adversarial_moft
 
 CITY_BOX = BoundingBox(0, 0, 100, 100)
-CITY = {"city": Polygon.from_box(CITY_BOX)}
+CITY = {"city": Polygon.rectangle(0, 0, 100, 100)}
 TRAJECTORY_LENGTHS = (10, 50, 200)
 
 
@@ -36,7 +36,7 @@ def _visited(stats: EvaluationStats) -> int:
 @pytest.mark.parametrize("n_instants", TRAJECTORY_LENGTHS)
 def test_adversarial_full_scan(benchmark, n_instants):
     moft = adversarial_moft(CITY_BOX, n_objects=20, n_instants=n_instants)
-    counter = TrajectoryIntersectionCounter(CITY, use_index=False)
+    counter = TrajectoryIntersectionCounter(CITY, "serial")
 
     def _run():
         stats = EvaluationStats()
@@ -52,7 +52,7 @@ def test_adversarial_full_scan(benchmark, n_instants):
 @pytest.mark.parametrize("n_instants", TRAJECTORY_LENGTHS)
 def test_early_exit_constant(benchmark, n_instants):
     moft = _early_hit_moft(20, n_instants)
-    counter = TrajectoryIntersectionCounter(CITY, use_index=False)
+    counter = TrajectoryIntersectionCounter(CITY, "serial")
 
     def _run():
         stats = EvaluationStats()
@@ -72,7 +72,7 @@ def test_scan_cost_shape():
     for n in TRAJECTORY_LENGTHS:
         moft_a = adversarial_moft(CITY_BOX, 20, n)
         moft_f = _early_hit_moft(20, n)
-        counter = TrajectoryIntersectionCounter(CITY, use_index=False)
+        counter = TrajectoryIntersectionCounter(CITY, "serial")
         sa, sf = EvaluationStats(), EvaluationStats()
         counter.count(moft_a, sa)
         counter.count(moft_f, sf)

@@ -654,28 +654,6 @@ def _float_columns(*columns) -> List[np.ndarray]:
     return [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
 
 
-def classify_segments(
-    polygon: Polygon,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-) -> np.ndarray:
-    """Classify segments vs ``polygon`` into status codes 0/1/2.
-
-    0 = provably outside, 1 = provably fully inside (far from the
-    boundary), 2 = undecided, answer with the scalar path.
-    """
-    x0, y0, x1, y1 = _float_columns(x0, y0, x1, y1)
-    edges, pos = _one(polygon, x0.shape[0])
-    out = np.empty(x0.shape[0], dtype=np.uint8)
-    for lo, hi in _chunks(edges, pos):
-        out[lo:hi] = _classify(
-            edges, pos[lo:hi], x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi]
-        )
-    return out
-
-
 # -- boundary crossings -------------------------------------------------------
 
 
@@ -1147,61 +1125,15 @@ def disc_clip_batch(
     return lo, hi
 
 
-def disc_dwell(
-    cx: float,
-    cy: float,
-    r: float,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    dt: np.ndarray,
-    obs=None,
-) -> np.ndarray:
-    """Per-segment dwell time inside the closed disc, batched.
-
-    ``dwell[i]`` bit-equals ``(hi - lo) * dt[i]`` from
-    :func:`disc_clip_scalar` on segment ``i``.
-    """
-    lo, hi = disc_clip_batch(cx, cy, r, x0, y0, x1, y1, obs=obs)
-    return (hi - lo) * np.asarray(dt, dtype=np.float64)
-
-
-def disc_dwell_scalar(
-    cx: float,
-    cy: float,
-    r: float,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    dt: np.ndarray,
-) -> np.ndarray:
-    """Reference scalar dwell fold (same expressions, Python floats)."""
-    n = len(x0)
-    out = np.zeros(n, dtype=np.float64)
-    cxf, cyf, rf = float(cx), float(cy), float(r)
-    for i in range(n):
-        lo, hi = disc_clip_scalar(
-            cxf, cyf, rf,
-            float(x0[i]), float(y0[i]), float(x1[i]), float(y1[i]),
-        )
-        out[i] = (hi - lo) * float(dt[i])
-    return out
-
-
 __all__ = [
     "EdgeTable",
     "LabelGrid",
     "MIXED",
     "OUTSIDE",
     "PolygonPass",
-    "classify_segments",
     "clip_segments_batch",
     "disc_clip_batch",
     "disc_clip_scalar",
-    "disc_dwell",
-    "disc_dwell_scalar",
     "kernel_backend",
     "pairs_dwell",
     "pairs_intersect",

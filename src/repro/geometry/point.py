@@ -40,10 +40,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy moved by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def midpoint(self, other: "Point") -> "Point":
         """Return the midpoint of the segment joining this point to ``other``."""
         return Point((self.x + other.x) / 2, (self.y + other.y) / 2)

@@ -116,11 +116,6 @@ class Polygon:
         )
 
     @classmethod
-    def from_box(cls, box: BoundingBox) -> "Polygon":
-        """Return the rectangle covering ``box``."""
-        return cls.rectangle(box.min_x, box.min_y, box.max_x, box.max_y)
-
-    @classmethod
     def regular(cls, center: Point, radius: float, sides: int) -> "Polygon":
         """Return a regular ``sides``-gon inscribed in the given circle."""
         if sides < 3:
@@ -150,14 +145,6 @@ class Polygon:
         total = abs(_ring_signed_area(self.shell))
         for hole in self.holes:
             total -= abs(_ring_signed_area(hole))
-        return total
-
-    @property
-    def perimeter(self) -> float:
-        """Total boundary length, holes included."""
-        total = sum(seg.length for seg in _ring_segments(self.shell))
-        for hole in self.holes:
-            total += sum(seg.length for seg in _ring_segments(hole))
         return total
 
     @property

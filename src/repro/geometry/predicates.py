@@ -63,11 +63,6 @@ def orientation(p: Coordinate, q: Coordinate, r: Coordinate) -> int:
     return 0
 
 
-def collinear(p: Coordinate, q: Coordinate, r: Coordinate) -> bool:
-    """Return True when the three points lie on one line."""
-    return orientation(p, q, r) == 0
-
-
 def on_segment(p: Coordinate, a: Coordinate, b: Coordinate) -> bool:
     """Return True when point ``p`` lies on the closed segment ``[a, b]``.
 

@@ -237,12 +237,6 @@ class GISDimensionInstance:
                 f"{attribute} member {member!r} has no value {name!r}"
             ) from None
 
-    def try_member_value(
-        self, attribute: str, member: Hashable, name: str
-    ) -> Optional[Hashable]:
-        """Like :meth:`member_value` but None when absent."""
-        return self._member_values.get((attribute, member), {}).get(name)
-
     def members_where(self, attribute: str, predicate) -> Set[Hashable]:
         """All α-registered members whose values satisfy ``predicate``.
 

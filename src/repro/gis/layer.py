@@ -16,9 +16,6 @@ from repro.errors import GeometryError, InstanceError, SchemaError
 from repro.geometry.index import UniformGridIndex, index_for_geometries
 from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
-from repro.geometry.polyline import Polyline
-from repro.geometry.segment import Segment
 from repro.gis import geometries as gk
 
 
@@ -58,22 +55,6 @@ class Layer:
             )
         bucket[element_id] = geometry
         self._indexes.pop(kind, None)  # invalidate
-
-    def add_node(self, element_id: Hashable, point: Point) -> None:
-        """Add a point feature."""
-        self.add(gk.NODE, element_id, point)
-
-    def add_line(self, element_id: Hashable, segment: Segment) -> None:
-        """Add a line (segment) feature."""
-        self.add(gk.LINE, element_id, segment)
-
-    def add_polyline(self, element_id: Hashable, polyline: Polyline) -> None:
-        """Add a polyline feature."""
-        self.add(gk.POLYLINE, element_id, polyline)
-
-    def add_polygon(self, element_id: Hashable, polygon: Polygon) -> None:
-        """Add a polygon feature."""
-        self.add(gk.POLYGON, element_id, polygon)
 
     # -- access -----------------------------------------------------------------
 

@@ -299,10 +299,6 @@ class StreamingIngestor:
     def watermark(self) -> float:
         return self._watermark
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def late_samples(self) -> Tuple[Tuple[Hashable, float, float, float], ...]:
         """The side channel: every sample routed late, in arrival order."""
         with self._lock:

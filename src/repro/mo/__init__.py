@@ -14,7 +14,6 @@ from repro.mo.trajectory import (
 )
 from repro.mo.operations import (
     distance_at,
-    entry_exit_times,
     ever_within_distance,
     first_entry_time,
     intervals_inside,
@@ -62,7 +61,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySample",
     "distance_at",
-    "entry_exit_times",
     "ever_within_distance",
     "first_entry_time",
     "intervals_inside",

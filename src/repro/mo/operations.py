@@ -91,13 +91,6 @@ def passes_through(
     return bool(kernels.segments_intersect(polygon, x0, y0, x1, y1).any())
 
 
-def entry_exit_times(
-    trajectory: LinearInterpolationTrajectory, polygon: Polygon
-) -> List[Tuple[float, float]]:
-    """Alias of :func:`intervals_inside`, named for queries about crossings."""
-    return intervals_inside(trajectory, polygon)
-
-
 def first_entry_time(
     trajectory: LinearInterpolationTrajectory, polygon: Polygon
 ) -> float:

@@ -230,17 +230,6 @@ class LinearInterpolationTrajectory(Trajectory):
             ) from None
         return seg.length / (t1 - t0)
 
-    def speed_at(self, t: float) -> float:
-        """Speed at an instant (right-continuous at sample instants)."""
-        if not self.covers(t):
-            raise TrajectoryError(
-                f"instant {t} outside time domain {self.time_domain}"
-            )
-        i = bisect.bisect_right(self._times, t) - 1
-        if i >= len(self._times) - 1:
-            i = len(self._times) - 2
-        return self.speed_on_piece(i)
-
 
 class FunctionalTrajectory(Trajectory):
     """A trajectory given by explicit coordinate functions βx, βy.

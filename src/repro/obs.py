@@ -160,7 +160,7 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     :func:`~repro.poi.segment_stops_moves` or, for a whole table, by the
     segmented scan (:func:`~repro.poi.segmentation.batch_stops` — the
     same episodes), and per-(POI, granule) visit attributions folded
-    into the cell table (a store build or :func:`~repro.poi.poi_cells`).
+    into the cell table of a store build.
 ``poi_preagg_hits`` / ``poi_preagg_misses``
     POI aggregate routing (:mod:`repro.query.poi`): queries served from
     a registered fresh :class:`~repro.poi.PoiVisitStore`, and queries

@@ -163,14 +163,6 @@ def serialize_shards(shards: Sequence[MOFT]) -> ShardImage:
     return ShardImage(os.urandom(8).hex(), data, bounds)
 
 
-def create_shard_block(
-    shards: Sequence[MOFT],
-    name: Optional[str] = None,
-) -> Tuple[ShardBlock, List[ShardDescriptor]]:
-    """Serialize ``shards`` and publish the image once, in one step."""
-    return serialize_shards(shards).publish(name)
-
-
 # -- worker side ---------------------------------------------------------------
 
 # (content key, start, stop) -> (attachment, shard), least recently
@@ -290,7 +282,6 @@ __all__ = [
     "ShardBlock",
     "ShardDescriptor",
     "ShardImage",
-    "create_shard_block",
     "leaked_segments",
     "moft_from_descriptor",
     "open_shard",

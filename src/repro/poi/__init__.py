@@ -14,17 +14,11 @@ stop/move view of trajectories: a moving object alternates between
   maintenance, shard merge and spatial/temporal roll-up.
 """
 
-from repro.poi.segmentation import (
-    Episode,
-    poi_stop_intervals,
-    segment_stops_moves,
-)
-from repro.poi.store import PoiVisitStore, poi_cells
+from repro.poi.segmentation import Episode, segment_stops_moves
+from repro.poi.store import PoiVisitStore
 
 __all__ = [
     "Episode",
     "PoiVisitStore",
-    "poi_cells",
-    "poi_stop_intervals",
     "segment_stops_moves",
 ]

@@ -360,20 +360,6 @@ def batch_stops(
     return obj[stop], start[stop], b[stop], poi[stop]
 
 
-def poi_stop_intervals(
-    trajectory: Union[LinearInterpolationTrajectory, TrajectorySample],
-    poi: Union[Poi, Point],
-    radius: Optional[float] = None,
-    obs=None,
-) -> List[Tuple[float, float]]:
-    """Maximal in-disc intervals of ``trajectory`` at one POI."""
-    t0s, t1s, *ends = _sample_of(trajectory).piece_arrays()
-    near, lo, hi = _disc_clip(_reach(*ends), _disc_of(poi, radius), *ends, obs)
-    return _merged_intervals(
-        t0s[near].tolist(), t1s[near].tolist(), lo.tolist(), hi.tolist()
-    )
-
-
 def segment_stops_moves(
     trajectory: Union[LinearInterpolationTrajectory, TrajectorySample],
     pois: Mapping[Hashable, Union[Poi, Point]],

@@ -35,67 +35,15 @@ partition the cell codes index is re-read, never folded over.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cellstore import GranuleStore, RollupRows, cell_labels, frozen
 from repro.errors import PreAggError
 from repro.mo.moft import MOFT
-from repro.poi.segmentation import batch_stops, segment_stops_moves
+from repro.poi.segmentation import batch_stops
 from repro.temporal.timedim import TimeDimension
-
-#: Per-object cell contribution: ``{(gid, code): (visits, dwell)}``.
-ObjectCells = Dict[Tuple[Hashable, int], Tuple[int, float]]
-
-
-def _stop_cells(
-    stops: Iterable[Tuple[float, float, Hashable]], starts: np.ndarray
-) -> ObjectCells:
-    """One object's visit/dwell contributions from its stops, in time order."""
-    cells: ObjectCells = {}
-    starts = starts.tolist()
-    n = len(starts)
-    for a, b, gid in stops:
-        code = max(bisect_right(starts, a) - 1, 0)
-        visits, dwell = cells.get((gid, code), (0, 0.0))
-        cells[(gid, code)] = (visits + 1, dwell)
-        # Split [a, b] exactly over granule windows from `code` onward.
-        i = code
-        while i < n:
-            win_start = starts[i] if i > code else a
-            win_end = starts[i + 1] if i + 1 < n else math.inf
-            piece = min(b, win_end) - max(a, win_start)
-            if piece > 0.0:
-                visits, dwell = cells.get((gid, i), (0, 0.0))
-                cells[(gid, i)] = (visits, dwell + piece)
-            if win_end >= b:
-                break
-            i += 1
-    return cells
-
-
-def _object_cells(
-    moft: MOFT,
-    oid: Hashable,
-    starts: np.ndarray,
-    pois: Mapping[Hashable, object],
-    radius: Optional[float],
-    min_dwell: float,
-    obs=None,
-) -> ObjectCells:
-    """One object's cells by the single-trajectory API — the reference
-    :func:`poi_cells` is tested against."""
-    episodes = segment_stops_moves(
-        moft.trajectory_sample(oid), pois, radius=radius,
-        min_dwell=min_dwell, obs=obs,
-    )
-    return _stop_cells(
-        ((e.start, e.end, e.poi) for e in episodes if e.is_stop), starts
-    )
-
 
 class CellTable(NamedTuple):
     """The cells as columns: one row per (object, POI, granule) holding a
@@ -143,7 +91,7 @@ def _cell_table(names, oid, gid, granule, visits, dwell, n_granules) -> CellTabl
 
 
 def _stop_rows(obj, a, b, gid, starts: np.ndarray, n_gids: int):
-    """:func:`_stop_cells` over the stop arrays of :func:`~repro.poi
+    """The granule attribution of the stop arrays of :func:`~repro.poi
     .segmentation.batch_stops`: ``(obj, gid, granule, visits, dwell)``,
     one row per cell.  ``np.bincount`` adds its weights in input order —
     stop time order — so a cell's dwell is the same left-to-right float
@@ -192,32 +140,6 @@ def _scan_cells(moft: MOFT, starts, pois, min_dwell, radius, obs) -> CellTable:
     if obs is not None and table.visits.size:
         obs.incr("poi_visits", int(table.visits.sum()))
     return table
-
-
-def poi_cells(
-    moft: MOFT,
-    time: TimeDimension,
-    granule_level: str,
-    pois: Mapping[Hashable, object],
-    min_dwell: float = 0.0,
-    radius: Optional[float] = None,
-    oids: Optional[Sequence[Hashable]] = None,
-    obs=None,
-) -> Dict[Hashable, ObjectCells]:
-    """Per-object POI cells of ``moft`` (``oids``: of those objects): the
-    cell table (:func:`_scan_cells`) rendered as dicts — what the differential
-    suites compare with the per-trajectory walk :func:`_object_cells`."""
-    if oids is not None:
-        moft = moft.restrict_objects(oids)
-    starts = time.granules(granule_level).starts
-    table = _scan_cells(moft, starts, pois, min_dwell, radius, obs)
-    gids = sorted(pois, key=repr)
-    out: Dict[Hashable, ObjectCells] = {oid: {} for oid in table.oids}
-    for oid, gid, code, visits, dwell in zip(
-        *(column.tolist() for column in table[1:6])
-    ):
-        out[table.oids[oid]][(gids[gid], code)] = (visits, dwell)
-    return out
 
 
 def _fold(group: np.ndarray, labels: list, values: np.ndarray) -> dict:

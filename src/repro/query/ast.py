@@ -254,14 +254,6 @@ class Domain(abc.ABC):
 
 
 @dataclass(frozen=True)
-class Instants(Domain):
-    """All instants of the time dimension."""
-
-    def values(self, context) -> Iterable[Any]:
-        return context.time.instants
-
-
-@dataclass(frozen=True)
 class ExplicitDomain(Domain):
     """A literal finite domain."""
 

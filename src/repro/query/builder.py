@@ -263,11 +263,6 @@ class RegionBuilder:
         self._conjuncts.append(formula)
         return self
 
-    def not_exists(self, formula: ast.Formula) -> "RegionBuilder":
-        """Append ``¬ formula`` (query 3's "never sampled elsewhere")."""
-        self._conjuncts.append(ast.Not(formula))
-        return self
-
     # -- projection & build ---------------------------------------------------------------
 
     def output(self, *columns: str) -> "RegionBuilder":

@@ -8,23 +8,21 @@ intersection between the segment defined by these two points and a city in
 the answer ... is not empty.  If so, it counts for the aggregation.  In
 the worst case, the whole trajectory must be checked."
 
-:class:`TrajectoryIntersectionCounter` implements step (2) with four
-refinements that the benchmarks ablate:
-
-* early exit per object once a hit is found (the paper's "if so, it
-  counts");
-* bounding-box prefiltering per segment (counted as ``bbox_rejections``
-  on both the naive and the indexed path);
-* a spatial-index candidate filter over the answer geometries — either
-  built in place or borrowed prebuilt from
-  :meth:`~repro.query.region.EvaluationContext.geometry_index`;
-* an optional columnar prefilter (decided cells, then
-  :func:`repro.query.vectorized.pairs_contain`): when every answer
-  geometry is a polygon, a sampled point inside a polygon already
-  proves the trajectory intersects, so those objects skip the segment
-  scan entirely.  The points of decided grid cells are answered by
-  their cell's label; only the rest, of objects still unproven, take
-  the containment kernel.
+:class:`TrajectoryIntersectionCounter` implements step (2).  It stops
+scanning an object at its first hit (the paper's "if so, it counts"),
+and tests a segment only against the geometries whose boxes meet its
+box (counted as ``bbox_rejections``).  Its shape is a function of the
+strategy that runs it.  ``serial`` is the reference: every probe of the
+per-object walk against every geometry's box, no prefilter.  Every other
+strategy also filters candidates through a spatial index over the answer
+(built in place or borrowed prebuilt from
+:meth:`~repro.query.region.EvaluationContext.geometry_index`) and, when
+every answer geometry is a polygon, runs a columnar prefilter first
+(decided cells, then :func:`repro.query.vectorized.pairs_contain`): a
+sampled point inside a polygon already proves the trajectory
+intersects, so those objects skip the segment scan entirely.  The
+points of decided grid cells are answered by their cell's label; only
+the rest, of objects still unproven, take the containment kernel.
 
 When every answer geometry is a polygon the scan is *batched*: the
 segments of the objects still pending, read in batches straight off the
@@ -197,41 +195,36 @@ class TrajectoryIntersectionCounter:
     geometries:
         Mapping ``geometry id -> geometry`` — the answer of the geometric
         subquery (e.g. the cities crossed by a river containing a store).
-    use_index:
-        Build a grid index over the geometries and only test segments
-        against candidates whose boxes meet the segment's box (the
-        per-object walk; the batched scan always bins through a grid).
-    early_exit:
-        Stop scanning an object's trajectory at the first hit (batched:
-        the object leaves the scan before the next kernel call).
+    strategy:
+        The strategy the scan runs under, which fixes its shape:
+        ``serial`` walks every probe past every geometry's box with no
+        prefilter; any other strategy filters the walk's candidates
+        through a grid index and, when every geometry is a polygon,
+        first accepts the objects with a sampled point inside some
+        polygon (sound because a segment endpoint inside a closed
+        polygon intersects it: the result set is the same, only the
+        operation counts differ).  The batched scan of a polygon answer
+        always bins through the pass's grid.
     index:
         A prebuilt :class:`UniformGridIndex` over exactly these
         geometries (e.g. from ``EvaluationContext.geometry_index``);
-        ignored when ``use_index`` is False.
+        ignored under ``serial``.
     polygons:
         A prebuilt :class:`~repro.geometry.kernels.PolygonPass` over
         exactly these geometries in id order (from
         ``EvaluationContext.polygon_pass``); its grid index serves as
         ``index``.  Default: built here when every geometry is a
-        polygon; with the prefilter on, its decided-cell grid is built
+        polygon; with the prefilter, its decided-cell grid is built
         here.  A shard task gets the grid with the counter and rebuilds
         only the cheap rest (the pickle carries geometries, not arrays
         derived from them).
-    vectorized_prefilter:
-        When every geometry is a polygon, accept objects with a sampled
-        point inside some polygon via the columnar batch test before
-        falling back to the per-segment scan.  Sound because a segment
-        endpoint inside a closed polygon intersects it; the result set is
-        identical, only the operation counts differ.
     """
 
     def __init__(
         self,
         geometries: Dict[Hashable, object],
-        use_index: bool = True,
-        early_exit: bool = True,
+        strategy: str = "grid",
         index: Optional[UniformGridIndex] = None,
-        vectorized_prefilter: bool = False,
         polygons: Optional["kernels.PolygonPass"] = None,
     ) -> None:
         if not geometries:
@@ -242,9 +235,7 @@ class TrajectoryIntersectionCounter:
         self.geometries = {
             gid: geometries[gid] for gid in sorted(geometries, key=repr)
         }
-        self.use_index = use_index
-        self.early_exit = early_exit
-        self.vectorized_prefilter = vectorized_prefilter
+        self.strategy = strategy
         #: The answer as polygons, for the batched scan (None: it holds
         #: other geometries).
         self._polygons: Optional[List[Polygon]] = list(
@@ -254,7 +245,7 @@ class TrajectoryIntersectionCounter:
             self._polygons = None
         if polygons is not None:
             index = polygons.index
-        if not use_index:
+        if strategy == "serial":
             self._index = None
         elif index is not None:
             self._index = index
@@ -266,9 +257,15 @@ class TrajectoryIntersectionCounter:
             self._pass = polygons or kernels.PolygonPass.of(
                 self.geometries, self._index
             )
-            if vectorized_prefilter:
+            if self._prefilter:
                 # The prefilter reads every sample of the table.
                 self._pass.label()
+
+    @property
+    def _prefilter(self) -> bool:
+        """Whether the sample prefilter runs (a polygon answer, and not
+        the ``serial`` reference)."""
+        return self._polygons is not None and self.strategy != "serial"
 
     def __getstate__(self) -> dict:
         # A shard task rebuilds the pass's edge table and bins from the
@@ -311,7 +308,7 @@ class TrajectoryIntersectionCounter:
         with stats.stage(EvaluationStats.SCAN_STAGE):
             hit = np.zeros(sizes.shape[0], dtype=bool)
             polygons = self._polygons is not None and n_rows > 0
-            if polygons and self.vectorized_prefilter:
+            if polygons and self._prefilter:
                 self._prove_by_samples(moft, rows, hit, stats)
                 stats.incr("vectorized_accepts", int(hit.sum()))
             batched = polygons and n_rows >= BATCH_MIN_ROWS
@@ -371,21 +368,19 @@ class TrajectoryIntersectionCounter:
         the rest of pending segments x polygons; the kernel counts into
         ``stats`` too; a segment whose box maps only to ``OUTSIDE``
         cells of the label grid (once built) meets no polygon and counts
-        its rejections before the broad phase.  With ``early_exit`` an
-        object leaves the scan at its first hit, and every object's
-        first segment goes ahead of the rest, in a round of its own: an
-        object that starts inside the answer costs one round-one pair
-        per polygon its first segment's box meets.  The second round
-        visits the remaining segments of the objects still pending.
-        Without ``early_exit`` there is one round over every segment.  A
-        round reads only the segments it visits (:func:`_segments_of`),
-        never those of an object already proven.
+        its rejections before the broad phase.  An object leaves the
+        scan at its first hit, and every object's first segment goes
+        ahead of the rest, in a round of its own: an object that starts
+        inside the answer costs one round-one pair per polygon its first
+        segment's box meets.  The second round visits the remaining
+        segments of the objects still pending.  A round reads only the
+        segments it visits (:func:`_segments_of`), never those of an
+        object already proven.
         """
-        # (skip, take): each object's first segment, then the rest.
-        rounds = [(0, 1), (1, None)] if self.early_exit else [(0, None)]
         width = len(self._polygons)
         labels = self._pass.labels_for(0)  # (the prefilter's, if built)
-        for skip, take in rounds:
+        # (skip, take): each object's first segment, then the rest.
+        for skip, take in ((0, 1), (1, None)):
             pairs: List[Tuple[np.ndarray, ...]] = []
             size = 0
             for batch in _segments_of(moft, index, np.flatnonzero(~hit), skip, take):
@@ -453,7 +448,6 @@ class TrajectoryIntersectionCounter:
     def _probes_match(
         self, probes: Sequence[object], stats: EvaluationStats
     ) -> bool:
-        found = False
         for probe in probes:
             box = geometry_bbox(probe)
             if self._index is not None:
@@ -474,11 +468,8 @@ class TrajectoryIntersectionCounter:
                     continue
                 stats.incr("segment_checks")
                 if geometries_intersect(geometry, probe):
-                    found = True
-                    break
-            if found and self.early_exit:
-                return True
-        return found
+                    return True
+        return False
 
 
 def geometric_subquery(
@@ -559,34 +550,26 @@ def counter_for(
     context: EvaluationContext,
     target: Tuple[str, str],
     ids: Set[Hashable],
-    use_index: bool = True,
-    early_exit: bool = True,
-    vectorized: bool = True,
+    strategy: str,
     stats: Optional[EvaluationStats] = None,
 ) -> TrajectoryIntersectionCounter:
-    """Build the scan counter over one geometric answer (the scan leaf):
-    with the answer's cached grid index and, for a polygon answer, its
-    cached :class:`~repro.geometry.kernels.PolygonPass` — without
-    ``use_index`` too, whose batched scan bins through that same pass
-    (only its per-object walk goes without the index)."""
+    """Build the scan counter over one geometric answer (the scan leaf)
+    in the shape of ``strategy``: with the answer's cached grid index
+    and, for a polygon answer, its cached
+    :class:`~repro.geometry.kernels.PolygonPass` — under ``serial`` too,
+    whose batched scan bins through that same pass (only its per-object
+    walk goes without the index)."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
     geometries = {gid: elements[gid] for gid in ids}
     index = polygons = None
     if all(isinstance(g, Polygon) for g in geometries.values()):
         polygons = context.polygon_pass(layer, kind, ids, obs=stats)
-    elif use_index:
+    elif strategy != "serial":
         index = context.geometry_index(layer, kind, ids, obs=stats)
     return TrajectoryIntersectionCounter(
-        geometries,
-        use_index=use_index,
-        early_exit=early_exit,
-        index=index,
-        vectorized_prefilter=vectorized,
-        polygons=polygons,
+        geometries, strategy, index=index, polygons=polygons
     )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -902,13 +885,12 @@ def execute(
     strategy: str,
     executor: Optional["ShardedTrajectoryExecutor"] = None,
     stats: Optional[EvaluationStats] = None,
-    **scan,
 ) -> Run:
     """Execute ``leaf`` under ``strategy``; return the run record.
 
     The one executor of every kind and front-end: after :func:`refuse`
     and :meth:`Leaf.check_unchanged`, the kind's store read (``preagg``)
-    or its scan leaf — through (``scan`` are the counter's options,
+    or its scan leaf — through (the counter in the strategy's shape,
     ``serial`` the unindexed walk), dwell, or the POI segmentation pass
     into a throwaway store.  ``sharded`` fans the leaf out over
     ``executor``, handed the whole table and the restriction so that
@@ -931,7 +913,7 @@ def execute(
         _poi_leaf(leaf, strategy, executor, run)
     elif leaf.ids:
         branch = _dwell_leaf if leaf.kind == "dwell" else _through_leaf
-        branch(leaf, strategy, executor, stats, run, scan)
+        branch(leaf, strategy, executor, stats, run)
     if not leaf.poi:
         run.scan_rows = run.stats.count("scan_rows")
         run.leaf_seconds = run.stats.seconds(EvaluationStats.SCAN_STAGE)
@@ -955,7 +937,7 @@ def _store_read(leaf: Leaf, run: Run, read) -> object:
     return answer
 
 
-def _through_leaf(leaf, strategy, executor, stats, run, scan) -> None:
+def _through_leaf(leaf, strategy, executor, stats, run) -> None:
     """Store read (plus the sliver the store leaves) or scan leaf."""
     context, moft = leaf.context, leaf.moft
     if strategy not in ("sharded", "preagg"):
@@ -989,9 +971,7 @@ def _through_leaf(leaf, strategy, executor, stats, run, scan) -> None:
         restriction = leaf.restriction
     else:
         rows = leaf.row_mask
-    if strategy == "serial":
-        scan = dict(scan, use_index=False, vectorized=False)
-    counter = counter_for(context, leaf.target, leaf.ids, stats=stats, **scan)
+    counter = counter_for(context, leaf.target, leaf.ids, strategy, stats)
     started = time.perf_counter()
     if executor is not None:
         run.answer |= executor.matching_objects(
@@ -1004,7 +984,7 @@ def _through_leaf(leaf, strategy, executor, stats, run, scan) -> None:
     _report(run, sink, executor)
 
 
-def _dwell_leaf(leaf, strategy, executor, stats, run, scan) -> None:
+def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
     """Store read (cells, spanning records, slivers clipped directly) or
     the dwell leaf: one broad phase and one dwell-kernel call per segment
     batch of the restricted table, on the (answer polygon, segment)
@@ -1069,10 +1049,7 @@ def objects_through(
     target: Tuple[str, str],
     constraints: Sequence[Tuple[str, Tuple[str, str]]],
     moft_name: str = "FM",
-    use_index: bool = True,
-    early_exit: bool = True,
     stats: Optional[EvaluationStats] = None,
-    vectorized: bool = True,
     executor: Optional["ShardedTrajectoryExecutor"] = None,
     window: Optional[Tuple[float, float]] = None,
     use_preagg: bool = True,
@@ -1093,8 +1070,7 @@ def objects_through(
         use_preagg=use_preagg,
     )
     return execute(
-        leaf, leaf.route_first(executor, stats), executor, stats,
-        use_index=use_index, early_exit=early_exit, vectorized=vectorized,
+        leaf, leaf.route_first(executor, stats), executor, stats
     ).answer
 
 
@@ -1103,10 +1079,7 @@ def count_objects_through(
     target: Tuple[str, str],
     constraints: Sequence[Tuple[str, Tuple[str, str]]],
     moft_name: str = "FM",
-    use_index: bool = True,
-    early_exit: bool = True,
     stats: Optional[EvaluationStats] = None,
-    vectorized: bool = True,
     executor: Optional["ShardedTrajectoryExecutor"] = None,
     window: Optional[Tuple[float, float]] = None,
     use_preagg: bool = True,
@@ -1131,8 +1104,8 @@ def count_objects_through(
     :func:`objects_through` for both).
     """
     return len(objects_through(
-        context, target, constraints, moft_name, use_index, early_exit,
-        stats, vectorized, executor, window, use_preagg,
+        context, target, constraints, moft_name, stats, executor, window,
+        use_preagg,
     ))
 
 

@@ -258,12 +258,6 @@ class PlanNode:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, op: str) -> Optional["PlanNode"]:
-        for node in self.walk():
-            if node.op == op:
-                return node
-        return None
-
 
 @dataclass
 class QueryPlan:

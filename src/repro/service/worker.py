@@ -389,10 +389,6 @@ class WorkerPool:
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
 
-    @property
-    def running(self) -> bool:
-        return bool(self._threads)
-
     def start(self) -> "WorkerPool":
         """Spawn the worker threads and the reaper (idempotent)."""
         if self._threads:

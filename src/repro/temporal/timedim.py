@@ -292,18 +292,6 @@ class TimeDimension:
         """Like :meth:`rollup`, None when the instant is unregistered."""
         return self.instance.try_rollup(instant, "timeId", level)
 
-    def hour_of(self, instant: int) -> int:
-        """Hour-of-day of an instant."""
-        return int(self.rollup(instant, "hour"))  # type: ignore[arg-type]
-
-    def day_of(self, instant: int) -> str:
-        """ISO day of an instant."""
-        return str(self.rollup(instant, "day"))
-
-    def time_of_day_of(self, instant: int) -> str:
-        """Day part ("Morning", ...) of an instant."""
-        return str(self.rollup(instant, "timeOfDay"))
-
     def matches(self, instant: int, level: str, member: Hashable) -> bool:
         """True when the instant rolls up to ``member`` at ``level``.
 
@@ -349,10 +337,6 @@ class TimeDimension:
                 f"no instants roll up to {member!r} at level {level!r}"
             )
         return count
-
-    def check_consistency(self) -> None:
-        """Validate totality/path-independence of all time rollups."""
-        self.instance.check_consistency()
 
     # -- granule partitions ------------------------------------------------------
 

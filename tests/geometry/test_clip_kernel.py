@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import GeometryError
 from repro.geometry import kernels
 from repro.geometry.kernels import (
-    classify_segments,
     clip_segments_batch,
     polygon_edge_arrays,
     segments_dwell,
@@ -40,6 +39,21 @@ from repro.gis import POLYGON
 from repro.obs import PipelineStats
 from repro.synth import CityConfig, build_city
 from repro.synth.movement import random_waypoint_moft
+
+
+def classify_segments(polygon, x0, y0, x1, y1):
+    """The far-field status every batch answer starts from, of each
+    segment against ``polygon``: 0 provably outside, 1 provably fully
+    inside, 2 undecided (left to the crossing solver or the scalar
+    path)."""
+    x0, y0, x1, y1 = kernels._float_columns(x0, y0, x1, y1)
+    edges, pos = kernels._one(polygon, x0.shape[0])
+    out = np.empty(x0.shape[0], dtype=np.uint8)
+    for lo, hi in kernels._chunks(edges, pos):
+        out[lo:hi] = kernels._classify(
+            edges, pos[lo:hi], x0[lo:hi], y0[lo:hi], x1[lo:hi], y1[lo:hi]
+        )
+    return out
 
 
 @pytest.fixture(autouse=True)

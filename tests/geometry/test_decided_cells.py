@@ -291,9 +291,7 @@ class TestCompleteness:
         )
         moft = stop_biased_moft(install_city_pois(city), 100, 100)
         polygons = city.gis.layer("Ln").elements(POLYGON)
-        counter = TrajectoryIntersectionCounter(
-            polygons, vectorized_prefilter=True
-        )
+        counter = TrajectoryIntersectionCounter(polygons, "grid")
         stats = PipelineStats()
         counter.matching_objects(moft, stats)
         share = stats.count("cell_decided_points") / len(moft)

@@ -22,9 +22,6 @@ class TestPoint:
     def test_squared_distance_exact(self):
         assert Point(0, 0).squared_distance_to(Point(3, 4)) == 25
 
-    def test_translation(self):
-        assert Point(1, 1).translated(2, -1) == Point(3, 0)
-
     def test_midpoint(self):
         assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
 

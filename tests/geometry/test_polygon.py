@@ -74,9 +74,6 @@ class TestMeasures:
     def test_area_with_hole(self):
         assert square_with_hole().area == pytest.approx(100 - 4)
 
-    def test_perimeter_with_hole(self):
-        assert square_with_hole().perimeter == pytest.approx(40 + 8)
-
     def test_concave_area(self):
         assert concave_l().area == pytest.approx(3)
 

@@ -147,9 +147,6 @@ class TestMemberValues:
         inst = build_instance()
         with pytest.raises(InstanceError):
             inst.member_value("neighborhood", "berchem", "population")
-        assert (
-            inst.try_member_value("neighborhood", "berchem", "population") is None
-        )
 
     def test_members_where(self):
         inst = build_instance()

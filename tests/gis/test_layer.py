@@ -9,8 +9,8 @@ from repro.gis import LINE, NODE, POLYGON, POLYLINE, Layer
 
 def neighborhoods_layer() -> Layer:
     layer = Layer("Ln")
-    layer.add_polygon("berchem", Polygon.rectangle(0, 0, 10, 10))
-    layer.add_polygon("zuid", Polygon.rectangle(10, 0, 20, 10))
+    layer.add(POLYGON, "berchem", Polygon.rectangle(0, 0, 10, 10))
+    layer.add(POLYGON, "zuid", Polygon.rectangle(10, 0, 20, 10))
     return layer
 
 
@@ -21,10 +21,10 @@ class TestPopulation:
 
     def test_add_all_kinds(self):
         layer = Layer("L")
-        layer.add_node("school1", Point(1, 1))
-        layer.add_line("seg1", Segment(Point(0, 0), Point(1, 0)))
-        layer.add_polyline("street1", Polyline([Point(0, 0), Point(5, 5)]))
-        layer.add_polygon("zone1", Polygon.rectangle(0, 0, 2, 2))
+        layer.add(NODE, "school1", Point(1, 1))
+        layer.add(LINE, "seg1", Segment(Point(0, 0), Point(1, 0)))
+        layer.add(POLYLINE, "street1", Polyline([Point(0, 0), Point(5, 5)]))
+        layer.add(POLYGON, "zone1", Polygon.rectangle(0, 0, 2, 2))
         assert layer.kinds() == {NODE, LINE, POLYLINE, POLYGON}
         assert layer.size() == 4
 
@@ -36,12 +36,12 @@ class TestPopulation:
     def test_duplicate_id_rejected(self):
         layer = neighborhoods_layer()
         with pytest.raises(InstanceError):
-            layer.add_polygon("berchem", Polygon.rectangle(0, 0, 1, 1))
+            layer.add(POLYGON, "berchem", Polygon.rectangle(0, 0, 1, 1))
 
     def test_same_id_different_kinds_allowed(self):
         layer = Layer("L")
-        layer.add_node("x", Point(0, 0))
-        layer.add_polygon("x", Polygon.rectangle(0, 0, 1, 1))
+        layer.add(NODE, "x", Point(0, 0))
+        layer.add(POLYGON, "x", Polygon.rectangle(0, 0, 1, 1))
         assert layer.size() == 2
 
 
@@ -107,5 +107,5 @@ class TestSpatialQueries:
     def test_index_invalidation_on_add(self):
         layer = neighborhoods_layer()
         assert layer.locate_point(POLYGON, Point(25, 5)) == set()
-        layer.add_polygon("north", Polygon.rectangle(20, 0, 30, 10))
+        layer.add(POLYGON, "north", Polygon.rectangle(20, 0, 30, 10))
         assert layer.locate_point(POLYGON, Point(25, 5)) == {"north"}

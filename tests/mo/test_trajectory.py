@@ -116,7 +116,6 @@ class TestLIT:
         lit = LinearInterpolationTrajectory(l_sample())
         assert lit.speed_on_piece(0) == pytest.approx(1.0)
         assert lit.speed_on_piece(1) == pytest.approx(1.0)
-        assert lit.speed_at(2) == pytest.approx(1.0)
 
     def test_speed_piece_out_of_range(self):
         lit = LinearInterpolationTrajectory(l_sample())

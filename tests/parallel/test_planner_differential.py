@@ -26,7 +26,7 @@ from repro.gis import NODE, POLYGON, POLYLINE
 from repro.parallel import ShardedExecutor, ShardedPietQLExecutor
 from repro.pietql import PietQLExecutor
 from repro.preagg import PreAggStore
-from repro.query.evaluator import count_objects_through, objects_through
+from repro.query.evaluator import execute, objects_through, resolve_through
 from repro.query.planner import (
     STRATEGIES,
     CostModel,
@@ -40,6 +40,7 @@ from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
 from tests.parallel.conftest import FIG1_BINDINGS, SYNTH_BINDINGS
+from tests.query.plans import find
 
 FIG1_TARGET = ("Ln", POLYGON)
 FIG1_CONSTRAINTS = [
@@ -120,10 +121,10 @@ def assert_all_strategies_agree(
     set (plain and sharded executor) must then equal the set of every
     forced strategy and of the route-first ``objects_through``.
     """
-    reference = count_objects_through(
-        context, target, constraints, moft_name=moft_name, window=window,
-        use_preagg=False, use_index=False, vectorized=False,
-    )
+    reference = len(execute(resolve_through(
+        context, target, constraints, moft_name, window=window,
+        use_preagg=False,
+    ), "serial").answer)
     executor = ShardedExecutor(backend="serial", n_shards=3, obs=context.obs)
     matched = {}
     for strategy in STRATEGIES:
@@ -212,7 +213,7 @@ class TestSynth:
             synth_preagg, SYNTH_TARGET, SYNTH_CONSTRAINTS,
             window=(30.5, 80.5), force_strategy="preagg",
         )
-        sliver = plan.root.find("SliverScan")
+        sliver = find(plan.root, "SliverScan")
         assert sliver is not None
         assert sliver.est_rows > 0
 
@@ -221,7 +222,7 @@ class TestSynth:
             synth_preagg, SYNTH_TARGET, SYNTH_CONSTRAINTS,
             window=(24.0, 71.0), force_strategy="preagg",
         )
-        assert plan.root.find("SliverScan") is None
+        assert find(plan.root, "SliverScan") is None
 
 
 #: Positive cost constants spanning six orders of magnitude — wide

@@ -25,9 +25,9 @@ from repro.parallel import RetryPolicy, ShardedExecutor
 from repro.parallel.shm import (
     BLOCK_PREFIX,
     ShardBlock,
-    create_shard_block,
     leaked_segments,
     moft_from_descriptor,
+    serialize_shards,
 )
 from repro.query.evaluator import TrajectoryIntersectionCounter
 from repro.synth.movement import random_waypoint_moft
@@ -63,7 +63,7 @@ REGION = Polygon([Point(20, 20), Point(70, 20), Point(70, 70), Point(20, 70)])
 class TestDescriptors:
     def test_round_trip_per_shard(self, moft):
         shards = moft.partition_by_objects(4)
-        block, descriptors = create_shard_block(shards)
+        block, descriptors = serialize_shards(shards).publish()
         try:
             assert len(descriptors) == len(shards)
             for shard, descriptor in zip(shards, descriptors):
@@ -76,7 +76,7 @@ class TestDescriptors:
 
     def test_views_are_zero_copy(self, moft):
         shards = moft.partition_by_objects(2)
-        block, descriptors = create_shard_block(shards)
+        block, descriptors = serialize_shards(shards).publish()
         try:
             clone = moft_from_descriptor(descriptors[0])
             t, x, y = clone.as_arrays()
@@ -87,14 +87,16 @@ class TestDescriptors:
             block.close()
 
     def test_block_close_is_idempotent(self, moft):
-        block, _ = create_shard_block(moft.partition_by_objects(2))
+        block, _ = serialize_shards(moft.partition_by_objects(2)).publish()
         assert block.name in leaked_segments()
         block.close()
         block.close()
         assert block.name not in leaked_segments()
 
     def test_context_manager_unlinks(self, moft):
-        with create_shard_block(moft.partition_by_objects(2))[0] as block:
+        with serialize_shards(
+            moft.partition_by_objects(2)
+        ).publish()[0] as block:
             assert block.name in leaked_segments()
         assert block.name not in leaked_segments()
 
@@ -161,7 +163,11 @@ class TestPayloadAccounting:
                 obs=obs,
                 track_payload_bytes=True,
             ) as executor:
-                counter = TrajectoryIntersectionCounter({"region": REGION})
+                # (The counter travels with every task on both backends;
+                # the ``serial`` shape carries no label grid.)
+                counter = TrajectoryIntersectionCounter(
+                    {"region": REGION}, "serial"
+                )
                 executor.matching_objects(counter, moft)
             return obs
 

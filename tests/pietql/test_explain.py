@@ -7,6 +7,8 @@ from repro.pietql import LayerBinding, PietQLExecutor, format_query, parse
 from repro.preagg import PreAggStore
 from repro.synth.paperdata import figure1_instance
 
+from tests.query.plans import find
+
 THROUGH_QUERY = (
     "SELECT layer.neighborhoods FROM Fig1 "
     "WHERE intersection(layer.rivers, layer.neighborhoods) "
@@ -79,10 +81,10 @@ class TestExecution:
         assert plan.executed
         assert plan.result_count == 5
         assert plan.strategy == "grid"
-        scan = plan.root.find("GridScan")
+        scan = find(plan.root, "GridScan")
         assert scan is not None
         assert scan.actual_rows == 12
-        geo = plan.root.find("GeometricSubquery")
+        geo = find(plan.root, "GeometricSubquery")
         assert geo.actual_rows == 2
 
     def test_explain_render_mentions_stages(self, executor):
@@ -97,7 +99,7 @@ class TestExecution:
         assert result.count == 5
         plan = result.plan
         assert plan.strategy == "preagg"
-        assert plan.root.find("PreAggLookup") is not None
+        assert find(plan.root, "PreAggLookup") is not None
         # The scans it did not run show up as rejected alternatives: the
         # plan is the planner's, so every priced candidate is named.
         assert dict(plan.alternatives).keys() == {"serial", "grid"}
@@ -113,7 +115,7 @@ class TestExecution:
             "| COUNT OBJECTS FROM FMbus THROUGH RESULT "
             "DURING timeOfDay = 'Morning'"
         )
-        during = result.plan.root.find("DuringRestriction")
+        during = find(result.plan.root, "DuringRestriction")
         assert during is not None
         assert "timeOfDay" in during.detail
 
@@ -123,7 +125,7 @@ class TestExecution:
             "| COUNT SAMPLES FROM FMbus"
         )
         assert result.plan.strategy == "count"
-        assert result.plan.root.find("CountRows") is not None
+        assert find(result.plan.root, "CountRows") is not None
         assert result.count == 12.0
 
     def test_olap_part_in_plan(self, executor):
@@ -131,6 +133,6 @@ class TestExecution:
             "EXPLAIN SELECT layer.neighborhoods FROM Fig1 "
             "| AGGREGATE sum(income) BY neighborhood"
         )
-        node = result.plan.root.find("OlapAggregate")
+        node = find(result.plan.root, "OlapAggregate")
         assert node is not None
         assert "sum(income)" in node.detail

@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 from repro.geometry.kernels import (
     disc_clip_batch,
     disc_clip_scalar,
-    disc_dwell,
-    disc_dwell_scalar,
     set_kernel_backend,
 )
 from repro.poi import PoiVisitStore
 
 from tests.poi.conftest import canon
+from tests.poi.oracle import disc_dwell_scalar
 
 pytestmark = pytest.mark.poi
 
@@ -129,9 +128,10 @@ class TestClipBitwise:
         cx, cy = data.draw(finite), data.draw(finite)
         r = data.draw(st.floats(0.1, 50.0))
         dt = t1 - t0
-        batched = disc_dwell(
-            cx, cy, r, arrays[0], arrays[1], arrays[2], arrays[3], dt
+        lo, hi = disc_clip_batch(
+            cx, cy, r, arrays[0], arrays[1], arrays[2], arrays[3]
         )
+        batched = (hi - lo) * np.asarray(dt, dtype=np.float64)
         scalar = disc_dwell_scalar(
             cx, cy, r, arrays[0], arrays[1], arrays[2], arrays[3], dt
         )

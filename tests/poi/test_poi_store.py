@@ -21,13 +21,14 @@ from repro.errors import (
 from repro.mo.moft import MOFT
 from repro.olap import poi_parent_mapping, spatial_drilldown
 from repro.parallel import ShardedExecutor
-from repro.poi import PoiVisitStore, poi_cells
+from repro.poi import PoiVisitStore
 from repro.query.planner import execute_poi_plan, plan_poi_aggregate
 from repro.query.poi import poi_visit_counts, resolve_poi
 from repro.query.region import EvaluationContext
 from repro.synth.paperdata import figure1_instance
 
 from tests.poi.conftest import canon
+from tests.poi.oracle import poi_cells
 
 pytestmark = pytest.mark.poi
 

@@ -1,10 +1,11 @@
 """Adversarial differential: the segmented array scan vs the walk.
 
-:func:`repro.poi.poi_cells` finds the stops of all objects in array
-passes (:func:`repro.poi.segmentation.batch_stops`) and attributes them
-to granules in another (:func:`repro.poi.store._stop_rows`).  The
-per-trajectory :func:`~repro.poi.segment_stops_moves` walk stays as the
-oracle: cells equal as dicts — dwell by ``==``, no tolerance — and the
+The cell table of a store build (rendered by ``tests/poi/oracle.py``'s
+``poi_cells``) finds the stops of all objects in array passes
+(:func:`repro.poi.segmentation.batch_stops`) and attributes them to
+granules in another (:func:`repro.poi.store._stop_rows`).  The
+per-trajectory walk (the same module's ``object_cells``, over
+:func:`~repro.poi.segment_stops_moves`) stays as the oracle: cells equal as dicts — dwell by ``==``, no tolerance — and the
 same ``stop_episodes`` / ``poi_visits`` / ``disc_kernel_segments``.
 
 The worlds are built to hit what the synthetic city does not: nested
@@ -34,9 +35,10 @@ import repro.mo.moft as moft_module
 from repro.mo import MOFT
 from repro.mo.trajectory import LinearInterpolationTrajectory
 from repro.obs import PipelineStats
-from repro.poi import poi_cells, segment_stops_moves, segmentation
-from repro.poi.store import _object_cells
+from repro.poi import segment_stops_moves, segmentation
 from repro.temporal.timedim import TimeDimension
+
+from tests.poi.oracle import object_cells, poi_cells
 
 pytestmark = pytest.mark.poi
 
@@ -61,7 +63,7 @@ def walked(moft, time, level, pois, radius=None, min_dwell=0.0):
     obs = PipelineStats()
     cells = {}
     for oid in moft.objects():
-        found = _object_cells(
+        found = object_cells(
             moft, oid, starts, pois, radius, min_dwell, obs=obs
         )
         if found:

@@ -4,13 +4,14 @@ Every trajectory scan hands the batch kernels the table's segment table
 (all objects at once).  The per-object paths stay as the reference:
 
 * matched id sets equal :meth:`TrajectoryIntersectionCounter
-  ._object_matches`, object by object, under every flag combination
-  (tables under ``BATCH_MIN_ROWS`` rows take the walk by themselves, so
-  each is also scanned with that threshold at zero);
+  ._object_matches`, object by object, in both shapes of the scan
+  (``serial`` and ``grid``; tables under ``BATCH_MIN_ROWS`` rows take
+  the walk by themselves, so each is also scanned with that threshold
+  at zero);
 * dwell equals the per-object :func:`~repro.mo.operations.time_inside`
   sum at 1e-9;
-* :func:`~repro.poi.store.poi_cells` equals, as a dict, the per-object
-  :func:`~repro.poi.store._object_cells`.
+* the POI cell table (``tests/poi/oracle.py``'s ``poi_cells``) equals,
+  as a dict, the per-object walk ``object_cells`` of the same module.
 
 Worlds: Figure 1, the 10k-sample city, and hypothesis tables on a
 lattice that puts samples on polygon edges and vertices (boundary-
@@ -18,7 +19,6 @@ hugging and vertex-touching segments), repeats positions (stationary
 pieces) and leaves objects with a single sample.
 """
 
-import itertools
 import math
 from datetime import datetime
 
@@ -43,7 +43,6 @@ from repro.mo.moft import SegmentIndex
 from repro.mo.operations import time_inside
 from repro.mo.trajectory import LinearInterpolationTrajectory
 from repro.obs import EvaluationStats, PipelineStats
-from repro.poi.store import _object_cells, poi_cells
 from repro.query import evaluator
 from repro.query.aggregate import total_dwell_time
 from repro.query.evaluator import TrajectoryIntersectionCounter
@@ -58,19 +57,18 @@ from repro.synth import (
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
-FLAGS = list(itertools.product((True, False), repeat=3))
+from tests.poi.oracle import object_cells, poi_cells
+
+#: The two shapes of the through scan: the unindexed walk with no
+#: prefilter, and the indexed, prefiltered scan of every other strategy.
+SCAN_STRATEGIES = ("serial", "grid")
 
 
 def assert_scan_equals_walk(geometries, moft):
     """``matching_objects`` == ``_object_matches`` per object, with small
     tables left to the size rule and forced through the batched scan."""
-    for early_exit, prefilter, use_index in FLAGS:
-        counter = TrajectoryIntersectionCounter(
-            geometries,
-            use_index=use_index,
-            early_exit=early_exit,
-            vectorized_prefilter=prefilter,
-        )
+    for strategy in SCAN_STRATEGIES:
+        counter = TrajectoryIntersectionCounter(geometries, strategy)
         walked = {
             oid
             for oid in moft.objects()
@@ -105,7 +103,7 @@ def assert_cells_equal_walk(moft, time, level, pois, **options):
     starts = np.asarray(time.granules(level).starts, dtype=np.float64)
     walked = {}
     for oid in moft.objects():
-        cells = _object_cells(
+        cells = object_cells(
             moft, oid, starts, pois, options.get("radius"),
             options.get("min_dwell", 0.0),
         )
@@ -114,7 +112,7 @@ def assert_cells_equal_walk(moft, time, level, pois, **options):
     obs, walk_obs = PipelineStats(), PipelineStats()
     assert poi_cells(moft, time, level, pois, obs=obs, **options) == walked
     for oid in moft.objects():
-        _object_cells(
+        object_cells(
             moft, oid, starts, pois, options.get("radius"),
             options.get("min_dwell", 0.0), obs=walk_obs,
         )
@@ -223,17 +221,21 @@ class TestCity:
         assert pairs == (n_rows - len(moft.objects())) * len(polygons)
         assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
 
-    @pytest.mark.parametrize("early_exit", [True, False])
-    def test_through_counts_its_kernel_work(self, city, early_exit):
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_through_counts_its_kernel_work(self, city, restricted):
         """The through leaf hands the kernel exactly its broad-phase
-        pairs, and counts the kernel into the scan's stats."""
+        pairs, and counts the kernel into the scan's stats, over the
+        whole table or a window of its rows (``serial``: the sample
+        prefilter would prove every object here)."""
         built, _, _, moft = city
         polygons = built.gis.layer("Ln").elements(POLYGON)
         some = dict(sorted(polygons.items(), key=repr)[::4])
+        t = moft.as_arrays()[0]
+        rows = ((t >= 24) & (t <= 47)) if restricted else None
         stats = EvaluationStats()
-        TrajectoryIntersectionCounter(
-            some, early_exit=early_exit, vectorized_prefilter=False
-        ).matching_objects(moft, stats)
+        TrajectoryIntersectionCounter(some, "serial").matching_objects(
+            moft, stats, rows=rows
+        )
         assert stats.count("segment_checks") > 0
         assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
 
@@ -315,22 +317,32 @@ class TestLatticeTables:
     @given(samples)
     @settings(deadline=None)
     def test_every_pair_is_visited_without_early_exit(self, rows):
-        _, _, moft = lattice_world(rows)
+        """The dwell leaf has no early exit: its pairs and rejections
+        make up segments x polygons, and the through scan, which stops
+        an object at its first hit, checks at most those pairs."""
+        gis, time, moft = lattice_world(rows)
+        n_segments = len(moft) - len(moft.objects())
+        dwell = EvaluationStats()
+        total_dwell_time(
+            EvaluationContext(gis, time, moft), ("Ln", POLYGON), [],
+            use_preagg=False, stats=dwell,
+        )
+        pairs = dwell.count("segment_checks") + dwell.count("bbox_rejections")
+        assert pairs == n_segments * len(SHAPES)
         # Single-sample objects take the walk, which counts its own way.
         moft = moft.restrict_objects(
             {oid for oid in moft.objects() if moft.sample_count(oid) > 1}
         )
-        n_segments = len(moft) - len(moft.objects())
-        lazy, eager = EvaluationStats(), EvaluationStats()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evaluator, "BATCH_MIN_ROWS", 0)
-            for early_exit, stats in ((False, lazy), (True, eager)):
-                TrajectoryIntersectionCounter(
-                    SHAPES, early_exit=early_exit
-                ).matching_objects(moft, stats)
-        pairs = lazy.count("segment_checks") + lazy.count("bbox_rejections")
-        assert pairs == n_segments * len(SHAPES)
-        assert eager.count("segment_checks") <= lazy.count("segment_checks")
+            for strategy in SCAN_STRATEGIES:
+                through = EvaluationStats()
+                TrajectoryIntersectionCounter(SHAPES, strategy).matching_objects(
+                    moft, through
+                )
+                assert through.count("segment_checks") <= dwell.count(
+                    "segment_checks"
+                )
 
     @given(samples, st.sampled_from([None, (2.0, 9.0)]))
     @settings(deadline=None)

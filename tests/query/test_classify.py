@@ -237,6 +237,6 @@ class TestBuiltRegions:
         placement_methods = {
             name for name in vars(RegionBuilder)
             if not name.startswith("_")
-        } - {"from_moft", "during", "where_time", "filter", "not_exists",
-             "output", "build", "explain", "count_query"}
+        } - {"from_moft", "during", "where_time", "filter", "output",
+             "build", "explain", "count_query"}
         assert placement_methods == set(PLACEMENTS)

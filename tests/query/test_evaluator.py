@@ -57,16 +57,13 @@ class TestTrajectoryIntersectionCounter:
 
     def test_all_strategy_combinations_agree(self):
         expected = {"inside", "crossing", "single-hit"}
-        for use_index in (True, False):
-            for early_exit in (True, False):
-                counter = TrajectoryIntersectionCounter(
-                    self.squares(), use_index=use_index, early_exit=early_exit
-                )
-                assert counter.matching_objects(self.moft()) == expected
+        for strategy in ("serial", "grid"):
+            counter = TrajectoryIntersectionCounter(self.squares(), strategy)
+            assert counter.matching_objects(self.moft()) == expected
 
     def test_stats_populated(self):
         stats = EvaluationStats()
-        counter = TrajectoryIntersectionCounter(self.squares(), use_index=False)
+        counter = TrajectoryIntersectionCounter(self.squares(), "serial")
         counter.matching_objects(self.moft(), stats)
         assert stats.count("objects_scanned") == 5
         assert stats.count("objects_matched") == 3
@@ -85,18 +82,21 @@ class TestTrajectoryIntersectionCounter:
 
     def test_early_exit_fewer_checks(self):
         moft = MOFT()
-        # Long trajectory inside the polygon: early exit stops at piece 1.
+        # Long trajectory inside the polygon: early exit stops at piece 1
+        # of the 49 a visit of every piece would check.
         for i in range(50):
             moft.add("runner", i, 1.0 + 0.1 * i, 1.0)
-        eager = EvaluationStats()
+        walk = EvaluationStats()
         TrajectoryIntersectionCounter(
-            self.squares(), early_exit=True
-        ).matching_objects(moft, eager)
-        lazy = EvaluationStats()
+            self.squares(), "serial"
+        ).matching_objects(moft, walk)
+        assert walk.count("segment_checks") == 1 < len(moft) - 1
+        # The prefilter proves it by its first sample: no piece at all.
+        proved = EvaluationStats()
         TrajectoryIntersectionCounter(
-            self.squares(), early_exit=False
-        ).matching_objects(moft, lazy)
-        assert eager.count("segment_checks") < lazy.count("segment_checks")
+            self.squares(), "grid"
+        ).matching_objects(moft, proved)
+        assert proved.count("segment_checks") == 0
 
 
 class TestGeometricSubquery:

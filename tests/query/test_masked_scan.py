@@ -121,18 +121,14 @@ class TestMaskedEqualsChild:
         try:
             for backend in ("numpy", "scalar"):
                 set_kernel_backend(backend)
-                for early_exit in (True, False):
-                    for prefilter in (True, False):
-                        counter = TrajectoryIntersectionCounter(
-                            SHAPES, early_exit=early_exit,
-                            vectorized_prefilter=prefilter,
-                        )
-                        for batch_min in (evaluator.BATCH_MIN_ROWS, 0):
-                            with pytest.MonkeyPatch.context() as patch:
-                                patch.setattr(evaluator, "BATCH_MIN_ROWS", batch_min)
-                                masked = scan(counter, moft, mask)
-                                plain = scan(counter, child)
-                            assert masked == plain, (backend, early_exit, prefilter)
+                for strategy in ("serial", "grid"):
+                    counter = TrajectoryIntersectionCounter(SHAPES, strategy)
+                    for batch_min in (evaluator.BATCH_MIN_ROWS, 0):
+                        with pytest.MonkeyPatch.context() as patch:
+                            patch.setattr(evaluator, "BATCH_MIN_ROWS", batch_min)
+                            masked = scan(counter, moft, mask)
+                            plain = scan(counter, child)
+                        assert masked == plain, (backend, strategy)
         finally:
             set_kernel_backend("numpy")
 
@@ -279,9 +275,9 @@ class TestNoChildTable:
         assert mask_rows_calls["mask_rows"] == 0
 
 
-def answer_counter(context, **options):
+def answer_counter(context, strategy="grid"):
     ids = geometric_subquery(context, TARGET, CONSTRAINTS)
-    return counter_for(context, TARGET, ids, **options)
+    return counter_for(context, TARGET, ids, strategy)
 
 
 class TestDecidedWorkIsSkipped:
@@ -320,13 +316,16 @@ class TestDecidedWorkIsSkipped:
         monkeypatch.undo()
         assert got == counter.matching_objects(moft.mask_rows(mask))
 
-    @pytest.mark.parametrize("early_exit", [True, False])
+    @pytest.mark.parametrize("restricted", [False, True])
     def test_outside_segments_skip_the_broad_phase(
-        self, bare, monkeypatch, numpy_backend, early_exit
+        self, bare, monkeypatch, numpy_backend, restricted
     ):
         moft = bare.moft("FM")
+        t, _, _ = moft.as_arrays()
+        mask = (t >= MISALIGNED[0]) & (t <= MISALIGNED[1])
+        mask |= not restricted
         # (The prefilter would prove every object of this table.)
-        counter = answer_counter(bare, early_exit=early_exit, vectorized=False)
+        counter = answer_counter(bare, "serial")
         labels = counter._pass.label()
         boxes = np.concatenate(
             [np.stack(batch.boxes()) for batch in moft.segments()], axis=1
@@ -341,27 +340,41 @@ class TestDecidedWorkIsSkipped:
             return real(bins, *boxes)
 
         monkeypatch.setattr(evaluator, "candidate_pairs", spy)
-        counter.matching_objects(moft, EvaluationStats())
+        counter.matching_objects(moft, EvaluationStats(), rows=mask)
         assert calls and not any(calls)
 
     @pytest.mark.parametrize("restricted", [False, True])
-    def test_rejection_identity(self, bare, numpy_backend, restricted):
-        """Without early exit or the prefilter every segment is pending
-        once: its rejections and its pairs make up segments x polygons,
-        the segments skipped before the broad phase included."""
+    def test_rejection_identity(
+        self, bare, monkeypatch, numpy_backend, restricted
+    ):
+        """Every segment a round reads is pending once: the rejections
+        and the pairs make up segments read x polygons, the segments
+        skipped before the broad phase included.  (The dwell leaf, which
+        has no early exit, reads every segment:
+        ``test_batched_scan.py``.)"""
         moft = bare.moft("FM")
-        counter = answer_counter(bare, early_exit=False, vectorized=False)
+        counter = answer_counter(bare, "serial")
         counter._pass.label()
         t, _, _ = moft.as_arrays()
         mask = (t >= MISALIGNED[0]) & (t <= MISALIGNED[1])
         mask |= not restricted
         kept = np.bincount(moft.object_codes()[mask])
         segments = int(np.maximum(kept - 1, 0).sum())
+        read = []
+        real = evaluator._segments_of
+
+        def spy(*args):
+            for batch in real(*args):
+                read.append(len(batch))
+                yield batch
+
+        monkeypatch.setattr(evaluator, "_segments_of", spy)
         stats = EvaluationStats()
         counter.matching_objects(moft, stats, rows=mask)
         width = len(counter.geometries)
         pairs = stats.count("bbox_rejections") + stats.count("segment_checks")
-        assert pairs == segments * width
+        assert pairs == sum(read) * width
+        assert 0 < sum(read) <= segments
         # (Plain ints: the counters end up in JSON.)
         assert {type(v) for v in stats.counters.values()} == {int}
         assert stats.count("segment_checks") > 0

@@ -68,6 +68,8 @@ from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.query.plans import find
+
 TARGET = ("Ln", POLYGON)
 CONSTRAINTS = [("intersects", ("Lr", POLYLINE)), ("contains", ("Ls", NODE))]
 THROUGH = dict(moft_name="FMbus")
@@ -349,7 +351,7 @@ class TestRunRecordFillsEveryPlan:
             assert node.actual_seconds is not None, node.op
         assert chosen.root.actual_rows == len(answer)
         if strategy != "preagg":
-            scan = chosen.root.find("StopSegmentScan")
+            scan = find(chosen.root, "StopSegmentScan")
             assert scan.actual_rows == len(context.moft("FMbus"))
 
 

@@ -60,6 +60,8 @@ from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.query.plans import find
+
 TARGET = ("Ln", POLYGON)
 CONSTRAINTS = [("intersects", ("Lr", POLYLINE))]
 BINDINGS = {
@@ -252,10 +254,12 @@ def scan_figures(stats: PipelineStats, before=None) -> dict:
 NOTHING = dict.fromkeys(SCAN_FIGURES, 0)
 
 
-def reference_figures(context, window=None, n_shards=None, **leaf) -> dict:
+def reference_figures(
+    context, window=None, n_shards=None, strategy="grid"
+) -> dict:
     """What the scan leaf counts for this query, run on its own."""
     ids = geometric_subquery(context, TARGET, CONSTRAINTS, obs=PipelineStats())
-    counter = counter_for(context, TARGET, ids, stats=PipelineStats(), **leaf)
+    counter = counter_for(context, TARGET, ids, strategy, PipelineStats())
     moft = context.moft("FM")
     if window is not None:
         t, _, _ = moft.as_arrays()
@@ -272,16 +276,12 @@ def reference_figures(context, window=None, n_shards=None, **leaf) -> dict:
 
 class TestObserverRule:
     @pytest.mark.parametrize(
-        "strategy, node, leaf",
-        [
-            ("serial", "SerialScan", dict(use_index=False, vectorized=False)),
-            ("grid", "GridScan", {}),
-        ],
+        "strategy, node", [("serial", "SerialScan"), ("grid", "GridScan")]
     )
     def test_unsharded_scan_reaches_the_context_observer(
-        self, bare, strategy, node, leaf
+        self, bare, strategy, node
     ):
-        expected = reference_figures(bare, **leaf)
+        expected = reference_figures(bare, strategy=strategy)
         before = bare.obs.snapshot()
         count, plan = planned_count_objects_through(
             bare, TARGET, CONSTRAINTS, force_strategy=strategy
@@ -289,7 +289,7 @@ class TestObserverRule:
         seen = scan_figures(bare.obs, before)
         assert seen == expected
         assert seen["scan_rows"] == len(bare.moft("FM"))
-        assert plan.root.find(node).actual_rows == seen["scan_rows"]
+        assert find(plan.root, node).actual_rows == seen["scan_rows"]
         assert plan.root.actual_rows == count
 
     def test_fanout_on_the_context_observer_counts_once(self, bare):
@@ -304,8 +304,8 @@ class TestObserverRule:
         seen = scan_figures(bare.obs, before)
         assert seen == expected
         assert seen["scan_rows"] == len(bare.moft("FM"))
-        assert plan.root.find("ShardFanout").actual_rows == seen["scan_rows"]
-        assert plan.root.find("GridScan").actual_rows == seen["scan_rows"]
+        assert find(plan.root, "ShardFanout").actual_rows == seen["scan_rows"]
+        assert find(plan.root, "GridScan").actual_rows == seen["scan_rows"]
 
     def test_fanout_on_its_own_observer_stays_there(self, bare):
         executor = ShardedExecutor("serial", n_shards=3)
@@ -320,7 +320,7 @@ class TestObserverRule:
         assert scan_figures(executor.obs) == expected
         assert scan_figures(bare.obs, before) == NOTHING
         assert (
-            plan.root.find("ShardFanout").actual_rows == expected["scan_rows"]
+            find(plan.root, "ShardFanout").actual_rows == expected["scan_rows"]
         )
 
     def test_hybrid_counts_its_sliver_scan(self, stored):
@@ -334,8 +334,8 @@ class TestObserverRule:
         )
         assert count == reference
         delta = stored.obs.since(before)
-        lookup = plan.root.find("PreAggLookup")
-        sliver = plan.root.find("SliverScan")
+        lookup = find(plan.root, "PreAggLookup")
+        sliver = find(plan.root, "SliverScan")
         assert lookup.actual_rows == delta["sliver_scan_rows"]
         # Store-proven objects left the sliver before the scan.
         assert 0 < sliver.actual_rows < lookup.actual_rows
@@ -381,7 +381,7 @@ class TestObserverRule:
         ).execute(pietql_text(f"day = '{DAY2}'", explain=True))
         seen = scan_figures(sharded.obs, before if shared else None)
         assert seen["scan_rows"] == 100 * 24  # day 2 of every object, once
-        fanout = result.plan.root.find("ShardFanout")
+        fanout = find(result.plan.root, "ShardFanout")
         assert result.plan.strategy == "sharded"
         assert fanout.actual_rows == seen["scan_rows"]
         if not shared:
@@ -416,7 +416,7 @@ class TestExplainChangesNothing:
         assert sharded.obs.count("shard_count") == 22
         assert explained.matched_objects == plain.matched_objects
         assert explained.plan.shard_count == 11
-        fanout = explained.plan.root.find("ShardFanout")
+        fanout = find(explained.plan.root, "ShardFanout")
         assert "shards=11" in fanout.detail
 
 

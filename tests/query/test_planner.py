@@ -26,6 +26,8 @@ from repro.query.planner import (
 )
 from repro.synth.paperdata import figure1_instance
 
+from tests.query.plans import find
+
 TARGET = ("Ln", POLYGON)
 CONSTRAINTS = [
     ("intersects", ("Lr", POLYLINE)),
@@ -128,7 +130,7 @@ class TestPlanning:
         assert plan.strategy in STRATEGIES
         assert plan.est_cost >= 0.0
         assert plan.root.op == "Aggregate"
-        assert plan.root.find("GeometricSubquery") is not None
+        assert find(plan.root, "GeometricSubquery") is not None
 
     def test_alternatives_are_costlier_or_equal(self, context):
         plan = plan_count_objects_through(
@@ -197,7 +199,7 @@ class TestPlanning:
             context, TARGET, CONSTRAINTS, moft_name="FMbus",
             executor=executor, force_strategy="sharded",
         )
-        fanout = plan.root.find("ShardFanout")
+        fanout = find(plan.root, "ShardFanout")
         assert fanout is not None
         assert "backend=processes" in fanout.detail
         assert fanout.children[0].op == "GridScan"
@@ -209,7 +211,7 @@ class TestPlanning:
             preagg_context, TARGET, CONSTRAINTS, moft_name="FMbus",
             force_strategy="preagg",
         )
-        lookup = plan.root.find("PreAggLookup")
+        lookup = find(plan.root, "PreAggLookup")
         assert lookup is not None
         assert "store=" in lookup.detail
 
@@ -245,7 +247,7 @@ class TestPlannedExecution:
             context, TARGET, CONSTRAINTS, moft_name="FMbus",
             force_strategy="grid",
         )
-        scan = plan.root.find("GridScan")
+        scan = find(plan.root, "GridScan")
         assert scan.actual_rows == len(context.moft("FMbus"))
         assert scan.actual_seconds >= 0.0
 
@@ -294,8 +296,8 @@ class TestPlanNode:
         leaf = PlanNode(op="Leaf", detail="x")
         root = PlanNode(op="Root", detail="y", children=(leaf,))
         assert [n.op for n in root.walk()] == ["Root", "Leaf"]
-        assert root.find("Leaf") is leaf
-        assert root.find("Missing") is None
+        assert find(root, "Leaf") is leaf
+        assert find(root, "Missing") is None
 
     def test_render_indents_children(self):
         leaf = PlanNode(op="Leaf", detail="x", est_rows=3)

@@ -16,6 +16,7 @@ from repro.query import (
     EvaluationStats,
     TrajectoryIntersectionCounter,
     count_objects_through,
+    planned_count_objects_through,
     samples_in_polygons,
 )
 from repro.synth.paperdata import figure1_instance
@@ -51,28 +52,20 @@ class TestIndexedBboxRejections:
     def test_indexed_path_counts_pruning(self):
         """Regression: with the grid index on, candidate-set pruning was
         never counted, so the indexed ablation reported zero rejections."""
-        counter = TrajectoryIntersectionCounter(
-            two_far_polygons(), use_index=True
-        )
+        counter = TrajectoryIntersectionCounter(two_far_polygons(), "grid")
         stats = EvaluationStats()
         counter.matching_objects(crossing_moft(), stats)
         assert stats.count("bbox_rejections") > 0
 
     def test_naive_path_still_counts(self):
-        counter = TrajectoryIntersectionCounter(
-            two_far_polygons(), use_index=False
-        )
+        counter = TrajectoryIntersectionCounter(two_far_polygons(), "serial")
         stats = EvaluationStats()
         counter.matching_objects(crossing_moft(), stats)
         assert stats.count("bbox_rejections") > 0
 
     def test_strategies_agree_on_matches(self):
-        indexed = TrajectoryIntersectionCounter(
-            two_far_polygons(), use_index=True
-        )
-        naive = TrajectoryIntersectionCounter(
-            two_far_polygons(), use_index=False
-        )
+        indexed = TrajectoryIntersectionCounter(two_far_polygons(), "grid")
+        naive = TrajectoryIntersectionCounter(two_far_polygons(), "serial")
         moft = crossing_moft()
         assert indexed.matching_objects(moft) == naive.matching_objects(moft)
 
@@ -129,20 +122,14 @@ class TestVectorizedPrefilter:
     def test_prefilter_agrees_with_segment_scan(self):
         geometries = two_far_polygons()
         moft = crossing_moft()
-        plain = TrajectoryIntersectionCounter(
-            geometries, vectorized_prefilter=False
-        )
-        fast = TrajectoryIntersectionCounter(
-            geometries, vectorized_prefilter=True
-        )
+        plain = TrajectoryIntersectionCounter(geometries, "serial")
+        fast = TrajectoryIntersectionCounter(geometries, "grid")
         assert plain.matching_objects(moft) == fast.matching_objects(moft)
 
     def test_prefilter_counts_accepts(self):
         moft = MOFT()
         moft.add_many([("O1", 1, 0.5, 0.5), ("O1", 2, 0.6, 0.5)])
-        counter = TrajectoryIntersectionCounter(
-            two_far_polygons(), vectorized_prefilter=True
-        )
+        counter = TrajectoryIntersectionCounter(two_far_polygons(), "grid")
         stats = EvaluationStats()
         assert counter.matching_objects(moft, stats) == {"O1"}
         assert stats.count("vectorized_accepts") == 1
@@ -153,9 +140,7 @@ class TestVectorizedPrefilter:
         from repro.geometry import Polyline
 
         geometries = {"line": Polyline([Point(0, 0), Point(1, 1)])}
-        counter = TrajectoryIntersectionCounter(
-            geometries, vectorized_prefilter=True
-        )
+        counter = TrajectoryIntersectionCounter(geometries, "grid")
         stats = EvaluationStats()
         counter.matching_objects(crossing_moft(), stats)
         assert stats.count("vectorized_accepts") == 0
@@ -163,12 +148,12 @@ class TestVectorizedPrefilter:
     def test_pipeline_matches_with_and_without_prefilter(self):
         world = figure1_instance()
         with_fast = count_objects_through(
-            world.context(), ("Ln", POLYGON), CONSTRAINTS, "FMbus",
-            vectorized=True,
+            world.context(), ("Ln", POLYGON), CONSTRAINTS, "FMbus"
         )
-        without = count_objects_through(
+        # ``serial`` is the scan without the prefilter.
+        without, _ = planned_count_objects_through(
             world.context(), ("Ln", POLYGON), CONSTRAINTS, "FMbus",
-            vectorized=False,
+            force_strategy="serial",
         )
         assert with_fast == without
 

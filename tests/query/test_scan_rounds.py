@@ -47,15 +47,13 @@ def spied(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("prefilter", [False, True])
+@pytest.mark.parametrize("strategy", ["serial", "grid"])
 def test_early_exit_scan_makes_at_most_two_kernel_calls(
-    world, monkeypatch, prefilter
+    world, monkeypatch, strategy
 ):
     moft, polygons = world
     assert len(moft) > moft_module.SEGMENT_BATCH_ROWS
-    counter = TrajectoryIntersectionCounter(
-        polygons, vectorized_prefilter=prefilter
-    )
+    counter = TrajectoryIntersectionCounter(polygons, strategy)
     walked = {
         oid for oid in moft.objects()
         if counter._object_matches(moft, oid, EvaluationStats())
@@ -66,15 +64,15 @@ def test_early_exit_scan_makes_at_most_two_kernel_calls(
     assert stats.count("segment_checks") <= moft_module.SEGMENT_BATCH_ROWS
     assert len(calls) <= 2
     assert sum(calls) == stats.count("segment_checks")
-    # (The sample prefilter may leave the segment rounds no pair.)
-    assert calls or prefilter
+    # (The sample prefilter of ``grid`` may leave the rounds no pair.)
+    assert calls or strategy == "grid"
 
 
 def test_gathered_pairs_flush_at_a_batch(world, monkeypatch):
     """Pairs beyond a batch's worth go in more calls; nothing else
     moves (the pending sets, hence every count, are the same)."""
     moft, polygons = world
-    counter = TrajectoryIntersectionCounter(polygons, early_exit=False)
+    counter = TrajectoryIntersectionCounter(polygons, "serial")
     want_stats = EvaluationStats()
     want = counter.matching_objects(moft, want_stats)
     calls = spied(monkeypatch)

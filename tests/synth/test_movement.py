@@ -124,7 +124,10 @@ class TestAdversarial:
 
         moft = adversarial_moft(BOX, 5, 20)
         counter = TrajectoryIntersectionCounter(
-            {"city": Polygon.from_box(BOX)}, use_index=False
+            {"city": Polygon.rectangle(
+                BOX.min_x, BOX.min_y, BOX.max_x, BOX.max_y
+            )},
+            "serial",
         )
         stats = EvaluationStats()
         assert counter.count(moft, stats) == 0

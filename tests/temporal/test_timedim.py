@@ -49,18 +49,18 @@ class TestSchema:
 class TestFromMapping:
     def test_hour_rollup(self):
         td = weekend_day()
-        assert td.hour_of(9) == 9
-        assert td.hour_of(15) == 15
+        assert td.rollup(9, "hour") == 9
+        assert td.rollup(15, "hour") == 15
 
     def test_day_rollup(self):
         td = weekend_day()
-        assert td.day_of(9) == "2006-01-07"
+        assert td.rollup(9, "day") == "2006-01-07"
 
     def test_time_of_day(self):
         td = weekend_day()
-        assert td.time_of_day_of(9) == "Morning"
-        assert td.time_of_day_of(3) == "Night"
-        assert td.time_of_day_of(20) == "Evening"
+        assert td.rollup(9, "timeOfDay") == "Morning"
+        assert td.rollup(3, "timeOfDay") == "Night"
+        assert td.rollup(20, "timeOfDay") == "Evening"
 
     def test_day_of_week_and_type(self):
         td = two_days()
@@ -79,7 +79,7 @@ class TestFromMapping:
         assert td.rollup(9, ALL_LEVEL) == ALL_MEMBER
 
     def test_consistency(self):
-        two_days().check_consistency()
+        two_days().instance.check_consistency()
 
     def test_instants(self):
         assert len(weekend_day().instants) == 24
