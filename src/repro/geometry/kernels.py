@@ -49,8 +49,11 @@ branches can and cannot fire for a row it accepts.
 Point containment has a coarser exact shortcut: a :class:`PolygonPass`
 labels the cells of a grid over its polygons once, and a cell far
 enough from every edge box has one answer for every point in it, bit
-for bit the one :func:`~repro.query.vectorized.pairs_contain` gives
-(the argument is in :class:`PolygonPass`'s docstring).
+for bit the one :func:`~repro.query.vectorized.pairs_contain` gives.
+A segment whose box maps only to cells of one polygon's label is
+decided the same way: its dwell is its ``dt``, with no kernel call
+(:meth:`PolygonPass.dwell_pairs`; both arguments are in
+:class:`PolygonPass`'s docstring).
 
 Backends (:func:`set_kernel_backend`):
 
@@ -71,7 +74,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.index import (
-    GridBins, UniformGridIndex, _cell, index_for_geometries,
+    GridBins, UniformGridIndex, _cell, candidate_pairs, index_for_geometries,
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -211,32 +214,68 @@ _LABEL_SLOP = 2.0 ** -40
 OUTSIDE, MIXED = -1, -2
 
 
-class LabelGrid(NamedTuple):
+class LabelGrid:
     """Decided cells over a polygon pass: ``grid`` as in
     :class:`~repro.geometry.index.GridBins` (points map to cells by the
     same clamped :func:`~repro.geometry.index._cell`), ``labels`` per
     cell ``col * rows + row``: a polygon position (every point of the
     cell lies inside that polygon and no other), :data:`OUTSIDE` (inside
-    none) or :data:`MIXED` (undecided); ``reach`` the summed-area table
-    of the cells not :data:`OUTSIDE`, ``reach[c, r]`` counting those of
-    columns ``< c`` and rows ``< r``."""
+    none) or :data:`MIXED` (undecided).
 
-    grid: Tuple[float, float, float, int, int]
-    labels: np.ndarray
-    reach: np.ndarray
+    Two summed-area tables of label changes, derived from ``labels``
+    (and so never pickled), answer a box in one read
+    (:meth:`decided`).  Both are ``(cols + 1) x (rows + 1)`` grids kept
+    flat: ``across[c, r]`` counts the changes between columns ``c' < c``
+    and ``c' + 1`` in rows ``< r``, ``up[c, r]`` those between rows
+    ``r' < r`` and ``r' + 1`` in columns ``< c``."""
+
+    __slots__ = ("grid", "labels", "across", "up")
+
+    def __init__(
+        self, grid: Tuple[float, float, float, int, int], labels: np.ndarray
+    ) -> None:
+        self.grid, self.labels = grid, labels
+        cols, rows = grid[3], grid[4]
+        cells = labels.reshape(cols, rows)
+        across = np.zeros((cols + 1, rows + 1), dtype=np.int32)
+        across[1:cols, 1:] = (cells[1:] != cells[:-1]).cumsum(0).cumsum(1)
+        up = np.zeros((cols + 1, rows + 1), dtype=np.int32)
+        up[1:, 1:rows] = (cells[:, 1:] != cells[:, :-1]).cumsum(0).cumsum(1)
+        self.across, self.up = across.ravel(), up.ravel()
+
+    def __reduce__(self):
+        return LabelGrid, (self.grid, self.labels)
 
     def of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Each point's cell label: one gather."""
         col, row = _cell(self.grid, x, y)
         return self.labels[col * self.grid[4] + row]
 
-    def outside(self, x0, y0, x1, y1) -> np.ndarray:
-        """Which boxes map only to :data:`OUTSIDE` cells, so meet no
-        polygon (see :class:`PolygonPass`): four gathers per box."""
+    def decided(self, x0, y0, x1, y1) -> np.ndarray:
+        """Each box's label: the one label of the cell range its points
+        map to (see :class:`PolygonPass` for what it proves), or
+        :data:`MIXED` when the range holds more than one.  The range
+        holds one label when neither table counts a change inside it:
+        eight gathers, and one for the label."""
         c0, r0 = _cell(self.grid, x0, y0)
         c1, r1 = _cell(self.grid, x1, y1)
-        c1, r1, reach = c1 + 1, r1 + 1, self.reach
-        return reach[c1, r1] - reach[c0, r1] - reach[c1, r0] + reach[c0, r0] == 0
+        stride = self.grid[4] + 1
+        # The range's corners (c0, r0), (c1, r0), (c0, r1), (c1, r1).
+        a, b = c0 * stride + r0, c1 * stride + r0
+        c, d = c0 * stride + r1, c1 * stride + r1
+        across, up = self.across, self.up
+        changes = (
+            across[d + 1] - across[c + 1] - across[b] + across[a]
+            + up[d + stride] - up[c] - up[b + stride] + up[a]
+        )
+        return np.where(
+            changes == 0, self.labels[c0 * self.grid[4] + r0], MIXED
+        )
+
+    def outside(self, x0, y0, x1, y1) -> np.ndarray:
+        """Which boxes map only to :data:`OUTSIDE` cells, so meet no
+        polygon: ``decided(...) == OUTSIDE``."""
+        return self.decided(x0, y0, x1, y1) == OUTSIDE
 
 
 def _label_geometry(edges: EdgeTable) -> Tuple[float, float, float, int, int]:
@@ -333,16 +372,15 @@ def _label_grid(
         labels[cell] = np.where(inside, pos[head], OUTSIDE)[run]
         away = (home_col != col) | (home_row != row)
         labels[cell[away[run]]] = MIXED
-    reach = np.zeros((cols + 1, rows + 1), dtype=np.int32)
-    reach[1:, 1:] = (labels != OUTSIDE).reshape(cols, rows).cumsum(0).cumsum(1)
-    return LabelGrid(grid, labels, reach)
+    return LabelGrid(grid, labels)
 
 
 class PolygonPass:
     """One pass over a polygon list: its edge table (for the kernels),
     grid bins and index (for the broad phase) and, once it pays, a
-    :class:`LabelGrid` of decided cells (for point containment);
-    position ``p`` is the list's ``p``-th polygon in all of them.
+    :class:`LabelGrid` of decided cells (for point containment and
+    segments in one label's cells); position ``p`` is the list's
+    ``p``-th polygon in all of them.
 
     **Decided cells are exact.**  A cell is *decided* for polygon ``p``
     when no edge box of ``p``, grown by ``2 x tolerance`` plus a float
@@ -378,16 +416,31 @@ class PolygonPass:
     others (boxes overlap there, or an edge is near) are :data:`MIXED`.
     Under the ``scalar`` backend no cell is decided.
 
-    **A box of** :data:`OUTSIDE` **cells meets no polygon.**  Every
-    point of a box maps, by the monotone clamped ``_cell``, into the
-    range between its corners' cells (a border cell takes the points
-    beyond the extent too), and the argument above holds for every point
-    that maps to a cell.  So when the range holds only :data:`OUTSIDE`
-    cells (:meth:`LabelGrid.outside`: its sum in the summed-area table
-    is 0), each point of the box lies in no polygon box, or outside its
-    one polygon and outside every (grown) edge box.  No point of a segment
-    in it is in a closed polygon or on a boundary edge, which is the
-    scalar ``Polygon.intersects_segment``'s ``False``.
+    **A box of one label is decided.**  Every point of a box maps, by
+    the monotone clamped ``_cell``, into the range between its corners'
+    cells (a border cell takes the points beyond the extent too), and
+    the argument above holds for every point that maps to a cell.  Let
+    the range hold one label (:meth:`LabelGrid.decided`).
+
+    * *Label* ``p``.  Each point of the box lies inside ``p`` and
+      outside every grown edge box of ``p``, so at least ``2 x
+      tolerance`` from every edge of ``p``.  The box lies inside ``p``'s
+      box (its corners do), so the broad phase pairs it with ``p``; it
+      meets no other polygon's box, for a point in both would map to a
+      cell that box's range covers too, and a cell covered by two ranges
+      is :data:`MIXED`.  So a segment in it has one broad-phase pair,
+      ``(p, segment)``: the scalar ``Polygon.clip_segment`` finds no
+      boundary contact and an inside midpoint, ``[(0.0, 1.0)]``, whose
+      dwell is ``(1.0 - 0.0) * dt``, exactly ``dt``, and a hit
+      (:meth:`dwell_pairs` writes both in place, with no kernel call).
+    * :data:`OUTSIDE`, the special case :meth:`LabelGrid.outside`.
+      Each point of the box lies in no polygon box, or outside its one
+      polygon and outside every (grown) edge box.  No point of a segment
+      in it is in a closed polygon or on a boundary edge, which is the
+      scalar ``Polygon.intersects_segment``'s ``False``: the through
+      scan drops such a segment before the broad phase.  (The dwell
+      pass still pairs it: a polygon box can meet it, and the pair's
+      zero keeps :func:`polygon_sums`' pairwise sums as they were.)
     """
 
     __slots__ = ("edges", "bins", "index", "labels")
@@ -438,6 +491,59 @@ class PolygonPass:
                 return None
             self.labels = _label_grid(self.edges, grid)
         return self.labels
+
+    def dwell_pairs(
+        self, batch, rows: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None, obs=None,
+    ) -> Tuple[np.ndarray, ...]:
+        """The dwell pass over the segments ``rows`` (ascending) of a
+        :class:`~repro.mo.moft.SegmentBatch` (default: all of them):
+        ``(pos, at, dwell, hits)``, one entry per broad-phase pair of
+        polygon ``pos[i]`` and batch segment ``at[i]``, sorted by position
+        and then by segment, with :func:`pairs_dwell`'s dwell and hit.
+        ``keep``, a mask over positions, keeps only its polygons' pairs.
+
+        A segment whose box :meth:`LabelGrid.decided` puts inside polygon
+        ``p`` (on the grid :meth:`labels_for` gives) takes no broad phase
+        and no kernel: its one pair ``(p, segment)`` gets ``dt`` and a hit
+        in place (the class docstring has the proof), so the pairs and
+        every value are the undecided pass's, bit for bit.
+        ``cell_decided_segments`` counts those segments into ``obs``; the
+        others take the broad phase, and their pairs the kernel.
+        """
+        boxes = batch.boxes(rows)
+        n = boxes[0].shape[0]
+        labels = self.labels_for(n)
+        label = (np.full(n, MIXED) if labels is None
+                 else labels.decided(*boxes))
+        inside = np.flatnonzero(label >= 0)
+        if inside.size:
+            rest = np.flatnonzero(label < 0)
+            pos, at = candidate_pairs(self.bins, *(v[rest] for v in boxes))
+            # The broad phase's pairs are one run sorted by (position,
+            # segment): a stable sort merges the decided pairs into it.
+            key = np.sort(np.concatenate((
+                pos * n + rest[at], label[inside].astype(np.intp) * n + inside,
+            )), kind="stable")
+            pos, at = np.divmod(key, n)
+            if obs is not None:
+                obs.incr("cell_decided_segments", inside.size)
+            hits = label[at] >= 0
+        else:
+            pos, at = candidate_pairs(self.bins, *boxes)
+            hits = np.zeros(pos.shape[0], dtype=bool)
+        if keep is not None:
+            wanted = keep[pos]
+            pos, at, hits = pos[wanted], at[wanted], hits[wanted]
+        if rows is not None:
+            at = rows[at]
+        dt = batch.t1[at] - batch.t0[at]
+        dwell = np.where(hits, dt, 0.0)
+        check = np.flatnonzero(~hits)
+        dwell[check], hits[check] = pairs_dwell(
+            self.edges, pos[check], *batch.ends(at[check]), dt[check], obs
+        )
+        return pos, at, dwell, hits
 
 
 def _one(polygon: Polygon, n: int) -> Tuple[EdgeTable, np.ndarray]:

@@ -148,6 +148,15 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     sample prefilter and the pre-aggregation store's sample fold).  The
     other points of those calls went through the broad phase and
     ``pairs_contain``.
+``cell_decided_segments``
+    Segments a dwell pass decided from their cells, with no broad phase
+    and no kernel call (:meth:`repro.geometry.kernels.PolygonPass
+    .dwell_pairs`: the pre-aggregation store's segment fold, its
+    ``window_dwell`` sliver and the dwell leaf): every cell their box
+    maps to is decided inside one polygon, so each is that polygon's
+    one pair, with its full ``dt``.  The dwell leaf still counts the
+    pair as a ``segment_check`` and the other polygons as
+    ``bbox_rejections``; ``clip_kernel_segments`` leaves it out.
 
 ``disc_kernel_segments``
     Pieces whose box meets the disc's grown box: the trajectory pieces

@@ -65,8 +65,7 @@ import numpy as np
 
 from repro.cellstore import GranuleStore, RollupRows, frozen
 from repro.errors import PreAggError
-from repro.geometry.index import candidate_pairs
-from repro.geometry.kernels import PolygonPass, pairs_dwell, polygon_sums
+from repro.geometry.kernels import PolygonPass, polygon_sums
 from repro.geometry.polygon import Polygon
 from repro.mo import moft as moft_module
 from repro.mo.moft import MOFT, SegmentBatch
@@ -377,8 +376,10 @@ class PreAggStore(GranuleStore):
     def _fold_segments(
         self, fold: _Fold, code: np.ndarray, batch: SegmentBatch
     ) -> None:
-        """The segment pass: one broad phase and one clip-kernel call on
-        its (polygon, segment) pairs.
+        """The segment pass: the pass's dwell pairs
+        (:meth:`~repro.geometry.kernels.PolygonPass.dwell_pairs`: a
+        segment in cells decided inside a polygon, then one broad phase
+        and one clip-kernel call on the rest).
 
         ``batch`` holds trajectory segments in (object, time) order and
         ``code`` their object codes.  The pairs, and so the hits, come
@@ -386,14 +387,9 @@ class PreAggStore(GranuleStore):
         segment-by-segment walk would fold them in — so the float dwell
         sums and the span-record sequence do not depend on the batching.
         """
-        polygons = self._polygons
-        pos, at = candidate_pairs(polygons.bins, *batch.boxes())
+        pos, at, dwell, hits = self._polygons.dwell_pairs(batch, obs=self.obs)
         if not pos.size:
             return
-        dt = batch.t1 - batch.t0
-        dwell, hits = pairs_dwell(
-            polygons.edges, pos, *batch.ends(at), dt[at], obs=self.obs
-        )
         pos, at, dwell = pos[hits], at[hits], dwell[hits]
         a = self.partition.codes_for(batch.t0[at])
         b = self.partition.codes_for(batch.t1[at])
@@ -662,9 +658,9 @@ class PreAggStore(GranuleStore):
         Store cells answer the covered granule run.  Segments with an
         endpoint in a sliver (there are only ever O(sliver objects) of
         them) get the scan leaf of :func:`repro.query.aggregate
-        .total_dwell_time`: the sliver objects' window rows through one
-        broad phase and one dwell-kernel call a batch, summed per
-        polygon of ``ids`` in (object, time) order.
+        .total_dwell_time`: the sliver objects' window rows through the
+        pass's dwell pairs a batch, summed per polygon of ``ids`` in
+        (object, time) order.
         """
         ids = list(ids)
         polygons = self._gid_codes(ids)  # the typed error, covered or not
@@ -674,18 +670,13 @@ class PreAggStore(GranuleStore):
         if mask is None:
             return total
         lo, hi = self._span(run)
-        passes = self._polygons
         wanted = np.zeros(len(self.gids), dtype=bool)
         wanted[polygons] = True
         for batch in self.moft.segments(rows=mask):
             # Both endpoints covered: already in cells.
             uncovered = np.flatnonzero((batch.t0 < lo) | (batch.t1 > hi))
-            pos, at = candidate_pairs(passes.bins, *batch.boxes(uncovered))
-            keep = wanted[pos]
-            pos, at = pos[keep], uncovered[at[keep]]
-            dt = batch.t1[at] - batch.t0[at]
-            dwell, _ = pairs_dwell(
-                passes.edges, pos, *batch.ends(at), dt, obs=self.obs
+            pos, _, dwell, _ = self._polygons.dwell_pairs(
+                batch, uncovered, wanted, obs=self.obs
             )
             for part in polygon_sums(pos, dwell, polygons):
                 total += part

@@ -986,9 +986,11 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
 
 def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
     """Store read (cells, spanning records, slivers clipped directly) or
-    the dwell leaf: one broad phase and one dwell-kernel call per segment
-    batch of the restricted table, on the (answer polygon, segment)
-    pairs whose boxes meet, added up polygon by polygon in id order."""
+    the dwell leaf: the answer pass's dwell pairs per segment batch of the
+    restricted table (:meth:`~repro.geometry.kernels.PolygonPass
+    .dwell_pairs`: segments in cells decided inside a polygon, then one
+    broad phase and one dwell-kernel call for the rest), added up polygon
+    by polygon in id order."""
     context, ids = leaf.context, sorted(leaf.ids, key=repr)
     if strategy == "preagg":
         leaf.count("preagg_hits", stats)
@@ -1004,13 +1006,9 @@ def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
     total = 0.0
     with run.stats.stage(EvaluationStats.SCAN_STAGE):
         for batch in leaf.moft.segments(rows=leaf.row_mask):
-            pos, at = candidate_pairs(polygons.bins, *batch.boxes())
+            pos, _, dwell, _ = polygons.dwell_pairs(batch, obs=run.stats)
             run.stats.incr("bbox_rejections", len(batch) * len(ids) - pos.size)
             run.stats.incr("segment_checks", pos.size)
-            dwell, _ = kernels.pairs_dwell(
-                polygons.edges, pos, *batch.ends(at),
-                batch.t1[at] - batch.t0[at], obs=run.stats,
-            )
             for part in kernels.polygon_sums(pos, dwell, range(len(ids))):
                 total += part
     run.answer = total

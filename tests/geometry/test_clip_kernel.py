@@ -471,10 +471,14 @@ class TestCrossingsSolvedInBatch:
         assert scalar_obs.count("clip_kernel_segments") == 1200
 
     def test_work_arrays_are_chunk_bounded(self, monkeypatch):
-        """~1 000 edges x 10k crossing segments: nothing is allocated in
-        proportion to rows x edges beyond one chunk of rows."""
-        chunk, n_edges, n = 128, 1000, 10000
+        """~1 000 edges x 78 chunks of crossing segments: nothing is
+        allocated in proportion to rows x edges beyond one chunk of rows.
+        The element bound is patched in proportion, so that the row bound
+        is the one that binds."""
+        chunk, n_edges = 32, 1000
+        n = 78 * chunk
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_CHUNK_EDGES", chunk * n_edges)
         polygon = Polygon.regular(Point(0.0, 0.0), 5.0, n_edges)
         polygon_edge_arrays(polygon)
         rng = np.random.default_rng(31)

@@ -10,9 +10,11 @@ cell lines, holes, reflex corners, coordinates from ``1e-3`` to ``1e6``,
 and points on cell corners (and one ulp either side), on polygon edges
 and inside the boundary tolerance band.  Each answer is checked against
 the undecided path and against :meth:`Polygon.contains_point`, under
-both kernel backends (``scalar`` decides no cell).  A completeness
-record on the 10k-sample city keeps a grid that decides nothing from
-passing silently.
+both kernel backends (``scalar`` decides no cell).  A segment box of
+one label (``LabelGrid.decided``) is checked the same way against the
+scalar ``clip_segment`` / ``intersects_segment``, and against the
+labels read cell by cell.  A completeness record on the 10k-sample city
+keeps a grid that decides nothing from passing silently.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry.index import _cell
 from repro.geometry.kernels import (
     MIXED,
     OUTSIDE,
@@ -220,8 +223,7 @@ class TestOutsideBoxes:
             assert not any(p.intersects_segment(segment) for p in polygons), k
 
     def test_table_agrees_with_the_labels(self):
-        """The summed-area table counts the cells not ``OUTSIDE``: a
-        one-cell box is outside exactly when its cell's label is."""
+        """A one-cell box is outside exactly when its cell's label is."""
         labels = PolygonPass.of(dict(enumerate(TABLE))).label()
         ox, oy, size, cols, rows = labels.grid
         col, row = np.divmod(np.arange(cols * rows), rows)
@@ -229,6 +231,74 @@ class TestOutsideBoxes:
         assert np.array_equal(
             labels.outside(cx, cy, cx, cy), labels.labels == OUTSIDE
         )
+
+
+class TestDecidedBoxes:
+    """A segment whose box maps only to cells of one label
+    (``LabelGrid.decided``) is decided: inside its polygon, far from
+    every edge, and meeting no other polygon; or meeting none."""
+
+    @staticmethod
+    def one_label(labels, boxes):
+        """The label of each box's cell range, cell by cell."""
+        ox, oy, size, cols, rows = labels.grid
+        cells = labels.labels.reshape(cols, rows)
+        c0, r0 = _cell(labels.grid, boxes[0], boxes[1])
+        c1, r1 = _cell(labels.grid, boxes[2], boxes[3])
+        out = []
+        for a, b, c, d in zip(c0.tolist(), r0.tolist(), c1.tolist(), r1.tolist()):
+            found = np.unique(cells[a:c + 1, b:d + 1])
+            out.append(found[0] if found.size == 1 else MIXED)
+        return np.array(out)
+
+    @staticmethod
+    def reach_outside(labels, boxes):
+        """The summed-area table of the cells not ``OUTSIDE``: the boxes
+        whose range sums to zero in it."""
+        ox, oy, size, cols, rows = labels.grid
+        reach = np.zeros((cols + 1, rows + 1), dtype=np.int64)
+        reach[1:, 1:] = (
+            (labels.labels != OUTSIDE).reshape(cols, rows).cumsum(0).cumsum(1)
+        )
+        c0, r0 = _cell(labels.grid, boxes[0], boxes[1])
+        c1, r1 = _cell(labels.grid, boxes[2], boxes[3])
+        c1, r1 = c1 + 1, r1 + 1
+        return reach[c1, r1] - reach[c0, r1] - reach[c1, r0] + reach[c0, r0] == 0
+
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 1e6), (1e3, -7.5)])
+    def test_table(self, scale, offset):
+        polygons = [
+            moved(p, scale, offset + 15 * i * scale, offset)
+            for i, p in enumerate(TABLE)
+        ]
+        labels = PolygonPass.of(dict(enumerate(polygons))).label()
+        x0, y0, x1, y1 = TestOutsideBoxes.segments(
+            labels.grid, np.random.default_rng(13)
+        )
+        # Parked objects: a zero-length segment at every cell centre.
+        ox, oy, size, cols, rows = labels.grid
+        col, row = np.divmod(np.arange(cols * rows), rows)
+        cx, cy = ox + (col + 0.5) * size, oy + (row + 0.5) * size
+        x0, y0 = np.concatenate((x0, cx)), np.concatenate((y0, cy))
+        x1, y1 = np.concatenate((x1, cx)), np.concatenate((y1, cy))
+        boxes = (
+            np.minimum(x0, x1), np.minimum(y0, y1),
+            np.maximum(x0, x1), np.maximum(y0, y1),
+        )
+        label = labels.decided(*boxes)
+        assert np.array_equal(label, self.one_label(labels, boxes))
+        assert np.array_equal(label == OUTSIDE, self.reach_outside(labels, boxes))
+        assert np.array_equal(labels.outside(*boxes), label == OUTSIDE)
+        # Non-vacuous: segments decided inside, outside, and neither.
+        assert (label >= 0).any() and (label == OUTSIDE).any()
+        assert (label == MIXED).any()
+        for k in np.flatnonzero(label != MIXED).tolist():
+            segment = Segment(Point(x0[k], y0[k]), Point(x1[k], y1[k]))
+            for p, polygon in enumerate(polygons):
+                if p == label[k]:
+                    assert polygon.clip_segment(segment) == [(0.0, 1.0)], k
+                else:
+                    assert not polygon.intersects_segment(segment), (k, p)
 
 
 @st.composite
