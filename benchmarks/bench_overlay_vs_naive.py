@@ -3,7 +3,7 @@
 The paper proposes precomputing the layer overlay so geometric subqueries
 reduce to id joins.  This benchmark measures the full pipeline (geometric
 subquery + trajectory intersection) under both strategies across world
-scales, and ablates the grid-index cell size.
+scales.
 
 Expected shape: once the overlay is precomputed, the overlay strategy
 answers geometric subqueries in near-constant time, while the naive
@@ -14,7 +14,6 @@ complexity.
 import pytest
 
 from repro.bench import SCALES, Series, build_world, context_for, print_series, timed
-from repro.geometry import UniformGridIndex, index_for_geometries
 from repro.gis import NODE, POLYGON, POLYLINE
 from repro.query import count_objects_through, geometric_subquery
 
@@ -71,21 +70,3 @@ def test_strategies_agree_and_gap_grows():
     # The overlay strategy must win at every scale once precomputed.
     assert all(r > 1 for _, r in ratio_series.points)
 
-
-@pytest.mark.parametrize("cell_divisor", [1, 4, 16, 64])
-def test_grid_cell_size_ablation(benchmark, cell_divisor):
-    """Ablation: index cell size vs query time on the medium world."""
-    city, moft, time_dim = build_world(SCALES[1])
-    elements = city.gis.layer("Ln").elements(POLYGON)
-    span = city.bounding_box.width
-    index = UniformGridIndex(city.bounding_box, span / cell_divisor)
-    boxes = {gid: geom.bbox for gid, geom in elements.items()}
-    for gid, box in boxes.items():
-        index.insert(gid, box)
-    probes = [box for box in list(boxes.values())[:32]]
-
-    def _run():
-        return sum(len(index.query_box(p)) for p in probes)
-
-    hits = benchmark(_run)
-    assert hits > 0

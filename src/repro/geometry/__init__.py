@@ -11,7 +11,7 @@ from repro.geometry.poi import Poi
 from repro.geometry.segment import Segment
 from repro.geometry.polyline import Polyline
 from repro.geometry.polygon import Polygon
-from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.index import Grid
 from repro.geometry.overlay import (
     LayerOverlay,
     geometries_intersect,
@@ -35,8 +35,7 @@ __all__ = [
     "Segment",
     "Polyline",
     "Polygon",
-    "UniformGridIndex",
-    "index_for_geometries",
+    "Grid",
     "LayerOverlay",
     "geometries_intersect",
     "geometry_bbox",

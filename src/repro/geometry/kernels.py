@@ -73,9 +73,7 @@ from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.index import (
-    GridBins, UniformGridIndex, _cell, candidate_pairs, index_for_geometries,
-)
+from repro.geometry.index import Grid, _cell, candidate_pairs
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import _ORIENT_EPS
@@ -215,8 +213,8 @@ OUTSIDE, MIXED = -1, -2
 
 
 class LabelGrid:
-    """Decided cells over a polygon pass: ``grid`` as in
-    :class:`~repro.geometry.index.GridBins` (points map to cells by the
+    """Decided cells over a polygon pass: ``grid`` as the ``frame`` of
+    a :class:`~repro.geometry.index.Grid` (points map to cells by the
     same clamped :func:`~repro.geometry.index._cell`), ``labels`` per
     cell ``col * rows + row``: a polygon position (every point of the
     cell lies inside that polygon and no other), :data:`OUTSIDE` (inside
@@ -377,10 +375,10 @@ def _label_grid(
 
 class PolygonPass:
     """One pass over a polygon list: its edge table (for the kernels),
-    grid bins and index (for the broad phase) and, once it pays, a
-    :class:`LabelGrid` of decided cells (for point containment and
-    segments in one label's cells); position ``p`` is the list's
-    ``p``-th polygon in all of them.
+    its :class:`~repro.geometry.index.Grid` (for the broad phase) and,
+    once it pays, a :class:`LabelGrid` of decided cells (for point
+    containment and segments in one label's cells); position ``p`` is
+    the list's ``p``-th polygon in all of them.
 
     **Decided cells are exact.**  A cell is *decided* for polygon ``p``
     when no edge box of ``p``, grown by ``2 x tolerance`` plus a float
@@ -443,35 +441,19 @@ class PolygonPass:
       zero keeps :func:`polygon_sums`' pairwise sums as they were.)
     """
 
-    __slots__ = ("edges", "bins", "index", "labels")
+    __slots__ = ("edges", "grid", "labels")
 
     def __init__(
-        self,
-        edges: EdgeTable,
-        bins: GridBins,
-        index: UniformGridIndex,
-        labels: Optional[LabelGrid] = None,
+        self, edges: EdgeTable, grid: Grid, labels: Optional[LabelGrid] = None
     ) -> None:
-        self.edges, self.bins, self.index = edges, bins, index
+        self.edges, self.grid = edges, grid
         #: The decided-cell grid once built (None before).
         self.labels = labels
 
     @classmethod
-    def of(
-        cls,
-        polygons: Dict[Hashable, Polygon],
-        index: Optional[UniformGridIndex] = None,
-        labels: Optional[LabelGrid] = None,
-    ) -> "PolygonPass":
-        """Over ``polygons`` in dict order, binned through ``index`` (a
-        grid over these ids; default: a new one), with ``labels`` (the
-        label grid of a pass over the same list) when given."""
-        if index is None:
-            index = index_for_geometries(polygons)
-        return cls(
-            EdgeTable(polygons.values()), index.bins(list(polygons)), index,
-            labels,
-        )
+    def of(cls, polygons: Dict[Hashable, Polygon]) -> "PolygonPass":
+        """Over ``polygons`` in dict order, with a new grid."""
+        return cls(EdgeTable(polygons.values()), Grid.of(polygons))
 
     def label(self) -> LabelGrid:
         """The decided-cell grid, built at the first call."""
@@ -519,7 +501,7 @@ class PolygonPass:
         inside = np.flatnonzero(label >= 0)
         if inside.size:
             rest = np.flatnonzero(label < 0)
-            pos, at = candidate_pairs(self.bins, *(v[rest] for v in boxes))
+            pos, at = candidate_pairs(self.grid, *(v[rest] for v in boxes))
             # The broad phase's pairs are one run sorted by (position,
             # segment): a stable sort merges the decided pairs into it.
             key = np.sort(np.concatenate((
@@ -530,7 +512,7 @@ class PolygonPass:
                 obs.incr("cell_decided_segments", inside.size)
             hits = label[at] >= 0
         else:
-            pos, at = candidate_pairs(self.bins, *boxes)
+            pos, at = candidate_pairs(self.grid, *boxes)
             hits = np.zeros(pos.shape[0], dtype=bool)
         if keep is not None:
             wanted = keep[pos]

@@ -3,18 +3,20 @@
 The paper evaluates the geometric part of a query ("cities crossed by a
 river, containing at least one store") against a *precomputed overlay* of
 the thematic layers, so that at query time only geometry-id joins remain.
-:class:`LayerOverlay` reproduces this: it holds one spatial index per layer
-and materializes, per (layer pair, predicate), the relation of geometry-id
-pairs satisfying the predicate.  Query evaluation then reduces to set
-operations over those id relations (see :mod:`repro.query.evaluator`).
+:class:`LayerOverlay` reproduces this: it holds one grid per layer
+(:class:`~repro.geometry.index.Grid`, built when a relation first needs
+it) and materializes, per (layer pair, predicate), the relation of
+geometry-id pairs satisfying the predicate.  Query evaluation then
+reduces to set operations over those id relations (see
+:mod:`repro.query.evaluator`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.errors import GeometryError
-from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.index import Grid, candidate_pairs
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.poi import Poi
 from repro.geometry.polygon import Polygon
@@ -164,10 +166,9 @@ class LayerOverlay:
         self._layers: Dict[str, Dict[Hashable, Geometry]] = {
             name: dict(geoms) for name, geoms in layers.items()
         }
-        self._indexes: Dict[str, UniformGridIndex] = {}
-        for name, geoms in self._layers.items():
-            if geoms:
-                self._indexes[name] = index_for_geometries(geoms)
+        #: Each non-empty layer's grid, built when a relation first needs
+        #: it; positions follow the layer's dict order.
+        self._grids: Dict[str, Grid] = {}
         self._cache: Dict[
             Tuple[str, str, str], Set[Tuple[Hashable, Hashable]]
         ] = {}
@@ -196,13 +197,10 @@ class LayerOverlay:
                 f"unknown geometry {geometry_id!r} in layer {layer_name!r}"
             ) from None
 
-    def index(self, name: str) -> UniformGridIndex:
-        """Return the spatial index of a layer (layers must be non-empty)."""
-        self.layer(name)
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise GeometryError(f"layer {name!r} is empty") from None
+    def _grid(self, name: str) -> Grid:
+        if name not in self._grids:
+            self._grids[name] = Grid.of(self._layers[name])
+        return self._grids[name]
 
     # -- precomputed relations ------------------------------------------------
 
@@ -319,43 +317,26 @@ class LayerOverlay:
     def _compute_pairs(
         self, layer_a: str, layer_b: str, predicate: str
     ) -> Set[Tuple[Hashable, Hashable]]:
+        """The relation, from one broad phase of all of ``layer_a``'s
+        boxes against ``layer_b``'s grid, each candidate pair then
+        tested exactly."""
         geoms_a = self.layer(layer_a)
         geoms_b = self.layer(layer_b)
         result: Set[Tuple[Hashable, Hashable]] = set()
         if not geoms_a or not geoms_b:
             return result
-        index_b = self.index(layer_b)
-        for id_a, geom_a in geoms_a.items():
-            candidates = index_b.query_box(geometry_bbox(geom_a))
-            for id_b in candidates:
-                geom_b = geoms_b[id_b]
-                if predicate == "intersects":
-                    hit = geometries_intersect(geom_a, geom_b)
-                elif predicate == "contains":
-                    hit = geometry_contains(geom_a, geom_b)
-                else:  # within
-                    hit = geometry_contains(geom_b, geom_a)
-                if hit:
-                    result.add((id_a, id_b))
+        ids_a, ids_b = list(geoms_a), list(geoms_b)
+        pos, at = candidate_pairs(
+            self._grid(layer_b), *self._grid(layer_a).boxes
+        )
+        for b, a in zip(pos.tolist(), at.tolist()):
+            geom_a, geom_b = geoms_a[ids_a[a]], geoms_b[ids_b[b]]
+            if predicate == "intersects":
+                hit = geometries_intersect(geom_a, geom_b)
+            elif predicate == "contains":
+                hit = geometry_contains(geom_a, geom_b)
+            else:  # within
+                hit = geometry_contains(geom_b, geom_a)
+            if hit:
+                result.add((ids_a[a], ids_b[b]))
         return result
-
-    # -- point location --------------------------------------------------------
-
-    def locate_point(self, layer_name: str, point: Point) -> Set[Hashable]:
-        """Return ids of geometries in ``layer_name`` containing ``point``.
-
-        This implements the paper's rollup relation ``r^{Pt,G}_L(x, y, g)``:
-        the (infinite) point-to-geometry relation of the algebraic part,
-        answered on demand.  A point on a shared boundary belongs to every
-        adjacent geometry, as the paper requires.
-        """
-        geoms = self.layer(layer_name)
-        if not geoms:
-            return set()
-        index = self.index(layer_name)
-        hits: Set[Hashable] = set()
-        for candidate in index.query_point(point):
-            geom = geoms[candidate]
-            if geometries_intersect(geom, point):
-                hits.add(candidate)
-        return hits

@@ -10,11 +10,11 @@ rollup relation from points to stored elements is answered on demand by
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.errors import GeometryError, InstanceError, SchemaError
-from repro.geometry.index import UniformGridIndex, index_for_geometries
-from repro.geometry.overlay import geometries_intersect, geometry_bbox
+from repro.errors import InstanceError, SchemaError
+from repro.geometry.index import Grid
+from repro.geometry.overlay import geometries_intersect
 from repro.geometry.point import Point
 from repro.gis import geometries as gk
 
@@ -27,7 +27,9 @@ class Layer:
             raise SchemaError("layer name must be non-empty")
         self.name = name
         self._elements: Dict[str, Dict[Hashable, object]] = {}
-        self._indexes: Dict[str, UniformGridIndex] = {}
+        #: Per kind, its ids in position order and their grid, built at
+        #: the first point located.
+        self._grids: Dict[str, Tuple[List[Hashable], Grid]] = {}
 
     def __repr__(self) -> str:
         sizes = {kind: len(elems) for kind, elems in self._elements.items()}
@@ -54,7 +56,7 @@ class Layer:
                 f"{self.name!r}"
             )
         bucket[element_id] = geometry
-        self._indexes.pop(kind, None)  # invalidate
+        self._grids.pop(kind, None)  # invalidate
 
     # -- access -----------------------------------------------------------------
 
@@ -89,14 +91,6 @@ class Layer:
 
     # -- spatial queries ----------------------------------------------------------
 
-    def _index(self, kind: str) -> Optional[UniformGridIndex]:
-        if kind not in self._indexes:
-            elems = self._elements.get(kind, {})
-            if not elems:
-                return None
-            self._indexes[kind] = index_for_geometries(elems)
-        return self._indexes[kind]
-
     def locate_point(self, kind: str, point: Point) -> Set[Hashable]:
         """Ids of elements of ``kind`` containing ``point``.
 
@@ -105,31 +99,14 @@ class Layer:
         element.
         """
         gk.validate_kind(kind)
-        index = self._index(kind)
-        if index is None:
+        elems = self._elements.get(kind)
+        if not elems:
             return set()
-        elems = self._elements[kind]
+        if kind not in self._grids:
+            self._grids[kind] = (list(elems), Grid.of(elems))
+        ids, grid = self._grids[kind]
         return {
-            candidate
-            for candidate in index.query_point(point)
-            if geometries_intersect(elems[candidate], point)
-        }
-
-    def elements_intersecting(self, kind: str, geometry: object) -> Set[Hashable]:
-        """Ids of elements of ``kind`` intersecting an arbitrary geometry."""
-        gk.validate_kind(kind)
-        index = self._index(kind)
-        if index is None:
-            return set()
-        elems = self._elements[kind]
-        try:
-            box = geometry_bbox(geometry)
-        except GeometryError:
-            raise InstanceError(
-                f"cannot intersect layer with {type(geometry).__name__}"
-            ) from None
-        return {
-            candidate
-            for candidate in index.query_box(box)
-            if geometries_intersect(elems[candidate], geometry)
+            ids[p]
+            for p in grid.query_point(point.x, point.y)
+            if geometries_intersect(elems[ids[p]], point)
         }

@@ -16,7 +16,9 @@ module generalizes them into one small instrumentation vocabulary:
 Counter names used by the built-in pipeline (see ``docs/API.md``):
 
 ``grid_index_builds`` / ``grid_index_cache_hits``
-    :meth:`repro.query.EvaluationContext.geometry_index` cache behavior.
+    :meth:`repro.query.EvaluationContext.geometry_index` cache behavior:
+    the one index per geometric answer (a polygon answer's pass, any
+    other answer's grid) built, or found cached.
 ``vectorized_accepts``
     Objects accepted by the columnar point-in-polygon prefilter without a
     segment scan.

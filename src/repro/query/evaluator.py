@@ -14,8 +14,8 @@ and tests a segment only against the geometries whose boxes meet its
 box (counted as ``bbox_rejections``).  Its shape is a function of the
 strategy that runs it.  ``serial`` is the reference: every probe of the
 per-object walk against every geometry's box, no prefilter.  Every other
-strategy also filters candidates through a spatial index over the answer
-(built in place or borrowed prebuilt from
+strategy also filters candidates through the answer's grid
+(:class:`~repro.geometry.index.Grid`, built in place or borrowed from
 :meth:`~repro.query.region.EvaluationContext.geometry_index`) and, when
 every answer geometry is a polygon, runs a columnar prefilter first
 (decided cells, then :func:`repro.query.vectorized.pairs_contain`): a
@@ -27,16 +27,17 @@ the rest, of objects still unproven, take the containment kernel.
 When every answer geometry is a polygon the scan is *batched*: the
 segments of the objects still pending, read in batches straight off the
 table's segment index (:meth:`repro.mo.moft.MOFT.segment_index`), go
-through one broad phase per batch over the answer's grid index
+through one broad phase per batch over the answer's grid
 (:func:`repro.geometry.index.candidate_pairs`; a segment in cells
 decided outside every polygon skips it), and the (polygon,
 segment) pairs of all batches through one clip-kernel call per
 early-exit round, for all objects and polygons together.  The answer's
-:class:`~repro.geometry.kernels.PolygonPass` (edge table, bins, label
+:class:`~repro.geometry.kernels.PolygonPass` (edge table, grid, label
 grid) comes from :meth:`~repro.query.region.EvaluationContext
-.polygon_pass`, built once per answer.  The per-object walk serves the
+.geometry_index`, built once per answer.  The per-object walk serves the
 other geometry kinds, single-sample objects and tables too small to
-repay a kernel call; it filters by the grid index probe by probe.  A
+repay a kernel call; one broad phase over the grid gives every probe of
+a walk its candidates, which it visits in id order.  A
 time restriction is a row mask: the scan reads the table's index under
 it (:meth:`~repro.mo.moft.SegmentIndex.masked`), with no restricted
 table built.
@@ -77,15 +78,14 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
 from repro.errors import EvaluationError
 from repro.geometry import kernels
-from repro.geometry.index import (
-    UniformGridIndex, candidate_pairs, index_for_geometries,
-)
+from repro.geometry.index import Grid, candidate_pairs
 from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -199,90 +199,75 @@ class TrajectoryIntersectionCounter:
         The strategy the scan runs under, which fixes its shape:
         ``serial`` walks every probe past every geometry's box with no
         prefilter; any other strategy filters the walk's candidates
-        through a grid index and, when every geometry is a polygon,
+        through the answer's grid and, when every geometry is a polygon,
         first accepts the objects with a sampled point inside some
         polygon (sound because a segment endpoint inside a closed
         polygon intersects it: the result set is the same, only the
         operation counts differ).  The batched scan of a polygon answer
-        always bins through the pass's grid.
+        always reads the pass's grid.
     index:
-        A prebuilt :class:`UniformGridIndex` over exactly these
-        geometries (e.g. from ``EvaluationContext.geometry_index``);
-        ignored under ``serial``.
-    polygons:
-        A prebuilt :class:`~repro.geometry.kernels.PolygonPass` over
-        exactly these geometries in id order (from
-        ``EvaluationContext.polygon_pass``); its grid index serves as
-        ``index``.  Default: built here when every geometry is a
-        polygon; with the prefilter, its decided-cell grid is built
-        here.  A shard task gets the grid with the counter and rebuilds
-        only the cheap rest (the pickle carries geometries, not arrays
-        derived from them).
+        The answer's prebuilt index over exactly these geometries in id
+        order (from ``EvaluationContext.geometry_index``): a
+        :class:`~repro.geometry.kernels.PolygonPass` when every geometry
+        is a polygon, else a :class:`~repro.geometry.index.Grid`.
+        Default: built here (a grid only when the walk reads it); with
+        the prefilter, the pass's decided-cell grid is built here.  A
+        shard task gets the label grid with the counter and rebuilds the
+        rest (the pickle carries geometries, not the arrays derived from
+        them).
     """
 
     def __init__(
         self,
         geometries: Dict[Hashable, object],
         strategy: str = "grid",
-        index: Optional[UniformGridIndex] = None,
-        polygons: Optional["kernels.PolygonPass"] = None,
+        index: Union["kernels.PolygonPass", Grid, None] = None,
     ) -> None:
         if not geometries:
             raise EvaluationError("no geometries to intersect against")
         #: In id order, not the answer set's hash order, so the
-        #: early-exit counts (of the batched scan and of the unindexed
-        #: walk alike) repeat from run to run.
+        #: early-exit counts (of the batched scan and of the walks alike)
+        #: repeat from run to run; position ``p`` of every array is the
+        #: ``p``-th.
         self.geometries = {
             gid: geometries[gid] for gid in sorted(geometries, key=repr)
         }
         self.strategy = strategy
-        #: The answer as polygons, for the batched scan (None: it holds
-        #: other geometries).
-        self._polygons: Optional[List[Polygon]] = list(
-            self.geometries.values()
-        )
-        if not all(isinstance(g, Polygon) for g in self._polygons):
-            self._polygons = None
-        if polygons is not None:
-            index = polygons.index
-        if strategy == "serial":
-            self._index = None
-        elif index is not None:
-            self._index = index
-        else:
-            self._index = index_for_geometries(self.geometries)
         #: The batched scan's pass (None: not a polygon answer).
         self._pass = None
-        if self._polygons is not None:
-            self._pass = polygons or kernels.PolygonPass.of(
-                self.geometries, self._index
-            )
+        if all(isinstance(g, Polygon) for g in self.geometries.values()):
+            if index is None:
+                index = kernels.PolygonPass.of(self.geometries)
+            self._pass = index
+            index = self._pass.grid
             if self._prefilter:
                 # The prefilter reads every sample of the table.
                 self._pass.label()
+        #: The walk's broad phase (None: the ``serial`` reference tests
+        #: every geometry's box).
+        self._grid = None
+        if strategy != "serial":
+            self._grid = index if index is not None else Grid.of(self.geometries)
 
     @property
     def _prefilter(self) -> bool:
         """Whether the sample prefilter runs (a polygon answer, and not
         the ``serial`` reference)."""
-        return self._polygons is not None and self.strategy != "serial"
+        return self._pass is not None and self.strategy != "serial"
 
     def __getstate__(self) -> dict:
-        # A shard task rebuilds the pass's edge table and bins from the
-        # geometries, as a scan used to; the label grid travels.
-        state = dict(vars(self))
-        if state.pop("_pass") is not None and self._pass.labels is not None:
-            state["_labels"] = self._pass.labels
-        return state
+        # A shard task rebuilds the answer's index from the geometries (in
+        # fewer bytes than any of its arrays); only the label grid travels.
+        labels = None if self._pass is None else self._pass.labels
+        return {"geometries": self.geometries, "strategy": self.strategy,
+                "labels": labels}
 
     def __setstate__(self, state: dict) -> None:
-        labels = state.pop("_labels", None)
-        self.__dict__.update(state)
-        self._pass = None
-        if self._polygons is not None:
-            self._pass = kernels.PolygonPass.of(
-                self.geometries, self._index, labels
-            )
+        index = None
+        if state["labels"] is not None:
+            index = kernels.PolygonPass.of(state["geometries"])
+            index.labels = state["labels"]
+        self.__init__(state["geometries"], state["strategy"], index)
 
     def matching_objects(
         self, moft: MOFT, stats: Optional[EvaluationStats] = None,
@@ -307,7 +292,7 @@ class TrajectoryIntersectionCounter:
         stats.incr("scan_rows", n_rows)
         with stats.stage(EvaluationStats.SCAN_STAGE):
             hit = np.zeros(sizes.shape[0], dtype=bool)
-            polygons = self._polygons is not None and n_rows > 0
+            polygons = self._pass is not None and n_rows > 0
             if polygons and self._prefilter:
                 self._prove_by_samples(moft, rows, hit, stats)
                 stats.incr("vectorized_accepts", int(hit.sum()))
@@ -377,7 +362,7 @@ class TrajectoryIntersectionCounter:
         segments it visits (:func:`_segments_of`), never those of an
         object already proven.
         """
-        width = len(self._polygons)
+        width = len(self.geometries)
         labels = self._pass.labels_for(0)  # (the prefilter's, if built)
         # (skip, take): each object's first segment, then the rest.
         for skip, take in ((0, 1), (1, None)):
@@ -388,7 +373,7 @@ class TrajectoryIntersectionCounter:
                 if labels is not None:
                     near = np.flatnonzero(~labels.outside(*boxes))
                     boxes = batch.boxes(near)
-                pos, at = candidate_pairs(self._pass.bins, *boxes)
+                pos, at = candidate_pairs(self._pass.grid, *boxes)
                 if near is not None:
                     at = near[at]
                 stats.incr("bbox_rejections", len(batch) * width - pos.shape[0])
@@ -415,13 +400,17 @@ class TrajectoryIntersectionCounter:
         hit[obj[found]] = True
 
     def _walk(self, moft, index: SegmentIndex, objects, hit, stats) -> None:
-        """:meth:`_object_matches` of ``objects`` (positions in ``index``)
+        """:meth:`_paths_match` of ``objects`` (positions in ``index``)
         over their rows in ``index``."""
+        if not objects.shape[0]:
+            return
         _, perm, offsets = index
         _, x, y = moft.as_arrays()
-        for i in objects:
-            at = perm[offsets[i]:offsets[i + 1]]
-            hit[i] = self._path_matches(x[at].tolist(), y[at].tolist(), stats)
+        first = offsets[objects]
+        count = offsets[objects + 1] - first
+        starts = np.concatenate(([0], np.cumsum(count)))
+        rows = perm[np.arange(starts[-1]) + np.repeat(first - starts[:-1], count)]
+        hit[objects] = self._paths_match(x[rows], y[rows], starts, stats)
 
     def _object_matches(
         self, moft: MOFT, oid: Hashable, stats: EvaluationStats
@@ -429,46 +418,89 @@ class TrajectoryIntersectionCounter:
         """The per-object walk of Section 5: probe by probe, geometry by
         geometry.  The path of non-polygon answers, and the reference
         the batched scan is tested against."""
-        _, x, y = zip(*moft.history(oid))
-        return self._path_matches(x, y, stats)
+        _, x, y = map(np.array, zip(*moft.history(oid)))
+        return bool(self._paths_match(x, y, np.array([0, x.shape[0]]), stats)[0])
 
-    def _path_matches(self, x: Sequence[float], y: Sequence[float], stats) -> bool:
-        """Whether the points ``(x, y)`` (in time order) meet a
-        geometry: the one point, or the segments between them."""
-        if len(x) == 1:
-            return self._probes_match([Point(x[0], y[0])], stats)
-        return self._probes_match(
-            [
-                Segment(Point(x0, y0), Point(x1, y1))
-                for x0, y0, x1, y1 in zip(x, y, x[1:], y[1:])
-            ],
-            stats,
-        )
+    def _paths_match(
+        self, x: np.ndarray, y: np.ndarray, starts: np.ndarray, stats
+    ) -> np.ndarray:
+        """Whether each path, the points ``(x, y)[starts[i]:starts[i +
+        1]]`` in time order, meets a geometry: its one point, or the
+        segments between its points (its *probes*), probe by probe and
+        geometry by geometry in position order, up to the first hit.
 
-    def _probes_match(
-        self, probes: Sequence[object], stats: EvaluationStats
-    ) -> bool:
-        for probe in probes:
-            box = geometry_bbox(probe)
-            if self._index is not None:
-                candidates: Iterable[Hashable] = self._index.query_box(box)
-                # Candidate pruning is the indexed path's bbox rejection:
-                # everything the grid filtered out never reaches a check.
-                stats.incr(
-                    "bbox_rejections", len(self.geometries) - len(candidates)
+        The ``serial`` reference tests each geometry's box against the
+        probe's; the others take every probe's candidates from one
+        broad phase over the walk (:func:`candidate_pairs` on the grid).
+        Both count alike: ``segment_checks`` per exact test, and
+        ``bbox_rejections`` per box missed, over a probe's geometries
+        up to its hit.
+        """
+        size = np.diff(starts)
+        # Every point but the last of a path of several starts a probe;
+        # a path of one point is one probe, the point itself.
+        head = np.ones(x.shape[0], dtype=bool)
+        head[starts[1:][size > 1] - 1] = False
+        a = np.flatnonzero(head)
+        b = a + (np.repeat(size, size)[a] > 1)
+        probe_starts = np.concatenate(([0], np.cumsum(np.maximum(size - 1, 1))))
+        x0, y0, x1, y1 = x[a], y[a], x[b], y[b]
+        if self._grid is not None:
+            pos, at = candidate_pairs(
+                self._grid, np.minimum(x0, x1), np.minimum(y0, y1),
+                np.maximum(x0, x1), np.maximum(y0, y1),
+            )
+            order = np.argsort(at, kind="stable")
+            cut = np.searchsorted(at[order], np.arange(a.shape[0] + 1))
+            candidates = pos[order].tolist()
+            cut = cut.tolist()
+        geometries = list(self.geometries.values())
+        x0, y0, x1, y1 = x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist()
+        single = (a == b).tolist()
+        matched = np.zeros(size.shape[0], dtype=bool)
+        for i, (lo, hi) in enumerate(zip(probe_starts[:-1].tolist(),
+                                         probe_starts[1:].tolist())):
+            for j in range(lo, hi):
+                start = Point(x0[j], y0[j])
+                probe = start if single[j] else Segment(
+                    start, Point(x1[j], y1[j])
                 )
-            else:
-                candidates = self.geometries.keys()
-            for gid in candidates:
-                geometry = self.geometries[gid]
-                if self._index is None and not geometry_bbox(geometry).intersects(
-                    box
-                ):
-                    stats.incr("bbox_rejections")
-                    continue
-                stats.incr("segment_checks")
-                if geometries_intersect(geometry, probe):
-                    return True
+                if self._grid is None:
+                    found = self._probe_matches(probe, geometries, stats)
+                else:
+                    found = self._candidates_match(
+                        probe, geometries, candidates[cut[j]:cut[j + 1]],
+                        stats,
+                    )
+                if found:
+                    matched[i] = True
+                    break
+        return matched
+
+    @staticmethod
+    def _probe_matches(probe, geometries, stats) -> bool:
+        """The ``serial`` reference: every geometry's box, in order."""
+        box = geometry_bbox(probe)
+        for geometry in geometries:
+            if not geometry_bbox(geometry).intersects(box):
+                stats.incr("bbox_rejections")
+                continue
+            stats.incr("segment_checks")
+            if geometries_intersect(geometry, probe):
+                return True
+        return False
+
+    @staticmethod
+    def _candidates_match(probe, geometries, candidates, stats) -> bool:
+        """The broad phase's ``candidates`` (positions, ascending) of a
+        probe, counted as :meth:`_probe_matches` counts: the positions
+        ahead of a hit that are not candidates are its rejections."""
+        for k, p in enumerate(candidates):
+            stats.incr("segment_checks")
+            if geometries_intersect(geometries[p], probe):
+                stats.incr("bbox_rejections", p - k)
+                return True
+        stats.incr("bbox_rejections", len(geometries) - len(candidates))
         return False
 
 
@@ -554,22 +586,19 @@ def counter_for(
     stats: Optional[EvaluationStats] = None,
 ) -> TrajectoryIntersectionCounter:
     """Build the scan counter over one geometric answer (the scan leaf)
-    in the shape of ``strategy``: with the answer's cached grid index
-    and, for a polygon answer, its cached
-    :class:`~repro.geometry.kernels.PolygonPass` — under ``serial`` too,
-    whose batched scan bins through that same pass (only its per-object
-    walk goes without the index)."""
+    in the shape of ``strategy``, with the answer's cached index
+    (:meth:`~repro.query.region.EvaluationContext.geometry_index`) —
+    under ``serial`` too for a polygon answer, whose batched scan reads
+    that same pass (only its per-object walk goes without the grid)."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
     geometries = {gid: elements[gid] for gid in ids}
-    index = polygons = None
-    if all(isinstance(g, Polygon) for g in geometries.values()):
-        polygons = context.polygon_pass(layer, kind, ids, obs=stats)
-    elif strategy != "serial":
+    index = None
+    if strategy != "serial" or all(
+        isinstance(g, Polygon) for g in geometries.values()
+    ):
         index = context.geometry_index(layer, kind, ids, obs=stats)
-    return TrajectoryIntersectionCounter(
-        geometries, strategy, index=index, polygons=polygons
-    )
+    return TrajectoryIntersectionCounter(geometries, strategy, index)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1030,7 @@ def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
             else leaf.store.window_dwell(ids, *leaf.window),
         )
         return
-    polygons = context.polygon_pass(*leaf.target, ids, obs=stats)
+    polygons = context.geometry_index(*leaf.target, ids, obs=stats)
     run.stats.incr("scan_rows", leaf.rows)
     total = 0.0
     with run.stats.stage(EvaluationStats.SCAN_STAGE):

@@ -363,10 +363,9 @@ def _geometric_terms(
     the grid scan fanned out (only with an executor and a non-empty
     answer), and granule reads + residual sliver scan for the store."""
     context, moft = leaf.context, leaf.moft
-    layer, kind = leaf.target
     geometry = geometry_statistics(context, leaf.target, leaf.ids, moft)
     rows, n_geoms = leaf.rows, geometry.count
-    index_cached = (layer, kind, frozenset(leaf.ids)) in context._grid_cache
+    index_cached = context.has_geometry_index(*leaf.target, leaf.ids)
     costs: Dict[str, float] = {}
     if n_geoms == 0:
         # Empty geometric answer: every strategy degenerates to "return

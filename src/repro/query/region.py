@@ -27,10 +27,11 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import EvaluationError, QueryError
-from repro.geometry.index import UniformGridIndex, index_for_geometries
+from repro.geometry.index import Grid
 from repro.geometry.kernels import PolygonPass
 from repro.geometry.overlay import (
     PREDICATES,
@@ -89,15 +90,12 @@ class EvaluationContext:
         ] = {}
         # Pipeline observability: named counters + per-stage timers.
         self.obs = PipelineStats()
-        # Grid indexes keyed by (layer, kind, answer-id-set); repeated
-        # queries over the same geometric answer reuse the index instead
-        # of rebuilding it per query.
-        self._grid_cache: Dict[
-            Tuple[str, str, frozenset], UniformGridIndex
+        # The index of each geometric answer, keyed by (layer, kind,
+        # answer-id-set): repeated queries over the same answer reuse it
+        # instead of rebuilding it per query.
+        self._indexes: Dict[
+            Tuple[str, str, frozenset], Union[PolygonPass, Grid]
         ] = {}
-        # Beside each polygon answer's index, its pass (the batched
-        # scans' edge table, bins and decided-cell grid).
-        self._pass_cache: Dict[Tuple[str, str, frozenset], PolygonPass] = {}
         # Registered pre-aggregation stores; the resolve step
         # (repro.query.evaluator.resolve_through) consults these.
         self._preagg_stores: List["PreAggStore"] = []
@@ -173,8 +171,13 @@ class EvaluationContext:
         kind: str,
         ids: Iterable[Hashable],
         obs: Optional[PipelineStats] = None,
-    ) -> UniformGridIndex:
-        """A grid index over one geometric answer, cached per id set.
+    ) -> Union[PolygonPass, Grid]:
+        """The index of one geometric answer, cached per id set: over the
+        geometries in id order (``repr`` of the id), the
+        :class:`~repro.geometry.kernels.PolygonPass` the batched scans
+        read when every geometry is a polygon (its grid, edge table and
+        decided cells, built once per answer, not per query), else the
+        answer's :class:`~repro.geometry.index.Grid`.
 
         The Section 5 pipeline rebuilds its candidate filter from the
         geometric subquery's answer; answers repeat across queries (the
@@ -186,7 +189,7 @@ class EvaluationContext:
         """
         key = (layer, kind, frozenset(ids))
         observers = [self.obs] if obs is None else [self.obs, obs]
-        index = self._grid_cache.get(key)
+        index = self._indexes.get(key)
         if index is not None:
             for observer in observers:
                 observer.incr("grid_index_cache_hits")
@@ -194,37 +197,20 @@ class EvaluationContext:
         for observer in observers:
             observer.incr("grid_index_builds")
         elements = self.gis.layer(layer).elements(kind)
+        answer = {gid: elements[gid] for gid in sorted(key[2], key=repr)}
         with self.obs.stage("index_build"):
-            index = index_for_geometries(
-                {gid: elements[gid] for gid in key[2]}
-            )
-        self._grid_cache[key] = index
+            if all(isinstance(g, Polygon) for g in answer.values()):
+                index = PolygonPass.of(answer)
+            else:
+                index = Grid.of(answer)
+        self._indexes[key] = index
         return index
 
-    def polygon_pass(
-        self,
-        layer: str,
-        kind: str,
-        ids: Iterable[Hashable],
-        obs: Optional[PipelineStats] = None,
-    ) -> PolygonPass:
-        """:meth:`geometry_index` of a polygon answer, as the
-        :class:`~repro.geometry.kernels.PolygonPass` the batched scans
-        read (the polygons in id order, ``repr`` of the id), cached
-        beside the index: the pass and its decided-cell grid are built
-        once per answer, not per query.  Counts as
-        :meth:`geometry_index` does (it is that call)."""
-        key = (layer, kind, frozenset(ids))
-        index = self.geometry_index(layer, kind, key[2], obs=obs)
-        polygons = self._pass_cache.get(key)
-        if polygons is None:
-            elements = self.gis.layer(layer).elements(kind)
-            polygons = PolygonPass.of(
-                {gid: elements[gid] for gid in sorted(key[2], key=repr)},
-                index,
-            )
-            self._pass_cache[key] = polygons
-        return polygons
+    def has_geometry_index(
+        self, layer: str, kind: str, ids: Iterable[Hashable]
+    ) -> bool:
+        """Whether :meth:`geometry_index` of this answer is cached."""
+        return (layer, kind, frozenset(ids)) in self._indexes
 
     # -- geometry relations (overlay vs naive) ------------------------------------
 

@@ -134,7 +134,7 @@ def _contained(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The undecided path: one broad phase and one containment call on
     its pairs."""
-    pos, at = candidate_pairs(polygons.bins, x, y, x, y)
+    pos, at = candidate_pairs(polygons.grid, x, y, x, y)
     inside = pairs_contain(polygons.edges, pos, x[at], y[at])
     return pos[inside], at[inside]
 

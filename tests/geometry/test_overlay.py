@@ -175,20 +175,28 @@ class TestLayerOverlay:
         assert overlay.cached_relations == 18
 
     def test_locate_point(self):
-        overlay = LayerOverlay(city_layers())
-        assert overlay.locate_point("cities", Point(5, 5)) == {"antwerp"}
-        assert overlay.locate_point("cities", Point(15, 15)) == set()
+        """Point location over the overlay is the ``within`` relation of
+        a point layer (the grid's point probes)."""
+        layers = city_layers()
+        layers["probes"] = {"in": Point(5, 5), "out": Point(15, 15)}
+        overlay = LayerOverlay(layers)
+        assert overlay.pairs("probes", "cities", "within") == {
+            ("in", "antwerp")
+        }
 
     def test_locate_point_on_shared_boundary(self):
         layers = {
             "zones": {
                 "left": Polygon.rectangle(0, 0, 1, 1),
                 "right": Polygon.rectangle(1, 0, 2, 1),
-            }
+            },
+            "probes": {"edge": Point(1, 0.5)},
         }
         overlay = LayerOverlay(layers)
-        assert overlay.locate_point("zones", Point(1, 0.5)) == {"left", "right"}
+        assert overlay.pairs("probes", "zones", "within") == {
+            ("edge", "left"), ("edge", "right")
+        }
 
     def test_locate_point_empty_layer(self):
         overlay = LayerOverlay({"empty": {}, "full": {"p": Point(0, 0)}})
-        assert overlay.locate_point("empty", Point(0, 0)) == set()
+        assert overlay.pairs("full", "empty", "within") == set()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import kernels
-from repro.geometry.index import candidate_pairs, index_for_geometries
+from repro.geometry.index import Grid, candidate_pairs
 from repro.geometry.kernels import (
     EdgeTable,
     PolygonPass,
@@ -160,12 +160,12 @@ class TestBroadPhase:
     def test_equals_the_brute_force_box_test(self, segments, which):
         polygons = grid_city()
         ids = list(polygons)[::2] if which == "odd" else list(polygons)
-        index = index_for_geometries(polygons)
         x0, y0, x1, y1 = np.array(segments, dtype=np.float64).T
         # Zero-length segments (parked objects, and samples as points).
         x1[::3], y1[::3] = x0[::3], y0[::3]
         pos, seg = candidate_pairs(
-            index.bins(ids), np.minimum(x0, x1), np.minimum(y0, y1),
+            Grid.of({gid: polygons[gid] for gid in ids}),
+            np.minimum(x0, x1), np.minimum(y0, y1),
             np.maximum(x0, x1), np.maximum(y0, y1),
         )
         want_pos, want_seg = brute_force(
@@ -176,7 +176,6 @@ class TestBroadPhase:
 
     def test_long_segments_and_points_on_shared_edges(self):
         polygons = grid_city()
-        index = index_for_geometries(polygons)
         ids = list(polygons)
         # Across the whole grid, far outside it, and exactly on the
         # edges and corners the rectangles share.
@@ -185,7 +184,7 @@ class TestBroadPhase:
         x1 = np.array([200.0, 200.0, 300.0, 10.0, 20.0, 50.0, 30.0])
         y1 = np.array([200.0, 25.0, 300.0, 10.0, 50.0, 0.0, 30.0])
         pos, seg = candidate_pairs(
-            index.bins(ids), np.minimum(x0, x1), np.minimum(y0, y1),
+            Grid.of(polygons), np.minimum(x0, x1), np.minimum(y0, y1),
             np.maximum(x0, x1), np.maximum(y0, y1),
         )
         want_pos, want_seg = brute_force(
@@ -221,7 +220,7 @@ class TestPeakMemory:
         assert len(batch) > 15000
         dt = batch.t1 - batch.t0
         passes = PolygonPass.of(polygons)
-        pos, at = candidate_pairs(passes.bins, *batch.boxes())
+        pos, at = candidate_pairs(passes.grid, *batch.boxes())
         pair_args = (*batch.ends(at), dt[at])
         loop_args = [
             (polygon, *batch.ends(near), dt[near])

@@ -86,24 +86,6 @@ class TestSpatialQueries:
         layer = neighborhoods_layer()
         assert layer.locate_point(NODE, Point(5, 5)) == set()
 
-    def test_elements_intersecting_segment(self):
-        layer = neighborhoods_layer()
-        crossing = Segment(Point(5, 5), Point(15, 5))
-        assert layer.elements_intersecting(POLYGON, crossing) == {
-            "berchem",
-            "zuid",
-        }
-
-    def test_elements_intersecting_polygon(self):
-        layer = neighborhoods_layer()
-        probe = Polygon.rectangle(8, 8, 12, 12)
-        assert layer.elements_intersecting(POLYGON, probe) == {"berchem", "zuid"}
-
-    def test_elements_intersecting_bad_geometry(self):
-        layer = neighborhoods_layer()
-        with pytest.raises(InstanceError):
-            layer.elements_intersecting(POLYGON, "blob")
-
     def test_index_invalidation_on_add(self):
         layer = neighborhoods_layer()
         assert layer.locate_point(POLYGON, Point(25, 5)) == set()

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Polygon, Polyline
+from repro.geometry.kernels import kernel_backend
 from repro.geometry.poi import Poi
 from repro.gis import (
     ALL,
@@ -81,6 +82,32 @@ def assert_scan_equals_walk(geometries, moft):
                 assert counter.matching_objects(moft, stats) == walked
             assert stats.count("objects_scanned") == len(moft.objects())
             assert stats.count("objects_matched") == len(walked)
+
+
+def assert_walks_count_alike(geometries, moft):
+    """The ``grid`` counter's walk (one broad phase, candidates in id
+    order) finds and counts what the ``serial`` walk (every box) does:
+    over all objects at once, and object by object."""
+    index = moft.segment_index()
+    objects = np.arange(len(index.oids))
+    walks = []
+    for strategy in SCAN_STRATEGIES:
+        counter = TrajectoryIntersectionCounter(geometries, strategy)
+        hit = np.zeros(objects.shape[0], dtype=bool)
+        stats, each = EvaluationStats(), EvaluationStats()
+        counter._walk(moft, index, objects, hit, stats)
+        matched = [
+            counter._object_matches(moft, oid, each) for oid in index.oids
+        ]
+        assert hit.tolist() == matched
+        counts = [
+            stats.count(name) for name in ("segment_checks", "bbox_rejections")
+        ]
+        assert counts == [
+            each.count(name) for name in ("segment_checks", "bbox_rejections")
+        ]
+        walks.append((hit.tolist(), counts))
+    assert walks[0] == walks[1]
 
 
 def walked_dwell(moft, polygons, window=None):
@@ -138,13 +165,29 @@ class TestFigure1:
         for layer, kind in (("Lr", POLYLINE), ("Ls", NODE)):
             geometries = fig1.gis.layer(layer).elements(kind)
             counter = TrajectoryIntersectionCounter(geometries)
-            assert counter._polygons is None
+            assert counter._pass is None
             assert_scan_equals_walk(geometries, fig1.moft)
+
+    def test_indexed_walk_counts_what_the_serial_walk_counts(self, fig1):
+        for layer, kind in (("Ln", POLYGON), ("Lr", POLYLINE), ("Ls", NODE)):
+            geometries = fig1.gis.layer(layer).elements(kind)
+            assert_walks_count_alike(geometries, fig1.moft)
+            # A non-polygon answer is all walk: the scans count alike too.
+            if kind != POLYGON:
+                serial, grid = EvaluationStats(), EvaluationStats()
+                TrajectoryIntersectionCounter(geometries, "serial") \
+                    .matching_objects(fig1.moft, serial)
+                TrajectoryIntersectionCounter(geometries, "grid") \
+                    .matching_objects(fig1.moft, grid)
+                names = ("segment_checks", "bbox_rejections", "objects_matched")
+                assert [serial.count(n) for n in names] == [
+                    grid.count(n) for n in names
+                ]
 
     def test_mixed_answer_takes_the_walk(self, fig1):
         mixed = dict(fig1.gis.layer("Ln").elements(POLYGON))
         mixed.update(fig1.gis.layer("Lr").elements(POLYLINE))
-        assert TrajectoryIntersectionCounter(mixed)._polygons is None
+        assert TrajectoryIntersectionCounter(mixed)._pass is None
         assert_scan_equals_walk(mixed, fig1.moft)
 
     def test_dwell(self, fig1):
@@ -221,6 +264,26 @@ class TestCity:
         assert pairs == (n_rows - len(moft.objects())) * len(polygons)
         assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
 
+    def test_dwell_decided_segments_skip_the_kernel(self, city):
+        """On a window with more segments than label cells the dwell pass
+        decides segments in one label's cells: each is still a pair
+        (``segment_checks``), but never the kernel's."""
+        built, _, time, moft = city
+        context = EvaluationContext(built.gis, time, moft)
+        polygons = built.gis.layer("Ln").elements(POLYGON)
+        stats = PipelineStats()
+        got = total_dwell_time(
+            context, ("Ln", POLYGON), [], window=(24.0, 71.0),
+            use_preagg=False, stats=stats,
+        )
+        want = walked_dwell(moft, polygons, (24.0, 71.0))
+        assert math.isclose(got, want, rel_tol=1e-9)
+        if kernel_backend() == "numpy":  # (the scalar reference decides none)
+            assert stats.count("cell_decided_segments") > 0
+        assert stats.count("clip_kernel_segments") + stats.count(
+            "cell_decided_segments"
+        ) == stats.count("segment_checks")
+
     @pytest.mark.parametrize("restricted", [False, True])
     def test_through_counts_its_kernel_work(self, city, restricted):
         """The through leaf hands the kernel exactly its broad-phase
@@ -280,13 +343,18 @@ DISCS = {
 LINES = {"diagonal": Polyline([Point(0, 0), Point(5, 5), Point(10, 5)])}
 
 lattice = st.integers(min_value=-1, max_value=11).map(float)
+#: Lattice points in the notched square's east half, clear of its edges
+#: and its hole: the label grid's cells there (1.25 units) are decided
+#: inside it, so a segment between two such points is a decided segment.
+east = st.tuples(
+    st.sampled_from([8.0, 9.0]), st.sampled_from([5.0, 6.0, 7.0, 8.0])
+)
 samples = st.lists(
     st.tuples(
         st.sampled_from(["A", "B", "C", "D", "E"]),
         st.integers(min_value=0, max_value=11),
-        lattice,
-        lattice,
-    ),
+        st.one_of(st.tuples(lattice, lattice), east),
+    ).map(lambda s: (s[0], s[1], *s[2])),
     min_size=1,
     max_size=30,
     unique_by=lambda s: (s[0], s[1]),
@@ -313,6 +381,13 @@ class TestLatticeTables:
         _, _, moft = lattice_world(rows)
         assert_scan_equals_walk(SHAPES, moft)
         assert_scan_equals_walk(LINES, moft)
+
+    @given(samples)
+    @settings(deadline=None)
+    def test_indexed_walk_counts_what_the_serial_walk_counts(self, rows):
+        _, _, moft = lattice_world(rows)
+        assert_walks_count_alike(SHAPES, moft)
+        assert_walks_count_alike(LINES, moft)
 
     @given(samples)
     @settings(deadline=None)
