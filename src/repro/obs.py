@@ -69,6 +69,12 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     to cut it (the first for a table, the first after an append, one
     pushed out by more recently used tables).  Every MOFT fan-out counts
     one or the other; neither says anything about blocks.
+``pass_cache_hits`` / ``pass_cache_misses``
+    Shard scan tasks whose unpickled counter found the answer's polygon
+    pass (edge table, grid, label grid) among the last few its process
+    kept, by the pass's token and whether the label grid came along, and
+    tasks that rebuilt it.  Counted in the worker, only when the counter
+    was pickled (the ``processes`` backend) and its answer is polygons.
 ``bytes_serialized`` / ``peak_shard_payload_bytes``
     Payload accounting, recorded only under
     ``ShardedExecutor(track_payload_bytes=True)``: total pickled task

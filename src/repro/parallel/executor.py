@@ -147,6 +147,10 @@ def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
     by the query's time restriction when it has one."""
     counter, shard, restriction = payload
     stats = EvaluationStats()
+    if counter.kept_pass is not None:
+        stats.incr(
+            "pass_cache_hits" if counter.kept_pass else "pass_cache_misses"
+        )
     start = time.perf_counter()
     table = open_shard(shard)
     # A resident shard has its segment index and instant codes already:

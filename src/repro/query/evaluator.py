@@ -62,7 +62,9 @@ compatibility.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -187,6 +189,43 @@ def _segments_of(
         lo = hi
 
 
+#: Passes a process keeps from the counters it unpickled (a shard
+#: task's), under ``(token, whether labels came)``, least recently used
+#: first out.
+_KEPT_PASSES = 8
+_KEPT: "OrderedDict[Tuple[str, bool], kernels.PolygonPass]" = OrderedDict()
+_KEPT_LOCK = threading.Lock()
+
+
+def _kept_pass(
+    token: str,
+    geometries: Dict[Hashable, Polygon],
+    labels: Optional[tuple],
+) -> Tuple["kernels.PolygonPass", bool]:
+    """The pass an unpickled counter scans with, and whether it was
+    kept: a new pass over the edge table, grid and label grid kept under
+    ``(token, labels is not None)``, or over new ones (``labels``, the
+    pickled ``(grid, labels)`` of the sender's label grid, or None).  A
+    label grid the task builds itself stays on its own pass."""
+    key = (token, labels is not None)
+    with _KEPT_LOCK:
+        kept = _KEPT.get(key)
+        if kept is not None:
+            _KEPT.move_to_end(key)
+    hit = kept is not None
+    if not hit:
+        kept = kernels.PolygonPass.of(geometries)
+        if labels is not None:
+            kept.labels = kernels.LabelGrid(*labels)
+        with _KEPT_LOCK:
+            _KEPT[key] = kept
+            while len(_KEPT) > _KEPT_PASSES:
+                _KEPT.popitem(last=False)
+    passes = kernels.PolygonPass(kept.edges, kept.grid, kept.labels)
+    passes.token = token
+    return passes, hit
+
+
 class TrajectoryIntersectionCounter:
     """Counts objects whose trajectory meets any of a set of geometries.
 
@@ -210,11 +249,13 @@ class TrajectoryIntersectionCounter:
         order (from ``EvaluationContext.geometry_index``): a
         :class:`~repro.geometry.kernels.PolygonPass` when every geometry
         is a polygon, else a :class:`~repro.geometry.index.Grid`.
-        Default: built here (a grid only when the walk reads it); with
-        the prefilter, the pass's decided-cell grid is built here.  A
-        shard task gets the label grid with the counter and rebuilds the
-        rest (the pickle carries geometries, not the arrays derived from
-        them).
+        Default: built here (a grid only when the walk reads it).  The
+        prefilter sizes the pass's decided-cell grid by the rows it
+        reads, unless :func:`counter_for` built it for the table first.
+        A shard task gets the label grid with the counter and takes the
+        rest from the passes its process kept (:attr:`kept_pass`), or
+        rebuilds it (the pickle carries geometries, not the arrays
+        derived from them).
     """
 
     def __init__(
@@ -240,9 +281,9 @@ class TrajectoryIntersectionCounter:
                 index = kernels.PolygonPass.of(self.geometries)
             self._pass = index
             index = self._pass.grid
-            if self._prefilter:
-                # The prefilter reads every sample of the table.
-                self._pass.label()
+        #: Whether a shard task's unpickled counter found its pass among
+        #: those its process kept (None: not unpickled, or no pass).
+        self.kept_pass: Optional[bool] = None
         #: The walk's broad phase (None: the ``serial`` reference tests
         #: every geometry's box).
         self._grid = None
@@ -256,18 +297,26 @@ class TrajectoryIntersectionCounter:
         return self._pass is not None and self.strategy != "serial"
 
     def __getstate__(self) -> dict:
-        # A shard task rebuilds the answer's index from the geometries (in
-        # fewer bytes than any of its arrays); only the label grid travels.
-        labels = None if self._pass is None else self._pass.labels
+        # A shard task takes the answer's pass from those its process
+        # kept, by the pass's token, or rebuilds it from the geometries
+        # (in fewer bytes than any of its arrays); of the arrays only the
+        # label cells travel.
+        passes = self._pass
+        labels = None
+        if passes is not None and passes.labels is not None:
+            labels = (passes.labels.grid, passes.labels.labels)
         return {"geometries": self.geometries, "strategy": self.strategy,
+                "token": None if passes is None else passes.token,
                 "labels": labels}
 
     def __setstate__(self, state: dict) -> None:
-        index = None
-        if state["labels"] is not None:
-            index = kernels.PolygonPass.of(state["geometries"])
-            index.labels = state["labels"]
+        index = kept = None
+        if state["token"] is not None:
+            index, kept = _kept_pass(
+                state["token"], state["geometries"], state["labels"]
+            )
         self.__init__(state["geometries"], state["strategy"], index)
+        self.kept_pass = kept
 
     def matching_objects(
         self, moft: MOFT, stats: Optional[EvaluationStats] = None,
@@ -584,12 +633,20 @@ def counter_for(
     ids: Set[Hashable],
     strategy: str,
     stats: Optional[EvaluationStats] = None,
+    *,
+    rows: int,
 ) -> TrajectoryIntersectionCounter:
     """Build the scan counter over one geometric answer (the scan leaf)
     in the shape of ``strategy``, with the answer's cached index
     (:meth:`~repro.query.region.EvaluationContext.geometry_index`) —
     under ``serial`` too for a polygon answer, whose batched scan reads
-    that same pass (only its per-object walk goes without the grid)."""
+    that same pass (only its per-object walk goes without the grid).
+
+    With the sample prefilter, the pass's decided-cell grid is built
+    here, sized by the ``rows`` of the table the scan reads, so that it
+    travels with the counter to shard tasks
+    (:meth:`~repro.geometry.kernels.PolygonPass.labels_for`: a table
+    too small to pay for one builds none)."""
     layer, kind = target
     elements = context.gis.layer(layer).elements(kind)
     geometries = {gid: elements[gid] for gid in ids}
@@ -598,7 +655,10 @@ def counter_for(
         isinstance(g, Polygon) for g in geometries.values()
     ):
         index = context.geometry_index(layer, kind, ids, obs=stats)
-    return TrajectoryIntersectionCounter(geometries, strategy, index)
+    counter = TrajectoryIntersectionCounter(geometries, strategy, index)
+    if counter._prefilter:
+        counter._pass.labels_for(rows)
+    return counter
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1060,9 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         restriction = leaf.restriction
     else:
         rows = leaf.row_mask
-    counter = counter_for(context, leaf.target, leaf.ids, strategy, stats)
+    counter = counter_for(
+        context, leaf.target, leaf.ids, strategy, stats, rows=len(moft)
+    )
     started = time.perf_counter()
     if executor is not None:
         run.answer |= executor.matching_objects(

@@ -18,11 +18,13 @@ keeps a grid that decides nothing from passing silently.
 """
 
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry import kernels
 from repro.geometry.index import _cell
 from repro.geometry.kernels import (
     MIXED,
@@ -37,7 +39,10 @@ from repro.gis import POLYGON
 from repro.obs import PipelineStats
 from repro.query.evaluator import TrajectoryIntersectionCounter
 from repro.query.vectorized import _contained, points_inside
+from repro.preagg import PreAggStore
 from repro.synth import CityConfig, build_city, install_city_pois, stop_biased_moft
+from repro.temporal.calendar import hourly
+from repro.temporal.timedim import TimeDimension
 
 from tests.geometry.test_clip_kernel import CSHAPE, DIAMOND, HOLED, SQUARE, ZIGZAG
 
@@ -144,13 +149,15 @@ class TestShapes:
             assert (labels.labels >= 0).any() and (labels.labels == MIXED).any()
 
     def test_edges_on_cell_lines(self, backend):
-        """Side-8 squares on a lattice: the median side over 8 makes
-        every edge lie on a cell line."""
+        """Side-32 squares on a lattice, 128 units tall: the finest grid
+        (128 cells across) has cells of 1, so every edge lies on a cell
+        line."""
         squares = [
             Polygon([
-                Point(i, j), Point(i + 8, j), Point(i + 8, j + 8), Point(i, j + 8),
+                Point(i, j), Point(i + 32, j), Point(i + 32, j + 32),
+                Point(i, j + 32),
             ])
-            for i, j in ((0, 0), (8, 0), (16, 8), (0, 16))
+            for i, j in ((0, 0), (32, 0), (64, 32), (0, 96))
         ]
         labels, _ = assert_decided_exact(
             squares, np.random.default_rng(5), backend
@@ -160,12 +167,14 @@ class TestShapes:
         assert (labels.labels == OUTSIDE).any()
 
     def test_hole_interior_is_outside(self):
-        """Side 32, so cells of 4: the hole's inner cells are decided
-        outside, the ring's inside."""
+        """Side 32, so cells of 0.25: the hole's inner cells are decided
+        outside, the ring's inside, and a cell along the hole's edge is
+        undecided."""
         square = [Point(0, 0), Point(32, 0), Point(32, 32), Point(0, 32)]
         hole = [Point(10, 10), Point(22, 10), Point(22, 22), Point(10, 22)]
         labels = PolygonPass.of({"holed": Polygon(square, holes=[hole])}).label()
-        found = labels.of(np.array([14.0, 6.0, 10.0]), np.array([14.0, 6.0, 3.0]))
+        assert labels.grid[2] == 0.25
+        found = labels.of(np.array([14.0, 6.0, 10.1]), np.array([14.0, 6.0, 15.0]))
         assert found.tolist() == [OUTSIDE, 0, MIXED]
 
 
@@ -338,13 +347,26 @@ class TestRandom:
 
 class TestLaziness:
     def test_grid_waits_for_enough_points(self):
-        passes = PolygonPass.of({"square": SQUARE})
-        grid = passes.label().grid
-        cells = grid[3] * grid[4]
+        """A call under the floor builds nothing; the grid a call builds
+        has at most that call's points in cells (about one per point,
+        up to ``_LABEL_SPAN`` across) and is kept from then on."""
+        floor = kernels._LABEL_MIN_POINTS
         fresh = PolygonPass.of({"square": SQUARE})
-        assert fresh.labels_for(cells) is None
-        assert fresh.labels_for(cells + 1) is not None
-        assert fresh.labels_for(1) is not None
+        assert fresh.labels_for(floor - 1) is None and fresh.labels is None
+        built = fresh.labels_for(floor)
+        assert built is not None and built.grid[3] * built.grid[4] <= floor
+        assert fresh.labels_for(1) is built
+        assert fresh.labels_for(10**6) is built
+        spread = {i: moved(p, 1.0, 15 * i, 0.0) for i, p in enumerate(TABLE)}
+        for polygons in ({"square": SQUARE}, spread):
+            for points in (floor, 3_000, 10_000, 16_641, 10**6):
+                grid = PolygonPass.of(polygons).labels_for(points).grid
+                cells = grid[3] * grid[4]
+                assert cells <= points, (points, grid)
+                if max(grid[3], grid[4]) <= kernels._LABEL_SPAN:
+                    assert cells > points / 2, (points, grid)
+                else:
+                    assert max(grid[3], grid[4]) == kernels._LABEL_SPAN + 1
 
     def test_scalar_backend_decides_nothing(self, backend):
         passes = PolygonPass.of({"square": SQUARE})
@@ -367,3 +389,46 @@ class TestCompleteness:
         share = stats.count("cell_decided_points") / len(moft)
         assert len(moft) == 10_000
         assert share > 0
+
+    def test_city_store_decides_what_median_side_cells_cannot(self, monkeypatch):
+        """The record of the cell-size rule: a store build over the
+        10k-sample city, on the grid its sample pass sizes (one cell per
+        sample: 99 x 99), decides a larger share of its dwell pairs than
+        the same build on cells an eighth of the median block side (the
+        rule it replaced: 49 x 49, 17 %)."""
+        city = build_city(
+            CityConfig(cols=6, rows=6), rng=np.random.default_rng(20060109)
+        )
+        moft = stop_biased_moft(install_city_pois(city), 100, 100)
+        polygons = city.gis.layer("Ln").elements(POLYGON)
+        time = TimeDimension.from_mapping(
+            hourly(datetime(2006, 1, 9, 0, 0)), range(100)
+        )
+
+        def decided_share():
+            obs = PipelineStats()
+            store = PreAggStore(
+                moft, time, "day", polygons, layer="Ln", kind=POLYGON, obs=obs
+            )
+            decided = obs.count("cell_decided_segments")
+            pairs = decided + obs.count("clip_kernel_segments")
+            return decided / pairs, store._polygons.labels.grid
+
+        share, grid = decided_share()
+        assert grid[3:] == (99, 99)
+
+        def median_side(edges, points):
+            ox, oy = float(edges.bminx.min()), float(edges.bminy.min())
+            width = float(edges.bmaxx.max()) - ox
+            height = float(edges.bmaxy.max()) - oy
+            sides = np.sort(np.maximum(
+                edges.bmaxx - edges.bminx, edges.bmaxy - edges.bminy
+            ))
+            size = float(sides[sides.size // 2]) / 8
+            return ox, oy, size, int(width // size) + 1, int(height // size) + 1
+
+        monkeypatch.setattr(kernels, "_label_geometry", median_side)
+        old, old_grid = decided_share()
+        assert old_grid[3:] == (49, 49)
+        assert round(old, 2) == 0.17
+        assert share > old + 0.05

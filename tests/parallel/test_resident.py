@@ -247,6 +247,32 @@ class TestResidency:
                 assert table_id == first[slot][0]
                 assert indexed
 
+    def test_worker_keeps_the_answer_pass(self, moft):
+        """Repeated fan-outs of one answer take its polygon pass from
+        what the worker kept; a new answer (a new pass, even over the
+        same polygon) and a pass whose label grid now travels along
+        rebuild it once."""
+
+        def fan_out(counter, times):
+            expected = counter.matching_objects(moft)
+            stats = PipelineStats()
+            for _ in range(times):
+                assert ex.matching_objects(counter, moft, stats) == expected
+            return (
+                stats.count("pass_cache_hits"), stats.count("pass_cache_misses")
+            )
+
+        # One worker, so that both shards land on it every time.
+        with ShardedExecutor(ProcessBackend(max_workers=1), n_shards=2) as ex:
+            first = TrajectoryIntersectionCounter({"region": REGION})
+            assert fan_out(first, 1) == (1, 1)
+            assert fan_out(first, 3) == (6, 0)
+            other = TrajectoryIntersectionCounter({"region": REGION})
+            assert fan_out(other, 2) == (3, 1)
+            first._pass.label()
+            assert fan_out(first, 2) == (3, 1)
+            assert fan_out(other, 1) == (2, 0)
+
     def test_restricted_scan_masks_the_resident_shards(
         self, moft, counter, monkeypatch
     ):

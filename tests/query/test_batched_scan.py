@@ -20,6 +20,7 @@ pieces) and leaves objects with a single sample.
 """
 
 import math
+from contextlib import contextmanager
 from datetime import datetime
 
 import numpy as np
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Polygon, Polyline
-from repro.geometry.kernels import kernel_backend
+from repro.geometry.kernels import PolygonPass, kernel_backend
 from repro.geometry.poi import Poi
 from repro.gis import (
     ALL,
@@ -262,7 +263,13 @@ class TestCity:
         assert stats.seconds("segment_scan") > 0
         pairs = stats.count("segment_checks") + stats.count("bbox_rejections")
         assert pairs == (n_rows - len(moft.objects())) * len(polygons)
-        assert stats.count("clip_kernel_segments") == stats.count("segment_checks")
+        # The window's 2 300 segments build a label grid (the rule's
+        # floor is 1 024 points): the pairs are kernel rows or decided.
+        if kernel_backend() == "numpy":  # (the scalar reference decides none)
+            assert stats.count("cell_decided_segments") > 0
+        assert stats.count("clip_kernel_segments") + stats.count(
+            "cell_decided_segments"
+        ) == stats.count("segment_checks")
 
     def test_dwell_decided_segments_skip_the_kernel(self, city):
         """On a window with more segments than label cells the dwell pass
@@ -361,6 +368,20 @@ samples = st.lists(
 )
 
 
+@contextmanager
+def label_rule(forced):
+    """:meth:`PolygonPass.labels_for` as it is, or *forced*: a pass
+    builds its (finest) label grid at its first call, as
+    ``tests/preagg/test_decided_segments.py`` does, so the lattice
+    tables, all under the rule's floor, reach the decided branch."""
+    with pytest.MonkeyPatch.context() as patch:
+        if forced:
+            patch.setattr(
+                PolygonPass, "labels_for", lambda self, points: self.label()
+            )
+        yield
+
+
 def lattice_world(rows):
     schema = GISDimensionSchema(
         [LayerHierarchy("Ln", [(POINT, POLYGON), (POLYGON, ALL)])], []
@@ -394,45 +415,67 @@ class TestLatticeTables:
     def test_every_pair_is_visited_without_early_exit(self, rows):
         """The dwell leaf has no early exit: its pairs and rejections
         make up segments x polygons, and the through scan, which stops
-        an object at its first hit, checks at most those pairs."""
+        an object at its first hit, checks at most those pairs (under
+        the label rule and with a forced grid)."""
         gis, time, moft = lattice_world(rows)
         n_segments = len(moft) - len(moft.objects())
-        dwell = EvaluationStats()
-        total_dwell_time(
-            EvaluationContext(gis, time, moft), ("Ln", POLYGON), [],
-            use_preagg=False, stats=dwell,
-        )
-        pairs = dwell.count("segment_checks") + dwell.count("bbox_rejections")
-        assert pairs == n_segments * len(SHAPES)
         # Single-sample objects take the walk, which counts its own way.
-        moft = moft.restrict_objects(
+        paths = moft.restrict_objects(
             {oid for oid in moft.objects() if moft.sample_count(oid) > 1}
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evaluator, "BATCH_MIN_ROWS", 0)
-            for strategy in SCAN_STRATEGIES:
-                through = EvaluationStats()
-                TrajectoryIntersectionCounter(SHAPES, strategy).matching_objects(
-                    moft, through
+        for forced in (False, True):
+            dwell = EvaluationStats()
+            with label_rule(forced):
+                total_dwell_time(
+                    EvaluationContext(gis, time, moft), ("Ln", POLYGON), [],
+                    use_preagg=False, stats=dwell,
                 )
-                assert through.count("segment_checks") <= dwell.count(
-                    "segment_checks"
-                )
+            pairs = dwell.count("segment_checks") + dwell.count(
+                "bbox_rejections"
+            )
+            assert pairs == n_segments * len(SHAPES)
+            with pytest.MonkeyPatch.context() as patch, label_rule(forced):
+                patch.setattr(evaluator, "BATCH_MIN_ROWS", 0)
+                for strategy in SCAN_STRATEGIES:
+                    through = EvaluationStats()
+                    TrajectoryIntersectionCounter(
+                        SHAPES, strategy
+                    ).matching_objects(paths, through)
+                    assert through.count("segment_checks") <= dwell.count(
+                        "segment_checks"
+                    )
 
-    @given(samples, st.sampled_from([None, (2.0, 9.0)]))
-    @settings(deadline=None)
-    def test_dwell(self, rows, window):
-        gis, time, moft = lattice_world(rows)
-        context = EvaluationContext(gis, time, moft)
-        if window is not None and not (
-            (moft.as_arrays()[0] >= 2) & (moft.as_arrays()[0] <= 9)
-        ).any():
-            return
-        got = total_dwell_time(
-            context, ("Ln", POLYGON), [], window=window, use_preagg=False
-        )
-        want = walked_dwell(moft, SHAPES, window)
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+    def test_dwell(self):
+        """Each drawn table's dwell leaf under the label rule and with a
+        forced label grid; the record: some drawn table decides a
+        segment under the forced grid (the east-half points)."""
+        decided = []
+
+        @given(samples, st.sampled_from([None, (2.0, 9.0)]))
+        @settings(deadline=None)
+        def check(rows, window):
+            gis, time, moft = lattice_world(rows)
+            if window is not None and not (
+                (moft.as_arrays()[0] >= 2) & (moft.as_arrays()[0] <= 9)
+            ).any():
+                return
+            want = walked_dwell(moft, SHAPES, window)
+            for forced in (False, True):
+                stats = PipelineStats()
+                with label_rule(forced):
+                    got = total_dwell_time(
+                        EvaluationContext(gis, time, moft), ("Ln", POLYGON),
+                        [], window=window, use_preagg=False, stats=stats,
+                    )
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+                assert stats.count("clip_kernel_segments") + stats.count(
+                    "cell_decided_segments"
+                ) == stats.count("segment_checks")
+                if forced:
+                    decided.append(stats.count("cell_decided_segments"))
+
+        check()
+        assert any(decided)
 
     @given(samples, st.sampled_from([0.0, 1.0]))
     @settings(deadline=None)

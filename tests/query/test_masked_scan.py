@@ -277,7 +277,9 @@ class TestNoChildTable:
 
 def answer_counter(context, strategy="grid"):
     ids = geometric_subquery(context, TARGET, CONSTRAINTS)
-    return counter_for(context, TARGET, ids, strategy)
+    return counter_for(
+        context, TARGET, ids, strategy, rows=len(context.moft("FM"))
+    )
 
 
 class TestDecidedWorkIsSkipped:

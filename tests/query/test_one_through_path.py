@@ -259,8 +259,10 @@ def reference_figures(
 ) -> dict:
     """What the scan leaf counts for this query, run on its own."""
     ids = geometric_subquery(context, TARGET, CONSTRAINTS, obs=PipelineStats())
-    counter = counter_for(context, TARGET, ids, strategy, PipelineStats())
     moft = context.moft("FM")
+    counter = counter_for(
+        context, TARGET, ids, strategy, PipelineStats(), rows=len(moft)
+    )
     if window is not None:
         t, _, _ = moft.as_arrays()
         moft = moft.mask_rows((t >= window[0]) & (t <= window[1]))
