@@ -56,12 +56,15 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     crossings - fallback``, was decided in the far field.  The fallback
     share is the kernel's efficiency figure; exactness is unconditional.
 
-``zero_copy_blocks`` / ``zero_copy_fallbacks``
+``zero_copy_blocks`` / ``zero_copy_fallbacks`` / ``missing_shards``
     Zero-copy shard transport (:mod:`repro.parallel.shm`): shared-memory
-    blocks created for fan-outs (one per ``processes`` fan-out,
-    published from the resident image or not), and ``processes``
-    fan-outs that fell back to pickled shard payloads (object ids not
-    encodable as str/int).
+    blocks created — one by the first ``processes`` fan-out over a
+    resident image, one by any later fan-out some worker of which
+    lacked the image, none by a fan-out a warm pool answers from what
+    it holds; ``processes`` fan-outs that fell back to pickled shard
+    payloads (object ids not encodable as str/int); and shard tasks
+    re-sent with a block because their worker reported the image
+    missing (within the same attempt: never a retry).
 ``shard_cache_hits`` / ``shard_cache_misses``
     :class:`repro.parallel.ShardedExecutor`'s resident shards: MOFT
     fan-outs that found the partition of their ``(table, version, rows,
@@ -72,9 +75,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 ``pass_cache_hits`` / ``pass_cache_misses``
     Shard scan tasks whose unpickled counter found the answer's polygon
     pass (edge table, grid, label grid) among the last few its process
-    kept, by the pass's token and whether the label grid came along, and
-    tasks that rebuilt it.  Counted in the worker, only when the counter
-    was pickled (the ``processes`` backend) and its answer is polygons.
+    kept, by the pass's token and its label grid's frame, and tasks that
+    rebuilt it (labelling the frame again).  Counted in the worker, only
+    when the counter was pickled (the ``processes`` backend) and its
+    answer is polygons.
 ``bytes_serialized`` / ``peak_shard_payload_bytes``
     Payload accounting, recorded only under
     ``ShardedExecutor(track_payload_bytes=True)``: total pickled task

@@ -45,6 +45,11 @@ On top of ``run_tasks`` sits the *resilient* layer every
   is the one step of :data:`DEGRADATION_ORDER` (``processes`` →
   ``serial``), resetting the retry budget of the tasks that exhausted
   it at the richer tier.
+
+A task whose process lacks the shared-memory image its key-only
+descriptor names (:class:`~repro.parallel.shm.ShardMissing`) reports
+the ``"missing"`` status instead of failing; :func:`resilient_map`
+re-sends exactly those tasks, with the block, within the same attempt.
 """
 
 from __future__ import annotations
@@ -66,12 +71,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import EvaluationError, ShardExecutionError
 from repro.obs import PipelineStats
+from repro.parallel.shm import ShardMissing
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: One task attempt's outcome: (status, value, error, seconds) where
-#: status is "ok" / "error" / "timeout".
+#: status is "ok" / "error" / "timeout" / "missing" (the task's process
+#: lacks the shard image its descriptor names: see :func:`resilient_map`).
 AttemptOutcome = Tuple[str, Optional[R], Optional[BaseException], float]
 
 
@@ -86,6 +93,8 @@ def _timed_call(fn: Callable[[T], R], item: T) -> "AttemptOutcome[R]":
     start = time.perf_counter()
     try:
         value = fn(item)
+    except ShardMissing:
+        return ("missing", None, None, time.perf_counter() - start)
     except Exception as exc:
         return ("error", None, exc, time.perf_counter() - start)
     return ("ok", value, None, time.perf_counter() - start)
@@ -380,7 +389,7 @@ class TaskFailure:
 
     task_index: int
     attempt: int
-    status: str  # "error" | "timeout" | "dropped" | "truncated"
+    status: str  # "error" | "timeout" | "dropped" | "truncated" | "missing"
     backend: str
     error: Optional[BaseException] = None
     fault: "object | None" = None  # the FaultSpec that caused it, if injected
@@ -417,6 +426,20 @@ def _shard_error(
     return ShardExecutionError(message, failures=failures, faults=trace)
 
 
+def _run_pending(
+    backend: ExecutionBackend,
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    timeout: Optional[float],
+) -> List["AttemptOutcome[R]"]:
+    """One outcome per item; a backend returning too few is a broken
+    backend, and the tail counts as dropped tasks."""
+    outcomes = list(backend.run_tasks(fn, items, timeout=timeout))
+    return outcomes + [("dropped", None, None, 0.0)] * (
+        len(items) - len(outcomes)
+    )
+
+
 def resilient_map(
     backend: ExecutionBackend,
     fn: Callable[[T], R],
@@ -425,6 +448,7 @@ def resilient_map(
     plan: "object | None" = None,
     obs: Optional[PipelineStats] = None,
     failure_mode: str = "retry",
+    resend: Optional[Callable[[List[int]], Sequence[T]]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` with retries, timeouts and degradation.
 
@@ -445,9 +469,19 @@ def resilient_map(
       steps the whole fan-out down :data:`DEGRADATION_ORDER` with a
       fresh budget; only exhaustion *at serial* raises.
 
+    ``resend`` answers a ``"missing"`` outcome (a key-only shard
+    descriptor reached a process without the image): called with the
+    indices of the tasks that reported one, it returns their items
+    again, now with a shared block to attach, and those tasks run once
+    more on the same backend before any fault or failure rule looks at
+    the attempt.  A miss is not an attempt: it takes no fault-plan
+    coordinate, no retry budget and no degradation step, on whichever
+    tier it happens.  The new items stand for the rest of the call.  A
+    ``"missing"`` outcome left over (no ``resend``) is a failure.
+
     Observability (all on ``obs``): ``fault_injected``, ``task_retries``,
-    ``task_timeouts``, ``backend_degradations`` counters and the
-    ``retry_backoff`` stage timer.
+    ``task_timeouts``, ``backend_degradations``, ``missing_shards``
+    counters and the ``retry_backoff`` stage timer.
     """
     if failure_mode not in ("raise", "retry", "degrade"):
         raise EvaluationError(
@@ -456,6 +490,7 @@ def resilient_map(
         )
     policy = policy if policy is not None else RetryPolicy()
     obs = obs if obs is not None else PipelineStats()
+    items = list(items)
     n = len(items)
     results: dict = {}
     attempts = [0] * n        # global attempt number per task (keys the plan)
@@ -465,15 +500,19 @@ def resilient_map(
     pending = list(range(n))
     retry_round = 0
     while pending:
-        outcomes = current.run_tasks(
-            fn, [items[i] for i in pending], timeout=policy.timeout_s
+        outcomes = _run_pending(
+            current, fn, [items[i] for i in pending], policy.timeout_s
         )
-        if len(outcomes) != len(pending):
-            # A backend returning the wrong number of outcomes is a
-            # broken backend; treat the tail as dropped tasks.
-            outcomes = list(outcomes) + [
-                ("dropped", None, None, 0.0)
-            ] * (len(pending) - len(outcomes))
+        missing = [k for k, o in enumerate(outcomes) if o[0] == "missing"]
+        if missing and resend is not None:
+            obs.incr("missing_shards", len(missing))
+            again = [pending[k] for k in missing]
+            for i, item in zip(again, resend(again)):
+                items[i] = item
+            for k, outcome in zip(missing, _run_pending(
+                current, fn, [items[i] for i in again], policy.timeout_s
+            )):
+                outcomes[k] = outcome
         retry_next: List[int] = []
         exhausted: List[int] = []
         for i, outcome in zip(pending, outcomes):

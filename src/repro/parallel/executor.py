@@ -29,8 +29,12 @@ call (``docs/storage.md``, "Zero-copy process shards"):
   (:func:`repro.parallel.shm.open_shard`), so a restricted scan ships
   its window or instant set and masks the resident shard instead of
   partitioning a freshly masked table;
-* the ``/dev/shm`` **name** alone is per fan-out, as before: published
-  from the cached image, unlinked in the same ``finally``.
+* the ``/dev/shm`` **name** is per fan-out, and only a fan-out that
+  needs one has it: the first fan-out over an image publishes it; a
+  later one sends key-only descriptors and publishes the image only
+  when some worker reports it missing, re-sending just those tasks
+  (:func:`~repro.parallel.backends.resilient_map`).  Either way the
+  block is unlinked in the same ``finally``.
 
 :meth:`ShardedExecutor.close` (or ``with``) shuts the pool down and
 drops the cache; an executor that is simply dropped is cleaned up by the
@@ -118,7 +122,12 @@ from repro.parallel.backends import (
     resilient_map,
 )
 from repro.parallel.merge import sum_groups, union_ids
-from repro.parallel.shm import ShardImage, open_shard, serialize_shards
+from repro.parallel.shm import (
+    ShardDescriptor,
+    ShardImage,
+    open_shard,
+    serialize_shards,
+)
 from repro.pietql.executor import LayerBinding, PietQLExecutor
 from repro.preagg.store import PreAggStore
 from repro.query.evaluator import (
@@ -170,7 +179,9 @@ def _apply_task(payload) -> ShardOutcome:
 
 def _build_store_task(payload) -> ShardOutcome:
     """Build a granule store (the class the payload names, with its
-    constructor arguments) over one object shard of a MOFT."""
+    constructor arguments) over one object shard of a MOFT.  The store
+    goes back without its shard table: the merge reads only the merged
+    table."""
     cls, shard, time_dim, granule_level, geometries, options = payload
     stats = PipelineStats()
     start = time.perf_counter()
@@ -178,21 +189,24 @@ def _build_store_task(payload) -> ShardOutcome:
         open_shard(shard), time_dim, granule_level, geometries,
         obs=stats, **options,
     )
+    store.moft = None
     return store, time.perf_counter() - start, stats
 
 
 class _ResidentShards:
     """One table version's non-empty shards; ``image`` is their
     serialized form once a ``processes`` fan-out asked for it (False:
-    the object ids cannot be encoded).  ``table`` is a weak reference whose
-    callback evicts the entry."""
+    the object ids cannot be encoded), and ``sent`` whether a fan-out
+    has published it.  ``table`` is a weak reference whose callback
+    evicts the entry."""
 
-    __slots__ = ("table", "shards", "image")
+    __slots__ = ("table", "shards", "image", "sent")
 
     def __init__(self, table: "weakref.ref[MOFT]", shards: List[MOFT]) -> None:
         self.table = table
         self.shards = shards
         self.image: "ShardImage | bool | None" = None
+        self.sent = False
 
 
 def _resident_key(moft: MOFT, n_shards: int) -> tuple:
@@ -397,26 +411,49 @@ class ShardedExecutor:
         ``make_payload`` builds one task payload from either a MOFT
         shard or a :class:`~repro.parallel.shm.ShardDescriptor`;
         ``task`` opens whichever it gets.  The image is the resident
-        one, but the shared block it is published in lives exactly as
-        long as this fan-out: it is unlinked in a ``finally``, so
-        neither task failures, retries, nor injected faults can leak a
-        segment.  Worlds the columnar format cannot encode (exotic
-        object-id types) fall back to pickled shards.
+        one.  Its first fan-out publishes it in a shared block; a later
+        one sends key-only descriptors, which the workers that opened
+        the image answer from what they hold, and publishes a block
+        only for the tasks whose worker reports the image missing
+        (re-sent by :func:`~repro.parallel.backends.resilient_map`).
+        A block lives exactly as long as the fan-out that published it:
+        it is unlinked in a ``finally``, so neither task failures,
+        retries, nor injected faults can leak a segment.  Worlds the
+        columnar format cannot encode (exotic object-id types) fall
+        back to pickled shards.
         """
-        block = None
-        carried: Sequence[object] = resident.shards
+        def payloads_of(shards: Sequence[object]) -> List[object]:
+            payloads = [make_payload(shard) for shard in shards]
+            self._account_payloads(payloads)
+            return payloads
+
+        image = None
         if self.backend.name == "processes":
             image = self._image(resident)
             if image is None:
                 self.obs.incr("zero_copy_fallbacks")
-            else:
-                block, carried = image.publish()
-        try:
-            payloads = [make_payload(shard) for shard in carried]
-            self._account_payloads(payloads)
-            if block is not None:
+        if image is None:
+            return self.map_shards(
+                task, payloads_of(resident.shards), merge, observers=observers
+            )
+        block = descriptors = None  # this fan-out's one block, if any
+
+        def published() -> List[ShardDescriptor]:
+            nonlocal block, descriptors
+            if block is None:
+                block, descriptors = image.publish()
                 self.obs.incr("zero_copy_blocks")
-            return self.map_shards(task, payloads, merge, observers=observers)
+            return descriptors
+
+        try:
+            carried = image.descriptors() if resident.sent else published()
+            resident.sent = True
+            return self.map_shards(
+                task, payloads_of(carried), merge, observers=observers,
+                resend=lambda tasks: payloads_of(
+                    [published()[i] for i in tasks]
+                ),
+            )
         finally:
             if block is not None:
                 block.close()
@@ -427,13 +464,16 @@ class ShardedExecutor:
         payloads: Sequence[V],
         merge: Callable[[List[M]], object],
         observers: Sequence[PipelineStats] = (),
+        resend: Optional[Callable[[List[int]], Sequence[V]]] = None,
     ) -> object:
         """Run shard tasks on the backend and merge their values.
 
         ``fn`` must be a module-level function returning a
         :data:`ShardOutcome` triple; per-shard wall times land in the
         ``shard_scan`` stage and any worker stats are folded into the
-        executor's observer (plus ``observers``).
+        executor's observer (plus ``observers``).  ``resend`` is
+        :func:`~repro.parallel.backends.resilient_map`'s: the payloads
+        of tasks whose worker lacked the shard image, with a block.
 
         The tasks reach the backend through
         :func:`~repro.parallel.backends.resilient_map` under the
@@ -457,6 +497,7 @@ class ShardedExecutor:
                 plan=self.fault_plan,
                 obs=self.obs,
                 failure_mode=self.failure_mode,
+                resend=resend,
             )
         if len(outcomes) != len(payloads):
             raise ShardExecutionError(

@@ -4,10 +4,11 @@ The ``processes`` backend used to pickle whole MOFT shards into every
 worker — O(rows) bytes per task.  This module replaces the payload with
 a *descriptor*: the coordinator serializes all shards once into a single
 index-less columnar image (:mod:`repro.mo.storage`), publishes the image
-in a :class:`multiprocessing.shared_memory.SharedMemory` block, and each
-task carries only ``(block name, start row, stop row, content key)`` —
-O(1) bytes.  Workers attach to the block by name and materialize their
-shard as zero-copy numpy views over the shared pages.
+in a :class:`multiprocessing.shared_memory.SharedMemory` block when a
+worker needs it, and each task carries only ``(block name or None,
+start row, stop row, content key)`` — O(1) bytes.  Workers attach to
+the block by name and materialize their shard as zero-copy numpy views
+over the shared pages.
 
 What lives how long:
 
@@ -23,17 +24,26 @@ What lives how long:
   around the one fan-out the block serves, so the name disappears even
   when a shard task fails or a fault-injection plan kills the run.
   ``tests/parallel/test_zero_copy.py`` sweeps ``/dev/shm`` around chaos
-  runs to enforce the no-leak guarantee.
+  runs to enforce the no-leak guarantee.  A fan-out whose workers
+  already hold the image publishes nothing: it sends key-only
+  descriptors (:meth:`ShardImage.descriptors`, ``block=None``).
 * **the opened shard** — :func:`open_shard` keeps, per process, the last
   :data:`MAX_OPEN_SHARDS` shards it opened, each with its attachment
   and its :class:`~repro.mo.moft.MOFT`, under ``(content key, row
-  range)``.  A descriptor with a known key is answered from that map
-  without touching the new block: the old mapping outlives its unlinked
-  name, and the table keeps its segment index across fan-outs.  A miss
-  attaches to the descriptor's block and validates the image, as ever;
-  the attachment is never registered with the resource tracker, so a
-  pool worker never unlinks a segment it does not own.  An evicted
-  shard drops its views first and is then really unmapped.
+  range)``.  A descriptor with a known key and range is answered from
+  that map without touching any block: the old mapping outlives its
+  unlinked name, and the table keeps its segment index across fan-outs.
+  One attachment serves every shard of its image: a new row range of a
+  key the map holds is opened over the mapping already there.  Only a
+  key the map does not hold attaches to the descriptor's block and
+  validates the image, as ever; the attachment is never registered
+  with the resource tracker, so a pool worker never unlinks a segment
+  it does not own.  A key-only descriptor for such a key raises
+  :class:`ShardMissing`, which the backends turn into a ``"missing"``
+  outcome (the coordinator publishes and re-sends; see
+  :func:`~repro.parallel.backends.resilient_map`).  An evicted shard
+  drops its views first; the mapping is really unmapped with the last
+  shard of its image.
 """
 
 from __future__ import annotations
@@ -63,10 +73,12 @@ MAX_OPEN_SHARDS = 8
 
 @dataclass(frozen=True)
 class ShardDescriptor:
-    """One shard as a row range ``[start, stop)`` of a shared block;
-    ``key`` names the image the block holds (see :class:`ShardImage`)."""
+    """One shard as a row range ``[start, stop)`` of the image ``key``
+    names (see :class:`ShardImage`); ``block`` is the shared block that
+    holds it, or None when the fan-out published none (the worker is
+    expected to hold the image already)."""
 
-    block: str
+    block: Optional[str]
     start: int
     stop: int
     key: str
@@ -136,10 +148,22 @@ class ShardImage:
             shm.unlink()
             raise
         block = ShardBlock(shm, len(self.data))
-        return block, [
-            ShardDescriptor(block.name, lo, hi, self.key)
-            for lo, hi in self.bounds
+        return block, self.descriptors(block.name)
+
+    def descriptors(
+        self, block: Optional[str] = None
+    ) -> List[ShardDescriptor]:
+        """Descriptor ``i`` addressing shard ``i``'s rows in ``block``
+        (None: key-only, for a process that holds the image)."""
+        return [
+            ShardDescriptor(block, lo, hi, self.key) for lo, hi in self.bounds
         ]
+
+
+class ShardMissing(Exception):
+    """A key-only descriptor reached a process that holds no shard of
+    its image: a new worker, one of a replaced pool, or one that evicted
+    the image.  Not a failure — the task needs the block re-sent."""
 
 
 def serialize_shards(shards: Sequence[MOFT]) -> ShardImage:
@@ -214,11 +238,21 @@ def _detach(shm: SharedMemory) -> None:
 
 
 def _evict(keep: int) -> None:
-    """Close the least recently opened shards beyond ``keep`` of them."""
+    """Close the least recently opened shards beyond ``keep`` of them;
+    a mapping goes with the last shard of its image."""
     while len(_OPEN) > keep:
-        _, (shm, shard) = _OPEN.popitem(last=False)
+        (key, _, _), (shm, shard) = _OPEN.popitem(last=False)
         del shard  # the views go first, then the mapping they view
-        _detach(shm)
+        if _attachment(key) is None:
+            _detach(shm)
+
+
+def _attachment(key: str) -> Optional[SharedMemory]:
+    """This process's mapping of image ``key``, if it holds a shard of it."""
+    for (held, _, _), (shm, _) in _OPEN.items():
+        if held == key:
+            return shm
+    return None
 
 
 atexit.register(_evict, 0)
@@ -227,22 +261,31 @@ atexit.register(_evict, 0)
 def moft_from_descriptor(descriptor: ShardDescriptor) -> MOFT:
     """One shard as views over shared memory: the table this process
     already opened under the descriptor's content key and row range, or
-    a new one over the descriptor's block (validated on attach)."""
+    a new one over this process's mapping of that image, or over the
+    descriptor's block (validated on attach).  Raises
+    :class:`ShardMissing` for a key-only descriptor of an image this
+    process does not hold."""
     slot = (descriptor.key, descriptor.start, descriptor.stop)
     with _OPEN_LOCK:
         hit = _OPEN.get(slot)
         if hit is not None:
             _OPEN.move_to_end(slot)
             return hit[1]
-        shm = _attach(descriptor.block)
+        shm = _attachment(descriptor.key)
+        attached = shm is None
+        if attached:
+            if descriptor.block is None:
+                raise ShardMissing(descriptor.key)
+            shm = _attach(descriptor.block)
         try:
             shard = table_from_image(
-                open_image(shm.buf, source=f"shm://{descriptor.block}"),
+                open_image(shm.buf, source=f"shm://{shm.name}"),
                 descriptor.start,
                 descriptor.stop,
             )
         except BaseException:
-            _detach(shm)
+            if attached:
+                _detach(shm)
             raise
         _OPEN[slot] = (shm, shard)
         _evict(MAX_OPEN_SHARDS)
@@ -282,6 +325,7 @@ __all__ = [
     "ShardBlock",
     "ShardDescriptor",
     "ShardImage",
+    "ShardMissing",
     "leaked_segments",
     "moft_from_descriptor",
     "open_shard",

@@ -190,24 +190,28 @@ def _segments_of(
 
 
 #: Passes a process keeps from the counters it unpickled (a shard
-#: task's), under ``(token, whether labels came)``, least recently used
-#: first out.
+#: task's), under ``(token, label frame)``, least recently used first
+#: out.
 _KEPT_PASSES = 8
-_KEPT: "OrderedDict[Tuple[str, bool], kernels.PolygonPass]" = OrderedDict()
+_KEPT: "OrderedDict[Tuple[str, Optional[tuple]], kernels.PolygonPass]" = (
+    OrderedDict()
+)
 _KEPT_LOCK = threading.Lock()
 
 
 def _kept_pass(
     token: str,
     geometries: Dict[Hashable, Polygon],
-    labels: Optional[tuple],
+    frame: Optional[tuple],
 ) -> Tuple["kernels.PolygonPass", bool]:
     """The pass an unpickled counter scans with, and whether it was
     kept: a new pass over the edge table, grid and label grid kept under
-    ``(token, labels is not None)``, or over new ones (``labels``, the
-    pickled ``(grid, labels)`` of the sender's label grid, or None).  A
-    label grid the task builds itself stays on its own pass."""
-    key = (token, labels is not None)
+    ``(token, frame)``, or over new ones.  ``frame`` is the sender's
+    label grid's :attr:`~repro.geometry.kernels.LabelGrid.grid` (or
+    None): its labels are a function of the polygons and the frame, so
+    the task labels the frame again rather than receive them.  A label
+    grid the task builds itself stays on its own pass."""
+    key = (token, frame)
     with _KEPT_LOCK:
         kept = _KEPT.get(key)
         if kept is not None:
@@ -215,8 +219,8 @@ def _kept_pass(
     hit = kept is not None
     if not hit:
         kept = kernels.PolygonPass.of(geometries)
-        if labels is not None:
-            kept.labels = kernels.LabelGrid(*labels)
+        if frame is not None:
+            kept.labels = kernels._label_grid(kept.edges, frame)
         with _KEPT_LOCK:
             _KEPT[key] = kept
             while len(_KEPT) > _KEPT_PASSES:
@@ -252,10 +256,10 @@ class TrajectoryIntersectionCounter:
         Default: built here (a grid only when the walk reads it).  The
         prefilter sizes the pass's decided-cell grid by the rows it
         reads, unless :func:`counter_for` built it for the table first.
-        A shard task gets the label grid with the counter and takes the
-        rest from the passes its process kept (:attr:`kept_pass`), or
-        rebuilds it (the pickle carries geometries, not the arrays
-        derived from them).
+        A shard task gets the label grid's frame with the counter and
+        takes the pass from those its process kept (:attr:`kept_pass`),
+        or rebuilds it, labels included (the pickle carries geometries
+        and a frame, not the arrays derived from them).
     """
 
     def __init__(
@@ -298,22 +302,22 @@ class TrajectoryIntersectionCounter:
 
     def __getstate__(self) -> dict:
         # A shard task takes the answer's pass from those its process
-        # kept, by the pass's token, or rebuilds it from the geometries
-        # (in fewer bytes than any of its arrays); of the arrays only the
-        # label cells travel.
+        # kept, by the pass's token and label frame, or rebuilds it from
+        # the geometries and the frame (in fewer bytes than any of its
+        # arrays).
         passes = self._pass
-        labels = None
+        frame = None
         if passes is not None and passes.labels is not None:
-            labels = (passes.labels.grid, passes.labels.labels)
+            frame = passes.labels.grid
         return {"geometries": self.geometries, "strategy": self.strategy,
                 "token": None if passes is None else passes.token,
-                "labels": labels}
+                "frame": frame}
 
     def __setstate__(self, state: dict) -> None:
         index = kept = None
         if state["token"] is not None:
             index, kept = _kept_pass(
-                state["token"], state["geometries"], state["labels"]
+                state["token"], state["geometries"], state["frame"]
             )
         self.__init__(state["geometries"], state["strategy"], index)
         self.kept_pass = kept

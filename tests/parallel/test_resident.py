@@ -12,6 +12,7 @@ returns) are pinned alongside.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import pickle
 import signal
@@ -29,6 +30,8 @@ import pytest
 
 import repro.parallel.shm as shm
 from repro.errors import ShardExecutionError
+from repro.faults import FaultPlan, FaultSpec
+from repro.geometry import kernels
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polygon import Polygon
 from repro.gis import NODE, POLYGON, POLYLINE
@@ -40,8 +43,9 @@ from repro.parallel import (
     ShardedExecutor,
     ShardedPietQLExecutor,
 )
-from repro.parallel.executor import RESIDENT_TABLES
+from repro.parallel.executor import RESIDENT_TABLES, _build_store_task
 from repro.parallel.shm import MAX_OPEN_SHARDS, leaked_segments
+from repro.preagg import PreAggStore
 from repro.query.evaluator import (
     TrajectoryIntersectionCounter,
     execute,
@@ -143,6 +147,20 @@ def rows_once_flag_gone(flag, action, shard):
     return {"rows": len(shard)}
 
 
+def shard_rows(shard):
+    return {"rows": len(shard)}
+
+
+def pass_labels(counter, shard):
+    """The label grid of the pass ``counter`` — unpickled in this task,
+    so rebuilt or kept here — scans with, as bytes."""
+    labels = counter._pass.labels
+    return {os.getpid(): (
+        labels.grid, labels.labels.dtype.str, labels.labels.tobytes(),
+        labels.across.tobytes(), labels.up.tobytes(),
+    )}
+
+
 def merge_dicts(parts):
     merged = {}
     for part in parts:
@@ -203,7 +221,10 @@ class TestResidency:
         table, other = small_moft(1), small_moft(2)
         counts = CallCounts(monkeypatch)
         obs = PipelineStats()
-        with ShardedExecutor("processes", n_shards=2, obs=obs) as executor:
+        # One worker, so that it holds every image it was sent once.
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs
+        ) as executor:
 
             def check(which, on=executor):
                 expected = counter.matching_objects(which)
@@ -219,15 +240,19 @@ class TestResidency:
             table.extend_columns(["later"] * 2, [1.0, 2.0], [30.0, 60.0], [30.0, 60.0])
             check(table)
             assert counts.both == (3, 3)
-            with ShardedExecutor("processes", n_shards=3, obs=obs) as wider:
+            with ShardedExecutor(
+                ProcessBackend(max_workers=1), n_shards=3, obs=obs
+            ) as wider:
                 check(table, wider)
             assert counts.both == (4, 4)
             check(other)
             assert counts.both == (5, 5)
             check(table)  # still resident beside the second table
             assert counts.both == (5, 5)
-        # Every fan-out published, and unlinked, a block of its own.
-        assert obs.count("zero_copy_blocks") == 30
+        # The first fan-out over each image published (and unlinked) a
+        # block; the other 25 found the image in the worker.
+        assert obs.count("zero_copy_blocks") == 5
+        assert obs.count("missing_shards") == 0
         assert obs.count("shard_cache_misses") == 5
         assert obs.count("shard_cache_hits") == 25
 
@@ -388,6 +413,120 @@ class TestRestrictedScans:
         assert obs.count("shard_count") == 0
 
 
+# -- publishing on a miss ------------------------------------------------------
+
+
+class TestPublishOnMiss:
+    """The first fan-out over an image publishes it; a later one sends
+    key-only descriptors and publishes only for a worker that lacks the
+    image — never as an attempt, a retry or a fault-plan coordinate.
+    One worker, so that every count is exact."""
+
+    def test_warm_pool_publishes_nothing(self, moft, counter):
+        expected = counter.matching_objects(moft)
+        before = leaked_segments()
+        obs = PipelineStats()
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs
+        ) as executor:
+            assert executor.matching_objects(counter, moft) == expected
+            assert obs.count("zero_copy_blocks") == 1
+            for _ in range(4):
+                assert executor.matching_objects(counter, moft) == expected
+                assert leaked_segments() == before
+                assert executor.aggregate_moft(moft, shard_rows) == {
+                    "rows": len(moft)
+                }
+                assert leaked_segments() == before
+        assert obs.count("zero_copy_blocks") == 1
+        assert obs.count("missing_shards") == 0
+        assert obs.count("shard_count") == 18
+
+    @pytest.mark.parametrize("failure_mode", ["raise", "retry"])
+    def test_worker_killed_between_fanouts_gets_one_block(
+        self, moft, counter, failure_mode
+    ):
+        """The fresh worker lacks the image: both its tasks report it
+        missing, the fan-out publishes once and re-sends them in the
+        same attempt — under ``raise`` too, and past a fault planned
+        for a second attempt that must never come."""
+        expected = counter.matching_objects(moft)
+        before = leaked_segments()
+        plan = FaultPlan.single("raise", task_index=0, attempt=1)
+        obs = PipelineStats()
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs,
+            failure_mode=failure_mode, fault_plan=plan,
+        ) as executor:
+            pids = worker_pids(executor, moft)
+            assert obs.count("zero_copy_blocks") == 1
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            assert_gone(pids)
+            assert executor.matching_objects(counter, moft) == expected
+            assert leaked_segments() == before
+            assert obs.count("zero_copy_blocks") == 2
+            assert obs.count("missing_shards") == 2
+            # The new worker holds the image now.
+            assert executor.matching_objects(counter, moft) == expected
+        assert obs.count("zero_copy_blocks") == 2
+        assert obs.count("missing_shards") == 2
+        assert obs.count("task_retries") == 0
+        assert plan.trace == ()
+
+    def test_serial_tier_resolves_a_miss_the_same_way(self, moft, counter):
+        """Task 0 exhausts its retries on the warm pool and degrades to
+        ``serial``, where this process lacks the image: one block, and
+        the plan's trace is the three planned faults, no more."""
+        expected = counter.matching_objects(moft)
+        before = leaked_segments()
+        obs = PipelineStats()
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs,
+            failure_mode="degrade", retry_policy=RetryPolicy(max_retries=2),
+        ) as executor:
+            assert executor.matching_objects(counter, moft) == expected
+            plan = FaultPlan([FaultSpec("raise", 0, a) for a in range(3)])
+            executor.fault_plan = plan
+            assert executor.matching_objects(counter, moft) == expected
+            assert leaked_segments() == before
+        assert len(plan.trace) == 3
+        assert obs.count("backend_degradations") == 1
+        assert obs.count("task_retries") == 3
+        assert obs.count("missing_shards") == 1
+        assert obs.count("zero_copy_blocks") == 2
+
+    def test_worker_labels_the_frame_as_the_sender_did(self, moft):
+        """A counter's pickle carries its label grid's frame, not its
+        labels: the worker's rebuilt grid equals the sender's, byte for
+        byte, whatever the frame."""
+        polygons = {
+            "square": REGION,
+            "triangle": Polygon([Point(5, 60), Point(45, 95), Point(10, 98)]),
+            "ell": Polygon([
+                Point(60, 5), Point(95, 5), Point(95, 40), Point(80, 40),
+                Point(80, 18), Point(60, 18),
+            ]),
+        }
+        for points in (math.inf, 3000):
+            counter = TrajectoryIntersectionCounter(polygons)
+            passes = counter._pass
+            passes.labels = kernels._label_grid(
+                passes.edges, kernels._label_geometry(passes.edges, points)
+            )
+            labels = passes.labels.labels
+            assert {-2, -1} < set(labels.tolist())  # mixed, outside, inside
+            sent = pass_labels(counter, None)[os.getpid()]
+            assert len(pickle.dumps(counter)) < labels.nbytes
+            with ShardedExecutor(
+                ProcessBackend(max_workers=1), n_shards=2
+            ) as executor:
+                got = executor.aggregate_moft(
+                    moft, partial(pass_labels, counter), merge_dicts
+                )
+            assert got and all(value == sent for value in got.values())
+
+
 # -- bounds --------------------------------------------------------------------
 
 
@@ -508,7 +647,10 @@ class TestPoiBuilds:
         counts = CallCounts(monkeypatch)
         obs = PipelineStats()
         before = leaked_segments()
-        with ShardedExecutor("processes", n_shards=2, obs=obs) as executor:
+        # One worker: the scan's block is the only one the builds need.
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs
+        ) as executor:
             executor.matching_objects(counter, table)
             assert counts.both == (1, 1)
             for hits in (1, 2):
@@ -520,7 +662,7 @@ class TestPoiBuilds:
                 assert obs.count("shard_cache_hits") == hits
                 assert leaked_segments() == before
         assert obs.count("shard_cache_misses") == 1
-        assert obs.count("zero_copy_blocks") == 3
+        assert obs.count("zero_copy_blocks") == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shared_observer", [True, False])
@@ -540,6 +682,24 @@ class TestPoiBuilds:
             assert reference.obs.count(name) > 0
             assert context.obs.count(name) == reference.obs.count(name)
             assert obs.count(name) == reference.obs.count(name)
+
+
+    def test_shard_stores_come_back_without_their_table(self, poi_world):
+        """The merge reads only the merged table, so a shard store does
+        not carry (or pickle) its own."""
+        gis, time_dim, table = poi_world
+        polygons = gis.layer("Ln").elements(POLYGON)
+        shards = table.partition_by_objects(2)
+        stores = [
+            _build_store_task((
+                PreAggStore, shard, time_dim, "day", polygons,
+                {"layer": "Ln", "kind": POLYGON},
+            ))[0]
+            for shard in shards
+        ]
+        assert all(store.moft is None for store in stores)
+        merged = PreAggStore.merge(stores, table, time=time_dim)
+        assert merged.moft is table and not merged.is_stale()
 
 
 # -- lifecycle -----------------------------------------------------------------
