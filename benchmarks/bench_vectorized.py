@@ -1,17 +1,18 @@
-"""E14 (ablation) — row-at-a-time solver vs columnar fast path.
+"""E14 (ablation) — row-at-a-time solver vs the lowered region.
 
-The logical solver handles arbitrary formulas; the common Type-4 shape
-vectorizes over the MOFT's columnar arrays.  Expected shape: identical
-answers, with the columnar path winning by a growing factor as the MOFT
-grows.
+``SpatioTemporalRegion.evaluate`` evaluates the Type-4 sample-semantics
+shape as columns (Time atoms decided per distinct instant, containment
+over the answer's polygon pass); the logical solver handles arbitrary
+formulas binding by binding and is the oracle here.  Expected shape:
+identical answers, with the lowered path winning by a growing factor as
+the MOFT grows.
 """
 
 import pytest
 
 from repro.bench import Series, print_series, timed
-from repro.geometry import BoundingBox
 from repro.query import EvaluationContext, RegionBuilder
-from repro.query.vectorized import samples_in_polygons
+from repro.query.region import _solved
 from repro.synth import CityConfig, build_city, random_waypoint_moft
 from repro.temporal import TimeDimension, hourly
 
@@ -30,70 +31,62 @@ def _world(n_samples: int):
     time_dim = TimeDimension.from_mapping(
         hourly(datetime(2006, 1, 9, 0, 0)), range(n_instants)
     )
-    threshold = 2000
-    low = city.low_income_neighborhoods(threshold)
-    polygons = [
-        city.gis.layer("Ln").element(
-            "polygon", city.gis.alpha("neighborhood", member)
-        )
-        for member in low
-    ]
     ctx = EvaluationContext(city.gis, time_dim, moft)
     region = (
         RegionBuilder()
         .from_moft("FM")
         .during("timeOfDay", "Morning")
         .in_attribute_polygon(
-            "neighborhood", value_filter=("income", "<", threshold)
+            "neighborhood", value_filter=("income", "<", 2000)
         )
         .build(city.gis)
     )
-    morning = time_dim.instants_where("timeOfDay", "Morning")
-    return ctx, region, moft, polygons, morning
+    return ctx, region
+
+
+def _solver_rows(region, ctx):
+    """The solver's answer, as ``evaluate`` lists it."""
+    return [
+        dict(zip(region.output_variables, row))
+        for row in sorted(_solved(region, ctx), key=repr)
+    ]
 
 
 @pytest.mark.parametrize("n_samples", MOFT_SIZES)
-def test_columnar_path(benchmark, n_samples):
-    ctx, region, moft, polygons, morning = _world(n_samples)
-
-    def _run():
-        return samples_in_polygons(moft, polygons, morning)
-
-    fast = benchmark(_run)
-    assert fast == region.evaluate_tuples(ctx)
+def test_lowered_path(benchmark, n_samples):
+    ctx, region = _world(n_samples)
+    lowered = benchmark(lambda: region.evaluate(ctx))
+    assert lowered == _solver_rows(region, ctx)
+    assert ctx.obs.count("regions_solved") == 0
 
 
 @pytest.mark.parametrize("n_samples", MOFT_SIZES[:2])
 def test_solver_path(benchmark, n_samples):
-    ctx, region, _, _, _ = _world(n_samples)
-
-    def _run():
-        return region.evaluate_tuples(ctx)
-
-    assert isinstance(benchmark(_run), set)
+    ctx, region = _world(n_samples)
+    assert isinstance(benchmark(lambda: _solved(region, ctx)), set)
 
 
 def test_speedup_shape():
     solver_series = Series("solver (s)")
-    columnar_series = Series("columnar (s)")
+    lowered_series = Series("lowered (s)")
     speedup_series = Series("speedup")
     for n_samples in MOFT_SIZES:
-        ctx, region, moft, polygons, morning = _world(n_samples)
+        ctx, region = _world(n_samples)
         solver_time, solver_answer = timed(
-            lambda: region.evaluate_tuples(ctx), repeat=1
+            lambda: _solver_rows(region, ctx), repeat=1
         )
-        columnar_time, columnar_answer = timed(
-            lambda: samples_in_polygons(moft, polygons, morning), repeat=3
+        lowered_time, lowered_answer = timed(
+            lambda: region.evaluate(ctx), repeat=3
         )
-        assert columnar_answer == solver_answer
+        assert lowered_answer == solver_answer
         solver_series.add(n_samples, solver_time)
-        columnar_series.add(n_samples, columnar_time)
+        lowered_series.add(n_samples, lowered_time)
         speedup_series.add(
             n_samples,
-            solver_time / columnar_time if columnar_time else float("inf"),
+            solver_time / lowered_time if lowered_time else float("inf"),
         )
     print_series(
-        "Row solver vs columnar fast path",
-        [solver_series, columnar_series, speedup_series],
+        "Row solver vs lowered region",
+        [solver_series, lowered_series, speedup_series],
     )
     assert all(s > 1 for _, s in speedup_series.points)

@@ -23,7 +23,6 @@ from repro.geometry.algorithms import (
     is_convex,
     polygon_intersection_area,
     polyline_length_inside,
-    segment_intersections,
     triangulate,
 )
 from repro.geometry.io import from_geojson, from_wkt, to_geojson, to_wkt
@@ -44,7 +43,6 @@ __all__ = [
     "is_convex",
     "polygon_intersection_area",
     "polyline_length_inside",
-    "segment_intersections",
     "triangulate",
     "from_geojson",
     "from_wkt",

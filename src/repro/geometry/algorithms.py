@@ -9,7 +9,6 @@ convex hulls, ear-clipping triangulation, convex clipping
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -257,25 +256,6 @@ def _grid_intersection_area(a: Polygon, b: Polygon, resolution: int) -> float:
             if a.contains_point(p) and b.contains_point(p):
                 total += cell_area
     return total
-
-
-def segment_intersections(
-    segments: Sequence[Segment],
-) -> List[Tuple[int, int, Point]]:
-    """Return all pairwise proper crossings ``(i, j, point)`` with ``i < j``.
-
-    Brute force over bbox-filtered pairs; adequate for layer sizes used in
-    the overlay precomputation (thousands of segments).
-    """
-    results: List[Tuple[int, int, Point]] = []
-    boxes = [seg.bbox for seg in segments]
-    for i, j in itertools.combinations(range(len(segments)), 2):
-        if not boxes[i].intersects(boxes[j]):
-            continue
-        params = segments[i].intersection_parameters(segments[j])
-        if params is not None:
-            results.append((i, j, segments[i].point_at(float(params[0]))))
-    return results
 
 
 def polyline_length_inside(polygon: Polygon, segments: Iterable[Segment]) -> float:

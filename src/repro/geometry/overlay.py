@@ -252,11 +252,6 @@ class LayerOverlay:
                     count += 1
         return count
 
-    @property
-    def cached_relations(self) -> int:
-        """Number of (layer pair, predicate) relations materialized so far."""
-        return len(self._cache)
-
     # -- persistence ------------------------------------------------------------
 
     def export_cache(self) -> Dict:

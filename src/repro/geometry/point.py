@@ -142,12 +142,3 @@ class BoundingBox:
             self.max_x + margin,
             self.max_y + margin,
         )
-
-    def corners(self) -> Tuple[Point, Point, Point, Point]:
-        """Return the four corners in counter-clockwise order from min-min."""
-        return (
-            Point(self.min_x, self.min_y),
-            Point(self.max_x, self.min_y),
-            Point(self.max_x, self.max_y),
-            Point(self.min_x, self.max_y),
-        )

@@ -214,10 +214,6 @@ class Polygon:
             return False
         return not any(_point_in_ring(point, hole) for hole in self.holes)
 
-    def strictly_contains_point(self, point: Point) -> bool:
-        """Return True for interior points only (boundary excluded)."""
-        return self.contains_point(point) and not self.on_boundary(point)
-
     def intersects_segment(self, segment: Segment) -> bool:
         """Return True when the closed region meets the closed segment."""
         if not self.bbox.intersects(segment.bbox):

@@ -146,6 +146,12 @@ class GISDimensionInstance:
         This is the paper's ``r^{Pt,Pg}_{Ln}(x, y, pg)`` atom: the ids of
         the elements of ``kind`` containing ``(x, y)``.
         """
+        return self.point_layer(layer_name, kind).locate_point(kind, point)
+
+    def point_layer(self, layer_name: str, kind: str) -> Layer:
+        """The layer whose ``kind`` elements ``r^{point,kind}_layer``
+        reads; :class:`RollupError` when ``kind`` is not above ``point``
+        in its hierarchy."""
         hierarchy = self.schema.hierarchy(layer_name)
         if kind not in hierarchy.kinds or not hierarchy.is_coarsening(
             gk.POINT, kind
@@ -153,7 +159,7 @@ class GISDimensionInstance:
             raise RollupError(
                 f"kind {kind!r} is not above 'point' in layer {layer_name!r}"
             )
-        return self.layer(layer_name).locate_point(kind, point)
+        return self.layer(layer_name)
 
     # -- alpha functions ------------------------------------------------------------
 

@@ -3,7 +3,6 @@
 from repro.mo.moft import (
     MOFT,
     instants_member_mask,
-    is_member_instant,
     sorted_instants,
 )
 from repro.mo.trajectory import (
@@ -54,7 +53,6 @@ __all__ = [
     "write_csv",
     "MOFT",
     "instants_member_mask",
-    "is_member_instant",
     "sorted_instants",
     "FunctionalTrajectory",
     "LinearInterpolationTrajectory",

@@ -268,10 +268,8 @@ def sorted_instants(instants: Iterable[float]) -> np.ndarray:
     :meth:`MOFT.instants_mask` (under :meth:`MOFT.restrict_instants` and
     :func:`~repro.query.evaluator.restriction_mask`) and the planner's
     row estimate build this array and test a table's distinct instants
-    against it with :func:`instants_member_mask`, the optimizer's
-    :class:`~repro.query.optimizer.FilteredMoft` with its scalar form
-    :func:`is_member_instant`, so a query cannot accept an instant in one
-    place and reject it in another.
+    against it with :func:`instants_member_mask`, so a restriction cannot
+    accept an instant in one place and reject it in another.
     """
     return np.array(sorted(float(t) for t in set(instants)), dtype=float)
 
@@ -300,11 +298,6 @@ def instants_member_mask(t: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return (np.abs(t - wanted[below]) <= tolerance) | (
         np.abs(t - wanted[above]) <= tolerance
     )
-
-
-def is_member_instant(t: float, wanted: np.ndarray) -> bool:
-    """Scalar form of :func:`instants_member_mask` (same tolerance)."""
-    return bool(instants_member_mask(np.array([float(t)]), wanted)[0])
 
 
 #: Serializes :meth:`MOFT._flush` (rare: once per burst of ``add`` calls).

@@ -19,6 +19,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     :meth:`repro.query.EvaluationContext.geometry_index` cache behavior:
     the one index per geometric answer (a polygon answer's pass, any
     other answer's grid) built, or found cached.
+``regions_lowered`` / ``regions_solved``
+    :meth:`repro.query.SpatioTemporalRegion.evaluate` calls whose formula
+    had the sample-semantics shape and was evaluated as columns, and
+    calls that went to the solver (one or the other per call).
 ``vectorized_accepts``
     Objects accepted by the columnar point-in-polygon prefilter without a
     segment scan.

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import AggregationError, SchemaError
 from repro.olap.aggregation import AggregateFunction, aggregate
 from repro.olap.dimension import DimensionInstance
@@ -122,14 +120,6 @@ class FactTable:
             raise SchemaError(
                 f"no column {name!r} in fact table {self.schema.name!r}"
             ) from None
-
-    def measure_array(self, name: str) -> np.ndarray:
-        """Return a measure column as a NumPy array (bulk aggregation path)."""
-        if name not in self.schema.measures:
-            raise SchemaError(
-                f"{name!r} is not a measure of fact table {self.schema.name!r}"
-            )
-        return np.asarray(self._columns[name], dtype=float)
 
     # -- relational operations ------------------------------------------------------
 

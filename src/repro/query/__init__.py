@@ -24,7 +24,6 @@ from repro.query.evaluator import (
     count_objects_through,
     geometric_subquery,
 )
-from repro.query.optimizer import FilteredMoft, push_down_time
 from repro.query.planner import (
     CostModel,
     PlanNode,
@@ -32,7 +31,7 @@ from repro.query.planner import (
     plan_count_objects_through,
     planned_count_objects_through,
 )
-from repro.query.vectorized import polygon_contains_batch, samples_in_polygons
+from repro.query.vectorized import polygon_contains_batch
 from repro.query.trajectory_queries import (
     aggregate_trajectory_measure,
     objects_passing_through,
@@ -58,15 +57,12 @@ __all__ = [
     "TrajectoryIntersectionCounter",
     "count_objects_through",
     "geometric_subquery",
-    "FilteredMoft",
-    "push_down_time",
     "CostModel",
     "PlanNode",
     "QueryPlan",
     "plan_count_objects_through",
     "planned_count_objects_through",
     "polygon_contains_batch",
-    "samples_in_polygons",
     "aggregate_trajectory_measure",
     "objects_passing_through",
     "presence_intervals",

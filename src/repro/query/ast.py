@@ -61,13 +61,6 @@ class Const:
 Term = "Var | Const"
 
 
-def as_term(value: Any) -> "Var | Const":
-    """Coerce plain Python values to constants; pass terms through."""
-    if isinstance(value, (Var, Const)):
-        return value
-    return Const(value)
-
-
 def term_value(term: "Var | Const", env: Dict[str, Any]) -> Any:
     """Resolve a term under an environment; unbound variables raise."""
     if isinstance(term, Const):

@@ -291,29 +291,16 @@ class RegionBuilder:
         return SpatioTemporalRegion(self._outputs, ast.And(*conjuncts))
 
     def explain(self, context) -> str:
-        """Describe the region this builder would evaluate.
-
-        Renders the formula tree (:meth:`~repro.query.ast.Formula
-        .describe`) and, when the :func:`~repro.query.optimizer
-        .push_down_time` rewrite applies against the given context, the
-        tree that rewrite would produce.  :meth:`SpatioTemporalRegion
-        .evaluate` solves the formula as built and never applies the
-        rewrite; the second tree is informational.  Nothing is evaluated.
-        """
-        from repro.query.optimizer import push_down_time
-
+        """Describe the region this builder would evaluate: the formula
+        tree (:meth:`~repro.query.ast.Formula.describe`) and the path
+        :meth:`SpatioTemporalRegion.evaluate` takes on ``context``
+        (:meth:`SpatioTemporalRegion.path`).  No row is scanned."""
         region = self.build(context.gis)
-        rewritten = push_down_time(region, context)
-        lines = [
+        return "\n".join([
             f"Region(outputs={', '.join(region.output_variables)})",
             region.formula.describe(1),
-        ]
-        if rewritten.formula is not region.formula:
-            lines.append("push_down_time would rewrite it to (not applied):")
-            lines.append(rewritten.formula.describe(1))
-        else:
-            lines.append("push_down_time: not applicable")
-        return "\n".join(lines)
+            region.path(context),
+        ])
 
     def count_query(
         self,

@@ -3,18 +3,24 @@
 "Our spatial region C turns, in the spatio-temporal setting, into a set of
 pairs ``(objectId, time)``" (Section 3.1) — or triples with geometry ids
 (query 2).  :class:`SpatioTemporalRegion` holds the output variables and
-the defining formula; :meth:`SpatioTemporalRegion.evaluate` solves the
-formula against an :class:`EvaluationContext` and returns the relation as a
-list of dict rows ready for γ-aggregation.
+the defining formula; :meth:`SpatioTemporalRegion.evaluate` returns the
+relation as a list of dict rows ready for γ-aggregation.
 
-The solver treats a conjunction as a constraint-propagation problem:
-atoms that can enumerate bindings under the current environment run first
-(most selective atoms are ordered by the caller's formula order), pure
-checks and negations wait until their variables are bound.
+A formula of the paper's sample-semantics shape — the MOFT atom, Time
+rollups, one point-in-polygon rollup with its α and conditions on the
+α member — is evaluated as columns (:func:`_lower`): each atom is
+decided once per distinct instant or per α member by its own ``check``,
+and containment is one pass over the answer's polygons.  Every other
+formula goes to the solver, which treats a conjunction as a
+constraint-propagation problem: atoms that can enumerate bindings under
+the current environment run first (most selective atoms are ordered by
+the caller's formula order), pure checks and negations wait until their
+variables are bound.  Both paths give the same list.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -30,6 +36,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.errors import EvaluationError, QueryError
 from repro.geometry.index import Grid
 from repro.geometry.kernels import PolygonPass
@@ -40,12 +48,14 @@ from repro.geometry.overlay import (
 )
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.gis.geometries import POLYGON
 from repro.gis.instance import GISDimensionInstance
 from repro.mo.moft import MOFT
 from repro.obs import PipelineStats
 from repro.mo.operations import ever_within_distance, passes_through
 from repro.mo.trajectory import LinearInterpolationTrajectory
 from repro.query import ast
+from repro.query.vectorized import points_inside
 from repro.temporal.timedim import TimeDimension
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -396,19 +406,32 @@ class SpatioTemporalRegion:
         self.formula = formula
 
     def evaluate(self, context: EvaluationContext) -> List[Dict[str, Any]]:
-        """Solve the formula; return distinct output rows as dicts."""
-        rows: Set[Tuple[Any, ...]] = set()
-        for env in _solve(self.formula, context, {}):
-            missing = [v for v in self.output_variables if v not in env]
-            if missing:
-                raise EvaluationError(
-                    f"unsafe query: output variables {missing} were never "
-                    f"bound by a positive atom"
-                )
-            rows.add(tuple(env[v] for v in self.output_variables))
+        """The distinct output rows as dicts, sorted by ``repr`` of the row.
+
+        A formula :func:`_lower` accepts is evaluated as columns and
+        counts ``regions_lowered`` on ``context.obs``; any other is
+        solved and counts ``regions_solved``.  The shape alone decides.
+        """
+        lowered = _lower(self, context)
+        if isinstance(lowered, _Lowered):
+            context.obs.incr("regions_lowered")
+            rows = lowered.tuples(context)
+        else:
+            context.obs.incr("regions_solved")
+            rows = _solved(self, context)
         return [
             dict(zip(self.output_variables, row)) for row in sorted(rows, key=repr)
         ]
+
+    def path(self, context: EvaluationContext) -> str:
+        """The path :meth:`evaluate` takes, in one line: ``lowered:`` with
+        the instants kept, the answer's geometry ids and the outputs, or
+        ``solver:`` with the first conjunct that kept the formula off
+        the lowering.  Decides the atoms; scans no rows."""
+        lowered = _lower(self, context)
+        if isinstance(lowered, _Lowered):
+            return lowered.describe()
+        return f"solver: {lowered}"
 
     def evaluate_tuples(self, context: EvaluationContext) -> Set[Tuple[Any, ...]]:
         """Like :meth:`evaluate` but returning a set of plain tuples."""
@@ -419,8 +442,232 @@ class SpatioTemporalRegion:
 
 
 # ---------------------------------------------------------------------------
+# The lowering
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Lowered:
+    """A region of the sample-semantics shape, decided up to containment.
+
+    ``sample`` names the MOFT atom's ``(oid, t, x, y)`` variables and
+    ``keep`` says which distinct instants of ``table``
+    (:meth:`~repro.mo.moft.MOFT.instant_codes`) pass every Time atom.
+    With a point-in-polygon atom on ``layer``, ``members`` maps each
+    geometry id of the answer to its α members that pass the member
+    conditions (``None`` for a constant member) and ``gid`` names the
+    atom's id variable; without one, ``members`` is None.
+    """
+
+    outputs: Tuple[str, ...]
+    table: MOFT
+    sample: Tuple[str, str, str, str]
+    keep: np.ndarray
+    layer: Optional[str] = None
+    gid: Optional[str] = None
+    members: Optional[Dict[Hashable, List[Hashable]]] = None
+
+    def describe(self) -> str:
+        if self.members is None:
+            ids = "all (no containment)"
+        else:
+            ids = "[" + ", ".join(map(repr, sorted(self.members, key=repr))) + "]"
+        return (
+            f"lowered: {int(self.keep.sum())} of {self.keep.size} instants, "
+            f"geometry ids {ids}, outputs ({', '.join(self.outputs)})"
+        )
+
+    def tuples(self, context: EvaluationContext) -> Set[Tuple[Any, ...]]:
+        """The output tuples the solver would produce, as Python values:
+        one per sample in a kept instant, and per ``(gid, member)`` whose
+        polygon holds it."""
+        t, x, y = self.table.as_arrays()
+        rows = np.flatnonzero(self.keep[self.table.instant_codes()[1]])
+        if self.members is None:
+            parts = [(rows, None, None)]
+        else:
+            parts = self._contained(context, rows, x, y)
+        if not parts:
+            return set()
+        at = np.concatenate([part[0] for part in parts])
+        oid, t_name, x_name, y_name = self.sample
+        values = {t_name: t, x_name: x, y_name: y}
+        columns = []
+        for name in self.outputs:
+            if name == oid:
+                codes = self.table.object_codes()[at]
+                columns.append(self.table.oids[codes].tolist())
+            elif name in values:
+                columns.append(values[name][at].tolist())
+            else:  # the id variable, or the member's
+                slot = 1 if name == self.gid else 2
+                columns.append([
+                    part[slot] for part in parts for _ in range(part[0].size)
+                ])
+        return set(zip(*columns))
+
+    def _contained(
+        self, context: EvaluationContext, rows: np.ndarray, x, y
+    ) -> List[Tuple[np.ndarray, Hashable, Hashable]]:
+        """``(rows, gid, member)`` per geometry id and α member: the rows
+        whose sample lies in that closed polygon, by
+        :func:`~repro.query.vectorized.points_inside` over the answer's
+        cached pass (positions in ``repr`` order of the id, as
+        :meth:`EvaluationContext.geometry_index` lays them out)."""
+        ids = sorted(self.members, key=repr)
+        if not ids or rows.size == 0:
+            return []
+        passes = context.geometry_index(self.layer, POLYGON, ids)
+        found = list(points_inside(passes, x[rows], y[rows], obs=context.obs))
+        pos = np.concatenate([p for p, _ in found])
+        at = rows[np.concatenate([a for _, a in found])]
+        order = np.argsort(pos, kind="stable")
+        bounds = np.searchsorted(pos[order], np.arange(len(ids) + 1))
+        return [
+            (at[order[lo:hi]], gid, member)
+            for gid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
+            for member in self.members[gid]
+        ]
+
+
+def _lower(
+    region: SpatioTemporalRegion, context: EvaluationContext
+) -> Union[_Lowered, str]:
+    """The region as columns, or the reason it stays on the solver.
+
+    The shape is the conjunction :class:`~repro.query.builder
+    .RegionBuilder` emits for sample semantics, in any order: one
+    ``Moft(oid, t, x, y)`` over four distinct variables; any
+    ``TimeRollup(t, level, Const)`` / ``TimeRollupCompare(t, ...)``;
+    at most one ``PointIn(x, y, layer, polygon, g)`` with its
+    ``Alpha(attribute, m, g)``; and conditions on the member ``m``: a
+    ``Compare`` or an ``Or`` of ``Compare`` whose only variable is ``m``
+    (or none).  The reason is the first conjunct outside it.
+
+    Each atom is decided by its own ``check``: a Time atom once per
+    distinct instant of the table (so membership is exactly the Time
+    dimension's: an unregistered instant matches nothing), a member
+    condition once per α member.  An atom that raises while deciding
+    leaves the formula to the solver, which raises it where it reaches
+    it, or not when no binding does.
+    """
+    formula = region.formula
+    conjuncts = formula.children if isinstance(formula, ast.And) else (formula,)
+    first: Dict[type, ast.Formula] = {}
+    for conjunct in conjuncts:
+        first.setdefault(type(conjunct), conjunct)
+    moft = first.get(ast.Moft)
+    if moft is None:
+        return "no Moft atom"
+    point_in, alpha = first.get(ast.PointIn), first.get(ast.Alpha)
+    sample = tuple(
+        term.name if isinstance(term, ast.Var) else None
+        for term in moft._terms()
+    )
+    if None in sample or len(set(sample)) < 4:
+        return moft.describe()
+    gid = member = None
+    if point_in is not None and isinstance(point_in.gid, ast.Var):
+        gid = point_in.gid.name
+    if alpha is not None and isinstance(alpha.member, ast.Var):
+        member = alpha.member.name
+    time_atoms: List[ast.Atom] = []
+    conditions: List[ast.Formula] = []
+    for conjunct in conjuncts:
+        if conjunct is moft:
+            continue
+        if conjunct is point_in:
+            fits = (
+                point_in.kind == POLYGON
+                and gid is not None
+                and gid not in sample
+                and (point_in.x, point_in.y) == (moft.x, moft.y)
+            )
+        elif conjunct is alpha:
+            fits = point_in is None or (
+                alpha.gid == point_in.gid
+                and (member is None or member not in (gid, *sample))
+            )
+        elif isinstance(conjunct, (ast.TimeRollup, ast.TimeRollupCompare)):
+            fits = conjunct.free_variables() == {sample[1]}
+            time_atoms.append(conjunct)
+        elif isinstance(conjunct, ast.Compare) or (
+            isinstance(conjunct, ast.Or)
+            and all(isinstance(c, ast.Compare) for c in conjunct.children)
+        ):
+            fits = conjunct.free_variables() <= {member}
+            conditions.append(conjunct)
+        else:
+            fits = False
+        if not fits:
+            return conjunct.describe().splitlines()[0]
+    if (point_in is None) != (alpha is None):
+        return (point_in or alpha).describe()
+    current: ast.Formula = moft
+    passing: List[Dict[str, Any]] = [{}]
+    try:
+        table = context.moft(moft.moft_name)
+        instants = table.instant_codes()[0].tolist()
+        keep = np.ones(len(instants), dtype=bool)
+        for current in time_atoms:
+            keep &= np.array(
+                [current.check(context, {sample[1]: u}) for u in instants],
+                dtype=bool,
+            )
+        if point_in is not None:
+            current = point_in
+            layer = context.gis.point_layer(point_in.layer, POLYGON)
+            elements = layer.elements(POLYGON)
+            current = alpha
+            passing = [
+                env for env in alpha.enumerate_bindings(context, {})
+                if env[gid] in elements
+            ]
+        for current in conditions:
+            if current.free_variables():
+                passing = [e for e in passing if _holds(current, context, e)]
+            elif not _holds(current, context, {}):
+                passing = []
+    except Exception:
+        return current.describe().splitlines()[0]
+    if point_in is None:
+        return _Lowered(region.output_variables, table, sample, keep & bool(passing))
+    members: Dict[Hashable, List[Hashable]] = {}
+    for env in passing:
+        members.setdefault(env[gid], []).append(env.get(member))
+    return _Lowered(
+        region.output_variables, table, sample, keep, point_in.layer, gid,
+        members,
+    )
+
+
+def _holds(condition: ast.Formula, context, env: Dict[str, Any]) -> bool:
+    """A member condition under ``env``, as the solver decides it: an
+    ``Or`` holds when one of its children does, every child checked."""
+    if isinstance(condition, ast.Or):
+        return any([child.check(context, env) for child in condition.children])
+    return condition.check(context, env)
+
+
+# ---------------------------------------------------------------------------
 # The solver
 # ---------------------------------------------------------------------------
+
+
+def _solved(
+    region: SpatioTemporalRegion, context: EvaluationContext
+) -> Set[Tuple[Any, ...]]:
+    """The region's output tuples, binding by binding."""
+    rows: Set[Tuple[Any, ...]] = set()
+    for env in _solve(region.formula, context, {}):
+        missing = [v for v in region.output_variables if v not in env]
+        if missing:
+            raise EvaluationError(
+                f"unsafe query: output variables {missing} were never "
+                f"bound by a positive atom"
+            )
+        rows.add(tuple(env[v] for v in region.output_variables))
+    return rows
 
 
 def _solve(

@@ -1,15 +1,13 @@
-"""Columnar (NumPy) fast path for the common Type-4 query shape.
+"""Columnar (NumPy) point-in-polygon containment.
 
-The logical solver evaluates row by row — correct for arbitrary formulas,
-but the paper's most frequent query shape is fixed: *MOFT samples, at
+The paper's most frequent query shape is fixed: *MOFT samples, at
 instants matching a temporal constraint, whose position lies in one of a
-set of polygons*.  That shape vectorizes: the time filter is a mask over
-the ``t`` column and point-in-polygon is a batched crossing-number test
-over the ``x, y`` columns.
-
-:func:`samples_in_polygons` returns the same ``(oid, t)`` region the
-solver produces for such queries (the equivalence is property-tested);
-``benchmarks/bench_vectorized.py`` measures the gap.
+set of polygons*.  That shape vectorizes: point-in-polygon is a batched
+crossing-number test over the ``x, y`` columns.  The region lowering
+(:func:`repro.query.region._lower`), the through scan's sample prefilter
+and the pre-aggregation store's sample fold all read
+:func:`points_inside`; ``benchmarks/bench_vectorized.py`` times the
+lowered region against the solver.
 
 Boundary semantics: the batched crossing-number test classifies points
 *strictly* inside in bulk, then re-checks the few undecided points near
@@ -26,7 +24,7 @@ the batched test.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from repro.geometry.kernels import (
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.mo import moft as moft_module
-from repro.mo.moft import MOFT
 
 
 def pairs_contain(
@@ -137,56 +134,3 @@ def _contained(
     pos, at = candidate_pairs(polygons.grid, x, y, x, y)
     inside = pairs_contain(polygons.edges, pos, x[at], y[at])
     return pos[inside], at[inside]
-
-
-def points_in_polygons(
-    xs: np.ndarray, ys: np.ndarray, polygons: Sequence[Polygon]
-) -> np.ndarray:
-    """Which points lie in *any* of the (closed) polygons, as a mask."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    hit = np.zeros(xs.shape, dtype=bool)
-    if polygons:
-        passes = PolygonPass.of(dict(enumerate(polygons)))
-        for _, rows in points_inside(passes, xs, ys):
-            hit[rows] = True
-    return hit
-
-
-def samples_in_polygons(
-    moft: MOFT,
-    polygons: Sequence[Polygon],
-    instants: Iterable[float] | None = None,
-) -> Set[Tuple[Hashable, float]]:
-    """The Type-4 region ``{(oid, t)}`` evaluated columnarly.
-
-    Parameters
-    ----------
-    moft:
-        The moving-object fact table.
-    polygons:
-        The qualifying regions (e.g. low-income neighborhoods); a sample
-        matches when inside *any* of them.
-    instants:
-        Allowed instants (None = all instants).
-    """
-    if len(moft) == 0 or not polygons:
-        return set()
-    t, x, y = moft.as_arrays()
-    if instants is None:
-        mask = np.ones(t.shape, dtype=bool)
-    else:
-        allowed = np.array(sorted({float(i) for i in instants}), dtype=float)
-        if allowed.size == 0:
-            return set()
-        mask = np.isin(t, allowed)
-    if not mask.any():
-        return set()
-    rows = np.flatnonzero(mask)
-    # Recover (oid, t) for the hits by indexing the oid column directly —
-    # no per-row tuple materialization of the whole table.
-    oid_column = moft.oid_column()
-    hit_rows = rows[points_in_polygons(x[rows], y[rows], polygons)]
-    return {
-        (oid_column[row], float(t[row])) for row in hit_rows
-    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import SchemaError
 
@@ -85,20 +85,6 @@ class InstantMapping:
         """Return the instant whose interval contains ``moment``."""
         delta = moment - self.epoch
         return int(delta / self.step)
-
-    def instants_between(self, start: datetime, end: datetime) -> List[int]:
-        """Return all instants whose moments fall in ``[start, end)``."""
-        if end <= start:
-            return []
-        first = self.from_datetime(start)
-        while self.to_datetime(first) < start:
-            first += 1
-        instants = []
-        t = first
-        while self.to_datetime(t) < end:
-            instants.append(t)
-            t += 1
-        return instants
 
 
 def hourly(epoch: datetime) -> InstantMapping:

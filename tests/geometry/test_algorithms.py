@@ -14,7 +14,6 @@ from repro.geometry import (
     is_convex,
     polygon_intersection_area,
     polyline_length_inside,
-    segment_intersections,
     triangulate,
 )
 from repro.geometry.algorithms import clip_ring_convex, triangle_area
@@ -236,36 +235,6 @@ class TestIntersectionArea:
         ab = polygon_intersection_area(a, b)
         ba = polygon_intersection_area(b, a)
         assert ab == pytest.approx(ba, rel=1e-6)
-
-
-class TestSegmentIntersections:
-    def test_cross_pair(self):
-        segs = [
-            Segment(Point(0, 0), Point(2, 2)),
-            Segment(Point(0, 2), Point(2, 0)),
-        ]
-        hits = segment_intersections(segs)
-        assert len(hits) == 1
-        i, j, p = hits[0]
-        assert (i, j) == (0, 1)
-        assert p.x == pytest.approx(1)
-
-    def test_no_intersections(self):
-        segs = [
-            Segment(Point(0, 0), Point(1, 0)),
-            Segment(Point(0, 1), Point(1, 1)),
-            Segment(Point(5, 5), Point(6, 6)),
-        ]
-        assert segment_intersections(segs) == []
-
-    def test_star_pattern(self):
-        segs = [
-            Segment(Point(-1, 0), Point(1, 0)),
-            Segment(Point(0, -1), Point(0, 1)),
-            Segment(Point(-1, -1), Point(1, 1)),
-        ]
-        hits = segment_intersections(segs)
-        assert len(hits) == 3  # all pairs meet at the origin
 
 
 class TestLengthInside:

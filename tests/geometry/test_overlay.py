@@ -161,18 +161,18 @@ class TestLayerOverlay:
 
     def test_caching(self):
         overlay = LayerOverlay(city_layers())
-        assert overlay.cached_relations == 0
+        assert len(overlay.export_cache()["relations"]) == 0
         overlay.pairs("rivers", "cities")
-        assert overlay.cached_relations == 1
+        assert len(overlay.export_cache()["relations"]) == 1
         overlay.pairs("rivers", "cities")
-        assert overlay.cached_relations == 1
+        assert len(overlay.export_cache()["relations"]) == 1
 
     def test_precompute_all(self):
         overlay = LayerOverlay(city_layers())
         count = overlay.precompute_all()
         # 3 layers -> 6 ordered pairs x 3 predicates.
         assert count == 18
-        assert overlay.cached_relations == 18
+        assert len(overlay.export_cache()["relations"]) == 18
 
     def test_locate_point(self):
         """Point location over the overlay is the ``within`` relation of

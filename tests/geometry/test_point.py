@@ -101,10 +101,6 @@ class TestBoundingBox:
         with pytest.raises(GeometryError):
             BoundingBox(0, 0, 1, 1).expanded(-2)
 
-    def test_corners_ccw(self):
-        corners = BoundingBox(0, 0, 2, 1).corners()
-        assert corners == (Point(0, 0), Point(2, 0), Point(2, 1), Point(0, 1))
-
     @given(st.lists(point_st, min_size=1, max_size=20))
     def test_from_points_covers_all(self, pts):
         box = BoundingBox.from_points(pts)

@@ -113,11 +113,6 @@ class TestContainment:
         assert not concave_l().contains_point(Point(1.5, 1.5))
         assert concave_l().contains_point(Point(0.5, 1.5))
 
-    def test_strict_containment_excludes_boundary(self):
-        sq = unit_square()
-        assert sq.strictly_contains_point(Point(0.5, 0.5))
-        assert not sq.strictly_contains_point(Point(0, 0.5))
-
     def test_shared_boundary_belongs_to_both(self):
         # The paper: "a point may belong to more than one geometry", e.g.
         # on the shared edge of two adjacent polygons.
@@ -261,7 +256,7 @@ class TestSampling:
     def test_interior_point_of_square(self):
         sq = unit_square()
         p = sq.sample_interior_point()
-        assert sq.strictly_contains_point(p)
+        assert sq.contains_point(p) and not sq.on_boundary(p)
 
     def test_interior_point_of_concave(self):
         poly = concave_l()

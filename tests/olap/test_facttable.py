@@ -1,6 +1,5 @@
 """Tests for fact tables and rollup along dimensions."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AggregationError, SchemaError
@@ -94,15 +93,6 @@ class TestFactTable:
     def test_unknown_column_raises(self):
         with pytest.raises(SchemaError):
             sales_table().column("nope")
-
-    def test_measure_array(self):
-        arr = sales_table().measure_array("amount")
-        assert isinstance(arr, np.ndarray)
-        assert arr.sum() == pytest.approx(50.0)
-
-    def test_measure_array_rejects_dimension_attr(self):
-        with pytest.raises(SchemaError):
-            sales_table().measure_array("hour")
 
     def test_select(self):
         morning = sales_table().select(lambda row: row["hour"] < 12)

@@ -8,11 +8,6 @@ from repro.query.ast import And, Compare, Const, Exists, MemberValue, Not, Or, V
 
 
 class TestTerms:
-    def test_as_term_coercion(self):
-        assert ast.as_term(5) == Const(5)
-        assert ast.as_term(Var("x")) == Var("x")
-        assert ast.as_term(Const("a")) == Const("a")
-
     def test_term_value(self):
         env = {"x": 42}
         assert ast.term_value(Var("x"), env) == 42

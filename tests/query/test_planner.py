@@ -339,20 +339,35 @@ class TestDescribeAndBuilderExplain:
         assert "ExplicitDomain" in first
 
     def test_builder_explain_shows_rewrite(self, context):
+        """The path evaluate takes: the running query is rewritten to
+        columns, shown with its instants, geometry ids and outputs."""
         builder = (
             RegionBuilder()
             .from_moft("FMbus")
             .during("timeOfDay", "Morning")
+            .in_attribute_polygon("neighborhood", value_filter=("income", "<", 1500))
         )
         text = builder.explain(context)
         assert text.startswith("Region(outputs=oid, t")
-        assert "push_down_time would rewrite it to (not applied):" in text
-        assert "FilteredMoft" in text
+        assert text.splitlines()[-1] == (
+            "lowered: 3 of 6 instants, geometry ids ['pg_berchem', "
+            "'pg_zuid'], outputs (oid, t)"
+        )
+        assert context.obs.count("regions_lowered") == 0  # nothing ran
 
     def test_builder_explain_no_rewrite(self, context):
-        builder = RegionBuilder().from_moft("FMbus")
-        text = builder.explain(context)
-        assert "push_down_time: not applicable" in text
+        """A formula the lowering does not rewrite: the solver, and the
+        first conjunct that kept it there."""
+        builder = (
+            RegionBuilder()
+            .from_moft("FMbus")
+            .during("timeOfDay", "Morning")
+            .near_attribute_node("school", 3.0)
+        )
+        assert builder.explain(context).splitlines()[-1] == (
+            "solver: WithinDistance(x=?x, y=?y, layer='Ls', kind='node', "
+            "gid=?g0, radius=3.0)"
+        )
 
 
 class TestPoiBuilderExplain:

@@ -2,11 +2,11 @@
 
 Each test pins one bug fixed alongside the columnar storage engine:
 bbox rejections silently uncounted on the indexed path, the grid index
-rebuilt on every query, and the vectorized fast path's oid recovery
-materializing the whole table.
+rebuilt on every query, and the columnar region's oid recovery
+materializing the whole table (those cases are inputs of the region
+differential of tests/query/test_vectorized.py).
 """
 
-import numpy as np
 import pytest
 
 from repro.geometry import Point, Polygon
@@ -17,9 +17,14 @@ from repro.query import (
     TrajectoryIntersectionCounter,
     count_objects_through,
     planned_count_objects_through,
-    samples_in_polygons,
 )
 from repro.synth.paperdata import figure1_instance
+from tests.query.test_vectorized import (
+    boundary_sample,
+    instant_filter,
+    lowered_equals_solver,
+    tuple_oids,
+)
 
 CONSTRAINTS = [
     ("intersects", ("Lr", POLYLINE)),
@@ -159,33 +164,23 @@ class TestVectorizedPrefilter:
 
 
 class TestSamplesInPolygonsOidRecovery:
+    """The columnar region recovers each hit's oid from the table's object
+    codes, never from per-row tuples.  Each case is an input of the
+    region differential (``lowered_equals_solver``)."""
+
+    @staticmethod
+    def _lowered(case):
+        region, ctx, expected = case()
+        assert lowered_equals_solver(region, ctx) == "lowered"
+        assert region.evaluate(ctx) == expected
+
     def test_hits_recovered_from_oid_column(self):
-        """Regression: hit rows used to be recovered by materializing
-        every row via moft.tuples(); now the oid column is indexed with
-        np.flatnonzero directly.  Semantics must be unchanged."""
-        moft = MOFT()
-        moft.add_many(
-            [
-                ("O1", 1, 0.5, 0.5),
-                ("O1", 2, 5.0, 5.0),
-                ("O2", 1, 0.25, 0.25),
-                ("O3", 1, 9.0, 9.0),
-            ]
-        )
-        unit = Polygon.rectangle(0, 0, 1, 1)
-        hits = samples_in_polygons(moft, [unit])
-        assert hits == {("O1", 1.0), ("O2", 1.0)}
+        """Samples inside, on an edge and on a corner of the unit square
+        are hits; the others are not."""
+        self._lowered(boundary_sample)
 
     def test_instant_filter_still_applies(self):
-        moft = MOFT()
-        moft.add_many([("O1", 1, 0.5, 0.5), ("O1", 2, 0.5, 0.5)])
-        unit = Polygon.rectangle(0, 0, 1, 1)
-        assert samples_in_polygons(moft, [unit], instants={2}) == {
-            ("O1", 2.0)
-        }
+        self._lowered(instant_filter)
 
     def test_tuple_oids(self):
-        moft = MOFT()
-        moft.add(("fleet", 7), 1, 0.5, 0.5)
-        unit = Polygon.rectangle(0, 0, 1, 1)
-        assert samples_in_polygons(moft, [unit]) == {(("fleet", 7), 1.0)}
+        self._lowered(tuple_oids)

@@ -56,6 +56,154 @@ from repro.temporal import TimeDimension, hourly
 OID, T, X, Y = Var("oid"), Var("t"), Var("x"), Var("y")
 
 
+# The mini-worlds of the queries Figure 1 cannot express (also the region
+# differential's Section 4 cases, tests/query/test_vectorized.py).
+
+
+def street_world():
+    """Q2's (city, context): three cars on street h1 (y=10), one on v1."""
+    city = build_city(CityConfig(cols=2, rows=2, block_size=10, seed=5))
+    moft = MOFT("FM")
+    moft.add_many(
+        [
+            ("carA", 0, 2.0, 10.0),
+            ("carA", 1, 5.0, 10.0),
+            ("carB", 0, 8.0, 10.0),
+            ("carB", 1, 12.0, 10.0),
+            ("carC", 1, 15.0, 10.0),
+            ("carD", 0, 10.0, 3.0),
+            ("carD", 1, 10.0, 7.0),
+        ]
+    )
+    time = TimeDimension.from_explicit_rollups(
+        [("timeId", t, "hour", t) for t in (0, 1)]
+        + [("hour", t, "timeOfDay", "Morning") for t in (0, 1)]
+    )
+    return city, EvaluationContext(city.gis, time, moft)
+
+
+def street_region():
+    """Q2's region: ``(Oid, t, street)`` triples over the morning."""
+    street = Var("s")
+    pl = Var("pl")
+    return SpatioTemporalRegion(
+        ("oid", "t", "s"),
+        And(
+            Moft(OID, T, X, Y),
+            TimeRollup(T, "timeOfDay", Const("Morning")),
+            PointIn(X, Y, "Lst", "polyline", pl),
+            Alpha("street", street, pl),
+        ),
+    )
+
+
+def two_city_world():
+    """Q3's context: a big and a small city side by side."""
+    schema = GISDimensionSchema(
+        [LayerHierarchy("Lc", [(POINT, POLYGON), (POLYGON, ALL)])],
+        [AttributePlacement("city", POLYGON, "Lc")],
+        [DimensionSchema("Cities", [("city", "country")])],
+    )
+    gis = GISDimensionInstance(schema)
+    gis.add_geometry("Lc", POLYGON, "pg_big", Polygon.rectangle(0, 0, 10, 10))
+    gis.add_geometry(
+        "Lc", POLYGON, "pg_small", Polygon.rectangle(10, 0, 20, 10)
+    )
+    gis.set_alpha("city", "bigtown", "pg_big")
+    gis.set_alpha("city", "smallville", "pg_small")
+    gis.set_member_value("city", "bigtown", "pop", 80_000)
+    gis.set_member_value("city", "smallville", "pop", 20_000)
+    moft = MOFT("FM")
+    moft.add_many(
+        [
+            # Only ever sampled in bigtown: qualifies.
+            ("loyal", 0, 2.0, 5.0),
+            ("loyal", 1, 8.0, 5.0),
+            # Sampled in bigtown but also in smallville: excluded.
+            ("tourist", 0, 5.0, 5.0),
+            ("tourist", 1, 15.0, 5.0),
+            # Never in bigtown: excluded.
+            ("stranger", 0, 18.0, 5.0),
+            ("stranger", 1, 19.0, 5.0),
+        ]
+    )
+    time = TimeDimension.from_explicit_rollups(
+        [("timeId", t, "hour", t) for t in (0, 1)]
+        + [("hour", t, "timeOfDay", "Morning") for t in (0, 1)]
+    )
+    return EvaluationContext(gis, time, moft)
+
+
+def completely_through_region():
+    """Q3's region: sampled in a big city, never in a small one."""
+    c, pg = Var("c"), Var("pg")
+    t1, x1, y1, pg1, c1 = (
+        Var("t1"),
+        Var("x1"),
+        Var("y1"),
+        Var("pg1"),
+        Var("c1"),
+    )
+    inner = And(
+        Moft(OID, t1, x1, y1),
+        PointIn(x1, y1, "Lc", "polygon", pg1),
+        Alpha("city", c1, pg1),
+        Compare(MemberValue("city", c1, "pop"), "<", Const(50_000)),
+    )
+    return SpatioTemporalRegion(
+        ("oid",),
+        And(
+            Moft(OID, T, X, Y),
+            TimeRollup(T, "timeOfDay", Const("Morning")),
+            PointIn(X, Y, "Lc", "polygon", pg),
+            Alpha("city", c, pg),
+            Compare(MemberValue("city", c, "pop"), ">=", Const(50_000)),
+            Not(inner),
+        ),
+    )
+
+
+def tram_world():
+    """Q7's context: hourly instants over Monday 2006-01-09; waiter1 near
+    the stop at hours 8 and 9, waiter2 at 9, the walker far."""
+    schema = GISDimensionSchema(
+        [LayerHierarchy("Lbus", [(POINT, NODE), (NODE, ALL)])],
+        [AttributePlacement("stop", NODE, "Lbus")],
+    )
+    gis = GISDimensionInstance(schema)
+    gis.add_geometry("Lbus", NODE, "nd_groenplaats", Point(50.0, 50.0))
+    gis.set_alpha("stop", "Groenplaats", "nd_groenplaats")
+    moft = MOFT("FM")
+    moft.add_many(
+        [
+            ("waiter1", 8, 51.0, 50.0),
+            ("waiter1", 9, 50.5, 49.5),
+            ("waiter2", 9, 48.0, 50.0),
+            ("waiter2", 10, 47.0, 50.0),
+            ("walker", 8, 10.0, 10.0),
+            ("walker", 9, 90.0, 90.0),
+        ]
+    )
+    mapping = hourly(datetime(2006, 1, 9, 0, 0))
+    time = TimeDimension.from_mapping(mapping, range(24))
+    return EvaluationContext(gis, time, moft)
+
+
+def tram_waiting_region(ctx):
+    """Q7's region: within four meters of the stop, 8:00-10:00 on weekday
+    mornings."""
+    return (
+        RegionBuilder()
+        .from_moft("FM")
+        .during("timeOfDay", "Morning")
+        .during("typeOfDay", "Weekday")
+        .where_time("hour", ">=", 8)
+        .where_time("hour", "<=", 10)
+        .near_attribute_node("stop", 4.0, member="Groenplaats")
+        .build(ctx.gis)
+    )
+
+
 @pytest.fixture(scope="module")
 def world():
     return figure1_instance()
@@ -98,39 +246,10 @@ class TestQuery2StreetDensity:
 
     @pytest.fixture(scope="class")
     def street_world(self):
-        city = build_city(CityConfig(cols=2, rows=2, block_size=10, seed=5))
-        moft = MOFT("FM")
-        # Three cars on street h1 (y=10), one car on street v1 (x=10).
-        moft.add_many(
-            [
-                ("carA", 0, 2.0, 10.0),
-                ("carA", 1, 5.0, 10.0),
-                ("carB", 0, 8.0, 10.0),
-                ("carB", 1, 12.0, 10.0),
-                ("carC", 1, 15.0, 10.0),
-                ("carD", 0, 10.0, 3.0),
-                ("carD", 1, 10.0, 7.0),
-            ]
-        )
-        time = TimeDimension.from_explicit_rollups(
-            [("timeId", t, "hour", t) for t in (0, 1)]
-            + [("hour", t, "timeOfDay", "Morning") for t in (0, 1)]
-        )
-        ctx = EvaluationContext(city.gis, time, moft)
-        return city, ctx
+        return street_world()
 
     def region(self, city):
-        street = Var("s")
-        pl = Var("pl")
-        return SpatioTemporalRegion(
-            ("oid", "t", "s"),
-            And(
-                Moft(OID, T, X, Y),
-                TimeRollup(T, "timeOfDay", Const("Morning")),
-                PointIn(X, Y, "Lst", "polyline", pl),
-                Alpha("street", street, pl),
-            ),
-        )
+        return street_region()
 
     def test_triples_capture_street_memberships(self, street_world):
         city, ctx = street_world
@@ -181,68 +300,10 @@ class TestQuery3CompletelyThrough:
 
     @pytest.fixture(scope="class")
     def city_world(self):
-        schema = GISDimensionSchema(
-            [LayerHierarchy("Lc", [(POINT, POLYGON), (POLYGON, ALL)])],
-            [AttributePlacement("city", POLYGON, "Lc")],
-            [DimensionSchema("Cities", [("city", "country")])],
-        )
-        gis = GISDimensionInstance(schema)
-        gis.add_geometry("Lc", POLYGON, "pg_big", Polygon.rectangle(0, 0, 10, 10))
-        gis.add_geometry(
-            "Lc", POLYGON, "pg_small", Polygon.rectangle(10, 0, 20, 10)
-        )
-        gis.set_alpha("city", "bigtown", "pg_big")
-        gis.set_alpha("city", "smallville", "pg_small")
-        gis.set_member_value("city", "bigtown", "pop", 80_000)
-        gis.set_member_value("city", "smallville", "pop", 20_000)
-        moft = MOFT("FM")
-        moft.add_many(
-            [
-                # Only ever sampled in bigtown: qualifies.
-                ("loyal", 0, 2.0, 5.0),
-                ("loyal", 1, 8.0, 5.0),
-                # Sampled in bigtown but also in smallville: excluded.
-                ("tourist", 0, 5.0, 5.0),
-                ("tourist", 1, 15.0, 5.0),
-                # Never in bigtown: excluded.
-                ("stranger", 0, 18.0, 5.0),
-                ("stranger", 1, 19.0, 5.0),
-            ]
-        )
-        time = TimeDimension.from_explicit_rollups(
-            [("timeId", t, "hour", t) for t in (0, 1)]
-            + [("hour", t, "timeOfDay", "Morning") for t in (0, 1)]
-        )
-        return EvaluationContext(gis, time, moft)
+        return two_city_world()
 
     def test_negated_existential(self, city_world):
-        ctx = city_world
-        c, pg = Var("c"), Var("pg")
-        t1, x1, y1, pg1, c1 = (
-            Var("t1"),
-            Var("x1"),
-            Var("y1"),
-            Var("pg1"),
-            Var("c1"),
-        )
-        inner = And(
-            Moft(OID, t1, x1, y1),
-            PointIn(x1, y1, "Lc", "polygon", pg1),
-            Alpha("city", c1, pg1),
-            Compare(MemberValue("city", c1, "pop"), "<", Const(50_000)),
-        )
-        region = SpatioTemporalRegion(
-            ("oid",),
-            And(
-                Moft(OID, T, X, Y),
-                TimeRollup(T, "timeOfDay", Const("Morning")),
-                PointIn(X, Y, "Lc", "polygon", pg),
-                Alpha("city", c, pg),
-                Compare(MemberValue("city", c, "pop"), ">=", Const(50_000)),
-                Not(inner),
-            ),
-        )
-        oids = {row["oid"] for row in region.evaluate(ctx)}
+        oids = {row["oid"] for row in completely_through_region().evaluate(city_world)}
         assert oids == {"loyal"}
 
 
@@ -424,43 +485,10 @@ class TestQuery7TramStop:
 
     @pytest.fixture(scope="class")
     def tram_world(self):
-        schema = GISDimensionSchema(
-            [LayerHierarchy("Lbus", [(POINT, NODE), (NODE, ALL)])],
-            [AttributePlacement("stop", NODE, "Lbus")],
-        )
-        gis = GISDimensionInstance(schema)
-        gis.add_geometry("Lbus", NODE, "nd_groenplaats", Point(50.0, 50.0))
-        gis.set_alpha("stop", "Groenplaats", "nd_groenplaats")
-        moft = MOFT("FM")
-        # Hourly instants over Monday 2006-01-09; hours 8, 9, 10 matter.
-        # waiter1 near the stop at hours 8 and 9; waiter2 at 9; walker far.
-        moft.add_many(
-            [
-                ("waiter1", 8, 51.0, 50.0),
-                ("waiter1", 9, 50.5, 49.5),
-                ("waiter2", 9, 48.0, 50.0),
-                ("waiter2", 10, 47.0, 50.0),
-                ("walker", 8, 10.0, 10.0),
-                ("walker", 9, 90.0, 90.0),
-            ]
-        )
-        mapping = hourly(datetime(2006, 1, 9, 0, 0))
-        time = TimeDimension.from_mapping(mapping, range(24))
-        return EvaluationContext(gis, time, moft)
+        return tram_world()
 
     def test_waiting_counts_per_instant(self, tram_world):
-        ctx = tram_world
-        region = (
-            RegionBuilder()
-            .from_moft("FM")
-            .during("timeOfDay", "Morning")
-            .during("typeOfDay", "Weekday")
-            .where_time("hour", ">=", 8)
-            .where_time("hour", "<=", 10)
-            .near_attribute_node("stop", 4.0, member="Groenplaats")
-            .build(ctx.gis)
-        )
-        counts = count_per_group(region, ctx, ["t"])
+        counts = count_per_group(tram_waiting_region(tram_world), tram_world, ["t"])
         assert counts == {(8.0,): 1, (9.0,): 2, (10.0,): 1}
 
     def test_weekend_excluded(self, tram_world):

@@ -73,17 +73,6 @@ class TestInstantMapping:
         with pytest.raises(SchemaError):
             every_minutes(self.EPOCH, 0)
 
-    def test_instants_between(self):
-        mapping = hourly(self.EPOCH)
-        instants = mapping.instants_between(
-            datetime(2006, 1, 7, 8, 0), datetime(2006, 1, 7, 12, 0)
-        )
-        assert instants == [8, 9, 10, 11]
-
-    def test_instants_between_empty(self):
-        mapping = hourly(self.EPOCH)
-        assert mapping.instants_between(self.EPOCH, self.EPOCH) == []
-
     def test_negative_instants(self):
         mapping = hourly(self.EPOCH)
         assert mapping.to_datetime(-2) == datetime(2006, 1, 6, 22, 0)
