@@ -187,16 +187,6 @@ class LayerOverlay:
         except KeyError:
             raise GeometryError(f"unknown layer: {name!r}") from None
 
-    def geometry(self, layer_name: str, geometry_id: Hashable) -> Geometry:
-        """Return one geometry by layer and id."""
-        layer = self.layer(layer_name)
-        try:
-            return layer[geometry_id]
-        except KeyError:
-            raise GeometryError(
-                f"unknown geometry {geometry_id!r} in layer {layer_name!r}"
-            ) from None
-
     def _grid(self, name: str) -> Grid:
         if name not in self._grids:
             self._grids[name] = Grid.of(self._layers[name])

@@ -56,10 +56,6 @@ class Segment:
             self.start.y + s * (self.end.y - self.start.y),
         )
 
-    def reversed(self) -> "Segment":
-        """Return the segment traversed in the opposite direction."""
-        return Segment(self.end, self.start)
-
     def contains_point(self, point: Point) -> bool:
         """Return True when ``point`` lies on the closed segment."""
         return predicates.on_segment(

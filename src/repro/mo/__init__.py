@@ -2,6 +2,7 @@
 
 from repro.mo.moft import (
     MOFT,
+    ObjectSet,
     instants_member_mask,
     sorted_instants,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "to_csv_text",
     "write_csv",
     "MOFT",
+    "ObjectSet",
     "instants_member_mask",
     "sorted_instants",
     "FunctionalTrajectory",

@@ -19,7 +19,9 @@ is derived from those and cached per table state:
   a scan hands the batch kernels all objects at once;
 * per-object access (:meth:`history`, :meth:`position`,
   :meth:`trajectory_sample`) is a binary search in the object's run of
-  that same index; :meth:`oid_column` decodes ``oids[codes]``.
+  that same index; :meth:`oid_column` decodes ``oids[codes]``;
+* an object-set answer stays codes (:class:`ObjectSet`): counted by
+  its code count, written out in the table's :meth:`repr_order`.
 
 Every append takes one path (:meth:`add` buffers samples until the next
 read): intern the new ids (:func:`intern`, the one interner), sort the
@@ -33,10 +35,11 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Set as AbstractSet
 from itertools import count, repeat
 from typing import (
-    Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional,
-    Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+    NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -261,6 +264,90 @@ class SegmentBatch:
         return np.flatnonzero(keep) if subset is None else subset[keep]
 
 
+#: Id types that are no other id's ``repr`` and that JSON writes as they
+#: are: exactly these (a subclass such as ``bool`` or ``numpy.str_`` is
+#: not one of them).
+PLAIN_IDS = frozenset((str, int))
+
+
+class ObjectSet(AbstractSet):
+    """An object-set answer as codes into its table: ``oids`` is the
+    table's intern array and ``codes`` the answer's positions in it,
+    ascending and distinct.
+
+    A :class:`collections.abc.Set` of ids that decodes only when asked:
+    ``len`` counts codes, iteration and ``in`` decode them (``in``
+    through a frozenset made at the first test), ``==`` and ``hash``
+    agree with the equal ``frozenset``, and set algebra returns a plain
+    ``frozenset``.  :meth:`in_repr_order` lists the ids in the table's
+    cached :meth:`MOFT.repr_order`.  A pickle carries the answer's ids,
+    not its table.
+    """
+
+    __slots__ = ("oids", "codes", "_table", "_ids")
+
+    def __init__(
+        self, oids: np.ndarray, codes: np.ndarray,
+        table: Optional["MOFT"] = None,
+    ) -> None:
+        self.oids, self.codes, self._table = oids, codes, table
+        self._ids: Optional[FrozenSet[Hashable]] = None
+
+    @classmethod
+    def _from_iterable(cls, ids: Iterable[Hashable]) -> FrozenSet[Hashable]:
+        return frozenset(ids)
+
+    def _frozen(self) -> FrozenSet[Hashable]:
+        if self._ids is None:
+            self._ids = frozenset(self.oids[self.codes].tolist())
+        return self._ids
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.oids[self.codes].tolist())
+
+    def __contains__(self, oid: object) -> bool:
+        return oid in self._frozen()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ObjectSet):
+            if other.oids is self.oids:
+                return bool(np.array_equal(self.codes, other.codes))
+            other = other._frozen()
+        if isinstance(other, (set, frozenset)):
+            return self._frozen() == other
+        return AbstractSet.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self._frozen())
+
+    def __reduce__(self) -> tuple:
+        return ObjectSet, (self.oids[self.codes], np.arange(len(self)))
+
+    def __repr__(self) -> str:
+        return f"ObjectSet({list(self)!r})"
+
+    @property
+    def plain(self) -> bool:
+        """Whether every id of the table is exactly a ``str`` or an
+        ``int`` (False without a table): no two ids then share a
+        ``repr``, and JSON writes them as they are."""
+        return self._table is not None and self._table.repr_order()[1]
+
+    def in_repr_order(self) -> List[Hashable]:
+        """The ids sorted by ``repr``, ties in code order: one gather
+        through the table's :meth:`MOFT.repr_order` (a sort when there
+        is no table, as after unpickling)."""
+        if self._table is None:
+            return sorted(self, key=repr)
+        order, _ = self._table.repr_order()
+        keep = np.zeros(order.shape[0], dtype=bool)
+        keep[self.codes] = True
+        return self.oids[order[keep[order]]].tolist()
+
+
 def sorted_instants(instants: Iterable[float]) -> np.ndarray:
     """Canonicalize an instant collection to a sorted float array.
 
@@ -333,10 +420,10 @@ class MOFT:
         self._flush()
         return {**self.__dict__, **dict.fromkeys(self._DERIVED)}
 
-    #: The index, the id -> code map and the summaries.
+    #: The index, the id -> code map, the ``repr`` order and the summaries.
     _DERIVED = (
-        "_segments", "_inherited", "_code_of", "_time_range", "_bbox",
-        "_instant_counts", "_instant_codes",
+        "_segments", "_inherited", "_code_of", "_repr_order", "_time_range",
+        "_bbox", "_instant_counts", "_instant_codes",
     )
 
     def _install(
@@ -630,6 +717,43 @@ class MOFT:
         if self._code_of is None:
             self._code_of = dict(zip(self._oids.tolist(), count()))
         return self._code_of
+
+    def object_set(self, codes: np.ndarray) -> ObjectSet:
+        """The objects at ``codes`` (ascending, distinct positions in
+        :attr:`oids`) as an answer over this table."""
+        return ObjectSet(self.oids, codes, self)
+
+    def encode(self, ids: Iterable[Hashable]) -> ObjectSet:
+        """``ids``, objects of this table, as an answer over it: one
+        pass through the id -> code map, made distinct and sorted by a
+        scatter over the intern table (a repeated id counts once)."""
+        self._flush()
+        try:
+            codes = np.fromiter(map(self._code_map().__getitem__, ids), np.intp)
+        except KeyError as missing:
+            raise TrajectoryError(
+                f"no samples for object {missing.args[0]!r}"
+            ) from None
+        seen = np.zeros(self._oids.shape[0], dtype=bool)
+        seen[codes] = True
+        return self.object_set(np.flatnonzero(seen))
+
+    def repr_order(self) -> Tuple[np.ndarray, bool]:
+        """The codes sorted by their ids' ``repr`` (ties in code order),
+        and whether every id is exactly a ``str`` or an ``int``
+        (:data:`PLAIN_IDS`).  Made at the first call and kept until the
+        next append: what :meth:`ObjectSet.in_repr_order` and
+        the POI cell table read instead of sorting ids."""
+        self._flush()
+        if self._repr_order is None:
+            ids = self._oids.tolist()
+            reprs = list(map(repr, ids))
+            order = sorted(range(len(ids)), key=reprs.__getitem__)
+            self._repr_order = (
+                np.array(order, dtype=np.intp),
+                PLAIN_IDS.issuperset(map(type, ids)),
+            )
+        return self._repr_order
 
     # -- per-object histories ------------------------------------------------------------
 

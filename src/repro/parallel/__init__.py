@@ -30,7 +30,7 @@ from repro.parallel.backends import (
     resilient_map,
 )
 from repro.parallel.executor import ShardedExecutor, ShardedPietQLExecutor
-from repro.parallel.merge import sum_groups, union_ids
+from repro.parallel.merge import sum_groups
 
 __all__ = [
     "BACKENDS",
@@ -46,6 +46,5 @@ __all__ = [
     "resilient_map",
     "ShardedExecutor",
     "ShardedPietQLExecutor",
-    "union_ids",
     "sum_groups",
 ]

@@ -92,6 +92,7 @@ import time
 import weakref
 from collections import OrderedDict
 from functools import partial
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -100,7 +101,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Type,
     TypeVar,
@@ -112,7 +112,7 @@ from repro.errors import (
     MoftStorageError,
     ShardExecutionError,
 )
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, ObjectSet
 from repro.obs import EvaluationStats, PipelineStats
 from repro.parallel.backends import (
     ExecutionBackend,
@@ -121,7 +121,7 @@ from repro.parallel.backends import (
     get_backend,
     resilient_map,
 )
-from repro.parallel.merge import sum_groups, union_ids
+from repro.parallel.merge import sum_groups
 from repro.parallel.shm import (
     ShardDescriptor,
     ShardImage,
@@ -151,9 +151,10 @@ RESIDENT_TABLES = 4
 # -- module-level worker tasks (picklable for the processes backend) ----------
 
 
-def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
+def _scan_task(payload) -> ShardOutcome[List[Hashable]]:
     """Run a trajectory-intersection scan over one MOFT shard, masked
-    by the query's time restriction when it has one."""
+    by the query's time restriction when it has one.  The matched
+    objects go back as ids: the shard's codes are not its parent's."""
     counter, shard, restriction = payload
     stats = EvaluationStats()
     if counter.kept_pass is not None:
@@ -165,7 +166,7 @@ def _scan_task(payload) -> ShardOutcome[Set[Hashable]]:
     # A resident shard has its segment index and instant codes already:
     # the scan reads that index under the restriction's row mask.
     rows = None if restriction is None else restriction_mask(table, *restriction)
-    matched = counter.matching_objects(table, stats, rows=rows)
+    matched = list(counter.matching_objects(table, stats, rows=rows))
     return matched, time.perf_counter() - start, stats
 
 
@@ -528,12 +529,14 @@ class ShardedExecutor:
         moft: MOFT,
         stats: Optional[EvaluationStats] = None,
         restriction: Optional[TimeRestriction] = None,
-    ) -> Set[Hashable]:
+    ) -> ObjectSet:
         """Sharded :meth:`TrajectoryIntersectionCounter.matching_objects`.
 
         The MOFT is partitioned by objects (each object's whole history in
         one shard, preserving interpolation semantics); per-shard matched
         sets are disjoint, so their union is the exact serial answer.
+        The shards answer in ids, which the merge encodes once against
+        ``moft``: the answer is codes into it, as the serial scan's.
 
         ``restriction`` is a ``(window, instants)`` pair (see
         :func:`repro.query.evaluator.restriction_mask`): every shard
@@ -545,13 +548,13 @@ class ShardedExecutor:
         """
         resident = self._shards(moft)
         if not resident.shards:
-            return set()
+            return moft.encode(())
         observers = (stats,) if stats is not None else ()
         return self._fanout_shards(
             resident,
             lambda shard: (counter, shard, restriction),
             _scan_task,
-            union_ids,
+            lambda found: moft.encode(chain.from_iterable(found)),
             observers=observers,
         )
 

@@ -1,15 +1,13 @@
 """Merge functions for per-shard partial results.
 
-Each query family has a merge with the right algebra:
+Grouped aggregations (per-shard ``group -> value`` sums) merge by
+:func:`sum_groups`: group keys are summed pointwise, which is exact for
+distributive aggregates (SUM/COUNT) over disjoint shards.
 
-* object-id queries (``matching_objects`` over object shards) —
-  :func:`union_ids`: shards hold disjoint object sets, the union is the
-  exact serial answer;
-* grouped aggregations (per-shard ``group -> value`` sums) —
-  :func:`sum_groups`: group keys are summed pointwise, which is exact
-  for distributive aggregates (SUM/COUNT) over disjoint shards.
-
-(Store builds merge by :meth:`~repro.cellstore.GranuleStore.merge`.)
+(Object queries merge by encoding the shards' disjoint id lists against
+the parent table, :meth:`~repro.parallel.ShardedExecutor
+.matching_objects`; store builds by :meth:`~repro.cellstore
+.GranuleStore.merge`.)
 
 These are deliberately tiny, pure functions: the differential oracle in
 ``tests/parallel`` exists to prove that *executor + merge* reproduces the
@@ -18,15 +16,7 @@ serial semantics, and small merges keep that surface auditable.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Set
-
-
-def union_ids(partials: Iterable[Set[Hashable]]) -> Set[Hashable]:
-    """Union per-shard id sets (disjoint-shard object queries)."""
-    merged: Set[Hashable] = set()
-    for partial in partials:
-        merged |= partial
-    return merged
+from typing import Dict, Hashable, Iterable
 
 
 def sum_groups(

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import PietQLExecutionError
+from repro.mo.moft import ObjectSet
 from repro.pietql import ast
 from repro.pietql.parser import parse
 from repro.query.evaluator import Leaf, resolve_through
@@ -61,11 +62,13 @@ class PietQLResult:
     :class:`~repro.query.planner.QueryPlan` whose tree carries cost-model
     estimates next to the actual rows and stage seconds observed while
     the query ran (``result.plan.render()`` is the EXPLAIN text).
+    ``matched_objects`` is the answer as codes into the MOFT queried (an
+    :class:`~repro.mo.moft.ObjectSet`, equal to the frozenset of its ids).
     """
 
     geometry_ids: frozenset
     count: Optional[float] = None
-    matched_objects: Optional[frozenset] = None
+    matched_objects: Optional[ObjectSet] = None
     olap_result: Optional[Mapping[Hashable, float]] = None
     plan: Optional[QueryPlan] = None
     poi_result: Optional[Mapping] = None
@@ -180,10 +183,9 @@ class PietQLExecutor:
             front = self._front_nodes(query, n_ids, geo_seconds, olap_result)
         count = matched = plan = None
         if query.moving_objects is not None:
-            count, found, plan = self._execute_moving(
+            count, matched, plan = self._execute_moving(
                 query, geometry_ids, front
             )
-            matched = frozenset(found)
         elif query.explain:
             plan = QueryPlan(
                 strategy="geometric",
@@ -404,7 +406,7 @@ class PietQLExecutor:
         query: ast.PietQLQuery,
         geometry_ids: Set[Hashable],
         front: Tuple[PlanNode, ...],
-    ) -> Tuple[float, Set[Hashable], Optional[QueryPlan]]:
+    ) -> Tuple[float, ObjectSet, Optional[QueryPlan]]:
         """The moving-objects part: ``(count, matched objects, plan)``.
 
         A ``THROUGH RESULT`` is planned (:func:`~repro.query.planner
@@ -432,13 +434,15 @@ class PietQLExecutor:
             moft = context.moft(mo.moft_name)
             rows = len(moft)
             if instants is None:
-                matched, samples = moft.objects(), rows
+                codes, samples = np.arange(moft.oids.shape[0]), rows
             else:
                 # The DURING rows, read as a mask: no restricted table.
                 mask = moft.instants_mask(instants)
-                codes = np.unique(moft.object_codes()[mask])
-                matched = set(moft.oids[codes].tolist())
+                codes = np.flatnonzero(np.bincount(
+                    moft.object_codes()[mask], minlength=moft.oids.shape[0]
+                ))
                 samples = int(mask.sum())
+            matched = moft.object_set(codes)
             if query.explain:
                 cost = rows * CostModel().row_cost
                 body = PlanNode(
@@ -470,12 +474,14 @@ class PietQLExecutor:
             )
             matched = chosen.execute(self.sharded).answer
             if mo.count_what != "OBJECTS":
-                # Each object's rows under the restriction, one bincount.
+                # Each object's rows under the restriction, one bincount,
+                # summed over the answer's codes.
                 codes, mask = leaf.moft.object_codes(), leaf.row_mask
-                per_object = np.bincount(codes if mask is None else codes[mask])
-                samples = int(sum(
-                    per_object[leaf.moft.object_code(oid)] for oid in matched
-                ))
+                per_object = np.bincount(
+                    codes if mask is None else codes[mask],
+                    minlength=leaf.moft.oids.shape[0],
+                )
+                samples = int(per_object[matched.codes].sum())
         count = float(
             len(matched) if mo.count_what == "OBJECTS" else samples
         )

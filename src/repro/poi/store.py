@@ -71,13 +71,23 @@ class CellTable(NamedTuple):
 _NO_ROWS = (np.empty(0, dtype=np.intp),) * 4 + (np.empty(0, dtype=np.float64),)
 
 
-def _cell_table(names, oid, gid, granule, visits, dwell, n_granules) -> CellTable:
+def _cell_table(
+    names, oid, gid, granule, visits, dwell, n_granules, order=None
+) -> CellTable:
     """Intern and sort rows whose object is ``names[oid]``; a name that
-    holds no row is dropped.  Each object's rows come together and in
-    ``(gid, granule)`` order — as scans and sorted tables have them — so
-    a stable sort by object is the whole sort."""
-    held = np.flatnonzero(np.bincount(oid, minlength=len(names)))
-    by_repr = sorted(held.tolist(), key=lambda i: repr(names[i]))
+    holds no row is dropped.  ``order`` is ``names``' positions sorted by
+    ``repr`` when the caller holds them (a table's cached
+    :meth:`~repro.mo.moft.MOFT.repr_order`), else the held names are
+    sorted here.  Each object's rows come together and in ``(gid,
+    granule)`` order — as scans and sorted tables have them — so a
+    stable sort by object is the whole sort."""
+    held = np.bincount(oid, minlength=len(names)) > 0
+    if order is None:
+        by_repr = sorted(
+            np.flatnonzero(held).tolist(), key=lambda i: repr(names[i])
+        )
+    else:
+        by_repr = order[held[order]].tolist()
     code = np.empty(len(names), dtype=np.intp)
     code[by_repr] = np.arange(len(by_repr))
     oid = code[oid]
@@ -133,9 +143,10 @@ def _scan_cells(moft: MOFT, starts, pois, min_dwell, radius, obs) -> CellTable:
             batch, pois, radius=radius, min_dwell=min_dwell, obs=obs
         )
         found.append(_stop_rows(*stops, starts, len(pois)))
+    order, _ = moft.repr_order()
     table = _cell_table(
         moft.segment_index().oids, *map(np.concatenate, zip(*found)),
-        starts.size,
+        starts.size, order,
     )
     if obs is not None and table.visits.size:
         obs.incr("poi_visits", int(table.visits.sum()))

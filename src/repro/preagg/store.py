@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple,
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple,
 )
 
 import numpy as np
@@ -68,7 +68,7 @@ from repro.errors import PreAggError
 from repro.geometry.kernels import PolygonPass, polygon_sums
 from repro.geometry.polygon import Polygon
 from repro.mo import moft as moft_module
-from repro.mo.moft import MOFT, SegmentBatch
+from repro.mo.moft import MOFT, ObjectSet, SegmentBatch
 from repro.obs import PipelineStats
 from repro.query.vectorized import points_inside
 from repro.temporal.timedim import TimeDimension
@@ -104,11 +104,6 @@ class PreAggCell:
     dwell: float
     distinct_objects: frozenset
     passing_objects: frozenset
-
-    @property
-    def distinct_count(self) -> int:
-        """Number of distinct objects sampled inside (exact, from the set)."""
-        return len(self.distinct_objects)
 
 
 class CellTable(NamedTuple):
@@ -325,11 +320,6 @@ class PreAggStore(GranuleStore):
             self._fold_segments(fold, batch.obj, batch)
         self._bind(fold)
 
-    def decode(self, codes: np.ndarray) -> Set[Hashable]:
-        """Map an oid-code array back to object identifiers."""
-        oids = self._table.oids
-        return {oids[c] for c in codes.tolist()}
-
     def _granule_codes_checked(self, ts: np.ndarray) -> np.ndarray:
         codes = self.partition.codes_for(ts)
         bad = np.flatnonzero(codes < 0)
@@ -539,7 +529,8 @@ class PreAggStore(GranuleStore):
         self, ids: Iterable[Hashable], first: int, last: int, which: str
     ) -> np.ndarray:
         """Sorted distinct oid codes of the ``"passers"`` / ``"present"``
-        objects of ``ids`` over the granule run."""
+        objects of ``ids`` over the granule run: the table's codes (the
+        cells hold the first of its objects, in its order)."""
         table, n = self._table, len(self.partition)
         passers = which == "passers"
         if not (0 <= first <= last < n):
@@ -559,19 +550,23 @@ class PreAggStore(GranuleStore):
 
     def objects_through(
         self, ids: Iterable[Hashable], first: int, last: int
-    ) -> Set[Hashable]:
-        """Objects whose run-restricted trajectory hits any of ``ids``.
+    ) -> ObjectSet:
+        """Objects whose run-restricted trajectory hits any of ``ids``,
+        as codes into the table.
 
         Exactly equals the serial trajectory scan over the MOFT
         restricted to the instants of granules ``first..last``.
         """
-        return self.decode(self._run_codes(ids, first, last, "passers"))
+        codes = self._run_codes(ids, first, last, "passers")
+        return self.moft.object_set(codes)
 
     def distinct_objects(
         self, ids: Iterable[Hashable], first: int, last: int
-    ) -> Set[Hashable]:
-        """Objects with at least one sample inside (sample semantics)."""
-        return self.decode(self._run_codes(ids, first, last, "present"))
+    ) -> ObjectSet:
+        """Objects with at least one sample inside (sample semantics),
+        as codes into the table."""
+        codes = self._run_codes(ids, first, last, "present")
+        return self.moft.object_set(codes)
 
     def sample_count(
         self, ids: Iterable[Hashable], first: int, last: int

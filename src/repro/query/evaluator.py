@@ -95,6 +95,7 @@ from repro.geometry.segment import Segment
 from repro.mo import moft as moft_module
 from repro.mo.moft import (
     MOFT,
+    ObjectSet,
     SegmentBatch,
     SegmentIndex,
     instants_member_mask,
@@ -149,10 +150,10 @@ class ShardedTrajectoryExecutor(Protocol):
         moft: MOFT,
         stats: Optional["EvaluationStats"] = None,
         restriction: Optional[TimeRestriction] = None,
-    ) -> Set[Hashable]:
-        """Return the matched object ids, merged exactly across the
-        executor's own shards (``restriction``: scan only the rows of
-        ``moft`` it keeps)."""
+    ) -> ObjectSet:
+        """Return the matched objects as codes into ``moft``, merged
+        exactly across the executor's own shards (``restriction``: scan
+        only the rows of ``moft`` it keeps)."""
         ...
 
 
@@ -325,11 +326,13 @@ class TrajectoryIntersectionCounter:
     def matching_objects(
         self, moft: MOFT, stats: Optional[EvaluationStats] = None,
         rows: Optional[np.ndarray] = None,
-    ) -> Set[Hashable]:
-        """Return the ids of objects whose interpolated trajectory hits,
-        over the rows the row mask ``rows`` keeps (default: all), read
-        through :meth:`~repro.mo.moft.SegmentIndex.masked`: the answer
-        and counts of a scan of ``moft.mask_rows(rows)``.
+    ) -> ObjectSet:
+        """Return the objects whose interpolated trajectory hits, as
+        codes into ``moft``, over the rows the row mask ``rows`` keeps
+        (default: all), read through :meth:`~repro.mo.moft.SegmentIndex
+        .masked` (which keeps every object, so its positions are the
+        table's codes): the answer and counts of a scan of
+        ``moft.mask_rows(rows)``.
 
         Polygon answers take the sample prefilter, then the scan over
         the segment table, for all objects and polygons at once; the
@@ -356,7 +359,7 @@ class TrajectoryIntersectionCounter:
             self._walk(moft, index, np.flatnonzero(walk & ~hit), hit, stats)
             stats.incr("objects_scanned", int(np.count_nonzero(sizes)))
             stats.incr("objects_matched", int(hit.sum()))
-        return set(index.oids[hit].tolist())
+        return moft.object_set(np.flatnonzero(hit))
 
     def count(self, moft: MOFT, stats: Optional[EvaluationStats] = None) -> int:
         """Number of matching objects (the aggregation of Section 5)."""
@@ -927,7 +930,8 @@ def resolve_through(
 class Run:
     """One execution's record, which fills the actuals of every kind's
     plan nodes (:meth:`~repro.query.planner.QueryPlan.record`): the
-    answer, this execution's own ``stats`` (a fan-out's workers
+    answer (a through leaf's an :class:`~repro.mo.moft.ObjectSet` of the
+    leaf's table), this execution's own ``stats`` (a fan-out's workers
     included), and rows and seconds of each part — the ``scan`` leaf
     (POI: rows segmented), the ``fanout`` around it and the store
     ``lookup`` (rows it left to scan; POI: entries it returned)."""
@@ -946,8 +950,8 @@ class Run:
 
     @property
     def rows(self) -> int:
-        """Rows of the answer: matched objects or measure entries (a
-        dwell total is one)."""
+        """Rows of the answer: matched objects (its code count) or
+        measure entries (a dwell total is one)."""
         return 1 if isinstance(self.answer, float) else len(self.answer)
 
     @property
@@ -1000,7 +1004,9 @@ def execute(
     leaf.check_unchanged(strategy)
     started = time.perf_counter()
     run = Run(
-        0.0 if leaf.kind == "dwell" else set(), EvaluationStats(), strategy
+        0.0 if leaf.kind == "dwell"
+        else leaf.moft.object_set(np.empty(0, dtype=np.intp)),
+        EvaluationStats(), strategy,
     )
     if leaf.poi:
         _poi_leaf(leaf, strategy, executor, run)
@@ -1031,7 +1037,8 @@ def _store_read(leaf: Leaf, run: Run, read) -> object:
 
 
 def _through_leaf(leaf, strategy, executor, stats, run) -> None:
-    """Store read (plus the sliver the store leaves) or scan leaf."""
+    """Store read (plus the sliver the store leaves) or scan leaf: an
+    answer of codes into the leaf's table either way."""
     context, moft = leaf.context, leaf.moft
     if strategy not in ("sharded", "preagg"):
         executor = None
@@ -1049,7 +1056,7 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         leaf.count("sliver_scan_rows", stats, leaf.sliver_rows)
         # What the store already proves needs no second look.
         proven = np.zeros(moft.oids.shape[0], dtype=bool)
-        proven[[moft.object_code(oid) for oid in run.answer]] = True
+        proven[run.answer.codes] = True
         rows = leaf.sliver_mask & ~proven[moft.object_codes()]
         if not rows.any():
             return
@@ -1069,12 +1076,20 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
     )
     started = time.perf_counter()
     if executor is not None:
-        run.answer |= executor.matching_objects(
+        found = executor.matching_objects(
             counter, moft, run.stats, restriction=restriction
         )
     else:
-        run.answer |= counter.matching_objects(moft, run.stats, rows=rows)
+        found = counter.matching_objects(moft, run.stats, rows=rows)
     run.scan_seconds = time.perf_counter() - started
+    if strategy == "preagg":
+        # The sliver's objects join the store's, a scatter over the
+        # table (a fanned-out sliver answers in its own table's codes).
+        if moft is not leaf.moft:
+            found = leaf.moft.encode(found)
+        proven[found.codes] = True
+        found = leaf.moft.object_set(np.flatnonzero(proven))
+    run.answer = found
     sink = stats if stats is not None or executor is not None else context.obs
     _report(run, sink, executor)
 
@@ -1146,9 +1161,10 @@ def objects_through(
     executor: Optional["ShardedTrajectoryExecutor"] = None,
     window: Optional[Tuple[float, float]] = None,
     use_preagg: bool = True,
-) -> Set[Hashable]:
-    """The matched-object set behind :func:`count_objects_through`:
-    resolve, choose route-first (:meth:`Leaf.route_first`), execute.
+) -> ObjectSet:
+    """The matched objects behind :func:`count_objects_through`, as
+    codes into the table: resolve, choose route-first
+    (:meth:`Leaf.route_first`), execute.
 
     ``window`` restricts the trajectory scan to samples with ``start <=
     t <= end``.  With ``use_preagg`` (the default) a registered fresh

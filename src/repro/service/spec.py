@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ServiceError
+from repro.mo.moft import PLAIN_IDS, ObjectSet
 
 #: The query vocabularies a spec can carry.
 SPEC_KINDS: Tuple[str, ...] = ("through", "pietql", "ingest")
@@ -222,16 +223,17 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-#: Id types :func:`_plain` returns as they are (exactly these: a
-#: subclass such as ``numpy.str_`` may coerce and ``repr`` otherwise).
-_PLAIN_IDS = frozenset((str, int))
-
-
 def _sorted_ids(ids) -> list:
     """Id collections as sorted lists (order-insensitive, JSON-safe).
-    Plain ``str`` / ``int`` ids need no coercion."""
+    Plain ``str`` / ``int`` ids (:data:`~repro.mo.moft.PLAIN_IDS`, which
+    :func:`_plain` returns as they are and no two of which share a
+    ``repr``) need no coercion, and an answer over a table of only such
+    ids is already in order: one gather through the table's ``repr``
+    order.  Any other id set is coerced, then sorted."""
+    if isinstance(ids, ObjectSet) and ids.plain:
+        return ids.in_repr_order()
     ids = list(ids)
-    if _PLAIN_IDS.issuperset(map(type, ids)):
+    if PLAIN_IDS.issuperset(map(type, ids)):
         return sorted(ids, key=repr)
     return sorted(map(_plain, ids), key=repr)
 

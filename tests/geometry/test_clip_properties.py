@@ -95,7 +95,9 @@ class TestClipProperties:
     @given(polygons, segments)
     def test_reversed_segment_symmetric_length(self, polygon, segment):
         forward = polygon.clipped_segment_length(segment)
-        backward = polygon.clipped_segment_length(segment.reversed())
+        backward = polygon.clipped_segment_length(
+            Segment(segment.end, segment.start)
+        )
         assert forward == pytest.approx(backward, abs=1e-6)
 
     @given(polygons)

@@ -127,8 +127,6 @@ class TestLayerOverlay:
         assert "antwerp" in overlay.layer("cities")
         with pytest.raises(GeometryError):
             overlay.layer("nope")
-        with pytest.raises(GeometryError):
-            overlay.geometry("cities", "nope")
 
     def test_river_crosses_cities(self):
         overlay = LayerOverlay(city_layers())

@@ -40,10 +40,6 @@ class TestBasics:
         seg = Segment(Point(0, 0), Point(1, 0))
         assert seg.point_at(2) == Point(2, 0)
 
-    def test_reversed(self):
-        seg = Segment(Point(0, 0), Point(1, 2))
-        assert seg.reversed() == Segment(Point(1, 2), Point(0, 0))
-
     @given(segment_st, st.floats(min_value=0, max_value=1))
     def test_point_at_stays_in_bbox(self, seg, s):
         box = seg.bbox.expanded(1e-9 * (1 + seg.length))

@@ -7,9 +7,11 @@ symmetry.  This gate builds the reference graph of ``src/`` with
 function or class, and every public method of a public class, must be
 
 * referenced somewhere in ``src/`` other than its own definition — a
-  ``Name``, an ``Attribute``, an import alias or an identifier inside a
-  string annotation; the re-exports of an ``__init__`` and ``__all__``
-  do not count;
+  function or class by a ``Name``, an ``Attribute``, an import alias or
+  an identifier inside a string annotation, a method only by an
+  ``Attribute`` (a local variable or parameter of the same name is not
+  a call of it); the re-exports of an ``__init__`` and ``__all__`` do
+  not count;
 * declared in ``docs/API.md``: a top-level name in a table's item
   column or anywhere in the row whose item column names its module, a
   method anywhere in the row whose item column names its class; or
@@ -92,10 +94,15 @@ def _annotations(node: ast.AST) -> Iterator[ast.AST]:
         yield node.annotation
 
 
-def references(tree: ast.Module, package_init: bool) -> Set[str]:
-    """The names ``tree`` refers to.  A definition's own body does not
-    refer to it; an ``__init__``'s ``from ... import`` re-exports it."""
+def references(
+    tree: ast.Module, package_init: bool
+) -> Tuple[Set[str], Set[str]]:
+    """The names ``tree`` refers to, and those of them it refers to as an
+    ``Attribute`` (what can reach a method).  A definition's own body
+    does not refer to it; an ``__init__``'s ``from ... import``
+    re-exports it."""
     found: Set[str] = set()
+    attributes: Set[str] = set()
 
     def visit(node: ast.AST, enclosing: Tuple[str, ...]) -> None:
         names: List[str] = []
@@ -103,6 +110,8 @@ def references(tree: ast.Module, package_init: bool) -> Set[str]:
             names.append(node.id)
         elif isinstance(node, ast.Attribute):
             names.append(node.attr)
+            if node.attr not in enclosing:
+                attributes.add(node.attr)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 names.extend(alias.name.split("."))
@@ -117,7 +126,7 @@ def references(tree: ast.Module, package_init: bool) -> Set[str]:
             visit(child, enclosing)
 
     visit(tree, ())
-    return found
+    return found, attributes
 
 
 def bound_names(tree: ast.Module) -> Set[str]:
@@ -182,9 +191,12 @@ def surface(sources: Dict[str, str], api: str) -> Surface:
     against the declared surface ``api``."""
     trees = {path: ast.parse(text, path) for path, text in sources.items()}
     referenced: Set[str] = set()
+    attributes: Set[str] = set()
     universe = set(dir(builtins)) | set(keyword.kwlist)
     for path, tree in trees.items():
-        referenced |= references(tree, path.endswith("__init__.py"))
+        names, attrs = references(tree, path.endswith("__init__.py"))
+        referenced |= names
+        attributes |= attrs
         universe |= bound_names(tree)
         universe.update(Path(path).with_suffix("").parts)
     rows = api_rows(api)
@@ -197,7 +209,7 @@ def surface(sources: Dict[str, str], api: str) -> Surface:
             # A method's row names its class; a function's, its module.
             method = "." in qualified
             owner = qualified.split(".")[0] if method else module.split(".")[-1]
-            if name in referenced:
+            if name in (attributes if method else referenced):
                 record.referenced += 1
             elif (not method and name in items) or any(
                 owner in item and name in row for item, row in rows
@@ -246,7 +258,8 @@ def test_the_gate_sees_an_orphan():
         "pkg/mod.py": (
             "def used():\n    return unused_too\n"
             "def unused():\n    return unused()\n"
-            "def annotated(x: 'Kept') -> None:\n    used()\n"
+            "def annotated(x: 'Kept') -> None:\n"
+            "    orphan = used()\n    return orphan\n"
             "class Kept:\n"
             "    def declared(self): pass\n"
             "    def orphan(self): pass\n"
