@@ -14,6 +14,7 @@ nor :mod:`repro.query`: both import the stores.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
     Set, Tuple,
@@ -27,6 +28,10 @@ from repro.obs import PipelineStats
 from repro.olap.cube import Cube
 from repro.olap.dimension import DimensionInstance, DimensionSchema
 from repro.temporal.timedim import GranulePartition, TimeDimension
+
+#: Store generations, unique across stores: a store takes the next one
+#: whenever what it answers may have changed.
+_GENERATIONS = itertools.count()
 
 
 def frozen(table):
@@ -138,6 +143,10 @@ class GranuleStore:
         # No table version yet: stale until the first build.
         self._built_version: Optional[int] = None
         self._built_rows = 0
+        #: Moves on every build, fold, clone and merge, so that a reader
+        #: holding what it resolved against this store (a context's
+        #: prepared leaves) can tell that the store changed.
+        self.generation = next(_GENERATIONS)
 
     # -- snapshot and maintenance ----------------------------------------------
 
@@ -157,6 +166,7 @@ class GranuleStore:
         self._empty_cells()
         self._build_cells()
         self._built_version, self._built_rows = snapshot
+        self.generation = next(_GENERATIONS)
 
     def update(self) -> str:
         """Bring the store up to its table: ``"fresh"`` (nothing moved),
@@ -177,6 +187,7 @@ class GranuleStore:
         snapshot = self.moft.version, len(self.moft)
         self._fold_rows(self._built_rows)
         self._built_version, self._built_rows = snapshot
+        self.generation = next(_GENERATIONS)
         return "delta"
 
     def _codes_align(self) -> bool:
@@ -209,6 +220,7 @@ class GranuleStore:
         the appended ones.
         """
         out = self._copy()
+        out.generation = next(_GENERATIONS)
         if moft is not None and moft is not self.moft:
             out.moft = moft
             if len(moft) == self._built_rows:
@@ -273,6 +285,7 @@ class GranuleStore:
         for store in stores:
             merged._absorb(store)
         merged._built_version, merged._built_rows = snapshot
+        merged.generation = next(_GENERATIONS)
         return merged
 
     def _objects(self) -> Tuple[Hashable, ...]:

@@ -48,6 +48,9 @@ class GISDimensionInstance:
         # (attribute, member) -> {value name -> value}
         self._member_values: Dict[Tuple[str, Hashable], Dict[str, Hashable]] = {}
         self._overlay: Optional[LayerOverlay] = None
+        #: Moves with every geometry added (when the overlay is dropped),
+        #: so that what was resolved against the geometries can tell.
+        self.generation = 0
 
     # -- layers -------------------------------------------------------------------
 
@@ -73,6 +76,7 @@ class GISDimensionInstance:
             )
         self.layer(layer_name).add(kind, element_id, geometry)
         self._overlay = None  # geometry changed; rebuild lazily
+        self.generation += 1
 
     # -- rollup relations (r) -----------------------------------------------------
 

@@ -19,6 +19,12 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     :meth:`repro.query.EvaluationContext.geometry_index` cache behavior:
     the one index per geometric answer (a polygon answer's pass, any
     other answer's grid) built, or found cached.
+``prepared_leaf_hits`` / ``prepared_leaf_misses``
+    :meth:`repro.query.EvaluationContext.prepared`: a query whose spec
+    found its resolved leaf still valid (no geometric subquery, window
+    validation or store match ran), or resolved it (the first time, or
+    after the table, the Time dimension, the geometries or the
+    registered stores changed).
 ``regions_lowered`` / ``regions_solved``
     :meth:`repro.query.SpatioTemporalRegion.evaluate` calls whose formula
     had the sample-semantics shape and was evaluated as columns, and
@@ -98,11 +104,10 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     and dwell leaves; ``poi_preagg_*`` for the POI ones), never when it is
     resolved or planned, on the context observer and on the caller's
     ``stats``: a hit means the covered part of the query was answered
-    from store cells, a miss that a route-first front-end found a
-    registered store that could not serve (stale, unmaterialized
-    geometry, restriction without a whole granule).  Contexts with no
-    registered store count neither, nor does a priced plan that ran a
-    scan.
+    from store cells, a miss that the executed leaf found stores
+    registered and none that could serve (stale, unmaterialized
+    geometry, restriction without a whole granule), whatever chose its
+    strategy.  Contexts with no registered store count neither.
 ``sliver_scan_rows``
     MOFT rows of the residual sliver when a misaligned window executes
     through a store (the hybrid's scan input, before the objects the

@@ -50,8 +50,9 @@ exactly when the backend is ``processes``.
 The executor is not a second query path: the one executor of every
 leaf (:func:`repro.query.evaluator.execute`) hands its scan leaf to
 :meth:`ShardedExecutor.matching_objects` when an executor is part of the
-plan — the planner's ``sharded`` strategy, or a route-first front-end
-handed one — and :class:`ShardedPietQLExecutor` gives Piet-QL's
+plan — the planner's ``sharded`` strategy, or the
+:func:`~repro.query.evaluator.store_or_scan` of a front-end handed one —
+and :class:`ShardedPietQLExecutor` gives Piet-QL's
 ``THROUGH RESULT`` the same executor instead of scanning itself.  Store
 builds are the same fan-out: :meth:`ShardedExecutor.build_store` builds
 either kind of :class:`~repro.cellstore.GranuleStore` shard by shard
@@ -135,6 +136,7 @@ from repro.query.evaluator import (
     TimeRestriction,
     TrajectoryIntersectionCounter,
     restriction_mask,
+    store_or_scan,
 )
 from repro.query.region import EvaluationContext
 
@@ -672,7 +674,7 @@ class ShardedPietQLExecutor(PietQLExecutor):
         )
 
     def _through_route(self, leaf: Leaf) -> str:
-        return leaf.route_first(self.sharded)
+        return store_or_scan(leaf, self.sharded)
 
 
 __all__ = [

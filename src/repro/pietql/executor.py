@@ -14,8 +14,9 @@ go to :func:`~repro.query.evaluator.resolve_through`, the leaf to one
 :func:`repro.query.planner.plan` call and the plan to the one executor
 (:meth:`~repro.query.planner.QueryPlan.execute`), exactly as a planned
 count runs.  An executor given as ``sharded`` is the planner's fan-out
-candidate; without one the route-first choice is forced (a registered
-store when one serves, else the grid scan), and
+candidate; without one the plan is forced to a registered store when
+one serves, else to the grid scan
+(:func:`~repro.query.evaluator.store_or_scan`), and
 :class:`~repro.parallel.ShardedPietQLExecutor` forces its fan-out.  The
 POI part resolves its layer (:func:`~repro.query.poi.resolve_poi`) and
 takes the same plan → execute steps.  A ``COUNT OBJECTS|SAMPLES``
@@ -37,7 +38,7 @@ from repro.errors import PietQLExecutionError
 from repro.mo.moft import ObjectSet
 from repro.pietql import ast
 from repro.pietql.parser import parse
-from repro.query.evaluator import Leaf, resolve_through
+from repro.query.evaluator import Leaf, resolve_through, store_or_scan
 from repro.query.planner import CostModel, PlanNode, QueryPlan, plan
 from repro.query.poi import resolve_poi
 from repro.query.region import EvaluationContext
@@ -495,11 +496,9 @@ class PietQLExecutor:
         planner prices the candidates, ``self.sharded`` among them).
 
         Without an executor: the store when one serves, else the grid
-        scan.  A registered store that cannot serve counts a
-        ``preagg_misses`` either way.
+        scan.
         """
-        route = leaf.route_first()
-        return None if self.sharded is not None else route
+        return None if self.sharded is not None else store_or_scan(leaf)
 
 
 def run(

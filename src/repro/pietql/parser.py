@@ -26,6 +26,7 @@ accepted and ignored, exactly as in the paper's example.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.errors import PietQLSyntaxError
@@ -276,6 +277,17 @@ class _Parser:
         )
 
 
+#: Texts whose parse :func:`parse` keeps, least recently used first out.
+PARSED_TEXTS = 256
+
+
+@lru_cache(maxsize=PARSED_TEXTS)
 def parse(text: str) -> ast.PietQLQuery:
-    """Parse Piet-QL text into a query AST."""
+    """Parse Piet-QL text into a query AST.
+
+    The text's AST is kept (every node is a frozen dataclass, so one
+    object serves every caller): the same text returns the same
+    :class:`~repro.pietql.ast.PietQLQuery`.  A text that does not parse
+    raises on every call; errors are not kept.
+    """
     return _Parser(tokenize(text)).parse_query()

@@ -531,13 +531,18 @@ class PreAggStore(GranuleStore):
         """Sorted distinct oid codes of the ``"passers"`` / ``"present"``
         objects of ``ids`` over the granule run: the table's codes (the
         cells hold the first of its objects, in its order)."""
+        return self._polygon_run_codes(self._gid_codes(ids), first, last, which)
+
+    def _polygon_run_codes(
+        self, polygons: np.ndarray, first: int, last: int, which: str
+    ) -> np.ndarray:
+        """:meth:`_run_codes` of ``polygons`` (:meth:`_gid_codes`)."""
         table, n = self._table, len(self.partition)
         passers = which == "passers"
         if not (0 <= first <= last < n):
             raise PreAggError(
                 f"granule run {first}..{last} out of range 0..{n - 1}"
             )
-        polygons = self._gid_codes(ids)
         seen = np.zeros(len(table.oids), dtype=bool)
         lo = table.offsets[polygons * n + first].tolist()
         hi = table.offsets[polygons * n + last + 1].tolist()
@@ -585,7 +590,11 @@ class PreAggStore(GranuleStore):
         (per-polygon dwell is summed), matching the serial per-polygon
         reference.
         """
-        table, polygons = self._table, self._gid_codes(ids)
+        return self._run_dwell(self._gid_codes(ids), first, last)
+
+    def _run_dwell(self, polygons: np.ndarray, first: int, last: int) -> float:
+        """:meth:`dwell_time` of ``polygons`` (:meth:`_gid_codes`)."""
+        table = self._table
         spans = self._run_spans(polygons, first, last)
         return float(
             table.cell_dwell[polygons, first:last + 1].sum()

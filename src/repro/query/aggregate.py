@@ -151,12 +151,14 @@ def total_dwell_time(
     (Definition 4).
 
     Resolved like the count, as a ``dwell`` leaf
-    (:func:`~repro.query.evaluator.resolve_through`), route-first
-    (:meth:`~repro.query.evaluator.Leaf.route_first`) and run by the one
+    (:func:`~repro.query.evaluator.resolve_through`, once per state of
+    what it reads), priced by the planner
+    (:func:`~repro.query.planner.plan`) and run by the one
     :func:`~repro.query.evaluator.execute`.  With ``use_preagg`` a
-    registered fresh :class:`~repro.preagg.PreAggStore` serves: cells and
-    spanning records answer the covered granule run, and boundary
-    slivers are clipped directly — no trajectory scan at all.  Exact up
+    registered fresh :class:`~repro.preagg.PreAggStore` is a candidate:
+    cells and spanning records answer the covered granule run — an
+    aligned window is one read of the run's cells — and boundary
+    slivers are clipped directly, with no trajectory scan at all.  Exact up
     to float summation order; the differential suite pins the tolerance.
     Otherwise the dwell leaf scans the table under the restriction; it
     counts like the count path (into ``stats`` when passed, else the
@@ -165,12 +167,13 @@ def total_dwell_time(
     polygons - pairs) and the kernel's own counters.
     """
     from repro.query.evaluator import execute, resolve_through
+    from repro.query.planner import plan
 
     leaf = resolve_through(
         context, target, constraints, moft_name, window=window, obs=stats,
         use_preagg=use_preagg, kind="dwell",
     )
-    return execute(leaf, leaf.route_first(stats=stats), stats=stats).answer
+    return execute(leaf, plan(leaf).strategy, stats=stats).answer
 
 
 def count_per_group(

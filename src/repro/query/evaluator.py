@@ -47,9 +47,11 @@ here, for every kind of leaf (``through``, ``dwell`` and the POI
 measures): a resolve step builds one :class:`Leaf` —
 :func:`resolve_through` from a geometric subquery or given ids, with a
 time restriction; :func:`repro.query.poi.resolve_poi` from a POI layer —
-both ending in one store match (:func:`match_store`).  The planner
-(:func:`repro.query.planner.plan`) prices it, or
-:meth:`Leaf.route_first` names a strategy without a price, and the one
+both ending in one store match (:func:`match_store`), and each
+resolving a spec once per state of what it read
+(:meth:`~repro.query.region.EvaluationContext.prepared`).  The planner
+(:func:`repro.query.planner.plan`) prices the leaf, or a front-end that
+does not price it forces :func:`store_or_scan`, and the one
 :func:`execute` runs it: store read, scan leaf, the leaf fanned out, or
 store answer plus sliver scan, into one :class:`Run` record.  The
 function API below, the dwell aggregate, the POI functions, the planner,
@@ -66,10 +68,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -698,28 +701,55 @@ class Leaf:
     serves), then the kind's own fields — the geometric answer with the
     store's ``granules`` run and whether it is the whole restriction
     (``aligned``), or the POI layer, its discs, granule level,
-    ``min_dwell`` and ``k``.  The row and sliver masks are computed on
-    first use, at most once; nothing builds a restricted table."""
+    ``min_dwell`` and ``k``.  Nothing builds a restricted table.
+
+    What the leaf derives from those fields — row and sliver masks,
+    restricted rows, geometry statistics, the hybrid's sliver table — is
+    computed on first use, at most once, into ``held``
+    (:meth:`memo`), which the copies :meth:`bound` makes share: the
+    leaves a context's prepared entry hands out
+    (:meth:`~repro.query.region.EvaluationContext.prepared`) derive each
+    of them once per entry."""
 
     kind: str
-    context: EvaluationContext
+    context: Optional[EvaluationContext]
     moft: MOFT
     version: int
     window: Optional[Tuple[float, float]] = None
-    instants: Optional[Set[float]] = None
+    instants: Optional[FrozenSet[float]] = None
     store: Optional["GranuleStore"] = None
     store_missed: bool = False
     target: Optional[Tuple[str, str]] = None
-    ids: Set[Hashable] = field(default_factory=set)
+    ids: FrozenSet[Hashable] = frozenset()
     granules: Optional[Tuple[int, int]] = None
     aligned: bool = True
-    #: Wall time of the geometric subquery (0.0: the ids were given).
+    #: Wall time of the geometric subquery (0.0: the ids were given, or
+    #: the leaf came from a prepared entry).
     geosub_seconds: float = 0.0
     layer: Optional[str] = None
     pois: Mapping[Hashable, object] = field(default_factory=dict)
     granule_level: Optional[str] = None
     min_dwell: float = 0.0
     k: Optional[int] = None
+    held: Dict[str, object] = field(default_factory=dict)
+
+    def memo(self, name: str, compute: Callable[[], object]) -> object:
+        """``held[name]``, computed by ``compute`` on first use (what it
+        computes must not hold a context)."""
+        try:
+            return self.held[name]
+        except KeyError:
+            value = self.held[name] = compute()
+            return value
+
+    def bound(self, context: Optional[EvaluationContext]) -> "Leaf":
+        """A copy bound to ``context`` (None: to none, as a prepared
+        entry keeps it) that shares ``held``; the copy ran no geometric
+        subquery of its own."""
+        leaf = object.__new__(Leaf)
+        leaf.__dict__.update(self.__dict__)
+        leaf.context, leaf.geosub_seconds = context, 0.0
+        return leaf
 
     @property
     def poi(self) -> bool:
@@ -732,12 +762,14 @@ class Leaf:
             return None
         return (self.window, self.instants)
 
-    @cached_property
+    @property
     def row_mask(self) -> Optional[np.ndarray]:
         """The time restriction as a row mask (None: the whole table)."""
         if self.restriction is None:
             return None
-        return restriction_mask(self.moft, *self.restriction)
+        return self.memo(
+            "row_mask", lambda: restriction_mask(self.moft, *self.restriction)
+        )
 
     @property
     def rows(self) -> int:
@@ -746,6 +778,9 @@ class Leaf:
         weighed by its row count."""
         if self.restriction is None:
             return len(self.moft)
+        return self.memo("rows", self._restricted_rows)
+
+    def _restricted_rows(self) -> int:
         instants, counts = self.moft.instant_counts()
         if self.instants is not None:
             kept = instants_member_mask(instants, sorted_instants(self.instants))
@@ -753,19 +788,37 @@ class Leaf:
             kept = (instants >= self.window[0]) & (instants <= self.window[1])
         return int(counts[kept].sum())
 
-    @cached_property
+    @property
     def sliver_mask(self) -> Optional[np.ndarray]:
         """Rows the hybrid still has to scan beside the store's answer:
         the window-restricted histories of the objects sampled outside
         the covered run (None: the run covers the restriction)."""
         if self.aligned:
             return None
-        return self.store._sliver_scan_mask(*self.window, self.granules)
+        return self.memo(
+            "sliver_mask",
+            lambda: self.store._sliver_scan_mask(*self.window, self.granules),
+        )
 
     @property
     def sliver_rows(self) -> int:
         mask = self.sliver_mask
-        return 0 if mask is None else int(mask.sum())
+        return 0 if mask is None else self.memo(
+            "sliver_rows", lambda: int(mask.sum())
+        )
+
+    @property
+    def sorted_ids(self) -> List[Hashable]:
+        """The geometric answer in id order (``repr``)."""
+        return self.memo("sorted_ids", lambda: sorted(self.ids, key=repr))
+
+    @property
+    def gid_codes(self) -> np.ndarray:
+        """The matched store's positions of :attr:`sorted_ids`, which
+        its reads take."""
+        return self.memo(
+            "gid_codes", lambda: self.store._gid_codes(self.sorted_ids)
+        )
 
     def count(
         self, name: str, stats: Optional[PipelineStats] = None, by: int = 1
@@ -777,26 +830,6 @@ class Leaf:
         self.context.obs.incr(name, by)
         if stats is not None and stats is not self.context.obs:
             stats.incr(name, by)
-
-    def route_first(
-        self,
-        executor: Optional["ShardedTrajectoryExecutor"] = None,
-        stats: Optional[PipelineStats] = None,
-    ) -> str:
-        """The strategy chosen without pricing: ``preagg`` when a store
-        serves, else the scan — a through scan fanned out over
-        ``executor`` when one is given and the answer is not empty.  A
-        registered store that could not serve counts a
-        ``preagg_misses``."""
-        if self.store is not None:
-            return "preagg"
-        if self.store_missed:
-            self.count("preagg_misses", stats)
-        if self.poi:
-            return "serial"
-        if self.kind == "through" and executor is not None and self.ids:
-            return "sharded"
-        return "grid"
 
     def check_unchanged(self, strategy: str) -> None:
         """The one staleness rule: appends since the leaf was resolved
@@ -811,6 +844,20 @@ class Leaf:
             f"resolved: its {self.kind} leaf went stale after planning; "
             f"resolve (plan) again"
         )
+
+
+def store_or_scan(
+    leaf: Leaf, executor: Optional["ShardedTrajectoryExecutor"] = None
+) -> str:
+    """The strategy a through front-end that does not price its leaf
+    forces: ``preagg`` when a store serves, else the scan — fanned out
+    over ``executor`` when one is given and the answer is not empty,
+    else ``grid``."""
+    if leaf.store is not None:
+        return "preagg"
+    if executor is not None and leaf.ids:
+        return "sharded"
+    return "grid"
 
 
 def refuse(
@@ -899,31 +946,50 @@ def resolve_through(
     kind: str = "through",
 ) -> Leaf:
     """Resolve a through-style query (``kind`` ``through`` or ``dwell``)
-    to its leaf, once.
+    to its leaf, once per state of what it reads.
 
     Answers the geometric subquery (unless the caller holds its ``ids``,
     as Piet-QL does), validates the time restriction — none, a ``[start,
     end]`` ``window`` or a DURING ``instants`` set — and, with
     ``use_preagg``, matches a registered store (:func:`match_store`)
-    materializing every id over exactly this MOFT.  It touches no
-    routing counter: those move when the query executes.
+    materializing every id over exactly this MOFT.  The context keeps
+    the leaf under the spec (every argument but ``obs``) and hands the
+    same resolution out again until the table, the Time dimension, the
+    geometries or the stores change
+    (:meth:`~repro.query.region.EvaluationContext.prepared`): a repeated
+    query answers no subquery, validates no window and matches no store.
+    It touches no routing counter: those move when the query executes.
     """
     moft = context.moft(moft_name)
-    window = validated_window(moft, window)
-    seconds = 0.0
-    if ids is None:
-        started = time.perf_counter()
-        ids = geometric_subquery(context, target, constraints, obs=obs)
-        seconds = time.perf_counter() - started
-    leaf = Leaf(
-        kind, context, moft, moft.version, window, instants, target=target,
-        ids=set(ids), geosub_seconds=seconds,
+    if instants is not None:
+        instants = frozenset(instants)
+    if ids is not None:
+        ids = frozenset(ids)
+    key = (
+        kind, tuple(target),
+        tuple((predicate, tuple(other)) for predicate, other in constraints),
+        moft_name, None if window is None else tuple(window), instants, ids,
+        use_preagg,
     )
-    if not (use_preagg and leaf.ids):
-        return leaf
-    return match_store(
-        leaf, context.preagg_for(moft, target[0], target[1], leaf.ids)
-    )
+
+    def resolve() -> Leaf:
+        seconds, answer = 0.0, ids
+        restricted = validated_window(moft, window)
+        if answer is None:
+            started = time.perf_counter()
+            answer = geometric_subquery(context, target, constraints, obs=obs)
+            seconds = time.perf_counter() - started
+        leaf = Leaf(
+            kind, context, moft, moft.version, restricted, instants,
+            target=target, ids=frozenset(answer), geosub_seconds=seconds,
+        )
+        if not (use_preagg and leaf.ids):
+            return leaf
+        return match_store(
+            leaf, context.preagg_for(moft, target[0], target[1], leaf.ids)
+        )
+
+    return context.prepared(key, moft, resolve)
 
 
 @dataclass
@@ -994,14 +1060,19 @@ def execute(
     what it partitions is the same object from query to query; a store
     read fans the through sliver out over an ``executor`` too.
 
-    Routing counters go to the context observer and ``stats``; a scan's
-    figures to ``stats`` when passed, else to the executor's observer
-    when a through fan-out ran (it reports there itself), else to the
-    context observer — each observer once.  A POI build always reports
-    into the context observer, as a store build does.
+    Routing counters go to the context observer and ``stats`` — a
+    ``preagg_hits`` per store read, a ``preagg_misses`` per execution of
+    a leaf that found stores registered and none serving, whatever
+    chose the strategy; a scan's figures to ``stats`` when passed, else
+    to the executor's observer when a through fan-out ran (it reports
+    there itself), else to the context observer — each observer once.
+    A POI build always reports into the context observer, as a store
+    build does.
     """
     refuse(leaf, strategy, executor)
     leaf.check_unchanged(strategy)
+    if leaf.store_missed:
+        leaf.count("preagg_misses", stats)
     started = time.perf_counter()
     run = Run(
         0.0 if leaf.kind == "dwell"
@@ -1046,7 +1117,9 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
     if strategy == "preagg":
         run.answer = _store_read(
             leaf, run,
-            lambda: leaf.store.objects_through(leaf.ids, *leaf.granules),
+            lambda: moft.object_set(leaf.store._polygon_run_codes(
+                leaf.gid_codes, *leaf.granules, "passers"
+            )),
         )
         leaf.count("preagg_hits", stats)
         run.lookup_rows = leaf.sliver_rows
@@ -1057,11 +1130,15 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         # What the store already proves needs no second look.
         proven = np.zeros(moft.oids.shape[0], dtype=bool)
         proven[run.answer.codes] = True
-        rows = leaf.sliver_mask & ~proven[moft.object_codes()]
-        if not rows.any():
+        # The store's answer is the same while the leaf is, and so are
+        # the rows it leaves: a fan-out is handed one table per leaf,
+        # whose partition its executor keeps.
+        rows = leaf.memo("unproven_rows", lambda: _unproven(leaf, proven))
+        if rows is None:
             return
         if executor is not None:
-            moft, rows = moft.mask_rows(rows), None
+            moft = leaf.memo("sliver_table", lambda: moft.mask_rows(rows))
+            rows = None
     elif not leaf.rows:
         return
     elif executor is not None:
@@ -1094,20 +1171,29 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
     _report(run, sink, executor)
 
 
+def _unproven(leaf: Leaf, proven: np.ndarray) -> Optional[np.ndarray]:
+    """The sliver rows of the objects ``proven`` leaves out (None: no
+    row)."""
+    rows = leaf.sliver_mask & ~proven[leaf.moft.object_codes()]
+    return rows if rows.any() else None
+
+
 def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
     """Store read (cells, spanning records, slivers clipped directly) or
     the dwell leaf: the answer pass's dwell pairs per segment batch of the
     restricted table (:meth:`~repro.geometry.kernels.PolygonPass
     .dwell_pairs`: segments in cells decided inside a polygon, then one
     broad phase and one dwell-kernel call for the rest), added up polygon
-    by polygon in id order."""
-    context, ids = leaf.context, sorted(leaf.ids, key=repr)
+    by polygon in id order.  A store read of an aligned restriction is
+    the run's cells, which is what ``window_dwell`` reduces to when the
+    window leaves no sliver."""
+    context, ids = leaf.context, leaf.sorted_ids
     if strategy == "preagg":
         leaf.count("preagg_hits", stats)
         run.answer = _store_read(
             leaf, run,
-            lambda: leaf.store.dwell_time(ids, *leaf.granules)
-            if leaf.window is None
+            lambda: leaf.store._run_dwell(leaf.gid_codes, *leaf.granules)
+            if leaf.aligned
             else leaf.store.window_dwell(ids, *leaf.window),
         )
         return
@@ -1163,8 +1249,7 @@ def objects_through(
     use_preagg: bool = True,
 ) -> ObjectSet:
     """The matched objects behind :func:`count_objects_through`, as
-    codes into the table: resolve, choose route-first
-    (:meth:`Leaf.route_first`), execute.
+    codes into the table: resolve, force :func:`store_or_scan`, execute.
 
     ``window`` restricts the trajectory scan to samples with ``start <=
     t <= end``.  With ``use_preagg`` (the default) a registered fresh
@@ -1178,9 +1263,7 @@ def objects_through(
         context, target, constraints, moft_name, window=window, obs=stats,
         use_preagg=use_preagg,
     )
-    return execute(
-        leaf, leaf.route_first(executor, stats), executor, stats
-    ).answer
+    return execute(leaf, store_or_scan(leaf, executor), executor, stats).answer
 
 
 def count_objects_through(
@@ -1234,6 +1317,7 @@ __all__ = [
     "refuse",
     "resolve_through",
     "restriction_mask",
+    "store_or_scan",
     "validated_window",
     "objects_through",
     "count_objects_through",

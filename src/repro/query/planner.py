@@ -7,12 +7,10 @@ four ways to run a leaf: the serial scan (the paper's baseline), the
 grid-indexed scan, the sharded fan-out
 (:class:`~repro.parallel.ShardedExecutor`) and the materialized
 pre-aggregation route with its sliver hybrid (:mod:`repro.preagg`,
-:mod:`repro.poi`).  The route-first front-ends take "the store when one
-serves, else the scan" without a price
-(:meth:`~repro.query.evaluator.Leaf.route_first`).  This module makes
-the choice a *costed* decision — for planned counts, POI plans, service
-specs and Piet-QL alike — in one body, :func:`plan`, to which each kind
-supplies only:
+:mod:`repro.poi`).  This module makes the choice a *costed* decision —
+for planned counts, the dwell total, POI measures, service specs and
+Piet-QL alike — in one body, :func:`plan`, to which each kind supplies
+only:
 
 * its **cost terms**, priced by one :class:`CostModel` in one abstract
   unit (≈ one geometry intersection check): rows×geometries for the
@@ -25,6 +23,12 @@ supplies only:
   row against every disc;
 
 * its **node labels** — the strategy subtree under the root.
+
+A plan prices what its leaf already holds: the leaf's restricted rows,
+sliver and geometry statistics are derived once per prepared entry
+(:meth:`~repro.query.evaluator.Leaf.memo`), so a repeated query pays
+only the arithmetic and the live state — whether the answer's index is
+cached, whether the executor holds the table's shards.
 
 :func:`plan` returns a :class:`QueryPlan` holding the leaf;
 :meth:`QueryPlan.execute` runs it through the one executor and fills
@@ -219,6 +223,10 @@ class CostModel:
         return lookup
 
 
+#: The model :func:`plan` prices with when none is given.
+DEFAULT_COSTS = CostModel()
+
+
 # ---------------------------------------------------------------------------
 # Plan trees
 # ---------------------------------------------------------------------------
@@ -363,7 +371,10 @@ def _geometric_terms(
     the grid scan fanned out (only with an executor and a non-empty
     answer), and granule reads + residual sliver scan for the store."""
     context, moft = leaf.context, leaf.moft
-    geometry = geometry_statistics(context, leaf.target, leaf.ids, moft)
+    geometry = leaf.memo(
+        "geometry",
+        lambda: geometry_statistics(context, leaf.target, leaf.ids, moft),
+    )
     rows, n_geoms = leaf.rows, geometry.count
     index_cached = context.has_geometry_index(*leaf.target, leaf.ids)
     costs: Dict[str, float] = {}
@@ -530,14 +541,14 @@ def plan(
     with an ``executor`` (priced and recorded with its backend and
     shard count), ``preagg`` only when the leaf holds a store.  The
     cheapest wins unless ``force_strategy`` names one (the differential
-    tests drive every strategy this way; Piet-QL without an executor
-    forces its route-first choice); a strategy that cannot run is
-    refused by :func:`~repro.query.evaluator.refuse`.  ``front`` are the
+    tests drive every strategy this way; Piet-QL forces
+    :func:`~repro.query.evaluator.store_or_scan`); a strategy that
+    cannot run is refused by :func:`~repro.query.evaluator.refuse`.  ``front`` are the
     nodes rendered before the strategy's subtree, ``label`` names a
     geometric aggregate on the root; the ``rejected:`` line lists the
     other candidates by cost.
     """
-    model = cost_model if cost_model is not None else CostModel()
+    model = cost_model if cost_model is not None else DEFAULT_COSTS
     terms = _poi_terms if leaf.poi else _geometric_terms
     costs, geometry, nodes = terms(leaf, executor, model, label)
     costs = {

@@ -23,11 +23,10 @@ campaign:
     Serve from a registered, fresh :class:`~repro.poi.PoiVisitStore`
     (``poi_preagg_hits``); a stale or missing store is a miss.
 
-:func:`resolve_poi` resolves the query once; the route-first functions
-below take :meth:`~repro.query.evaluator.Leaf.route_first`'s strategy
-(or the one named), the planner (:func:`repro.query.planner.plan`) a
-priced one, and both run it through the one
-:func:`~repro.query.evaluator.execute`.  Every route ends in the same
+:func:`resolve_poi` resolves the query once per state of what it
+reads; the functions below take the strategy named, else the planner's
+priced one (:func:`repro.query.planner.plan`), and run it through the
+one :func:`~repro.query.evaluator.execute`.  Every route ends in the same
 reads off a :class:`~repro.poi.store.CellTable`; the answers are plain
 dicts whose sums and visitor tuples follow the table's order (objects
 and POI ids by ``repr``), ready for canonical-JSON comparison.
@@ -55,7 +54,9 @@ def resolve_poi(
     measure: str = "visits",
     k: Optional[int] = None,
 ) -> Leaf:
-    """Resolve a POI aggregate to its leaf (kind ``poi_<measure>``), once.
+    """Resolve a POI aggregate to its leaf (kind ``poi_<measure>``), once
+    per state of what it reads (the context keeps it under the spec:
+    :meth:`~repro.query.region.EvaluationContext.prepared`).
 
     The store match is the registered store over exactly this table,
     layer, granule level and ``min_dwell``, kept when fresh
@@ -70,24 +71,34 @@ def resolve_poi(
         raise EvaluationError(f"unknown POI measure {measure!r}")
     if measure == "topk" and k is None:
         raise EvaluationError("top-k POI aggregate needs k")
-    pois = dict(context.gis.layer(layer).elements(gk.POI))
-    if not pois:
-        raise EvaluationError(
-            f"layer {layer!r} holds no {gk.POI!r} geometries; "
-            "POI aggregates need a POI layer"
-        )
     moft = context.moft(moft_name)
-    leaf = Leaf(
-        f"poi_{measure}", context, moft, moft.version, layer=layer,
-        pois=pois, granule_level=granule_level, min_dwell=min_dwell, k=k,
-    )
-    return match_store(
-        leaf,
-        context.poi_store_for(moft, layer, granule_level, min_dwell, pois),
+
+    def resolve() -> Leaf:
+        pois = dict(context.gis.layer(layer).elements(gk.POI))
+        if not pois:
+            raise EvaluationError(
+                f"layer {layer!r} holds no {gk.POI!r} geometries; "
+                "POI aggregates need a POI layer"
+            )
+        leaf = Leaf(
+            f"poi_{measure}", context, moft, moft.version, layer=layer,
+            pois=pois, granule_level=granule_level, min_dwell=min_dwell,
+            k=k,
+        )
+        return match_store(
+            leaf,
+            context.poi_store_for(
+                moft, layer, granule_level, min_dwell, pois
+            ),
+        )
+
+    return context.prepared(
+        ("poi", layer, granule_level, min_dwell, moft_name, measure, k),
+        moft, resolve,
     )
 
 
-def _route_first(
+def _run(
     context: EvaluationContext,
     layer: str,
     granule_level: str,
@@ -99,11 +110,14 @@ def _route_first(
     strategy: Optional[str] = None,
     executor: Optional[ShardedExecutor] = None,
 ) -> Run:
-    """Resolve, take ``strategy`` (None: route-first), execute."""
+    """Resolve, take ``strategy`` (None: the planner's, priced without
+    a fan-out), execute."""
+    from repro.query.planner import plan
+
     leaf = resolve_poi(
         context, layer, granule_level, min_dwell, moft_name, measure, k
     )
-    return execute(leaf, strategy or leaf.route_first(), executor)
+    return execute(leaf, strategy or plan(leaf).strategy, executor)
 
 
 def poi_store_view(
@@ -114,15 +128,15 @@ def poi_store_view(
 ) -> Tuple[PoiVisitStore, str]:
     """Resolve a readable cell store for one POI aggregate.
 
-    Returns ``(store, strategy_used)``.  ``strategy=None`` is
-    route-first: the registered fresh store when one covers the query,
-    else the serial scan (a registered store that could not serve counts
-    a ``poi_preagg_misses``).  Naming a strategy is strict (``preagg``
-    without a usable store raises, and so does ``sharded`` without an
-    ``executor`` — which only ``sharded`` uses).  Options: ``min_dwell``,
+    Returns ``(store, strategy_used)``.  ``strategy=None`` takes the
+    planner's priced choice among the serial scan and, when a registered
+    fresh store covers the query, its cell read (a registered store that
+    could not serve counts a ``poi_preagg_misses``).  Naming a strategy
+    is strict (``preagg`` without a usable store raises, and so does
+    ``sharded`` without an ``executor`` — which only ``sharded`` uses).  Options: ``min_dwell``,
     ``moft_name``, ``strategy``, ``executor``.
     """
-    run = _route_first(context, layer, granule_level, "visits", **options)
+    run = _run(context, layer, granule_level, "visits", **options)
     return run.store, run.strategy
 
 
@@ -133,7 +147,7 @@ def poi_visit_counts(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], int]:
     """``{(poi id, granule member): visit count}``."""
-    return _route_first(
+    return _run(
         context, layer, granule_level, "visits", **options
     ).answer
 
@@ -145,7 +159,7 @@ def poi_distinct_visitors(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]]:
     """``{(poi id, granule member): sorted distinct visitor ids}``."""
-    return _route_first(
+    return _run(
         context, layer, granule_level, "visitors", **options
     ).answer
 
@@ -157,7 +171,7 @@ def poi_dwell_times(
     **options,
 ) -> Dict[Tuple[Hashable, Hashable], float]:
     """``{(poi id, granule member): clipped dwell}`` (canonical fold order)."""
-    return _route_first(
+    return _run(
         context, layer, granule_level, "dwell", **options
     ).answer
 
@@ -170,6 +184,6 @@ def poi_topk(
     **options,
 ) -> Dict[Hashable, Tuple[Tuple[Hashable, int], ...]]:
     """Top-``k`` POIs by distinct visitors per granule member."""
-    return _route_first(
+    return _run(
         context, layer, granule_level, "topk", k, **options
     ).answer

@@ -20,10 +20,13 @@ variables are bound.  Both paths give the same list.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -60,6 +63,11 @@ from repro.temporal.timedim import TimeDimension
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.preagg.store import PreAggStore
+    from repro.query.evaluator import Leaf
+
+#: Prepared leaves a context keeps (:meth:`EvaluationContext.prepared`),
+#: least recently used first out.
+PREPARED_LEAVES = 64
 
 
 class EvaluationContext:
@@ -109,6 +117,21 @@ class EvaluationContext:
         # Registered pre-aggregation stores; the resolve step
         # (repro.query.evaluator.resolve_through) consults these.
         self._preagg_stores: List["PreAggStore"] = []
+        # spec -> (table, state, leaf bound to no context): see prepared.
+        self._prepared: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        self._prepared_lock = threading.Lock()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Prepared leaves are a cache of this process's resolutions: a
+        # copy resolves its own.
+        state = dict(self.__dict__)
+        del state["_prepared"], state["_prepared_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._prepared = OrderedDict()
+        self._prepared_lock = threading.Lock()
 
     # -- data access ----------------------------------------------------------
 
@@ -174,6 +197,56 @@ class EvaluationContext:
             moft, layer, ids,
             granule_level=granule_level, min_dwell=float(min_dwell),
         )
+
+    # -- prepared leaves ----------------------------------------------------------
+
+    def prepared(
+        self, key: Hashable, moft: MOFT, resolve: Callable[[], "Leaf"]
+    ) -> "Leaf":
+        """The leaf of one resolved spec, resolved once per state of
+        what it was resolved against.
+
+        ``key`` is the spec, ``moft`` its table and ``resolve`` the
+        resolve step (:func:`repro.query.evaluator.resolve_through` and
+        :func:`repro.query.poi.resolve_poi` pass theirs).  The entry is
+        valid while the table (by identity and ``version``), the Time
+        dimension's ``version``, the GIS's geometry ``generation``, the
+        overlay flag and every registered store's ``generation`` stay as
+        they were, and its store is fresh; anything else resolves again
+        and replaces it.  It holds the leaf bound to no context — one that
+        held this context would keep it alive past its last reference,
+        until the cycle collector ran — and a hit returns a copy bound
+        to this one (:meth:`~repro.query.evaluator.Leaf.bound`), which
+        shares what the leaf derives (:meth:`~repro.query.evaluator
+        .Leaf.memo`).  A resolve step that raises keeps nothing.
+        Counted as ``prepared_leaf_hits`` / ``prepared_leaf_misses``.
+        """
+        state = (
+            moft.version, self.time.instance.version, self.gis.generation,
+            self.use_overlay,
+            tuple(store.generation for store in self._preagg_stores),
+        )
+        with self._prepared_lock:
+            entry = self._prepared.get(key)
+            held = (
+                entry is not None and entry[0] is moft and entry[1] == state
+                # (A store watching another Time dimension goes stale
+                # with none of the above moving.)
+                and (entry[2].store is None or not entry[2].store.is_stale())
+            )
+            if held:
+                self._prepared.move_to_end(key)
+        if held:
+            self.obs.incr("prepared_leaf_hits")
+            return entry[2].bound(self)
+        self.obs.incr("prepared_leaf_misses")
+        leaf = resolve()
+        with self._prepared_lock:
+            self._prepared[key] = (moft, state, leaf.bound(None))
+            self._prepared.move_to_end(key)
+            while len(self._prepared) > PREPARED_LEAVES:
+                self._prepared.popitem(last=False)
+        return leaf
 
     def geometry_index(
         self,

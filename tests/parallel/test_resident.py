@@ -48,6 +48,7 @@ from repro.parallel.shm import MAX_OPEN_SHARDS, leaked_segments
 from repro.preagg import PreAggStore
 from repro.query.evaluator import (
     TrajectoryIntersectionCounter,
+    count_objects_through,
     execute,
     objects_through,
     resolve_through,
@@ -58,6 +59,7 @@ from repro.query.planner import (
 )
 from repro.query.poi import poi_visit_counts
 from repro.query.region import EvaluationContext
+from repro.service import load_world
 from repro.synth import (
     CityConfig,
     build_city,
@@ -411,6 +413,37 @@ class TestRestrictedScans:
             )
         assert got == set()
         assert obs.count("shard_count") == 0
+
+
+class TestHybridSliver:
+    """The store-served hybrid hands its executor the sliver table its
+    prepared leaf keeps, so a repeated query finds that table's
+    partition resident."""
+
+    def test_repeated_hybrid_keeps_its_partition(self):
+        context = load_world("synth").context
+        moft = context.moft("FM")
+        context.register_preagg(PreAggStore(
+            moft, context.time, "day",
+            context.gis.layer("Ln").elements(POLYGON),
+            layer="Ln", kind=POLYGON,
+        ))
+        query = dict(
+            target=("Ln", POLYGON),
+            constraints=[("intersects", ("Lr", POLYLINE))],
+            moft_name="FM", window=(30.5, 80.5),
+        )
+        expected = count_objects_through(context, use_preagg=False, **query)
+        executor = ShardedExecutor("serial", n_shards=2)
+        misses = []
+        for _ in range(3):
+            assert count_objects_through(
+                context, executor=executor, **query
+            ) == expected
+            misses.append(executor.obs.count("shard_cache_misses"))
+        assert misses == [1, 1, 1]
+        assert context.obs.count("preagg_hits") == 3
+        assert context.obs.count("sliver_scan_rows") > 0
 
 
 # -- publishing on a miss ------------------------------------------------------

@@ -148,3 +148,24 @@ class TestMovingObjectsPart:
     def test_through_requires_result(self):
         with pytest.raises(PietQLSyntaxError):
             parse("SELECT layer.cities FROM S | COUNT OBJECTS FROM FM THROUGH")
+
+
+class TestParsedOnce:
+    """A text is parsed once: its AST, every node a frozen dataclass, is
+    kept; a text that does not parse raises every time."""
+
+    def test_same_text_same_query_object(self):
+        text = (
+            "SELECT layer.cities FROM S "
+            "| COUNT OBJECTS FROM FM THROUGH RESULT DURING hour = 9"
+        )
+        assert parse(text) is parse(text)
+        # Another text, the same query: equal, not the same object.
+        assert parse(" " + text) == parse(text)
+        assert parse(" " + text) is not parse(text)
+
+    def test_malformed_text_raises_on_every_call(self):
+        text = "SELECT layer.cities FROM S | COUNT THINGS FROM FM"
+        for _ in range(3):
+            with pytest.raises(PietQLSyntaxError):
+                parse(text)

@@ -232,7 +232,7 @@ class TestOnePath:
         call(fig1_context(stores))
         assert [k for k, _ in executions] == [kind]
 
-    def test_stores_serve_the_route_first_front_ends(self, executions):
+    def test_stores_serve_the_function_front_ends(self, executions):
         context = fig1_context(stores=True)
         count_objects_through(context, TARGET, CONSTRAINTS, **THROUGH)
         total_dwell_time(context, TARGET, CONSTRAINTS, **THROUGH)
