@@ -486,10 +486,11 @@ class PietQLExecutor:
         count = float(
             len(matched) if mo.count_what == "OBJECTS" else samples
         )
-        if chosen is not None:
-            chosen.root.actual_rows = len(matched)
-            chosen.result_count = int(count)
-        return count, matched, chosen if query.explain else None
+        if chosen is None or not query.explain:
+            return count, matched, None
+        chosen.root.actual_rows = len(matched)
+        chosen.result_count = int(count)
+        return count, matched, chosen
 
     def _through_route(self, leaf: Leaf) -> Optional[str]:
         """The strategy a ``THROUGH RESULT`` is forced to (None: the

@@ -26,16 +26,16 @@ the polygon.  A window covering granules ``i..j`` then answers exactly as
     ∪ passers[g∈i..j]  ∪  { oid of spanning records with i ≤ a, b ≤ j }
 
 because (all sample instants being registered) samples consecutive in the
-window restriction are consecutive in the full history.  A read takes
-one slice of the rows per polygon (the cells of a granule run are
-adjacent) and one mask over the spanning records; ids are made distinct
+window restriction are consecutive in the full history.  A read gathers
+the rows of its polygons' cells in one pass (the cells of a granule run
+are adjacent) and slices their spanning records off an index by
+(polygon, first granule), derived once per table; ids are made distinct
 by a boolean scatter over the intern table — no sort: ``np.unique``
 over the same ids takes longer than the whole read.  Misaligned
 windows decompose into the maximal covered granule run plus *slivers*
-at the edges; the hybrid answer adds a scan over only the objects
-touching a sliver (their full window-restricted history), which is exact
-because a window segment not accounted by the store has an endpoint in a
-sliver.
+at the edges; the hybrid answer adds a scan of only the window segments
+with an endpoint in a sliver, which is exact because those are the
+window segments the store has not accounted for.
 
 The lifecycle (snapshot, ``update()``, ``clone()``, ``merge()``, registry
 matching) is :class:`repro.cellstore.GranuleStore`'s; this module keeps
@@ -148,6 +148,15 @@ _NO_ROWS = (
 _NO_SPANS = _NO_ROWS[:3] + _NO_ROWS[2:]
 
 
+def _slices(column: np.ndarray, lo: np.ndarray, hi: np.ndarray, dtype=None):
+    """``column[lo[i]:hi[i]]`` of every ``i``, concatenated (as ``dtype``)
+    in one copy: the rows of several CSR slices."""
+    parts = [column[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    if not parts:
+        return np.empty(0, dtype=dtype or column.dtype)
+    return np.concatenate(parts, dtype=dtype)
+
+
 class _Fold:
     """A table being made: rows and spanning records as array chunks.
 
@@ -255,6 +264,10 @@ class PreAggStore(GranuleStore):
 
     CELL_KEY = ("kind",)
 
+    #: The table's spanning-record index (:meth:`_span_index`; None: not
+    #: derived since the last fold).
+    _span_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
     def __init__(
         self,
         moft: MOFT,
@@ -292,6 +305,7 @@ class PreAggStore(GranuleStore):
 
     def _bind(self, fold: _Fold) -> None:
         self._table = fold.table(len(self.gids), len(self.partition))
+        self._span_order = None
 
     def _empty_cells(self) -> None:
         self._bind(_Fold((), np.empty((0, 3))))
@@ -341,8 +355,27 @@ class PreAggStore(GranuleStore):
         deltas do without)."""
         return PolygonPass.of({gid: self.geometries[gid] for gid in self.gids})
 
+    def _span_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The table's spanning records by (gid index, first granule):
+        a permutation of the span columns, stable (fold order within a
+        key), and its CSR offsets — the records of key ``k = gid index *
+        granules + span_a`` are ``perm[offsets[k]:offsets[k + 1]]``, as
+        the cell rows are indexed by cell.  Derived on the first read of
+        a run longer than one granule, dropped by every fold
+        (:meth:`_bind`), shared by the clones that share the table,
+        never pickled."""
+        if self._span_order is None:
+            table, n = self._table, len(self.partition)
+            key = table.span_gid * n + table.span_a
+            perm = np.argsort(key, kind="stable")
+            self._span_order = perm, np.searchsorted(
+                key[perm], np.arange(len(self.gids) * n + 1)
+            )
+        return self._span_order
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "_polygons"}
+        derived = ("_polygons", "_span_order")
+        return {k: v for k, v in vars(self).items() if k not in derived}
 
     def _fold_samples(
         self,
@@ -514,16 +547,22 @@ class PreAggStore(GranuleStore):
                 f"store {self.name!r}"
             ) from None
 
-    def _run_spans(self, polygons: np.ndarray, first: int, last: int):
-        """Spanning records of ``polygons`` (gid positions) fully inside
-        the granule run ``first..last``: a mask over the span columns."""
-        table = self._table
-        wanted = np.zeros(len(self.gids), dtype=bool)
-        wanted[polygons] = True
-        return (
-            wanted[table.span_gid]
-            & (table.span_a >= first) & (table.span_b <= last)
-        )
+    def _run_spans(
+        self, polygons: np.ndarray, first: int, last: int
+    ) -> np.ndarray:
+        """Positions in the span columns of the spanning records of
+        ``polygons`` (gid positions) fully inside the granule run
+        ``first..last``, in no particular order: each polygon's records
+        whose first granule lies in the run, sliced off
+        :attr:`_span_index`, kept when their last granule does too.  A
+        run of one granule holds none: every record spans two."""
+        if first == last:
+            return np.empty(0, dtype=np.intp)
+        perm, offsets = self._span_index()
+        keys = polygons * len(self.partition)
+        # (A record inside the run starts before its last granule.)
+        at = _slices(perm, offsets[keys + first], offsets[keys + last])
+        return at[self._table.span_b[at] <= last]
 
     def _run_codes(
         self, ids: Iterable[Hashable], first: int, last: int, which: str
@@ -544,11 +583,13 @@ class PreAggStore(GranuleStore):
                 f"granule run {first}..{last} out of range 0..{n - 1}"
             )
         seen = np.zeros(len(table.oids), dtype=bool)
-        lo = table.offsets[polygons * n + first].tolist()
-        hi = table.offsets[polygons * n + last + 1].tolist()
-        for rows in map(slice, lo, hi):
-            oid = table.oid[rows]
-            seen[oid if passers else oid[table.samples[rows] > 0]] = True
+        cells = polygons * n
+        lo, hi = table.offsets[cells + first], table.offsets[cells + last + 1]
+        # (One cast of the oid column, in the one copy of its rows.)
+        oid = _slices(table.oid, lo, hi, np.intp)
+        if not passers:
+            oid = oid[_slices(table.samples, lo, hi) > 0]
+        seen[oid] = True
         if passers:
             seen[table.span_oid[self._run_spans(polygons, first, last)]] = True
         return np.flatnonzero(seen).astype(OID_DTYPE)
@@ -595,7 +636,8 @@ class PreAggStore(GranuleStore):
     def _run_dwell(self, polygons: np.ndarray, first: int, last: int) -> float:
         """:meth:`dwell_time` of ``polygons`` (:meth:`_gid_codes`)."""
         table = self._table
-        spans = self._run_spans(polygons, first, last)
+        # (In fold order: the sum a mask over the span columns takes.)
+        spans = np.sort(self._run_spans(polygons, first, last))
         return float(
             table.cell_dwell[polygons, first:last + 1].sum()
         ) + float(table.span_dwell[spans].sum())
@@ -619,17 +661,23 @@ class PreAggStore(GranuleStore):
     def _sliver_scan_mask(
         self, start: float, end: float, run: Optional[Tuple[int, int]]
     ) -> Optional[np.ndarray]:
-        """Row mask of the residual scan for a misaligned window.
+        """Row mask of the residual scan for a misaligned window: the
+        rows of the window segments the store has not accounted for
+        (None when the window is fully covered by the run).
 
-        Selects the complete window-restricted history of every object
-        having at least one sample in a sliver — the part of
-        ``[start, end]`` outside the covered granule run — or None when
-        the window is fully covered by the run.  Scanning these rows and
-        unioning with :meth:`objects_through` over the run reproduces
-        the serial window scan exactly: any window segment the store has
-        not accounted for has an endpoint in a sliver.  Called by
-        :func:`repro.query.evaluator.resolve_through` (at most once per
-        query), which both prices and runs the hybrid from it.
+        The store accounts for every window segment with both endpoints
+        in the covered run, so the scan needs only the segments with an
+        endpoint in a *sliver* — the part of ``[start, end]`` outside
+        the run.  An object sampled in one sliver keeps that sliver's
+        rows plus its one window row next to them on the run side (their
+        segment into the run).  An object sampled in both keeps its whole
+        window history: a mask of its two blocks alone would join them,
+        across the run, into a segment its trajectory does not have.
+        Scanning these rows and unioning with :meth:`objects_through`
+        over the run reproduces the serial window scan exactly.  A
+        prepared leaf computes it once (:attr:`~repro.query.evaluator
+        .Leaf.sliver_mask`), which both prices and runs the hybrid from
+        it; :meth:`window_dwell` once per call.
 
         Every row's instant is registered (:meth:`_granule_codes_checked`
         refuses any other at build and at every update), so a sliver
@@ -646,13 +694,27 @@ class PreAggStore(GranuleStore):
             return None
         t, _, _ = self.moft.as_arrays()
         window = (t >= float(start)) & (t <= float(end))
-        sliver = window & ((t < lo) | (t > hi))
-        if not sliver.any():
+        if not (window & ((t < lo) | (t > hi))).any():
             return None
+        # In (object, time) order an object's window rows are one block:
+        # its left sliver rows, its run rows, its right sliver rows.
         index = self.moft.segment_index()
-        # Per object: has it a sample in a sliver?  Spread over its rows.
-        touched = np.logical_or.reduceat(sliver[index.perm], index.offsets[:-1])
-        return touched[self.moft.object_codes()] & window
+        perm, heads = index.perm, index.offsets[:-1]
+        w = window[perm]
+        left, right = w & (t[perm] < lo), w & (t[perm] > hi)
+        both = np.logical_or.reduceat(left, heads) & np.logical_or.reduceat(
+            right, heads
+        )
+        owner = self.moft.object_codes()[perm]
+        keep = left | right | (w & both[owner])
+        # The run-side neighbour of a one-sided block: the window row
+        # right after a left block, right before a right block.
+        same = owner[1:] == owner[:-1]
+        keep[1:] |= left[:-1] & w[1:] & ~left[1:] & same
+        keep[:-1] |= right[1:] & w[:-1] & ~right[:-1] & same
+        mask = np.zeros(t.shape[0], dtype=bool)
+        mask[perm[keep]] = True
+        return mask
 
     def window_dwell(
         self, ids: Iterable[Hashable], start: float, end: float
@@ -660,11 +722,12 @@ class PreAggStore(GranuleStore):
         """Exact dwell time for an arbitrary window within coverage.
 
         Store cells answer the covered granule run.  Segments with an
-        endpoint in a sliver (there are only ever O(sliver objects) of
+        endpoint in a sliver (there are only ever O(sliver rows) of
         them) get the scan leaf of :func:`repro.query.aggregate
-        .total_dwell_time`: the sliver objects' window rows through the
-        pass's dwell pairs a batch, summed per polygon of ``ids`` in
-        (object, time) order.
+        .total_dwell_time`: the rows of :meth:`_sliver_scan_mask` through
+        the pass's dwell pairs a batch — of the segments they join, those
+        the run does not hold — summed per polygon of ``ids`` in (object,
+        time) order.
         """
         ids = list(ids)
         polygons = self._gid_codes(ids)  # the typed error, covered or not

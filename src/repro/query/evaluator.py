@@ -344,9 +344,19 @@ class TrajectoryIntersectionCounter:
         geometries, and every object under ``BATCH_MIN_ROWS`` rows,
         where it is cheaper than the kernel calls.
         """
-        stats = stats if stats is not None else EvaluationStats()
         index = moft.segment_index()
-        index = index if rows is None else index.masked(rows)
+        if rows is not None:
+            index = index.masked(rows)
+        return self._matching(moft, index, rows, stats)
+
+    def _matching(
+        self, moft: MOFT, index: SegmentIndex, rows: Optional[np.ndarray],
+        stats: Optional[EvaluationStats],
+    ) -> ObjectSet:
+        """:meth:`matching_objects` over ``index``, the table's segment
+        index under the row mask ``rows`` — which a caller that scans
+        the same rows again keeps (the hybrid's sliver)."""
+        stats = stats if stats is not None else EvaluationStats()
         n_rows, sizes = index.perm.shape[0], np.diff(index.offsets)
         stats.incr("scan_rows", n_rows)
         with stats.stage(EvaluationStats.SCAN_STAGE):
@@ -704,8 +714,9 @@ class Leaf:
     ``min_dwell`` and ``k``.  Nothing builds a restricted table.
 
     What the leaf derives from those fields — row and sliver masks,
-    restricted rows, geometry statistics, the hybrid's sliver table — is
-    computed on first use, at most once, into ``held``
+    restricted rows, geometry statistics, the hybrid's sliver segment
+    index or table, the planner's price — is computed on first use, at
+    most once (the price once per live key), into ``held``
     (:meth:`memo`), which the copies :meth:`bound` makes share: the
     leaves a context's prepared entry hands out
     (:meth:`~repro.query.region.EvaluationContext.prepared`) derive each
@@ -791,8 +802,9 @@ class Leaf:
     @property
     def sliver_mask(self) -> Optional[np.ndarray]:
         """Rows the hybrid still has to scan beside the store's answer:
-        the window-restricted histories of the objects sampled outside
-        the covered run (None: the run covers the restriction)."""
+        those of the window segments with an endpoint in a sliver
+        (:meth:`~repro.preagg.PreAggStore._sliver_scan_mask`; None: the
+        run covers the restriction)."""
         if self.aligned:
             return None
         return self.memo(
@@ -1113,7 +1125,7 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
     context, moft = leaf.context, leaf.moft
     if strategy not in ("sharded", "preagg"):
         executor = None
-    rows = restriction = None
+    rows = index = restriction = None
     if strategy == "preagg":
         run.answer = _store_read(
             leaf, run,
@@ -1131,7 +1143,8 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         proven = np.zeros(moft.oids.shape[0], dtype=bool)
         proven[run.answer.codes] = True
         # The store's answer is the same while the leaf is, and so are
-        # the rows it leaves: a fan-out is handed one table per leaf,
+        # the rows it leaves: the entry keeps their segment index for
+        # the scan in place, and hands a fan-out one table per leaf,
         # whose partition its executor keeps.
         rows = leaf.memo("unproven_rows", lambda: _unproven(leaf, proven))
         if rows is None:
@@ -1139,6 +1152,10 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         if executor is not None:
             moft = leaf.memo("sliver_table", lambda: moft.mask_rows(rows))
             rows = None
+        else:
+            index = leaf.memo(
+                "sliver_index", lambda: moft.segment_index().masked(rows)
+            )
     elif not leaf.rows:
         return
     elif executor is not None:
@@ -1156,6 +1173,8 @@ def _through_leaf(leaf, strategy, executor, stats, run) -> None:
         found = executor.matching_objects(
             counter, moft, run.stats, restriction=restriction
         )
+    elif index is not None:
+        found = counter._matching(moft, index, rows, run.stats)
     else:
         found = counter.matching_objects(moft, run.stats, rows=rows)
     run.scan_seconds = time.perf_counter() - started

@@ -26,15 +26,17 @@ only:
 
 A plan prices what its leaf already holds: the leaf's restricted rows,
 sliver and geometry statistics are derived once per prepared entry
-(:meth:`~repro.query.evaluator.Leaf.memo`), so a repeated query pays
-only the arithmetic and the live state — whether the answer's index is
-cached, whether the executor holds the table's shards.
+(:meth:`~repro.query.evaluator.Leaf.memo`), and so is the price itself,
+held per *live key* — the fan-out's backend, shard count and residency,
+whether the answer's index is cached, and the cost model — so a
+repeated query under the same key prices nothing.
 
 :func:`plan` returns a :class:`QueryPlan` holding the leaf;
-:meth:`QueryPlan.execute` runs it through the one executor and fills
-every node's *actual* rows and seconds from that run's record
-(:meth:`QueryPlan.record`), and :meth:`QueryPlan.render` is the EXPLAIN
-text.  :func:`plan_count_objects_through` resolves and plans a
+:meth:`QueryPlan.execute` runs it through the one executor and keeps
+that run's record (:meth:`QueryPlan.record`).  The plan tree is built
+when first read, from the held price, and takes every node's *actual*
+rows and seconds from the record; :meth:`QueryPlan.render` is the
+EXPLAIN text.  :func:`plan_count_objects_through` resolves and plans a
 through-count; ``execute_plan``, ``plan_poi_aggregate`` and
 ``execute_poi_plan`` are kept, a few lines each, for the benchmark
 harness that calls them.
@@ -47,12 +49,15 @@ constants, the chosen strategy returns the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -267,24 +272,54 @@ class PlanNode:
             yield from child.walk()
 
 
-@dataclass
 class QueryPlan:
     """A costed, renderable plan for one leaf.
 
     ``leaf`` is what resolution built and execution runs on: executing
-    a plan (:meth:`execute`) resolves nothing again.
+    a plan (:meth:`execute`) resolves nothing again.  The tree,
+    :attr:`root`, is built when something first reads it (:meth:`render`
+    does): :func:`plan` hands ``grow``, which builds it from what the
+    leaf was priced with, so a front-end that only reads
+    :attr:`strategy` builds no node.  A front-end whose plan has no
+    leaf hands its finished ``root`` instead (Piet-QL's own plans).
     """
 
-    strategy: str
-    root: PlanNode
-    est_cost: float
-    alternatives: Tuple[Tuple[str, float], ...] = ()
-    geometry: Optional[GeometryStatistics] = None
-    shard_count: Optional[int] = None
-    shard_backend: Optional[str] = None
-    leaf: Optional[Leaf] = field(default=None, repr=False)
-    executed: bool = False
-    result_count: Optional[int] = None
+    def __init__(
+        self,
+        strategy: str,
+        root: Optional[PlanNode] = None,
+        est_cost: float = 0.0,
+        alternatives: Tuple[Tuple[str, float], ...] = (),
+        geometry: Optional[GeometryStatistics] = None,
+        shard_count: Optional[int] = None,
+        shard_backend: Optional[str] = None,
+        leaf: Optional[Leaf] = None,
+        executed: bool = False,
+        result_count: Optional[int] = None,
+        grow: Optional[Callable[["QueryPlan"], PlanNode]] = None,
+    ) -> None:
+        self.strategy = strategy
+        self.est_cost = est_cost
+        self.alternatives = alternatives
+        self.geometry = geometry
+        self.shard_count = shard_count
+        self.shard_backend = shard_backend
+        self.leaf = leaf
+        self.executed = executed
+        self.result_count = result_count
+        #: The run :meth:`record` took (None: not executed here).
+        self.run: Optional[Run] = None
+        self._root, self._grow = root, grow
+
+    @property
+    def root(self) -> PlanNode:
+        """The plan tree, built at the first read; it carries the
+        actuals of the recorded run."""
+        if self._root is None:
+            self._root = self._grow(self)
+            if self.run is not None:
+                self._take_actuals()
+        return self._root
 
     def render(self) -> str:
         """The EXPLAIN text: the plan tree plus the rejected candidates."""
@@ -315,22 +350,30 @@ class QueryPlan:
         return run
 
     def record(self, run: Run) -> None:
-        """Fill in the actuals from one run record: the root takes the
-        answer's rows and the run's seconds, every other node the part
-        of the run it names (:data:`PARTS`), and a fan-out node says
-        how many shards did run — the executor's count, less the empty
-        shards, which are never shipped."""
+        """Keep one run record, whose actuals the tree takes (now, or
+        when it is built): the root takes the answer's rows and the
+        run's seconds, every other node the part of the run it names
+        (:data:`PARTS`), and a fan-out says how many shards did run —
+        the executor's count, less the empty shards, which are never
+        shipped."""
         self.executed = True
         self.result_count = run.rows
-        self.root.actual_rows = run.rows
-        self.root.actual_seconds = run.seconds
-        for node in self.root.walk():
+        self.run = run
+        if self.strategy == "sharded" and run.shards:
+            self.shard_count = run.shards
+        if self._root is not None:
+            self._take_actuals()
+
+    def _take_actuals(self) -> None:
+        run = self.run
+        self._root.actual_rows = run.rows
+        self._root.actual_seconds = run.seconds
+        for node in self._root.walk():
             part = PARTS.get(node.op)
             if part is None:
                 continue
             node.actual_rows, node.actual_seconds = run.actuals(part)
             if part == "fanout" and run.shards:
-                self.shard_count = run.shards
                 node.detail = _fanout_detail(
                     self.leaf, self.shard_backend, run.shards
                 )
@@ -353,6 +396,25 @@ PARTS = {
     "PoiCellRead": "lookup",
 }
 
+#: What a fan-out is priced by: the executor's backend name, its shard
+#: count and whether it holds the leaf's table (None: no executor).
+_Fanout = Optional[Tuple[str, int, bool]]
+
+
+class _Price(NamedTuple):
+    """One leaf's price under one live key, held in the leaf's shared
+    ``held`` (one slot: another key prices again and replaces it):
+    every candidate's cost, the statistics, the figures the nodes show
+    beside the costs, and the choice — strategy and ``rejected:``
+    order — per ``force_strategy``, filled as plans ask for them.  Plain
+    values only: an entry holds no context."""
+
+    key: tuple
+    costs: Dict[str, float]
+    geometry: GeometryStatistics
+    shows: Dict[str, object]
+    choices: Dict[Optional[str], Tuple[str, Tuple[Tuple[str, float], ...]]]
+
 
 def _fanout_detail(leaf: Leaf, backend: Optional[str], shards: int) -> str:
     if leaf.poi:
@@ -361,10 +423,7 @@ def _fanout_detail(leaf: Leaf, backend: Optional[str], shards: int) -> str:
 
 
 def _geometric_terms(
-    leaf: Leaf,
-    executor: Optional[ShardedExecutor],
-    model: CostModel,
-    label: str,
+    leaf: Leaf, fanout: _Fanout, model: CostModel, index_cached: bool
 ) -> tuple:
     """The ``through`` and ``dwell`` terms: rows x geometries for the
     serial scan, probe + coverage-discounted checks for the grid scan,
@@ -376,7 +435,6 @@ def _geometric_terms(
         lambda: geometry_statistics(context, leaf.target, leaf.ids, moft),
     )
     rows, n_geoms = leaf.rows, geometry.count
-    index_cached = context.has_geometry_index(*leaf.target, leaf.ids)
     costs: Dict[str, float] = {}
     if n_geoms == 0:
         # Empty geometric answer: every strategy degenerates to "return
@@ -391,13 +449,13 @@ def _geometric_terms(
             rows, n_geoms, geometry.coverage, indexed=True,
             index_cached=index_cached,
         )
-    if executor is not None and n_geoms:
+    if fanout is not None and n_geoms:
         # (A restricted scan rides on the shards of the whole table.)
+        backend, n_shards, resident = fanout
         costs["sharded"] = model.sharded_cost(
-            costs["grid"], executor.backend.name, executor.n_shards,
-            len(moft), resident=executor.holds_shards(moft),
+            costs["grid"], backend, n_shards, len(moft), resident=resident,
         )
-    sliver_rows = 0
+    sliver_rows, sliver_cost = 0, None
     if leaf.store is not None:
         # (The dwell store clips its slivers itself: nothing to scan.)
         sliver_rows = leaf.sliver_rows if leaf.kind == "through" else 0
@@ -405,7 +463,25 @@ def _geometric_terms(
             leaf.granules[1] - leaf.granules[0] + 1, n_geoms, sliver_rows,
             geometry.coverage,
         )
+        if sliver_rows:
+            sliver_cost = model.scan_cost(
+                sliver_rows, n_geoms, geometry.coverage, indexed=True
+            )
+    shows = dict(
+        index_cached=index_cached, sliver_rows=sliver_rows,
+        sliver_cost=sliver_cost,
+    )
+    return costs, geometry, shows
 
+
+def _geometric_nodes(
+    query: QueryPlan, price: _Price, label: str
+) -> Tuple[PlanNode, PlanNode]:
+    """The root and the strategy subtree of a ``through`` or ``dwell``
+    plan."""
+    leaf, chosen = query.leaf, query.strategy
+    costs, geometry, shows = price.costs, price.geometry, price.shows
+    rows, n_geoms, moft = leaf.rows, geometry.count, leaf.moft
     if leaf.instants is not None:
         restriction = f"instants={len(leaf.instants)}"
     elif leaf.window is not None:
@@ -419,60 +495,48 @@ def _geometric_terms(
             op, scan_detail + extra, est_rows=rows, est_cost=costs[priced]
         )
 
-    def nodes(chosen: str) -> Tuple[PlanNode, PlanNode]:
-        if chosen == "serial":
-            body = scan("SerialScan", "serial")
-        elif chosen == "grid":
-            body = scan(
-                "GridScan", "grid",
-                f", coverage={geometry.coverage:.3f}, "
-                f"index_cached={index_cached}",
-            )
-        elif chosen == "sharded":
-            body = PlanNode(
-                "ShardFanout",
-                _fanout_detail(
-                    leaf, executor.backend.name, executor.n_shards
+    if chosen == "serial":
+        body = scan("SerialScan", "serial")
+    elif chosen == "grid":
+        body = scan(
+            "GridScan", "grid",
+            f", coverage={geometry.coverage:.3f}, "
+            f"index_cached={shows['index_cached']}",
+        )
+    elif chosen == "sharded":
+        body = PlanNode(
+            "ShardFanout",
+            _fanout_detail(leaf, query.shard_backend, query.shard_count),
+            est_rows=rows,
+            est_cost=costs["sharded"],
+            children=(scan("GridScan", "grid", ", per_shard"),),
+        )
+    else:
+        sliver_rows = shows["sliver_rows"]
+        children: Tuple[PlanNode, ...] = ()
+        if sliver_rows:
+            children = (
+                PlanNode(
+                    "SliverScan",
+                    f"moft={moft.name}, geoms={n_geoms}",
+                    est_rows=sliver_rows,
+                    est_cost=shows["sliver_cost"],
                 ),
-                est_rows=rows,
-                est_cost=costs["sharded"],
-                children=(scan("GridScan", "grid", ", per_shard"),),
             )
-        else:
-            children: Tuple[PlanNode, ...] = ()
-            if sliver_rows:
-                children = (
-                    PlanNode(
-                        "SliverScan",
-                        f"moft={moft.name}, geoms={n_geoms}",
-                        est_rows=sliver_rows,
-                        est_cost=model.scan_cost(
-                            sliver_rows, n_geoms, geometry.coverage,
-                            indexed=True,
-                        ),
-                    ),
-                )
-            first, last = leaf.granules
-            body = PlanNode(
-                "PreAggLookup",
-                f"store={leaf.store.name}, run={first}..{last}, "
-                f"granules={last - first + 1}",
-                est_rows=sliver_rows,
-                est_cost=costs["preagg"],
-                children=children,
-            )
-        root = PlanNode("Aggregate", f"{label}, strategy={chosen}", est_rows=1)
-        return root, body
-
-    return costs, geometry, nodes
+        first, last = leaf.granules
+        body = PlanNode(
+            "PreAggLookup",
+            f"store={leaf.store.name}, run={first}..{last}, "
+            f"granules={last - first + 1}",
+            est_rows=sliver_rows,
+            est_cost=costs["preagg"],
+            children=children,
+        )
+    root = PlanNode("Aggregate", f"{label}, strategy={chosen}", est_rows=1)
+    return root, body
 
 
-def _poi_terms(
-    leaf: Leaf,
-    executor: Optional[ShardedExecutor],
-    model: CostModel,
-    label: str,
-) -> tuple:
+def _poi_terms(leaf: Leaf, fanout: _Fanout, model: CostModel) -> tuple:
     """The POI terms: the scan is a per-object *segmentation* pass
     (every row against every disc — no grid pruning, stops are global
     per trajectory), fanned out with an executor, and a fresh store
@@ -481,45 +545,99 @@ def _poi_terms(
     n_granules = len(leaf.context.time.granules(leaf.granule_level).members)
     serial = model.scan_cost(rows, n_pois, coverage=1.0, indexed=False)
     costs = {"serial": serial}
-    if executor is not None:
+    if fanout is not None:
+        backend, n_shards, resident = fanout
         costs["sharded"] = model.sharded_cost(
-            serial, executor.backend.name, executor.n_shards, rows,
-            resident=executor.holds_shards(leaf.moft),
+            serial, backend, n_shards, rows, resident=resident,
         )
     if leaf.store is not None:
         costs["preagg"] = model.preagg_cost(n_granules, n_pois, 0, 1.0)
+    return costs, GeometryStatistics(n_pois, 1.0), dict(n_granules=n_granules)
 
-    def nodes(chosen: str) -> Tuple[PlanNode, PlanNode]:
+
+def _poi_nodes(
+    query: QueryPlan, price: _Price, label: str
+) -> Tuple[PlanNode, PlanNode]:
+    """The root and the strategy subtree of a POI plan (its root names
+    the layer and measure, not ``label``)."""
+    leaf, chosen, costs = query.leaf, query.strategy, price.costs
+    rows, n_pois = leaf.rows, len(leaf.pois)
+    n_granules = price.shows["n_granules"]
+    body = PlanNode(
+        "StopSegmentScan",
+        f"{leaf.moft.name} x {n_pois} discs",
+        est_rows=rows,
+        est_cost=costs["serial"],
+    )
+    if chosen == "preagg":
         body = PlanNode(
-            "StopSegmentScan",
-            f"{leaf.moft.name} x {n_pois} discs",
+            "PoiCellRead",
+            f"store granules={n_granules} pois={n_pois}",
+            est_rows=n_granules * n_pois,
+            est_cost=costs["preagg"],
+        )
+    elif chosen == "sharded":
+        body = PlanNode(
+            "ShardedSegmentScan",
+            _fanout_detail(leaf, query.shard_backend, query.shard_count),
             est_rows=rows,
-            est_cost=serial,
+            est_cost=costs["sharded"],
+            children=(body,),
         )
-        if chosen == "preagg":
-            body = PlanNode(
-                "PoiCellRead",
-                f"store granules={n_granules} pois={n_pois}",
-                est_rows=n_granules * n_pois,
-                est_cost=costs["preagg"],
-            )
-        elif chosen == "sharded":
-            body = PlanNode(
-                "ShardedSegmentScan",
-                _fanout_detail(leaf, executor.backend.name, executor.n_shards),
-                est_rows=rows,
-                est_cost=costs["sharded"],
-                children=(body,),
-            )
-        detail = (
-            f"{leaf.layer}/{leaf.granule_level} measure={leaf.kind[4:]}"
-            + (f" k={leaf.k}" if leaf.k is not None else "")
-            + (f" min_dwell={leaf.min_dwell}" if leaf.min_dwell else "")
-        )
-        root = PlanNode("PoiAggregate", detail, est_rows=n_granules * n_pois)
-        return root, body
+    detail = (
+        f"{leaf.layer}/{leaf.granule_level} measure={leaf.kind[4:]}"
+        + (f" k={leaf.k}" if leaf.k is not None else "")
+        + (f" min_dwell={leaf.min_dwell}" if leaf.min_dwell else "")
+    )
+    root = PlanNode("PoiAggregate", detail, est_rows=n_granules * n_pois)
+    return root, body
 
-    return costs, GeometryStatistics(n_pois, 1.0), nodes
+
+def _price(
+    leaf: Leaf, executor: Optional[ShardedExecutor], model: CostModel
+) -> _Price:
+    """The leaf's held price, priced again only when its live key moved.
+
+    The key is what the cost terms read that the prepared entry's
+    validity does not cover: the fan-out (backend, shard count and
+    whether the executor holds the table — it does from the first
+    fan-out on), whether the answer's geometry index is cached, and the
+    cost model, by value."""
+    fanout = None
+    if executor is not None:
+        fanout = (
+            executor.backend.name, executor.n_shards,
+            executor.holds_shards(leaf.moft),
+        )
+    index_cached = None
+    if not leaf.poi:
+        index_cached = leaf.context.has_geometry_index(*leaf.target, leaf.ids)
+    key = (fanout, index_cached, model)
+    price = leaf.held.get("price")
+    if price is None or price.key != key:
+        if leaf.poi:
+            costs, geometry, shows = _poi_terms(leaf, fanout, model)
+        else:
+            costs, geometry, shows = _geometric_terms(
+                leaf, fanout, model, index_cached
+            )
+        costs = {
+            name: cost for name, cost in costs.items()
+            if name in KINDS[leaf.kind]
+        }
+        price = leaf.held["price"] = _Price(key, costs, geometry, shows, {})
+    return price
+
+
+def _tree(
+    price: _Price, front: Tuple[PlanNode, ...], label: str, query: QueryPlan
+) -> PlanNode:
+    """Build a planned leaf's tree from its price: the kind's root and
+    strategy subtree, ``front`` rendered before the subtree."""
+    nodes = _poi_nodes if query.leaf.poi else _geometric_nodes
+    root, body = nodes(query, price, label)
+    root.est_cost, root.children = query.est_cost, front + (body,)
+    return root
 
 
 def plan(
@@ -532,52 +650,51 @@ def plan(
 ) -> QueryPlan:
     """Price every strategy of ``leaf``'s kind and choose one.
 
-    The kind supplies its cost terms: the candidates' costs, its
-    statistics and the nodes of a chosen strategy (the root, whose
-    children and cost are set here, and the strategy's subtree); the
-    rest is this one body for every kind.  The candidates are the
+    The kind supplies its cost terms (the candidates' costs, its
+    statistics) and its nodes (the root and the strategy's subtree);
+    the rest is this one body for every kind.  The candidates are the
     kind's strategies (:data:`~repro.query.evaluator.KINDS`) that
-    apply: ``sharded`` only
-    with an ``executor`` (priced and recorded with its backend and
-    shard count), ``preagg`` only when the leaf holds a store.  The
-    cheapest wins unless ``force_strategy`` names one (the differential
-    tests drive every strategy this way; Piet-QL forces
-    :func:`~repro.query.evaluator.store_or_scan`); a strategy that
-    cannot run is refused by :func:`~repro.query.evaluator.refuse`.  ``front`` are the
-    nodes rendered before the strategy's subtree, ``label`` names a
-    geometric aggregate on the root; the ``rejected:`` line lists the
-    other candidates by cost.
+    apply: ``sharded`` only with an ``executor`` (priced and recorded
+    with its backend and shard count), ``preagg`` only when the leaf
+    holds a store.  The cheapest wins unless ``force_strategy`` names
+    one (the differential tests drive every strategy this way; Piet-QL
+    forces :func:`~repro.query.evaluator.store_or_scan`); a strategy
+    that cannot run is refused by :func:`~repro.query.evaluator.refuse`.
+    ``front`` are the nodes rendered before the strategy's subtree,
+    ``label`` names a geometric aggregate on the root; the ``rejected:``
+    line lists the other candidates by cost.
+
+    The price and the choice are held per prepared entry
+    (:func:`_price`): a repeated plan under the same live key prices
+    nothing, and builds no node until its tree is read.
     """
-    model = cost_model if cost_model is not None else DEFAULT_COSTS
-    terms = _poi_terms if leaf.poi else _geometric_terms
-    costs, geometry, nodes = terms(leaf, executor, model, label)
-    costs = {
-        name: cost for name, cost in costs.items()
-        if name in KINDS[leaf.kind]
-    }
-    if force_strategy is None:
-        chosen = min(costs, key=lambda name: costs[name])
-    else:
-        refuse(leaf, force_strategy, executor, costs)
-        chosen = force_strategy
-    root, body = nodes(chosen)
-    root.est_cost, root.children = costs[chosen], front + (body,)
+    price = _price(
+        leaf, executor, cost_model if cost_model is not None else DEFAULT_COSTS
+    )
+    choice = price.choices.get(force_strategy)
+    if choice is None:
+        costs = price.costs
+        if force_strategy is None:
+            chosen = min(costs, key=costs.__getitem__)
+        else:
+            refuse(leaf, force_strategy, executor, costs)
+            chosen = force_strategy
+        rejected = sorted(
+            ((name, cost) for name, cost in costs.items() if name != chosen),
+            key=lambda pair: pair[1],
+        )
+        choice = price.choices[force_strategy] = (chosen, tuple(rejected))
+    chosen, rejected = choice
     sharded = chosen == "sharded"
     return QueryPlan(
         strategy=chosen,
-        root=root,
-        est_cost=costs[chosen],
-        alternatives=tuple(
-            sorted(
-                ((name, cost) for name, cost in costs.items()
-                 if name != chosen),
-                key=lambda pair: pair[1],
-            )
-        ),
-        geometry=geometry,
+        est_cost=price.costs[chosen],
+        alternatives=rejected,
+        geometry=price.geometry,
         shard_count=executor.n_shards if sharded else None,
         shard_backend=executor.backend.name if sharded else None,
         leaf=leaf,
+        grow=partial(_tree, price, front, label),
     )
 
 

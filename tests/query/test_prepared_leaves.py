@@ -15,13 +15,20 @@ Pinned here:
   DURING instants each resolve again, and answer what a fresh context
   answers;
 * **no cycle** — a context holding entries is freed by reference
-  counting alone.
+  counting alone;
+* **the price is held** — a repeated plan reuses the leaf's one price
+  slot; a first fan-out (the executor now holds the table), a geometry
+  index that fills and an unequal cost model price again, an equal one
+  does not; a warm ``total_dwell_time`` builds no plan node; EXPLAIN
+  reads as a fresh plan's.
 """
 
 from __future__ import annotations
 
 import gc
+import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,14 +36,18 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.gis import NODE, POI, POLYGON, POLYLINE
 from repro.ingest import IngestConfig, StoreSpec, StreamingIngestor
+from repro.parallel import ShardedExecutor
 from repro.pietql import LayerBinding, PietQLExecutor
 from repro.poi import PoiVisitStore
 from repro.preagg import PreAggStore
 from repro.query.aggregate import total_dwell_time
 from repro.query.evaluator import count_objects_through, resolve_through
-from repro.query.planner import planned_count_objects_through
+from repro.query import planner
+from repro.query.planner import CostModel, plan, planned_count_objects_through
 from repro.query.poi import poi_topk, poi_visit_counts
 from repro.query.region import EvaluationContext
+from repro.service import QuerySpec, load_world
+from repro.service.worker import execute_spec
 from repro.synth import figure1_instance
 
 TARGET = ("Ln", POLYGON)
@@ -275,3 +286,117 @@ class TestNoCycle:
         finally:
             if enabled:
                 gc.enable()
+
+
+# -- the held price --------------------------------------------------------------
+
+
+@pytest.fixture
+def pricings(monkeypatch):
+    """How often each kind's cost terms ran."""
+    calls = Counter()
+    for name in ("_geometric_terms", "_poi_terms"):
+        original = getattr(planner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(planner, name, counted)
+    return calls
+
+
+def leaf_of(context, **options):
+    return resolve_through(context, TARGET, CONSTRAINTS, "FMbus", **options)
+
+
+def summary(chosen):
+    return chosen.strategy, chosen.est_cost, chosen.alternatives
+
+
+def masked(text):
+    return re.sub(r"actual_s=\d+\.\d+", "actual_s=*", text)
+
+
+class TestHeldPrice:
+    @pytest.mark.parametrize("stores", [True, False])
+    def test_a_repeated_plan_reuses_the_slot(self, pricings, stores):
+        context = fig1_context(stores)
+        first = plan(leaf_of(context))
+        slot = leaf_of(context).held["price"]
+        for _ in range(3):
+            assert summary(plan(leaf_of(context))) == summary(first)
+        assert leaf_of(context).held["price"] is slot
+        assert pricings["_geometric_terms"] == 1
+
+    def test_a_poi_plan_reuses_the_slot(self, pricings):
+        context = fig1_context()
+        for _ in range(3):
+            poi_visit_counts(context, "Lp", "hour", moft_name="FMbus")
+        assert pricings["_poi_terms"] == 1
+
+    def test_a_first_fanout_prices_again(self, pricings):
+        context = fig1_context(stores=False)
+        # (The answer's index first, so that only residency moves.)
+        plan(leaf_of(context), force_strategy="grid").execute()
+        pricings.clear()
+        with ShardedExecutor("serial", n_shards=2) as executor:
+            first = plan(leaf_of(context), executor, force_strategy="sharded")
+            assert not executor.holds_shards(context.moft("FMbus"))
+            first.execute(executor)
+            assert executor.holds_shards(context.moft("FMbus"))
+            assert pricings["_geometric_terms"] == 1
+            again = plan(leaf_of(context), executor, force_strategy="sharded")
+            assert pricings["_geometric_terms"] == 2
+            assert summary(again) == summary(first)  # (serial: no ship cost)
+            plan(leaf_of(context), executor, force_strategy="sharded")
+            assert pricings["_geometric_terms"] == 2
+
+    def test_a_filled_index_prices_again(self, pricings):
+        context = fig1_context(stores=False)
+        first = plan(leaf_of(context), force_strategy="grid")
+        assert "index_cached=False" in first.render()
+        first.execute()
+        again = plan(leaf_of(context), force_strategy="grid")
+        assert "index_cached=True" in again.render()
+        assert again.est_cost < first.est_cost
+        assert pricings["_geometric_terms"] == 2
+
+    def test_cost_models_by_value(self, pricings):
+        context = fig1_context(stores=False)
+        costly = plan(leaf_of(context), cost_model=CostModel(check_cost=2.0))
+        same = plan(leaf_of(context), cost_model=CostModel(check_cost=2.0))
+        assert summary(same) == summary(costly)
+        assert pricings["_geometric_terms"] == 1
+        other = plan(leaf_of(context), cost_model=CostModel(check_cost=3.0))
+        assert pricings["_geometric_terms"] == 2
+        assert other.est_cost != costly.est_cost
+
+    def test_a_warm_dwell_builds_no_plan_node(self, monkeypatch):
+        context = fig1_context()
+        built = []
+
+        class Spy(planner.PlanNode):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "PlanNode", Spy)
+        dwell = dict(moft_name="FMbus", window=(1.0, 3.0))
+        first = total_dwell_time(context, TARGET, CONSTRAINTS, **dwell)
+        assert total_dwell_time(context, TARGET, CONSTRAINTS, **dwell) == first
+        assert built == []
+        # (The spy sees the nodes a tree is built from.)
+        plan(leaf_of(context, window=(1.0, 3.0), kind="dwell")).render()
+        assert built
+
+    @pytest.mark.parametrize("window", [None, (1.5, 4.5)])
+    def test_execute_spec_explains_as_a_fresh_plan(self, window):
+        spec = QuerySpec.through(TARGET, CONSTRAINTS, "FMbus", window=window)
+        world = load_world("fig1")
+        texts = [masked(execute_spec(spec, world)[1]) for _ in range(3)]
+        # (The first scan fills the answer's index: a live change.)
+        assert texts[1] == texts[2]
+        fresh = load_world("fig1")
+        fresh.context._indexes.update(world.context._indexes)
+        assert masked(execute_spec(spec, fresh)[1]) == texts[1]
