@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import SchemaError
 from repro.gis import geometries as gk
-from repro.olap.dimension import DimensionSchema
+from repro.olap.dimension import DimensionSchema, LevelOrder
 
 
 class LayerHierarchy:
@@ -32,6 +30,9 @@ class LayerHierarchy:
     composed of Gi geometries;
     (c) ``All`` is present and has no outgoing edges;
     (d) exactly one node, ``point``, has no incoming edges.
+
+    The graph is a :class:`~repro.olap.dimension.LevelOrder`, as an
+    application dimension's levels are.
     """
 
     def __init__(
@@ -42,61 +43,44 @@ class LayerHierarchy:
         if not layer_name:
             raise SchemaError("layer name must be non-empty")
         self.layer_name = layer_name
-        graph = nx.DiGraph()
         chosen = tuple(edges) if edges is not None else gk.DEFAULT_COMPOSITION
         for finer, coarser in chosen:
             gk.validate_kind(finer)
             gk.validate_kind(coarser)
             if finer == coarser:
                 raise SchemaError(f"self edge on kind {finer!r}")
-            graph.add_edge(finer, coarser)
-        if gk.POINT not in graph:
-            raise SchemaError(
-                f"hierarchy of layer {layer_name!r} must include 'point'"
-            )
-        if gk.ALL not in graph:
-            raise SchemaError(
-                f"hierarchy of layer {layer_name!r} must include 'All'"
-            )
-        if not nx.is_directed_acyclic_graph(graph):
-            raise SchemaError(f"hierarchy of layer {layer_name!r} has a cycle")
-        if graph.out_degree(gk.ALL) != 0:
-            raise SchemaError("'All' must have no outgoing edges")
-        sources = [n for n in graph.nodes if graph.in_degree(n) == 0]
-        if sources != [gk.POINT] and set(sources) != {gk.POINT}:
-            raise SchemaError(
-                f"hierarchy of layer {layer_name!r} must have 'point' as its "
-                f"only source, found {sorted(sources)}"
-            )
-        self._graph = graph
+        kinds = {kind for pair in chosen for kind in pair}
+        for required in (gk.POINT, gk.ALL):
+            if required not in kinds:
+                raise SchemaError(
+                    f"hierarchy of layer {layer_name!r} must include "
+                    f"{required!r}"
+                )
+        self._order = LevelOrder(
+            chosen,
+            cycle=f"hierarchy of layer {layer_name!r} has a cycle",
+            sources=f"hierarchy of layer {layer_name!r} must have 'point' "
+            f"as its only source",
+            source=gk.POINT,
+        )
 
     @property
     def kinds(self) -> Set[str]:
         """All geometry kinds appearing in the hierarchy."""
-        return set(self._graph.nodes)
+        return set(self._order)
 
     def edges(self) -> List[Tuple[str, str]]:
         """All direct (finer, coarser) pairs."""
-        return list(self._graph.edges)
-
-    def coarser(self, kind: str) -> Set[str]:
-        """Direct coarser kinds of ``kind``."""
-        self._check(kind)
-        return set(self._graph.successors(kind))
-
-    def finer(self, kind: str) -> Set[str]:
-        """Direct finer kinds of ``kind``."""
-        self._check(kind)
-        return set(self._graph.predecessors(kind))
+        return self._order.edges()
 
     def is_coarsening(self, finer: str, coarser: str) -> bool:
         """True when ``finer`` ⪯ ``coarser`` transitively."""
         self._check(finer)
         self._check(coarser)
-        return finer == coarser or nx.has_path(self._graph, finer, coarser)
+        return self._order.leq(finer, coarser)
 
     def _check(self, kind: str) -> None:
-        if kind not in self._graph:
+        if kind not in self._order:
             raise SchemaError(
                 f"kind {kind!r} not in hierarchy of layer {self.layer_name!r}"
             )

@@ -10,6 +10,7 @@ from repro.olap.dimension import (
     ALL_MEMBER,
     DimensionInstance,
     DimensionSchema,
+    LevelOrder,
 )
 from repro.olap.aggregation import (
     AggregateFunction,
@@ -33,6 +34,7 @@ __all__ = [
     "ALL_MEMBER",
     "DimensionInstance",
     "DimensionSchema",
+    "LevelOrder",
     "AggregateFunction",
     "aggregate",
     "aggregate_single",

@@ -13,14 +13,136 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import RollupError, SchemaError
 
 #: The distinguished top level present in every dimension.
 ALL_LEVEL = "All"
 #: The single member of the top level.
 ALL_MEMBER = "all"
+
+
+class LevelOrder:
+    """The finite partial order of Definition 1's few levels, given by
+    its direct ``(lower, upper)`` edges.
+
+    Both halves of the GIS dimension schema hold one: a layer's
+    granularity graph ``H(L)`` over geometry kinds and an application
+    dimension's levels.  Construction checks what Definition 1 asks of
+    each, once: no cycle, nothing above ``All``, and exactly one bottom
+    level (``source``, when named).  Every level is then reachable from
+    the bottom, since each level of a finite acyclic order lies above
+    some level with nothing below it.  ``cycle`` and ``sources`` word
+    the two violations for the schema that holds the order; the second
+    is followed by the bottoms found.
+
+    Levels and each level's neighbours keep the order the edges named
+    them in, and repeated edges count once.  Each level's up-set is
+    computed here, so comparing two levels is a set lookup.
+    """
+
+    def __init__(
+        self,
+        edges: Iterable[Tuple[str, str]],
+        *,
+        cycle: str,
+        sources: str,
+        source: Optional[str] = None,
+    ) -> None:
+        self._up_edges: Dict[str, List[str]] = {}
+        self._down_edges: Dict[str, List[str]] = {}
+        for lower, upper in dict.fromkeys((a, b) for a, b in edges):
+            for level in (lower, upper):
+                self._up_edges.setdefault(level, [])
+                self._down_edges.setdefault(level, [])
+            self._up_edges[lower].append(upper)
+            self._down_edges[upper].append(lower)
+        # Kahn's order, bottoms first: a level left out lies on a cycle.
+        pending = {level: len(down) for level, down in self._down_edges.items()}
+        bottoms = [level for level, n in pending.items() if n == 0]
+        order = list(bottoms)
+        for level in order:
+            for upper in self._up_edges[level]:
+                pending[upper] -= 1
+                if pending[upper] == 0:
+                    order.append(upper)
+        if len(order) != len(pending):
+            raise SchemaError(cycle)
+        if self._up_edges.get(ALL_LEVEL):
+            raise SchemaError(f"{ALL_LEVEL!r} must have no outgoing edges")
+        if len(bottoms) != 1 or source not in (None, bottoms[0]):
+            raise SchemaError(f"{sources}, found {sorted(bottoms)}")
+        self.bottom = bottoms[0]
+        self._up: Dict[str, Set[str]] = {}
+        for level in reversed(order):
+            self._up[level] = {level}.union(
+                *(self._up[upper] for upper in self._up_edges[level])
+            )
+
+    def __contains__(self, level: object) -> bool:
+        return level in self._up_edges
+
+    def __iter__(self):
+        return iter(self._up_edges)
+
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every direct ``(lower, upper)`` pair, level by level."""
+        return [
+            (lower, upper)
+            for lower, uppers in self._up_edges.items()
+            for upper in uppers
+        ]
+
+    def below(self, level: str) -> List[str]:
+        """The levels one edge below ``level``."""
+        return list(self._down_edges[level])
+
+    def leq(self, lower: str, upper: str) -> bool:
+        """True when ``lower`` ⪯ ``upper`` (reflexive, transitive)."""
+        return upper in self._up[lower]
+
+    def shortest_path(self, lower: str, upper: str) -> List[str]:
+        """One fewest-edge path from ``lower`` to ``upper`` (they must
+        compare).  Where several tie, the search from both ends —
+        growing the smaller frontier, neighbours in edge order — picks
+        the first on which the two meet."""
+        steps = (self._up_edges, self._down_edges)
+        fringes = [[lower], [upper]]
+        # Per direction, each level reached and the level it came from.
+        reached: List[Dict[str, Optional[str]]] = [{lower: None}, {upper: None}]
+
+        def grow(side: int) -> Optional[str]:
+            frontier, fringes[side] = fringes[side], []
+            here, there = reached[side], reached[1 - side]
+            for level in frontier:
+                for nxt in steps[side][level]:
+                    if nxt not in here:
+                        here[nxt] = level
+                        fringes[side].append(nxt)
+                    if nxt in there:
+                        return nxt
+            return None
+
+        meet = lower if lower == upper else None
+        while meet is None:
+            meet = grow(0 if len(fringes[0]) <= len(fringes[1]) else 1)
+        path = [meet]
+        while reached[0][path[0]] is not None:
+            path.insert(0, reached[0][path[0]])
+        while reached[1][path[-1]] is not None:
+            path.append(reached[1][path[-1]])
+        return path
+
+    def all_paths(self, lower: str, upper: str) -> List[List[str]]:
+        """Every path from ``lower`` up to ``upper``, depth first in edge
+        order (none when they do not compare)."""
+        if lower == upper:
+            return [[lower]]
+        return [
+            [lower] + rest
+            for nxt in self._up_edges[lower]
+            if self.leq(nxt, upper)
+            for rest in self.all_paths(nxt, upper)
+        ]
 
 
 class DimensionSchema:
@@ -37,99 +159,76 @@ class DimensionSchema:
         automatically above every maximal level if absent.
 
     The schema must be a DAG with exactly one bottom level (a level with no
-    incoming edge) from which every level is reachable.
+    incoming edge) from which every level is reachable (:class:`LevelOrder`).
     """
 
     def __init__(self, name: str, edges: Iterable[Tuple[str, str]]) -> None:
         if not name:
             raise SchemaError("dimension name must be non-empty")
         self.name = name
-        graph = nx.DiGraph()
-        for child, parent in edges:
+        pairs = list(edges)
+        for child, parent in pairs:
             if child == parent:
                 raise SchemaError(f"self rollup on level {child!r}")
-            graph.add_edge(child, parent)
-        if len(graph) == 0:
+        if not pairs:
             raise SchemaError("dimension schema needs at least one rollup edge")
         # Add the distinguished All level above every maximal level.
-        maximal = [
-            node
-            for node in list(graph.nodes)
-            if node != ALL_LEVEL and graph.out_degree(node) == 0
+        children = {child for child, _ in pairs}
+        pairs += [
+            (level, ALL_LEVEL)
+            for level in dict.fromkeys(level for pair in pairs for level in pair)
+            if level != ALL_LEVEL and level not in children
         ]
-        for node in maximal:
-            graph.add_edge(node, ALL_LEVEL)
-        if not nx.is_directed_acyclic_graph(graph):
-            raise SchemaError(f"dimension {name!r} has a rollup cycle")
-        bottoms = [node for node in graph.nodes if graph.in_degree(node) == 0]
-        if len(bottoms) != 1:
-            raise SchemaError(
-                f"dimension {name!r} must have exactly one bottom level, "
-                f"found {sorted(bottoms)}"
-            )
-        self._graph = graph
-        self._bottom = bottoms[0]
-        reachable = nx.descendants(graph, self._bottom) | {self._bottom}
-        if reachable != set(graph.nodes):
-            unreachable = sorted(set(graph.nodes) - reachable)
-            raise SchemaError(
-                f"levels {unreachable} unreachable from bottom level "
-                f"{self._bottom!r} in dimension {name!r}"
-            )
+        self._order = LevelOrder(
+            pairs,
+            cycle=f"dimension {name!r} has a rollup cycle",
+            sources=f"dimension {name!r} must have exactly one bottom level",
+        )
 
     # -- structure ----------------------------------------------------------
 
     @property
     def levels(self) -> Set[str]:
         """All level names, including ``All``."""
-        return set(self._graph.nodes)
+        return set(self._order)
 
     @property
     def bottom_level(self) -> str:
         """The unique finest level."""
-        return self._bottom
-
-    def parents(self, level: str) -> Set[str]:
-        """Direct parents of ``level`` in the rollup order."""
-        self._check_level(level)
-        return set(self._graph.successors(level))
+        return self._order.bottom
 
     def children(self, level: str) -> Set[str]:
         """Direct children of ``level``."""
         self._check_level(level)
-        return set(self._graph.predecessors(level))
+        return set(self._order.below(level))
 
     def edges(self) -> List[Tuple[str, str]]:
         """All direct (child, parent) pairs."""
-        return list(self._graph.edges)
+        return self._order.edges()
 
     def rolls_up_to(self, lower: str, upper: str) -> bool:
         """True when ``lower`` ⪯ ``upper`` in the transitive order."""
         self._check_level(lower)
         self._check_level(upper)
-        return lower == upper or nx.has_path(self._graph, lower, upper)
+        return self._order.leq(lower, upper)
 
     def path(self, lower: str, upper: str) -> List[str]:
         """Return one rollup path from ``lower`` to ``upper`` (inclusive)."""
-        self._check_level(lower)
-        self._check_level(upper)
         if not self.rolls_up_to(lower, upper):
             raise SchemaError(
                 f"level {lower!r} does not roll up to {upper!r} "
                 f"in dimension {self.name!r}"
             )
-        return nx.shortest_path(self._graph, lower, upper)
+        return self._order.shortest_path(lower, upper)
 
     def all_paths(self, lower: str, upper: str) -> List[List[str]]:
         """Return every rollup path between two comparable levels."""
         self._check_level(lower)
         self._check_level(upper)
-        if lower == upper:
-            return [[lower]]
-        return [list(p) for p in nx.all_simple_paths(self._graph, lower, upper)]
+        return self._order.all_paths(lower, upper)
 
     def _check_level(self, level: str) -> None:
-        if level not in self._graph:
+        if level not in self._order:
             raise SchemaError(
                 f"unknown level {level!r} in dimension {self.name!r}"
             )

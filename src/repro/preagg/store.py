@@ -676,8 +676,8 @@ class PreAggStore(GranuleStore):
         Scanning these rows and unioning with :meth:`objects_through`
         over the run reproduces the serial window scan exactly.  A
         prepared leaf computes it once (:attr:`~repro.query.evaluator
-        .Leaf.sliver_mask`), which both prices and runs the hybrid from
-        it; :meth:`window_dwell` once per call.
+        .Leaf.sliver_mask`), which prices and runs both the hybrid and
+        the dwell read from it; :meth:`window_dwell` once per call.
 
         Every row's instant is registered (:meth:`_granule_codes_checked`
         refuses any other at build and at every update), so a sliver
@@ -729,11 +729,22 @@ class PreAggStore(GranuleStore):
         the run does not hold — summed per polygon of ``ids`` in (object,
         time) order.
         """
-        ids = list(ids)
         polygons = self._gid_codes(ids)  # the typed error, covered or not
         run = self.covered_run(start, end)
-        total = 0.0 if run is None else self.dwell_time(ids, *run)
-        mask = self._sliver_scan_mask(start, end, run)
+        return self._window_dwell(
+            polygons, run, self._sliver_scan_mask(start, end, run)
+        )
+
+    def _window_dwell(
+        self,
+        polygons: np.ndarray,
+        run: Optional[Tuple[int, int]],
+        mask: Optional[np.ndarray],
+    ) -> float:
+        """:meth:`window_dwell` of ``polygons`` (:meth:`_gid_codes`) over
+        the granule ``run`` and the sliver rows ``mask`` of a window
+        (:meth:`_sliver_scan_mask`), which a prepared leaf holds."""
+        total = 0.0 if run is None else self._run_dwell(polygons, *run)
         if mask is None:
             return total
         lo, hi = self._span(run)

@@ -1203,17 +1203,16 @@ def _dwell_leaf(leaf, strategy, executor, stats, run) -> None:
     restricted table (:meth:`~repro.geometry.kernels.PolygonPass
     .dwell_pairs`: segments in cells decided inside a polygon, then one
     broad phase and one dwell-kernel call for the rest), added up polygon
-    by polygon in id order.  A store read of an aligned restriction is
-    the run's cells, which is what ``window_dwell`` reduces to when the
-    window leaves no sliver."""
+    by polygon in id order.  A store read takes the leaf's held sliver
+    rows (none when the restriction is aligned: the run's cells)."""
     context, ids = leaf.context, leaf.sorted_ids
     if strategy == "preagg":
         leaf.count("preagg_hits", stats)
         run.answer = _store_read(
             leaf, run,
-            lambda: leaf.store._run_dwell(leaf.gid_codes, *leaf.granules)
-            if leaf.aligned
-            else leaf.store.window_dwell(ids, *leaf.window),
+            lambda: leaf.store._window_dwell(
+                leaf.gid_codes, leaf.granules, leaf.sliver_mask
+            ),
         )
         return
     polygons = context.geometry_index(*leaf.target, ids, obs=stats)

@@ -76,15 +76,10 @@ class TestLayerHierarchy:
         with pytest.raises(SchemaError):
             LayerHierarchy("L", [(POINT, "blob"), ("blob", ALL)])
 
-    def test_coarser_finer(self):
-        h = LayerHierarchy("L", [(POINT, LINE), (LINE, POLYLINE), (POLYLINE, ALL)])
-        assert h.coarser(LINE) == {POLYLINE}
-        assert h.finer(POLYLINE) == {LINE}
-
     def test_unknown_kind_query_raises(self):
         h = LayerHierarchy("L", [(POINT, NODE), (NODE, ALL)])
         with pytest.raises(SchemaError):
-            h.coarser(POLYGON)
+            h.is_coarsening(POLYGON, ALL)
 
 
 class TestAttributePlacement:

@@ -57,9 +57,8 @@ class TestSchema:
     def test_bottom_level(self):
         assert geo_schema().bottom_level == "city"
 
-    def test_parents_children(self):
+    def test_children(self):
         schema = geo_schema()
-        assert schema.parents("city") == {"province", "region"}
         assert schema.children("country") == {"province", "region"}
 
     def test_rolls_up_to_transitive(self):
@@ -87,7 +86,7 @@ class TestSchema:
 
     def test_unknown_level_raises(self):
         with pytest.raises(SchemaError):
-            geo_schema().parents("galaxy")
+            geo_schema().children("galaxy")
 
 
 class TestInstance:

@@ -244,3 +244,33 @@ def test_windowed_reads_equal_the_scan(world, a, b):
     assert count == expected[0]
     assert seconds == pytest.approx(expected[1], rel=1e-9, abs=1e-9)
     assert warm.obs.count("preagg_hits") - hits == (2 if served else 0)
+
+
+def test_warm_misaligned_dwell_computes_its_sliver_once(monkeypatch):
+    """The dwell read of a misaligned window takes the sliver rows its
+    prepared leaf holds: the mask is built by the cold call alone, and
+    every warm answer is bit-equal to the cold one."""
+    plain, warm = make_world()
+    calls = []
+    original = PreAggStore._sliver_scan_mask
+
+    def spied(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(PreAggStore, "_sliver_scan_mask", spied)
+    window = (10, 47)
+    args = (warm, TARGET, CONSTRAINTS, "FM")
+    cold = total_dwell_time(*args, window=window)
+    warm_answers = [total_dwell_time(*args, window=window) for _ in range(3)]
+    assert warm.obs.count("preagg_hits") == 4
+    assert len(calls) == 1
+    assert all(
+        np.float64(answer).tobytes() == np.float64(cold).tobytes()
+        for answer in warm_answers
+    )
+    assert cold == pytest.approx(
+        total_dwell_time(plain, TARGET, CONSTRAINTS, "FM", window=window,
+                         use_preagg=False),
+        rel=1e-9,
+    )
