@@ -184,3 +184,14 @@ class ShardExecutionError(EvaluationError):
         super().__init__(message)
         self.failures = tuple(failures)
         self.faults = tuple(faults)
+
+
+class ShardMissing(Exception):
+    """A shard task reached a process that lacks what its payload only
+    names: the shared-memory image of a key-only shard descriptor (a new
+    worker, one of a replaced pool, or one that evicted the image), or
+    the geometry state of a counter that travelled as its answer's key
+    (a layer the process never held).  Not a failure: the task needs
+    re-sending with the block and the geometries
+    (:func:`repro.parallel.backends.resilient_map`'s ``resend``)."""
+

@@ -54,16 +54,10 @@ class Grid(NamedTuple):
         """
         if not geometries:
             raise GeometryError("cannot index an empty geometry collection")
-        corners = np.array([
-            (geom.x, geom.y, geom.x, geom.y) if isinstance(geom, Point)
-            else (geom.bbox.min_x, geom.bbox.min_y,
-                  geom.bbox.max_x, geom.bbox.max_y)
-            for geom in geometries.values()
-        ], dtype=np.float64)
-        boxes = tuple(corners.T)
+        boxes = boxes_of(geometries)
         x0, y0, x1, y1 = boxes
-        left, bottom = corners[:, :2].min(axis=0).tolist()
-        right, top = corners[:, 2:].max(axis=0).tolist()
+        left, bottom = float(x0.min()), float(y0.min())
+        right, top = float(x1.max()), float(y1.max())
         span = max(right - left, top - bottom)
         if span == 0:
             size = 1.0
@@ -102,6 +96,19 @@ class Grid(NamedTuple):
             ].tolist()
             if bx0[p] <= x <= bx1[p] and by0[p] <= y <= by1[p]
         ]
+
+
+def boxes_of(geometries: Dict[Hashable, object]) -> Tuple[np.ndarray, ...]:
+    """``(min_x, min_y, max_x, max_y)`` of ``geometries`` in dict order
+    (a Point is its own box): the boxes a :class:`Grid` holds, or the
+    probes of a broad phase against one."""
+    corners = np.array([
+        (geom.x, geom.y, geom.x, geom.y) if isinstance(geom, Point)
+        else (geom.bbox.min_x, geom.bbox.min_y,
+              geom.bbox.max_x, geom.bbox.max_y)
+        for geom in geometries.values()
+    ], dtype=np.float64).reshape(-1, 4)
+    return tuple(corners.T)
 
 
 def _cell(frame, x, y):

@@ -67,9 +67,7 @@ Backends (:func:`set_kernel_backend`):
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -199,20 +197,15 @@ def polygon_edge_arrays(polygon: Polygon) -> EdgeTable:
     return cached
 
 
-#: The decided-cell grid (:class:`LabelGrid`): square cells, about one
-#: per point of the call that builds it (never more cells than points)
-#: and never more than ``_LABEL_SPAN`` across the polygons' extent (so at
-#: most ``(_LABEL_SPAN + 1) ** 2`` cells).  A call over fewer than
-#: ``_LABEL_MIN_POINTS`` points builds none: below that, a store fold
-#: (the sample pass builds the grid, the segment pass reads it) costs
-#: more with the grid than without (docs/storage.md, "The label-cell
-#: size").
+#: The decided-cell grid (:class:`LabelGrid`): square cells,
+#: ``_LABEL_SPAN`` across the polygons' extent (so at most
+#: ``(_LABEL_SPAN + 1) ** 2`` cells), built once per pass, at its first
+#: call over ``_LABEL_MIN_POINTS`` points or more.  Below that a store
+#: fold (the sample pass builds the grid, the segment pass reads it)
+#: costs more with the grid than without (docs/storage.md, "The
+#: label-cell size"); a grid once built serves every later call.
 _LABEL_SPAN = 128
 _LABEL_MIN_POINTS = 1024
-
-#: The serial part of :attr:`PolygonPass.token` (the process id is the
-#: other).
-_PASS_TOKENS = itertools.count()
 
 #: Float slop of the decided-cell test, relative to the largest
 #: coordinate magnitude of the polygons: some four thousand ulps, against
@@ -287,25 +280,15 @@ class LabelGrid:
         return self.decided(x0, y0, x1, y1) == OUTSIDE
 
 
-def _label_geometry(
-    edges: EdgeTable, points: float
-) -> Tuple[float, float, float, int, int]:
-    """The decided-cell grid over the polygons' extent for a call over
-    ``points`` points (``math.inf``: the finest), the one cell-size rule.
-
-    The side solves ``(width / size + 1) (height / size + 1) = points``,
-    grown by a relative ``2 ** -30`` so that rounding never adds a row
-    or a column: at most ``points`` cells."""
+def _label_geometry(edges: EdgeTable) -> Tuple[float, float, float, int, int]:
+    """The decided-cell grid over the polygons' extent, the one
+    cell-size rule: square cells ``_LABEL_SPAN`` across the longer side.
+    A function of the polygons alone, so every pass over them (in this
+    process or another) labels the same cells."""
     ox, oy = float(edges.bminx.min()), float(edges.bminy.min())
     width = float(edges.bmaxx.max()) - ox
     height = float(edges.bmaxy.max()) - oy
     size = max(width, height) / _LABEL_SPAN
-    if points < math.inf:
-        across, area, more = width + height, width * height, points - 1.0
-        fit = (across + math.sqrt(across * across + 4.0 * area * more)) / (
-            2.0 * more
-        )
-        size = max(size, fit * (1.0 + 2.0 ** -30))
     if not size > 0.0:
         size = 1.0
     return ox, oy, size, int(width // size) + 1, int(height // size) + 1
@@ -395,10 +378,13 @@ class PolygonPass:
     """One pass over a polygon list: its edge table (for the kernels),
     its :class:`~repro.geometry.index.Grid` (for the broad phase) and,
     once a call brings enough points to pay for it, a :class:`LabelGrid`
-    of decided cells sized by that call (:meth:`labels_for`; for point
-    containment and segments in one label's cells); position ``p`` is
-    the list's ``p``-th polygon in all of them.  Nothing below depends
-    on the cell size: every grid decides exactly.
+    of decided cells (:meth:`labels_for`; for point containment and
+    segments in one label's cells); position ``p`` is the list's
+    ``p``-th polygon in all of them.  The label grid is the finest
+    (``_LABEL_SPAN`` cells across), whichever call builds it, so a pass
+    shared by many callers (a layer's, :meth:`repro.gis.layer.Layer
+    .geometry_index`) decides the same cells for all of them.  Nothing
+    below depends on the cell size: every grid decides exactly.
 
     **Decided cells are exact.**  A cell is *decided* for polygon ``p``
     when no edge box of ``p``, grown by ``2 x tolerance`` plus a float
@@ -461,7 +447,7 @@ class PolygonPass:
       zero keeps :func:`polygon_sums`' pairwise sums as they were.)
     """
 
-    __slots__ = ("edges", "grid", "labels", "token")
+    __slots__ = ("edges", "grid", "labels")
 
     def __init__(
         self, edges: EdgeTable, grid: Grid, labels: Optional[LabelGrid] = None
@@ -469,38 +455,23 @@ class PolygonPass:
         self.edges, self.grid = edges, grid
         #: The decided-cell grid once built (None before).
         self.labels = labels
-        #: Names this pass (its polygons, in order) across processes: a
-        #: shard task keeps the pass it rebuilt under it.
-        self.token = f"{os.getpid():x}.{next(_PASS_TOKENS):x}"
 
     @classmethod
     def of(cls, polygons: Dict[Hashable, Polygon]) -> "PolygonPass":
         """Over ``polygons`` in dict order, with a new grid."""
         return cls(EdgeTable(polygons.values()), Grid.of(polygons))
 
-    def label(self) -> LabelGrid:
-        """The decided-cell grid, built at the first call (the finest:
-        ``_LABEL_SPAN`` cells across)."""
-        if self.labels is None:
-            self.labels = _label_grid(
-                self.edges, _label_geometry(self.edges, math.inf)
-            )
-        return self.labels
-
     def labels_for(self, points: int) -> Optional[LabelGrid]:
         """The decided-cell grid for a call over ``points`` points:
         built at the first call over at least ``_LABEL_MIN_POINTS``
-        points, with about one cell per point (at most ``_LABEL_SPAN``
-        across), and kept from then on; None before that and under the
-        ``scalar`` backend."""
+        points (the finest, :func:`_label_geometry`) and kept from then
+        on; None before that and under the ``scalar`` backend."""
         if _backend == "scalar":
             return None
         if self.labels is None:
             if points < _LABEL_MIN_POINTS:
                 return None
-            self.labels = _label_grid(
-                self.edges, _label_geometry(self.edges, points)
-            )
+            self.labels = _label_grid(self.edges, _label_geometry(self.edges))
         return self.labels
 
     def dwell_pairs(

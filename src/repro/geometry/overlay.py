@@ -13,10 +13,10 @@ reduces to set operations over those id relations (see
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import GeometryError
-from repro.geometry.index import Grid, candidate_pairs
+from repro.geometry.index import Grid, boxes_of, candidate_pairs
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.poi import Poi
 from repro.geometry.polygon import Polygon
@@ -153,6 +153,12 @@ class LayerOverlay:
     layers:
         Mapping ``layer name -> {geometry id -> geometry}``.  Geometry ids
         must be unique within their layer.
+    kept:
+        A layer's :class:`~repro.geometry.index.Grid` by name, over its
+        geometries in id order (``repr`` of the id), where one is kept
+        (None where not): a GIS hands its layers' kept indexes
+        (:meth:`repro.gis.layer.Layer.kept_index`).  Any other grid is
+        built for the relation that needs it.
 
     The pairwise relations are computed lazily per ``(layer_a, layer_b,
     predicate)`` and cached, so building the overlay is cheap and only the
@@ -160,15 +166,17 @@ class LayerOverlay:
     overlay precomputation.  :meth:`precompute_all` forces the full overlay.
     """
 
-    def __init__(self, layers: Dict[str, Dict[Hashable, Geometry]]) -> None:
+    def __init__(
+        self,
+        layers: Dict[str, Dict[Hashable, Geometry]],
+        kept: Optional[Callable[[str], Optional[Grid]]] = None,
+    ) -> None:
         if not layers:
             raise GeometryError("overlay needs at least one layer")
         self._layers: Dict[str, Dict[Hashable, Geometry]] = {
             name: dict(geoms) for name, geoms in layers.items()
         }
-        #: Each non-empty layer's grid, built when a relation first needs
-        #: it; positions follow the layer's dict order.
-        self._grids: Dict[str, Grid] = {}
+        self._kept = kept
         self._cache: Dict[
             Tuple[str, str, str], Set[Tuple[Hashable, Hashable]]
         ] = {}
@@ -188,9 +196,12 @@ class LayerOverlay:
             raise GeometryError(f"unknown layer: {name!r}") from None
 
     def _grid(self, name: str) -> Grid:
-        if name not in self._grids:
-            self._grids[name] = Grid.of(self._layers[name])
-        return self._grids[name]
+        """A non-empty layer's grid, positions in id order."""
+        grid = self._kept(name) if self._kept is not None else None
+        if grid is None:
+            geoms = self._layers[name]
+            grid = Grid.of({g: geoms[g] for g in sorted(geoms, key=repr)})
+        return grid
 
     # -- precomputed relations ------------------------------------------------
 
@@ -310,9 +321,9 @@ class LayerOverlay:
         result: Set[Tuple[Hashable, Hashable]] = set()
         if not geoms_a or not geoms_b:
             return result
-        ids_a, ids_b = list(geoms_a), list(geoms_b)
+        ids_a, ids_b = sorted(geoms_a, key=repr), sorted(geoms_b, key=repr)
         pos, at = candidate_pairs(
-            self._grid(layer_b), *self._grid(layer_a).boxes
+            self._grid(layer_b), *boxes_of({a: geoms_a[a] for a in ids_a})
         )
         for b, a in zip(pos.tolist(), at.tolist()):
             geom_a, geom_b = geoms_a[ids_a[a]], geoms_b[ids_b[b]]

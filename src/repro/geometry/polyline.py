@@ -51,11 +51,6 @@ class Polyline:
         """Tight axis-aligned bounding box over all vertices."""
         return BoundingBox.from_points(self.vertices)
 
-    @property
-    def is_closed(self) -> bool:
-        """True when the first and last vertices coincide."""
-        return self.vertices[0] == self.vertices[-1]
-
     def contains_point(self, point: Point) -> bool:
         """Return True when ``point`` lies on one of the chain's segments."""
         return any(seg.contains_point(point) for seg in self.segments())
@@ -113,20 +108,6 @@ class Polyline:
             ):
                 points.append(candidate)
         return points
-
-    def resampled(self, num_points: int) -> "Polyline":
-        """Return a copy re-sampled to ``num_points`` equally spaced vertices."""
-        if num_points < 2:
-            raise GeometryError("resampling needs at least two points")
-        total = self.length
-        if total == 0:
-            raise GeometryError("cannot resample a zero-length polyline")
-        return Polyline(
-            [
-                self.point_at_distance(total * i / (num_points - 1))
-                for i in range(num_points)
-            ]
-        )
 
     def simplified(self, tolerance: float) -> "Polyline":
         """Return a Douglas-Peucker simplification within ``tolerance``."""

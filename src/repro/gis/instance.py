@@ -15,13 +15,15 @@ An instance provides, on top of a :class:`~repro.gis.schema.GISDimensionSchema`:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import InstanceError, RollupError, SchemaError
+from repro.geometry.index import Grid
 from repro.geometry.overlay import LayerOverlay
 from repro.geometry.point import Point
 from repro.gis import geometries as gk
-from repro.gis.layer import Layer
+from repro.gis.layer import Layer, grid_of
 from repro.gis.schema import GISDimensionSchema
 from repro.olap.dimension import DimensionInstance
 
@@ -280,10 +282,26 @@ class GISDimensionInstance:
         """
         if self._overlay is None:
             named: Dict[str, Dict[Hashable, object]] = {}
+            sources: Dict[str, Tuple[Layer, str]] = {}
             for layer_name, layer in self._layers.items():
                 for kind in layer.kinds():
                     named[f"{layer_name}:{kind}"] = layer.elements(kind)
+                    sources[f"{layer_name}:{kind}"] = (layer, kind)
             if not named:
                 raise InstanceError("no geometries loaded; cannot build overlay")
-            self._overlay = LayerOverlay(named)
+            # (The overlay holds the layers, not this instance: no cycle.)
+            self._overlay = LayerOverlay(
+                named, kept=partial(_kept_grid, sources)
+            )
         return self._overlay
+
+
+def _kept_grid(
+    sources: Dict[str, Tuple[Layer, str]], name: str
+) -> Optional[Grid]:
+    """The grid of the overlay layer ``name`` (``"<layer>:<kind>"``)
+    when its layer keeps the kind's whole index (None: it does not)."""
+    layer, kind = sources[name]
+    index = layer.kept_index(kind)
+    return None if index is None else grid_of(index)
+

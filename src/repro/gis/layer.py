@@ -6,17 +6,78 @@ kind (nodes, lines, polylines, polygons).  The algebraic ``point`` level is
 rollup relation from points to stored elements is answered on demand by
 :meth:`Layer.locate_point` (exactly as the paper describes the edge
 ``(point, polygon)`` "associates infinite point sets with polygons").
+
+A layer also owns the geometry state derived from its elements
+(:meth:`Layer.geometry_index`): one index per ``(kind, id set)``, the
+:class:`~repro.geometry.kernels.PolygonPass` of a polygon answer, the
+:class:`~repro.geometry.index.Grid` of any other.  Section 5 evaluates
+the geometric subquery to a set of ids and then intersects trajectories
+with those geometries; Piet computes that state once per GIS, and so
+does this cache: every context, snapshot, store and shard task over the
+layer reads it.  An id never changes its geometry (:meth:`Layer.add`
+refuses a duplicate), so a key names the same polygons for the layer's
+lifetime.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+import itertools
+import os
+import threading
+import time
+import weakref
+from collections import OrderedDict
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import InstanceError, SchemaError
 from repro.geometry.index import Grid
+from repro.geometry.kernels import PolygonPass
 from repro.geometry.overlay import geometries_intersect
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
 from repro.gis import geometries as gk
+from repro.obs import PipelineStats
+
+#: Geometry indexes a layer keeps (:meth:`Layer.geometry_index`), least
+#: recently used first out.
+GEOMETRY_INDEXES = 16
+
+#: The index of one geometric answer: a polygon answer's pass, or the
+#: grid of any other.
+GeometryIndex = Union[PolygonPass, Grid]
+
+#: What names one answer's geometry state across processes: the layer
+#: instance's token, the kind and the id set (:meth:`Layer.key`).
+AnswerKey = Tuple[str, str, FrozenSet[Hashable]]
+
+#: The serial part of a layer's token (the process id is the other).
+_TOKENS = itertools.count()
+
+#: This process's layers by token: those it made or unpickled, those a
+#: fork handed it, and stand-ins (:meth:`Layer.answer`).
+_LIVE: "weakref.WeakValueDictionary[str, Layer]" = (
+    weakref.WeakValueDictionary()
+)
+
+#: The stand-ins for layers of other processes: nothing else here
+#: refers to them.  One per foreign layer a shard task was sent the
+#: geometries of, for the life of the process (a pool worker's).
+_STAND_INS: Dict[str, "Layer"] = {}
+
+
+def grid_of(index: GeometryIndex) -> Grid:
+    """The broad-phase grid of an index (a pass holds one)."""
+    return index.grid if isinstance(index, PolygonPass) else index
 
 
 class Layer:
@@ -27,9 +88,29 @@ class Layer:
             raise SchemaError("layer name must be non-empty")
         self.name = name
         self._elements: Dict[str, Dict[Hashable, object]] = {}
-        #: Per kind, its ids in position order and their grid, built at
-        #: the first point located.
-        self._grids: Dict[str, Tuple[List[Hashable], Grid]] = {}
+        self._start_caches()
+
+    def _start_caches(self, token: Optional[str] = None) -> None:
+        #: Names this layer instance in this process and in the shard
+        #: tasks it sends (pid-qualified; never only the name: two worlds
+        #: may share layer names and ids).  A pickle gets a new one.
+        self.token = token or f"{os.getpid():x}.{next(_TOKENS):x}"
+        _LIVE[self.token] = self
+        #: (kind, id set) -> (ids in position order, index).
+        self._indexes: "OrderedDict[Tuple[str, FrozenSet], tuple]" = (
+            OrderedDict()
+        )
+        #: Per kind, the set of all its ids (what ``ids=None`` means).
+        self._all: Dict[str, FrozenSet[Hashable]] = {}
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # The derived geometry state is this process's cache.
+        return {"name": self.name, "_elements": self._elements}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._start_caches()
 
     def __repr__(self) -> str:
         sizes = {kind: len(elems) for kind, elems in self._elements.items()}
@@ -56,7 +137,7 @@ class Layer:
                 f"{self.name!r}"
             )
         bucket[element_id] = geometry
-        self._grids.pop(kind, None)  # invalidate
+        self._all.pop(kind, None)
 
     # -- access -----------------------------------------------------------------
 
@@ -96,17 +177,133 @@ class Layer:
 
         This is the paper's rollup relation ``r^{point,kind}_L`` evaluated
         at one point.  Points on shared boundaries belong to every adjacent
-        element.
+        element.  The candidates come from the grid of the kind's whole
+        index (:meth:`geometry_index`).
         """
         gk.validate_kind(kind)
         elems = self._elements.get(kind)
         if not elems:
             return set()
-        if kind not in self._grids:
-            self._grids[kind] = (list(elems), Grid.of(elems))
-        ids, grid = self._grids[kind]
+        ids, index = self._indexed(kind)
         return {
             ids[p]
-            for p in grid.query_point(point.x, point.y)
+            for p in grid_of(index).query_point(point.x, point.y)
             if geometries_intersect(elems[ids[p]], point)
         }
+
+    # -- derived geometry state ------------------------------------------
+
+    def key(
+        self, kind: str, ids: Optional[Iterable[Hashable]] = None
+    ) -> AnswerKey:
+        """What names the answer ``ids`` (default: every id) of ``kind``
+        across processes (:meth:`answer`)."""
+        return (self.token, kind, self._id_set(kind, ids))
+
+    def _id_set(
+        self, kind: str, ids: Optional[Iterable[Hashable]]
+    ) -> FrozenSet[Hashable]:
+        if ids is not None:
+            return frozenset(ids)
+        whole = self._all.get(kind)
+        if whole is None:
+            whole = self._all[kind] = frozenset(self._elements.get(kind, ()))
+        return whole
+
+    def geometry_index(
+        self,
+        kind: str,
+        ids: Optional[Iterable[Hashable]] = None,
+        obs: Sequence[PipelineStats] = (),
+    ) -> GeometryIndex:
+        """The index of the answer ``ids`` (default: every id) of
+        ``kind``, over its geometries in id order (``repr`` of the id):
+        the :class:`~repro.geometry.kernels.PolygonPass` when every one
+        is a polygon (edge table, grid and decided cells, for the batched
+        scans and the store folds), else the
+        :class:`~repro.geometry.index.Grid`.
+
+        Built once per ``(kind, frozenset(ids))`` and kept, the last
+        :data:`GEOMETRY_INDEXES` of them, for every reader of the layer:
+        contexts and their snapshots, :meth:`locate_point`, the stores
+        kept over the layer, and the overlay (which reads the kind's
+        whole index when kept, :meth:`kept_index`).  Counted as
+        ``grid_index_builds`` / ``grid_index_cache_hits`` into each of
+        ``obs``; build time lands in the ``index_build`` stage of the
+        first."""
+        return self._indexed(kind, ids, obs)[1]
+
+    def kept_index(
+        self, kind: str, ids: Optional[Iterable[Hashable]] = None
+    ) -> Optional[GeometryIndex]:
+        """:meth:`geometry_index` of this answer if it is kept (None:
+        it is not; nothing is built)."""
+        with self._lock:
+            entry = self._indexes.get((kind, self._id_set(kind, ids)))
+        return None if entry is None else entry[1]
+
+    def _indexed(
+        self,
+        kind: str,
+        ids: Optional[Iterable[Hashable]] = None,
+        obs: Sequence[PipelineStats] = (),
+    ) -> Tuple[Tuple[Hashable, ...], GeometryIndex]:
+        """:meth:`geometry_index` with the ids in position order."""
+        key = (kind, self._id_set(kind, ids))
+        with self._lock:
+            entry = self._indexes.get(key)
+            if entry is not None:
+                self._indexes.move_to_end(key)
+        for observer in obs:
+            observer.incr(
+                "grid_index_builds" if entry is None
+                else "grid_index_cache_hits"
+            )
+        if entry is not None:
+            return entry
+        elements = self._elements.get(kind, {})
+        order = tuple(sorted(key[1], key=repr))
+        answer = {gid: elements[gid] for gid in order}
+        start = time.perf_counter()
+        if all(isinstance(g, Polygon) for g in answer.values()):
+            index = PolygonPass.of(answer)
+        else:
+            index = Grid.of(answer)
+        if obs:
+            obs[0].record("index_build", time.perf_counter() - start)
+        with self._lock:
+            # (Another thread may have built it meanwhile: keep one.)
+            entry = self._indexes.setdefault(key, (order, index))
+            self._indexes.move_to_end(key)
+            while len(self._indexes) > GEOMETRY_INDEXES:
+                self._indexes.popitem(last=False)
+        return entry
+
+    @staticmethod
+    def answer(
+        key: AnswerKey, geometries: Optional[Dict[Hashable, object]] = None
+    ) -> Optional[Tuple[Dict[Hashable, object], GeometryIndex]]:
+        """The geometries (in id order) and index of the answer ``key``
+        names, from the layer instance its token names in this process:
+        the layer itself, the copy a fork handed a pool worker, or a
+        stand-in.  ``geometries`` (a re-sent shard task's) are adopted
+        first, into a new stand-in if this process holds no such layer.
+        None when the process lacks the layer or some id of it."""
+        token, kind, ids = key
+        layer = _LIVE.get(token)
+        if geometries is not None:
+            if layer is None:
+                layer = object.__new__(Layer)
+                layer.name, layer._elements = token, {}
+                layer._start_caches(token)
+                _STAND_INS[token] = layer
+            bucket = layer._elements.setdefault(kind, {})
+            missing = {g: geometries[g] for g in geometries if g not in bucket}
+            if missing:
+                bucket.update(missing)
+                layer._all.pop(kind, None)
+        if layer is None or not ids <= layer._elements.get(kind, {}).keys():
+            return None
+        order, index = layer._indexed(kind, ids)
+        elements = layer._elements[kind]
+        return {gid: elements[gid] for gid in order}, index

@@ -265,7 +265,9 @@ class StreamingIngestor:
         self._count_snapshot(head)
 
     def _build_store(self, table: MOFT, spec: StoreSpec):
-        """Build the store flavor a spec asks for over one table version."""
+        """Build the store flavor a spec asks for over one table version
+        (a polygon store folds through the layer's kept pass, which
+        every snapshot's scans of the same answer read too)."""
         elements = self.gis.layer(spec.layer).elements(spec.kind)
         if spec.kind == "poi":
             from repro.poi import PoiVisitStore
@@ -287,6 +289,7 @@ class StreamingIngestor:
             layer=spec.layer,
             kind=spec.kind,
             obs=self.obs,
+            polygons=self.gis.layer(spec.layer).geometry_index(spec.kind),
         )
 
     # -- reader API ----------------------------------------------------------

@@ -251,18 +251,6 @@ class SegmentBatch:
             return self._bounds
         return tuple(v[subset] for v in self._bounds)
 
-    def near(
-        self, box: BoundingBox, subset: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Indices of the segments (of ``subset``) whose box meets ``box``:
-        the brute-force box test of one geometry."""
-        minx, miny, maxx, maxy = self.boxes(subset)
-        keep = ~(
-            (minx > box.max_x) | (maxx < box.min_x)
-            | (miny > box.max_y) | (maxy < box.min_y)
-        )
-        return np.flatnonzero(keep) if subset is None else subset[keep]
-
 
 #: Id types that are no other id's ``repr`` and that JSON writes as they
 #: are: exactly these (a subclass such as ``bool`` or ``numpy.str_`` is

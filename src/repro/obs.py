@@ -18,7 +18,9 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
 ``grid_index_builds`` / ``grid_index_cache_hits``
     :meth:`repro.query.EvaluationContext.geometry_index` cache behavior:
     the one index per geometric answer (a polygon answer's pass, any
-    other answer's grid) built, or found cached.
+    other answer's grid) built, or found kept by its layer
+    (:meth:`repro.gis.layer.Layer.geometry_index`, shared by every
+    context over the GIS).
 ``prepared_leaf_hits`` / ``prepared_leaf_misses``
     :meth:`repro.query.EvaluationContext.prepared`: a query whose spec
     found its resolved leaf still valid (no geometric subquery, window
@@ -73,8 +75,9 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     lacked the image, none by a fan-out a warm pool answers from what
     it holds; ``processes`` fan-outs that fell back to pickled shard
     payloads (object ids not encodable as str/int); and shard tasks
-    re-sent with a block because their worker reported the image
-    missing (within the same attempt: never a retry).
+    re-sent with a block (and a scan counter's geometries) because their
+    worker reported the image, or the counter's layer, missing (within
+    the same attempt: never a retry).
 ``shard_cache_hits`` / ``shard_cache_misses``
     :class:`repro.parallel.ShardedExecutor`'s resident shards: MOFT
     fan-outs that found the partition of their ``(table, version, rows,
@@ -83,12 +86,15 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     pushed out by more recently used tables).  Every MOFT fan-out counts
     one or the other; neither says anything about blocks.
 ``pass_cache_hits`` / ``pass_cache_misses``
-    Shard scan tasks whose unpickled counter found the answer's polygon
-    pass (edge table, grid, label grid) among the last few its process
-    kept, by the pass's token and its label grid's frame, and tasks that
-    rebuilt it (labelling the frame again).  Counted in the worker, only
-    when the counter was pickled (the ``processes`` backend) and its
-    answer is polygons.
+    The one miss/re-send protocol of a shard scan task's geometry
+    state.  A counter over a layer's answer is sent as the answer's key
+    alone; a task whose process holds that layer (its own, the copy a
+    fork handed a pool worker, or a stand-in) takes geometries and index
+    from it and counts a hit.  One whose process does not raises
+    :class:`~repro.errors.ShardMissing` (a ``missing_shards`` count) and
+    is re-sent with the geometries in the same attempt, spending no
+    retry; the re-sent task counts the miss.  Counted in the worker,
+    only when the counter was pickled (the ``processes`` backend).
 ``bytes_serialized`` / ``peak_shard_payload_bytes``
     Payload accounting, recorded only under
     ``ShardedExecutor(track_payload_bytes=True)``: total pickled task

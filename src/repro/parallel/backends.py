@@ -46,10 +46,12 @@ On top of ``run_tasks`` sits the *resilient* layer every
   ``serial``), resetting the retry budget of the tasks that exhausted
   it at the richer tier.
 
-A task whose process lacks the shared-memory image its key-only
-descriptor names (:class:`~repro.parallel.shm.ShardMissing`) reports
-the ``"missing"`` status instead of failing; :func:`resilient_map`
-re-sends exactly those tasks, with the block, within the same attempt.
+A task whose process lacks what its payload only names — the
+shared-memory image of a key-only descriptor, or the layer of a scan
+counter sent as its answer's key (:class:`~repro.errors.ShardMissing`)
+— reports the ``"missing"`` status instead of failing;
+:func:`resilient_map` re-sends exactly those tasks, with the block and
+the geometries, within the same attempt.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_ready
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.errors import EvaluationError, ShardExecutionError
+from repro.errors import EvaluationError, ShardExecutionError, ShardMissing
 from repro.obs import PipelineStats
-from repro.parallel.shm import ShardMissing
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -470,9 +471,10 @@ def resilient_map(
       fresh budget; only exhaustion *at serial* raises.
 
     ``resend`` answers a ``"missing"`` outcome (a key-only shard
-    descriptor reached a process without the image): called with the
-    indices of the tasks that reported one, it returns their items
-    again, now with a shared block to attach, and those tasks run once
+    descriptor reached a process without the image, or a scan counter
+    one without its layer): called with the indices of the tasks that
+    reported one, it returns their items again, now with a shared block
+    to attach and the geometries, and those tasks run once
     more on the same backend before any fault or failure rule looks at
     the attempt.  A miss is not an attempt: it takes no fault-plan
     coordinate, no retry budget and no degradation step, on whichever

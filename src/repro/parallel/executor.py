@@ -28,7 +28,10 @@ call (``docs/storage.md``, "Zero-copy process shards"):
 * each **worker** keeps the shards it opened and their segment tables
   (:func:`repro.parallel.shm.open_shard`), so a restricted scan ships
   its window or instant set and masks the resident shard instead of
-  partitioning a freshly masked table;
+  partitioning a freshly masked table; a scan's geometry state is the
+  one its process's copy of the layer keeps
+  (:meth:`repro.gis.layer.Layer.answer`), so a scan task carries its
+  answer's key, never its geometries, unless re-sent;
 * the ``/dev/shm`` **name** is per fan-out, and only a fan-out that
   needs one has it: the first fan-out over an image publishes it; a
   later one sends key-only descriptors and publishes the image only
@@ -155,14 +158,12 @@ RESIDENT_TABLES = 4
 
 def _scan_task(payload) -> ShardOutcome[List[Hashable]]:
     """Run a trajectory-intersection scan over one MOFT shard, masked
-    by the query's time restriction when it has one.  The matched
+    by the query's time restriction when it has one.  A counter that
+    travelled as its answer's key finds its geometry state here at the
+    scan (or raises :class:`~repro.errors.ShardMissing`).  The matched
     objects go back as ids: the shard's codes are not its parent's."""
     counter, shard, restriction = payload
     stats = EvaluationStats()
-    if counter.kept_pass is not None:
-        stats.incr(
-            "pass_cache_hits" if counter.kept_pass else "pass_cache_misses"
-        )
     start = time.perf_counter()
     table = open_shard(shard)
     # A resident shard has its segment index and instant codes already:
@@ -404,7 +405,7 @@ class ShardedExecutor:
     def _fanout_shards(
         self,
         resident: _ResidentShards,
-        make_payload: Callable[[object], object],
+        make_payload: Callable[[object, bool], object],
         task: Callable,
         merge: Callable[[List[M]], object],
         observers: Sequence[PipelineStats] = (),
@@ -412,21 +413,26 @@ class ShardedExecutor:
         """Fan shard work out; on ``processes`` shards travel zero-copy.
 
         ``make_payload`` builds one task payload from either a MOFT
-        shard or a :class:`~repro.parallel.shm.ShardDescriptor`;
-        ``task`` opens whichever it gets.  The image is the resident
-        one.  Its first fan-out publishes it in a shared block; a later
-        one sends key-only descriptors, which the workers that opened
-        the image answer from what they hold, and publishes a block
-        only for the tasks whose worker reports the image missing
-        (re-sent by :func:`~repro.parallel.backends.resilient_map`).
+        shard or a :class:`~repro.parallel.shm.ShardDescriptor`, and
+        whether the task is re-sent; ``task`` opens whichever it gets.
+        The image is the resident one.  Its first fan-out publishes it
+        in a shared block; a later one sends key-only descriptors, which
+        the workers that opened the image answer from what they hold,
+        and publishes a block only for the tasks whose worker reports
+        something missing (re-sent by
+        :func:`~repro.parallel.backends.resilient_map`: the image, or a
+        scan counter's layer, whose geometries the re-sent payload
+        carries too).
         A block lives exactly as long as the fan-out that published it:
         it is unlinked in a ``finally``, so neither task failures,
         retries, nor injected faults can leak a segment.  Worlds the
         columnar format cannot encode (exotic object-id types) fall
         back to pickled shards.
         """
-        def payloads_of(shards: Sequence[object]) -> List[object]:
-            payloads = [make_payload(shard) for shard in shards]
+        def payloads_of(
+            shards: Sequence[object], resent: bool = False
+        ) -> List[object]:
+            payloads = [make_payload(shard, resent) for shard in shards]
             self._account_payloads(payloads)
             return payloads
 
@@ -436,8 +442,12 @@ class ShardedExecutor:
             if image is None:
                 self.obs.incr("zero_copy_fallbacks")
         if image is None:
+            shards = resident.shards
             return self.map_shards(
-                task, payloads_of(resident.shards), merge, observers=observers
+                task, payloads_of(shards), merge, observers=observers,
+                resend=lambda tasks: payloads_of(
+                    [shards[i] for i in tasks], True
+                ),
             )
         block = descriptors = None  # this fan-out's one block, if any
 
@@ -454,7 +464,7 @@ class ShardedExecutor:
             return self.map_shards(
                 task, payloads_of(carried), merge, observers=observers,
                 resend=lambda tasks: payloads_of(
-                    [published()[i] for i in tasks]
+                    [published()[i] for i in tasks], True
                 ),
             )
         finally:
@@ -476,7 +486,8 @@ class ShardedExecutor:
         ``shard_scan`` stage and any worker stats are folded into the
         executor's observer (plus ``observers``).  ``resend`` is
         :func:`~repro.parallel.backends.resilient_map`'s: the payloads
-        of tasks whose worker lacked the shard image, with a block.
+        of tasks whose worker lacked the shard image or a scan
+        counter's layer, with a block and the geometries.
 
         The tasks reach the backend through
         :func:`~repro.parallel.backends.resilient_map` under the
@@ -554,7 +565,9 @@ class ShardedExecutor:
         observers = (stats,) if stats is not None else ()
         return self._fanout_shards(
             resident,
-            lambda shard: (counter, shard, restriction),
+            lambda shard, resent: (
+                counter.carrying() if resent else counter, shard, restriction
+            ),
             _scan_task,
             lambda found: moft.encode(chain.from_iterable(found)),
             observers=observers,
@@ -596,7 +609,7 @@ class ShardedExecutor:
         # of ``time_dim``; the merged store watches the caller's.)
         return self._fanout_shards(
             resident,
-            lambda shard: (
+            lambda shard, _: (
                 cls, shard, time_dim, granule_level, geometries,
                 store_options,
             ),
@@ -642,7 +655,7 @@ class ShardedExecutor:
             return merge([])
         return self._fanout_shards(
             resident,
-            lambda shard: (shard_fn, shard),
+            lambda shard, _: (shard_fn, shard),
             _apply_task,
             merge,
         )

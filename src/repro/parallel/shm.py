@@ -59,6 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ShardMissing
 from repro.mo.moft import MOFT
 from repro.mo.storage import open_image, serialize_columns, table_from_image
 
@@ -158,12 +159,6 @@ class ShardImage:
         return [
             ShardDescriptor(block, lo, hi, self.key) for lo, hi in self.bounds
         ]
-
-
-class ShardMissing(Exception):
-    """A key-only descriptor reached a process that holds no shard of
-    its image: a new worker, one of a replaced pool, or one that evicted
-    the image.  Not a failure — the task needs the block re-sent."""
 
 
 def serialize_shards(shards: Sequence[MOFT]) -> ShardImage:

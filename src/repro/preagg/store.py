@@ -260,6 +260,11 @@ class PreAggStore(GranuleStore):
     obs:
         Observer receiving ``preagg_build`` / ``preagg_update`` stage
         timings.
+    polygons:
+        The pass to fold through, over exactly ``geometries`` in id
+        order: a layer's kept one (:meth:`repro.gis.layer.Layer
+        .geometry_index`), as the streaming ingestor hands it.
+        Default: the store's own (:attr:`_polygons`).
     """
 
     CELL_KEY = ("kind",)
@@ -279,6 +284,7 @@ class PreAggStore(GranuleStore):
         name: Optional[str] = None,
         obs: Optional[PipelineStats] = None,
         build: bool = True,
+        polygons: Optional[PolygonPass] = None,
     ) -> None:
         if not geometries:
             raise PreAggError("a pre-aggregation store needs >= 1 polygon")
@@ -292,6 +298,8 @@ class PreAggStore(GranuleStore):
             moft, time, granule_level, geometries, layer, kind,
             name if name is not None else f"preagg_{moft.name}", obs,
         )
+        if polygons is not None:
+            self._polygons = polygons
         self._empty_cells()
         if build:
             self.refresh()
@@ -347,12 +355,12 @@ class PreAggStore(GranuleStore):
 
     @cached_property
     def _polygons(self) -> PolygonPass:
-        """The pass over :attr:`gids` (a position is a gid code): built
-        at the first fold, shared by the clones made after it, never
-        pickled (:meth:`__getstate__`).  Its decided-cell grid is the
-        store's own, labelled at the first sample pass bringing more
-        samples than the grid has cells (a build; small ``update()``
-        deltas do without)."""
+        """The pass over :attr:`gids` (a position is a gid code): the
+        one handed in, else built at the first fold; shared by the
+        clones made after it, never pickled (:meth:`__getstate__`).  Its
+        decided-cell grid is built at the first pass over
+        ``_LABEL_MIN_POINTS`` samples or segments
+        (:meth:`~repro.geometry.kernels.PolygonPass.labels_for`)."""
         return PolygonPass.of({gid: self.geometries[gid] for gid in self.gids})
 
     def _span_index(self) -> Tuple[np.ndarray, np.ndarray]:

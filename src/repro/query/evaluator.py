@@ -64,9 +64,7 @@ compatibility.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -88,13 +86,14 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ShardMissing
 from repro.geometry import kernels
 from repro.geometry.index import Grid, candidate_pairs
 from repro.geometry.overlay import geometries_intersect, geometry_bbox
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.segment import Segment
+from repro.gis.layer import AnswerKey, Layer
 from repro.mo import moft as moft_module
 from repro.mo.moft import (
     MOFT,
@@ -193,47 +192,6 @@ def _segments_of(
         lo = hi
 
 
-#: Passes a process keeps from the counters it unpickled (a shard
-#: task's), under ``(token, label frame)``, least recently used first
-#: out.
-_KEPT_PASSES = 8
-_KEPT: "OrderedDict[Tuple[str, Optional[tuple]], kernels.PolygonPass]" = (
-    OrderedDict()
-)
-_KEPT_LOCK = threading.Lock()
-
-
-def _kept_pass(
-    token: str,
-    geometries: Dict[Hashable, Polygon],
-    frame: Optional[tuple],
-) -> Tuple["kernels.PolygonPass", bool]:
-    """The pass an unpickled counter scans with, and whether it was
-    kept: a new pass over the edge table, grid and label grid kept under
-    ``(token, frame)``, or over new ones.  ``frame`` is the sender's
-    label grid's :attr:`~repro.geometry.kernels.LabelGrid.grid` (or
-    None): its labels are a function of the polygons and the frame, so
-    the task labels the frame again rather than receive them.  A label
-    grid the task builds itself stays on its own pass."""
-    key = (token, frame)
-    with _KEPT_LOCK:
-        kept = _KEPT.get(key)
-        if kept is not None:
-            _KEPT.move_to_end(key)
-    hit = kept is not None
-    if not hit:
-        kept = kernels.PolygonPass.of(geometries)
-        if frame is not None:
-            kept.labels = kernels._label_grid(kept.edges, frame)
-        with _KEPT_LOCK:
-            _KEPT[key] = kept
-            while len(_KEPT) > _KEPT_PASSES:
-                _KEPT.popitem(last=False)
-    passes = kernels.PolygonPass(kept.edges, kept.grid, kept.labels)
-    passes.token = token
-    return passes, hit
-
-
 class TrajectoryIntersectionCounter:
     """Counts objects whose trajectory meets any of a set of geometries.
 
@@ -258,12 +216,16 @@ class TrajectoryIntersectionCounter:
         :class:`~repro.geometry.kernels.PolygonPass` when every geometry
         is a polygon, else a :class:`~repro.geometry.index.Grid`.
         Default: built here (a grid only when the walk reads it).  The
-        prefilter sizes the pass's decided-cell grid by the rows it
-        reads, unless :func:`counter_for` built it for the table first.
-        A shard task gets the label grid's frame with the counter and
-        takes the pass from those its process kept (:attr:`kept_pass`),
-        or rebuilds it, labels included (the pickle carries geometries
-        and a frame, not the arrays derived from them).
+        prefilter builds the pass's decided-cell grid when the rows it
+        reads pay for one, unless :func:`counter_for` built it first.
+    key:
+        What names the answer in its layer's cache
+        (:meth:`repro.gis.layer.Layer.key`; None: bare geometries).  A
+        keyed counter travels to a shard task as its key alone, and the
+        task's process takes geometries and index from its own copy of
+        the layer (:meth:`~repro.gis.layer.Layer.answer`); one that holds
+        no such layer raises :class:`~repro.errors.ShardMissing`, and the
+        re-sent task carries the geometries (:meth:`carrying`).
     """
 
     def __init__(
@@ -271,6 +233,7 @@ class TrajectoryIntersectionCounter:
         geometries: Dict[Hashable, object],
         strategy: str = "grid",
         index: Union["kernels.PolygonPass", Grid, None] = None,
+        key: Optional[AnswerKey] = None,
     ) -> None:
         if not geometries:
             raise EvaluationError("no geometries to intersect against")
@@ -282,6 +245,12 @@ class TrajectoryIntersectionCounter:
             gid: geometries[gid] for gid in sorted(geometries, key=repr)
         }
         self.strategy = strategy
+        self.key = key
+        #: Whether a pickle carries the geometries besides the key.
+        self._carry = key is None
+        #: What an unpickled keyed counter still has to find (see
+        #: :meth:`_arrive`; None: nothing).
+        self._travelled: Optional[dict] = None
         #: The batched scan's pass (None: not a polygon answer).
         self._pass = None
         if all(isinstance(g, Polygon) for g in self.geometries.values()):
@@ -289,9 +258,6 @@ class TrajectoryIntersectionCounter:
                 index = kernels.PolygonPass.of(self.geometries)
             self._pass = index
             index = self._pass.grid
-        #: Whether a shard task's unpickled counter found its pass among
-        #: those its process kept (None: not unpickled, or no pass).
-        self.kept_pass: Optional[bool] = None
         #: The walk's broad phase (None: the ``serial`` reference tests
         #: every geometry's box).
         self._grid = None
@@ -305,26 +271,50 @@ class TrajectoryIntersectionCounter:
         return self._pass is not None and self.strategy != "serial"
 
     def __getstate__(self) -> dict:
-        # A shard task takes the answer's pass from those its process
-        # kept, by the pass's token and label frame, or rebuilds it from
-        # the geometries and the frame (in fewer bytes than any of its
-        # arrays).
+        # The decided cells are a function of the polygons, so whether
+        # the pass has them is all a task needs to decide alike.
         passes = self._pass
-        frame = None
-        if passes is not None and passes.labels is not None:
-            frame = passes.labels.grid
-        return {"geometries": self.geometries, "strategy": self.strategy,
-                "token": None if passes is None else passes.token,
-                "frame": frame}
+        return {
+            "key": self.key,
+            "strategy": self.strategy,
+            "geometries": self.geometries if self._carry else None,
+            "labelled": passes is not None and passes.labels is not None,
+        }
 
     def __setstate__(self, state: dict) -> None:
-        index = kept = None
-        if state["token"] is not None:
-            index, kept = _kept_pass(
-                state["token"], state["geometries"], state["frame"]
-            )
-        self.__init__(state["geometries"], state["strategy"], index)
-        self.kept_pass = kept
+        if state["key"] is None:
+            self.__init__(state["geometries"], state["strategy"])
+        else:
+            # Found at the first scan, which may raise ShardMissing.
+            self.key, self._travelled = state["key"], state
+
+    def carrying(self) -> "TrajectoryIntersectionCounter":
+        """A copy whose pickle carries the geometries as well as the
+        key: what a shard task is re-sent with when its process lacked
+        the layer."""
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), _carry=True)
+        return out
+
+    def _arrive(self, stats: EvaluationStats) -> None:
+        """Take the geometries and index of an unpickled keyed counter
+        from the layer its key names here, adopting the geometries it
+        carried (:meth:`repro.gis.layer.Layer.answer`).  Counted as
+        ``pass_cache_hits`` (the process held them) or
+        ``pass_cache_misses`` (a re-sent task brought them); raises
+        :class:`~repro.errors.ShardMissing` when neither."""
+        state = self._travelled
+        found = Layer.answer(self.key, state["geometries"])
+        if found is None:
+            raise ShardMissing(self.key)
+        stats.incr(
+            "pass_cache_hits" if state["geometries"] is None
+            else "pass_cache_misses"
+        )
+        geometries, index = found
+        self.__init__(geometries, state["strategy"], index, self.key)
+        if state["labelled"] and self._pass is not None:
+            self._pass.labels_for(kernels._LABEL_MIN_POINTS)
 
     def matching_objects(
         self, moft: MOFT, stats: Optional[EvaluationStats] = None,
@@ -344,6 +334,9 @@ class TrajectoryIntersectionCounter:
         geometries, and every object under ``BATCH_MIN_ROWS`` rows,
         where it is cheaper than the kernel calls.
         """
+        stats = stats if stats is not None else EvaluationStats()
+        if self._travelled is not None:
+            self._arrive(stats)
         index = moft.segment_index()
         if rows is not None:
             index = index.masked(rows)
@@ -657,25 +650,29 @@ def counter_for(
     rows: int,
 ) -> TrajectoryIntersectionCounter:
     """Build the scan counter over one geometric answer (the scan leaf)
-    in the shape of ``strategy``, with the answer's cached index
+    in the shape of ``strategy``, with the answer's kept index
     (:meth:`~repro.query.region.EvaluationContext.geometry_index`) —
     under ``serial`` too for a polygon answer, whose batched scan reads
-    that same pass (only its per-object walk goes without the grid).
+    that same pass (only its per-object walk goes without the grid) —
+    and the answer's key in its layer, which is all a shard task is
+    sent.
 
     With the sample prefilter, the pass's decided-cell grid is built
-    here, sized by the ``rows`` of the table the scan reads, so that it
-    travels with the counter to shard tasks
-    (:meth:`~repro.geometry.kernels.PolygonPass.labels_for`: a table
-    too small to pay for one builds none)."""
+    here when the ``rows`` of the table the scan reads pay for one
+    (:meth:`~repro.geometry.kernels.PolygonPass.labels_for`), so that
+    every shard task decides the same cells."""
     layer, kind = target
-    elements = context.gis.layer(layer).elements(kind)
+    source = context.gis.layer(layer)
+    elements = source.elements(kind)
     geometries = {gid: elements[gid] for gid in ids}
     index = None
     if strategy != "serial" or all(
         isinstance(g, Polygon) for g in geometries.values()
     ):
         index = context.geometry_index(layer, kind, ids, obs=stats)
-    counter = TrajectoryIntersectionCounter(geometries, strategy, index)
+    counter = TrajectoryIntersectionCounter(
+        geometries, strategy, index, source.key(kind, ids)
+    )
     if counter._prefilter:
         counter._pass.labels_for(rows)
     return counter

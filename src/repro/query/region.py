@@ -108,12 +108,6 @@ class EvaluationContext:
         ] = {}
         # Pipeline observability: named counters + per-stage timers.
         self.obs = PipelineStats()
-        # The index of each geometric answer, keyed by (layer, kind,
-        # answer-id-set): repeated queries over the same answer reuse it
-        # instead of rebuilding it per query.
-        self._indexes: Dict[
-            Tuple[str, str, frozenset], Union[PolygonPass, Grid]
-        ] = {}
         # Registered pre-aggregation stores; the resolve step
         # (repro.query.evaluator.resolve_through) consults these.
         self._preagg_stores: List["PreAggStore"] = []
@@ -255,45 +249,31 @@ class EvaluationContext:
         ids: Iterable[Hashable],
         obs: Optional[PipelineStats] = None,
     ) -> Union[PolygonPass, Grid]:
-        """The index of one geometric answer, cached per id set: over the
-        geometries in id order (``repr`` of the id), the
+        """The index of one geometric answer: over the geometries in id
+        order (``repr`` of the id), the
         :class:`~repro.geometry.kernels.PolygonPass` the batched scans
         read when every geometry is a polygon (its grid, edge table and
-        decided cells, built once per answer, not per query), else the
-        answer's :class:`~repro.geometry.index.Grid`.
+        decided cells), else the answer's
+        :class:`~repro.geometry.index.Grid`.
 
         The Section 5 pipeline rebuilds its candidate filter from the
         geometric subquery's answer; answers repeat across queries (the
         subquery is cheap against the overlay and often identical), so
-        the index is cached under ``(layer, kind, frozenset(ids))``.
-        Cache behavior is counted as ``grid_index_builds`` /
-        ``grid_index_cache_hits`` on the context observer (and on ``obs``
-        when given); build time lands in the ``index_build`` stage.
+        the index is the one the layer keeps under ``(kind,
+        frozenset(ids))`` (:meth:`repro.gis.layer.Layer.geometry_index`),
+        shared by every context over the GIS — an ingest snapshot's
+        too.  Counted as ``grid_index_builds`` / ``grid_index_cache_hits``
+        on the context observer (and on ``obs`` when given); build time
+        lands in the context observer's ``index_build`` stage.
         """
-        key = (layer, kind, frozenset(ids))
         observers = [self.obs] if obs is None else [self.obs, obs]
-        index = self._indexes.get(key)
-        if index is not None:
-            for observer in observers:
-                observer.incr("grid_index_cache_hits")
-            return index
-        for observer in observers:
-            observer.incr("grid_index_builds")
-        elements = self.gis.layer(layer).elements(kind)
-        answer = {gid: elements[gid] for gid in sorted(key[2], key=repr)}
-        with self.obs.stage("index_build"):
-            if all(isinstance(g, Polygon) for g in answer.values()):
-                index = PolygonPass.of(answer)
-            else:
-                index = Grid.of(answer)
-        self._indexes[key] = index
-        return index
+        return self.gis.layer(layer).geometry_index(kind, ids, observers)
 
     def has_geometry_index(
         self, layer: str, kind: str, ids: Iterable[Hashable]
     ) -> bool:
-        """Whether :meth:`geometry_index` of this answer is cached."""
-        return (layer, kind, frozenset(ids)) in self._indexes
+        """Whether the layer keeps :meth:`geometry_index` of this answer."""
+        return self.gis.layer(layer).kept_index(kind, ids) is not None
 
     # -- geometry relations (overlay vs naive) ------------------------------------
 

@@ -40,6 +40,8 @@ from repro.obs import PipelineStats
 from repro.synth import CityConfig, build_city
 from repro.synth.movement import random_waypoint_moft
 
+from tests.conftest import segments_near
+
 
 def classify_segments(polygon, x0, y0, x1, y1):
     """The far-field status every batch answer starts from, of each
@@ -528,7 +530,7 @@ class TestCityDwellTakesTheBatchPath:
                 dt = batch.t1 - batch.t0
                 for gid in sorted(polygons, key=repr):
                     polygon = polygons[gid]
-                    near = batch.near(polygon.bbox)
+                    near = segments_near(batch, polygon.bbox)
                     if near.size:
                         dwell, hits = segments_dwell(
                             polygon, *batch.ends(near), dt[near], obs=obs

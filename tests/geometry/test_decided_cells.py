@@ -44,6 +44,7 @@ from repro.synth import CityConfig, build_city, install_city_pois, stop_biased_m
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.conftest import finest_labels
 from tests.geometry.test_clip_kernel import CSHAPE, DIAMOND, HOLED, SQUARE, ZIGZAG
 
 
@@ -102,7 +103,7 @@ def assert_decided_exact(polygons, rng, backend):
     """``points_inside`` with a label grid == the undecided path ==
     ``contains_point``, pair by pair."""
     passes = PolygonPass.of(dict(enumerate(polygons)))
-    labels = passes.label()
+    labels = finest_labels(passes)
     x, y = probes(polygons, labels.grid, rng)
     obs = PipelineStats()
     got = pairs(points_inside(passes, x, y, obs=obs))
@@ -172,10 +173,25 @@ class TestShapes:
         undecided."""
         square = [Point(0, 0), Point(32, 0), Point(32, 32), Point(0, 32)]
         hole = [Point(10, 10), Point(22, 10), Point(22, 22), Point(10, 22)]
-        labels = PolygonPass.of({"holed": Polygon(square, holes=[hole])}).label()
+        labels = finest_labels(
+            PolygonPass.of({"holed": Polygon(square, holes=[hole])})
+        )
         assert labels.grid[2] == 0.25
         found = labels.of(np.array([14.0, 6.0, 10.1]), np.array([14.0, 6.0, 15.0]))
         assert found.tolist() == [OUTSIDE, 0, MIXED]
+
+
+class TestJitteredTiling:
+    """A tiling whose polygons are not their boxes (``jittered_tiling``):
+    points in every tile's core are decided, exactly."""
+
+    def test_points(self, backend, jittered_tiles):
+        labels, decided = assert_decided_exact(
+            list(jittered_tiles.values()), np.random.default_rng(17), backend
+        )
+        if backend == "numpy":
+            assert decided > 0
+            assert (labels.labels >= 0).sum() > len(jittered_tiles)
 
 
 class TestOutsideBoxes:
@@ -215,7 +231,7 @@ class TestOutsideBoxes:
             moved(p, scale, offset + 15 * i * scale, offset)
             for i, p in enumerate(TABLE)
         ]
-        labels = PolygonPass.of(dict(enumerate(polygons))).label()
+        labels = finest_labels(PolygonPass.of(dict(enumerate(polygons))))
         x0, y0, x1, y1 = self.segments(labels.grid, np.random.default_rng(11))
         boxes = (
             np.minimum(x0, x1), np.minimum(y0, y1),
@@ -233,7 +249,7 @@ class TestOutsideBoxes:
 
     def test_table_agrees_with_the_labels(self):
         """A one-cell box is outside exactly when its cell's label is."""
-        labels = PolygonPass.of(dict(enumerate(TABLE))).label()
+        labels = finest_labels(PolygonPass.of(dict(enumerate(TABLE))))
         ox, oy, size, cols, rows = labels.grid
         col, row = np.divmod(np.arange(cols * rows), rows)
         cx, cy = ox + (col + 0.5) * size, oy + (row + 0.5) * size
@@ -280,10 +296,24 @@ class TestDecidedBoxes:
             moved(p, scale, offset + 15 * i * scale, offset)
             for i, p in enumerate(TABLE)
         ]
-        labels = PolygonPass.of(dict(enumerate(polygons))).label()
-        x0, y0, x1, y1 = TestOutsideBoxes.segments(
-            labels.grid, np.random.default_rng(13)
+        self.assert_decided(polygons, np.random.default_rng(13))
+
+    def test_jittered_tiling(self, jittered_tiles):
+        """Neighbours share jittered edges, so every tile's box overlaps
+        its neighbours' and only the tiles' cores can be decided."""
+        self.assert_decided(
+            list(jittered_tiles.values()), np.random.default_rng(19),
+            gaps=False,
         )
+
+    @classmethod
+    def assert_decided(cls, polygons, rng, gaps=True):
+        """Every box of one label is that label's by the scalar
+        predicates; labels read off the summed-area tables equal the
+        cell-by-cell reading.  ``gaps``: the polygons leave cells
+        outside them all (a tiling leaves none)."""
+        labels = finest_labels(PolygonPass.of(dict(enumerate(polygons))))
+        x0, y0, x1, y1 = TestOutsideBoxes.segments(labels.grid, rng)
         # Parked objects: a zero-length segment at every cell centre.
         ox, oy, size, cols, rows = labels.grid
         col, row = np.divmod(np.arange(cols * rows), rows)
@@ -295,11 +325,11 @@ class TestDecidedBoxes:
             np.maximum(x0, x1), np.maximum(y0, y1),
         )
         label = labels.decided(*boxes)
-        assert np.array_equal(label, self.one_label(labels, boxes))
-        assert np.array_equal(label == OUTSIDE, self.reach_outside(labels, boxes))
+        assert np.array_equal(label, cls.one_label(labels, boxes))
+        assert np.array_equal(label == OUTSIDE, cls.reach_outside(labels, boxes))
         assert np.array_equal(labels.outside(*boxes), label == OUTSIDE)
         # Non-vacuous: segments decided inside, outside, and neither.
-        assert (label >= 0).any() and (label == OUTSIDE).any()
+        assert (label >= 0).any() and (label == OUTSIDE).any() == gaps
         assert (label == MIXED).any()
         for k in np.flatnonzero(label != MIXED).tolist():
             segment = Segment(Point(x0[k], y0[k]), Point(x1[k], y1[k]))
@@ -347,30 +377,33 @@ class TestRandom:
 
 class TestLaziness:
     def test_grid_waits_for_enough_points(self):
-        """A call under the floor builds nothing; the grid a call builds
-        has at most that call's points in cells (about one per point,
-        up to ``_LABEL_SPAN`` across) and is kept from then on."""
+        """A call under the floor builds nothing; the first call at or
+        over it builds the one grid, the finest (``_LABEL_SPAN`` cells
+        across the longer side), whatever its size, and every later
+        call gets that grid."""
         floor = kernels._LABEL_MIN_POINTS
         fresh = PolygonPass.of({"square": SQUARE})
         assert fresh.labels_for(floor - 1) is None and fresh.labels is None
         built = fresh.labels_for(floor)
-        assert built is not None and built.grid[3] * built.grid[4] <= floor
+        assert built is not None
         assert fresh.labels_for(1) is built
         assert fresh.labels_for(10**6) is built
         spread = {i: moved(p, 1.0, 15 * i, 0.0) for i, p in enumerate(TABLE)}
         for polygons in ({"square": SQUARE}, spread):
-            for points in (floor, 3_000, 10_000, 16_641, 10**6):
-                grid = PolygonPass.of(polygons).labels_for(points).grid
-                cells = grid[3] * grid[4]
-                assert cells <= points, (points, grid)
-                if max(grid[3], grid[4]) <= kernels._LABEL_SPAN:
-                    assert cells > points / 2, (points, grid)
-                else:
-                    assert max(grid[3], grid[4]) == kernels._LABEL_SPAN + 1
+            grids = {
+                PolygonPass.of(polygons).labels_for(points).grid
+                for points in (floor, 3_000, 10**6)
+            }
+            assert len(grids) == 1
+            (grid,) = grids
+            assert max(grid[3], grid[4]) == kernels._LABEL_SPAN + 1
+            assert grid == kernels._label_geometry(
+                PolygonPass.of(polygons).edges
+            )
 
     def test_scalar_backend_decides_nothing(self, backend):
         passes = PolygonPass.of({"square": SQUARE})
-        passes.label()
+        finest_labels(passes)
         assert (passes.labels_for(10**6) is None) == (backend == "scalar")
 
 
@@ -391,11 +424,12 @@ class TestCompleteness:
         assert share > 0
 
     def test_city_store_decides_what_median_side_cells_cannot(self, monkeypatch):
-        """The record of the cell-size rule: a store build over the
-        10k-sample city, on the grid its sample pass sizes (one cell per
-        sample: 99 x 99), decides a larger share of its dwell pairs than
-        the same build on cells an eighth of the median block side (the
-        rule it replaced: 49 x 49, 17 %)."""
+        """The record of the one cell-size rule: a store build over the
+        10k-sample city on the finest grid (129 x 129) decides a larger
+        share of its dwell pairs than the same build on the grid the
+        rule it replaced sized by the build's samples (one cell per
+        sample: 99 x 99, 25 %), and that more than on cells an eighth of
+        the median block side (the rule before: 49 x 49, 17 %)."""
         city = build_city(
             CityConfig(cols=6, rows=6), rng=np.random.default_rng(20060109)
         )
@@ -415,20 +449,34 @@ class TestCompleteness:
             return decided / pairs, store._polygons.labels.grid
 
         share, grid = decided_share()
-        assert grid[3:] == (99, 99)
+        assert grid[3:] == (129, 129)
 
-        def median_side(edges, points):
+        def extent(edges):
             ox, oy = float(edges.bminx.min()), float(edges.bminy.min())
-            width = float(edges.bmaxx.max()) - ox
-            height = float(edges.bmaxy.max()) - oy
+            return ox, oy, float(edges.bmaxx.max()) - ox, float(edges.bmaxy.max()) - oy
+
+        def per_sample(edges):
+            ox, oy, width, height = extent(edges)
+            across, area, more = width + height, width * height, len(moft) - 1.0
+            size = (across + math.sqrt(across * across + 4.0 * area * more)) / (
+                2.0 * more
+            ) * (1.0 + 2.0 ** -30)
+            return ox, oy, size, int(width // size) + 1, int(height // size) + 1
+
+        def median_side(edges):
+            ox, oy, width, height = extent(edges)
             sides = np.sort(np.maximum(
                 edges.bmaxx - edges.bminx, edges.bmaxy - edges.bminy
             ))
             size = float(sides[sides.size // 2]) / 8
             return ox, oy, size, int(width // size) + 1, int(height // size) + 1
 
+        monkeypatch.setattr(kernels, "_label_geometry", per_sample)
+        sized, sized_grid = decided_share()
+        assert sized_grid[3:] == (99, 99)
+        assert round(sized, 2) == 0.25
         monkeypatch.setattr(kernels, "_label_geometry", median_side)
         old, old_grid = decided_share()
         assert old_grid[3:] == (49, 49)
         assert round(old, 2) == 0.17
-        assert share > old + 0.05
+        assert share > sized > old + 0.05

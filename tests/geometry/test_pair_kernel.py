@@ -35,6 +35,7 @@ from repro.query.vectorized import pairs_contain
 from repro.synth import CityConfig, build_city
 from repro.synth.movement import random_waypoint_moft
 
+from tests.conftest import segments_near
 from tests.geometry.test_clip_kernel import (
     CSHAPE,
     DIAMOND,
@@ -54,11 +55,12 @@ def backend(request):
     set_kernel_backend("numpy")
 
 
-def assert_pairs_exact(pos, x0, y0, x1, y1):
-    """Every pair answer against the scalar methods of its polygon."""
+def assert_pairs_exact(pos, x0, y0, x1, y1, table=TABLE):
+    """Every pair answer against the scalar methods of its polygon
+    (position ``p`` is ``table[p]``)."""
     x0, y0, x1, y1 = (np.asarray(a, dtype=np.float64) for a in (x0, y0, x1, y1))
     pos = np.asarray(pos, dtype=np.intp)
-    edges = EdgeTable(TABLE)
+    edges = EdgeTable(table)
     dt = np.linspace(0.3, 2.9, len(x0))
     dwell, hits = pairs_dwell(edges, pos, x0, y0, x1, y1, dt)
     intersects = pairs_intersect(edges, pos, x0, y0, x1, y1)
@@ -74,7 +76,7 @@ def assert_pairs_exact(pos, x0, y0, x1, y1):
     ):
         clips[i] = list(zip(los[:n], his[:n]))
     for i in range(len(x0)):
-        polygon = TABLE[pos[i]]
+        polygon = table[pos[i]]
         seg = Segment(
             Point(float(x0[i]), float(y0[i])), Point(float(x1[i]), float(y1[i]))
         )
@@ -106,6 +108,30 @@ class TestOneTableManyPolygons:
         assert table.edge_offsets.tolist() == [0, 4, 12, 16, 24]
         assert table.ring_first.tolist() == [0, 1, 3, 4, 5]
         assert table.ring_offsets.tolist() == [0, 4, 8, 12, 16, 24]
+
+    def test_jittered_tiling_pairs(self, jittered_tiles):
+        """Tiles that share jittered edges: random chords, and chords
+        between the tiles' own vertices (along a shared edge, across a
+        tile, through a shared vertex), each paired with its tile and
+        with a neighbour."""
+        tiles = list(jittered_tiles.values())
+        rng = np.random.default_rng(43)
+        x0, y0, x1, y1 = rng.uniform(-2.0, 32.0, (4, 400))
+        pos = rng.integers(0, len(tiles), 400)
+        vertex_pos, ends = [], []
+        for p, tile in enumerate(tiles):
+            ring = tile.shell
+            for i, a in enumerate(ring):
+                for b in (ring[(i + 1) % len(ring)], ring[(i + 3) % len(ring)]):
+                    for q in (p, (p + 1) % len(tiles), (p + 3) % len(tiles)):
+                        vertex_pos.append(q)
+                        ends.append((a.x, a.y, b.x, b.y))
+        ends = np.array(ends).T
+        assert_pairs_exact(
+            np.concatenate((pos, vertex_pos)),
+            *(np.concatenate((a, b)) for a, b in zip((x0, y0, x1, y1), ends)),
+            table=tiles,
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(boundary_cases(), min_size=1, max_size=6), st.data())
@@ -174,6 +200,27 @@ class TestBroadPhase:
         assert pos.tolist() == want_pos.tolist()
         assert seg.tolist() == want_seg.tolist()
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate),
+                 min_size=1, max_size=40),
+    )
+    def test_jittered_tiling_equals_the_brute_force_box_test(
+        self, jittered_tiles, segments
+    ):
+        """Tiles whose boxes overlap their neighbours' (shared jittered
+        edges), not only touch them."""
+        x0, y0, x1, y1 = (np.array(segments, dtype=np.float64).T + 20.0) / 3.0
+        pos, seg = candidate_pairs(
+            Grid.of(jittered_tiles), np.minimum(x0, x1), np.minimum(y0, y1),
+            np.maximum(x0, x1), np.maximum(y0, y1),
+        )
+        want_pos, want_seg = brute_force(
+            [tile.bbox for tile in jittered_tiles.values()], x0, y0, x1, y1
+        )
+        assert pos.tolist() == want_pos.tolist()
+        assert seg.tolist() == want_seg.tolist()
+
     def test_long_segments_and_points_on_shared_edges(self):
         polygons = grid_city()
         ids = list(polygons)
@@ -225,7 +272,7 @@ class TestPeakMemory:
         loop_args = [
             (polygon, *batch.ends(near), dt[near])
             for polygon in polygons.values()
-            for near in [batch.near(polygon.bbox)]
+            for near in [segments_near(batch, polygon.bbox)]
         ]
 
         def peak(run):

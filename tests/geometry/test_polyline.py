@@ -31,11 +31,6 @@ class TestConstruction:
             Segment(Point(4, 0), Point(4, 3)),
         ]
 
-    def test_is_closed(self):
-        assert not l_shape().is_closed
-        ring = Polyline([Point(0, 0), Point(1, 0), Point(0, 1), Point(0, 0)])
-        assert ring.is_closed
-
 
 class TestMeasures:
     def test_length(self):
@@ -106,22 +101,6 @@ class TestPredicates:
 
 
 class TestResampleSimplify:
-    def test_resample_preserves_endpoints(self):
-        line = l_shape()
-        resampled = line.resampled(8)
-        assert len(resampled) == 8
-        assert resampled.vertices[0] == line.vertices[0]
-        assert resampled.vertices[-1] == line.vertices[-1]
-
-    def test_resample_too_few_points_raises(self):
-        with pytest.raises(GeometryError):
-            l_shape().resampled(1)
-
-    def test_resample_zero_length_raises(self):
-        line = Polyline([Point(0, 0), Point(0, 0)])
-        with pytest.raises(GeometryError):
-            line.resampled(4)
-
     def test_simplify_drops_collinear(self):
         line = Polyline([Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)])
         assert len(line.simplified(0.0)) == 2

@@ -12,7 +12,6 @@ returns) are pinned alongside.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import pickle
 import signal
@@ -31,10 +30,18 @@ import pytest
 import repro.parallel.shm as shm
 from repro.errors import ShardExecutionError
 from repro.faults import FaultPlan, FaultSpec
-from repro.geometry import kernels
 from repro.geometry.point import BoundingBox, Point
 from repro.geometry.polygon import Polygon
-from repro.gis import NODE, POLYGON, POLYLINE
+from repro.gis import (
+    ALL,
+    NODE,
+    POINT,
+    POLYGON,
+    POLYLINE,
+    GISDimensionInstance,
+    GISDimensionSchema,
+    LayerHierarchy,
+)
 from repro.mo.moft import MOFT, SegmentIndex
 from repro.obs import PipelineStats
 from repro.parallel import (
@@ -49,6 +56,7 @@ from repro.preagg import PreAggStore
 from repro.query.evaluator import (
     TrajectoryIntersectionCounter,
     count_objects_through,
+    counter_for,
     execute,
     objects_through,
     resolve_through,
@@ -154,13 +162,38 @@ def shard_rows(shard):
 
 
 def pass_labels(counter, shard):
-    """The label grid of the pass ``counter`` — unpickled in this task,
-    so rebuilt or kept here — scans with, as bytes."""
+    """The label grid of the pass ``counter`` scans with — in a task,
+    the one its process takes from the layer — as bytes."""
+    counter.matching_objects(shard)
     labels = counter._pass.labels
     return {os.getpid(): (
         labels.grid, labels.labels.dtype.str, labels.labels.tobytes(),
         labels.across.tobytes(), labels.up.tobytes(),
     )}
+
+
+def region_gis(polygons) -> GISDimensionInstance:
+    """A one-layer world, ``Ln``, over ``polygons`` (one polygon: the
+    id ``"region"``)."""
+    if isinstance(polygons, Polygon):
+        polygons = {"region": polygons}
+    gis = GISDimensionInstance(GISDimensionSchema(
+        [LayerHierarchy("Ln", [(POINT, POLYGON), (POLYGON, ALL)])], []
+    ))
+    for gid, polygon in polygons.items():
+        gis.add_geometry("Ln", POLYGON, gid, polygon)
+    return gis
+
+
+def region_counter(gis, rows: int = 0):
+    """The ``sharded`` scan counter over all of ``gis``'s ``Ln``
+    polygons, as the through leaf builds it (its pass labelled when
+    ``rows`` pay for it)."""
+    context = EvaluationContext(gis, TimeDimension.from_explicit_rollups(
+        [("timeId", 0, "hour", 0)]
+    ))
+    ids = set(gis.layer("Ln").elements(POLYGON))
+    return counter_for(context, ("Ln", POLYGON), ids, "sharded", rows=rows)
 
 
 def merge_dicts(parts):
@@ -275,10 +308,12 @@ class TestResidency:
                 assert indexed
 
     def test_worker_keeps_the_answer_pass(self, moft):
-        """Repeated fan-outs of one answer take its polygon pass from
-        what the worker kept; a new answer (a new pass, even over the
-        same polygon) and a pass whose label grid now travels along
-        rebuild it once."""
+        """A scan task carries its answer's key, never its geometries:
+        a worker forked after the layer was made takes the pass from its
+        copy of the layer (every task a hit); a layer made after the
+        fork — even one with the same name, ids and polygons — is missed
+        once per task of its first fan-out, and those tasks are re-sent
+        with the geometries in the same attempt, spending no retry."""
 
         def fan_out(counter, times):
             expected = counter.matching_objects(moft)
@@ -289,16 +324,38 @@ class TestResidency:
                 stats.count("pass_cache_hits"), stats.count("pass_cache_misses")
             )
 
+        obs = PipelineStats()
+        worlds = [region_gis(REGION)]
+        first = region_counter(worlds[0])
         # One worker, so that both shards land on it every time.
-        with ShardedExecutor(ProcessBackend(max_workers=1), n_shards=2) as ex:
-            first = TrajectoryIntersectionCounter({"region": REGION})
-            assert fan_out(first, 1) == (1, 1)
+        with ShardedExecutor(
+            ProcessBackend(max_workers=1), n_shards=2, obs=obs
+        ) as ex:
             assert fan_out(first, 3) == (6, 0)
-            other = TrajectoryIntersectionCounter({"region": REGION})
-            assert fan_out(other, 2) == (3, 1)
-            first._pass.label()
-            assert fan_out(first, 2) == (3, 1)
-            assert fan_out(other, 1) == (2, 0)
+            assert obs.count("missing_shards") == 0
+            worlds.append(region_gis(REGION))
+            later = region_counter(worlds[1])
+            assert later.key != first.key
+            assert fan_out(later, 1) == (0, 2)
+            assert obs.count("missing_shards") == 2
+            assert fan_out(later, 2) == (4, 0)
+            assert fan_out(first, 1) == (2, 0)
+        assert obs.count("task_retries") == 0
+        assert obs.count("missing_shards") == 2
+
+    def test_equal_layer_names_and_ids_never_share_a_pass(self, moft):
+        """Two worlds whose layers share names and ids but not polygons:
+        in this process and in a worker, each answer is scanned with its
+        own polygons."""
+        far = Polygon([Point(75, 75), Point(99, 75), Point(99, 99), Point(75, 99)])
+        worlds = [region_gis(poly) for poly in (REGION, far)]
+        counters = [region_counter(gis) for gis in worlds]
+        expected = [counter.matching_objects(moft) for counter in counters]
+        assert expected[0] != expected[1]
+        with ShardedExecutor(ProcessBackend(max_workers=1), n_shards=2) as ex:
+            for _ in range(2):
+                for counter, answer in zip(counters, expected):
+                    assert ex.matching_objects(counter, moft) == answer
 
     def test_restricted_scan_masks_the_resident_shards(
         self, moft, counter, monkeypatch
@@ -530,9 +587,11 @@ class TestPublishOnMiss:
         assert obs.count("zero_copy_blocks") == 2
 
     def test_worker_labels_the_frame_as_the_sender_did(self, moft):
-        """A counter's pickle carries its label grid's frame, not its
-        labels: the worker's rebuilt grid equals the sender's, byte for
-        byte, whatever the frame."""
+        """A counter's pickle carries its answer's key and whether its
+        pass has decided cells, not the cells: a worker forked before
+        the layer existed, sent the geometries, labels a grid equal to
+        the sender's byte for byte (the finest, a function of the
+        polygons), and the key-only pickle is smaller than the labels."""
         polygons = {
             "square": REGION,
             "triangle": Polygon([Point(5, 60), Point(45, 95), Point(10, 98)]),
@@ -541,23 +600,19 @@ class TestPublishOnMiss:
                 Point(80, 18), Point(60, 18),
             ]),
         }
-        for points in (math.inf, 3000):
-            counter = TrajectoryIntersectionCounter(polygons)
-            passes = counter._pass
-            passes.labels = kernels._label_grid(
-                passes.edges, kernels._label_geometry(passes.edges, points)
-            )
-            labels = passes.labels.labels
+        with ShardedExecutor(ProcessBackend(max_workers=1), n_shards=2) as ex:
+            # (The pool forks here, before the layer exists.)
+            ex.matching_objects(TrajectoryIntersectionCounter(polygons), moft)
+            world = region_gis(polygons)
+            counter = region_counter(world, rows=10**4)
+            labels = counter._pass.labels.labels
             assert {-2, -1} < set(labels.tolist())  # mixed, outside, inside
-            sent = pass_labels(counter, None)[os.getpid()]
+            sent = pass_labels(counter, moft)[os.getpid()]
             assert len(pickle.dumps(counter)) < labels.nbytes
-            with ShardedExecutor(
-                ProcessBackend(max_workers=1), n_shards=2
-            ) as executor:
-                got = executor.aggregate_moft(
-                    moft, partial(pass_labels, counter), merge_dicts
-                )
-            assert got and all(value == sent for value in got.values())
+            got = ex.aggregate_moft(
+                moft, partial(pass_labels, counter.carrying()), merge_dicts
+            )
+        assert got and all(value == sent for value in got.values())
 
 
 # -- bounds --------------------------------------------------------------------

@@ -16,8 +16,8 @@ undecided path), and compares the bytes:
 * the dwell leaf's total (``total_dwell_time(..., use_preagg=False)``)
   over the whole table and the same window.
 
-Worlds: Figure 1, the hypothesis lattice tables of
-``tests/query/test_batched_scan.py`` and the 10k-sample city.  Figure 1
+Worlds: Figure 1, the hypothesis lattice tables and the jittered tiling
+of ``tests/query/test_batched_scan.py``, and the 10k-sample city.  Figure 1
 and the lattice tables have fewer samples than label cells, so the
 *labelled* side builds the grid at once rather than by the
 ``labels_for`` rule.  Under ``--kernel-backend=scalar`` the *labelled*
@@ -47,7 +47,8 @@ from repro.synth import (
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
-from tests.query.test_batched_scan import lattice_world, samples
+from tests.conftest import finest_labels
+from tests.query.test_batched_scan import jittered_world, lattice_world, samples
 
 
 def table_bytes(store):
@@ -76,7 +77,7 @@ def answers(world, labelled, obs):
     context, moft_name, time, level, window = world()
     moft = context.moft(moft_name)
     polygons = context.gis.layer("Ln").elements(POLYGON)
-    rule = (lambda self, points: self.label()) if labelled else (
+    rule = (lambda self, points: finest_labels(self)) if labelled else (
         lambda self, points: None
     )
     with pytest.MonkeyPatch.context() as patch:
@@ -142,12 +143,20 @@ def lattice(rows):
     return world
 
 
+def jittered():
+    gis, time, moft = jittered_world()
+    return EvaluationContext(gis, time, moft), "FM", time, "hour", (5.5, 21.0)
+
+
 class TestLabelledEqualsBare:
     def test_figure1(self):
         assert_same(figure1)
 
     def test_city(self):
         assert_same(city)
+
+    def test_jittered_tiling(self):
+        assert_same(jittered)
 
     @given(samples)
     @settings(deadline=None, max_examples=40)

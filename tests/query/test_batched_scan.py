@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Polygon, Polyline
+from repro.geometry.point import BoundingBox
 from repro.geometry.kernels import PolygonPass, kernel_backend
 from repro.geometry.poi import Poi
 from repro.gis import (
@@ -56,9 +57,11 @@ from repro.synth import (
     install_city_pois,
     stop_biased_moft,
 )
+from repro.synth.movement import random_waypoint_moft
 from repro.temporal.calendar import hourly
 from repro.temporal.timedim import TimeDimension
 
+from tests.conftest import finest_labels, jittered_tiling
 from tests.poi.oracle import object_cells, poi_cells
 
 #: The two shapes of the through scan: the unindexed walk with no
@@ -377,7 +380,8 @@ def label_rule(forced):
     with pytest.MonkeyPatch.context() as patch:
         if forced:
             patch.setattr(
-                PolygonPass, "labels_for", lambda self, points: self.label()
+                PolygonPass, "labels_for",
+                lambda self, points: finest_labels(self),
             )
         yield
 
@@ -484,3 +488,55 @@ class TestLatticeTables:
         assert_cells_equal_walk(moft, time, "hour", DISCS, min_dwell=min_dwell)
         centres = {gid: disc.center for gid, disc in DISCS.items()}
         assert_cells_equal_walk(moft, time, "hour", centres, radius=2.5)
+
+
+# -- a jittered tiling ----------------------------------------------------------
+
+
+def jittered_world(seed=23):
+    """:func:`~tests.conftest.jittered_tiling` as layer ``Ln``, and a
+    random-waypoint table over it and past its border (40 objects x 30
+    instants: over the label rule's floor)."""
+    gis = GISDimensionInstance(GISDimensionSchema(
+        [LayerHierarchy("Ln", [(POINT, POLYGON), (POLYGON, ALL)])], []
+    ))
+    for gid, tile in jittered_tiling().items():
+        gis.add_geometry("Ln", POLYGON, gid, tile)
+    time = TimeDimension.from_explicit_rollups(
+        [("timeId", t, "hour", t // 4) for t in range(30)]
+    )
+    moft = random_waypoint_moft(
+        BoundingBox(-2.0, -2.0, 32.0, 32.0), 40, 30, speed=3.0, seed=seed
+    )
+    return gis, time, moft
+
+
+class TestJitteredTiling:
+    """Tiles whose boxes overlap their neighbours' along shared jittered
+    edges: the scans and the dwell leaf against the per-object walk."""
+
+    def test_polygons(self):
+        gis, _, moft = jittered_world()
+        tiles = gis.layer("Ln").elements(POLYGON)
+        assert_scan_equals_walk(tiles, moft)
+        assert_walks_count_alike(tiles, moft)
+
+    @pytest.mark.parametrize("window", [None, (4.5, 21.0)])
+    def test_dwell(self, window):
+        gis, time, moft = jittered_world()
+        tiles = gis.layer("Ln").elements(POLYGON)
+        want = walked_dwell(moft, tiles, window)
+        for forced in (False, True):
+            stats = PipelineStats()
+            with label_rule(forced):
+                got = total_dwell_time(
+                    EvaluationContext(gis, time, moft), ("Ln", POLYGON), [],
+                    window=window, use_preagg=False, stats=stats,
+                )
+            assert math.isclose(got, want, rel_tol=1e-9)
+            assert stats.count("clip_kernel_segments") + stats.count(
+                "cell_decided_segments"
+            ) == stats.count("segment_checks")
+            if forced and kernel_backend() == "numpy":
+                assert stats.count("cell_decided_segments") > 0
+

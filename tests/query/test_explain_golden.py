@@ -22,6 +22,7 @@ code.
 
 from __future__ import annotations
 
+import pickle
 import re
 import sys
 from datetime import datetime
@@ -89,8 +90,12 @@ def world(name: str):
 
 
 def context(name: str, poi: bool = False) -> EvaluationContext:
-    """A fresh context (plans read its caches) over one world's table."""
+    """A fresh context (plans read its caches) over one world's table,
+    and over a copy of its GIS: a layer keeps the indexes of answers
+    for every context over it, and a pickle drops them, so every case
+    plans with none built."""
     gis, time_dim, through, stops, _, _ = world(name)
+    gis = pickle.loads(pickle.dumps(gis))
     return EvaluationContext(gis, time_dim, stops if poi else through)
 
 

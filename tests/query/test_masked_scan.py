@@ -47,6 +47,7 @@ from repro.query.evaluator import (
 from repro.query.region import EvaluationContext
 from repro.temporal.timedim import TimeDimension
 
+from tests.conftest import finest_labels
 from tests.query.test_batched_scan import SHAPES
 from tests.query.test_one_through_path import (
     BINDINGS,
@@ -328,7 +329,7 @@ class TestDecidedWorkIsSkipped:
         mask |= not restricted
         # (The prefilter would prove every object of this table.)
         counter = answer_counter(bare, "serial")
-        labels = counter._pass.label()
+        labels = finest_labels(counter._pass)
         boxes = np.concatenate(
             [np.stack(batch.boxes()) for batch in moft.segments()], axis=1
         )
@@ -356,7 +357,7 @@ class TestDecidedWorkIsSkipped:
         ``test_batched_scan.py``.)"""
         moft = bare.moft("FM")
         counter = answer_counter(bare, "serial")
-        counter._pass.label()
+        finest_labels(counter._pass)
         t, _, _ = moft.as_arrays()
         mask = (t >= MISALIGNED[0]) & (t <= MISALIGNED[1])
         mask |= not restricted

@@ -398,5 +398,8 @@ class TestHeldPrice:
         # (The first scan fills the answer's index: a live change.)
         assert texts[1] == texts[2]
         fresh = load_world("fig1")
-        fresh.context._indexes.update(world.context._indexes)
+        layer = TARGET[0]
+        fresh.context.gis.layer(layer)._indexes.update(
+            world.context.gis.layer(layer)._indexes
+        )
         assert masked(execute_spec(spec, fresh)[1]) == texts[1]

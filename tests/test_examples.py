@@ -68,8 +68,12 @@ def test_commuter_flows(capsys):
 
 
 def test_module_entry_point(capsys, monkeypatch):
-    """``python -m repro`` renders Figure 1 and the Remark 1 answer."""
+    """``python -m repro`` renders Figure 1 and the Remark 1 answer.
+    The entry point runs as ``python -m repro`` runs it: not yet
+    imported (other tests import ``repro.__main__``, and ``runpy``
+    warns when rerunning an imported module)."""
     monkeypatch.setattr(sys, "argv", ["repro"])
+    monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
     with pytest.raises(SystemExit) as excinfo:
         runpy.run_module("repro", run_name="__main__")
     assert excinfo.value.code == 0
