@@ -28,7 +28,7 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     after the table, the Time dimension, the geometries or the
     registered stores changed).
 ``regions_lowered`` / ``regions_solved``
-    :meth:`repro.query.SpatioTemporalRegion.evaluate` calls whose formula
+    :meth:`repro.query.SpatioTemporalRegion.relation` calls whose formula
     had the sample-semantics shape and was evaluated as columns, and
     calls that went to the solver (one or the other per call).
 ``vectorized_accepts``

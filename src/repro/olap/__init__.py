@@ -12,12 +12,7 @@ from repro.olap.dimension import (
     DimensionSchema,
     LevelOrder,
 )
-from repro.olap.aggregation import (
-    AggregateFunction,
-    aggregate,
-    aggregate_single,
-    distinct_count,
-)
+from repro.olap.aggregation import AggregateFunction, aggregate
 from repro.olap.facttable import (
     DimensionAttribute,
     FactTable,
@@ -37,8 +32,6 @@ __all__ = [
     "LevelOrder",
     "AggregateFunction",
     "aggregate",
-    "aggregate_single",
-    "distinct_count",
     "DimensionAttribute",
     "FactTable",
     "FactTableSchema",

@@ -112,41 +112,3 @@ def aggregate(
                 ) from None
         groups.setdefault(key, []).append(value)
     return {key: function.apply(values) for key, values in groups.items()}
-
-
-def aggregate_single(
-    rows: Iterable[Row],
-    function: AggregateFunction | str,
-    measure: Optional[str] = None,
-) -> float:
-    """Aggregate the whole relation into a single value.
-
-    Raises :class:`AggregationError` when the relation is empty, except for
-    COUNT which returns 0 (the count of an empty relation is well defined).
-    """
-    if isinstance(function, str):
-        function = AggregateFunction.parse(function)
-    result = aggregate(rows, function, measure, group_by=())
-    if not result:
-        if function is AggregateFunction.COUNT:
-            return 0
-        raise AggregationError(f"{function.value} over an empty relation")
-    return result[()]
-
-
-def distinct_count(rows: Iterable[Row], attribute: str) -> int:
-    """Count distinct values of ``attribute`` over the relation.
-
-    The paper's query 1 ("number of cars in region South...") counts
-    *object identifiers*, not samples; that is a COUNT DISTINCT, provided
-    here as a convenience alongside the five standard functions.
-    """
-    seen = set()
-    for row in rows:
-        try:
-            seen.add(row[attribute])
-        except KeyError:
-            raise AggregationError(
-                f"attribute {attribute!r} missing from row"
-            ) from None
-    return len(seen)

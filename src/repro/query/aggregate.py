@@ -13,11 +13,13 @@ of the paper's examples:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import QueryError
-from repro.olap.aggregation import AggregateFunction, aggregate, distinct_count
+from repro.olap.aggregation import AggregateFunction
 from repro.query.region import EvaluationContext, SpatioTemporalRegion
 
 
@@ -35,8 +37,8 @@ class AggregateSpec:
     group_by:
         Region columns forming the group key ``X``.
     distinct:
-        Count distinct values of ``measure`` instead of applying
-        ``function`` (used when counting objects rather than samples).
+        Count distinct values of ``measure`` (used when counting objects
+        rather than samples); only with ``function`` COUNT.
     per_span_level / per_span_member:
         When set, divide every aggregated value by the number of instants
         rolling up to ``per_span_member`` at ``per_span_level`` — the
@@ -55,8 +57,11 @@ class AggregateSpec:
             object.__setattr__(
                 self, "function", AggregateFunction.parse(self.function)
             )
-        if self.distinct and self.measure is None:
-            raise QueryError("distinct counting needs a measure column")
+        count = self.function is AggregateFunction.COUNT
+        if self.measure is None and (self.distinct or not count):
+            raise QueryError(f"{self.function.value} needs a measure column")
+        if self.distinct and not count:
+            raise QueryError(f"{self.function.value} DISTINCT: only COUNT counts")
         if (self.per_span_level is None) != (self.per_span_member is None):
             raise QueryError(
                 "per-span normalization needs both level and member"
@@ -84,26 +89,37 @@ class MovingObjectAggregateQuery:
             )
 
     def run(self, context: EvaluationContext) -> Dict[Tuple[Any, ...], float]:
-        """Evaluate the region and aggregate; returns ``{group key: value}``.
-
-        For an ungrouped query the single key is the empty tuple; see
-        :meth:`run_scalar`.
-        """
-        rows = self.region.evaluate(context)
-        spec = self.spec
+        """``{group key: value}`` in ``repr`` order of the key (the empty
+        tuple when ungrouped; see :meth:`run_scalar`): one group-by over
+        the region's codes.  COUNT is a ``bincount``, COUNT DISTINCT one
+        over the distinct ``(group, measure)`` pairs; the other functions
+        :meth:`~repro.olap.aggregation.AggregateFunction.apply` once per
+        group in the relation's row order, so SUM and AVG equal a fold
+        over ``region.evaluate``'s rows up to float summation order."""
+        relation, spec = self.region.relation(context), self.spec
+        first, group = relation.group(spec.group_by)
+        if not group.size:
+            return {}
         if spec.distinct:
-            result = self._distinct_by_group(rows)
+            pairs, _ = relation.group((*spec.group_by, spec.measure))
+            values = np.bincount(group[pairs], minlength=first.size) * 1.0
+        elif spec.function is AggregateFunction.COUNT:
+            values = np.bincount(group, minlength=first.size)
         else:
-            if not rows:
-                result = {}
-            else:
-                result = aggregate(
-                    rows, spec.function, spec.measure, list(spec.group_by)
-                )
+            measure = relation.column(spec.measure, np.argsort(group, kind="stable"))
+            ends = np.cumsum(np.bincount(group)).tolist()
+            values = np.fromiter((
+                spec.function.apply(measure[lo:hi])
+                for lo, hi in zip([0, *ends], ends)
+            ), object, first.size)
         if spec.per_span_level is not None:
-            span = context.time.span(spec.per_span_level, spec.per_span_member)
-            result = {key: value / span for key, value in result.items()}
-        return result
+            values = values / context.time.span(
+                spec.per_span_level, spec.per_span_member
+            )
+        keys = list(zip(*(relation.column(c, first) for c in spec.group_by)))
+        keys, values = keys or [()], values.tolist()
+        order = sorted(range(first.size), key=lambda i: repr(keys[i]))
+        return {keys[i]: values[i] for i in order}
 
     def run_scalar(self, context: EvaluationContext) -> float:
         """Run an ungrouped query to a single number.
@@ -115,19 +131,12 @@ class MovingObjectAggregateQuery:
             raise QueryError("run_scalar on a grouped query; use run()")
         result = self.run(context)
         if not result:
-            if self.spec.function is AggregateFunction.COUNT or self.spec.distinct:
+            if self.spec.function is AggregateFunction.COUNT:
                 return 0.0
             raise QueryError(
                 f"{self.spec.function.value} over an empty region is undefined"
             )
         return result[()]
-
-    def _distinct_by_group(self, rows) -> Dict[Tuple[Any, ...], float]:
-        groups: Dict[Tuple[Any, ...], set] = {}
-        for row in rows:
-            key = tuple(row[c] for c in self.spec.group_by)
-            groups.setdefault(key, set()).add(row[self.spec.measure])
-        return {key: float(len(values)) for key, values in groups.items()}
 
 
 def total_dwell_time(

@@ -3,8 +3,8 @@
 "Our spatial region C turns, in the spatio-temporal setting, into a set of
 pairs ``(objectId, time)``" (Section 3.1) — or triples with geometry ids
 (query 2).  :class:`SpatioTemporalRegion` holds the output variables and
-the defining formula; :meth:`SpatioTemporalRegion.evaluate` returns the
-relation as a list of dict rows ready for γ-aggregation.
+the defining formula; :meth:`SpatioTemporalRegion.relation` returns the
+relation as codes (:class:`RegionRelation`), which γ groups by its codes.
 
 A formula of the paper's sample-semantics shape — the MOFT atom, Time
 rollups, one point-in-polygon rollup with its α and conditions on the
@@ -15,7 +15,7 @@ formula goes to the solver, which treats a conjunction as a
 constraint-propagation problem: atoms that can enumerate bindings under
 the current environment run first (most selective atoms are ordered by
 the caller's formula order), pure checks and negations wait until their
-variables are bound.  Both paths give the same list.
+variables are bound.  Both paths give the same relation.
 """
 
 from __future__ import annotations
@@ -458,23 +458,27 @@ class SpatioTemporalRegion:
         self.output_variables = tuple(output_variables)
         self.formula = formula
 
-    def evaluate(self, context: EvaluationContext) -> List[Dict[str, Any]]:
-        """The distinct output rows as dicts, sorted by ``repr`` of the row.
-
-        A formula :func:`_lower` accepts is evaluated as columns and
-        counts ``regions_lowered`` on ``context.obs``; any other is
-        solved and counts ``regions_solved``.  The shape alone decides.
-        """
+    def relation(self, context: EvaluationContext) -> "RegionRelation":
+        """The region's distinct output rows, as codes.  A formula
+        :func:`_lower` accepts is evaluated as columns and counts
+        ``regions_lowered`` on ``context.obs``; any other is solved and
+        counts ``regions_solved``.  The shape alone decides."""
         lowered = _lower(self, context)
         if isinstance(lowered, _Lowered):
             context.obs.incr("regions_lowered")
-            rows = lowered.tuples(context)
-        else:
-            context.obs.incr("regions_solved")
-            rows = _solved(self, context)
-        return [
-            dict(zip(self.output_variables, row)) for row in sorted(rows, key=repr)
-        ]
+            return lowered.relation(context)
+        context.obs.incr("regions_solved")
+        rows, codes, values = list(_solved(self, context)), [], []
+        for i in range(len(self.output_variables)):  # interned once each
+            index: Dict[Hashable, int] = {}
+            codes.append([index.setdefault(row[i], len(index)) for row in rows])
+            values.append(np.fromiter(index, object, len(index)))
+        return RegionRelation(self.output_variables, codes, values)
+
+    def evaluate(self, context: EvaluationContext) -> List[Dict[str, Any]]:
+        """The :meth:`relation`'s rows as dicts, sorted by ``repr`` of the row."""
+        rows = sorted(self.relation(context).rows(), key=repr)
+        return [dict(zip(self.output_variables, row)) for row in rows]
 
     def path(self, context: EvaluationContext) -> str:
         """The path :meth:`evaluate` takes, in one line: ``lowered:`` with
@@ -488,10 +492,47 @@ class SpatioTemporalRegion:
 
     def evaluate_tuples(self, context: EvaluationContext) -> Set[Tuple[Any, ...]]:
         """Like :meth:`evaluate` but returning a set of plain tuples."""
-        return {
-            tuple(row[v] for v in self.output_variables)
-            for row in self.evaluate(context)
-        }
+        return set(self.relation(context).rows())
+
+
+class RegionRelation:
+    """A region's answer ``C`` as codes: column ``columns[i]`` of row
+    ``r`` is ``values[i][codes[i][r]]``, over a value array of distinct
+    values.  The rows are distinct — the constructor keeps one row of
+    each code tuple — as the solver's set is.  γ groups by codes
+    (:meth:`group`) and decodes only what it returns (:meth:`column`)."""
+
+    def __init__(self, columns: Sequence[str], codes, values) -> None:
+        self.columns, self.values = tuple(columns), tuple(values)
+        self.codes = tuple(np.asarray(code, dtype=np.intp) for code in codes)
+        first, _ = self.group(self.columns)
+        self.codes = tuple(code[first] for code in self.codes)
+
+    def column(self, name: str, at: Optional[np.ndarray] = None) -> List[Any]:
+        """Column ``name`` as Python values, at the rows ``at`` (default all)."""
+        i = self.columns.index(name)
+        codes = self.codes[i] if at is None else self.codes[i][at]
+        return self.values[i][codes].tolist()
+
+    def group(self, names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first, group)``: one row of each distinct value of the
+        ``names`` columns, and each row's position among them, by one
+        ``np.unique`` of their codes packed in mixed radix (made dense
+        where the next column would overflow the key)."""
+        key, span = np.zeros(len(self.codes[0]), dtype=np.int64), 1
+        for i in map(self.columns.index, names):
+            size = len(self.values[i])
+            if span * size >= 2**62:
+                key, span = np.unique(key, return_inverse=True)[1], len(key)
+            key, span = key * size + self.codes[i], span * size
+        distinct, group = np.unique(key, return_inverse=True)
+        first = np.empty(distinct.size, dtype=np.intp)
+        first[group] = np.arange(group.size)
+        return first, group
+
+    def rows(self) -> List[Tuple[Any, ...]]:
+        """The rows as tuples of Python values, in the relation's order."""
+        return list(zip(*map(self.column, self.columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -530,57 +571,51 @@ class _Lowered:
             f"geometry ids {ids}, outputs ({', '.join(self.outputs)})"
         )
 
-    def tuples(self, context: EvaluationContext) -> Set[Tuple[Any, ...]]:
-        """The output tuples the solver would produce, as Python values:
-        one per sample in a kept instant, and per ``(gid, member)`` whose
-        polygon holds it."""
+    def relation(self, context: EvaluationContext) -> RegionRelation:
+        """The region's rows as codes: one per sample in a kept instant,
+        and per α member of each answer polygon that holds the sample.
+        Containment is :func:`~repro.query.vectorized.points_inside` over
+        the answer's cached pass (positions in ``repr`` order of the id,
+        as :meth:`EvaluationContext.geometry_index` lays them out)."""
         t, x, y = self.table.as_arrays()
-        rows = np.flatnonzero(self.keep[self.table.instant_codes()[1]])
-        if self.members is None:
-            parts = [(rows, None, None)]
-        else:
-            parts = self._contained(context, rows, x, y)
-        if not parts:
-            return set()
-        at = np.concatenate([part[0] for part in parts])
+        instants, instant_codes = self.table.instant_codes()
+        at = np.flatnonzero(self.keep[instant_codes])
+        if self.members is not None:
+            ids = sorted(self.members, key=repr)
+            index: Dict[Hashable, int] = {}
+            # (geometry position, member code), ascending in the position.
+            pairs = np.array([
+                (p, index.setdefault(m, len(index)))
+                for p, gid in enumerate(ids) for m in self.members[gid]
+            ], dtype=np.intp).reshape(-1, 2)
+            rows = at
+            pos = at = np.empty(0, dtype=np.intp)
+            if ids and rows.size:
+                passes = context.geometry_index(self.layer, POLYGON, ids)
+                found = list(points_inside(passes, x[rows], y[rows], obs=context.obs))
+                pos = np.concatenate([p for p, _ in found])
+                at = rows[np.concatenate([a for _, a in found])]
+            # Each hit once per member of its polygon.
+            lo = np.searchsorted(pairs[:, 0], pos)
+            times = np.searchsorted(pairs[:, 0], pos, "right") - lo
+            pick = np.repeat(lo - np.cumsum(times) + times, times)
+            gids, members = pairs[pick + np.arange(pick.size)].T
+            at = np.repeat(at, times)
         oid, t_name, x_name, y_name = self.sample
-        values = {t_name: t, x_name: x, y_name: y}
         columns = []
         for name in self.outputs:
             if name == oid:
-                codes = self.table.object_codes()[at]
-                columns.append(self.table.oids[codes].tolist())
-            elif name in values:
-                columns.append(values[name][at].tolist())
-            else:  # the id variable, or the member's
-                slot = 1 if name == self.gid else 2
-                columns.append([
-                    part[slot] for part in parts for _ in range(part[0].size)
-                ])
-        return set(zip(*columns))
-
-    def _contained(
-        self, context: EvaluationContext, rows: np.ndarray, x, y
-    ) -> List[Tuple[np.ndarray, Hashable, Hashable]]:
-        """``(rows, gid, member)`` per geometry id and α member: the rows
-        whose sample lies in that closed polygon, by
-        :func:`~repro.query.vectorized.points_inside` over the answer's
-        cached pass (positions in ``repr`` order of the id, as
-        :meth:`EvaluationContext.geometry_index` lays them out)."""
-        ids = sorted(self.members, key=repr)
-        if not ids or rows.size == 0:
-            return []
-        passes = context.geometry_index(self.layer, POLYGON, ids)
-        found = list(points_inside(passes, x[rows], y[rows], obs=context.obs))
-        pos = np.concatenate([p for p, _ in found])
-        at = rows[np.concatenate([a for _, a in found])]
-        order = np.argsort(pos, kind="stable")
-        bounds = np.searchsorted(pos[order], np.arange(len(ids) + 1))
-        return [
-            (at[order[lo:hi]], gid, member)
-            for gid, lo, hi in zip(ids, bounds[:-1], bounds[1:])
-            for member in self.members[gid]
-        ]
+                columns.append((self.table.object_codes()[at], self.table.oids))
+            elif name == t_name:
+                columns.append((instant_codes[at], instants))
+            elif name in (x_name, y_name):  # (codes, values) of np.unique
+                xy = np.unique((x if name == x_name else y)[at], return_inverse=True)
+                columns.append(xy[::-1])
+            elif name == self.gid:
+                columns.append((gids, np.fromiter(ids, object, len(ids))))
+            else:  # the member variable
+                columns.append((members, np.fromiter(index, object, len(index))))
+        return RegionRelation(self.outputs, *zip(*columns))
 
 
 def _lower(

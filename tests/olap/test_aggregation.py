@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AggregationError
-from repro.olap import AggregateFunction, aggregate, aggregate_single, distinct_count
+from repro.olap import AggregateFunction, aggregate
 
 ROWS = [
     {"oid": "O1", "hour": 9, "speed": 30.0},
@@ -89,27 +89,3 @@ class TestAggregate:
 
     def test_empty_relation_gives_empty_result(self):
         assert aggregate([], "COUNT", None, group_by=["hour"]) == {}
-
-
-class TestAggregateSingle:
-    def test_single_value(self):
-        assert aggregate_single(ROWS, "MAX", "speed") == 60.0
-
-    def test_count_of_empty_is_zero(self):
-        assert aggregate_single([], "COUNT") == 0
-
-    def test_sum_of_empty_raises(self):
-        with pytest.raises(AggregationError):
-            aggregate_single([], "SUM", "speed")
-
-
-class TestDistinctCount:
-    def test_distinct_objects(self):
-        assert distinct_count(ROWS, "oid") == 3
-
-    def test_missing_attribute_raises(self):
-        with pytest.raises(AggregationError):
-            distinct_count(ROWS, "nothere")
-
-    def test_empty(self):
-        assert distinct_count([], "oid") == 0
