@@ -68,7 +68,7 @@ Backends (:func:`set_kernel_backend`):
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -1145,9 +1145,9 @@ def disc_clip_scalar(
 
 
 def disc_clip_batch(
-    cx: float,
-    cy: float,
-    r: float,
+    cx: Union[float, np.ndarray],
+    cy: Union[float, np.ndarray],
+    r: Union[float, np.ndarray],
     x0: np.ndarray,
     y0: np.ndarray,
     x1: np.ndarray,
@@ -1156,34 +1156,38 @@ def disc_clip_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched :func:`disc_clip_scalar` over segment arrays.
 
-    Bitwise-identical to the scalar fold: every element goes through the
-    same expression sequence (products, discriminant, sqrt, division,
-    branch-style clamp), just vectorized.  The ``scalar`` kernel backend
-    routes through the reference loop outright.
+    ``cx``, ``cy`` and ``r`` are one disc (scalars) or one disc per
+    segment (arrays as long as ``x0``), which clips (disc, segment)
+    pairs in one call.  Bitwise-identical to the scalar fold: every
+    element goes through the same expression sequence (products,
+    discriminant, sqrt, division, branch-style clamp), just vectorized.
+    The ``scalar`` kernel backend routes through the reference loop
+    outright.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     y1 = np.asarray(y1, dtype=np.float64)
+    cx, cy, r = (np.asarray(v, dtype=np.float64) for v in (cx, cy, r))
     n = x0.shape[0]
     if obs is not None:
         obs.incr("disc_kernel_segments", n)
     if kernel_backend() == "scalar":
         lo = np.zeros(n, dtype=np.float64)
         hi = np.zeros(n, dtype=np.float64)
-        cxf, cyf, rf = float(cx), float(cy), float(r)
-        for i in range(n):
-            lo[i], hi[i] = disc_clip_scalar(
-                cxf, cyf, rf,
-                float(x0[i]), float(y0[i]), float(x1[i]), float(y1[i]),
-            )
+        rows = zip(*(
+            np.broadcast_to(v, (n,)).tolist() for v in (cx, cy, r, x0, y0, x1, y1)
+        ))
+        for i, row in enumerate(rows):
+            lo[i], hi[i] = disc_clip_scalar(*row)
         return lo, hi
     dx = x1 - x0
     dy = y1 - y0
     fx = x0 - cx
     fy = y0 - cy
+    rr = r * r
     a = dx * dx + dy * dy
-    c = fx * fx + fy * fy - r * r
+    c = fx * fx + fy * fy - rr
     b = fx * dx + fy * dy
     lo = np.zeros(n, dtype=np.float64)
     hi = np.zeros(n, dtype=np.float64)
@@ -1196,6 +1200,8 @@ def disc_clip_batch(
         disc = b * b - a * c
     solve = np.flatnonzero((~degenerate) & (disc > 0.0))
     if solve.size:
+        # A per-segment disc is read at the solved rows, a scalar as is.
+        cx, cy, rr = (v[solve] if v.ndim else v for v in (cx, cy, rr))
         sq = np.sqrt(disc[solve])
         aa = a[solve]
         bb = b[solve]
@@ -1203,7 +1209,7 @@ def disc_clip_batch(
         w2 = (-bb + sq) / aa
         gx = x1[solve] - cx
         gy = y1[solve] - cy
-        c1 = gx * gx + gy * gy - r * r
+        c1 = gx * gx + gy * gy - rr
         lo[solve] = np.where(
             (c[solve] <= 0.0) | (w1 < 0.0), 0.0, np.where(w1 > 1.0, 1.0, w1)
         )

@@ -122,7 +122,7 @@ class FlowGrid:
 
     def add_moft(self, moft: MOFT) -> None:
         """Accumulate every object of a MOFT."""
-        for oid in moft.objects():
+        for oid in sorted(moft.objects(), key=repr):
             self.add_object(moft.history(oid))
 
     # -- readout ---------------------------------------------------------------------

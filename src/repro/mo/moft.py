@@ -115,6 +115,20 @@ def recode(
     return new[codes], oids[used]
 
 
+def packed_key(rows: int, columns: Iterable[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """One ``int64`` key per row of code columns ``(size, codes)``, codes
+    in ``[0, size)``: keys order as the rows' code tuples do, and are
+    equal exactly when the tuples are.  The codes are packed in mixed
+    radix, the key made dense first (``np.unique``) where the next
+    column would overflow it."""
+    key, span = np.zeros(rows, dtype=np.int64), 1
+    for size, codes in columns:
+        if span * size >= 2**62:
+            key, span = np.unique(key, return_inverse=True)[1], rows
+        key, span = key * size + codes, span * size
+    return key
+
+
 def _twin_error(oid: Hashable, t: float) -> TrajectoryError:
     return TrajectoryError(
         f"object {oid!r} already has a sample at t={t} "

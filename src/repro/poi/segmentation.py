@@ -59,7 +59,22 @@ magnitudes and ``r``:
 The margin is relative, not ``O(u)``: a near-tangent root moves by
 ``O(sqrt(u) |p0 - c|)``, about ``2e-8`` relative, which a margin of a
 few ulps would not cover.  A grid broad phase over discs is no help
-here: stop-biased pieces span many cells of a disc-sized grid.
+here: stop-biased pieces span many cells of a disc-sized grid.  On the
+benchmark world (seed 5101, 98 000 pieces, 20 discs) ``Grid`` plus
+``candidate_pairs`` over the discs' grown boxes take 94.8 ms at
+``Grid.of``'s cell size and 47.8 ms at the best one; the per-disc box
+tests take 7.6 ms and keep exactly the same pairs.
+
+**Pairs in chunks.**  :func:`batch_stops` concatenates what the box
+tests keep into one (disc, piece) pair list, disc by disc, and clips it
+in chunks of ``_PAIR_CHUNK`` pairs, one disc per row, computing the
+candidate endpoints chunk by chunk: one kernel call per disc would make
+140 calls of ~1 000 pairs on the benchmark world, and one call per
+batch keeps every temporary of ~20 000 pairs live.  ``batch_stops``
+over the 7 batches of the worlds of seeds 9001 and 9003, on a 2-core
+Xeon with 2 MiB of L2 per core: 37.1 ms in chunks of 2 048 pairs, 33.5
+at 4 096, 31.3 at 8 192, 31.9 at 16 384 and 31.6 unchunked (medians of
+30 runs).
 """
 
 from __future__ import annotations
@@ -74,7 +89,7 @@ from repro.errors import GeometryError, TrajectoryError
 from repro.geometry.kernels import disc_clip_batch
 from repro.geometry.point import Point
 from repro.geometry.poi import Poi
-from repro.mo.moft import SegmentBatch
+from repro.mo.moft import SegmentBatch, packed_key
 from repro.mo.trajectory import LinearInterpolationTrajectory, TrajectorySample
 
 #: Episode kinds.
@@ -248,13 +263,9 @@ def _near(reach: Tuple[np.ndarray, ...], cx: float, cy: float, r: float):
     ))
 
 
-def _disc_clip(reach, disc, x0, y0, x1, y1, obs):
-    """``(near, lo, hi)``: :func:`disc_clip_batch` of the pieces
-    :func:`_near` keeps, and their indices."""
-    near = _near(reach, *disc)
-    return (near, *disc_clip_batch(
-        *disc, x0[near], y0[near], x1[near], y1[near], obs=obs
-    ))
+#: Pairs per disc-kernel call of :func:`batch_stops`: the smallest chunk
+#: as fast as one call per batch (module docstring, "Pairs in chunks").
+_PAIR_CHUNK = 8192
 
 
 #: The cursor rule leaves the array passes for the scalar scan once this
@@ -263,20 +274,20 @@ def _disc_clip(reach, disc, x0, y0, x1, y1, obs):
 _SCALAR_TAIL_RUNS = 64
 
 
-def _overlap_run_heads(obj: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _overlap_run_heads(
+    obj: np.ndarray, a: np.ndarray, ends: np.ndarray, code: np.ndarray
+) -> np.ndarray:
     """Where an overlap run opens, over candidates in (object, start) order:
     at an object's first candidate and at every one starting at or after
-    the latest end among its object's earlier candidates."""
-    n = a.size
-    first = np.ones(n, dtype=bool)
+    the latest end among its object's earlier candidates.  A candidate's
+    end is ``ends[code]``, ``ends`` ascending."""
+    first = np.ones(a.size, dtype=bool)
     first[1:] = obj[1:] != obj[:-1]
-    # Running maximum of ``b`` per object, exactly: ends go by their rank,
-    # an object's ranks above every earlier object's, one global cummax.
-    by_end = np.argsort(b, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_end] = np.arange(n)
-    base = (np.cumsum(first) - 1) * n
-    reach = b[by_end[np.maximum.accumulate(base + rank) - base]]
+    # Running maximum of the ends per object, exactly: an end goes by its
+    # code, an object's codes above every earlier object's, one global
+    # cummax.
+    base = (np.cumsum(first) - 1) * ends.size
+    reach = ends[np.maximum.accumulate(base + code) - base]
     first[1:] |= a[1:] >= reach[:-1]
     return np.flatnonzero(first)
 
@@ -297,26 +308,32 @@ def batch_stops(
     with the objects (docs/poi.md, "Segmented scan").
     """
     min_dwell = _checked_min_dwell(min_dwell)
-    pieces = [(np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))]
-    ends = (batch.x0, batch.y0, batch.x1, batch.y1)
-    reach = _reach(*ends)
-    for position, gid in enumerate(sorted(pois, key=repr)):
-        near, lo, hi = _disc_clip(
-            reach, _disc_of(pois[gid], radius), *ends, obs
+    discs = [_disc_of(pois[gid], radius) for gid in sorted(pois, key=repr)]
+    # The (disc, piece) pairs the box test keeps, disc by disc in
+    # sorted-repr order, pieces in (object, time) order.
+    reach = _reach(batch.x0, batch.y0, batch.x1, batch.y1)
+    near = [_near(reach, *disc) for disc in discs]
+    piece = np.concatenate([np.empty(0, np.intp), *near])
+    position = np.repeat(np.arange(len(discs)), [n.size for n in near])
+    cx, cy, r = np.array(discs, dtype=np.float64).reshape(-1, 3).T
+    found = [(np.empty(0, np.intp), np.empty(0), np.empty(0), np.empty(0, np.intp))]
+    for first in range(0, piece.size, _PAIR_CHUNK):
+        at = piece[first:first + _PAIR_CHUNK]
+        disc = position[first:first + _PAIR_CHUNK]
+        lo, hi = disc_clip_batch(
+            cx[disc], cy[disc], r[disc], *batch.ends(at), obs=obs
         )
         inside = np.flatnonzero(hi > lo)
-        pieces.append((
-            near[inside], lo[inside], hi[inside],
-            np.full(inside.size, position),
-        ))
-    inside, lo, hi, poi = map(np.concatenate, zip(*pieces))
-    # The endpoints of `_merged_intervals`, by the same float operations.
-    t0, t1 = batch.t0[inside], batch.t1[inside]
-    dt = t1 - t0
-    a = np.where(lo == 0.0, t0, t0 + lo * dt)
-    b = np.where(hi == 1.0, t1, t0 + hi * dt)
-    keep = np.flatnonzero(b > a)
-    obj, a, b, poi = batch.obj[inside[keep]], a[keep], b[keep], poi[keep]
+        at, disc, lo, hi = at[inside], disc[inside], lo[inside], hi[inside]
+        # The endpoints of `_merged_intervals`, by the same float operations.
+        t0, t1 = batch.t0[at], batch.t1[at]
+        dt = t1 - t0
+        a = np.where(lo == 0.0, t0, t0 + lo * dt)
+        b = np.where(hi == 1.0, t1, t0 + hi * dt)
+        keep = np.flatnonzero(b > a)
+        found.append((at[keep], a[keep], b[keep], disc[keep]))
+    at, a, b, poi = map(np.concatenate, zip(*found))
+    obj = batch.obj[at]
     # Pieces merge while POI and object stay and each starts exactly
     # where the one before ended; a candidate is the span of its run,
     # which closes before the next opens (the last: at index -1).
@@ -327,16 +344,20 @@ def batch_stops(
     opens = np.flatnonzero(opens)
     obj, a, poi = obj[opens], a[opens], poi[opens]
     b = b[np.append(opens[1:], opens[:1]) - 1]
-    # The scan order of `_scan_stops`; the sort is stable and POIs came
-    # in sorted-repr order, which is the tie-break on repr(poi id).
-    order = np.lexsort((b, a, obj))
+    # The scan order of `_scan_stops`, one key of the columns' codes into
+    # their distinct values; the sort is stable and POIs came in
+    # sorted-repr order, which is the tie-break on repr(poi id).
+    columns = [np.unique(v, return_inverse=True) for v in (obj, a, b)]
+    key = packed_key(a.size, ((values.size, code) for values, code in columns))
+    order = np.argsort(key, kind="stable")
     obj, a, b, poi = obj[order], a[order], b[order], poi[order]
+    ends, end_code = columns[2][0], columns[2][1][order]
 
     # The cursor only ever truncates a candidate that starts before an
     # earlier one of its object ends, so every overlap run is scanned on
     # its own from an unset cursor — the p-th candidates of all runs in
     # one pass, and the last few long runs by the scalar scan.
-    heads = _overlap_run_heads(obj, a, b)
+    heads = _overlap_run_heads(obj, a, ends, end_code)
     lengths = np.diff(np.append(heads, a.size))
     cursor = np.full(heads.size, -np.inf)
     start, stop = a.copy(), np.zeros(a.size, dtype=bool)
@@ -395,8 +416,10 @@ def segment_stops_moves(
 
     candidates: List[Tuple[float, float, str, Hashable]] = []
     for gid in sorted(pois, key=repr) if len(sample) > 1 else ():
-        near, lo, hi = _disc_clip(
-            reach, _disc_of(pois[gid], radius), *ends, obs
+        disc = _disc_of(pois[gid], radius)
+        near = _near(reach, *disc)
+        lo, hi = disc_clip_batch(
+            *disc, *(end[near] for end in ends), obs=obs
         )
         for a, b in _merged_intervals(
             t0s[near].tolist(), t1s[near].tolist(), lo.tolist(), hi.tolist()

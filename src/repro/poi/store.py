@@ -132,9 +132,9 @@ def _stop_rows(obj, a, b, gid, starts: np.ndarray, n_gids: int):
 def _scan_cells(moft: MOFT, starts, pois, min_dwell, radius, obs) -> CellTable:
     """The cell table of ``moft`` over granules starting at ``starts`` —
     the shared scan primitive of the serial path, the shards and the
-    store.  Each segment batch goes through the disc kernel once per POI
-    and the array passes of :func:`~repro.poi.segmentation.batch_stops`
-    and :func:`_stop_rows`; one object's rows never depend on another's,
+    store.  Each segment batch goes through the array passes of
+    :func:`~repro.poi.segmentation.batch_stops` (its (disc, piece) pairs
+    clipped in chunks) and :func:`_stop_rows`; one object's rows never depend on another's,
     which is what makes the three strategies byte-identical."""
     starts = np.asarray(starts, dtype=np.float64)
     found = [_NO_ROWS]

@@ -53,7 +53,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.gis.geometries import POLYGON
 from repro.gis.instance import GISDimensionInstance
-from repro.mo.moft import MOFT
+from repro.mo.moft import MOFT, packed_key
 from repro.obs import PipelineStats
 from repro.mo.operations import ever_within_distance, passes_through
 from repro.mo.trajectory import LinearInterpolationTrajectory
@@ -517,14 +517,11 @@ class RegionRelation:
     def group(self, names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
         """``(first, group)``: one row of each distinct value of the
         ``names`` columns, and each row's position among them, by one
-        ``np.unique`` of their codes packed in mixed radix (made dense
-        where the next column would overflow the key)."""
-        key, span = np.zeros(len(self.codes[0]), dtype=np.int64), 1
-        for i in map(self.columns.index, names):
-            size = len(self.values[i])
-            if span * size >= 2**62:
-                key, span = np.unique(key, return_inverse=True)[1], len(key)
-            key, span = key * size + self.codes[i], span * size
+        ``np.unique`` of their :func:`~repro.mo.moft.packed_key`."""
+        key = packed_key(len(self.codes[0]), (
+            (len(self.values[i]), self.codes[i])
+            for i in map(self.columns.index, names)
+        ))
         distinct, group = np.unique(key, return_inverse=True)
         first = np.empty(distinct.size, dtype=np.intp)
         first[group] = np.arange(group.size)

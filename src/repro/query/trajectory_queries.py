@@ -64,7 +64,7 @@ def time_spent_in(
     polygon = _member_polygon(context, attribute, member)
     moft = context.moft(moft_name)
     result: Dict[Hashable, float] = {}
-    for oid in moft.objects():
+    for oid in sorted(moft.objects(), key=repr):
         if moft.sample_count(oid) < 2:
             result[oid] = 0.0
             continue
@@ -82,7 +82,7 @@ def presence_intervals(
     polygon = _member_polygon(context, attribute, member)
     moft = context.moft(moft_name)
     result: Dict[Hashable, List[Tuple[float, float]]] = {}
-    for oid in moft.objects():
+    for oid in sorted(moft.objects(), key=repr):
         if moft.sample_count(oid) < 2:
             result[oid] = []
             continue
@@ -107,7 +107,7 @@ def objects_passing_through(
     polygon = _member_polygon(context, attribute, member)
     moft = context.moft(moft_name)
     matched = set()
-    for oid in moft.objects():
+    for oid in sorted(moft.objects(), key=repr):
         if moft.sample_count(oid) == 1:
             (_, x, y) = moft.history(oid)[0]
             if polygon.contains_point(Point(x, y)):
@@ -129,7 +129,7 @@ def time_near_node(
     node = _member_node(context, attribute, member)
     moft = context.moft(moft_name)
     result: Dict[Hashable, float] = {}
-    for oid in moft.objects():
+    for oid in sorted(moft.objects(), key=repr):
         if moft.sample_count(oid) < 2:
             result[oid] = 0.0
             continue
