@@ -14,8 +14,8 @@ Subcommands:
 * ``ingest PATH`` — streams a MOFT CSV through the watermarked ingest
   pipeline (``repro.ingest``) in batches against a named world's
   dimensions, then prints the accounting: samples
-  submitted/ingested/late, flushes, compactions, final snapshot
-  version (see ``docs/ingest.md``);
+  submitted/ingested/late, flushes, final snapshot version (see
+  ``docs/ingest.md``);
 * ``poi`` — builds a POI world (Figure 1 with its places of interest,
   or the synthetic city with schools/stores promoted to discs and a
   stop-biased population), runs the stop/move segmentation and prints
@@ -160,10 +160,7 @@ def _run_ingest(args) -> int:
         context.gis,
         context.time,
         moft_name=moft_name,
-        config=IngestConfig(
-            allowed_lateness=args.lateness,
-            compact_every=args.compact_every,
-        ),
+        config=IngestConfig(allowed_lateness=args.lateness),
         store_specs=[StoreSpec(granule, "Ln", POLYGON)],
     )
     t, x, y = data.as_arrays()
@@ -179,7 +176,6 @@ def _run_ingest(args) -> int:
         )
     snapshot = ingestor.close()
     counters = ingestor.obs.counters
-    head = ingestor.chain.head
     print(f"ingested {args.path} into world {args.world!r} ({moft_name})")
     print(
         f"  samples:     {counters.get('samples_submitted', 0)} submitted, "
@@ -188,12 +184,10 @@ def _run_ingest(args) -> int:
     )
     print(
         f"  pipeline:    {counters.get('ingest_batches', 0)} batch(es), "
-        f"{counters.get('ingest_flushes', 0)} flush(es), "
-        f"{counters.get('compactions', 0)} compaction(s)"
+        f"{counters.get('ingest_flushes', 0)} flush(es)"
     )
     print(
         f"  head:        version {snapshot.ordinal}, {snapshot.rows} rows, "
-        f"{len(head.segments)} segment(s), "
         f"watermark {snapshot.watermark:g}"
     )
     return 0
@@ -507,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--lateness", type=float, default=0.0,
         help="allowed lateness in event-time units (default 0)",
-    )
-    ingest.add_argument(
-        "--compact-every", type=int, default=8,
-        help="compact the segment chain every N segments (default 8; "
-        "0 disables background compaction)",
     )
 
     poi = sub.add_parser(

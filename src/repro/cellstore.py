@@ -214,10 +214,10 @@ class GranuleStore:
         store they pinned.  Nothing is copied: a fold rebinds ``_table``,
         so the two share it until either folds.  ``moft`` must extend
         this store's table as a row prefix and carries its own version
-        counter: a row-identical table (a compaction) is this snapshot
-        under the new version number; an extension is stale by its row
-        count and keeps the built rows, so :meth:`update` folds exactly
-        the appended ones.
+        counter: a row-identical table is this snapshot under the new
+        version number; an extension is stale by its row count and keeps
+        the built rows, so :meth:`update` folds exactly the appended
+        ones.
         """
         out = self._copy()
         out.generation = next(_GENERATIONS)

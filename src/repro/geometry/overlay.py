@@ -143,6 +143,12 @@ def geometry_contains(container: Geometry, contained: Geometry) -> bool:
 
 #: Predicates the overlay can precompute.
 PREDICATES = ("intersects", "contains", "within")
+#: Each predicate's converse: ``a P b`` exactly when ``b CONVERSE[P] a``.
+CONVERSE = {
+    "intersects": "intersects",
+    "contains": "within",
+    "within": "contains",
+}
 
 
 class LayerOverlay:

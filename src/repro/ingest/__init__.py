@@ -1,13 +1,11 @@
-"""Streaming ingestion: watermarked writes over an MVCC snapshot chain.
+"""Streaming ingestion: watermarked writes published as immutable snapshots.
 
 See ``docs/ingest.md`` for the full semantics.  The public surface:
 
-* :class:`VersionedMoft` / :class:`MoftSnapshot` — the immutable
-  version chain of the columnar fact table;
 * :class:`StreamingIngestor` — the watermark-driven writer, with
-  :class:`IngestConfig` (allowed lateness, compaction cadence),
-  :class:`StoreSpec` (which pre-agg stores to maintain) and
-  :class:`IngestSnapshot` (what readers pin);
+  :class:`IngestConfig` (allowed lateness), :class:`StoreSpec` (which
+  pre-agg stores to maintain) and :class:`IngestSnapshot` (what readers
+  pin: one version of the table with its folded stores);
 * :class:`IngestReport` — the per-batch accounting ``submit`` returns.
 """
 
@@ -18,14 +16,11 @@ from repro.ingest.ingestor import (
     StoreSpec,
     StreamingIngestor,
 )
-from repro.ingest.versioned import MoftSnapshot, VersionedMoft
 
 __all__ = [
     "IngestConfig",
     "IngestReport",
     "IngestSnapshot",
-    "MoftSnapshot",
     "StoreSpec",
     "StreamingIngestor",
-    "VersionedMoft",
 ]

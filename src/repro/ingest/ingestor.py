@@ -24,18 +24,21 @@ counter, keeping ``samples_ingested + samples_late + samples_buffered
 **Sealing.**  After the watermark advances, every buffered sample with
 ``t <= watermark`` is *sealed*: sorted by ``(t, repr(oid))`` — one
 ``lexsort`` on ``t`` and a per-object dense rank of ``repr(oid)`` —
-into one delta segment, published through the
-:class:`~repro.ingest.versioned.VersionedMoft` chain (which hands the
-new table its parent's segment index extended by the delta's), and
-folded into cloned pre-agg stores, which read the delta's object codes
-off that table.  Sealed regions never reopen — any sample later
+into one delta, appended to the head snapshot's table
+(:meth:`~repro.mo.moft.MOFT.appended`, which hands the new table its
+parent's segment index extended by the delta's), and folded into cloned
+pre-agg stores, which read the delta's object codes off that table.
+Sealed regions never reopen — any sample later
 arriving inside one is late by the watermark test above, which is
 exactly what makes each publish a strict per-object time extension and
 keeps :meth:`~repro.preagg.PreAggStore.update` on the pure delta path
 (no retraction, no rebuild; ``tests/ingest/test_watermark_properties.py``
 asserts this).
 Every step of a flush is array work on the delta and the buffer, plus
-the column copies of the new table.
+the column copies of the new table.  That table starts with its
+parent's rows, in the same positions, so a store folded against one
+version is cloned onto the next and folds exactly the rows past its
+own.
 
 **MVCC maintenance.**  Readers pin :meth:`snapshot` — an immutable
 bundle of (table, folded stores, lazily built
@@ -45,12 +48,9 @@ mutates a published store: it clones copy-on-write
 new snapshot table and folds forward, then swaps the snapshot
 reference.  A reader mid-query keeps its pinned version; the planner's
 identity matching (``store.moft is moft``) guarantees the stores it
-routes through describe exactly the table it scans.
-
-**Compaction.**  Every ``compact_every`` flushes the segment chain is
-collapsed into one columnar base (``compaction`` stage,
-``compactions`` counter).  Compaction publishes a row-identical
-snapshot, so it can never change an answer.
+routes through describe exactly the table it scans.  The snapshot's
+``ordinal`` counts publishes: version 0 is the base (or an empty
+table), each flush that seals anything is one more.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import IngestError
-from repro.ingest.versioned import MoftSnapshot, VersionedMoft
+from repro.errors import IngestError, TrajectoryError
 from repro.mo.moft import MOFT, intern
 from repro.obs import PipelineStats
 from repro.preagg import PreAggStore
@@ -80,9 +79,12 @@ class IngestConfig:
         event seen.  ``0.0`` seals every sample as soon as a newer one
         arrives; larger values buffer more but tolerate more disorder.
     compact_every:
-        Collapse the segment chain into one base table whenever a flush
-        leaves at least this many segments (``0`` disables background
-        compaction; :meth:`StreamingIngestor.close` still compacts).
+        Read by nothing: a flush extends the head snapshot's table, so
+        there is no chain of segments to collapse.  Kept, validated as
+        ``>= 0``, only because the end-to-end benchmark's
+        ``ingest_interleaved`` workload still passes it; the
+        ``[benchmark]`` change of ROADMAP item 9(a) drops that argument,
+        and this field with it.
     """
 
     allowed_lateness: float = 0.0
@@ -210,7 +212,7 @@ class StreamingIngestor:
         Optional pre-loaded MOFT to seed version 0 with (e.g. a
         historical batch load the stream continues from).
     config:
-        Watermark and compaction tuning; see :class:`IngestConfig`.
+        Watermark tuning; see :class:`IngestConfig`.
     store_specs:
         Pre-agg stores to maintain incrementally across versions, one
         per ``(granule_level, layer, kind)``.
@@ -218,8 +220,8 @@ class StreamingIngestor:
         Receives the ingest vocabulary (see :mod:`repro.obs`).
 
     Thread safety: any number of threads may call :meth:`submit` /
-    :meth:`compact` / :meth:`close` (serialized by an internal lock)
-    while readers call :meth:`snapshot` without blocking.
+    :meth:`close` (serialized by an internal lock) while readers call
+    :meth:`snapshot` without blocking.
     """
 
     def __init__(
@@ -236,7 +238,7 @@ class StreamingIngestor:
         self.time = time
         self.config = config if config is not None else IngestConfig()
         self.obs = obs if obs is not None else PipelineStats()
-        self.chain = VersionedMoft(moft_name, base=base)
+        self._name = moft_name
         self._lock = threading.RLock()
         # Samples above the watermark, awaiting their seal: one
         # (oids, codes, t, x, y) column chunk per routed batch.
@@ -253,16 +255,14 @@ class StreamingIngestor:
         self._max_t = -math.inf
         self._watermark = -math.inf
         self._closed = False
-        self._published = 0
-        head = self.chain.head
-        table = head.table()
+        table = base if base is not None and len(base) else MOFT(moft_name)
         stores = tuple(
             self._build_store(table, spec) for spec in store_specs
         )
         self._snapshot = IngestSnapshot(
-            head.ordinal, self._watermark, table, stores, gis, time
+            0, self._watermark, table, stores, gis, time
         )
-        self._count_snapshot(head)
+        self.obs.gauge("snapshot_count", 1)
 
     def _build_store(self, table: MOFT, spec: StoreSpec):
         """Build the store flavor a spec asks for over one table version
@@ -327,8 +327,8 @@ class StreamingIngestor:
         against the watermark as of the *previous* batches (one mask),
         the batch's own event times advance it, and samples the new
         watermark passed (this batch's or earlier buffered ones) are
-        sealed into one published delta segment and folded into the
-        cloned stores.  Returns what happened to the batch.
+        sealed into one delta, appended to the head's table and folded
+        into the cloned stores.  Returns what happened to the batch.
         """
         with self._lock:
             if self._closed:
@@ -450,15 +450,8 @@ class StreamingIngestor:
                 f"the batch"
             )
 
-    def compact(self) -> IngestSnapshot:
-        """Collapse the segment chain now (also runs automatically)."""
-        with self._lock:
-            self._compact_locked()
-            self._refresh_gauges()
-            return self._snapshot
-
     def close(self) -> IngestSnapshot:
-        """End of stream: seal every buffered sample and compact.
+        """End of stream: seal every buffered sample.
 
         The watermark jumps to the newest event seen, so nothing stays
         buffered; the final snapshot answers exactly like a one-shot
@@ -471,7 +464,6 @@ class StreamingIngestor:
             if self._buffered:
                 self._watermark = max(self._watermark, self._max_t)
                 self._flush_locked()
-            self._compact_locked()
             self._refresh_gauges()
             return self._snapshot
 
@@ -493,18 +485,19 @@ class StreamingIngestor:
         rows = np.flatnonzero(ready)
         rows = rows[np.lexsort((self._repr_rank()[codes[rows]], t[rows]))]
         with self.obs.stage("ingest_fold"):
-            snap = self.chain.publish(oid_col[rows], t[rows], x[rows], y[rows])
-            self._fold_and_swap(snap)
+            try:
+                table = self._snapshot.moft.appended(
+                    oid_col[rows], t[rows], x[rows], y[rows]
+                )
+            except (TrajectoryError, TypeError, ValueError) as exc:
+                raise IngestError(f"malformed delta segment: {exc}") from exc
+            table.name = self._name
+            self._fold_and_swap(table)
         kept = ~ready
         self._buffer = [tuple(v[kept] for v in columns)] if kept.any() else []
         self._buffered -= rows.size
         self.obs.incr("samples_ingested", rows.size)
         self.obs.incr("ingest_flushes")
-        if (
-            self.config.compact_every
-            and len(snap.segments) >= self.config.compact_every
-        ):
-            self._compact_locked()
         return int(rows.size)
 
     def _repr_rank(self) -> np.ndarray:
@@ -516,31 +509,18 @@ class StreamingIngestor:
             )[1]
         return self._rank
 
-    def _compact_locked(self) -> None:
-        if len(self.chain.head.segments) <= 1:
-            return
-        with self.obs.stage("compaction"):
-            snap = self.chain.compact()
-            self._fold_and_swap(snap)
-        self.obs.incr("compactions")
-
-    def _fold_and_swap(self, snap: MoftSnapshot) -> None:
-        """Clone stores onto a new snapshot table, fold, swap the bundle."""
-        table = snap.table()
+    def _fold_and_swap(self, table: MOFT) -> None:
+        """Clone stores onto the new table, fold, swap the bundle."""
         stores = tuple(
             store.clone(moft=table) for store in self._snapshot.stores
         )
         for store in stores:
             store.update()
+        ordinal = self._snapshot.ordinal + 1
         self._snapshot = IngestSnapshot(
-            snap.ordinal, self._watermark, table, stores, self.gis, self.time
+            ordinal, self._watermark, table, stores, self.gis, self.time
         )
-        self._count_snapshot(snap)
-
-    def _count_snapshot(self, snap: MoftSnapshot) -> None:
-        self._published += 1
-        self.obs.gauge("snapshot_count", self._published)
-        self.obs.gauge("moft_segments", len(snap.segments))
+        self.obs.gauge("snapshot_count", ordinal + 1)
 
     def _refresh_gauges(self) -> None:
         self.obs.gauge("samples_buffered", self._buffered)
@@ -553,7 +533,7 @@ class StreamingIngestor:
 
     def __repr__(self) -> str:
         return (
-            f"StreamingIngestor({self.chain.name!r}, "
+            f"StreamingIngestor({self._name!r}, "
             f"watermark={self._watermark:g}, "
             f"buffered={self._buffered}, late={len(self._late)}, "
             f"ordinal={self._snapshot.ordinal})"

@@ -562,7 +562,7 @@ class MOFT:
     ) -> "MOFT":
         """A new table: this one's rows, then the given columns (checked
         as :meth:`extend_columns` checks them); this one is not touched.
-        How the ingest chain publishes (:mod:`repro.ingest.versioned`)."""
+        How each ingest flush publishes its snapshot (:mod:`repro.ingest`)."""
         self._flush()
         table = MOFT(self.name)
         table._install(*self._appended(oids, ts, xs, ys, validate=True))

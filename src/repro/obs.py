@@ -152,22 +152,19 @@ Counter names used by the built-in pipeline (see ``docs/API.md``):
     state, and workers currently executing a claim.
 
 ``samples_submitted`` / ``samples_ingested`` / ``samples_late`` /
-``ingest_batches`` / ``ingest_flushes`` / ``compactions``
+``ingest_batches`` / ``ingest_flushes``
     The streaming-ingest layer (:mod:`repro.ingest`): samples handed to
     :meth:`~repro.ingest.StreamingIngestor.submit`, samples sealed into
-    published delta segments, samples routed to the late side channel
+    published snapshots, samples routed to the late side channel
     (beyond the watermark — counted, kept, never silently dropped),
-    batches accepted, watermark flushes that published a segment, and
-    segment-chain compactions.  Exhaustiveness invariant at any instant:
-    ``samples_submitted == samples_ingested + samples_late +
-    samples_buffered``.
-``samples_buffered`` / ``watermark_lag`` / ``snapshot_count`` /
-``moft_segments``
+    batches accepted, and watermark flushes that published a snapshot.
+    Exhaustiveness invariant at any instant: ``samples_submitted ==
+    samples_ingested + samples_late + samples_buffered``.
+``samples_buffered`` / ``watermark_lag`` / ``snapshot_count``
     Ingest *gauges*: samples above the watermark awaiting their seal,
     how far (event-time units, truncated to int) the watermark trails
-    the newest event seen, total snapshots published on the version
-    chain, and segments in the current head (drops to 1 at each
-    compaction).
+    the newest event seen, and snapshots published so far (the base
+    version counts as one).
 
 ``cell_decided_points``
     Points a decided-cell label answered without a containment call
@@ -221,8 +218,7 @@ and ``worker_idle`` (waits of workers with nothing to claim for the
 queue's change signal —
 utilization is ``service_run / (service_run + worker_idle)``); the
 streaming-ingest layer adds ``ingest_fold`` (seal → publish → clone →
-store fold, one call per flush) and ``compaction`` (segment-chain
-collapse, one call per compaction).
+store fold, one call per flush).
 
 Thread safety: counters and stage timers are mutated from several
 threads at once — the query service's workers, concurrent ingest

@@ -35,9 +35,11 @@ from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import PietQLExecutionError
+from repro.geometry.overlay import CONVERSE
 from repro.mo.moft import ObjectSet
 from repro.pietql import ast
 from repro.pietql.parser import parse
+from repro.query import evaluator
 from repro.query.evaluator import Leaf, resolve_through, store_or_scan
 from repro.query.planner import CostModel, PlanNode, QueryPlan, plan
 from repro.query.poi import resolve_poi
@@ -309,9 +311,13 @@ class PietQLExecutor:
                 f"no application attribute is placed on "
                 f"{binding.layer}:{binding.kind}; cannot aggregate"
             )
+        # Fold in repr order: a float sum depends on its order, and a
+        # set's order follows the hash seed.
         members = []
-        for gid in geometry_ids:
-            members.extend(self.context.gis.alpha_inverse(attribute, gid))
+        for gid in sorted(geometry_ids, key=repr):
+            members.extend(sorted(
+                self.context.gis.alpha_inverse(attribute, gid), key=repr
+            ))
         if not members:
             return {}
         groups: Dict[Hashable, list] = {}
@@ -337,47 +343,26 @@ class PietQLExecutor:
         return {key: function.apply(values) for key, values in groups.items()}
 
     def execute_geometric(self, geo: ast.GeometricQuery) -> Set[Hashable]:
-        """Evaluate the geometric part to target-element ids."""
-        with self.context.obs.stage("geometric_subquery"):
-            return self._execute_geometric(geo)
-
-    def _execute_geometric(self, geo: ast.GeometricQuery) -> Set[Hashable]:
-        target_ref = geo.target
-        result: Optional[Set[Hashable]] = None
+        """Evaluate the geometric part to target-element ids: one
+        :func:`~repro.query.evaluator.geometric_subquery` call, each
+        condition read from the target's side (a target on the right
+        takes the converse predicate; the other operand is
+        existential)."""
+        target = self.resolve(geo.target)
+        constraints = []
         for condition in geo.conditions:
-            ids = self._condition_ids(condition, target_ref)
-            result = ids if result is None else result & ids
-            if not result:
-                return set()
-        if result is None:
-            binding = self.resolve(target_ref)
-            return set(
-                self.context.gis.layer(binding.layer).elements(binding.kind)
-            )
-        return result
-
-    def _condition_ids(
-        self, condition: ast.GeoCondition, target_ref: ast.LayerRef
-    ) -> Set[Hashable]:
-        """Target ids satisfying one condition (other operand existential)."""
-        if condition.left == target_ref:
-            other_ref, target_is_left = condition.right, True
-        else:
-            other_ref, target_is_left = condition.left, False
-        target = self.resolve(target_ref)
-        other = self.resolve(other_ref, condition.sublevel)
-        predicate = condition.predicate
-        if predicate == "intersection":
-            predicate = "intersects"
-        if target_is_left:
-            pairs = self.context.geometry_pairs(
-                target.layer, target.kind, predicate, other.layer, other.kind
-            )
-            return {a for a, _ in pairs}
-        pairs = self.context.geometry_pairs(
-            other.layer, other.kind, predicate, target.layer, target.kind
+            predicate = condition.predicate
+            if predicate == "intersection":
+                predicate = "intersects"
+            if condition.left == geo.target:
+                other_ref = condition.right
+            else:
+                other_ref, predicate = condition.left, CONVERSE[predicate]
+            other = self.resolve(other_ref, condition.sublevel)
+            constraints.append((predicate, (other.layer, other.kind)))
+        return evaluator.geometric_subquery(
+            self.context, (target.layer, target.kind), constraints
         )
-        return {b for _, b in pairs}
 
     def _during_instants(
         self, mo: ast.MovingObjectQuery

@@ -100,7 +100,7 @@ def load_world(name: str = "fig1", streaming: bool = False) -> ServiceWorld:
 
     With ``streaming=True`` the MOFT starts empty behind a
     :class:`~repro.ingest.StreamingIngestor` (default config: zero
-    allowed lateness, compaction every 8 segments) instead of being
+    allowed lateness) instead of being
     batch-loaded; samples arrive via ``ingest`` jobs or direct
     ``submit`` calls on the ingestor.
     """

@@ -2,9 +2,9 @@
 
 The campaign's one contract: a streaming ingest of any schedule —
 shuffled, batched, with late arrivals routed to the side channel —
-must, after watermark close and compaction, answer exactly like a
-one-shot batch load of exactly the accepted samples.  The helpers here
-make that statement mechanical:
+must, after watermark close, answer exactly like a one-shot batch load
+of exactly the accepted samples.  The helpers here make that statement
+mechanical:
 
 * :func:`moft_samples` flattens a MOFT into ``(oid, t, x, y)`` rows;
 * :func:`run_schedule` shuffles/batches/submits/closes one ingestor;

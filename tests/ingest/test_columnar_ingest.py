@@ -13,8 +13,8 @@ Two statements:
   sealed delta is the buffered samples the watermark passed in
   ``(t, repr(oid))`` order, and no submit, close or snapshot scan ever
   sorts a table from scratch (``SegmentIndex.build``) — quantified over
-  disorder, allowed lateness, compaction cadence, a memory-mapped base
-  table and object ids whose value order is not their ``repr`` order.
+  disorder, allowed lateness, a memory-mapped base table and object ids
+  whose value order is not their ``repr`` order.
 """
 
 from __future__ import annotations
@@ -223,7 +223,6 @@ def schedules(draw, n_instants: int):
         "seed": draw(st.integers(0, 2**16)),
         "batch": draw(st.integers(1, 6)),
         "lateness": draw(st.sampled_from([0.0, 1.0, 3.0, 100.0])),
-        "compact_every": draw(st.sampled_from([0, 1, 8])),
     }
 
 
@@ -241,6 +240,22 @@ def index_build_spy():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SegmentIndex, "build", classmethod(spy))
         yield calls
+
+
+@contextmanager
+def publish_spy():
+    """Record the delta of every publish (each :meth:`MOFT.appended`
+    call) while the block runs, as ``(oid, t, x, y)`` rows."""
+    published = []
+    appended = MOFT.appended
+
+    def spy(table, *columns):
+        published.append(list(zip(*(c.tolist() for c in columns))))
+        return appended(table, *columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MOFT, "appended", spy)
+        yield published
 
 
 def sealed_reference(schedule, batches, lateness):
@@ -324,21 +339,11 @@ class TestSnapshotsExtend:
                 base = MOFT.load(path)
             ingestor = StreamingIngestor(
                 city.gis, city.time, moft_name="FM", base=base,
-                config=IngestConfig(
-                    allowed_lateness=case["lateness"],
-                    compact_every=case["compact_every"],
-                ),
+                config=IngestConfig(allowed_lateness=case["lateness"]),
                 store_specs=(StoreSpec("day", "Ln", POLYGON),),
             )
-            published, snapshots, answers = [], [], []
-            publish = ingestor.chain.publish
-
-            def recording_publish(*columns):
-                published.append(list(zip(*(c.tolist() for c in columns))))
-                return publish(*columns)
-
-            ingestor.chain.publish = recording_publish
-            with index_build_spy() as walks:
+            snapshots, answers = [], []
+            with index_build_spy() as walks, publish_spy() as published:
                 for batch in batches:
                     ingestor.submit(*map(list, zip(*batch)))
                     snapshots.append(ingestor.snapshot())

@@ -11,16 +11,14 @@ The MVCC claims under real-thread load (the ingest counterpart of
   up exactly: ``samples_ingested + samples_late == samples_submitted``,
   the side channel holds precisely ``samples_late`` rows, and the final
   table holds precisely ``samples_ingested`` rows;
-* **compaction is answer-neutral** — a pinned pre-compaction snapshot
-  keeps answering identically, and the post-compaction snapshot is
-  row-for-row the same table.
+* **pinned versions keep answering** — a snapshot pinned mid-stream
+  answers identically after the writer has published past it.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.ingest import IngestConfig, StoreSpec, StreamingIngestor
@@ -40,14 +38,12 @@ from tests.ingest.conftest import (
 pytestmark = pytest.mark.ingest
 
 
-def build_ingestor(world, *, lateness=5.0, compact_every=4):
+def build_ingestor(world, *, lateness=5.0):
     return StreamingIngestor(
         world.gis,
         world.time,
         moft_name=world.moft_name,
-        config=IngestConfig(
-            allowed_lateness=lateness, compact_every=compact_every
-        ),
+        config=IngestConfig(allowed_lateness=lateness),
         store_specs=(StoreSpec(world.granule, "Ln", POLYGON),),
     )
 
@@ -75,7 +71,7 @@ def test_readers_see_only_published_versions(small_synth_stream):
 
     schedule = list(world.samples)
     random.Random(99).shuffle(schedule)
-    ingestor = build_ingestor(world, lateness=5.0, compact_every=4)
+    ingestor = build_ingestor(world, lateness=5.0)
 
     stop = threading.Event()
     observations, errors = [], []
@@ -100,7 +96,7 @@ def test_readers_see_only_published_versions(small_synth_stream):
         thread.start()
     try:
         batch = 64
-        for k, start in enumerate(range(0, len(schedule), batch)):
+        for start in range(0, len(schedule), batch):
             rows = schedule[start:start + batch]
             ingestor.submit(
                 [s[0] for s in rows],
@@ -108,8 +104,6 @@ def test_readers_see_only_published_versions(small_synth_stream):
                 [s[2] for s in rows],
                 [s[3] for s in rows],
             )
-            if k % 5 == 4:
-                ingestor.compact()
         ingestor.close()
     finally:
         stop.set()
@@ -159,9 +153,9 @@ def test_readers_see_only_published_versions(small_synth_stream):
 
 def test_pinned_snapshot_survives_writer_progress(fig1_stream):
     """A pinned version keeps answering identically while the writer
-    publishes, compacts, and closes behind it."""
+    publishes and closes behind it."""
     world = fig1_stream
-    ingestor = build_ingestor(world, lateness=12.0, compact_every=0)
+    ingestor = build_ingestor(world, lateness=12.0)
     schedule = sorted(world.samples, key=lambda s: (s[1], repr(s[0])))
     half = len(schedule) // 2
     for start in range(0, half, 3):
@@ -188,7 +182,6 @@ def test_pinned_snapshot_survives_writer_progress(fig1_stream):
             [s[2] for s in rows],
             [s[3] for s in rows],
         )
-    ingestor.compact()
     ingestor.close()
     assert pinned.rows == pinned_rows
     assert count_payload(
@@ -200,53 +193,11 @@ def test_pinned_snapshot_survives_writer_progress(fig1_stream):
     assert ingestor.snapshot().rows > pinned_rows
 
 
-def test_compaction_never_changes_answers(small_synth_stream):
-    """Snapshot vs its compacted successor: same rows, same bytes."""
-    world = small_synth_stream
-    # Time-ordered delivery with a short lateness budget: the watermark
-    # trails each batch, so every batch seals its own delta segment and
-    # the chain grows long enough for compaction to have work to do.
-    schedule = sorted(world.samples, key=lambda s: (s[1], repr(s[0])))
-    ingestor = build_ingestor(world, lateness=3.0, compact_every=0)
-    batch = 128
-    for start in range(0, len(schedule), batch):
-        rows = schedule[start:start + batch]
-        ingestor.submit(
-            [s[0] for s in rows],
-            [s[1] for s in rows],
-            [s[2] for s in rows],
-            [s[3] for s in rows],
-        )
-    before = ingestor.snapshot()
-    assert len(ingestor.chain.head.segments) > 1
-    before_count = count_payload(
-        before.context(), moft_name=world.moft_name
-    )
-    before_through = through_payload(
-        before.context(), moft_name=world.moft_name
-    )
-    after = ingestor.compact()
-    assert after.ordinal > before.ordinal
-    assert after.rows == before.rows
-    assert len(ingestor.chain.head.segments) == 1
-    # Row-for-row identical tables...
-    assert list(after.moft.oid_column()) == list(before.moft.oid_column())
-    for lhs, rhs in zip(after.moft.as_arrays(), before.moft.as_arrays()):
-        assert np.array_equal(lhs, rhs)
-    # ...and byte-identical answers, from both the old and new versions.
-    assert count_payload(
-        after.context(), moft_name=world.moft_name
-    ) == before_count
-    assert through_payload(
-        after.context(), moft_name=world.moft_name
-    ) == before_through
-
-
 def test_concurrent_writers_serialize_cleanly(fig1_stream):
     """submit() from many threads: the lock serializes publishes and
     the accounting still adds up exactly."""
     world = fig1_stream
-    ingestor = build_ingestor(world, lateness=12.0, compact_every=3)
+    ingestor = build_ingestor(world, lateness=12.0)
     groups = {}
     for sample in world.samples:
         groups.setdefault(sample[1], []).append(sample)

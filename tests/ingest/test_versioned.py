@@ -1,10 +1,11 @@
-"""Unit tests for the MVCC version chain (:mod:`repro.ingest.versioned`).
+"""Unit tests for the versions a :class:`StreamingIngestor` publishes.
 
-The chain's two load-bearing invariants — row-prefix extension and
-row-identical compaction — are what let the pre-agg maintainer fold
-forward instead of rebuilding and what make compaction answer-neutral;
-both are pinned here at the table level before the differential
-campaign exercises them end to end.
+Each flush appends its delta to the head snapshot's table and publishes
+the result as the next version.  The load-bearing invariants — pinned
+versions never change, and every version's table starts with its
+predecessor's rows — are what let the pre-agg maintainer fold forward
+instead of rebuilding; they are pinned here at the table level before
+the differential campaign exercises them end to end.
 """
 
 from __future__ import annotations
@@ -13,19 +14,28 @@ import numpy as np
 import pytest
 
 from repro.errors import IngestError
-from repro.ingest import MoftSnapshot, VersionedMoft
+from repro.ingest import IngestSnapshot, StreamingIngestor
 from repro.mo.moft import MOFT
+from repro.synth import figure1_instance
 
 pytestmark = pytest.mark.ingest
 
 
-def publish_rows(chain: VersionedMoft, rows) -> MoftSnapshot:
-    return chain.publish(
+def ingestor(base=None) -> StreamingIngestor:
+    """A store-less ingestor with zero lateness: each submitted batch
+    above the watermark is sealed and published at once."""
+    world = figure1_instance()
+    return StreamingIngestor(world.gis, world.time, moft_name="FM", base=base)
+
+
+def publish_rows(writer: StreamingIngestor, rows) -> IngestSnapshot:
+    writer.submit(
         [r[0] for r in rows],
         [r[1] for r in rows],
         [r[2] for r in rows],
         [r[3] for r in rows],
     )
+    return writer.snapshot()
 
 
 def columns_of(moft: MOFT):
@@ -35,50 +45,66 @@ def columns_of(moft: MOFT):
 
 class TestConstruction:
     def test_empty_chain_head(self):
-        chain = VersionedMoft("FM")
-        head = chain.head
+        head = ingestor().snapshot()
         assert head.ordinal == 0
         assert head.rows == 0
-        assert head.segments == ()
-        table = head.table()
-        assert isinstance(table, MOFT)
-        assert len(table) == 0
-        assert table.name == "FM"
+        assert isinstance(head.moft, MOFT)
+        assert len(head.moft) == 0
+        assert head.moft.name == "FM"
 
     def test_base_seeds_version_zero(self):
         base = MOFT.from_columns(
             ["a", "b"], [0.0, 1.0], [1.0, 2.0], [3.0, 4.0], name="FM"
         )
-        chain = VersionedMoft("FM", base=base)
-        head = chain.head
+        head = ingestor(base).snapshot()
         assert head.ordinal == 0
         assert head.rows == 2
-        assert head.segments == (base,)
-        # Single-segment snapshots return the segment itself: zero copies.
-        assert head.table() is base
+        # The base is version 0's table itself: zero copies.
+        assert head.moft is base
 
     def test_empty_base_is_ignored(self):
-        chain = VersionedMoft("FM", base=MOFT("FM"))
-        assert chain.head.segments == ()
+        base = MOFT("other")
+        head = ingestor(base).snapshot()
+        assert head.moft is not base
+        assert head.moft.name == "FM"
 
 
 class TestPublish:
     def test_appends_segment_and_bumps_ordinal(self):
-        chain = VersionedMoft("FM")
-        snap1 = publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        snap2 = publish_rows(chain, [("a", 1.0, 2.0, 2.0), ("b", 1.0, 0.0, 0.0)])
+        writer = ingestor()
+        snap1 = publish_rows(writer, [("a", 0.0, 1.0, 1.0)])
+        snap2 = publish_rows(
+            writer, [("a", 1.0, 2.0, 2.0), ("b", 1.0, 0.0, 0.0)]
+        )
         assert (snap1.ordinal, snap1.rows) == (1, 1)
         assert (snap2.ordinal, snap2.rows) == (2, 3)
-        assert chain.head is snap2
-        assert len(snap2.segments) == 2
+        assert writer.snapshot() is snap2
+        assert snap2.moft is not snap1.moft
+
+    def test_a_seal_builds_one_table(self, monkeypatch):
+        """A flush appends to the head's table and builds nothing else."""
+        writer = ingestor()
+        publish_rows(writer, [("a", 0.0, 1.0, 1.0)])
+        built = []
+        init = MOFT.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MOFT, "__init__", counting)
+        snap = publish_rows(
+            writer, [("a", 1.0, 2.0, 2.0), ("b", 1.0, 0.0, 0.0)]
+        )
+        assert built == [snap.moft]
 
     def test_pinned_snapshot_is_immutable_across_publishes(self):
-        chain = VersionedMoft("FM")
-        pinned = publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        before = columns_of(pinned.table())
-        publish_rows(chain, [("b", 1.0, 5.0, 5.0)])
-        publish_rows(chain, [("c", 2.0, 6.0, 6.0)])
-        after = columns_of(pinned.table())
+        writer = ingestor()
+        pinned = publish_rows(writer, [("a", 0.0, 1.0, 1.0)])
+        before = columns_of(pinned.moft)
+        publish_rows(writer, [("b", 1.0, 5.0, 5.0)])
+        publish_rows(writer, [("c", 2.0, 6.0, 6.0)])
+        after = columns_of(pinned.moft)
         assert pinned.rows == 1
         assert before[0] == after[0]
         for lhs, rhs in zip(before[1:], after[1:]):
@@ -86,15 +112,15 @@ class TestPublish:
 
     def test_row_prefix_extension(self):
         """Every snapshot's table starts with its predecessor's rows."""
-        chain = VersionedMoft("FM")
+        writer = ingestor()
         old = publish_rows(
-            chain, [("a", 0.0, 1.0, 1.0), ("b", 0.0, 2.0, 2.0)]
+            writer, [("a", 0.0, 1.0, 1.0), ("b", 0.0, 2.0, 2.0)]
         )
         new = publish_rows(
-            chain, [("a", 1.0, 3.0, 3.0), ("c", 1.0, 4.0, 4.0)]
+            writer, [("a", 1.0, 3.0, 3.0), ("c", 1.0, 4.0, 4.0)]
         )
-        old_oids, old_t, old_x, old_y = columns_of(old.table())
-        new_oids, new_t, new_x, new_y = columns_of(new.table())
+        old_oids, old_t, old_x, old_y = columns_of(old.moft)
+        new_oids, new_t, new_x, new_y = columns_of(new.moft)
         r = old.rows
         assert new_oids[:r] == old_oids
         assert np.array_equal(new_t[:r], old_t)
@@ -102,80 +128,45 @@ class TestPublish:
         assert np.array_equal(new_y[:r], old_y)
 
     def test_empty_segment_is_refused(self):
-        chain = VersionedMoft("FM")
-        with pytest.raises(IngestError, match="empty delta segment"):
-            chain.publish([], [], [], [])
+        """An empty batch seals nothing, so no version is published."""
+        writer = ingestor()
+        head = writer.snapshot()
+        report = writer.submit([], [], [], [])
+        assert (report.ingested, report.ordinal) == (0, 0)
+        assert writer.snapshot() is head
 
     def test_malformed_segment_leaves_head_unchanged(self):
-        chain = VersionedMoft("FM")
-        head = publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
+        # The base holds ("a", 5.0) above the empty stream's watermark,
+        # so the stream's own ("a", 5.0) passes routing and is sealed
+        # into a delta the head's table refuses.
+        base = MOFT.from_columns(["a"], [5.0], [1.0], [1.0], name="FM")
+        writer = ingestor(base)
+        head = writer.snapshot()
         with pytest.raises(IngestError, match="malformed delta segment"):
-            # Duplicate (oid, t) within one segment.
-            publish_rows(
-                chain, [("b", 1.0, 0.0, 0.0), ("b", 1.0, 9.0, 9.0)]
-            )
-        assert chain.head is head
+            publish_rows(writer, [("a", 5.0, 9.0, 9.0)])
+        assert writer.snapshot() is head
+        assert len(base) == 1
 
     def test_ragged_segment_is_refused(self):
-        chain = VersionedMoft("FM")
-        with pytest.raises(IngestError, match="malformed delta segment"):
-            chain.publish(["a", "b"], [0.0], [1.0], [1.0])
-
-
-class TestCompact:
-    def test_compaction_is_row_identical(self):
-        chain = VersionedMoft("FM")
-        for k in range(4):
-            publish_rows(chain, [(f"o{k}", float(k), 1.0 * k, 2.0 * k)])
-        before = columns_of(chain.head.table())
-        ordinal = chain.head.ordinal
-        compacted = chain.compact()
-        assert compacted.ordinal == ordinal + 1
-        assert len(compacted.segments) == 1
-        assert compacted.rows == 4
-        after = columns_of(compacted.table())
-        assert before[0] == after[0]
-        for lhs, rhs in zip(before[1:], after[1:]):
-            assert np.array_equal(lhs, rhs)
-
-    def test_compaction_noop_below_two_segments(self):
-        chain = VersionedMoft("FM")
-        assert chain.compact() is chain.head
-        head = publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        assert chain.compact() is head
-
-    def test_publish_after_compaction_extends_the_base(self):
-        chain = VersionedMoft("FM")
-        publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        publish_rows(chain, [("b", 1.0, 2.0, 2.0)])
-        chain.compact()
-        snap = publish_rows(chain, [("c", 2.0, 3.0, 3.0)])
-        assert len(snap.segments) == 2
-        assert snap.rows == 3
-        oids, t, _, _ = columns_of(snap.table())
-        assert oids == ["a", "b", "c"]
-        assert np.array_equal(t, np.array([0.0, 1.0, 2.0]))
-
-    def test_table_is_cached(self):
-        chain = VersionedMoft("FM")
-        publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        publish_rows(chain, [("b", 1.0, 2.0, 2.0)])
-        head = chain.head
-        assert head.table() is head.table()
+        writer = ingestor()
+        head = writer.snapshot()
+        with pytest.raises(IngestError, match="ragged sample batch"):
+            writer.submit(["a", "b"], [0.0], [1.0], [1.0])
+        assert writer.snapshot() is head
 
 
 class TestSave:
     def test_snapshot_saves_as_columnar_file(self, tmp_path):
-        chain = VersionedMoft("FM")
-        publish_rows(chain, [("a", 0.0, 1.0, 1.0), ("b", 0.0, 2.0, 2.0)])
-        publish_rows(chain, [("a", 1.0, 1.5, 1.5)])
-        snap = chain.head
+        writer = ingestor()
+        publish_rows(writer, [("a", 0.0, 1.0, 1.0), ("b", 0.0, 2.0, 2.0)])
+        publish_rows(writer, [("a", 1.0, 1.5, 1.5)])
+        snap = writer.snapshot()
         path = tmp_path / "v2.moft"
-        nbytes = snap.save(path)
+        nbytes = snap.moft.save(path)
         assert nbytes == path.stat().st_size > 0
 
         loaded = MOFT.load(path)
-        want = columns_of(snap.table())
+        want = columns_of(snap.moft)
         got = columns_of(loaded)
         assert want[0] == got[0]
         for lhs, rhs in zip(want[1:], got[1:]):
@@ -183,12 +174,12 @@ class TestSave:
 
     def test_saved_version_is_pinned_against_later_publishes(self, tmp_path):
         """The file captures exactly the saved version, not the live head."""
-        chain = VersionedMoft("FM")
-        pinned = publish_rows(chain, [("a", 0.0, 1.0, 1.0)])
-        publish_rows(chain, [("b", 1.0, 2.0, 2.0)])
+        writer = ingestor()
+        pinned = publish_rows(writer, [("a", 0.0, 1.0, 1.0)])
+        publish_rows(writer, [("b", 1.0, 2.0, 2.0)])
         path = tmp_path / "pinned.moft"
-        pinned.save(path)
+        pinned.moft.save(path)
         loaded = MOFT.load(path)
         assert len(loaded) == 1
         assert list(loaded.oid_column()) == ["a"]
-        assert chain.head.rows == 2
+        assert writer.snapshot().rows == 2

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import TrajectoryError
 from repro.geometry import Point
-from repro.ingest import VersionedMoft
 from repro.mo import MOFT
 from repro.mo import moft as moft_module
 
@@ -273,10 +272,9 @@ class TestSegmentTable:
         self.check(bulk)
         self.check(bulk.mask_rows(bulk.as_arrays()[0] % 3 != 0))
         self.check(bulk.restrict_objects({"A", "C"}))
-        chain = VersionedMoft("FM")
+        published = MOFT("FM")
         for at in range(0, len(tuples), 7):
-            chain.publish(*map(list, zip(*tuples[at:at + 7])))
-        published = chain.head.table()
+            published = published.appended(*map(list, zip(*tuples[at:at + 7])))
         for table in (appended, bulk, published):
             assert list(table.tuples()) == tuples
         self.check(published)

@@ -137,7 +137,7 @@ def calls(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(evaluator, "geometric_subquery", "geometric_subquery")
-    counted(PietQLExecutor, "_execute_geometric", "_execute_geometric")
+    counted(PietQLExecutor, "execute_geometric", "execute_geometric")
     counted(EvaluationContext, "preagg_for", "preagg_for")
     counted(PreAggStore, "_sliver_scan_mask", "_sliver_scan_mask")
     counted(MOFT, "restrict_instants", "restrict_instants")
@@ -200,8 +200,8 @@ class TestResolveOnce:
         assert result.count > 0
         assert stored.obs.count("preagg_hits") == hits + served
         assert stored.obs.count("preagg_misses") == misses + (not served)
-        assert calls["_execute_geometric"] == 1
-        assert calls["geometric_subquery"] == 0
+        assert calls["execute_geometric"] == 1
+        assert calls["geometric_subquery"] == 1
         assert calls["preagg_for"] == 1
         assert calls["_sliver_scan_mask"] == 0
         if explain:
@@ -213,7 +213,7 @@ class TestResolveOnce:
             pietql_text(f"day = '{DAY2}'", explain)
         )
         assert result.count > 0
-        assert calls["_execute_geometric"] == 1
+        assert calls["execute_geometric"] == 1
         assert calls["preagg_for"] == 1
         assert bare.obs.count("preagg_misses") == 0
 

@@ -332,12 +332,12 @@ class TestIngest:
         )
         assert result.returncode == 0
         assert "12 submitted, 12 ingested, 0 late" in result.stdout
-        assert "1 segment(s)" in result.stdout  # close() compacts
+        assert "12 rows" in result.stdout
 
     def test_late_samples_are_reported_not_dropped(self, fig1_csv):
         result = run_cli(
             "ingest", fig1_csv, "--world", "fig1",
-            "--batch-size", "3", "--lateness", "2", "--compact-every", "2",
+            "--batch-size", "3", "--lateness", "2",
         )
         assert result.returncode == 0
         out = result.stdout

@@ -22,6 +22,24 @@ PROGRAMS = [["-m", "repro", "demo"]] + [
     [str(path.relative_to(ROOT))] for path in sorted((ROOT / "examples").glob("*.py"))
 ]
 TIMING = re.compile(r"\d+(?:\.\d+)?(?= ?(?:ms|us|s)\b)")
+#: Piet-QL's ``AGGREGATE`` sums member values whose float sum depends
+#: on the order they are folded in (0.1 + 0.2 + 0.3 + 0.7).
+AGGREGATE_PROBE = """
+from repro.gis import POLYGON
+from repro.pietql import LayerBinding, run
+from repro.synth import figure1_instance
+
+world = figure1_instance()
+incomes = {"berchem": 0.1, "centrum": 0.2, "noord": 0.3, "zuid": 0.7}
+for name, income in incomes.items():
+    world.gis.set_member_value("neighborhood", name, "income", income)
+result = run(
+    "SELECT layer.neighborhoods FROM S | AGGREGATE sum(income)",
+    world.context(),
+    {"neighborhoods": LayerBinding("Ln", POLYGON)},
+)
+print(repr(result.olap_result))
+"""
 
 
 def output(args, seed: int) -> str:
@@ -48,3 +66,10 @@ def test_timings_are_masked():
 @pytest.mark.parametrize("args", PROGRAMS, ids=lambda args: args[-1])
 def test_same_output_under_two_hash_seeds(args):
     assert output(args, 1) == output(args, 2)
+
+
+def test_pietql_aggregate_folds_in_one_order():
+    # Seed 7 folds the four values in another order than seed 1 when
+    # the members are taken in set order.
+    probe = ["-c", AGGREGATE_PROBE]
+    assert output(probe, 1) == output(probe, 7)
